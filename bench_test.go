@@ -67,13 +67,13 @@ func population(b *testing.B, users int) *db.DB {
 
 // --- T-G: the File Organization table ---
 
-func benchGenerator(b *testing.B, fn gen.Func, users int) {
+func benchGenerator(b *testing.B, g *gen.Incremental, users int) {
 	d := population(b, users)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last *gen.Result
 	for i := 0; i < b.N; i++ {
-		res, err := fn(d)
+		res, err := gen.Generate(d, g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,17 +83,17 @@ func benchGenerator(b *testing.B, fn gen.Func, users int) {
 	b.ReportMetric(float64(last.TotalBytes), "bytes")
 }
 
-func BenchmarkTableG_Hesiod(b *testing.B) { benchGenerator(b, gen.Hesiod, paperScale) }
-func BenchmarkTableG_NFS(b *testing.B)    { benchGenerator(b, gen.NFS, paperScale) }
-func BenchmarkTableG_Mail(b *testing.B)   { benchGenerator(b, gen.Mail, paperScale) }
-func BenchmarkTableG_Zephyr(b *testing.B) { benchGenerator(b, gen.ZephyrACL, paperScale) }
+func BenchmarkTableG_Hesiod(b *testing.B) { benchGenerator(b, gen.HesiodIncremental, paperScale) }
+func BenchmarkTableG_NFS(b *testing.B)    { benchGenerator(b, gen.NFSIncremental, paperScale) }
+func BenchmarkTableG_Mail(b *testing.B)   { benchGenerator(b, gen.MailIncremental, paperScale) }
+func BenchmarkTableG_Zephyr(b *testing.B) { benchGenerator(b, gen.ZephyrIncremental, paperScale) }
 
 // --- C-A: scaling to 10,000 users ---
 
 func BenchmarkScaleUsers(b *testing.B) {
 	for _, users := range []int{1000, 2500, 5000, 10000} {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
-			benchGenerator(b, gen.Hesiod, users)
+			benchGenerator(b, gen.HesiodIncremental, users)
 		})
 	}
 }
@@ -397,7 +397,7 @@ func BenchmarkAccessThenQuery(b *testing.B) {
 
 func BenchmarkHostUpdate(b *testing.B) {
 	d := population(b, 1000)
-	res, err := gen.Hesiod(d)
+	res, err := gen.Generate(d, gen.HesiodIncremental)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -606,11 +606,14 @@ func statFile(dir, name string) (int64, error) {
 // --- Incremental DCM: journal-delta extraction + chunked diff push ---
 
 // benchIncrementalDCM measures one steady-state DCM pass at scale under
-// light churn: users/1000 mutations (0.1%) land between passes. The
-// full variant is the pre-incremental pipeline — from-scratch
-// generation and whole-file transfers; the incremental variant patches
-// keyed models from the durable journal and pushes content-chunked
-// diffs. With fleet set, every pass also updates every managed host
+// light churn: users/1000 mutations (0.1%) land between passes. Both
+// variants run the one change path — planner, keyed models, chunk
+// manifests. The incremental variant lets the planner patch its models
+// from the journal and reports the bytes that traveled; the full
+// baseline drops every model before each timed pass, so every service
+// rebuilds from scratch ("cold start"), and reports the whole-file byte
+// count (BytesPropagated) as what a transport without chunk reuse would
+// move. With fleet set, every pass also updates every managed host
 // (real TCP agents running the service install simulations — creating
 // home directories, reparsing hesiod maps — a cost identical in both
 // modes); without it the host fleet is pinned up to date, isolating the
@@ -624,12 +627,7 @@ func benchIncrementalDCM(b *testing.B, users int, incremental, fleet bool) {
 	cfg.NFSServers = 4
 	cfg.Workstations = 1000
 	cfg.MailLists = 1200
-	sys, err := core.Boot(core.Options{
-		Clock:            clk,
-		Workload:         &cfg,
-		DCMIncremental:   incremental,
-		DCMWholeFilePush: !incremental,
-	})
+	sys, err := core.Boot(core.Options{Clock: clk, Workload: &cfg, DCMIncremental: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -694,6 +692,11 @@ func benchIncrementalDCM(b *testing.B, users int, incremental, fleet bool) {
 			}
 		}
 		clk.Advance(25 * time.Hour) // every service due
+		if !incremental {
+			for name := range gen.Incrementals {
+				sys.DCM.Planner().Invalidate(name)
+			}
+		}
 		b.StartTimer()
 		stats, err := sys.RunDCM()
 		if err != nil {
@@ -708,8 +711,12 @@ func benchIncrementalDCM(b *testing.B, users int, incremental, fleet bool) {
 		if fleet && stats.HostsUpdated == 0 {
 			b.Fatalf("fleet pass pushed nothing: %+v", stats)
 		}
-		pushed += int64(stats.BytesPushed)
-		reused += int64(stats.BytesSkipped)
+		if incremental {
+			pushed += int64(stats.BytesPushed)
+			reused += int64(stats.BytesSkipped)
+		} else {
+			pushed += int64(stats.BytesPropagated)
+		}
 		records += int64(stats.DeltaRecords)
 		keys += int64(stats.DeltaKeys)
 		deltas += stats.DeltaBuilds
@@ -732,7 +739,8 @@ func benchIncrementalDCM(b *testing.B, users int, incremental, fleet bool) {
 
 // BenchmarkDCMIncrementalChurn is the incremental-DCM evaluation
 // (BENCH_dcm_incremental.json): 100,000 users, 0.1% churn per pass,
-// full-rebuild whole-file baseline vs journal-delta chunk-diff passes,
+// every-model-invalidated whole-file baseline vs journal-delta
+// chunk-diff passes,
 // measured as the generation pipeline alone and as end-to-end fleet
 // passes (which add the mode-independent host install simulations).
 func BenchmarkDCMIncrementalChurn(b *testing.B) {

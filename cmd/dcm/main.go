@@ -37,9 +37,7 @@ func main() {
 		retries  = flag.Int("retries", 0, "in-pass soft-failure retries per host (0 = default, negative = none)")
 		pushTO   = flag.Duration("push-timeout", 0, "per-host update deadline; a slower host counts as a soft failure (0 = default 30s)")
 		latency  = flag.Duration("host-latency", 0, "inject this much real service delay into every update agent (demo of the parallel push)")
-		incr     = flag.Bool("incremental", false, "journal-delta extraction: patch keyed models from the durable journal instead of rebuilding from scratch")
-		fullEv   = flag.Int("full-every", 0, "with -incremental, force a full rebuild every N generating passes per service (0 = never)")
-		whole    = flag.Bool("whole-file", false, "disable the content-chunked diff transport; push whole files")
+		fullEv   = flag.Int("full-every", 0, "force a full rebuild every N generating passes per service (0 = never)")
 		verbose  = flag.Bool("v", false, "log every DCM action")
 		debug    = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, expvar, and pprof on this HTTP address")
 	)
@@ -54,9 +52,8 @@ func main() {
 		DCMParallelHosts:    *parHosts,
 		DCMMaxRetries:       *retries,
 		DCMPushTimeout:      *pushTO,
-		DCMIncremental:      *incr,
+		DCMIncremental:      true,
 		DCMFullEvery:        *fullEv,
-		DCMWholeFilePush:    *whole,
 	}
 	if *verbose {
 		opts.Logf = log.Printf
@@ -112,11 +109,9 @@ func main() {
 			stats.HostSoftFails+stats.HostHardFails, stats.Retries,
 			stats.FilesPropagated, stats.BytesPropagated,
 			wall.Round(time.Millisecond))
-		if *incr {
-			fmt.Printf("      delta: full=%d delta=%d noop=%d fallback=%d records=%d keys=%d pushed=%dB skipped=%dB\n",
-				stats.FullBuilds, stats.DeltaBuilds, stats.NoopPasses, stats.Fallbacks,
-				stats.DeltaRecords, stats.DeltaKeys, stats.BytesPushed, stats.BytesSkipped)
-		}
+		fmt.Printf("      delta: full=%d delta=%d noop=%d fallback=%d records=%d keys=%d pushed=%dB skipped=%dB\n",
+			stats.FullBuilds, stats.DeltaBuilds, stats.NoopPasses, stats.Fallbacks,
+			stats.DeltaRecords, stats.DeltaKeys, stats.BytesPushed, stats.BytesSkipped)
 		if stats.HostsConsidered > 0 {
 			fmt.Printf("      push latency: %s\n", stats.PushLatency.String())
 		}
@@ -135,7 +130,7 @@ func runCheck(sys *core.System) {
 	fmt.Printf("%-16s %-9s %-10s %-10s %-7s %s\n",
 		"service", "interval", "generator", "script", "hosts", "status")
 	sys.DB.EachServer(func(s *db.Server) bool {
-		_, hasGen := gen.Registry[s.Name]
+		_, hasGen := gen.Incrementals[s.Name]
 		_, hasScript := dcm.DefaultScripts[s.Name]
 		hosts := sys.DB.ServerHostsOf(s.Name)
 		unresolved := 0

@@ -372,6 +372,7 @@ func runDemo(users int, dcmEvery time.Duration, debug string, traceSlow time.Dur
 	sys, err := core.Boot(core.Options{
 		Workload:           &cfg,
 		EnableReg:          true,
+		DCMIncremental:     true,
 		Logf:               logf,
 		TraceSlow:          traceSlow,
 		TraceSampleN:       traceSample,

@@ -237,15 +237,15 @@ func printDCM(rows []row) {
 	if pushed+skipped > 0 {
 		pct = 100 * float64(skipped) / float64(pushed+skipped)
 	}
-	fmt.Printf("transfer: %d bytes pushed, %d bytes reused by agents (%.1f%% saved); %d whole-file downgrades\n",
-		pushed, skipped, pct, m["update.chunks.downgrades"])
+	fmt.Printf("transfer: %d bytes pushed, %d bytes reused by agents (%.1f%% saved)\n",
+		pushed, skipped, pct)
 	fmt.Printf("chunks: %d manifests exchanged, %d chunks pushed, %d reused\n",
 		m["update.chunks.manifests"], m["update.chunks.pushed"], m["update.chunks.reused"])
 	if hs, ok := m["journal.segment"]; ok {
 		fmt.Printf("journal: head segment %d\n", hs)
 	}
 	if len(order) == 0 {
-		fmt.Println("no incremental services (DCM running without -incremental?)")
+		fmt.Println("no service positions yet (no DCM pass has completed)")
 		return
 	}
 	sort.Strings(order)

@@ -74,15 +74,14 @@ type Options struct {
 	// default.
 	DCMPushTimeout time.Duration
 
-	// DCMIncremental turns on the journal-delta extract path: Boot
-	// attaches a durable journal to the database and the DCM patches
-	// per-service keyed models from it instead of rebuilding from
-	// scratch each pass. DCMFullEvery forces a full rebuild every N
-	// generating passes per service (0 disables the cadence);
-	// DCMWholeFilePush disables the content-chunked diff transport.
-	DCMIncremental   bool
-	DCMFullEvery     int
-	DCMWholeFilePush bool
+	// DCMIncremental makes Boot attach a durable journal to the
+	// database, so the DCM's planner patches per-service keyed models
+	// from journal deltas; without it the planner falls back to its
+	// table-sequence check (no change, or a full rebuild).
+	// DCMFullEvery forces a full rebuild every N generating passes per
+	// service (0 disables the cadence).
+	DCMIncremental bool
+	DCMFullEvery   int
 
 	// Connection-lifecycle knobs for the Moira server (see
 	// server.Config): per-request read and write deadlines, the
@@ -326,10 +325,8 @@ func Boot(opts Options) (*System, error) {
 		MaxParallelServices: opts.DCMParallelServices,
 		MaxParallelHosts:    opts.DCMParallelHosts,
 		MaxRetries:          opts.DCMMaxRetries,
-		Incremental:         opts.DCMIncremental,
 		Journal:             s.Journal,
 		FullEvery:           opts.DCMFullEvery,
-		WholeFilePush:       opts.DCMWholeFilePush,
 	})
 
 	// The registration server.

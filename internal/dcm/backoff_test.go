@@ -61,8 +61,9 @@ func TestBackoffJitterBounds(t *testing.T) {
 // fail cycles and measures the virtual time spent sleeping: after a
 // successful update the next failure's schedule must restart at Base,
 // not continue doubling.
-func TestBackoffResetOnSuccess(t *testing.T) {
-	w := newWorld(t, 60)
+func TestBackoffResetOnSuccess(t *testing.T) { bothJournalStates(t, testBackoffResetOnSuccess) }
+func testBackoffResetOnSuccess(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	w.reconfig(func(c *Config) {
 		c.MaxParallelServices = 1
 		c.MaxParallelHosts = 1

@@ -37,48 +37,18 @@ type Config struct {
 	DB    *db.DB
 	Clock clock.Clock
 
-	// Generators maps service name to generator; defaults to
-	// gen.Registry.
-	Generators map[string]gen.Func
-
-	// Tables maps service name to the relations its extract reads, for
-	// the no-change sequence check that replaced the generators'
-	// internal short-circuit; defaults to gen.Tables. Services absent
-	// from the map regenerate on every due pass.
-	Tables map[string][]string
-
-	// Incremental turns on journal-delta extraction: per-service keyed
-	// models patched from the durable journal instead of full rebuilds.
-	// Services without an entry in Incrementals still rebuild fully.
-	Incremental bool
-
-	// Incrementals maps service name to its keyed generator; defaults
-	// to gen.Incrementals. Only consulted when Incremental is set.
-	Incrementals map[string]*gen.Incremental
+	// Generators maps service name to its keyed generator; defaults to
+	// gen.Incrementals. Services without one are never scanned.
+	Generators map[string]*gen.Incremental
 
 	// Journal is the durable journal the delta planner reads; nil
-	// degrades every incremental decision to the sequence check.
+	// degrades every planning decision to the table-sequence check
+	// (no change, or a full rebuild).
 	Journal *db.JournalWriter
 
 	// FullEvery forces a full rebuild every N generating passes per
 	// service even when deltas would do, bounding drift; 0 disables.
 	FullEvery int
-
-	// WholeFilePush forces whole-file transfers, disabling the
-	// content-chunked diff transport. The zero value pushes chunk diffs
-	// (agents that do not speak the chunk ops downgrade per host).
-	WholeFilePush bool
-
-	// ExtractDB, when non-nil, is the database the generators read
-	// from — typically a caught-up read replica, so extraction passes
-	// stop competing with mutations for the primary's lock. All
-	// bookkeeping (claiming, flags, genseq) stays on DB. The stored
-	// genseq remains coherent because Result.Seq is computed against
-	// the same database the generator read, and a lagging replica only
-	// makes no-change detection conservative (regenerating data that
-	// did change is harmless; skipping data that did is not possible,
-	// since the seq the replica reports can only trail the primary's).
-	ExtractDB *db.DB
 
 	// Scripts maps service name to its install-script builder; defaults
 	// to DefaultScripts.
@@ -163,10 +133,19 @@ type DCM struct {
 	rnd     *lockedRand
 	planner *extract.Planner
 
-	// scratchMu guards scratch; each service's bundle buffers are only
-	// touched by that service's (serialized) cycles.
-	scratchMu sync.Mutex
-	scratch   map[string]*gen.Scratch
+	// cyclesMu guards cycles.
+	cyclesMu sync.Mutex
+	cycles   map[string]*cycleState
+}
+
+// cycleState is what one service's cycles share: the planner's model
+// (patched in place) and the bundle buffers rendered from it. mu is held
+// for the length of a cycle, so overlapping passes — a trigger landing
+// during a scheduled pass — take turns instead of patching and rendering
+// the same model at once.
+type cycleState struct {
+	mu      sync.Mutex
+	scratch *gen.Scratch
 }
 
 // New creates a DCM.
@@ -175,13 +154,7 @@ func New(cfg Config) *DCM {
 		cfg.Clock = clock.System
 	}
 	if cfg.Generators == nil {
-		cfg.Generators = gen.Registry
-	}
-	if cfg.Tables == nil {
-		cfg.Tables = gen.Tables
-	}
-	if cfg.Incrementals == nil {
-		cfg.Incrementals = gen.Incrementals
+		cfg.Generators = gen.Incrementals
 	}
 	if cfg.Scripts == nil {
 		cfg.Scripts = DefaultScripts
@@ -195,53 +168,26 @@ func New(cfg Config) *DCM {
 	if cfg.Backoff.zero() {
 		cfg.Backoff = DefaultBackoff
 	}
-	m := &DCM{
+	return &DCM{
 		cfg: cfg, clk: cfg.Clock, rnd: newLockedRand(cfg.BackoffSeed),
-		scratch: map[string]*gen.Scratch{},
+		planner: extract.NewPlanner(cfg.DB, cfg.Journal, cfg.FullEvery),
+		cycles:  map[string]*cycleState{},
 	}
-	if cfg.Incremental {
-		d := cfg.DB
-		if cfg.ExtractDB != nil {
-			d = cfg.ExtractDB
-		}
-		m.planner = extract.NewPlanner(d, cfg.Journal, cfg.FullEvery)
-	}
-	return m
 }
 
-// Planner exposes the delta planner for monitoring; nil when the DCM is
-// not running incrementally.
+// Planner exposes the delta planner for monitoring.
 func (m *DCM) Planner() *extract.Planner { return m.planner }
 
-// scratchFor returns the service's recycled bundle buffers. Safe
-// because claimService serializes a service's cycles: the previous
-// pass's bundles are fully pushed before the next render reuses them.
-func (m *DCM) scratchFor(name string) *gen.Scratch {
-	m.scratchMu.Lock()
-	defer m.scratchMu.Unlock()
-	s, ok := m.scratch[name]
+// cycleFor returns the service's shared cycle state.
+func (m *DCM) cycleFor(name string) *cycleState {
+	m.cyclesMu.Lock()
+	defer m.cyclesMu.Unlock()
+	c, ok := m.cycles[name]
 	if !ok {
-		s = gen.NewScratch()
-		m.scratch[name] = s
+		c = &cycleState{scratch: gen.NewScratch()}
+		m.cycles[name] = c
 	}
-	return s
-}
-
-// extractDB is the database generation passes read.
-func (m *DCM) extractDB() *db.DB {
-	if m.cfg.ExtractDB != nil {
-		return m.cfg.ExtractDB
-	}
-	return m.cfg.DB
-}
-
-// incrementalFor returns the keyed generator the planner should drive
-// for a service, or nil when the service regenerates fully.
-func (m *DCM) incrementalFor(name string) *gen.Incremental {
-	if m.planner == nil {
-		return nil
-	}
-	return m.cfg.Incrementals[name]
+	return c
 }
 
 func (m *DCM) maxParallelServices() int {
@@ -399,11 +345,11 @@ func (m *DCM) RunOnceTraced(trace string) (*CycleStats, error) {
 // extract stands relative to the journal head.
 func (m *DCM) publishDeltaGauges(services []serviceSnapshot) {
 	reg := m.cfg.Stats
-	if reg == nil || m.planner == nil {
+	if reg == nil {
 		return
 	}
 	for _, snap := range services {
-		if m.incrementalFor(snap.Name) == nil {
+		if m.cfg.Generators[snap.Name] == nil {
 			continue
 		}
 		st := m.planner.Status(snap.Name)
@@ -425,13 +371,19 @@ func traceSuffix(trace string) string {
 
 // serviceCycle regenerates one service's files if due, then scans its
 // hosts.
-func (m *DCM) serviceCycle(snap *serviceSnapshot, generator gen.Func, stats *CycleStats, passSpan *trace.Span) {
+func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, stats *CycleStats, passSpan *trace.Span) {
 	now := m.clk.Now().Unix()
 	name := snap.Name
 
 	csp := passSpan.Child("dcm.cycle")
 	csp.SetDetail(name)
 	defer csp.End()
+
+	// The previous cycle's bundles are fully pushed before the next
+	// render reuses their buffers.
+	cycle := m.cycleFor(name)
+	cycle.mu.Lock()
+	defer cycle.mu.Unlock()
 
 	var result *gen.Result
 
@@ -444,7 +396,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator gen.Func, stats *Cyc
 			m.cfg.Logf("dcm: %s: claimed by a concurrent pass, skipping", name)
 			return
 		}
-		res, plan, err := m.generate(name, generator, csp)
+		res, plan, err := m.generate(name, generator, cycle.scratch, csp)
 		switch {
 		case err == nil && res != nil:
 			result = res
@@ -470,13 +422,12 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator gen.Func, stats *Cyc
 					name, plan.Records, plan.Keys, res.NumFiles, res.TotalBytes)
 			} else {
 				m.cfg.Logf("dcm: %s: full build (%s): %d files (%d bytes)",
-					name, fullReason(plan.Reason), res.NumFiles, res.TotalBytes)
+					name, plan.Reason, res.NumFiles, res.TotalBytes)
 			}
 		case err == nil:
-			// The planner (or the sequence check) proved nothing the
-			// extract reads has changed: a no-op pass, zero generator
-			// work. The position still advances past any consumed
-			// records that proved irrelevant.
+			// The planner proved nothing the extract reads has changed:
+			// a no-op pass, zero generator work. The position still
+			// advances past any consumed records that proved irrelevant.
 			stats.add(func(s *CycleStats) {
 				s.NoChange++
 				s.NoopPasses++
@@ -485,8 +436,8 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator gen.Func, stats *Cyc
 			m.setServiceFlags(name, func(s *db.Server) {
 				s.DFCheck = now
 				s.InProgress = false
+				m.planner.Commit(name, plan)
 			})
-			m.commitPlan(name, plan)
 			snap.DFCheck = now
 			m.cfg.Logf("dcm: %s: no change", name)
 		default:
@@ -511,12 +462,9 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator gen.Func, stats *Cyc
 		return
 	}
 	// Updates are needed but this pass produced no files (the service
-	// was not due, or nothing changed): regenerate unconditionally. The
-	// data files are valid; extra generations are not harmful — and on
-	// the incremental path this renders the planner's cached model
-	// rather than rebuilding.
+	// was not due, or nothing changed): render the planner's model.
 	if result == nil {
-		res, err := m.regenForHosts(name, generator)
+		res, err := m.regenForHosts(name, generator, cycle.scratch)
 		if err != nil {
 			m.cfg.Logf("dcm: %s: regeneration for host updates failed: %v", name, err)
 			return
@@ -707,16 +655,13 @@ func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, data []byte, stats
 	p := &update.Push{
 		Addr: addr, Target: snap.TargetFile, Data: data, Script: lines,
 		Creds: creds, Clock: m.clk, Timeout: m.cfg.PushTimeout,
-		Trace: wireTrace, Chunked: !m.cfg.WholeFilePush,
+		Trace: wireTrace,
 	}
 	err = p.Run()
 	if err == nil {
 		stats.add(func(s *CycleStats) {
 			s.BytesPushed += p.SentBytes
 			s.BytesSkipped += p.ReusedBytes
-			if p.Downgraded {
-				s.ChunkDowngrades++
-			}
 		})
 	}
 	return err
@@ -758,75 +703,38 @@ func (m *DCM) claimService(name string) bool {
 	return true
 }
 
-// generate runs one generation pass for a service. Services with a
-// keyed generator go through the planner's journal-delta path; the rest
-// take the legacy full path behind a driver-side sequence check (the
-// check that used to live inside each generator as unchanged()). A nil
-// Result with a nil error means "nothing changed, zero generator work".
-func (m *DCM) generate(name string, generator gen.Func, csp *trace.Span) (*gen.Result, *extract.Plan, error) {
+// generate runs one planned generation pass for a service: journal
+// deltas patch the service's keyed model, and the planner's fallback
+// matrix decides when to rebuild it instead. A nil Result with a nil
+// error means "nothing changed, zero generator work".
+func (m *DCM) generate(name string, generator *gen.Incremental, scratch *gen.Scratch, csp *trace.Span) (*gen.Result, *extract.Plan, error) {
 	psp := csp.Child("dcm.plan")
 	defer psp.End()
 
-	if inc := m.incrementalFor(name); inc != nil {
-		model, plan, err := m.planner.Run(name, inc)
-		psp.SetDetail(fmt.Sprintf("%s mode=%s reason=%q records=%d keys=%d",
-			name, plan.Mode, plan.Reason, plan.Records, plan.Keys))
-		if err != nil || plan.Mode == extract.ModeNoChange {
-			return nil, plan, err
-		}
-		res, err := gen.FromModelInto(model, m.scratchFor(name))
-		return res, plan, err
+	model, plan, err := m.planner.Run(name, generator)
+	psp.SetDetail(fmt.Sprintf("%s mode=%s reason=%q records=%d keys=%d",
+		name, plan.Mode, plan.Reason, plan.Records, plan.Keys))
+	if err != nil || plan.Mode == extract.ModeNoChange {
+		return nil, plan, err
 	}
-
-	d := m.extractDB()
-	tables, tracked := m.cfg.Tables[name]
-	if !tracked {
-		// No table list: regenerate every due pass.
-		psp.SetDetail(name + " mode=full reason=\"untracked tables\"")
-		res, err := generator(d)
-		return res, &extract.Plan{Mode: extract.ModeFull, Reason: "untracked tables"}, err
-	}
-	d.LockShared()
-	seq := d.SeqOf(tables...)
-	d.UnlockShared()
-	if stored := m.genSeq(name); stored > 0 && seq <= stored {
-		psp.SetDetail(name + " mode=nochange")
-		return nil, &extract.Plan{Mode: extract.ModeNoChange, Seq: seq}, nil
-	}
-	psp.SetDetail(name + " mode=full reason=\"sequence advanced\"")
-	res, err := generator(d)
-	return res, &extract.Plan{Mode: extract.ModeFull, Reason: "sequence advanced", Seq: seq}, err
+	res, err := gen.FromModelInto(model, scratch)
+	return res, plan, err
 }
 
-// regenForHosts rebuilds a service's bundles for the host-update path
-// when the due check produced none this pass. Incremental services
-// render the planner's model (patched up to the journal head if
-// records arrived since); legacy services regenerate fully.
-func (m *DCM) regenForHosts(name string, generator gen.Func) (*gen.Result, error) {
-	if inc := m.incrementalFor(name); inc != nil {
-		model, plan, err := m.planner.Run(name, inc)
-		if err != nil {
-			return nil, err
-		}
-		if plan.Mode != extract.ModeNoChange {
-			m.commitPlan(name, plan)
-		}
-		return gen.FromModelInto(model, m.scratchFor(name))
+// regenForHosts renders a service's bundles for the host-update path
+// when the due check produced none this pass: the planner's model,
+// patched up to the journal head if records arrived since. The plan is
+// deliberately not committed — this is not a generation, DFGen does not
+// move, and only the hosts already owed an update are pushed. The next
+// due pass re-derives the same dirty keys from the still-uncommitted
+// position (re-emitting a key is idempotent), reports the change, and
+// bumps DFGen so the service's other hosts receive it too.
+func (m *DCM) regenForHosts(name string, generator *gen.Incremental, scratch *gen.Scratch) (*gen.Result, error) {
+	model, _, err := m.planner.Run(name, generator)
+	if err != nil {
+		return nil, err
 	}
-	return generator(m.extractDB())
-}
-
-// commitPlan persists a planner-managed service's pass outcome (journal
-// position, sequence, mode) under the planner database's exclusive
-// lock. No-ops for legacy services and nil plans.
-func (m *DCM) commitPlan(name string, plan *extract.Plan) {
-	if plan == nil || m.incrementalFor(name) == nil {
-		return
-	}
-	pd := m.planner.DB
-	pd.LockExclusive()
-	m.planner.Commit(name, plan)
-	pd.UnlockExclusive()
+	return gen.FromModelInto(model, scratch)
 }
 
 // fallbackReason reports whether a full-build reason counts as a
@@ -834,55 +742,24 @@ func (m *DCM) commitPlan(name string, plan *extract.Plan) {
 // an expected full build (first pass, scheduled cadence, no journal).
 func fallbackReason(reason string) bool {
 	switch reason {
-	case "", "cold start", "scheduled full", "no journal",
-		"untracked tables", "sequence advanced":
+	case "cold start", "scheduled full", "no journal":
 		return false
 	}
 	return true
 }
 
-// fullReason renders a full-build reason for logs; empty means plain.
-func fullReason(reason string) string {
-	if reason == "" {
-		return "full"
-	}
-	return reason
-}
-
-// genSeq reads the stored change sequence of the last successful
-// generation for a service (kept in the values relation so it survives
-// DCM restarts); zero means "never generated".
-func (m *DCM) genSeq(service string) int64 {
-	d := m.cfg.DB
-	d.LockShared()
-	defer d.UnlockShared()
-	v, err := d.GetValue(db.GenSeqPrefix + service)
-	if err != nil {
-		return 0
-	}
-	return int64(v)
-}
-
-// finishGeneration releases the in-progress claim and records the
-// generation's timestamps and observed change sequence under a single
-// exclusive-lock acquisition. Doing these as two separate acquisitions
-// opened a window where a concurrent pass could snapshot the service as
-// idle but pair it with the previous generation's sequence and
-// regenerate needlessly. Planner-managed services persist their journal
-// position through the planner instead of a bare genseq value.
+// finishGeneration releases the in-progress claim, records the
+// generation's timestamps and commits the plan (journal position and
+// observed change sequence) under a single exclusive-lock acquisition.
+// Doing these as separate acquisitions opened a window where a
+// concurrent pass could snapshot the service as idle but pair it with
+// the previous generation's position and regenerate needlessly.
 func (m *DCM) finishGeneration(name string, now int64, plan *extract.Plan) {
-	d := m.cfg.DB
-	d.LockExclusive()
-	if s, ok := d.ServerByName(name); ok {
+	m.setServiceFlags(name, func(s *db.Server) {
 		s.DFGen, s.DFCheck = now, now
 		s.InProgress = false
-		d.NoteUpdateInternal(db.TServers)
-	}
-	if plan != nil && m.incrementalFor(name) == nil {
-		d.SetValue(db.GenSeqPrefix+name, int(plan.Seq))
-	}
-	d.UnlockExclusive()
-	m.commitPlan(name, plan)
+		m.planner.Commit(name, plan)
+	})
 }
 
 // notify sends a zephyrgram to class MOIRA instance DCM.
@@ -924,7 +801,7 @@ func (m *DCM) setHostFlags(service string, machID int, fn func(*db.ServerHost)) 
 func (m *DCM) Loop(interval time.Duration, trigger <-chan struct{}, stop <-chan struct{}) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	// An incremental DCM also wakes on journal appends, so a burst of
+	// A DCM with a journal also wakes on its appends, so a burst of
 	// mutations propagates at the next due check instead of waiting out
 	// the full tick.
 	var journal <-chan struct{}

@@ -42,17 +42,36 @@ type world struct {
 	dcm *DCM
 }
 
-func newWorld(t *testing.T, users int) *world {
-	return newWorldCfg(t, workload.Scaled(users))
+// bothJournalStates runs a test over both of the planner's input
+// states: no journal (the table-sequence check decides no-change vs full
+// rebuild) and a durable journal attached (deltas patch the models).
+func bothJournalStates(t *testing.T, test func(t *testing.T, journal bool)) {
+	t.Run("nojournal", func(t *testing.T) { test(t, false) })
+	t.Run("journal", func(t *testing.T) { test(t, true) })
 }
 
-func newWorldCfg(t *testing.T, cfg workload.Config) *world {
+func newWorld(t *testing.T, journal bool, users int) *world {
+	return newWorldCfg(t, journal, workload.Scaled(users))
+}
+
+func newWorldCfg(t *testing.T, journal bool, cfg workload.Config) *world {
 	t.Helper()
 	clk := clock.NewFake(time.Unix(600000000, 0))
 	d := queries.NewBootstrappedDB(clk)
 	_, hosts, err := workload.Populate(d, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Attached after the populate, as core.Boot does: the bulk load need
+	// not flow through segment files, since every first pass is a full
+	// build committing its position at the then-current head.
+	var jw *db.JournalWriter
+	if journal {
+		if jw, err = db.OpenJournalWriter(t.TempDir(), db.JournalOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { jw.Close() })
+		d.SetJournal(jw)
 	}
 
 	w := &world{
@@ -95,8 +114,9 @@ func newWorldCfg(t *testing.T, cfg workload.Config) *world {
 	}
 
 	w.dcm = New(Config{
-		DB:    d,
-		Clock: clk,
+		DB:      d,
+		Journal: jw,
+		Clock:   clk,
 		Resolve: func(machine string) (string, bool) {
 			addr, ok := w.addrs[machine]
 			return addr, ok
@@ -129,6 +149,16 @@ func (w *world) numMails() int {
 	return len(w.mails)
 }
 
+// query runs one privileged query (journaled when the world has a
+// journal), discarding any tuples.
+func (w *world) query(name string, args ...string) {
+	w.t.Helper()
+	priv := &queries.Context{DB: w.d, Privileged: true, App: "test"}
+	if err := queries.Execute(priv, name, args, func([]string) error { return nil }); err != nil {
+		w.t.Fatalf("%s %v: %v", name, args, err)
+	}
+}
+
 func (w *world) run() *CycleStats {
 	w.t.Helper()
 	stats, err := w.dcm.RunOnce()
@@ -139,7 +169,10 @@ func (w *world) run() *CycleStats {
 }
 
 func TestFirstPassPropagatesEverything(t *testing.T) {
-	w := newWorld(t, 120)
+	bothJournalStates(t, testFirstPassPropagatesEverything)
+}
+func testFirstPassPropagatesEverything(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 120)
 	stats := w.run()
 
 	if stats.Generated != 4 {
@@ -232,8 +265,9 @@ func TestFirstPassPropagatesEverything(t *testing.T) {
 	}
 }
 
-func TestSecondPassIsIdle(t *testing.T) {
-	w := newWorld(t, 60)
+func TestSecondPassIsIdle(t *testing.T) { bothJournalStates(t, testSecondPassIsIdle) }
+func testSecondPassIsIdle(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	w.run()
 	// Within every interval: services not due, no host work.
 	w.clk.Advance(10 * time.Minute)
@@ -243,8 +277,9 @@ func TestSecondPassIsIdle(t *testing.T) {
 	}
 }
 
-func TestNoChangeCycle(t *testing.T) {
-	w := newWorld(t, 60)
+func TestNoChangeCycle(t *testing.T) { bothJournalStates(t, testNoChangeCycle) }
+func testNoChangeCycle(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	w.run()
 	// Past the hesiod interval with no data changes: the generator is
 	// consulted but reports MR_NO_CHANGE, and no hosts are updated.
@@ -265,7 +300,10 @@ func TestNoChangeCycle(t *testing.T) {
 }
 
 func TestChangePropagatesAfterInterval(t *testing.T) {
-	w := newWorld(t, 60)
+	bothJournalStates(t, testChangePropagatesAfterInterval)
+}
+func testChangePropagatesAfterInterval(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	w.run()
 
 	// An administrative change lands in the database some time later.
@@ -291,8 +329,9 @@ func TestChangePropagatesAfterInterval(t *testing.T) {
 	}
 }
 
-func TestOverrideSkipsInterval(t *testing.T) {
-	w := newWorld(t, 60)
+func TestOverrideSkipsInterval(t *testing.T) { bothJournalStates(t, testOverrideSkipsInterval) }
+func testOverrideSkipsInterval(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	w.run()
 	// Mark one hesiod host for immediate update.
 	w.d.LockExclusive()
@@ -314,8 +353,79 @@ func TestOverrideSkipsInterval(t *testing.T) {
 	w.d.UnlockShared()
 }
 
-func TestSoftFailureRetries(t *testing.T) {
-	w := newWorld(t, 60)
+// TestOverridePushDoesNotSwallowDelta: a change pushed early to one
+// overridden host, between due checks, must still count as a change at
+// the next due check, so the service's other hosts receive it too. The
+// override push renders the planner's model patched to the journal head
+// but leaves the plan uncommitted; committing it there made the next
+// due pass see "no change" and stranded the other hosts on the old
+// files.
+func TestOverridePushDoesNotSwallowDelta(t *testing.T) {
+	bothJournalStates(t, testOverridePushDoesNotSwallowDelta)
+}
+func testOverridePushDoesNotSwallowDelta(t *testing.T, journal bool) {
+	cfg := workload.Scaled(60)
+	cfg.HesiodServers = 2
+	w := newWorldCfg(t, journal, cfg)
+	w.run()
+
+	w.d.LockShared()
+	svc, _ := w.d.ServerByName("HESIOD")
+	target := svc.TargetFile
+	var hosts []string
+	for _, sh := range w.d.ServerHostsOf("HESIOD") {
+		m, _ := w.d.MachineByID(sh.MachID)
+		hosts = append(hosts, m.Name)
+	}
+	var login string
+	w.d.EachUser(func(u *db.User) bool {
+		login = u.Login
+		return u.Status != db.UserActive
+	})
+	w.d.UnlockShared()
+	if len(hosts) != 2 {
+		t.Fatalf("hesiod hosts = %v, want 2", hosts)
+	}
+	hasShell := func(host string) bool {
+		t.Helper()
+		bundle, err := w.agents[host].ReadHostFile(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passwd, err := update.ExtractMember(bundle, "passwd.db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(string(passwd), "/bin/swallowed")
+	}
+
+	w.query("update_user_shell", login, "/bin/swallowed")
+	w.query("set_server_host_override", "HESIOD", hosts[0])
+
+	// Far inside the 6h interval: only the overridden host is pushed,
+	// and it gets the current data.
+	w.clk.Advance(time.Minute)
+	if stats := w.run(); stats.HostsUpdated != 1 || stats.Generated != 0 {
+		t.Fatalf("override pass: %+v", stats)
+	}
+	if !hasShell(hosts[0]) || hasShell(hosts[1]) {
+		t.Fatalf("after override pass: new shell on %s=%v, on %s=%v; want true/false",
+			hosts[0], hasShell(hosts[0]), hosts[1], hasShell(hosts[1]))
+	}
+
+	// The next due check must report the change and deliver it.
+	w.clk.Advance(25 * time.Hour)
+	if stats := w.run(); stats.Generated == 0 {
+		t.Errorf("due pass after the override push generated nothing: %+v", stats)
+	}
+	if !hasShell(hosts[1]) {
+		t.Errorf("%s never received the change pushed early to %s", hosts[1], hosts[0])
+	}
+}
+
+func TestSoftFailureRetries(t *testing.T) { bothJournalStates(t, testSoftFailureRetries) }
+func testSoftFailureRetries(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	// Make the mailhub unreachable.
 	delete(w.addrs, "ATHENA.MIT.EDU")
 	stats := w.run()
@@ -347,7 +457,10 @@ func TestSoftFailureRetries(t *testing.T) {
 }
 
 func TestHardFailureNotifiesAndStops(t *testing.T) {
-	w := newWorld(t, 60)
+	bothJournalStates(t, testHardFailureNotifiesAndStops)
+}
+func testHardFailureNotifiesAndStops(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	// Break the zephyr service's installation script on every host by
 	// unregistering the reload command on the first server: pushing to
 	// it hits an unknown exec command, a hard error. ZEPHYR is
@@ -426,8 +539,9 @@ func TestHardFailureNotifiesAndStops(t *testing.T) {
 	}
 }
 
-func TestDCMDisable(t *testing.T) {
-	w := newWorld(t, 30)
+func TestDCMDisable(t *testing.T) { bothJournalStates(t, testDCMDisable) }
+func testDCMDisable(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 30)
 	// dcm_enable off.
 	w.d.LockExclusive()
 	w.d.SetValue("dcm_enable", 0)
@@ -443,8 +557,9 @@ func TestDCMDisable(t *testing.T) {
 	}
 }
 
-func TestDisableFile(t *testing.T) {
-	w := newWorld(t, 30)
+func TestDisableFile(t *testing.T) { bothJournalStates(t, testDisableFile) }
+func testDisableFile(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 30)
 	dir := t.TempDir()
 	w.dcm.cfg.DisablePath = dir // any existing path disables
 	if _, err := w.dcm.RunOnce(); err != mrerr.MrDCMDisabled {
@@ -466,8 +581,9 @@ func machIDByName(d *db.DB, name string) int {
 
 // TestInProgressServiceSkipped: a service another DCM instance is
 // already generating (InProgress set) must be skipped, not raced.
-func TestInProgressServiceSkipped(t *testing.T) {
-	w := newWorld(t, 40)
+func TestInProgressServiceSkipped(t *testing.T) { bothJournalStates(t, testInProgressServiceSkipped) }
+func testInProgressServiceSkipped(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 40)
 	w.d.LockExclusive()
 	svc, _ := w.d.ServerByName("HESIOD")
 	svc.InProgress = true
@@ -497,8 +613,9 @@ func TestInProgressServiceSkipped(t *testing.T) {
 }
 
 // TestDisabledHostSkipped: hosts with enable=0 are never updated.
-func TestDisabledHostSkipped(t *testing.T) {
-	w := newWorld(t, 40)
+func TestDisabledHostSkipped(t *testing.T) { bothJournalStates(t, testDisabledHostSkipped) }
+func testDisabledHostSkipped(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 40)
 	w.d.LockExclusive()
 	sh := w.d.ServerHostsOf("ZEPHYR")[0]
 	sh.Enable = false

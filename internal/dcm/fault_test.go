@@ -42,9 +42,12 @@ func (c *crashCounter) count() int {
 // data transfer for the first two connections: the parallel push must
 // classify the drops as soft failures and recover via in-pass retries.
 func TestCrashMidXferRetriesAndRecovers(t *testing.T) {
+	bothJournalStates(t, testCrashMidXferRetriesAndRecovers)
+}
+func testCrashMidXferRetriesAndRecovers(t *testing.T, journal bool) {
 	cfg := workload.Scaled(120)
 	cfg.NFSServers = 4
-	w := newWorldCfg(t, cfg)
+	w := newWorldCfg(t, journal, cfg)
 	crash := &crashCounter{stage: "after-xfer", left: 2}
 	w.agents["FS-01.MIT.EDU"].SetCrashPoint(crash.hook)
 
@@ -77,10 +80,11 @@ func TestCrashMidXferRetriesAndRecovers(t *testing.T) {
 // instruction on every attempt: the pass exhausts its retries, records
 // a soft failure (crashes are retried next pass, never hard), and the
 // host recovers on the following pass once the fault clears.
-func TestCrashMidInstallSoftFails(t *testing.T) {
+func TestCrashMidInstallSoftFails(t *testing.T) { bothJournalStates(t, testCrashMidInstallSoftFails) }
+func testCrashMidInstallSoftFails(t *testing.T, journal bool) {
 	cfg := workload.Scaled(120)
 	cfg.NFSServers = 4
-	w := newWorldCfg(t, cfg)
+	w := newWorldCfg(t, journal, cfg)
 	agent := w.agents["FS-02.MIT.EDU"]
 	crash := &crashCounter{stage: "instr-0", left: -1} // every attempt
 	agent.SetCrashPoint(crash.hook)
@@ -127,7 +131,10 @@ func TestCrashMidInstallSoftFails(t *testing.T) {
 // host persistently: unlike a hard failure, a soft failure (even after
 // all retries) must not stop the remaining hosts of the service.
 func TestReplicatedSoftFailureDoesNotAbort(t *testing.T) {
-	w := newWorld(t, 60)
+	bothJournalStates(t, testReplicatedSoftFailureDoesNotAbort)
+}
+func testReplicatedSoftFailureDoesNotAbort(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	crash := &crashCounter{stage: "before-execute", left: -1}
 	w.agents["Z-1.MIT.EDU"].SetCrashPoint(crash.hook)
 
@@ -157,7 +164,10 @@ func TestReplicatedSoftFailureDoesNotAbort(t *testing.T) {
 // order even when the host pool is wide, and a hard failure on the
 // first host stops the rest.
 func TestReplicatedHardFailureStopsRemainingHosts(t *testing.T) {
-	w := newWorld(t, 60)
+	bothJournalStates(t, testReplicatedHardFailureStopsRemainingHosts)
+}
+func testReplicatedHardFailureStopsRemainingHosts(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	w.reconfig(func(c *Config) {
 		c.MaxParallelServices = 8
 		c.MaxParallelHosts = 16

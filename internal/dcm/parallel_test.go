@@ -15,10 +15,11 @@ import (
 // TestStressManyHostsParallel runs one pass over ~50 hosts with
 // randomized (seeded) agent latencies and checks that every eligible
 // host is updated exactly once and the counters balance.
-func TestStressManyHostsParallel(t *testing.T) {
+func TestStressManyHostsParallel(t *testing.T) { bothJournalStates(t, testStressManyHostsParallel) }
+func testStressManyHostsParallel(t *testing.T, journal bool) {
 	cfg := workload.Scaled(150)
 	cfg.NFSServers = 45 // 45 NFS + 1 hesiod + 3 zephyr + 1 mailhub = 50 hosts
-	w := newWorldCfg(t, cfg)
+	w := newWorldCfg(t, journal, cfg)
 
 	names := make([]string, 0, len(w.agents))
 	for name := range w.agents {
@@ -83,8 +84,9 @@ func TestStressManyHostsParallel(t *testing.T) {
 // TestClaimClosesTOCTOU reproduces the check-then-act window directly:
 // a host that passes the eligibility scan but is claimed by a
 // concurrent worker before the push must be skipped, not pushed twice.
-func TestClaimClosesTOCTOU(t *testing.T) {
-	w := newWorld(t, 40)
+func TestClaimClosesTOCTOU(t *testing.T) { bothJournalStates(t, testClaimClosesTOCTOU) }
+func testClaimClosesTOCTOU(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 40)
 	w.run()
 	if w.hub.Swaps() != 1 {
 		t.Fatalf("setup: swaps = %d", w.hub.Swaps())
@@ -109,7 +111,7 @@ func TestClaimClosesTOCTOU(t *testing.T) {
 	// A concurrent worker claims it between the scan and the push.
 	w.dcm.setHostFlags("SMTP", machID, func(sh *db.ServerHost) { sh.InProgress = true })
 
-	res, err := gen.Mail(w.d)
+	res, err := gen.Generate(w.d, gen.MailIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,10 @@ func TestClaimClosesTOCTOU(t *testing.T) {
 // re-check: a host another pass finished updating (LastSuccess >=
 // DFGen) after our scan must not be pushed again.
 func TestClaimSkipsFreshlyUpdatedHost(t *testing.T) {
-	w := newWorld(t, 40)
+	bothJournalStates(t, testClaimSkipsFreshlyUpdatedHost)
+}
+func testClaimSkipsFreshlyUpdatedHost(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 40)
 	w.run()
 
 	w.d.LockExclusive()
@@ -157,7 +162,10 @@ func TestClaimSkipsFreshlyUpdatedHost(t *testing.T) {
 // host is updated twice. Run under -race this also exercises the
 // CycleStats and flag aggregation paths.
 func TestConcurrentPassesUpdateOnce(t *testing.T) {
-	w := newWorld(t, 60)
+	bothJournalStates(t, testConcurrentPassesUpdateOnce)
+}
+func testConcurrentPassesUpdateOnce(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	second := New(w.dcm.cfg) // a second DCM instance over the same database
 
 	var wg sync.WaitGroup
@@ -200,10 +208,55 @@ func TestConcurrentPassesUpdateOnce(t *testing.T) {
 	}
 }
 
+// TestOverlappingPassesTakeTurns runs two passes of one DCM at once (a
+// trigger landing during a scheduled pass) with a host owed an update:
+// both reach the host-update path, which patches and renders the one
+// model the planner keeps per service, so the cycles must serialize.
+// Under -race this fails without the per-service cycle lock.
+func TestOverlappingPassesTakeTurns(t *testing.T) {
+	bothJournalStates(t, testOverlappingPassesTakeTurns)
+}
+func testOverlappingPassesTakeTurns(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
+	w.run()
+	w.query("update_user_shell", "root", "/bin/overlap")
+	w.query("set_server_host_override", "SMTP", "ATHENA.MIT.EDU")
+	w.clk.Advance(time.Minute)
+
+	var wg sync.WaitGroup
+	results := make([]*CycleStats, 2)
+	for i := range results {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats, err := w.dcm.RunOnce()
+			if err != nil {
+				t.Errorf("pass %d: %v", i, err)
+				return
+			}
+			results[i] = stats
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := results[0].HostsUpdated + results[1].HostsUpdated; got != 1 {
+		t.Errorf("hosts updated across both passes = %d, want 1", got)
+	}
+	if w.hub.Swaps() != 2 {
+		t.Errorf("mailhub swaps = %d, want 2", w.hub.Swaps())
+	}
+}
+
 // TestSequentialConfigStillWorks pins the MaxParallel*=1 path: the
 // pass must behave identically, just serially.
 func TestSequentialConfigStillWorks(t *testing.T) {
-	w := newWorld(t, 60)
+	bothJournalStates(t, testSequentialConfigStillWorks)
+}
+func testSequentialConfigStillWorks(t *testing.T, journal bool) {
+	w := newWorld(t, journal, 60)
 	w.reconfig(func(c *Config) {
 		c.MaxParallelServices = 1
 		c.MaxParallelHosts = 1

@@ -77,7 +77,7 @@ func TableG(users int) (*TableGResult, error) {
 	res := &TableGResult{PaperTotalFiles: 59, PaperTotalPropagns: 90}
 
 	// Hesiod: one file set, every hesiod server gets the same files.
-	hes, err := gen.Hesiod(d)
+	hes, err := gen.Generate(d, gen.HesiodIncremental)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func TableG(users int) (*TableGResult, error) {
 	// NFS: per-host dirs/quotas (report the mean size, count per host),
 	// plus the credentials file which is generated once per distinct
 	// membership but propagated to every server.
-	nfs, err := gen.NFS(d)
+	nfs, err := gen.Generate(d, gen.NFSIncremental)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func TableG(users int) (*TableGResult, error) {
 
 	// Mail: one aliases file to one hub. (The companion passwd file is
 	// an implementation detail the paper's table does not count.)
-	mail, err := gen.Mail(d)
+	mail, err := gen.Generate(d, gen.MailIncremental)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func TableG(users int) (*TableGResult, error) {
 	})
 
 	// Zephyr: the ACL files, each propagated to every zephyr server.
-	zep, err := gen.ZephyrACL(d)
+	zep, err := gen.Generate(d, gen.ZephyrIncremental)
 	if err != nil {
 		return nil, err
 	}

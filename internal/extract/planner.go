@@ -9,11 +9,10 @@ import (
 	"moira/internal/protocol"
 )
 
-// Generator is the incremental face of one extract generator. Build and
+// Generator is the planner's view of one extract generator. Build and
 // Apply are called with the database shared lock already held by the
-// planner (unlike the legacy gen.Func, which locks for itself), so that
-// the journal position captured for the pass and the database state the
-// generator reads are the same instant.
+// planner, so that the journal position captured for the pass and the
+// database state the generator reads are the same instant.
 type Generator interface {
 	// Tables lists the relations feeding the extract, for the
 	// journal-less change check.
@@ -142,10 +141,13 @@ func (p *Planner) storedPos(service string) (protocol.Pos, bool) {
 
 // Run plans and executes one service pass under a single shared-lock
 // acquisition: decide full/delta/no-change, run the generator
-// accordingly, and return the resulting model plus the plan. The caller
-// must follow a successful push of the results with Commit (persisting
-// the advance) or, on generation failure, rely on Run's own state
-// invalidation; Run never leaves a half-patched model behind.
+// accordingly, and return the resulting model plus the plan. A caller
+// recording the pass as a generation follows with Commit (persisting
+// the advance); one that only needs the current model (the DCM's
+// host-retry path) does not, and the next Run re-derives the same dirty
+// keys from the unmoved position — re-emitting a key is idempotent. On
+// generation failure Run invalidates its own state; it never leaves a
+// half-patched model behind. Runs of one service must not overlap.
 func (p *Planner) Run(service string, g Generator) (*Model, *Plan, error) {
 	st := p.state(service)
 	d := p.DB
@@ -190,10 +192,12 @@ func (p *Planner) plan(service string, st *svcState, g Generator) *Plan {
 
 	if p.Journal == nil {
 		// No journal: the change check is the table-sequence compare
-		// that used to live inside every generator (gen.unchanged) —
-		// now the planner decides and the generator does zero work.
+		// against the last committed generation. As with a journal, a
+		// planner holding no model (first pass, restart, Invalidate)
+		// builds one, so a no-change verdict always has a model to
+		// render for host retries.
 		stored, err := d.GetValue(db.GenSeqPrefix + service)
-		if err == nil && stored > 0 && seq <= int64(stored) {
+		if st.model != nil && err == nil && stored > 0 && seq <= int64(stored) {
 			return &Plan{Mode: ModeNoChange, Seq: seq}
 		}
 		return &Plan{Mode: ModeFull, Reason: "no journal", Seq: seq}

@@ -46,31 +46,6 @@ func (r *Result) finish() {
 	}
 }
 
-// Func is a generator: it reads the database (taking its own shared
-// lock) and produces the service's files. Deciding whether anything
-// changed since the last pass is the driver's job (the extract planner
-// or the DCM's sequence check), not the generator's.
-type Func func(d *db.DB) (*Result, error)
-
-// Registry maps DCM service names to their generators, the equivalent of
-// the /u1/sms/bin/<service>.gen modules.
-var Registry = map[string]Func{
-	"HESIOD": Hesiod,
-	"NFS":    NFS,
-	"SMTP":   Mail,
-	"ZEPHYR": ZephyrACL,
-}
-
-// Tables maps DCM service names to the relations their extracts read,
-// for the driver-side "did anything change" sequence check that
-// replaced the old in-generator unchanged() short-circuit.
-var Tables = map[string][]string{
-	"HESIOD": hesiodTables,
-	"NFS":    nfsTables,
-	"SMTP":   mailTables,
-	"ZEPHYR": zephyrTables,
-}
-
 // Incremental is a keyed generator: the full build, the journal-record
 // dependency map, and the per-key emit, packaged for the extract
 // planner. Emit must produce exactly the entries the full build would
@@ -102,8 +77,8 @@ func (g *Incremental) Apply(d *db.DB, m *extract.Model, keys []string) error {
 	return nil
 }
 
-// Incrementals maps service names to their keyed generators. Services
-// absent here (custom test generators) always regenerate fully.
+// Incrementals maps DCM service names to their keyed generators, the
+// equivalent of the /u1/sms/bin/<service>.gen modules.
 var Incrementals = map[string]*Incremental{
 	"HESIOD": HesiodIncremental,
 	"NFS":    NFSIncremental,
@@ -182,11 +157,13 @@ func FromModelInto(m *extract.Model, s *Scratch) (*Result, error) {
 	return r, nil
 }
 
-// runFull is the legacy full-generation path: build the keyed model
-// from scratch under a shared lock and render it.
-func runFull(d *db.DB, build func(*db.DB) (*extract.Model, error)) (*Result, error) {
+// Generate runs g from scratch against d: the full build under the
+// shared lock, rendered to bundles. This is what a planner's full pass
+// produces, for callers (tests, benchmarks, the Table G harness) that
+// want a service's files without a DCM around them.
+func Generate(d *db.DB, g *Incremental) (*Result, error) {
 	d.LockShared()
-	m, err := build(d)
+	m, err := g.Build(d)
 	d.UnlockShared()
 	if err != nil {
 		return nil, err
@@ -310,9 +287,4 @@ func userKeysUnder(d *db.DB, listID int) []string {
 		}
 	}
 	return keys
-}
-
-// bundle tars a file set.
-func bundle(files map[string][]byte) ([]byte, error) {
-	return update.BuildTar(files)
 }

@@ -25,7 +25,7 @@ func popDB(t *testing.T, users int) (*db.DB, *clock.Fake) {
 
 func TestHesiodGeneratesElevenFiles(t *testing.T) {
 	d, _ := popDB(t, 100)
-	res, err := Hesiod(d)
+	res, err := Generate(d, HesiodIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestHesiodGeneratesElevenFiles(t *testing.T) {
 
 func TestHesiodFileFormats(t *testing.T) {
 	d, _ := popDB(t, 60)
-	res, err := Hesiod(d)
+	res, err := Generate(d, HesiodIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestHesiodFileFormats(t *testing.T) {
 
 func TestHesiodPseudoCluster(t *testing.T) {
 	d, _ := popDB(t, 2000)
-	res, err := Hesiod(d)
+	res, err := Generate(d, HesiodIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestNoChangeDetection(t *testing.T) {
 
 func TestNFSPerHostBundles(t *testing.T) {
 	d, _ := popDB(t, 200)
-	res, err := NFS(d)
+	res, err := Generate(d, NFSIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestNFSCredentialsRestrictedByValue3(t *testing.T) {
 	m, _ := d.MachineByID(hosts[0].MachID)
 	d.UnlockExclusive()
 
-	res, err := NFS(d)
+	res, err := Generate(d, NFSIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestNFSCredentialsRestrictedByValue3(t *testing.T) {
 
 func TestMailAliasesFormat(t *testing.T) {
 	d, _ := popDB(t, 80)
-	res, err := Mail(d)
+	res, err := Generate(d, MailIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestMailAliasesFormat(t *testing.T) {
 
 func TestZephyrACLFiles(t *testing.T) {
 	d, _ := popDB(t, 30)
-	res, err := ZephyrACL(d)
+	res, err := Generate(d, ZephyrIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +314,11 @@ func TestZephyrACLFiles(t *testing.T) {
 func TestGeneratorScaling(t *testing.T) {
 	small, _ := popDB(t, 50)
 	large, _ := popDB(t, 500)
-	rs, err := Hesiod(small)
+	rs, err := Generate(small, HesiodIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := Hesiod(large)
+	rl, err := Generate(large, HesiodIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,14 +21,9 @@ var hesiodFiles = []string{
 	"passwd.db", "pobox.db", "printcap.db", "service.db", "sloc.db", "uid.db",
 }
 
-// Hesiod generates the eleven hesiod .db files (section 5.8.2) as one
-// tar bundle: every hesiod server receives the same set.
-func Hesiod(d *db.DB) (*Result, error) {
-	return runFull(d, hesiodBuild)
-}
-
-// HesiodIncremental is the keyed form of the hesiod generator. The key
-// space: "static" (file presence), "user:<login>", "list:<name>",
+// HesiodIncremental generates the eleven hesiod .db files (section
+// 5.8.2) as one tar bundle: every hesiod server receives the same set.
+// The key space: "static" (file presence), "user:<login>", "list:<name>",
 // "filesys:<label>", "fsalias", "cluster:<name>", "machine:<name>",
 // "printer:<name>", "service:<name>", "svcalias", "sloc:<svc>:<host>".
 var HesiodIncremental = &Incremental{

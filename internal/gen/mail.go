@@ -22,16 +22,12 @@ func localPO(machine string) string {
 	return machine + ".LOCAL"
 }
 
-// Mail generates the mailhub files (section 5.8.2, service Mail): the
-// /usr/lib/aliases file holding mailing lists and post office boxes, and
-// a complete /etc/passwd so the mailhub's finger server knows everybody.
-func Mail(d *db.DB) (*Result, error) {
-	return runFull(d, mailBuild)
-}
-
-// MailIncremental is the keyed form of the mail generator. The key
-// space: "static" (file presence), "list:<name>" (one maillist's alias
-// block), "user:<login>" (pobox alias line plus passwd line).
+// MailIncremental generates the mailhub files (section 5.8.2, service
+// Mail): the /usr/lib/aliases file holding mailing lists and post office
+// boxes, and a complete /etc/passwd so the mailhub's finger server knows
+// everybody. The key space: "static" (file presence), "list:<name>" (one
+// maillist's alias block), "user:<login>" (pobox alias line plus passwd
+// line).
 var MailIncremental = &Incremental{
 	TablesList: mailTables,
 	BuildFn:    mailBuild,

@@ -20,16 +20,11 @@ func partFileBase(dir string) string {
 	return strings.ReplaceAll(strings.TrimPrefix(dir, "/"), "/", "_")
 }
 
-// NFS generates, per NFS server host, the credentials file, and a
-// .quotas and .dirs file for each exported partition on that host
+// NFSIncremental generates, per NFS server host, the credentials file,
+// and a .quotas and .dirs file for each exported partition on that host
 // (section 5.8.2, service NFS). Which users appear in a host's
 // credentials file is controlled by the value3 field of its serverhost
-// row: a list name, or blank for all active users.
-func NFS(d *db.DB) (*Result, error) {
-	return runFull(d, nfsBuild)
-}
-
-// NFSIncremental is the keyed form of the NFS generator. The key space:
+// row: a list name, or blank for all active users. The key space:
 // "host:<machine>" (file presence per enabled host), "user:<login>"
 // (master credentials lines), "shcred:<machine>" (a scoped host's whole
 // credentials), "quota:<label>:<login>", "filesys:<label>" (dirs lines).

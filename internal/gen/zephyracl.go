@@ -12,17 +12,12 @@ var zephyrTables = []string{
 	db.TZephyr, db.TList, db.TMembers, db.TUsers, db.TStrings,
 }
 
-// ZephyrACL generates the access control list files for controlled
-// zephyr classes (section 5.8.2, service ZEPHYR): for each existing ACE
-// (even if it is empty) the membership is output, one entry per line,
-// with recursive lists expanded. All zephyr servers receive the same tar.
-func ZephyrACL(d *db.DB) (*Result, error) {
-	return runFull(d, zephyrBuild)
-}
-
-// ZephyrIncremental is the keyed form of the zephyr generator. The key
-// space is simply "class:<class>": each class owns its (up to four)
-// ACL files outright.
+// ZephyrIncremental generates the access control list files for
+// controlled zephyr classes (section 5.8.2, service ZEPHYR): for each
+// existing ACE (even if it is empty) the membership is output, one entry
+// per line, with recursive lists expanded. All zephyr servers receive
+// the same tar. The key space is simply "class:<class>": each class owns
+// its (up to four) ACL files outright.
 var ZephyrIncremental = &Incremental{
 	TablesList: zephyrTables,
 	BuildFn:    zephyrBuild,

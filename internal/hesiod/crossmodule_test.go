@@ -21,7 +21,7 @@ func TestGeneratedFilesAlwaysParse(t *testing.T) {
 	if _, _, err := workload.Populate(d, workload.Scaled(300)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := gen.Hesiod(d)
+	res, err := gen.Generate(d, gen.HesiodIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,6 @@ var KnownNames = []string{
 	"update.chunks.reused",
 	"update.chunks.bytes.pushed",
 	"update.chunks.bytes.reused",
-	"update.chunks.downgrades",
 	"update.conns.busy",
 	"update.conns.forceclosed",
 	"update.panics.recovered",

@@ -25,16 +25,13 @@ import (
 // query protocol's range).
 const (
 	OpUAuth    uint16 = 20 // args: kerberos auth payload
-	OpUXfer    uint16 = 21 // args: target path, sha256 hex, file data
 	OpUScript  uint16 = 22 // args: instruction lines
 	OpUExecute uint16 = 23 // no args; runs the staged script
 
-	// Chunked diff transfer (the alternative to OpUXfer): the pusher
-	// sends the new file's chunk manifest, the agent answers with the
-	// indices it cannot reuse from the file it already holds, the pusher
-	// ships only those, and the agent reassembles and stages the result.
-	// Agents predating these ops answer MrUnknownProc, which the pusher
-	// treats as "downgrade to whole-file OpUXfer".
+	// The data transfer: the pusher sends the new file's chunk
+	// manifest, the agent answers with the indices it cannot reuse from
+	// the file it already holds, the pusher ships only those, and the
+	// agent reassembles and stages the result. Op 21 is unassigned.
 	OpUManifest uint16 = 24 // args: target path, whole-file sha256 hex, manifest
 	OpUChunks   uint16 = 25 // args: alternating chunk index, chunk data
 	OpUAssemble uint16 = 26 // no args; reassemble, verify, stage
@@ -545,23 +542,14 @@ func (a *Agent) dispatch(conn net.Conn, ses *updateSession, req *protocol.Reques
 	switch req.Op {
 	case OpUAuth:
 		code = ses.auth(req)
-	case OpUXfer:
-		if a.crash(conn, "before-xfer") {
-			return code, true
-		}
-		code = ses.xfer(req)
-		if a.crash(conn, "after-xfer") {
-			return code, true
-		}
 	case OpUManifest:
 		code = ses.chunkManifest(req)
 	case OpUChunks:
 		code = ses.chunkData(req)
 	case OpUAssemble:
-		// The assemble is the staging step of a chunked push, so the
-		// xfer crash points fire here too — fault tests simulate the
-		// same "server died around the data transfer" failures on both
-		// transports.
+		// The assemble is the step that stages the transferred file,
+		// so the xfer crash points ("server died around the data
+		// transfer") fire here.
 		if a.crash(conn, "before-xfer") {
 			return code, true
 		}
@@ -617,59 +605,6 @@ func (s *updateSession) auth(req *protocol.Request) mrerr.Code {
 		return mrerr.UpdAuthFailed
 	}
 	s.authed = true
-	return mrerr.Success
-}
-
-// xfer stages the transferred data file at the target path. The file
-// transfer includes a checksum to insure data integrity; the data is
-// flushed to disk before the reply ("flush all data on the server to
-// disk").
-func (s *updateSession) xfer(req *protocol.Request) mrerr.Code {
-	if !s.authed {
-		return mrerr.UpdAuthFailed
-	}
-	if len(req.Args) != 3 {
-		return mrerr.MrArgs
-	}
-	target := string(req.Args[0])
-	sum := string(req.Args[1])
-	data := req.Args[2]
-	got := sha256.Sum256(data)
-	if hex.EncodeToString(got[:]) != sum {
-		return mrerr.UpdChecksum
-	}
-	fp, err := s.agent.path(target)
-	if err != nil {
-		return mrerr.UpdBadInstr
-	}
-	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
-		return mrerr.MrInternal
-	}
-	// A stale .moira_update from a crashed run "will be deleted (as it
-	// may be incomplete) when the next update starts".
-	matches, _ := filepath.Glob(fp + "*" + updateSuffix)
-	for _, m := range matches {
-		os.Remove(m)
-	}
-	f, err := os.Create(fp)
-	if err != nil {
-		return mrerr.MrInternal
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return mrerr.MrInternal
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return mrerr.MrInternal
-	}
-	if err := f.Close(); err != nil {
-		return mrerr.MrInternal
-	}
-	s.target = target
-	s.staged = true
-	s.agent.reg.Counter("update.xfers").Inc()
-	s.agent.reg.Counter("update.bytes").Add(int64(len(data)))
 	return mrerr.Success
 }
 
@@ -773,8 +708,10 @@ func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
 }
 
 // chunkAssemble reassembles the file from reused and received chunks,
-// verifies the whole-file checksum, and stages it exactly as a
-// whole-file xfer would (fsynced before the reply).
+// verifies the whole-file checksum ("the file transfer includes a
+// checksum to insure data integrity"), and stages it at the target
+// path, flushed to disk before the reply ("flush all data on the server
+// to disk").
 func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
@@ -796,6 +733,8 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
 		return mrerr.MrInternal
 	}
+	// A stale .moira_update from a crashed run "will be deleted (as it
+	// may be incomplete) when the next update starts".
 	matches, _ := filepath.Glob(fp + "*" + updateSuffix)
 	for _, m := range matches {
 		os.Remove(m)
@@ -817,8 +756,8 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	}
 	s.target = target
 	s.staged = true
-	// The staged-file counters cover both transports; the chunk
-	// counters above hold the wire-level story.
+	// Staged files and their sizes; the chunk counters hold the
+	// wire-level story.
 	s.agent.reg.Counter("update.xfers").Inc()
 	s.agent.reg.Counter("update.bytes").Add(int64(len(data)))
 	return mrerr.Success

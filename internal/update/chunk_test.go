@@ -1,17 +1,12 @@
 package update
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
-
-	"moira/internal/mrerr"
-	"moira/internal/protocol"
 )
 
 // randBytes is deterministic test data with enough entropy that the
@@ -187,7 +182,7 @@ func TestChunkedPushReusesUnchangedData(t *testing.T) {
 			// The transfer already deposits the data at the target; a
 			// blank instruction keeps the execution phase a no-op.
 			Script:  []string{""},
-			Timeout: 5 * time.Second, Chunked: true}
+			Timeout: 5 * time.Second}
 		if err := p.Run(); err != nil {
 			t.Fatalf("push: %v", err)
 		}
@@ -196,9 +191,6 @@ func TestChunkedPushReusesUnchangedData(t *testing.T) {
 
 	v1 := randBytes(10, 200<<10)
 	p1 := push(v1)
-	if p1.Downgraded {
-		t.Fatal("first push downgraded against a chunk-capable agent")
-	}
 	if p1.SentBytes != len(v1) || p1.ReusedBytes != 0 {
 		t.Errorf("cold push sent=%d reused=%d, want %d/0", p1.SentBytes, p1.ReusedBytes, len(v1))
 	}
@@ -224,66 +216,6 @@ func TestChunkedPushReusesUnchangedData(t *testing.T) {
 	p3 := push(v2)
 	if p3.SentBytes != 0 || p3.ReusedBytes != len(v2) {
 		t.Errorf("identical push sent=%d reused=%d", p3.SentBytes, p3.ReusedBytes)
-	}
-}
-
-// TestChunkedPushDowngradesToWholeFile runs a chunked push against a
-// minimal legacy agent that answers MrUnknownProc to the chunk ops: the
-// pusher must fall back to OpUXfer transparently.
-func TestChunkedPushDowngradesToWholeFile(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-
-	var gotData []byte
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		bw := bufio.NewWriter(conn)
-		for {
-			req, err := protocol.ReadRequest(br)
-			if err != nil {
-				return
-			}
-			code := mrerr.Success
-			switch req.Op {
-			case OpUXfer:
-				gotData = append([]byte(nil), req.Args[2]...)
-			case OpUScript, OpUExecute:
-			default: // chunk ops and anything else this agent predates
-				code = mrerr.MrUnknownProc
-			}
-			protocol.WriteReply(bw, &protocol.Reply{Version: protocol.Version, Code: int32(code)})
-			bw.Flush()
-			if req.Op == OpUExecute {
-				return
-			}
-		}
-	}()
-
-	data := randBytes(11, 64<<10)
-	p := &Push{Addr: ln.Addr().String(), Target: "/tmp/x", Data: data,
-		Script: []string{"install /tmp/x"}, Timeout: 5 * time.Second, Chunked: true}
-	if err := p.Run(); err != nil {
-		t.Fatalf("push: %v", err)
-	}
-	<-done
-	if !p.Downgraded {
-		t.Error("push did not report the downgrade")
-	}
-	if p.SentBytes != len(data) || p.ReusedBytes != 0 {
-		t.Errorf("downgraded push sent=%d reused=%d", p.SentBytes, p.ReusedBytes)
-	}
-	if !bytes.Equal(gotData, data) {
-		t.Error("legacy agent received wrong data")
 	}
 }
 

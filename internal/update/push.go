@@ -40,22 +40,17 @@ type Push struct {
 	// ("" for scheduled passes); stamped on every protocol request so
 	// the agent can record it against the install.
 	Trace string
-	// Chunked transfers the data as a content-defined chunk diff
-	// against whatever the host already holds, shipping only the chunks
-	// the agent lacks. Agents that do not speak the chunk ops downgrade
-	// transparently to a whole-file transfer.
-	Chunked bool
 
 	// Transfer accounting, filled in by Run: bytes that actually
-	// traveled as chunk data, bytes the agent reused from its old file,
-	// and whether the push fell back to a whole-file transfer.
+	// traveled as chunk data, and bytes the agent reused from the file
+	// it already held.
 	SentBytes   int
 	ReusedBytes int
-	Downgraded  bool
 }
 
-// Run performs the update: transfer phase (auth, data file with
-// checksum, script), then execution phase, then confirmation. The error
+// Run performs the update: transfer phase (auth, the data file as a
+// content-defined chunk diff against whatever the host already holds,
+// script), then execution phase, then confirmation. The error
 // is nil on success, or a code the DCM classifies as soft
 // (UpdUnreachable, UpdTimeout — retry later) or hard (everything else).
 func (p *Push) Run() error {
@@ -99,29 +94,8 @@ func (p *Push) Run() error {
 			return err
 		}
 	}
-	sum := sha256.Sum256(p.Data)
-	sumHex := hex.EncodeToString(sum[:])
-	whole := !p.Chunked
-	if p.Chunked {
-		switch err := p.transferChunked(callR, sumHex); err {
-		case nil:
-		case mrerr.MrUnknownProc:
-			// An agent predating the chunk ops: downgrade to the
-			// whole-file transfer.
-			p.Downgraded = true
-			whole = true
-		default:
-			return err
-		}
-	}
-	if whole {
-		if err := call(OpUXfer, [][]byte{
-			[]byte(p.Target), []byte(sumHex), p.Data,
-		}); err != nil {
-			return err
-		}
-		p.SentBytes = len(p.Data)
-		p.ReusedBytes = 0
+	if err := p.transfer(callR); err != nil {
+		return err
 	}
 	if err := call(OpUScript, protocol.BytesArgs(p.Script)); err != nil {
 		return err
@@ -135,12 +109,15 @@ func (p *Push) Run() error {
 // request, so a large diff still flows in protocol-sized frames.
 const chunkBatchBytes = 256 << 10
 
-// transferChunked runs the manifest/chunks/assemble exchange. It
-// returns MrUnknownProc untouched so Run can downgrade.
-func (p *Push) transferChunked(callR func(uint16, [][]byte) (*protocol.Reply, error), sumHex string) error {
+// transfer runs the manifest/chunks/assemble exchange: the agent
+// answers the manifest with the chunks it cannot supply from the file
+// it holds (every chunk, on a host's first update), and only those
+// travel.
+func (p *Push) transfer(callR func(uint16, [][]byte) (*protocol.Reply, error)) error {
+	sum := sha256.Sum256(p.Data)
 	chunks := SplitChunks(p.Data)
 	rep, err := callR(OpUManifest, [][]byte{
-		[]byte(p.Target), []byte(sumHex), EncodeManifest(chunks),
+		[]byte(p.Target), []byte(hex.EncodeToString(sum[:])), EncodeManifest(chunks),
 	})
 	if err != nil {
 		return err

@@ -3,6 +3,8 @@ package update
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"net"
 	"os"
 	"path/filepath"
@@ -156,24 +158,65 @@ func TestExecInstruction(t *testing.T) {
 	}
 }
 
+// TestChecksumMismatch covers both integrity checks of the transfer: a
+// chunk whose bytes do not match its manifest sum is refused on arrival,
+// and a file whose chunks are all good but whose whole-file sum is not
+// is refused at assembly — neither leaves anything staged.
 func TestChecksumMismatch(t *testing.T) {
 	a := NewAgent("H", t.TempDir(), nil)
 	addr, _ := a.Listen("127.0.0.1:0")
 	defer a.Close()
-	// Hand-roll a push with a bad checksum by corrupting Data after
-	// computing the sum — easiest is to call the agent directly with a
-	// wrong sum via a custom Push: tweak by wrapping Run. Instead,
-	// exercise it through the exported API by corrupting in transit:
-	// build a Push whose Data changes between sum computation and send
-	// is not possible, so test the agent path with a raw session.
-	p := &Push{Addr: addr.String(), Target: "/t", Data: []byte("data"),
+	data := []byte("data")
+	p := &Push{Addr: addr.String(), Target: "/t", Data: data,
 		Script: []string{}, Timeout: 2 * time.Second}
 	if err := p.Run(); err != nil {
 		t.Fatalf("control push failed: %v", err)
 	}
-	// Now the raw path: send a frame with a wrong checksum.
-	if err := rawXferBadSum(addr.String()); err != mrerr.UpdChecksum {
-		t.Errorf("bad checksum err = %v", err)
+
+	fresh := []byte("DATA")
+	manifest := EncodeManifest(SplitChunks(fresh))
+	sum := sha256.Sum256(fresh)
+	goodSum := []byte(hex.EncodeToString(sum[:]))
+	req := func(op uint16, args ...[]byte) *protocol.Request {
+		return &protocol.Request{Version: protocol.Version, Op: op, Args: args}
+	}
+
+	codes := rawSession(t, addr.String(),
+		req(OpUManifest, []byte("/t"), goodSum, manifest),
+		req(OpUChunks, []byte("0"), []byte("DATa")),
+		req(OpUAssemble))
+	if codes[0] != mrerr.Success || codes[1] != mrerr.UpdChecksum || codes[2] != mrerr.UpdChecksum {
+		t.Errorf("bad chunk sum: codes = %v", codes)
+	}
+
+	codes = rawSession(t, addr.String(),
+		req(OpUManifest, []byte("/t"), []byte(strings64()), manifest),
+		req(OpUChunks, []byte("0"), fresh),
+		req(OpUAssemble))
+	if codes[0] != mrerr.Success || codes[1] != mrerr.Success || codes[2] != mrerr.UpdChecksum {
+		t.Errorf("bad whole-file sum: codes = %v", codes)
+	}
+
+	if got, _ := a.ReadHostFile("/t"); !bytes.Equal(got, data) {
+		t.Errorf("refused transfer overwrote the target: %q", got)
+	}
+}
+
+// TestUnassignedOpRefused: op 21 carried the whole-file transfer before
+// the chunk manifest became the only transport; an agent answers it, as
+// any op it does not implement, with MR_UNKNOWN_PROC.
+func TestUnassignedOpRefused(t *testing.T) {
+	a := NewAgent("H", t.TempDir(), nil)
+	addr, _ := a.Listen("127.0.0.1:0")
+	defer a.Close()
+	codes := rawSession(t, addr.String(), &protocol.Request{
+		Version: protocol.Version, Op: 21,
+		Args: [][]byte{[]byte("/t"), []byte(strings64()), []byte("x")}})
+	if codes[0] != mrerr.MrUnknownProc {
+		t.Errorf("op 21 code = %v, want MR_UNKNOWN_PROC", codes[0])
+	}
+	if _, err := a.ReadHostFile("/t"); !os.IsNotExist(err) {
+		t.Errorf("op 21 staged a file: %v", err)
 	}
 }
 
@@ -321,28 +364,33 @@ func TestBusyAgentRejectsSecondUpdate(t *testing.T) {
 	}
 }
 
-// rawXferBadSum speaks just enough protocol to deliver a lying checksum.
-func rawXferBadSum(addr string) error {
+// rawSession speaks the update protocol directly: it sends the requests
+// in order on one connection and returns the agent's reply codes.
+func rawSession(t *testing.T, addr string, reqs ...*protocol.Request) []mrerr.Code {
+	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(2 * time.Second))
 	bw := bufio.NewWriter(conn)
-	req := &protocol.Request{Version: protocol.Version, Op: OpUXfer,
-		Args: [][]byte{[]byte("/t"), []byte("deadbeef"), []byte("data")}}
-	if err := protocol.WriteRequest(bw, req); err != nil {
-		return err
+	br := bufio.NewReader(conn)
+	var codes []mrerr.Code
+	for _, req := range reqs {
+		if err := protocol.WriteRequest(bw, req); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := protocol.ReadReply(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes = append(codes, mrerr.Code(rep.Code))
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	rep, err := protocol.ReadReply(bufio.NewReader(conn))
-	if err != nil {
-		return err
-	}
-	return mrerr.Code(rep.Code).OrNil()
+	return codes
 }
 
 func TestReadWriteHostFilePathSafety(t *testing.T) {
