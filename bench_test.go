@@ -262,13 +262,13 @@ func BenchmarkRestore(b *testing.B) {
 // result.
 const backendSpawnCost = 25 * time.Millisecond
 
-func benchConnect(b *testing.B, athenareg bool) {
+// benchConnect measures connect + Noop + one query + disconnect against
+// one long-lived server. perConn, when positive, is slept before each
+// dial: the Athenareg baseline, whose predecessor forked a database
+// backend per client connection.
+func benchConnect(b *testing.B, perConn time.Duration) {
 	d := queries.NewBootstrappedDB(nil)
-	srv := server.New(server.Config{
-		DB:             d,
-		BackendStartup: backendSpawnCost,
-		AthenaregMode:  athenareg,
-	})
+	srv := server.New(server.Config{DB: d})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -276,6 +276,9 @@ func benchConnect(b *testing.B, athenareg bool) {
 	b.Cleanup(func() { srv.Close() })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if perConn > 0 {
+			time.Sleep(perConn)
+		}
 		c, err := client.Dial(addr.String())
 		if err != nil {
 			b.Fatal(err)
@@ -290,8 +293,8 @@ func benchConnect(b *testing.B, athenareg bool) {
 	}
 }
 
-func BenchmarkConnectPersistent(b *testing.B) { benchConnect(b, false) }
-func BenchmarkConnectAthenareg(b *testing.B)  { benchConnect(b, true) }
+func BenchmarkConnectPersistent(b *testing.B) { benchConnect(b, 0) }
+func BenchmarkConnectAthenareg(b *testing.B)  { benchConnect(b, backendSpawnCost) }
 
 // --- C-N: Noop RPC round trips ---
 

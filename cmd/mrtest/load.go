@@ -78,6 +78,11 @@ func runLoad(o loadOptions) error {
 			conns[i] = c
 		} else {
 			p, err := client.DialPipeline(o.addr, 5*time.Second, nil)
+			if err == nil {
+				// A pipeline dial sends nothing; one round trip surfaces a
+				// shed (MR_BUSY) or skewed server before the measurement.
+				err = p.Noop()
+			}
 			if err != nil {
 				return fmt.Errorf("load: dial pipeline: %w", err)
 			}

@@ -48,7 +48,6 @@ type Client struct {
 	br          *bufio.Reader
 	bw          *bufio.Writer
 	clk         clock.Clock
-	version     uint16        // negotiated protocol version
 	trace       string        // pinned trace ID; "" mints a fresh one per request
 	last        string        // trace ID stamped on the most recent request
 	addr        string        // dialed address, for transparent reconnect
@@ -61,7 +60,7 @@ type Client struct {
 	failovers   int           // reconnects that landed on a fallback address
 	tracer      *trace.Tracer // optional: records a client.call span per round trip
 
-	// v5 failover state: the commit-position token of this client's
+	// Failover state: the commit-position token of this client's
 	// latest acknowledged write (attached to retrieval requests for
 	// read-your-writes), the fields of the most recent final reply
 	// (MR_READONLY / MR_STALE carry the primary's address there), a
@@ -112,7 +111,6 @@ func DialTimeout(addr string, timeout time.Duration, clk clock.Clock) (*Client, 
 		br:          bufio.NewReader(conn),
 		bw:          bufio.NewWriter(conn),
 		clk:         clk,
-		version:     protocol.Version,
 		addr:        addr,
 		dialTimeout: timeout,
 	}, nil
@@ -218,10 +216,6 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 
 // roundTrip sends one request and reads reply frames until the final
 // (non-MR_MORE_DATA) frame, passing tuples to cb (which may be nil).
-// Version skew is handled here: the client opens at protocol.Version
-// and, if the server answers MR_VERSION_MISMATCH, falls back to
-// protocol.MinVersion and resends once — the version-2 frame layout is
-// parseable by version-1 servers, so the connection survives the probe.
 //
 // idempotent marks calls that are safe to repeat: when such a call dies
 // on a torn connection before any tuple was delivered, the client
@@ -234,11 +228,11 @@ func (c *Client) roundTrip(req *protocol.Request, cb TupleFunc, idempotent bool)
 	// Decide the trace ID once per call (pinned, or minted fresh) and
 	// put it — joined with this call's span ID when a tracer is wired —
 	// on the request. sendRecv leaves a non-empty TraceID alone, so
-	// retries and the version-downgrade resend reuse the same IDs.
+	// retries reuse the same IDs.
 	if req.TraceID == "" {
 		tid := c.trace
 		if tid == "" {
-			tid = protocol.NewTraceID()
+			tid = trace.NewTraceID()
 		}
 		sp := c.tracer.Start(tid, "", "client.call")
 		if req.Op == protocol.OpQuery && len(req.Args) > 0 {
@@ -263,11 +257,7 @@ func (c *Client) roundTrip(req *protocol.Request, cb TupleFunc, idempotent bool)
 	redirects := 0
 	for {
 		err := c.sendRecv(req, wcb)
-		if err == mrerr.MrVersionMismatch && c.conn != nil && c.version > protocol.MinVersion {
-			c.version = protocol.MinVersion
-			continue
-		}
-		// Primary chase: a refusal that names the primary (v5 final
+		// Primary chase: a refusal that names the primary (final-reply
 		// fields on MR_READONLY / MR_STALE) means the request was never
 		// executed here — re-sending it at the named address is safe,
 		// mutations included.
@@ -340,7 +330,6 @@ func (c *Client) redialLocked(addr string) error {
 	c.conn = conn
 	c.br = bufio.NewReader(conn)
 	c.bw = bufio.NewWriter(conn)
-	c.version = protocol.Version
 	c.addr = addr
 	c.redirects++
 	return c.replayAuthLocked()
@@ -363,7 +352,7 @@ func (c *Client) replayAuthLocked() error {
 	payload := kerberos.BuildAuth(c.creds, c.credsApp, c.clk)
 	areq := &protocol.Request{
 		Op:      protocol.OpAuth,
-		TraceID: protocol.NewTraceID(),
+		TraceID: trace.NewTraceID(),
 		Args:    [][]byte{payload.Marshal()},
 	}
 	if err := c.sendRecv(areq, nil); err != nil {
@@ -401,13 +390,7 @@ func (c *Client) SetMinPos(token string) {
 
 // reconnectLocked redials after a short backoff, starting at the
 // address of the connection that just died and rotating through the
-// read-fallback list until one accepts; callers hold c.mu. The
-// negotiated version resets to protocol.Version on the fresh
-// connection: the downgrade belonged to the old peer, and pinning it
-// across a redial would leave the client talking the legacy dialect —
-// losing trace IDs entirely at v1 — to a brand-new server that may
-// speak v4. The first request re-probes; a still-old server answers
-// MR_VERSION_MISMATCH and the downgrade machinery runs again.
+// read-fallback list until one accepts; callers hold c.mu.
 func (c *Client) reconnectLocked() error {
 	clock.Sleep(c.clk, ReconnectDelay)
 	rotation := append([]string{c.addr}, c.fallbacks...)
@@ -422,7 +405,6 @@ func (c *Client) reconnectLocked() error {
 		c.conn = conn
 		c.br = bufio.NewReader(conn)
 		c.bw = bufio.NewWriter(conn)
-		c.version = protocol.Version
 		c.reconnects++
 		if slot != 0 {
 			c.failovers++
@@ -447,12 +429,10 @@ func (c *Client) sendRecv(req *protocol.Request, cb TupleFunc) error {
 		// the moment the stale deadline expired.
 		c.conn.SetDeadline(time.Time{})
 	}
-	req.Version = c.version
-	if c.version >= 2 {
-		// roundTrip stamped the (possibly span-joined) trace field; the
-		// bare trace ID is what callers correlate on.
-		c.last, _ = trace.Split(req.TraceID)
-	}
+	req.Version = protocol.Version
+	// roundTrip stamped the (possibly span-joined) trace field; the bare
+	// trace ID is what callers correlate on.
+	c.last, _ = trace.Split(req.TraceID)
 	if err := protocol.WriteRequest(c.bw, req); err != nil {
 		c.abort()
 		return ioFail(err)
@@ -468,7 +448,7 @@ func (c *Client) sendRecv(req *protocol.Request, cb TupleFunc) error {
 			c.abort()
 			return ioFail(err)
 		}
-		if rep.Version < protocol.MinVersion || rep.Version > protocol.Version {
+		if rep.Version != protocol.Version {
 			c.abort()
 			return mrerr.MrVersionMismatch
 		}
@@ -485,7 +465,7 @@ func (c *Client) sendRecv(req *protocol.Request, cb TupleFunc) error {
 		if cbErr != nil {
 			return mrerr.MrCallbackErr
 		}
-		// Final-frame fields (v5): a commit token on success, the
+		// Final-frame fields: a commit token on success, the
 		// primary's address on MR_READONLY / MR_STALE.
 		c.lastFields = rep.StringFields()
 		if code == mrerr.Success && len(c.lastFields) > 0 &&
@@ -581,24 +561,15 @@ func (c *Client) QueryAll(name string, args ...string) ([][]string, error) {
 // import the protocol package.
 type BatchItem = protocol.BatchItem
 
-// Batch submits items — mutations only — as one v4 Batch request: the
+// Batch submits items — mutations only — as one Batch request: the
 // server runs them under a single lock acquisition and a single journal
-// group commit and answers one code per item, in order. Against a
-// pre-v4 server (or after a version downgrade) Batch degrades to one
-// Query round trip per item, preserving the per-item code contract at
-// the old cost.
+// group commit and answers one code per item, in order.
 //
 // The error return is transport- or batch-level; when it is nil the
 // per-item codes are authoritative (mrerr.Success for applied items).
 func (c *Client) Batch(items []BatchItem) ([]mrerr.Code, error) {
 	if len(items) == 0 {
 		return nil, nil
-	}
-	c.mu.Lock()
-	old := c.version < 4
-	c.mu.Unlock()
-	if old {
-		return c.batchSequential(items)
 	}
 	var codes []mrerr.Code
 	args := protocol.EncodeBatch(items)
@@ -616,32 +587,11 @@ func (c *Client) Batch(items []BatchItem) ([]mrerr.Code, error) {
 		}
 		return nil
 	}, false)
-	if err == mrerr.MrUnknownProc || err == mrerr.MrVersionMismatch {
-		// The server predates OpBatch (the downgrade resend already
-		// happened inside roundTrip for the mismatch case).
-		return c.batchSequential(items)
-	}
 	if err != nil {
 		return nil, err
 	}
 	if len(codes) != len(items) {
 		return nil, mrerr.MrInternal
-	}
-	return codes, nil
-}
-
-// batchSequential is the pre-v4 fallback: one Query per item.
-func (c *Client) batchSequential(items []BatchItem) ([]mrerr.Code, error) {
-	codes := make([]mrerr.Code, len(items))
-	for i, it := range items {
-		err := c.Query(it.Name, it.Args, nil)
-		switch err {
-		case mrerr.MrAborted, mrerr.MrNotConnected, mrerr.MrConnTimeout:
-			// Transport death: the remaining items were never attempted,
-			// so per-item codes would lie. Surface the transport error.
-			return nil, err
-		}
-		codes[i] = mrerr.CodeOf(err)
 	}
 	return codes, nil
 }

@@ -189,44 +189,6 @@ func TestDirectMatchesRPCSemantics(t *testing.T) {
 	}
 }
 
-// TestClientDowngradesToLegacyServer drives the version negotiation: a
-// server that only speaks protocol version 1 answers the client's
-// version-2 probe with MR_VERSION_MISMATCH, and the client falls back
-// to version 1 and resends on the same connection.
-func TestClientDowngradesToLegacyServer(t *testing.T) {
-	var gotVersions []uint16
-	addr := newFakeServer(t, func(req *protocol.Request, reply func(*protocol.Reply) error) bool {
-		gotVersions = append(gotVersions, req.Version)
-		if req.Version != 1 {
-			reply(&protocol.Reply{Version: 1, Code: int32(mrerr.MrVersionMismatch)})
-			return true
-		}
-		reply(&protocol.Reply{Version: 1, Code: 0})
-		return true
-	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Disconnect()
-	if err := c.Noop(); err != nil {
-		t.Fatalf("noop against legacy server: %v", err)
-	}
-	// Once downgraded, later requests go straight to version 1.
-	if err := c.Noop(); err != nil {
-		t.Fatalf("second noop: %v", err)
-	}
-	want := []uint16{protocol.Version, 1, 1}
-	if len(gotVersions) != len(want) {
-		t.Fatalf("server saw versions %v, want %v", gotVersions, want)
-	}
-	for i := range want {
-		if gotVersions[i] != want[i] {
-			t.Fatalf("server saw versions %v, want %v", gotVersions, want)
-		}
-	}
-}
-
 // TestClientStampsTraceIDs checks that every request carries a trace ID
 // (fresh per request by default, pinned after SetTraceID) and that
 // LastTraceID reports the stamped value.

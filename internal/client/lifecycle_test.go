@@ -14,7 +14,9 @@ import (
 // reply tears the connection under an idle client; the next idempotent
 // call redials transparently instead of surfacing MR_ABORTED.
 func TestClientTransparentReconnect(t *testing.T) {
+	var served atomic.Int32
 	addr := newFakeServer(t, func(req *protocol.Request, reply func(*protocol.Reply) error) bool {
+		served.Add(1)
 		reply(&protocol.Reply{Version: req.Version, Code: int32(mrerr.Success)})
 		return false // close after each reply
 	})
@@ -35,6 +37,10 @@ func TestClientTransparentReconnect(t *testing.T) {
 	}
 	if n := c.Reconnects(); n != 1 {
 		t.Errorf("reconnects = %d, want 1", n)
+	}
+	// The torn call was resent exactly once, on the fresh connection.
+	if n := served.Load(); n != 2 {
+		t.Errorf("server answered %d requests, want 2 (first noop + one resend)", n)
 	}
 	// The backoff waited on the client's clock, not the wall clock.
 	if fake.Slept() < ReconnectDelay {

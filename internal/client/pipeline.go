@@ -11,18 +11,15 @@ import (
 	"moira/internal/kerberos"
 	"moira/internal/mrerr"
 	"moira/internal/protocol"
+	"moira/internal/trace"
 )
 
-// Pipeline is a v4 connection that keeps many requests in flight at
+// Pipeline is a connection that keeps many requests in flight at
 // once. Each call gets a connection-unique tag; a sender goroutine
 // coalesces request writes and a demux goroutine matches every reply
 // frame back to its call by the echoed tag, so N concurrent callers
 // share one TCP connection and one server goroutine without waiting a
 // round trip each.
-//
-// Pipelines require a v4 server: DialPipeline probes with a tagged Noop
-// and fails with MR_VERSION_MISMATCH against older peers (callers fall
-// back to the serial Client, which downgrades transparently).
 //
 // Tuple callbacks run on the demux goroutine: a slow callback delays
 // every reply on the connection, exactly like a slow reader of the old
@@ -40,7 +37,7 @@ type Pipeline struct {
 	cond     *sync.Cond // signalled when a tag frees or the pipeline dies
 	inflight map[uint16]*pcall
 	freeTags []uint16
-	nextTag  uint32 // next never-used tag; tag 0 is the serial client's
+	nextTag  uint32 // highest tag handed out; tag 0 is the serial client's
 	err      error  // terminal; set once
 	closed   bool
 
@@ -58,7 +55,10 @@ type pcall struct {
 // until the sender drains.
 const DefaultPipelineDepth = 1024
 
-// DialPipeline connects to addr and verifies the server speaks v4.
+// DialPipeline connects to addr. It sends nothing: a peer that refuses
+// the connection (an MR_BUSY shed) or replies at another protocol
+// version fails the pipeline, and every call on it, when demux reads
+// that reply.
 func DialPipeline(addr string, timeout time.Duration, clk clock.Clock) (*Pipeline, error) {
 	if clk == nil {
 		clk = clock.System
@@ -70,52 +70,17 @@ func DialPipeline(addr string, timeout time.Duration, clk clock.Clock) (*Pipelin
 		}
 		return nil, mrerr.MrConnRefused
 	}
-	// Probe before spinning up the goroutines: one synchronous tagged
-	// Noop. A pre-v4 server either answers MR_VERSION_MISMATCH or — if
-	// it accepted the op without understanding tags — echoes a zero pad
-	// where the tag belongs; both mean no pipelining here.
-	br := bufio.NewReaderSize(conn, 32<<10)
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	probe := &protocol.Request{
-		Version: protocol.Version,
-		Op:      protocol.OpNoop,
-		Tag:     1,
-		TraceID: protocol.NewTraceID(),
-	}
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := protocol.WriteRequest(bw, probe); err == nil {
-		err = bw.Flush()
-	} else {
-		conn.Close()
-		return nil, ioFail(err)
-	}
-	rep, err := protocol.ReadReply(br)
-	if err != nil {
-		conn.Close()
-		return nil, ioFail(err)
-	}
-	conn.SetDeadline(time.Time{})
-	if code := mrerr.Code(rep.Code); code != mrerr.Success {
-		conn.Close()
-		return nil, code
-	}
-	if rep.Version < 4 || rep.Tag != probe.Tag {
-		conn.Close()
-		return nil, mrerr.MrVersionMismatch
-	}
-
 	p := &Pipeline{
 		conn:     conn,
-		bw:       bw,
+		bw:       bufio.NewWriterSize(conn, 32<<10),
 		clk:      clk,
 		sendQ:    make(chan *protocol.Request, DefaultPipelineDepth),
 		inflight: make(map[uint16]*pcall),
-		nextTag:  1,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(2)
 	go p.sender()
-	go p.demux(br)
+	go p.demux(bufio.NewReaderSize(conn, 32<<10))
 	return p, nil
 }
 
@@ -152,7 +117,7 @@ func (p *Pipeline) demux(br *bufio.Reader) {
 			p.fail(ioFail(err))
 			return
 		}
-		if rep.Version < 4 {
+		if rep.Version != protocol.Version {
 			p.fail(mrerr.MrVersionMismatch)
 			return
 		}
@@ -248,7 +213,7 @@ func (p *Pipeline) call(op uint16, args [][]byte, cb TupleFunc) error {
 		Version: protocol.Version,
 		Op:      op,
 		Tag:     tag,
-		TraceID: protocol.NewTraceID(),
+		TraceID: trace.NewTraceID(),
 		Args:    args,
 	}
 	p.sendWG.Done()
@@ -279,7 +244,7 @@ func (p *Pipeline) Auth(creds *kerberos.Credentials, clientName string) error {
 	return p.call(protocol.OpAuth, [][]byte{payload.Marshal()}, nil)
 }
 
-// Batch submits items as one v4 Batch request over the pipeline; see
+// Batch submits items as one Batch request over the pipeline; see
 // Client.Batch for the semantics.
 func (p *Pipeline) Batch(items []BatchItem) ([]mrerr.Code, error) {
 	if len(items) == 0 {
@@ -344,7 +309,7 @@ type ClientPool struct {
 }
 
 // NewClientPool dials size pipelines to addr. It fails if the first
-// dial fails (the server is unreachable or pre-v4); later slots that
+// dial fails (the server is unreachable); later slots that
 // fail dial lazily on first use.
 func NewClientPool(addr string, size int, timeout time.Duration, clk clock.Clock) (*ClientPool, error) {
 	if size <= 0 {

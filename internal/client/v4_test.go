@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"moira/internal/clock"
 	"moira/internal/mrerr"
 	"moira/internal/protocol"
 )
@@ -39,67 +38,6 @@ func TestSetCallTimeoutZeroDisarmsDeadline(t *testing.T) {
 	c.SetCallTimeout(0)
 	if err := c.Noop(); err != nil {
 		t.Fatalf("untimed noop after SetCallTimeout(0): %v (stale deadline not disarmed)", err)
-	}
-}
-
-// TestReconnectReprobesVersion: a client downgraded to v1 by a legacy
-// server must not pin that version across a transparent reconnect — the
-// downgrade belonged to the dead peer. After the redial the first
-// request goes out at protocol.Version again, so a replacement server
-// that speaks v4 is not stuck being talked to in the v1 dialect.
-func TestReconnectReprobesVersion(t *testing.T) {
-	var (
-		mu       sync.Mutex
-		versions []uint16
-	)
-	var phase atomic.Int32 // 0: legacy v1 server, 1: die once, 2: modern server
-	addr := newFakeServer(t, func(req *protocol.Request, reply func(*protocol.Reply) error) bool {
-		mu.Lock()
-		versions = append(versions, req.Version)
-		mu.Unlock()
-		switch {
-		case phase.CompareAndSwap(1, 2):
-			return false // hang up: the legacy box just went away
-		case phase.Load() == 0:
-			if req.Version != 1 {
-				reply(&protocol.Reply{Version: 1, Code: int32(mrerr.MrVersionMismatch)})
-				return true
-			}
-			reply(&protocol.Reply{Version: 1, Code: 0})
-			return true
-		default:
-			reply(&protocol.Reply{Version: req.Version, Tag: req.Tag, Code: 0})
-			return true
-		}
-	})
-	fake := clock.NewFake(time.Unix(600000000, 0))
-	c, err := DialTimeout(addr, time.Second, fake)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Disconnect()
-	if err := c.Noop(); err != nil { // negotiates down to v1
-		t.Fatalf("noop against legacy server: %v", err)
-	}
-	phase.Store(1)
-	if err := c.Noop(); err != nil { // dies, reconnects, resends
-		t.Fatalf("noop across reconnect: %v", err)
-	}
-	if n := c.Reconnects(); n != 1 {
-		t.Fatalf("reconnects = %d, want 1", n)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	// Probe, downgraded resend, the request the dying conn swallowed,
-	// then the re-probe on the fresh connection — at full version again.
-	want := []uint16{protocol.Version, 1, 1, protocol.Version}
-	if len(versions) != len(want) {
-		t.Fatalf("server saw versions %v, want %v", versions, want)
-	}
-	for i := range want {
-		if versions[i] != want[i] {
-			t.Fatalf("server saw versions %v, want %v", versions, want)
-		}
 	}
 }
 
@@ -162,55 +100,6 @@ func TestClientBatchOverWire(t *testing.T) {
 	}
 }
 
-// TestClientBatchFallsBackSequential: against a v1 server the batch
-// degrades to one query round trip per item with the same per-item code
-// contract.
-func TestClientBatchFallsBackSequential(t *testing.T) {
-	var queryNames []string
-	addr := newFakeServer(t, func(req *protocol.Request, reply func(*protocol.Reply) error) bool {
-		if req.Version != 1 {
-			reply(&protocol.Reply{Version: 1, Code: int32(mrerr.MrVersionMismatch)})
-			return true
-		}
-		if req.Op == protocol.OpBatch {
-			// A v1 server has never heard of the batch op.
-			reply(&protocol.Reply{Version: 1, Code: int32(mrerr.MrUnknownProc)})
-			return true
-		}
-		if req.Op == protocol.OpQuery && len(req.Args) > 0 {
-			name := string(req.Args[0])
-			queryNames = append(queryNames, name)
-			if name == "add_dup" {
-				reply(&protocol.Reply{Version: 1, Code: int32(mrerr.MrNotUnique)})
-				return true
-			}
-		}
-		reply(&protocol.Reply{Version: 1, Code: 0})
-		return true
-	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Disconnect()
-	codes, err := c.Batch([]BatchItem{
-		{Name: "add_machine", Args: []string{"A.MIT.EDU", "VAX"}},
-		{Name: "add_dup"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []mrerr.Code{mrerr.Success, mrerr.MrNotUnique}
-	for i := range want {
-		if codes[i] != want[i] {
-			t.Fatalf("codes = %v, want %v", codes, want)
-		}
-	}
-	if len(queryNames) != 2 {
-		t.Errorf("server saw queries %v, want one per item", queryNames)
-	}
-}
-
 // v4EchoServer answers every query with one tuple echoing the query's
 // first argument, so pipeline tests can verify demux routing.
 func v4EchoServer(t *testing.T) string {
@@ -259,15 +148,44 @@ func TestPipelineConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestPipelineRejectsLegacyServer: the handshake probe must fail fast
-// against a pre-v4 peer so callers can fall back to the serial client.
+// TestPipelineRejectsLegacyServer: a pipeline whose peer replies at
+// another protocol version — older or newer — fails every in-flight
+// call with MR_VERSION_MISMATCH and stays dead.
 func TestPipelineRejectsLegacyServer(t *testing.T) {
-	addr := newFakeServer(t, func(req *protocol.Request, reply func(*protocol.Reply) error) bool {
-		reply(&protocol.Reply{Version: 1, Code: int32(mrerr.MrVersionMismatch)})
-		return true
-	})
-	if _, err := DialPipeline(addr, time.Second, nil); err != mrerr.MrVersionMismatch {
-		t.Fatalf("DialPipeline against v1 server err = %v, want MR_VERSION_MISMATCH", err)
+	for _, v := range []uint16{1, 4, protocol.Version + 1} {
+		release := make(chan struct{})
+		addr := newFakeServer(t, func(req *protocol.Request, reply func(*protocol.Reply) error) bool {
+			<-release // hold the reply until every call is in flight
+			reply(&protocol.Reply{Version: v, Tag: req.Tag, Code: 0})
+			return true
+		})
+		p, err := DialPipeline(addr, time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const calls = 8
+		errs := make(chan error, calls)
+		for i := 0; i < calls; i++ {
+			go func() { errs <- p.Noop() }()
+		}
+		inflight := func() int {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return len(p.inflight)
+		}
+		for inflight() < calls {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		for i := 0; i < calls; i++ {
+			if err := <-errs; err != mrerr.MrVersionMismatch {
+				t.Errorf("v%d peer: in-flight call err = %v, want MR_VERSION_MISMATCH", v, err)
+			}
+		}
+		if err := p.Noop(); err != mrerr.MrVersionMismatch {
+			t.Errorf("v%d peer: call on the dead pipeline err = %v, want MR_VERSION_MISMATCH", v, err)
+		}
+		p.Close()
 	}
 }
 
@@ -294,7 +212,7 @@ func TestPipelineServerDies(t *testing.T) {
 	var calls atomic.Int32
 	addr := newFakeServer(t, func(req *protocol.Request, reply func(*protocol.Reply) error) bool {
 		if calls.Add(1) > 1 {
-			return false // hang up on everything after the probe
+			return false // hang up on everything after the first call
 		}
 		reply(&protocol.Reply{Version: req.Version, Tag: req.Tag, Code: 0})
 		return true
@@ -304,6 +222,9 @@ func TestPipelineServerDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	if err := p.Noop(); err != nil {
+		t.Fatalf("first noop: %v", err)
+	}
 	if err := p.Noop(); err == nil {
 		t.Fatal("noop on torn pipeline succeeded")
 	}

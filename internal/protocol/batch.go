@@ -12,8 +12,7 @@ type BatchItem struct {
 	Args []string
 }
 
-// Batch wire shape (v4, inside the counted-string argument list of one
-// OpBatch request, after the tag and trace pseudo-arguments):
+// Batch wire shape (the arguments of one OpBatch request):
 //
 //	itemCount | (name | argCount | arg...)*
 //

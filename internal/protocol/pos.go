@@ -9,7 +9,7 @@ import (
 // Pos is a journal commit position token: the epoch of the primary
 // that committed it plus the (segment, record-index) position the
 // commit occupies in the replicated journal. Tokens are minted by the
-// server on successful v5 mutations and presented back by clients on
+// server on successful mutations and presented back by clients on
 // reads (Request.MinPos) for read-your-writes consistency: a node that
 // has not applied the journal up to the token refuses the read with
 // MR_STALE rather than serve data older than the caller's own write.

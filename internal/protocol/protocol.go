@@ -8,53 +8,30 @@
 // version, a single number (an error code), and zero or more counted
 // strings — the server streams one reply frame per result tuple with the
 // code MR_MORE_DATA, then a final frame carrying the overall code. The
-// version field in both directions allows clean handling of version skew.
+// version field in both directions allows clean handling of version
+// skew: there is one frame layout, every peer stamps Version, and a
+// listener answers a request stamped anything else with
+// MR_VERSION_MISMATCH on a connection that keeps serving.
 package protocol
 
 import (
 	"bufio"
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"moira/internal/mrerr"
 )
 
-// Version is the protocol version this implementation speaks. Version 2
-// adds a per-request trace ID, carried as an extra counted string
-// prepended to the argument list — the frame layout is unchanged, so a
-// version-1 peer parses a version-2 frame cleanly and can answer
-// MR_VERSION_MISMATCH without desynchronizing the stream. Version 3
-// adds the Replicate major request (journal-shipping replication); the
-// frame layout is again unchanged, so older peers reject it cleanly
-// with MR_UNKNOWN_PROC or MR_VERSION_MISMATCH.
-//
-// Version 4 adds pipelining and batching. A v4 request carries a
-// client-assigned tag as one more counted string (2 bytes, big-endian)
-// in front of the trace ID; a v4 reply echoes the tag in the two
-// previously-zero padding bytes of the reply head. Both moves keep the
-// frame layout unchanged, so the v1↔v2 downgrade machinery covers v4
-// unmodified: an old server parses the v4 frame cleanly, sees an
-// unsupported version, and answers MR_VERSION_MISMATCH on the same
-// stream. Version 4 also adds the Batch major request (N mutations in
-// one frame, one commit).
-//
-// Version 5 adds failover: the Election major request (lease/epoch
-// election RPCs between cluster nodes) and read-your-writes position
-// tokens. A v5 request carries a minimum-position token (possibly
-// empty; see Pos) as one more counted string between the trace ID and
-// the arguments; a v5 final reply may carry fields — the commit
-// position token on a successful mutation, or the current primary's
-// address on MR_READONLY / MR_STALE refusals. The frame layout is once
-// again unchanged, so the established downgrade machinery covers v5.
+// Version is the one protocol version this implementation speaks and
+// accepts. A request carries three header fields as counted strings in
+// front of its arguments — the tag (2 bytes, big-endian), the trace ID
+// and the minimum-position token, the last two possibly empty — and a
+// reply carries the tag in its head; a final reply may carry fields (the
+// commit position token on a successful mutation, the current primary's
+// address on MR_READONLY / MR_STALE refusals).
 const Version uint16 = 5
-
-// MinVersion is the oldest protocol version this implementation still
-// accepts; clients fall back to it when a server rejects Version.
-const MinVersion uint16 = 1
 
 // Port is the well-known Moira server port ("T.B.S." in the paper; this
 // implementation settles it).
@@ -68,9 +45,9 @@ const (
 	OpAccess     uint16 = 4 // like Query but only checks permission
 	OpTriggerDCM uint16 = 5 // no arguments; spawn a DCM
 	OpShutdown   uint16 = 6 // no arguments; ask the server to exit
-	OpReplicate  uint16 = 7 // v3: args: last applied journal (segment, record index)
-	OpBatch      uint16 = 8 // v4: N mutations in one frame; see EncodeBatch
-	OpElection   uint16 = 9 // v5: cluster election RPCs (info, claim, ack)
+	OpReplicate  uint16 = 7 // args: last applied journal (segment, record index)
+	OpBatch      uint16 = 8 // N mutations in one frame; see EncodeBatch
+	OpElection   uint16 = 9 // cluster election RPCs (info, claim, ack)
 )
 
 // OpName names an opcode for logging.
@@ -105,25 +82,27 @@ const (
 	MaxFields = 4096     // counted strings per frame
 )
 
-// Request is one client-to-server message. TraceID, when non-empty and
-// Version >= 2, rides in front of Args on the wire; version-1 requests
-// cannot carry one.
+// Request is one client-to-server message.
 //
-// A span-aware caller extends the field to "traceID/spanID" (see
-// package trace): the same single counted string, so a v2 peer that
-// knows nothing of spans round-trips it opaquely — span-aware callees
-// split it, use the bare trace ID everywhere the trace ID was used
-// before (journal lines, logs, rings), and parent their spans on the
-// caller's span ID.
-// Tag, when Version >= 4, identifies the request within its connection
-// so replies to pipelined requests can be matched back to their calls;
-// the server echoes it verbatim on every reply frame of the request,
-// including streamed MR_MORE_DATA tuples. Tag 0 is what a synchronous
+// Tag identifies the request within its connection so replies to
+// pipelined requests can be matched back to their calls; the server
+// echoes it verbatim on every reply frame of the request, including
+// streamed MR_MORE_DATA tuples. Tag 0 is what a synchronous
 // one-at-a-time caller uses; pipelined callers assign 1..65535.
-// MinPos, when Version >= 5, is the caller's read-your-writes floor: a
-// position token (Pos.String) from an earlier commit. A replica that
-// has not applied up to it answers MR_STALE instead of serving stale
-// data. Empty means no floor.
+//
+// TraceID may be empty. A span-aware caller extends the field to
+// "traceID/spanID" (see package trace): span-aware callees split it,
+// use the bare trace ID everywhere a trace ID goes (journal lines,
+// logs, rings), and parent their spans on the caller's span ID.
+//
+// MinPos is the caller's read-your-writes floor: a position token
+// (Pos.String) from an earlier commit. A replica that has not applied
+// up to it answers MR_STALE instead of serving stale data. Empty means
+// no floor.
+//
+// A request read off the wire with Version != protocol.Version has only
+// Version and Op decoded: its header fields stay in Args, raw, for the
+// listener to refuse with MR_VERSION_MISMATCH.
 type Request struct {
 	Version uint16
 	Op      uint16
@@ -144,9 +123,8 @@ func (r *Request) StringArgs() []string {
 
 // Reply is one server-to-client message. A streamed tuple carries Code
 // MR_MORE_DATA and the tuple fields; the final frame carries the overall
-// result code and no fields.
-// Tag echoes the tag of the request this reply answers (v4; zero on
-// older versions, whose head keeps the two bytes as zero padding).
+// result code and at most the one field described at Version. Tag echoes
+// the tag of the request this reply answers.
 type Reply struct {
 	Version uint16
 	Tag     uint16
@@ -163,11 +141,11 @@ func (r *Reply) StringFields() []string {
 	return out
 }
 
-// frame layout: u32 payloadLen | u16 version | u16 opOrPad | i32 code
+// frame layout: u32 payloadLen | u16 version | u16 opOrTag | i32 code
 // (replies only) | u32 nFields | (u32 len | bytes)*
 //
 // Requests and replies share the counted-string tail; requests carry the
-// opcode where replies carry a zero pad plus the code field.
+// opcode where replies carry the tag plus the code field.
 
 // writeBufs recycles frame encode buffers across calls; oversized ones
 // (beyond maxPooledBuf) are dropped on return so one huge frame does not
@@ -266,71 +244,47 @@ func readFrame(r io.Reader, headLen int) (head []byte, fields [][]byte, err erro
 	return hc, fields, nil
 }
 
-// WriteRequest sends one request frame. A version >= 2 request carries
-// its trace ID (possibly empty) as the first counted string; a version
-// >= 4 request carries its tag (2 bytes, big-endian) as one more
-// counted string in front of the trace ID.
+// WriteRequest sends one request frame: the tag, trace ID and
+// minimum-position header fields, then the arguments.
 func WriteRequest(w io.Writer, req *Request) error {
 	var head [4]byte
 	binary.BigEndian.PutUint16(head[0:2], req.Version)
 	binary.BigEndian.PutUint16(head[2:4], req.Op)
-	args := req.Args
-	if req.Version >= 2 {
-		args = make([][]byte, 0, len(req.Args)+3)
-		if req.Version >= 4 {
-			var tag [2]byte
-			binary.BigEndian.PutUint16(tag[:], req.Tag)
-			args = append(args, tag[:])
-		}
-		args = append(args, []byte(req.TraceID))
-		if req.Version >= 5 {
-			args = append(args, []byte(req.MinPos))
-		}
-		args = append(args, req.Args...)
-	}
+	var tag [2]byte
+	binary.BigEndian.PutUint16(tag[:], req.Tag)
+	args := make([][]byte, 0, len(req.Args)+3)
+	args = append(args, tag[:], []byte(req.TraceID), []byte(req.MinPos))
+	args = append(args, req.Args...)
 	return writeFrame(w, head[:], args)
 }
 
 // parseRequest interprets a parsed frame as a request, splitting off the
-// tag (v4+) and trace ID (v2+) pseudo-arguments.
+// three header fields. A frame stamped another version keeps its fields
+// raw (see Request); a frame stamped Version without a well-formed
+// header is a framing error.
 func parseRequest(head []byte, fields [][]byte) (*Request, error) {
 	req := &Request{
 		Version: binary.BigEndian.Uint16(head[0:2]),
 		Op:      binary.BigEndian.Uint16(head[2:4]),
 		Args:    fields,
 	}
-	if req.Version >= 4 {
-		switch {
-		case len(fields) > 0 && len(fields[0]) == 2:
-			req.Tag = binary.BigEndian.Uint16(fields[0])
-			fields = fields[1:]
-			req.Args = fields
-		case req.Version <= Version:
-			return nil, fmt.Errorf("protocol: v%d request without a tag field", req.Version)
-		default:
-			// A version beyond ours with an unrecognized layout: leave the
-			// arguments raw so the caller can answer MR_VERSION_MISMATCH
-			// instead of dropping the connection.
-			return req, nil
-		}
+	if req.Version != Version {
+		return req, nil
 	}
-	if req.Version >= 2 && len(fields) > 0 {
-		req.TraceID = string(fields[0])
-		fields = fields[1:]
-		req.Args = fields
+	if len(fields) < 3 || len(fields[0]) != 2 {
+		return nil, fmt.Errorf("protocol: request without its tag, trace and position fields")
 	}
-	if req.Version >= 5 && len(fields) > 0 {
-		req.MinPos = string(fields[0])
-		req.Args = fields[1:]
-	}
+	req.Tag = binary.BigEndian.Uint16(fields[0])
+	req.TraceID = string(fields[1])
+	req.MinPos = string(fields[2])
+	req.Args = fields[3:]
 	return req, nil
 }
 
-// ReadRequest reads one request frame, splitting off the trace ID when
-// the peer spoke version 2 or later and the tag for version 4. Every
-// argument is its own allocation; retaining one does not retain the
-// frame. Hot loops that never keep arguments past the next read should
-// use FrameReader instead.
+// ReadRequest reads one request frame. Every argument is its own
+// allocation; retaining one does not retain the frame. Hot loops that
+// never keep arguments past the next read should use FrameReader
+// instead.
 func ReadRequest(r *bufio.Reader) (*Request, error) {
 	head, fields, err := readFrame(r, 4)
 	if err != nil {
@@ -339,30 +293,22 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 	return parseRequest(head, fields)
 }
 
-// WriteReply sends one reply frame. A version >= 4 reply carries the
-// request tag in the two head bytes that older versions keep as zero
-// padding — zero extra bytes on the wire, and pre-v4 peers never read
-// them.
+// WriteReply sends one reply frame.
 func WriteReply(w io.Writer, rep *Reply) error {
 	var head [8]byte
 	binary.BigEndian.PutUint16(head[0:2], rep.Version)
-	if rep.Version >= 4 {
-		binary.BigEndian.PutUint16(head[2:4], rep.Tag)
-	}
+	binary.BigEndian.PutUint16(head[2:4], rep.Tag)
 	binary.BigEndian.PutUint32(head[4:8], uint32(rep.Code))
 	return writeFrame(w, head[:], rep.Fields)
 }
 
 func parseReply(head []byte, fields [][]byte) *Reply {
-	rep := &Reply{
+	return &Reply{
 		Version: binary.BigEndian.Uint16(head[0:2]),
+		Tag:     binary.BigEndian.Uint16(head[2:4]),
 		Code:    int32(binary.BigEndian.Uint32(head[4:8])),
 		Fields:  fields,
 	}
-	if rep.Version >= 4 {
-		rep.Tag = binary.BigEndian.Uint16(head[2:4])
-	}
-	return rep
 }
 
 // ReadReply reads one reply frame. Every field is its own allocation;
@@ -382,24 +328,4 @@ func BytesArgs(args []string) [][]byte {
 		out[i] = []byte(a)
 	}
 	return out
-}
-
-// Trace IDs: a random per-process prefix plus a sequence number keeps
-// IDs globally unique without paying for crypto randomness per request.
-var (
-	tracePrefix = func() string {
-		var b [4]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			// Fall back to a fixed prefix; IDs stay process-unique.
-			return "t00000000"
-		}
-		return fmt.Sprintf("t%08x", binary.BigEndian.Uint32(b[:]))
-	}()
-	traceSeq atomic.Uint64
-)
-
-// NewTraceID returns a fresh trace ID, unique across processes with
-// overwhelming probability and cheap enough to mint per request.
-func NewTraceID() string {
-	return fmt.Sprintf("%s-%d", tracePrefix, traceSeq.Add(1))
 }

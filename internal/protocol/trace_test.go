@@ -3,7 +3,6 @@ package protocol
 import (
 	"bufio"
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -26,55 +25,6 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldClientAgainstNewReader verifies the backward-compat story in
-// one direction: a pre-trace-field (version 1) request parses cleanly
-// under the new reader, with its arguments intact and no trace ID.
-func TestOldClientAgainstNewReader(t *testing.T) {
-	var buf bytes.Buffer
-	req := &Request{Version: 1, Op: OpQuery,
-		Args: [][]byte{[]byte("get_server_info"), []byte("*")}}
-	if err := WriteRequest(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequest(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != 1 || got.TraceID != "" {
-		t.Errorf("head = %+v", got)
-	}
-	if args := got.StringArgs(); len(args) != 2 || args[0] != "get_server_info" || args[1] != "*" {
-		t.Errorf("args = %v", args)
-	}
-}
-
-// TestNewClientAgainstOldReader verifies the other direction: a
-// version-2 frame is structurally valid for a version-1 parser — the
-// trace ID shows up as an extra leading argument, so an old server can
-// read the frame, notice the version, and reply MR_VERSION_MISMATCH
-// without the connection desynchronizing.
-func TestNewClientAgainstOldReader(t *testing.T) {
-	var buf bytes.Buffer
-	req := &Request{Version: Version, Op: OpQuery, TraceID: "trace-99",
-		Args: [][]byte{[]byte("get_user_by_login"), []byte("root")}}
-	if err := WriteRequest(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	// A version-1 reader is today's reader minus the pseudo-argument
-	// splits: the raw frame must parse with the v4 tag as fields[0], the
-	// trace as fields[1], and the v5 position token as fields[2].
-	head, fields, err := readFrame(bufio.NewReader(&buf), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = head
-	if len(fields) != 5 || len(fields[0]) != 2 ||
-		string(fields[1]) != "trace-99" || string(fields[2]) != "" ||
-		string(fields[3]) != "get_user_by_login" {
-		t.Errorf("raw fields = %q", fields)
-	}
-}
-
 func TestEmptyTraceOnV2(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteRequest(&buf, &Request{Version: Version, Op: OpNoop}); err != nil {
@@ -86,19 +36,5 @@ func TestEmptyTraceOnV2(t *testing.T) {
 	}
 	if got.TraceID != "" || len(got.Args) != 0 {
 		t.Errorf("got = %+v", got)
-	}
-}
-
-func TestNewTraceIDUnique(t *testing.T) {
-	seen := make(map[string]bool)
-	for i := 0; i < 1000; i++ {
-		id := NewTraceID()
-		if seen[id] {
-			t.Fatalf("duplicate trace ID %q", id)
-		}
-		if !strings.HasPrefix(id, "t") || !strings.Contains(id, "-") {
-			t.Fatalf("malformed trace ID %q", id)
-		}
-		seen[id] = true
 	}
 }

@@ -88,7 +88,7 @@ type Context struct {
 	TriggerDCM func(trace string)
 
 	// TraceID is the trace ID of the request being served, stamped by
-	// the client ("" for v1 clients); journaled with mutations.
+	// the client (possibly ""); journaled with mutations.
 	TraceID string
 
 	// Stats, when set by the server, backs the _stats query handle.

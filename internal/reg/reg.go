@@ -222,6 +222,9 @@ func saltOf(first, last string) string {
 }
 
 func (s *Server) handle(req *protocol.Request) (mrerr.Code, int) {
+	if req.Version != protocol.Version {
+		return mrerr.MrVersionMismatch, 0
+	}
 	args := req.Args
 	if len(args) != 3 {
 		return mrerr.MrArgs, 0

@@ -1,6 +1,10 @@
 package reg
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +13,7 @@ import (
 	"moira/internal/db"
 	"moira/internal/kerberos"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 	"moira/internal/queries"
 )
 
@@ -234,5 +239,55 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 	if code, _ := GrabLogin(r.addr, "Harmon", "Fowler", "987-65-4321", "waytoolonglogin", timeout); code != mrerr.RegBadLogin {
 		t.Errorf("long login = %v", code)
+	}
+}
+
+// TestForeignVersionDatagramRefused: a datagram stamped another protocol
+// version is answered MR_VERSION_MISMATCH at the server's own version
+// and never executed — here a well-authenticated grab_login in the bare
+// three-field shape, which must not register the login.
+func TestForeignVersionDatagramRefused(t *testing.T) {
+	r := newRig(t)
+	r.loadTape(t)
+	hash := kerberos.HashMITID("123-45-6789", "Martin", "Zimmermann")
+	fields := [][]byte{[]byte("Martin"), []byte("Zimmermann"),
+		BuildAuthenticator("123-45-6789", hash, "kazimi")}
+
+	for _, v := range []uint16{1, protocol.Version + 1} {
+		// u32 payloadLen | u16 version | u16 op | u32 nFields | (u32 len | bytes)*
+		payload := binary.BigEndian.AppendUint16(nil, v)
+		payload = binary.BigEndian.AppendUint16(payload, ReqGrabLogin)
+		payload = binary.BigEndian.AppendUint32(payload, uint32(len(fields)))
+		for _, f := range fields {
+			payload = binary.BigEndian.AppendUint32(payload, uint32(len(f)))
+			payload = append(payload, f...)
+		}
+		dgram := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+
+		conn, err := net.Dial("udp", r.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Write(dgram); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 4096)
+		n, err := conn.Read(buf)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := protocol.ReadReply(bufio.NewReader(bytes.NewReader(buf[:n])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mrerr.Code(rep.Code) != mrerr.MrVersionMismatch || rep.Version != protocol.Version {
+			t.Errorf("v%d datagram: reply v%d code %d, want v%d MR_VERSION_MISMATCH",
+				v, rep.Version, rep.Code, protocol.Version)
+		}
+		if r.kdc.Exists("kazimi") {
+			t.Fatalf("v%d datagram was executed: login registered", v)
+		}
 	}
 }

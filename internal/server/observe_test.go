@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,7 +8,6 @@ import (
 
 	"moira/internal/client"
 	"moira/internal/mrerr"
-	"moira/internal/protocol"
 	"moira/internal/queries"
 )
 
@@ -161,78 +158,6 @@ func TestTraceHandleOverRPC(t *testing.T) {
 	}
 	if err := c.Query("_trace", []string{"never-issued"}, func([]string) error { return nil }); err != mrerr.MrNoMatch {
 		t.Errorf("unknown trace id: %v, want MR_NO_MATCH", err)
-	}
-}
-
-// TestLegacyV1ClientCompat speaks raw protocol version 1 to the new
-// server: requests carry no trace field, and the server must mirror
-// version 1 in its replies and serve them normally.
-func TestLegacyV1ClientCompat(t *testing.T) {
-	w := newWorld(t)
-	conn, err := net.Dial("tcp", w.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-
-	send := func(op uint16, args ...string) {
-		t.Helper()
-		req := &protocol.Request{Version: 1, Op: op, Args: protocol.BytesArgs(args)}
-		if err := protocol.WriteRequest(conn, req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recv := func() *protocol.Reply {
-		t.Helper()
-		rep, err := protocol.ReadReply(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Version != 1 {
-			t.Fatalf("reply version = %d, want 1 mirrored back", rep.Version)
-		}
-		return rep
-	}
-
-	send(protocol.OpNoop)
-	if rep := recv(); rep.Code != 0 {
-		t.Fatalf("v1 noop code = %d", rep.Code)
-	}
-
-	send(protocol.OpQuery, "_list_queries")
-	tuples := 0
-	for {
-		rep := recv()
-		if rep.Code == int32(mrerr.MrMoreData) {
-			tuples++
-			continue
-		}
-		if rep.Code != 0 {
-			t.Fatalf("v1 query code = %d", rep.Code)
-		}
-		break
-	}
-	if tuples < 100 {
-		t.Fatalf("v1 query returned %d tuples", tuples)
-	}
-
-	// An out-of-range version gets MR_VERSION_MISMATCH without
-	// desyncing the stream; the connection keeps working afterwards.
-	sendFuture := &protocol.Request{Version: protocol.Version + 1, Op: protocol.OpNoop}
-	if err := protocol.WriteRequest(conn, sendFuture); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := protocol.ReadReply(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mrerr.Code(rep.Code) != mrerr.MrVersionMismatch {
-		t.Fatalf("future-version request code = %d, want version mismatch", rep.Code)
-	}
-	send(protocol.OpNoop)
-	if rep := recv(); rep.Code != 0 {
-		t.Fatalf("noop after mismatch code = %d", rep.Code)
 	}
 }
 

@@ -7,8 +7,7 @@
 // lock in the query layer provides the same one-backend serialization.
 // Crucially — and this was the paper's stated performance motivation over
 // Athenareg — the expensive database backend is started once at daemon
-// startup, not once per client connection. The AthenaregMode flag
-// resurrects the old behaviour for the comparison benchmark.
+// startup, not once per client connection.
 package server
 
 import (
@@ -46,13 +45,6 @@ type Config struct {
 
 	// Logf receives server log lines; nil discards them.
 	Logf func(format string, args ...any)
-
-	// BackendStartup is the simulated cost of starting the database
-	// backend subprocess (the heavyweight INGRES spawn). In the normal
-	// mode it is paid once, in New. In AthenaregMode it is paid again on
-	// every accepted connection, as Moira's predecessor did.
-	BackendStartup time.Duration
-	AthenaregMode  bool
 
 	// TriggerDCM is invoked by an authorized Trigger_DCM request and by
 	// the set_server_host_override query; it receives the trace ID of
@@ -108,14 +100,14 @@ type Config struct {
 	// probe via HealthProbe.
 	Health *health.Checker
 
-	// MaxBatch caps the items accepted in one v4 Batch request; larger
+	// MaxBatch caps the items accepted in one Batch request; larger
 	// batches are refused with MR_ARG_TOO_LONG. Zero means
 	// DefaultMaxBatch.
 	MaxBatch int
 
 	// Failover, when set, wires the server into a failover cluster:
-	// the _whois handle answers from it, v5 mutations gate on
-	// replication and return commit-position tokens, v5 reads carrying
+	// the _whois handle answers from it, mutations gate on
+	// replication and return commit-position tokens, reads carrying
 	// a token wait for coverage (or answer MR_STALE plus the primary's
 	// address), and read-only refusals name the primary so clients can
 	// chase it.
@@ -199,7 +191,7 @@ type session struct {
 	connected int64
 }
 
-// New creates a server and pays the one-time backend startup cost.
+// New creates a server.
 func New(cfg Config) *Server {
 	clk := cfg.Clock
 	if clk == nil {
@@ -207,9 +199,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if !cfg.AthenaregMode && cfg.BackendStartup > 0 {
-		time.Sleep(cfg.BackendStartup)
 	}
 	reg := cfg.Stats
 	if reg == nil {
@@ -354,10 +343,6 @@ func (s *Server) acceptLoop() {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return
-		}
-		if s.cfg.AthenaregMode && s.cfg.BackendStartup > 0 {
-			// The predecessor forked an INGRES backend per client.
-			time.Sleep(s.cfg.BackendStartup)
 		}
 		st := s.track(conn)
 		if st == nil {
@@ -505,16 +490,13 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	// second one.
 	cx.EnableAccessCache()
 
-	// Replies mirror the version the client spoke (within the supported
-	// range), so a version-1 client keeps getting version-1 replies —
-	// and echo its tag, so a pipelining client can match them up.
-	// Frames buffer in bw and flush when the connection goes quiet (no
-	// next request already buffered): a pipelined burst costs one
-	// syscall on the way out instead of one per frame.
-	repVersion := protocol.Version
+	// Replies echo the request's tag, so a pipelining client can match
+	// them up. Frames buffer in bw and flush when the connection goes
+	// quiet (no next request already buffered): a pipelined burst costs
+	// one syscall on the way out instead of one per frame.
 	repTag := uint16(0)
 	reply := func(code mrerr.Code, fields []string) error {
-		rep := &protocol.Reply{Version: repVersion, Tag: repTag, Code: int32(code)}
+		rep := &protocol.Reply{Version: protocol.Version, Tag: repTag, Code: int32(code)}
 		if fields != nil {
 			rep.Fields = protocol.BytesArgs(fields)
 		}
@@ -565,10 +547,8 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		readDur := time.Since(readStart)
 		st.set(true)
 		start := s.clk.Now()
-		repVersion = req.Version
 		repTag = req.Tag
-		if req.Version < protocol.MinVersion || req.Version > protocol.Version {
-			repVersion = protocol.Version
+		if req.Version != protocol.Version {
 			code := mrerr.MrVersionMismatch
 			if reply(code, nil) != nil {
 				return
@@ -634,11 +614,11 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 		}
 	}()
 
-	// Redirect fields ride v5 final replies only; older clients get the
-	// bare code they always did.
-	v5 := req.Version >= 5 && s.cfg.Failover != nil
+	// Redirect fields, commit tokens and MinPos floors apply whenever the
+	// server is part of a failover cluster.
+	failover := s.cfg.Failover != nil
 	redirect := func() []string {
-		if !v5 {
+		if !failover {
 			return nil
 		}
 		if addr := s.cfg.Failover.PrimaryClient(); addr != "" {
@@ -672,12 +652,12 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 				break
 			}
 		}
-		// Read-your-writes: a v5 read carrying a position token waits
+		// Read-your-writes: a read carrying a position token waits
 		// (briefly) for this node to apply up to it, then refuses with
 		// MR_STALE and the primary's address rather than serve data
 		// older than the caller's own write. Meta handles ("_...") are
 		// exempt — _whois must answer even on a lagging node.
-		if v5 && req.MinPos != "" && !strings.HasPrefix(handle, "_") {
+		if failover && req.MinPos != "" && !strings.HasPrefix(handle, "_") {
 			pos, ok := protocol.ParsePos(req.MinPos)
 			if !ok {
 				code = mrerr.MrArgs
@@ -707,7 +687,7 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 			return mrerr.MrAborted, nil, handle, false, true
 		}
 		code = mrerr.CodeOf(err)
-		if v5 && code == mrerr.Success && cx.CommitOK {
+		if failover && code == mrerr.Success && cx.CommitOK {
 			// A gated commit mints the position token the client can
 			// present on subsequent reads.
 			fields = []string{s.cfg.Failover.Token(cx.CommitSeg, cx.CommitIdx)}
@@ -760,7 +740,7 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 			}
 		}
 		code = mrerr.CodeOf(err)
-		if v5 && code == mrerr.Success && cx.CommitOK {
+		if failover && code == mrerr.Success && cx.CommitOK {
 			fields = []string{s.cfg.Failover.Token(cx.CommitSeg, cx.CommitIdx)}
 		}
 

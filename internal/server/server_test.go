@@ -346,10 +346,11 @@ func TestConnectionRefused(t *testing.T) {
 	}
 }
 
-// TestVersionSkewOnTheWire sends a request frame with a wrong protocol
-// version; the server must answer MR_VERSION_MISMATCH and keep serving
-// ("requests and replies also contain a version number, to allow clean
-// handling of version skew").
+// TestVersionSkewOnTheWire sends request frames stamped a protocol
+// version other than ours, older and newer; the server must answer each
+// MR_VERSION_MISMATCH at its own version and keep serving ("requests and
+// replies also contain a version number, to allow clean handling of
+// version skew").
 func TestVersionSkewOnTheWire(t *testing.T) {
 	w := newWorld(t)
 	conn, err := net.Dial("tcp", w.addr)
@@ -360,17 +361,23 @@ func TestVersionSkewOnTheWire(t *testing.T) {
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
 
-	if err := protocol.WriteRequest(bw, &protocol.Request{
-		Version: protocol.Version + 9, Op: protocol.OpNoop}); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	rep, err := protocol.ReadReply(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mrerr.Code(rep.Code) != mrerr.MrVersionMismatch {
-		t.Errorf("code = %d", rep.Code)
+	for _, v := range []uint16{1, 4, protocol.Version + 9} {
+		if err := protocol.WriteRequest(bw, &protocol.Request{
+			Version: v, Op: protocol.OpNoop, Tag: 9}); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		rep, err := protocol.ReadReply(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mrerr.Code(rep.Code) != mrerr.MrVersionMismatch {
+			t.Errorf("v%d request: code = %d, want MR_VERSION_MISMATCH", v, rep.Code)
+		}
+		if rep.Version != protocol.Version || rep.Tag != 0 {
+			t.Errorf("v%d request: reply stamped v%d tag %d, want v%d tag 0",
+				v, rep.Version, rep.Tag, protocol.Version)
+		}
 	}
 	// The connection survives for a correct-version request.
 	if err := protocol.WriteRequest(bw, &protocol.Request{
@@ -378,7 +385,7 @@ func TestVersionSkewOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw.Flush()
-	rep, err = protocol.ReadReply(br)
+	rep, err := protocol.ReadReply(br)
 	if err != nil || rep.Code != 0 {
 		t.Errorf("post-skew noop = %v %v", rep, err)
 	}
@@ -391,6 +398,71 @@ func TestVersionSkewOnTheWire(t *testing.T) {
 	rep, err = protocol.ReadReply(br)
 	if err != nil || mrerr.Code(rep.Code) != mrerr.MrUnknownProc {
 		t.Errorf("unknown op = %v %v", rep, err)
+	}
+}
+
+// followerState is a FailoverState for a node that is not the primary:
+// it knows where the primary is and has applied nothing.
+type followerState struct{ primary string }
+
+func (f followerState) Whois() queries.WhoisInfo {
+	return queries.WhoisInfo{Role: "replica", Primary: f.primary}
+}
+func (f followerState) CommitGate(seg, idx int64) error   { return nil }
+func (f followerState) Token(seg, idx int64) string       { return "" }
+func (f followerState) WaitCovered(pos protocol.Pos) bool { return pos.IsZero() }
+func (f followerState) PrimaryClient() string             { return f.primary }
+
+// TestFollowerRefusalsNameThePrimary: with Failover configured, every
+// MR_READONLY (mutation, batch, Trigger_DCM) and MR_STALE refusal
+// carries the primary's address as its one field — on whatever request
+// the refusal answers, no further condition.
+func TestFollowerRefusalsNameThePrimary(t *testing.T) {
+	srv := New(Config{
+		DB:       queries.NewBootstrappedDB(nil),
+		ReadOnly: true,
+		Failover: followerState{primary: "10.0.0.1:7760"},
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	br := bufio.NewReader(conn)
+
+	for _, c := range []struct {
+		req  protocol.Request
+		want mrerr.Code
+	}{
+		{protocol.Request{Op: protocol.OpQuery,
+			Args: protocol.BytesArgs([]string{"add_machine", "ro.mit.edu", "VAX"})}, mrerr.MrReadonly},
+		{protocol.Request{Op: protocol.OpBatch,
+			Args: protocol.BytesArgs(protocol.EncodeBatch(nil))}, mrerr.MrReadonly},
+		{protocol.Request{Op: protocol.OpTriggerDCM}, mrerr.MrReadonly},
+		{protocol.Request{Op: protocol.OpQuery, MinPos: protocol.Pos{Epoch: 1, Seg: 1, Idx: 9}.String(),
+			Args: protocol.BytesArgs([]string{"get_machine", "*"})}, mrerr.MrStale},
+	} {
+		c.req.Version = protocol.Version
+		if err := protocol.WriteRequest(bw, &c.req); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		rep, err := protocol.ReadReply(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mrerr.Code(rep.Code) != c.want {
+			t.Errorf("%s: code = %d, want %d", protocol.OpName(c.req.Op), rep.Code, c.want)
+		}
+		if f := rep.StringFields(); len(f) != 1 || f[0] != "10.0.0.1:7760" {
+			t.Errorf("%s: refusal fields = %q, want the primary's address", protocol.OpName(c.req.Op), f)
+		}
 	}
 }
 

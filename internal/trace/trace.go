@@ -6,12 +6,10 @@
 // ID, its own span ID, its parent's span ID, a start time, and a
 // duration.
 //
-// Spans cross process boundaries on the protocol's existing v2 trace-ID
-// field, extended to "traceID/spanID" (see Wire/Split): the callee
-// splits the field, keeps the bare trace ID for journaling and logs
-// exactly as before, and parents its own spans on the caller's span ID.
-// A v2 peer that knows nothing of spans still round-trips the field as
-// an opaque string, so interop is unchanged.
+// Spans cross process boundaries on the protocol's trace-ID field,
+// carried as "traceID/spanID" (see Wire/Split): the callee splits the
+// field, keeps the bare trace ID for journaling and logs, and parents
+// its own spans on the caller's span ID.
 //
 // Completed spans collect in a bounded in-memory store with tail-based
 // sampling: the keep decision is made when a trace's root span ends, so
@@ -231,7 +229,7 @@ func (t *Tracer) SlowThreshold() time.Duration {
 }
 
 // Start begins a root span. traceID may be empty (a fresh one is
-// minted — the v1-client case) and parent may carry the remote caller's
+// minted) and parent may carry the remote caller's
 // span ID from the wire field, linking this tree under the caller's.
 func (t *Tracer) Start(traceID, parent, name string) *Span {
 	return t.StartAt(traceID, parent, name, time.Now())
@@ -556,7 +554,7 @@ func (t *Tracer) Find(traceID string) []*TraceRecord {
 
 // Wire joins a trace ID and a span ID into the protocol's trace field:
 // "traceID/spanID". With no span (span-unaware caller, or tracing off)
-// it returns the bare trace ID, which is exactly the v2 format.
+// it returns the bare trace ID.
 func Wire(traceID, spanID string) string {
 	if spanID == "" {
 		return traceID
@@ -565,7 +563,7 @@ func Wire(traceID, spanID string) string {
 }
 
 // Split divides a wire trace field into trace ID and caller span ID.
-// A bare v2 trace ID (no slash) yields an empty span ID.
+// A bare trace ID (no slash) yields an empty span ID.
 func Split(field string) (traceID, spanID string) {
 	if i := strings.IndexByte(field, '/'); i >= 0 {
 		return field[:i], field[i+1:]
@@ -594,9 +592,10 @@ func spanIDString(n uint64) string {
 	return spanPrefix + "-" + strconv.FormatUint(n, 10)
 }
 
-// NewTraceID mints a trace ID for a request that arrived without one.
-// The format matches protocol.NewTraceID (which clients use); the
-// distinct prefix namespace cannot collide with client-minted IDs.
+// NewTraceID mints a trace ID — for a client's outgoing request, or for
+// one that arrived without an ID: the per-process prefix plus a sequence
+// number, unique across processes with overwhelming probability and
+// cheap enough to mint per request.
 func NewTraceID() string {
 	return fmt.Sprintf("T%s-%d", spanPrefix[1:], traceSeq.Add(1))
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,5 +228,19 @@ func TestFindSeveralTreesOneID(t *testing.T) {
 	}
 	if n := len(tr.Find("shared")); n != 3 {
 		t.Errorf("Find(shared) = %d trees, want 3", n)
+	}
+}
+
+func TestNewTraceIDUnique(t *testing.T) {
+	seen := make(map[string]bool)
+	for i := 0; i < 1000; i++ {
+		id := NewTraceID()
+		if seen[id] {
+			t.Fatalf("duplicate trace ID %q", id)
+		}
+		if !strings.HasPrefix(id, "T") || !strings.Contains(id, "-") {
+			t.Fatalf("malformed trace ID %q", id)
+		}
+		seen[id] = true
 	}
 }

@@ -478,13 +478,11 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 	bw := bufio.NewWriter(conn)
 	ses := &updateSession{agent: a, authed: a.Verifier == nil}
 
-	// Replies mirror the version the pusher spoke, like the Moira server.
-	repVersion := protocol.Version
 	reply := func(code mrerr.Code) error {
 		if a.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(a.WriteTimeout))
 		}
-		rep := &protocol.Reply{Version: repVersion, Code: int32(code), Fields: ses.takeFields()}
+		rep := &protocol.Reply{Version: protocol.Version, Code: int32(code), Fields: ses.takeFields()}
 		if err := protocol.WriteReply(bw, rep); err != nil {
 			return err
 		}
@@ -504,9 +502,7 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 			return
 		}
 		st.set(true)
-		repVersion = req.Version
-		if req.Version < protocol.MinVersion || req.Version > protocol.Version {
-			repVersion = protocol.Version
+		if req.Version != protocol.Version {
 			if reply(mrerr.MrVersionMismatch) != nil {
 				return
 			}

@@ -220,6 +220,26 @@ func TestUnassignedOpRefused(t *testing.T) {
 	}
 }
 
+// TestAgentVersionSkew: a request stamped another protocol version is
+// refused with MR_VERSION_MISMATCH, not dispatched, and the connection
+// keeps serving (the same execute at our version reaches dispatch, which
+// finds nothing staged).
+func TestAgentVersionSkew(t *testing.T) {
+	a := NewAgent("H", t.TempDir(), nil)
+	addr, _ := a.Listen("127.0.0.1:0")
+	defer a.Close()
+	codes := rawSession(t, addr.String(),
+		&protocol.Request{Version: 1, Op: OpUExecute},
+		&protocol.Request{Version: protocol.Version + 1, Op: OpUExecute},
+		&protocol.Request{Version: protocol.Version, Op: OpUExecute})
+	want := []mrerr.Code{mrerr.MrVersionMismatch, mrerr.MrVersionMismatch, mrerr.UpdNoFile}
+	for i := range want {
+		if codes[i] != want[i] {
+			t.Fatalf("codes = %v, want %v", codes, want)
+		}
+	}
+}
+
 func TestPathEscapeRejected(t *testing.T) {
 	_, push := rig(t)
 	err := push(map[string][]byte{"f": []byte("x")},
@@ -387,6 +407,9 @@ func rawSession(t *testing.T, addr string, reqs ...*protocol.Request) []mrerr.Co
 		rep, err := protocol.ReadReply(br)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rep.Version != protocol.Version {
+			t.Errorf("reply to op %d stamped v%d, want v%d", req.Op, rep.Version, protocol.Version)
 		}
 		codes = append(codes, mrerr.Code(rep.Code))
 	}
