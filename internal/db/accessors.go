@@ -11,22 +11,47 @@ import (
 // lock: shared for reads, exclusive for mutations. The query layer
 // (internal/queries) is responsible for taking it per query.
 
+// rowsOf resolves ids, taken from a secondary index, to their rows.
+func rowsOf[R any](rows *table[R], ids []int) []*R {
+	out := make([]*R, 0, len(ids))
+	for _, id := range ids {
+		if r, ok := rows.get(id); ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// matchRows resolves a wildcard pattern against a relation's ordered
+// name index and returns the matching rows in id order.
+func matchRows[R any](rows *table[R], byName map[string]int, names *nameCache, pattern string) []*R {
+	matched := matchNames(names.get(sortedKeys(byName)), pattern)
+	if len(matched) == 0 {
+		return nil
+	}
+	ids := make([]int, 0, len(matched))
+	for _, n := range matched {
+		ids = append(ids, byName[n])
+	}
+	sort.Ints(ids)
+	return rowsOf(rows, ids)
+}
+
 // --- Users ---
 
 // UserByLogin finds a user by exact login name.
 func (d *DB) UserByLogin(login string) (*User, bool) {
 	d.NotePoint()
-	id, ok := d.usersByLogin[login]
+	id, ok := d.userIdx.byLogin[login]
 	if !ok {
 		return nil, false
 	}
-	return d.users[id], true
+	return d.users.get(id)
 }
 
 // UserByID finds a user by users_id.
 func (d *DB) UserByID(id int) (*User, bool) {
-	u, ok := d.users[id]
-	return u, ok
+	return d.users.get(id)
 }
 
 // UsersByUID returns all users with the given unix uid (normally one)
@@ -39,24 +64,16 @@ func (d *DB) UsersByUID(uid int) []*User {
 	}
 	ids = append([]int(nil), ids...)
 	sort.Ints(ids)
-	out := make([]*User, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.users[id])
-	}
-	return out
+	return rowsOf(&d.users, ids)
 }
 
 // EachUser calls fn for every user in users_id order. The ordering is a
 // contract — backup dumps and paged retrievals depend on it — and it
-// comes from the ordered primary-key index, not a per-call sort. fn
-// must not insert or delete users (it iterates the live index).
+// comes from the paged table's layout, not a per-call sort. fn must not
+// insert or delete users (it iterates the live table).
 func (d *DB) EachUser(fn func(*User) bool) {
 	d.NoteScan()
-	for _, id := range d.userIdx.ids.ids {
-		if !fn(d.users[id]) {
-			return
-		}
-	}
+	d.users.each(fn)
 }
 
 // UsersMatchingLogin resolves a login pattern, with or without
@@ -71,39 +88,28 @@ func (d *DB) UsersMatchingLogin(pattern string) []*User {
 		return nil
 	}
 	d.NoteRange()
-	logins := d.userIdx.logins.get(sortedKeys(d.usersByLogin))
-	matched := matchNames(logins, pattern)
-	if len(matched) == 0 {
-		return nil
-	}
-	ids := make([]int, 0, len(matched))
-	for _, l := range matched {
-		ids = append(ids, d.usersByLogin[l])
-	}
-	sort.Ints(ids)
-	out := make([]*User, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.users[id])
-	}
-	return out
+	return matchRows(&d.users, d.userIdx.byLogin, d.userIdx.logins, pattern)
 }
 
 // NumUsers reports the row count of the users relation.
-func (d *DB) NumUsers() int { return len(d.users) }
+func (d *DB) NumUsers() int { return d.users.len() }
 
 // InsertUser adds a fully formed user row; the caller has already
 // allocated IDs and checked uniqueness. MR_EXISTS on duplicate login or
 // users_id.
 func (d *DB) InsertUser(u *User) error {
-	if _, dup := d.users[u.UsersID]; dup {
+	if !validRowID(u.UsersID) {
+		return mrerr.MrInternal
+	}
+	if _, dup := d.users.get(u.UsersID); dup {
 		return mrerr.MrExists
 	}
-	if _, dup := d.usersByLogin[u.Login]; dup {
+	if _, dup := d.userIdx.byLogin[u.Login]; dup {
 		return mrerr.MrExists
 	}
-	d.users[u.UsersID] = u
-	d.usersByLogin[u.Login] = u.UsersID
-	d.userIdx.ids.insert(u.UsersID)
+	d.userIdx.epoch = d.bump()
+	d.users.put(u.UsersID, u, d.userIdx.epoch)
+	d.userIdx.byLogin[u.Login] = u.UsersID
 	d.userIdx.byUID[u.UID] = append(d.userIdx.byUID[u.UID], u.UsersID)
 	d.userIdx.logins.invalidate()
 	d.NoteAppend(TUsers)
@@ -113,17 +119,23 @@ func (d *DB) InsertUser(u *User) error {
 // RenameUser changes a user's login, maintaining the indexes. The
 // caller has verified the new login is free (and records the update).
 func (d *DB) RenameUser(u *User, newLogin string) {
-	d.markDirty(TUsers)
-	delete(d.usersByLogin, u.Login)
+	d.userIdx.epoch = d.bump()
+	d.users.touch(u.UsersID, u, d.userIdx.epoch)
+	delete(d.userIdx.byLogin, u.Login)
 	u.Login = newLogin
-	d.usersByLogin[newLogin] = u.UsersID
+	d.userIdx.byLogin[newLogin] = u.UsersID
 	d.userIdx.logins.invalidate()
 }
 
 // SetUserUID changes a user's unix uid, maintaining the uid index. The
-// caller records the update.
+// caller records the update. Setting the uid a user already has changes
+// no key and so leaves the key epoch alone.
 func (d *DB) SetUserUID(u *User, uid int) {
-	d.markDirty(TUsers)
+	if uid == u.UID {
+		return
+	}
+	d.userIdx.epoch = d.bump()
+	d.users.touch(u.UsersID, u, d.userIdx.epoch)
 	d.dropUID(u)
 	u.UID = uid
 	d.userIdx.byUID[uid] = append(d.userIdx.byUID[uid], u.UsersID)
@@ -141,9 +153,9 @@ func (d *DB) dropUID(u *User) {
 
 // DeleteUser removes a user row.
 func (d *DB) DeleteUser(u *User) {
-	delete(d.usersByLogin, u.Login)
-	delete(d.users, u.UsersID)
-	d.userIdx.ids.remove(u.UsersID)
+	d.userIdx.epoch = d.bump()
+	d.users.del(u.UsersID, d.userIdx.epoch)
+	delete(d.userIdx.byLogin, u.Login)
 	d.dropUID(u)
 	d.userIdx.logins.invalidate()
 	d.NoteDelete(TUsers)
@@ -154,29 +166,24 @@ func (d *DB) DeleteUser(u *User) {
 // MachineByName finds a machine by canonical name.
 func (d *DB) MachineByName(name string) (*Machine, bool) {
 	d.NotePoint()
-	id, ok := d.machByName[name]
+	id, ok := d.machIdx.byName[name]
 	if !ok {
 		return nil, false
 	}
-	return d.machines[id], true
+	return d.machines.get(id)
 }
 
 // MachineByID finds a machine by mach_id.
 func (d *DB) MachineByID(id int) (*Machine, bool) {
 	d.NotePoint()
-	m, ok := d.machines[id]
-	return m, ok
+	return d.machines.get(id)
 }
 
 // EachMachine calls fn for every machine in mach_id order (from the
 // ordered index; fn must not insert or delete machines).
 func (d *DB) EachMachine(fn func(*Machine) bool) {
 	d.NoteScan()
-	for _, id := range d.machIdx.ids.ids {
-		if !fn(d.machines[id]) {
-			return
-		}
-	}
+	d.machines.each(fn)
 }
 
 // MachinesMatchingName resolves a canonical-name pattern, with or
@@ -189,34 +196,23 @@ func (d *DB) MachinesMatchingName(pattern string) []*Machine {
 		return nil
 	}
 	d.NoteRange()
-	names := d.machIdx.names.get(sortedKeys(d.machByName))
-	matched := matchNames(names, pattern)
-	if len(matched) == 0 {
-		return nil
-	}
-	ids := make([]int, 0, len(matched))
-	for _, n := range matched {
-		ids = append(ids, d.machByName[n])
-	}
-	sort.Ints(ids)
-	out := make([]*Machine, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.machines[id])
-	}
-	return out
+	return matchRows(&d.machines, d.machIdx.byName, d.machIdx.names, pattern)
 }
 
 // InsertMachine adds a machine row; MR_EXISTS on duplicates.
 func (d *DB) InsertMachine(m *Machine) error {
-	if _, dup := d.machines[m.MachID]; dup {
+	if !validRowID(m.MachID) {
+		return mrerr.MrInternal
+	}
+	if _, dup := d.machines.get(m.MachID); dup {
 		return mrerr.MrExists
 	}
-	if _, dup := d.machByName[m.Name]; dup {
+	if _, dup := d.machIdx.byName[m.Name]; dup {
 		return mrerr.MrExists
 	}
-	d.machines[m.MachID] = m
-	d.machByName[m.Name] = m.MachID
-	d.machIdx.ids.insert(m.MachID)
+	d.machIdx.epoch = d.bump()
+	d.machines.put(m.MachID, m, d.machIdx.epoch)
+	d.machIdx.byName[m.Name] = m.MachID
 	d.machIdx.names.invalidate()
 	d.NoteAppend(TMachine)
 	return nil
@@ -224,18 +220,19 @@ func (d *DB) InsertMachine(m *Machine) error {
 
 // RenameMachine changes a machine's name, maintaining the indexes.
 func (d *DB) RenameMachine(m *Machine, newName string) {
-	d.markDirty(TMachine)
-	delete(d.machByName, m.Name)
+	d.machIdx.epoch = d.bump()
+	d.machines.touch(m.MachID, m, d.machIdx.epoch)
+	delete(d.machIdx.byName, m.Name)
 	m.Name = newName
-	d.machByName[newName] = m.MachID
+	d.machIdx.byName[newName] = m.MachID
 	d.machIdx.names.invalidate()
 }
 
 // DeleteMachine removes a machine row.
 func (d *DB) DeleteMachine(m *Machine) {
-	delete(d.machByName, m.Name)
-	delete(d.machines, m.MachID)
-	d.machIdx.ids.remove(m.MachID)
+	d.machIdx.epoch = d.bump()
+	d.machines.del(m.MachID, d.machIdx.epoch)
+	delete(d.machIdx.byName, m.Name)
 	d.machIdx.names.invalidate()
 	d.NoteDelete(TMachine)
 }
@@ -244,27 +241,22 @@ func (d *DB) DeleteMachine(m *Machine) {
 
 // ClusterByName finds a cluster by name (case sensitive).
 func (d *DB) ClusterByName(name string) (*Cluster, bool) {
-	id, ok := d.cluByName[name]
+	id, ok := d.cluIdx.byName[name]
 	if !ok {
 		return nil, false
 	}
-	return d.clusters[id], true
+	return d.clusters.get(id)
 }
 
 // ClusterByID finds a cluster by clu_id.
 func (d *DB) ClusterByID(id int) (*Cluster, bool) {
-	c, ok := d.clusters[id]
-	return c, ok
+	return d.clusters.get(id)
 }
 
 // EachCluster calls fn for every cluster in clu_id order (from the
 // ordered index; fn must not insert or delete clusters).
 func (d *DB) EachCluster(fn func(*Cluster) bool) {
-	for _, id := range d.cluIdx.ids.ids {
-		if !fn(d.clusters[id]) {
-			return
-		}
-	}
+	d.clusters.each(fn)
 }
 
 // ClustersMatchingName resolves a name pattern, with or without
@@ -276,34 +268,23 @@ func (d *DB) ClustersMatchingName(pattern string) []*Cluster {
 		}
 		return nil
 	}
-	names := d.cluIdx.names.get(sortedKeys(d.cluByName))
-	matched := matchNames(names, pattern)
-	if len(matched) == 0 {
-		return nil
-	}
-	ids := make([]int, 0, len(matched))
-	for _, n := range matched {
-		ids = append(ids, d.cluByName[n])
-	}
-	sort.Ints(ids)
-	out := make([]*Cluster, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.clusters[id])
-	}
-	return out
+	return matchRows(&d.clusters, d.cluIdx.byName, d.cluIdx.names, pattern)
 }
 
 // InsertCluster adds a cluster row; MR_EXISTS on duplicates.
 func (d *DB) InsertCluster(c *Cluster) error {
-	if _, dup := d.clusters[c.CluID]; dup {
+	if !validRowID(c.CluID) {
+		return mrerr.MrInternal
+	}
+	if _, dup := d.clusters.get(c.CluID); dup {
 		return mrerr.MrExists
 	}
-	if _, dup := d.cluByName[c.Name]; dup {
+	if _, dup := d.cluIdx.byName[c.Name]; dup {
 		return mrerr.MrExists
 	}
-	d.clusters[c.CluID] = c
-	d.cluByName[c.Name] = c.CluID
-	d.cluIdx.ids.insert(c.CluID)
+	d.cluIdx.epoch = d.bump()
+	d.clusters.put(c.CluID, c, d.cluIdx.epoch)
+	d.cluIdx.byName[c.Name] = c.CluID
 	d.cluIdx.names.invalidate()
 	d.NoteAppend(TCluster)
 	return nil
@@ -311,18 +292,19 @@ func (d *DB) InsertCluster(c *Cluster) error {
 
 // RenameCluster changes a cluster's name, maintaining the indexes.
 func (d *DB) RenameCluster(c *Cluster, newName string) {
-	d.markDirty(TCluster)
-	delete(d.cluByName, c.Name)
+	d.cluIdx.epoch = d.bump()
+	d.clusters.touch(c.CluID, c, d.cluIdx.epoch)
+	delete(d.cluIdx.byName, c.Name)
 	c.Name = newName
-	d.cluByName[newName] = c.CluID
+	d.cluIdx.byName[newName] = c.CluID
 	d.cluIdx.names.invalidate()
 }
 
 // DeleteCluster removes a cluster row.
 func (d *DB) DeleteCluster(c *Cluster) {
-	delete(d.cluByName, c.Name)
-	delete(d.clusters, c.CluID)
-	d.cluIdx.ids.remove(c.CluID)
+	d.cluIdx.epoch = d.bump()
+	d.clusters.del(c.CluID, d.cluIdx.epoch)
+	delete(d.cluIdx.byName, c.Name)
 	d.cluIdx.names.invalidate()
 	d.NoteDelete(TCluster)
 }
@@ -427,27 +409,22 @@ func (d *DB) DeleteSvcOfCluster(cluID int) {
 
 // ListByName finds a list by exact name.
 func (d *DB) ListByName(name string) (*List, bool) {
-	id, ok := d.listsByName[name]
+	id, ok := d.listIdx.byName[name]
 	if !ok {
 		return nil, false
 	}
-	return d.lists[id], true
+	return d.lists.get(id)
 }
 
 // ListByID finds a list by list_id.
 func (d *DB) ListByID(id int) (*List, bool) {
-	l, ok := d.lists[id]
-	return l, ok
+	return d.lists.get(id)
 }
 
 // EachList calls fn for every list in list_id order (from the ordered
 // index; fn must not insert or delete lists).
 func (d *DB) EachList(fn func(*List) bool) {
-	for _, id := range d.listIdx.ids.ids {
-		if !fn(d.lists[id]) {
-			return
-		}
-	}
+	d.lists.each(fn)
 }
 
 // ListsMatchingName resolves a name pattern, with or without wildcards,
@@ -460,34 +437,23 @@ func (d *DB) ListsMatchingName(pattern string) []*List {
 		return nil
 	}
 	d.NoteRange()
-	names := d.listIdx.names.get(sortedKeys(d.listsByName))
-	matched := matchNames(names, pattern)
-	if len(matched) == 0 {
-		return nil
-	}
-	ids := make([]int, 0, len(matched))
-	for _, n := range matched {
-		ids = append(ids, d.listsByName[n])
-	}
-	sort.Ints(ids)
-	out := make([]*List, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.lists[id])
-	}
-	return out
+	return matchRows(&d.lists, d.listIdx.byName, d.listIdx.names, pattern)
 }
 
 // InsertList adds a list row; MR_EXISTS on duplicates.
 func (d *DB) InsertList(l *List) error {
-	if _, dup := d.lists[l.ListID]; dup {
+	if !validRowID(l.ListID) {
+		return mrerr.MrInternal
+	}
+	if _, dup := d.lists.get(l.ListID); dup {
 		return mrerr.MrExists
 	}
-	if _, dup := d.listsByName[l.Name]; dup {
+	if _, dup := d.listIdx.byName[l.Name]; dup {
 		return mrerr.MrExists
 	}
-	d.lists[l.ListID] = l
-	d.listsByName[l.Name] = l.ListID
-	d.listIdx.ids.insert(l.ListID)
+	d.listIdx.epoch = d.bump()
+	d.lists.put(l.ListID, l, d.listIdx.epoch)
+	d.listIdx.byName[l.Name] = l.ListID
 	d.listIdx.names.invalidate()
 	d.NoteAppend(TList)
 	return nil
@@ -495,18 +461,19 @@ func (d *DB) InsertList(l *List) error {
 
 // RenameList changes a list's name, maintaining the indexes.
 func (d *DB) RenameList(l *List, newName string) {
-	d.markDirty(TList)
-	delete(d.listsByName, l.Name)
+	d.listIdx.epoch = d.bump()
+	d.lists.touch(l.ListID, l, d.listIdx.epoch)
+	delete(d.listIdx.byName, l.Name)
 	l.Name = newName
-	d.listsByName[newName] = l.ListID
+	d.listIdx.byName[newName] = l.ListID
 	d.listIdx.names.invalidate()
 }
 
 // DeleteList removes a list row and its membership rows.
 func (d *DB) DeleteList(l *List) {
-	delete(d.listsByName, l.Name)
-	delete(d.lists, l.ListID)
-	d.listIdx.ids.remove(l.ListID)
+	d.listIdx.epoch = d.bump()
+	d.lists.del(l.ListID, d.listIdx.epoch)
+	delete(d.listIdx.byName, l.Name)
 	d.listIdx.names.invalidate()
 	if ms, had := d.members[l.ListID]; had {
 		d.markDirty(TMembers)
@@ -716,8 +683,7 @@ func (d *DB) DeleteServerHost(service string, machID int) error {
 
 // FilesysByID finds a filesystem by filsys_id.
 func (d *DB) FilesysByID(id int) (*Filesys, bool) {
-	f, ok := d.filesys[id]
-	return f, ok
+	return d.filesys.get(id)
 }
 
 // FilesysByLabel returns all filesystems with the given label in Order
@@ -728,10 +694,7 @@ func (d *DB) FilesysByLabel(label string) []*Filesys {
 	if len(ids) == 0 {
 		return nil
 	}
-	out := make([]*Filesys, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.filesys[id])
-	}
+	out := rowsOf(&d.filesys, ids)
 	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
 	return out
 }
@@ -739,27 +702,26 @@ func (d *DB) FilesysByLabel(label string) []*Filesys {
 // EachFilesys calls fn for every filesystem in filsys_id order (from
 // the ordered index; fn must not insert or delete rows).
 func (d *DB) EachFilesys(fn func(*Filesys) bool) {
-	for _, id := range d.filesysIdx.ids.ids {
-		if !fn(d.filesys[id]) {
-			return
-		}
-	}
+	d.filesys.each(fn)
 }
 
 // InsertFilesys adds a filesystem row; MR_EXISTS on duplicate id or
 // (label, order) pair. The duplicate check probes the label index
 // bucket instead of scanning the relation.
 func (d *DB) InsertFilesys(f *Filesys) error {
-	if _, dup := d.filesys[f.FilsysID]; dup {
+	if !validRowID(f.FilsysID) {
+		return mrerr.MrInternal
+	}
+	if _, dup := d.filesys.get(f.FilsysID); dup {
 		return mrerr.MrExists
 	}
 	for _, id := range d.filesysIdx.byLabel[f.Label] {
-		if d.filesys[id].Order == f.Order {
+		if other, ok := d.filesys.get(id); ok && other.Order == f.Order {
 			return mrerr.MrExists
 		}
 	}
-	d.filesys[f.FilsysID] = f
-	d.filesysIdx.ids.insert(f.FilsysID)
+	d.filesysIdx.epoch = d.bump()
+	d.filesys.put(f.FilsysID, f, d.filesysIdx.epoch)
 	d.filesysIdx.byLabel[f.Label] = append(d.filesysIdx.byLabel[f.Label], f.FilsysID)
 	d.NoteAppend(TFilesys)
 	return nil
@@ -767,8 +729,8 @@ func (d *DB) InsertFilesys(f *Filesys) error {
 
 // DeleteFilesys removes a filesystem row.
 func (d *DB) DeleteFilesys(f *Filesys) {
-	delete(d.filesys, f.FilsysID)
-	d.filesysIdx.ids.remove(f.FilsysID)
+	d.filesysIdx.epoch = d.bump()
+	d.filesys.del(f.FilsysID, d.filesysIdx.epoch)
 	left := removeInt(d.filesysIdx.byLabel[f.Label], f.FilsysID)
 	if len(left) == 0 {
 		delete(d.filesysIdx.byLabel, f.Label)
@@ -780,9 +742,14 @@ func (d *DB) DeleteFilesys(f *Filesys) {
 
 // SetFilesysLabel changes a filesystem's label, maintaining the label
 // index. The caller has checked (label, order) uniqueness and records
-// the update.
+// the update. Setting the label a filesystem already has changes no key
+// and so leaves the key epoch alone.
 func (d *DB) SetFilesysLabel(f *Filesys, label string) {
-	d.markDirty(TFilesys)
+	if label == f.Label {
+		return
+	}
+	d.filesysIdx.epoch = d.bump()
+	d.filesys.touch(f.FilsysID, f, d.filesysIdx.epoch)
 	left := removeInt(d.filesysIdx.byLabel[f.Label], f.FilsysID)
 	if len(left) == 0 {
 		delete(d.filesysIdx.byLabel, f.Label)
@@ -797,50 +764,45 @@ func (d *DB) SetFilesysLabel(f *Filesys, label string) {
 
 // NFSPhysByID finds a partition by nfsphys_id.
 func (d *DB) NFSPhysByID(id int) (*NFSPhys, bool) {
-	p, ok := d.nfsphys[id]
-	return p, ok
+	return d.nfsphys.get(id)
 }
 
 // NFSPhysByMachDir finds a partition by server machine and directory.
 func (d *DB) NFSPhysByMachDir(machID int, dir string) (*NFSPhys, bool) {
-	for _, p := range d.nfsphys {
+	var found *NFSPhys
+	d.nfsphys.each(func(p *NFSPhys) bool {
 		if p.MachID == machID && p.Dir == dir {
-			return p, true
+			found = p
 		}
-	}
-	return nil, false
+		return found == nil
+	})
+	return found, found != nil
 }
 
 // EachNFSPhys calls fn for every partition in nfsphys_id order.
 func (d *DB) EachNFSPhys(fn func(*NFSPhys) bool) {
-	ids := make([]int, 0, len(d.nfsphys))
-	for id := range d.nfsphys {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if !fn(d.nfsphys[id]) {
-			return
-		}
-	}
+	d.nfsphys.each(fn)
 }
 
 // InsertNFSPhys adds a partition row; MR_EXISTS on duplicates.
 func (d *DB) InsertNFSPhys(p *NFSPhys) error {
-	if _, dup := d.nfsphys[p.NFSPhysID]; dup {
+	if !validRowID(p.NFSPhysID) {
+		return mrerr.MrInternal
+	}
+	if _, dup := d.nfsphys.get(p.NFSPhysID); dup {
 		return mrerr.MrExists
 	}
 	if _, dup := d.NFSPhysByMachDir(p.MachID, p.Dir); dup {
 		return mrerr.MrExists
 	}
-	d.nfsphys[p.NFSPhysID] = p
+	d.nfsphys.put(p.NFSPhysID, p, d.bump())
 	d.NoteAppend(TNFSPhys)
 	return nil
 }
 
 // DeleteNFSPhys removes a partition row.
 func (d *DB) DeleteNFSPhys(p *NFSPhys) {
-	delete(d.nfsphys, p.NFSPhysID)
+	d.nfsphys.del(p.NFSPhysID, d.bump())
 	d.NoteDelete(TNFSPhys)
 }
 
@@ -962,40 +924,33 @@ func (d *DB) DeleteZephyr(z *ZephyrClass) {
 
 // HostAccessOf finds the hostaccess row for a machine.
 func (d *DB) HostAccessOf(machID int) (*HostAccess, bool) {
-	h, ok := d.hostaccess[machID]
-	return h, ok
+	return d.hostaccess.get(machID)
 }
 
 // EachHostAccess calls fn for every hostaccess row in mach_id order.
 func (d *DB) EachHostAccess(fn func(*HostAccess) bool) {
-	ids := make([]int, 0, len(d.hostaccess))
-	for id := range d.hostaccess {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if !fn(d.hostaccess[id]) {
-			return
-		}
-	}
+	d.hostaccess.each(fn)
 }
 
 // InsertHostAccess adds a row; MR_EXISTS on duplicates.
 func (d *DB) InsertHostAccess(h *HostAccess) error {
-	if _, dup := d.hostaccess[h.MachID]; dup {
+	if !validRowID(h.MachID) {
+		return mrerr.MrInternal
+	}
+	if _, dup := d.hostaccess.get(h.MachID); dup {
 		return mrerr.MrExists
 	}
-	d.hostaccess[h.MachID] = h
+	d.hostaccess.put(h.MachID, h, d.bump())
 	d.NoteAppend(THostAccess)
 	return nil
 }
 
 // DeleteHostAccess removes the row for a machine; MR_NO_MATCH if absent.
 func (d *DB) DeleteHostAccess(machID int) error {
-	if _, ok := d.hostaccess[machID]; !ok {
+	if _, ok := d.hostaccess.get(machID); !ok {
 		return mrerr.MrNoMatch
 	}
-	delete(d.hostaccess, machID)
+	d.hostaccess.del(machID, d.bump())
 	d.NoteDelete(THostAccess)
 	return nil
 }
@@ -1004,29 +959,31 @@ func (d *DB) DeleteHostAccess(machID int) error {
 
 // StringByID returns the string with the given id.
 func (d *DB) StringByID(id int) (*StringRec, bool) {
-	s, ok := d.strings[id]
-	return s, ok
+	return d.strings.get(id)
 }
 
 // StringID returns the id of the given string if it is interned.
 func (d *DB) StringID(s string) (int, bool) {
-	id, ok := d.stringsByVal[s]
+	id, ok := d.stringIdx.byName[s]
 	return id, ok
 }
 
 // InternString returns the id for s, creating a row if needed. Exclusive
 // lock required when the string may be new.
 func (d *DB) InternString(s string) (int, error) {
-	if id, ok := d.stringsByVal[s]; ok {
+	if id, ok := d.stringIdx.byName[s]; ok {
 		return id, nil
 	}
 	id, err := d.AllocID("strings_id")
 	if err != nil {
 		return 0, err
 	}
-	d.strings[id] = &StringRec{StringID: id, String: s}
-	d.stringsByVal[s] = id
-	d.stringIdx.insert(id)
+	if !validRowID(id) {
+		return 0, mrerr.MrInternal
+	}
+	d.stringIdx.epoch = d.bump()
+	d.strings.put(id, &StringRec{StringID: id, String: s}, d.stringIdx.epoch)
+	d.stringIdx.byName[s] = id
 	d.NoteAppend(TStrings)
 	return id, nil
 }
@@ -1034,11 +991,7 @@ func (d *DB) InternString(s string) (int, error) {
 // EachString calls fn for every string row in id order (from the
 // ordered index; fn must not intern new strings).
 func (d *DB) EachString(fn func(*StringRec) bool) {
-	for _, id := range d.stringIdx.ids {
-		if !fn(d.strings[id]) {
-			return
-		}
-	}
+	d.strings.each(fn)
 }
 
 // --- Network services ---
@@ -1128,7 +1081,7 @@ func (d *DB) CapACLByName(capability string) (*CapACL, bool) {
 // SetCapACL installs or replaces the ACL for a capability.
 func (d *DB) SetCapACL(capability, tag string, listID int) {
 	if _, ok := d.capacls[capability]; ok {
-		d.NoteUpdate(TCapACLs)
+		d.noteUpdate(TCapACLs)
 	} else {
 		d.NoteAppend(TCapACLs)
 	}

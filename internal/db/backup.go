@@ -134,9 +134,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.users[u.UsersID] = u
-			d.usersByLogin[u.Login] = u.UsersID
-			return nil
+			return loadRow(d, &d.users, u.UsersID, u)
 		},
 	},
 	{
@@ -155,9 +153,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.machines[m.MachID] = m
-			d.machByName[m.Name] = m.MachID
-			return nil
+			return loadRow(d, &d.machines, m.MachID, m)
 		},
 	},
 	{
@@ -176,9 +172,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.clusters[c.CluID] = c
-			d.cluByName[c.Name] = c.CluID
-			return nil
+			return loadRow(d, &d.clusters, c.CluID, c)
 		},
 	},
 	{
@@ -243,9 +237,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.lists[l.ListID] = l
-			d.listsByName[l.Name] = l.ListID
-			return nil
+			return loadRow(d, &d.lists, l.ListID, l)
 		},
 	},
 	{
@@ -355,8 +347,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.filesys[fs.FilsysID] = fs
-			return nil
+			return loadRow(d, &d.filesys, fs.FilsysID, fs)
 		},
 	},
 	{
@@ -382,8 +373,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.nfsphys[p.NFSPhysID] = p
-			return nil
+			return loadRow(d, &d.nfsphys, p.NFSPhysID, p)
 		},
 	},
 	{
@@ -452,8 +442,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.hostaccess[h.MachID] = h
-			return nil
+			return loadRow(d, &d.hostaccess, h.MachID, h)
 		},
 	},
 	{
@@ -472,9 +461,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.strings[s.StringID] = s
-			d.stringsByVal[s.String] = s.StringID
-			return nil
+			return loadRow(d, &d.strings, s.StringID, s)
 		},
 	},
 	{
@@ -604,6 +591,17 @@ var tableIOs = []tableIO{
 	},
 }
 
+// loadRow installs one loaded row of a paged relation. A later row with
+// the same id replaces an earlier one, as the row maps always did; an id
+// no paged relation can hold is a corrupt dump.
+func loadRow[R any](d *DB, rows *table[R], id int, r *R) error {
+	if !validRowID(id) {
+		return fmt.Errorf("db: row id %d out of range", id)
+	}
+	rows.put(id, r, d.bump())
+	return nil
+}
+
 // DumpTable writes one relation to w in backup format. Caller must hold
 // at least the shared lock.
 func (d *DB) DumpTable(name string, w io.Writer) error {
@@ -623,9 +621,9 @@ func (d *DB) DumpTable(name string, w io.Writer) error {
 }
 
 // LoadTable reads one relation from r in backup format, appending its
-// rows. Caller must hold the exclusive lock. The loaders write the row
-// maps directly, so the derived indexes are re-derived afterwards —
-// index state is never persisted, it is always rebuilt from loaded rows.
+// rows. Caller must hold the exclusive lock. The loaders install rows
+// only, so the derived indexes are re-derived afterwards — index state
+// is never persisted, it is always rebuilt from loaded rows.
 func (d *DB) LoadTable(name string, r io.Reader) error {
 	for _, t := range tableIOs {
 		if t.name != name {

@@ -52,34 +52,42 @@ type DB struct {
 	mu  sync.RWMutex
 	clk clock.Clock
 
-	users        map[int]*User
-	usersByLogin map[string]int
+	// The integer-keyed relations live in paged tables (table.go); their
+	// secondary indexes (index.go) are derived from the rows, maintained
+	// by the mutation accessors and re-derived by the load paths via
+	// rebuildIndexes.
+	users   table[User]
+	userIdx userIndex
 
-	machines   map[int]*Machine
-	machByName map[string]int
+	machines table[Machine]
+	machIdx  namedIndex
 
-	clusters  map[int]*Cluster
-	cluByName map[string]int
+	clusters table[Cluster]
+	cluIdx   namedIndex
 
-	mcmap []MCMap
-	svc   []SvcData
+	mcmap    []MCMap
+	mcmapIdx map[pairKey]bool // (mach_id, clu_id) presence
+	svc      []SvcData
 
-	lists       map[int]*List
-	listsByName map[string]int
-	members     map[int][]Member // keyed by list id
+	lists     table[List]
+	listIdx   namedIndex
+	members   map[int][]Member    // keyed by list id
+	memberIdx map[memberKey][]int // (member type, id) -> list ids
 
 	servers     map[string]*Server
 	serverHosts []*ServerHost
 
-	filesys   map[int]*Filesys
-	nfsphys   map[int]*NFSPhys
-	nfsquotas []*NFSQuota
+	filesys    table[Filesys]
+	filesysIdx filesysIndex
+	nfsphys    table[NFSPhys]
+	nfsquotas  []*NFSQuota
+	quotaIdx   map[pairKey]*NFSQuota // (users_id, filsys_id) -> row
 
 	zephyr     map[string]*ZephyrClass
-	hostaccess map[int]*HostAccess
+	hostaccess table[HostAccess] // keyed by mach_id
 
-	strings      map[int]*StringRec
-	stringsByVal map[string]int
+	strings   table[StringRec]
+	stringIdx namedIndex // keyed by the interned value
 
 	services  map[string]*Service
 	printcaps map[string]*Printcap
@@ -88,33 +96,23 @@ type DB struct {
 	values    map[string]int
 	stats     map[string]*TblStat
 
-	// Secondary indexes (index.go): derived from the row maps above,
-	// maintained by the mutation accessors, rebuilt wholesale by the
-	// load paths (AdoptFrom) via rebuildIndexes.
-	userIdx    userIndex
-	machIdx    namedIndex
-	cluIdx     namedIndex
-	listIdx    namedIndex
-	filesysIdx filesysIndex
-	stringIdx  intIndex
-	memberIdx  map[memberKey][]int   // (member type, id) -> list ids
-	mcmapIdx   map[pairKey]bool      // (mach_id, clu_id) presence
-	quotaIdx   map[pairKey]*NFSQuota // (users_id, filsys_id) -> row
-
 	valueNames *nameCache // sorted VALUES names (key-set changes only)
 	statNames  *nameCache // sorted TBLSTATS table names
 
-	// Snapshot machinery (snapshot.go). Per-table epochs track which
-	// tables changed since the served frozen snapshot was built, so a
-	// rebuild copies only dirty tables and shares the rest.
-	isFrozen     bool
-	builtEpoch   int64
-	snapEpochs   map[string]int64
-	writeEpoch   atomic.Int64
-	rebuildMu    sync.Mutex
-	frozen       atomic.Pointer[DB]
-	snapReads    atomic.Int64
-	snapRebuilds atomic.Int64
+	// Snapshot machinery (snapshot.go). writeEpoch counts mutations; a
+	// paged table stamps the pages a mutation touches with it, and
+	// snapEpochs holds the same stamp per whole-table-copied relation, so
+	// a rebuild copies only what is newer than the served snapshot's
+	// builtEpoch and shares the rest with it.
+	isFrozen       bool
+	builtEpoch     int64
+	snapEpochs     map[string]int64
+	writeEpoch     atomic.Int64
+	rebuildMu      sync.Mutex
+	frozen         atomic.Pointer[DB]
+	snapReads      atomic.Int64
+	snapRebuilds   atomic.Int64
+	snapRowsCopied atomic.Int64
 
 	seqCounter int64
 	tableSeq   map[string]int64
@@ -176,34 +174,21 @@ func New(clk clock.Clock) *DB {
 		clk = clock.System
 	}
 	d := &DB{
-		clk:          clk,
-		users:        make(map[int]*User),
-		usersByLogin: make(map[string]int),
-		machines:     make(map[int]*Machine),
-		machByName:   make(map[string]int),
-		clusters:     make(map[int]*Cluster),
-		cluByName:    make(map[string]int),
-		lists:        make(map[int]*List),
-		listsByName:  make(map[string]int),
-		members:      make(map[int][]Member),
-		servers:      make(map[string]*Server),
-		filesys:      make(map[int]*Filesys),
-		nfsphys:      make(map[int]*NFSPhys),
-		zephyr:       make(map[string]*ZephyrClass),
-		hostaccess:   make(map[int]*HostAccess),
-		strings:      make(map[int]*StringRec),
-		stringsByVal: make(map[string]int),
-		services:     make(map[string]*Service),
-		printcaps:    make(map[string]*Printcap),
-		capacls:      make(map[string]*CapACL),
-		values:       make(map[string]int),
-		stats:        make(map[string]*TblStat),
-		tableSeq:     make(map[string]int64),
-		ops:          make(map[string]*tableOps),
-		lookups:      &lookupOps{},
-		snapEpochs:   make(map[string]int64),
-		valueNames:   &nameCache{},
-		statNames:    &nameCache{},
+		clk:        clk,
+		members:    make(map[int][]Member),
+		servers:    make(map[string]*Server),
+		zephyr:     make(map[string]*ZephyrClass),
+		services:   make(map[string]*Service),
+		printcaps:  make(map[string]*Printcap),
+		capacls:    make(map[string]*CapACL),
+		values:     make(map[string]int),
+		stats:      make(map[string]*TblStat),
+		tableSeq:   make(map[string]int64),
+		ops:        make(map[string]*tableOps),
+		lookups:    &lookupOps{},
+		snapEpochs: make(map[string]int64),
+		valueNames: &nameCache{},
+		statNames:  &nameCache{},
 	}
 	d.rebuildIndexes()
 	for _, t := range AllTables {
@@ -299,21 +284,20 @@ func (d *DB) AdoptFrom(src *DB) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.adoptions.Add(1)
-	d.users, d.usersByLogin = src.users, src.usersByLogin
-	d.machines, d.machByName = src.machines, src.machByName
-	d.clusters, d.cluByName = src.clusters, src.cluByName
+	d.users, d.machines, d.clusters = src.users, src.machines, src.clusters
 	d.mcmap, d.svc = src.mcmap, src.svc
-	d.lists, d.listsByName, d.members = src.lists, src.listsByName, src.members
+	d.lists, d.members = src.lists, src.members
 	d.servers, d.serverHosts = src.servers, src.serverHosts
 	d.filesys, d.nfsphys, d.nfsquotas = src.filesys, src.nfsphys, src.nfsquotas
-	d.zephyr, d.hostaccess = src.zephyr, src.hostaccess
-	d.strings, d.stringsByVal = src.strings, src.stringsByVal
+	d.zephyr, d.hostaccess, d.strings = src.zephyr, src.hostaccess, src.strings
 	d.services, d.printcaps, d.capacls = src.services, src.printcaps, src.capacls
 	d.aliases, d.values, d.stats = src.aliases, src.values, src.stats
 	d.seqCounter, d.tableSeq = src.seqCounter, src.tableSeq
 	// Index state is derived, never moved: re-derive it from the adopted
-	// rows, drop the lazy name caches, and dirty every table so the next
-	// Reader() freezes a fresh snapshot of the adopted state.
+	// rows (which also re-stamps the adopted pages, whose stamps count
+	// src's epochs, into d's), drop the lazy name caches, and dirty every
+	// table so the next Reader() freezes a fresh snapshot of the adopted
+	// state.
 	d.rebuildIndexes()
 	d.valueNames.invalidate()
 	d.statNames.invalidate()
@@ -379,6 +363,9 @@ func (d *DB) BindStats(reg *stats.Registry) {
 		if r := d.snapRebuilds.Load(); r > 0 {
 			emit("snap.rebuilds", r)
 		}
+		if n := d.snapRowsCopied.Load(); n > 0 {
+			emit("snap.rows.copied", n)
+		}
 		if n := d.lookups.point.Load(); n > 0 {
 			emit("db.lookup.point", n)
 		}
@@ -412,8 +399,55 @@ func (d *DB) NoteAppend(table string) {
 	d.opsFor(table).appends.Add(1)
 }
 
-// NoteUpdate records an update to table.
-func (d *DB) NoteUpdate(table string) {
+// Row is a row of one of the relations whose rows are updated in place:
+// what NoteUpdate takes, so that every in-place mutation names the row
+// it changed and snapshot maintenance can re-copy just that row's page.
+type Row interface{ relation() string }
+
+func (*User) relation() string        { return TUsers }
+func (*Machine) relation() string     { return TMachine }
+func (*Cluster) relation() string     { return TCluster }
+func (*List) relation() string        { return TList }
+func (*Server) relation() string      { return TServers }
+func (*ServerHost) relation() string  { return TServerHosts }
+func (*Filesys) relation() string     { return TFilesys }
+func (*NFSPhys) relation() string     { return TNFSPhys }
+func (*NFSQuota) relation() string    { return TNFSQuota }
+func (*ZephyrClass) relation() string { return TZephyr }
+func (*HostAccess) relation() string  { return THostAccess }
+
+// touchRow stamps the page of a paged relation's row with a fresh write
+// epoch and returns the row's relation. r must be the live row itself.
+// Rows of the other relations need no stamp: their relation's Note*
+// marks the whole table.
+func (d *DB) touchRow(r Row) string {
+	switch r := r.(type) {
+	case *User:
+		d.users.touch(r.UsersID, r, d.bump())
+	case *Machine:
+		d.machines.touch(r.MachID, r, d.bump())
+	case *Cluster:
+		d.clusters.touch(r.CluID, r, d.bump())
+	case *List:
+		d.lists.touch(r.ListID, r, d.bump())
+	case *Filesys:
+		d.filesys.touch(r.FilsysID, r, d.bump())
+	case *NFSPhys:
+		d.nfsphys.touch(r.NFSPhysID, r, d.bump())
+	case *HostAccess:
+		d.hostaccess.touch(r.MachID, r, d.bump())
+	}
+	return r.relation()
+}
+
+// NoteUpdate records an in-place update of row r, which the caller has
+// made (or is about to make, before releasing the exclusive lock) on
+// the live row.
+func (d *DB) NoteUpdate(r Row) { d.noteUpdate(d.touchRow(r)) }
+
+// noteUpdate records an update to a relation whose rows are replaced,
+// not mutated (values, capacls).
+func (d *DB) noteUpdate(table string) {
 	s := d.stat(table)
 	s.Updates++
 	d.note(s)
@@ -434,11 +468,12 @@ func (d *DB) NoteDelete(table string) {
 // be set"). Without this distinction the DCM's flag writes would mark
 // the serverhosts relation dirty and every pass would regenerate the
 // hesiod sloc data forever.
-func (d *DB) NoteUpdateInternal(table string) {
+func (d *DB) NoteUpdateInternal(r Row) {
+	table := d.touchRow(r)
 	d.stat(table).Updates++
 	d.opsFor(table).updates.Add(1)
 	// No modtime, no sequence bump — but the row did change in place,
-	// so snapshot maintenance must still see the table (and its stats
+	// so snapshot maintenance must still see it (and its relation's stats
 	// row) as dirty or a frozen reader would race the writer.
 	d.markDirty(table)
 	d.markDirty(TTblStats)
@@ -514,7 +549,7 @@ func (d *DB) GetValue(name string) (int, error) {
 // SetValue stores a value (creating or replacing). Exclusive lock.
 func (d *DB) SetValue(name string, v int) {
 	if _, ok := d.values[name]; ok {
-		d.NoteUpdate(TValues)
+		d.noteUpdate(TValues)
 	} else {
 		d.NoteAppend(TValues)
 		d.valueNames.invalidate()
@@ -540,7 +575,7 @@ func (d *DB) UpdateValue(name string, v int) error {
 		return mrerr.MrNoMatch
 	}
 	d.values[name] = v
-	d.NoteUpdate(TValues)
+	d.noteUpdate(TValues)
 	return nil
 }
 

@@ -213,8 +213,12 @@ func TestLastModOf(t *testing.T) {
 		t.Errorf("fresh LastModOf = %d", got)
 	}
 	d.NoteAppend(TUsers)
+	l := &List{ListID: 100, Name: "touched"}
+	if err := d.InsertList(l); err != nil {
+		t.Fatal(err)
+	}
 	clk.Advance(50 * time.Second)
-	d.NoteUpdate(TList)
+	d.NoteUpdate(l)
 	if got := d.LastModOf(TUsers); got != 1000 {
 		t.Errorf("users mod = %d", got)
 	}
@@ -541,7 +545,7 @@ func TestSeqMonotonic(t *testing.T) {
 	if s1 <= s0 {
 		t.Errorf("seq did not advance: %d -> %d", s0, s1)
 	}
-	d.NoteUpdateInternal(TServers)
+	d.NoteUpdateInternal(&Server{Name: "DCMFLAGS"})
 	if d.CurSeq() != s1 {
 		t.Errorf("internal note moved the sequence")
 	}

@@ -13,8 +13,8 @@ import (
 
 // Differential harness: refstore is the seed's storage engine kept as a
 // test-only oracle — every lookup is the original full-table linear
-// scan with a per-call sort, computed straight from the row maps and
-// ignoring every secondary index. The property test below drives
+// scan with a per-call sort, computed straight from the rows, trusting
+// neither the paged tables' iteration order nor any secondary index. The property test below drives
 // thousands of randomized mutate/query interleavings through both
 // engines and requires identical answers, so any index-maintenance bug
 // (a missed insert, a stale entry after rename, a wrong wildcard range)
@@ -33,10 +33,8 @@ func (r refstore) usersByUID(uid int) []*User {
 }
 
 func (r refstore) sortedUsers() []*User {
-	out := make([]*User, 0, len(r.d.users))
-	for _, u := range r.d.users {
-		out = append(out, u)
-	}
+	out := make([]*User, 0, r.d.users.len())
+	r.d.users.each(func(u *User) bool { out = append(out, u); return true })
 	sort.Slice(out, func(i, j int) bool { return out[i].UsersID < out[j].UsersID })
 	return out
 }
@@ -61,47 +59,38 @@ func refMatch(pattern, name string) bool {
 }
 
 func (r refstore) machinesMatching(pattern string) []*Machine {
-	ids := make([]int, 0, len(r.d.machines))
-	for id := range r.d.machines {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var out []*Machine
-	for _, id := range ids {
-		if m := r.d.machines[id]; refMatch(pattern, m.Name) {
+	r.d.machines.each(func(m *Machine) bool {
+		if refMatch(pattern, m.Name) {
 			out = append(out, m)
 		}
-	}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].MachID < out[j].MachID })
 	return out
 }
 
 func (r refstore) clustersMatching(pattern string) []*Cluster {
-	ids := make([]int, 0, len(r.d.clusters))
-	for id := range r.d.clusters {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var out []*Cluster
-	for _, id := range ids {
-		if c := r.d.clusters[id]; refMatch(pattern, c.Name) {
+	r.d.clusters.each(func(c *Cluster) bool {
+		if refMatch(pattern, c.Name) {
 			out = append(out, c)
 		}
-	}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].CluID < out[j].CluID })
 	return out
 }
 
 func (r refstore) listsMatching(pattern string) []*List {
-	ids := make([]int, 0, len(r.d.lists))
-	for id := range r.d.lists {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var out []*List
-	for _, id := range ids {
-		if l := r.d.lists[id]; refMatch(pattern, l.Name) {
+	r.d.lists.each(func(l *List) bool {
+		if refMatch(pattern, l.Name) {
 			out = append(out, l)
 		}
-	}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].ListID < out[j].ListID })
 	return out
 }
 
@@ -142,11 +131,12 @@ func (r refstore) hasMCMap(machID, cluID int) bool {
 
 func (r refstore) filesysByLabel(label string) []*Filesys {
 	var out []*Filesys
-	for _, f := range r.d.filesys {
+	r.d.filesys.each(func(f *Filesys) bool {
 		if f.Label == label {
 			out = append(out, f)
 		}
-	}
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
 	return out
 }
@@ -347,7 +337,7 @@ func (w *diffworld) mutate() {
 			u, _ := d.UserByLogin(login)
 			newLogin := w.fresh("u")
 			d.RenameUser(u, newLogin)
-			d.NoteUpdate(TUsers)
+			d.NoteUpdate(u)
 			w.logins = drop(w.logins, login)
 			w.logins = append(w.logins, newLogin)
 		}
@@ -355,7 +345,7 @@ func (w *diffworld) mutate() {
 		if login, ok := w.pick(w.logins); ok {
 			u, _ := d.UserByLogin(login)
 			d.SetUserUID(u, 6500+w.rng.Intn(40))
-			d.NoteUpdate(TUsers)
+			d.NoteUpdate(u)
 		}
 	case 5: // insert machine
 		id, _ := d.AllocID("mach_id")
@@ -397,7 +387,7 @@ func (w *diffworld) mutate() {
 				l, _ := d.ListByName(name)
 				newName := w.fresh("list")
 				d.RenameList(l, newName)
-				d.NoteUpdate(TList)
+				d.NoteUpdate(l)
 				w.lists = drop(w.lists, name)
 				w.lists = append(w.lists, newName)
 			}
@@ -455,7 +445,7 @@ func (w *diffworld) mutate() {
 			} else {
 				newLabel := w.fresh("fs")
 				d.SetFilesysLabel(f, newLabel)
-				d.NoteUpdate(TFilesys)
+				d.NoteUpdate(f)
 				w.labels = append(w.labels, newLabel)
 			}
 		}

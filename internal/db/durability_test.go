@@ -384,7 +384,7 @@ func TestFsckCleanAndDirty(t *testing.T) {
 	}
 
 	// Dangle a membership edge at a user that does not exist.
-	lid := d.listsByName["video-users"]
+	lid := d.listIdx.byName["video-users"]
 	d.members[lid] = append(d.members[lid], Member{ListID: lid, MemberType: "USER", MemberID: 9999})
 	incons := d.Fsck()
 	if len(incons) == 0 {

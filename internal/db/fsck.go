@@ -35,11 +35,11 @@ func (d *DB) Fsck() []Inconsistency {
 		out = append(out, Inconsistency{Table: table, Item: item, Problem: fmt.Sprintf(format, args...)})
 	}
 
-	userOK := func(id int) bool { _, ok := d.users[id]; return ok }
-	listOK := func(id int) bool { _, ok := d.lists[id]; return ok }
-	machOK := func(id int) bool { _, ok := d.machines[id]; return ok }
-	cluOK := func(id int) bool { _, ok := d.clusters[id]; return ok }
-	strOK := func(id int) bool { _, ok := d.strings[id]; return ok }
+	userOK := func(id int) bool { _, ok := d.users.get(id); return ok }
+	listOK := func(id int) bool { _, ok := d.lists.get(id); return ok }
+	machOK := func(id int) bool { _, ok := d.machines.get(id); return ok }
+	cluOK := func(id int) bool { _, ok := d.clusters.get(id); return ok }
+	strOK := func(id int) bool { _, ok := d.strings.get(id); return ok }
 
 	// checkACE validates one access-control entity reference. NONE (or
 	// an unset type, as bootstrap rows carry) has no target; the R*
@@ -64,98 +64,44 @@ func (d *DB) Fsck() []Inconsistency {
 		}
 	}
 
-	// Index ↔ row agreement for every by-name index.
-	for login, id := range d.usersByLogin {
-		if u, ok := d.users[id]; !ok || u.Login != login {
-			add(TUsers, login, "login index points at user %d which is missing or renamed", id)
-		}
-	}
-	for _, u := range d.users {
-		if d.usersByLogin[u.Login] != u.UsersID {
-			add(TUsers, u.Login, "user %d missing from login index", u.UsersID)
-		}
-	}
-	for name, id := range d.machByName {
-		if m, ok := d.machines[id]; !ok || m.Name != name {
-			add(TMachine, name, "name index points at machine %d which is missing or renamed", id)
-		}
-	}
-	for _, m := range d.machines {
-		if d.machByName[m.Name] != m.MachID {
-			add(TMachine, m.Name, "machine %d missing from name index", m.MachID)
-		}
-	}
-	for name, id := range d.cluByName {
-		if c, ok := d.clusters[id]; !ok || c.Name != name {
-			add(TCluster, name, "name index points at cluster %d which is missing or renamed", id)
-		}
-	}
-	for name, id := range d.listsByName {
-		if l, ok := d.lists[id]; !ok || l.Name != name {
-			add(TList, name, "name index points at list %d which is missing or renamed", id)
-		}
-	}
-	for _, l := range d.lists {
-		if d.listsByName[l.Name] != l.ListID {
-			add(TList, l.Name, "list %d missing from name index", l.ListID)
-		}
-	}
-	for val, id := range d.stringsByVal {
-		if s, ok := d.strings[id]; !ok || s.String != val {
-			add(TStrings, val, "value index points at string %d which is missing or changed", id)
-		}
-	}
-
-	// Derived secondary indexes (index.go) ↔ row agreement. These are
-	// never persisted, so a finding here is a maintenance bug in the
-	// running server, not on-disk corruption — but it would mean silently
-	// wrong query results, which is exactly what fsck exists to catch.
-	checkOrdered := func(table string, idx []int, rows func(int) bool, n int) {
-		if len(idx) != n {
-			add(table, "ordered index", "index has %d entries, relation has %d rows", len(idx), n)
-		}
-		for i, id := range idx {
-			if i > 0 && idx[i-1] >= id {
-				add(table, "ordered index", "ids out of order at position %d", i)
-				break
-			}
-			if !rows(id) {
-				add(table, fmt.Sprintf("id %d", id), "ordered index entry for a missing row")
-			}
-		}
-	}
-	checkOrdered(TUsers, d.userIdx.ids.ids, userOK, len(d.users))
-	checkOrdered(TMachine, d.machIdx.ids.ids, machOK, len(d.machines))
-	checkOrdered(TCluster, d.cluIdx.ids.ids, cluOK, len(d.clusters))
-	checkOrdered(TList, d.listIdx.ids.ids, listOK, len(d.lists))
-	checkOrdered(TFilesys, d.filesysIdx.ids.ids,
-		func(id int) bool { _, ok := d.filesys[id]; return ok }, len(d.filesys))
-	checkOrdered(TStrings, d.stringIdx.ids, strOK, len(d.strings))
+	// Page ↔ row agreement for every paged relation, and index ↔ row
+	// agreement for every index over one. The indexes are never
+	// persisted, so a finding here is a maintenance bug in the running
+	// server, not on-disk corruption — but it would mean silently wrong
+	// query results, which is exactly what fsck exists to catch.
+	auditNamed(add, TUsers, "login", &d.users, d.userIdx.byLogin, func(u *User) (string, int) { return u.Login, u.UsersID })
+	auditNamed(add, TMachine, "name", &d.machines, d.machIdx.byName, func(m *Machine) (string, int) { return m.Name, m.MachID })
+	auditNamed(add, TCluster, "name", &d.clusters, d.cluIdx.byName, func(c *Cluster) (string, int) { return c.Name, c.CluID })
+	auditNamed(add, TList, "name", &d.lists, d.listIdx.byName, func(l *List) (string, int) { return l.Name, l.ListID })
+	auditNamed(add, TStrings, "value", &d.strings, d.stringIdx.byName, func(s *StringRec) (string, int) { return s.String, s.StringID })
+	d.filesys.audit(TFilesys, func(f *Filesys) int { return f.FilsysID }, add)
+	d.nfsphys.audit(TNFSPhys, func(p *NFSPhys) int { return p.NFSPhysID }, add)
+	d.hostaccess.audit(THostAccess, func(h *HostAccess) int { return h.MachID }, add)
 
 	uidCount := 0
 	for uid, ids := range d.userIdx.byUID {
 		uidCount += len(ids)
 		for _, id := range ids {
-			if u, ok := d.users[id]; !ok || u.UID != uid {
+			if u, ok := d.users.get(id); !ok || u.UID != uid {
 				add(TUsers, fmt.Sprintf("uid %d", uid), "uid index points at user %d which is missing or re-uided", id)
 			}
 		}
 	}
-	if uidCount != len(d.users) {
-		add(TUsers, "uid index", "index covers %d users, relation has %d", uidCount, len(d.users))
+	if uidCount != d.users.len() {
+		add(TUsers, "uid index", "index covers %d users, relation has %d", uidCount, d.users.len())
 	}
 
 	labelCount := 0
 	for label, ids := range d.filesysIdx.byLabel {
 		labelCount += len(ids)
 		for _, id := range ids {
-			if f, ok := d.filesys[id]; !ok || f.Label != label {
+			if f, ok := d.filesys.get(id); !ok || f.Label != label {
 				add(TFilesys, label, "label index points at filesys %d which is missing or relabeled", id)
 			}
 		}
 	}
-	if labelCount != len(d.filesys) {
-		add(TFilesys, "label index", "index covers %d rows, relation has %d", labelCount, len(d.filesys))
+	if labelCount != d.filesys.len() {
+		add(TFilesys, "label index", "index covers %d rows, relation has %d", labelCount, d.filesys.len())
 	}
 
 	memberCount := 0
@@ -209,9 +155,10 @@ func (d *DB) Fsck() []Inconsistency {
 	}
 
 	// List ACLs and memberships.
-	for _, l := range d.lists {
+	d.lists.each(func(l *List) bool {
 		checkACE(TList, l.Name, l.ACLType, l.ACLID)
-	}
+		return true
+	})
 	for listID, members := range d.members {
 		if !listOK(listID) {
 			add(TMembers, fmt.Sprintf("list %d", listID), "memberships of a missing list")
@@ -269,7 +216,7 @@ func (d *DB) Fsck() []Inconsistency {
 	}
 
 	// Filesystems, NFS allocations, quotas.
-	for _, fs := range d.filesys {
+	d.filesys.each(func(fs *Filesys) bool {
 		if fs.MachID != 0 && !machOK(fs.MachID) {
 			add(TFilesys, fs.Label, "filesystem references missing machine %d", fs.MachID)
 		}
@@ -279,18 +226,20 @@ func (d *DB) Fsck() []Inconsistency {
 		if fs.Owners != 0 && !listOK(fs.Owners) {
 			add(TFilesys, fs.Label, "filesystem owners list %d is missing", fs.Owners)
 		}
-	}
-	for _, p := range d.nfsphys {
+		return true
+	})
+	d.nfsphys.each(func(p *NFSPhys) bool {
 		if !machOK(p.MachID) {
 			add(TNFSPhys, p.Dir, "NFS partition references missing machine %d", p.MachID)
 		}
-	}
+		return true
+	})
 	for _, q := range d.nfsquotas {
 		item := fmt.Sprintf("user %d filesys %d", q.UsersID, q.FilsysID)
 		if q.UsersID != 0 && !userOK(q.UsersID) {
 			add(TNFSQuota, item, "quota for a missing user")
 		}
-		if _, ok := d.filesys[q.FilsysID]; !ok {
+		if _, ok := d.filesys.get(q.FilsysID); !ok {
 			add(TNFSQuota, item, "quota on a missing filesystem")
 		}
 	}
@@ -302,13 +251,14 @@ func (d *DB) Fsck() []Inconsistency {
 		checkACE(TZephyr, z.Class+" iws", z.IwsType, z.IwsID)
 		checkACE(TZephyr, z.Class+" iui", z.IuiType, z.IuiID)
 	}
-	for machID, h := range d.hostaccess {
-		item := fmt.Sprintf("machine %d", machID)
-		if !machOK(machID) {
+	d.hostaccess.each(func(h *HostAccess) bool {
+		item := fmt.Sprintf("machine %d", h.MachID)
+		if !machOK(h.MachID) {
 			add(THostAccess, item, "access row for a missing machine")
 		}
 		checkACE(THostAccess, item, h.ACLType, h.ACLID)
-	}
+		return true
+	})
 	for _, c := range d.capacls {
 		if !listOK(c.ListID) {
 			add(TCapACLs, c.Capability, "capability ACL references missing list %d", c.ListID)
@@ -316,11 +266,12 @@ func (d *DB) Fsck() []Inconsistency {
 	}
 
 	// Poboxes: a POP box references a machine.
-	for _, u := range d.users {
+	d.users.each(func(u *User) bool {
 		if u.PoType == PoboxPOP && u.PopID != 0 && !machOK(u.PopID) {
 			add(TUsers, u.Login, "POP pobox references missing machine %d", u.PopID)
 		}
-	}
+		return true
+	})
 
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Table != out[j].Table {
@@ -329,4 +280,26 @@ func (d *DB) Fsck() []Inconsistency {
 		return out[i].Item < out[j].Item
 	})
 	return out
+}
+
+// auditNamed checks one paged relation against its unique-name index:
+// the table's own page ↔ row agreement, then that the index and the
+// rows name each other, in both directions.
+func auditNamed[R any](add func(table, item, format string, args ...any), table, what string,
+	rows *table[R], byName map[string]int, key func(*R) (string, int)) {
+	rows.audit(table, func(r *R) int { _, id := key(r); return id }, add)
+	for name, id := range byName {
+		if r, ok := rows.get(id); !ok {
+			add(table, name, "%s index points at row %d which is missing", what, id)
+		} else if got, _ := key(r); got != name {
+			add(table, name, "%s index points at row %d which is now %q", what, id, got)
+		}
+	}
+	rows.each(func(r *R) bool {
+		name, id := key(r)
+		if got, ok := byName[name]; !ok || got != id {
+			add(table, name, "row %d missing from %s index", id, what)
+		}
+		return true
+	})
 }

@@ -9,50 +9,23 @@ import (
 )
 
 // Secondary indexes: derived, in-memory structures that turn the query
-// layer's hot retrieval shapes — point lookup by uid, ordered iteration
-// by primary key, wildcard retrieval by name — from full-table scans
-// with per-call sorts into index probes. Index state is never
-// persisted: the journal and checkpoints carry only rows, and every
-// load path (restore, replay, AdoptFrom) rebuilds or carries the
-// indexes alongside the rows it installs. Fsck verifies index ↔ row
-// agreement, so a maintenance bug surfaces as a boot-time finding
+// layer's hot retrieval shapes — point lookup by login, uid or label,
+// wildcard retrieval by name — from full-table scans with per-call
+// sorts into index probes. (Ordered iteration by primary key needs no
+// index: the paged table in table.go iterates in id order.) Index state
+// is never persisted: the journal and checkpoints carry only rows, and
+// every load path (restore, replay, AdoptFrom) re-derives the indexes
+// from the rows it installs via rebuildIndexes. Fsck verifies index ↔
+// row agreement, so a maintenance bug surfaces as a boot-time finding
 // instead of silently wrong query results.
-
-// intIndex is an ordered primary-key index: the table's ids in
-// ascending order. Because ids come from monotonic AllocID counters,
-// inserts are almost always appends (O(1)); out-of-order inserts and
-// deletes pay one memmove. This is the "sorted slice" flavor of an
-// ordered index — right for Moira's insert-mostly, scan-heavy tables.
-type intIndex struct {
-	ids []int
-}
-
-// insert adds id, keeping ascending order. Duplicate ids are the
-// caller's bug (primary keys are checked before insert).
-func (x *intIndex) insert(id int) {
-	if n := len(x.ids); n == 0 || x.ids[n-1] < id {
-		x.ids = append(x.ids, id)
-		return
-	}
-	i := sort.SearchInts(x.ids, id)
-	x.ids = append(x.ids, 0)
-	copy(x.ids[i+1:], x.ids[i:])
-	x.ids[i] = id
-}
-
-// remove drops id if present.
-func (x *intIndex) remove(id int) {
-	i := sort.SearchInts(x.ids, id)
-	if i >= len(x.ids) || x.ids[i] != id {
-		return
-	}
-	x.ids = append(x.ids[:i], x.ids[i+1:]...)
-}
-
-// clone returns an independent copy (for freezing a snapshot).
-func (x *intIndex) clone() intIndex {
-	return intIndex{ids: append([]int(nil), x.ids...)}
-}
+//
+// Each paged relation's indexes sit behind one key epoch: the write
+// epoch of the last mutation that changed a key — insert, delete,
+// rename, SetUserUID, SetFilesysLabel. An update that leaves the keys
+// alone leaves the epoch alone, and freeze then hands the new snapshot
+// the previous generation's index maps and sorted-name cache instead of
+// copying them. A key change still copies that relation's maps whole:
+// the remaining O(n) write→read transition.
 
 // nameCache is a lazily built, ordered name index: the sorted keys of a
 // by-name map, used for wildcard range scans. It is rebuilt on first
@@ -180,62 +153,87 @@ func removeInt(s []int, v int) []int {
 	return s
 }
 
-// userIndex carries the USERS relation's secondary indexes: the ordered
-// primary-key index (the users_id iteration order EachUser promises),
-// the uid hash index, and the ordered login index for wildcards.
+// userIndex carries the USERS relation's secondary indexes: the login
+// hash index, the uid hash index, and the ordered login index for
+// wildcards.
 type userIndex struct {
-	ids    intIndex
-	byUID  map[int][]int // unix uid -> users_ids (normally one)
-	logins *nameCache
+	epoch   int64          // key epoch
+	byLogin map[string]int // login -> users_id
+	byUID   map[int][]int  // unix uid -> users_ids (normally one)
+	logins  *nameCache
 }
 
-// namedIndex is the shared shape for tables with an integer primary key
-// and a unique name: ordered ids plus an ordered name index.
+// namedIndex is the shared shape for relations with an integer primary
+// key and a unique name: the name hash index plus the ordered name
+// index. STRINGS uses it too, keyed by the interned value.
 type namedIndex struct {
-	ids   intIndex
-	names *nameCache
+	epoch  int64 // key epoch
+	byName map[string]int
+	names  *nameCache
 }
 
-// filesysIndex adds the label hash index (labels are not unique; the
+// filesysIndex is the label hash index (labels are not unique; the
 // (label, order) pair is).
 type filesysIndex struct {
-	ids     intIndex
+	epoch   int64            // key epoch
 	byLabel map[string][]int // label -> filsys_ids
 }
 
-// rebuildIndexes derives every secondary index from the current rows.
-// It is the load-path entry point: Restore-built databases arrive here
-// via the insert accessors, but AdoptFrom (which moves whole tables)
-// and tests that assemble rows directly call it to re-derive state.
-// Caller holds the exclusive lock (or owns the DB privately).
+// freeze returns the index for a snapshot: the previous generation's
+// when no key has changed since it was built at epoch since, otherwise a
+// copy of the live one with a fresh (empty) name cache.
+func (x *userIndex) freeze(prev *userIndex, since int64) userIndex {
+	if x.epoch <= since {
+		return *prev
+	}
+	return userIndex{epoch: x.epoch, byLogin: copyVals(x.byLogin), byUID: copySlices(x.byUID), logins: &nameCache{}}
+}
+
+func (x *namedIndex) freeze(prev *namedIndex, since int64) namedIndex {
+	if x.epoch <= since {
+		return *prev
+	}
+	return namedIndex{epoch: x.epoch, byName: copyVals(x.byName), names: &nameCache{}}
+}
+
+func (x *filesysIndex) freeze(prev *filesysIndex, since int64) filesysIndex {
+	if x.epoch <= since {
+		return *prev
+	}
+	return filesysIndex{epoch: x.epoch, byLabel: copySlices(x.byLabel)}
+}
+
+// rebuildIndexes derives every secondary index from the current rows
+// and moves every paged relation into this database's epoch domain. It
+// is the load-path entry point: LoadTable and AdoptFrom install rows
+// wholesale — with no index maintenance, and in AdoptFrom's case with
+// page stamps from the source database — and call it to re-derive the
+// rest. Caller holds the exclusive lock (or owns the DB privately).
 func (d *DB) rebuildIndexes() {
-	ui := userIndex{byUID: make(map[int][]int, len(d.users)), logins: &nameCache{}}
-	ui.ids.ids = make([]int, 0, len(d.users))
-	for id, u := range d.users {
-		ui.ids.ids = append(ui.ids.ids, id)
-		ui.byUID[u.UID] = append(ui.byUID[u.UID], id)
-	}
-	sort.Ints(ui.ids.ids)
-	d.userIdx = ui
+	e := d.bump()
 
-	d.machIdx = rebuildNamed(d.machines, func(m *Machine) int { return m.MachID })
-	d.cluIdx = rebuildNamed(d.clusters, func(c *Cluster) int { return c.CluID })
-	d.listIdx = rebuildNamed(d.lists, func(l *List) int { return l.ListID })
+	d.users.restamp(e)
+	d.userIdx = userIndex{epoch: e, byLogin: make(map[string]int, d.users.len()), byUID: make(map[int][]int, d.users.len()), logins: &nameCache{}}
+	d.users.each(func(u *User) bool {
+		d.userIdx.byLogin[u.Login] = u.UsersID
+		d.userIdx.byUID[u.UID] = append(d.userIdx.byUID[u.UID], u.UsersID)
+		return true
+	})
 
-	fi := filesysIndex{byLabel: make(map[string][]int, len(d.filesys))}
-	fi.ids.ids = make([]int, 0, len(d.filesys))
-	for id, f := range d.filesys {
-		fi.ids.ids = append(fi.ids.ids, id)
-		fi.byLabel[f.Label] = append(fi.byLabel[f.Label], id)
-	}
-	sort.Ints(fi.ids.ids)
-	d.filesysIdx = fi
+	d.machIdx = rebuildNamed(&d.machines, e, func(m *Machine) (string, int) { return m.Name, m.MachID })
+	d.cluIdx = rebuildNamed(&d.clusters, e, func(c *Cluster) (string, int) { return c.Name, c.CluID })
+	d.listIdx = rebuildNamed(&d.lists, e, func(l *List) (string, int) { return l.Name, l.ListID })
+	d.stringIdx = rebuildNamed(&d.strings, e, func(s *StringRec) (string, int) { return s.String, s.StringID })
 
-	d.stringIdx = intIndex{ids: make([]int, 0, len(d.strings))}
-	for id := range d.strings {
-		d.stringIdx.ids = append(d.stringIdx.ids, id)
-	}
-	sort.Ints(d.stringIdx.ids)
+	d.filesys.restamp(e)
+	d.filesysIdx = filesysIndex{epoch: e, byLabel: make(map[string][]int, d.filesys.len())}
+	d.filesys.each(func(f *Filesys) bool {
+		d.filesysIdx.byLabel[f.Label] = append(d.filesysIdx.byLabel[f.Label], f.FilsysID)
+		return true
+	})
+
+	d.nfsphys.restamp(e)
+	d.hostaccess.restamp(e)
 
 	d.memberIdx = make(map[memberKey][]int)
 	for listID, ms := range d.members {
@@ -273,14 +271,16 @@ func (d *DB) rebuildIndexes() {
 	})
 }
 
-// rebuildNamed derives a namedIndex from an id-keyed row map (the name
-// cache rebuilds itself lazily from the by-name map).
-func rebuildNamed[R any](rows map[int]R, _ func(R) int) namedIndex {
-	ni := namedIndex{names: &nameCache{}}
-	ni.ids.ids = make([]int, 0, len(rows))
-	for id := range rows {
-		ni.ids.ids = append(ni.ids.ids, id)
-	}
-	sort.Ints(ni.ids.ids)
+// rebuildNamed re-stamps a relation's pages and derives its namedIndex
+// from the rows (the sorted name cache rebuilds itself lazily from the
+// by-name map).
+func rebuildNamed[R any](rows *table[R], epoch int64, key func(*R) (string, int)) namedIndex {
+	rows.restamp(epoch)
+	ni := namedIndex{epoch: epoch, byName: make(map[string]int, rows.len()), names: &nameCache{}}
+	rows.each(func(r *R) bool {
+		name, id := key(r)
+		ni.byName[name] = id
+		return true
+	})
 	return ni
 }

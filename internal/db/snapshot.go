@@ -7,44 +7,59 @@ import "time"
 // block the writer and a reader observes one committed state for its
 // whole query — no torn multi-table views.
 //
-// The scheme is copy-on-write at table granularity, rebuilt lazily:
+// The scheme is copy-on-write, rebuilt lazily, and sized to Moira's
+// traffic: a large read-mostly catalogue with a trickle of one-row
+// writes.
 //
-//   - Every mutation path calls markDirty(table), which bumps that
-//     table's epoch and the global write epoch. Mutations happen under
-//     the exclusive lock, exactly as before — the journal's global
-//     ordering requires a single writer, so sharding applies to
-//     snapshot state, not to writer concurrency.
+//   - Every mutation advances the global write epoch (bump) and leaves
+//     that epoch as a stamp on what it changed. The integer-keyed
+//     relations (users, machines, clusters, lists, filesys, nfsphys,
+//     hostaccess, strings) live in paged tables (table.go) and stamp the
+//     one page holding the row — every in-place update names its row
+//     (NoteUpdate takes the row, not the table) so there is no way to
+//     change a row without stamping it. Their secondary indexes carry a
+//     key epoch that moves only when a key does (index.go). The small
+//     string-keyed relations, and members/nfsquotas with their indexes,
+//     keep one stamp per table (markDirty). Mutations happen under the
+//     exclusive lock — the journal's global ordering requires a single
+//     writer.
 //   - Reader() returns the current frozen snapshot if its build epoch
 //     still matches the write epoch (the no-new-commits fast path: one
 //     atomic load). Otherwise it rebuilds: take the shared lock (which
-//     only waits out an in-flight commit), deep-copy the tables whose
-//     epochs moved since the previous snapshot, and share every clean
-//     table — rows, maps, and indexes — with the previous snapshot.
+//     only waits out an in-flight commit), deep-copy whatever is stamped
+//     newer than the previous snapshot's build epoch — the touched
+//     pages, the re-keyed indexes, the dirty small tables — and share
+//     everything else with the previous snapshot. One update_user_shell
+//     therefore costs the next reader one page of user rows, at 2,000
+//     users or at a million.
 //
 // Lazy rebuild is the load-bearing choice: publishing a snapshot per
-// commit would charge every write O(dirty tables) in copies, while
-// rebuild-on-read charges one copy per write→read transition no matter
-// how many writes batched up in between. Write-only phases (bulk load,
-// replay) cost zero copies.
+// commit would charge every write its copies, while rebuild-on-read
+// charges one rebuild per write→read transition no matter how many
+// writes batched up in between. Write-only phases (bulk load, replay)
+// cost zero copies.
 //
 // A frozen snapshot shares nothing mutable with the live database: row
-// structs are copied by value (they are flat), index slices are cloned,
-// and clean-table sharing is always with the previous frozen snapshot,
-// never with the live maps. The isFrozen latch makes every mutation
+// structs are copied by value (they are flat), index maps and slices
+// are cloned, and sharing is always with the previous frozen snapshot,
+// never with live memory. The isFrozen latch makes every mutation
 // accessor panic on a snapshot, so a retrieve handler that mutates is a
 // loud bug, not silent corruption.
 
-// markDirty records a mutation of table for snapshot maintenance: the
-// per-table epoch decides which tables the next freeze must re-copy,
-// and the global write epoch invalidates the served snapshot. Caller
-// holds the exclusive lock (it accompanies a mutation).
-func (d *DB) markDirty(table string) {
+// bump advances the write epoch for a mutation and returns the new
+// value: the stamp for whatever the caller is changing. It invalidates
+// the served snapshot. Caller holds the exclusive lock.
+func (d *DB) bump() int64 {
 	if d.isFrozen {
 		panic("db: mutation of a frozen snapshot (retrieve handlers must not write)")
 	}
-	d.snapEpochs[table]++
-	d.writeEpoch.Add(1)
+	return d.writeEpoch.Add(1)
 }
+
+// markDirty records a mutation of a relation that snapshots copy whole:
+// the next freeze re-copies it. (On a paged relation it only advances
+// the write epoch; their accessors stamp pages themselves.)
+func (d *DB) markDirty(table string) { d.snapEpochs[table] = d.bump() }
 
 // Reader returns an immutable snapshot of the database for lock-free
 // retrieval. The snapshot reflects every committed mutation; the caller
@@ -63,13 +78,14 @@ func (d *DB) Reader() *DB {
 	d.mu.RLock()
 	start := time.Now()
 	epoch := d.writeEpoch.Load() // stable: writers are blocked
-	f := d.freeze(d.frozen.Load())
+	f, copied := d.freeze(d.frozen.Load())
 	f.builtEpoch = epoch
 	d.mu.RUnlock()
 	if h := d.freezeHist.Load(); h != nil {
 		h.Observe(time.Since(start))
 	}
 	d.snapRebuilds.Add(1)
+	d.snapRowsCopied.Add(int64(copied))
 	d.frozen.Store(f)
 	return f
 }
@@ -81,55 +97,46 @@ func (d *DB) SnapshotStats() (reads, rebuilds int64) {
 }
 
 // freeze builds a new frozen snapshot from the live database, sharing
-// every table whose epoch has not moved since prev was built. Called
-// with at least the shared lock held; prev may be nil (copy everything).
-func (d *DB) freeze(prev *DB) *DB {
+// with prev everything not stamped newer than prev's build epoch, and
+// reports how many paged-relation rows it copied. Called with at least
+// the shared lock held; prev may be nil (copy everything).
+func (d *DB) freeze(prev *DB) (*DB, int) {
+	if prev == nil {
+		prev = &DB{builtEpoch: -1} // older than every stamp: shares nothing
+	}
+	since := prev.builtEpoch
 	f := &DB{
 		clk:        d.clk,
 		isFrozen:   true,
 		seqCounter: d.seqCounter,
 		tableSeq:   copyVals(d.tableSeq),
-		snapEpochs: copyVals(d.snapEpochs),
 		valueNames: &nameCache{},
 		statNames:  &nameCache{},
 		// ops is shared: frozen code never writes it (Note* panics via
-		// markDirty) and BindStats is only ever bound on the live DB.
+		// bump) and BindStats is only ever bound on the live DB.
 		ops: d.ops,
 		// lookups is shared too: retrievals run on snapshots, and their
 		// probes must land in the live DB's tallies.
 		lookups: d.lookups,
 	}
-	dirty := func(t string) bool {
-		return prev == nil || prev.snapEpochs[t] != d.snapEpochs[t]
-	}
 
-	if dirty(TUsers) {
-		f.users = copyRows(d.users)
-		f.usersByLogin = copyVals(d.usersByLogin)
-		f.userIdx = userIndex{
-			ids:    d.userIdx.ids.clone(),
-			byUID:  copySlices(d.userIdx.byUID),
-			logins: &nameCache{},
-		}
-	} else {
-		f.users, f.usersByLogin, f.userIdx = prev.users, prev.usersByLogin, prev.userIdx
-	}
+	copied := 0
+	f.users = d.users.freeze(&prev.users, since, &copied)
+	f.userIdx = d.userIdx.freeze(&prev.userIdx, since)
+	f.machines = d.machines.freeze(&prev.machines, since, &copied)
+	f.machIdx = d.machIdx.freeze(&prev.machIdx, since)
+	f.clusters = d.clusters.freeze(&prev.clusters, since, &copied)
+	f.cluIdx = d.cluIdx.freeze(&prev.cluIdx, since)
+	f.lists = d.lists.freeze(&prev.lists, since, &copied)
+	f.listIdx = d.listIdx.freeze(&prev.listIdx, since)
+	f.filesys = d.filesys.freeze(&prev.filesys, since, &copied)
+	f.filesysIdx = d.filesysIdx.freeze(&prev.filesysIdx, since)
+	f.strings = d.strings.freeze(&prev.strings, since, &copied)
+	f.stringIdx = d.stringIdx.freeze(&prev.stringIdx, since)
+	f.nfsphys = d.nfsphys.freeze(&prev.nfsphys, since, &copied)
+	f.hostaccess = d.hostaccess.freeze(&prev.hostaccess, since, &copied)
 
-	if dirty(TMachine) {
-		f.machines = copyRows(d.machines)
-		f.machByName = copyVals(d.machByName)
-		f.machIdx = namedIndex{ids: d.machIdx.ids.clone(), names: &nameCache{}}
-	} else {
-		f.machines, f.machByName, f.machIdx = prev.machines, prev.machByName, prev.machIdx
-	}
-
-	if dirty(TCluster) {
-		f.clusters = copyRows(d.clusters)
-		f.cluByName = copyVals(d.cluByName)
-		f.cluIdx = namedIndex{ids: d.cluIdx.ids.clone(), names: &nameCache{}}
-	} else {
-		f.clusters, f.cluByName, f.cluIdx = prev.clusters, prev.cluByName, prev.cluIdx
-	}
+	dirty := func(t string) bool { return d.snapEpochs[t] > since }
 
 	if dirty(TMCMap) {
 		f.mcmap = append([]MCMap(nil), d.mcmap...)
@@ -142,14 +149,6 @@ func (d *DB) freeze(prev *DB) *DB {
 		f.svc = append([]SvcData(nil), d.svc...)
 	} else {
 		f.svc = prev.svc
-	}
-
-	if dirty(TList) {
-		f.lists = copyRows(d.lists)
-		f.listsByName = copyVals(d.listsByName)
-		f.listIdx = namedIndex{ids: d.listIdx.ids.clone(), names: &nameCache{}}
-	} else {
-		f.lists, f.listsByName, f.listIdx = prev.lists, prev.listsByName, prev.listIdx
 	}
 
 	if dirty(TMembers) {
@@ -171,22 +170,6 @@ func (d *DB) freeze(prev *DB) *DB {
 		f.serverHosts = prev.serverHosts
 	}
 
-	if dirty(TFilesys) {
-		f.filesys = copyRows(d.filesys)
-		f.filesysIdx = filesysIndex{
-			ids:     d.filesysIdx.ids.clone(),
-			byLabel: copySlices(d.filesysIdx.byLabel),
-		}
-	} else {
-		f.filesys, f.filesysIdx = prev.filesys, prev.filesysIdx
-	}
-
-	if dirty(TNFSPhys) {
-		f.nfsphys = copyRows(d.nfsphys)
-	} else {
-		f.nfsphys = prev.nfsphys
-	}
-
 	if dirty(TNFSQuota) {
 		f.nfsquotas = copyRowSlice(d.nfsquotas)
 		f.quotaIdx = make(map[pairKey]*NFSQuota, len(f.nfsquotas))
@@ -201,20 +184,6 @@ func (d *DB) freeze(prev *DB) *DB {
 		f.zephyr = copyRows(d.zephyr)
 	} else {
 		f.zephyr = prev.zephyr
-	}
-
-	if dirty(THostAccess) {
-		f.hostaccess = copyRows(d.hostaccess)
-	} else {
-		f.hostaccess = prev.hostaccess
-	}
-
-	if dirty(TStrings) {
-		f.strings = copyRows(d.strings)
-		f.stringsByVal = copyVals(d.stringsByVal)
-		f.stringIdx = d.stringIdx.clone()
-	} else {
-		f.strings, f.stringsByVal, f.stringIdx = prev.strings, prev.stringsByVal, prev.stringIdx
 	}
 
 	if dirty(TServices) {
@@ -253,7 +222,7 @@ func (d *DB) freeze(prev *DB) *DB {
 		f.stats, f.statNames = prev.stats, prev.statNames
 	}
 
-	return f
+	return f, copied
 }
 
 // copyRows deep-copies a map of row pointers; row structs are flat, so

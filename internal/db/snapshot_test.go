@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -113,9 +114,9 @@ func TestSnapshotStability(t *testing.T) {
 	// Mutate live: rename the user, change its uid, add another.
 	u, _ := d.UserByLogin("stable")
 	d.RenameUser(u, "renamed")
-	d.NoteUpdate(TUsers)
+	d.NoteUpdate(u)
 	d.SetUserUID(u, 4321)
-	d.NoteUpdate(TUsers)
+	d.NoteUpdate(u)
 	id2, _ := d.AllocID("users_id")
 	if err := d.InsertUser(&User{UsersID: id2, Login: "later", UID: 5555}); err != nil {
 		t.Fatal(err)
@@ -167,10 +168,7 @@ func TestSnapshotReuseWhenClean(t *testing.T) {
 	if s3 == s1 {
 		t.Fatal("Reader() after write returned the stale snapshot")
 	}
-	// Clean tables' rows are shared between generations, not re-copied:
-	// the user map must be the same map (both generations are frozen and
-	// immutable, so sharing is safe).
-	if len(s1.users) != 0 || len(s3.users) != 0 {
+	if s1.users.len() != 0 || s3.users.len() != 0 {
 		t.Fatal("expected empty user tables")
 	}
 }
@@ -218,5 +216,84 @@ func TestSnapshotAfterAdoptFrom(t *testing.T) {
 	}
 	if got := snap.UsersMatchingLogin("adop*"); len(got) != 1 {
 		t.Errorf("post-adopt snapshot wildcard = %v", dumpUsers(got))
+	}
+}
+
+// dumpAll renders every relation of d in backup format.
+func dumpAll(t *testing.T, d *DB) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, tbl := range AllTables {
+		fmt.Fprintf(&buf, "== %s\n", tbl)
+		if err := d.DumpTable(tbl, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
+
+// TestSnapshotAdoptThenWriteThenRead: page stamps only order within one
+// database's epoch domain. d has served snapshots for many epochs when
+// it adopts src, whose pages carry small stamps from src's own short
+// history and sit at the very ids d's old rows had. If AdoptFrom did not
+// re-stamp them, the next freeze would take every adopted page for
+// "unchanged since the last snapshot" and serve d's old rows.
+func TestSnapshotAdoptThenWriteThenRead(t *testing.T) {
+	fill := func(d *DB, n int, tag string) {
+		for i := 0; i < n; i++ {
+			id, _ := d.AllocID("users_id")
+			if err := d.InsertUser(&User{UsersID: id, Login: fmt.Sprintf("%s%03d", tag, i), UID: 7000 + i, Shell: tag}); err != nil {
+				t.Fatal(err)
+			}
+			lid, _ := d.AllocID("list_id")
+			if err := d.InsertList(&List{ListID: lid, Name: fmt.Sprintf("%s-list%03d", tag, i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d := snapDB(t)
+	fill(d, 200, "old")
+	for i := 0; i < 50; i++ { // run d's epochs well ahead of src's
+		u, _ := d.UserByLogin("old007")
+		u.Shell = fmt.Sprint(i)
+		d.NoteUpdate(u)
+		d.Reader()
+	}
+	pinned := d.Reader()
+	before := dumpAll(t, pinned)
+
+	src := snapDB(t)
+	fill(src, 150, "new")
+	d.AdoptFrom(src)
+
+	u, ok := d.UserByLogin("new042")
+	if !ok {
+		t.Fatal("adopted user missing from the live database")
+	}
+	u.Shell = "/bin/after-adopt"
+	d.NoteUpdate(u)
+
+	snap := d.Reader()
+	if got, want := dumpAll(t, snap), dumpAll(t, d); got != want {
+		t.Errorf("snapshot after adopt+write differs from live:\n got: %.300s\nwant: %.300s", got, want)
+	}
+	if bad := snap.Fsck(); len(bad) != 0 {
+		t.Errorf("fsck of the post-adopt snapshot: %v", bad)
+	}
+	if _, ok := snap.UserByLogin("old007"); ok {
+		t.Error("post-adopt snapshot still serves a pre-adopt row")
+	}
+	if dumpAll(t, pinned) != before {
+		t.Error("the snapshot pinned before AdoptFrom changed")
+	}
+
+	// And the steady state resumes: the next one-row write copies a page,
+	// not the relation.
+	rows := d.snapRowsCopied.Load()
+	u.Shell = "/bin/again"
+	d.NoteUpdate(u)
+	d.Reader()
+	if n := d.snapRowsCopied.Load() - rows; n == 0 || n > fanout {
+		t.Errorf("one-row write after adopt copied %d rows, want one page's worth (1..%d)", n, fanout)
 	}
 }

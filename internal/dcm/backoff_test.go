@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"moira/internal/db"
 )
 
 func TestBackoffDelaySchedule(t *testing.T) {
@@ -101,7 +99,7 @@ func testBackoffResetOnSuccess(t *testing.T, journal bool) {
 	w.d.LockExclusive()
 	sh, _ := w.d.ServerHost("SMTP", machIDByName(w.d, "ATHENA.MIT.EDU"))
 	sh.Override = true
-	w.d.NoteUpdate(db.TServerHosts)
+	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()
 	stats = w.run()
 	if stats.HostSoftFails != 1 {

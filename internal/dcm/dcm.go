@@ -684,7 +684,7 @@ func (m *DCM) claimHost(snap *serviceSnapshot, machID int) bool {
 		return false // a concurrent pass already delivered this generation
 	}
 	sh.InProgress = true
-	d.NoteUpdateInternal(db.TServerHosts)
+	d.NoteUpdateInternal(sh)
 	return true
 }
 
@@ -699,7 +699,7 @@ func (m *DCM) claimService(name string) bool {
 		return false
 	}
 	s.InProgress = true
-	d.NoteUpdateInternal(db.TServers)
+	d.NoteUpdateInternal(s)
 	return true
 }
 
@@ -778,7 +778,7 @@ func (m *DCM) setServiceFlags(name string, fn func(*db.Server)) {
 	defer d.UnlockExclusive()
 	if s, ok := d.ServerByName(name); ok {
 		fn(s)
-		d.NoteUpdateInternal(db.TServers)
+		d.NoteUpdateInternal(s)
 	}
 }
 
@@ -790,7 +790,7 @@ func (m *DCM) setHostFlags(service string, machID int, fn func(*db.ServerHost)) 
 	defer d.UnlockExclusive()
 	if sh, ok := d.ServerHost(service, machID); ok {
 		fn(sh)
-		d.NoteUpdateInternal(db.TServerHosts)
+		d.NoteUpdateInternal(sh)
 	}
 }
 

@@ -337,7 +337,7 @@ func testOverrideSkipsInterval(t *testing.T, journal bool) {
 	w.d.LockExclusive()
 	sh := w.d.ServerHostsOf("HESIOD")[0]
 	sh.Override = true
-	w.d.NoteUpdate(db.TServerHosts)
+	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()
 
 	w.clk.Advance(time.Minute) // far inside the 6h interval
@@ -587,7 +587,7 @@ func testInProgressServiceSkipped(t *testing.T, journal bool) {
 	w.d.LockExclusive()
 	svc, _ := w.d.ServerByName("HESIOD")
 	svc.InProgress = true
-	w.d.NoteUpdateInternal(db.TServers)
+	w.d.NoteUpdateInternal(svc)
 	w.d.UnlockExclusive()
 
 	stats := w.run()
@@ -601,7 +601,7 @@ func testInProgressServiceSkipped(t *testing.T, journal bool) {
 	// Release the lock; the next pass picks it up.
 	w.d.LockExclusive()
 	svc.InProgress = false
-	w.d.NoteUpdateInternal(db.TServers)
+	w.d.NoteUpdateInternal(svc)
 	w.d.UnlockExclusive()
 	stats = w.run()
 	if stats.Generated != 1 {
@@ -620,7 +620,7 @@ func testDisabledHostSkipped(t *testing.T, journal bool) {
 	sh := w.d.ServerHostsOf("ZEPHYR")[0]
 	sh.Enable = false
 	m, _ := w.d.MachineByID(sh.MachID)
-	w.d.NoteUpdate(db.TServerHosts)
+	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()
 
 	stats := w.run()

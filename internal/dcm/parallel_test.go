@@ -96,7 +96,7 @@ func testClaimClosesTOCTOU(t *testing.T, journal bool) {
 	w.d.LockExclusive()
 	sh, _ := w.d.ServerHost("SMTP", machID)
 	sh.Override = true
-	w.d.NoteUpdate(db.TServerHosts)
+	w.d.NoteUpdate(sh)
 	var snap serviceSnapshot
 	svc, _ := w.d.ServerByName("SMTP")
 	snap.Server = *svc

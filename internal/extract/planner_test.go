@@ -98,7 +98,7 @@ func (h *harness) mutate(query string, args []string, fn func()) {
 	if fn != nil {
 		fn()
 	}
-	h.d.NoteUpdate(db.TUsers)
+	h.d.NoteAppend(db.TUsers)
 	if err := h.d.JournalQuery("tester", "test", "", query, args); err != nil {
 		h.t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPlannerNoJournalUsesSequenceCheck(t *testing.T) {
 	p := NewPlanner(d, nil, 0)
 	g := &kvGen{data: map[string]string{"a": "1"}}
 	d.LockExclusive()
-	d.NoteUpdate(db.TUsers) // a fresh table sequence of zero can't be told from "never generated"
+	d.NoteAppend(db.TUsers) // a fresh table sequence of zero can't be told from "never generated"
 	d.UnlockExclusive()
 
 	run := func() *Plan {
@@ -376,7 +376,7 @@ func TestPlannerNoJournalUsesSequenceCheck(t *testing.T) {
 		t.Fatalf("idle: %v %q", plan.Mode, plan.Reason)
 	}
 	d.LockExclusive()
-	d.NoteUpdate(db.TUsers)
+	d.NoteAppend(db.TUsers)
 	d.UnlockExclusive()
 	if plan := run(); plan.Mode != ModeFull || plan.Reason != "no journal" {
 		t.Fatalf("after change: %v %q", plan.Mode, plan.Reason)

@@ -236,7 +236,7 @@ func TestNFSCredentialsRestrictedByValue3(t *testing.T) {
 	d.LockExclusive()
 	hosts := d.ServerHostsOf("NFS")
 	hosts[0].Value3 = "dbadmin"
-	d.NoteUpdate(db.TServerHosts)
+	d.NoteUpdate(hosts[0])
 	m, _ := d.MachineByID(hosts[0].MachID)
 	d.UnlockExclusive()
 

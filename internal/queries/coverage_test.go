@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 
 	"moira/internal/db"
@@ -203,4 +205,53 @@ func TestUpdateUserRename(t *testing.T) {
 		t.Errorf("rename onto taken err = %v", err)
 	}
 	_ = db.UserActive
+}
+
+// TestGetFilesysByLabelProbesIndex: an exact label is a label-index
+// probe, not a scan of the relation, and answers exactly what the scan
+// answered — including for a label with several (label, order) rows.
+func TestGetFilesysByLabelProbesIndex(t *testing.T) {
+	f := newFixture(t)
+	f.addUser(t, "owner")
+	f.mustRun(t, f.priv, "add_list", "fsowners", "1", "0", "0", "0", "0", "0", "NONE", "NONE", "")
+	for _, label := range []string{"multi", "other", "another"} {
+		f.mustRun(t, f.priv, "add_filesys", label, "NFS", "charon.mit.edu", "/u1/"+label, "/mit/"+label, "w", "", "owner", "fsowners", "1", "PROJECT")
+	}
+	// The handles keep labels unique, so the several-orders case is set
+	// up the way mrrestore would: rows straight into the relation.
+	f.d.LockExclusive()
+	for order := 1; order <= 2; order++ {
+		id, _ := f.d.AllocID("filsys_id")
+		if err := f.d.InsertFilesys(&db.Filesys{FilsysID: id, Label: "multi", Order: order, Type: db.FSTypeRVD, Name: "pack" + strconv.Itoa(order), Mount: "/mit/multi", Access: "r"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.d.UnlockExclusive()
+
+	// The pattern matches the same three rows and renders them with the
+	// same per-tuple lookups, so the tallies differ by the retrieval
+	// shape alone: one scan against one point probe.
+	p0, _, s0 := f.d.LookupStats()
+	want := f.mustRun(t, f.priv, "get_filesys_by_label", "mult*")
+	p1, _, s1 := f.d.LookupStats()
+	got := f.mustRun(t, f.priv, "get_filesys_by_label", "multi")
+	p2, _, s2 := f.d.LookupStats()
+	if len(want) != 3 {
+		t.Fatalf("setup: the pattern matched %d rows, want 3: %v", len(want), want)
+	}
+	if s1-s0 != 1 {
+		t.Errorf("a wildcard label counted %d scans, want 1", s1-s0)
+	}
+	if s2 != s1 || p2-p1 != p1-p0+1 {
+		t.Errorf("exact label: %d scans and %d point probes; want no scan and %d probes (the pattern's %d plus the label index)",
+			s2-s1, p2-p1, p1-p0+1, p1-p0)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("exact label returned %d tuples, the scan %d", len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("tuple %d: probe %v, scan %v", i, got[i], want[i])
+		}
+	}
 }

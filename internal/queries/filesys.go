@@ -107,12 +107,21 @@ func init() {
 		Handler: func(cx *Context, args []string, emit EmitFunc) error {
 			d := cx.DB
 			var tuples [][]string
-			d.EachFilesys(func(f *db.Filesys) bool {
-				if wildcard.Match(args[0], f.Label) {
+			if !wildcard.HasWildcards(args[0]) {
+				// An exact label probes the label index; only a pattern
+				// has to look at every row.
+				for _, f := range d.FilesysByLabel(args[0]) {
 					tuples = append(tuples, filesysTuple(d, f))
 				}
-				return true
-			})
+			} else {
+				d.NoteScan()
+				d.EachFilesys(func(f *db.Filesys) bool {
+					if wildcard.Match(args[0], f.Label) {
+						tuples = append(tuples, filesysTuple(d, f))
+					}
+					return true
+				})
+			}
 			if len(tuples) == 0 {
 				return mrerr.MrNoMatch
 			}
@@ -268,7 +277,7 @@ func init() {
 			f.Owner, f.Owners = owner, owners
 			f.CreateFlg, f.LockerType = create, lockertype
 			f.Mod = cx.modInfo()
-			d.NoteUpdate(db.TFilesys)
+			d.NoteUpdate(f)
 			return nil
 		},
 	})
@@ -293,7 +302,7 @@ func init() {
 			for _, q := range drop {
 				if p, ok := d.NFSPhysByID(q.PhysID); ok {
 					p.Allocated -= q.Quota
-					d.NoteUpdate(db.TNFSPhys)
+					d.NoteUpdate(p)
 				}
 				if err := d.DeleteQuota(q.UsersID, q.FilsysID); err != nil {
 					return mrerr.MrInternal
@@ -419,7 +428,7 @@ func init() {
 			p.Device = args[2]
 			p.Status, p.Allocated, p.Size = status, allocated, size
 			p.Mod = cx.modInfo()
-			d.NoteUpdate(db.TNFSPhys)
+			d.NoteUpdate(p)
 			return nil
 		},
 	})
@@ -443,7 +452,7 @@ func init() {
 			}
 			p.Allocated += delta
 			p.Mod = cx.modInfo()
-			d.NoteUpdate(db.TNFSPhys)
+			d.NoteUpdate(p)
 			return nil
 		},
 	})
@@ -595,7 +604,7 @@ func init() {
 			}
 			if p, ok := d.NFSPhysByID(f.PhysID); ok {
 				p.Allocated += quota
-				d.NoteUpdate(db.TNFSPhys)
+				d.NoteUpdate(p)
 			}
 			return nil
 		},
@@ -627,11 +636,11 @@ func init() {
 			}
 			if p, ok := d.NFSPhysByID(q.PhysID); ok {
 				p.Allocated += quota - q.Quota
-				d.NoteUpdate(db.TNFSPhys)
+				d.NoteUpdate(p)
 			}
 			q.Quota = quota
 			q.Mod = cx.modInfo()
-			d.NoteUpdate(db.TNFSQuota)
+			d.NoteUpdate(q)
 			return nil
 		},
 	})
@@ -655,7 +664,7 @@ func init() {
 			}
 			if p, ok := d.NFSPhysByID(q.PhysID); ok {
 				p.Allocated -= q.Quota
-				d.NoteUpdate(db.TNFSPhys)
+				d.NoteUpdate(p)
 			}
 			return d.DeleteQuota(u.UsersID, f.FilsysID)
 		},

@@ -293,7 +293,7 @@ func init() {
 			l.ACLType, l.ACLID = aceType, aceID
 			l.Desc = args[10]
 			l.Mod = cx.modInfo()
-			d.NoteUpdate(db.TList)
+			d.NoteUpdate(l)
 			return nil
 		},
 	})
@@ -373,7 +373,7 @@ func init() {
 				return err
 			}
 			l.Mod = cx.modInfo()
-			d.NoteUpdate(db.TList)
+			d.NoteUpdate(l)
 			return nil
 		},
 	})
@@ -415,7 +415,7 @@ func init() {
 				return err
 			}
 			l.Mod = cx.modInfo()
-			d.NoteUpdate(db.TList)
+			d.NoteUpdate(l)
 			return nil
 		},
 	})

@@ -170,7 +170,7 @@ func init() {
 			}
 			m.Type = args[2]
 			m.Mod = cx.modInfo()
-			d.NoteUpdate(db.TMachine)
+			d.NoteUpdate(m)
 			return nil
 		},
 	})
@@ -255,7 +255,7 @@ func init() {
 			}
 			c.Desc, c.Location = args[2], args[3]
 			c.Mod = cx.modInfo()
-			d.NoteUpdate(db.TCluster)
+			d.NoteUpdate(c)
 			return nil
 		},
 	})
@@ -323,7 +323,7 @@ func init() {
 				return err
 			}
 			m.Mod = cx.modInfo()
-			d.NoteUpdate(db.TMachine)
+			d.NoteUpdate(m)
 			return nil
 		},
 	})
@@ -345,7 +345,7 @@ func init() {
 				return err
 			}
 			m.Mod = cx.modInfo()
-			d.NoteUpdate(db.TMachine)
+			d.NoteUpdate(m)
 			return nil
 		},
 	})
@@ -390,7 +390,7 @@ func init() {
 				return err
 			}
 			c.Mod = cx.modInfo()
-			d.NoteUpdate(db.TCluster)
+			d.NoteUpdate(c)
 			return nil
 		},
 	})
@@ -408,7 +408,7 @@ func init() {
 				return mrerr.MrNotUnique
 			}
 			c.Mod = cx.modInfo()
-			d.NoteUpdate(db.TCluster)
+			d.NoteUpdate(c)
 			return nil
 		},
 	})

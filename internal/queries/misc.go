@@ -140,7 +140,7 @@ func init() {
 			z.IwsType, z.IwsID = types[2], ids[2]
 			z.IuiType, z.IuiID = types[3], ids[3]
 			z.Mod = cx.modInfo()
-			d.NoteUpdate(db.TZephyr)
+			d.NoteUpdate(z)
 			return nil
 		},
 	})
@@ -223,7 +223,7 @@ func init() {
 			}
 			h.ACLType, h.ACLID = aceType, aceID
 			h.Mod = cx.modInfo()
-			d.NoteUpdate(db.THostAccess)
+			d.NoteUpdate(h)
 			return nil
 		},
 	})

@@ -218,7 +218,7 @@ func init() {
 			s.Type, s.Enable = args[4], enable
 			s.ACLType, s.ACLID = aceType, aceID
 			s.Mod = cx.modInfo()
-			d.NoteUpdate(db.TServers)
+			d.NoteUpdate(s)
 			return nil
 		},
 	})
@@ -236,7 +236,7 @@ func init() {
 			s.ErrMsg = ""
 			s.DFCheck = s.DFGen
 			s.Mod = cx.modInfo()
-			cx.DB.NoteUpdate(db.TServers)
+			cx.DB.NoteUpdate(s)
 			return nil
 		},
 	})
@@ -272,7 +272,7 @@ func init() {
 			s.ErrMsg = args[5]
 			// The service modtime is NOT set (paper); nor is the change
 			// sequence, since this is DCM bookkeeping, not data.
-			d.NoteUpdateInternal(db.TServers)
+			d.NoteUpdateInternal(s)
 			return nil
 		},
 	})
@@ -440,7 +440,7 @@ func init() {
 			sh.Enable = enable
 			sh.Value1, sh.Value2, sh.Value3 = v1, v2, args[5]
 			sh.Mod = cx.modInfo()
-			d.NoteUpdate(db.TServerHosts)
+			d.NoteUpdate(sh)
 			return nil
 		},
 	})
@@ -466,7 +466,7 @@ func init() {
 			sh.HostError = 0
 			sh.HostErrMsg = ""
 			sh.Mod = cx.modInfo()
-			d.NoteUpdate(db.TServerHosts)
+			d.NoteUpdate(sh)
 			return nil
 		},
 	})
@@ -491,7 +491,7 @@ func init() {
 			}
 			sh.Override = true
 			sh.Mod = cx.modInfo()
-			d.NoteUpdate(db.TServerHosts)
+			d.NoteUpdate(sh)
 			if cx.TriggerDCM != nil {
 				cx.TriggerDCM(cx.TraceID)
 			}
@@ -545,7 +545,7 @@ func init() {
 			sh.HostError, sh.HostErrMsg = hosterr, args[6]
 			sh.LastTry, sh.LastSuccess = int64(lasttry), int64(lastsuccess)
 			// The serverhost modtime is NOT set (paper); see above.
-			d.NoteUpdateInternal(db.TServerHosts)
+			d.NoteUpdateInternal(sh)
 			return nil
 		},
 	})

@@ -357,7 +357,7 @@ func init() {
 			u.MITID = args[8]
 			u.MITYear = args[9]
 			u.Mod = cx.modInfo()
-			d.NoteUpdate(db.TUsers)
+			d.NoteUpdate(u)
 			return nil
 		},
 	})
@@ -373,7 +373,7 @@ func init() {
 			}
 			u.Shell = args[1]
 			u.Mod = cx.modInfo()
-			cx.DB.NoteUpdate(db.TUsers)
+			cx.DB.NoteUpdate(u)
 			return nil
 		},
 	})
@@ -392,7 +392,7 @@ func init() {
 			}
 			u.Status = status
 			u.Mod = cx.modInfo()
-			cx.DB.NoteUpdate(db.TUsers)
+			cx.DB.NoteUpdate(u)
 			return nil
 		},
 	})
@@ -463,7 +463,7 @@ func init() {
 			u.OfficeAddr, u.OfficePhone = args[5], args[6]
 			u.MITDept, u.MITAffil = args[7], args[8]
 			u.FMod = cx.modInfo()
-			cx.DB.NoteUpdate(db.TUsers)
+			cx.DB.NoteUpdate(u)
 			return nil
 		},
 	})
@@ -561,7 +561,7 @@ func init() {
 				return mrerr.MrType
 			}
 			u.PMod = cx.modInfo()
-			d.NoteUpdate(db.TUsers)
+			d.NoteUpdate(u)
 			return nil
 		},
 	})
@@ -586,7 +586,7 @@ func init() {
 			}
 			u.PoType = db.PoboxPOP
 			u.PMod = cx.modInfo()
-			cx.DB.NoteUpdate(db.TUsers)
+			cx.DB.NoteUpdate(u)
 			return nil
 		},
 	})
@@ -602,7 +602,7 @@ func init() {
 			}
 			u.PoType = db.PoboxNone
 			u.PMod = cx.modInfo()
-			cx.DB.NoteUpdate(db.TUsers)
+			cx.DB.NoteUpdate(u)
 			return nil
 		},
 	})
@@ -628,7 +628,7 @@ func deleteUser(cx *Context, u *db.User, requireStatus0 bool) error {
 	for _, q := range d.QuotasOfUser(u.UsersID) {
 		if p, ok := d.NFSPhysByID(q.PhysID); ok {
 			p.Allocated -= q.Quota
-			d.NoteUpdate(db.TNFSPhys)
+			d.NoteUpdate(p)
 		}
 		if err := d.DeleteQuota(q.UsersID, q.FilsysID); err != nil {
 			return mrerr.MrInternal
@@ -760,7 +760,7 @@ func registerUserHandler(cx *Context, args []string, emit EmitFunc) error {
 		return err
 	}
 	part.Allocated += defQuota
-	d.NoteUpdate(db.TNFSPhys)
+	d.NoteUpdate(part)
 
 	// Pobox and account state.
 	if login != u.Login {
@@ -772,7 +772,7 @@ func registerUserHandler(cx *Context, args []string, emit EmitFunc) error {
 	u.Status = db.UserHalfRegistered
 	u.Mod = mod
 	po.Value1++
-	d.NoteUpdate(db.TServerHosts)
-	d.NoteUpdate(db.TUsers)
+	d.NoteUpdate(po)
+	d.NoteUpdate(u)
 	return nil
 }

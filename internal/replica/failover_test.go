@@ -388,6 +388,10 @@ func TestDeposedPrimaryFencesAndRejoins(t *testing.T) {
 	if _, err := c.QueryAll("add_machine", "before.mit.edu", "VAX"); err != nil {
 		t.Fatalf("seed write: %v", err)
 	}
+	// A forced promotion takes whatever history the follower holds, and
+	// the rest of the test (the admin's ACL, before.mit.edu) lives in the
+	// seed writes: let them arrive first.
+	waitConverged(t, prim.cl.DB(), repl.cl.DB())
 
 	if err := repl.cl.ForcePromote("operator"); err != nil {
 		t.Fatalf("force promote: %v", err)
