@@ -77,13 +77,20 @@ func TestDCMSpansLinkToAgentInstall(t *testing.T) {
 
 	// agent.install spans root their own trees (the agent is the far
 	// side of the update protocol) but join the same trace and parent
-	// on the push span that carried the wire field.
+	// on the push span that carried the wire field. Each install breaks
+	// down into its extracts and the service's own reload (exec).
+	phases := map[string]int{}
 	for _, tr := range trees {
 		root := tr.Root()
 		if root.Name != "agent.install" {
 			continue
 		}
 		installs++
+		for _, sp := range tr.Spans {
+			if sp.Parent == root.SpanID {
+				phases[sp.Name]++
+			}
+		}
 		host, ok := pushSpans[root.Parent]
 		if !ok {
 			t.Errorf("agent.install parent %q is not a dcm.push span", root.Parent)
@@ -95,6 +102,14 @@ func TestDCMSpansLinkToAgentInstall(t *testing.T) {
 	}
 	if installs == 0 {
 		t.Fatalf("no agent.install spans joined trace %s (%d trees kept)", tid, len(trees))
+	}
+	if phases["agent.extract"] == 0 || phases["agent.exec"] == 0 {
+		t.Errorf("installs recorded phases %v, want agent.extract and agent.exec", phases)
+	}
+	for _, h := range []string{"span.agent.extract", "span.agent.exec"} {
+		if s.Registry.Histogram(h).Count() == 0 {
+			t.Errorf("%s histogram is empty", h)
+		}
 	}
 }
 

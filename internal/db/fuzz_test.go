@@ -38,6 +38,11 @@ func FuzzJournalRecord(f *testing.F) {
 		if state == CRCValid && AppendJournalCRC(payload) != line {
 			t.Fatalf("CRCValid not canonical: %q -> %q", line, AppendJournalCRC(payload))
 		}
+		// The raw-bytes check the extract reader skips records with
+		// agrees with the splitter.
+		if JournalCRCValid([]byte(line)) != (state == CRCValid) {
+			t.Fatalf("JournalCRCValid(%q) disagrees with state %v", line, state)
+		}
 
 		// Property 2: the full parser never panics, and never accepts a
 		// line whose CRC suffix is present but wrong.

@@ -82,19 +82,49 @@ func AppendJournalCRC(payload string) string {
 // writer has always escaped its records, so this cannot occur for
 // lines it produced.
 func SplitJournalCRC(line string) (payload string, state CRCState) {
-	i := len(line) - crcSuffixLen
-	if i < 0 || line[i] != '#' {
-		return line, CRCMissing
-	}
-	sum, err := strconv.ParseUint(line[i+1:], 16, 32)
-	if err != nil {
+	i, sum, ok := crcSuffix(line)
+	if !ok {
 		return line, CRCMissing
 	}
 	payload = line[:i]
-	if journalCRC(payload) != uint32(sum) {
+	if journalCRC(payload) != sum {
 		return payload, CRCBad
 	}
 	return payload, CRCValid
+}
+
+// JournalCRCValid reports whether a raw journal line (no newline) ends
+// in a CRC suffix that matches its payload — SplitJournalCRC's CRCValid
+// verdict, without allocating. It is for readers that must verify
+// records they will not decode; any other line goes through
+// ParseJournalLine.
+func JournalCRCValid(line []byte) bool {
+	i, sum, ok := crcSuffix(line)
+	return ok && crc32.ChecksumIEEE(line[:i]) == sum
+}
+
+// crcSuffix locates a line's "#xxxxxxxx" suffix, returning the payload
+// length and the checksum the suffix spells.
+func crcSuffix[T string | []byte](line T) (payloadLen int, sum uint32, ok bool) {
+	i := len(line) - crcSuffixLen
+	if i < 0 || line[i] != '#' {
+		return 0, 0, false
+	}
+	for j := i + 1; j < len(line); j++ {
+		c := line[j]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, 0, false
+		}
+		sum = sum<<4 | uint32(c)
+	}
+	return i, sum, true
 }
 
 // JournalQuery appends one successful mutating query to the journal.

@@ -66,6 +66,13 @@ func ReadRange(dir string, from, to protocol.Pos) ([]*db.JournalRecord, error) {
 
 // readSegment reads one segment file, skipping the first skip records
 // and stopping after limit records total (limit < 0 means all).
+//
+// The skipped records were consumed by an earlier pass. They are still
+// verified — a line whose CRC checks out on the scanner's bytes is
+// counted without allocating, and any other line goes through the full
+// parse, so damage before the range is ErrCorrupt and a torn tail is
+// skipped — but only records inside the range are decoded. A pass
+// therefore costs what its range holds, not what the segment holds.
 func readSegment(path string, skip, limit int64) ([]*db.JournalRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -78,14 +85,18 @@ func readSegment(path string, skip, limit int64) ([]*db.JournalRecord, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	for sc.Scan() {
-		line := sc.Text()
 		if limit >= 0 && idx >= limit {
 			break
 		}
-		if line == "" {
+		line := sc.Bytes()
+		if len(line) == 0 {
 			continue
 		}
-		rec, perr := db.ParseJournalLine(line)
+		if idx < skip && db.JournalCRCValid(line) {
+			idx++
+			continue
+		}
+		rec, perr := db.ParseJournalLine(string(line))
 		if perr != nil {
 			// A damaged last line is a torn append from a crash: the
 			// change it named was never acknowledged and recovery drops

@@ -105,9 +105,12 @@ type ClusterConfig struct {
 	// Tracer, when non-nil, traces applied records and bootstraps.
 	Tracer *trace.Tracer
 
-	// OnRole is called on every role change (never concurrently): the
-	// server flips its read-only gate here. readonly is false exactly
-	// while the node is the primary.
+	// OnRole is called on every role change (never concurrently, never
+	// under the cluster's lock): the server flips its read-only gate
+	// here. readonly is false exactly while the node is the primary. A
+	// change to fenced is delivered before Role reports it, a change to
+	// primary after, so the gate is never more writable than the role
+	// Role reports (fenced implies read-only).
 	OnRole func(role string, readonly bool)
 }
 
@@ -750,15 +753,25 @@ func (c *Cluster) becomeFollower(cause string, force bool) {
 	c.notifyRole(RoleReplica)
 }
 
-// fence demotes the primary: read-only first, then tear the stream
-// and the journal down. The node keeps serving reads and enters the
-// rejoin loop.
+// fence demotes the primary: read-only first, then publish the fenced
+// role, then tear the stream and the journal down. The node keeps
+// serving reads and enters the rejoin loop.
 func (c *Cluster) fence(cause string) {
 	c.mu.Lock()
-	if c.role != RolePrimary {
-		c.mu.Unlock()
+	primary := c.role == RolePrimary
+	c.mu.Unlock()
+	if !primary {
 		return
 	}
+	c.logf("cluster: fencing (%s): writes off, stream down", cause)
+	// The server's gate closes while the node still reports primary, so
+	// nothing that observes "fenced" (_whois, /readyz) can still get a
+	// write admitted. OnRole runs outside mu, as it may call back in;
+	// only the role loop (our caller) leaves RolePrimary, so the role
+	// cannot change before we publish it below.
+	c.notifyRole(RoleFenced)
+
+	c.mu.Lock()
 	p, jw := c.primary, c.jw
 	if jw != nil {
 		seg, recs := jw.Head()
@@ -770,10 +783,6 @@ func (c *Cluster) fence(cause string) {
 	c.setRoleLocked(RoleFenced, cause)
 	c.mu.Unlock()
 
-	c.logf("cluster: fencing (%s): writes off, stream down", cause)
-	// Read-only before the journal detaches: no mutation may slip
-	// through while the node still looks like a primary.
-	c.notifyRole(RoleFenced)
 	if p != nil {
 		p.Close()
 	}
@@ -802,13 +811,14 @@ func (c *Cluster) promote(epoch int64, cause string, rep *Replica) error {
 	}
 	if err != nil {
 		// The follower is stopped either way; fall to fenced and let
-		// the rejoin loop rebuild a clean one.
+		// the rejoin loop rebuild a clean one. Read-only first, as in
+		// fence.
+		c.notifyRole(RoleFenced)
 		c.mu.Lock()
 		c.rep = nil
 		c.fencedAt = time.Now()
 		c.setRoleLocked(RoleFenced, cause)
 		c.mu.Unlock()
-		c.notifyRole(RoleFenced)
 		return err
 	}
 

@@ -2,8 +2,6 @@ package update
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net"
 	"os"
@@ -372,9 +370,14 @@ type updateSession struct {
 	authed bool
 	target string
 	script []string
-	staged bool
 	trace  string // bare trace ID carried by the push's requests
 	parent string // span ID of the DCM push span, from the wire field
+
+	// bundle is the staged archive as chunkAssemble verified it; nil
+	// until a transfer in this session succeeds. "extract" takes members
+	// from it in place, so the archive is never read back from disk, and
+	// it dies with the session: no agent keeps a bundle between pushes.
+	bundle []byte
 
 	// Chunked-transfer state, alive between OpUManifest and OpUAssemble.
 	manifest    []Chunk
@@ -562,7 +565,7 @@ func (a *Agent) dispatch(conn net.Conn, ses *updateSession, req *protocol.Reques
 		start := time.Now()
 		sp := a.tracer.Start(ses.trace, ses.parent, "agent.install")
 		sp.SetDetail(ses.target)
-		code = ses.execute(conn)
+		code = ses.execute(conn, sp)
 		if code == mrerr.Code(-1) {
 			sp.EndCode(int32(mrerr.MrInternal))
 			return code, true // crashed mid-execution
@@ -687,11 +690,7 @@ func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
 		}
 		c := s.manifest[idx]
 		data := req.Args[i+1]
-		if len(data) != c.Len {
-			return mrerr.UpdChecksum
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != c.Sum {
+		if len(data) != c.Len || !sumIs(data, c.Sum) {
 			return mrerr.UpdChecksum
 		}
 		s.have[c.Sum] = data
@@ -751,7 +750,7 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 		return mrerr.MrInternal
 	}
 	s.target = target
-	s.staged = true
+	s.bundle = data
 	// Staged files and their sizes; the chunk counters hold the
 	// wire-level story.
 	s.agent.reg.Counter("update.xfers").Inc()
@@ -767,9 +766,12 @@ func (s *updateSession) loadScript(req *protocol.Request) mrerr.Code {
 	return mrerr.Success
 }
 
-// execute runs the staged instruction sequence. A crash injected between
-// instructions returns the sentinel -1 so serve drops the connection.
-func (s *updateSession) execute(conn net.Conn) mrerr.Code {
+// execute runs the staged instruction sequence, recording each extract
+// and exec as an agent.extract / agent.exec phase of the install span
+// sp, so the span histograms split an install into unpacking and the
+// service's own reload. A crash injected between instructions returns
+// the sentinel -1 so serve drops the connection.
+func (s *updateSession) execute(conn net.Conn, sp *trace.Span) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
 	}
@@ -780,14 +782,14 @@ func (s *updateSession) execute(conn net.Conn) mrerr.Code {
 		if s.agent.crash(conn, fmt.Sprintf("instr-%d", i)) {
 			return mrerr.Code(-1)
 		}
-		if code := s.runInstruction(line); code != mrerr.Success {
+		if code := s.runInstruction(line, sp); code != mrerr.Success {
 			return code
 		}
 	}
 	return mrerr.Success
 }
 
-func (s *updateSession) runInstruction(line string) mrerr.Code {
+func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return mrerr.Success
@@ -795,24 +797,10 @@ func (s *updateSession) runInstruction(line string) mrerr.Code {
 	a := s.agent
 	switch fields[0] {
 	case "extract": // extract <member> <dest>
-		if len(fields) != 3 || !s.staged {
-			return mrerr.UpdBadInstr
-		}
-		archive, err := a.ReadHostFile(s.target)
-		if err != nil {
-			return mrerr.UpdNoFile
-		}
-		data, err := ExtractMember(archive, fields[1])
-		if err != nil {
-			return mrerr.UpdNoFile
-		}
-		if err := a.WriteHostFile(fields[2]+updateSuffix, data); err != nil {
-			if code, ok := err.(mrerr.Code); ok {
-				return code
-			}
-			return mrerr.MrInternal
-		}
-		return mrerr.Success
+		start := time.Now()
+		code := s.extract(fields)
+		sp.Record("agent.extract", start, time.Since(start), int32(code))
+		return code
 
 	case "install": // install <path>: atomic rename of <path>.moira_update
 		if len(fields) != 2 {
@@ -871,21 +859,50 @@ func (s *updateSession) runInstruction(line string) mrerr.Code {
 		return mrerr.Success
 
 	case "exec": // exec <command> [args...]
-		if len(fields) < 2 {
-			return mrerr.UpdBadInstr
-		}
-		a.mu.Lock()
-		fn := a.commands[fields[1]]
-		a.mu.Unlock()
-		if fn == nil {
-			return mrerr.UpdBadInstr
-		}
-		if err := fn(a, fields[2:]); err != nil {
-			return mrerr.UpdScriptError
-		}
-		return mrerr.Success
+		start := time.Now()
+		code := s.exec(fields)
+		sp.Record("agent.exec", start, time.Since(start), int32(code))
+		return code
 
 	default:
 		return mrerr.UpdBadInstr
 	}
+}
+
+// extract writes one member of the staged bundle to <dest>.moira_update.
+// The member is a sub-slice of the verified in-memory bundle: it is
+// neither read back from disk nor copied before the write.
+func (s *updateSession) extract(fields []string) mrerr.Code {
+	if len(fields) != 3 || s.bundle == nil {
+		return mrerr.UpdBadInstr
+	}
+	data, err := ExtractMember(s.bundle, fields[1])
+	if err != nil {
+		return mrerr.UpdNoFile
+	}
+	if err := s.agent.WriteHostFile(fields[2]+updateSuffix, data); err != nil {
+		if code, ok := err.(mrerr.Code); ok {
+			return code
+		}
+		return mrerr.MrInternal
+	}
+	return mrerr.Success
+}
+
+// exec runs a registered command: the service's own reload.
+func (s *updateSession) exec(fields []string) mrerr.Code {
+	if len(fields) < 2 {
+		return mrerr.UpdBadInstr
+	}
+	a := s.agent
+	a.mu.Lock()
+	fn := a.commands[fields[1]]
+	a.mu.Unlock()
+	if fn == nil {
+		return mrerr.UpdBadInstr
+	}
+	if err := fn(a, fields[2:]); err != nil {
+		return mrerr.UpdScriptError
+	}
+	return mrerr.Success
 }

@@ -1,7 +1,6 @@
 package update
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -126,9 +125,13 @@ func DecodeManifest(data []byte) ([]Chunk, error) {
 
 // Reassemble concatenates chunk data in manifest order, taking each
 // chunk from have (keyed by checksum). It verifies every chunk's length
-// and checksum and the whole file against wholeSum.
+// and checksum and the whole file against wholeSum. Every chunk is
+// checked before the result is allocated, once, at the manifest's total
+// length, so a manifest naming chunks nobody supplied fails without a
+// large allocation. The result is a fresh slice, non-nil even when
+// empty.
 func Reassemble(manifest []Chunk, have map[string][]byte, wholeSum string) ([]byte, error) {
-	var buf bytes.Buffer
+	total := 0
 	for i, c := range manifest {
 		data, ok := have[c.Sum]
 		if !ok {
@@ -137,15 +140,26 @@ func Reassemble(manifest []Chunk, have map[string][]byte, wholeSum string) ([]by
 		if len(data) != c.Len {
 			return nil, fmt.Errorf("chunk %d: length %d, manifest says %d", i, len(data), c.Len)
 		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != c.Sum {
+		if !sumIs(data, c.Sum) {
 			return nil, fmt.Errorf("chunk %d: checksum mismatch", i)
 		}
-		buf.Write(data)
+		total += c.Len
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	if hex.EncodeToString(sum[:]) != wholeSum {
+	out := make([]byte, 0, total)
+	for _, c := range manifest {
+		out = append(out, have[c.Sum]...)
+	}
+	if !sumIs(out, wholeSum) {
 		return nil, fmt.Errorf("assembled file checksum mismatch")
 	}
-	return buf.Bytes(), nil
+	return out, nil
+}
+
+// sumIs reports whether data's SHA-256 is the hex digest want, without
+// allocating the digest's hex form.
+func sumIs(data []byte, want string) bool {
+	sum := sha256.Sum256(data)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:]) == want
 }

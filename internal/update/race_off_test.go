@@ -1,0 +1,7 @@
+//go:build !race
+
+package update
+
+// raceEnabled reports whether the race detector is compiled in; the
+// allocation tests skip under it (it allocates on its own account).
+const raceEnabled = false

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"io"
 	"sort"
+	"strings"
 
 	"moira/internal/mrerr"
 )
@@ -59,10 +60,18 @@ func BuildTarInto(prev []byte, files map[string][]byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ExtractMember pulls one member out of a tar archive. The instruction
-// sequence extracts "only the ones that are needed ... one at a time".
+// ExtractMember finds one member of a tar archive by walking its
+// headers in memory. The instruction sequence extracts "only the ones
+// that are needed ... one at a time".
+//
+// The result aliases archive: it is the member's sub-slice, never a
+// copy, capped so an append cannot reach the next header. The caller
+// must not modify it, and it is valid only as long as archive is. A
+// missing member, a member that is not a plain regular file, or one
+// whose header claims more bytes than archive holds is UpdNoFile.
 func ExtractMember(archive []byte, name string) ([]byte, error) {
-	tr := tar.NewReader(bytes.NewReader(archive))
+	r := bytes.NewReader(archive)
+	tr := tar.NewReader(r)
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -71,10 +80,32 @@ func ExtractMember(archive []byte, name string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if hdr.Name == name {
-			return io.ReadAll(tr)
+		if hdr.Name != name {
+			continue
+		}
+		// Next stops at the member's first data byte.
+		off := r.Size() - int64(r.Len())
+		if !plainFile(hdr) || hdr.Size > int64(len(archive))-off {
+			return nil, mrerr.UpdNoFile
+		}
+		end := off + hdr.Size
+		return archive[off:end:end], nil
+	}
+}
+
+// plainFile reports whether hdr is a regular file stored contiguously.
+// A GNU sparse file is typed regular under PAX, but its stored bytes are
+// a hole map and fragments, not the content.
+func plainFile(hdr *tar.Header) bool {
+	if hdr.Typeflag != tar.TypeReg {
+		return false
+	}
+	for k := range hdr.PAXRecords {
+		if strings.HasPrefix(k, "GNU.sparse.") {
+			return false
 		}
 	}
+	return true
 }
 
 // ListTar returns the member names of a tar archive in order.
