@@ -11,6 +11,11 @@
 // Kerberos simulation is in-process and cannot be shared across OS
 // processes. The assembled system (core.Boot) is the supported way to
 // run the authenticated stack.
+//
+// With -data-dir it is a durable node, a replica.Cluster: standalone
+// (its own primary from boot) without -election, a member of a
+// self-electing failover cluster with it. A hot standby is a pair, each
+// node naming the other in -election.
 package main
 
 import (
@@ -46,18 +51,17 @@ func main() {
 		users   = flag.Int("users", 500, "synthetic population size for --demo")
 		restore = flag.String("restore", "", "restore the database from an mrbackup directory")
 		journal = flag.String("journal", "", "append the change journal to this file")
-		dataDir = flag.String("data-dir", "", "durable data directory: recover on boot, journal with CRCs, checkpoint on an interval")
+		dataDir = flag.String("data-dir", "", "durable data directory: recover on boot, journal with CRCs, checkpoint on an interval (a standalone node without -election)")
 
 		journalSync  = flag.String("journal-sync", "commit", "journal sync policy with -data-dir: commit, interval, or none")
 		syncInterval = flag.Duration("journal-sync-interval", time.Second, "group-commit period for -journal-sync=interval")
 		ckptInterval = flag.Duration("checkpoint-interval", time.Hour, "background checkpoint period with -data-dir (0 = never)")
 		ckptKeep     = flag.Int("checkpoint-keep", db.DefaultCheckpointKeep, "snapshot generations to retain with -data-dir")
 
-		replListen = flag.String("repl-listen", "", "with -data-dir: serve the journal-shipping replication stream on this address")
-		replFrom   = flag.String("replicate-from", "", "with -data-dir: run as a read-only replica tailing the primary's -repl-listen address")
-		promote    = flag.Bool("promote", false, "with -replicate-from or -election: promote to primary immediately at boot (SIGUSR1 promotes at runtime)")
+		replListen = flag.String("repl-listen", "", "with -election (required): serve journal shipping and elections on this address")
+		promote    = flag.Bool("promote", false, "with -election: promote to primary immediately at boot (SIGUSR1 promotes at runtime)")
 
-		election        = flag.String("election", "", "with -data-dir and -repl-listen: run as a failover cluster node; comma-separated peer replication addresses")
+		election        = flag.String("election", "", "with -data-dir: run as a failover cluster node; comma-separated peer replication addresses")
 		leaseInterval   = flag.Duration("lease-interval", 2*time.Second, "cluster mode: primary lease heartbeat period")
 		leaseTimeout    = flag.Duration("lease-timeout", 0, "cluster mode: lease expiry (0 = 3x -lease-interval)")
 		advertiseRepl   = flag.String("advertise-repl", "", "cluster mode: replication address peers dial this node at (default -repl-listen)")
@@ -68,7 +72,7 @@ func main() {
 
 		traceSlow   = flag.Duration("trace-slow", trace.DefaultSlow, "always keep traces at least this slow and count them in trace.slowops (negative = keep all)")
 		traceSample = flag.Int("trace-sample", trace.DefaultSampleN, "keep 1 in N ordinary traces (1 = keep everything)")
-		replLagMax  = flag.Duration("repl-lag-max", 5*time.Minute, "replica mode: /readyz fails when replication lag exceeds this")
+		replLagMax  = flag.Duration("repl-lag-max", 5*time.Minute, "cluster mode: /readyz fails while this node follows with replication lag beyond this")
 
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "drop a client connection idle for this long (0 = never)")
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-reply write deadline (0 = none)")
@@ -94,10 +98,7 @@ func main() {
 
 	var d *db.DB
 	var err error
-	var rep *replica.Replica
 	var cl *replica.Cluster
-	var du *core.Durability
-	var policy db.SyncPolicy
 	reg := stats.NewRegistry()
 	trc := trace.New(trace.Options{Process: "moirad", Slow: *traceSlow, SampleN: *traceSample, Stats: reg})
 	hc := health.NewChecker()
@@ -105,22 +106,26 @@ func main() {
 	// server does not exist yet when the cluster opens, so it arrives
 	// through this indirection (set before cl.Start).
 	var onRole func(role string, readonly bool)
+	var peers []string
+	for _, p := range strings.Split(*election, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
+		}
+	}
 	switch {
-	case *election != "":
-		if *dataDir == "" || *replListen == "" {
-			log.Fatalf("moirad: -election needs -data-dir and -repl-listen")
+	case *dataDir != "":
+		if *restore != "" || *journal != "" {
+			log.Fatalf("moirad: -data-dir manages its own snapshots and journal; it cannot be combined with -restore or -journal")
 		}
-		if *replFrom != "" || *restore != "" || *journal != "" {
-			log.Fatalf("moirad: -election cannot be combined with -replicate-from, -restore, or -journal")
+		// A zero-peer node opens no replication listener: a follower its
+		// quorum does not count could tail it and later self-promote
+		// beside it.
+		if (len(peers) > 0) != (*replListen != "") {
+			log.Fatalf("moirad: -repl-listen is required with -election and only applies with it")
 		}
-		if policy, err = db.ParseSyncPolicy(*journalSync); err != nil {
+		policy, err := db.ParseSyncPolicy(*journalSync)
+		if err != nil {
 			log.Fatalf("moirad: %v", err)
-		}
-		var peers []string
-		for _, p := range strings.Split(*election, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
 		}
 		advClient := *advertiseClient
 		if advClient == "" {
@@ -148,7 +153,7 @@ func main() {
 			},
 		})
 		if err != nil {
-			log.Fatalf("moirad: cluster recovery: %v", err)
+			log.Fatalf("moirad: recovery: %v", err)
 		}
 		if n := len(info.Fsck); n > 0 {
 			for _, inc := range info.Fsck {
@@ -158,78 +163,8 @@ func main() {
 		}
 		defer cl.Close()
 		d = cl.DB()
-	case *replFrom != "":
-		if *dataDir == "" {
-			log.Fatalf("moirad: -replicate-from needs -data-dir for the mirrored journal and snapshots")
-		}
-		if *replListen != "" || *restore != "" || *journal != "" {
-			log.Fatalf("moirad: -replicate-from cannot be combined with -repl-listen, -restore, or -journal")
-		}
-		if policy, err = db.ParseSyncPolicy(*journalSync); err != nil {
-			log.Fatalf("moirad: %v", err)
-		}
-		var info *queries.RecoverInfo
-		rep, info, err = replica.Open(replica.Config{
-			Root:   *dataDir,
-			From:   *replFrom,
-			Logf:   log.Printf,
-			Stats:  reg,
-			Tracer: trc,
-		})
-		if err != nil {
-			log.Fatalf("moirad: replica recovery: %v", err)
-		}
-		if n := len(info.Fsck); n > 0 {
-			for _, inc := range info.Fsck {
-				log.Printf("moirad: fsck: %s", inc)
-			}
-			log.Fatalf("moirad: recovered replica has %d integrity violations; refusing to serve it (run mrfsck)", n)
-		}
-		defer rep.Close()
-		d = rep.DB()
-	case *dataDir != "":
-		if *restore != "" || *journal != "" {
-			log.Fatalf("moirad: -data-dir manages its own snapshots and journal; it cannot be combined with -restore or -journal")
-		}
-		policy, err := db.ParseSyncPolicy(*journalSync)
-		if err != nil {
-			log.Fatalf("moirad: %v", err)
-		}
-		du, err = core.OpenDurable(core.DurabilityOptions{
-			DataDir:            *dataDir,
-			Logf:               log.Printf,
-			Stats:              reg,
-			SyncPolicy:         policy,
-			SyncInterval:       *syncInterval,
-			CheckpointInterval: *ckptInterval,
-			CheckpointKeep:     *ckptKeep,
-		})
-		if err != nil {
-			log.Fatalf("moirad: recovery: %v", err)
-		}
-		if n := len(du.Info.Fsck); n > 0 {
-			for _, inc := range du.Info.Fsck {
-				log.Printf("moirad: fsck: %s", inc)
-			}
-			log.Fatalf("moirad: recovered database has %d integrity violations; refusing to serve it (run mrfsck)", n)
-		}
-		defer du.Close()
-		d = du.DB
-		if *replListen != "" {
-			prim := replica.NewPrimary(replica.PrimaryConfig{
-				Journal:    du.Journal,
-				Store:      du.Store,
-				Checkpoint: du.Checkpoint,
-				Logf:       log.Printf,
-				Stats:      reg,
-			})
-			paddr, err := prim.Listen(*replListen)
-			if err != nil {
-				log.Fatalf("moirad: repl-listen: %v", err)
-			}
-			defer prim.Close()
-			log.Printf("moirad: replication stream on %s", paddr)
-		}
+	case len(peers) > 0 || *replListen != "":
+		log.Fatalf("moirad: -election and -repl-listen need -data-dir")
 	case *restore != "":
 		d, err = db.Restore(*restore, clock.System)
 		if err != nil {
@@ -247,8 +182,8 @@ func main() {
 		defer f.Close()
 		d.SetJournal(f)
 	}
-	if *replListen != "" && *dataDir == "" {
-		log.Fatalf("moirad: -repl-listen needs -data-dir (the replication stream ships the durable journal)")
+	if *promote && len(peers) == 0 {
+		log.Fatalf("moirad: -promote only applies with -election")
 	}
 
 	scfg := server.Config{
@@ -262,16 +197,12 @@ func main() {
 		MaxConns:     lifecycle.maxConns,
 		MaxBatch:     lifecycle.maxBatch,
 		DrainTimeout: lifecycle.drain,
-		ReadOnly:     rep != nil || cl != nil,
+		ReadOnly:     cl != nil,
 	}
 	if cl != nil {
 		scfg.Failover = cl
 	}
 	srv := server.New(scfg)
-	bound, err := srv.Listen(*addr)
-	if err != nil {
-		log.Fatalf("moirad: listen: %v", err)
-	}
 
 	hc.AddFunc("journal", func() (bool, string) {
 		if d.JournalWedged() {
@@ -280,40 +211,24 @@ func main() {
 		return true, "ok"
 	})
 	hc.Add(srv.HealthProbe)
-	if rep != nil {
-		maxLag := int64(replLagMax.Seconds())
-		hc.AddFunc("replication", func() (bool, string) {
-			if !srv.ReadOnly() {
-				return true, "promoted to primary"
-			}
-			lag := rep.LagSeconds()
-			detail := fmt.Sprintf("replica: connected=%v lag=%ds", rep.Connected(), lag)
-			if maxLag > 0 && lag > maxLag {
-				return false, detail + fmt.Sprintf(" exceeds -repl-lag-max=%s", *replLagMax)
-			}
-			return true, detail
-		})
-	}
-	if cl != nil {
-		cl.BindHealth(hc)
-	}
-	if du != nil {
-		interval := *ckptInterval
-		hc.AddFunc("checkpoint", func() (bool, string) {
-			age, ok := du.CheckpointAge()
-			if !ok {
-				return true, "no checkpoint yet this run"
-			}
-			if interval > 0 && age > 3*interval {
-				return false, fmt.Sprintf("last checkpoint %s ago (interval %s)", age.Round(time.Second), interval)
-			}
-			return true, fmt.Sprintf("last checkpoint %s ago", age.Round(time.Second))
-		})
-	}
-	serveDebug(*debug, srv.Registry(), hc)
 
 	var promoteFn func()
 	if cl != nil {
+		cl.BindHealth(hc)
+		if len(peers) > 0 {
+			maxLag := *replLagMax
+			hc.AddFunc("replication", func() (bool, string) {
+				connected, lag, following := cl.FollowerLag()
+				if !following {
+					return true, "not following: " + cl.Role()
+				}
+				detail := fmt.Sprintf("replica: connected=%v lag=%ds", connected, lag)
+				if maxLag > 0 && time.Duration(lag)*time.Second > maxLag {
+					return false, detail + fmt.Sprintf(" exceeds -repl-lag-max=%s", maxLag)
+				}
+				return true, detail
+			})
+		}
 		onRole = func(role string, readonly bool) {
 			srv.SetReadOnly(readonly)
 			log.Printf("moirad: cluster role: %s (readonly=%v)", role, readonly)
@@ -323,6 +238,8 @@ func main() {
 				log.Printf("moirad: promote: %v", err)
 			}
 		}
+		// Started before the client port opens: a standalone node is the
+		// primary once Start returns, so its first request may be a write.
 		cl.Start()
 		if *promote {
 			promoteFn()
@@ -330,31 +247,15 @@ func main() {
 				log.Fatalf("moirad: -promote failed; refusing to serve")
 			}
 		}
-		log.Printf("moirad: failover cluster node on %s (epoch %d; SIGUSR1 forces promotion)", cl.Addr(), cl.Epoch())
-	} else if rep != nil {
-		jopts := db.JournalOptions{Policy: policy, Interval: *syncInterval}
-		promoteFn = func() {
-			jw, err := rep.Promote(jopts)
-			if err != nil {
-				log.Printf("moirad: promote: %v", err)
-				return
-			}
-			srv.SetReadOnly(false)
-			log.Printf("moirad: promoted to primary; journal segment %d, accepting writes", jw.Seq())
-		}
-		if *promote {
-			promoteFn()
-			if srv.ReadOnly() {
-				log.Fatalf("moirad: -promote failed; refusing to serve")
-			}
-		} else {
-			rep.Start()
-			log.Printf("moirad: replicating from %s (read-only; SIGUSR1 promotes)", *replFrom)
-		}
-	} else if *promote {
-		log.Fatalf("moirad: -promote only applies with -replicate-from or -election")
+		log.Printf("moirad: durable node on %s: %s at epoch %d, peers %v (SIGUSR1 forces promotion)",
+			*dataDir, cl.Role(), cl.Epoch(), peers)
 	}
 
+	bound, err := srv.Listen(*addr)
+	if err != nil {
+		log.Fatalf("moirad: listen: %v", err)
+	}
+	serveDebug(*debug, srv.Registry(), hc)
 	log.Printf("moirad: serving %d query handles on %s (unauthenticated mode)", queries.Count(), bound)
 	waitForSignalOrPromote(promoteFn)
 	srv.Close()
@@ -460,7 +361,7 @@ func waitForSignal() {
 }
 
 // waitForSignalOrPromote blocks until SIGINT or SIGTERM; SIGUSR1 runs
-// the promote hook (replica mode) and keeps serving.
+// the promote hook (cluster mode) and keeps serving.
 func waitForSignalOrPromote(promote func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
@@ -470,7 +371,7 @@ func waitForSignalOrPromote(promote func()) {
 				log.Printf("moirad: SIGUSR1: promoting")
 				promote()
 			} else {
-				log.Printf("moirad: SIGUSR1 ignored (not a replica)")
+				log.Printf("moirad: SIGUSR1 ignored (not a cluster node)")
 			}
 			continue
 		}

@@ -2,17 +2,15 @@
 // surface over the ordinary query protocol: the `_stats` admin handle
 // (the metric registry: request, error, and latency series from the
 // server, per-table op counts from the database, cumulative DCM and
-// update-agent series) and the `_trace` handle (the recent-request
-// ring, for following one trace ID through the system).
+// update-agent series) and the `_spans` handle (the span store, for
+// following one trace ID through the system).
 //
 //	moirastat -addr 127.0.0.1:7760              # one-shot dump
 //	moirastat -addr ... -interval 2s -count 10  # watch counter deltas
-//	moirastat -addr ... -trace '*'              # recent requests
-//	moirastat -addr ... -trace t1a2b3c4d-7      # one trace ID
 //	moirastat -addr ... -spans '*'              # kept span trees (tail-sampled)
 //	moirastat -addr ... -spans T00ab12cd-3      # one trace's span tree
 //	moirastat -addr ... -health                 # readiness probes; exit 1 if failing
-//	moirastat -addr replica1:7760 -repl         # replication role and lag
+//	moirastat -addr node1:7760 -repl            # role, lease, follower lag or primary subscribers
 //
 // -addr accepts a comma-separated list; moirastat connects to the
 // first reachable address and fails over read queries to the rest.
@@ -38,10 +36,9 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7760", "Moira server address (comma-separated list for read failover)")
 		interval = flag.Duration("interval", 0, "watch mode: poll every interval and print counter deltas")
 		count    = flag.Int("count", 0, "watch mode: stop after this many polls (0 = forever)")
-		trace    = flag.String("trace", "", "dump the request trace ring instead ('*' for all, or one trace ID)")
 		spans    = flag.String("spans", "", "dump kept span trees ('*' for all, or one trace ID)")
 		healthy  = flag.Bool("health", false, "one-shot health view: print every probe, exit nonzero when any fails")
-		repl     = flag.Bool("repl", false, "one-shot replication view: role, last applied position, lag")
+		repl     = flag.Bool("repl", false, "one-shot replication view: role, lease, position, and a follower's lag or a primary's subscribers")
 		dcmView  = flag.Bool("dcm", false, "one-shot DCM view: per-service journal position and backlog, pass modes, bytes pushed vs skipped")
 	)
 	flag.Parse()
@@ -53,8 +50,6 @@ func main() {
 	defer c.Disconnect()
 
 	switch {
-	case *trace != "":
-		dumpTrace(c, *trace)
 	case *spans != "":
 		dumpSpans(c, *spans)
 	case *healthy:
@@ -70,14 +65,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("moirastat: _stats: %v", err)
 		}
-		// A failover cluster node answers _whois (even read-only or
-		// fenced); anything older falls back to the plain stats view.
-		if who, err := c.QueryAll("_whois"); err == nil && len(who) == 1 &&
-			len(who[0]) >= 8 && who[0][0] != "standalone" {
-			printCluster(who[0], rows)
-		} else {
-			printRepl(rows)
+		who, err := c.QueryAll("_whois")
+		if err != nil {
+			log.Fatalf("moirastat: _whois: %v", err)
 		}
+		if len(who) != 1 || len(who[0]) < 8 {
+			log.Fatalf("moirastat: _whois returned %v", who)
+		}
+		printRepl(who[0], rows)
 	case *interval > 0:
 		watch(c, *interval, *count)
 	default:
@@ -143,14 +138,19 @@ func printGrouped(rows []row) {
 	}
 }
 
-// printRepl renders the replication view from the repl.* series: the
-// server's role, the last applied journal position, and how far behind
-// the primary's advertised head it is.
-// printCluster renders the failover-cluster view from a _whois tuple
-// ([role, epoch, primary, primary_repl, segment, record,
-// lease_remaining_ms, last_election_cause]) plus the election and
-// lease series from _stats.
-func printCluster(w []string, rows []row) {
+// printRepl renders the replication view from a _whois tuple ([role,
+// epoch, primary, primary_repl, segment, record, lease_remaining_ms,
+// last_election_cause]) plus the repl.*, election.*, and lease.* series
+// from _stats: a follower's upstream session and lag, a primary's
+// subscribers and ship lag. A server with no data directory reports
+// the standalone role and nothing else.
+func printRepl(w []string, rows []row) {
+	fmt.Printf("role: %s", w[0])
+	if w[0] == "standalone" {
+		fmt.Println()
+		return
+	}
+	fmt.Printf(" (epoch %s)\n", w[1])
 	m := make(map[string]int64)
 	for _, r := range rows {
 		if strings.HasPrefix(r.name, "repl.") || strings.HasPrefix(r.name, "election.") ||
@@ -160,7 +160,6 @@ func printCluster(w []string, rows []row) {
 			}
 		}
 	}
-	fmt.Printf("role: %s (epoch %s)\n", w[0], w[1])
 	if w[2] != "" {
 		fmt.Printf("primary: %s (replication %s)\n", w[2], w[3])
 	} else {
@@ -179,10 +178,30 @@ func printCluster(w []string, rows []row) {
 		fmt.Printf("; last cause: %s", w[7])
 	}
 	fmt.Println()
-	if w[0] == "primary" {
+	switch w[0] {
+	case "primary":
 		fmt.Printf("commits: %d gated on replication, %d gate failures\n",
 			m["repl.commit.gated"], m["repl.commit.gatefail"])
 		fmt.Printf("leases: %d sent, %d acked\n", m["lease.sent"], m["lease.acks"])
+		fmt.Printf("replicas: %d connected, %d served, %d snapshots shipped\n",
+			m["repl.primary.conns"], m["repl.primary.served"], m["repl.primary.snapshots"])
+		fmt.Printf("sent: %d records, %d bytes\n",
+			m["repl.primary.sent.records"], m["repl.primary.sent.bytes"])
+		fmt.Printf("subscribers: %d tailing, worst ship lag %d records\n",
+			m["repl.primary.subscribers"], m["repl.primary.shiplag.records"])
+	case "replica":
+		state := "disconnected"
+		if m["repl.connected"] == 1 {
+			state = "connected"
+		}
+		fmt.Printf("upstream: %s (%d reconnects, %d bootstraps)\n",
+			state, m["repl.reconnects"], m["repl.bootstraps"])
+		fmt.Printf("applied: %d records (%d skipped, %d failed)\n",
+			m["repl.applied.records"], m["repl.skipped.records"], m["repl.failed.records"])
+		fmt.Printf("head: segment %d record %d\n", m["repl.head.seg"], m["repl.head.idx"])
+		fmt.Printf("lag: %d segments, %d records, %d bytes, %d seconds behind\n",
+			m["repl.lag.segments"], m["repl.lag.records"], m["repl.lag.bytes"],
+			m["repl.lag.seconds"])
 	}
 }
 
@@ -258,53 +277,6 @@ func printDCM(rows []row) {
 			mode = modes[s.mode]
 		}
 		fmt.Printf("%-12s %10d %10d %8d %s\n", name, s.seg, s.idx, s.backlog, mode)
-	}
-}
-
-func printRepl(rows []row) {
-	m := make(map[string]int64)
-	for _, r := range rows {
-		if strings.HasPrefix(r.name, "repl.") {
-			if v, err := strconv.ParseInt(r.value, 10, 64); err == nil {
-				m[r.name] = v
-			}
-		}
-	}
-	role := "standalone"
-	switch m["repl.role"] {
-	case 1:
-		role = "replica"
-	case 2:
-		role = "primary"
-	}
-	fmt.Printf("role: %s\n", role)
-	switch m["repl.role"] {
-	case 1:
-		state := "disconnected"
-		if m["repl.connected"] == 1 {
-			state = "connected"
-		}
-		fmt.Printf("upstream: %s (%d reconnects, %d bootstraps)\n",
-			state, m["repl.reconnects"], m["repl.bootstraps"])
-		fmt.Printf("applied: segment %d record %d (%d applied, %d skipped, %d failed)\n",
-			m["repl.applied.seg"], m["repl.applied.idx"],
-			m["repl.applied.records"], m["repl.skipped.records"], m["repl.failed.records"])
-		fmt.Printf("head: segment %d record %d\n", m["repl.head.seg"], m["repl.head.idx"])
-		fmt.Printf("lag: %d segments, %d records, %d bytes, %d seconds behind\n",
-			m["repl.lag.segments"], m["repl.lag.records"], m["repl.lag.bytes"],
-			m["repl.lag.seconds"])
-	case 2:
-		if _, ok := m["repl.primary.conns"]; ok {
-			fmt.Printf("replicas: %d connected, %d served, %d snapshots shipped\n",
-				m["repl.primary.conns"], m["repl.primary.served"], m["repl.primary.snapshots"])
-			fmt.Printf("sent: %d records, %d bytes\n",
-				m["repl.primary.sent.records"], m["repl.primary.sent.bytes"])
-			fmt.Printf("subscribers: %d tailing, worst ship lag %d records\n",
-				m["repl.primary.subscribers"], m["repl.primary.shiplag.records"])
-		} else {
-			fmt.Printf("promoted from replica; applied segment %d record %d\n",
-				m["repl.applied.seg"], m["repl.applied.idx"])
-		}
 	}
 }
 
@@ -468,29 +440,4 @@ func checkHealth(c *client.Client) {
 		os.Exit(1)
 	}
 	fmt.Println("ready")
-}
-
-// dumpTrace prints the server's recent-request ring, oldest first.
-func dumpTrace(c *client.Client, id string) {
-	fmt.Printf("%-19s  %-16s  %-12s  %-24s  %-12s  %6s  %s\n",
-		"time", "trace", "op", "handle", "principal", "status", "latency")
-	err := c.Query("_trace", []string{id}, func(t []string) error {
-		if len(t) != 7 {
-			return nil
-		}
-		ts := t[0]
-		if sec, err := strconv.ParseInt(t[0], 10, 64); err == nil {
-			ts = time.Unix(sec, 0).Format("2006-01-02 15:04:05")
-		}
-		fmt.Printf("%-19s  %-16s  %-12s  %-24s  %-12s  %6s  %s\n",
-			ts, t[1], t[2], t[3], t[4], t[5], t[6])
-		return nil
-	})
-	if err == mrerr.MrNoMatch {
-		fmt.Fprintf(os.Stderr, "moirastat: no trace entries match %q\n", id)
-		os.Exit(1)
-	}
-	if err != nil {
-		log.Fatalf("moirastat: _trace: %v", err)
-	}
 }

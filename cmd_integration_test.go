@@ -212,8 +212,9 @@ func TestBinariesBackupRestoreCycle(t *testing.T) {
 	}
 }
 
-// TestBinaryMoiradDataDir boots moirad on a durable data directory,
-// kills it, and checks mrfsck recovers the same directory cleanly.
+// TestBinaryMoiradDataDir boots moirad on a durable data directory — a
+// standalone cluster node — sends a write as its first request, kills
+// it, and checks mrfsck recovers the same directory cleanly.
 func TestBinaryMoiradDataDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary build in -short mode")
@@ -240,11 +241,22 @@ func TestBinaryMoiradDataDir(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+	// The node is its own primary before its client port opens: an
+	// unauthenticated write bounces off the access check, never off a
+	// read-only gate.
+	out, err := exec.Command(toolPath(t, "mrtest"),
+		"-addr", addr, "-q", "add_machine", "first.mit.edu", "VAX").CombinedOutput()
+	if err == nil {
+		t.Fatalf("unauthenticated write succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "permission") || strings.Contains(string(out), "read-only") {
+		t.Errorf("first write on a standalone node (want the access refusal):\n%s", firstN(string(out), 400))
+	}
 	// Kill without warning: the data directory must recover.
 	daemon.Process.Kill()
 	daemon.Wait()
 
-	out, err := exec.Command(toolPath(t, "mrfsck"), "-data-dir", dataDir).CombinedOutput()
+	out, err = exec.Command(toolPath(t, "mrfsck"), "-data-dir", dataDir).CombinedOutput()
 	if err != nil {
 		t.Fatalf("mrfsck -data-dir: %v\n%s", err, out)
 	}
@@ -311,7 +323,7 @@ func TestBinaryMoirastatSmoke(t *testing.T) {
 		t.Skip("binary build in -short mode")
 	}
 	addr := freePort(t)
-	daemon := exec.Command(toolPath(t, "moirad"), "-addr", addr)
+	daemon := exec.Command(toolPath(t, "moirad"), "-addr", addr, "-trace-sample", "1")
 	if err := daemon.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,21 +399,21 @@ func TestBinaryMoirastatSmoke(t *testing.T) {
 		t.Errorf("moirastat output missing latency histogram: %v", got)
 	}
 
-	// The trace dump surface answers too.
-	out, err := exec.Command(toolPath(t, "moirastat"), "-addr", addr, "-trace", "*").CombinedOutput()
+	// The span dump surface answers too (the daemon keeps every trace).
+	out, err := exec.Command(toolPath(t, "moirastat"), "-addr", addr, "-spans", "*").CombinedOutput()
 	if err != nil {
-		t.Fatalf("moirastat -trace: %v\n%s", err, out)
+		t.Fatalf("moirastat -spans: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "_list_queries") {
-		t.Errorf("trace dump missing script queries:\n%s", firstN(string(out), 600))
+	if !strings.Contains(string(out), "server.request [query _list_queries]") {
+		t.Errorf("span dump missing script queries:\n%s", firstN(string(out), 600))
 	}
 }
 
-// TestBinaryReplication boots a primary moirad with a replication
-// listener and a replica moirad tailing it, then checks the
-// operator-visible surface: moirastat -repl reports the roles, the
-// replica refuses mutations with MR_READONLY, and a comma-separated
-// -addr list fails over past a dead address.
+// TestBinaryReplication boots a two-node -election pair and checks the
+// operator-visible surface: moirastat -repl reports the roles and the
+// follower's live upstream session, a comma-separated -addr list fails
+// over past a dead address, and once the primary is gone the follower
+// refuses mutations with MR_READONLY.
 func TestBinaryReplication(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary build in -short mode")
@@ -421,75 +433,82 @@ func TestBinaryReplication(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-
-	primAddr, replPort := freePort(t), freePort(t)
-	primary := exec.Command(toolPath(t, "moirad"), "-addr", primAddr,
-		"-data-dir", filepath.Join(t.TempDir(), "primary"), "-repl-listen", replPort)
-	if err := primary.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		primary.Process.Kill()
-		primary.Wait()
-	}()
-	waitUp("primary", primAddr)
-	waitUp("primary repl port", replPort)
-
-	repAddr := freePort(t)
-	rep := exec.Command(toolPath(t, "moirad"), "-addr", repAddr,
-		"-data-dir", filepath.Join(t.TempDir(), "replica"), "-replicate-from", replPort)
-	if err := rep.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		rep.Process.Kill()
-		rep.Wait()
-	}()
-	waitUp("replica", repAddr)
-
-	out, err := exec.Command(toolPath(t, "moirastat"), "-addr", primAddr, "-repl").CombinedOutput()
-	if err != nil {
-		t.Fatalf("moirastat -repl (primary): %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "role: primary") {
-		t.Errorf("primary -repl view:\n%s", firstN(string(out), 400))
+	repl := func(addr string) string {
+		out, _ := exec.Command(toolPath(t, "moirastat"), "-addr", addr, "-repl").CombinedOutput()
+		return string(out)
 	}
 
-	// The replica reports connected with zero lag once its session is up.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		out, err = exec.Command(toolPath(t, "moirastat"), "-addr", repAddr, "-repl").CombinedOutput()
-		if err != nil {
-			t.Fatalf("moirastat -repl (replica): %v\n%s", err, out)
+	addrA, replA := freePort(t), freePort(t)
+	addrB, replB := freePort(t), freePort(t)
+	var nodes []*exec.Cmd
+	for _, n := range [][]string{{addrA, "a", replA, replB}, {addrB, "b", replB, replA}} {
+		cmd := exec.Command(toolPath(t, "moirad"), "-addr", n[0],
+			"-data-dir", filepath.Join(t.TempDir(), n[1]), "-repl-listen", n[2], "-election", n[3])
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(string(out), "role: replica") && strings.Contains(string(out), "upstream: connected") {
-			break
+		defer func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}()
+		nodes = append(nodes, cmd)
+	}
+	waitUp("node A", addrA)
+	waitUp("node B", addrB)
+
+	// Exactly one node wins the boot election; the other follows it
+	// over a live session.
+	var prim *exec.Cmd
+	var primAddr, repAddr string
+	deadline := time.Now().Add(20 * time.Second)
+	for prim == nil {
+		for i, addr := range []string{addrA, addrB} {
+			if strings.Contains(repl(addr), "role: primary") {
+				prim, primAddr, repAddr = nodes[i], addr, []string{addrB, addrA}[i]
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never reported a live session:\n%s", firstN(string(out), 400))
+			t.Fatal("no node won the boot election")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-
-	// Mutations bounce off the replica with the read-only error.
-	out, err = exec.Command(toolPath(t, "mrtest"),
-		"-addr", repAddr, "-q", "add_machine", "denied.mit.edu", "VAX").CombinedOutput()
-	if err == nil {
-		t.Fatalf("mutation on replica succeeded:\n%s", out)
+	for {
+		out := repl(repAddr)
+		if strings.Contains(out, "role: replica") && strings.Contains(out, "upstream: connected") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never reported a live session:\n%s", firstN(out, 400))
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	if !strings.Contains(string(out), "read-only replica") {
-		t.Errorf("mutation on replica error:\n%s", firstN(string(out), 400))
+	if out := repl(primAddr); !strings.Contains(out, "subscribers: 1 tailing") {
+		t.Errorf("primary -repl view:\n%s", firstN(out, 600))
 	}
 
-	// A dead first address in the -addr list fails over to the replica.
+	// A dead first address in the -addr list fails over to the follower.
 	dead := freePort(t)
-	out, err = exec.Command(toolPath(t, "moirastat"),
+	out, err := exec.Command(toolPath(t, "moirastat"),
 		"-addr", dead+","+repAddr, "-repl").CombinedOutput()
 	if err != nil {
 		t.Fatalf("moirastat failover: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "role: replica") {
 		t.Errorf("failover -repl view:\n%s", firstN(string(out), 400))
+	}
+
+	// With the primary gone, and before the follower's lease timeout
+	// lets it stand for election, a mutation can chase no redirect: it
+	// bounces off the follower's read-only gate.
+	prim.Process.Kill()
+	prim.Wait()
+	out, err = exec.Command(toolPath(t, "mrtest"),
+		"-addr", repAddr, "-q", "add_machine", "denied.mit.edu", "VAX").CombinedOutput()
+	if err == nil {
+		t.Fatalf("mutation on follower succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "read-only replica") {
+		t.Errorf("mutation on follower error:\n%s", firstN(string(out), 400))
 	}
 }
 

@@ -43,12 +43,12 @@ outer:
 // TestTraceFlowsEndToEnd follows one client-chosen trace ID through the
 // whole system: the RPC request log, the database journal line for the
 // mutation, the DCM pass it triggers, the push log for the resulting
-// update, and the update agent's trace ring.
+// update, and the update agents' agent.install spans.
 func TestTraceFlowsEndToEnd(t *testing.T) {
 	clk := clock.NewFake(time.Unix(600000000, 0))
 	cfg := workload.Scaled(80)
 	sink := &logSink{}
-	s, err := Boot(Options{Clock: clk, Workload: &cfg, Logf: sink.logf})
+	s, err := Boot(Options{Clock: clk, Workload: &cfg, Logf: sink.logf, TraceSlow: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +117,12 @@ func TestTraceFlowsEndToEnd(t *testing.T) {
 		t.Errorf("push log line = %q", line)
 	}
 
-	// Every agent that installed during the traced pass recorded the
-	// trace in its ring.
+	// The agents that installed during the traced pass recorded their
+	// installs as spans in the same trace.
 	agentSaw := false
-	for _, a := range s.Agents {
-		for _, e := range a.Traces() {
-			if e.Trace == trace && e.Op == "install" {
-				agentSaw = true
-			}
+	for _, tr := range s.Tracer.Find(trace) {
+		if tr.Root().Name == "agent.install" {
+			agentSaw = true
 		}
 	}
 	if !agentSaw {

@@ -238,9 +238,9 @@ func TestJournalQueryWritesCRCLine(t *testing.T) {
 	}
 	d.UnlockExclusive()
 	line := strings.TrimRight(buf.String(), "\n")
-	payload, state := SplitJournalCRC(line)
-	if state != CRCValid {
-		t.Fatalf("CRC state = %v for %q", state, line)
+	payload, ok := SplitJournalCRC(line)
+	if !ok {
+		t.Fatalf("CRC check failed for %q", line)
 	}
 	if !strings.HasPrefix(payload, "v2:600000000:babette:test:tr1:add_user:babette") {
 		t.Errorf("payload = %q", payload)

@@ -12,8 +12,9 @@ import (
 // re-encode/re-parse roundtrip unchanged — otherwise a replica could
 // apply a different mutation than the primary journaled.
 func FuzzJournalRecord(f *testing.F) {
-	// Seed with every layout the parser accepts: v1 (no trace), v2
-	// (trace, no CRC), v3 (v2 + CRC suffix), plus damaged shapes.
+	// Seed with the layout the parser accepts (v2 + CRC suffix) and the
+	// shapes it must refuse: the retired v1 (no trace) and CRC-less v2
+	// layouts, with and without a checksum, and damaged lines.
 	seeds := []string{
 		"600000000:root:mrtest:add_user:login,alice",
 		"v2:600000000:root:mrtest:t1a2b3c4d-7:add_user:login,alice",
@@ -26,37 +27,38 @@ func FuzzJournalRecord(f *testing.F) {
 		"field\\:with\\:colons:p:a:q",
 		"#deadbeef",
 		strings.Repeat(":", 40),
+		AppendJournalCRC("600000000:root:mrtest:add_user:login,alice"),
+		"v2:600000000:root:moirad:t-9:update_user:alice:status,1",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 
 	f.Fuzz(func(t *testing.T, line string) {
-		// Property 1: the CRC splitter never panics and classifies
-		// consistently — a valid verdict means the suffix reattaches.
-		payload, state := SplitJournalCRC(line)
-		if state == CRCValid && AppendJournalCRC(payload) != line {
-			t.Fatalf("CRCValid not canonical: %q -> %q", line, AppendJournalCRC(payload))
+		// Property 1: the CRC splitter never panics and a valid verdict
+		// is canonical — the suffix reattaches.
+		payload, ok := SplitJournalCRC(line)
+		if ok && AppendJournalCRC(payload) != line {
+			t.Fatalf("valid CRC not canonical: %q -> %q", line, AppendJournalCRC(payload))
 		}
 		// The raw-bytes check the extract reader skips records with
 		// agrees with the splitter.
-		if JournalCRCValid([]byte(line)) != (state == CRCValid) {
-			t.Fatalf("JournalCRCValid(%q) disagrees with state %v", line, state)
+		if JournalCRCValid([]byte(line)) != ok {
+			t.Fatalf("JournalCRCValid(%q) disagrees with SplitJournalCRC (%v)", line, ok)
 		}
 
-		// Property 2: the full parser never panics, and never accepts a
-		// line whose CRC suffix is present but wrong.
+		// Property 2: the full parser never panics, and accepts only a
+		// v2 record whose CRC suffix is present and right.
 		rec, err := ParseJournalLine(line)
 		if err != nil {
 			return
 		}
-		if state == CRCBad {
-			t.Fatalf("parser accepted CRC-bad line %q", line)
+		if !ok || !strings.HasPrefix(payload, "v2:") {
+			t.Fatalf("parser accepted %q (CRC ok=%v)", line, ok)
 		}
 
-		// Property 3: roundtrip. Re-encode the accepted record in the
-		// current (v3) layout and reparse; every field must come back
-		// bit-identical.
+		// Property 3: roundtrip. Re-encode the accepted record and
+		// reparse; every field must come back bit-identical.
 		row := append([]string{
 			"v2", strconv.FormatInt(rec.Time, 10), rec.Principal, rec.App, rec.Trace, rec.Query,
 		}, rec.Args...)

@@ -12,54 +12,28 @@ import (
 // transactions. To improve this, the journal file kept by the Moira
 // server daemon contains a listing of all successful changes to the
 // database." This implementation makes the listing machine-replayable:
-// each successful mutating query appends one colon-escaped row
-//
-//	timestamp:principal:application:query:arg1:arg2:...
-//
-// so a restore can be rolled forward by re-executing the journal (see
-// queries.ReplayJournal).
-//
-// Version 2 of the layout adds the request's trace ID, marked by a
-// literal "v2" first field (timestamps are numeric, so the layouts
-// cannot collide):
-//
-//	v2:timestamp:principal:application:trace:query:arg1:arg2:...
-//
-// Version 3 appends a per-line CRC32 suffix to the colon-escaped
-// record, separated by '#':
+// each successful mutating query appends one colon-escaped row, marked
+// by a literal "v2" first field, carrying the request's trace ID and a
+// CRC32 suffix separated by '#':
 //
 //	v2:timestamp:principal:application:trace:query:arg1:...#crc32hex
 //
-// The checksum is what lets recovery tell a torn final line (a crash
-// mid-append — expected, tolerated) from silent mid-file corruption
-// (fail loudly). ParseJournalLine accepts all three layouts, so
-// journals spanning the upgrades replay cleanly.
+// so a restore can be rolled forward by re-executing the journal (see
+// queries.ReplayJournal). The checksum is what lets recovery tell a
+// torn final line (a crash mid-append — expected, tolerated) from
+// silent mid-file corruption (fail loudly). This is the only layout
+// ParseJournalLine accepts: a line without its checksum is damage
+// wherever it is not a torn tail.
 
 // JournalRecord is one parsed journal line.
 type JournalRecord struct {
 	Time      int64
 	Principal string
 	App       string
-	Trace     string // trace ID of the originating request; "" in v1 lines
+	Trace     string // trace ID of the originating request
 	Query     string
 	Args      []string
 }
-
-// CRCState classifies a journal line's checksum suffix.
-type CRCState int
-
-// CRC suffix states.
-const (
-	// CRCMissing: the line has no "#xxxxxxxx" suffix — a legacy (pre-v3)
-	// line, or a line torn before the checksum was written.
-	CRCMissing CRCState = iota
-	// CRCValid: the suffix is present and matches the payload.
-	CRCValid
-	// CRCBad: the suffix is present but does not match — the payload was
-	// damaged after it was written, or the line was torn mid-payload in a
-	// way that left a stale suffix shape.
-	CRCBad
-)
 
 // crcSuffixLen is 1 ('#') + 8 hex digits.
 const crcSuffixLen = 9
@@ -69,42 +43,35 @@ func journalCRC(payload string) uint32 {
 	return crc32.ChecksumIEEE([]byte(payload))
 }
 
-// AppendJournalCRC suffixes payload with its CRC32, producing a v3
-// journal line.
+// AppendJournalCRC suffixes payload with its CRC32, producing a journal
+// line.
 func AppendJournalCRC(payload string) string {
 	return fmt.Sprintf("%s#%08x", payload, journalCRC(payload))
 }
 
 // SplitJournalCRC strips and verifies the CRC suffix of one journal
-// line, returning the payload and the checksum verdict. A legacy line
-// whose final field happens to end in '#' plus eight hex digits is
-// indistinguishable from a damaged v3 line and reports CRCBad; the
-// writer has always escaped its records, so this cannot occur for
-// lines it produced.
-func SplitJournalCRC(line string) (payload string, state CRCState) {
+// line, returning the payload and whether the suffix is present and
+// matches it.
+func SplitJournalCRC(line string) (payload string, ok bool) {
 	i, sum, ok := crcSuffix(line)
-	if !ok {
-		return line, CRCMissing
+	if !ok || journalCRC(line[:i]) != sum {
+		return line, false
 	}
-	payload = line[:i]
-	if journalCRC(payload) != sum {
-		return payload, CRCBad
-	}
-	return payload, CRCValid
+	return line[:i], true
 }
 
 // JournalCRCValid reports whether a raw journal line (no newline) ends
-// in a CRC suffix that matches its payload — SplitJournalCRC's CRCValid
-// verdict, without allocating. It is for readers that must verify
-// records they will not decode; any other line goes through
-// ParseJournalLine.
+// in a CRC suffix that matches its payload — SplitJournalCRC's verdict,
+// without allocating. It is for readers that must verify records they
+// will not decode; any other line goes through ParseJournalLine.
 func JournalCRCValid(line []byte) bool {
 	i, sum, ok := crcSuffix(line)
 	return ok && crc32.ChecksumIEEE(line[:i]) == sum
 }
 
 // crcSuffix locates a line's "#xxxxxxxx" suffix, returning the payload
-// length and the checksum the suffix spells.
+// length and the checksum the suffix spells. Only the lowercase hex
+// AppendJournalCRC writes is a suffix, so a valid line has one spelling.
 func crcSuffix[T string | []byte](line T) (payloadLen int, sum uint32, ok bool) {
 	i := len(line) - crcSuffixLen
 	if i < 0 || line[i] != '#' {
@@ -117,8 +84,6 @@ func crcSuffix[T string | []byte](line T) (payloadLen int, sum uint32, ok bool) 
 			c -= '0'
 		case 'a' <= c && c <= 'f':
 			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
 		default:
 			return 0, 0, false
 		}
@@ -185,36 +150,26 @@ func (d *DB) JournalGroup(fn func() error) error {
 // JournalErrors reports how many journal appends have failed.
 func (d *DB) JournalErrors() int64 { return d.journalErrs.Load() }
 
-// ParseJournalLine decodes one journal line, in any layout. A line
-// whose CRC suffix does not match its payload is an error.
+// ParseJournalLine decodes one journal line. A line whose CRC suffix is
+// missing or does not match its payload is an error.
 func ParseJournalLine(line string) (*JournalRecord, error) {
-	payload, state := SplitJournalCRC(line)
-	if state == CRCBad {
-		return nil, fmt.Errorf("db: journal line CRC mismatch")
+	payload, ok := SplitJournalCRC(line)
+	if !ok {
+		return nil, fmt.Errorf("db: journal line CRC missing or mismatched")
 	}
 	fields, err := DecodeRow(payload)
 	if err != nil {
 		return nil, err
 	}
-	rec := &JournalRecord{}
-	if len(fields) > 0 && fields[0] == "v2" {
-		if len(fields) < 6 {
-			return nil, fmt.Errorf("db: v2 journal line has %d fields", len(fields))
-		}
-		rec.Principal, rec.App, rec.Trace = fields[2], fields[3], fields[4]
-		rec.Query, rec.Args = fields[5], fields[6:]
-		fields = fields[1:] // timestamp is now fields[0]
-	} else {
-		if len(fields) < 4 {
-			return nil, fmt.Errorf("db: journal line has %d fields", len(fields))
-		}
-		rec.Principal, rec.App = fields[1], fields[2]
-		rec.Query, rec.Args = fields[3], fields[4:]
+	if len(fields) < 6 || fields[0] != "v2" {
+		return nil, fmt.Errorf("db: journal line is not a v2 record (%d fields)", len(fields))
 	}
-	ts, err := strconv.ParseInt(fields[0], 10, 64)
+	ts, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("db: journal timestamp %q", fields[0])
+		return nil, fmt.Errorf("db: journal timestamp %q", fields[1])
 	}
-	rec.Time = ts
-	return rec, nil
+	return &JournalRecord{
+		Time: ts, Principal: fields[2], App: fields[3], Trace: fields[4],
+		Query: fields[5], Args: fields[6:],
+	}, nil
 }

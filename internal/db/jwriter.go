@@ -169,7 +169,7 @@ type JournalWriter struct {
 
 	// Group-commit flush visibility: sinceSync counts appends riding the
 	// next flush (under mu); batched totals appends that shared a flush
-	// with others; syncWait (when BindStats wired a registry) is the
+	// with others; syncWait (when TimeSyncs wired a registry) is the
 	// flush-duration histogram.
 	sinceSync int64
 	batched   atomic.Int64
@@ -458,24 +458,35 @@ func (w *JournalWriter) Close() error {
 	return err
 }
 
-// BindStats publishes the writer's series into reg: journal.appends,
-// journal.bytes, journal.syncs, journal.rotations, journal.writeerrors,
-// journal.segment (the current segment number), journal.sync.batched
-// (appends that shared a group-commit flush with others), and the
-// journal.sync.wait flush-duration histogram.
+// BindStats publishes the writer's series into reg: EmitStats' series
+// at snapshot time, and the journal.sync.wait flush-duration histogram
+// (TimeSyncs).
 func (w *JournalWriter) BindStats(reg *stats.Registry) {
+	w.TimeSyncs(reg)
+	reg.AddGroup(w.EmitStats)
+}
+
+// TimeSyncs records every flush's duration in reg's journal.sync.wait
+// histogram.
+func (w *JournalWriter) TimeSyncs(reg *stats.Registry) {
 	w.syncWait.Store(reg.HistogramWith("journal.sync.wait", stats.FastBuckets))
-	reg.AddGroup(func(emit func(string, int64)) {
-		emit("journal.appends", w.appends.Load())
-		emit("journal.bytes", w.bytes.Load())
-		emit("journal.syncs", w.syncs.Load())
-		emit("journal.rotations", w.rotations.Load())
-		if e := w.errors.Load(); e > 0 {
-			emit("journal.writeerrors", e)
-		}
-		emit("journal.segment", w.curSeq.Load())
-		emit("journal.sync.batched", w.batched.Load())
-	})
+}
+
+// EmitStats emits journal.appends, journal.bytes, journal.syncs,
+// journal.rotations, journal.writeerrors, journal.segment (the current
+// segment number), and journal.sync.batched (appends that shared a
+// group-commit flush with others). BindStats registers it as a group;
+// an owner that replaces its writer calls it from its own group.
+func (w *JournalWriter) EmitStats(emit func(string, int64)) {
+	emit("journal.appends", w.appends.Load())
+	emit("journal.bytes", w.bytes.Load())
+	emit("journal.syncs", w.syncs.Load())
+	emit("journal.rotations", w.rotations.Load())
+	if e := w.errors.Load(); e > 0 {
+		emit("journal.writeerrors", e)
+	}
+	emit("journal.segment", w.curSeq.Load())
+	emit("journal.sync.batched", w.batched.Load())
 }
 
 // syncDir fsyncs a directory, making renames and file creations in it

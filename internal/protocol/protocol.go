@@ -235,8 +235,8 @@ func readFrame(r io.Reader, headLen int) (head []byte, fields [][]byte, err erro
 	}
 	// Copy every field into its own allocation: the parsed fields alias
 	// the whole frame payload, and handing those aliases out means a
-	// caller that keeps one small field (a journal line, a trace ring
-	// entry) silently pins up to MaxFrame bytes for as long as it lives.
+	// caller that keeps one small field (a journal line, a trace ID)
+	// silently pins up to MaxFrame bytes for as long as it lives.
 	hc := append([]byte(nil), head...)
 	for i, f := range fields {
 		fields[i] = append([]byte(nil), f...)

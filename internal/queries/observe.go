@@ -3,8 +3,7 @@ package queries
 // The observability admin handles, served like any other query handle
 // (the paper's idiom: everything goes through a predefined query).
 // `_stats` returns the server's metric registry as (kind, name, value)
-// tuples; `_trace` returns recent requests from the server's trace
-// ring; `_spans` returns the span store's kept traces one span per
+// tuples; `_spans` returns the span store's kept traces one span per
 // tuple; `_health` runs the readiness probes in-band, so a client that
 // can reach the RPC port can ask even without a -debug-addr. All are
 // retrieves, so they run lock-free — none touches the database lock.
@@ -28,38 +27,6 @@ func init() {
 				if err := emit([]string{ln.Kind, ln.Name, ln.Value}); err != nil {
 					return err
 				}
-			}
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "_trace", Short: "_trc", Kind: Retrieve,
-		Args: []string{"trace_id"},
-		Returns: []string{"time", "trace_id", "op", "query_handle",
-			"kerberos_principal", "status", "latency"},
-		Access: accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			if cx.Traces == nil {
-				return mrerr.MrNoMatch
-			}
-			matched := false
-			for _, e := range cx.Traces() {
-				if args[0] != "*" && e.Trace != args[0] {
-					continue
-				}
-				matched = true
-				err := emit([]string{
-					strconv.FormatInt(e.Time, 10), e.Trace, e.Op, e.Handle,
-					e.Principal, strconv.FormatInt(int64(e.Code), 10),
-					e.Latency.String(),
-				})
-				if err != nil {
-					return err
-				}
-			}
-			if !matched {
-				return mrerr.MrNoMatch
 			}
 			return nil
 		},

@@ -94,9 +94,6 @@ type Context struct {
 	// Stats, when set by the server, backs the _stats query handle.
 	Stats *stats.Registry
 
-	// Traces, when set by the server, backs the _trace query handle.
-	Traces func() []stats.TraceEntry
-
 	// Span is the request's span; Execute hangs the snapshot-acquire,
 	// handler, and journal phases off it. nil (the Direct glue, span-
 	// less servers) records nothing.

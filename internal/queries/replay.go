@@ -53,31 +53,17 @@ func (s *ReplayStats) add(o *ReplayStats) {
 	s.Lines += o.Lines
 }
 
-// replayOpts tunes one replay pass.
-type replayOpts struct {
-	// requireCRC rejects lines without a valid CRC suffix instead of
-	// attempting them as legacy records. Segments written by the
-	// durable journal writer always carry CRCs, so recovery runs
-	// strict; mrrestore on an arbitrary journal file stays lenient.
-	requireCRC bool
-	// allowTorn tolerates a damaged final line (crash signature).
-	allowTorn bool
-}
-
 // ReplayJournal re-executes every journal record from r against the
 // database, newest state winning. Records whose effect is already
 // present (the journal overlaps the backup window) count as skipped:
 // re-adding an existing object or re-deleting a missing one is the
 // expected overlap signature, not a failure. since filters records
 // older than the given unix time (0 replays everything). logf may be
-// nil. A damaged final line is tolerated and counted in Torn; damage
-// anywhere else fails with ErrJournalCorrupt.
+// nil. Every line must carry a valid CRC suffix, so a truncated record
+// can never be mistaken for a shorter legitimate one. A damaged final
+// line is tolerated and counted in Torn; damage anywhere else, a line
+// without its CRC included, fails with ErrJournalCorrupt.
 func ReplayJournal(d *db.DB, r io.Reader, since int64, logf func(string, ...any)) (*ReplayStats, error) {
-	return replayReader(d, r, since, logf, replayOpts{allowTorn: true})
-}
-
-// replayReader is the single-stream replay engine.
-func replayReader(d *db.DB, r io.Reader, since int64, logf func(string, ...any), opts replayOpts) (*ReplayStats, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -86,9 +72,9 @@ func replayReader(d *db.DB, r io.Reader, since int64, logf func(string, ...any),
 
 	replayLine := func(line string, final bool) error {
 		stats.Lines++
-		rec, err := parseLine(line, opts.requireCRC)
+		rec, err := db.ParseJournalLine(line)
 		if err != nil {
-			if final && opts.allowTorn {
+			if final {
 				stats.Torn++
 				logf("replay: torn final line %d tolerated: %v", stats.Lines, err)
 				return nil
@@ -144,17 +130,6 @@ func replayReader(d *db.DB, r io.Reader, since int64, logf func(string, ...any),
 	return stats, nil
 }
 
-// parseLine decodes one journal line, optionally insisting on a valid
-// CRC suffix.
-func parseLine(line string, requireCRC bool) (*db.JournalRecord, error) {
-	if requireCRC {
-		if _, state := db.SplitJournalCRC(line); state != db.CRCValid {
-			return nil, fmt.Errorf("missing or invalid CRC suffix")
-		}
-	}
-	return db.ParseJournalLine(line)
-}
-
 // ReplaySegments rolls d forward through the given journal segment
 // files in order. Every segment may carry a torn final line: each
 // process opens a fresh segment and never appends to an old one, so
@@ -163,9 +138,7 @@ func parseLine(line string, requireCRC bool) (*db.JournalRecord, error) {
 // checkpoint prunes the segment, so tolerating it everywhere is what
 // keeps recovery idempotent. A torn or corrupt line anywhere but a
 // segment's tail is mid-journal damage and fails with
-// ErrJournalCorrupt. Segments are replayed strictly: every line must
-// carry a valid CRC, so a truncated record can never be mistaken for a
-// shorter legitimate one.
+// ErrJournalCorrupt.
 func ReplaySegments(d *db.DB, segs []db.Segment, logf func(string, ...any)) (*ReplayStats, error) {
 	total := &ReplayStats{}
 	for _, seg := range segs {
@@ -173,10 +146,7 @@ func ReplaySegments(d *db.DB, segs []db.Segment, logf func(string, ...any)) (*Re
 		if err != nil {
 			return total, err
 		}
-		stats, err := replayReader(d, f, 0, logf, replayOpts{
-			requireCRC: true,
-			allowTorn:  true,
-		})
+		stats, err := ReplayJournal(d, f, 0, logf)
 		f.Close()
 		total.add(stats)
 		if err != nil {
@@ -204,7 +174,7 @@ const (
 // that fails its CRC or cannot be parsed returns ApplyFailed and a
 // wrapped ErrJournalCorrupt: the stream, not the database, is damaged.
 func ApplyJournalLine(d *db.DB, line string) (ApplyOutcome, error) {
-	rec, err := parseLine(line, true)
+	rec, err := db.ParseJournalLine(line)
 	if err != nil {
 		return ApplyFailed, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
 	}

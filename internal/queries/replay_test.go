@@ -2,6 +2,7 @@ package queries
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -172,5 +173,33 @@ func TestReplaySinceFilter(t *testing.T) {
 	}
 	if _, ok := fresh.MachineByName("NEW.MIT.EDU"); !ok {
 		t.Error("post-cutoff record not replayed")
+	}
+}
+
+// TestReplayRefusesCRCLessLines: mrrestore --journal replays through
+// ReplayJournal, where a line without its CRC suffix is damage unless it
+// is the torn tail.
+func TestReplayRefusesCRCLessLines(t *testing.T) {
+	clk := clock.NewFake(time.Unix(600000000, 0))
+	d := NewBootstrappedDB(clk)
+	var journal bytes.Buffer
+	d.SetJournal(&journal)
+	priv := &Context{DB: d, Privileged: true, App: "test"}
+	for _, m := range []string{"one.mit.edu", "two.mit.edu"} {
+		if err := Execute(priv, "add_machine", []string{m, "VAX"}, func([]string) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := strings.Split(strings.TrimRight(journal.String(), "\n"), "\n")
+	bare, _ := db.SplitJournalCRC(lines[0])
+
+	mid := bare + "\n" + lines[1] + "\n"
+	if _, err := ReplayJournal(NewBootstrappedDB(clk), strings.NewReader(mid), 0, nil); !errors.Is(err, ErrJournalCorrupt) {
+		t.Errorf("CRC-less line before the tail: err = %v, want ErrJournalCorrupt", err)
+	}
+	tail := lines[1] + "\n" + bare + "\n"
+	stats, err := ReplayJournal(NewBootstrappedDB(clk), strings.NewReader(tail), 0, nil)
+	if err != nil || stats.Applied != 1 || stats.Torn != 1 {
+		t.Errorf("CRC-less tail: stats %+v, err %v; want 1 applied, 1 torn", stats, err)
 	}
 }

@@ -97,7 +97,6 @@ func ExecuteRouted(cx *Context, r *Router, handle string, args []string, emit Em
 		TriggerDCM: cx.TriggerDCM,
 		TraceID:    cx.TraceID,
 		Stats:      cx.Stats,
-		Traces:     cx.Traces,
 	}
 	routed.ResolveUser()
 	return Execute(routed, query, args, emit)

@@ -13,11 +13,11 @@ package replica
 //     time plus the timeout plus a full interval of margin plus a
 //     randomized backoff), so under a clean partition the old primary
 //     is read-only before a new one can be elected. A primary that
-//     has never had an epoch-aware subscriber since its promotion — a
-//     fresh failover winner whose peers are dead, or an operator
-//     promotion — runs degraded instead: it self-holds the lease and
-//     waives the commit gate, trading the replication guarantee for
-//     availability until a follower arrives.
+//     has never had a subscriber since its promotion — a fresh
+//     failover winner whose peers are dead, or an operator promotion —
+//     runs degraded instead: it self-holds the lease and waives the
+//     commit gate, trading the replication guarantee for availability
+//     until a follower arrives.
 //
 //   - A follower tails the primary and watches the lease from the
 //     other side: when no hello or lease frame has arrived for a full
@@ -37,6 +37,10 @@ package replica
 // Epochs order promotions: persisted (fsynced) before any grant or
 // announcement, carried in handshakes, hellos, leases, and acks, so a
 // deposed primary is recognized — and fenced — on first contact.
+//
+// A node with no peers is a standalone durable server: it is its own
+// primary from Start, opens no replication listener, and its lease and
+// commit gate are waived. Every durable moirad is a Cluster.
 
 import (
 	"bufio"
@@ -69,8 +73,9 @@ type ClusterConfig struct {
 	// Root is the node's durable data directory (standard layout).
 	Root string
 
-	// ListenRepl is the replication listen address; AdvertiseRepl is
-	// the address peers dial it at (defaults to the bound address).
+	// ListenRepl is the replication listen address, required exactly
+	// when Peers is not empty; AdvertiseRepl is the address peers dial
+	// it at (defaults to the bound address).
 	ListenRepl    string
 	AdvertiseRepl string
 
@@ -78,7 +83,8 @@ type ClusterConfig struct {
 	// clients chasing the primary.
 	AdvertiseClient string
 
-	// Peers are the other nodes' replication addresses (not self).
+	// Peers are the other nodes' replication addresses (not self);
+	// none makes a standalone node.
 	Peers []string
 
 	// LeaseInterval is the heartbeat period (default 2s); LeaseTimeout
@@ -99,8 +105,8 @@ type ClusterConfig struct {
 	Clock clock.Clock
 	// Logf receives cluster log lines; nil discards.
 	Logf func(format string, args ...any)
-	// Stats, when non-nil, receives the election.*, lease.*, and
-	// repl.commit.* series.
+	// Stats, when non-nil, receives the node's series: election.*,
+	// lease.*, repl.*, and journal.* while it is the primary.
 	Stats *stats.Registry
 	// Tracer, when non-nil, traces applied records and bootstraps.
 	Tracer *trace.Tracer
@@ -125,7 +131,7 @@ type Cluster struct {
 	store *db.CheckpointStore
 	info  *queries.RecoverInfo
 
-	ln      net.Listener
+	ln      net.Listener // nil on a standalone node
 	wg      sync.WaitGroup
 	closing chan struct{}
 	kick    chan struct{} // prods the run loop after a state change
@@ -164,16 +170,17 @@ type Cluster struct {
 	gated         atomic.Int64
 	gateFailed    atomic.Int64
 	gateWaived    atomic.Int64
-	lastCkpt      atomic.Int64
+	lastCkpt      atomic.Int64 // UnixNano of the last checkpoint this run
 }
 
 // OpenCluster recovers the node's data directory, binds the
-// replication listener, and prepares (but does not start) the role
-// machinery. Every node boots as a read-only follower; Start runs
+// replication listener (when the node has peers), and prepares (but
+// does not start) the role machinery. Every node boots as a read-only
+// follower; Start promotes a standalone node and otherwise runs
 // discovery and elections.
 func OpenCluster(cfg ClusterConfig) (*Cluster, *queries.RecoverInfo, error) {
-	if cfg.Root == "" || cfg.ListenRepl == "" {
-		return nil, nil, fmt.Errorf("replica: cluster needs Root and ListenRepl")
+	if cfg.Root == "" || (len(cfg.Peers) > 0) != (cfg.ListenRepl != "") {
+		return nil, nil, fmt.Errorf("replica: cluster needs Root, and ListenRepl exactly when it has Peers")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
@@ -209,12 +216,14 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, *queries.RecoverInfo, error) {
 		return nil, info, err
 	}
 
-	ln, err := net.Listen("tcp", cfg.ListenRepl)
-	if err != nil {
-		return nil, info, err
-	}
-	if cfg.AdvertiseRepl == "" {
-		cfg.AdvertiseRepl = ln.Addr().String()
+	var ln net.Listener
+	if cfg.ListenRepl != "" {
+		if ln, err = net.Listen("tcp", cfg.ListenRepl); err != nil {
+			return nil, info, err
+		}
+		if cfg.AdvertiseRepl == "" {
+			cfg.AdvertiseRepl = ln.Addr().String()
+		}
 	}
 
 	c := &Cluster{
@@ -245,9 +254,6 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, *queries.RecoverInfo, error) {
 // OpenCluster returns.
 func (c *Cluster) DB() *db.DB { return c.d }
 
-// Addr returns the bound replication address.
-func (c *Cluster) Addr() net.Addr { return c.ln.Addr() }
-
 // Epoch reports the node's current election epoch.
 func (c *Cluster) Epoch() int64 {
 	c.mu.Lock()
@@ -262,10 +268,18 @@ func (c *Cluster) Role() string {
 	return c.role
 }
 
-// Start launches the listener and the role loop.
+// Start launches the listener and the role loop. A standalone node is
+// promoted before Start returns, so its first request may be a write.
 func (c *Cluster) Start() {
-	c.wg.Add(2)
-	go c.acceptLoop()
+	if len(c.cfg.Peers) == 0 {
+		if err := c.promote(c.epochFloor()+1, "boot", nil); err != nil {
+			c.logf("cluster: boot promotion: %v", err)
+		}
+	} else {
+		c.wg.Add(1)
+		go c.acceptLoop()
+	}
+	c.wg.Add(1)
 	go c.run()
 }
 
@@ -277,7 +291,9 @@ func (c *Cluster) Close() error {
 	default:
 	}
 	close(c.closing)
-	c.ln.Close()
+	if c.ln != nil {
+		c.ln.Close()
+	}
 	// Close the primary before waiting: its replication streams run on
 	// serveConn goroutines counted in c.wg, and only Primary.Close
 	// severs them. The run loop may still promote or rejoin while we
@@ -513,12 +529,12 @@ func (c *Cluster) leaseHeldLocked() bool {
 	if c.primary == nil {
 		return false
 	}
-	// Degraded mode: no epoch-aware replica has subscribed since this
-	// promotion. A fresh failover winner (or operator promotion) whose
-	// peers are dead serves alone rather than flapping; the moment a
-	// replica connects and then goes stale, the normal rule below
-	// takes over and the lease can be lost.
-	if !c.primary.HadEpochSub() {
+	// Degraded mode: no replica has subscribed since this promotion.
+	// A fresh failover winner (or operator promotion) whose peers are
+	// dead serves alone rather than flapping; the moment a replica
+	// connects and then goes stale, the normal rule below takes over
+	// and the lease can be lost.
+	if !c.primary.HadSubscriber() {
 		return true
 	}
 	need := c.quorumNeed()
@@ -559,14 +575,6 @@ func (c *Cluster) run() {
 // primary with an epoch at least ours is followed; otherwise the
 // normal election path runs from the role loop.
 func (c *Cluster) bootDiscover() {
-	if len(c.cfg.Peers) == 0 {
-		// Standalone-degenerate cluster: a single node is its own
-		// primary from boot.
-		if err := c.promote(c.epochFloor()+1, "boot", nil); err != nil {
-			c.logf("cluster: boot promotion: %v", err)
-		}
-		return
-	}
 	infos := c.pollPeers(c.cfg.LeaseInterval)
 	for _, pi := range infos {
 		if pi.role == RolePrimary && pi.epoch >= c.Epoch() {
@@ -644,8 +652,12 @@ func (c *Cluster) step() {
 func (c *Cluster) primaryMaintain() {
 	if iv := c.cfg.CheckpointInterval; iv > 0 {
 		last := c.lastCkpt.Load()
-		if time.Since(time.Unix(last, 0)) > iv && c.inCkpt.CompareAndSwap(false, true) {
+		if time.Since(time.Unix(0, last)) > iv && c.inCkpt.CompareAndSwap(false, true) {
+			// Counted in wg so Close returns only once no snapshot is
+			// being written into the data directory.
+			c.wg.Add(1)
 			go func() {
+				defer c.wg.Done()
 				defer c.inCkpt.Store(false)
 				if gen, err := c.Checkpoint(); err != nil {
 					c.logf("cluster: checkpoint: %v", err)
@@ -724,7 +736,6 @@ func (c *Cluster) becomeFollower(cause string, force bool) {
 	c.mu.Unlock()
 
 	rep, err := OpenRejoin(Config{
-		Root:        c.cfg.Root,
 		From:        target,
 		Clock:       c.clk,
 		Logf:        c.logf,
@@ -820,6 +831,9 @@ func (c *Cluster) promote(epoch int64, cause string, rep *Replica) error {
 		c.setRoleLocked(RoleFenced, cause)
 		c.mu.Unlock()
 		return err
+	}
+	if c.cfg.Stats != nil {
+		jw.TimeSyncs(c.cfg.Stats)
 	}
 
 	p := NewPrimary(PrimaryConfig{
@@ -1187,7 +1201,7 @@ func (c *Cluster) Whois() queries.WhoisInfo {
 func (c *Cluster) leaseRemainLocked() time.Duration {
 	switch {
 	case c.role == RolePrimary:
-		if c.primary != nil && !c.primary.HadEpochSub() {
+		if c.primary != nil && !c.primary.HadSubscriber() {
 			// Degraded solo primary: the lease is self-held.
 			return c.cfg.LeaseTimeout
 		}
@@ -1220,7 +1234,7 @@ func (c *Cluster) CommitGate(seg, idx int64) error {
 	if p == nil {
 		return mrerr.MrReadonly
 	}
-	if !p.HadEpochSub() {
+	if !p.HadSubscriber() {
 		// Degraded mode (see leaseHeldLocked): nobody to replicate to
 		// yet, so the commit stands on local fsync alone.
 		c.gateWaived.Add(1)
@@ -1281,8 +1295,10 @@ func (c *Cluster) PrimaryClient() string {
 	return c.primaryClient
 }
 
-// Checkpoint takes a snapshot now (primary only): rotate, dump,
-// prune — the same pipeline as core's durability checkpointer.
+// Checkpoint takes a snapshot now (primary only): rotate the journal,
+// dump every table plus manifest, and prune the snapshots beyond the
+// keep depth and the journal segments none of the retained snapshots
+// need.
 func (c *Cluster) Checkpoint() (int64, error) {
 	c.ckptMu.Lock()
 	defer c.ckptMu.Unlock()
@@ -1296,7 +1312,7 @@ func (c *Cluster) Checkpoint() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.lastCkpt.Store(time.Now().Unix())
+	c.lastCkpt.Store(time.Now().UnixNano())
 	if oldest := c.store.OldestKeptJournalSeq(); oldest > 0 {
 		if n, err := db.PruneSegments(jw.Dir(), oldest); err != nil {
 			c.logf("cluster: checkpoint: pruning journal segments: %v", err)
@@ -1309,8 +1325,11 @@ func (c *Cluster) Checkpoint() (int64, error) {
 
 // ---- observability ----
 
-// BindStats publishes the election.*, lease.*, and repl.commit.*
-// series into reg.
+// BindStats publishes the node's series into reg as one group that
+// reads, at scrape time, whichever follower, primary stream, and
+// journal writer are live: election.*, lease.*, repl.commit.*, the
+// follower's upstream and lag series, the primary's repl.primary.*, and
+// journal.*.
 func (c *Cluster) BindStats(reg *stats.Registry) {
 	reg.AddGroup(func(emit func(string, int64)) {
 		c.mu.Lock()
@@ -1319,14 +1338,8 @@ func (c *Cluster) BindStats(reg *stats.Registry) {
 		seg, idx := c.posLocked()
 		held := role == RolePrimary && c.leaseHeldLocked()
 		remain := c.leaseRemainLocked().Milliseconds()
-		now := time.Now()
-		flaps := 0
-		for _, t := range c.flaps {
-			if now.Sub(t) <= 5*time.Minute {
-				flaps++
-			}
-		}
-		p := c.primary
+		flaps := c.flapsLocked()
+		p, rep, jw := c.primary, c.rep, c.jw
 		c.mu.Unlock()
 
 		roleCode := int64(1)
@@ -1355,20 +1368,51 @@ func (c *Cluster) BindStats(reg *stats.Registry) {
 		emit("lease.remaining.ms", remain)
 		emit("lease.renewals", c.leaseRenewals.Load())
 		emit("lease.expiries", c.leaseExpiries.Load())
-		if p != nil {
-			emit("lease.acks", p.acksRecv.Load())
-			emit("lease.sent", p.leasesSent.Load())
-		}
 		emit("repl.commit.gated", c.gated.Load())
 		emit("repl.commit.gatefail", c.gateFailed.Load())
 		emit("repl.commit.waived", c.gateWaived.Load())
+		if p != nil {
+			p.emitStats(emit)
+		}
+		if rep != nil {
+			rep.emitStats(emit)
+		}
+		if jw != nil {
+			jw.EmitStats(emit)
+		}
 	})
 }
 
-// BindHealth registers the failover probes: no-primary (the node has
-// not heard from any primary — or been one — within two lease
-// timeouts) and election-flapping (more than three role changes in
-// five minutes).
+// flapsLocked counts the role changes in the last five minutes.
+func (c *Cluster) flapsLocked() int {
+	now := time.Now()
+	flaps := 0
+	for _, t := range c.flaps {
+		if now.Sub(t) <= 5*time.Minute {
+			flaps++
+		}
+	}
+	return flaps
+}
+
+// FollowerLag reports the follower's upstream session state and how
+// many seconds it is behind the primary; following is false while the
+// node runs no follower (it is the primary, or fenced between streams).
+func (c *Cluster) FollowerLag() (connected bool, lagSeconds int64, following bool) {
+	c.mu.Lock()
+	rep := c.rep
+	c.mu.Unlock()
+	if rep == nil {
+		return false, 0, false
+	}
+	return rep.Connected(), rep.LagSeconds(), true
+}
+
+// BindHealth registers the node's probes: no-primary (the node has not
+// heard from any primary — or been one — within two lease timeouts),
+// election-flapping (more than three role changes in five minutes), and
+// checkpoint (as primary, the last snapshot is more than three
+// checkpoint intervals old).
 func (c *Cluster) BindHealth(h *health.Checker) {
 	h.AddFunc("no-primary", func() (bool, string) {
 		c.mu.Lock()
@@ -1386,17 +1430,22 @@ func (c *Cluster) BindHealth(h *health.Checker) {
 	})
 	h.AddFunc("election-flapping", func() (bool, string) {
 		c.mu.Lock()
-		defer c.mu.Unlock()
-		now := time.Now()
-		flaps := 0
-		for _, t := range c.flaps {
-			if now.Sub(t) <= 5*time.Minute {
-				flaps++
-			}
+		flaps := c.flapsLocked()
+		c.mu.Unlock()
+		return flaps <= 3, fmt.Sprintf("%d role changes in the last 5m", flaps)
+	})
+	h.AddFunc("checkpoint", func() (bool, string) {
+		if c.Role() != RolePrimary {
+			return true, "not the primary"
 		}
-		if flaps > 3 {
-			return false, fmt.Sprintf("%d role changes in the last 5m", flaps)
+		last := c.lastCkpt.Load()
+		if last == 0 {
+			return true, "no checkpoint yet this run"
 		}
-		return true, fmt.Sprintf("%d role changes in the last 5m", flaps)
+		age := time.Since(time.Unix(0, last))
+		if iv := c.cfg.CheckpointInterval; iv > 0 && age > 3*iv {
+			return false, fmt.Sprintf("last checkpoint %s ago (interval %s)", age.Round(time.Second), iv)
+		}
+		return true, fmt.Sprintf("last checkpoint %s ago", age.Round(time.Second))
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"moira/internal/mrerr"
 	"moira/internal/queries"
 	"moira/internal/server"
+	"moira/internal/stats"
 )
 
 const (
@@ -144,6 +145,7 @@ func startNodeAdv(t *testing.T, env *fenv, root, replAddr, advRepl, clientAddr s
 	t.Helper()
 	n := &fnode{root: root, replAddr: replAddr, clientAddr: clientAddr}
 	var roleCB atomic.Value // func(string, bool)
+	reg := stats.NewRegistry()
 	cl, info, err := OpenCluster(ClusterConfig{
 		Root:            root,
 		ListenRepl:      replAddr,
@@ -154,6 +156,7 @@ func startNodeAdv(t *testing.T, env *fenv, root, replAddr, advRepl, clientAddr s
 		LeaseTimeout:    testLeaseTimeout,
 		Journal:         db.JournalOptions{Policy: db.SyncEveryCommit},
 		Clock:           staticClock{instant},
+		Stats:           reg,
 		Logf: func(format string, args ...any) {
 			if !n.closed.Load() {
 				t.Logf("[%s] "+format, append([]any{replAddr}, args...)...)
@@ -175,6 +178,7 @@ func startNodeAdv(t *testing.T, env *fenv, root, replAddr, advRepl, clientAddr s
 		DB:       cl.DB(),
 		Verifier: env.ver,
 		Clock:    staticClock{instant},
+		Stats:    reg,
 		ReadOnly: true,
 		Failover: cl,
 	})
@@ -281,6 +285,50 @@ func TestClusterBootElection(t *testing.T) {
 		}
 		if got := rows[0][2]; got != prim.clientAddr {
 			t.Errorf("_whois on %s names primary %q, want %q", n.replAddr, got, prim.clientAddr)
+		}
+	}
+}
+
+// TestClusterStatsSeries: one stats group per node reports whichever
+// side of the stream the node is on — the follower's upstream and lag,
+// the primary's journal and subscribers — over the ordinary _stats
+// handle, every series declared in stats.KnownNames.
+func TestClusterStatsSeries(t *testing.T) {
+	env := newFenv(t)
+	a, b := startPair(t, env)
+	prim, repl := waitOnePrimary(t, a, b)
+	env.seedAdmin(t, prim)
+	waitConverged(t, prim.cl.DB(), repl.cl.DB())
+
+	for _, tc := range []struct {
+		n    *fnode
+		want []string
+	}{
+		{repl, []string{"repl.lag.seconds", "repl.connected"}},
+		{prim, []string{"journal.appends", "repl.primary.subscribers"}},
+	} {
+		c, err := client.Dial(tc.n.clientAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have := map[string]bool{}
+		err = c.Query("_stats", nil, func(tu []string) error {
+			have[tu[1]] = true
+			return nil
+		})
+		c.Disconnect()
+		if err != nil {
+			t.Fatalf("_stats on %s: %v", tc.n.cl.Role(), err)
+		}
+		for _, name := range tc.want {
+			if !have[name] {
+				t.Errorf("%s _stats lacks %s", tc.n.cl.Role(), name)
+			}
+		}
+		for name := range have {
+			if !stats.KnownName(name) {
+				t.Errorf("%s _stats series %s not declared in stats.KnownNames", tc.n.cl.Role(), name)
+			}
 		}
 	}
 }

@@ -16,10 +16,9 @@ func openUnstarted(t *testing.T) (*Cluster, *[]string) {
 	var c *Cluster
 	var seen []string
 	c, _, err := OpenCluster(ClusterConfig{
-		Root:       t.TempDir(),
-		ListenRepl: "127.0.0.1:0",
-		Journal:    db.JournalOptions{Policy: db.SyncEveryCommit},
-		Clock:      staticClock{instant},
+		Root:    t.TempDir(),
+		Journal: db.JournalOptions{Policy: db.SyncEveryCommit},
+		Clock:   staticClock{instant},
 		OnRole: func(role string, readonly bool) {
 			if role == RoleFenced && readonly {
 				seen = append(seen, c.Role())

@@ -16,7 +16,6 @@ import (
 	"moira/internal/db"
 	"moira/internal/mrerr"
 	"moira/internal/protocol"
-	"moira/internal/stats"
 )
 
 // PrimaryConfig configures a replication primary.
@@ -31,24 +30,20 @@ type PrimaryConfig struct {
 
 	// Checkpoint, when non-nil, is invoked to take a snapshot on demand
 	// when a replica needs bootstrapping and no manifest-valid snapshot
-	// exists yet (typically core.Durability.Checkpoint).
+	// exists yet (typically Cluster.Checkpoint).
 	Checkpoint func() (int64, error)
 
 	// Logf receives replication log lines; nil discards them.
 	Logf func(format string, args ...any)
 
-	// Stats, when non-nil, receives the repl.primary.* series.
-	Stats *stats.Registry
-
 	// Clock stamps head-frame heartbeats (replicas measure lag against
 	// it, cancelling cross-host clock skew); nil means the system clock.
 	Clock clock.Clock
 
-	// Cluster, when non-nil, puts the primary in cluster mode: it
-	// greets each epoch-aware replica with a hello frame, interleaves
-	// lease heartbeats with the stream, and reads position/lease
-	// acknowledgements back up the same connection. nil keeps the
-	// legacy one-way stream.
+	// Cluster (required) wires the primary into its node: it greets
+	// each replica with a hello frame, interleaves lease heartbeats with
+	// the stream, and reads position/lease acknowledgements back up the
+	// same connection.
 	Cluster *PrimaryCluster
 }
 
@@ -74,20 +69,18 @@ type PrimaryCluster struct {
 	OnStaleSelf func(peerEpoch int64)
 }
 
-// Primary serves the replication stream: it listens on its own port
-// (separate from the query port), answers each connecting replica's
-// Replicate handshake, bootstraps it from a snapshot if needed, and
-// then tails the live journal to it with group-commit-aware flushing —
-// records are written through a buffered writer that is flushed only
-// when the tailer catches up to the journal head, so a burst of
-// appends rides out in few network writes.
+// Primary serves the replication stream: it answers each Replicate
+// handshake its Cluster's listener dispatches to it, bootstraps the
+// replica from a snapshot if needed, and then tails the live journal to
+// it with group-commit-aware flushing — records are written through a
+// buffered writer that is flushed only when the tailer catches up to
+// the journal head, so a burst of appends rides out in few network
+// writes.
 type Primary struct {
 	cfg  PrimaryConfig
 	clk  clock.Clock
 	logf func(string, ...any)
 
-	ln      net.Listener
-	wg      sync.WaitGroup
 	closing chan struct{}
 
 	mu     sync.Mutex
@@ -99,10 +92,10 @@ type Primary struct {
 	// WaitAcked parks on it.
 	ackWake chan struct{}
 
-	leaseSeq     atomic.Int64 // lease frame sequence numbers, all conns
-	leasesSent   atomic.Int64
-	acksRecv     atomic.Int64
-	everEpochSub atomic.Bool // an epoch-aware replica subscribed at least once
+	leaseSeq   atomic.Int64 // lease frame sequence numbers, all conns
+	leasesSent atomic.Int64
+	acksRecv   atomic.Int64
+	everSub    atomic.Bool // a replica subscribed at least once
 
 	active    atomic.Int64
 	served    atomic.Int64
@@ -113,17 +106,16 @@ type Primary struct {
 
 // subscriberPos is one tailing replica's ship position — the next
 // (segment, record) the tailer will send it — updated lock-free as the
-// stream advances and read by the ship-lag gauges. In cluster mode it
-// also carries the replica's acknowledged position (what the commit
-// gate waits on) and its lease grant.
+// stream advances and read by the ship-lag gauges. It also carries the
+// replica's acknowledged position (what the commit gate waits on) and
+// its lease grant.
 type subscriberPos struct {
 	seg atomic.Int64
 	idx atomic.Int64
 
-	epochAware bool
-	ackSeg     atomic.Int64 // next record the replica wants, per its last ack
-	ackIdx     atomic.Int64
-	grant      atomic.Int64 // UnixNano send instant of the newest acked lease seq
+	ackSeg atomic.Int64 // next record the replica wants, per its last ack
+	ackIdx atomic.Int64
+	grant  atomic.Int64 // UnixNano send instant of the newest acked lease seq
 
 	lmu  sync.Mutex
 	sent map[int64]time.Time // outstanding lease seq → send instant
@@ -181,7 +173,7 @@ func NewPrimary(cfg PrimaryConfig) *Primary {
 	if clk == nil {
 		clk = clock.System
 	}
-	p := &Primary{
+	return &Primary{
 		cfg:     cfg,
 		clk:     clk,
 		logf:    logf,
@@ -190,31 +182,27 @@ func NewPrimary(cfg PrimaryConfig) *Primary {
 		tails:   make(map[*subscriberPos]struct{}),
 		ackWake: make(chan struct{}),
 	}
-	if cfg.Stats != nil {
-		p.BindStats(cfg.Stats)
-	}
-	return p
 }
 
-// BindStats publishes the primary's replication series into reg.
-func (p *Primary) BindStats(reg *stats.Registry) {
-	reg.AddGroup(func(emit func(string, int64)) {
-		emit("repl.role", 2)
-		emit("repl.primary.conns", p.active.Load())
-		emit("repl.primary.served", p.served.Load())
-		emit("repl.primary.snapshots", p.snapshots.Load())
-		emit("repl.primary.sent.records", p.sentRecs.Load())
-		emit("repl.primary.sent.bytes", p.sentBytes.Load())
-		lags := p.SubscriberLags()
-		emit("repl.primary.subscribers", int64(len(lags)))
-		worst := int64(0)
-		for _, l := range lags {
-			if l > worst {
-				worst = l
-			}
+// emitStats emits the primary's repl.primary.* and lease frame series;
+// the Cluster's stats group calls it while this primary is live.
+func (p *Primary) emitStats(emit func(string, int64)) {
+	emit("repl.primary.conns", p.active.Load())
+	emit("repl.primary.served", p.served.Load())
+	emit("repl.primary.snapshots", p.snapshots.Load())
+	emit("repl.primary.sent.records", p.sentRecs.Load())
+	emit("repl.primary.sent.bytes", p.sentBytes.Load())
+	lags := p.SubscriberLags()
+	emit("repl.primary.subscribers", int64(len(lags)))
+	worst := int64(0)
+	for _, l := range lags {
+		if l > worst {
+			worst = l
 		}
-		emit("repl.primary.shiplag.records", worst)
-	})
+	}
+	emit("repl.primary.shiplag.records", worst)
+	emit("lease.acks", p.acksRecv.Load())
+	emit("lease.sent", p.leasesSent.Load())
 }
 
 // SubscriberLags reports, for every currently tailing replica, how many
@@ -243,91 +231,26 @@ func (p *Primary) SubscriberLags() []int64 {
 	return lags
 }
 
-// Listen binds the replication port and starts serving replicas.
-func (p *Primary) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	p.ln = ln
-	p.wg.Add(1)
-	go p.acceptLoop()
-	return ln.Addr(), nil
-}
-
-// Addr returns the bound replication address, or nil before Listen.
-func (p *Primary) Addr() net.Addr {
-	if p.ln == nil {
-		return nil
-	}
-	return p.ln.Addr()
-}
-
-// Close stops accepting, drops every replica connection, and waits for
-// the connection goroutines to drain. Replicas reconnect and resume
-// from their on-disk position.
-func (p *Primary) Close() error {
+// Close drops every replica connection and stops the streams; the
+// replicas reconnect and resume from their on-disk position.
+func (p *Primary) Close() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return nil
+		return
 	}
 	p.closed = true
 	close(p.closing)
-	var err error
-	if p.ln != nil {
-		err = p.ln.Close()
-	}
 	for conn := range p.conns {
 		conn.Close()
 	}
-	p.mu.Unlock()
-	p.wg.Wait()
-	return err
 }
 
-func (p *Primary) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			conn.Close()
-			return
-		}
-		p.conns[conn] = struct{}{}
-		p.mu.Unlock()
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.serveConn(conn)
-		}()
-	}
-}
-
-func (p *Primary) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	req, err := protocol.ReadRequest(br)
-	if err != nil {
-		conn.Close()
-		p.mu.Lock()
-		delete(p.conns, conn)
-		p.mu.Unlock()
-		return
-	}
-	p.ServeReplicate(conn, br, req)
-}
-
-// ServeReplicate serves one replication stream whose Replicate request
-// has already been read from br — the entry point for a Cluster that
-// owns the listener and dispatches by op. It adopts the connection
-// (registers it for shutdown, closes it when the stream ends) and
-// blocks until the stream is over.
+// ServeReplicate serves one replication stream whose protocol.Version
+// Replicate request has already been read from br — the entry point for
+// a Cluster that owns the listener and dispatches by op. It adopts the
+// connection (registers it for shutdown, closes it when the stream
+// ends) and blocks until the stream is over.
 func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.Request) {
 	p.mu.Lock()
 	if p.closed {
@@ -353,70 +276,46 @@ func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.
 		bw.Flush()
 	}
 
-	if req.Version != protocol.Version {
-		final(mrerr.MrVersionMismatch)
-		return
-	}
-	if req.Op != protocol.OpReplicate {
-		final(mrerr.MrUnknownProc)
-		return
-	}
-	// Two-arg handshake: legacy one-way stream. Three args add the
-	// replica's election epoch (cluster mode); position (-1, -1) is the
-	// explicit "bootstrap me" of a rejoining node whose journal tail
-	// may diverge from this history.
-	if len(req.Args) != 2 && len(req.Args) != 3 {
+	// The handshake is [seg, idx, epoch]: the replica's resume position
+	// and its election epoch. Position (-1, -1) is the explicit
+	// "bootstrap me" of a rejoining node whose journal tail may diverge
+	// from this history.
+	if len(req.Args) != 3 {
 		final(mrerr.MrArgs)
 		return
 	}
 	args := req.StringArgs()
 	seg, err1 := parseInt(args[0])
 	idx, err2 := parseInt(args[1])
-	if err1 != nil || err2 != nil || idx < 0 != (seg < 0) {
-		final(mrerr.MrArgs)
-		return
-	}
-	epochAware := len(args) == 3
-	var replicaEpoch int64
-	if epochAware {
-		var err error
-		if replicaEpoch, err = parseInt(args[2]); err != nil || replicaEpoch < 0 {
-			final(mrerr.MrArgs)
-			return
-		}
-	}
-	if seg < 0 && !epochAware {
+	replicaEpoch, err3 := parseInt(args[2])
+	if err1 != nil || err2 != nil || err3 != nil || idx < 0 != (seg < 0) || replicaEpoch < 0 {
 		final(mrerr.MrArgs)
 		return
 	}
 
 	force := seg < 0
-	if cl := p.cfg.Cluster; cl != nil && epochAware {
-		myEpoch := cl.Epoch()
-		if replicaEpoch > myEpoch {
-			// Deposed on contact: the cluster elected a higher epoch
-			// while we weren't looking. Fence instead of streaming a
-			// dead history.
-			p.logf("repl: %s reports epoch %d > ours %d: deposed", conn.RemoteAddr(), replicaEpoch, myEpoch)
-			if cl.OnStaleSelf != nil {
-				cl.OnStaleSelf(replicaEpoch)
-			}
-			final(mrerr.MrReadonly)
-			return
-		}
-		if replicaEpoch < myEpoch {
-			// The replica's journal tail may contain records a deposed
-			// primary streamed that this history never committed; a
-			// full bootstrap replaces it rather than appending to it.
-			force = true
-		}
+	cl := p.cfg.Cluster
+	myEpoch := cl.Epoch()
+	if replicaEpoch > myEpoch {
+		// Deposed on contact: the cluster elected a higher epoch while we
+		// weren't looking. Fence instead of streaming a dead history.
+		p.logf("repl: %s reports epoch %d > ours %d: deposed", conn.RemoteAddr(), replicaEpoch, myEpoch)
+		cl.OnStaleSelf(replicaEpoch)
+		final(mrerr.MrReadonly)
+		return
+	}
+	if replicaEpoch < myEpoch {
+		// The replica's journal tail may contain records a deposed
+		// primary streamed that this history never committed; a full
+		// bootstrap replaces it rather than appending to it.
+		force = true
 	}
 	if force {
 		seg, idx = 0, 0
 	}
 
 	p.logf("repl: %s connected at position (%d, %d)", conn.RemoteAddr(), seg, idx)
-	if err := p.stream(conn, br, bw, seg, idx, epochAware, force); err != nil {
+	if err := p.stream(br, bw, seg, idx, force); err != nil {
 		p.logf("repl: %s: %v", conn.RemoteAddr(), err)
 		final(mrerr.MrInternal)
 	}
@@ -424,12 +323,12 @@ func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.
 
 // stream feeds one replica: bootstrap if its position predates the
 // retained journal, then tail the segments from its position on.
-func (p *Primary) stream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, seg, idx int64, epochAware, force bool) error {
+func (p *Primary) stream(br *bufio.Reader, bw *bufio.Writer, seg, idx int64, force bool) error {
 	// Subscribe before examining any on-disk state so no append
 	// notification can slip between the scan and the first park.
 	notify := p.cfg.Journal.Subscribe()
 
-	sub := &subscriberPos{epochAware: epochAware}
+	sub := &subscriberPos{}
 	sub.seg.Store(seg)
 	sub.idx.Store(idx)
 	// Registered before bootstrap: acknowledgements (and so the lease)
@@ -437,30 +336,18 @@ func (p *Primary) stream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, seg,
 	p.mu.Lock()
 	p.tails[sub] = struct{}{}
 	p.mu.Unlock()
-	if epochAware {
-		p.everEpochSub.Store(true)
-	}
+	p.everSub.Store(true)
 	defer func() {
 		p.mu.Lock()
 		delete(p.tails, sub)
 		p.mu.Unlock()
 	}()
 
-	// A legacy replica sends nothing after its handshake, so a read on
-	// the connection blocks until it dies — exactly the dead-peer
-	// signal a parked tailer needs. An epoch-aware replica instead
-	// sends ack requests up the same connection; reading them serves
-	// both purposes.
+	// The replica sends ack requests up the same connection for the life
+	// of the stream; reading them also tells a parked tailer when the
+	// replica hangs up.
 	connDead := make(chan struct{})
-	if epochAware && p.cfg.Cluster != nil {
-		go p.readAcks(br, sub, connDead)
-	} else {
-		go func() {
-			var one [1]byte
-			conn.Read(one[:])
-			close(connDead)
-		}()
-	}
+	go p.readAcks(br, sub, connDead)
 
 	send := func(fields ...[]byte) error {
 		return protocol.WriteReply(bw, &protocol.Reply{
@@ -473,19 +360,16 @@ func (p *Primary) stream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, seg,
 		return send(protocol.BytesArgs(fields)...)
 	}
 
+	cl := p.cfg.Cluster
+	interval := cl.LeaseInterval
+	if interval <= 0 {
+		interval = time.Second
+	}
 	// maybeLease interleaves lease heartbeats with whatever else the
 	// stream is doing. It never flushes on its own: the frame rides
 	// the next flush, which every caller does promptly.
 	var lastLease time.Time
 	maybeLease := func() error {
-		cl := p.cfg.Cluster
-		if cl == nil || !epochAware {
-			return nil
-		}
-		interval := cl.LeaseInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
 		now := time.Now()
 		if !lastLease.IsZero() && now.Sub(lastLease) < interval {
 			return nil
@@ -497,13 +381,11 @@ func (p *Primary) stream(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, seg,
 		return sendStrings(tagLease, itoa(cl.Epoch()), itoa(seq))
 	}
 
-	if cl := p.cfg.Cluster; cl != nil && epochAware {
-		if err := sendStrings(tagHello, itoa(cl.Epoch()), cl.ReplAddr, cl.ClientAddr); err != nil {
-			return err
-		}
-		if err := maybeLease(); err != nil {
-			return err
-		}
+	if err := sendStrings(tagHello, itoa(cl.Epoch()), cl.ReplAddr, cl.ClientAddr); err != nil {
+		return err
+	}
+	if err := maybeLease(); err != nil {
+		return err
 	}
 
 	seg, idx, err := p.maybeBootstrap(bw, send, sendStrings, maybeLease, seg, idx, force)
@@ -543,9 +425,7 @@ func (p *Primary) readAcks(br *bufio.Reader, sub *subscriberPos, dead chan struc
 		}
 		if my := cl.Epoch(); epoch > my {
 			p.logf("repl: ack reports epoch %d > ours %d: deposed", epoch, my)
-			if cl.OnStaleSelf != nil {
-				cl.OnStaleSelf(epoch)
-			}
+			cl.OnStaleSelf(epoch)
 			return
 		}
 		sub.ackSeg.Store(aseg)
@@ -559,12 +439,11 @@ func (p *Primary) readAcks(br *bufio.Reader, sub *subscriberPos, dead chan struc
 	}
 }
 
-// WaitAcked blocks until at least need epoch-aware subscribers have
-// acknowledged a position past (seg, idx) — the record is then applied
-// and durably mirrored on that many replicas — or the timeout lapses.
-// This is the semi-synchronous commit gate: a timeout means the commit
-// is journaled locally but must not be acknowledged to the client as
-// replicated.
+// WaitAcked blocks until at least need subscribers have acknowledged
+// a position past (seg, idx) — the record is then applied and durably
+// mirrored on that many replicas — or the timeout lapses. This is the
+// semi-synchronous commit gate: a timeout means the commit is journaled
+// locally but must not be acknowledged to the client as replicated.
 func (p *Primary) WaitAcked(seg, idx int64, need int, timeout time.Duration) error {
 	if need <= 0 {
 		return nil
@@ -575,9 +454,6 @@ func (p *Primary) WaitAcked(seg, idx int64, need int, timeout time.Duration) err
 		p.mu.Lock()
 		got := 0
 		for s := range p.tails {
-			if !s.epochAware {
-				continue
-			}
 			as, ai := s.ackSeg.Load(), s.ackIdx.Load()
 			if as > seg || (as == seg && ai > idx) {
 				got++
@@ -598,7 +474,7 @@ func (p *Primary) WaitAcked(seg, idx int64, need int, timeout time.Duration) err
 	}
 }
 
-// LeaseFresh counts connected epoch-aware subscribers whose lease
+// LeaseFresh counts connected subscribers whose lease
 // grant is newer than timeout ago — the primary's view of how many
 // voters still honour its lease.
 func (p *Primary) LeaseFresh(timeout time.Duration) (subs, fresh int) {
@@ -606,9 +482,6 @@ func (p *Primary) LeaseFresh(timeout time.Duration) (subs, fresh int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for s := range p.tails {
-		if !s.epochAware {
-			continue
-		}
 		subs++
 		if s.grant.Load() > cut {
 			fresh++
@@ -618,16 +491,14 @@ func (p *Primary) LeaseFresh(timeout time.Duration) (subs, fresh int) {
 }
 
 // NewestGrant reports the most recent lease grant instant across all
-// epoch-aware subscribers (zero when none have acked a lease).
+// subscribers (zero when none have acked a lease).
 func (p *Primary) NewestGrant() time.Time {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var newest int64
 	for s := range p.tails {
-		if s.epochAware {
-			if g := s.grant.Load(); g > newest {
-				newest = g
-			}
+		if g := s.grant.Load(); g > newest {
+			newest = g
 		}
 	}
 	if newest == 0 {
@@ -636,12 +507,12 @@ func (p *Primary) NewestGrant() time.Time {
 	return time.Unix(0, newest)
 }
 
-// HadEpochSub reports whether any epoch-aware replica has subscribed
-// since this primary started. Until one does, the primary is serving
-// alone — a fresh failover winner or an operator promotion — and the
-// cluster runs degraded: the lease is self-held and the commit gate is
-// waived, because there is nobody to replicate to yet.
-func (p *Primary) HadEpochSub() bool { return p.everEpochSub.Load() }
+// HadSubscriber reports whether any replica has subscribed since this
+// primary started. Until one does, the primary is serving alone — a
+// fresh failover winner or an operator promotion — and the cluster runs
+// degraded: the lease is self-held and the commit gate is waived,
+// because there is nobody to replicate to yet.
+func (p *Primary) HadSubscriber() bool { return p.everSub.Load() }
 
 // maybeBootstrap decides bootstrap-vs-tail and, when the replica's
 // position predates what the journal still holds, ships the newest
@@ -816,7 +687,7 @@ const headHeartbeat = time.Second
 func (p *Primary) tail(bw *bufio.Writer, sendStrings func(...string) error, maybeLease func() error, notify <-chan struct{}, connDead <-chan struct{}, sub *subscriberPos, seg, idx int64) error {
 	jdir := p.cfg.Journal.Dir()
 	wake := headHeartbeat
-	if cl := p.cfg.Cluster; cl != nil && cl.LeaseInterval > 0 && cl.LeaseInterval < wake {
+	if cl := p.cfg.Cluster; cl.LeaseInterval > 0 && cl.LeaseInterval < wake {
 		// Park no longer than the lease interval, or a quiet journal
 		// would starve the heartbeat that keeps the lease alive.
 		wake = cl.LeaseInterval
@@ -903,7 +774,7 @@ func (p *Primary) tail(bw *bufio.Writer, sendStrings func(...string) error, mayb
 				if line == "" {
 					continue
 				}
-				if _, st := db.SplitJournalCRC(line); st != db.CRCValid {
+				if _, ok := db.SplitJournalCRC(line); !ok {
 					return fmt.Errorf("segment %d line %d fails CRC: journal corrupt", seg, lineIdx)
 				}
 				if lineIdx >= sendFrom {

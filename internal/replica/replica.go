@@ -17,19 +17,12 @@ import (
 	"moira/internal/mrerr"
 	"moira/internal/protocol"
 	"moira/internal/queries"
-	"moira/internal/stats"
 	"moira/internal/trace"
 )
 
 // Config configures a replica.
 type Config struct {
-	// Root is the replica's own durable data directory. It uses the
-	// standard layout and mirrors the primary's segment numbering, so
-	// it recovers with queries.Recover like any other data dir — and a
-	// promoted (or plainly restarted) replica serves from it directly.
-	Root string
-
-	// From is the primary's replication address (its -repl-listen).
+	// From is the primary's replication address.
 	From string
 
 	// Clock drives timestamps and reconnect backoff; nil means the
@@ -38,9 +31,6 @@ type Config struct {
 
 	// Logf receives replication log lines; nil discards them.
 	Logf func(format string, args ...any)
-
-	// Stats, when non-nil, receives the repl.* series.
-	Stats *stats.Registry
 
 	// Tracer, when non-nil, records a span per applied record (linked
 	// by the record's trace ID to the originating client call) and per
@@ -54,15 +44,16 @@ type Config struct {
 	// slept through Clock.
 	RetryDelay time.Duration
 
-	// Cluster, when non-nil, runs the replica in cluster mode: the
-	// handshake carries the node's election epoch, the primary's hello
-	// and lease frames are surfaced through the callbacks, and applied
-	// positions are acknowledged up the connection for the primary's
-	// lease and semi-synchronous commit gate.
+	// Cluster (required) wires the replica into its node: the handshake
+	// carries the node's election epoch, the primary's hello and lease
+	// frames are surfaced through the callbacks, and applied positions
+	// are acknowledged up the connection for the primary's lease and
+	// semi-synchronous commit gate.
 	Cluster *ReplicaCluster
 }
 
-// ReplicaCluster wires a Replica into its Cluster.
+// ReplicaCluster wires a Replica into its Cluster; every field is
+// required.
 type ReplicaCluster struct {
 	// Epoch reports the node's current election epoch, sent in the
 	// handshake and every acknowledgement.
@@ -84,10 +75,10 @@ type ReplicaCluster struct {
 }
 
 // Replica is a read-only copy of the primary, kept hot by tailing its
-// journal. Open recovers the local mirror, Start begins tailing, and
-// the DB serves retrieval queries throughout — during bootstrap, the
-// old state keeps serving until the restored snapshot is adopted in
-// one lock acquisition.
+// journal. OpenRejoin attaches it to the node's live database, Start
+// begins tailing, and the DB serves retrieval queries throughout —
+// during bootstrap, the old state keeps serving until the restored
+// snapshot is adopted in one lock acquisition.
 type Replica struct {
 	cfg  Config
 	clk  clock.Clock
@@ -113,7 +104,7 @@ type Replica struct {
 	mf   *os.File
 	mseg int64
 
-	// Position and lag, published via BindStats. next* name the record
+	// Position and lag, published via emitStats. next* name the record
 	// the replica wants next; head* echo the primary's last head frame.
 	nextSeg    atomic.Int64
 	nextIdx    atomic.Int64
@@ -142,56 +133,19 @@ type Replica struct {
 // replica has been promoted to primary.
 var ErrPromoted = errors.New("replica: already promoted")
 
-// Open recovers the replica's local data directory (snapshot +
-// mirrored segments, identical to primary recovery), truncates any
-// torn tail its own crash left in the newest mirrored segment, and
-// computes the resume position. It does not connect; call Start.
-func Open(cfg Config) (*Replica, *queries.RecoverInfo, error) {
-	if cfg.Root == "" || cfg.From == "" {
-		return nil, nil, fmt.Errorf("replica: Root and From are required")
-	}
-	cfg, clk, logf := cfg.withDefaults()
-
-	d, info, err := queries.Recover(cfg.Root, clk, logf)
-	if err != nil {
-		return nil, info, err
-	}
-	dd, err := db.OpenDataDir(cfg.Root)
-	if err != nil {
-		return nil, info, err
-	}
-	r, err := attach(cfg, d, dd, true)
-	if err != nil {
-		return nil, info, err
-	}
-	logf("repl: opened replica at position (%d, %d): %s", r.nextSeg.Load(), r.nextIdx.Load(), info.Summary())
-	return r, info, nil
-}
-
 // OpenRejoin builds a Replica over an already-open live database — the
 // cluster's boot-as-follower path and the fenced-primary rejoin path.
-// No recovery runs (the state is live and keeps serving reads), and
-// the caller must already have detached the database's journal writer.
-// With force set, the first handshake requests a full bootstrap
-// (position -1, -1): a node that journaled as primary may hold a tail
-// this history never committed, which must be replaced, not appended
-// to.
+// No recovery runs (the state is live and keeps serving reads; a fresh
+// process recovers it with queries.Recover first), and the caller must
+// already have detached the database's journal writer. The resume
+// position is computed from the mirrored journal in dd. With force set,
+// the first handshake requests a full bootstrap (position -1, -1): a
+// node that journaled as primary may hold a tail this history never
+// committed, which must be replaced, not appended to.
 func OpenRejoin(cfg Config, d *db.DB, dd *db.DataDir, force bool) (*Replica, error) {
-	if cfg.From == "" {
-		return nil, fmt.Errorf("replica: From is required")
+	if cfg.From == "" || cfg.Cluster == nil {
+		return nil, fmt.Errorf("replica: From and Cluster are required")
 	}
-	cfg, _, logf := cfg.withDefaults()
-	r, err := attach(cfg, d, dd, !force)
-	if err != nil {
-		return nil, err
-	}
-	r.forceBoot.Store(force)
-	logf("repl: rejoining %s at position (%d, %d), force-bootstrap=%v",
-		cfg.From, r.nextSeg.Load(), r.nextIdx.Load(), force)
-	return r, nil
-}
-
-func (cfg Config) withDefaults() (Config, clock.Clock, func(string, ...any)) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
 	}
@@ -204,14 +158,6 @@ func (cfg Config) withDefaults() (Config, clock.Clock, func(string, ...any)) {
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = time.Second
 	}
-	return cfg, cfg.Clock, cfg.Logf
-}
-
-// attach builds the Replica struct over an open database, computing
-// the resume position from the mirrored journal. truncate cuts a torn
-// tail off the newest mirrored segment — wanted whenever that segment
-// will be appended to rather than replaced.
-func attach(cfg Config, d *db.DB, dd *db.DataDir, truncate bool) (*Replica, error) {
 	r := &Replica{
 		cfg:     cfg,
 		clk:     cfg.Clock,
@@ -225,8 +171,9 @@ func attach(cfg Config, d *db.DB, dd *db.DataDir, truncate bool) (*Replica, erro
 	if err != nil {
 		return nil, err
 	}
-	if seg > 0 && truncate {
-		// A torn tail from the replica's own crash must be cut off:
+	if seg > 0 && !force {
+		// A torn tail from the replica's own crash must be cut off
+		// whenever the segment will be appended to rather than replaced:
 		// the primary resends that record whole, and appending it after
 		// the partial bytes would manufacture mid-file corruption.
 		if err := truncateSegment(filepath.Join(dd.JournalDir(), db.SegmentName(seg)), off); err != nil {
@@ -236,9 +183,8 @@ func attach(cfg Config, d *db.DB, dd *db.DataDir, truncate bool) (*Replica, erro
 	r.nextSeg.Store(seg)
 	r.nextIdx.Store(idx)
 	r.segBytes.Store(off)
-	if cfg.Stats != nil {
-		r.BindStats(cfg.Stats)
-	}
+	r.forceBoot.Store(force)
+	r.logf("repl: rejoining %s at position (%d, %d), force-bootstrap=%v", cfg.From, seg, idx, force)
 	return r, nil
 }
 
@@ -282,10 +228,10 @@ func (r *Replica) From() string {
 	return r.cfg.From
 }
 
-// DB returns the replica's database, live from the moment Open
-// returns. Serve it read-only: nothing attaches a journal to it, so
-// locally executed mutations would be silently undone by the next
-// bootstrap — the server's MR_READONLY gate is what keeps them out.
+// DB returns the replica's database, live throughout. Serve it
+// read-only: nothing attaches a journal to it, so locally executed
+// mutations would be silently undone by the next bootstrap — the
+// server's MR_READONLY gate is what keeps them out.
 func (r *Replica) DB() *db.DB { return r.d }
 
 // Position returns the next (segment, record) the replica wants.
@@ -296,59 +242,51 @@ func (r *Replica) Position() (seg, idx int64) {
 // Connected reports whether a replication session is currently live.
 func (r *Replica) Connected() bool { return r.connected.Load() }
 
-// BindStats publishes the replica's repl.* series into reg. Lag in
-// records and bytes is exact while applier and head share a segment
+// emitStats emits the replica's upstream and lag series; the Cluster's
+// stats group calls it while this replica is the node's follower. Lag
+// in records and bytes is exact while applier and head share a segment
 // and a lower bound while the applier is segments behind.
-func (r *Replica) BindStats(reg *stats.Registry) {
-	reg.AddGroup(func(emit func(string, int64)) {
-		role := int64(1)
-		if r.promoted.Load() {
-			role = 2
+func (r *Replica) emitStats(emit func(string, int64)) {
+	emit("repl.applied.records", r.applied.Load())
+	if s := r.skipped.Load(); s > 0 {
+		emit("repl.skipped.records", s)
+	}
+	if f := r.failed.Load(); f > 0 {
+		emit("repl.failed.records", f)
+	}
+	hs, hi, ho := r.headSeg.Load(), r.headIdx.Load(), r.headOff.Load()
+	if hs > 0 {
+		emit("repl.head.seg", hs)
+		emit("repl.head.idx", hi)
+		lagSegs := hs - r.nextSeg.Load()
+		if lagSegs < 0 {
+			lagSegs = 0
 		}
-		emit("repl.role", role)
-		emit("repl.applied.seg", r.nextSeg.Load())
-		emit("repl.applied.idx", r.nextIdx.Load())
-		emit("repl.applied.records", r.applied.Load())
-		if s := r.skipped.Load(); s > 0 {
-			emit("repl.skipped.records", s)
+		emit("repl.lag.segments", lagSegs)
+		lagRecs, lagBytes := hi, ho
+		if lagSegs == 0 {
+			lagRecs = hi - r.nextIdx.Load()
+			lagBytes = ho - r.segBytes.Load()
 		}
-		if f := r.failed.Load(); f > 0 {
-			emit("repl.failed.records", f)
+		if lagRecs < 0 {
+			lagRecs = 0
 		}
-		hs, hi, ho := r.headSeg.Load(), r.headIdx.Load(), r.headOff.Load()
-		if hs > 0 {
-			emit("repl.head.seg", hs)
-			emit("repl.head.idx", hi)
-			lagSegs := hs - r.nextSeg.Load()
-			if lagSegs < 0 {
-				lagSegs = 0
-			}
-			emit("repl.lag.segments", lagSegs)
-			lagRecs, lagBytes := hi, ho
-			if lagSegs == 0 {
-				lagRecs = hi - r.nextIdx.Load()
-				lagBytes = ho - r.segBytes.Load()
-			}
-			if lagRecs < 0 {
-				lagRecs = 0
-			}
-			if lagBytes < 0 {
-				lagBytes = 0
-			}
-			emit("repl.lag.records", lagRecs)
-			emit("repl.lag.bytes", lagBytes)
+		if lagBytes < 0 {
+			lagBytes = 0
 		}
-		emit("repl.lag.seconds", r.LagSeconds())
-		emit("repl.reconnects", r.reconnects.Load())
-		if b := r.bootstraps.Load(); b > 0 {
-			emit("repl.bootstraps", b)
-		}
-		if r.connected.Load() {
-			emit("repl.connected", 1)
-		} else {
-			emit("repl.connected", 0)
-		}
-	})
+		emit("repl.lag.records", lagRecs)
+		emit("repl.lag.bytes", lagBytes)
+	}
+	emit("repl.lag.seconds", r.LagSeconds())
+	emit("repl.reconnects", r.reconnects.Load())
+	if b := r.bootstraps.Load(); b > 0 {
+		emit("repl.bootstraps", b)
+	}
+	if r.connected.Load() {
+		emit("repl.connected", 1)
+	} else {
+		emit("repl.connected", 0)
+	}
 }
 
 // LagSeconds estimates how far behind the primary this replica is in
@@ -449,12 +387,9 @@ func (r *Replica) session() error {
 	cl := r.cfg.Cluster
 	bw := bufio.NewWriter(conn)
 	seg, idx := r.nextSeg.Load(), r.nextIdx.Load()
-	args := []string{itoa(seg), itoa(idx)}
-	if cl != nil {
-		if r.forceBoot.Load() {
-			args = []string{"-1", "-1"}
-		}
-		args = append(args, itoa(cl.Epoch()))
+	args := []string{itoa(seg), itoa(idx), itoa(cl.Epoch())}
+	if r.forceBoot.Load() {
+		args[0], args[1] = "-1", "-1"
 	}
 	err = protocol.WriteRequest(bw, &protocol.Request{
 		Version: protocol.Version,
@@ -470,15 +405,15 @@ func (r *Replica) session() error {
 	r.connected.Store(true)
 	r.logf("repl: connected to %s at position (%d, %d)", from, seg, idx)
 
-	// Cluster-mode acknowledgements: one OpElection "ack" request back
-	// up the stream, carrying our epoch, the newest lease sequence
-	// seen, and the next record we want (everything before it is
-	// mirrored and applied). Sent at each lease frame and after each
-	// drained burst of records.
+	// Acknowledgements: one OpElection "ack" request back up the
+	// stream, carrying our epoch, the newest lease sequence seen, and the
+	// next record we want (everything before it is mirrored and
+	// applied). Sent at each lease frame and after each drained burst of
+	// records.
 	var lastLeaseSeq int64
 	helloSeen := false
 	ack := func() error {
-		if cl == nil || !helloSeen {
+		if !helloSeen {
 			return nil
 		}
 		err := protocol.WriteRequest(bw, &protocol.Request{
@@ -499,9 +434,7 @@ func (r *Replica) session() error {
 		if seq > lastLeaseSeq {
 			lastLeaseSeq = seq
 		}
-		if cl != nil && cl.OnLease != nil {
-			cl.OnLease(epoch)
-		}
+		cl.OnLease(epoch)
 		return ack()
 	}
 
@@ -513,10 +446,10 @@ func (r *Replica) session() error {
 			return err
 		}
 		if code := mrerr.Code(rep.Code); code != mrerr.MrMoreData {
-			if code == mrerr.MrReadonly && cl != nil {
+			if code == mrerr.MrReadonly {
 				// The dialed node is not (or no longer) the primary. If
 				// it knows who is, chase that instead of redialing it.
-				if f := rep.StringFields(); len(f) > 0 && f[0] != "" && cl.OnRedirect != nil {
+				if f := rep.StringFields(); len(f) > 0 && f[0] != "" {
 					cl.OnRedirect(f[0])
 				}
 				return fmt.Errorf("%s is not the primary", from)
@@ -544,10 +477,8 @@ func (r *Replica) session() error {
 			if err != nil {
 				return fmt.Errorf("malformed hello frame")
 			}
-			if cl != nil && cl.OnHello != nil {
-				if err := cl.OnHello(epoch, f[2], f[3]); err != nil {
-					return err
-				}
+			if err := cl.OnHello(epoch, f[2], f[3]); err != nil {
+				return err
 			}
 			helloSeen = true
 		case tagLease:
@@ -564,15 +495,16 @@ func (r *Replica) session() error {
 			}
 			dirty = false
 		case tagHead:
-			// 4 fields from older primaries; 5 adds the primary's clock
-			// (Unix seconds) so heartbeats keep freshness current.
-			if len(f) != 4 && len(f) != 5 {
+			// The trailing field is the primary's clock (Unix seconds), so
+			// heartbeats keep freshness current.
+			if len(f) != 5 {
 				return fmt.Errorf("malformed head frame (%d fields)", len(f))
 			}
 			hs, e1 := parseInt(f[1])
 			hi, e2 := parseInt(f[2])
 			ho, e3 := parseInt(f[3])
-			if e1 != nil || e2 != nil || e3 != nil {
+			ts, e4 := parseInt(f[4])
+			if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
 				return fmt.Errorf("malformed head frame")
 			}
 			r.headSeg.Store(hs)
@@ -581,10 +513,8 @@ func (r *Replica) session() error {
 			// A head frame means the stream has delivered everything up
 			// to the primary's head: this replica is caught up right now.
 			r.caughtUp.Store(true)
-			if len(f) == 5 {
-				if ts, err := parseInt(f[4]); err == nil && ts > r.freshAsOf.Load() {
-					r.freshAsOf.Store(ts)
-				}
+			if ts > r.freshAsOf.Load() {
+				r.freshAsOf.Store(ts)
 			}
 		case tagSnapBegin:
 			if len(f) != 3 {
@@ -618,7 +548,7 @@ func (r *Replica) applyRecord(segField, idxField, line string) error {
 	if e1 != nil || e2 != nil {
 		return fmt.Errorf("malformed rec position")
 	}
-	if _, st := db.SplitJournalCRC(line); st != db.CRCValid {
+	if _, ok := db.SplitJournalCRC(line); !ok {
 		return fmt.Errorf("record (%d, %d) fails CRC in flight", seg, idx)
 	}
 	wantSeg, wantIdx := r.nextSeg.Load(), r.nextIdx.Load()
@@ -907,17 +837,6 @@ func (r *Replica) Promote(opts db.JournalOptions) (*db.JournalWriter, error) {
 		return nil, err
 	}
 	r.d.SetJournal(jw)
-	// Bump the persisted election epoch on a legacy (non-cluster)
-	// promotion too: if this node or its deposed primary later joins
-	// an elected cluster, the epochs must still order the promotion.
-	// In cluster mode the Cluster persists the claimed epoch itself.
-	if r.cfg.Cluster == nil && r.cfg.Root != "" {
-		if epoch, err := LoadEpoch(r.cfg.Root); err == nil {
-			if err := StoreEpoch(r.cfg.Root, epoch+1); err != nil {
-				r.logf("repl: promote: persisting epoch: %v", err)
-			}
-		}
-	}
 	r.logf("repl: promoted to primary; journal segment %d", jw.Seq())
 	return jw, nil
 }
@@ -985,7 +904,7 @@ func countValidLines(data []byte) (idx, off int64) {
 		}
 		line := string(data[off:int64(j)])
 		if line != "" {
-			if _, st := db.SplitJournalCRC(line); st != db.CRCValid {
+			if _, ok := db.SplitJournalCRC(line); !ok {
 				break
 			}
 			idx++

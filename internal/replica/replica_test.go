@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -11,8 +13,10 @@ import (
 	"moira/internal/clock"
 	"moira/internal/db"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 	"moira/internal/queries"
 	"moira/internal/server"
+	"moira/internal/trace"
 )
 
 // instant is the pinned wall-clock moment both sides of every test run
@@ -29,9 +33,14 @@ type staticClock struct{ t time.Time }
 
 func (c staticClock) Now() time.Time { return c.t }
 
+// worldEpoch is the election epoch both sides of a primaryWorld stream
+// report, so the handshake never forces a bootstrap on epoch skew.
+const worldEpoch = 1
+
 // primaryWorld is a live primary: a bootstrapped database journaling
 // into a data directory, a checkpoint store over it, and a replication
-// Primary listening on a loopback port.
+// Primary served by the world's own accept loop on a loopback port, as
+// a Cluster's listener would dispatch to it.
 type primaryWorld struct {
 	t     *testing.T
 	root  string
@@ -40,6 +49,7 @@ type primaryWorld struct {
 	jw    *db.JournalWriter
 	store *db.CheckpointStore
 	prim  *Primary
+	ln    net.Listener
 	addr  string
 }
 
@@ -66,17 +76,49 @@ func newPrimaryWorld(t *testing.T) *primaryWorld {
 		Journal:    jw,
 		Store:      store,
 		Checkpoint: w.checkpoint,
+		Cluster: &PrimaryCluster{
+			Epoch:       func() int64 { return worldEpoch },
+			OnStaleSelf: func(int64) {},
+		},
 	})
-	addr, err := w.prim.Listen("127.0.0.1:0")
-	if err != nil {
+	if w.ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	w.addr = addr.String()
+	w.addr = w.ln.Addr().String()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := w.ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				br := bufio.NewReader(conn)
+				req, err := protocol.ReadRequest(br)
+				if err != nil {
+					conn.Close()
+					return
+				}
+				w.prim.ServeReplicate(conn, br, req)
+			}()
+		}
+	}()
 	t.Cleanup(func() {
-		w.prim.Close()
+		w.stop()
+		wg.Wait()
 		jw.Close()
 	})
 	return w
+}
+
+// stop kills the primary: no new streams, every live one cut.
+func (w *primaryWorld) stop() {
+	w.ln.Close()
+	w.prim.Close()
 }
 
 // checkpoint snapshots the primary and prunes journal segments the
@@ -103,22 +145,37 @@ func (w *primaryWorld) run(name string, args ...string) {
 	}
 }
 
-// openReplica opens (or reopens) a replica over root tailing this
-// primary, with fast reconnects for test latency.
-func (w *primaryWorld) openReplica(root string) *Replica {
+// openReplica recovers root and attaches a replica tailing this
+// primary, the way a cluster node boots into a follower, with fast
+// reconnects for test latency. tr, when non-nil, traces the applies.
+func (w *primaryWorld) openReplica(root string, tr *trace.Tracer) *Replica {
 	w.t.Helper()
-	r, info, err := Open(Config{
-		Root:       root,
+	d, info, err := queries.Recover(root, staticClock{instant}, w.t.Logf)
+	if err != nil {
+		w.t.Fatalf("replica recovery: %v", err)
+	}
+	if len(info.Fsck) != 0 {
+		w.t.Fatalf("replica recovery fsck: %v", info.Fsck)
+	}
+	dd, err := db.OpenDataDir(root)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	r, err := OpenRejoin(Config{
 		From:       w.addr,
 		Clock:      staticClock{instant},
 		RetryDelay: 10 * time.Millisecond,
 		Logf:       w.t.Logf,
-	})
+		Tracer:     tr,
+		Cluster: &ReplicaCluster{
+			Epoch:      func() int64 { return worldEpoch },
+			OnHello:    func(int64, string, string) error { return nil },
+			OnLease:    func(int64) {},
+			OnRedirect: func(string) {},
+		},
+	}, d, dd, false)
 	if err != nil {
 		w.t.Fatalf("replica open: %v", err)
-	}
-	if len(info.Fsck) != 0 {
-		w.t.Fatalf("replica recovery fsck: %v", info.Fsck)
 	}
 	return r
 }
@@ -169,7 +226,7 @@ func TestReplicaConvergesUnderConcurrentWrites(t *testing.T) {
 	w := newPrimaryWorld(t)
 	rroot := t.TempDir()
 
-	rep := w.openReplica(rroot)
+	rep := w.openReplica(rroot, nil)
 	rep.Start()
 
 	// First wave lands while the replica is live.
@@ -200,7 +257,7 @@ func TestReplicaConvergesUnderConcurrentWrites(t *testing.T) {
 
 	// Restart from the same directory: it resumes from its mirrored
 	// position, with more writes racing the catch-up.
-	rep2 := w.openReplica(rroot)
+	rep2 := w.openReplica(rroot, nil)
 	seg, idx := rep2.Position()
 	if seg == 0 && idx == 0 {
 		t.Fatal("restarted replica lost its position")
@@ -238,7 +295,7 @@ func TestReplicaBootstrapFromSnapshot(t *testing.T) {
 		w.run("add_machine", fmt.Sprintf("post%02d.mit.edu", i), "VAX")
 	}
 
-	rep := w.openReplica(t.TempDir())
+	rep := w.openReplica(t.TempDir(), nil)
 	rep.Start()
 	defer rep.Close()
 	waitConverged(t, w.d, rep.DB())
@@ -258,13 +315,13 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 	w := newPrimaryWorld(t)
 	w.run("add_machine", "only.mit.edu", "VAX")
 
-	rep := w.openReplica(t.TempDir())
+	rep := w.openReplica(t.TempDir(), nil)
 	rep.Start()
 	defer rep.Close()
 	waitConverged(t, w.d, rep.DB())
 
 	// The primary dies; the replica keeps serving what it has.
-	w.prim.Close()
+	w.stop()
 
 	srv := server.New(server.Config{DB: rep.DB(), ReadOnly: true})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -303,12 +360,12 @@ func TestPromotion(t *testing.T) {
 	}
 
 	rroot := t.TempDir()
-	rep := w.openReplica(rroot)
+	rep := w.openReplica(rroot, nil)
 	rep.Start()
 	waitConverged(t, w.d, rep.DB())
 
 	// Primary lost; operator promotes the replica.
-	w.prim.Close()
+	w.stop()
 	jw, err := rep.Promote(db.JournalOptions{Policy: db.SyncEveryCommit})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
@@ -367,9 +424,9 @@ func TestPromotion(t *testing.T) {
 func TestReplicationSoak(t *testing.T) {
 	w := newPrimaryWorld(t)
 	rootA, rootB := t.TempDir(), t.TempDir()
-	repA := w.openReplica(rootA)
+	repA := w.openReplica(rootA, nil)
 	repA.Start()
-	repB := w.openReplica(rootB)
+	repB := w.openReplica(rootB, nil)
 	repB.Start()
 
 	const writers, per = 3, 30
@@ -393,7 +450,7 @@ func TestReplicationSoak(t *testing.T) {
 	if err := repB.Close(); err != nil {
 		t.Fatal(err)
 	}
-	repB = w.openReplica(rootB)
+	repB = w.openReplica(rootB, nil)
 	repB.Start()
 	wg.Wait()
 
@@ -401,7 +458,7 @@ func TestReplicationSoak(t *testing.T) {
 	waitConverged(t, w.d, repB.DB())
 
 	// Primary retires; A takes over and keeps accepting writes.
-	w.prim.Close()
+	w.stop()
 	repB.Close()
 	jw, err := repA.Promote(db.JournalOptions{Policy: db.SyncEveryCommit})
 	if err != nil {
@@ -413,4 +470,35 @@ func TestReplicationSoak(t *testing.T) {
 		t.Fatalf("write after promotion: %v", err)
 	}
 	repA.Close()
+}
+
+// TestTwoArgHandshakeRefused: the replication handshake is always
+// [seg, idx, epoch]; the retired two-argument one-way stream is refused
+// with MR_ARGS before anything streams.
+func TestTwoArgHandshakeRefused(t *testing.T) {
+	w := newPrimaryWorld(t)
+	conn, err := net.DialTimeout("tcp", w.addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	bw := bufio.NewWriter(conn)
+	if err := protocol.WriteRequest(bw, &protocol.Request{
+		Version: protocol.Version,
+		Op:      protocol.OpReplicate,
+		Args:    protocol.BytesArgs([]string{"0", "0"}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := protocol.ReadReply(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := mrerr.Code(rep.Code); code != mrerr.MrArgs {
+		t.Fatalf("two-argument handshake = %v, want MR_ARGS", code.OrNil())
+	}
 }

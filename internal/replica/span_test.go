@@ -52,19 +52,7 @@ func TestSpansCrossProcessBoundaries(t *testing.T) {
 	defer srv.Close()
 
 	replicaTracer := trace.New(trace.Options{Process: "replica", Slow: -1})
-	rep, info, err := Open(Config{
-		Root:       t.TempDir(),
-		From:       w.addr,
-		Clock:      staticClock{instant},
-		RetryDelay: 10 * time.Millisecond,
-		Tracer:     replicaTracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Fsck) != 0 {
-		t.Fatalf("replica fsck: %v", info.Fsck)
-	}
+	rep := w.openReplica(t.TempDir(), replicaTracer)
 	rep.Start()
 	defer rep.Close()
 
@@ -182,7 +170,7 @@ func TestSpansCrossProcessBoundaries(t *testing.T) {
 // freshness point so an idle-but-connected replica stays at zero.
 func TestReplicaLagSeconds(t *testing.T) {
 	w := newPrimaryWorld(t)
-	rep := w.openReplica(t.TempDir())
+	rep := w.openReplica(t.TempDir(), nil)
 	rep.Start()
 	defer rep.Close()
 

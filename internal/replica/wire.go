@@ -1,34 +1,42 @@
-// Package replica implements journal-shipping replication for moirad
-// (the availability gap of section 5.2: one centralized server whose
-// outage stalls every consumer). A primary streams its durable journal
-// — the listing of all successful changes — to any number of read-only
-// replicas, each of which mirrors the segments on its own disk and
-// applies the records through the recovery replay path. Replicas serve
-// retrieval queries, refuse mutations with MR_READONLY, and can be
-// promoted to primary.
+// Package replica implements the durable moirad node: a Cluster of
+// one or more peers over journal-shipping replication (the
+// availability gap of section 5.2: one centralized server whose outage
+// stalls every consumer). A node with no peers is a standalone primary.
+// With peers, the elected primary streams its durable journal — the
+// listing of all successful changes — to the others, each of which
+// mirrors the segments on its own disk and applies the records through
+// the recovery replay path. Followers serve retrieval queries, refuse
+// mutations with MR_READONLY, and stand for election when the
+// primary's lease lapses.
 //
 // The wire protocol rides the existing framed counted-string codec:
-// the replica opens a v3 Replicate request carrying its resume
-// position, and the primary answers with a stream of MR_MORE_DATA
-// reply frames until either side hangs up. Frame vocabulary (first
-// field tags the frame):
+// the follower opens a Replicate request carrying its resume position
+// and its election epoch, [seg, idx, epoch], and the primary answers
+// with a stream of MR_MORE_DATA reply frames until either side hangs
+// up. Frame vocabulary (first field tags the frame):
 //
-//	snap-begin gen journalSeq   bootstrap snapshot follows
-//	file name                   start of one snapshot file
-//	chunk bytes                 snapshot file data (≤1 MB per frame)
-//	file-end name               end of one snapshot file
-//	snap-end                    snapshot complete; tail follows
-//	rec seg idx line            one journal record (line idx of segment seg)
-//	head seg idx off            primary's current head, sent when caught up
+//	hello epoch replAddr clientAddr  the primary's greeting, sent first
+//	lease epoch seq                  deadline heartbeat, interleaved anywhere
+//	snap-begin gen journalSeq        bootstrap snapshot follows
+//	file name                        start of one snapshot file
+//	chunk bytes                      snapshot file data (≤1 MB per frame)
+//	file-end name                    end of one snapshot file
+//	snap-end                         snapshot complete; tail follows
+//	rec seg idx line                 one journal record (line idx of segment seg)
+//	head seg idx off now             primary's head and clock, sent when caught up
+//
+// The follower acknowledges positions and lease sequence numbers by
+// writing OpElection "ack" requests back up the same connection, so
+// the stream is full duplex.
 //
 // Positions are (segment sequence, record index): record idx is the
 // idx'th complete CRC-valid line of segment seg, counted from 0. A
 // resume position names the next record wanted, so (0, 0) means "I
-// have nothing". Replicas mirror the primary's segment numbering on
-// their own disk, which makes the position recomputable from disk
-// after any crash — no separate replication state file, and the
-// mirrored directory is a valid durable data dir for ordinary
-// boot-time recovery.
+// have nothing" and (-1, -1) asks for a full bootstrap. Followers
+// mirror the primary's segment numbering on their own disk, which
+// makes the position recomputable from disk after any crash — no
+// separate replication state file, and the mirrored directory is a
+// valid durable data dir for ordinary boot-time recovery.
 package replica
 
 import (
@@ -48,25 +56,8 @@ const (
 	tagSnapEnd   = "snap-end"
 	tagRec       = "rec"
 	tagHead      = "head"
-
-	// Cluster-mode frames (protocol v5 failover). The hello frame is
-	// the primary's greeting, sent before anything else on an
-	// epoch-aware stream:
-	//
-	//	hello epoch replAddr clientAddr
-	//
-	// lease frames are the primary's deadline-heartbeat, interleaved
-	// with the stream (including mid-snapshot, so a long bootstrap
-	// does not cost the primary its lease):
-	//
-	//	lease epoch seq
-	//
-	// The replica acknowledges both positions and lease sequence
-	// numbers by writing OpElection "ack" requests back up the same
-	// connection — the stream is full duplex in cluster mode, where a
-	// legacy replica sends nothing after its handshake.
-	tagHello = "hello"
-	tagLease = "lease"
+	tagHello     = "hello"
+	tagLease     = "lease"
 )
 
 // Election subops: the first argument of an OpElection request.

@@ -120,47 +120,6 @@ func TestSessionGaugeDropsOnDisconnect(t *testing.T) {
 	}
 }
 
-func TestTraceHandleOverRPC(t *testing.T) {
-	w := newWorld(t)
-	c := w.dial(t)
-	c.SetTraceID("t-test-42")
-	if _, err := c.QueryAll("_list_queries"); err != nil {
-		t.Fatal(err)
-	}
-
-	var rows [][]string
-	err := c.Query("_trace", []string{"t-test-42"}, func(tu []string) error {
-		rows = append(rows, append([]string(nil), tu...))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("_trace: %v", err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("trace rows = %d, want 1: %v", len(rows), rows)
-	}
-	r := rows[0]
-	if len(r) != 7 || r[1] != "t-test-42" || r[2] != "query" || r[3] != "_list_queries" {
-		t.Errorf("trace row = %v", r)
-	}
-
-	// The wildcard form returns everything in the ring.
-	rows = nil
-	err = c.Query("_trace", []string{"*"}, func(tu []string) error {
-		rows = append(rows, append([]string(nil), tu...))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("_trace *: %v", err)
-	}
-	if len(rows) < 2 { // the query above plus its own _trace call at least
-		t.Errorf("wildcard trace rows = %d", len(rows))
-	}
-	if err := c.Query("_trace", []string{"never-issued"}, func([]string) error { return nil }); err != mrerr.MrNoMatch {
-		t.Errorf("unknown trace id: %v, want MR_NO_MATCH", err)
-	}
-}
-
 // TestTriggerDCMForwardsTrace checks the RPC trigger hands the
 // client's trace ID to the DCM hook.
 func TestTriggerDCMForwardsTrace(t *testing.T) {

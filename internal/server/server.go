@@ -92,7 +92,7 @@ type Config struct {
 
 	// Tracer records per-phase spans for every request (read/parse,
 	// auth, snapshot acquire, handler, journal, reply write). nil
-	// disables span collection; the flat trace ring still works.
+	// disables span collection.
 	Tracer *trace.Tracer
 
 	// Health, when set, backs the _health query handle (the in-band
@@ -144,10 +144,9 @@ const DefaultDrainTimeout = 5 * time.Second
 
 // Server is a running Moira server.
 type Server struct {
-	cfg    Config
-	clk    clock.Clock
-	reg    *stats.Registry
-	traces *stats.TraceLog
+	cfg Config
+	clk clock.Clock
+	reg *stats.Registry
 
 	ln      net.Listener
 	wg      sync.WaitGroup
@@ -211,7 +210,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		clk:      clk,
 		reg:      reg,
-		traces:   stats.NewTraceLog(0),
 		closing:  make(chan struct{}),
 		sessions: make(map[int]*session),
 		conns:    make(map[net.Conn]*connState),
@@ -256,9 +254,6 @@ func (s *Server) HealthProbe() health.Status {
 	}
 	return st
 }
-
-// Traces returns the recent-request trace ring, oldest first.
-func (s *Server) Traces() []stats.TraceEntry { return s.traces.Entries() }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting
 // connections in the background. It returns the bound address.
@@ -477,7 +472,6 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		Sessions:   s.SessionInfos,
 		TriggerDCM: s.cfg.TriggerDCM,
 		Stats:      s.reg,
-		Traces:     s.traces.Entries,
 		Spans:      s.cfg.Tracer.Traces,
 		Health:     s.cfg.Health.Check,
 	}
@@ -776,8 +770,8 @@ func handleName(name string) string {
 	return name
 }
 
-// observe records one completed request in the metric registry, the
-// trace ring, and (when verbose) the server log.
+// observe records one completed request in the metric registry and
+// (when verbose) the server log.
 func (s *Server) observe(req *protocol.Request, ses *session, principal, handle string, code mrerr.Code, latency time.Duration) {
 	op := protocol.OpName(req.Op)
 	s.reg.Counter("server.requests." + op).Inc()
@@ -791,15 +785,6 @@ func (s *Server) observe(req *protocol.Request, ses *session, principal, handle 
 			s.reg.Counter("server.auth.failures").Inc()
 		}
 	}
-	s.traces.Add(stats.TraceEntry{
-		Time:      s.clk.Now().Unix(),
-		Trace:     req.TraceID,
-		Op:        op,
-		Handle:    handle,
-		Principal: principal,
-		Code:      int32(code),
-		Latency:   latency,
-	})
 	s.cfg.Logf("request client=%d op=%s handle=%s principal=%s code=%d latency=%v trace=%s",
 		ses.id, op, handle, principal, int32(code), latency, req.TraceID)
 }

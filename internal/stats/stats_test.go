@@ -148,14 +148,3 @@ func TestHistogramStringEmptyCase(t *testing.T) {
 		t.Errorf("empty String() = %q", got)
 	}
 }
-
-func TestTraceLogRingEviction(t *testing.T) {
-	l := NewTraceLog(3)
-	for i := 1; i <= 5; i++ {
-		l.Add(TraceEntry{Trace: string(rune('0' + i))})
-	}
-	got := l.Entries()
-	if len(got) != 3 || got[0].Trace != "3" || got[2].Trace != "5" {
-		t.Errorf("entries = %+v", got)
-	}
-}

@@ -94,7 +94,6 @@ type Agent struct {
 	closing chan struct{}
 
 	reg    *stats.Registry
-	traces *stats.TraceLog
 	tracer *trace.Tracer
 }
 
@@ -133,7 +132,6 @@ func NewAgent(host, dir string, verifier *kerberos.Verifier) *Agent {
 		conns:       make(map[net.Conn]*connState),
 		closing:     make(chan struct{}),
 		reg:         stats.NewRegistry(),
-		traces:      stats.NewTraceLog(0),
 	}
 }
 
@@ -152,10 +150,6 @@ func (a *Agent) BindStats(reg *stats.Registry) { a.reg = reg }
 
 // Registry returns the registry the agent counts into.
 func (a *Agent) Registry() *stats.Registry { return a.reg }
-
-// Traces returns the agent's recent installs, oldest first, each tagged
-// with the trace ID the DCM's push carried.
-func (a *Agent) Traces() []stats.TraceEntry { return a.traces.Entries() }
 
 // SetTracer attaches a span tracer: each executed installation records
 // an agent.install span, parented (via the wire trace field) under the
@@ -562,7 +556,6 @@ func (a *Agent) dispatch(conn net.Conn, ses *updateSession, req *protocol.Reques
 		if a.crash(conn, "before-execute") {
 			return code, true
 		}
-		start := time.Now()
 		sp := a.tracer.Start(ses.trace, ses.parent, "agent.install")
 		sp.SetDetail(ses.target)
 		code = ses.execute(conn, sp)
@@ -574,15 +567,6 @@ func (a *Agent) dispatch(conn net.Conn, ses *updateSession, req *protocol.Reques
 		if code == mrerr.Success {
 			a.reg.Counter("update.installs").Inc()
 		}
-		a.traces.Add(stats.TraceEntry{
-			Time:      time.Now().Unix(),
-			Trace:     ses.trace,
-			Op:        "install",
-			Handle:    ses.target,
-			Principal: a.Host,
-			Code:      int32(code),
-			Latency:   time.Since(start),
-		})
 	default:
 		code = mrerr.MrUnknownProc
 	}
