@@ -60,7 +60,7 @@ func main() {
 	// scripts written for the simulated services can be replayed.
 	for _, cmd := range []string{"restart_hesiod", "install_nfs", "stage_aliases", "reload_zephyr_acls"} {
 		name := cmd
-		a.RegisterCommand(name, func(ag *update.Agent, args []string) error {
+		a.RegisterCommand(name, func(ag *update.Agent, _ *update.Install, args []string) error {
 			log.Printf("updsrvd: exec %s %v", name, args)
 			return nil
 		})

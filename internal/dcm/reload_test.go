@@ -1,0 +1,214 @@
+package dcm
+
+import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"testing"
+	"time"
+
+	"moira/internal/db"
+	"moira/internal/gen"
+	"moira/internal/queries"
+	"moira/internal/workload"
+)
+
+// TestServiceReloadOracle is the oracle for the services' delta reloads:
+// across randomized mutate/pass sequences over the world's hesiod, NFS
+// and mailhub hosts — with crashes injected at before-xfer, after-xfer,
+// before-execute and every instr-N, once (the pass's retry recovers) or
+// for a whole pass, re-pushes of an unchanged bundle, and reloads run
+// by hand with no push view — every service whose host's last push
+// succeeded must hold exactly what a from-scratch parse of that host's
+// installed files gives. Two hesiod hosts feed one server, and each NFS
+// host runs install_nfs once per partition against one credentials
+// file.
+func TestServiceReloadOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runReloadOracle(t, seed) })
+	}
+}
+
+func runReloadOracle(t *testing.T, seed int64) {
+	cfg := workload.Scaled(120)
+	cfg.HesiodServers = 2
+	cfg.NFSServers = 2
+	cfg.PartsPerServer = 2
+	w := newWorldCfg(t, true, cfg)
+	rng := rand.New(rand.NewSource(seed))
+
+	type svc struct {
+		name, dir string
+		hosts     []string
+		script    int // instructions in the host's install script
+		verify    func(host string) error
+	}
+	var services []*svc
+	w.d.LockShared()
+	for _, s := range []struct{ name, dir string }{{"HESIOD", "/etc/athena/hesiod"}, {"NFS", "/etc/athena/nfs"}, {"SMTP", "/usr/lib"}} {
+		sv := &svc{name: s.name, dir: s.dir}
+		for _, sh := range w.d.ServerHostsOf(s.name) {
+			m, _ := w.d.MachineByID(sh.MachID)
+			sv.hosts = append(sv.hosts, m.Name)
+		}
+		services = append(services, sv)
+	}
+	w.d.UnlockShared()
+	hes, nfs, smtp := services[0], services[1], services[2]
+	hes.script = len(gen.HesiodInstallScript("", ""))
+	nfs.script = len(gen.NFSInstallScript("", "", []string{"/u1", "/u2"}))
+	smtp.script = len(gen.MailInstallScript("", ""))
+	hes.verify = func(h string) error { return w.hes.Verify(w.agents[h], hes.dir) }
+	nfs.verify = func(h string) error { return w.nfsHosts[h].Verify(w.agents[h], nfs.dir) }
+	smtp.verify = func(h string) error { return w.hub.Verify(w.agents[h], smtp.dir) }
+	if len(hes.hosts) != 2 || len(nfs.hosts) != 2 || len(smtp.hosts) != 1 {
+		t.Fatalf("hosts: hesiod %v, nfs %v, mail %v", hes.hosts, nfs.hosts, smtp.hosts)
+	}
+
+	// lastOK reports whether host's last push of service succeeded; a
+	// host whose last push failed legitimately serves what it held
+	// before, whatever the crash left on disk.
+	lastOK := func(service, host string) bool {
+		w.d.LockShared()
+		defer w.d.UnlockShared()
+		sh, _ := w.d.ServerHost(service, machIDByName(w.d, host))
+		return sh.LastTry != 0 && sh.LastSuccess == sh.LastTry
+	}
+	verified := map[string]int{}
+	check := func(round int) {
+		t.Helper()
+		for _, s := range services {
+			for _, h := range s.hosts {
+				if !lastOK(s.name, h) {
+					continue
+				}
+				if err := s.verify(h); err != nil {
+					t.Fatalf("round %d: %s on %s: %v", round, s.name, h, err)
+				}
+				verified[s.name]++
+			}
+		}
+	}
+	try := func(name string, args ...string) bool {
+		priv := &queries.Context{DB: w.d, Privileged: true, App: "oracle"}
+		return queries.Execute(priv, name, args, func([]string) error { return nil }) == nil
+	}
+	var logins, maillists []string
+	w.d.LockShared()
+	w.d.EachUser(func(u *db.User) bool {
+		logins = append(logins, u.Login)
+		return true
+	})
+	w.d.EachList(func(l *db.List) bool {
+		if l.Maillist {
+			maillists = append(maillists, l.Name)
+		}
+		return true
+	})
+	w.d.UnlockShared()
+	randomUser := func() string { return logins[rng.Intn(len(logins))] }
+
+	w.run()
+	check(0)
+	var added []string
+	lockers := 0
+	for round := 1; round <= 30; round++ {
+		override := round%5 == 0
+		if !override {
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				switch rng.Intn(6) {
+				case 0: // a new user, with a home locker and quota
+					login := fmt.Sprintf("rl%d%04d", seed, round*10+n)
+					if try("add_user", login, "-1", "/bin/csh", "Reload", "Oracle", "", "1", "", "STAFF") {
+						added = append(added, login)
+						host := nfs.hosts[rng.Intn(len(nfs.hosts))]
+						part := []string{"/u1", "/u2"}[rng.Intn(2)]
+						if try("add_filesys", login, "NFS", host, part+"/"+login, "/mit/"+login, "w", "", login, queries.AdminList, "1", "HOMEDIR") &&
+							try("add_nfs_quota", login, login, "100") {
+							lockers++
+						}
+					}
+				case 1: // a shell changes
+					try("update_user_shell", randomUser(), "/bin/sh"+strconv.Itoa(rng.Intn(9)))
+				case 2: // a user, and the aliases entry of its post office box, comes and goes
+					u := randomUser()
+					if len(added) > 0 && rng.Intn(2) == 0 {
+						u = added[rng.Intn(len(added))]
+					}
+					try("update_user_status", u, strconv.Itoa(rng.Intn(2)))
+				case 3: // a quota changes
+					u := randomUser()
+					try("update_nfs_quota", u, u, strconv.Itoa(100+rng.Intn(900)))
+				case 4, 5: // mailing list membership
+					list, u := maillists[rng.Intn(len(maillists))], randomUser()
+					if len(added) > 0 && rng.Intn(2) == 0 {
+						u = added[rng.Intn(len(added))]
+					}
+					if !try("add_member_to_list", list, "USER", u) {
+						try("delete_member_from_list", list, "USER", u)
+					}
+				}
+			}
+			w.clk.Advance(25 * time.Hour)
+		}
+
+		// A crash on one host, at any point of its update.
+		s := services[rng.Intn(len(services))]
+		host := s.hosts[rng.Intn(len(s.hosts))]
+		stages := []string{"before-xfer", "after-xfer", "before-execute"}
+		for i := 0; i < s.script; i++ {
+			stages = append(stages, fmt.Sprintf("instr-%d", i))
+		}
+		left := 1 // the pass's retry recovers
+		if rng.Intn(3) == 0 {
+			left = -1 // the host fails for the whole pass
+		}
+		crash := &crashCounter{stage: stages[rng.Intn(len(stages))], left: left}
+		if rng.Intn(2) == 0 {
+			w.agents[host].SetCrashPoint(crash.hook)
+		}
+		if override {
+			// No change since the last generation: the override host is
+			// re-pushed the bundle it holds.
+			h := services[rng.Intn(2)].hosts[0]
+			for _, s := range services {
+				for _, sh := range s.hosts {
+					if sh == h {
+						w.query("set_server_host_override", s.name, h)
+					}
+				}
+			}
+			w.clk.Advance(time.Minute)
+		}
+		w.run()
+		w.agents[host].SetCrashPoint(nil)
+		check(round)
+
+		// Now and then an operator reloads a healthy host by hand: no
+		// push view, so the service parses its installed files whole.
+		if rng.Intn(4) == 0 {
+			if h := nfs.hosts[0]; lastOK("NFS", h) {
+				for _, p := range []string{"/u1", "/u2"} {
+					if err := w.agents[h].ExecCommand("install_nfs", []string{nfs.dir, p}); err != nil {
+						t.Fatalf("round %d: install_nfs by hand: %v", round, err)
+					}
+				}
+			}
+			if h := hes.hosts[0]; lastOK("HESIOD", h) {
+				if err := w.agents[h].ExecCommand("restart_hesiod", []string{hes.dir}); err != nil {
+					t.Fatalf("round %d: restart_hesiod by hand: %v", round, err)
+				}
+			}
+			check(round)
+		}
+	}
+	if lockers == 0 {
+		t.Error("no new locker reached an NFS host")
+	}
+	for _, s := range services {
+		if verified[s.name] < 20 {
+			t.Errorf("%s verified only %d times", s.name, verified[s.name])
+		}
+	}
+	t.Logf("verified %v; %d users and %d lockers added", verified, len(added), lockers)
+}

@@ -8,8 +8,12 @@
 package hesiod
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -17,16 +21,31 @@ import (
 	"moira/internal/update"
 )
 
-// record is one name's data: either values or a CNAME referral.
+// record is one name's data in one file: either values or a CNAME
+// referral, and how many of the file's lines name it.
 type record struct {
 	values []string
 	cname  string
+	lines  int
+}
+
+// dbFile is one .db file's records, tagged with the install ID of the
+// bytes they were parsed from ("" when read from disk: unknown).
+type dbFile struct {
+	name string
+	id   string
+	recs map[string]*record
 }
 
 // Server holds the in-memory database and the UDP listener.
 type Server struct {
-	mu      sync.RWMutex
-	records map[string]*record
+	// reload admits one reload at a time, so a reload's plan, made
+	// against the records it reads, is what it commits over. Several
+	// agents may feed one server.
+	reload sync.Mutex
+
+	mu    sync.RWMutex
+	files []*dbFile // in name order, which Resolve merges in
 
 	conn *net.UDPConn
 	wg   sync.WaitGroup
@@ -34,7 +53,7 @@ type Server struct {
 
 // NewServer returns an empty hesiod server.
 func NewServer() *Server {
-	return &Server{records: make(map[string]*record)}
+	return &Server{}
 }
 
 // ParseDB parses one .db file in the propagated format:
@@ -45,67 +64,109 @@ func NewServer() *Server {
 //
 // Lines starting with ';' are comments.
 func ParseDB(data []byte) (map[string]*record, error) {
-	out := make(map[string]*record)
-	for lineno, line := range strings.Split(string(data), "\n") {
+	recs := make(map[string]*record)
+	if err := parseLines(data, update.Range{Lo: 0, Hi: len(data)}, recs); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// parseLines parses the lines of data[r.Lo:r.Hi] into recs, folding each
+// name's lines in file order: UNSPECA lines append a value, a CNAME line
+// replaces what came before.
+func parseLines(data []byte, r update.Range, recs map[string]*record) error {
+	return update.Lines(data, r, func(line string, off int) error {
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, ";") {
-			continue
+		if line == "" || line[0] == ';' {
+			return nil
 		}
-		fields := strings.SplitN(line, " ", 4)
-		if len(fields) < 4 || fields[1] != "HS" {
-			return nil, fmt.Errorf("hesiod: line %d: malformed record %q", lineno+1, line)
+		name, rest, _ := strings.Cut(line, " ")
+		class, rest, _ := strings.Cut(rest, " ")
+		rtype, rest, ok := strings.Cut(rest, " ")
+		if !ok || class != "HS" {
+			return fmt.Errorf("hesiod: line %d: malformed record %q", update.LineNo(data, off), line)
 		}
-		name, rtype, rest := fields[0], fields[2], fields[3]
+		rec := recs[name]
 		switch rtype {
 		case "CNAME":
-			out[name] = &record{cname: strings.TrimSpace(rest)}
+			next := &record{cname: strings.TrimSpace(rest), lines: 1}
+			if rec != nil {
+				next.lines += rec.lines
+			}
+			recs[name] = next
 		case "UNSPECA":
 			val := strings.TrimSpace(rest)
 			if strings.HasPrefix(val, "\"") && strings.HasSuffix(val, "\"") && len(val) >= 2 {
 				val = val[1 : len(val)-1]
 			}
-			r := out[name]
-			if r == nil {
-				r = &record{}
-				out[name] = r
+			if rec == nil {
+				rec = &record{}
+				recs[name] = rec
 			}
-			r.values = append(r.values, val)
+			rec.values = append(rec.values, val)
+			rec.lines++
 		default:
-			return nil, fmt.Errorf("hesiod: line %d: unknown type %q", lineno+1, rtype)
+			return fmt.Errorf("hesiod: line %d: unknown type %q", update.LineNo(data, off), rtype)
 		}
-	}
-	return out, nil
+		return nil
+	})
 }
 
-// LoadFiles replaces the server's database with the union of the given
-// .db file contents, the equivalent of the restart that follows a DCM
-// update.
+// LoadFiles replaces the server's database with the given .db file
+// contents, the equivalent of a restart from files on disk.
 func (s *Server) LoadFiles(files map[string][]byte) error {
-	merged := make(map[string]*record)
-	for name, data := range files {
-		recs, err := ParseDB(data)
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	loaded := make([]*dbFile, len(names))
+	for i, name := range names {
+		recs, err := ParseDB(files[name])
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		for k, v := range recs {
-			if old, ok := merged[k]; ok && v.cname == "" && old.cname == "" {
-				old.values = append(old.values, v.values...)
-			} else {
-				merged[k] = v
-			}
-		}
+		loaded[i] = &dbFile{name: name, recs: recs}
 	}
+	s.reload.Lock()
+	defer s.reload.Unlock()
 	s.mu.Lock()
-	s.records = merged
+	s.files = loaded
 	s.mu.Unlock()
 	return nil
 }
 
-// NumRecords reports the number of loaded names.
+// NumRecords reports the number of distinct names loaded.
 func (s *Server) NumRecords() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.records)
+	n := 0
+	for i, f := range s.files {
+		for name := range f.recs {
+			if lookup(s.files[:i], name) == nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// lookup merges name's records across files in order, as one file set:
+// values accumulate across files, and a CNAME on either side of a merge
+// replaces what came before.
+func lookup(files []*dbFile, name string) *record {
+	var got *record
+	for _, f := range files {
+		r := f.recs[name]
+		switch {
+		case r == nil:
+		case got != nil && r.cname == "" && got.cname == "":
+			got = &record{values: append(append([]string(nil), got.values...), r.values...)}
+		default:
+			got = r
+		}
+	}
+	return got
 }
 
 // Resolve answers one lookup, following CNAME referrals (with a chain
@@ -115,8 +176,8 @@ func (s *Server) Resolve(name string) ([]string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for depth := 0; depth < 8; depth++ {
-		r, ok := s.records[name]
-		if !ok {
+		r := lookup(s.files, name)
+		if r == nil {
 			return nil, false
 		}
 		if r.cname != "" {
@@ -217,22 +278,166 @@ var StandardFiles = []string{
 }
 
 // AttachToAgent registers the "restart_hesiod <destDir>" command on an
-// update agent: it reloads the server from the freshly installed files,
-// mirroring the kill-and-restart shell script of the paper.
+// update agent: it brings the server up to date with the freshly
+// installed files, mirroring the kill-and-restart shell script of the
+// paper, but reloading only what the push changed.
 func AttachToAgent(a *update.Agent, s *Server) {
-	a.RegisterCommand("restart_hesiod", func(ag *update.Agent, args []string) error {
+	a.RegisterCommand("restart_hesiod", func(ag *update.Agent, in *update.Install, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("restart_hesiod: want 1 arg, got %d", len(args))
 		}
-		destDir := args[0]
-		files := make(map[string][]byte)
-		for _, f := range StandardFiles {
-			data, err := ag.ReadHostFile(destDir + "/" + f)
-			if err != nil {
-				return err
-			}
-			files[f] = data
-		}
-		return s.LoadFiles(files)
+		return s.restart(ag, in, args[0])
 	})
+}
+
+// filePlan is what a reload will do to one file: keep it (file is the
+// held one, nothing else set), replace it (file is a fresh parse), or
+// patch the held one (drop the names in gone, then add put).
+type filePlan struct {
+	file *dbFile
+	id   string
+	gone map[string]bool
+	put  map[string]*record
+}
+
+// restart reloads StandardFiles under destDir. Every file is planned —
+// parsed and validated — before any is committed, so a bad file leaves
+// the server as it was.
+func (s *Server) restart(ag *update.Agent, in *update.Install, destDir string) error {
+	s.reload.Lock()
+	defer s.reload.Unlock()
+	plans := make([]filePlan, len(StandardFiles))
+	for i, name := range StandardFiles {
+		p, err := s.plan(ag, in, destDir, name)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		plans[i] = p
+	}
+	files := make([]*dbFile, len(plans))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, p := range plans {
+		for name := range p.gone {
+			delete(p.file.recs, name)
+		}
+		for name, r := range p.put {
+			p.file.recs[name] = r
+		}
+		p.file.id = p.id
+		files[i] = p.file
+	}
+	s.files = files
+	return nil
+}
+
+// plan decides one file's reload by the Action of the tag its records
+// hold: keep them, patch them with the push's edits, or parse the file
+// whole — from the view, or, without one, from disk.
+func (s *Server) plan(ag *update.Agent, in *update.Install, destDir, name string) (filePlan, error) {
+	fv, data, err := in.Read(ag, destDir+"/"+name)
+	if err != nil {
+		return filePlan{}, err
+	}
+	id := ""
+	if fv != nil {
+		id = fv.NewID
+		held := &dbFile{name: name}
+		for _, f := range s.files {
+			if f.name == name {
+				held = f
+			}
+		}
+		switch fv.Action(held.id) {
+		case update.Keep:
+			return filePlan{file: held, id: id}, nil
+		case update.Patch:
+			if p, err := held.patch(fv); err != errWhole {
+				return p, err
+			}
+		}
+	}
+	recs, err := ParseDB(data)
+	return filePlan{file: &dbFile{name: name, recs: recs}, id: id}, err
+}
+
+// patch plans the edits of fv against f, which holds fv.Old. The unit of
+// change is a name: every name on an old line is dropped, every name on
+// a new line is parsed from the new lines alone. That is exact only
+// when the edits hold all of a touched name's lines, so the plan is
+// errWhole — parse the file whole — when an old run of a name is not
+// all the lines f counts for it, or a new name is held and not being
+// dropped.
+func (f *dbFile) patch(fv *update.File) (filePlan, error) {
+	p := filePlan{file: f, id: fv.NewID, gone: map[string]bool{}, put: map[string]*record{}}
+	for _, e := range fv.Edits {
+		run, n := "", 0
+		whole := func() bool { return n == 0 || (f.recs[run] != nil && f.recs[run].lines == n) }
+		err := update.EachLine(fv.Old, e.Old, func(raw []byte, _ int) error {
+			raw = bytes.TrimSpace(raw)
+			if len(raw) == 0 || raw[0] == ';' {
+				return nil
+			}
+			name, _, _ := bytes.Cut(raw, []byte{' '})
+			if n > 0 && string(name) == run {
+				n++
+				return nil
+			}
+			if !whole() {
+				return errWhole
+			}
+			run, n = string(name), 1
+			p.gone[run] = true
+			return nil
+		})
+		if err != nil || !whole() {
+			return p, errWhole
+		}
+	}
+	for _, e := range fv.Edits {
+		if err := parseLines(fv.New, e.New, p.put); err != nil {
+			return p, err
+		}
+	}
+	for name := range p.put {
+		if f.recs[name] != nil && !p.gone[name] {
+			return p, errWhole
+		}
+	}
+	return p, nil
+}
+
+// errWhole stops a patch the edits cannot express exactly.
+var errWhole = errors.New("parse whole")
+
+// Verify reports the first way the server's records differ from a
+// from-scratch parse of StandardFiles under destDir on ag's host: the
+// check that reloads applied exactly what is installed.
+func (s *Server) Verify(ag *update.Agent, destDir string) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.files) != len(StandardFiles) {
+		return fmt.Errorf("hesiod: %d files loaded, want %d", len(s.files), len(StandardFiles))
+	}
+	for i, name := range StandardFiles {
+		data, err := ag.ReadHostFile(destDir + "/" + name)
+		if err != nil {
+			return err
+		}
+		want, err := ParseDB(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		got := s.files[i]
+		if got.name != name || len(got.recs) != len(want) {
+			return fmt.Errorf("hesiod: %s holds %d names, the installed %s %d", got.name, len(got.recs), name, len(want))
+		}
+		for n, w := range want {
+			g := got.recs[n]
+			if g == nil || g.cname != w.cname || g.lines != w.lines || !slices.Equal(g.values, w.values) {
+				return fmt.Errorf("hesiod: %s: %s is %+v, the installed file says %+v", name, n, g, w)
+			}
+		}
+	}
+	return nil
 }

@@ -8,7 +8,9 @@
 package mailhub
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,9 +24,14 @@ type RouteFunc func(addr string, from, subject, body string) (remote bool, err e
 
 // Hub is the simulated mail hub state.
 type Hub struct {
+	// reload admits one stage_aliases at a time, so what a run plans
+	// against is what it commits over.
+	reload sync.Mutex
+
 	mu       sync.RWMutex
 	aliases  map[string][]string
-	passwd   map[string]string // login -> full passwd line
+	aliasID  string                           // install ID aliases reflect; "" = unknown
+	passwd   update.LineTable[string, string] // login -> full passwd line
 	spoolUp  bool
 	swaps    int
 	spoolLog []string // records spool disable/enable ordering
@@ -36,7 +43,7 @@ type Hub struct {
 func NewHub() *Hub {
 	return &Hub{
 		aliases: make(map[string][]string),
-		passwd:  make(map[string]string),
+		passwd:  update.LineTable[string, string]{Rows: make(map[string]string)},
 		spoolUp: true,
 	}
 }
@@ -46,27 +53,61 @@ func NewHub() *Hub {
 // whitespace.
 func ParseAliases(data []byte) (map[string][]string, error) {
 	out := make(map[string][]string)
-	var current string
-	for lineno, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimRight(raw, " \t\r")
-		if line == "" || strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue
-		}
-		if line[0] == ' ' || line[0] == '\t' {
+	if _, err := parseAliasLines(data, update.Range{Lo: 0, Hi: len(data)}, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Kinds of aliases line.
+const (
+	aliasSkip  = iota // blank or comment
+	aliasCont         // continuation: more addresses for the entry above
+	aliasEntry        // "name: addr, ..."
+)
+
+// aliasLine trims a raw aliases line and classifies it.
+func aliasLine(raw string) (string, int) {
+	line := strings.TrimRight(raw, " \t\r")
+	switch {
+	case line == "" || strings.HasPrefix(strings.TrimSpace(line), "#"):
+		return line, aliasSkip
+	case line[0] == ' ' || line[0] == '\t':
+		return line, aliasCont
+	}
+	return line, aliasEntry
+}
+
+// parseAliasLines parses the entries in data[r.Lo:r.Hi] into out, a
+// repeated name accumulating addresses, and reports whether no name
+// repeated.
+func parseAliasLines(data []byte, r update.Range, out map[string][]string) (unique bool, err error) {
+	unique = true
+	current := ""
+	err = update.Lines(data, r, func(raw string, off int) error {
+		line, kind := aliasLine(raw)
+		switch kind {
+		case aliasSkip:
+			return nil
+		case aliasCont:
 			if current == "" {
-				return nil, fmt.Errorf("mailhub: line %d: continuation without entry", lineno+1)
+				return fmt.Errorf("mailhub: line %d: continuation without entry", update.LineNo(data, off))
 			}
 			out[current] = append(out[current], splitAddrs(line)...)
-			continue
+			return nil
 		}
 		name, rest, ok := strings.Cut(line, ":")
 		if !ok {
-			return nil, fmt.Errorf("mailhub: line %d: malformed alias %q", lineno+1, line)
+			return fmt.Errorf("mailhub: line %d: malformed alias %q", update.LineNo(data, off), line)
 		}
 		current = strings.TrimSpace(name)
+		if _, dup := out[current]; dup {
+			unique = false
+		}
 		out[current] = append(out[current], splitAddrs(rest)...)
-	}
-	return out, nil
+		return nil
+	})
+	return unique, err
 }
 
 func splitAddrs(s string) []string {
@@ -80,27 +121,136 @@ func splitAddrs(s string) []string {
 	return out
 }
 
+// aliasPlan is a parsed and validated aliases reload: keep what is
+// held, replace it with all, or patch it (drop gone, then add put).
+type aliasPlan struct {
+	keep bool
+	id   string
+	all  map[string][]string
+	gone map[string]bool
+	put  map[string][]string
+}
+
+// errWhole stops an aliases patch the edits cannot express exactly.
+var errWhole = errors.New("parse whole")
+
+// planAliases plans the aliases reload from fv, or, with no view, from
+// data as read from disk, by the Action of the tag held.
+func (h *Hub) planAliases(fv *update.File, data []byte) (aliasPlan, error) {
+	id := ""
+	if fv != nil {
+		id = fv.NewID
+		switch fv.Action(h.aliasID) {
+		case update.Keep:
+			return aliasPlan{keep: true}, nil
+		case update.Patch:
+			if p, err := h.patchAliases(fv); err != errWhole {
+				return p, err
+			}
+		}
+	}
+	all := make(map[string][]string)
+	unique, err := parseAliasLines(data, update.Range{Lo: 0, Hi: len(data)}, all)
+	if !unique {
+		id = "" // a repeated name is never patched
+	}
+	return aliasPlan{id: id, all: all}, err
+}
+
+// patchAliases plans fv's edits against the held aliases, which reflect
+// fv.Old with no name repeated. The unit is an entry with its
+// continuation lines, so every edit must hold whole entries on both
+// sides: it may not begin with a continuation, nor be followed by one.
+func (h *Hub) patchAliases(fv *update.File) (aliasPlan, error) {
+	p := aliasPlan{id: fv.NewID, gone: map[string]bool{}, put: map[string][]string{}}
+	for _, e := range fv.Edits {
+		if !wholeEntries(fv.Old, e.Old) || !wholeEntries(fv.New, e.New) {
+			return p, errWhole
+		}
+		gone := map[string][]string{}
+		if _, err := parseAliasLines(fv.Old, e.Old, gone); err != nil {
+			return p, errWhole // the held aliases do not reflect fv.Old after all
+		}
+		for name := range gone {
+			p.gone[name] = true
+		}
+	}
+	for _, e := range fv.Edits {
+		unique, err := parseAliasLines(fv.New, e.New, p.put)
+		if err != nil {
+			return p, err
+		}
+		if !unique {
+			return p, errWhole
+		}
+	}
+	for name := range p.put {
+		if _, held := h.aliases[name]; held && !p.gone[name] {
+			return p, errWhole
+		}
+	}
+	return p, nil
+}
+
+// wholeEntries reports whether r holds whole aliases entries of b: the
+// first line in it that is not blank or a comment, and the first such
+// line after it, are not continuations.
+func wholeEntries(b []byte, r update.Range) bool {
+	first := func(lo, hi int) (kind int) {
+		update.EachLine(b, update.Range{Lo: lo, Hi: hi}, func(raw []byte, _ int) error {
+			if _, kind = aliasLine(string(raw)); kind != aliasSkip {
+				return errWhole // found it: stop
+			}
+			return nil
+		})
+		return kind
+	}
+	return first(r.Lo, r.Hi) != aliasCont && first(r.Hi, len(b)) != aliasCont
+}
+
+// commitAliases applies an aliases plan; the caller holds h.mu.
+func (h *Hub) commitAliases(p aliasPlan) {
+	switch {
+	case p.keep:
+		return
+	case p.all != nil:
+		h.aliases = p.all
+	default:
+		for name := range p.gone {
+			delete(h.aliases, name)
+		}
+		for name, addrs := range p.put {
+			h.aliases[name] = addrs
+		}
+	}
+	h.aliasID = p.id
+}
+
+// parsePasswd keys a passwd line by its login; a line with no ':' holds
+// no entry.
+func parsePasswd(line string) (string, string, bool, error) {
+	line = strings.TrimSpace(line)
+	login, _, ok := strings.Cut(line, ":")
+	return login, line, !ok, nil
+}
+
 // Load replaces the hub's aliases table.
 func (h *Hub) Load(aliases map[string][]string) {
+	h.reload.Lock()
+	defer h.reload.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.aliases = aliases
+	h.aliases, h.aliasID = aliases, ""
 }
 
 // LoadPasswd replaces the hub's passwd table (for its finger server).
 func (h *Hub) LoadPasswd(data []byte) {
+	h.reload.Lock()
+	defer h.reload.Unlock()
+	p, _ := h.passwd.Plan(nil, data, parsePasswd) // parsePasswd never fails
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.passwd = make(map[string]string)
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if login, _, ok := strings.Cut(line, ":"); ok {
-			h.passwd[login] = line
-		}
-	}
+	h.passwd.Commit(p)
 }
 
 // Finger returns the passwd line for a login, as the hub's finger
@@ -109,7 +259,7 @@ func (h *Hub) LoadPasswd(data []byte) {
 func (h *Hub) Finger(login string) (string, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	line, ok := h.passwd[login]
+	line, ok := h.passwd.Rows[login]
 	return line, ok
 }
 
@@ -239,46 +389,101 @@ func (h *Hub) SpoolLog() []string {
 //	passwd file normally; this command disables the spool, swaps the
 //	aliases file in, reloads, and re-enables the spool.
 func AttachToAgent(a *update.Agent, h *Hub) {
-	a.RegisterCommand("stage_aliases", func(ag *update.Agent, args []string) error {
+	a.RegisterCommand("stage_aliases", func(ag *update.Agent, in *update.Install, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("stage_aliases: want 1 arg, got %d", len(args))
 		}
-		destDir := args[0]
-		staged := destDir + "/aliases.moira_update"
-		data, err := ag.ReadHostFile(staged)
-		if err != nil {
-			return err
-		}
-		aliases, err := ParseAliases(data)
-		if err != nil {
-			return err
-		}
-
-		h.mu.Lock()
-		h.spoolUp = false
-		h.spoolLog = append(h.spoolLog, "spool-down")
-		h.mu.Unlock()
-
-		if err := ag.RenameHostFile(staged, destDir+"/aliases"); err != nil {
-			h.mu.Lock()
-			h.spoolUp = true
-			h.spoolLog = append(h.spoolLog, "spool-up")
-			h.mu.Unlock()
-			return err
-		}
-
-		h.mu.Lock()
-		h.aliases = aliases
-		h.swaps++
-		h.spoolUp = true
-		h.spoolLog = append(h.spoolLog, "swap", "spool-up")
-		h.mu.Unlock()
-
-		// The passwd file was installed by the script before this
-		// command ran; load it if present.
-		if pw, err := ag.ReadHostFile(destDir + "/passwd"); err == nil {
-			h.LoadPasswd(pw)
-		}
-		return nil
+		return h.stage(ag, in, args[0])
 	})
+}
+
+// stage runs the switchover. Both files are parsed and validated before
+// the spool goes down, so a bad aliases file never disturbs mail.
+func (h *Hub) stage(ag *update.Agent, in *update.Install, destDir string) error {
+	h.reload.Lock()
+	defer h.reload.Unlock()
+	staged := destDir + "/aliases.moira_update"
+	fv, ok := in.File(destDir + "/aliases") // extracted to the staging name
+	var data []byte
+	if ok {
+		data = fv.New
+	} else {
+		var err error
+		if data, err = ag.ReadHostFile(staged); err != nil {
+			return err
+		}
+	}
+	aliases, err := h.planAliases(fv, data)
+	if err != nil {
+		return err
+	}
+	// The passwd file was installed by the script before this command
+	// ran; load it if present.
+	pfv, pw, perr := in.Read(ag, destDir+"/passwd")
+	var passwd update.TablePlan[string, string]
+	if perr == nil {
+		passwd, _ = h.passwd.Plan(pfv, pw, parsePasswd) // parsePasswd never fails
+	}
+
+	h.mu.Lock()
+	h.spoolUp = false
+	h.spoolLog = append(h.spoolLog, "spool-down")
+	h.mu.Unlock()
+
+	if err := ag.RenameHostFile(staged, destDir+"/aliases"); err != nil {
+		h.mu.Lock()
+		h.spoolUp = true
+		h.spoolLog = append(h.spoolLog, "spool-up")
+		h.mu.Unlock()
+		return err
+	}
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.commitAliases(aliases)
+	h.swaps++
+	h.spoolUp = true
+	h.spoolLog = append(h.spoolLog, "swap", "spool-up")
+	if perr == nil {
+		h.passwd.Commit(passwd)
+	}
+	return nil
+}
+
+// Verify reports the first way the hub's tables differ from a
+// from-scratch parse of the aliases and passwd files installed under
+// destDir on ag's host.
+func (h *Hub) Verify(ag *update.Agent, destDir string) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	data, err := ag.ReadHostFile(destDir + "/aliases")
+	if err != nil {
+		return err
+	}
+	aliases, err := ParseAliases(data)
+	if err != nil {
+		return err
+	}
+	if len(aliases) != len(h.aliases) {
+		return fmt.Errorf("mailhub: %d aliases held, %d installed", len(h.aliases), len(aliases))
+	}
+	for name, want := range aliases {
+		if got, ok := h.aliases[name]; !ok || !slices.Equal(got, want) {
+			return fmt.Errorf("mailhub: alias %s is %v, installed %v", name, got, want)
+		}
+	}
+	var passwd update.LineTable[string, string]
+	if data, err := ag.ReadHostFile(destDir + "/passwd"); err == nil {
+		p, _ := passwd.Plan(nil, data, parsePasswd)
+		passwd.Commit(p)
+	}
+	if len(passwd.Rows) != len(h.passwd.Rows) {
+		return fmt.Errorf("mailhub: %d passwd lines held, %d installed", len(h.passwd.Rows), len(passwd.Rows))
+	}
+	for login, want := range passwd.Rows {
+		if got := h.passwd.Rows[login]; got != want {
+			return fmt.Errorf("mailhub: passwd %s is %q, installed %q", login, got, want)
+		}
+	}
+	return nil
 }

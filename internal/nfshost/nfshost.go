@@ -8,6 +8,7 @@ package nfshost
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,75 +36,116 @@ type Locker struct {
 type Host struct {
 	Name string
 
+	// reload admits one install_nfs at a time, so what a run plans
+	// against is what it commits over.
+	reload sync.Mutex
+
 	mu          sync.RWMutex
-	credentials map[string]Credential  // by login
-	quotas      map[string]map[int]int // partition -> uid -> quota
-	lockers     map[string]Locker      // by path
+	credentials update.LineTable[string, Credential] // by login
+	parts       map[string]*partition
+	lockers     map[string]Locker // by path
 	installs    int
+}
+
+// partition is the installed state of one exported partition: its
+// quotas (uid -> quota), and the install ID of the dirs file whose
+// lockers exist (lockers are only ever added).
+type partition struct {
+	quotas update.LineTable[int, int]
+	dirsID string
 }
 
 // NewHost creates an empty NFS host simulation.
 func NewHost(name string) *Host {
 	return &Host{
-		Name:        name,
-		credentials: make(map[string]Credential),
-		quotas:      make(map[string]map[int]int),
-		lockers:     make(map[string]Locker),
+		Name:    name,
+		parts:   make(map[string]*partition),
+		lockers: make(map[string]Locker),
 	}
 }
 
 // ParseCredentials parses the credentials file: one
 // login:uid:gid[:gid...] entry per line.
 func ParseCredentials(data []byte) (map[string]Credential, error) {
-	out := make(map[string]Credential)
-	for lineno, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		parts := strings.Split(line, ":")
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("nfshost: credentials line %d malformed: %q", lineno+1, line)
-		}
-		uid, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("nfshost: credentials line %d: bad uid %q", lineno+1, parts[1])
-		}
-		c := Credential{Login: parts[0], UID: uid}
-		for _, g := range parts[2:] {
-			gid, err := strconv.Atoi(g)
-			if err != nil {
-				return nil, fmt.Errorf("nfshost: credentials line %d: bad gid %q", lineno+1, g)
-			}
-			c.GIDs = append(c.GIDs, gid)
-		}
-		out[c.Login] = c
+	var t update.LineTable[string, Credential]
+	p, err := t.Plan(nil, data, parseCredential)
+	if err != nil {
+		return nil, fmt.Errorf("nfshost: credentials %w", err)
 	}
-	return out, nil
+	t.Commit(p)
+	return t.Rows, nil
+}
+
+func parseCredential(line string) (string, Credential, bool, error) {
+	line = strings.TrimSpace(line)
+	if line == "" {
+		return "", Credential{}, true, nil
+	}
+	login, rest, ok := strings.Cut(line, ":")
+	if !ok {
+		return "", Credential{}, false, fmt.Errorf("malformed: %q", line)
+	}
+	field, rest, more := strings.Cut(rest, ":")
+	uid, err := strconv.Atoi(field)
+	if err != nil {
+		return "", Credential{}, false, fmt.Errorf("bad uid %q", field)
+	}
+	c := Credential{Login: login, UID: uid}
+	for more {
+		field, rest, more = strings.Cut(rest, ":")
+		gid, err := strconv.Atoi(field)
+		if err != nil {
+			return "", Credential{}, false, fmt.Errorf("bad gid %q", field)
+		}
+		c.GIDs = append(c.GIDs, gid)
+	}
+	return login, c, false, nil
 }
 
 // parseQuotas parses "uid quota" lines.
 func parseQuotas(data []byte) (map[int]int, error) {
-	out := make(map[int]int)
-	for lineno, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var uid, quota int
-		if _, err := fmt.Sscanf(line, "%d %d", &uid, &quota); err != nil {
-			return nil, fmt.Errorf("nfshost: quotas line %d malformed: %q", lineno+1, line)
-		}
-		out[uid] = quota
+	var t update.LineTable[int, int]
+	p, err := t.Plan(nil, data, parseQuota)
+	if err != nil {
+		return nil, fmt.Errorf("nfshost: quotas %w", err)
 	}
-	return out, nil
+	t.Commit(p)
+	return t.Rows, nil
+}
+
+func parseQuota(line string) (uid, quota int, skip bool, err error) {
+	line = strings.TrimSpace(line)
+	if line == "" {
+		return 0, 0, true, nil
+	}
+	if _, err := fmt.Sscanf(line, "%d %d", &uid, &quota); err != nil {
+		return 0, 0, false, fmt.Errorf("malformed: %q", line)
+	}
+	return uid, quota, false, nil
+}
+
+// parseDir parses one "path uid gid type" directories line.
+func parseDir(line []byte) (l Locker, skip bool, err error) {
+	fields := strings.Fields(string(line)) // a locker keeps only its own line
+	switch {
+	case len(fields) == 0:
+		return Locker{}, true, nil
+	case len(fields) != 4:
+		return Locker{}, false, fmt.Errorf("malformed: %q", line)
+	}
+	uid, err1 := strconv.Atoi(fields[1])
+	gid, err2 := strconv.Atoi(fields[2])
+	if err1 != nil || err2 != nil {
+		return Locker{}, false, fmt.Errorf("bad ids: %q", line)
+	}
+	return Locker{Path: fields[0], UID: uid, GID: gid, Type: fields[3], Inits: fields[3] == "HOMEDIR"}, false, nil
 }
 
 // CredentialOf looks up a login in the installed credentials file.
 func (h *Host) CredentialOf(login string) (Credential, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	c, ok := h.credentials[login]
+	c, ok := h.credentials.Rows[login]
 	return c, ok
 }
 
@@ -111,14 +153,18 @@ func (h *Host) CredentialOf(login string) (Credential, bool) {
 func (h *Host) NumCredentials() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.credentials)
+	return len(h.credentials.Rows)
 }
 
 // QuotaOf returns the quota for a uid on a partition.
 func (h *Host) QuotaOf(partition string, uid int) (int, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	q, ok := h.quotas[partition][uid]
+	p := h.parts[partition]
+	if p == nil {
+		return 0, false
+	}
+	q, ok := p.quotas.Rows[uid]
 	return q, ok
 }
 
@@ -150,76 +196,174 @@ func (h *Host) Installs() int {
 // directories file — creating real directories under the agent root,
 // with HOMEDIR lockers receiving the default init files.
 func AttachToAgent(a *update.Agent, h *Host) {
-	a.RegisterCommand("install_nfs", func(ag *update.Agent, args []string) error {
+	a.RegisterCommand("install_nfs", func(ag *update.Agent, in *update.Install, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("install_nfs: want 2 args, got %d", len(args))
 		}
-		destDir, partition := args[0], args[1]
-		base := strings.ReplaceAll(strings.TrimPrefix(partition, "/"), "/", "_")
-
-		credData, err := ag.ReadHostFile(destDir + "/credentials")
-		if err != nil {
-			return err
-		}
-		creds, err := ParseCredentials(credData)
-		if err != nil {
-			return err
-		}
-
-		quotaData, err := ag.ReadHostFile(destDir + "/" + base + ".quotas")
-		if err != nil {
-			return err
-		}
-		quotas, err := parseQuotas(quotaData)
-		if err != nil {
-			return err
-		}
-
-		dirData, err := ag.ReadHostFile(destDir + "/" + base + ".dirs")
-		if err != nil {
-			return err
-		}
-
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		h.credentials = creds
-		h.quotas[partition] = quotas
-
-		for lineno, line := range strings.Split(string(dirData), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				return fmt.Errorf("install_nfs: dirs line %d malformed: %q", lineno+1, line)
-			}
-			uid, err1 := strconv.Atoi(fields[1])
-			gid, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("install_nfs: dirs line %d: bad ids", lineno+1)
-			}
-			path := fields[0]
-			if _, exists := h.lockers[path]; exists {
-				continue // already created; updates never clobber lockers
-			}
-			locker := Locker{Path: path, UID: uid, GID: gid, Type: fields[3]}
-			if locker.Type == "HOMEDIR" {
-				locker.Inits = true
-				if err := ag.WriteHostFile(path+"/.cshrc", defaultCshrc); err != nil {
-					return err
-				}
-				if err := ag.WriteHostFile(path+"/.login", defaultLogin); err != nil {
-					return err
-				}
-			} else if err := ag.WriteHostFile(path+"/.keep", nil); err != nil {
-				return err
-			}
-			h.lockers[path] = locker
-		}
-		h.installs++
-		return nil
+		return h.install(ag, in, args[0], args[1])
 	})
+}
+
+// install runs install_nfs for one partition. Every file is parsed and
+// validated before anything changes: a bad line in any of them leaves
+// the host's state and its file tree as they were. Each file reloads by
+// its Action, so the credentials file, shared by every partition's run
+// of one push, is parsed by the first run at most.
+func (h *Host) install(ag *update.Agent, in *update.Install, destDir, partName string) error {
+	base := strings.ReplaceAll(strings.TrimPrefix(partName, "/"), "/", "_")
+	h.reload.Lock()
+	defer h.reload.Unlock()
+	part := h.parts[partName]
+	if part == nil {
+		part = &partition{}
+	}
+
+	fv, data, err := in.Read(ag, destDir+"/credentials")
+	if err != nil {
+		return err
+	}
+	creds, err := h.credentials.Plan(fv, data, parseCredential)
+	if err != nil {
+		return fmt.Errorf("install_nfs: credentials %w", err)
+	}
+	if fv, data, err = in.Read(ag, destDir+"/"+base+".quotas"); err != nil {
+		return err
+	}
+	quotas, err := part.quotas.Plan(fv, data, parseQuota)
+	if err != nil {
+		return fmt.Errorf("install_nfs: quotas %w", err)
+	}
+	if fv, data, err = in.Read(ag, destDir+"/"+base+".dirs"); err != nil {
+		return err
+	}
+	lockers, dirsID, err := h.planLockers(fv, data, part.dirsID)
+	if err != nil {
+		return fmt.Errorf("install_nfs: dirs %w", err)
+	}
+
+	for _, l := range lockers {
+		if err := createLocker(ag, l); err != nil {
+			return err
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.credentials.Commit(creds)
+	part.quotas.Commit(quotas)
+	part.dirsID = dirsID
+	h.parts[partName] = part
+	for _, l := range lockers {
+		h.lockers[l.Path] = l
+	}
+	h.installs++
+	return nil
+}
+
+// planLockers lists the lockers a dirs file names that do not exist yet
+// — every line of the file, or, when the lockers of the push's old side
+// already exist, only its new lines — and the ID the partition's dirs
+// then reflect. Updates never clobber lockers.
+func (h *Host) planLockers(fv *update.File, data []byte, dirsID string) ([]Locker, string, error) {
+	id, ranges := "", []update.Range{{Lo: 0, Hi: len(data)}}
+	if fv != nil {
+		id = fv.NewID
+		switch fv.Action(dirsID) {
+		case update.Keep:
+			return nil, id, nil
+		case update.Patch:
+			ranges = ranges[:0]
+			for _, e := range fv.Edits {
+				ranges = append(ranges, e.New)
+			}
+		}
+	}
+	var lockers []Locker
+	planned := map[string]bool{}
+	for _, r := range ranges {
+		err := update.EachLine(data, r, func(line []byte, off int) error {
+			l, skip, err := parseDir(line)
+			if err != nil {
+				return fmt.Errorf("line %d: %w", update.LineNo(data, off), err)
+			}
+			if _, exists := h.lockers[l.Path]; skip || exists || planned[l.Path] {
+				return nil
+			}
+			planned[l.Path] = true
+			lockers = append(lockers, l)
+			return nil
+		})
+		if err != nil {
+			return nil, "", err
+		}
+	}
+	return lockers, id, nil
+}
+
+// createLocker makes a locker's directory in the host tree: HOMEDIR
+// lockers get the default init files, the rest a placeholder.
+func createLocker(ag *update.Agent, l Locker) error {
+	if l.Inits {
+		if err := ag.WriteHostFile(l.Path+"/.cshrc", defaultCshrc); err != nil {
+			return err
+		}
+		return ag.WriteHostFile(l.Path+"/.login", defaultLogin)
+	}
+	return ag.WriteHostFile(l.Path+"/.keep", nil)
+}
+
+// Verify reports the first way the host's state differs from a
+// from-scratch parse of what is installed under destDir on ag's host:
+// credentials and every partition's quotas must match exactly, and
+// every locker a dirs file names must exist.
+func (h *Host) Verify(ag *update.Agent, destDir string) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	data, err := ag.ReadHostFile(destDir + "/credentials")
+	if err != nil {
+		return err
+	}
+	creds, err := ParseCredentials(data)
+	if err != nil {
+		return err
+	}
+	if len(creds) != len(h.credentials.Rows) {
+		return fmt.Errorf("nfshost %s: %d credentials held, %d installed", h.Name, len(h.credentials.Rows), len(creds))
+	}
+	for login, want := range creds {
+		got, ok := h.credentials.Rows[login]
+		if !ok || got.UID != want.UID || !slices.Equal(got.GIDs, want.GIDs) {
+			return fmt.Errorf("nfshost %s: credential %s is %+v, installed %+v", h.Name, login, got, want)
+		}
+	}
+	for name, p := range h.parts {
+		base := destDir + "/" + strings.ReplaceAll(strings.TrimPrefix(name, "/"), "/", "_")
+		if data, err = ag.ReadHostFile(base + ".quotas"); err != nil {
+			return err
+		}
+		quotas, err := parseQuotas(data)
+		if err != nil {
+			return err
+		}
+		if len(quotas) != len(p.quotas.Rows) {
+			return fmt.Errorf("nfshost %s: %s: %d quotas held, %d installed", h.Name, name, len(p.quotas.Rows), len(quotas))
+		}
+		for uid, q := range quotas {
+			if got, ok := p.quotas.Rows[uid]; !ok || got != q {
+				return fmt.Errorf("nfshost %s: %s: quota of %d is %d, installed %d", h.Name, name, uid, got, q)
+			}
+		}
+		if data, err = ag.ReadHostFile(base + ".dirs"); err != nil {
+			return err
+		}
+		missing, _, err := h.planLockers(nil, data, "")
+		if err != nil {
+			return err
+		}
+		if len(missing) > 0 {
+			return fmt.Errorf("nfshost %s: %s: locker %s never created", h.Name, name, missing[0].Path)
+		}
+	}
+	return nil
 }
 
 var (

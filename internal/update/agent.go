@@ -44,8 +44,10 @@ const (
 // CommandFunc is a registered handler for the "exec" instruction. The
 // original ran shell commands on the target host; here target services
 // (the NFS host simulation, the hesiod restart script) register Go
-// handlers under command names.
-type CommandFunc func(a *Agent, args []string) error
+// handlers under command names. in is the view of the push running the
+// command (nil when local tooling runs it), so a service can reload
+// only what the push changed.
+type CommandFunc func(a *Agent, in *Install, args []string) error
 
 // Agent is the update daemon running on one managed host. Its Root
 // directory is the host's private filesystem.
@@ -165,7 +167,8 @@ func (a *Agent) RegisterCommand(name string, fn CommandFunc) {
 
 // ExecCommand invokes a registered command directly, as local tooling on
 // the host (or a test) would; the update protocol's "exec" instruction
-// goes through the same handlers.
+// goes through the same handlers. There is no push, so the command gets
+// a nil view and reads what it needs from the host's files.
 func (a *Agent) ExecCommand(name string, args []string) error {
 	a.mu.Lock()
 	fn := a.commands[name]
@@ -173,7 +176,7 @@ func (a *Agent) ExecCommand(name string, args []string) error {
 	if fn == nil {
 		return mrerr.UpdBadInstr
 	}
-	return fn(a, args)
+	return fn(a, nil, args)
 }
 
 // Signals returns the pids signalled so far.
@@ -308,9 +311,10 @@ func (a *Agent) Close() error {
 	return err
 }
 
-// path resolves a target-relative path inside the agent root, rejecting
-// escapes.
-func (a *Agent) path(p string) (string, error) {
+// HostPath resolves a host path inside the agent root, refusing one
+// that escapes it (UpdBadInstr). Every instruction and registered
+// command reaches the host's files through it.
+func (a *Agent) HostPath(p string) (string, error) {
 	clean := filepath.Join(a.Root, filepath.FromSlash(strings.TrimPrefix(p, "/")))
 	if !strings.HasPrefix(clean, filepath.Clean(a.Root)+string(os.PathSeparator)) &&
 		clean != filepath.Clean(a.Root) {
@@ -322,7 +326,7 @@ func (a *Agent) path(p string) (string, error) {
 // ReadHostFile reads a file from the host's private filesystem, for
 // the services (and tests) running on this host.
 func (a *Agent) ReadHostFile(p string) ([]byte, error) {
-	fp, err := a.path(p)
+	fp, err := a.HostPath(p)
 	if err != nil {
 		return nil, err
 	}
@@ -333,11 +337,11 @@ func (a *Agent) ReadHostFile(p string) ([]byte, error) {
 // registered commands that perform their own controlled switchover (the
 // mailhub's aliases activation).
 func (a *Agent) RenameHostFile(oldPath, newPath string) error {
-	op, err := a.path(oldPath)
+	op, err := a.HostPath(oldPath)
 	if err != nil {
 		return err
 	}
-	np, err := a.path(newPath)
+	np, err := a.HostPath(newPath)
 	if err != nil {
 		return err
 	}
@@ -349,7 +353,7 @@ func (a *Agent) RenameHostFile(oldPath, newPath string) error {
 
 // WriteHostFile writes a file into the host's private filesystem.
 func (a *Agent) WriteHostFile(p string, data []byte) error {
-	fp, err := a.path(p)
+	fp, err := a.HostPath(p)
 	if err != nil {
 		return err
 	}
@@ -373,11 +377,18 @@ type updateSession struct {
 	// it dies with the session: no agent keeps a bundle between pushes.
 	bundle []byte
 
+	// install is the exec commands' view of the transfer: built by
+	// chunkAssemble from both sides' bundles and chunk lists, added to by
+	// each extract, gone with the session.
+	install *Install
+
 	// Chunked-transfer state, alive between OpUManifest and OpUAssemble.
 	manifest    []Chunk
 	wholeSum    string
 	chunkTarget string
 	have        map[string][]byte // checksum -> chunk bytes (reused + received)
+	old         []byte            // the bundle the target held; nil if none
+	oldChunks   []Chunk
 
 	// fields carries reply fields for the next reply (the manifest
 	// response lists the needed chunk indices).
@@ -611,7 +622,7 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 	if len(wholeSum) != 64 {
 		return mrerr.MrArgs
 	}
-	if _, err := s.agent.path(target); err != nil {
+	if _, err := s.agent.HostPath(target); err != nil {
 		return mrerr.UpdBadInstr
 	}
 
@@ -621,12 +632,17 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 	}
 	have := map[string][]byte{}
 	reused, reusedBytes := 0, 0
-	if old, err := s.agent.ReadHostFile(target); err == nil {
-		for _, c := range SplitChunks(old) {
+	old, err := s.agent.ReadHostFile(target)
+	var oldChunks []Chunk
+	if err == nil {
+		oldChunks = SplitChunks(old)
+		for _, c := range oldChunks {
 			if wanted[c.Sum] && have[c.Sum] == nil {
 				have[c.Sum] = old[c.Off : c.Off+c.Len]
 			}
 		}
+	} else {
+		old = nil
 	}
 	var needed [][]byte
 	seen := map[string]bool{}
@@ -647,6 +663,7 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 	s.wholeSum = wholeSum
 	s.chunkTarget = target
 	s.have = have
+	s.old, s.oldChunks = old, oldChunks
 	s.fields = needed
 	s.agent.reg.Counter("update.chunks.manifests").Inc()
 	s.agent.reg.Counter("update.chunks.reused").Add(int64(reused))
@@ -703,9 +720,11 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 		return mrerr.UpdChecksum
 	}
 	target := s.chunkTarget
+	manifest, old, oldChunks := s.manifest, s.old, s.oldChunks
 	s.manifest, s.have, s.wholeSum, s.chunkTarget = nil, nil, "", ""
+	s.old, s.oldChunks = nil, nil
 
-	fp, perr := s.agent.path(target)
+	fp, perr := s.agent.HostPath(target)
 	if perr != nil {
 		return mrerr.UpdBadInstr
 	}
@@ -735,6 +754,7 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	}
 	s.target = target
 	s.bundle = data
+	s.install = newInstall(old, oldChunks, data, manifest)
 	// Staged files and their sizes; the chunk counters hold the
 	// wire-level story.
 	s.agent.reg.Counter("update.xfers").Inc()
@@ -790,7 +810,7 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		if len(fields) != 2 {
 			return mrerr.UpdBadInstr
 		}
-		fp, err := a.path(fields[1])
+		fp, err := a.HostPath(fields[1])
 		if err != nil {
 			return mrerr.UpdBadInstr
 		}
@@ -813,7 +833,7 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		if len(fields) != 2 {
 			return mrerr.UpdBadInstr
 		}
-		fp, err := a.path(fields[1])
+		fp, err := a.HostPath(fields[1])
 		if err != nil {
 			return mrerr.UpdBadInstr
 		}
@@ -870,10 +890,12 @@ func (s *updateSession) extract(fields []string) mrerr.Code {
 		}
 		return mrerr.MrInternal
 	}
+	s.install.extracted(fields[1], fields[2])
 	return mrerr.Success
 }
 
-// exec runs a registered command: the service's own reload.
+// exec runs a registered command: the service's own reload, handed the
+// session's install view.
 func (s *updateSession) exec(fields []string) mrerr.Code {
 	if len(fields) < 2 {
 		return mrerr.UpdBadInstr
@@ -885,7 +907,7 @@ func (s *updateSession) exec(fields []string) mrerr.Code {
 	if fn == nil {
 		return mrerr.UpdBadInstr
 	}
-	if err := fn(a, fields[2:]); err != nil {
+	if err := fn(a, s.install, fields[2:]); err != nil {
 		return mrerr.UpdScriptError
 	}
 	return mrerr.Success

@@ -1,0 +1,220 @@
+package update
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// textFile is seeded line-structured data, the shape of a generated
+// extract: n lines of varying length.
+func textFile(seed int64, n int) []byte {
+	r := rand.New(rand.NewSource(seed))
+	var b bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "user%06d HS UNSPECA \"%x\"\n", i, r.Int63n(1<<(4*(1+r.Intn(12)))))
+	}
+	return b.Bytes()
+}
+
+// viewOf stages old and new as the "f" member of two bundles (beside a
+// member that does not change) and returns the view of f.
+func viewOf(t testing.TB, old, new []byte) *File {
+	t.Helper()
+	other := textFile(99, 50)
+	var oldBundle []byte
+	if old != nil {
+		var err error
+		if oldBundle, err = BuildTar(map[string][]byte{"f": old, "g": other}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newBundle, err := BuildTar(map[string][]byte{"f": new, "g": other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInstall(oldBundle, newBundle, map[string]string{"/etc/f": "f", "/etc/g": "g"})
+	f, ok := in.File("/etc//f")
+	if !ok {
+		t.Fatal("no view of an extracted member")
+	}
+	return f
+}
+
+// checkEdits fails unless f's edits are ordered, sit on line boundaries,
+// and splice Old into New byte for byte.
+func checkEdits(t testing.TB, f *File) {
+	t.Helper()
+	var out []byte
+	po, pn := 0, 0
+	for i, e := range f.Edits {
+		if e.Old.Lo < po || e.Old.Hi < e.Old.Lo || e.New.Lo < pn || e.New.Hi < e.New.Lo ||
+			e.Old.Hi > len(f.Old) || e.New.Hi > len(f.New) {
+			t.Fatalf("edit %d %+v out of order or bounds (old %d, new %d bytes)", i, e, len(f.Old), len(f.New))
+		}
+		for _, c := range []struct {
+			b []byte
+			i int
+		}{{f.Old, e.Old.Lo}, {f.Old, e.Old.Hi}, {f.New, e.New.Lo}, {f.New, e.New.Hi}} {
+			if !boundary(c.b, c.i) {
+				t.Fatalf("edit %d %+v: offset %d is not a line boundary", i, e, c.i)
+			}
+		}
+		if !bytes.Equal(f.Old[po:e.Old.Lo], f.New[pn:e.New.Lo]) {
+			t.Fatalf("edit %d: bytes between edits differ", i)
+		}
+		out = append(out, f.Old[po:e.Old.Lo]...)
+		out = append(out, f.New[e.New.Lo:e.New.Hi]...)
+		po, pn = e.Old.Hi, e.New.Hi
+	}
+	out = append(out, f.Old[po:]...)
+	if !bytes.Equal(out, f.New) {
+		t.Fatalf("splicing %d edits into %d old bytes gives %d bytes, not the %d new ones", len(f.Edits), len(f.Old), len(out), len(f.New))
+	}
+}
+
+// TestInstallEditsAreTheChange: the edits of a push name the lines that
+// changed, not the chunks that carried them, and the IDs tell a service
+// which side it holds.
+func TestInstallEditsAreTheChange(t *testing.T) {
+	base := textFile(1, 2000)
+	lines := bytes.SplitAfter(base, []byte("\n"))
+	edit := func(fn func(l [][]byte) [][]byte) []byte {
+		c := append([][]byte(nil), lines...)
+		return bytes.Join(fn(c), nil)
+	}
+	for _, c := range []struct {
+		name     string
+		new      []byte
+		old, add int // lines the single edit removes and adds
+	}{
+		{"replace", edit(func(l [][]byte) [][]byte { l[700] = []byte("changed HS UNSPECA \"x\"\n"); return l }), 1, 1},
+		{"insert", edit(func(l [][]byte) [][]byte {
+			return append(l[:1200], append([][]byte{[]byte("new HS UNSPECA \"y\"\n")}, l[1200:]...)...)
+		}), 0, 1},
+		{"delete", edit(func(l [][]byte) [][]byte { return append(l[:300], l[302:]...) }), 2, 0},
+	} {
+		f := viewOf(t, base, c.new)
+		checkEdits(t, f)
+		if len(f.Edits) != 1 {
+			t.Fatalf("%s: %d edits, want 1: %+v", c.name, len(f.Edits), f.Edits)
+		}
+		e := f.Edits[0]
+		if n := bytes.Count(f.Old[e.Old.Lo:e.Old.Hi], []byte("\n")); n != c.old {
+			t.Errorf("%s: edit removes %d lines, want %d", c.name, n, c.old)
+		}
+		if n := bytes.Count(f.New[e.New.Lo:e.New.Hi], []byte("\n")); n != c.add {
+			t.Errorf("%s: edit adds %d lines, want %d", c.name, n, c.add)
+		}
+		if f.OldID == "" || f.OldID == f.NewID {
+			t.Errorf("%s: ids old %q new %q", c.name, f.OldID, f.NewID)
+		}
+	}
+
+	// A re-push: no edits, and the IDs agree.
+	f := viewOf(t, base, base)
+	if len(f.Edits) != 0 || f.OldID != f.NewID {
+		t.Errorf("re-push: %d edits, ids %q/%q", len(f.Edits), f.OldID, f.NewID)
+	}
+	// A first push: no old side, one edit adding everything.
+	f = viewOf(t, nil, base)
+	checkEdits(t, f)
+	if f.OldID != "" || f.Old != nil || len(f.Edits) != 1 {
+		t.Errorf("first push: old id %q, old %d bytes, %d edits", f.OldID, len(f.Old), len(f.Edits))
+	}
+	// Nothing extracted there, or no view at all.
+	if _, ok := NewInstall(nil, base, nil).File("/etc/f"); ok {
+		t.Error("view of a member nobody extracted")
+	}
+	if _, ok := (*Install)(nil).File("/etc/f"); ok {
+		t.Error("nil view has a file")
+	}
+}
+
+// TestExecGetsInstallView: a pushed exec command sees the session's
+// extracts, from memory, with the IDs of what the target held before;
+// ExecCommand hands it a nil view.
+func TestExecGetsInstallView(t *testing.T) {
+	a, push := rig(t)
+	var got *File
+	a.RegisterCommand("look", func(_ *Agent, in *Install, _ []string) error {
+		f, ok := in.File("/etc/f")
+		if ok {
+			got = &File{New: append([]byte(nil), f.New...), Old: append([]byte(nil), f.Old...),
+				NewID: f.NewID, OldID: f.OldID, Edits: f.Edits}
+		}
+		return nil
+	})
+	script := []string{"extract f /etc/f", "install /etc/f", "exec look"}
+	v1, v2 := textFile(3, 500), textFile(4, 500)
+	if err := push(map[string][]byte{"f": v1}, script); err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || !bytes.Equal(got.New, v1) || got.OldID != "" {
+		t.Fatalf("first push view: %+v", got)
+	}
+	first := got.NewID
+	if err := push(map[string][]byte{"f": v2}, script); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.New, v2) || !bytes.Equal(got.Old, v1) || got.OldID != first || got.NewID == first {
+		t.Errorf("second push view: old id %q (want %q), new id %q", got.OldID, first, got.NewID)
+	}
+	checkEdits(t, got)
+
+	a.RegisterCommand("nil", func(_ *Agent, in *Install, _ []string) error {
+		if in != nil {
+			return fmt.Errorf("local exec got a view")
+		}
+		return nil
+	})
+	if err := a.ExecCommand("nil", nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzInstallEdits: for any old and new bytes, splicing the view's edits
+// into Old reproduces New byte for byte, and every range sits on line
+// boundaries. The inputs are spliced into a shared seeded text so the
+// two bundles share chunks and the anchors are exercised, not only the
+// no-anchor case.
+func FuzzInstallEdits(f *testing.F) {
+	f.Add([]byte("a\nb\n"), []byte("a\nc\n"), int64(0), uint16(0), uint16(0))
+	f.Add([]byte("x\n"), []byte{}, int64(1), uint16(300), uint16(300))
+	f.Add([]byte("no newline"), []byte("\n\n"), int64(2), uint16(9000), uint16(100))
+	f.Add([]byte{}, []byte("tail without newline"), int64(3), uint16(65535), uint16(65535))
+	f.Fuzz(func(t *testing.T, oldPart, newPart []byte, seed int64, oldAt, newAt uint16) {
+		var base []byte
+		if seed != 0 {
+			base = textFile(seed, 1500)
+		}
+		splice := func(part []byte, at uint16) []byte {
+			i := int(at) * len(base) / 65535
+			return append(append(append([]byte(nil), base[:i]...), part...), base[i:]...)
+		}
+		checkEdits(t, viewOf(t, splice(oldPart, oldAt), splice(newPart, newAt)))
+	})
+}
+
+// TestInstallViewDiesWithSession: nothing of a push's view outlives it;
+// the next push's exec sees only its own extracts.
+func TestInstallViewDiesWithSession(t *testing.T) {
+	a, push := rig(t)
+	var saw []bool
+	a.RegisterCommand("look", func(_ *Agent, in *Install, _ []string) error {
+		_, ok := in.File("/etc/f")
+		saw = append(saw, ok)
+		return nil
+	})
+	files := map[string][]byte{"f": []byte("v\n")}
+	if err := push(files, []string{"extract f /etc/f", "exec look"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := push(files, []string{"exec look"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(saw) != 2 || !saw[0] || saw[1] {
+		t.Errorf("views = %v, want [true false]", saw)
+	}
+}

@@ -89,7 +89,7 @@ func TestAgentLatencyVirtualClock(t *testing.T) {
 // is counted, and leaves the agent able to take the next update.
 func TestAgentPanicRecovery(t *testing.T) {
 	a, push := rig(t)
-	a.RegisterCommand("boom", func(*Agent, []string) error {
+	a.RegisterCommand("boom", func(*Agent, *Install, []string) error {
 		panic("deliberate test panic")
 	})
 

@@ -70,26 +70,53 @@ func BuildTarInto(prev []byte, files map[string][]byte) ([]byte, error) {
 // missing member, a member that is not a plain regular file, or one
 // whose header claims more bytes than archive holds is UpdNoFile.
 func ExtractMember(archive []byte, name string) ([]byte, error) {
-	r := bytes.NewReader(archive)
-	tr := tar.NewReader(r)
+	r, err := locateMember(archive, name)
+	if err != nil {
+		return nil, err
+	}
+	return archive[r.Lo:r.Hi:r.Hi], nil
+}
+
+// locateMember finds the range one member's data occupies in archive,
+// under ExtractMember's rules.
+func locateMember(archive []byte, name string) (Range, error) {
+	var found Range
+	var err error = mrerr.UpdNoFile
+	if werr := walkTar(archive, func(n string, r Range, plain bool) bool {
+		if n != name {
+			return true
+		}
+		if plain {
+			found, err = r, nil
+		}
+		return false
+	}); werr != nil {
+		return Range{}, werr
+	}
+	return found, err
+}
+
+// walkTar walks a tar archive's headers in memory, calling fn with each
+// member's name and the range of its data, until fn returns false.
+// plain is false for a member that is not a plain regular file or whose
+// header claims more bytes than archive holds.
+func walkTar(archive []byte, fn func(name string, r Range, plain bool) bool) error {
+	rd := bytes.NewReader(archive)
+	tr := tar.NewReader(rd)
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
-			return nil, mrerr.UpdNoFile
+			return nil
 		}
 		if err != nil {
-			return nil, err
-		}
-		if hdr.Name != name {
-			continue
+			return err
 		}
 		// Next stops at the member's first data byte.
-		off := r.Size() - int64(r.Len())
-		if !plainFile(hdr) || hdr.Size > int64(len(archive))-off {
-			return nil, mrerr.UpdNoFile
+		off := rd.Size() - int64(rd.Len())
+		plain := plainFile(hdr) && hdr.Size <= int64(len(archive))-off
+		if !fn(hdr.Name, Range{int(off), int(off + hdr.Size)}, plain) {
+			return nil
 		}
-		end := off + hdr.Size
-		return archive[off:end:end], nil
 	}
 }
 
@@ -110,16 +137,13 @@ func plainFile(hdr *tar.Header) bool {
 
 // ListTar returns the member names of a tar archive in order.
 func ListTar(archive []byte) ([]string, error) {
-	tr := tar.NewReader(bytes.NewReader(archive))
 	var names []string
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			return names, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, hdr.Name)
+	err := walkTar(archive, func(name string, _ Range, _ bool) bool {
+		names = append(names, name)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
+	return names, nil
 }

@@ -137,7 +137,7 @@ func TestSignalInstruction(t *testing.T) {
 func TestExecInstruction(t *testing.T) {
 	a, push := rig(t)
 	var gotArgs []string
-	a.RegisterCommand("restart_hesiod", func(ag *Agent, args []string) error {
+	a.RegisterCommand("restart_hesiod", func(ag *Agent, in *Install, args []string) error {
 		gotArgs = args
 		return nil
 	})
@@ -152,7 +152,7 @@ func TestExecInstruction(t *testing.T) {
 		t.Errorf("unknown exec err = %v", err)
 	}
 	// A failing command reports a script error.
-	a.RegisterCommand("fail", func(*Agent, []string) error { return mrerr.MrInternal })
+	a.RegisterCommand("fail", func(*Agent, *Install, []string) error { return mrerr.MrInternal })
 	if err := push(map[string][]byte{}, []string{"exec fail"}); err != mrerr.UpdScriptError {
 		t.Errorf("failing exec err = %v", err)
 	}
@@ -424,7 +424,7 @@ func TestReadWriteHostFilePathSafety(t *testing.T) {
 	if _, err := a.ReadHostFile("/../../etc/passwd"); err == nil {
 		// The join may still land inside root after cleaning; verify the
 		// resolved path is inside.
-		fp, _ := a.path("/../../etc/passwd")
+		fp, _ := a.HostPath("/../../etc/passwd")
 		if !filepath.HasPrefix(fp, a.Root) {
 			t.Error("path escaped the agent root")
 		}

@@ -8,6 +8,7 @@ import (
 
 	"moira/internal/clock"
 	"moira/internal/mrerr"
+	"moira/internal/update"
 )
 
 func TestSendAndSubscribe(t *testing.T) {
@@ -141,5 +142,28 @@ func TestFullChannelDoesNotBlockSend(t *testing.T) {
 	}
 	if len(sub.C) != cap(sub.C) {
 		t.Errorf("channel holds %d of %d", len(sub.C), cap(sub.C))
+	}
+}
+
+// TestReloadACLsStaysInHostTree: reload_zephyr_acls resolves its
+// directory inside the agent's root, so a path that climbs out of the
+// host tree is refused rather than loaded.
+func TestReloadACLsStaysInHostTree(t *testing.T) {
+	base := t.TempDir()
+	outside := filepath.Join(base, "outside")
+	if err := os.MkdirAll(outside, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(outside, "MOIRA.xmt.acl"), []byte("intruder\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := update.NewAgent("Z-1.MIT.EDU", filepath.Join(base, "root"), nil)
+	b := NewBroker(nil)
+	AttachToAgent(a, b)
+	if err := a.ExecCommand("reload_zephyr_acls", []string{"../outside"}); err == nil {
+		t.Error("reload from outside the host tree succeeded")
+	}
+	if err := b.Send("MOIRA", "DCM", "dcm", "m"); err != nil {
+		t.Errorf("an ACL from outside the host tree was loaded: send err = %v", err)
 	}
 }
