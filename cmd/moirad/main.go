@@ -82,7 +82,7 @@ func main() {
 	)
 	flag.Parse()
 
-	logf := func(string, ...any) {}
+	var logf func(string, ...any) // nil discards, and skips the per-request line
 	if *verbose {
 		logf = log.Printf
 	}

@@ -24,6 +24,12 @@ import (
 
 // TupleFunc is the callback invoked for each returned tuple of a query
 // (the callproc of mr_query).
+//
+// The slice is valid only during the callback: the RPC clients reuse it
+// for the next tuple on the connection, so a callback that keeps a
+// tuple keeps a copy of the slice (as QueryAll does). The strings in it
+// may be kept: each tuple's fields are substrings of one string holding
+// that tuple alone, so a kept field pins only its own tuple's bytes.
 type TupleFunc func(tuple []string) error
 
 // Conn is the interface shared by the RPC client and the direct glue
@@ -45,8 +51,9 @@ type Conn interface {
 type Client struct {
 	mu          sync.Mutex
 	conn        net.Conn
-	br          *bufio.Reader
+	fr          *protocol.FrameReader // replies; reuses one buffer per connection
 	bw          *bufio.Writer
+	tuple       []string // reused for every tuple passed to a TupleFunc
 	clk         clock.Clock
 	trace       string        // pinned trace ID; "" mints a fresh one per request
 	last        string        // trace ID stamped on the most recent request
@@ -108,7 +115,7 @@ func DialTimeout(addr string, timeout time.Duration, clk clock.Clock) (*Client, 
 	}
 	return &Client{
 		conn:        conn,
-		br:          bufio.NewReader(conn),
+		fr:          protocol.NewFrameReader(bufio.NewReader(conn)),
 		bw:          bufio.NewWriter(conn),
 		clk:         clk,
 		addr:        addr,
@@ -222,7 +229,7 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 // redials once (after ReconnectDelay, through its clock) and resends
 // transparently. Authenticated connections never reconnect — a redial
 // would silently drop the principal.
-func (c *Client) roundTrip(req *protocol.Request, cb TupleFunc, idempotent bool) (err error) {
+func (c *Client) roundTrip(req *protocol.Call, cb TupleFunc, idempotent bool) (err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Decide the trace ID once per call (pinned, or minted fresh) and
@@ -235,8 +242,8 @@ func (c *Client) roundTrip(req *protocol.Request, cb TupleFunc, idempotent bool)
 			tid = trace.NewTraceID()
 		}
 		sp := c.tracer.Start(tid, "", "client.call")
-		if req.Op == protocol.OpQuery && len(req.Args) > 0 {
-			sp.SetDetailParts(protocol.OpName(req.Op), string(req.Args[0]))
+		if req.Op == protocol.OpQuery {
+			sp.SetDetailParts(protocol.OpName(req.Op), req.Name)
 		} else {
 			sp.SetDetailParts(protocol.OpName(req.Op), "")
 		}
@@ -328,7 +335,7 @@ func (c *Client) redialLocked(addr string) error {
 		c.conn.Close()
 	}
 	c.conn = conn
-	c.br = bufio.NewReader(conn)
+	c.fr = protocol.NewFrameReader(bufio.NewReader(conn))
 	c.bw = bufio.NewWriter(conn)
 	c.addr = addr
 	c.redirects++
@@ -350,10 +357,10 @@ func (c *Client) replayAuthLocked() error {
 		return mrerr.MrAborted
 	}
 	payload := kerberos.BuildAuth(c.creds, c.credsApp, c.clk)
-	areq := &protocol.Request{
+	areq := &protocol.Call{
 		Op:      protocol.OpAuth,
 		TraceID: trace.NewTraceID(),
-		Args:    [][]byte{payload.Marshal()},
+		Args:    []string{string(payload.Marshal())},
 	}
 	if err := c.sendRecv(areq, nil); err != nil {
 		c.authed = false
@@ -403,7 +410,7 @@ func (c *Client) reconnectLocked() error {
 			continue
 		}
 		c.conn = conn
-		c.br = bufio.NewReader(conn)
+		c.fr = protocol.NewFrameReader(bufio.NewReader(conn))
 		c.bw = bufio.NewWriter(conn)
 		c.reconnects++
 		if slot != 0 {
@@ -416,7 +423,7 @@ func (c *Client) reconnectLocked() error {
 }
 
 // sendRecv does one request/reply exchange; callers hold c.mu.
-func (c *Client) sendRecv(req *protocol.Request, cb TupleFunc) error {
+func (c *Client) sendRecv(req *protocol.Call, cb TupleFunc) error {
 	if c.conn == nil {
 		return mrerr.MrNotConnected
 	}
@@ -429,11 +436,12 @@ func (c *Client) sendRecv(req *protocol.Request, cb TupleFunc) error {
 		// the moment the stale deadline expired.
 		c.conn.SetDeadline(time.Time{})
 	}
-	req.Version = protocol.Version
 	// roundTrip stamped the (possibly span-joined) trace field; the bare
 	// trace ID is what callers correlate on.
 	c.last, _ = trace.Split(req.TraceID)
-	if err := protocol.WriteRequest(c.bw, req); err != nil {
+	if err := protocol.WriteCall(c.bw, req); err == mrerr.MrArgTooLong {
+		return err // refused before a byte was written: the connection is intact
+	} else if err != nil {
 		c.abort()
 		return ioFail(err)
 	}
@@ -443,7 +451,7 @@ func (c *Client) sendRecv(req *protocol.Request, cb TupleFunc) error {
 	}
 	var cbErr error
 	for {
-		rep, err := protocol.ReadReply(c.br)
+		rep, err := c.fr.ReadReply()
 		if err != nil {
 			c.abort()
 			return ioFail(err)
@@ -455,7 +463,8 @@ func (c *Client) sendRecv(req *protocol.Request, cb TupleFunc) error {
 		code := mrerr.Code(rep.Code)
 		if code == mrerr.MrMoreData {
 			if cb != nil && cbErr == nil {
-				if err := cb(rep.StringFields()); err != nil {
+				c.tuple = rep.AppendStrings(c.tuple[:0])
+				if err := cb(c.tuple); err != nil {
 					// Keep draining the stream; report after.
 					cbErr = err
 				}
@@ -499,7 +508,7 @@ func ioFail(err error) error {
 
 // Noop implements mr_noop.
 func (c *Client) Noop() error {
-	return c.roundTrip(&protocol.Request{Op: protocol.OpNoop}, nil, true)
+	return c.roundTrip(&protocol.Call{Op: protocol.OpNoop}, nil, true)
 }
 
 // Auth implements mr_auth: it presents Kerberos credentials, naming the
@@ -507,7 +516,7 @@ func (c *Client) Noop() error {
 // connection are performed as the authenticated principal.
 func (c *Client) Auth(creds *kerberos.Credentials, clientName string) error {
 	payload := kerberos.BuildAuth(creds, clientName, c.clk)
-	req := &protocol.Request{Op: protocol.OpAuth, Args: [][]byte{payload.Marshal()}}
+	req := &protocol.Call{Op: protocol.OpAuth, Args: []string{string(payload.Marshal())}}
 	err := c.roundTrip(req, nil, false)
 	if err == nil {
 		c.mu.Lock()
@@ -522,17 +531,15 @@ func (c *Client) Auth(creds *kerberos.Credentials, clientName string) error {
 // Access implements mr_access. An access check never mutates, so it is
 // retried transparently across a torn connection.
 func (c *Client) Access(name string, args []string) error {
-	all := append([]string{name}, args...)
-	return c.roundTrip(&protocol.Request{Op: protocol.OpAccess, Args: protocol.BytesArgs(all)}, nil, true)
+	return c.roundTrip(&protocol.Call{Op: protocol.OpAccess, Name: name, Args: args}, nil, true)
 }
 
 // Query implements mr_query. Retrieval handles are idempotent and get
 // the transparent reconnect; anything that mutates (or that the client
 // cannot classify) fails fast on a torn connection.
 func (c *Client) Query(name string, args []string, cb TupleFunc) error {
-	all := append([]string{name}, args...)
 	idem := false
-	req := &protocol.Request{Op: protocol.OpQuery, Args: protocol.BytesArgs(all)}
+	req := &protocol.Call{Op: protocol.OpQuery, Name: name, Args: args}
 	if q, ok := queries.Lookup(name); ok && q.Kind == queries.Retrieve {
 		idem = true
 		// Read-your-writes: stamp the latest commit token so a lagging
@@ -572,10 +579,9 @@ func (c *Client) Batch(items []BatchItem) ([]mrerr.Code, error) {
 		return nil, nil
 	}
 	var codes []mrerr.Code
-	args := protocol.EncodeBatch(items)
-	err := c.roundTrip(&protocol.Request{
+	err := c.roundTrip(&protocol.Call{
 		Op:   protocol.OpBatch,
-		Args: protocol.BytesArgs(args),
+		Args: protocol.EncodeBatch(items),
 	}, func(fields []string) error {
 		codes = make([]mrerr.Code, len(fields))
 		for i, f := range fields {
@@ -598,12 +604,12 @@ func (c *Client) Batch(items []BatchItem) ([]mrerr.Code, error) {
 
 // TriggerDCM sends the Trigger_DCM request.
 func (c *Client) TriggerDCM() error {
-	return c.roundTrip(&protocol.Request{Op: protocol.OpTriggerDCM}, nil, false)
+	return c.roundTrip(&protocol.Call{Op: protocol.OpTriggerDCM}, nil, false)
 }
 
 // Shutdown asks the server to exit (access-checked server side).
 func (c *Client) Shutdown() error {
-	return c.roundTrip(&protocol.Request{Op: protocol.OpShutdown}, nil, false)
+	return c.roundTrip(&protocol.Call{Op: protocol.OpShutdown}, nil, false)
 }
 
 // Disconnect implements mr_disconnect.

@@ -30,7 +30,7 @@ type Pipeline struct {
 	bw   *bufio.Writer
 	clk  clock.Clock
 
-	sendQ  chan *protocol.Request
+	sendQ  chan *protocol.Call
 	sendWG sync.WaitGroup // calls mid-enqueue; Close waits before closing sendQ
 
 	mu       sync.Mutex
@@ -74,19 +74,20 @@ func DialPipeline(addr string, timeout time.Duration, clk clock.Clock) (*Pipelin
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 32<<10),
 		clk:      clk,
-		sendQ:    make(chan *protocol.Request, DefaultPipelineDepth),
+		sendQ:    make(chan *protocol.Call, DefaultPipelineDepth),
 		inflight: make(map[uint16]*pcall),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(2)
 	go p.sender()
-	go p.demux(bufio.NewReaderSize(conn, 32<<10))
+	go p.demux(protocol.NewFrameReader(bufio.NewReaderSize(conn, 32<<10)))
 	return p, nil
 }
 
 // sender drains the queue onto the wire, flushing whenever the queue
 // goes momentarily empty: a burst of concurrent calls leaves in one
-// syscall. After a terminal failure it keeps draining (the calls were
+// syscall. A request the encoder refuses fails alone; nothing of it was
+// written. After a terminal failure it keeps draining (the calls were
 // already failed) so enqueuers never block on a dead pipeline.
 func (p *Pipeline) sender() {
 	defer p.wg.Done()
@@ -94,7 +95,9 @@ func (p *Pipeline) sender() {
 		if p.Err() != nil {
 			continue
 		}
-		if err := protocol.WriteRequest(p.bw, req); err != nil {
+		if err := protocol.WriteCall(p.bw, req); err == mrerr.MrArgTooLong {
+			p.complete(req.Tag, err)
+		} else if err != nil {
 			p.fail(ioFail(err))
 			continue
 		}
@@ -109,10 +112,11 @@ func (p *Pipeline) sender() {
 // demux reads reply frames and routes them to in-flight calls by tag.
 // Any transport or framing problem is terminal: replies can no longer
 // be trusted to match calls, so everything in flight fails.
-func (p *Pipeline) demux(br *bufio.Reader) {
+func (p *Pipeline) demux(fr *protocol.FrameReader) {
 	defer p.wg.Done()
+	var tuple []string // reused for every tuple on the connection
 	for {
-		rep, err := protocol.ReadReply(br)
+		rep, err := fr.ReadReply()
 		if err != nil {
 			p.fail(ioFail(err))
 			return
@@ -137,22 +141,35 @@ func (p *Pipeline) demux(br *bufio.Reader) {
 		}
 		if code == mrerr.MrMoreData {
 			if pc.cb != nil && pc.cbErr == nil {
-				if err := pc.cb(rep.StringFields()); err != nil {
+				tuple = rep.AppendStrings(tuple[:0])
+				if err := pc.cb(tuple); err != nil {
 					pc.cbErr = err // keep draining this call's stream
 				}
 			}
 			continue
 		}
-		p.mu.Lock()
-		delete(p.inflight, rep.Tag)
-		p.freeTags = append(p.freeTags, rep.Tag)
-		p.cond.Signal()
-		p.mu.Unlock()
 		if pc.cbErr != nil {
-			pc.done <- mrerr.MrCallbackErr
+			p.complete(rep.Tag, mrerr.MrCallbackErr)
 		} else {
-			pc.done <- code.OrNil()
+			p.complete(rep.Tag, code.OrNil())
 		}
+	}
+}
+
+// complete retires the call holding tag: the tag goes back on the free
+// list and the call gets err. A call that fail already completed is
+// left alone.
+func (p *Pipeline) complete(tag uint16, err error) {
+	p.mu.Lock()
+	pc := p.inflight[tag]
+	if pc != nil {
+		delete(p.inflight, tag)
+		p.freeTags = append(p.freeTags, tag)
+		p.cond.Signal()
+	}
+	p.mu.Unlock()
+	if pc != nil {
+		pc.done <- err
 	}
 }
 
@@ -180,7 +197,7 @@ func (p *Pipeline) Err() error {
 }
 
 // call runs one tagged round trip and waits for its final reply.
-func (p *Pipeline) call(op uint16, args [][]byte, cb TupleFunc) error {
+func (p *Pipeline) call(req *protocol.Call, cb TupleFunc) error {
 	pc := &pcall{cb: cb, done: make(chan error, 1)}
 	p.mu.Lock()
 	for {
@@ -209,31 +226,28 @@ func (p *Pipeline) call(op uint16, args [][]byte, cb TupleFunc) error {
 	p.sendWG.Add(1)
 	p.mu.Unlock()
 
-	p.sendQ <- &protocol.Request{
-		Version: protocol.Version,
-		Op:      op,
-		Tag:     tag,
-		TraceID: trace.NewTraceID(),
-		Args:    args,
-	}
+	req.Tag = tag
+	req.TraceID = trace.NewTraceID()
+	p.sendQ <- req
 	p.sendWG.Done()
 	return <-pc.done
 }
 
 // Noop does a tagged handshake round trip.
-func (p *Pipeline) Noop() error { return p.call(protocol.OpNoop, nil, nil) }
+func (p *Pipeline) Noop() error { return p.call(&protocol.Call{Op: protocol.OpNoop}, nil) }
 
 // Query runs the named query; cb sees each tuple on the demux
-// goroutine.
+// goroutine. The sender goroutine encodes args straight into the frame,
+// and when the whole pipeline fails it may still be doing so after
+// Query returns: do not modify args after the call.
 func (p *Pipeline) Query(name string, args []string, cb TupleFunc) error {
-	all := append([]string{name}, args...)
-	return p.call(protocol.OpQuery, protocol.BytesArgs(all), cb)
+	return p.call(&protocol.Call{Op: protocol.OpQuery, Name: name, Args: args}, cb)
 }
 
-// Access checks access for the named query without running it.
+// Access checks access for the named query without running it; args
+// are handled as Query handles them.
 func (p *Pipeline) Access(name string, args []string) error {
-	all := append([]string{name}, args...)
-	return p.call(protocol.OpAccess, protocol.BytesArgs(all), nil)
+	return p.call(&protocol.Call{Op: protocol.OpAccess, Name: name, Args: args}, nil)
 }
 
 // Auth authenticates the connection. The server applies it in receive
@@ -241,7 +255,7 @@ func (p *Pipeline) Access(name string, args []string) error {
 // in flight will still run unauthenticated.
 func (p *Pipeline) Auth(creds *kerberos.Credentials, clientName string) error {
 	payload := kerberos.BuildAuth(creds, clientName, p.clk)
-	return p.call(protocol.OpAuth, [][]byte{payload.Marshal()}, nil)
+	return p.call(&protocol.Call{Op: protocol.OpAuth, Args: []string{string(payload.Marshal())}}, nil)
 }
 
 // Batch submits items as one Batch request over the pipeline; see
@@ -251,7 +265,7 @@ func (p *Pipeline) Batch(items []BatchItem) ([]mrerr.Code, error) {
 		return nil, nil
 	}
 	var codes []mrerr.Code
-	err := p.call(protocol.OpBatch, protocol.BytesArgs(protocol.EncodeBatch(items)),
+	err := p.call(&protocol.Call{Op: protocol.OpBatch, Args: protocol.EncodeBatch(items)},
 		func(fields []string) error {
 			codes = make([]mrerr.Code, len(fields))
 			for i, f := range fields {

@@ -266,7 +266,7 @@ func Boot(opts Options) (*System, error) {
 		DB:           s.DB,
 		Verifier:     kerberos.NewVerifier(MoiraServicePrincipal, srvKey, clk),
 		Clock:        clk,
-		Logf:         logf,
+		Logf:         opts.Logf, // nil when not logging: no per-request line
 		Stats:        s.Registry,
 		Tracer:       s.Tracer,
 		Health:       s.Health,

@@ -120,6 +120,7 @@ type DB struct {
 	journal     io.Writer
 	journalErrs atomic.Int64 // failed journal appends, surfaced as journal.errors
 	wedged      atomic.Bool  // fail-stop latch: set on the first journal write error
+	detached    atomic.Bool  // DetachJournal latch: mutations refused until SetJournal
 	adoptions   atomic.Int64 // AdoptFrom count; cached extract models key off it
 
 	// ops mirrors the per-table op counts from TBLSTATS into atomics
@@ -236,13 +237,33 @@ func (d *DB) UnlockExclusive() { d.mu.Unlock() }
 // journal with sync policies and segment rotation, pass a
 // *JournalWriter. Pointing the database at a new journal clears the
 // fail-stop latch (JournalWedged): swapping the journal target is the
-// operator action that makes the store durable again.
+// operator action that makes the store durable again. It also lifts
+// DetachJournal's latch.
 func (d *DB) SetJournal(w io.Writer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.journal = w
 	d.wedged.Store(false)
+	d.detached.Store(false)
 }
+
+// DetachJournal removes the journal, as SetJournal(nil) does, and under
+// the same lock latches the database against mutations: one that
+// reaches the lock afterwards is refused (JournalDetached) instead of
+// applied with nothing to record it. A fencing primary detaches so that
+// a write which passed the server's gate just before the fence cannot
+// leave memory holding a change no journal segment has. SetJournal
+// lifts the latch. Callers must not hold the lock.
+func (d *DB) DetachJournal() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.journal = nil
+	d.detached.Store(true)
+}
+
+// JournalDetached reports whether DetachJournal latched the database
+// against mutations since the journal was last set.
+func (d *DB) JournalDetached() bool { return d.detached.Load() }
 
 // AdoptCount reports how many times AdoptFrom replaced this database's
 // state. Derived caches built from a read of the database (the

@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 
 	"moira/internal/mrerr"
@@ -132,13 +134,47 @@ type Reply struct {
 	Fields  [][]byte
 }
 
-// StringFields converts the reply fields to strings.
+// StringFields converts the reply fields to a new slice of strings (see
+// AppendStrings).
 func (r *Reply) StringFields() []string {
-	out := make([]string, len(r.Fields))
-	for i, f := range r.Fields {
-		out[i] = string(f)
+	return r.AppendStrings(make([]string, 0, len(r.Fields)))
+}
+
+// AppendStrings appends the reply fields to dst as strings and returns
+// the extended slice. Every field is a substring of one string holding
+// all of them: a reply costs one allocation however many fields it
+// has, and a kept field pins only this reply's bytes, never the frame
+// buffer it was read from.
+func (r *Reply) AppendStrings(dst []string) []string {
+	n := 0
+	for _, f := range r.Fields {
+		n += len(f)
 	}
-	return out
+	var b strings.Builder
+	b.Grow(n)
+	for _, f := range r.Fields {
+		b.Write(f)
+	}
+	s := b.String()
+	for _, f := range r.Fields {
+		dst = append(dst, s[:len(f)])
+		s = s[len(f):]
+	}
+	return dst
+}
+
+// Call is a request as a client builds it: string arguments, with the
+// handle name kept apart from them so the two are never joined into a
+// new list. WriteCall encodes it straight into the frame.
+type Call struct {
+	Op      uint16
+	Tag     uint16
+	TraceID string
+	MinPos  string
+	// Name is the handle an OpQuery or OpAccess names. It goes on the
+	// wire as the first argument, ahead of Args; other ops send no name.
+	Name string
+	Args []string
 }
 
 // frame layout: u32 payloadLen | u16 version | u16 opOrTag | i32 code
@@ -156,23 +192,37 @@ var writeBufs = sync.Pool{
 
 const maxPooledBuf = 1 << 20
 
-func writeFrame(w io.Writer, head []byte, fields [][]byte) error {
-	total := len(head) + 4
+// writeFrame encodes one frame into a pooled buffer and writes it with
+// one call: head, then the counted fields, lead (a request's header
+// fields and handle name; nil for a reply) followed by fields. It is
+// generic over the field type so string fields (the server's tuples,
+// the clients' arguments) are copied once, into the frame, with no
+// [][]byte conversion in front. A frame the reader would refuse (over
+// MaxFrame bytes or MaxFields fields) is refused here with
+// MR_ARG_TOO_LONG before a byte is written, so the connection stays
+// usable.
+func writeFrame[F []byte | string](w io.Writer, head []byte, lead []string, fields []F) error {
+	n := len(lead) + len(fields)
+	if n > MaxFields {
+		return mrerr.MrArgTooLong
+	}
+	total := len(head) + 4 + 4*n
+	for _, f := range lead {
+		total += len(f)
+	}
 	for _, f := range fields {
-		total += 4 + len(f)
+		total += len(f)
 	}
 	if total > MaxFrame {
 		return mrerr.MrArgTooLong
 	}
 	bp := writeBufs.Get().(*[]byte)
-	buf := (*bp)[:0]
+	buf := slices.Grow((*bp)[:0], 4+total)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(total))
 	buf = append(buf, head...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(fields)))
-	for _, f := range fields {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
-		buf = append(buf, f...)
-	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = appendFields(buf, lead)
+	buf = appendFields(buf, fields)
 	_, err := w.Write(buf)
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf
@@ -181,89 +231,123 @@ func writeFrame(w io.Writer, head []byte, fields [][]byte) error {
 	return err
 }
 
-// readFrameInto parses one frame into buf (grown as needed), returning
-// head and fields that alias the buffer. The caller owns the lifetime
-// tradeoff: FrameReader reuses the buffer across reads (zero-copy, one
-// frame live at a time), while ReadRequest/ReadReply copy every field
-// out so a retained field never pins the rest of the frame.
-func readFrameInto(r io.Reader, headLen int, buf []byte) (head []byte, fields [][]byte, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, nil, buf, err
+func appendFields[F []byte | string](buf []byte, fields []F) []byte {
+	for _, f := range fields {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
+		buf = append(buf, f...)
 	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
+	return buf
+}
+
+// readFrameInto parses one frame into buf and fields, each grown as
+// needed and returned for reuse even on error: the head is buf[:headLen]
+// and every field aliases buf. The caller owns the lifetime tradeoff:
+// FrameReader reuses both across reads (one frame live at a time),
+// while ReadRequest/ReadReply copy every field out so a retained field
+// never pins the rest of the frame.
+func readFrameInto(r *bufio.Reader, headLen int, buf []byte, fields [][]byte) ([]byte, [][]byte, error) {
+	fields = fields[:0]
+	// Peek, not io.ReadFull into a local array, which would escape
+	// through the io.Reader and cost an allocation per frame.
+	lenBuf, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(lenBuf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf, fields, err
+	}
+	total := binary.BigEndian.Uint32(lenBuf)
+	r.Discard(4)
 	if total > MaxFrame || int(total) < headLen+4 {
-		return nil, nil, buf, fmt.Errorf("protocol: bad frame length %d", total)
+		return buf, fields, fmt.Errorf("protocol: bad frame length %d", total)
 	}
 	if uint32(cap(buf)) < total {
 		buf = make([]byte, total)
 	}
 	buf = buf[:total]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, nil, buf, err
+		return buf, fields, err
 	}
-	head = buf[:headLen]
 	rest := buf[headLen:]
 	n := binary.BigEndian.Uint32(rest[:4])
 	if n > MaxFields {
-		return nil, nil, buf, fmt.Errorf("protocol: too many fields (%d)", n)
+		return buf, fields, fmt.Errorf("protocol: too many fields (%d)", n)
 	}
 	rest = rest[4:]
-	fields = make([][]byte, 0, n)
+	fields = slices.Grow(fields, int(n))
 	for i := uint32(0); i < n; i++ {
 		if len(rest) < 4 {
-			return nil, nil, buf, fmt.Errorf("protocol: truncated field header")
+			return buf, fields, fmt.Errorf("protocol: truncated field header")
 		}
 		fl := binary.BigEndian.Uint32(rest[:4])
 		rest = rest[4:]
 		if uint32(len(rest)) < fl {
-			return nil, nil, buf, fmt.Errorf("protocol: truncated field body")
+			return buf, fields, fmt.Errorf("protocol: truncated field body")
 		}
 		fields = append(fields, rest[:fl:fl])
 		rest = rest[fl:]
 	}
 	if len(rest) != 0 {
-		return nil, nil, buf, fmt.Errorf("protocol: %d trailing bytes in frame", len(rest))
+		return buf, fields, fmt.Errorf("protocol: %d trailing bytes in frame", len(rest))
 	}
-	return head, fields, buf, nil
+	return buf, fields, nil
 }
 
-func readFrame(r io.Reader, headLen int) (head []byte, fields [][]byte, err error) {
-	head, fields, _, err = readFrameInto(r, headLen, nil)
+// readFrame reads one frame and copies every field into its own
+// allocation: the parsed fields alias the whole frame payload, and
+// handing those aliases out means a caller that keeps one small field (a
+// journal line, a trace ID) silently pins up to MaxFrame bytes for as
+// long as it lives. The head still aliases the payload; callers only
+// decode it.
+func readFrame(r *bufio.Reader, headLen int) (head []byte, fields [][]byte, err error) {
+	buf, fields, err := readFrameInto(r, headLen, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Copy every field into its own allocation: the parsed fields alias
-	// the whole frame payload, and handing those aliases out means a
-	// caller that keeps one small field (a journal line, a trace ID)
-	// silently pins up to MaxFrame bytes for as long as it lives.
-	hc := append([]byte(nil), head...)
 	for i, f := range fields {
 		fields[i] = append([]byte(nil), f...)
 	}
-	return hc, fields, nil
+	return buf[:headLen], fields, nil
+}
+
+func requestHead(version, op uint16) [4]byte {
+	var head [4]byte
+	binary.BigEndian.PutUint16(head[0:2], version)
+	binary.BigEndian.PutUint16(head[2:4], op)
+	return head
 }
 
 // WriteRequest sends one request frame: the tag, trace ID and
 // minimum-position header fields, then the arguments.
 func WriteRequest(w io.Writer, req *Request) error {
-	var head [4]byte
-	binary.BigEndian.PutUint16(head[0:2], req.Version)
-	binary.BigEndian.PutUint16(head[2:4], req.Op)
+	head := requestHead(req.Version, req.Op)
 	var tag [2]byte
 	binary.BigEndian.PutUint16(tag[:], req.Tag)
-	args := make([][]byte, 0, len(req.Args)+3)
-	args = append(args, tag[:], []byte(req.TraceID), []byte(req.MinPos))
-	args = append(args, req.Args...)
-	return writeFrame(w, head[:], args)
+	lead := [3]string{string(tag[:]), req.TraceID, req.MinPos}
+	return writeFrame(w, head[:], lead[:], req.Args)
+}
+
+// WriteCall sends c as one request frame at Version. The bytes are
+// those WriteRequest sends for the same request with Name in front of
+// Args; every string is copied once, straight into the frame.
+func WriteCall(w io.Writer, c *Call) error {
+	head := requestHead(Version, c.Op)
+	var tag [2]byte
+	binary.BigEndian.PutUint16(tag[:], c.Tag)
+	lead := [4]string{string(tag[:]), c.TraceID, c.MinPos, c.Name}
+	n := 3
+	if c.Op == OpQuery || c.Op == OpAccess {
+		n = 4
+	}
+	return writeFrame(w, head[:], lead[:n], c.Args)
 }
 
 // parseRequest interprets a parsed frame as a request, splitting off the
 // three header fields. A frame stamped another version keeps its fields
 // raw (see Request); a frame stamped Version without a well-formed
 // header is a framing error.
-func parseRequest(head []byte, fields [][]byte) (*Request, error) {
-	req := &Request{
+func parseRequest(head []byte, fields [][]byte) (Request, error) {
+	req := Request{
 		Version: binary.BigEndian.Uint16(head[0:2]),
 		Op:      binary.BigEndian.Uint16(head[2:4]),
 		Args:    fields,
@@ -272,7 +356,7 @@ func parseRequest(head []byte, fields [][]byte) (*Request, error) {
 		return req, nil
 	}
 	if len(fields) < 3 || len(fields[0]) != 2 {
-		return nil, fmt.Errorf("protocol: request without its tag, trace and position fields")
+		return Request{}, fmt.Errorf("protocol: request without its tag, trace and position fields")
 	}
 	req.Tag = binary.BigEndian.Uint16(fields[0])
 	req.TraceID = string(fields[1])
@@ -290,20 +374,37 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseRequest(head, fields)
+	req, err := parseRequest(head, fields)
+	if err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+func replyHead(version, tag uint16, code int32) [8]byte {
+	var head [8]byte
+	binary.BigEndian.PutUint16(head[0:2], version)
+	binary.BigEndian.PutUint16(head[2:4], tag)
+	binary.BigEndian.PutUint32(head[4:8], uint32(code))
+	return head
 }
 
 // WriteReply sends one reply frame.
 func WriteReply(w io.Writer, rep *Reply) error {
-	var head [8]byte
-	binary.BigEndian.PutUint16(head[0:2], rep.Version)
-	binary.BigEndian.PutUint16(head[2:4], rep.Tag)
-	binary.BigEndian.PutUint32(head[4:8], uint32(rep.Code))
-	return writeFrame(w, head[:], rep.Fields)
+	head := replyHead(rep.Version, rep.Tag, rep.Code)
+	return writeFrame(w, head[:], nil, rep.Fields)
 }
 
-func parseReply(head []byte, fields [][]byte) *Reply {
-	return &Reply{
+// WriteReplyStrings sends one reply frame at Version whose fields are
+// strings, each copied once, straight into the frame: the server's path
+// for every streamed tuple and final reply.
+func WriteReplyStrings(w io.Writer, tag uint16, code int32, fields []string) error {
+	head := replyHead(Version, tag, code)
+	return writeFrame(w, head[:], nil, fields)
+}
+
+func parseReply(head []byte, fields [][]byte) Reply {
+	return Reply{
 		Version: binary.BigEndian.Uint16(head[0:2]),
 		Tag:     binary.BigEndian.Uint16(head[2:4]),
 		Code:    int32(binary.BigEndian.Uint32(head[4:8])),
@@ -312,13 +413,15 @@ func parseReply(head []byte, fields [][]byte) *Reply {
 }
 
 // ReadReply reads one reply frame. Every field is its own allocation;
-// retaining one does not retain the frame.
+// retaining one does not retain the frame. A connection that reads many
+// replies should use FrameReader.ReadReply instead.
 func ReadReply(r *bufio.Reader) (*Reply, error) {
 	head, fields, err := readFrame(r, 8)
 	if err != nil {
 		return nil, err
 	}
-	return parseReply(head, fields), nil
+	rep := parseReply(head, fields)
+	return &rep, nil
 }
 
 // BytesArgs converts string arguments for a Request.

@@ -197,7 +197,7 @@ func rawRequest(version, op uint16, fields ...[]byte) []byte {
 	binary.BigEndian.PutUint16(head[0:2], version)
 	binary.BigEndian.PutUint16(head[2:4], op)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, head[:], fields); err != nil {
+	if err := writeFrame(&buf, head[:], nil, fields); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

@@ -82,6 +82,10 @@ func batchItemLocked(cx *Context, it protocol.BatchItem) mrerr.Code {
 	if cx.DB.JournalWedged() {
 		return mrerr.MrDown
 	}
+	// A fence detached the journal while this batch waited for the lock.
+	if cx.DB.JournalDetached() {
+		return mrerr.MrReadonly
+	}
 	q, ok := Lookup(it.Name)
 	if !ok || q.Kind == Retrieve {
 		return mrerr.MrNoHandle

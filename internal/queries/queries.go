@@ -311,6 +311,11 @@ func Execute(cx *Context, name string, args []string, emit EmitFunc) error {
 	err := func() error {
 		cx.DB.LockExclusive()
 		defer cx.DB.UnlockExclusive()
+		// A fenced primary detaches its journal under this lock; a
+		// mutation that waited here through the fence must not apply.
+		if cx.DB.JournalDetached() {
+			return mrerr.MrReadonly
+		}
 		if err := checkAccessLocked(cx, q, args); err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@ import (
 	"moira/internal/clock"
 	"moira/internal/db"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 )
 
 // durable is a test fixture for the crash-safe pipeline: a bootstrapped
@@ -382,6 +383,52 @@ func TestJournalFailureFailStopsMutations(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("repointed journal received no record")
+	}
+}
+
+// TestDetachedJournalRefusesMutations: after DetachJournal (a fencing
+// primary) a mutation, single or batched, is refused under the lock
+// and leaves memory untouched — it must never apply with no journal to
+// record it. Reads keep serving, and SetJournal lifts the latch.
+func TestDetachedJournalRefusesMutations(t *testing.T) {
+	d := NewBootstrappedDB(clock.NewFake(time.Unix(600000000, 0)))
+	var buf bytes.Buffer
+	d.SetJournal(&buf)
+	cx := &Context{DB: d, Principal: "ops", App: "test", Privileged: true}
+	discard := func([]string) error { return nil }
+	if err := Execute(cx, "add_machine", []string{"charlie.mit.edu", "VAX"}, discard); err != nil {
+		t.Fatal(err)
+	}
+
+	d.DetachJournal()
+	if !d.JournalDetached() {
+		t.Fatal("DetachJournal did not latch the database")
+	}
+	if err := Execute(cx, "add_machine", []string{"alpha.mit.edu", "VAX"}, discard); !errors.Is(err, mrerr.MrReadonly) {
+		t.Fatalf("mutation on detached store = %v, want MR_READONLY", err)
+	}
+	codes, err := ExecuteBatch(cx, []protocol.BatchItem{{Name: "add_machine", Args: []string{"bravo.mit.edu", "VAX"}}})
+	if err != nil || len(codes) != 1 || codes[0] != mrerr.MrReadonly {
+		t.Fatalf("batch on detached store = %v, %v; want one MR_READONLY", codes, err)
+	}
+	d.LockShared()
+	_, alpha := d.MachineByName("ALPHA.MIT.EDU")
+	_, bravo := d.MachineByName("BRAVO.MIT.EDU")
+	d.UnlockShared()
+	if alpha || bravo {
+		t.Fatalf("refused mutations applied in memory (alpha %v, bravo %v)", alpha, bravo)
+	}
+	if err := Execute(cx, "get_machine", []string{"charlie.mit.edu"}, discard); err != nil {
+		t.Errorf("retrieve on detached store = %v, want reads to keep serving", err)
+	}
+	journaled := buf.Len()
+
+	d.SetJournal(&buf)
+	if err := Execute(cx, "add_machine", []string{"alpha.mit.edu", "VAX"}, discard); err != nil {
+		t.Fatalf("mutation after SetJournal = %v", err)
+	}
+	if buf.Len() == journaled {
+		t.Error("reattached journal received no record")
 	}
 }
 

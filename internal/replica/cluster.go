@@ -544,8 +544,12 @@ func (c *Cluster) leaseHeldLocked() bool {
 	if _, fresh := c.primary.LeaseFresh(c.cfg.LeaseTimeout); fresh >= need {
 		return true
 	}
-	// Grace after promotion: followers need a moment to find us before
-	// the first acks can arrive.
+	// Grace after promotion, and after the first subscription that ended
+	// degraded mode: followers need a moment to find us, and a new
+	// subscriber to ack its first lease.
+	if sub := c.primary.FirstSubscribed(); time.Since(sub) < c.cfg.LeaseTimeout {
+		return true
+	}
 	return time.Since(c.promotedAt) < c.cfg.LeaseTimeout
 }
 
@@ -760,6 +764,9 @@ func (c *Cluster) becomeFollower(cause string, force bool) {
 	c.setRoleLocked(RoleReplica, cause)
 	c.lastLease = time.Now()
 	c.mu.Unlock()
+	// Lift a fence's DetachJournal latch: from here the stream is the
+	// only writer, and its records apply through the query layer.
+	c.d.SetJournal(nil)
 	rep.Start()
 	c.notifyRole(RoleReplica)
 }
@@ -782,8 +789,21 @@ func (c *Cluster) fence(cause string) {
 	// cannot change before we publish it below.
 	c.notifyRole(RoleFenced)
 
+	// Then the journal comes off under the database lock, latching the
+	// store against mutations: a write that passed the gate before it
+	// closed either committed already (journaled) or is refused when it
+	// gets the lock. It never applies in memory alone, which a later
+	// re-promotion of this node would carry into the new epoch. Only
+	// the role loop changes c.jw while the node runs.
 	c.mu.Lock()
-	p, jw := c.primary, c.jw
+	jw := c.jw
+	c.mu.Unlock()
+	if jw != nil {
+		c.d.DetachJournal()
+	}
+
+	c.mu.Lock()
+	p := c.primary
 	if jw != nil {
 		seg, recs := jw.Head()
 		c.posSeg, c.posIdx = seg, recs
@@ -799,7 +819,6 @@ func (c *Cluster) fence(cause string) {
 	}
 	if jw != nil {
 		jw.Close()
-		c.d.SetJournal(nil)
 	}
 	c.kickNow()
 }
@@ -1207,6 +1226,9 @@ func (c *Cluster) leaseRemainLocked() time.Duration {
 		}
 		anchor := c.promotedAt
 		if c.primary != nil {
+			if s := c.primary.FirstSubscribed(); s.After(anchor) {
+				anchor = s // the grace leaseHeldLocked gives a first subscriber
+			}
 			if g := c.primary.NewestGrant(); g.After(anchor) {
 				anchor = g
 			}

@@ -95,7 +95,7 @@ type Primary struct {
 	leaseSeq   atomic.Int64 // lease frame sequence numbers, all conns
 	leasesSent atomic.Int64
 	acksRecv   atomic.Int64
-	everSub    atomic.Bool // a replica subscribed at least once
+	firstSub   atomic.Int64 // UnixNano of the first subscription; 0 = none yet
 
 	active    atomic.Int64
 	served    atomic.Int64
@@ -336,7 +336,7 @@ func (p *Primary) stream(br *bufio.Reader, bw *bufio.Writer, seg, idx int64, for
 	p.mu.Lock()
 	p.tails[sub] = struct{}{}
 	p.mu.Unlock()
-	p.everSub.Store(true)
+	p.firstSub.CompareAndSwap(0, time.Now().UnixNano())
 	defer func() {
 		p.mu.Lock()
 		delete(p.tails, sub)
@@ -385,6 +385,12 @@ func (p *Primary) stream(br *bufio.Reader, bw *bufio.Writer, seg, idx int64, for
 		return err
 	}
 	if err := maybeLease(); err != nil {
+		return err
+	}
+	// Out before any bootstrap work: the replica acks this lease at
+	// once, so an on-demand checkpoint cannot starve the lease that
+	// subscribing just made this primary depend on.
+	if err := bw.Flush(); err != nil {
 		return err
 	}
 
@@ -512,7 +518,17 @@ func (p *Primary) NewestGrant() time.Time {
 // fresh failover winner or an operator promotion — and the cluster runs
 // degraded: the lease is self-held and the commit gate is waived,
 // because there is nobody to replicate to yet.
-func (p *Primary) HadSubscriber() bool { return p.everSub.Load() }
+func (p *Primary) HadSubscriber() bool { return p.firstSub.Load() != 0 }
+
+// FirstSubscribed reports when the first replica subscribed (zero when
+// none has). The lease's grace period runs from it as from promotion:
+// the new subscriber needs a moment before its first ack arrives.
+func (p *Primary) FirstSubscribed() time.Time {
+	if n := p.firstSub.Load(); n != 0 {
+		return time.Unix(0, n)
+	}
+	return time.Time{}
+}
 
 // maybeBootstrap decides bootstrap-vs-tail and, when the replica's
 // position predates what the journal still holds, ships the newest

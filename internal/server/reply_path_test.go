@@ -1,0 +1,179 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"moira/internal/client"
+	"moira/internal/mrerr"
+	"moira/internal/protocol"
+	"moira/internal/queries"
+)
+
+// TestServerOversizedRequest: a request the encoder refuses (here a
+// 17 MB argument, over protocol.MaxFrame) fails that call alone with
+// MR_ARG_TOO_LONG. Nothing was written, so the authenticated connection
+// and the pipeline both keep serving.
+func TestServerOversizedRequest(t *testing.T) {
+	w, c := adminWorld(t)
+	huge := strings.Repeat("x", 17<<20)
+	if err := c.Query("get_user_by_login", []string{huge}, nil); err != mrerr.MrArgTooLong {
+		t.Fatalf("17 MB argument on a Client: %v, want MR_ARG_TOO_LONG", err)
+	}
+	// add_machine needs the admin principal: the connection kept it.
+	if err := c.Query("add_machine", []string{"after-huge.mit.edu", "VAX"}, nil); err != nil {
+		t.Fatalf("authenticated call after the refused one: %v", err)
+	}
+	if n := c.Reconnects(); n != 0 {
+		t.Errorf("client reconnected %d times", n)
+	}
+
+	p := w.dialPipeline(t)
+	if err := p.Query("get_user_by_login", []string{huge}, nil); err != mrerr.MrArgTooLong {
+		t.Fatalf("17 MB argument on a Pipeline: %v, want MR_ARG_TOO_LONG", err)
+	}
+	if err := p.Query("get_machine", []string{"AFTER-HUGE.MIT.EDU"}, nil); err != nil {
+		t.Fatalf("pipelined call after the refused one: %v", err)
+	}
+	if err := p.Err(); err != nil {
+		t.Fatalf("pipeline failed: %v", err)
+	}
+}
+
+// TestServerBatchTooManyFields: DefaultMaxBatch three-argument
+// mutations are a legal batch, but flattened they are 5,121 arguments,
+// more fields than protocol.MaxFields lets a reader accept. The writer
+// refuses the frame with MR_ARG_TOO_LONG instead of sending one the
+// server must drop the connection over.
+func TestServerBatchTooManyFields(t *testing.T) {
+	w, c := adminWorld(t)
+	items := make([]client.BatchItem, DefaultMaxBatch)
+	for i := range items {
+		items[i] = client.BatchItem{Name: "add_member_to_list",
+			Args: []string{queries.AdminList, "USER", fmt.Sprintf("u%d", i)}}
+	}
+	if _, err := c.Batch(items); err != mrerr.MrArgTooLong {
+		t.Fatalf("batch of %d three-argument items: %v, want MR_ARG_TOO_LONG", len(items), err)
+	}
+	codes, err := c.Batch([]client.BatchItem{{Name: "add_machine", Args: []string{"after-batch.mit.edu", "VAX"}}})
+	if err != nil || len(codes) != 1 || codes[0] != mrerr.Success {
+		t.Fatalf("batch on the same connection afterwards: %v %v", codes, err)
+	}
+
+	p := w.dialPipeline(t)
+	if _, err := p.Batch(items); err != mrerr.MrArgTooLong {
+		t.Fatalf("pipelined batch of %d three-argument items: %v, want MR_ARG_TOO_LONG", len(items), err)
+	}
+	if err := p.Noop(); err != nil {
+		t.Fatalf("pipelined call afterwards: %v", err)
+	}
+}
+
+// TestReplyPathAllocs pins what the reply codec costs per tuple, with a
+// loopback server and client in one process (allocation counts are
+// process-wide, so both ends are in them). A wildcard retrieval of N
+// user tuples minus the same query run in-process (the handler's own
+// allocations) leaves the codec plus a fixed per-call cost; its growth
+// from N = 10 to N = 1,000 is the codec's per-tuple cost: one string
+// per tuple on the client, nothing on the server's encode. A point
+// query's whole round trip stays under a ceiling.
+func TestReplyPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	w, c := adminWorld(t)
+	priv := &queries.Context{DB: w.d, Privileged: true, App: "test"}
+	for _, set := range []struct {
+		prefix string
+		n      int
+	}{{"rpa", 1000}, {"rpb", 10}} {
+		for i := 0; i < set.n; i++ {
+			err := queries.Execute(priv, "add_user",
+				[]string{fmt.Sprintf("%s%04d", set.prefix, i), "-1", "/bin/csh", "Last", "First", "", "1", "x", "STAFF"},
+				func([]string) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	direct := &queries.Context{DB: w.d, Principal: "admin", App: "test"}
+	direct.ResolveUser()
+
+	codec := func(pattern string, want int) float64 {
+		t.Helper()
+		got := 0
+		count := func([]string) error { got++; return nil }
+		rpc := testing.AllocsPerRun(20, func() {
+			if err := c.Query("get_user_by_login", []string{pattern}, count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		handler := testing.AllocsPerRun(20, func() {
+			if err := queries.Execute(direct, "get_user_by_login", []string{pattern}, count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 2*21*want { // AllocsPerRun adds a warm-up run
+			t.Fatalf("%s: %d tuples over %d runs, want %d each", pattern, got, 2*21, want)
+		}
+		return rpc - handler
+	}
+	small, large := codec("rpb*", 10), codec("rpa*", 1000)
+	perTuple := (large - small) / 990
+	t.Logf("codec allocations beyond the handler: %.0f at N=10, %.0f at N=1000 (%.3f per tuple)", small, large, perTuple)
+	if perTuple < 0.95 || perTuple > 1.05 {
+		t.Errorf("reply codec costs %.3f allocations per tuple, want 1 (one string on the client, none on the server)", perTuple)
+	}
+
+	// The split between the two ends: the server's string encoder
+	// allocates nothing, and the client's reuse-buffer decode one string
+	// per tuple.
+	tuple := []string{"rpa0001", "6530", "/bin/csh", "Last", "First", "", "1", "x", "STAFF"}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := protocol.WriteReplyStrings(io.Discard, 1, int32(mrerr.MrMoreData), tuple); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("server tuple encode: %.0f allocations, want 0", n)
+	}
+	var wire bytes.Buffer
+	const frames = 100
+	for i := 0; i < frames; i++ {
+		if err := protocol.WriteReplyStrings(&wire, 1, int32(mrerr.MrMoreData), tuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := wire.Bytes()
+	src := bytes.NewReader(raw)
+	fr := protocol.NewFrameReader(bufio.NewReaderSize(src, 64<<10))
+	var out []string
+	decode := func() {
+		src.Reset(raw)
+		for i := 0; i < frames; i++ {
+			rep, err := fr.ReadReply()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = rep.AppendStrings(out[:0])
+		}
+	}
+	decode() // grow the reader's buffers and out
+	if n := testing.AllocsPerRun(10, decode); n != frames {
+		t.Errorf("client decode of %d tuples: %.0f allocations, want %d", frames, n, frames)
+	}
+
+	// Whole round trip of one indexed read, both ends, no tracer.
+	// Measured at 27-28.
+	const pointCeiling = 32
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Query("get_user_by_login", []string{"rpa0001"}, func([]string) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}); n > pointCeiling {
+		t.Errorf("get_user_by_login round trip: %.0f allocations, ceiling %d", n, pointCeiling)
+	}
+}

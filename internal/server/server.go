@@ -148,6 +148,10 @@ type Server struct {
 	clk clock.Clock
 	reg *stats.Registry
 
+	// logRequests is whether Config.Logf was set: the per-request log
+	// line is formatted only then, since its arguments allocate.
+	logRequests bool
+
 	ln      net.Listener
 	wg      sync.WaitGroup
 	closing chan struct{} // closed when Close begins; serveConn drains
@@ -196,7 +200,8 @@ func New(cfg Config) *Server {
 	if clk == nil {
 		clk = clock.System
 	}
-	if cfg.Logf == nil {
+	logRequests := cfg.Logf != nil
+	if !logRequests {
 		cfg.Logf = func(string, ...any) {}
 	}
 	reg := cfg.Stats
@@ -207,12 +212,13 @@ func New(cfg Config) *Server {
 		cfg.DB.BindStats(reg)
 	}
 	s := &Server{
-		cfg:      cfg,
-		clk:      clk,
-		reg:      reg,
-		closing:  make(chan struct{}),
-		sessions: make(map[int]*session),
-		conns:    make(map[net.Conn]*connState),
+		cfg:         cfg,
+		clk:         clk,
+		reg:         reg,
+		logRequests: logRequests,
+		closing:     make(chan struct{}),
+		sessions:    make(map[int]*session),
+		conns:       make(map[net.Conn]*connState),
 	}
 	s.readonly.Store(cfg.ReadOnly)
 	return s
@@ -389,7 +395,7 @@ func (s *Server) shed(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(time.Second))
 	bw := bufio.NewWriter(conn)
-	if protocol.WriteReply(bw, &protocol.Reply{Version: protocol.Version, Code: int32(mrerr.MrBusy)}) != nil {
+	if protocol.WriteReplyStrings(bw, 0, int32(mrerr.MrBusy), nil) != nil {
 		return
 	}
 	if bw.Flush() != nil {
@@ -487,17 +493,14 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	// Replies echo the request's tag, so a pipelining client can match
 	// them up. Frames buffer in bw and flush when the connection goes
 	// quiet (no next request already buffered): a pipelined burst costs
-	// one syscall on the way out instead of one per frame.
+	// one syscall on the way out instead of one per frame. Tuple strings
+	// are encoded straight into the frame.
 	repTag := uint16(0)
 	reply := func(code mrerr.Code, fields []string) error {
-		rep := &protocol.Reply{Version: protocol.Version, Tag: repTag, Code: int32(code)}
-		if fields != nil {
-			rep.Fields = protocol.BytesArgs(fields)
-		}
 		if d := s.cfg.WriteTimeout; d > 0 {
 			conn.SetWriteDeadline(time.Now().Add(d))
 		}
-		return protocol.WriteReply(bw, rep)
+		return protocol.WriteReplyStrings(bw, repTag, int32(code), fields)
 	}
 
 	for {
@@ -770,8 +773,8 @@ func handleName(name string) string {
 	return name
 }
 
-// observe records one completed request in the metric registry and
-// (when verbose) the server log.
+// observe records one completed request in the metric registry and,
+// when Config.Logf is set, the server log.
 func (s *Server) observe(req *protocol.Request, ses *session, principal, handle string, code mrerr.Code, latency time.Duration) {
 	op := protocol.OpName(req.Op)
 	s.reg.Counter("server.requests." + op).Inc()
@@ -785,8 +788,10 @@ func (s *Server) observe(req *protocol.Request, ses *session, principal, handle 
 			s.reg.Counter("server.auth.failures").Inc()
 		}
 	}
-	s.cfg.Logf("request client=%d op=%s handle=%s principal=%s code=%d latency=%v trace=%s",
-		ses.id, op, handle, principal, int32(code), latency, req.TraceID)
+	if s.logRequests {
+		s.cfg.Logf("request client=%d op=%s handle=%s principal=%s code=%d latency=%v trace=%s",
+			ses.id, op, handle, principal, int32(code), latency, req.TraceID)
+	}
 }
 
 // authenticate processes an Authenticate request: one argument, a

@@ -94,6 +94,8 @@ type SpanRecord struct {
 type TraceRecord struct {
 	TraceID string
 	Spans   []SpanRecord
+
+	lazy bool // string IDs and details not yet minted (see materialize)
 }
 
 // Root returns the trace's root span record.
@@ -106,7 +108,8 @@ func (t *TraceRecord) Root() SpanRecord {
 // inert: every method no-ops, so instrumentation never needs nil
 // checks. Detail and code are set by the goroutine running the phase;
 // a Span must not be shared across goroutines without the caller's own
-// synchronization.
+// synchronization, nor used once its root has ended: the root's state,
+// spans included, is recycled for later roots.
 type Span struct {
 	tr     *Tracer
 	root   *rootState
@@ -474,17 +477,21 @@ func (t *Tracer) finish(root *Span, r *rootState) {
 		// Ordinary trace: keep 1 in SampleN.
 		keep = t.sampleC.Add(1)%uint64(t.opt.SampleN) == 0
 	}
-	if !keep {
+	if keep {
+		t.kept.Inc()
+		t.publish(root, r, spans)
+	} else {
 		t.sampledOut.Inc()
-		// The whole tree has ended (open hit zero when the root did), so
-		// the state can be recycled. Kept states are left to the GC: the
-		// caller still holds the root Span, which lives in the arena.
-		if r.open.Load() == 0 {
-			rootPool.Put(r)
-		}
-		return
 	}
-	t.kept.Inc()
+	// The whole tree has ended (open hit zero when the root did), and a
+	// kept tree was copied out by publish, so the state can be recycled.
+	if r.open.Load() == 0 {
+		rootPool.Put(r)
+	}
+}
+
+// publish copies a kept tree out of its root state into the ring.
+func (t *Tracer) publish(root *Span, r *rootState, spans []SpanRecord) {
 	// Assemble the published tree: children (done) first, then the
 	// root's fast-lane records, then the root itself — Root() relies on
 	// the root being last, and children-before-parent holds because
@@ -494,26 +501,10 @@ func (t *Tracer) finish(root *Span, r *rootState) {
 	merged = append(merged, spans...)
 	merged = append(merged, r.own[:n]...)
 	merged = append(merged, root.rec)
-	spans = merged
-	// Materialize the string IDs and joined details the sampled-out
-	// path never mints.
-	for i := range spans {
-		if spans[i].SpanID == "" {
-			spans[i].SpanID = spanIDString(spans[i].idNum)
-		}
-		if spans[i].Parent == "" && spans[i].parentNum != 0 {
-			spans[i].Parent = spanIDString(spans[i].parentNum)
-		}
-		if pre := spans[i].detailPre; pre != "" {
-			if spans[i].Detail == "" {
-				spans[i].Detail = pre
-			} else {
-				spans[i].Detail = pre + " " + spans[i].Detail
-			}
-			spans[i].detailPre = ""
-		}
-	}
-	tr := &TraceRecord{TraceID: root.rec.TraceID, Spans: spans}
+	// The string IDs and joined details are minted when the ring is
+	// read (Traces), not here: most kept traces are evicted unread, and
+	// keeping one is then two allocations instead of one per string.
+	tr := &TraceRecord{TraceID: root.rec.TraceID, Spans: merged, lazy: true}
 	t.mu.Lock()
 	i := (t.start + t.filled) % len(t.ring)
 	if t.filled == len(t.ring) {
@@ -535,9 +526,38 @@ func (t *Tracer) Traces() []*TraceRecord {
 	defer t.mu.Unlock()
 	out := make([]*TraceRecord, 0, t.filled)
 	for i := 0; i < t.filled; i++ {
-		out = append(out, t.ring[(t.start+i)%len(t.ring)])
+		tr := t.ring[(t.start+i)%len(t.ring)]
+		tr.materialize()
+		out = append(out, tr)
 	}
 	return out
+}
+
+// materialize mints the string IDs and joined details a kept trace
+// deferred (see finish). It runs under Tracer.mu, before the record
+// first leaves the ring, so readers only ever see the finished form.
+func (tr *TraceRecord) materialize() {
+	if !tr.lazy {
+		return
+	}
+	spans := tr.Spans
+	for i := range spans {
+		if spans[i].SpanID == "" {
+			spans[i].SpanID = spanIDString(spans[i].idNum)
+		}
+		if spans[i].Parent == "" && spans[i].parentNum != 0 {
+			spans[i].Parent = spanIDString(spans[i].parentNum)
+		}
+		if pre := spans[i].detailPre; pre != "" {
+			if spans[i].Detail == "" {
+				spans[i].Detail = pre
+			} else {
+				spans[i].Detail = pre + " " + spans[i].Detail
+			}
+			spans[i].detailPre = ""
+		}
+	}
+	tr.lazy = false
 }
 
 // Find returns the kept traces with the given trace ID, oldest first

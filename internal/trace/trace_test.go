@@ -71,6 +71,7 @@ func TestSpanTreeLinksAndStore(t *testing.T) {
 	grand.End()
 	child.End()
 	root.Record("server.read", time.Now(), 3*time.Millisecond, 0)
+	rootTrace := root.TraceID()
 	root.End()
 
 	kept := tr.Traces()
@@ -78,8 +79,8 @@ func TestSpanTreeLinksAndStore(t *testing.T) {
 		t.Fatalf("kept traces = %d, want 1", len(kept))
 	}
 	trec := kept[0]
-	if trec.TraceID == "" || trec.TraceID != root.TraceID() {
-		t.Errorf("trace ID not minted/propagated: %q vs %q", trec.TraceID, root.TraceID())
+	if trec.TraceID == "" || trec.TraceID != rootTrace {
+		t.Errorf("trace ID not minted/propagated: %q vs %q", trec.TraceID, rootTrace)
 	}
 	if len(trec.Spans) != 4 {
 		t.Fatalf("spans = %d, want 4", len(trec.Spans))
@@ -120,6 +121,57 @@ func TestSpanTreeLinksAndStore(t *testing.T) {
 	}
 	if _, ok := snap.Histograms["span.server.request"]; !ok {
 		t.Error("no span.server.request histogram")
+	}
+}
+
+// TestKeptTraceSurvivesStateReuse: a kept tree is copied out of its
+// pooled root state, which the next roots then reuse, and its string
+// IDs and details are minted on the first read — so a trace read after
+// later traces overwrote that state still has its own names, details,
+// and parent links.
+func TestKeptTraceSurvivesStateReuse(t *testing.T) {
+	tr := New(Options{Process: "test", Slow: -1}) // keep all
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		root := tr.Start(fmt.Sprintf("trace-%d", i), "", fmt.Sprintf("req-%d", i))
+		root.SetDetailParts("query", fmt.Sprintf("handle-%d", i))
+		root.Record(fmt.Sprintf("phase-%d", i), start, time.Millisecond, 0)
+		child := root.Child(fmt.Sprintf("child-%d", i))
+		child.End()
+		root.End()
+	}
+	kept := tr.Traces()
+	if len(kept) != 3 {
+		t.Fatalf("kept traces = %d, want 3", len(kept))
+	}
+	seen := map[string]bool{}
+	for i, trec := range kept {
+		if want := fmt.Sprintf("trace-%d", i); trec.TraceID != want {
+			t.Errorf("trace %d ID = %q, want %q", i, trec.TraceID, want)
+		}
+		root := trec.Root()
+		if root.Name != fmt.Sprintf("req-%d", i) || root.Detail != fmt.Sprintf("query handle-%d", i) {
+			t.Errorf("trace %d root = %q %q", i, root.Name, root.Detail)
+		}
+		if len(trec.Spans) != 3 {
+			t.Fatalf("trace %d spans = %d, want 3", i, len(trec.Spans))
+		}
+		for _, s := range trec.Spans {
+			if s.SpanID == "" || seen[s.SpanID] {
+				t.Errorf("trace %d span %s ID %q missing or reused", i, s.Name, s.SpanID)
+			}
+			seen[s.SpanID] = true
+			if s.TraceID != trec.TraceID {
+				t.Errorf("trace %d span %s has trace %q", i, s.Name, s.TraceID)
+			}
+			if s.Name != root.Name && s.Parent != root.SpanID {
+				t.Errorf("trace %d span %s parent %q, want root %q", i, s.Name, s.Parent, root.SpanID)
+			}
+		}
+	}
+	// A second read returns the same minted records.
+	if again := tr.Traces(); again[0].Spans[0].SpanID != kept[0].Spans[0].SpanID {
+		t.Error("re-reading the ring minted different IDs")
 	}
 }
 
