@@ -256,6 +256,7 @@ func (d *DB) ClusterByID(id int) (*Cluster, bool) {
 // EachCluster calls fn for every cluster in clu_id order (from the
 // ordered index; fn must not insert or delete clusters).
 func (d *DB) EachCluster(fn func(*Cluster) bool) {
+	d.NoteScan()
 	d.clusters.each(fn)
 }
 
@@ -424,6 +425,7 @@ func (d *DB) ListByID(id int) (*List, bool) {
 // EachList calls fn for every list in list_id order (from the ordered
 // index; fn must not insert or delete lists).
 func (d *DB) EachList(fn func(*List) bool) {
+	d.NoteScan()
 	d.lists.each(fn)
 }
 
@@ -536,6 +538,7 @@ func (d *DB) DeleteMember(listID int, mtype string, mid int) error {
 
 // EachMembership calls fn for every membership row, ordered by list id.
 func (d *DB) EachMembership(fn func(Member) bool) {
+	d.NoteScan()
 	ids := make([]int, 0, len(d.members))
 	for id := range d.members {
 		ids = append(ids, id)
@@ -573,6 +576,7 @@ func (d *DB) ServerByName(name string) (*Server, bool) {
 
 // EachServer calls fn for every service in name order.
 func (d *DB) EachServer(fn func(*Server) bool) {
+	d.NoteScan()
 	names := make([]string, 0, len(d.servers))
 	for n := range d.servers {
 		names = append(names, n)
@@ -643,6 +647,7 @@ func (d *DB) ServerHost(service string, machID int) (*ServerHost, bool) {
 // EachServerHost calls fn for every serverhost row in (service, mach_id)
 // order (fn must not insert or delete rows).
 func (d *DB) EachServerHost(fn func(*ServerHost) bool) {
+	d.NoteScan()
 	for _, sh := range d.serverHosts {
 		if !fn(sh) {
 			return
@@ -702,6 +707,7 @@ func (d *DB) FilesysByLabel(label string) []*Filesys {
 // EachFilesys calls fn for every filesystem in filsys_id order (from
 // the ordered index; fn must not insert or delete rows).
 func (d *DB) EachFilesys(fn func(*Filesys) bool) {
+	d.NoteScan()
 	d.filesys.each(fn)
 }
 
@@ -781,6 +787,7 @@ func (d *DB) NFSPhysByMachDir(machID int, dir string) (*NFSPhys, bool) {
 
 // EachNFSPhys calls fn for every partition in nfsphys_id order.
 func (d *DB) EachNFSPhys(fn func(*NFSPhys) bool) {
+	d.NoteScan()
 	d.nfsphys.each(fn)
 }
 
@@ -829,6 +836,7 @@ func (d *DB) QuotaOf(usersID, filsysID int) (*NFSQuota, bool) {
 // EachQuota calls fn for every quota row in (filsys, user) order (fn
 // must not insert or delete rows).
 func (d *DB) EachQuota(fn func(*NFSQuota) bool) {
+	d.NoteScan()
 	for _, q := range d.nfsquotas {
 		if !fn(q) {
 			return
@@ -884,6 +892,7 @@ func (d *DB) ZephyrByClass(class string) (*ZephyrClass, bool) {
 
 // EachZephyr calls fn for every zephyr class in name order.
 func (d *DB) EachZephyr(fn func(*ZephyrClass) bool) {
+	d.NoteScan()
 	names := make([]string, 0, len(d.zephyr))
 	for n := range d.zephyr {
 		names = append(names, n)
@@ -929,6 +938,7 @@ func (d *DB) HostAccessOf(machID int) (*HostAccess, bool) {
 
 // EachHostAccess calls fn for every hostaccess row in mach_id order.
 func (d *DB) EachHostAccess(fn func(*HostAccess) bool) {
+	d.NoteScan()
 	d.hostaccess.each(fn)
 }
 
@@ -991,6 +1001,7 @@ func (d *DB) InternString(s string) (int, error) {
 // EachString calls fn for every string row in id order (from the
 // ordered index; fn must not intern new strings).
 func (d *DB) EachString(fn func(*StringRec) bool) {
+	d.NoteScan()
 	d.strings.each(fn)
 }
 
@@ -1004,6 +1015,7 @@ func (d *DB) ServiceByName(name string) (*Service, bool) {
 
 // EachService calls fn for every service in name order.
 func (d *DB) EachService(fn func(*Service) bool) {
+	d.NoteScan()
 	names := make([]string, 0, len(d.services))
 	for n := range d.services {
 		names = append(names, n)
@@ -1042,6 +1054,7 @@ func (d *DB) PrintcapByName(name string) (*Printcap, bool) {
 
 // EachPrintcap calls fn for every printer in name order.
 func (d *DB) EachPrintcap(fn func(*Printcap) bool) {
+	d.NoteScan()
 	names := make([]string, 0, len(d.printcaps))
 	for n := range d.printcaps {
 		names = append(names, n)
@@ -1090,6 +1103,7 @@ func (d *DB) SetCapACL(capability, tag string, listID int) {
 
 // EachCapACL calls fn for every capability row in name order.
 func (d *DB) EachCapACL(fn func(*CapACL) bool) {
+	d.NoteScan()
 	names := make([]string, 0, len(d.capacls))
 	for n := range d.capacls {
 		names = append(names, n)

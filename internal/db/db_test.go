@@ -556,3 +556,44 @@ func TestSeqMonotonic(t *testing.T) {
 		t.Errorf("SeqOf(servers) = %d, want 0", d.SeqOf(TServers))
 	}
 }
+
+// TestEachCountsOneScan: every full-relation iteration tallies exactly
+// one scan in LookupStats, however many rows it visits, so
+// db.lookups_scan_per_op sees every scan a query makes.
+func TestEachCountsOneScan(t *testing.T) {
+	d := testDB()
+	d.LockExclusive()
+	if err := d.InsertUser(&User{UsersID: 1, Login: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.InsertUser(&User{UsersID: 2, Login: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	d.UnlockExclusive()
+	d.LockShared()
+	defer d.UnlockShared()
+	for name, each := range map[string]func(){
+		"EachUser":       func() { d.EachUser(func(*User) bool { return true }) },
+		"EachMachine":    func() { d.EachMachine(func(*Machine) bool { return true }) },
+		"EachCluster":    func() { d.EachCluster(func(*Cluster) bool { return true }) },
+		"EachList":       func() { d.EachList(func(*List) bool { return true }) },
+		"EachMembership": func() { d.EachMembership(func(Member) bool { return true }) },
+		"EachServer":     func() { d.EachServer(func(*Server) bool { return true }) },
+		"EachServerHost": func() { d.EachServerHost(func(*ServerHost) bool { return true }) },
+		"EachFilesys":    func() { d.EachFilesys(func(*Filesys) bool { return true }) },
+		"EachNFSPhys":    func() { d.EachNFSPhys(func(*NFSPhys) bool { return true }) },
+		"EachQuota":      func() { d.EachQuota(func(*NFSQuota) bool { return true }) },
+		"EachZephyr":     func() { d.EachZephyr(func(*ZephyrClass) bool { return true }) },
+		"EachHostAccess": func() { d.EachHostAccess(func(*HostAccess) bool { return true }) },
+		"EachString":     func() { d.EachString(func(*StringRec) bool { return true }) },
+		"EachService":    func() { d.EachService(func(*Service) bool { return true }) },
+		"EachPrintcap":   func() { d.EachPrintcap(func(*Printcap) bool { return true }) },
+		"EachCapACL":     func() { d.EachCapACL(func(*CapACL) bool { return true }) },
+	} {
+		_, _, before := d.LookupStats()
+		each()
+		if _, _, after := d.LookupStats(); after-before != 1 {
+			t.Errorf("%s counted %d scans, want 1", name, after-before)
+		}
+	}
+}

@@ -74,10 +74,11 @@ func ExecuteBatch(cx *Context, items []protocol.BatchItem) ([]mrerr.Code, error)
 
 // batchItemLocked runs one batch item under the already-held exclusive
 // lock, mirroring Execute's mutation path: argument checks, access
-// check, handler, journal append (deferred-sync, inside the group).
+// check, typed arguments and body, journal append (deferred-sync,
+// inside the group).
 func batchItemLocked(cx *Context, it protocol.BatchItem) mrerr.Code {
 	// An append that failed earlier in this batch wedged the store; the
-	// remaining items fail fast without running their handlers, keeping
+	// remaining items fail fast without running their bodies, keeping
 	// the memory/disk divergence at the one item that tore.
 	if cx.DB.JournalWedged() {
 		return mrerr.MrDown
@@ -93,10 +94,13 @@ func batchItemLocked(cx *Context, it protocol.BatchItem) mrerr.Code {
 	if err := checkArgs(q, it.Args); err != nil {
 		return mrerr.CodeOf(err)
 	}
-	if err := checkAccessLocked(cx, q, it.Args); err != nil {
+	r := newReq(q, it.Args)
+	defer r.free()
+	r.Context = cx
+	if err := r.access(); err != nil {
 		return mrerr.CodeOf(err)
 	}
-	if err := q.Handler(cx, it.Args, func([]string) error { return nil }); err != nil {
+	if err := r.mutate(); err != nil {
 		return mrerr.CodeOf(err)
 	}
 	if err := cx.DB.JournalQuery(cx.Principal, cx.App, cx.TraceID, q.Name, it.Args); err != nil {

@@ -15,76 +15,49 @@ import (
 const TriggerDCMCapability = "trigger_dcm"
 
 func init() {
-	register(&Query{
-		Name: "_help", Short: "_hlp", Kind: Retrieve,
-		Args:    []string{"query"},
-		Returns: []string{"help_message"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			q, ok := Lookup(args[0])
-			if !ok {
-				return mrerr.MrNoHandle
-			}
-			msg := q.Short + " " + q.Name + " (" + q.Kind.String() + ")"
-			if len(q.Args) > 0 {
-				msg += " args: " + strings.Join(q.Args, ", ")
-			}
-			if len(q.Returns) > 0 {
-				msg += " returns: " + strings.Join(q.Returns, ", ")
-			}
-			return emit([]string{msg})
-		},
-	})
-
-	register(&Query{
-		Name: "_list_queries", Short: "_lqu", Kind: Retrieve,
-		Returns: []string{"long_query_name", "short_query_name"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			var tuples [][]string
-			for _, q := range All() {
-				tuples = append(tuples, []string{q.Name, q.Short})
-			}
-			return emitSorted(tuples, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "_list_users", Short: "_lus", Kind: Retrieve,
-		Returns: []string{"kerberos_principal", "host_address", "port_number",
-			"connect_time", "client_number"},
-		Access: accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			if cx.Sessions == nil {
-				return mrerr.MrNoMatch
-			}
-			sessions := cx.Sessions()
-			if len(sessions) == 0 {
-				return mrerr.MrNoMatch
-			}
-			for _, s := range sessions {
-				err := emit([]string{
-					s.Principal, s.HostAddress, i2s(s.Port),
-					i642s(s.ConnectTime), i2s(s.ClientNum),
-				})
-				if err != nil {
-					return err
+	register([]Query{
+		{Name: "_help", Short: "_hlp", In: []Arg{arg("query")}, Rows: Columns("help_message"), Access: Anyone,
+			Do: func(r *Req) error {
+				q, ok := Lookup(r.s[0])
+				if !ok {
+					return mrerr.MrNoHandle
 				}
-			}
-			return nil
-		},
-	})
-
-	// trigger_dcm exists only as a capability anchor: executing it through
-	// the normal Query request also works (for completeness) and simply
-	// fires the server's DCM trigger.
-	register(&Query{
-		Name: TriggerDCMCapability, Short: "tdcm", Kind: Update,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			if cx.TriggerDCM != nil {
-				cx.TriggerDCM(cx.TraceID)
-			}
-			return nil
-		},
+				msg := q.Short + " " + q.Name + " (" + q.Kind.String() + ")"
+				if len(q.Args) > 0 {
+					msg += " args: " + strings.Join(q.Args, ", ")
+				}
+				if q.Rows != nil {
+					msg += " returns: " + strings.Join(q.Rows.names, ", ")
+				}
+				r.Row(msg)
+				return nil
+			}},
+		{Name: "_list_queries", Short: "_lqu", Rows: Columns("long_query_name short_query_name"), Access: Anyone,
+			Do: func(r *Req) error {
+				for _, q := range ordered {
+					r.Row(q.Name, q.Short)
+				}
+				return nil
+			}},
+		{Name: "_list_users", Short: "_lus", IndexOrder: true, Access: Anyone,
+			Rows: Columns("kerberos_principal host_address port_number:int connect_time:time client_number:int"),
+			Do: func(r *Req) error {
+				if r.Sessions != nil {
+					for _, s := range r.Sessions() {
+						r.Row(s.Principal, s.HostAddress, i2s(s.Port), i642s(s.ConnectTime), i2s(s.ClientNum))
+					}
+				}
+				return nil
+			}},
+		// trigger_dcm exists only as a capability anchor: executing it
+		// through the normal Query request also works (for completeness)
+		// and simply fires the server's DCM trigger.
+		{Name: TriggerDCMCapability, Short: "tdcm", Kind: Update,
+			Do: func(r *Req) error {
+				if r.TriggerDCM != nil {
+					r.TriggerDCM(r.TraceID)
+				}
+				return nil
+			}},
 	})
 }

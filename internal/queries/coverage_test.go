@@ -255,3 +255,21 @@ func TestGetFilesysByLabelProbesIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestServerHostAccessCanonicalizesMachine: get_server_host_access
+// accepts every spelling of a machine name that add_server_host_access
+// and get_machine accept (a trailing dot, surrounding blanks, any case).
+func TestServerHostAccessCanonicalizesMachine(t *testing.T) {
+	f := newFixture(t)
+	f.addUser(t, "operator")
+	f.mustRun(t, f.priv, "add_server_host_access", "suomi.mit.edu.", "USER", "operator")
+	for _, spelled := range []string{"SUOMI.MIT.EDU", "suomi.mit.edu.", " suomi.mit.edu", "Suomi*"} {
+		if out := f.mustRun(t, f.priv, "get_machine", spelled); out[0][0] != "SUOMI.MIT.EDU" {
+			t.Errorf("get_machine %q = %v", spelled, out)
+		}
+		out, err := f.run(f.priv, "get_server_host_access", spelled)
+		if err != nil || len(out) != 1 || out[0][0] != "SUOMI.MIT.EDU" {
+			t.Errorf("get_server_host_access %q = %v, %v", spelled, out, err)
+		}
+	}
+}

@@ -8,10 +8,7 @@ package queries
 // node: discovery must keep working exactly when the cluster is
 // degraded.
 
-import (
-	"strconv"
-	"time"
-)
+import "time"
 
 // WhoisInfo is the node identity reported by the _whois handle,
 // supplied by the server via Context.Whois.
@@ -39,30 +36,17 @@ type WhoisInfo struct {
 }
 
 func init() {
-	register(&Query{
-		Name: "_whois", Short: "_who", Kind: Retrieve,
-		Returns: []string{"role", "epoch", "primary", "primary_repl",
-			"segment", "record", "lease_remaining_ms", "last_election_cause"},
-		Access: accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			w := WhoisInfo{Role: "standalone"}
-			if cx.Whois != nil {
-				w = cx.Whois()
-			}
-			ms := w.LeaseRemain.Milliseconds()
-			if ms < 0 {
-				ms = 0
-			}
-			return emit([]string{
-				w.Role,
-				strconv.FormatInt(w.Epoch, 10),
-				w.Primary,
-				w.PrimaryRepl,
-				strconv.FormatInt(w.Seg, 10),
-				strconv.FormatInt(w.Idx, 10),
-				strconv.FormatInt(ms, 10),
-				w.LastCause,
-			})
-		},
+	register([]Query{
+		{Name: "_whois", Short: "_who", Access: Anyone,
+			Rows: Columns("role epoch:int primary primary_repl segment:int record:int lease_remaining_ms:int last_election_cause"),
+			Do: func(r *Req) error {
+				w := WhoisInfo{Role: "standalone"}
+				if r.Whois != nil {
+					w = r.Whois()
+				}
+				ms := max(w.LeaseRemain.Milliseconds(), 0)
+				r.Row(w.Role, i642s(w.Epoch), w.Primary, w.PrimaryRepl, i642s(w.Seg), i642s(w.Idx), i642s(ms), w.LastCause)
+				return nil
+			}},
 	})
 }

@@ -31,9 +31,6 @@ func TestNoQueryPanics(t *testing.T) {
 	for _, q := range All() {
 		for trial := 0; trial < 40; trial++ {
 			n := len(q.Args)
-			if q.VarArgs {
-				n += rng.Intn(3)
-			}
 			// Occasionally wrong arity, which must fail cleanly too.
 			if trial%10 == 9 {
 				n = rng.Intn(12)

@@ -12,37 +12,201 @@ import (
 // UniqueGID is the <mr.h> sentinel asking for a fresh group ID.
 const UniqueGID = "-1"
 
-func matchLists(d *db.DB, pattern string) []*db.List {
-	return d.ListsMatchingName(pattern)
+var (
+	listInfo  = Columns("list active:bool public:bool hidden:bool maillist:bool group:bool gid:int ace_type ace_name description modtime:time modby modwith")
+	listNames = Columns("list")
+)
+
+// listFlags are add_list's and update_list's five flags, the gid (which
+// UNIQUE_GID allocates when group is set) and the ACE pair (which may
+// name the list itself), starting at argument i; the list's name is
+// argument name.
+func listFlags(i, name int) []Arg {
+	return []Arg{flag("active"), flag("public"), flag("hidden"), flag("maillist"), flag("group"),
+		{Name: "gid", Kind: aGID, Ref: i + 4}, {Name: "ace_type", Kind: aListACE, Ref: name},
+		arg("ace_name"), arg("description")}
 }
 
-func oneList(d *db.DB, name string) (*db.List, error) {
-	ls := matchLists(d, name)
-	switch len(ls) {
-	case 0:
-		return nil, mrerr.MrList
-	case 1:
-		return ls[0], nil
-	default:
-		return nil, mrerr.MrNotUnique
+func member(intern bool) []Arg {
+	if intern {
+		return []Arg{{Name: "type", Kind: aNewMember}, arg("member")}
 	}
+	return []Arg{{Name: "type", Kind: aMember}, arg("member")}
 }
 
-// onListACE reports whether the caller satisfies the list's ACE.
-func onListACE(cx *Context, l *db.List) bool {
-	if cx.Privileged {
-		return true
-	}
-	return acl.CheckACE(cx.DB, l.ACLType, l.ACLID, cx.UserID)
+func init() {
+	list := one("list", relList, nil)
+	register([]Query{
+		{Name: "get_list_info", Short: "glin", In: []Arg{arg("list")}, Rows: listInfo, Access: Anyone,
+			Do: func(r *Req) error {
+				onQueryACL := r.onACL(r.q.Name)
+				if wildcard.HasWildcards(r.s[0]) && !onQueryACL {
+					return mrerr.MrPerm
+				}
+				ls := r.DB.ListsMatchingName(r.s[0])
+				if len(ls) == 0 {
+					return mrerr.MrNoMatch
+				}
+				r.expect(len(ls))
+				for _, l := range ls {
+					if !l.Hidden || onQueryACL || onListACE(r.Context, l) {
+						r.Row(l.Name, b2s(l.Active), b2s(l.Public), b2s(l.Hidden), b2s(l.Maillist),
+							b2s(l.Group), i2s(l.GID), l.ACLType, acl.NameOfACE(r.DB, l.ACLType, l.ACLID),
+							l.Desc, i642s(l.Mod.Time), l.Mod.By, l.Mod.With)
+					}
+				}
+				if len(r.buf) == 0 {
+					return mrerr.MrPerm
+				}
+				return nil
+			}},
+		{Name: "expand_list_names", Short: "exln", In: []Arg{arg("list")}, Rows: listNames, Access: Anyone,
+			Do: func(r *Req) error {
+				ls := r.DB.ListsMatchingName(r.s[0])
+				r.expect(len(ls))
+				for _, l := range ls {
+					if !l.Hidden || r.onACL(r.q.Name) || onListACE(r.Context, l) {
+						r.Row(l.Name)
+					}
+				}
+				return nil
+			}},
+		{Name: "add_list", Short: "alis", Kind: Append,
+			In: append([]Arg{fresh("list", relList, mrerr.MrExists)}, listFlags(1, 0)...),
+			Do: func(r *Req) error {
+				id, err := r.DB.AllocID("list_id")
+				if err != nil {
+					return err
+				}
+				aceID := r.n[7]
+				if aceID < 0 {
+					aceID = id
+				}
+				return r.DB.InsertList(&db.List{
+					ListID: id, Name: r.s[0], Active: r.flag(1), Public: r.flag(2),
+					Hidden: r.flag(3), Maillist: r.flag(4), Group: r.flag(5), GID: r.n[6],
+					Desc: r.s[9], ACLType: r.s[7], ACLID: aceID, Mod: r.modInfo(),
+				})
+			}},
+		{Name: "update_list", Short: "ulis", Kind: Update, Access: listACE(0),
+			In: append([]Arg{list, rename("newname", relList)}, listFlags(2, 1)...),
+			Do: func(r *Req) error {
+				l := obj[db.List](r, 0)
+				aceID := r.n[8]
+				if aceID < 0 {
+					aceID = l.ListID
+				}
+				if r.s[1] != l.Name {
+					r.DB.RenameList(l, r.s[1])
+				}
+				l.Active, l.Public, l.Hidden = r.flag(2), r.flag(3), r.flag(4)
+				l.Maillist, l.Group, l.GID = r.flag(5), r.flag(6), r.n[7]
+				l.ACLType, l.ACLID, l.Desc = r.s[8], aceID, r.s[10]
+				l.Mod = r.modInfo()
+				r.DB.NoteUpdate(l)
+				return nil
+			}},
+		{Name: "delete_list", Short: "dlis", Kind: Delete, In: []Arg{list}, Access: listACE(0),
+			Do: func(r *Req) error {
+				d, l := r.DB, obj[db.List](r, 0)
+				if len(d.MembersOf(l.ListID)) > 0 || len(d.ListsContaining(db.ACEList, l.ListID)) > 0 {
+					return mrerr.MrInUse
+				}
+				// A self-referential ACE does not block deletion.
+				for _, use := range aceUses(d, db.ACEList, l.ListID) {
+					if use[0] != "LIST" || use[1] != l.Name {
+						return mrerr.MrInUse
+					}
+				}
+				d.DeleteList(l)
+				return nil
+			}},
+		{Name: "add_member_to_list", Short: "amtl", Kind: Append, In: append([]Arg{list}, member(true)...), Access: selfAdd(0),
+			Do: func(r *Req) error {
+				l := obj[db.List](r, 0)
+				if err := r.DB.AddMember(l.ListID, r.s[1], r.n[1]); err != nil {
+					return err
+				}
+				l.Mod = r.modInfo()
+				r.DB.NoteUpdate(l)
+				return nil
+			}},
+		{Name: "delete_member_from_list", Short: "dmfl", Kind: Delete, In: append([]Arg{list}, member(false)...), Access: selfAdd(0),
+			Do: func(r *Req) error {
+				l := obj[db.List](r, 0)
+				if err := r.DB.DeleteMember(l.ListID, r.s[1], r.n[1]); err != nil {
+					return err
+				}
+				l.Mod = r.modInfo()
+				r.DB.NoteUpdate(l)
+				return nil
+			}},
+		{Name: "get_ace_use", Short: "gaus", In: []Arg{arg("ace_type"), arg("ace_name")},
+			Rows: Columns("object_type object_name"), Access: custom(aceUseAccess), Do: getAceUse},
+		{Name: "qualified_get_lists", Short: "qgli", Rows: listNames, Access: custom(qgliAccess),
+			In: []Arg{tri("active"), tri("public"), tri("hidden"), tri("maillist"), tri("group")},
+			Do: func(r *Req) error {
+				r.DB.EachList(func(l *db.List) bool {
+					if r.match(0, l.Active) && r.match(1, l.Public) && r.match(2, l.Hidden) &&
+						r.match(3, l.Maillist) && r.match(4, l.Group) {
+						r.Row(l.Name)
+					}
+					return true
+				})
+				return nil
+			}},
+		{Name: "get_members_of_list", Short: "gmol", In: []Arg{list}, Rows: Columns("type value"), Access: listRead(0),
+			Do: func(r *Req) error {
+				ms := r.DB.MembersOf(obj[db.List](r, 0).ListID)
+				r.expect(len(ms))
+				for _, m := range ms {
+					r.Row(m.MemberType, memberName(r.DB, m.MemberType, m.MemberID))
+				}
+				return nil
+			}},
+		{Name: "get_lists_of_member", Short: "glom", In: []Arg{arg("type"), arg("member")},
+			Rows:   Columns("list active:bool public:bool hidden:bool maillist:bool group:bool"),
+			Access: custom(aceUseAccess), Do: listsOfMember},
+		{Name: "count_members_of_list", Short: "cmol", In: []Arg{list}, Rows: Columns("count:int"), Access: listRead(0),
+			Do: func(r *Req) error {
+				r.Row(i2s(len(r.DB.MembersOf(obj[db.List](r, 0).ListID))))
+				return nil
+			}},
+	})
 }
 
-// listTuple renders the get_list_info return row.
-func listTuple(d *db.DB, l *db.List) []string {
-	return []string{
-		l.Name, b2s(l.Active), b2s(l.Public), b2s(l.Hidden), b2s(l.Maillist),
-		b2s(l.Group), i2s(l.GID), l.ACLType, acl.NameOfACE(d, l.ACLType, l.ACLID),
-		l.Desc, i642s(l.Mod.Time), l.Mod.By, l.Mod.With,
+// aceUseAccess is get_ace_use's and get_lists_of_member's rule: the
+// query ACL, the user asking about themselves, or the ACE of the list
+// asked about.
+func aceUseAccess(r *Req) error {
+	if r.onACL(r.q.Name) {
+		return nil
 	}
+	switch r.Args[0] {
+	case db.ACEUser, db.ACERUser:
+		if r.Principal != "" && r.Args[1] == r.Principal {
+			return nil
+		}
+	case db.ACEList, db.ACERList:
+		if l, ok := r.DB.ListByName(r.Args[1]); ok && onListACE(r.Context, l) {
+			return nil
+		}
+	}
+	return mrerr.MrPerm
+}
+
+// qgliAccess is qualified_get_lists' rule: the query ACL, or anyone
+// asking for active, non-hidden lists.
+func qgliAccess(r *Req) error {
+	if r.onACL(r.q.Name) {
+		return nil
+	}
+	a, ok1 := parseTri(r.Args[0])
+	h, ok2 := parseTri(r.Args[2])
+	if ok1 && ok2 && a == triTrue && h == triFalse {
+		return nil
+	}
+	return mrerr.MrPerm
 }
 
 // memberResolve turns a (type, name) pair into a member id. When intern
@@ -94,586 +258,101 @@ func memberName(d *db.DB, mtype string, id int) string {
 	return "???"
 }
 
-// resolveListACEArgs validates the (ace_type, ace_name) argument pair of
-// add_list/update_list, allowing the self-referential case where the
-// access list is the list being created or renamed.
-func resolveListACEArgs(d *db.DB, aceType, aceName, selfName string) (string, int, bool, error) {
-	if aceType == db.ACEList && aceName == selfName {
-		return db.ACEList, 0, true, nil // self-referential; fix up after insert
-	}
-	typ, id, err := acl.ResolveACE(d, aceType, aceName)
-	return typ, id, false, err
-}
-
-func init() {
-	register(&Query{
-		Name: "get_list_info", Short: "glin", Kind: Retrieve,
-		Args: []string{"list"},
-		Returns: []string{"list", "active", "public", "hidden", "maillist", "group",
-			"gid", "ace_type", "ace_name", "description", "modtime", "modby", "modwith"},
-		Access: accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			onQueryACL := cx.onACL("get_list_info")
-			if wildcard.HasWildcards(args[0]) && !onQueryACL {
-				return mrerr.MrPerm
-			}
-			ls := matchLists(cx.DB, args[0])
-			if len(ls) == 0 {
-				return mrerr.MrNoMatch
-			}
-			var tuples [][]string
-			for _, l := range ls {
-				if l.Hidden && !onQueryACL && !onListACE(cx, l) {
-					continue
-				}
-				tuples = append(tuples, listTuple(cx.DB, l))
-			}
-			if len(tuples) == 0 {
-				return mrerr.MrPerm
-			}
-			return emitSorted(tuples, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "expand_list_names", Short: "exln", Kind: Retrieve,
-		Args:    []string{"list"},
-		Returns: []string{"list"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			var tuples [][]string
-			for _, l := range matchLists(cx.DB, args[0]) {
-				if l.Hidden && !cx.onACL("expand_list_names") && !onListACE(cx, l) {
-					continue
-				}
-				tuples = append(tuples, []string{l.Name})
-			}
-			if len(tuples) == 0 {
-				return mrerr.MrNoMatch
-			}
-			return emitSorted(tuples, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "add_list", Short: "alis", Kind: Append,
-		Args: []string{"list", "active", "public", "hidden", "maillist", "group",
-			"gid", "ace_type", "ace_name", "description"},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			name := args[0]
-			if err := checkNameChars(name); err != nil {
-				return err
-			}
-			if _, dup := d.ListByName(name); dup {
-				return mrerr.MrExists
-			}
-			active, err := parseBool(args[1])
-			if err != nil {
-				return err
-			}
-			public, err := parseBool(args[2])
-			if err != nil {
-				return err
-			}
-			hidden, err := parseBool(args[3])
-			if err != nil {
-				return err
-			}
-			maillist, err := parseBool(args[4])
-			if err != nil {
-				return err
-			}
-			group, err := parseBool(args[5])
-			if err != nil {
-				return err
-			}
-			gid, err := parseInt(args[6])
-			if err != nil {
-				return err
-			}
-			if group && args[6] == UniqueGID {
-				if gid, err = d.AllocID("gid"); err != nil {
-					return err
-				}
-			}
-			aceType, aceID, selfRef, err := resolveListACEArgs(d, args[7], args[8], name)
-			if err != nil {
-				return err
-			}
-			id, err := d.AllocID("list_id")
-			if err != nil {
-				return err
-			}
-			if selfRef {
-				aceID = id
-			}
-			l := &db.List{
-				ListID: id, Name: name, Active: active, Public: public,
-				Hidden: hidden, Maillist: maillist, Group: group, GID: gid,
-				Desc: args[9], ACLType: aceType, ACLID: aceID, Mod: cx.modInfo(),
-			}
-			return d.InsertList(l)
-		},
-	})
-
-	register(&Query{
-		Name: "update_list", Short: "ulis", Kind: Update,
-		Args: []string{"list", "newname", "active", "public", "hidden", "maillist",
-			"group", "gid", "ace_type", "ace_name", "description"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("update_list") {
-				return nil
-			}
-			l, err := oneList(cx.DB, args[0])
-			if err != nil {
-				return err
-			}
-			if onListACE(cx, l) {
-				return nil
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			l, err := oneList(d, args[0])
-			if err != nil {
-				return err
-			}
-			newname := args[1]
-			if err := checkNameChars(newname); err != nil {
-				return err
-			}
-			if newname != l.Name {
-				if _, dup := d.ListByName(newname); dup {
-					return mrerr.MrNotUnique
-				}
-			}
-			active, err := parseBool(args[2])
-			if err != nil {
-				return err
-			}
-			public, err := parseBool(args[3])
-			if err != nil {
-				return err
-			}
-			hidden, err := parseBool(args[4])
-			if err != nil {
-				return err
-			}
-			maillist, err := parseBool(args[5])
-			if err != nil {
-				return err
-			}
-			group, err := parseBool(args[6])
-			if err != nil {
-				return err
-			}
-			gid, err := parseInt(args[7])
-			if err != nil {
-				return err
-			}
-			if group && args[7] == UniqueGID {
-				if gid, err = d.AllocID("gid"); err != nil {
-					return err
-				}
-			}
-			aceType, aceID, selfRef, err := resolveListACEArgs(d, args[8], args[9], newname)
-			if err != nil {
-				return err
-			}
-			if selfRef {
-				aceID = l.ListID
-			}
-			if newname != l.Name {
-				d.RenameList(l, newname)
-			}
-			l.Active, l.Public, l.Hidden = active, public, hidden
-			l.Maillist, l.Group, l.GID = maillist, group, gid
-			l.ACLType, l.ACLID = aceType, aceID
-			l.Desc = args[10]
-			l.Mod = cx.modInfo()
-			d.NoteUpdate(l)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "delete_list", Short: "dlis", Kind: Delete,
-		Args: []string{"list"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("delete_list") {
-				return nil
-			}
-			l, err := oneList(cx.DB, args[0])
-			if err != nil {
-				return err
-			}
-			if onListACE(cx, l) {
-				return nil
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			l, err := oneList(d, args[0])
-			if err != nil {
-				return err
-			}
-			if len(d.MembersOf(l.ListID)) > 0 {
-				return mrerr.MrInUse
-			}
-			if len(d.ListsContaining(db.ACEList, l.ListID)) > 0 {
-				return mrerr.MrInUse
-			}
-			// A self-referential ACE does not block deletion.
-			for _, use := range aceUses(d, db.ACEList, l.ListID) {
-				if use[0] == "LIST" && use[1] == l.Name {
-					continue
-				}
-				return mrerr.MrInUse
-			}
-			d.DeleteList(l)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "add_member_to_list", Short: "amtl", Kind: Append,
-		Args: []string{"list", "type", "member"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("add_member_to_list") {
-				return nil
-			}
-			l, err := oneList(cx.DB, args[0])
-			if err != nil {
-				return err
-			}
-			if onListACE(cx, l) {
-				return nil
-			}
-			// Anyone may add themselves to a public list.
-			if l.Public && args[1] == db.ACEUser && args[2] == cx.Principal && cx.UserID != 0 {
-				return nil
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			l, err := oneList(d, args[0])
-			if err != nil {
-				return err
-			}
-			mtype := args[1]
-			id, err := memberResolve(d, mtype, args[2], true)
-			if err != nil {
-				return err
-			}
-			if err := d.AddMember(l.ListID, mtype, id); err != nil {
-				return err
-			}
-			l.Mod = cx.modInfo()
-			d.NoteUpdate(l)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "delete_member_from_list", Short: "dmfl", Kind: Delete,
-		Args: []string{"list", "type", "member"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("delete_member_from_list") {
-				return nil
-			}
-			l, err := oneList(cx.DB, args[0])
-			if err != nil {
-				return err
-			}
-			if onListACE(cx, l) {
-				return nil
-			}
-			if l.Public && args[1] == db.ACEUser && args[2] == cx.Principal && cx.UserID != 0 {
-				return nil
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			l, err := oneList(d, args[0])
-			if err != nil {
-				return err
-			}
-			mtype := args[1]
-			if mtype != db.ACEUser && mtype != db.ACEList && mtype != db.ACEString {
-				return mrerr.MrType
-			}
-			id, err := memberResolve(d, mtype, args[2], false)
-			if err != nil {
-				return err
-			}
-			if err := d.DeleteMember(l.ListID, mtype, id); err != nil {
-				return err
-			}
-			l.Mod = cx.modInfo()
-			d.NoteUpdate(l)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "get_ace_use", Short: "gaus", Kind: Retrieve,
-		Args:    []string{"ace_type", "ace_name"},
-		Returns: []string{"object_type", "object_name"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("get_ace_use") {
-				return nil
-			}
-			switch args[0] {
-			case db.ACEUser, db.ACERUser:
-				if cx.Principal != "" && args[1] == cx.Principal {
-					return nil
-				}
-			case db.ACEList, db.ACERList:
-				if l, ok := cx.DB.ListByName(args[1]); ok && onListACE(cx, l) {
-					return nil
-				}
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			var tuples [][]string
-			switch args[0] {
-			case db.ACEUser:
-				u, ok := d.UserByLogin(args[1])
-				if !ok {
-					return mrerr.MrNoMatch
-				}
-				tuples = aceUses(d, db.ACEUser, u.UsersID)
-			case db.ACEList:
-				l, ok := d.ListByName(args[1])
-				if !ok {
-					return mrerr.MrNoMatch
-				}
-				tuples = aceUses(d, db.ACEList, l.ListID)
-			case db.ACERUser:
-				u, ok := d.UserByLogin(args[1])
-				if !ok {
-					return mrerr.MrNoMatch
-				}
-				tuples = aceUses(d, db.ACEUser, u.UsersID)
-				// Recursively: every list the user is in may itself be an ACE.
-				d.EachList(func(l *db.List) bool {
-					if acl.IsUserInList(d, l.ListID, u.UsersID) {
-						tuples = append(tuples, aceUses(d, db.ACEList, l.ListID)...)
-					}
-					return true
-				})
-			case db.ACERList:
-				l, ok := d.ListByName(args[1])
-				if !ok {
-					return mrerr.MrNoMatch
-				}
-				tuples = aceUses(d, db.ACEList, l.ListID)
-				d.EachList(func(outer *db.List) bool {
-					if acl.IsListInList(d, outer.ListID, l.ListID) {
-						tuples = append(tuples, aceUses(d, db.ACEList, outer.ListID)...)
-					}
-					return true
-				})
-			default:
-				return mrerr.MrType
-			}
-			if len(tuples) == 0 {
-				return mrerr.MrNoMatch
-			}
-			// Deduplicate (recursive expansion can hit an object twice).
-			seen := map[string]bool{}
-			var uniq [][]string
-			for _, t := range tuples {
-				k := t[0] + "\x00" + t[1]
-				if !seen[k] {
-					seen[k] = true
-					uniq = append(uniq, t)
-				}
-			}
-			return emitSorted(uniq, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "qualified_get_lists", Short: "qgli", Kind: Retrieve,
-		Args:    []string{"active", "public", "hidden", "maillist", "group"},
-		Returns: []string{"list"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("qualified_get_lists") {
-				return nil
-			}
-			// Any user may run this with active TRUE and hidden FALSE.
-			a, err1 := parseTri(args[0])
-			h, err2 := parseTri(args[2])
-			if err1 == nil && err2 == nil && a == triTrue && h == triFalse {
-				return nil
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			var tri [5]triState
-			for i := range tri {
-				t, err := parseTri(args[i])
-				if err != nil {
-					return err
-				}
-				tri[i] = t
-			}
-			var tuples [][]string
-			cx.DB.EachList(func(l *db.List) bool {
-				if tri[0].matches(l.Active) && tri[1].matches(l.Public) &&
-					tri[2].matches(l.Hidden) && tri[3].matches(l.Maillist) &&
-					tri[4].matches(l.Group) {
-					tuples = append(tuples, []string{l.Name})
+// getAceUse is get_ace_use's hook: the objects an ACE controls, and for
+// RUSER/RLIST also those of every list containing it, recursively.
+func getAceUse(r *Req) error {
+	d := r.DB
+	var uses [][]string
+	switch r.s[0] {
+	case db.ACEUser, db.ACERUser:
+		u, ok := d.UserByLogin(r.s[1])
+		if !ok {
+			return mrerr.MrNoMatch
+		}
+		uses = aceUses(d, db.ACEUser, u.UsersID)
+		if r.s[0] == db.ACERUser {
+			// Recursively: every list the user is in may itself be an ACE.
+			d.EachList(func(l *db.List) bool {
+				if acl.IsUserInList(d, l.ListID, u.UsersID) {
+					uses = append(uses, aceUses(d, db.ACEList, l.ListID)...)
 				}
 				return true
 			})
-			if len(tuples) == 0 {
-				return mrerr.MrNoMatch
-			}
-			return emitSorted(tuples, emit)
-		},
-	})
+		}
+	case db.ACEList, db.ACERList:
+		l, ok := d.ListByName(r.s[1])
+		if !ok {
+			return mrerr.MrNoMatch
+		}
+		uses = aceUses(d, db.ACEList, l.ListID)
+		if r.s[0] == db.ACERList {
+			d.EachList(func(outer *db.List) bool {
+				if acl.IsListInList(d, outer.ListID, l.ListID) {
+					uses = append(uses, aceUses(d, db.ACEList, outer.ListID)...)
+				}
+				return true
+			})
+		}
+	default:
+		return mrerr.MrType
+	}
+	// Deduplicate (recursive expansion can hit an object twice).
+	seen := map[string]bool{}
+	for _, t := range uses {
+		if k := t[0] + "\x00" + t[1]; !seen[k] {
+			seen[k] = true
+			r.Row(t...)
+		}
+	}
+	return nil
+}
 
-	register(&Query{
-		Name: "get_members_of_list", Short: "gmol", Kind: Retrieve,
-		Args:    []string{"list"},
-		Returns: []string{"type", "value"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("get_members_of_list") {
-				return nil
-			}
-			l, err := oneList(cx.DB, args[0])
-			if err != nil {
-				return err
-			}
-			if !l.Hidden || onListACE(cx, l) {
-				return nil
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			l, err := oneList(d, args[0])
-			if err != nil {
-				return err
-			}
-			var tuples [][]string
-			for _, m := range d.MembersOf(l.ListID) {
-				tuples = append(tuples, []string{m.MemberType, memberName(d, m.MemberType, m.MemberID)})
-			}
-			if len(tuples) == 0 {
-				return mrerr.MrNoMatch
-			}
-			return emitSorted(tuples, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "get_lists_of_member", Short: "glom", Kind: Retrieve,
-		Args:    []string{"type", "member"},
-		Returns: []string{"list", "active", "public", "hidden", "maillist", "group"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("get_lists_of_member") {
-				return nil
-			}
-			switch args[0] {
-			case db.ACEUser, db.ACERUser:
-				if cx.Principal != "" && args[1] == cx.Principal {
-					return nil
-				}
-			case db.ACEList, db.ACERList:
-				if l, ok := cx.DB.ListByName(args[1]); ok && onListACE(cx, l) {
-					return nil
+// listsOfMember is get_lists_of_member's hook: the lists containing a
+// member, and for the R* types the lists containing those, recursively.
+func listsOfMember(r *Req) error {
+	d := r.DB
+	typ, recursive := r.s[0], true
+	switch typ {
+	case db.ACERUser:
+		typ = db.ACEUser
+	case db.ACERList:
+		typ = db.ACEList
+	case db.ACERStr:
+		typ = db.ACEString
+	case db.ACEUser, db.ACEList, db.ACEString:
+		recursive = false
+	default:
+		return mrerr.MrType
+	}
+	id, err := memberResolve(d, typ, r.s[1], false)
+	if err != nil {
+		return err
+	}
+	direct := d.ListsContaining(typ, id)
+	seen := map[int]bool{}
+	for _, lid := range direct {
+		seen[lid] = true
+	}
+	if recursive {
+		// Also lists that contain (as sublists) a list the target is a
+		// member of, transitively.
+		frontier := append([]int(nil), direct...)
+		for len(frontier) > 0 {
+			lid := frontier[0]
+			frontier = frontier[1:]
+			for _, outer := range d.ListsContaining(db.ACEList, lid) {
+				if !seen[outer] {
+					seen[outer] = true
+					frontier = append(frontier, outer)
 				}
 			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			typ := args[0]
-			recursive := false
-			switch typ {
-			case db.ACERUser:
-				typ, recursive = db.ACEUser, true
-			case db.ACERList:
-				typ, recursive = db.ACEList, true
-			case db.ACERStr:
-				typ, recursive = db.ACEString, true
-			case db.ACEUser, db.ACEList, db.ACEString:
-			default:
-				return mrerr.MrType
-			}
-			id, err := memberResolve(d, typ, args[1], false)
-			if err != nil {
-				return err
-			}
-			direct := d.ListsContaining(typ, id)
-			seen := map[int]bool{}
-			for _, lid := range direct {
-				seen[lid] = true
-			}
-			if recursive {
-				// Also lists that contain (as sublists) a list the target
-				// is a member of, transitively.
-				frontier := append([]int(nil), direct...)
-				for len(frontier) > 0 {
-					lid := frontier[0]
-					frontier = frontier[1:]
-					for _, outer := range d.ListsContaining(db.ACEList, lid) {
-						if !seen[outer] {
-							seen[outer] = true
-							frontier = append(frontier, outer)
-						}
-					}
-				}
-			}
-			var tuples [][]string
-			for lid := range seen {
-				if l, ok := d.ListByID(lid); ok {
-					tuples = append(tuples, []string{
-						l.Name, b2s(l.Active), b2s(l.Public), b2s(l.Hidden),
-						b2s(l.Maillist), b2s(l.Group),
-					})
-				}
-			}
-			if len(tuples) == 0 {
-				return mrerr.MrNoMatch
-			}
-			return emitSorted(tuples, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "count_members_of_list", Short: "cmol", Kind: Retrieve,
-		Args:    []string{"list"},
-		Returns: []string{"count"},
-		Access: func(cx *Context, args []string) error {
-			if cx.onACL("count_members_of_list") {
-				return nil
-			}
-			l, err := oneList(cx.DB, args[0])
-			if err != nil {
-				return err
-			}
-			if !l.Hidden || onListACE(cx, l) {
-				return nil
-			}
-			return mrerr.MrPerm
-		},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			l, err := oneList(cx.DB, args[0])
-			if err != nil {
-				return err
-			}
-			return emit([]string{i2s(len(cx.DB.MembersOf(l.ListID)))})
-		},
-	})
+		}
+	}
+	r.expect(len(seen))
+	for lid := range seen {
+		if l, ok := d.ListByID(lid); ok {
+			r.Row(l.Name, b2s(l.Active), b2s(l.Public), b2s(l.Hidden), b2s(l.Maillist), b2s(l.Group))
+		}
+	}
+	return nil
 }

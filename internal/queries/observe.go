@@ -8,84 +8,45 @@ package queries
 // can reach the RPC port can ask even without a -debug-addr. All are
 // retrieves, so they run lock-free — none touches the database lock.
 
-import (
-	"strconv"
-
-	"moira/internal/mrerr"
-)
+import "strconv"
 
 func init() {
-	register(&Query{
-		Name: "_stats", Short: "_sts", Kind: Retrieve,
-		Returns: []string{"kind", "name", "value"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			if cx.Stats == nil {
-				return mrerr.MrNoMatch
-			}
-			for _, ln := range cx.Stats.Snapshot().Lines() {
-				if err := emit([]string{ln.Kind, ln.Name, ln.Value}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "_spans", Short: "_spn", Kind: Retrieve,
-		Args: []string{"trace_id"},
-		Returns: []string{"trace_id", "span_id", "parent_span", "process",
-			"name", "detail", "start_ns", "duration", "status"},
-		Access: accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			if cx.Spans == nil {
-				return mrerr.MrNoMatch
-			}
-			matched := false
-			for _, tr := range cx.Spans() {
-				if args[0] != "*" && tr.TraceID != args[0] {
-					continue
-				}
-				matched = true
-				for _, sp := range tr.Spans {
-					err := emit([]string{
-						sp.TraceID, sp.SpanID, sp.Parent, sp.Process,
-						sp.Name, sp.Detail,
-						strconv.FormatInt(sp.Start.UnixNano(), 10),
-						sp.Duration.String(),
-						strconv.FormatInt(int64(sp.Code), 10),
-					})
-					if err != nil {
-						return err
+	register([]Query{
+		{Name: "_stats", Short: "_sts", Rows: Columns("kind name value"), IndexOrder: true, Access: Anyone,
+			Do: func(r *Req) error {
+				if r.Stats != nil {
+					for _, ln := range r.Stats.Snapshot().Lines() {
+						r.Row(ln.Kind, ln.Name, ln.Value)
 					}
 				}
-			}
-			if !matched {
-				return mrerr.MrNoMatch
-			}
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "_health", Short: "_hlt", Kind: Retrieve,
-		Returns: []string{"probe", "ok", "detail"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			if cx.Health == nil {
-				return mrerr.MrNoMatch
-			}
-			for _, st := range cx.Health() {
-				ok := "0"
-				if st.OK {
-					ok = "1"
+				return nil
+			}},
+		{Name: "_spans", Short: "_spn", In: []Arg{arg("trace_id")}, IndexOrder: true, Access: Anyone,
+			Rows: Columns("trace_id span_id parent_span process name detail start_ns:int duration status:int"),
+			Do: func(r *Req) error {
+				if r.Spans == nil {
+					return nil
 				}
-				if err := emit([]string{st.Name, ok, st.Detail}); err != nil {
-					return err
+				for _, tr := range r.Spans() {
+					if r.s[0] != "*" && tr.TraceID != r.s[0] {
+						continue
+					}
+					for _, sp := range tr.Spans {
+						r.Row(sp.TraceID, sp.SpanID, sp.Parent, sp.Process, sp.Name, sp.Detail,
+							strconv.FormatInt(sp.Start.UnixNano(), 10), sp.Duration.String(),
+							strconv.FormatInt(int64(sp.Code), 10))
+					}
 				}
-			}
-			return nil
-		},
+				return nil
+			}},
+		{Name: "_health", Short: "_hlt", Rows: Columns("probe ok:bool detail"), IndexOrder: true, Access: Anyone,
+			Do: func(r *Req) error {
+				if r.Health != nil {
+					for _, st := range r.Health() {
+						r.Row(st.Name, b2s(st.OK), st.Detail)
+					}
+				}
+				return nil
+			}},
 	})
 }

@@ -6,17 +6,20 @@
 // filesystems, zephyr classes, and the miscellaneous relations, plus the
 // built-in _help/_list_queries/_list_users.
 //
-// Each query declares its argument count, its class (retrieve, append,
-// update, delete), a validation/access policy, and a handler. Mutations
-// run under the exclusive database lock; retrievals run lock-free
-// against an immutable snapshot (db.Reader). Either way every query is
-// a serializable transaction like the original's single INGRES backend.
+// Each handle is one entry of a declarative table (table.go): its
+// argument count and types, its class (retrieve, append, update,
+// delete), an access rule, the schema of the tuples it returns, and a
+// body that only touches already parsed and resolved values. Two
+// executors interpret the table: mutations run under the exclusive
+// database lock; retrievals run lock-free against an immutable snapshot
+// (db.Reader). Either way every query is a serializable transaction like
+// the original's single INGRES backend.
 package queries
 
 import (
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"moira/internal/acl"
@@ -180,36 +183,24 @@ func (cx *Context) onACL(queryName string) bool {
 // query (e.g. the client connection died).
 type EmitFunc func(tuple []string) error
 
-// AccessFunc decides whether the caller may run the query with the given
-// arguments. It runs with the shared lock held. nil means "capability ACL
-// only" for mutations and "anyone" for retrieves.
-type AccessFunc func(cx *Context, args []string) error
-
-// HandlerFunc executes the query. The appropriate lock is already held.
-type HandlerFunc func(cx *Context, args []string, emit EmitFunc) error
-
-// Query is one predefined query handle.
-type Query struct {
-	Name    string   // long name, e.g. "get_user_by_login"
-	Short   string   // short tag, e.g. "gubl"
-	Kind    Kind     //
-	Args    []string // argument names, for _help
-	Returns []string // return field names, for _help
-	// VarArgs marks queries accepting len(Args) as a minimum (unused by
-	// the paper's set but kept for extension).
-	VarArgs bool
-	Access  AccessFunc
-	Handler HandlerFunc
-}
-
 var (
 	byName  = map[string]*Query{}
 	ordered []*Query
 )
 
-// register installs a query in the registry; it panics on duplicate
-// names, which would be a build-time bug.
-func register(q *Query) {
+// Register installs a query handle: the table's entries at init, and
+// extensions (or tests that need a handle with specific behaviour, like
+// the server's panic-recovery test). It fills Args from the argument
+// schema and panics on a duplicate name or a schema it cannot serve,
+// which are build-time bugs.
+func Register(q *Query) {
+	if len(q.In) > maxArgs || q.Do == nil || (q.Kind == Retrieve) != (q.Rows != nil) {
+		panic("queries: malformed table entry " + q.Name)
+	}
+	q.Args = make([]string, len(q.In))
+	for i, a := range q.In {
+		q.Args[i] = a.Name
+	}
 	for _, key := range []string{q.Name, q.Short} {
 		if key == "" {
 			panic("queries: query with empty name")
@@ -222,11 +213,12 @@ func register(q *Query) {
 	ordered = append(ordered, q)
 }
 
-// Register installs an additional query handle. The paper's set is
-// registered at init; extensions (and tests that need a handle with
-// specific behaviour, like the server's panic-recovery test) add theirs
-// here. It panics on a duplicate name, which is a build-time bug.
-func Register(q *Query) { register(q) }
+// register installs a table of entries.
+func register(table []Query) {
+	for i := range table {
+		Register(&table[i])
+	}
+}
 
 // Lookup finds a query by long or short name.
 func Lookup(name string) (*Query, bool) {
@@ -249,7 +241,8 @@ const MaxArgLen = 1024
 
 // Execute runs the named query. It performs argument-count and length
 // checks, the access check, takes the database lock in the mode implied
-// by the query kind, runs the handler, and journals successful mutations.
+// by the query kind, parses the typed arguments, runs the body, and
+// journals successful mutations.
 func Execute(cx *Context, name string, args []string, emit EmitFunc) error {
 	q, ok := byName[name]
 	if !ok {
@@ -261,13 +254,16 @@ func Execute(cx *Context, name string, args []string, emit EmitFunc) error {
 	if q.Kind == Retrieve {
 		// Retrievals run lock-free against an immutable snapshot (MVCC-
 		// lite): the reader pins one committed state for the whole query —
-		// access check and handler included — so it can never observe a
-		// torn multi-table view, and it never blocks the writer. The
-		// shallow Context copy redirects only this query at the snapshot;
+		// access check and body included — so it can never observe a torn
+		// multi-table view, and it never blocks the writer. The request's
+		// copy of the Context redirects only this query at the snapshot;
 		// the access cache lives on the original context and stays
 		// coherent because the snapshot's change sequence equals the live
 		// database's at the moment Reader() returned it.
-		scx := *cx
+		r := newReq(q, args)
+		defer r.free()
+		r.snap = *cx
+		r.Context = &r.snap
 		// Phase timestamps share clock reads at the boundaries (tracing
 		// sits on every request, and reading the clock is not free), the
 		// snapshot phase starts at the server's parse-done anchor, and
@@ -278,16 +274,16 @@ func Execute(cx *Context, name string, args []string, emit EmitFunc) error {
 				t0 = time.Now()
 			}
 		}
-		scx.DB = cx.DB.Reader()
+		r.DB = cx.DB.Reader()
 		if cx.Span != nil {
 			t1 := time.Now()
 			cx.Span.Record("server.snapshot", t0, t1.Sub(t0), 0)
 			t0 = t1
 		}
-		if err := checkAccessLocked(&scx, q, args); err != nil {
+		if err := r.access(); err != nil {
 			return err
 		}
-		err := q.Handler(&scx, args, emit)
+		err := r.retrieve(emit)
 		if cx.Span != nil {
 			cx.Span.Record("server.handler", t0, time.Since(t0), int32(mrerr.CodeOf(err)))
 		}
@@ -304,6 +300,9 @@ func Execute(cx *Context, name string, args []string, emit EmitFunc) error {
 		return mrerr.MrDown
 	}
 	cx.CommitOK = false
+	r := newReq(q, args)
+	defer r.free()
+	r.Context = cx
 	// The locked section runs in a closure so its deferred unlock fires
 	// before the commit gate below: waiting on a replica ack must not
 	// hold the exclusive lock, or replication lag would stall readers
@@ -316,14 +315,14 @@ func Execute(cx *Context, name string, args []string, emit EmitFunc) error {
 		if cx.DB.JournalDetached() {
 			return mrerr.MrReadonly
 		}
-		if err := checkAccessLocked(cx, q, args); err != nil {
+		if err := r.access(); err != nil {
 			return err
 		}
 		var t0 time.Time
 		if cx.Span != nil {
 			t0 = time.Now()
 		}
-		if err := q.Handler(cx, args, emit); err != nil {
+		if err := r.mutate(); err != nil {
 			if cx.Span != nil {
 				cx.Span.Record("server.handler", t0, time.Since(t0), int32(mrerr.CodeOf(err)))
 			}
@@ -397,17 +396,16 @@ func CheckAccess(cx *Context, name string, args []string) error {
 	}
 	// Like retrievals, access checks run against a pinned snapshot
 	// instead of holding the shared lock.
-	scx := *cx
-	scx.DB = cx.DB.Reader()
-	return checkAccessLocked(&scx, q, args)
+	r := newReq(q, args)
+	defer r.free()
+	r.snap = *cx
+	r.Context = &r.snap
+	r.DB = cx.DB.Reader()
+	return r.access()
 }
 
 func checkArgs(q *Query, args []string) error {
-	if q.VarArgs {
-		if len(args) < len(q.Args) {
-			return mrerr.MrArgs
-		}
-	} else if len(args) != len(q.Args) {
+	if len(args) != len(q.In) {
 		return mrerr.MrArgs
 	}
 	for _, a := range args {
@@ -418,40 +416,64 @@ func checkArgs(q *Query, args []string) error {
 	return nil
 }
 
-func checkAccessLocked(cx *Context, q *Query, args []string) error {
-	if cx.Privileged {
-		return nil
-	}
-	if cx.cacheLookup(q.Name, args) {
-		return nil
-	}
-	if err := rawAccessLocked(cx, q, args); err != nil {
+// retrieve is the retrieval executor: typed arguments, the body, then
+// the collected tuples — MR_NO_MATCH when there are none, sorted unless
+// the entry returns them in index order.
+func (r *Req) retrieve(emit EmitFunc) error {
+	if err := r.parse(); err != nil {
 		return err
 	}
-	cx.cacheStore(q.Name, args)
+	r.self = r.q.Access.kind == ruleSelfRows && !r.onACL(r.q.Name)
+	err := r.q.Do(r)
+	if err == nil {
+		err = r.err
+	}
+	if err != nil {
+		return err
+	}
+	if len(r.buf) == 0 {
+		return mrerr.MrNoMatch
+	}
+	if !r.q.IndexOrder {
+		sort.Sort((*tuples)(r))
+	}
+	w := r.q.Rows.width()
+	for i := 0; i < len(r.buf); i += w {
+		if err := emit(r.buf[i : i+w : i+w]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-func rawAccessLocked(cx *Context, q *Query, args []string) error {
-	if q.Access != nil {
-		return q.Access(cx, args)
-	}
-	if q.Kind == Retrieve {
-		return nil
-	}
-	if cx.onACL(q.Name) {
-		return nil
-	}
-	return mrerr.MrPerm
+// tuples sorts a retrieval's collected tuples in place, a tuple being
+// Rows.width() consecutive fields of the request's buffer.
+type tuples Req
+
+func (t *tuples) Len() int { return len(t.buf) / t.q.Rows.width() }
+
+func (t *tuples) Less(i, j int) bool {
+	w := t.q.Rows.width()
+	return slices.Compare(t.buf[i*w:(i+1)*w], t.buf[j*w:(j+1)*w]) < 0
 }
 
-// --- shared access policies ---
+func (t *tuples) Swap(i, j int) {
+	w := t.q.Rows.width()
+	a, b := t.buf[i*w:(i+1)*w], t.buf[j*w:(j+1)*w]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
+}
 
-// accessAnyone allows every caller, authenticated or not; used for the
-// queries the paper marks "safe for the list containing everybody".
-func accessAnyone(*Context, []string) error { return nil }
+// mutate is the mutation executor: typed arguments, then the body.
+func (r *Req) mutate() error {
+	if err := r.parse(); err != nil {
+		return err
+	}
+	return r.q.Do(r)
+}
 
-// --- small shared helpers used by the handler files ---
+// --- small shared helpers used by the table ---
 
 func i2s(i int) string { return strconv.Itoa(i) }
 
@@ -462,114 +484,4 @@ func b2s(b bool) string {
 		return "1"
 	}
 	return "0"
-}
-
-// parseInt parses an integer argument, failing with MR_INTEGER.
-func parseInt(s string) (int, error) {
-	v, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return 0, mrerr.MrInteger
-	}
-	return v, nil
-}
-
-// parseBool parses a boolean argument (integer, 0 false / non-zero true).
-func parseBool(s string) (bool, error) {
-	v, err := parseInt(s)
-	if err != nil {
-		return false, err
-	}
-	return v != 0, nil
-}
-
-// TRUE/FALSE/DONTCARE tri-state used by the qualified_get_* queries.
-type triState int
-
-const (
-	triFalse triState = iota
-	triTrue
-	triDontCare
-)
-
-func parseTri(s string) (triState, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "TRUE":
-		return triTrue, nil
-	case "FALSE":
-		return triFalse, nil
-	case "DONTCARE", "DONT-CARE", "DONT_CARE":
-		return triDontCare, nil
-	default:
-		return 0, mrerr.MrType
-	}
-}
-
-func (t triState) matches(v bool) bool {
-	switch t {
-	case triTrue:
-		return v
-	case triFalse:
-		return !v
-	default:
-		return true
-	}
-}
-
-// checkNameChars enforces the character restrictions on object names:
-// non-empty, printable ASCII, and none of the characters that break the
-// dump format, wildcard matching, or the downstream config files.
-func checkNameChars(s string) error {
-	if s == "" {
-		return mrerr.MrBadChar
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c >= 0x7f {
-			return mrerr.MrBadChar
-		}
-		switch c {
-		case ':', '*', '?', '\\', '"', ',':
-			return mrerr.MrBadChar
-		}
-	}
-	return nil
-}
-
-// emitSorted is a helper for handlers that gather tuples then emit them
-// in a deterministic order.
-func emitSorted(tuples [][]string, emit EmitFunc) error {
-	sort.Slice(tuples, func(i, j int) bool {
-		a, b := tuples[i], tuples[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	for _, t := range tuples {
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// noMatchIfEmpty converts "emitted nothing" into MR_NO_MATCH, the paper's
-// behaviour for retrieval queries.
-type countingEmit struct {
-	emit EmitFunc
-	n    int
-}
-
-func (c *countingEmit) fn(t []string) error {
-	c.n++
-	return c.emit(t)
-}
-
-func (c *countingEmit) result() error {
-	if c.n == 0 {
-		return mrerr.MrNoMatch
-	}
-	return nil
 }

@@ -4,6 +4,9 @@ package queries
 // 7.0.1).
 
 import (
+	"strconv"
+	"strings"
+
 	"moira/internal/db"
 	"moira/internal/mrerr"
 	"moira/internal/wildcard"
@@ -16,66 +19,319 @@ const (
 	UniqueLogin = "#"
 )
 
-func userSummary(u *db.User) []string {
-	return []string{u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle}
-}
+var (
+	userSummary = Columns("login uid:int shell last first middle")
+	userFull    = Columns("login uid:int shell last first middle state:int mitid class modtime:time modby modwith")
+	fingerRow   = Columns("login fullname nickname home_addr home_phone office_addr office_phone department affiliation modtime:time modby modwith")
+	poboxRow    = Columns("login type box modtime:time modby modwith")
+	poboxes     = Columns("login type box")
+)
 
-func userFull(u *db.User) []string {
-	return []string{
-		u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle,
-		i2s(u.Status), u.MITID, u.MITYear,
-		i642s(u.Mod.Time), u.Mod.By, u.Mod.With,
+// user adds u's full row. A self-restricted read (the get_user_by_*
+// family) by a caller off the query ACL may return only the caller.
+func (r *Req) user(u *db.User) {
+	if r.self && (u.UsersID != r.UserID || r.UserID == 0) {
+		r.err = mrerr.MrPerm
 	}
+	r.Row(u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle,
+		i2s(u.Status), u.MITID, u.MITYear, i642s(u.Mod.Time), u.Mod.By, u.Mod.With)
 }
 
-// matchUsers collects users whose login matches the (possibly
-// wildcarded) pattern, via the login indexes — a hash probe for exact
-// patterns, an ordered-index range scan for wildcards.
-func matchUsers(d *db.DB, pattern string) []*db.User {
-	return d.UsersMatchingLogin(pattern)
+// users adds the full row of every user keep accepts.
+func (r *Req) users(keep func(u *db.User) bool) {
+	r.DB.EachUser(func(u *db.User) bool {
+		if keep(u) {
+			r.user(u)
+		}
+		return true
+	})
 }
 
-// oneUser resolves an argument that "must match exactly one user".
-func oneUser(d *db.DB, login string) (*db.User, error) {
-	us := matchUsers(d, login)
-	switch len(us) {
-	case 0:
-		return nil, mrerr.MrUser
-	case 1:
-		return us[0], nil
+// pobox adds the users whose pobox type keep accepts ("" keeps all).
+func (r *Req) pobox(keep string) {
+	r.DB.EachUser(func(u *db.User) bool {
+		if keep == "" || u.PoType == keep {
+			r.Row(u.Login, u.PoType, poboxString(r.DB, u))
+		}
+		return true
+	})
+}
+
+// login is the usual "must match exactly one user" argument.
+func login() Arg { return one("login", relUser, mrerr.MrUser) }
+
+func init() {
+	register([]Query{
+		{Name: "get_all_logins", Short: "galo", Rows: userSummary, IndexOrder: true, Access: Anyone,
+			Do: func(r *Req) error {
+				r.DB.EachUser(func(u *db.User) bool {
+					r.Row(u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle)
+					return true
+				})
+				return nil
+			}},
+		{Name: "get_all_active_logins", Short: "gaal", Rows: userSummary, IndexOrder: true, Access: Anyone,
+			Do: func(r *Req) error {
+				r.DB.EachUser(func(u *db.User) bool {
+					if u.Status != 0 {
+						r.Row(u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle)
+					}
+					return true
+				})
+				return nil
+			}},
+		{Name: "get_user_by_login", Short: "gubl", In: []Arg{arg("login")}, Rows: userFull, Access: selfRows,
+			Do: func(r *Req) error {
+				us := r.DB.UsersMatchingLogin(r.s[0])
+				r.expect(len(us))
+				for _, u := range us {
+					r.user(u)
+				}
+				return nil
+			}},
+		{Name: "get_user_by_uid", Short: "gubu", In: []Arg{num("uid")}, Rows: userFull, Access: selfRows,
+			Do: func(r *Req) error {
+				us := r.DB.UsersByUID(r.n[0])
+				r.expect(len(us))
+				for _, u := range us {
+					r.user(u)
+				}
+				return nil
+			}},
+		{Name: "get_user_by_name", Short: "gubn", In: []Arg{arg("first"), arg("last")}, Rows: userFull, Access: selfRows,
+			Do: func(r *Req) error {
+				r.users(func(u *db.User) bool { return wildcard.Match(r.s[0], u.First) && wildcard.Match(r.s[1], u.Last) })
+				return nil
+			}},
+		{Name: "get_user_by_class", Short: "gubc", In: []Arg{arg("class")}, Rows: userFull, Access: selfRows,
+			Do: func(r *Req) error {
+				r.users(func(u *db.User) bool { return wildcard.Match(r.s[0], u.MITYear) })
+				return nil
+			}},
+		{Name: "get_user_by_mitid", Short: "gubm", In: []Arg{arg("mitid")}, Rows: userFull, Access: selfRows,
+			Do: func(r *Req) error {
+				r.users(func(u *db.User) bool { return wildcard.Match(r.s[0], u.MITID) })
+				return nil
+			}},
+		{Name: "add_user", Short: "ausr", Kind: Append,
+			In: []Arg{arg("login"), arg("uid"), arg("shell"), arg("last"), arg("first"), arg("middle"),
+				num("state"), arg("mitid"), typed("class", "class", mrerr.MrBadClass)},
+			Do: addUser},
+		{Name: "register_user", Short: "rusr", Kind: Update,
+			In: []Arg{num("uid"), arg("login"), num("fstype")}, Do: registerUser},
+		{Name: "update_user", Short: "uusr", Kind: Update,
+			In: []Arg{one("login", relUser, nil), rename("newlogin", relUser), num("uid"), arg("shell"),
+				arg("last"), arg("first"), arg("middle"), num("state"), arg("mitid"),
+				typed("class", "class", mrerr.MrBadClass)},
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				if r.s[1] != u.Login {
+					r.DB.RenameUser(u, r.s[1])
+				}
+				r.DB.SetUserUID(u, r.n[2])
+				u.Shell, u.Last, u.First, u.Middle = r.s[3], r.s[4], r.s[5], r.s[6]
+				u.Status, u.MITID, u.MITYear = r.n[7], r.s[8], r.s[9]
+				u.Mod = r.modInfo()
+				r.DB.NoteUpdate(u)
+				return nil
+			}},
+		{Name: "update_user_shell", Short: "uush", Kind: Update, In: []Arg{login(), arg("shell")}, Access: self(0),
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				u.Shell, u.Mod = r.s[1], r.modInfo()
+				r.DB.NoteUpdate(u)
+				return nil
+			}},
+		{Name: "update_user_status", Short: "uust", Kind: Update, In: []Arg{login(), num("status")},
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				u.Status, u.Mod = r.n[1], r.modInfo()
+				r.DB.NoteUpdate(u)
+				return nil
+			}},
+		{Name: "delete_user", Short: "dusr", Kind: Delete, In: []Arg{login()},
+			Do: func(r *Req) error { return deleteUser(r, obj[db.User](r, 0), true) }},
+		{Name: "delete_user_by_uid", Short: "dubu", Kind: Delete, In: []Arg{num("uid")},
+			Do: func(r *Req) error {
+				us := r.DB.UsersByUID(r.n[0])
+				if len(us) != 1 {
+					return (&Arg{Rel: relUser}).fail(len(us))
+				}
+				return deleteUser(r, us[0], false)
+			}},
+		{Name: "get_finger_by_login", Short: "gfbl", In: []Arg{login()}, Rows: fingerRow, Access: Anyone,
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				r.Row(u.Login, u.Fullname, u.Nickname, u.HomeAddr, u.HomePhone, u.OfficeAddr,
+					u.OfficePhone, u.MITDept, u.MITAffil, i642s(u.FMod.Time), u.FMod.By, u.FMod.With)
+				return nil
+			}},
+		{Name: "update_finger_by_login", Short: "ufbl", Kind: Update, Access: self(0),
+			In: []Arg{login(), arg("fullname"), arg("nickname"), arg("home_addr"), arg("home_phone"),
+				arg("office_addr"), arg("office_phone"), arg("department"), arg("affiliation")},
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				u.Fullname, u.Nickname = r.s[1], r.s[2]
+				u.HomeAddr, u.HomePhone = r.s[3], r.s[4]
+				u.OfficeAddr, u.OfficePhone = r.s[5], r.s[6]
+				u.MITDept, u.MITAffil = r.s[7], r.s[8]
+				u.FMod = r.modInfo()
+				r.DB.NoteUpdate(u)
+				return nil
+			}},
+		{Name: "get_pobox", Short: "gpob", In: []Arg{login()}, Rows: poboxRow, Access: self(0),
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				r.Row(u.Login, u.PoType, poboxString(r.DB, u), i642s(u.PMod.Time), u.PMod.By, u.PMod.With)
+				return nil
+			}},
+		{Name: "get_all_poboxes", Short: "gapo", Rows: poboxes, IndexOrder: true, Access: Anyone,
+			Do: func(r *Req) error { r.pobox(""); return nil }},
+		{Name: "get_poboxes_pop", Short: "gpop", Rows: Columns("login type machine"), IndexOrder: true, Access: Anyone,
+			Do: func(r *Req) error { r.pobox(db.PoboxPOP); return nil }},
+		{Name: "get_poboxes_smtp", Short: "gpos", Rows: poboxes, IndexOrder: true, Access: Anyone,
+			Do: func(r *Req) error { r.pobox(db.PoboxSMTP); return nil }},
+		{Name: "set_pobox", Short: "spob", Kind: Update, Access: self(0),
+			In: []Arg{login(), typed("type", "pobox", mrerr.MrType), arg("box")}, Do: setPobox},
+		{Name: "set_pobox_pop", Short: "spop", Kind: Update, In: []Arg{login()}, Access: self(0),
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				if u.PoType == db.PoboxPOP {
+					return nil
+				}
+				if _, ok := r.DB.MachineByID(u.PopID); !ok || u.PopID == 0 {
+					return mrerr.MrMachine
+				}
+				u.PoType, u.PMod = db.PoboxPOP, r.modInfo()
+				r.DB.NoteUpdate(u)
+				return nil
+			}},
+		{Name: "delete_pobox", Short: "dpob", Kind: Update, In: []Arg{login()}, Access: self(0),
+			Do: func(r *Req) error {
+				u := obj[db.User](r, 0)
+				u.PoType, u.PMod = db.PoboxNone, r.modInfo()
+				r.DB.NoteUpdate(u)
+				return nil
+			}},
+	})
+}
+
+// poboxString renders the "box" return field for a user.
+func poboxString(d *db.DB, u *db.User) string {
+	switch u.PoType {
+	case db.PoboxPOP:
+		if m, ok := d.MachineByID(u.PopID); ok {
+			return m.Name
+		}
+		return "???"
+	case db.PoboxSMTP:
+		if s, ok := d.StringByID(u.BoxID); ok {
+			return s.String
+		}
+		return "???"
 	default:
-		return nil, mrerr.MrNotUnique
+		return db.PoboxNone
 	}
 }
 
-// emitUsersSelfRestricted implements the shared rule of the get_user_by_*
-// family: callers not on the query ACL may only retrieve themselves.
-func emitUsersSelfRestricted(cx *Context, queryName string, users []*db.User, emit EmitFunc) error {
-	if len(users) == 0 {
-		return mrerr.MrNoMatch
+// setPobox is set_pobox's hook: a POP box names a machine, an SMTP box
+// interns its address.
+func setPobox(r *Req) error {
+	d, u := r.DB, obj[db.User](r, 0)
+	switch r.s[1] {
+	case db.PoboxPOP:
+		m, ok := d.MachineByName(r.s[2])
+		if !ok {
+			return mrerr.MrMachine
+		}
+		u.PoType, u.PopID = db.PoboxPOP, m.MachID
+	case db.PoboxSMTP:
+		id, err := d.InternString(r.s[2])
+		if err != nil {
+			return err
+		}
+		u.PoType, u.BoxID = db.PoboxSMTP, id
+	case db.PoboxNone:
+		u.PoType = db.PoboxNone
+	default:
+		return mrerr.MrType
 	}
-	if !cx.onACL(queryName) {
-		for _, u := range users {
-			if u.UsersID != cx.UserID || cx.UserID == 0 {
-				return mrerr.MrPerm
-			}
+	u.PMod = r.modInfo()
+	d.NoteUpdate(u)
+	return nil
+}
+
+// addUser is add_user's hook: the UNIQUE_UID and UNIQUE_LOGIN
+// allocations, in the paper's order (uid first, so "#uid" can name the
+// login).
+func addUser(r *Req) error {
+	d := r.DB
+	uid, err := 0, error(nil)
+	if r.s[1] == UniqueUID {
+		if uid, err = d.AllocID("uid"); err != nil {
+			return err
+		}
+	} else if uid, err = strconv.Atoi(strings.TrimSpace(r.s[1])); err != nil {
+		return mrerr.MrInteger
+	}
+	login := r.s[0]
+	if login == UniqueLogin {
+		login = "#" + i2s(uid)
+	} else if err := checkNameChars(login); err != nil {
+		return err
+	}
+	if _, dup := d.UserByLogin(login); dup {
+		return mrerr.MrNotUnique
+	}
+	id, err := d.AllocID("users_id")
+	if err != nil {
+		return err
+	}
+	mod := r.modInfo()
+	return d.InsertUser(&db.User{
+		UsersID: id, Login: login, UID: uid, Shell: r.s[2],
+		Last: r.s[3], First: r.s[4], Middle: r.s[5],
+		Status: r.n[6], MITID: r.s[7], MITYear: r.s[8], Mod: mod,
+		// The finger record is initialized with just the full name.
+		Fullname: r.s[4] + " " + r.s[3], FMod: mod,
+		PoType: db.PoboxNone, PMod: mod,
+	})
+}
+
+// deleteUser implements delete_user / delete_user_by_uid: the in-use
+// checks and the quota cascade. requireStatus0 distinguishes the two
+// (only delete_user documents the status check).
+func deleteUser(r *Req, u *db.User, requireStatus0 bool) error {
+	d := r.DB
+	if requireStatus0 && u.Status != 0 {
+		return mrerr.MrInUse
+	}
+	if len(d.ListsContaining(db.ACEUser, u.UsersID)) > 0 {
+		return mrerr.MrInUse
+	}
+	if len(aceUses(d, db.ACEUser, u.UsersID)) > 0 {
+		return mrerr.MrInUse
+	}
+	if requireStatus0 && len(d.QuotasOfUser(u.UsersID)) > 0 {
+		return mrerr.MrInUse
+	}
+	// delete_user_by_uid deletes associated quotas silently.
+	for _, q := range d.QuotasOfUser(u.UsersID) {
+		if p, ok := d.NFSPhysByID(q.PhysID); ok {
+			p.Allocated -= q.Quota
+			d.NoteUpdate(p)
+		}
+		if err := d.DeleteQuota(q.UsersID, q.FilsysID); err != nil {
+			return mrerr.MrInternal
 		}
 	}
-	var tuples [][]string
-	for _, u := range users {
-		tuples = append(tuples, userFull(u))
-	}
-	return emitSorted(tuples, emit)
-}
-
-// userACEUses returns descriptions of every object whose ACE is this
-// user; non-empty means the user may not be deleted.
-func userACEUses(d *db.DB, usersID int) [][]string {
-	return aceUses(d, db.ACEUser, usersID)
+	d.DeleteUser(u)
+	return nil
 }
 
 // aceUses finds references to an ACE across all object types, as
-// get_ace_use does non-recursively.
+// get_ace_use does non-recursively; non-empty means the ACE's object
+// may not be deleted.
 func aceUses(d *db.DB, aceType string, aceID int) [][]string {
 	var out [][]string
 	d.EachList(func(l *db.List) bool {
@@ -124,536 +380,13 @@ func aceUses(d *db.DB, aceType string, aceID int) [][]string {
 	return out
 }
 
-// poboxString renders the "box" return field for a user.
-func poboxString(d *db.DB, u *db.User) string {
-	switch u.PoType {
-	case db.PoboxPOP:
-		if m, ok := d.MachineByID(u.PopID); ok {
-			return m.Name
-		}
-		return "???"
-	case db.PoboxSMTP:
-		if s, ok := d.StringByID(u.BoxID); ok {
-			return s.String
-		}
-		return "???"
-	default:
-		return db.PoboxNone
-	}
-}
-
-// selfOrACL builds an access policy granting the query ACL or the target
-// user named by argument argIdx.
-func selfOrACL(queryName string, argIdx int) AccessFunc {
-	return func(cx *Context, args []string) error {
-		if cx.onACL(queryName) {
-			return nil
-		}
-		if cx.Principal != "" && argIdx < len(args) && args[argIdx] == cx.Principal {
-			return nil
-		}
-		return mrerr.MrPerm
-	}
-}
-
-func init() {
-	register(&Query{
-		Name: "get_all_logins", Short: "galo", Kind: Retrieve,
-		Returns: []string{"login", "uid", "shell", "last", "first", "middle"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			c := &countingEmit{emit: emit}
-			cx.DB.EachUser(func(u *db.User) bool {
-				return c.fn(userSummary(u)) == nil
-			})
-			return c.result()
-		},
-	})
-
-	register(&Query{
-		Name: "get_all_active_logins", Short: "gaal", Kind: Retrieve,
-		Returns: []string{"login", "uid", "shell", "last", "first", "middle"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			c := &countingEmit{emit: emit}
-			cx.DB.EachUser(func(u *db.User) bool {
-				if u.Status == 0 {
-					return true
-				}
-				return c.fn(userSummary(u)) == nil
-			})
-			return c.result()
-		},
-	})
-
-	register(&Query{
-		Name: "get_user_by_login", Short: "gubl", Kind: Retrieve,
-		Args:    []string{"login"},
-		Returns: []string{"login", "uid", "shell", "last", "first", "middle", "state", "mitid", "class", "modtime", "modby", "modwith"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			return emitUsersSelfRestricted(cx, "get_user_by_login", matchUsers(cx.DB, args[0]), emit)
-		},
-	})
-
-	register(&Query{
-		Name: "get_user_by_uid", Short: "gubu", Kind: Retrieve,
-		Args:    []string{"uid"},
-		Returns: []string{"login", "uid", "shell", "last", "first", "middle", "state", "mitid", "class", "modtime", "modby", "modwith"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			uid, err := parseInt(args[0])
-			if err != nil {
-				return err
-			}
-			return emitUsersSelfRestricted(cx, "get_user_by_uid", cx.DB.UsersByUID(uid), emit)
-		},
-	})
-
-	register(&Query{
-		Name: "get_user_by_name", Short: "gubn", Kind: Retrieve,
-		Args:    []string{"first", "last"},
-		Returns: []string{"login", "uid", "shell", "last", "first", "middle", "state", "mitid", "class", "modtime", "modby", "modwith"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			var matches []*db.User
-			cx.DB.EachUser(func(u *db.User) bool {
-				if wildcard.Match(args[0], u.First) && wildcard.Match(args[1], u.Last) {
-					matches = append(matches, u)
-				}
-				return true
-			})
-			return emitUsersSelfRestricted(cx, "get_user_by_name", matches, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "get_user_by_class", Short: "gubc", Kind: Retrieve,
-		Args:    []string{"class"},
-		Returns: []string{"login", "uid", "shell", "last", "first", "middle", "state", "mitid", "class", "modtime", "modby", "modwith"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			var matches []*db.User
-			cx.DB.EachUser(func(u *db.User) bool {
-				if wildcard.Match(args[0], u.MITYear) {
-					matches = append(matches, u)
-				}
-				return true
-			})
-			return emitUsersSelfRestricted(cx, "get_user_by_class", matches, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "get_user_by_mitid", Short: "gubm", Kind: Retrieve,
-		Args:    []string{"mitid"},
-		Returns: []string{"login", "uid", "shell", "last", "first", "middle", "state", "mitid", "class", "modtime", "modby", "modwith"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			var matches []*db.User
-			cx.DB.EachUser(func(u *db.User) bool {
-				if wildcard.Match(args[0], u.MITID) {
-					matches = append(matches, u)
-				}
-				return true
-			})
-			return emitUsersSelfRestricted(cx, "get_user_by_mitid", matches, emit)
-		},
-	})
-
-	register(&Query{
-		Name: "add_user", Short: "ausr", Kind: Append,
-		Args: []string{"login", "uid", "shell", "last", "first", "middle", "state", "mitid", "class"},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			login, uidArg := args[0], args[1]
-			state, err := parseInt(args[6])
-			if err != nil {
-				return err
-			}
-			class := args[8]
-			if !d.IsValidType("class", class) {
-				return mrerr.MrBadClass
-			}
-			uid := 0
-			if uidArg == UniqueUID {
-				if uid, err = d.AllocID("uid"); err != nil {
-					return err
-				}
-			} else if uid, err = parseInt(uidArg); err != nil {
-				return err
-			}
-			if login == UniqueLogin {
-				login = "#" + i2s(uid)
-			} else if err := checkNameChars(login); err != nil {
-				return err
-			}
-			if _, dup := d.UserByLogin(login); dup {
-				return mrerr.MrNotUnique
-			}
-			id, err := d.AllocID("users_id")
-			if err != nil {
-				return err
-			}
-			mod := cx.modInfo()
-			u := &db.User{
-				UsersID: id, Login: login, UID: uid, Shell: args[2],
-				Last: args[3], First: args[4], Middle: args[5],
-				Status: state, MITID: args[7], MITYear: class,
-				Mod: mod,
-				// The finger record is initialized with just the full name.
-				Fullname: args[4] + " " + args[3], FMod: mod,
-				PoType: db.PoboxNone, PMod: mod,
-			}
-			return d.InsertUser(u)
-		},
-	})
-
-	register(&Query{
-		Name: "register_user", Short: "rusr", Kind: Update,
-		Args:    []string{"uid", "login", "fstype"},
-		Handler: registerUserHandler,
-	})
-
-	register(&Query{
-		Name: "update_user", Short: "uusr", Kind: Update,
-		Args: []string{"login", "newlogin", "uid", "shell", "last", "first", "middle", "state", "mitid", "class"},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			u, err := oneUser(d, args[0])
-			if err != nil {
-				if err == mrerr.MrNoMatch || err == mrerr.MrUser {
-					return mrerr.MrUser
-				}
-				return err
-			}
-			newlogin := args[1]
-			if newlogin != u.Login {
-				if err := checkNameChars(newlogin); err != nil {
-					return err
-				}
-				if _, dup := d.UserByLogin(newlogin); dup {
-					return mrerr.MrNotUnique
-				}
-			}
-			uid, err := parseInt(args[2])
-			if err != nil {
-				return err
-			}
-			state, err := parseInt(args[7])
-			if err != nil {
-				return err
-			}
-			if !d.IsValidType("class", args[9]) {
-				return mrerr.MrBadClass
-			}
-			if newlogin != u.Login {
-				d.RenameUser(u, newlogin)
-			}
-			d.SetUserUID(u, uid)
-			u.Shell = args[3]
-			u.Last, u.First, u.Middle = args[4], args[5], args[6]
-			u.Status = state
-			u.MITID = args[8]
-			u.MITYear = args[9]
-			u.Mod = cx.modInfo()
-			d.NoteUpdate(u)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "update_user_shell", Short: "uush", Kind: Update,
-		Args:   []string{"login", "shell"},
-		Access: selfOrACL("update_user_shell", 0),
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			u.Shell = args[1]
-			u.Mod = cx.modInfo()
-			cx.DB.NoteUpdate(u)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "update_user_status", Short: "uust", Kind: Update,
-		Args: []string{"login", "status"},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			status, err := parseInt(args[1])
-			if err != nil {
-				return err
-			}
-			u.Status = status
-			u.Mod = cx.modInfo()
-			cx.DB.NoteUpdate(u)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "delete_user", Short: "dusr", Kind: Delete,
-		Args: []string{"login"},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			return deleteUser(cx, u, true)
-		},
-	})
-
-	register(&Query{
-		Name: "delete_user_by_uid", Short: "dubu", Kind: Delete,
-		Args: []string{"uid"},
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			uid, err := parseInt(args[0])
-			if err != nil {
-				return err
-			}
-			us := cx.DB.UsersByUID(uid)
-			if len(us) == 0 {
-				return mrerr.MrUser
-			}
-			if len(us) > 1 {
-				return mrerr.MrNotUnique
-			}
-			return deleteUser(cx, us[0], false)
-		},
-	})
-
-	register(&Query{
-		Name: "get_finger_by_login", Short: "gfbl", Kind: Retrieve,
-		Args: []string{"login"},
-		Returns: []string{"login", "fullname", "nickname", "home_addr", "home_phone",
-			"office_addr", "office_phone", "department", "affiliation",
-			"modtime", "modby", "modwith"},
-		Access: accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			return emit([]string{
-				u.Login, u.Fullname, u.Nickname, u.HomeAddr, u.HomePhone,
-				u.OfficeAddr, u.OfficePhone, u.MITDept, u.MITAffil,
-				i642s(u.FMod.Time), u.FMod.By, u.FMod.With,
-			})
-		},
-	})
-
-	register(&Query{
-		Name: "update_finger_by_login", Short: "ufbl", Kind: Update,
-		Args: []string{"login", "fullname", "nickname", "home_addr", "home_phone",
-			"office_addr", "office_phone", "department", "affiliation"},
-		Access: selfOrACL("update_finger_by_login", 0),
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			u.Fullname, u.Nickname = args[1], args[2]
-			u.HomeAddr, u.HomePhone = args[3], args[4]
-			u.OfficeAddr, u.OfficePhone = args[5], args[6]
-			u.MITDept, u.MITAffil = args[7], args[8]
-			u.FMod = cx.modInfo()
-			cx.DB.NoteUpdate(u)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "get_pobox", Short: "gpob", Kind: Retrieve,
-		Args:    []string{"login"},
-		Returns: []string{"login", "type", "box", "modtime", "modby", "modwith"},
-		Access:  selfOrACL("get_pobox", 0),
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			return emit([]string{u.Login, u.PoType, poboxString(cx.DB, u),
-				i642s(u.PMod.Time), u.PMod.By, u.PMod.With})
-		},
-	})
-
-	register(&Query{
-		Name: "get_all_poboxes", Short: "gapo", Kind: Retrieve,
-		Returns: []string{"login", "type", "box"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			c := &countingEmit{emit: emit}
-			cx.DB.EachUser(func(u *db.User) bool {
-				return c.fn([]string{u.Login, u.PoType, poboxString(cx.DB, u)}) == nil
-			})
-			return c.result()
-		},
-	})
-
-	register(&Query{
-		Name: "get_poboxes_pop", Short: "gpop", Kind: Retrieve,
-		Returns: []string{"login", "type", "machine"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			c := &countingEmit{emit: emit}
-			cx.DB.EachUser(func(u *db.User) bool {
-				if u.PoType != db.PoboxPOP {
-					return true
-				}
-				return c.fn([]string{u.Login, u.PoType, poboxString(cx.DB, u)}) == nil
-			})
-			return c.result()
-		},
-	})
-
-	register(&Query{
-		Name: "get_poboxes_smtp", Short: "gpos", Kind: Retrieve,
-		Returns: []string{"login", "type", "box"},
-		Access:  accessAnyone,
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			c := &countingEmit{emit: emit}
-			cx.DB.EachUser(func(u *db.User) bool {
-				if u.PoType != db.PoboxSMTP {
-					return true
-				}
-				return c.fn([]string{u.Login, u.PoType, poboxString(cx.DB, u)}) == nil
-			})
-			return c.result()
-		},
-	})
-
-	register(&Query{
-		Name: "set_pobox", Short: "spob", Kind: Update,
-		Args:   []string{"login", "type", "box"},
-		Access: selfOrACL("set_pobox", 0),
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			d := cx.DB
-			u, err := oneUser(d, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			typ := args[1]
-			if !d.IsValidType("pobox", typ) {
-				return mrerr.MrType
-			}
-			switch typ {
-			case db.PoboxPOP:
-				m, ok := d.MachineByName(args[2])
-				if !ok {
-					return mrerr.MrMachine
-				}
-				u.PoType, u.PopID = db.PoboxPOP, m.MachID
-			case db.PoboxSMTP:
-				id, err := d.InternString(args[2])
-				if err != nil {
-					return err
-				}
-				u.PoType, u.BoxID = db.PoboxSMTP, id
-			case db.PoboxNone:
-				u.PoType = db.PoboxNone
-			default:
-				return mrerr.MrType
-			}
-			u.PMod = cx.modInfo()
-			d.NoteUpdate(u)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "set_pobox_pop", Short: "spop", Kind: Update,
-		Args:   []string{"login"},
-		Access: selfOrACL("set_pobox_pop", 0),
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			if u.PoType == db.PoboxPOP {
-				return nil
-			}
-			if u.PopID == 0 {
-				return mrerr.MrMachine
-			}
-			if _, ok := cx.DB.MachineByID(u.PopID); !ok {
-				return mrerr.MrMachine
-			}
-			u.PoType = db.PoboxPOP
-			u.PMod = cx.modInfo()
-			cx.DB.NoteUpdate(u)
-			return nil
-		},
-	})
-
-	register(&Query{
-		Name: "delete_pobox", Short: "dpob", Kind: Update,
-		Args:   []string{"login"},
-		Access: selfOrACL("delete_pobox", 0),
-		Handler: func(cx *Context, args []string, emit EmitFunc) error {
-			u, err := oneUser(cx.DB, args[0])
-			if err != nil {
-				return mrerr.MrUser
-			}
-			u.PoType = db.PoboxNone
-			u.PMod = cx.modInfo()
-			cx.DB.NoteUpdate(u)
-			return nil
-		},
-	})
-}
-
-// deleteUser implements delete_user / delete_user_by_uid. requireStatus0
-// distinguishes the two (only delete_user documents the status check).
-func deleteUser(cx *Context, u *db.User, requireStatus0 bool) error {
-	d := cx.DB
-	if requireStatus0 && u.Status != 0 {
-		return mrerr.MrInUse
-	}
-	if len(d.ListsContaining(db.ACEUser, u.UsersID)) > 0 {
-		return mrerr.MrInUse
-	}
-	if len(userACEUses(d, u.UsersID)) > 0 {
-		return mrerr.MrInUse
-	}
-	if requireStatus0 && len(d.QuotasOfUser(u.UsersID)) > 0 {
-		return mrerr.MrInUse
-	}
-	// delete_user_by_uid deletes associated quotas silently.
-	for _, q := range d.QuotasOfUser(u.UsersID) {
-		if p, ok := d.NFSPhysByID(q.PhysID); ok {
-			p.Allocated -= q.Quota
-			d.NoteUpdate(p)
-		}
-		if err := d.DeleteQuota(q.UsersID, q.FilsysID); err != nil {
-			return mrerr.MrInternal
-		}
-	}
-	d.DeleteUser(u)
-	return nil
-}
-
-// registerUserHandler implements register_user (section 7.0.1): assign
-// the login, create a pobox on the least loaded post office, a group
-// list, a filesystem on the least loaded fileserver of the right type,
-// and a default quota. The user ends up half-registered (status 2).
-func registerUserHandler(cx *Context, args []string, emit EmitFunc) error {
-	d := cx.DB
-	uid, err := parseInt(args[0])
-	if err != nil {
-		return err
-	}
-	login := args[1]
-	fstype, err := parseInt(args[2])
-	if err != nil {
-		return err
-	}
-	us := d.UsersByUID(uid)
+// registerUser implements register_user (section 7.0.1): assign the
+// login, create a pobox on the least loaded post office, a group list,
+// a filesystem on the least loaded fileserver of the right type, and a
+// default quota. The user ends up half-registered (status 2).
+func registerUser(r *Req) error {
+	d, login, fstype := r.DB, r.s[1], r.n[2]
+	us := d.UsersByUID(r.n[0])
 	if len(us) == 0 {
 		return mrerr.MrNoMatch
 	}
@@ -715,7 +448,7 @@ func registerUserHandler(cx *Context, args []string, emit EmitFunc) error {
 		return mrerr.MrNoFilesys
 	}
 
-	mod := cx.modInfo()
+	mod := r.modInfo()
 
 	// Group list named after the user, with a fresh GID; the user is both
 	// the ACE and the first member.

@@ -21,15 +21,16 @@ const slowHandleDelay = 300 * time.Millisecond
 func lifecycleHandles() {
 	registerLifecycleHandles.Do(func() {
 		queries.Register(&queries.Query{
-			Name: "_test_slow", Short: "_tsl", Kind: queries.Retrieve,
-			Handler: func(cx *queries.Context, args []string, emit queries.EmitFunc) error {
+			Name: "_test_slow", Short: "_tsl", Rows: queries.Columns("result"), Access: queries.Anyone,
+			Do: func(r *queries.Req) error {
 				time.Sleep(slowHandleDelay)
-				return emit([]string{"done"})
+				r.Row("done")
+				return nil
 			},
 		})
 		queries.Register(&queries.Query{
-			Name: "_test_panic", Short: "_tpn", Kind: queries.Retrieve,
-			Handler: func(cx *queries.Context, args []string, emit queries.EmitFunc) error {
+			Name: "_test_panic", Short: "_tpn", Rows: queries.Columns("result"), Access: queries.Anyone,
+			Do: func(r *queries.Req) error {
 				panic("deliberate test panic")
 			},
 		})
