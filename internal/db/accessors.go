@@ -22,16 +22,27 @@ func rowsOf[R any](rows *table[R], ids []int) []*R {
 	return out
 }
 
+// eachMatch calls fn, in name order, for every row whose name matches a
+// wildcard pattern: one walk over the ordered name index's range for the
+// pattern's literal prefix, with no intermediate slice. fn returning
+// false stops the walk.
+func eachMatch[R any](rows *table[R], byName map[string]int, names *nameCache, pattern string, fn func(*R) bool) {
+	matchNames(names.get(sortedKeys(byName)), pattern, func(n string) bool {
+		r, ok := rows.get(byName[n])
+		return !ok || fn(r)
+	})
+}
+
 // matchRows resolves a wildcard pattern against a relation's ordered
 // name index and returns the matching rows in id order.
 func matchRows[R any](rows *table[R], byName map[string]int, names *nameCache, pattern string) []*R {
-	matched := matchNames(names.get(sortedKeys(byName)), pattern)
-	if len(matched) == 0 {
-		return nil
-	}
-	ids := make([]int, 0, len(matched))
-	for _, n := range matched {
+	var ids []int
+	matchNames(names.get(sortedKeys(byName)), pattern, func(n string) bool {
 		ids = append(ids, byName[n])
+		return true
+	})
+	if len(ids) == 0 {
+		return nil
 	}
 	sort.Ints(ids)
 	return rowsOf(rows, ids)
@@ -89,6 +100,21 @@ func (d *DB) UsersMatchingLogin(pattern string) []*User {
 	}
 	d.NoteRange()
 	return matchRows(&d.users, d.userIdx.byLogin, d.userIdx.logins, pattern)
+}
+
+// EachUserMatchingLogin calls fn for every user whose login matches the
+// pattern, with or without wildcards, in login order: the range scan of
+// UsersMatchingLogin without its result slice. fn returning false stops
+// the walk.
+func (d *DB) EachUserMatchingLogin(pattern string, fn func(*User) bool) {
+	if !wildcard.HasWildcards(pattern) {
+		if u, ok := d.UserByLogin(pattern); ok {
+			fn(u)
+		}
+		return
+	}
+	d.NoteRange()
+	eachMatch(&d.users, d.userIdx.byLogin, d.userIdx.logins, pattern, fn)
 }
 
 // NumUsers reports the row count of the users relation.

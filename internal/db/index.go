@@ -119,16 +119,15 @@ func scanRange(names []string, lo, hi string) []string {
 }
 
 // matchNames resolves a wildcard pattern against an ordered name index:
-// range scan by literal prefix, then exact matching inside the range.
-func matchNames(sorted []string, pattern string) []string {
+// range scan by literal prefix, then exact matching inside the range. It
+// calls fn for every match in order until fn returns false.
+func matchNames(sorted []string, pattern string, fn func(name string) bool) {
 	lo, hi := WildcardRange(pattern)
-	var out []string
 	for _, n := range scanRange(sorted, lo, hi) {
-		if wildcard.Match(pattern, n) {
-			out = append(out, n)
+		if wildcard.Match(pattern, n) && !fn(n) {
+			return
 		}
 	}
-	return out
 }
 
 // --- composite-key hash indexes ---

@@ -74,7 +74,11 @@ func FuzzWildcardIndex(f *testing.F) {
 			}
 		}
 
-		got := matchNames(uniq, pattern)
+		var got []string
+		matchNames(uniq, pattern, func(n string) bool {
+			got = append(got, n)
+			return true
+		})
 		var want []string
 		for _, n := range uniq {
 			if wildcard.Match(pattern, n) {

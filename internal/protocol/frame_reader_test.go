@@ -13,8 +13,8 @@ import (
 // every frame against what the copying readers give for the same bytes.
 // Strings taken from a reply, the way the clients take tuples, must be
 // unchanged after every later frame is read into the same buffers. The
-// string encoders (WriteCall, WriteReplyStrings) must produce the bytes
-// of the [][]byte ones.
+// string and field encoders (WriteCall, WriteReplyFields) must produce
+// the bytes of the [][]byte ones.
 func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{0x01, 3, 0x13, 200, 0x0e, 1, 0xa5, 255, 0x03, 0, 0x0f, 9})
 	f.Add([]byte{0xaf, 255, 0x01, 1, 0xae, 255, 0x00, 0, 0x0b, 7})
@@ -47,7 +47,11 @@ func FuzzFrameReader(f *testing.F) {
 				if err := WriteReply(&want, &Reply{Version: Version, Tag: uint16(k), Code: int32(-k), Fields: fm.fields}); err != nil {
 					t.Fatal(err)
 				}
-				if err := WriteReplyStrings(&got, uint16(k), int32(-k), strs); err != nil {
+				texts := make([]Field, len(strs))
+				for j, str := range strs {
+					texts[j] = Text(str)
+				}
+				if err := WriteReplyFields(&got, uint16(k), int32(-k), texts); err != nil {
 					t.Fatal(err)
 				}
 			} else {

@@ -195,34 +195,49 @@ const maxPooledBuf = 1 << 20
 // writeFrame encodes one frame into a pooled buffer and writes it with
 // one call: head, then the counted fields, lead (a request's header
 // fields and handle name; nil for a reply) followed by fields. It is
-// generic over the field type so string fields (the server's tuples,
-// the clients' arguments) are copied once, into the frame, with no
-// [][]byte conversion in front. A frame the reader would refuse (over
-// MaxFrame bytes or MaxFields fields) is refused here with
-// MR_ARG_TOO_LONG before a byte is written, so the connection stays
-// usable.
+// generic over the field type so string fields (the clients' arguments)
+// are copied once, into the frame, with no [][]byte conversion in
+// front.
 func writeFrame[F []byte | string](w io.Writer, head []byte, lead []string, fields []F) error {
-	n := len(lead) + len(fields)
-	if n > MaxFields {
-		return mrerr.MrArgTooLong
-	}
-	total := len(head) + 4 + 4*n
+	size := 0
 	for _, f := range lead {
-		total += len(f)
+		size += len(f)
 	}
 	for _, f := range fields {
-		total += len(f)
+		size += len(f)
 	}
+	bp, buf, err := beginFrame(head, len(lead)+len(fields), size)
+	if err != nil {
+		return err
+	}
+	buf = appendFields(buf, lead)
+	buf = appendFields(buf, fields)
+	return endFrame(w, bp, buf)
+}
+
+// beginFrame takes a pooled buffer for a frame of n fields holding size
+// bytes between them and writes its length, head and field count. A
+// frame the reader would refuse (over MaxFrame bytes or MaxFields
+// fields) is refused here with MR_ARG_TOO_LONG before a byte is
+// written, so the connection stays usable.
+func beginFrame(head []byte, n, size int) (*[]byte, []byte, error) {
+	if n > MaxFields {
+		return nil, nil, mrerr.MrArgTooLong
+	}
+	total := len(head) + 4 + 4*n + size
 	if total > MaxFrame {
-		return mrerr.MrArgTooLong
+		return nil, nil, mrerr.MrArgTooLong
 	}
 	bp := writeBufs.Get().(*[]byte)
 	buf := slices.Grow((*bp)[:0], 4+total)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(total))
 	buf = append(buf, head...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = appendFields(buf, lead)
-	buf = appendFields(buf, fields)
+	return bp, binary.BigEndian.AppendUint32(buf, uint32(n)), nil
+}
+
+// endFrame writes the frame beginFrame started with one call and
+// returns its buffer to the pool.
+func endFrame(w io.Writer, bp *[]byte, buf []byte) error {
 	_, err := w.Write(buf)
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf
@@ -395,12 +410,26 @@ func WriteReply(w io.Writer, rep *Reply) error {
 	return writeFrame(w, head[:], nil, rep.Fields)
 }
 
-// WriteReplyStrings sends one reply frame at Version whose fields are
-// strings, each copied once, straight into the frame: the server's path
-// for every streamed tuple and final reply.
-func WriteReplyStrings(w io.Writer, tag uint16, code int32, fields []string) error {
+// WriteReplyFields sends one reply frame at Version: the server's one
+// reply writer, for every streamed tuple and final reply. Text fields
+// are copied once and integers appended in decimal, straight into the
+// frame; the bytes are those WriteReply sends for the rendered fields.
+func WriteReplyFields(w io.Writer, tag uint16, code int32, fields []Field) error {
 	head := replyHead(Version, tag, code)
-	return writeFrame(w, head[:], nil, fields)
+	size := 0
+	for _, f := range fields {
+		size += f.Len()
+	}
+	bp, buf, err := beginFrame(head[:], len(fields), size)
+	if err != nil {
+		return err
+	}
+	for _, f := range fields {
+		at := len(buf)
+		buf = f.Append(append(buf, 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	return endFrame(w, bp, buf)
 }
 
 func parseReply(head []byte, fields [][]byte) Reply {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"moira/internal/mrerr"
@@ -306,16 +307,16 @@ func TestGoldenFrames(t *testing.T) {
 // raw and is never split, and that corrupted or header-less frames are
 // rejected instead of desynchronizing or crashing the parser.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint16(5), uint16(3), uint16(0), "", []byte("get_machine"), []byte("X"), int32(0), uint8(0))
-	f.Add(uint16(5), uint16(8), uint16(17), "t1-9/s3", []byte("add_user"), []byte(""), int32(-151), uint8(3))
-	f.Add(uint16(1), uint16(2), uint16(9), "t", []byte{0, 1, 2}, []byte("x"), int32(10), uint8(200))
-	f.Add(uint16(4), uint16(3), uint16(9), "t", []byte{0, 7}, []byte("x"), int32(10), uint8(1))
+	f.Add(uint16(5), uint16(3), uint16(0), "", []byte("get_machine"), []byte("X"), int32(0), uint8(0), int64(0))
+	f.Add(uint16(5), uint16(8), uint16(17), "t1-9/s3", []byte("add_user"), []byte(""), int32(-151), uint8(3), int64(6530))
+	f.Add(uint16(1), uint16(2), uint16(9), "t", []byte{0, 1, 2}, []byte("x"), int32(10), uint8(200), int64(-1))
+	f.Add(uint16(4), uint16(3), uint16(9), "t", []byte{0, 7}, []byte("x"), int32(10), uint8(1), int64(600000000))
 	// Header-defect shapes for the header-less framings below: a 1-byte
 	// and a 3-byte tag (the first seed already puts a real argument
 	// where the tag belongs).
-	f.Add(uint16(5), uint16(3), uint16(0), "", []byte{7}, []byte("t1-1"), int32(0), uint8(0))
-	f.Add(uint16(5), uint16(3), uint16(0), "", []byte{0, 0, 7}, []byte("t1-1"), int32(0), uint8(0))
-	f.Fuzz(func(t *testing.T, version, op, tag uint16, trace string, a1, a2 []byte, code int32, chop uint8) {
+	f.Add(uint16(5), uint16(3), uint16(0), "", []byte{7}, []byte("t1-1"), int32(0), uint8(0), int64(-9223372036854775808))
+	f.Add(uint16(5), uint16(3), uint16(0), "", []byte{0, 0, 7}, []byte("t1-1"), int32(0), uint8(0), int64(9223372036854775807))
+	f.Fuzz(func(t *testing.T, version, op, tag uint16, trace string, a1, a2 []byte, code int32, chop uint8, n int64) {
 		req := &Request{Version: Version, Op: op, Tag: tag, TraceID: trace,
 			Args: [][]byte{a1, a2}}
 		var buf bytes.Buffer
@@ -383,6 +384,26 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if gotRep.Version != version || gotRep.Tag != tag || gotRep.Code != code ||
 			len(gotRep.Fields) != 2 || !bytes.Equal(gotRep.Fields[0], a2) || !bytes.Equal(gotRep.Fields[1], a1) {
 			t.Fatalf("reply mismatch: wrote %+v, read %+v", rep, gotRep)
+		}
+
+		// A typed reply, an integer between the two texts, is the frame
+		// WriteReply sends for the rendered fields, and reads back so.
+		typed := []Field{Text(string(a2)), Int(n), Text(string(a1))}
+		rendered := [][]byte{a2, []byte(strconv.FormatInt(n, 10)), a1}
+		var typedWire, want bytes.Buffer
+		if err := WriteReplyFields(&typedWire, tag, code, typed); err != nil {
+			t.Fatalf("typed reply: %v", err)
+		}
+		if err := WriteReply(&want, &Reply{Version: Version, Tag: tag, Code: code, Fields: rendered}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(typedWire.Bytes(), want.Bytes()) {
+			t.Fatalf("typed reply %q: wrote %q, WriteReply %q", typed, typedWire.Bytes(), want.Bytes())
+		}
+		gotRep, err = ReadReply(bufio.NewReader(&typedWire))
+		if err != nil || gotRep.Tag != tag || gotRep.Code != code || len(gotRep.Fields) != 3 ||
+			string(gotRep.Fields[1]) != strconv.FormatInt(n, 10) {
+			t.Fatalf("typed reply read back as %+v, %v", gotRep, err)
 		}
 	})
 }

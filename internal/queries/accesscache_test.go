@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"strconv"
 	"testing"
 
 	"moira/internal/mrerr"
@@ -99,10 +100,10 @@ func BenchmarkAccessCacheAblation(b *testing.B) {
 	prev := AdminList
 	const depth = 200
 	for i := 0; i < depth; i++ {
-		name := "chain" + itoaBench(i)
+		name := "chain" + strconv.Itoa(i)
 		run("add_list", name, "1", "0", "0", "0", "0", "0", "NONE", "NONE", "")
 		run("add_member_to_list", prev, "LIST", name)
-		run("add_member_to_list", name, "STRING", "filler-"+itoaBench(i)+"@mit.edu")
+		run("add_member_to_list", name, "STRING", "filler-"+strconv.Itoa(i)+"@mit.edu")
 		prev = name
 	}
 	run("add_member_to_list", prev, "USER", "operator")
@@ -135,5 +136,3 @@ func BenchmarkAccessCacheAblation(b *testing.B) {
 		}
 	})
 }
-
-func itoaBench(v int) string { return i2s(v) }

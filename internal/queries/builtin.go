@@ -29,13 +29,13 @@ func init() {
 				if q.Rows != nil {
 					msg += " returns: " + strings.Join(q.Rows.names, ", ")
 				}
-				r.Row(msg)
+				r.Row(txt(msg))
 				return nil
 			}},
 		{Name: "_list_queries", Short: "_lqu", Rows: Columns("long_query_name short_query_name"), Access: Anyone,
 			Do: func(r *Req) error {
 				for _, q := range ordered {
-					r.Row(q.Name, q.Short)
+					r.Row(txt(q.Name), txt(q.Short))
 				}
 				return nil
 			}},
@@ -44,7 +44,7 @@ func init() {
 			Do: func(r *Req) error {
 				if r.Sessions != nil {
 					for _, s := range r.Sessions() {
-						r.Row(s.Principal, s.HostAddress, i2s(s.Port), i642s(s.ConnectTime), i2s(s.ClientNum))
+						r.Row(txt(s.Principal), txt(s.HostAddress), dec(s.Port), dec(s.ConnectTime), dec(s.ClientNum))
 					}
 				}
 				return nil

@@ -45,7 +45,7 @@ func init() {
 					w = r.Whois()
 				}
 				ms := max(w.LeaseRemain.Milliseconds(), 0)
-				r.Row(w.Role, i642s(w.Epoch), w.Primary, w.PrimaryRepl, i642s(w.Seg), i642s(w.Idx), i642s(ms), w.LastCause)
+				r.Row(txt(w.Role), dec(w.Epoch), txt(w.Primary), txt(w.PrimaryRepl), dec(w.Seg), dec(w.Idx), dec(ms), txt(w.LastCause))
 				return nil
 			}},
 	})

@@ -21,9 +21,9 @@ func (r *Req) filesys(f *db.Filesys) {
 	if m, ok := d.MachineByID(f.MachID); ok {
 		mname = m.Name
 	}
-	r.Row(f.Label, f.Type, mname, f.Name, f.Mount, f.Access, f.Comments,
-		acl.NameOfACE(d, db.ACEUser, f.Owner), acl.NameOfACE(d, db.ACEList, f.Owners),
-		b2s(f.CreateFlg), f.LockerType, i642s(f.Mod.Time), f.Mod.By, f.Mod.With)
+	r.Row(txt(f.Label), txt(f.Type), txt(mname), txt(f.Name), txt(f.Mount), txt(f.Access), txt(f.Comments),
+		txt(acl.NameOfACE(d, db.ACEUser, f.Owner)), txt(acl.NameOfACE(d, db.ACEList, f.Owners)),
+		bit(f.CreateFlg), txt(f.LockerType), dec(f.Mod.Time), txt(f.Mod.By), txt(f.Mod.With))
 }
 
 // filesystems adds every filesystem keep accepts.
@@ -37,8 +37,8 @@ func (r *Req) filesystems(keep func(f *db.Filesys) bool) {
 }
 
 func (r *Req) nfsphys(p *db.NFSPhys, mname string) {
-	r.Row(mname, p.Dir, p.Device, i2s(p.Status), i2s(p.Allocated), i2s(p.Size),
-		i642s(p.Mod.Time), p.Mod.By, p.Mod.With)
+	r.Row(txt(mname), txt(p.Dir), txt(p.Device), dec(p.Status), dec(p.Allocated), dec(p.Size),
+		dec(p.Mod.Time), txt(p.Mod.By), txt(p.Mod.With))
 }
 
 // filesysArgs is add_filesys's and update_filesys's argument block
@@ -253,7 +253,7 @@ func init() {
 							mname = m.Name
 						}
 					}
-					r.Row(f.Label, u.Login, i2s(q.Quota), dir, mname, i642s(q.Mod.Time), q.Mod.By, q.Mod.With)
+					r.Row(txt(f.Label), txt(u.Login), dec(q.Quota), txt(dir), txt(mname), dec(q.Mod.Time), txt(q.Mod.By), txt(q.Mod.With))
 					return true
 				})
 				return nil
@@ -270,7 +270,7 @@ func init() {
 					f, fok := d.FilesysByID(q.FilsysID)
 					u, uok := d.UserByID(q.UsersID)
 					if fok && uok {
-						r.Row(f.Label, u.Login, i2s(q.Quota), p.Dir, m.Name)
+						r.Row(txt(f.Label), txt(u.Login), dec(q.Quota), txt(p.Dir), txt(m.Name))
 					}
 					return true
 				})

@@ -47,12 +47,11 @@ func init() {
 				if len(ls) == 0 {
 					return mrerr.MrNoMatch
 				}
-				r.expect(len(ls))
 				for _, l := range ls {
 					if !l.Hidden || onQueryACL || onListACE(r.Context, l) {
-						r.Row(l.Name, b2s(l.Active), b2s(l.Public), b2s(l.Hidden), b2s(l.Maillist),
-							b2s(l.Group), i2s(l.GID), l.ACLType, acl.NameOfACE(r.DB, l.ACLType, l.ACLID),
-							l.Desc, i642s(l.Mod.Time), l.Mod.By, l.Mod.With)
+						r.Row(txt(l.Name), bit(l.Active), bit(l.Public), bit(l.Hidden), bit(l.Maillist),
+							bit(l.Group), dec(l.GID), txt(l.ACLType), txt(acl.NameOfACE(r.DB, l.ACLType, l.ACLID)),
+							txt(l.Desc), dec(l.Mod.Time), txt(l.Mod.By), txt(l.Mod.With))
 					}
 				}
 				if len(r.buf) == 0 {
@@ -62,11 +61,9 @@ func init() {
 			}},
 		{Name: "expand_list_names", Short: "exln", In: []Arg{arg("list")}, Rows: listNames, Access: Anyone,
 			Do: func(r *Req) error {
-				ls := r.DB.ListsMatchingName(r.s[0])
-				r.expect(len(ls))
-				for _, l := range ls {
+				for _, l := range r.DB.ListsMatchingName(r.s[0]) {
 					if !l.Hidden || r.onACL(r.q.Name) || onListACE(r.Context, l) {
-						r.Row(l.Name)
+						r.Row(txt(l.Name))
 					}
 				}
 				return nil
@@ -149,7 +146,7 @@ func init() {
 				r.DB.EachList(func(l *db.List) bool {
 					if r.match(0, l.Active) && r.match(1, l.Public) && r.match(2, l.Hidden) &&
 						r.match(3, l.Maillist) && r.match(4, l.Group) {
-						r.Row(l.Name)
+						r.Row(txt(l.Name))
 					}
 					return true
 				})
@@ -157,10 +154,8 @@ func init() {
 			}},
 		{Name: "get_members_of_list", Short: "gmol", In: []Arg{list}, Rows: Columns("type value"), Access: listRead(0),
 			Do: func(r *Req) error {
-				ms := r.DB.MembersOf(obj[db.List](r, 0).ListID)
-				r.expect(len(ms))
-				for _, m := range ms {
-					r.Row(m.MemberType, memberName(r.DB, m.MemberType, m.MemberID))
+				for _, m := range r.DB.MembersOf(obj[db.List](r, 0).ListID) {
+					r.Row(txt(m.MemberType), txt(memberName(r.DB, m.MemberType, m.MemberID)))
 				}
 				return nil
 			}},
@@ -169,7 +164,7 @@ func init() {
 			Access: custom(aceUseAccess), Do: listsOfMember},
 		{Name: "count_members_of_list", Short: "cmol", In: []Arg{list}, Rows: Columns("count:int"), Access: listRead(0),
 			Do: func(r *Req) error {
-				r.Row(i2s(len(r.DB.MembersOf(obj[db.List](r, 0).ListID))))
+				r.Row(dec(len(r.DB.MembersOf(obj[db.List](r, 0).ListID))))
 				return nil
 			}},
 	})
@@ -301,7 +296,7 @@ func getAceUse(r *Req) error {
 	for _, t := range uses {
 		if k := t[0] + "\x00" + t[1]; !seen[k] {
 			seen[k] = true
-			r.Row(t...)
+			r.Row(txt(t[0]), txt(t[1]))
 		}
 	}
 	return nil
@@ -328,31 +323,39 @@ func listsOfMember(r *Req) error {
 	if err != nil {
 		return err
 	}
-	direct := d.ListsContaining(typ, id)
+	if !recursive {
+		// AddMember refuses duplicates: each list appears once.
+		for _, lid := range d.ListsContaining(typ, id) {
+			r.listFlags(lid)
+		}
+		return nil
+	}
+	// Also lists that contain (as sublists) a list the target is a member
+	// of, transitively.
+	frontier := d.ListsContaining(typ, id)
 	seen := map[int]bool{}
-	for _, lid := range direct {
+	for _, lid := range frontier {
 		seen[lid] = true
 	}
-	if recursive {
-		// Also lists that contain (as sublists) a list the target is a
-		// member of, transitively.
-		frontier := append([]int(nil), direct...)
-		for len(frontier) > 0 {
-			lid := frontier[0]
-			frontier = frontier[1:]
-			for _, outer := range d.ListsContaining(db.ACEList, lid) {
-				if !seen[outer] {
-					seen[outer] = true
-					frontier = append(frontier, outer)
-				}
+	for len(frontier) > 0 {
+		lid := frontier[0]
+		frontier = frontier[1:]
+		for _, outer := range d.ListsContaining(db.ACEList, lid) {
+			if !seen[outer] {
+				seen[outer] = true
+				frontier = append(frontier, outer)
 			}
 		}
 	}
-	r.expect(len(seen))
 	for lid := range seen {
-		if l, ok := d.ListByID(lid); ok {
-			r.Row(l.Name, b2s(l.Active), b2s(l.Public), b2s(l.Hidden), b2s(l.Maillist), b2s(l.Group))
-		}
+		r.listFlags(lid)
 	}
 	return nil
+}
+
+// listFlags adds list lid's get_lists_of_member row.
+func (r *Req) listFlags(lid int) {
+	if l, ok := r.DB.ListByID(lid); ok {
+		r.Row(txt(l.Name), bit(l.Active), bit(l.Public), bit(l.Hidden), bit(l.Maillist), bit(l.Group))
+	}
 }

@@ -47,7 +47,7 @@ func init() {
 			Rows: Columns("name type modtime:time modby modwith"), Access: Anyone,
 			Do: func(r *Req) error {
 				for _, m := range r.DB.MachinesMatchingName(r.s[0]) {
-					r.Row(m.Name, m.Type, i642s(m.Mod.Time), m.Mod.By, m.Mod.With)
+					r.Row(txt(m.Name), txt(m.Type), dec(m.Mod.Time), txt(m.Mod.By), txt(m.Mod.With))
 				}
 				return nil
 			}},
@@ -96,7 +96,7 @@ func init() {
 			Rows: Columns("name description location modtime:time modby modwith"), Access: Anyone,
 			Do: func(r *Req) error {
 				for _, c := range r.DB.ClustersMatchingName(r.s[0]) {
-					r.Row(c.Name, c.Desc, c.Location, i642s(c.Mod.Time), c.Mod.By, c.Mod.With)
+					r.Row(txt(c.Name), txt(c.Desc), txt(c.Location), dec(c.Mod.Time), txt(c.Mod.By), txt(c.Mod.With))
 				}
 				return nil
 			}},
@@ -140,7 +140,7 @@ func init() {
 					m, mok := d.MachineByID(mc.MachID)
 					c, cok := d.ClusterByID(mc.CluID)
 					if mok && cok && wildcard.Match(r.s[0], m.Name) && wildcard.Match(r.s[1], c.Name) {
-						r.Row(m.Name, c.Name)
+						r.Row(txt(m.Name), txt(c.Name))
 					}
 				}
 				return nil
@@ -171,7 +171,7 @@ func init() {
 				for _, s := range r.DB.SvcRows() {
 					c, ok := r.DB.ClusterByID(s.CluID)
 					if ok && wildcard.Match(r.s[0], c.Name) && wildcard.Match(r.s[1], s.ServLabel) {
-						r.Row(c.Name, s.ServLabel, s.ServCluster)
+						r.Row(txt(c.Name), txt(s.ServLabel), txt(s.ServCluster))
 					}
 				}
 				return nil

@@ -33,12 +33,12 @@ func init() {
 				d := r.DB
 				d.EachZephyr(func(z *db.ZephyrClass) bool {
 					if wildcard.Match(r.s[0], z.Class) {
-						r.Row(z.Class,
-							z.XmtType, acl.NameOfACE(d, z.XmtType, z.XmtID),
-							z.SubType, acl.NameOfACE(d, z.SubType, z.SubID),
-							z.IwsType, acl.NameOfACE(d, z.IwsType, z.IwsID),
-							z.IuiType, acl.NameOfACE(d, z.IuiType, z.IuiID),
-							i642s(z.Mod.Time), z.Mod.By, z.Mod.With)
+						r.Row(txt(z.Class),
+							txt(z.XmtType), txt(acl.NameOfACE(d, z.XmtType, z.XmtID)),
+							txt(z.SubType), txt(acl.NameOfACE(d, z.SubType, z.SubID)),
+							txt(z.IwsType), txt(acl.NameOfACE(d, z.IwsType, z.IwsID)),
+							txt(z.IuiType), txt(acl.NameOfACE(d, z.IuiType, z.IuiID)),
+							dec(z.Mod.Time), txt(z.Mod.By), txt(z.Mod.With))
 					}
 					return true
 				})
@@ -74,8 +74,8 @@ func init() {
 				d := r.DB
 				d.EachHostAccess(func(h *db.HostAccess) bool {
 					if m, ok := d.MachineByID(h.MachID); ok && wildcard.Match(r.s[0], m.Name) {
-						r.Row(m.Name, h.ACLType, acl.NameOfACE(d, h.ACLType, h.ACLID),
-							i642s(h.Mod.Time), h.Mod.By, h.Mod.With)
+						r.Row(txt(m.Name), txt(h.ACLType), txt(acl.NameOfACE(d, h.ACLType, h.ACLID)),
+							dec(h.Mod.Time), txt(h.Mod.By), txt(h.Mod.With))
 					}
 					return true
 				})
@@ -121,7 +121,7 @@ func init() {
 						if m, ok := d.MachineByID(p.MachID); ok {
 							mname = m.Name
 						}
-						r.Row(p.Name, mname, p.Dir, p.RP, p.Comments, i642s(p.Mod.Time), p.Mod.By, p.Mod.With)
+						r.Row(txt(p.Name), txt(mname), txt(p.Dir), txt(p.RP), txt(p.Comments), dec(p.Mod.Time), txt(p.Mod.By), txt(p.Mod.With))
 					}
 					return true
 				})
@@ -146,7 +146,7 @@ func init() {
 			Do: func(r *Req) error {
 				for _, a := range r.DB.Aliases() {
 					if wildcard.Match(r.s[0], a.Name) && wildcard.Match(r.s[1], a.Type) && wildcard.Match(r.s[2], a.Trans) {
-						r.Row(a.Name, a.Type, a.Trans)
+						r.Row(txt(a.Name), txt(a.Type), txt(a.Trans))
 					}
 				}
 				return nil
@@ -161,7 +161,7 @@ func init() {
 		{Name: "get_value", Short: "gval", In: []Arg{arg("variable")}, Rows: Columns("value:int"), Access: Anyone,
 			Do: func(r *Req) error {
 				v, err := r.DB.GetValue(r.s[0])
-				r.Row(i2s(v))
+				r.Row(dec(v))
 				return err
 			}},
 		{Name: "add_value", Short: "aval", Kind: Append, In: []Arg{arg("variable"), num("value")},
@@ -174,7 +174,7 @@ func init() {
 			Rows: Columns("table retrieves:int appends:int updates:int deletes:int modtime:time"),
 			Do: func(r *Req) error {
 				for _, s := range r.DB.AllStats() {
-					r.Row(s.Table, i2s(s.Retrieves), i2s(s.Appends), i2s(s.Updates), i2s(s.Deletes), i642s(s.ModTime))
+					r.Row(txt(s.Table), dec(s.Retrieves), dec(s.Appends), dec(s.Updates), dec(s.Deletes), dec(s.ModTime))
 				}
 				return nil
 			}},

@@ -8,15 +8,13 @@ package queries
 // can reach the RPC port can ask even without a -debug-addr. All are
 // retrieves, so they run lock-free — none touches the database lock.
 
-import "strconv"
-
 func init() {
 	register([]Query{
 		{Name: "_stats", Short: "_sts", Rows: Columns("kind name value"), IndexOrder: true, Access: Anyone,
 			Do: func(r *Req) error {
 				if r.Stats != nil {
 					for _, ln := range r.Stats.Snapshot().Lines() {
-						r.Row(ln.Kind, ln.Name, ln.Value)
+						r.Row(txt(ln.Kind), txt(ln.Name), txt(ln.Value))
 					}
 				}
 				return nil
@@ -32,9 +30,8 @@ func init() {
 						continue
 					}
 					for _, sp := range tr.Spans {
-						r.Row(sp.TraceID, sp.SpanID, sp.Parent, sp.Process, sp.Name, sp.Detail,
-							strconv.FormatInt(sp.Start.UnixNano(), 10), sp.Duration.String(),
-							strconv.FormatInt(int64(sp.Code), 10))
+						r.Row(txt(sp.TraceID), txt(sp.SpanID), txt(sp.Parent), txt(sp.Process), txt(sp.Name), txt(sp.Detail),
+							dec(sp.Start.UnixNano()), txt(sp.Duration.String()), dec(int64(sp.Code)))
 					}
 				}
 				return nil
@@ -43,7 +40,7 @@ func init() {
 			Do: func(r *Req) error {
 				if r.Health != nil {
 					for _, st := range r.Health() {
-						r.Row(st.Name, b2s(st.OK), st.Detail)
+						r.Row(txt(st.Name), bit(st.OK), txt(st.Detail))
 					}
 				}
 				return nil

@@ -19,13 +19,14 @@ package queries
 import (
 	"slices"
 	"sort"
-	"strconv"
+	"strings"
 	"time"
 
 	"moira/internal/acl"
 	"moira/internal/db"
 	"moira/internal/health"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 	"moira/internal/stats"
 	"moira/internal/trace"
 )
@@ -179,9 +180,24 @@ func (cx *Context) onACL(queryName string) bool {
 	return acl.CheckCapability(cx.DB, queryName, cx.UserID)
 }
 
-// EmitFunc receives one returned tuple. Returning an error aborts the
-// query (e.g. the client connection died).
+// EmitFunc receives one returned tuple as strings: the in-process
+// callers' form (the Direct glue, tools, tests). Returning an error
+// aborts the query (e.g. the client connection died). As with the
+// clients' TupleFunc, the slice is valid only during the call and the
+// strings in it stay valid: a callback that keeps a tuple copies the
+// slice, not the strings.
 type EmitFunc func(tuple []string) error
+
+// FieldFunc receives one returned tuple as typed fields: the server's
+// form, which encodes them straight into the reply frame. The slice is
+// valid only during the call.
+type FieldFunc func(tuple []protocol.Field) error
+
+// sink is where a retrieval's tuples go: exactly one of the two forms.
+type sink struct {
+	fields FieldFunc
+	text   EmitFunc
+}
 
 var (
 	byName  = map[string]*Query{}
@@ -242,8 +258,19 @@ const MaxArgLen = 1024
 // Execute runs the named query. It performs argument-count and length
 // checks, the access check, takes the database lock in the mode implied
 // by the query kind, parses the typed arguments, runs the body, and
-// journals successful mutations.
+// journals successful mutations. A retrieval's tuples go to emit as
+// strings.
 func Execute(cx *Context, name string, args []string, emit EmitFunc) error {
+	return execute(cx, name, args, sink{text: emit})
+}
+
+// ExecuteFields is Execute handing a retrieval's tuples to emit as
+// typed fields, with no string rendered for an integer column.
+func ExecuteFields(cx *Context, name string, args []string, emit FieldFunc) error {
+	return execute(cx, name, args, sink{fields: emit})
+}
+
+func execute(cx *Context, name string, args []string, emit sink) error {
 	q, ok := byName[name]
 	if !ok {
 		return mrerr.MrNoHandle
@@ -419,7 +446,7 @@ func checkArgs(q *Query, args []string) error {
 // retrieve is the retrieval executor: typed arguments, the body, then
 // the collected tuples — MR_NO_MATCH when there are none, sorted unless
 // the entry returns them in index order.
-func (r *Req) retrieve(emit EmitFunc) error {
+func (r *Req) retrieve(emit sink) error {
 	if err := r.parse(); err != nil {
 		return err
 	}
@@ -437,9 +464,49 @@ func (r *Req) retrieve(emit EmitFunc) error {
 	if !r.q.IndexOrder {
 		sort.Sort((*tuples)(r))
 	}
+	if emit.text != nil {
+		return r.emitText(emit.text)
+	}
 	w := r.q.Rows.width()
 	for i := 0; i < len(r.buf); i += w {
-		if err := emit(r.buf[i : i+w : i+w]); err != nil {
+		if err := emit.fields(r.buf[i : i+w : i+w]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emitText hands the tuples to an EmitFunc. Text fields pass through;
+// every integer is rendered into one string for the whole call, so a
+// kept field stays valid while the call costs one allocation however
+// many integers it returns. The tuples are windows of one []string per
+// call, so a callback that keeps a tuple slice against EmitFunc's rule
+// (cmd/mrbench's queries.exec layer does) still keeps its tuple.
+func (r *Req) emitText(emit EmitFunc) error {
+	n := 0
+	for _, f := range r.buf {
+		if f.IsInt() {
+			n += f.Len()
+		}
+	}
+	// A strings.Builder never rewrites what it holds, so each integer
+	// may be taken as a substring as soon as it is written.
+	var b strings.Builder
+	b.Grow(n)
+	var digits [20]byte
+	text := make([]string, len(r.buf))
+	for i, f := range r.buf {
+		if !f.IsInt() {
+			text[i] = f.String()
+			continue
+		}
+		at := b.Len()
+		b.Write(f.Append(digits[:0]))
+		text[i] = b.String()[at:]
+	}
+	w := r.q.Rows.width()
+	for i := 0; i < len(text); i += w {
+		if err := emit(text[i : i+w : i+w]); err != nil {
 			return err
 		}
 	}
@@ -447,14 +514,15 @@ func (r *Req) retrieve(emit EmitFunc) error {
 }
 
 // tuples sorts a retrieval's collected tuples in place, a tuple being
-// Rows.width() consecutive fields of the request's buffer.
+// Rows.width() consecutive fields of the request's buffer, in the order
+// of their rendered text.
 type tuples Req
 
 func (t *tuples) Len() int { return len(t.buf) / t.q.Rows.width() }
 
 func (t *tuples) Less(i, j int) bool {
 	w := t.q.Rows.width()
-	return slices.Compare(t.buf[i*w:(i+1)*w], t.buf[j*w:(j+1)*w]) < 0
+	return slices.CompareFunc(t.buf[i*w:(i+1)*w], t.buf[j*w:(j+1)*w], protocol.Field.Compare) < 0
 }
 
 func (t *tuples) Swap(i, j int) {
@@ -471,17 +539,4 @@ func (r *Req) mutate() error {
 		return err
 	}
 	return r.q.Do(r)
-}
-
-// --- small shared helpers used by the table ---
-
-func i2s(i int) string { return strconv.Itoa(i) }
-
-func i642s(i int64) string { return strconv.FormatInt(i, 10) }
-
-func b2s(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
 }

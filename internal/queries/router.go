@@ -76,17 +76,16 @@ func (r *Router) Resolve(handle string) (*db.DB, string, error) {
 	return target, query, nil
 }
 
-// ExecuteRouted resolves the handle's database and runs the query there.
-// The caller's identity is re-resolved against the target database —
-// principals may have different ids (or not exist) in a secondary
-// database, and access control must follow the data being touched.
-func ExecuteRouted(cx *Context, r *Router, handle string, args []string, emit EmitFunc) error {
+// Route resolves a possibly-qualified handle to the context its query
+// runs under and the bare query name. A handle on the caller's own
+// database keeps cx. On another database the caller's identity is
+// re-resolved — principals may have different ids (or not exist) in a
+// secondary database, and access control must follow the data being
+// touched.
+func (r *Router) Route(cx *Context, handle string) (*Context, string, error) {
 	target, query, err := r.Resolve(handle)
-	if err != nil {
-		return err
-	}
-	if target == cx.DB {
-		return Execute(cx, query, args, emit)
+	if err != nil || target == cx.DB {
+		return cx, query, err
 	}
 	routed := &Context{
 		DB:         target,
@@ -99,24 +98,5 @@ func ExecuteRouted(cx *Context, r *Router, handle string, args []string, emit Em
 		Stats:      cx.Stats,
 	}
 	routed.ResolveUser()
-	return Execute(routed, query, args, emit)
-}
-
-// CheckAccessRouted is the Access request against a routed handle.
-func CheckAccessRouted(cx *Context, r *Router, handle string, args []string) error {
-	target, query, err := r.Resolve(handle)
-	if err != nil {
-		return err
-	}
-	if target == cx.DB {
-		return CheckAccess(cx, query, args)
-	}
-	routed := &Context{
-		DB:         target,
-		Principal:  cx.Principal,
-		App:        cx.App,
-		Privileged: cx.Privileged,
-	}
-	routed.ResolveUser()
-	return CheckAccess(routed, query, args)
+	return routed, query, nil
 }

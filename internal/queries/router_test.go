@@ -40,7 +40,7 @@ func TestExecuteRoutedIsolatesDatabases(t *testing.T) {
 
 	collect := func(handle string, args ...string) ([][]string, error) {
 		var out [][]string
-		err := ExecuteRouted(f.priv, r, handle, args, func(tp []string) error {
+		err := execRouted(f.priv, r, handle, args, func(tp []string) error {
 			cp := make([]string, len(tp))
 			copy(cp, tp)
 			out = append(out, cp)
@@ -80,29 +80,47 @@ func TestRoutedIdentityResolvedPerDatabase(t *testing.T) {
 	alice := f.userCtx("alice")
 
 	// Against the primary, she may change her own shell.
-	if err := ExecuteRouted(alice, r, "update_user_shell",
+	if err := execRouted(alice, r, "update_user_shell",
 		[]string{"alice", "/bin/sh"}, func([]string) error { return nil }); err != nil {
 		t.Errorf("primary self-service: %v", err)
 	}
 	// Against the archive she is nobody: the self rule cannot resolve a
 	// user record, so the write is refused there.
-	err := ExecuteRouted(alice, r, "archive:update_user_shell",
+	err := execRouted(alice, r, "archive:update_user_shell",
 		[]string{"alice", "/bin/sh"}, func([]string) error { return nil })
 	if err == nil {
 		t.Error("archive write by unknown principal succeeded")
 	}
 	// Privileged contexts work everywhere (the DCM's direct library).
-	if err := ExecuteRouted(f.priv, r, "archive:add_machine",
+	if err := execRouted(f.priv, r, "archive:add_machine",
 		[]string{"m.mit.edu", "VAX"}, func([]string) error { return nil }); err != nil {
 		t.Errorf("privileged routed write: %v", err)
 	}
 	// Access checks route the same way.
-	if err := CheckAccessRouted(alice, r, "archive:add_machine",
+	if err := checkAccessRouted(alice, r, "archive:add_machine",
 		[]string{"x.mit.edu", "VAX"}); err != mrerr.MrPerm {
 		t.Errorf("routed access err = %v", err)
 	}
-	if err := CheckAccessRouted(alice, r, "update_user_shell",
+	if err := checkAccessRouted(alice, r, "update_user_shell",
 		[]string{"alice", "/bin/csh"}); err != nil {
 		t.Errorf("unqualified routed access err = %v", err)
 	}
+}
+
+// execRouted and checkAccessRouted run a query and an access check the
+// way the server does with a Router.
+func execRouted(cx *Context, r *Router, handle string, args []string, emit EmitFunc) error {
+	rc, query, err := r.Route(cx, handle)
+	if err != nil {
+		return err
+	}
+	return Execute(rc, query, args, emit)
+}
+
+func checkAccessRouted(cx *Context, r *Router, handle string, args []string) error {
+	rc, query, err := r.Route(cx, handle)
+	if err != nil {
+		return err
+	}
+	return CheckAccess(rc, query, args)
 }

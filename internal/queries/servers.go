@@ -38,7 +38,7 @@ func (r *Req) hosts(keep func(sh *db.ServerHost, m *db.Machine) bool, add func(s
 	})
 }
 
-func (r *Req) location(sh *db.ServerHost, m *db.Machine) { r.Row(sh.Service, m.Name) }
+func (r *Req) location(sh *db.ServerHost, m *db.Machine) { r.Row(txt(sh.Service), txt(m.Name)) }
 
 // serviceInfo is add_server_info's and update_server_info's argument
 // block after the service.
@@ -53,11 +53,11 @@ func init() {
 		{Name: "get_server_info", Short: "gsin", In: []Arg{arg("service")}, Rows: serverRow, Access: serviceRead(0),
 			Do: func(r *Req) error {
 				for _, s := range matchServers(r.DB, r.s[0]) {
-					r.Row(s.Name, i2s(s.UpdateInt), s.TargetFile, s.Script,
-						i642s(s.DFGen), i642s(s.DFCheck), s.Type, b2s(s.Enable),
-						b2s(s.InProgress), i2s(s.HardError), s.ErrMsg,
-						s.ACLType, acl.NameOfACE(r.DB, s.ACLType, s.ACLID),
-						i642s(s.Mod.Time), s.Mod.By, s.Mod.With)
+					r.Row(txt(s.Name), dec(s.UpdateInt), txt(s.TargetFile), txt(s.Script),
+						dec(s.DFGen), dec(s.DFCheck), txt(s.Type), bit(s.Enable),
+						bit(s.InProgress), dec(s.HardError), txt(s.ErrMsg),
+						txt(s.ACLType), txt(acl.NameOfACE(r.DB, s.ACLType, s.ACLID)),
+						dec(s.Mod.Time), txt(s.Mod.By), txt(s.Mod.With))
 				}
 				return nil
 			}},
@@ -66,7 +66,7 @@ func init() {
 			Do: func(r *Req) error {
 				r.DB.EachServer(func(s *db.Server) bool {
 					if r.match(0, s.Enable) && r.match(1, s.InProgress) && r.match(2, s.HardError != 0) {
-						r.Row(s.Name)
+						r.Row(txt(s.Name))
 					}
 					return true
 				})
@@ -124,11 +124,11 @@ func init() {
 			Do: func(r *Req) error {
 				r.hosts(func(sh *db.ServerHost, m *db.Machine) bool { return wildcard.Match(r.s[1], m.Name) },
 					func(sh *db.ServerHost, m *db.Machine) {
-						r.Row(sh.Service, m.Name, b2s(sh.Enable), b2s(sh.Override), b2s(sh.Success),
-							b2s(sh.InProgress), i2s(sh.HostError), sh.HostErrMsg,
-							i642s(sh.LastTry), i642s(sh.LastSuccess),
-							i2s(sh.Value1), i2s(sh.Value2), sh.Value3,
-							i642s(sh.Mod.Time), sh.Mod.By, sh.Mod.With)
+						r.Row(txt(sh.Service), txt(m.Name), bit(sh.Enable), bit(sh.Override), bit(sh.Success),
+							bit(sh.InProgress), dec(sh.HostError), txt(sh.HostErrMsg),
+							dec(sh.LastTry), dec(sh.LastSuccess),
+							dec(sh.Value1), dec(sh.Value2), txt(sh.Value3),
+							dec(sh.Mod.Time), txt(sh.Mod.By), txt(sh.Mod.With))
 					})
 				return nil
 			}},

@@ -8,7 +8,6 @@ package queries
 // arity and length, access, typed arguments in argument order, body.
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"moira/internal/acl"
 	"moira/internal/db"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 	"moira/internal/util"
 	"moira/internal/wildcard"
 )
@@ -47,14 +47,19 @@ type Req struct {
 	*Context
 	q    *Query
 	Args []string
-	s    [maxArgs]string // arguments in canonical form
-	n    [maxArgs]int    // integer, boolean and tri-state values; ACE ids
-	o    [maxArgs]any    // resolved rows
-	buf  []string        // tuple fields, Rows.width() per tuple
-	self bool            // self-restricted read by a caller off the query ACL
-	err  error           // a row the caller may not see (MR_PERM)
-	snap Context         // the retrieval's snapshot copy of the caller
+	s    [maxArgs]string  // arguments in canonical form
+	n    [maxArgs]int     // integer, boolean and tri-state values; ACE ids
+	o    [maxArgs]any     // resolved rows
+	buf  []protocol.Field // tuple fields, Rows.width() per tuple
+	self bool             // self-restricted read by a caller off the query ACL
+	err  error            // a row the caller may not see (MR_PERM)
+	snap Context          // the retrieval's snapshot copy of the caller
 }
+
+// maxPooledFields caps the tuple buffer a pooled Req keeps (1 MiB of
+// fields, like protocol's frame buffers), so one whole-relation read
+// does not stay resident.
+const maxPooledFields = 1 << 15
 
 var reqPool = sync.Pool{New: func() any { return new(Req) }}
 
@@ -64,18 +69,33 @@ func newReq(q *Query, args []string) *Req {
 	return r
 }
 
+// free returns r to the pool. Its tuple buffer survives, cleared so it
+// pins no snapshot's strings, unless it grew past maxPooledFields.
 func (r *Req) free() {
-	*r = Req{}
+	buf := r.buf
+	clear(buf)
+	if cap(buf) > maxPooledFields {
+		buf = nil
+	}
+	*r = Req{buf: buf[:0]}
 	reqPool.Put(r)
 }
 
 // Row adds one tuple. The executor sorts the tuples (unless the entry
 // keeps index order) and returns MR_NO_MATCH when there are none.
-func (r *Req) Row(fields ...string) { r.buf = append(r.buf, fields...) }
+func (r *Req) Row(fields ...protocol.Field) { r.buf = append(r.buf, fields...) }
 
-// expect sizes the tuple buffer for n more tuples, so a body that knows
-// how many rows it may add fills one exact allocation.
-func (r *Req) expect(n int) { r.buf = slices.Grow(r.buf, n*r.q.Rows.width()) }
+// Field constructors for Row: text, a decimal integer, a 0/1 flag.
+func txt(s string) protocol.Field { return protocol.Text(s) }
+
+func dec[I int | int64](n I) protocol.Field { return protocol.Int(int64(n)) }
+
+func bit(b bool) protocol.Field {
+	if b {
+		return protocol.Int(1)
+	}
+	return protocol.Int(0)
+}
 
 // obj is argument i's resolved row.
 func obj[T any](r *Req, i int) *T { return r.o[i].(*T) }
@@ -576,7 +596,8 @@ func onServiceACE(cx *Context, s *db.Server) bool {
 // Schema is a tuple shape: column names and types, declared once per
 // row shape and shared by every entry that returns it. Columns are
 // text unless typed ":int" (a decimal integer), ":bool" ("0"/"1") or
-// ":time" (unix seconds).
+// ":time" (unix seconds); a typed column carries integer fields (dec,
+// bit), which the reply codec writes in decimal.
 type Schema struct {
 	names []string
 	types []string

@@ -13,10 +13,12 @@ import (
 
 	"moira/internal/db"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 )
 
 // The golden transcript pins what every query handle answers — reply
-// codes and tuples, byte for byte — across callers of every standing,
+// codes and tuples, byte for byte, in the string form and (checked
+// against its schema) the typed one — across callers of every standing,
 // valid arguments and single-argument faults, together with a digest of
 // the whole database after every mutating step (so ID allocation order,
 // modtimes and table statistics are pinned too). The generator keys off
@@ -104,6 +106,9 @@ func (tr *transcript) vector(name string, args []string) {
 			rows = append(rows, fmt.Sprintf("%q", t))
 			return nil
 		})
+		if q, ok := Lookup(name); ok && q.Kind == Retrieve {
+			tr.typed(cx, q, name, args, rows)
+		}
 		res := fmt.Sprint(int(mrerr.CodeOf(err)))
 		for _, r := range rows {
 			res += "\n    " + r
@@ -132,6 +137,35 @@ func (tr *transcript) vector(name string, args []string) {
 		tr.out.WriteByte('\n')
 	}
 	tr.f.clk.Advance(1e9)
+}
+
+// typed runs a retrieval again through ExecuteFields, the server's
+// form, and checks every tuple against the entry's schema — Rows.width()
+// fields, integers in exactly the :int, :time and :bool columns — and
+// against the tuple the string form returned (rows, as recorded).
+func (tr *transcript) typed(cx *Context, q *Query, name string, args, rows []string) {
+	n := 0
+	ExecuteFields(cx, name, args, func(t []protocol.Field) error {
+		text := make([]string, len(t))
+		for j, f := range t {
+			text[j] = f.String()
+			if j < q.Rows.width() && f.IsInt() != (q.Rows.types[j] != "") {
+				tr.t.Errorf("%s %s: column %s:%s carries %q (integer %v)",
+					name, quoteArgs(args), q.Rows.names[j], q.Rows.types[j], text[j], f.IsInt())
+			}
+		}
+		if len(t) != q.Rows.width() {
+			tr.t.Errorf("%s %s: %d fields %q, the schema has %d", name, quoteArgs(args), len(t), text, q.Rows.width())
+		}
+		if n >= len(rows) || fmt.Sprintf("%q", text) != rows[n] {
+			tr.t.Errorf("%s %s: typed tuple %d is %q; the string form returned %q", name, quoteArgs(args), n, text, rows)
+		}
+		n++
+		return nil
+	})
+	if n != len(rows) {
+		tr.t.Errorf("%s %s: %d typed tuples, %d strings", name, quoteArgs(args), n, len(rows))
+	}
 }
 
 // variants is the valid vector, each single-argument fault, spelling

@@ -33,8 +33,8 @@ func (r *Req) user(u *db.User) {
 	if r.self && (u.UsersID != r.UserID || r.UserID == 0) {
 		r.err = mrerr.MrPerm
 	}
-	r.Row(u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle,
-		i2s(u.Status), u.MITID, u.MITYear, i642s(u.Mod.Time), u.Mod.By, u.Mod.With)
+	r.Row(txt(u.Login), dec(u.UID), txt(u.Shell), txt(u.Last), txt(u.First), txt(u.Middle),
+		dec(u.Status), txt(u.MITID), txt(u.MITYear), dec(u.Mod.Time), txt(u.Mod.By), txt(u.Mod.With))
 }
 
 // users adds the full row of every user keep accepts.
@@ -51,7 +51,7 @@ func (r *Req) users(keep func(u *db.User) bool) {
 func (r *Req) pobox(keep string) {
 	r.DB.EachUser(func(u *db.User) bool {
 		if keep == "" || u.PoType == keep {
-			r.Row(u.Login, u.PoType, poboxString(r.DB, u))
+			r.Row(txt(u.Login), txt(u.PoType), txt(poboxString(r.DB, u)))
 		}
 		return true
 	})
@@ -65,7 +65,7 @@ func init() {
 		{Name: "get_all_logins", Short: "galo", Rows: userSummary, IndexOrder: true, Access: Anyone,
 			Do: func(r *Req) error {
 				r.DB.EachUser(func(u *db.User) bool {
-					r.Row(u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle)
+					r.Row(txt(u.Login), dec(u.UID), txt(u.Shell), txt(u.Last), txt(u.First), txt(u.Middle))
 					return true
 				})
 				return nil
@@ -74,26 +74,23 @@ func init() {
 			Do: func(r *Req) error {
 				r.DB.EachUser(func(u *db.User) bool {
 					if u.Status != 0 {
-						r.Row(u.Login, i2s(u.UID), u.Shell, u.Last, u.First, u.Middle)
+						r.Row(txt(u.Login), dec(u.UID), txt(u.Shell), txt(u.Last), txt(u.First), txt(u.Middle))
 					}
 					return true
 				})
 				return nil
 			}},
-		{Name: "get_user_by_login", Short: "gubl", In: []Arg{arg("login")}, Rows: userFull, Access: selfRows,
+		{Name: "get_user_by_login", Short: "gubl", In: []Arg{arg("login")}, Rows: userFull, IndexOrder: true, Access: selfRows,
 			Do: func(r *Req) error {
-				us := r.DB.UsersMatchingLogin(r.s[0])
-				r.expect(len(us))
-				for _, u := range us {
+				r.DB.EachUserMatchingLogin(r.s[0], func(u *db.User) bool {
 					r.user(u)
-				}
+					return true
+				})
 				return nil
 			}},
 		{Name: "get_user_by_uid", Short: "gubu", In: []Arg{num("uid")}, Rows: userFull, Access: selfRows,
 			Do: func(r *Req) error {
-				us := r.DB.UsersByUID(r.n[0])
-				r.expect(len(us))
-				for _, u := range us {
+				for _, u := range r.DB.UsersByUID(r.n[0]) {
 					r.user(u)
 				}
 				return nil
@@ -162,8 +159,8 @@ func init() {
 		{Name: "get_finger_by_login", Short: "gfbl", In: []Arg{login()}, Rows: fingerRow, Access: Anyone,
 			Do: func(r *Req) error {
 				u := obj[db.User](r, 0)
-				r.Row(u.Login, u.Fullname, u.Nickname, u.HomeAddr, u.HomePhone, u.OfficeAddr,
-					u.OfficePhone, u.MITDept, u.MITAffil, i642s(u.FMod.Time), u.FMod.By, u.FMod.With)
+				r.Row(txt(u.Login), txt(u.Fullname), txt(u.Nickname), txt(u.HomeAddr), txt(u.HomePhone), txt(u.OfficeAddr),
+					txt(u.OfficePhone), txt(u.MITDept), txt(u.MITAffil), dec(u.FMod.Time), txt(u.FMod.By), txt(u.FMod.With))
 				return nil
 			}},
 		{Name: "update_finger_by_login", Short: "ufbl", Kind: Update, Access: self(0),
@@ -182,7 +179,7 @@ func init() {
 		{Name: "get_pobox", Short: "gpob", In: []Arg{login()}, Rows: poboxRow, Access: self(0),
 			Do: func(r *Req) error {
 				u := obj[db.User](r, 0)
-				r.Row(u.Login, u.PoType, poboxString(r.DB, u), i642s(u.PMod.Time), u.PMod.By, u.PMod.With)
+				r.Row(txt(u.Login), txt(u.PoType), txt(poboxString(r.DB, u)), dec(u.PMod.Time), txt(u.PMod.By), txt(u.PMod.With))
 				return nil
 			}},
 		{Name: "get_all_poboxes", Short: "gapo", Rows: poboxes, IndexOrder: true, Access: Anyone,
@@ -276,7 +273,7 @@ func addUser(r *Req) error {
 	}
 	login := r.s[0]
 	if login == UniqueLogin {
-		login = "#" + i2s(uid)
+		login = "#" + strconv.Itoa(uid)
 	} else if err := checkNameChars(login); err != nil {
 		return err
 	}

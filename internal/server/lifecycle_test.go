@@ -7,6 +7,7 @@ import (
 
 	"moira/internal/client"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 	"moira/internal/queries"
 )
 
@@ -24,7 +25,7 @@ func lifecycleHandles() {
 			Name: "_test_slow", Short: "_tsl", Rows: queries.Columns("result"), Access: queries.Anyone,
 			Do: func(r *queries.Req) error {
 				time.Sleep(slowHandleDelay)
-				r.Row("done")
+				r.Row(protocol.Text("done"))
 				return nil
 			},
 		})

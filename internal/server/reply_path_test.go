@@ -73,33 +73,51 @@ func TestServerBatchTooManyFields(t *testing.T) {
 	}
 }
 
-// TestReplyPathAllocs pins what the reply codec costs per tuple, with a
-// loopback server and client in one process (allocation counts are
-// process-wide, so both ends are in them). A wildcard retrieval of N
-// user tuples minus the same query run in-process (the handler's own
-// allocations) leaves the codec plus a fixed per-call cost; its growth
-// from N = 10 to N = 1,000 is the codec's per-tuple cost: one string
-// per tuple on the client, nothing on the server's encode. A point
-// query's whole round trip stays under a ceiling.
-func TestReplyPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
-	}
+// replyPathWorld is an admin connection to a server holding users
+// rpa0000-rpa0999 and rpb0000-rpb0009, a mailing list rpl0 of the ten
+// rpb users, and lists rpl1-rpl3 holding rpb0001 too.
+func replyPathWorld(t *testing.T) (*world, *client.Client) {
 	w, c := adminWorld(t)
 	priv := &queries.Context{DB: w.d, Privileged: true, App: "test"}
+	run := func(handle string, args ...string) {
+		t.Helper()
+		if err := queries.Execute(priv, handle, args, func([]string) error { return nil }); err != nil {
+			t.Fatalf("%s %q: %v", handle, args, err)
+		}
+	}
 	for _, set := range []struct {
 		prefix string
 		n      int
 	}{{"rpa", 1000}, {"rpb", 10}} {
 		for i := 0; i < set.n; i++ {
-			err := queries.Execute(priv, "add_user",
-				[]string{fmt.Sprintf("%s%04d", set.prefix, i), "-1", "/bin/csh", "Last", "First", "", "1", "x", "STAFF"},
-				func([]string) error { return nil })
-			if err != nil {
-				t.Fatal(err)
-			}
+			run("add_user", fmt.Sprintf("%s%04d", set.prefix, i), "-1", "/bin/csh", "Last", "First", "", "1", "x", "STAFF")
 		}
 	}
+	for i := 0; i < 4; i++ {
+		run("add_list", fmt.Sprintf("rpl%d", i), "1", "1", "0", "1", "0", "-1", "USER", "admin", "reply path")
+	}
+	for i := 0; i < 10; i++ {
+		run("add_member_to_list", "rpl0", "USER", fmt.Sprintf("rpb%04d", i))
+	}
+	for i := 1; i < 4; i++ {
+		run("add_member_to_list", fmt.Sprintf("rpl%d", i), "USER", "rpb0001")
+	}
+	return w, c
+}
+
+// TestReplyPathAllocs pins what the reply path costs per tuple, with a
+// loopback server and client in one process (allocation counts are
+// process-wide, so both ends are in them). A wildcard retrieval of N
+// user tuples minus the same query run in-process (the handler's own
+// allocations) leaves the codec plus a fixed per-call cost; its growth
+// from N = 10 to N = 1,000 is the codec's per-tuple cost: one string
+// per tuple on the client, nothing on the server, integer columns
+// included. A point query's whole round trip stays under a ceiling.
+func TestReplyPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	w, c := replyPathWorld(t)
 	direct := &queries.Context{DB: w.d, Principal: "admin", App: "test"}
 	direct.ResolveUser()
 
@@ -129,12 +147,14 @@ func TestReplyPathAllocs(t *testing.T) {
 		t.Errorf("reply codec costs %.3f allocations per tuple, want 1 (one string on the client, none on the server)", perTuple)
 	}
 
-	// The split between the two ends: the server's string encoder
-	// allocates nothing, and the client's reuse-buffer decode one string
-	// per tuple.
-	tuple := []string{"rpa0001", "6530", "/bin/csh", "Last", "First", "", "1", "x", "STAFF"}
+	// The split between the two ends: the server's field encoder
+	// allocates nothing, integers included, and the client's
+	// reuse-buffer decode one string per tuple.
+	tuple := []protocol.Field{protocol.Text("rpa0001"), protocol.Int(6530), protocol.Text("/bin/csh"),
+		protocol.Text("Last"), protocol.Text("First"), protocol.Text(""), protocol.Int(1),
+		protocol.Text("x"), protocol.Text("STAFF"), protocol.Int(600000000), protocol.Int(-1)}
 	if n := testing.AllocsPerRun(100, func() {
-		if err := protocol.WriteReplyStrings(io.Discard, 1, int32(mrerr.MrMoreData), tuple); err != nil {
+		if err := protocol.WriteReplyFields(io.Discard, 1, int32(mrerr.MrMoreData), tuple); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -143,7 +163,7 @@ func TestReplyPathAllocs(t *testing.T) {
 	var wire bytes.Buffer
 	const frames = 100
 	for i := 0; i < frames; i++ {
-		if err := protocol.WriteReplyStrings(&wire, 1, int32(mrerr.MrMoreData), tuple); err != nil {
+		if err := protocol.WriteReplyFields(&wire, 1, int32(mrerr.MrMoreData), tuple); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,13 +187,52 @@ func TestReplyPathAllocs(t *testing.T) {
 	}
 
 	// Whole round trip of one indexed read, both ends, no tracer.
-	// Measured at 27-28.
-	const pointCeiling = 32
+	// Measured at 14-16: the count moves with where the scheduler places
+	// the two ends, since a pooled buffer Put on one P is not found by a
+	// Get on another.
+	const pointCeiling = 18
 	if n := testing.AllocsPerRun(100, func() {
 		if err := c.Query("get_user_by_login", []string{"rpa0001"}, func([]string) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}); n > pointCeiling {
 		t.Errorf("get_user_by_login round trip: %.0f allocations, ceiling %d", n, pointCeiling)
+	}
+}
+
+// TestRangeReadAllocCeilings pins the whole round trip, both ends, no
+// tracer, of the three range reads the benchmark's query_range drives:
+// the point read's fixed cost plus one client string per tuple (and
+// for get_lists_of_member the list ids it reads). The ceilings are the
+// measured counts (24-25, 24-25 and 21) plus the point read's margin
+// for pool misses.
+func TestRangeReadAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	_, c := replyPathWorld(t)
+	for _, rt := range []struct {
+		handle string
+		args   []string
+		tuples int
+		ceil   float64
+	}{
+		{"get_user_by_login", []string{"rpb*"}, 10, 28},
+		{"get_members_of_list", []string{"rpl0"}, 10, 28},
+		{"get_lists_of_member", []string{"USER", "rpb0001"}, 4, 24},
+	} {
+		got := 0
+		n := testing.AllocsPerRun(100, func() {
+			if err := c.Query(rt.handle, rt.args, func([]string) error { got++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 101*rt.tuples {
+			t.Fatalf("%s %q: %d tuples over 101 runs, want %d each", rt.handle, rt.args, got, rt.tuples)
+		}
+		t.Logf("%s %q round trip: %.1f allocations for %d tuples", rt.handle, rt.args, n, rt.tuples)
+		if n > rt.ceil {
+			t.Errorf("%s %q round trip: %.1f allocations, ceiling %.0f", rt.handle, rt.args, n, rt.ceil)
+		}
 	}
 }

@@ -158,6 +158,12 @@ type Server struct {
 
 	readonly atomic.Bool
 
+	// ops and handles hold each opcode's and query handle's request
+	// series, resolved from reg on first use so that a request builds
+	// no series name.
+	ops     [protocol.OpElection + 1]atomic.Pointer[opSeries]
+	handles sync.Map // handle name -> *stats.Counter
+
 	mu       sync.Mutex
 	sessions map[int]*session
 	conns    map[net.Conn]*connState
@@ -395,7 +401,7 @@ func (s *Server) shed(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(time.Second))
 	bw := bufio.NewWriter(conn)
-	if protocol.WriteReplyStrings(bw, 0, int32(mrerr.MrBusy), nil) != nil {
+	if protocol.WriteReplyFields(bw, 0, int32(mrerr.MrBusy), nil) != nil {
 		return
 	}
 	if bw.Flush() != nil {
@@ -493,14 +499,14 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	// Replies echo the request's tag, so a pipelining client can match
 	// them up. Frames buffer in bw and flush when the connection goes
 	// quiet (no next request already buffered): a pipelined burst costs
-	// one syscall on the way out instead of one per frame. Tuple strings
+	// one syscall on the way out instead of one per frame. Tuple fields
 	// are encoded straight into the frame.
 	repTag := uint16(0)
-	reply := func(code mrerr.Code, fields []string) error {
+	reply := func(code mrerr.Code, fields []protocol.Field) error {
 		if d := s.cfg.WriteTimeout; d > 0 {
 			conn.SetWriteDeadline(time.Now().Add(d))
 		}
-		return protocol.WriteReplyStrings(bw, repTag, int32(code), fields)
+		return protocol.WriteReplyFields(bw, repTag, int32(code), fields)
 	}
 
 	for {
@@ -601,7 +607,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 // and counts server.panics.recovered. fatal means the connection is dead
 // (the client stopped reading mid-stream) and must be dropped without a
 // final reply.
-func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Request, reply func(mrerr.Code, []string) error) (code mrerr.Code, fields []string, handle string, shutdown, fatal bool) {
+func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Request, reply func(mrerr.Code, []protocol.Field) error) (code mrerr.Code, fields []protocol.Field, handle string, shutdown, fatal bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.reg.Counter("server.panics.recovered").Inc()
@@ -614,12 +620,12 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 	// Redirect fields, commit tokens and MinPos floors apply whenever the
 	// server is part of a failover cluster.
 	failover := s.cfg.Failover != nil
-	redirect := func() []string {
+	redirect := func() []protocol.Field {
 		if !failover {
 			return nil
 		}
 		if addr := s.cfg.Failover.PrimaryClient(); addr != "" {
-			return []string{addr}
+			return []protocol.Field{protocol.Text(addr)}
 		}
 		return nil
 	}
@@ -667,18 +673,16 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 			}
 		}
 		emitErr := false
-		emitFn := func(tuple []string) error {
+		emitFn := func(tuple []protocol.Field) error {
 			if e := reply(mrerr.MrMoreData, tuple); e != nil {
 				emitErr = true
 				return e
 			}
 			return nil
 		}
-		var err error
-		if s.cfg.Router != nil {
-			err = queries.ExecuteRouted(cx, s.cfg.Router, args[0], args[1:], emitFn)
-		} else {
-			err = queries.Execute(cx, args[0], args[1:], emitFn)
+		qcx, query, err := s.route(cx, args[0])
+		if err == nil {
+			err = queries.ExecuteFields(qcx, query, args[1:], emitFn)
 		}
 		if emitErr {
 			return mrerr.MrAborted, nil, handle, false, true
@@ -687,7 +691,7 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 		if failover && code == mrerr.Success && cx.CommitOK {
 			// A gated commit mints the position token the client can
 			// present on subsequent reads.
-			fields = []string{s.cfg.Failover.Token(cx.CommitSeg, cx.CommitIdx)}
+			fields = []protocol.Field{protocol.Text(s.cfg.Failover.Token(cx.CommitSeg, cx.CommitIdx))}
 		}
 
 	case protocol.OpAccess:
@@ -697,11 +701,9 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 		}
 		args := req.StringArgs()
 		handle = handleName(args[0])
-		var err error
-		if s.cfg.Router != nil {
-			err = queries.CheckAccessRouted(cx, s.cfg.Router, args[0], args[1:])
-		} else {
-			err = queries.CheckAccess(cx, args[0], args[1:])
+		qcx, query, err := s.route(cx, args[0])
+		if err == nil {
+			err = queries.CheckAccess(qcx, query, args[1:])
 		}
 		code = mrerr.CodeOf(err)
 
@@ -728,9 +730,9 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 		if err == nil {
 			// Per-item codes ride as the fields of one streamed frame, in
 			// submission order, ahead of the overall-result frame.
-			itemCodes := make([]string, len(codes))
+			itemCodes := make([]protocol.Field, len(codes))
 			for i, c := range codes {
-				itemCodes[i] = strconv.FormatInt(int64(c), 10)
+				itemCodes[i] = protocol.Int(int64(c))
 			}
 			if reply(mrerr.MrMoreData, itemCodes) != nil {
 				return mrerr.MrAborted, nil, handle, false, true
@@ -738,7 +740,7 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 		}
 		code = mrerr.CodeOf(err)
 		if failover && code == mrerr.Success && cx.CommitOK {
-			fields = []string{s.cfg.Failover.Token(cx.CommitSeg, cx.CommitIdx)}
+			fields = []protocol.Field{protocol.Text(s.cfg.Failover.Token(cx.CommitSeg, cx.CommitIdx))}
 		}
 
 	case protocol.OpTriggerDCM:
@@ -764,6 +766,15 @@ func (s *Server) dispatch(cx *queries.Context, ses *session, req *protocol.Reque
 	return code, fields, handle, shutdown, false
 }
 
+// route resolves a query handle through the configured Router, if any,
+// to the context its query runs under and the bare query name.
+func (s *Server) route(cx *queries.Context, handle string) (*queries.Context, string, error) {
+	if s.cfg.Router == nil {
+		return cx, handle, nil
+	}
+	return s.cfg.Router.Route(cx, handle)
+}
+
 // handleName canonicalizes a query handle to its long name for metrics
 // (clients may use short tags); routed or unknown handles pass through.
 func handleName(name string) string {
@@ -773,14 +784,52 @@ func handleName(name string) string {
 	return name
 }
 
+// opSeries is one opcode's request counter and latency histogram.
+type opSeries struct {
+	requests *stats.Counter
+	latency  *stats.Histogram
+}
+
+// seriesOf returns op's series, resolving them once per known opcode.
+func (s *Server) seriesOf(op uint16) *opSeries {
+	if int(op) < len(s.ops) {
+		if o := s.ops[op].Load(); o != nil {
+			return o
+		}
+	}
+	name := protocol.OpName(op)
+	o := &opSeries{
+		requests: s.reg.Counter("server.requests." + name),
+		latency:  s.reg.HistogramWith("server.latency."+name, stats.FastBuckets),
+	}
+	if int(op) < len(s.ops) {
+		s.ops[op].Store(o)
+	}
+	return o
+}
+
+// handleCounter returns a query handle's request counter, resolving it
+// once per registered handle. Other names (routed or unknown handles)
+// are looked up each time, so a client cannot grow the cache.
+func (s *Server) handleCounter(handle string) *stats.Counter {
+	if c, ok := s.handles.Load(handle); ok {
+		return c.(*stats.Counter)
+	}
+	c := s.reg.Counter("server.handle." + handle)
+	if _, ok := queries.Lookup(handle); ok {
+		s.handles.Store(handle, c)
+	}
+	return c
+}
+
 // observe records one completed request in the metric registry and,
 // when Config.Logf is set, the server log.
 func (s *Server) observe(req *protocol.Request, ses *session, principal, handle string, code mrerr.Code, latency time.Duration) {
-	op := protocol.OpName(req.Op)
-	s.reg.Counter("server.requests." + op).Inc()
-	s.reg.HistogramWith("server.latency."+op, stats.FastBuckets).Observe(latency)
+	o := s.seriesOf(req.Op)
+	o.requests.Inc()
+	o.latency.Observe(latency)
 	if handle != "" {
-		s.reg.Counter("server.handle." + handle).Inc()
+		s.handleCounter(handle).Inc()
 	}
 	if code != mrerr.Success {
 		s.reg.Counter("server.errors." + strconv.FormatInt(int64(code), 10)).Inc()
@@ -790,7 +839,7 @@ func (s *Server) observe(req *protocol.Request, ses *session, principal, handle 
 	}
 	if s.logRequests {
 		s.cfg.Logf("request client=%d op=%s handle=%s principal=%s code=%d latency=%v trace=%s",
-			ses.id, op, handle, principal, int32(code), latency, req.TraceID)
+			ses.id, protocol.OpName(req.Op), handle, principal, int32(code), latency, req.TraceID)
 	}
 }
 

@@ -485,7 +485,11 @@ func (t *Tracer) finish(root *Span, r *rootState) {
 	}
 	// The whole tree has ended (open hit zero when the root did), and a
 	// kept tree was copied out by publish, so the state can be recycled.
+	// Its arena spans are cleared first: a pooled state that kept its
+	// last request's tracer would keep that tracer's registry reachable,
+	// and through the registry's callbacks a closed server's database.
 	if r.open.Load() == 0 {
+		clear(r.arena[:min(int(r.nalloc.Load()), len(r.arena))])
 		rootPool.Put(r)
 	}
 }

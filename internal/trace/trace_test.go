@@ -175,6 +175,24 @@ func TestKeptTraceSurvivesStateReuse(t *testing.T) {
 	}
 }
 
+// TestRecycledStateDropsTracer: once a root's tree has ended, its
+// pooled state holds no span that still points at the tracer, so a
+// closed server's tracer (and the registry and database behind it) is
+// not kept alive by the pool.
+func TestRecycledStateDropsTracer(t *testing.T) {
+	tr := New(Options{Process: "test"})
+	root := tr.Start("trace", "", "req")
+	root.Child("child").End()
+	r := root.root
+	root.End()
+	for i := range r.arena {
+		if r.arena[i].tr != nil || r.arena[i].root != nil || r.arena[i].parent != nil {
+			t.Errorf("recycled state's arena span %d still points at %p, %p, %p",
+				i, r.arena[i].tr, r.arena[i].root, r.arena[i].parent)
+		}
+	}
+}
+
 // TestTailSampling pins the keep decision: errored traces always kept,
 // fast successful ones down-sampled 1-in-N.
 func TestTailSampling(t *testing.T) {
