@@ -1,6 +1,8 @@
 package db
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"moira/internal/mrerr"
@@ -11,41 +13,108 @@ import (
 // lock: shared for reads, exclusive for mutations. The query layer
 // (internal/queries) is responsible for taking it per query.
 
-// rowsOf resolves ids, taken from a secondary index, to their rows.
-func rowsOf[R any](rows *table[R], ids []int) []*R {
+// matching resolves a name pattern, with or without wildcards, in id
+// order: an exact name is a probe of the name index, a wildcard a range
+// scan of the ordered name index from the pattern's literal prefix
+// instead of a scan of the whole relation.
+func matching[R any](d *DB, n *named[R], pattern string) []*R {
+	if !wildcard.HasWildcards(pattern) {
+		d.NotePoint()
+		if r, ok := n.byKey(pattern); ok {
+			return []*R{r}
+		}
+		return nil
+	}
+	d.NoteRange()
+	var ids []int
+	matchNames(n.names(), pattern, func(name string) bool {
+		ids = n.byName.appendIDs(ids, strKey(name))
+		return true
+	})
+	sort.Ints(ids)
 	out := make([]*R, 0, len(ids))
 	for _, id := range ids {
-		if r, ok := rows.get(id); ok {
+		if r, ok := n.rows.get(id); ok {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// eachMatch calls fn, in name order, for every row whose name matches a
-// wildcard pattern: one walk over the ordered name index's range for the
-// pattern's literal prefix, with no intermediate slice. fn returning
-// false stops the walk.
-func eachMatch[R any](rows *table[R], byName map[string]int, names *nameCache, pattern string, fn func(*R) bool) {
-	matchNames(names.get(sortedKeys(byName)), pattern, func(n string) bool {
-		r, ok := rows.get(byName[n])
-		return !ok || fn(r)
-	})
+// insertKeyed adds r, filed under its own id, to n and records the
+// append: MR_INTERNAL for an id no table can hold, MR_EXISTS when the id
+// or the name is taken.
+func insertKeyed[R any](d *DB, n *named[R], id int, r *R, table string) error {
+	if !validRowID(id) {
+		return mrerr.MrInternal
+	}
+	if _, dup := n.rows.get(id); dup {
+		return mrerr.MrExists
+	}
+	return insertNamed(d, n, id, r, table)
 }
 
-// matchRows resolves a wildcard pattern against a relation's ordered
-// name index and returns the matching rows in id order.
-func matchRows[R any](rows *table[R], byName map[string]int, names *nameCache, pattern string) []*R {
-	var ids []int
-	matchNames(names.get(sortedKeys(byName)), pattern, func(n string) bool {
-		ids = append(ids, byName[n])
-		return true
-	})
-	if len(ids) == 0 {
-		return nil
+// insertNamed adds r under id (-1: the next surrogate id) and records
+// the append; MR_EXISTS when the name is taken.
+func insertNamed[R any](d *DB, n *named[R], id int, r *R, table string) error {
+	if _, dup := n.byKey(n.name(r)); dup {
+		return mrerr.MrExists
 	}
-	sort.Ints(ids)
-	return rowsOf(rows, ids)
+	if id < 0 {
+		id = n.rows.nextID()
+	}
+	n.insert(id, r, d.bump())
+	d.NoteAppend(table)
+	return nil
+}
+
+// Relations of plain values (mcmap, svc, alias) compare rows whole and
+// file them under surrogate ids.
+
+// rowID returns the id of the row equal to v, -1 if there is none.
+func rowID[R comparable](t *table[R], v R) int {
+	found := -1
+	t.eachID(func(id int, r *R) bool {
+		if *r == v {
+			found = id
+		}
+		return found < 0
+	})
+	return found
+}
+
+// addRow inserts v and records the append; MR_EXISTS on an equal row.
+func addRow[R comparable](d *DB, t *table[R], v R, table string) error {
+	if rowID(t, v) >= 0 {
+		return mrerr.MrExists
+	}
+	t.put(t.nextID(), &v, d.bump())
+	d.NoteAppend(table)
+	return nil
+}
+
+// deleteRow removes the row equal to v and records the delete;
+// MR_NO_MATCH if there is none.
+func deleteRow[R comparable](d *DB, t *table[R], v R, table string) error {
+	id := rowID(t, v)
+	if id < 0 {
+		return mrerr.MrNoMatch
+	}
+	t.del(id, d.bump())
+	d.NoteDelete(table)
+	return nil
+}
+
+// walkRows calls fn for every row, in the order they were added.
+func walkRows[R any](d *DB, t *table[R], fn func(R) bool) {
+	d.NoteScan()
+	t.each(func(r *R) bool { return fn(*r) })
+}
+
+// deleteNamed removes r from n and records the delete.
+func deleteNamed[R any](d *DB, n *named[R], r *R, table string) {
+	n.remove(n.idOf(r), r, d.bump())
+	d.NoteDelete(table)
 }
 
 // --- Users ---
@@ -53,29 +122,24 @@ func matchRows[R any](rows *table[R], byName map[string]int, names *nameCache, p
 // UserByLogin finds a user by exact login name.
 func (d *DB) UserByLogin(login string) (*User, bool) {
 	d.NotePoint()
-	id, ok := d.userIdx.byLogin[login]
-	if !ok {
-		return nil, false
-	}
-	return d.users.get(id)
+	return d.users.byKey(login)
 }
 
 // UserByID finds a user by users_id.
-func (d *DB) UserByID(id int) (*User, bool) {
-	return d.users.get(id)
-}
+func (d *DB) UserByID(id int) (*User, bool) { return d.users.rows.get(id) }
 
 // UsersByUID returns all users with the given unix uid (normally one)
 // in users_id order. A uid hash-index probe, not a table scan.
 func (d *DB) UsersByUID(uid int) []*User {
 	d.NotePoint()
-	ids := d.userIdx.byUID[uid]
-	if len(ids) == 0 {
-		return nil
-	}
-	ids = append([]int(nil), ids...)
-	sort.Ints(ids)
-	return rowsOf(&d.users, ids)
+	var out []*User
+	d.uids.under(uidKey(uid), func(id int) bool { // in users_id order
+		if u, ok := d.users.rows.get(id); ok {
+			out = append(out, u)
+		}
+		return true
+	})
+	return out
 }
 
 // EachUser calls fn for every user in users_id order. The ordering is a
@@ -84,23 +148,12 @@ func (d *DB) UsersByUID(uid int) []*User {
 // insert or delete users (it iterates the live table).
 func (d *DB) EachUser(fn func(*User) bool) {
 	d.NoteScan()
-	d.users.each(fn)
+	d.users.rows.each(fn)
 }
 
 // UsersMatchingLogin resolves a login pattern, with or without
-// wildcards, in users_id order. Wildcard patterns plan an ordered-index
-// range scan from the pattern's literal prefix instead of scanning the
-// whole relation.
-func (d *DB) UsersMatchingLogin(pattern string) []*User {
-	if !wildcard.HasWildcards(pattern) {
-		if u, ok := d.UserByLogin(pattern); ok {
-			return []*User{u}
-		}
-		return nil
-	}
-	d.NoteRange()
-	return matchRows(&d.users, d.userIdx.byLogin, d.userIdx.logins, pattern)
-}
+// wildcards, in users_id order (see matching).
+func (d *DB) UsersMatchingLogin(pattern string) []*User { return matching(d, &d.users, pattern) }
 
 // EachUserMatchingLogin calls fn for every user whose login matches the
 // pattern, with or without wildcards, in login order: the range scan of
@@ -114,77 +167,46 @@ func (d *DB) EachUserMatchingLogin(pattern string, fn func(*User) bool) {
 		return
 	}
 	d.NoteRange()
-	eachMatch(&d.users, d.userIdx.byLogin, d.userIdx.logins, pattern, fn)
+	matchNames(d.users.names(), pattern, func(login string) bool { return d.users.eachRow(login, fn) })
 }
 
 // NumUsers reports the row count of the users relation.
-func (d *DB) NumUsers() int { return d.users.len() }
+func (d *DB) NumUsers() int { return d.users.rows.len() }
 
 // InsertUser adds a fully formed user row; the caller has already
 // allocated IDs and checked uniqueness. MR_EXISTS on duplicate login or
 // users_id.
 func (d *DB) InsertUser(u *User) error {
-	if !validRowID(u.UsersID) {
-		return mrerr.MrInternal
+	if err := insertKeyed(d, &d.users, u.UsersID, u, TUsers); err != nil {
+		return err
 	}
-	if _, dup := d.users.get(u.UsersID); dup {
-		return mrerr.MrExists
-	}
-	if _, dup := d.userIdx.byLogin[u.Login]; dup {
-		return mrerr.MrExists
-	}
-	d.userIdx.epoch = d.bump()
-	d.users.put(u.UsersID, u, d.userIdx.epoch)
-	d.userIdx.byLogin[u.Login] = u.UsersID
-	d.userIdx.byUID[u.UID] = append(d.userIdx.byUID[u.UID], u.UsersID)
-	d.userIdx.logins.invalidate()
-	d.NoteAppend(TUsers)
+	d.uids.add(uidKey(u.UID), u.UsersID, nil, d.bump())
 	return nil
 }
 
 // RenameUser changes a user's login, maintaining the indexes. The
 // caller has verified the new login is free (and records the update).
 func (d *DB) RenameUser(u *User, newLogin string) {
-	d.userIdx.epoch = d.bump()
-	d.users.touch(u.UsersID, u, d.userIdx.epoch)
-	delete(d.userIdx.byLogin, u.Login)
-	u.Login = newLogin
-	d.userIdx.byLogin[newLogin] = u.UsersID
-	d.userIdx.logins.invalidate()
+	d.users.rename(u, func() { u.Login = newLogin }, d.bump())
 }
 
 // SetUserUID changes a user's unix uid, maintaining the uid index. The
 // caller records the update. Setting the uid a user already has changes
-// no key and so leaves the key epoch alone.
+// no key and so leaves the index alone.
 func (d *DB) SetUserUID(u *User, uid int) {
 	if uid == u.UID {
 		return
 	}
-	d.userIdx.epoch = d.bump()
-	d.users.touch(u.UsersID, u, d.userIdx.epoch)
-	d.dropUID(u)
+	e := d.bump()
+	d.users.rows.touch(u.UsersID, u, e)
+	d.uids.move(uidKey(u.UID), uidKey(uid), u.UsersID, nil, e)
 	u.UID = uid
-	d.userIdx.byUID[uid] = append(d.userIdx.byUID[uid], u.UsersID)
-}
-
-// dropUID removes u from the uid index.
-func (d *DB) dropUID(u *User) {
-	left := removeInt(d.userIdx.byUID[u.UID], u.UsersID)
-	if len(left) == 0 {
-		delete(d.userIdx.byUID, u.UID)
-	} else {
-		d.userIdx.byUID[u.UID] = left
-	}
 }
 
 // DeleteUser removes a user row.
 func (d *DB) DeleteUser(u *User) {
-	d.userIdx.epoch = d.bump()
-	d.users.del(u.UsersID, d.userIdx.epoch)
-	delete(d.userIdx.byLogin, u.Login)
-	d.dropUID(u)
-	d.userIdx.logins.invalidate()
-	d.NoteDelete(TUsers)
+	d.uids.remove(uidKey(u.UID), u.UsersID, d.bump())
+	deleteNamed(d, &d.users, u, TUsers)
 }
 
 // --- Machines ---
@@ -192,520 +214,357 @@ func (d *DB) DeleteUser(u *User) {
 // MachineByName finds a machine by canonical name.
 func (d *DB) MachineByName(name string) (*Machine, bool) {
 	d.NotePoint()
-	id, ok := d.machIdx.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return d.machines.get(id)
+	return d.machines.byKey(name)
 }
 
 // MachineByID finds a machine by mach_id.
 func (d *DB) MachineByID(id int) (*Machine, bool) {
 	d.NotePoint()
-	return d.machines.get(id)
+	return d.machines.rows.get(id)
 }
 
-// EachMachine calls fn for every machine in mach_id order (from the
-// ordered index; fn must not insert or delete machines).
+// EachMachine calls fn for every machine in mach_id order (fn must not
+// insert or delete machines).
 func (d *DB) EachMachine(fn func(*Machine) bool) {
 	d.NoteScan()
-	d.machines.each(fn)
+	d.machines.rows.each(fn)
 }
 
 // MachinesMatchingName resolves a canonical-name pattern, with or
-// without wildcards, in mach_id order via the ordered name index.
+// without wildcards, in mach_id order (see matching).
 func (d *DB) MachinesMatchingName(pattern string) []*Machine {
-	if !wildcard.HasWildcards(pattern) {
-		if m, ok := d.MachineByName(pattern); ok {
-			return []*Machine{m}
-		}
-		return nil
-	}
-	d.NoteRange()
-	return matchRows(&d.machines, d.machIdx.byName, d.machIdx.names, pattern)
+	return matching(d, &d.machines, pattern)
 }
 
 // InsertMachine adds a machine row; MR_EXISTS on duplicates.
 func (d *DB) InsertMachine(m *Machine) error {
-	if !validRowID(m.MachID) {
-		return mrerr.MrInternal
-	}
-	if _, dup := d.machines.get(m.MachID); dup {
-		return mrerr.MrExists
-	}
-	if _, dup := d.machIdx.byName[m.Name]; dup {
-		return mrerr.MrExists
-	}
-	d.machIdx.epoch = d.bump()
-	d.machines.put(m.MachID, m, d.machIdx.epoch)
-	d.machIdx.byName[m.Name] = m.MachID
-	d.machIdx.names.invalidate()
-	d.NoteAppend(TMachine)
-	return nil
+	return insertKeyed(d, &d.machines, m.MachID, m, TMachine)
 }
 
 // RenameMachine changes a machine's name, maintaining the indexes.
 func (d *DB) RenameMachine(m *Machine, newName string) {
-	d.machIdx.epoch = d.bump()
-	d.machines.touch(m.MachID, m, d.machIdx.epoch)
-	delete(d.machIdx.byName, m.Name)
-	m.Name = newName
-	d.machIdx.byName[newName] = m.MachID
-	d.machIdx.names.invalidate()
+	d.machines.rename(m, func() { m.Name = newName }, d.bump())
 }
 
 // DeleteMachine removes a machine row.
-func (d *DB) DeleteMachine(m *Machine) {
-	d.machIdx.epoch = d.bump()
-	d.machines.del(m.MachID, d.machIdx.epoch)
-	delete(d.machIdx.byName, m.Name)
-	d.machIdx.names.invalidate()
-	d.NoteDelete(TMachine)
-}
+func (d *DB) DeleteMachine(m *Machine) { deleteNamed(d, &d.machines, m, TMachine) }
 
 // --- Clusters ---
 
 // ClusterByName finds a cluster by name (case sensitive).
-func (d *DB) ClusterByName(name string) (*Cluster, bool) {
-	id, ok := d.cluIdx.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return d.clusters.get(id)
-}
+func (d *DB) ClusterByName(name string) (*Cluster, bool) { return d.clusters.byKey(name) }
 
 // ClusterByID finds a cluster by clu_id.
-func (d *DB) ClusterByID(id int) (*Cluster, bool) {
-	return d.clusters.get(id)
-}
+func (d *DB) ClusterByID(id int) (*Cluster, bool) { return d.clusters.rows.get(id) }
 
-// EachCluster calls fn for every cluster in clu_id order (from the
-// ordered index; fn must not insert or delete clusters).
+// EachCluster calls fn for every cluster in clu_id order (fn must not
+// insert or delete clusters).
 func (d *DB) EachCluster(fn func(*Cluster) bool) {
 	d.NoteScan()
-	d.clusters.each(fn)
+	d.clusters.rows.each(fn)
 }
 
 // ClustersMatchingName resolves a name pattern, with or without
-// wildcards, in clu_id order via the ordered name index.
+// wildcards, in clu_id order (see matching).
 func (d *DB) ClustersMatchingName(pattern string) []*Cluster {
-	if !wildcard.HasWildcards(pattern) {
-		if c, ok := d.ClusterByName(pattern); ok {
-			return []*Cluster{c}
-		}
-		return nil
-	}
-	return matchRows(&d.clusters, d.cluIdx.byName, d.cluIdx.names, pattern)
+	return matching(d, &d.clusters, pattern)
 }
 
 // InsertCluster adds a cluster row; MR_EXISTS on duplicates.
 func (d *DB) InsertCluster(c *Cluster) error {
-	if !validRowID(c.CluID) {
-		return mrerr.MrInternal
-	}
-	if _, dup := d.clusters.get(c.CluID); dup {
-		return mrerr.MrExists
-	}
-	if _, dup := d.cluIdx.byName[c.Name]; dup {
-		return mrerr.MrExists
-	}
-	d.cluIdx.epoch = d.bump()
-	d.clusters.put(c.CluID, c, d.cluIdx.epoch)
-	d.cluIdx.byName[c.Name] = c.CluID
-	d.cluIdx.names.invalidate()
-	d.NoteAppend(TCluster)
-	return nil
+	return insertKeyed(d, &d.clusters, c.CluID, c, TCluster)
 }
 
 // RenameCluster changes a cluster's name, maintaining the indexes.
 func (d *DB) RenameCluster(c *Cluster, newName string) {
-	d.cluIdx.epoch = d.bump()
-	d.clusters.touch(c.CluID, c, d.cluIdx.epoch)
-	delete(d.cluIdx.byName, c.Name)
-	c.Name = newName
-	d.cluIdx.byName[newName] = c.CluID
-	d.cluIdx.names.invalidate()
+	d.clusters.rename(c, func() { c.Name = newName }, d.bump())
 }
 
 // DeleteCluster removes a cluster row.
-func (d *DB) DeleteCluster(c *Cluster) {
-	d.cluIdx.epoch = d.bump()
-	d.clusters.del(c.CluID, d.cluIdx.epoch)
-	delete(d.cluIdx.byName, c.Name)
-	d.cluIdx.names.invalidate()
-	d.NoteDelete(TCluster)
-}
+func (d *DB) DeleteCluster(c *Cluster) { deleteNamed(d, &d.clusters, c, TCluster) }
 
 // --- Machine/cluster map and service clusters ---
 
-// MCMaps returns the machine-cluster assignments (shared slice; treat as
-// read-only under a shared hold).
-func (d *DB) MCMaps() []MCMap { return d.mcmap }
+// EachMCMap calls fn for every machine-cluster assignment in the order
+// they were made.
+func (d *DB) EachMCMap(fn func(MCMap) bool) { walkRows(d, &d.mcmap, fn) }
 
-// HasMCMap reports whether the (machine, cluster) pair exists — a
-// composite-key hash probe.
-func (d *DB) HasMCMap(machID, cluID int) bool {
-	return d.mcmapIdx[pairKey{machID, cluID}]
+// mcID returns the id of the (machine, cluster) row, -1 if there is none.
+func (d *DB) mcID(machID, cluID int) int {
+	return d.mcOfMach.find(idKey(machID), func(id int) bool {
+		mc, ok := d.mcmap.get(id)
+		return ok && mc.CluID == cluID
+	})
 }
+
+// HasMCMap reports whether the (machine, cluster) pair exists — a probe
+// of the machine's assignments.
+func (d *DB) HasMCMap(machID, cluID int) bool { return d.mcID(machID, cluID) >= 0 }
 
 // AddMCMap inserts an assignment; MR_EXISTS on duplicates.
 func (d *DB) AddMCMap(machID, cluID int) error {
+	if !validRowID(machID) || !validRowID(cluID) {
+		return mrerr.MrInternal
+	}
 	if d.HasMCMap(machID, cluID) {
 		return mrerr.MrExists
 	}
-	d.mcmap = append(d.mcmap, MCMap{MachID: machID, CluID: cluID})
-	d.mcmapIdx[pairKey{machID, cluID}] = true
+	e, id := d.bump(), d.mcmap.nextID()
+	d.mcmap.put(id, &MCMap{MachID: machID, CluID: cluID}, e)
+	d.mcOfMach.add(idKey(machID), id, nil, e)
+	d.mcOfClu.add(idKey(cluID), id, nil, e)
 	d.NoteAppend(TMCMap)
 	return nil
 }
 
 // DeleteMCMap removes an assignment; MR_NO_MATCH if absent.
 func (d *DB) DeleteMCMap(machID, cluID int) error {
-	if !d.HasMCMap(machID, cluID) {
+	id := d.mcID(machID, cluID)
+	if id < 0 {
 		return mrerr.MrNoMatch
 	}
-	for i, m := range d.mcmap {
-		if m.MachID == machID && m.CluID == cluID {
-			d.mcmap = append(d.mcmap[:i], d.mcmap[i+1:]...)
-			break
-		}
-	}
-	delete(d.mcmapIdx, pairKey{machID, cluID})
+	e := d.bump()
+	d.mcmap.del(id, e)
+	d.mcOfMach.remove(idKey(machID), id, e)
+	d.mcOfClu.remove(idKey(cluID), id, e)
 	d.NoteDelete(TMCMap)
 	return nil
 }
 
-// ClustersOfMachine returns the cluster ids a machine belongs to.
+// ClustersOfMachine returns the ids of the clusters a machine belongs
+// to, in order — a probe of the machine's assignments.
 func (d *DB) ClustersOfMachine(machID int) []int {
+	d.NotePoint()
+	return d.mcOther(&d.mcOfMach, machID, func(mc *MCMap) int { return mc.CluID })
+}
+
+// MachinesOfCluster returns the ids of a cluster's machines, in order —
+// a probe of the cluster's assignments.
+func (d *DB) MachinesOfCluster(cluID int) []int {
+	d.NotePoint()
+	return d.mcOther(&d.mcOfClu, cluID, func(mc *MCMap) int { return mc.MachID })
+}
+
+// mcOther returns the other end of the assignments idx files under id,
+// sorted.
+func (d *DB) mcOther(idx *hashIndex[idKey], id int, end func(*MCMap) int) []int {
 	var out []int
-	for _, m := range d.mcmap {
-		if m.MachID == machID {
-			out = append(out, m.CluID)
+	idx.under(idKey(id), func(mcID int) bool {
+		if mc, ok := d.mcmap.get(mcID); ok {
+			out = append(out, end(mc))
 		}
-	}
+		return true
+	})
 	sort.Ints(out)
 	return out
 }
 
-// SvcRows returns the service-cluster rows (read-only under shared hold).
-func (d *DB) SvcRows() []SvcData { return d.svc }
+// EachSvc calls fn for every service-cluster datum in the order they
+// were added.
+func (d *DB) EachSvc(fn func(SvcData) bool) { walkRows(d, &d.svc, fn) }
 
 // AddSvc inserts a service-cluster datum; MR_EXISTS on exact duplicates.
-func (d *DB) AddSvc(row SvcData) error {
-	for _, s := range d.svc {
-		if s == row {
-			return mrerr.MrExists
-		}
-	}
-	d.svc = append(d.svc, row)
-	d.NoteAppend(TSvc)
-	return nil
-}
+func (d *DB) AddSvc(row SvcData) error { return addRow(d, &d.svc, row, TSvc) }
 
 // DeleteSvc removes an exactly matching service-cluster datum.
-func (d *DB) DeleteSvc(row SvcData) error {
-	for i, s := range d.svc {
-		if s == row {
-			d.svc = append(d.svc[:i], d.svc[i+1:]...)
-			d.NoteDelete(TSvc)
-			return nil
-		}
-	}
-	return mrerr.MrNoMatch
-}
+func (d *DB) DeleteSvc(row SvcData) error { return deleteRow(d, &d.svc, row, TSvc) }
 
 // DeleteSvcOfCluster removes all service data for a cluster (used when
 // deleting the cluster itself).
 func (d *DB) DeleteSvcOfCluster(cluID int) {
-	kept := d.svc[:0]
-	removed := false
-	for _, s := range d.svc {
+	var drop []int
+	d.svc.eachID(func(id int, s *SvcData) bool {
 		if s.CluID == cluID {
-			removed = true
-			continue
+			drop = append(drop, id)
 		}
-		kept = append(kept, s)
+		return true
+	})
+	if len(drop) == 0 {
+		return
 	}
-	d.svc = kept
-	if removed {
-		d.NoteDelete(TSvc)
+	e := d.bump()
+	for _, id := range drop {
+		d.svc.del(id, e)
 	}
+	d.NoteDelete(TSvc)
 }
 
 // --- Lists and members ---
 
 // ListByName finds a list by exact name.
-func (d *DB) ListByName(name string) (*List, bool) {
-	id, ok := d.listIdx.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return d.lists.get(id)
-}
+func (d *DB) ListByName(name string) (*List, bool) { return d.lists.byKey(name) }
 
 // ListByID finds a list by list_id.
-func (d *DB) ListByID(id int) (*List, bool) {
-	return d.lists.get(id)
-}
+func (d *DB) ListByID(id int) (*List, bool) { return d.lists.rows.get(id) }
 
-// EachList calls fn for every list in list_id order (from the ordered
-// index; fn must not insert or delete lists).
+// EachList calls fn for every list in list_id order (fn must not insert
+// or delete lists).
 func (d *DB) EachList(fn func(*List) bool) {
 	d.NoteScan()
-	d.lists.each(fn)
+	d.lists.rows.each(fn)
 }
 
 // ListsMatchingName resolves a name pattern, with or without wildcards,
-// in list_id order via the ordered name index.
-func (d *DB) ListsMatchingName(pattern string) []*List {
-	if !wildcard.HasWildcards(pattern) {
-		if l, ok := d.ListByName(pattern); ok {
-			return []*List{l}
-		}
-		return nil
-	}
-	d.NoteRange()
-	return matchRows(&d.lists, d.listIdx.byName, d.listIdx.names, pattern)
-}
+// in list_id order (see matching).
+func (d *DB) ListsMatchingName(pattern string) []*List { return matching(d, &d.lists, pattern) }
 
 // InsertList adds a list row; MR_EXISTS on duplicates.
-func (d *DB) InsertList(l *List) error {
-	if !validRowID(l.ListID) {
-		return mrerr.MrInternal
-	}
-	if _, dup := d.lists.get(l.ListID); dup {
-		return mrerr.MrExists
-	}
-	if _, dup := d.listIdx.byName[l.Name]; dup {
-		return mrerr.MrExists
-	}
-	d.listIdx.epoch = d.bump()
-	d.lists.put(l.ListID, l, d.listIdx.epoch)
-	d.listIdx.byName[l.Name] = l.ListID
-	d.listIdx.names.invalidate()
-	d.NoteAppend(TList)
-	return nil
-}
+func (d *DB) InsertList(l *List) error { return insertKeyed(d, &d.lists, l.ListID, l, TList) }
 
 // RenameList changes a list's name, maintaining the indexes.
 func (d *DB) RenameList(l *List, newName string) {
-	d.listIdx.epoch = d.bump()
-	d.lists.touch(l.ListID, l, d.listIdx.epoch)
-	delete(d.listIdx.byName, l.Name)
-	l.Name = newName
-	d.listIdx.byName[newName] = l.ListID
-	d.listIdx.names.invalidate()
+	d.lists.rename(l, func() { l.Name = newName }, d.bump())
 }
 
 // DeleteList removes a list row and its membership rows.
 func (d *DB) DeleteList(l *List) {
-	d.listIdx.epoch = d.bump()
-	d.lists.del(l.ListID, d.listIdx.epoch)
-	delete(d.listIdx.byName, l.Name)
-	d.listIdx.names.invalidate()
-	if ms, had := d.members[l.ListID]; had {
-		d.markDirty(TMembers)
-		for _, m := range ms {
-			d.dropMembership(m)
-		}
-		delete(d.members, l.ListID)
+	e := d.bump()
+	for _, m := range d.MembersOf(l.ListID) {
+		d.dropMembership(m, e)
 	}
-	d.NoteDelete(TList)
+	d.members.del(l.ListID, e)
+	deleteNamed(d, &d.lists, l, TList)
 }
 
 // dropMembership removes one membership row from the member index.
-func (d *DB) dropMembership(m Member) {
-	k := memberKey{m.MemberType, m.MemberID}
-	left := removeInt(d.memberIdx[k], m.ListID)
-	if len(left) == 0 {
-		delete(d.memberIdx, k)
-	} else {
-		d.memberIdx[k] = left
+func (d *DB) dropMembership(m Member, epoch int64) {
+	if t := memberType(m.MemberType); t >= 0 {
+		d.memberOf[t].remove(idKey(m.MemberID), m.ListID, epoch)
 	}
 }
 
 // MembersOf returns the membership rows of a list (read-only).
-func (d *DB) MembersOf(listID int) []Member { return d.members[listID] }
+func (d *DB) MembersOf(listID int) []Member {
+	if ms, ok := d.members.get(listID); ok {
+		return *ms
+	}
+	return nil
+}
 
 // HasMember reports whether the exact member row exists.
 func (d *DB) HasMember(listID int, mtype string, mid int) bool {
-	for _, m := range d.members[listID] {
-		if m.MemberType == mtype && m.MemberID == mid {
-			return true
-		}
-	}
-	return false
+	return slices.Index(d.MembersOf(listID), Member{listID, mtype, mid}) >= 0
 }
 
 // AddMember inserts a membership row; MR_EXISTS on duplicates.
 func (d *DB) AddMember(listID int, mtype string, mid int) error {
+	if !validRowID(listID) || !validRowID(mid) {
+		return mrerr.MrInternal
+	}
 	if d.HasMember(listID, mtype, mid) {
 		return mrerr.MrExists
 	}
-	d.members[listID] = append(d.members[listID], Member{ListID: listID, MemberType: mtype, MemberID: mid})
-	d.memberIdx[memberKey{mtype, mid}] = append(d.memberIdx[memberKey{mtype, mid}], listID)
+	e := d.bump()
+	push(&d.members, listID, Member{ListID: listID, MemberType: mtype, MemberID: mid}, e)
+	if t := memberType(mtype); t >= 0 {
+		d.memberOf[t].add(idKey(mid), listID, nil, e)
+	}
 	d.NoteAppend(TMembers)
 	return nil
 }
 
 // DeleteMember removes a membership row; MR_NO_MATCH if absent.
 func (d *DB) DeleteMember(listID int, mtype string, mid int) error {
-	ms := d.members[listID]
-	for i, m := range ms {
-		if m.MemberType == mtype && m.MemberID == mid {
-			d.members[listID] = append(ms[:i], ms[i+1:]...)
-			d.dropMembership(m)
-			d.NoteDelete(TMembers)
-			return nil
-		}
+	m := Member{ListID: listID, MemberType: mtype, MemberID: mid}
+	if !d.HasMember(listID, mtype, mid) {
+		return mrerr.MrNoMatch
 	}
-	return mrerr.MrNoMatch
+	e := d.bump()
+	pull(&d.members, listID, func(x Member) bool { return x == m }, e)
+	d.dropMembership(m, e)
+	d.NoteDelete(TMembers)
+	return nil
 }
 
 // EachMembership calls fn for every membership row, ordered by list id.
 func (d *DB) EachMembership(fn func(Member) bool) {
 	d.NoteScan()
-	ids := make([]int, 0, len(d.members))
-	for id := range d.members {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		for _, m := range d.members[id] {
+	d.members.each(func(ms *[]Member) bool {
+		for _, m := range *ms {
 			if !fn(m) {
-				return
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // ListsContaining returns ids of lists that directly contain the
 // member, in list_id order — an inverted-index probe, not a scan over
 // every membership row.
 func (d *DB) ListsContaining(mtype string, mid int) []int {
-	ids := d.memberIdx[memberKey{mtype, mid}]
-	if len(ids) == 0 {
-		return nil
+	if t := memberType(mtype); t >= 0 && validRowID(mid) {
+		return d.memberOf[t].ids(idKey(mid)) // in list_id order
 	}
-	out := append([]int(nil), ids...)
-	sort.Ints(out)
-	return out
+	return nil
 }
 
 // --- Servers and serverhosts ---
 
 // ServerByName finds a service by (upper case) name.
-func (d *DB) ServerByName(name string) (*Server, bool) {
-	s, ok := d.servers[name]
-	return s, ok
-}
+func (d *DB) ServerByName(name string) (*Server, bool) { return d.servers.byKey(name) }
 
 // EachServer calls fn for every service in name order.
 func (d *DB) EachServer(fn func(*Server) bool) {
 	d.NoteScan()
-	names := make([]string, 0, len(d.servers))
-	for n := range d.servers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !fn(d.servers[n]) {
-			return
-		}
-	}
+	d.servers.eachByName(fn)
 }
 
 // InsertServer adds a service row; MR_EXISTS on duplicates.
-func (d *DB) InsertServer(s *Server) error {
-	if _, dup := d.servers[s.Name]; dup {
-		return mrerr.MrExists
-	}
-	d.servers[s.Name] = s
-	d.NoteAppend(TServers)
-	return nil
-}
+func (d *DB) InsertServer(s *Server) error { return insertNamed(d, &d.servers, -1, s, TServers) }
 
 // DeleteServer removes a service row.
-func (d *DB) DeleteServer(s *Server) {
-	delete(d.servers, s.Name)
-	d.NoteDelete(TServers)
-}
+func (d *DB) DeleteServer(s *Server) { deleteNamed(d, &d.servers, s, TServers) }
 
-// The serverhosts slice is kept sorted by (service, mach_id): it IS the
-// ordered index for its relation. Point lookups and per-service range
-// scans are binary searches; the flag-update paths (DCM) mutate rows in
-// place and never change the key fields.
-
-// shSearch returns the insertion point for (service, machID).
-func (d *DB) shSearch(service string, machID int) int {
-	return sort.Search(len(d.serverHosts), func(i int) bool {
-		sh := d.serverHosts[i]
-		if sh.Service != service {
-			return sh.Service > service
-		}
-		return sh.MachID >= machID
-	})
-}
+// byMachID orders a service's host rows.
+func byMachID(a, b *ServerHost) int { return cmp.Compare(a.MachID, b.MachID) }
 
 // ServerHostsOf returns the host rows for a service, machine-id ordered
-// — a contiguous range of the ordered slice.
+// — a probe of the service index.
 func (d *DB) ServerHostsOf(service string) []*ServerHost {
-	i := d.shSearch(service, 0)
-	// mach_ids are non-negative, so the range starts at (service, 0).
-	var out []*ServerHost
-	for ; i < len(d.serverHosts) && d.serverHosts[i].Service == service; i++ {
-		out = append(out, d.serverHosts[i])
-	}
-	return out
+	return d.serverHosts.appendRows(nil, service)
 }
 
-// ServerHost finds the row for (service, machine) by binary search.
+// serverHost returns the row for (service, machine) and its id.
+func (d *DB) serverHost(service string, machID int) (int, *ServerHost) {
+	id := d.serverHosts.byName.find(strKey(service), func(id int) bool {
+		sh, ok := d.serverHosts.rows.get(id)
+		return ok && sh.MachID == machID
+	})
+	sh, _ := d.serverHosts.rows.get(id)
+	return id, sh
+}
+
+// ServerHost finds the row for (service, machine).
 func (d *DB) ServerHost(service string, machID int) (*ServerHost, bool) {
-	i := d.shSearch(service, machID)
-	if i < len(d.serverHosts) {
-		if sh := d.serverHosts[i]; sh.Service == service && sh.MachID == machID {
-			return sh, true
-		}
-	}
-	return nil, false
+	_, sh := d.serverHost(service, machID)
+	return sh, sh != nil
 }
 
 // EachServerHost calls fn for every serverhost row in (service, mach_id)
 // order (fn must not insert or delete rows).
 func (d *DB) EachServerHost(fn func(*ServerHost) bool) {
 	d.NoteScan()
-	for _, sh := range d.serverHosts {
-		if !fn(sh) {
-			return
-		}
-	}
+	d.serverHosts.eachByName(fn)
 }
 
 // InsertServerHost adds a serverhost row; MR_EXISTS on duplicates.
 func (d *DB) InsertServerHost(sh *ServerHost) error {
-	i := d.shSearch(sh.Service, sh.MachID)
-	if i < len(d.serverHosts) {
-		if cur := d.serverHosts[i]; cur.Service == sh.Service && cur.MachID == sh.MachID {
-			return mrerr.MrExists
-		}
+	if _, dup := d.ServerHost(sh.Service, sh.MachID); dup {
+		return mrerr.MrExists
 	}
-	d.serverHosts = append(d.serverHosts, nil)
-	copy(d.serverHosts[i+1:], d.serverHosts[i:])
-	d.serverHosts[i] = sh
+	d.serverHosts.insert(d.serverHosts.rows.nextID(), sh, d.bump())
 	d.NoteAppend(TServerHosts)
 	return nil
 }
 
 // DeleteServerHost removes a serverhost row; MR_NO_MATCH if absent.
 func (d *DB) DeleteServerHost(service string, machID int) error {
-	i := d.shSearch(service, machID)
-	if i >= len(d.serverHosts) {
+	id, sh := d.serverHost(service, machID)
+	if sh == nil {
 		return mrerr.MrNoMatch
 	}
-	if sh := d.serverHosts[i]; sh.Service != service || sh.MachID != machID {
-		return mrerr.MrNoMatch
-	}
-	d.serverHosts = append(d.serverHosts[:i], d.serverHosts[i+1:]...)
+	d.serverHosts.remove(id, sh, d.bump())
 	d.NoteDelete(TServerHosts)
 	return nil
 }
@@ -713,83 +572,51 @@ func (d *DB) DeleteServerHost(service string, machID int) error {
 // --- Filesystems ---
 
 // FilesysByID finds a filesystem by filsys_id.
-func (d *DB) FilesysByID(id int) (*Filesys, bool) {
-	return d.filesys.get(id)
-}
+func (d *DB) FilesysByID(id int) (*Filesys, bool) { return d.filesys.rows.get(id) }
 
 // FilesysByLabel returns all filesystems with the given label in Order
 // order — a label hash-index probe.
 func (d *DB) FilesysByLabel(label string) []*Filesys {
 	d.NotePoint()
-	ids := d.filesysIdx.byLabel[label]
-	if len(ids) == 0 {
-		return nil
-	}
-	out := rowsOf(&d.filesys, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
-	return out
+	return d.filesys.appendRows(nil, label)
 }
 
-// EachFilesys calls fn for every filesystem in filsys_id order (from
-// the ordered index; fn must not insert or delete rows).
+// EachFilesys calls fn for every filesystem in filsys_id order (fn must
+// not insert or delete rows).
 func (d *DB) EachFilesys(fn func(*Filesys) bool) {
 	d.NoteScan()
-	d.filesys.each(fn)
+	d.filesys.rows.each(fn)
 }
 
 // InsertFilesys adds a filesystem row; MR_EXISTS on duplicate id or
 // (label, order) pair. The duplicate check probes the label index
-// bucket instead of scanning the relation.
+// instead of scanning the relation.
 func (d *DB) InsertFilesys(f *Filesys) error {
 	if !validRowID(f.FilsysID) {
 		return mrerr.MrInternal
 	}
-	if _, dup := d.filesys.get(f.FilsysID); dup {
+	if _, dup := d.filesys.rows.get(f.FilsysID); dup {
 		return mrerr.MrExists
 	}
-	for _, id := range d.filesysIdx.byLabel[f.Label] {
-		if other, ok := d.filesys.get(id); ok && other.Order == f.Order {
-			return mrerr.MrExists
-		}
+	if !d.filesys.eachRow(f.Label, func(other *Filesys) bool { return other.Order != f.Order }) {
+		return mrerr.MrExists
 	}
-	d.filesysIdx.epoch = d.bump()
-	d.filesys.put(f.FilsysID, f, d.filesysIdx.epoch)
-	d.filesysIdx.byLabel[f.Label] = append(d.filesysIdx.byLabel[f.Label], f.FilsysID)
+	d.filesys.insert(f.FilsysID, f, d.bump())
 	d.NoteAppend(TFilesys)
 	return nil
 }
 
 // DeleteFilesys removes a filesystem row.
-func (d *DB) DeleteFilesys(f *Filesys) {
-	d.filesysIdx.epoch = d.bump()
-	d.filesys.del(f.FilsysID, d.filesysIdx.epoch)
-	left := removeInt(d.filesysIdx.byLabel[f.Label], f.FilsysID)
-	if len(left) == 0 {
-		delete(d.filesysIdx.byLabel, f.Label)
-	} else {
-		d.filesysIdx.byLabel[f.Label] = left
-	}
-	d.NoteDelete(TFilesys)
-}
+func (d *DB) DeleteFilesys(f *Filesys) { deleteNamed(d, &d.filesys, f, TFilesys) }
 
 // SetFilesysLabel changes a filesystem's label, maintaining the label
 // index. The caller has checked (label, order) uniqueness and records
 // the update. Setting the label a filesystem already has changes no key
-// and so leaves the key epoch alone.
+// and so leaves the index alone.
 func (d *DB) SetFilesysLabel(f *Filesys, label string) {
-	if label == f.Label {
-		return
+	if label != f.Label {
+		d.filesys.rename(f, func() { f.Label = label }, d.bump())
 	}
-	d.filesysIdx.epoch = d.bump()
-	d.filesys.touch(f.FilsysID, f, d.filesysIdx.epoch)
-	left := removeInt(d.filesysIdx.byLabel[f.Label], f.FilsysID)
-	if len(left) == 0 {
-		delete(d.filesysIdx.byLabel, f.Label)
-	} else {
-		d.filesysIdx.byLabel[f.Label] = left
-	}
-	f.Label = label
-	d.filesysIdx.byLabel[label] = append(d.filesysIdx.byLabel[label], f.FilsysID)
 }
 
 // --- NFS physical partitions and quotas ---
@@ -839,121 +666,109 @@ func (d *DB) DeleteNFSPhys(p *NFSPhys) {
 	d.NoteDelete(TNFSPhys)
 }
 
-// The nfsquotas slice is kept sorted by (filsys_id, users_id) — the
-// EachQuota order — with a composite-key hash index for point lookups.
+// Quota rows sit under surrogate ids, indexed by filesystem and by user.
 
-// quotaSearch returns the insertion point for (filsysID, usersID).
-func (d *DB) quotaSearch(filsysID, usersID int) int {
-	return sort.Search(len(d.nfsquotas), func(i int) bool {
-		q := d.nfsquotas[i]
-		if q.FilsysID != filsysID {
-			return q.FilsysID > filsysID
-		}
-		return q.UsersID >= usersID
+// quotaID returns the id of the (user, filesystem) quota row, -1 if
+// there is none.
+func (d *DB) quotaID(usersID, filsysID int) int {
+	return d.quotasOnFS.find(idKey(filsysID), func(id int) bool {
+		q, ok := d.quotas.get(id)
+		return ok && q.UsersID == usersID
 	})
 }
 
-// QuotaOf finds the quota row for (user, filesystem) — a hash probe.
+// quotaRows appends the rows idx files under id to dst, in key order.
+func (d *DB) quotaRows(dst []*NFSQuota, idx *hashIndex[idKey], id int, key func(*NFSQuota) int) []*NFSQuota {
+	idx.under(idKey(id), func(qid int) bool {
+		if q, ok := d.quotas.get(qid); ok {
+			dst = append(dst, q)
+		}
+		return true
+	})
+	slices.SortFunc(dst, func(a, b *NFSQuota) int { return cmp.Compare(key(a), key(b)) })
+	return dst
+}
+
+// QuotaOf finds the quota row for (user, filesystem) — a probe of the
+// filesystem's quotas.
 func (d *DB) QuotaOf(usersID, filsysID int) (*NFSQuota, bool) {
-	q, ok := d.quotaIdx[pairKey{usersID, filsysID}]
-	return q, ok
+	return d.quotas.get(d.quotaID(usersID, filsysID))
 }
 
 // EachQuota calls fn for every quota row in (filsys, user) order (fn
 // must not insert or delete rows).
 func (d *DB) EachQuota(fn func(*NFSQuota) bool) {
 	d.NoteScan()
-	for _, q := range d.nfsquotas {
-		if !fn(q) {
-			return
+	var rows []*NFSQuota
+	d.quotasOnFS.eachID(func(filsysID int, _ *[]entry[idKey]) bool {
+		rows = d.quotaRows(rows[:0], &d.quotasOnFS, filsysID, func(q *NFSQuota) int { return q.UsersID })
+		for _, q := range rows {
+			if !fn(q) {
+				return false
+			}
 		}
-	}
+		return true
+	})
 }
 
 // InsertQuota adds a quota row; MR_EXISTS on duplicates.
 func (d *DB) InsertQuota(q *NFSQuota) error {
-	if _, dup := d.QuotaOf(q.UsersID, q.FilsysID); dup {
+	if !validRowID(q.UsersID) || !validRowID(q.FilsysID) {
+		return mrerr.MrInternal
+	}
+	if d.quotaID(q.UsersID, q.FilsysID) >= 0 {
 		return mrerr.MrExists
 	}
-	i := d.quotaSearch(q.FilsysID, q.UsersID)
-	d.nfsquotas = append(d.nfsquotas, nil)
-	copy(d.nfsquotas[i+1:], d.nfsquotas[i:])
-	d.nfsquotas[i] = q
-	d.quotaIdx[pairKey{q.UsersID, q.FilsysID}] = q
+	e, id := d.bump(), d.quotas.nextID()
+	d.quotas.put(id, q, e)
+	d.quotasOnFS.add(idKey(q.FilsysID), id, nil, e)
+	d.quotasOfUser.add(idKey(q.UsersID), id, nil, e)
 	d.NoteAppend(TNFSQuota)
 	return nil
 }
 
 // DeleteQuota removes a quota row; MR_NO_MATCH if absent.
 func (d *DB) DeleteQuota(usersID, filsysID int) error {
-	if _, ok := d.quotaIdx[pairKey{usersID, filsysID}]; !ok {
+	id := d.quotaID(usersID, filsysID)
+	if id < 0 {
 		return mrerr.MrNoMatch
 	}
-	i := d.quotaSearch(filsysID, usersID)
-	d.nfsquotas = append(d.nfsquotas[:i], d.nfsquotas[i+1:]...)
-	delete(d.quotaIdx, pairKey{usersID, filsysID})
+	e := d.bump()
+	d.quotas.del(id, e)
+	d.quotasOnFS.remove(idKey(filsysID), id, e)
+	d.quotasOfUser.remove(idKey(usersID), id, e)
 	d.NoteDelete(TNFSQuota)
 	return nil
 }
 
-// QuotasOfUser returns all quota rows belonging to a user.
+// QuotasOfUser returns all quota rows belonging to a user, in filsys
+// order — a probe of the user's quotas.
 func (d *DB) QuotasOfUser(usersID int) []*NFSQuota {
-	var out []*NFSQuota
-	d.EachQuota(func(q *NFSQuota) bool {
-		if q.UsersID == usersID {
-			out = append(out, q)
-		}
-		return true
-	})
-	return out
+	d.NotePoint()
+	return d.quotaRows(nil, &d.quotasOfUser, usersID, func(q *NFSQuota) int { return q.FilsysID })
 }
 
 // --- Zephyr classes ---
 
 // ZephyrByClass finds a zephyr class row.
-func (d *DB) ZephyrByClass(class string) (*ZephyrClass, bool) {
-	z, ok := d.zephyr[class]
-	return z, ok
-}
+func (d *DB) ZephyrByClass(class string) (*ZephyrClass, bool) { return d.zephyr.byKey(class) }
 
 // EachZephyr calls fn for every zephyr class in name order.
 func (d *DB) EachZephyr(fn func(*ZephyrClass) bool) {
 	d.NoteScan()
-	names := make([]string, 0, len(d.zephyr))
-	for n := range d.zephyr {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !fn(d.zephyr[n]) {
-			return
-		}
-	}
+	d.zephyr.eachByName(fn)
 }
 
 // InsertZephyr adds a class row; MR_EXISTS on duplicates.
-func (d *DB) InsertZephyr(z *ZephyrClass) error {
-	if _, dup := d.zephyr[z.Class]; dup {
-		return mrerr.MrExists
-	}
-	d.zephyr[z.Class] = z
-	d.NoteAppend(TZephyr)
-	return nil
-}
+func (d *DB) InsertZephyr(z *ZephyrClass) error { return insertNamed(d, &d.zephyr, -1, z, TZephyr) }
 
 // RenameZephyr changes a class's name.
 func (d *DB) RenameZephyr(z *ZephyrClass, newClass string) {
-	d.markDirty(TZephyr)
-	delete(d.zephyr, z.Class)
-	z.Class = newClass
-	d.zephyr[newClass] = z
+	d.zephyr.rename(z, func() { z.Class = newClass }, d.bump())
 }
 
 // DeleteZephyr removes a class row.
-func (d *DB) DeleteZephyr(z *ZephyrClass) {
-	delete(d.zephyr, z.Class)
-	d.NoteDelete(TZephyr)
-}
+func (d *DB) DeleteZephyr(z *ZephyrClass) { deleteNamed(d, &d.zephyr, z, TZephyr) }
 
 // --- Host access ---
 
@@ -994,211 +809,134 @@ func (d *DB) DeleteHostAccess(machID int) error {
 // --- Strings ---
 
 // StringByID returns the string with the given id.
-func (d *DB) StringByID(id int) (*StringRec, bool) {
-	return d.strings.get(id)
-}
+func (d *DB) StringByID(id int) (*StringRec, bool) { return d.strings.rows.get(id) }
 
 // StringID returns the id of the given string if it is interned.
-func (d *DB) StringID(s string) (int, bool) {
-	id, ok := d.stringIdx.byName[s]
-	return id, ok
-}
+func (d *DB) StringID(s string) (int, bool) { return d.strings.byName.lookup(strKey(s)) }
 
 // InternString returns the id for s, creating a row if needed. Exclusive
 // lock required when the string may be new.
 func (d *DB) InternString(s string) (int, error) {
-	if id, ok := d.stringIdx.byName[s]; ok {
+	if id, ok := d.StringID(s); ok {
 		return id, nil
 	}
 	id, err := d.AllocID("strings_id")
 	if err != nil {
 		return 0, err
 	}
-	if !validRowID(id) {
-		return 0, mrerr.MrInternal
-	}
-	d.stringIdx.epoch = d.bump()
-	d.strings.put(id, &StringRec{StringID: id, String: s}, d.stringIdx.epoch)
-	d.stringIdx.byName[s] = id
-	d.NoteAppend(TStrings)
-	return id, nil
+	return id, insertKeyed(d, &d.strings, id, &StringRec{StringID: id, String: s}, TStrings)
 }
 
-// EachString calls fn for every string row in id order (from the
-// ordered index; fn must not intern new strings).
+// EachString calls fn for every string row in id order (fn must not
+// intern new strings).
 func (d *DB) EachString(fn func(*StringRec) bool) {
 	d.NoteScan()
-	d.strings.each(fn)
+	d.strings.rows.each(fn)
 }
 
 // --- Network services ---
 
 // ServiceByName finds a service definition.
-func (d *DB) ServiceByName(name string) (*Service, bool) {
-	s, ok := d.services[name]
-	return s, ok
-}
+func (d *DB) ServiceByName(name string) (*Service, bool) { return d.services.byKey(name) }
 
 // EachService calls fn for every service in name order.
 func (d *DB) EachService(fn func(*Service) bool) {
 	d.NoteScan()
-	names := make([]string, 0, len(d.services))
-	for n := range d.services {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !fn(d.services[n]) {
-			return
-		}
-	}
+	d.services.eachByName(fn)
 }
 
 // InsertService adds a service definition; MR_EXISTS on duplicates.
-func (d *DB) InsertService(s *Service) error {
-	if _, dup := d.services[s.Name]; dup {
-		return mrerr.MrExists
-	}
-	d.services[s.Name] = s
-	d.NoteAppend(TServices)
-	return nil
-}
+func (d *DB) InsertService(s *Service) error { return insertNamed(d, &d.services, -1, s, TServices) }
 
 // DeleteService removes a service definition.
-func (d *DB) DeleteService(s *Service) {
-	delete(d.services, s.Name)
-	d.NoteDelete(TServices)
-}
+func (d *DB) DeleteService(s *Service) { deleteNamed(d, &d.services, s, TServices) }
 
 // --- Printers ---
 
 // PrintcapByName finds a printer.
-func (d *DB) PrintcapByName(name string) (*Printcap, bool) {
-	p, ok := d.printcaps[name]
-	return p, ok
-}
+func (d *DB) PrintcapByName(name string) (*Printcap, bool) { return d.printcaps.byKey(name) }
 
 // EachPrintcap calls fn for every printer in name order.
 func (d *DB) EachPrintcap(fn func(*Printcap) bool) {
 	d.NoteScan()
-	names := make([]string, 0, len(d.printcaps))
-	for n := range d.printcaps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !fn(d.printcaps[n]) {
-			return
-		}
-	}
+	d.printcaps.eachByName(fn)
+}
+
+// PrintcapOnMachine reports whether any printer spools on the machine:
+// a scan in no particular order, which needs no name-order cache.
+func (d *DB) PrintcapOnMachine(machID int) bool {
+	d.NoteScan()
+	found := false
+	d.printcaps.rows.each(func(p *Printcap) bool {
+		found = p.MachID == machID
+		return !found
+	})
+	return found
 }
 
 // InsertPrintcap adds a printer; MR_EXISTS on duplicates.
-func (d *DB) InsertPrintcap(p *Printcap) error {
-	if _, dup := d.printcaps[p.Name]; dup {
-		return mrerr.MrExists
-	}
-	d.printcaps[p.Name] = p
-	d.NoteAppend(TPrintcap)
-	return nil
-}
+func (d *DB) InsertPrintcap(p *Printcap) error { return insertNamed(d, &d.printcaps, -1, p, TPrintcap) }
 
 // DeletePrintcap removes a printer.
-func (d *DB) DeletePrintcap(p *Printcap) {
-	delete(d.printcaps, p.Name)
-	d.NoteDelete(TPrintcap)
-}
+func (d *DB) DeletePrintcap(p *Printcap) { deleteNamed(d, &d.printcaps, p, TPrintcap) }
 
 // --- Capability ACLs ---
 
 // CapACLByName finds the ACL row for a capability (query name).
-func (d *DB) CapACLByName(capability string) (*CapACL, bool) {
-	c, ok := d.capacls[capability]
-	return c, ok
-}
+func (d *DB) CapACLByName(capability string) (*CapACL, bool) { return d.capacls.byKey(capability) }
 
 // SetCapACL installs or replaces the ACL for a capability.
 func (d *DB) SetCapACL(capability, tag string, listID int) {
-	if _, ok := d.capacls[capability]; ok {
+	c := &CapACL{Capability: capability, Tag: tag, ListID: listID}
+	if id, _, ok := d.capacls.find(capability); ok {
+		d.capacls.rows.put(id, c, d.bump())
 		d.noteUpdate(TCapACLs)
-	} else {
-		d.NoteAppend(TCapACLs)
+		return
 	}
-	d.capacls[capability] = &CapACL{Capability: capability, Tag: tag, ListID: listID}
+	d.capacls.insert(d.capacls.rows.nextID(), c, d.bump())
+	d.NoteAppend(TCapACLs)
 }
 
 // EachCapACL calls fn for every capability row in name order.
 func (d *DB) EachCapACL(fn func(*CapACL) bool) {
 	d.NoteScan()
-	names := make([]string, 0, len(d.capacls))
-	for n := range d.capacls {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !fn(d.capacls[n]) {
-			return
-		}
-	}
+	d.capacls.eachByName(fn)
 }
 
 // --- Aliases ---
 
-// Aliases returns matching alias rows; empty strings match everything
+// EachAlias calls fn for every alias row in the order they were added
 // (the query layer applies wildcards itself, this is the raw scan).
-func (d *DB) Aliases() []Alias { return d.aliases }
+func (d *DB) EachAlias(fn func(Alias) bool) { walkRows(d, &d.aliases, fn) }
 
 // HasAlias reports whether the exact triple exists.
 func (d *DB) HasAlias(name, typ, trans string) bool {
-	for _, a := range d.aliases {
-		if a.Name == name && a.Type == typ && a.Trans == trans {
-			return true
-		}
-	}
-	return false
+	return rowID(&d.aliases, Alias{Name: name, Type: typ, Trans: trans}) >= 0
 }
 
 // AddAlias inserts an alias triple; MR_EXISTS on exact duplicates.
 func (d *DB) AddAlias(name, typ, trans string) error {
-	if d.HasAlias(name, typ, trans) {
-		return mrerr.MrExists
-	}
-	d.aliases = append(d.aliases, Alias{Name: name, Type: typ, Trans: trans})
-	d.NoteAppend(TAlias)
-	return nil
+	return addRow(d, &d.aliases, Alias{Name: name, Type: typ, Trans: trans}, TAlias)
 }
 
 // DeleteAlias removes an exactly matching alias triple.
 func (d *DB) DeleteAlias(name, typ, trans string) error {
-	for i, a := range d.aliases {
-		if a.Name == name && a.Type == typ && a.Trans == trans {
-			d.aliases = append(d.aliases[:i], d.aliases[i+1:]...)
-			d.NoteDelete(TAlias)
-			return nil
-		}
-	}
-	return mrerr.MrNoMatch
+	return deleteRow(d, &d.aliases, Alias{Name: name, Type: typ, Trans: trans}, TAlias)
 }
 
 // AliasTranslations returns the translations of (name, type), used for
 // type checking ("is VAX a registered mach_type?").
 func (d *DB) AliasTranslations(name, typ string) []string {
 	var out []string
-	for _, a := range d.aliases {
+	d.aliases.each(func(a *Alias) bool {
 		if a.Name == name && a.Type == typ {
 			out = append(out, a.Trans)
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // IsValidType reports whether value is registered as a TYPE alias
 // translation for the named type-checked field.
-func (d *DB) IsValidType(field, value string) bool {
-	for _, a := range d.aliases {
-		if a.Type == "TYPE" && a.Name == field && a.Trans == value {
-			return true
-		}
-	}
-	return false
-}
+func (d *DB) IsValidType(field, value string) bool { return d.HasAlias(field, "TYPE", value) }

@@ -134,7 +134,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			return loadRow(d, &d.users, u.UsersID, u)
+			return loadRow(d, &d.users.rows, u.UsersID, u)
 		},
 	},
 	{
@@ -153,7 +153,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			return loadRow(d, &d.machines, m.MachID, m)
+			return loadRow(d, &d.machines.rows, m.MachID, m)
 		},
 	},
 	{
@@ -172,16 +172,17 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			return loadRow(d, &d.clusters, c.CluID, c)
+			return loadRow(d, &d.clusters.rows, c.CluID, c)
 		},
 	},
 	{
 		name: TMCMap,
 		dump: func(d *DB) [][]string {
 			var rows [][]string
-			for _, m := range d.mcmap {
+			d.mcmap.each(func(m *MCMap) bool {
 				rows = append(rows, []string{i2s(m.MachID), i2s(m.CluID)})
-			}
+				return true
+			})
 			return rows
 		},
 		load: func(d *DB, f []string) error {
@@ -190,17 +191,20 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.mcmap = append(d.mcmap, m)
-			return nil
+			if !validRowID(m.MachID) || !validRowID(m.CluID) {
+				return fmt.Errorf("db: row id out of range")
+			}
+			return loadRow(d, &d.mcmap, d.mcmap.nextID(), &m)
 		},
 	},
 	{
 		name: TSvc,
 		dump: func(d *DB) [][]string {
 			var rows [][]string
-			for _, s := range d.svc {
+			d.svc.each(func(s *SvcData) bool {
 				rows = append(rows, []string{i2s(s.CluID), s.ServLabel, s.ServCluster})
-			}
+				return true
+			})
 			return rows
 		},
 		load: func(d *DB, f []string) error {
@@ -209,8 +213,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.svc = append(d.svc, s)
-			return nil
+			return loadRow(d, &d.svc, d.svc.nextID(), &s)
 		},
 	},
 	{
@@ -237,7 +240,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			return loadRow(d, &d.lists, l.ListID, l)
+			return loadRow(d, &d.lists.rows, l.ListID, l)
 		},
 	},
 	{
@@ -256,7 +259,10 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.members[m.ListID] = append(d.members[m.ListID], m)
+			if !validRowID(m.ListID) || !validRowID(m.MemberID) {
+				return fmt.Errorf("db: row id out of range")
+			}
+			push(&d.members, m.ListID, m, d.bump())
 			return nil
 		},
 	},
@@ -286,7 +292,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.servers[s.Name] = s
+			d.servers.upsert(s, d.bump())
 			return nil
 		},
 	},
@@ -317,7 +323,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.serverHosts = append(d.serverHosts, sh)
+			d.serverHosts.insert(d.serverHosts.rows.nextID(), sh, d.bump())
 			return nil
 		},
 	},
@@ -347,7 +353,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			return loadRow(d, &d.filesys, fs.FilsysID, fs)
+			return loadRow(d, &d.filesys.rows, fs.FilsysID, fs)
 		},
 	},
 	{
@@ -393,8 +399,10 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.nfsquotas = append(d.nfsquotas, q)
-			return nil
+			if !validRowID(q.UsersID) || !validRowID(q.FilsysID) {
+				return fmt.Errorf("db: row id out of range")
+			}
+			return loadRow(d, &d.quotas, d.quotas.nextID(), q)
 		},
 	},
 	{
@@ -421,7 +429,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.zephyr[z.Class] = z
+			d.zephyr.upsert(z, d.bump())
 			return nil
 		},
 	},
@@ -461,7 +469,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			return loadRow(d, &d.strings, s.StringID, s)
+			return loadRow(d, &d.strings.rows, s.StringID, s)
 		},
 	},
 	{
@@ -481,7 +489,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.services[s.Name] = s
+			d.services.upsert(s, d.bump())
 			return nil
 		},
 	},
@@ -502,7 +510,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.printcaps[p.Name] = p
+			d.printcaps.upsert(p, d.bump())
 			return nil
 		},
 	},
@@ -522,7 +530,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.capacls[c.Capability] = c
+			d.capacls.upsert(c, d.bump())
 			return nil
 		},
 	},
@@ -530,9 +538,10 @@ var tableIOs = []tableIO{
 		name: TAlias,
 		dump: func(d *DB) [][]string {
 			var rows [][]string
-			for _, a := range d.aliases {
+			d.aliases.each(func(a *Alias) bool {
 				rows = append(rows, []string{a.Name, a.Type, a.Trans})
-			}
+				return true
+			})
 			return rows
 		},
 		load: func(d *DB, f []string) error {
@@ -541,17 +550,17 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.aliases = append(d.aliases, a)
-			return nil
+			return loadRow(d, &d.aliases, d.aliases.nextID(), &a)
 		},
 	},
 	{
 		name: TValues,
 		dump: func(d *DB) [][]string {
 			var rows [][]string
-			for _, name := range d.ValueNames() {
-				rows = append(rows, []string{name, i2s(d.values[name])})
-			}
+			d.values.eachByName(func(v *value) bool {
+				rows = append(rows, []string{v.Name, i2s(v.Value)})
+				return true
+			})
 			return rows
 		},
 		load: func(d *DB, f []string) error {
@@ -560,7 +569,7 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.values[name] = v
+			d.values.upsert(&value{name, v}, d.bump())
 			return nil
 		},
 	},
@@ -585,15 +594,17 @@ var tableIOs = []tableIO{
 			if err := r.done(); err != nil {
 				return err
 			}
-			d.stats[s.Table] = s
+			d.stats.upsert(s, d.bump())
 			return nil
 		},
 	},
 }
 
-// loadRow installs one loaded row of a paged relation. A later row with
-// the same id replaces an earlier one, as the row maps always did; an id
-// no paged relation can hold is a corrupt dump.
+// loadRow installs one loaded row under id. A later row with the same id
+// replaces an earlier one; an id no table can hold is a corrupt dump.
+// Relations filed under surrogate ids load with the next one, or by
+// name (named.upsert: a later row with the same name replaces an
+// earlier one).
 func loadRow[R any](d *DB, rows *table[R], id int, r *R) error {
 	if !validRowID(id) {
 		return fmt.Errorf("db: row id %d out of range", id)
@@ -649,11 +660,6 @@ func (d *DB) LoadTable(name string, r io.Reader) error {
 			return err
 		}
 		d.rebuildIndexes()
-		d.valueNames.invalidate()
-		d.statNames.invalidate()
-		for _, tbl := range AllTables {
-			d.markDirty(tbl)
-		}
 		return nil
 	}
 	return fmt.Errorf("db: unknown table %q", name)
@@ -807,7 +813,7 @@ func Restore(dir string, clk clock.Clock) (*DB, error) {
 	}
 	d := New(clk)
 	// Clear the seeded values so the dump's values relation governs.
-	d.values = make(map[string]int)
+	d.values = newRelations().values
 	d.LockExclusive()
 	defer d.UnlockExclusive()
 	for _, t := range tableIOs {
@@ -824,10 +830,11 @@ func Restore(dir string, clk clock.Clock) (*DB, error) {
 	// The in-memory change sequence restarts at zero, but the dump may
 	// carry the DCM's stored generation sequences; advance past them so
 	// post-restore changes are never mistaken for "already generated".
-	for name, v := range d.values {
-		if strings.HasPrefix(name, GenSeqPrefix) && int64(v) > d.seqCounter {
-			d.seqCounter = int64(v)
+	d.values.rows.each(func(v *value) bool {
+		if strings.HasPrefix(v.Name, GenSeqPrefix) && int64(v.Value) > d.seqCounter {
+			d.seqCounter = int64(v.Value)
 		}
-	}
+		return true
+	})
 	return d, nil
 }

@@ -1,7 +1,9 @@
 package db
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,61 +54,15 @@ type DB struct {
 	mu  sync.RWMutex
 	clk clock.Clock
 
-	// The integer-keyed relations live in paged tables (table.go); their
-	// secondary indexes (index.go) are derived from the rows, maintained
-	// by the mutation accessors and re-derived by the load paths via
-	// rebuildIndexes.
-	users   table[User]
-	userIdx userIndex
-
-	machines table[Machine]
-	machIdx  namedIndex
-
-	clusters table[Cluster]
-	cluIdx   namedIndex
-
-	mcmap    []MCMap
-	mcmapIdx map[pairKey]bool // (mach_id, clu_id) presence
-	svc      []SvcData
-
-	lists     table[List]
-	listIdx   namedIndex
-	members   map[int][]Member    // keyed by list id
-	memberIdx map[memberKey][]int // (member type, id) -> list ids
-
-	servers     map[string]*Server
-	serverHosts []*ServerHost
-
-	filesys    table[Filesys]
-	filesysIdx filesysIndex
-	nfsphys    table[NFSPhys]
-	nfsquotas  []*NFSQuota
-	quotaIdx   map[pairKey]*NFSQuota // (users_id, filsys_id) -> row
-
-	zephyr     map[string]*ZephyrClass
-	hostaccess table[HostAccess] // keyed by mach_id
-
-	strings   table[StringRec]
-	stringIdx namedIndex // keyed by the interned value
-
-	services  map[string]*Service
-	printcaps map[string]*Printcap
-	capacls   map[string]*CapACL
-	aliases   []Alias
-	values    map[string]int
-	stats     map[string]*TblStat
-
-	valueNames *nameCache // sorted VALUES names (key-set changes only)
-	statNames  *nameCache // sorted TBLSTATS table names
+	// Every relation and every index is a paged table (relations).
+	relations
 
 	// Snapshot machinery (snapshot.go). writeEpoch counts mutations; a
-	// paged table stamps the pages a mutation touches with it, and
-	// snapEpochs holds the same stamp per whole-table-copied relation, so
-	// a rebuild copies only what is newer than the served snapshot's
-	// builtEpoch and shares the rest with it.
+	// mutation stamps the pages it touches with it, so a rebuild copies
+	// only what is newer than the served snapshot's builtEpoch and shares
+	// the rest with it.
 	isFrozen       bool
 	builtEpoch     int64
-	snapEpochs     map[string]int64
 	writeEpoch     atomic.Int64
 	rebuildMu      sync.Mutex
 	frozen         atomic.Pointer[DB]
@@ -138,6 +94,72 @@ type DB struct {
 	// freezeHist, when BindStats wired a registry, times snapshot
 	// rebuilds (snap.freeze.duration).
 	freezeHist atomic.Pointer[stats.Histogram]
+}
+
+// relations is the database's data: every relation and every secondary
+// index, each a paged table (table.go). Relations with an integer key of
+// their own are filed under it; the others under surrogate ids, which
+// live in memory only and are assigned in insertion or load order, so
+// an id-order walk is the order the rows came in. The indexes are
+// derived from the rows (rebuildIndexes).
+type relations struct {
+	users    named[User]       // by users_id; login index
+	uids     hashIndex[uidKey] // uid -> users_ids
+	machines named[Machine]    // by mach_id; name index
+	clusters named[Cluster]    // by clu_id; name index
+	mcmap    table[MCMap]      // surrogate ids
+	mcOfMach hashIndex[idKey]  // mach_id -> mcmap ids
+	mcOfClu  hashIndex[idKey]  // clu_id -> mcmap ids
+	svc      table[SvcData]    // surrogate ids
+
+	lists    named[List]                        // by list_id; name index
+	members  table[[]Member]                    // list_id -> the list's membership rows
+	memberOf [len(memberTypes)]hashIndex[idKey] // member id -> list ids, per member type
+
+	servers     named[Server]     // surrogate ids; name index
+	serverHosts named[ServerHost] // surrogate ids; service index
+
+	filesys      named[Filesys] // by filsys_id; label index (not unique)
+	nfsphys      table[NFSPhys]
+	quotas       table[NFSQuota]  // surrogate ids
+	quotasOnFS   hashIndex[idKey] // filsys_id -> quota ids
+	quotasOfUser hashIndex[idKey] // users_id -> quota ids
+
+	zephyr     named[ZephyrClass] // surrogate ids; class index
+	hostaccess table[HostAccess]  // by mach_id
+	strings    named[StringRec]   // by string id; value index
+	services   named[Service]     // surrogate ids; name index
+	printcaps  named[Printcap]    // surrogate ids; name index
+	capacls    named[CapACL]      // surrogate ids; capability index
+	aliases    table[Alias]       // surrogate ids
+	values     named[value]       // surrogate ids; name index
+	stats      named[TblStat]     // surrogate ids; table-name index
+}
+
+// memberTypes are the member types the member → lists index covers.
+var memberTypes = [...]string{ACEUser, ACEList, ACEString}
+
+// memberType returns mtype's position in memberTypes, -1 for a type no
+// query accepts (a load can carry one; fsck reports it).
+func memberType(mtype string) int { return slices.Index(memberTypes[:], mtype) }
+
+func newRelations() relations {
+	return relations{
+		users:       newNamed(func(u *User) string { return u.Login }, nil),
+		machines:    newNamed(func(m *Machine) string { return m.Name }, nil),
+		clusters:    newNamed(func(c *Cluster) string { return c.Name }, nil),
+		lists:       newNamed(func(l *List) string { return l.Name }, nil),
+		servers:     newNamed(func(s *Server) string { return s.Name }, nil),
+		serverHosts: newNamed(func(sh *ServerHost) string { return sh.Service }, byMachID),
+		filesys:     newNamed(func(f *Filesys) string { return f.Label }, func(a, b *Filesys) int { return cmp.Compare(a.Order, b.Order) }),
+		zephyr:      newNamed(func(z *ZephyrClass) string { return z.Class }, nil),
+		strings:     newNamed(func(s *StringRec) string { return s.String }, nil),
+		services:    newNamed(func(s *Service) string { return s.Name }, nil),
+		printcaps:   newNamed(func(p *Printcap) string { return p.Name }, nil),
+		capacls:     newNamed(func(c *CapACL) string { return c.Capability }, nil),
+		values:      newNamed(func(v *value) string { return v.Name }, nil),
+		stats:       newNamed(func(s *TblStat) string { return s.Table }, nil),
+	}
 }
 
 // tableOps is the lock-free mirror of one TblStat row's counts.
@@ -175,40 +197,26 @@ func New(clk clock.Clock) *DB {
 		clk = clock.System
 	}
 	d := &DB{
-		clk:        clk,
-		members:    make(map[int][]Member),
-		servers:    make(map[string]*Server),
-		zephyr:     make(map[string]*ZephyrClass),
-		services:   make(map[string]*Service),
-		printcaps:  make(map[string]*Printcap),
-		capacls:    make(map[string]*CapACL),
-		values:     make(map[string]int),
-		stats:      make(map[string]*TblStat),
-		tableSeq:   make(map[string]int64),
-		ops:        make(map[string]*tableOps),
-		lookups:    &lookupOps{},
-		snapEpochs: make(map[string]int64),
-		valueNames: &nameCache{},
-		statNames:  &nameCache{},
+		clk:       clk,
+		relations: newRelations(),
+		tableSeq:  make(map[string]int64),
+		ops:       make(map[string]*tableOps),
+		lookups:   &lookupOps{},
 	}
-	d.rebuildIndexes()
+	e := d.bump()
 	for _, t := range AllTables {
-		d.stats[t] = &TblStat{Table: t}
+		d.stats.upsert(&TblStat{Table: t}, e)
 		d.ops[t] = &tableOps{}
 	}
 	// ID allocation hints and server state, as loaded by the db creation
 	// scripts in the original.
-	d.values["users_id"] = 100
-	d.values["list_id"] = 100
-	d.values["mach_id"] = 100
-	d.values["clu_id"] = 100
-	d.values["filsys_id"] = 100
-	d.values["nfsphys_id"] = 100
-	d.values["strings_id"] = 100
-	d.values["uid"] = 6500
-	d.values["gid"] = 10900
-	d.values["def_quota"] = 300
-	d.values["dcm_enable"] = 1
+	for _, v := range []value{
+		{"users_id", 100}, {"list_id", 100}, {"mach_id", 100}, {"clu_id", 100},
+		{"filsys_id", 100}, {"nfsphys_id", 100}, {"strings_id", 100},
+		{"uid", 6500}, {"gid", 10900}, {"def_quota", 300}, {"dcm_enable", 1},
+	} {
+		d.values.upsert(&v, e)
+	}
 	return d
 }
 
@@ -305,37 +313,28 @@ func (d *DB) AdoptFrom(src *DB) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.adoptions.Add(1)
-	d.users, d.machines, d.clusters = src.users, src.machines, src.clusters
-	d.mcmap, d.svc = src.mcmap, src.svc
-	d.lists, d.members = src.lists, src.members
-	d.servers, d.serverHosts = src.servers, src.serverHosts
-	d.filesys, d.nfsphys, d.nfsquotas = src.filesys, src.nfsphys, src.nfsquotas
-	d.zephyr, d.hostaccess, d.strings = src.zephyr, src.hostaccess, src.strings
-	d.services, d.printcaps, d.capacls = src.services, src.printcaps, src.capacls
-	d.aliases, d.values, d.stats = src.aliases, src.values, src.stats
+	d.relations = src.relations
 	d.seqCounter, d.tableSeq = src.seqCounter, src.tableSeq
-	// Index state is derived, never moved: re-derive it from the adopted
-	// rows (which also re-stamps the adopted pages, whose stamps count
-	// src's epochs, into d's), drop the lazy name caches, and dirty every
-	// table so the next Reader() freezes a fresh snapshot of the adopted
-	// state.
+	// Index state is derived, never trusted: re-derive it from the adopted
+	// rows, which also re-stamps every adopted page (its stamps count
+	// src's epochs) into d's epoch domain, so the next Reader() freezes
+	// the adopted state afresh.
 	d.rebuildIndexes()
-	d.valueNames.invalidate()
-	d.statNames.invalidate()
-	for _, t := range AllTables {
-		d.markDirty(t)
-	}
 }
 
 // --- TBLSTATS maintenance. Caller must hold the exclusive lock. ---
 
+// stat returns table's stats row for the caller to update in place,
+// creating it if needed; its page is stamped.
 func (d *DB) stat(table string) *TblStat {
-	s, ok := d.stats[table]
+	e := d.bump()
+	id, s, ok := d.stats.find(table)
 	if !ok {
 		s = &TblStat{Table: table}
-		d.stats[table] = s
-		d.statNames.invalidate() // key set grew
+		d.stats.insert(d.stats.rows.nextID(), s, e)
+		return s
 	}
+	d.stats.rows.touch(id, s, e)
 	return s
 }
 
@@ -347,10 +346,6 @@ func (d *DB) note(s *TblStat) {
 	s.ModTime = d.Now()
 	d.seqCounter++
 	d.tableSeq[s.Table] = d.seqCounter
-	d.markDirty(s.Table)
-	// The stats row itself just changed in place, so snapshots must
-	// re-copy the tblstats relation too.
-	d.markDirty(TTblStats)
 }
 
 // opsFor returns table's atomic op-count mirror, creating it if needed.
@@ -422,7 +417,7 @@ func (d *DB) NoteAppend(table string) {
 
 // Row is a row of one of the relations whose rows are updated in place:
 // what NoteUpdate takes, so that every in-place mutation names the row
-// it changed and snapshot maintenance can re-copy just that row's page.
+// it changed and snapshot maintenance re-copies just that row's page.
 type Row interface{ relation() string }
 
 func (*User) relation() string        { return TUsers }
@@ -437,26 +432,33 @@ func (*NFSQuota) relation() string    { return TNFSQuota }
 func (*ZephyrClass) relation() string { return TZephyr }
 func (*HostAccess) relation() string  { return THostAccess }
 
-// touchRow stamps the page of a paged relation's row with a fresh write
-// epoch and returns the row's relation. r must be the live row itself.
-// Rows of the other relations need no stamp: their relation's Note*
-// marks the whole table.
+// touchRow stamps the page of r with a fresh write epoch and returns
+// the row's relation. r must be the live row itself.
 func (d *DB) touchRow(r Row) string {
+	e := d.bump()
 	switch r := r.(type) {
 	case *User:
-		d.users.touch(r.UsersID, r, d.bump())
+		d.users.rows.touch(r.UsersID, r, e)
 	case *Machine:
-		d.machines.touch(r.MachID, r, d.bump())
+		d.machines.rows.touch(r.MachID, r, e)
 	case *Cluster:
-		d.clusters.touch(r.CluID, r, d.bump())
+		d.clusters.rows.touch(r.CluID, r, e)
 	case *List:
-		d.lists.touch(r.ListID, r, d.bump())
+		d.lists.rows.touch(r.ListID, r, e)
+	case *Server:
+		d.servers.rows.touch(d.servers.idOf(r), r, e)
+	case *ServerHost:
+		d.serverHosts.rows.touch(d.serverHosts.idOf(r), r, e)
 	case *Filesys:
-		d.filesys.touch(r.FilsysID, r, d.bump())
+		d.filesys.rows.touch(r.FilsysID, r, e)
 	case *NFSPhys:
-		d.nfsphys.touch(r.NFSPhysID, r, d.bump())
+		d.nfsphys.touch(r.NFSPhysID, r, e)
+	case *NFSQuota:
+		d.quotas.touch(d.quotaID(r.UsersID, r.FilsysID), r, e)
+	case *ZephyrClass:
+		d.zephyr.rows.touch(d.zephyr.idOf(r), r, e)
 	case *HostAccess:
-		d.hostaccess.touch(r.MachID, r, d.bump())
+		d.hostaccess.touch(r.MachID, r, e)
 	}
 	return r.relation()
 }
@@ -491,13 +493,10 @@ func (d *DB) NoteDelete(table string) {
 // hesiod sloc data forever.
 func (d *DB) NoteUpdateInternal(r Row) {
 	table := d.touchRow(r)
+	// No modtime, no sequence bump; the row's page and the stats row's
+	// are stamped all the same.
 	d.stat(table).Updates++
 	d.opsFor(table).updates.Add(1)
-	// No modtime, no sequence bump — but the row did change in place,
-	// so snapshot maintenance must still see it (and its relation's stats
-	// row) as dirty or a frozen reader would race the writer.
-	d.markDirty(table)
-	d.markDirty(TTblStats)
 }
 
 // SeqOf returns the largest change-sequence number across the named
@@ -524,7 +523,7 @@ const GenSeqPrefix = "genseq_"
 // Stats returns a copy of the stats row for table. Caller must hold at
 // least the shared lock.
 func (d *DB) Stats(table string) TblStat {
-	if s, ok := d.stats[table]; ok {
+	if s, ok := d.stats.byKey(table); ok {
 		return *s
 	}
 	return TblStat{Table: table}
@@ -532,14 +531,13 @@ func (d *DB) Stats(table string) TblStat {
 
 // AllStats returns all stats rows sorted by table name. Caller must hold
 // at least the shared lock. The name ordering comes from a cache that is
-// invalidated only when a new table appears, so the per-call sort the
-// `_stats`-style paths used to pay is gone from the hot path.
+// rebuilt only when a new table appears.
 func (d *DB) AllStats() []TblStat {
-	names := d.statNames.get(sortedKeys(d.stats))
-	out := make([]TblStat, 0, len(names))
-	for _, n := range names {
-		out = append(out, *d.stats[n])
-	}
+	out := make([]TblStat, 0, d.stats.rows.len())
+	d.stats.eachByName(func(s *TblStat) bool {
+		out = append(out, *s)
+		return true
+	})
 	return out
 }
 
@@ -549,7 +547,7 @@ func (d *DB) AllStats() []TblStat {
 func (d *DB) LastModOf(tables ...string) int64 {
 	var max int64
 	for _, t := range tables {
-		if s, ok := d.stats[t]; ok && s.ModTime > max {
+		if s, ok := d.stats.byKey(t); ok && s.ModTime > max {
 			max = s.ModTime
 		}
 	}
@@ -558,76 +556,77 @@ func (d *DB) LastModOf(tables ...string) int64 {
 
 // --- VALUES relation. Caller must hold the appropriate lock. ---
 
+// value is a row of the VALUES relation.
+type value struct {
+	Name  string
+	Value int
+}
+
 // GetValue looks up a value; MR_NO_MATCH if absent. Shared lock suffices.
 func (d *DB) GetValue(name string) (int, error) {
-	v, ok := d.values[name]
+	v, ok := d.values.byKey(name)
 	if !ok {
 		return 0, mrerr.MrNoMatch
 	}
-	return v, nil
+	return v.Value, nil
 }
 
 // SetValue stores a value (creating or replacing). Exclusive lock.
 func (d *DB) SetValue(name string, v int) {
-	if _, ok := d.values[name]; ok {
+	if id, row, ok := d.values.find(name); ok {
+		row.Value = v
+		d.values.rows.touch(id, row, d.bump())
 		d.noteUpdate(TValues)
-	} else {
-		d.NoteAppend(TValues)
-		d.valueNames.invalidate()
+		return
 	}
-	d.values[name] = v
+	d.values.insert(d.values.rows.nextID(), &value{name, v}, d.bump())
+	d.NoteAppend(TValues)
 }
 
 // AddValue adds a new value; MR_EXISTS if present. Exclusive lock.
 func (d *DB) AddValue(name string, v int) error {
-	if _, ok := d.values[name]; ok {
+	if _, ok := d.values.byKey(name); ok {
 		return mrerr.MrExists
 	}
-	d.values[name] = v
-	d.NoteAppend(TValues)
-	d.valueNames.invalidate()
+	d.SetValue(name, v)
 	return nil
 }
 
 // UpdateValue replaces an existing value; MR_NO_MATCH if absent.
 // Exclusive lock.
 func (d *DB) UpdateValue(name string, v int) error {
-	if _, ok := d.values[name]; !ok {
+	if _, ok := d.values.byKey(name); !ok {
 		return mrerr.MrNoMatch
 	}
-	d.values[name] = v
-	d.noteUpdate(TValues)
+	d.SetValue(name, v)
 	return nil
 }
 
 // DeleteValue removes a value; MR_NO_MATCH if absent. Exclusive lock.
 func (d *DB) DeleteValue(name string) error {
-	if _, ok := d.values[name]; !ok {
+	id, v, ok := d.values.find(name)
+	if !ok {
 		return mrerr.MrNoMatch
 	}
-	delete(d.values, name)
+	d.values.remove(id, v, d.bump())
 	d.NoteDelete(TValues)
-	d.valueNames.invalidate()
 	return nil
 }
 
 // ValueNames returns all value names sorted. Shared lock. Cached: the
 // sort reruns only after the key set changes, not per call.
-func (d *DB) ValueNames() []string {
-	return d.valueNames.get(sortedKeys(d.values))
-}
+func (d *DB) ValueNames() []string { return d.values.names() }
 
 // AllocID allocates the next ID from the named hint counter ("users_id",
 // "list_id", ...). Exclusive lock required.
 func (d *DB) AllocID(counter string) (int, error) {
-	v, ok := d.values[counter]
+	id, v, ok := d.values.find(counter)
 	if !ok {
 		return 0, mrerr.MrNoID
 	}
-	d.values[counter] = v + 1
-	// Deliberately not a Note* (an allocation is not a data change the
-	// DCM should chase), but the values row did move: snapshots must
-	// re-copy the relation.
-	d.markDirty(TValues)
-	return v, nil
+	// Deliberately not a Note*: an allocation is not a data change the
+	// DCM should chase.
+	v.Value++
+	d.values.rows.touch(id, v, d.bump())
+	return v.Value - 1, nil
 }

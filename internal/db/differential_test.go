@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -33,8 +34,8 @@ func (r refstore) usersByUID(uid int) []*User {
 }
 
 func (r refstore) sortedUsers() []*User {
-	out := make([]*User, 0, r.d.users.len())
-	r.d.users.each(func(u *User) bool { out = append(out, u); return true })
+	out := make([]*User, 0, r.d.users.rows.len())
+	r.d.users.rows.each(func(u *User) bool { out = append(out, u); return true })
 	sort.Slice(out, func(i, j int) bool { return out[i].UsersID < out[j].UsersID })
 	return out
 }
@@ -60,7 +61,7 @@ func refMatch(pattern, name string) bool {
 
 func (r refstore) machinesMatching(pattern string) []*Machine {
 	var out []*Machine
-	r.d.machines.each(func(m *Machine) bool {
+	r.d.machines.rows.each(func(m *Machine) bool {
 		if refMatch(pattern, m.Name) {
 			out = append(out, m)
 		}
@@ -72,7 +73,7 @@ func (r refstore) machinesMatching(pattern string) []*Machine {
 
 func (r refstore) clustersMatching(pattern string) []*Cluster {
 	var out []*Cluster
-	r.d.clusters.each(func(c *Cluster) bool {
+	r.d.clusters.rows.each(func(c *Cluster) bool {
 		if refMatch(pattern, c.Name) {
 			out = append(out, c)
 		}
@@ -84,7 +85,7 @@ func (r refstore) clustersMatching(pattern string) []*Cluster {
 
 func (r refstore) listsMatching(pattern string) []*List {
 	var out []*List
-	r.d.lists.each(func(l *List) bool {
+	r.d.lists.rows.each(func(l *List) bool {
 		if refMatch(pattern, l.Name) {
 			out = append(out, l)
 		}
@@ -94,25 +95,28 @@ func (r refstore) listsMatching(pattern string) []*List {
 	return out
 }
 
+// allRows reads a table's rows in no order it trusts.
+func allRows[R any](t *table[R]) []*R {
+	var out []*R
+	t.each(func(r *R) bool { out = append(out, r); return true })
+	return out
+}
+
 func (r refstore) listsContaining(mtype string, mid int) []int {
-	listIDs := make([]int, 0, len(r.d.members))
-	for id := range r.d.members {
-		listIDs = append(listIDs, id)
-	}
-	sort.Ints(listIDs)
 	var out []int
-	for _, listID := range listIDs {
-		for _, m := range r.d.members[listID] {
+	for _, ms := range allRows(&r.d.members) {
+		for _, m := range *ms {
 			if m.MemberType == mtype && m.MemberID == mid {
-				out = append(out, listID)
+				out = append(out, m.ListID)
 			}
 		}
 	}
+	sort.Ints(out)
 	return out
 }
 
 func (r refstore) quotaOf(usersID, filsysID int) (*NFSQuota, bool) {
-	for _, q := range r.d.nfsquotas {
+	for _, q := range allRows(&r.d.quotas) {
 		if q.UsersID == usersID && q.FilsysID == filsysID {
 			return q, true
 		}
@@ -120,8 +124,18 @@ func (r refstore) quotaOf(usersID, filsysID int) (*NFSQuota, bool) {
 	return nil, false
 }
 
+func (r refstore) quotasOfUser(usersID int) []*NFSQuota {
+	var out []*NFSQuota
+	for _, q := range r.quotasSorted() {
+		if q.UsersID == usersID {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
 func (r refstore) hasMCMap(machID, cluID int) bool {
-	for _, m := range r.d.mcmap {
+	for _, m := range allRows(&r.d.mcmap) {
 		if m.MachID == machID && m.CluID == cluID {
 			return true
 		}
@@ -129,9 +143,20 @@ func (r refstore) hasMCMap(machID, cluID int) bool {
 	return false
 }
 
+func (r refstore) clustersOfMachine(machID int) []int {
+	var out []int
+	for _, m := range allRows(&r.d.mcmap) {
+		if m.MachID == machID {
+			out = append(out, m.CluID)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
 func (r refstore) filesysByLabel(label string) []*Filesys {
 	var out []*Filesys
-	r.d.filesys.each(func(f *Filesys) bool {
+	r.d.filesys.rows.each(func(f *Filesys) bool {
 		if f.Label == label {
 			out = append(out, f)
 		}
@@ -143,7 +168,7 @@ func (r refstore) filesysByLabel(label string) []*Filesys {
 
 func (r refstore) serverHostsOf(service string) []*ServerHost {
 	var out []*ServerHost
-	for _, sh := range r.d.serverHosts {
+	for _, sh := range allRows(&r.d.serverHosts.rows) {
 		if sh.Service == service {
 			out = append(out, sh)
 		}
@@ -153,7 +178,7 @@ func (r refstore) serverHostsOf(service string) []*ServerHost {
 }
 
 func (r refstore) quotasSorted() []*NFSQuota {
-	rows := append([]*NFSQuota(nil), r.d.nfsquotas...)
+	rows := allRows(&r.d.quotas)
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].FilsysID != rows[j].FilsysID {
 			return rows[i].FilsysID < rows[j].FilsysID
@@ -164,7 +189,7 @@ func (r refstore) quotasSorted() []*NFSQuota {
 }
 
 func (r refstore) serverHostsSorted() []*ServerHost {
-	rows := append([]*ServerHost(nil), r.d.serverHosts...)
+	rows := allRows(&r.d.serverHosts.rows)
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Service != rows[j].Service {
 			return rows[i].Service < rows[j].Service
@@ -254,7 +279,7 @@ func (w *diffworld) deleteMachineCascade(m *Machine) {
 		mach int
 	}
 	var shs []pair
-	for _, sh := range w.d.serverHosts {
+	for _, sh := range allRows(&w.d.serverHosts.rows) {
 		if sh.MachID == m.MachID {
 			shs = append(shs, pair{sh.Service, sh.MachID})
 		}
@@ -263,7 +288,7 @@ func (w *diffworld) deleteMachineCascade(m *Machine) {
 		_ = w.d.DeleteServerHost(p.svc, p.mach)
 	}
 	var mcs [][2]int
-	for _, mc := range w.d.mcmap {
+	for _, mc := range allRows(&w.d.mcmap) {
 		if mc.MachID == m.MachID {
 			mcs = append(mcs, [2]int{mc.MachID, mc.CluID})
 		}
@@ -276,7 +301,7 @@ func (w *diffworld) deleteMachineCascade(m *Machine) {
 
 func (w *diffworld) deleteClusterCascade(c *Cluster) {
 	var mcs [][2]int
-	for _, mc := range w.d.mcmap {
+	for _, mc := range allRows(&w.d.mcmap) {
 		if mc.CluID == c.CluID {
 			mcs = append(mcs, [2]int{mc.MachID, mc.CluID})
 		}
@@ -289,7 +314,7 @@ func (w *diffworld) deleteClusterCascade(c *Cluster) {
 
 func (w *diffworld) deleteUserCascade(u *User) {
 	var qs [][2]int
-	for _, q := range w.d.nfsquotas {
+	for _, q := range allRows(&w.d.quotas) {
 		if q.UsersID == u.UsersID {
 			qs = append(qs, [2]int{q.UsersID, q.FilsysID})
 		}
@@ -305,7 +330,7 @@ func (w *diffworld) deleteUserCascade(u *User) {
 
 func (w *diffworld) deleteFilesysCascade(f *Filesys) {
 	var qs [][2]int
-	for _, q := range w.d.nfsquotas {
+	for _, q := range allRows(&w.d.quotas) {
 		if q.FilsysID == f.FilsysID {
 			qs = append(qs, [2]int{q.UsersID, q.FilsysID})
 		}
@@ -567,6 +592,9 @@ func (w *diffworld) check(op int) {
 				if gok != wok || (gok && gq != wq) {
 					fail(fmt.Sprintf("QuotaOf(%d, %d)", u.UsersID, fid), gq, wq)
 				}
+				if got, want := d.QuotasOfUser(u.UsersID), w.ref.quotasOfUser(u.UsersID); !slices.Equal(got, want) {
+					fail(fmt.Sprintf("QuotasOfUser(%d)", u.UsersID), got, want)
+				}
 			}
 		}
 	case 6:
@@ -577,6 +605,9 @@ func (w *diffworld) check(op int) {
 			c, _ := w.d.ClusterByName(cname)
 			if got, want := d.HasMCMap(m.MachID, c.CluID), w.ref.hasMCMap(m.MachID, c.CluID); got != want {
 				fail(fmt.Sprintf("HasMCMap(%d, %d)", m.MachID, c.CluID), got, want)
+			}
+			if got, want := d.ClustersOfMachine(m.MachID), w.ref.clustersOfMachine(m.MachID); !slices.Equal(got, want) {
+				fail(fmt.Sprintf("ClustersOfMachine(%d)", m.MachID), got, want)
 			}
 		}
 	case 7:

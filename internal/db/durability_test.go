@@ -384,8 +384,8 @@ func TestFsckCleanAndDirty(t *testing.T) {
 	}
 
 	// Dangle a membership edge at a user that does not exist.
-	lid := d.listIdx.byName["video-users"]
-	d.members[lid] = append(d.members[lid], Member{ListID: lid, MemberType: "USER", MemberID: 9999})
+	l, _ := d.ListByName("video-users")
+	push(&d.members, l.ListID, Member{ListID: l.ListID, MemberType: "USER", MemberID: 9999}, d.bump())
 	incons := d.Fsck()
 	if len(incons) == 0 {
 		t.Fatal("fsck missed a dangling USER member")

@@ -35,11 +35,11 @@ func (d *DB) Fsck() []Inconsistency {
 		out = append(out, Inconsistency{Table: table, Item: item, Problem: fmt.Sprintf(format, args...)})
 	}
 
-	userOK := func(id int) bool { _, ok := d.users.get(id); return ok }
-	listOK := func(id int) bool { _, ok := d.lists.get(id); return ok }
-	machOK := func(id int) bool { _, ok := d.machines.get(id); return ok }
-	cluOK := func(id int) bool { _, ok := d.clusters.get(id); return ok }
-	strOK := func(id int) bool { _, ok := d.strings.get(id); return ok }
+	userOK := func(id int) bool { _, ok := d.users.rows.get(id); return ok }
+	listOK := func(id int) bool { _, ok := d.lists.rows.get(id); return ok }
+	machOK := func(id int) bool { _, ok := d.machines.rows.get(id); return ok }
+	cluOK := func(id int) bool { _, ok := d.clusters.rows.get(id); return ok }
+	strOK := func(id int) bool { _, ok := d.strings.rows.get(id); return ok }
 
 	// checkACE validates one access-control entity reference. NONE (or
 	// an unset type, as bootstrap rows carry) has no target; the R*
@@ -64,107 +64,86 @@ func (d *DB) Fsck() []Inconsistency {
 		}
 	}
 
-	// Page ↔ row agreement for every paged relation, and index ↔ row
-	// agreement for every index over one. The indexes are never
-	// persisted, so a finding here is a maintenance bug in the running
-	// server, not on-disk corruption — but it would mean silently wrong
-	// query results, which is exactly what fsck exists to catch.
-	auditNamed(add, TUsers, "login", &d.users, d.userIdx.byLogin, func(u *User) (string, int) { return u.Login, u.UsersID })
-	auditNamed(add, TMachine, "name", &d.machines, d.machIdx.byName, func(m *Machine) (string, int) { return m.Name, m.MachID })
-	auditNamed(add, TCluster, "name", &d.clusters, d.cluIdx.byName, func(c *Cluster) (string, int) { return c.Name, c.CluID })
-	auditNamed(add, TList, "name", &d.lists, d.listIdx.byName, func(l *List) (string, int) { return l.Name, l.ListID })
-	auditNamed(add, TStrings, "value", &d.strings, d.stringIdx.byName, func(s *StringRec) (string, int) { return s.String, s.StringID })
-	d.filesys.audit(TFilesys, func(f *Filesys) int { return f.FilsysID }, add)
+	// Page ↔ row agreement for every table, and index ↔ row agreement
+	// for every index. The indexes are never persisted, so a finding here
+	// is a maintenance bug in the running server, not on-disk corruption
+	// — but it would mean silently wrong query results, which is exactly
+	// what fsck exists to catch. Surrogate ids are not in their rows, so
+	// those tables' slots are not checked against the rows.
+	auditNamed(add, TUsers, "login", &d.users, func(u *User) int { return u.UsersID })
+	auditNamed(add, TMachine, "name", &d.machines, func(m *Machine) int { return m.MachID })
+	auditNamed(add, TCluster, "name", &d.clusters, func(c *Cluster) int { return c.CluID })
+	auditNamed(add, TList, "name", &d.lists, func(l *List) int { return l.ListID })
+	auditNamed(add, TFilesys, "label", &d.filesys, func(f *Filesys) int { return f.FilsysID })
+	auditNamed(add, TStrings, "value", &d.strings, func(s *StringRec) int { return s.StringID })
+	auditNamed(add, TServers, "name", &d.servers, nil)
+	auditNamed(add, TServerHosts, "service", &d.serverHosts, nil)
+	auditNamed(add, TZephyr, "class", &d.zephyr, nil)
+	auditNamed(add, TServices, "name", &d.services, nil)
+	auditNamed(add, TPrintcap, "name", &d.printcaps, nil)
+	auditNamed(add, TCapACLs, "capability", &d.capacls, nil)
+	auditNamed(add, TValues, "name", &d.values, nil)
+	auditNamed(add, TTblStats, "table", &d.stats, nil)
 	d.nfsphys.audit(TNFSPhys, func(p *NFSPhys) int { return p.NFSPhysID }, add)
 	d.hostaccess.audit(THostAccess, func(h *HostAccess) int { return h.MachID }, add)
+	d.svc.audit(TSvc, nil, add)
+	d.aliases.audit(TAlias, nil, add)
+	d.mcmap.audit(TMCMap, nil, add)
+	auditIndex(add, TMCMap, "machine", &d.mcOfMach, &d.mcmap, func(mc *MCMap) idKey { return idKey(mc.MachID) })
+	auditIndex(add, TMCMap, "cluster", &d.mcOfClu, &d.mcmap, func(mc *MCMap) idKey { return idKey(mc.CluID) })
+	d.quotas.audit(TNFSQuota, nil, add)
+	auditIndex(add, TNFSQuota, "filesys", &d.quotasOnFS, &d.quotas, func(q *NFSQuota) idKey { return idKey(q.FilsysID) })
+	auditIndex(add, TNFSQuota, "user", &d.quotasOfUser, &d.quotas, func(q *NFSQuota) idKey { return idKey(q.UsersID) })
+	auditIndex(add, TUsers, "uid", &d.uids, &d.users.rows, func(u *User) uidKey { return uidKey(u.UID) })
 
-	uidCount := 0
-	for uid, ids := range d.userIdx.byUID {
-		uidCount += len(ids)
-		for _, id := range ids {
-			if u, ok := d.users.get(id); !ok || u.UID != uid {
-				add(TUsers, fmt.Sprintf("uid %d", uid), "uid index points at user %d which is missing or re-uided", id)
+	// The member index files list ids, not membership rows, under each
+	// member: every membership of a known type is filed, and every list
+	// filed under a member has the membership.
+	d.members.audit(TMembers, nil, add)
+	indexable := 0
+	d.members.eachID(func(listID int, ms *[]Member) bool {
+		for _, m := range *ms {
+			item := fmt.Sprintf("list %d member %s %d", listID, m.MemberType, m.MemberID)
+			if m.ListID != listID {
+				add(TMembers, item, "row of list %d filed under list %d", m.ListID, listID)
+			}
+			if t := memberType(m.MemberType); t >= 0 {
+				indexable++
+				if d.memberOf[t].find(idKey(m.MemberID), func(id int) bool { return id == listID }) < 0 {
+					add(TMembers, item, "row missing from member index")
+				}
 			}
 		}
-	}
-	if uidCount != d.users.len() {
-		add(TUsers, "uid index", "index covers %d users, relation has %d", uidCount, d.users.len())
-	}
-
-	labelCount := 0
-	for label, ids := range d.filesysIdx.byLabel {
-		labelCount += len(ids)
-		for _, id := range ids {
-			if f, ok := d.filesys.get(id); !ok || f.Label != label {
-				add(TFilesys, label, "label index points at filesys %d which is missing or relabeled", id)
+		return true
+	})
+	indexed := 0
+	for t := range d.memberOf {
+		d.memberOf[t].audit(TMembers, memberTypes[t]+" member", add)
+		d.memberOf[t].eachID(func(mid int, b *[]entry[idKey]) bool {
+			for _, e := range *b {
+				indexed++
+				if !d.HasMember(e.id, memberTypes[t], mid) {
+					add(TMembers, fmt.Sprintf("%s %d", memberTypes[t], mid), "member index claims membership in list %d which has no such row", e.id)
+				}
 			}
-		}
+			return true
+		})
 	}
-	if labelCount != d.filesys.len() {
-		add(TFilesys, "label index", "index covers %d rows, relation has %d", labelCount, d.filesys.len())
-	}
-
-	memberCount := 0
-	for k, listIDs := range d.memberIdx {
-		memberCount += len(listIDs)
-		for _, listID := range listIDs {
-			if !d.HasMember(listID, k.Type, k.ID) {
-				add(TMembers, fmt.Sprintf("%s %d", k.Type, k.ID), "member index claims membership in list %d which has no such row", listID)
-			}
-		}
-	}
-	nMembers := 0
-	for _, ms := range d.members {
-		nMembers += len(ms)
-	}
-	if memberCount != nMembers {
-		add(TMembers, "member index", "index covers %d rows, relation has %d", memberCount, nMembers)
-	}
-
-	if len(d.mcmapIdx) != len(d.mcmap) {
-		add(TMCMap, "pair index", "index covers %d rows, relation has %d", len(d.mcmapIdx), len(d.mcmap))
-	}
-	for _, mc := range d.mcmap {
-		if !d.mcmapIdx[pairKey{mc.MachID, mc.CluID}] {
-			add(TMCMap, fmt.Sprintf("machine %d cluster %d", mc.MachID, mc.CluID), "row missing from pair index")
-		}
-	}
-
-	if len(d.quotaIdx) != len(d.nfsquotas) {
-		add(TNFSQuota, "pair index", "index covers %d rows, relation has %d", len(d.quotaIdx), len(d.nfsquotas))
-	}
-	for i, q := range d.nfsquotas {
-		if d.quotaIdx[pairKey{q.UsersID, q.FilsysID}] != q {
-			add(TNFSQuota, fmt.Sprintf("user %d filesys %d", q.UsersID, q.FilsysID), "row missing from pair index")
-		}
-		if i > 0 {
-			p := d.nfsquotas[i-1]
-			if p.FilsysID > q.FilsysID || (p.FilsysID == q.FilsysID && p.UsersID >= q.UsersID) {
-				add(TNFSQuota, "ordered slice", "rows out of (filsys, user) order at position %d", i)
-			}
-		}
-	}
-	for i, sh := range d.serverHosts {
-		if i == 0 {
-			continue
-		}
-		p := d.serverHosts[i-1]
-		if p.Service > sh.Service || (p.Service == sh.Service && p.MachID >= sh.MachID) {
-			add(TServerHosts, "ordered slice", "rows out of (service, mach_id) order at position %d", i)
-		}
+	if indexed != indexable {
+		add(TMembers, "member index", "index covers %d rows, relation has %d", indexed, indexable)
 	}
 
 	// List ACLs and memberships.
-	d.lists.each(func(l *List) bool {
+	d.lists.rows.each(func(l *List) bool {
 		checkACE(TList, l.Name, l.ACLType, l.ACLID)
 		return true
 	})
-	for listID, members := range d.members {
+	d.members.eachID(func(listID int, members *[]Member) bool {
 		if !listOK(listID) {
 			add(TMembers, fmt.Sprintf("list %d", listID), "memberships of a missing list")
-			continue
+			return true
 		}
-		for _, m := range members {
+		for _, m := range *members {
 			item := fmt.Sprintf("list %d member %s %d", listID, m.MemberType, m.MemberID)
 			switch m.MemberType {
 			case ACEUser:
@@ -183,10 +162,11 @@ func (d *DB) Fsck() []Inconsistency {
 				add(TMembers, item, "unknown member type %q", m.MemberType)
 			}
 		}
-	}
+		return true
+	})
 
 	// Machine/cluster mappings and service data.
-	for _, mc := range d.mcmap {
+	d.mcmap.each(func(mc *MCMap) bool {
 		item := fmt.Sprintf("machine %d cluster %d", mc.MachID, mc.CluID)
 		if !machOK(mc.MachID) {
 			add(TMCMap, item, "mapping references missing machine")
@@ -194,29 +174,33 @@ func (d *DB) Fsck() []Inconsistency {
 		if !cluOK(mc.CluID) {
 			add(TMCMap, item, "mapping references missing cluster")
 		}
-	}
-	for _, sv := range d.svc {
+		return true
+	})
+	d.svc.each(func(sv *SvcData) bool {
 		if !cluOK(sv.CluID) {
 			add(TSvc, sv.ServLabel, "service datum references missing cluster %d", sv.CluID)
 		}
-	}
+		return true
+	})
 
 	// DCM state: serverhosts reference servers and machines.
-	for _, sh := range d.serverHosts {
+	d.serverHosts.rows.each(func(sh *ServerHost) bool {
 		item := fmt.Sprintf("%s on machine %d", sh.Service, sh.MachID)
-		if _, ok := d.servers[sh.Service]; !ok {
+		if _, ok := d.servers.byKey(sh.Service); !ok {
 			add(TServerHosts, item, "host row for a missing service")
 		}
 		if !machOK(sh.MachID) {
 			add(TServerHosts, item, "host row references missing machine")
 		}
-	}
-	for _, srv := range d.servers {
+		return true
+	})
+	d.servers.rows.each(func(srv *Server) bool {
 		checkACE(TServers, srv.Name, srv.ACLType, srv.ACLID)
-	}
+		return true
+	})
 
 	// Filesystems, NFS allocations, quotas.
-	d.filesys.each(func(fs *Filesys) bool {
+	d.filesys.rows.each(func(fs *Filesys) bool {
 		if fs.MachID != 0 && !machOK(fs.MachID) {
 			add(TFilesys, fs.Label, "filesystem references missing machine %d", fs.MachID)
 		}
@@ -234,23 +218,25 @@ func (d *DB) Fsck() []Inconsistency {
 		}
 		return true
 	})
-	for _, q := range d.nfsquotas {
+	d.quotas.each(func(q *NFSQuota) bool {
 		item := fmt.Sprintf("user %d filesys %d", q.UsersID, q.FilsysID)
 		if q.UsersID != 0 && !userOK(q.UsersID) {
 			add(TNFSQuota, item, "quota for a missing user")
 		}
-		if _, ok := d.filesys.get(q.FilsysID); !ok {
+		if _, ok := d.filesys.rows.get(q.FilsysID); !ok {
 			add(TNFSQuota, item, "quota on a missing filesystem")
 		}
-	}
+		return true
+	})
 
 	// Zephyr class ACEs, host access, capability ACLs.
-	for _, z := range d.zephyr {
+	d.zephyr.rows.each(func(z *ZephyrClass) bool {
 		checkACE(TZephyr, z.Class+" xmt", z.XmtType, z.XmtID)
 		checkACE(TZephyr, z.Class+" sub", z.SubType, z.SubID)
 		checkACE(TZephyr, z.Class+" iws", z.IwsType, z.IwsID)
 		checkACE(TZephyr, z.Class+" iui", z.IuiType, z.IuiID)
-	}
+		return true
+	})
 	d.hostaccess.each(func(h *HostAccess) bool {
 		item := fmt.Sprintf("machine %d", h.MachID)
 		if !machOK(h.MachID) {
@@ -259,14 +245,15 @@ func (d *DB) Fsck() []Inconsistency {
 		checkACE(THostAccess, item, h.ACLType, h.ACLID)
 		return true
 	})
-	for _, c := range d.capacls {
+	d.capacls.rows.each(func(c *CapACL) bool {
 		if !listOK(c.ListID) {
 			add(TCapACLs, c.Capability, "capability ACL references missing list %d", c.ListID)
 		}
-	}
+		return true
+	})
 
 	// Poboxes: a POP box references a machine.
-	d.users.each(func(u *User) bool {
+	d.users.rows.each(func(u *User) bool {
 		if u.PoType == PoboxPOP && u.PopID != 0 && !machOK(u.PopID) {
 			add(TUsers, u.Login, "POP pobox references missing machine %d", u.PopID)
 		}
@@ -282,24 +269,37 @@ func (d *DB) Fsck() []Inconsistency {
 	return out
 }
 
-// auditNamed checks one paged relation against its unique-name index:
-// the table's own page ↔ row agreement, then that the index and the
-// rows name each other, in both directions.
+// auditNamed checks one relation and its name index: the rows' page ↔
+// row agreement (id is nil for surrogate-id relations), then the index.
 func auditNamed[R any](add func(table, item, format string, args ...any), table, what string,
-	rows *table[R], byName map[string]int, key func(*R) (string, int)) {
-	rows.audit(table, func(r *R) int { _, id := key(r); return id }, add)
-	for name, id := range byName {
-		if r, ok := rows.get(id); !ok {
-			add(table, name, "%s index points at row %d which is missing", what, id)
-		} else if got, _ := key(r); got != name {
-			add(table, name, "%s index points at row %d which is now %q", what, id, got)
-		}
-	}
-	rows.each(func(r *R) bool {
-		name, id := key(r)
-		if got, ok := byName[name]; !ok || got != id {
-			add(table, name, "row %d missing from %s index", id, what)
+	n *named[R], id func(*R) int) {
+	n.rows.audit(table, id, add)
+	auditIndex(add, table, what, &n.byName, &n.rows, func(r *R) strKey { return strKey(n.name(r)) })
+}
+
+// auditIndex checks an index against the rows it files: its buckets'
+// own agreement (audit), every entry naming a row with that key, and
+// every row filed under its key exactly once.
+func auditIndex[K hashKey, R any](add func(table, item, format string, args ...any), table, what string,
+	x *hashIndex[K], rows *table[R], key func(*R) K) {
+	x.audit(table, what, add)
+	filed := 0
+	x.each(func(b *[]entry[K]) bool {
+		for _, e := range *b {
+			filed++
+			if r, ok := rows.get(e.id); !ok || key(r) != e.key {
+				add(table, fmt.Sprint(e.key), "%s index files row %d, which is missing or not under that key", what, e.id)
+			}
 		}
 		return true
 	})
+	rows.eachID(func(id int, r *R) bool {
+		if x.find(key(r), func(x int) bool { return x == id }) < 0 {
+			add(table, fmt.Sprint(key(r)), "row %d missing from %s index", id, what)
+		}
+		return true
+	})
+	if filed != rows.len() {
+		add(table, what+" index", "index covers %d rows, relation has %d", filed, rows.len())
+	}
 }

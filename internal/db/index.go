@@ -1,6 +1,8 @@
 package db
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,67 +12,434 @@ import (
 
 // Secondary indexes: derived, in-memory structures that turn the query
 // layer's hot retrieval shapes — point lookup by login, uid or label,
-// wildcard retrieval by name — from full-table scans with per-call
-// sorts into index probes. (Ordered iteration by primary key needs no
-// index: the paged table in table.go iterates in id order.) Index state
-// is never persisted: the journal and checkpoints carry only rows, and
-// every load path (restore, replay, AdoptFrom) re-derives the indexes
-// from the rows it installs via rebuildIndexes. Fsck verifies index ↔
-// row agreement, so a maintenance bug surfaces as a boot-time finding
-// instead of silently wrong query results.
-//
-// Each paged relation's indexes sit behind one key epoch: the write
-// epoch of the last mutation that changed a key — insert, delete,
-// rename, SetUserUID, SetFilesysLabel. An update that leaves the keys
-// alone leaves the epoch alone, and freeze then hands the new snapshot
-// the previous generation's index maps and sorted-name cache instead of
-// copying them. A key change still copies that relation's maps whole:
-// the remaining O(n) write→read transition.
+// wildcard retrieval by name, the lists a member is on — from
+// full-table scans with per-call sorts into index probes. (Ordered
+// iteration by primary key needs no index: the paged table in table.go
+// iterates in id order.) Every index is a hashIndex, itself a paged
+// table stamped and frozen like the rows, whose key type picks the
+// slot: a row id is its own slot, a string its hash, a uid its low
+// bits. Index state is never persisted: the journal and checkpoints carry only rows,
+// and every load path (restore, replay, AdoptFrom) re-derives the
+// indexes from the rows it installs via rebuildIndexes. Fsck verifies
+// index ↔ row agreement, so a maintenance bug surfaces as a boot-time
+// finding instead of silently wrong query results.
 
-// nameCache is a lazily built, ordered name index: the sorted keys of a
-// by-name map, used for wildcard range scans. It is rebuilt on first
-// use after an invalidation rather than maintained per-mutation —
-// keeping a large sorted string slice ordered under random-order
-// inserts would cost O(n) per insert, while the lazy rebuild costs one
-// O(n log n) sort per write→wildcard-read transition and nothing at
-// all on write-only or read-only phases. The build is safe under
-// concurrent shared holds (and under concurrent readers of a frozen
-// snapshot, which never invalidates).
-type nameCache struct {
-	mu sync.Mutex
-	p  atomic.Pointer[[]string]
+// hashBits is how many bits of a key's hash pick its bucket: 16,384
+// buckets, so a 100,000-key index holds about six keys a bucket and
+// takes less memory than a Go map of the same keys. Wider hashes spread
+// the keys over more, emptier buckets and cost more.
+const hashBits = 14
+
+// hashKey is a key type a hashIndex can file under: a string, hashed;
+// a row id, which is its own slot; or a uid, which users choose and so
+// need not fit a table's id range.
+type hashKey interface {
+	comparable
+	slot() int
+	// fixed reports whether the keys hash into a fixed, small set of
+	// slots, as strings do; ids and uids name their own (see remove).
+	fixed() bool
 }
 
-// invalidate drops the cache; the next get rebuilds. Callers hold the
-// exclusive lock (it accompanies a mutation).
-func (c *nameCache) invalidate() { c.p.Store(nil) }
+type (
+	strKey string
+	idKey  int
+	uidKey int
+)
 
-// get returns the sorted names, building them with build() if needed.
-func (c *nameCache) get(build func() []string) []string {
-	if s := c.p.Load(); s != nil {
-		return *s
+// fnv32 is the FNV-1a basis and prime. The hash is fixed, not seeded:
+// a key's slot is the same in every process.
+const (
+	fnvBasis = 2166136261
+	fnvPrime = 16777619
+)
+
+func (strKey) fixed() bool { return true }
+func (idKey) fixed() bool  { return false }
+func (uidKey) fixed() bool { return false }
+
+func (k strKey) slot() int {
+	h := uint32(fnvBasis)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint32(k[i])) * fnvPrime
+	}
+	return int(h >> (32 - hashBits))
+}
+
+// An id index is a table keyed by the id itself, so it walks in id
+// order. The caller has checked validRowID.
+func (k idKey) slot() int { return int(k) }
+
+// uidBits is how many low bits of a uid pick its slot: every uid below
+// 2^20 has a slot of its own, so a uid index is keyed by the uid, and a
+// negative or larger uid still lands in the table's id range.
+const uidBits = 20
+
+func (k uidKey) slot() int { return int(uint(k) & (1<<uidBits - 1)) }
+
+// entry files one id under one key.
+type entry[K hashKey] struct {
+	key K
+	id  int
+}
+
+// hashIndex files ids under keys: a table whose row at slot s is the
+// bucket of every (key, id) entry whose key hashes to s. A key may carry
+// several ids (filesystem labels, uids); unique indexes check before
+// they add. A bucket is small and immutable: a mutation replaces it with
+// an exactly sized copy and never edits it in place.
+type hashIndex[K hashKey] struct {
+	table[[]entry[K]]
+	// spare holds preallocated one-entry buckets for keys landing in an
+	// empty slot, so that a sparse index (a small population) does not
+	// pay an allocation per insert. Only the live index adds.
+	spare []box[K]
+}
+
+// box is a bucket's slice header and room for its first entry in one
+// allocation.
+type box[K hashKey] struct {
+	b     []entry[K]
+	first [1]entry[K]
+}
+
+// under calls fn for every id filed under k, in order, until fn returns
+// false; it reports whether fn did.
+func (x *hashIndex[K]) under(k K, fn func(id int) bool) bool {
+	if b, ok := x.get(k.slot()); ok {
+		for _, e := range *b {
+			if e.key == k && !fn(e.id) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// find returns the first id filed under k that match accepts, -1 when
+// there is none.
+func (x *hashIndex[K]) find(k K, match func(id int) bool) int {
+	found := -1
+	x.under(k, func(id int) bool {
+		if match(id) {
+			found = id
+		}
+		return found < 0
+	})
+	return found
+}
+
+// lookup returns the first id filed under k (-1, false when none).
+func (x *hashIndex[K]) lookup(k K) (int, bool) {
+	if b, ok := x.get(k.slot()); ok {
+		for _, e := range *b {
+			if e.key == k {
+				return e.id, true
+			}
+		}
+	}
+	return -1, false
+}
+
+// appendIDs appends every id filed under k to dst.
+func (x *hashIndex[K]) appendIDs(dst []int, k K) []int {
+	x.under(k, func(id int) bool { dst = append(dst, id); return true })
+	return dst
+}
+
+// ids returns the ids filed under k in a slice of their number (nil
+// when there are none).
+func (x *hashIndex[K]) ids(k K) []int {
+	n := 0
+	x.under(k, func(int) bool { n++; return true })
+	if n == 0 {
+		return nil
+	}
+	return x.appendIDs(make([]int, 0, n), k)
+}
+
+// add files id under k. The ids under one key stay in the order less
+// puts them in (id order when less is nil), so a probe returns them
+// sorted.
+func (x *hashIndex[K]) add(k K, id int, less func(a, b int) bool, epoch int64) {
+	slot, e := k.slot(), entry[K]{k, id}
+	if b, ok := x.get(slot); ok {
+		*b = slices.Insert(slices.Clip(*b), insertAt(*b, e, less), e)
+		x.touch(slot, b, epoch)
+		return
+	}
+	if len(x.spare) == 0 {
+		x.spare = make([]box[K], fanout)
+	}
+	bx := &x.spare[0]
+	x.spare = x.spare[1:]
+	bx.first[0] = e
+	bx.b = bx.first[:]
+	x.put(slot, &bx.b, epoch)
+}
+
+// insertAt returns where e goes in bucket b: among the entries of its
+// key, which stay together, in the order add keeps.
+func insertAt[K hashKey](b []entry[K], e entry[K], less func(a, b int) bool) int {
+	at := len(b)
+	for i, o := range b {
+		if o.key != e.key {
+			continue
+		}
+		if less == nil && e.id < o.id || less != nil && less(e.id, o.id) {
+			return i
+		}
+		at = i + 1
+	}
+	return at
+}
+
+// eachKey calls fn once for every key in the index.
+func (x *hashIndex[K]) eachKey(fn func(K)) {
+	x.each(func(b *[]entry[K]) bool {
+		for i, e := range *b {
+			if i == 0 || (*b)[i-1].key != e.key {
+				fn(e.key)
+			}
+		}
+		return true
+	})
+}
+
+// move refiles id from key old to key k, as a rename does. When both
+// buckets keep entries and both change, the two new buckets share one
+// allocation.
+func (x *hashIndex[K]) move(old, k K, id int, less func(a, b int) bool, epoch int64) {
+	from, _ := x.get(old.slot())
+	to, ok := x.get(k.slot())
+	i := -1
+	if from != nil {
+		i = slices.Index(*from, entry[K]{old, id})
+	}
+	if !ok || from == to || i < 0 || len(*from) == 1 {
+		x.remove(old, id, epoch)
+		x.add(k, id, less, epoch)
+		return
+	}
+	e := entry[K]{k, id}
+	buf := slices.Concat((*from)[:i], (*from)[i+1:], *to, []entry[K]{e})
+	n := len(*from) - 1
+	rest, moved := buf[:n:n], buf[n:]
+	at := insertAt(moved[:len(moved)-1], e, less)
+	copy(moved[at+1:], moved[at:len(moved)-1])
+	moved[at] = e
+	*from, *to = rest, moved
+	x.touch(old.slot(), from, epoch)
+	x.touch(k.slot(), to, epoch)
+}
+
+// remove drops id from under k. A bucket of a fixed slot set that
+// empties stays, empty: that costs at most one bucket a slot, and a
+// removal costs the next reader the same page whether or not it was the
+// bucket's last entry. A bucket of a key that names its own slot goes,
+// or every id ever deleted would keep one.
+func (x *hashIndex[K]) remove(k K, id int, epoch int64) {
+	slot := k.slot()
+	if b, ok := x.get(slot); ok {
+		switch i := slices.Index(*b, entry[K]{k, id}); {
+		case i < 0:
+		case len(*b) == 1 && !k.fixed():
+			x.del(slot, epoch)
+		default:
+			*b = slices.Concat((*b)[:i], (*b)[i+1:])
+			x.touch(slot, b, epoch)
+		}
+	}
+}
+
+func (x *hashIndex[K]) freeze(prev *hashIndex[K], since int64, copied *int) hashIndex[K] {
+	return hashIndex[K]{table: x.table.freeze(&prev.table, since, copied)}
+}
+
+// audit adds to fsck's findings every bucket entry whose key hashes to
+// another slot or sits apart from its key's other entries, and the
+// table's own node findings.
+func (x *hashIndex[K]) audit(relation, what string, add func(table, item, format string, args ...any)) {
+	x.table.audit(relation, nil, add)
+	x.eachID(func(slot int, b *[]entry[K]) bool {
+		for i, e := range *b {
+			if e.key.slot() != slot {
+				add(relation, fmt.Sprint(e.key), "%s key sits in hash slot %d, hashes to %d", what, slot, e.key.slot())
+			}
+			if i > 0 && e.key != (*b)[i-1].key && slices.ContainsFunc((*b)[:i-1], func(o entry[K]) bool { return o.key == e.key }) {
+				add(relation, fmt.Sprint(e.key), "%s key's entries are not together in bucket %d", what, slot)
+			}
+		}
+		return true
+	})
+}
+
+// named is a relation whose rows carry a string column with a hashed
+// index: a unique name (machines, lists, servers, values, ...), a login,
+// or a non-unique label or service name. Rows are filed under their own
+// id or, for relations without one, under a surrogate id from nextID.
+type named[R any] struct {
+	rows   table[R]
+	byName hashIndex[strKey]
+	name   func(*R) string
+	// order sorts the rows sharing a name (nil: by id). The columns it
+	// reads are set when a row goes in and never change in place.
+	order func(a, b *R) int
+	// sorted caches the names in order. It is shared by the live relation
+	// and its frozen copies: an entry is good for the index stamp it was
+	// built at, whichever of them asks.
+	sorted *nameCache
+}
+
+func newNamed[R any](name func(*R) string, order func(a, b *R) int) named[R] {
+	return named[R]{name: name, order: order, sorted: &nameCache{}}
+}
+
+// less orders the ids filed under one name by order (nil: by id).
+func (n *named[R]) less() func(a, b int) bool {
+	if n.order == nil {
+		return nil
+	}
+	return func(a, b int) bool {
+		ra, _ := n.rows.get(a)
+		rb, _ := n.rows.get(b)
+		return n.order(ra, rb) < 0
+	}
+}
+
+// byKey returns the first row filed under name.
+func (n *named[R]) byKey(name string) (*R, bool) {
+	_, r, ok := n.find(name)
+	return r, ok
+}
+
+// find returns the first row filed under name and its id.
+func (n *named[R]) find(name string) (int, *R, bool) {
+	id, _ := n.byName.lookup(strKey(name))
+	r, ok := n.rows.get(id)
+	return id, r, ok
+}
+
+// idOf returns the id r is filed under; r must be a row of the relation.
+func (n *named[R]) idOf(r *R) int {
+	id := n.byName.find(strKey(n.name(r)), func(id int) bool { row, _ := n.rows.get(id); return row == r })
+	if id < 0 {
+		panic("db: update noted for a row that is not in its relation")
+	}
+	return id
+}
+
+func (n *named[R]) insert(id int, r *R, epoch int64) {
+	n.rows.put(id, r, epoch)
+	n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
+}
+
+// upsert files r under its name, replacing the row that had it: the load
+// rule for surrogate-id relations, where the name is the key.
+func (n *named[R]) upsert(r *R, epoch int64) {
+	if id, ok := n.byName.lookup(strKey(n.name(r))); ok {
+		n.rows.put(id, r, epoch)
+		return
+	}
+	n.insert(n.rows.nextID(), r, epoch)
+}
+
+func (n *named[R]) remove(id int, r *R, epoch int64) {
+	n.byName.remove(strKey(n.name(r)), id, epoch)
+	n.rows.del(id, epoch)
+}
+
+// rename changes r's name column in place (set) and refiles the row
+// under the new name.
+func (n *named[R]) rename(r *R, set func(), epoch int64) {
+	id, old := n.idOf(r), n.name(r)
+	set()
+	n.rows.touch(id, r, epoch)
+	n.byName.move(strKey(old), strKey(n.name(r)), id, n.less(), epoch)
+}
+
+// names returns every name in order (from the cache).
+func (n *named[R]) names() []string { return n.sorted.get(&n.byName) }
+
+// appendRows appends every row filed under name to dst, in order.
+func (n *named[R]) appendRows(dst []*R, name string) []*R {
+	n.eachRow(name, func(r *R) bool { dst = append(dst, r); return true })
+	return dst
+}
+
+// eachRow calls fn for every row filed under name, in order, until fn
+// returns false; it reports whether fn did.
+func (n *named[R]) eachRow(name string, fn func(*R) bool) bool {
+	return n.byName.under(strKey(name), func(id int) bool {
+		r, ok := n.rows.get(id)
+		return !ok || fn(r)
+	})
+}
+
+// eachByName calls fn for every row in name order until fn returns
+// false.
+func (n *named[R]) eachByName(fn func(*R) bool) {
+	for _, name := range n.names() {
+		if !n.eachRow(name, fn) {
+			return
+		}
+	}
+}
+
+func (n *named[R]) freeze(prev *named[R], since int64, copied *int) named[R] {
+	f := *n
+	f.rows, f.byName = n.rows.freeze(&prev.rows, since, copied), n.byName.freeze(&prev.byName, since, copied)
+	return f
+}
+
+// rebuild re-stamps the rows into epoch and derives the name index from
+// them.
+func (n *named[R]) rebuild(epoch int64) {
+	n.rows.restamp(epoch)
+	n.byName = hashIndex[strKey]{}
+	n.rows.eachID(func(id int, r *R) bool {
+		n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
+		return true
+	})
+	n.byName.restamp(epoch)
+}
+
+// nameCache is a lazily built, ordered name index: the sorted keys of a
+// hashIndex, used for wildcard range scans and name-order walks. It is
+// rebuilt on first use after the index's keys change (its stamp moves)
+// rather than maintained per mutation — keeping a large sorted string
+// slice ordered under random-order inserts would cost O(n) per insert,
+// while the lazy rebuild costs one O(n log n) sort per key change
+// followed by a wildcard read, and nothing at all on write-only or
+// read-only phases. The build is safe under concurrent shared holds and
+// concurrent readers of frozen snapshots.
+type nameCache struct {
+	mu sync.Mutex
+	p  atomic.Pointer[sortedNames]
+}
+
+type sortedNames struct {
+	stamp int64 // the index stamp the names were read at
+	names []string
+}
+
+// get returns x's keys in order.
+func (c *nameCache) get(x *hashIndex[strKey]) []string {
+	if s := c.p.Load(); s != nil && s.stamp == x.stamp {
+		return s.names
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s := c.p.Load(); s != nil {
-		return *s
+	if s := c.p.Load(); s != nil && s.stamp == x.stamp {
+		return s.names
 	}
-	s := build()
-	sort.Strings(s)
-	c.p.Store(&s)
-	return s
-}
-
-// sortedKeys materializes a string-keyed map's keys for a nameCache
-// build callback.
-func sortedKeys[V any](m map[string]V) func() []string {
-	return func() []string {
-		out := make([]string, 0, len(m))
-		for k := range m {
-			out = append(out, k)
-		}
-		return out
-	}
+	n := 0
+	x.eachKey(func(strKey) { n++ })
+	names := make([]string, 0, n)
+	x.eachKey(func(k strKey) { names = append(names, string(k)) })
+	sort.Strings(names)
+	c.p.Store(&sortedNames{stamp: x.stamp, names: names})
+	return names
 }
 
 // --- wildcard range planning ---
@@ -130,156 +499,55 @@ func matchNames(sorted []string, pattern string, fn func(name string) bool) {
 	}
 }
 
-// --- composite-key hash indexes ---
-
-// memberKey indexes membership rows by who the member is.
-type memberKey struct {
-	Type string
-	ID   int
-}
-
-// pairKey indexes two-integer composite keys (mcmap, nfsquota).
-type pairKey struct{ A, B int }
-
-// removeInt drops one occurrence of v from s (order not preserved).
-func removeInt(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
-}
-
-// userIndex carries the USERS relation's secondary indexes: the login
-// hash index, the uid hash index, and the ordered login index for
-// wildcards.
-type userIndex struct {
-	epoch   int64          // key epoch
-	byLogin map[string]int // login -> users_id
-	byUID   map[int][]int  // unix uid -> users_ids (normally one)
-	logins  *nameCache
-}
-
-// namedIndex is the shared shape for relations with an integer primary
-// key and a unique name: the name hash index plus the ordered name
-// index. STRINGS uses it too, keyed by the interned value.
-type namedIndex struct {
-	epoch  int64 // key epoch
-	byName map[string]int
-	names  *nameCache
-}
-
-// filesysIndex is the label hash index (labels are not unique; the
-// (label, order) pair is).
-type filesysIndex struct {
-	epoch   int64            // key epoch
-	byLabel map[string][]int // label -> filsys_ids
-}
-
-// freeze returns the index for a snapshot: the previous generation's
-// when no key has changed since it was built at epoch since, otherwise a
-// copy of the live one with a fresh (empty) name cache.
-func (x *userIndex) freeze(prev *userIndex, since int64) userIndex {
-	if x.epoch <= since {
-		return *prev
-	}
-	return userIndex{epoch: x.epoch, byLogin: copyVals(x.byLogin), byUID: copySlices(x.byUID), logins: &nameCache{}}
-}
-
-func (x *namedIndex) freeze(prev *namedIndex, since int64) namedIndex {
-	if x.epoch <= since {
-		return *prev
-	}
-	return namedIndex{epoch: x.epoch, byName: copyVals(x.byName), names: &nameCache{}}
-}
-
-func (x *filesysIndex) freeze(prev *filesysIndex, since int64) filesysIndex {
-	if x.epoch <= since {
-		return *prev
-	}
-	return filesysIndex{epoch: x.epoch, byLabel: copySlices(x.byLabel)}
-}
-
 // rebuildIndexes derives every secondary index from the current rows
-// and moves every paged relation into this database's epoch domain. It
-// is the load-path entry point: LoadTable and AdoptFrom install rows
-// wholesale — with no index maintenance, and in AdoptFrom's case with
-// page stamps from the source database — and call it to re-derive the
-// rest. Caller holds the exclusive lock (or owns the DB privately).
+// and moves every table into this database's epoch domain. It is the
+// load-path entry point: LoadTable and AdoptFrom install rows wholesale
+// — with no index maintenance, and in AdoptFrom's case with page stamps
+// from the source database — and call it to re-derive the rest. Caller
+// holds the exclusive lock (or owns the DB privately).
 func (d *DB) rebuildIndexes() {
 	e := d.bump()
+	r := &d.relations
+	for _, n := range []interface{ rebuild(int64) }{
+		&r.users, &r.machines, &r.clusters, &r.lists, &r.servers, &r.serverHosts, &r.filesys,
+		&r.zephyr, &r.strings, &r.services, &r.printcaps, &r.capacls, &r.values, &r.stats,
+	} {
+		n.rebuild(e)
+	}
 
-	d.users.restamp(e)
-	d.userIdx = userIndex{epoch: e, byLogin: make(map[string]int, d.users.len()), byUID: make(map[int][]int, d.users.len()), logins: &nameCache{}}
-	d.users.each(func(u *User) bool {
-		d.userIdx.byLogin[u.Login] = u.UsersID
-		d.userIdx.byUID[u.UID] = append(d.userIdx.byUID[u.UID], u.UsersID)
+	r.uids, r.mcOfMach, r.mcOfClu = hashIndex[uidKey]{}, hashIndex[idKey]{}, hashIndex[idKey]{}
+	r.quotasOnFS, r.quotasOfUser = hashIndex[idKey]{}, hashIndex[idKey]{}
+	r.memberOf = [len(memberTypes)]hashIndex[idKey]{}
+	r.users.rows.eachID(func(id int, u *User) bool {
+		r.uids.add(uidKey(u.UID), id, nil, e)
+		return true
+	})
+	r.mcmap.eachID(func(id int, mc *MCMap) bool {
+		r.mcOfMach.add(idKey(mc.MachID), id, nil, e)
+		r.mcOfClu.add(idKey(mc.CluID), id, nil, e)
+		return true
+	})
+	r.members.eachID(func(listID int, ms *[]Member) bool {
+		for _, m := range *ms {
+			if t := memberType(m.MemberType); t >= 0 {
+				r.memberOf[t].add(idKey(m.MemberID), listID, nil, e)
+			}
+		}
+		return true
+	})
+	r.quotas.eachID(func(id int, q *NFSQuota) bool {
+		r.quotasOnFS.add(idKey(q.FilsysID), id, nil, e)
+		r.quotasOfUser.add(idKey(q.UsersID), id, nil, e)
 		return true
 	})
 
-	d.machIdx = rebuildNamed(&d.machines, e, func(m *Machine) (string, int) { return m.Name, m.MachID })
-	d.cluIdx = rebuildNamed(&d.clusters, e, func(c *Cluster) (string, int) { return c.Name, c.CluID })
-	d.listIdx = rebuildNamed(&d.lists, e, func(l *List) (string, int) { return l.Name, l.ListID })
-	d.stringIdx = rebuildNamed(&d.strings, e, func(s *StringRec) (string, int) { return s.String, s.StringID })
-
-	d.filesys.restamp(e)
-	d.filesysIdx = filesysIndex{epoch: e, byLabel: make(map[string][]int, d.filesys.len())}
-	d.filesys.each(func(f *Filesys) bool {
-		d.filesysIdx.byLabel[f.Label] = append(d.filesysIdx.byLabel[f.Label], f.FilsysID)
-		return true
-	})
-
-	d.nfsphys.restamp(e)
-	d.hostaccess.restamp(e)
-
-	d.memberIdx = make(map[memberKey][]int)
-	for listID, ms := range d.members {
-		for _, m := range ms {
-			k := memberKey{m.MemberType, m.MemberID}
-			d.memberIdx[k] = append(d.memberIdx[k], listID)
-		}
+	for _, t := range []interface{ restamp(int64) }{
+		&r.uids, &r.mcmap, &r.mcOfMach, &r.mcOfClu, &r.svc, &r.members, &r.nfsphys,
+		&r.quotas, &r.quotasOnFS, &r.quotasOfUser, &r.hostaccess, &r.aliases,
+	} {
+		t.restamp(e)
 	}
-
-	d.mcmapIdx = make(map[pairKey]bool, len(d.mcmap))
-	for _, mc := range d.mcmap {
-		d.mcmapIdx[pairKey{mc.MachID, mc.CluID}] = true
+	for i := range r.memberOf {
+		r.memberOf[i].restamp(e)
 	}
-
-	d.quotaIdx = make(map[pairKey]*NFSQuota, len(d.nfsquotas))
-	for _, q := range d.nfsquotas {
-		d.quotaIdx[pairKey{q.UsersID, q.FilsysID}] = q
-	}
-
-	// The serverhosts and nfsquotas slices double as their relations'
-	// ordered indexes: enforce the sort invariant on load.
-	sort.Slice(d.serverHosts, func(i, j int) bool {
-		a, b := d.serverHosts[i], d.serverHosts[j]
-		if a.Service != b.Service {
-			return a.Service < b.Service
-		}
-		return a.MachID < b.MachID
-	})
-	sort.Slice(d.nfsquotas, func(i, j int) bool {
-		a, b := d.nfsquotas[i], d.nfsquotas[j]
-		if a.FilsysID != b.FilsysID {
-			return a.FilsysID < b.FilsysID
-		}
-		return a.UsersID < b.UsersID
-	})
-}
-
-// rebuildNamed re-stamps a relation's pages and derives its namedIndex
-// from the rows (the sorted name cache rebuilds itself lazily from the
-// by-name map).
-func rebuildNamed[R any](rows *table[R], epoch int64, key func(*R) (string, int)) namedIndex {
-	rows.restamp(epoch)
-	ni := namedIndex{epoch: epoch, byName: make(map[string]int, rows.len()), names: &nameCache{}}
-	rows.each(func(r *R) bool {
-		name, id := key(r)
-		ni.byName[name] = id
-		return true
-	})
-	return ni
 }

@@ -1,6 +1,9 @@
 package db
 
-import "time"
+import (
+	"maps"
+	"time"
+)
 
 // MVCC-lite snapshots: retrievals run against an immutable frozen copy
 // of the database instead of holding the shared lock, so reads never
@@ -9,29 +12,24 @@ import "time"
 //
 // The scheme is copy-on-write, rebuilt lazily, and sized to Moira's
 // traffic: a large read-mostly catalogue with a trickle of one-row
-// writes.
+// writes. It has one rule, and every relation and every index keeps it
+// because every one of them is a paged table (table.go):
 //
-//   - Every mutation advances the global write epoch (bump) and leaves
-//     that epoch as a stamp on what it changed. The integer-keyed
-//     relations (users, machines, clusters, lists, filesys, nfsphys,
-//     hostaccess, strings) live in paged tables (table.go) and stamp the
-//     one page holding the row — every in-place update names its row
-//     (NoteUpdate takes the row, not the table) so there is no way to
-//     change a row without stamping it. Their secondary indexes carry a
-//     key epoch that moves only when a key does (index.go). The small
-//     string-keyed relations, and members/nfsquotas with their indexes,
-//     keep one stamp per table (markDirty). Mutations happen under the
-//     exclusive lock — the journal's global ordering requires a single
-//     writer.
+//   - Every mutation advances the global write epoch (bump) and stamps
+//     the pages it changes with it: the page of a row it inserts,
+//     deletes or updates in place (NoteUpdate takes the row, not the
+//     table, so there is no way to change a row without stamping it),
+//     and the page of every index bucket whose entries it changes.
+//     Mutations happen under the exclusive lock — the journal's global
+//     ordering requires a single writer.
 //   - Reader() returns the current frozen snapshot if its build epoch
 //     still matches the write epoch (the no-new-commits fast path: one
 //     atomic load). Otherwise it rebuilds: take the shared lock (which
-//     only waits out an in-flight commit), deep-copy whatever is stamped
-//     newer than the previous snapshot's build epoch — the touched
-//     pages, the re-keyed indexes, the dirty small tables — and share
-//     everything else with the previous snapshot. One update_user_shell
-//     therefore costs the next reader one page of user rows, at 2,000
-//     users or at a million.
+//     only waits out an in-flight commit) and freeze every table, which
+//     copies the pages stamped newer than the previous snapshot's build
+//     epoch and shares every other page with the previous snapshot. One
+//     write therefore costs the next reader the pages it touched,
+//     whatever the relation and whatever the population.
 //
 // Lazy rebuild is the load-bearing choice: publishing a snapshot per
 // commit would charge every write its copies, while rebuild-on-read
@@ -39,10 +37,14 @@ import "time"
 // writes batched up in between. Write-only phases (bulk load, replay)
 // cost zero copies.
 //
-// A frozen snapshot shares nothing mutable with the live database: row
-// structs are copied by value (they are flat), index maps and slices
-// are cloned, and sharing is always with the previous frozen snapshot,
-// never with live memory. The isFrozen latch makes every mutation
+// A frozen page copies its rows by value, and sharing is always with
+// the previous frozen snapshot, never with live pages. A row that holds
+// a slice (an index bucket, a list's membership rows) shares its backing
+// array with the live row, so live mutations never write an element a
+// frozen copy can see: they append past the slice's end or replace the
+// slice (push and pull in table.go). The sorted name caches are shared
+// by the live database and its snapshots and keyed by the stamp of the
+// index they were read from. The isFrozen latch makes every mutation
 // accessor panic on a snapshot, so a retrieve handler that mutates is a
 // loud bug, not silent corruption.
 
@@ -55,11 +57,6 @@ func (d *DB) bump() int64 {
 	}
 	return d.writeEpoch.Add(1)
 }
-
-// markDirty records a mutation of a relation that snapshots copy whole:
-// the next freeze re-copies it. (On a paged relation it only advances
-// the write epoch; their accessors stamp pages themselves.)
-func (d *DB) markDirty(table string) { d.snapEpochs[table] = d.bump() }
 
 // Reader returns an immutable snapshot of the database for lock-free
 // retrieval. The snapshot reflects every committed mutation; the caller
@@ -97,21 +94,20 @@ func (d *DB) SnapshotStats() (reads, rebuilds int64) {
 }
 
 // freeze builds a new frozen snapshot from the live database, sharing
-// with prev everything not stamped newer than prev's build epoch, and
-// reports how many paged-relation rows it copied. Called with at least
-// the shared lock held; prev may be nil (copy everything).
+// with prev every page not stamped newer than prev's build epoch, and
+// reports how many rows it copied. Called with at least the shared lock
+// held; prev may be nil (copy everything).
 func (d *DB) freeze(prev *DB) (*DB, int) {
 	if prev == nil {
 		prev = &DB{builtEpoch: -1} // older than every stamp: shares nothing
 	}
-	since := prev.builtEpoch
+	copied := 0
 	f := &DB{
 		clk:        d.clk,
 		isFrozen:   true,
+		relations:  d.relations.freeze(&prev.relations, prev.builtEpoch, &copied),
 		seqCounter: d.seqCounter,
-		tableSeq:   copyVals(d.tableSeq),
-		valueNames: &nameCache{},
-		statNames:  &nameCache{},
+		tableSeq:   maps.Clone(d.tableSeq),
 		// ops is shared: frozen code never writes it (Note* panics via
 		// bump) and BindStats is only ever bound on the live DB.
 		ops: d.ops,
@@ -119,149 +115,43 @@ func (d *DB) freeze(prev *DB) (*DB, int) {
 		// probes must land in the live DB's tallies.
 		lookups: d.lookups,
 	}
-
-	copied := 0
-	f.users = d.users.freeze(&prev.users, since, &copied)
-	f.userIdx = d.userIdx.freeze(&prev.userIdx, since)
-	f.machines = d.machines.freeze(&prev.machines, since, &copied)
-	f.machIdx = d.machIdx.freeze(&prev.machIdx, since)
-	f.clusters = d.clusters.freeze(&prev.clusters, since, &copied)
-	f.cluIdx = d.cluIdx.freeze(&prev.cluIdx, since)
-	f.lists = d.lists.freeze(&prev.lists, since, &copied)
-	f.listIdx = d.listIdx.freeze(&prev.listIdx, since)
-	f.filesys = d.filesys.freeze(&prev.filesys, since, &copied)
-	f.filesysIdx = d.filesysIdx.freeze(&prev.filesysIdx, since)
-	f.strings = d.strings.freeze(&prev.strings, since, &copied)
-	f.stringIdx = d.stringIdx.freeze(&prev.stringIdx, since)
-	f.nfsphys = d.nfsphys.freeze(&prev.nfsphys, since, &copied)
-	f.hostaccess = d.hostaccess.freeze(&prev.hostaccess, since, &copied)
-
-	dirty := func(t string) bool { return d.snapEpochs[t] > since }
-
-	if dirty(TMCMap) {
-		f.mcmap = append([]MCMap(nil), d.mcmap...)
-		f.mcmapIdx = copyVals(d.mcmapIdx)
-	} else {
-		f.mcmap, f.mcmapIdx = prev.mcmap, prev.mcmapIdx
-	}
-
-	if dirty(TSvc) {
-		f.svc = append([]SvcData(nil), d.svc...)
-	} else {
-		f.svc = prev.svc
-	}
-
-	if dirty(TMembers) {
-		f.members = copySlices(d.members)
-		f.memberIdx = copySlices(d.memberIdx)
-	} else {
-		f.members, f.memberIdx = prev.members, prev.memberIdx
-	}
-
-	if dirty(TServers) {
-		f.servers = copyRows(d.servers)
-	} else {
-		f.servers = prev.servers
-	}
-
-	if dirty(TServerHosts) {
-		f.serverHosts = copyRowSlice(d.serverHosts)
-	} else {
-		f.serverHosts = prev.serverHosts
-	}
-
-	if dirty(TNFSQuota) {
-		f.nfsquotas = copyRowSlice(d.nfsquotas)
-		f.quotaIdx = make(map[pairKey]*NFSQuota, len(f.nfsquotas))
-		for _, q := range f.nfsquotas {
-			f.quotaIdx[pairKey{q.UsersID, q.FilsysID}] = q
-		}
-	} else {
-		f.nfsquotas, f.quotaIdx = prev.nfsquotas, prev.quotaIdx
-	}
-
-	if dirty(TZephyr) {
-		f.zephyr = copyRows(d.zephyr)
-	} else {
-		f.zephyr = prev.zephyr
-	}
-
-	if dirty(TServices) {
-		f.services = copyRows(d.services)
-	} else {
-		f.services = prev.services
-	}
-
-	if dirty(TPrintcap) {
-		f.printcaps = copyRows(d.printcaps)
-	} else {
-		f.printcaps = prev.printcaps
-	}
-
-	if dirty(TCapACLs) {
-		f.capacls = copyRows(d.capacls)
-	} else {
-		f.capacls = prev.capacls
-	}
-
-	if dirty(TAlias) {
-		f.aliases = append([]Alias(nil), d.aliases...)
-	} else {
-		f.aliases = prev.aliases
-	}
-
-	if dirty(TValues) {
-		f.values = copyVals(d.values)
-	} else {
-		f.values, f.valueNames = prev.values, prev.valueNames
-	}
-
-	if dirty(TTblStats) {
-		f.stats = copyRows(d.stats)
-	} else {
-		f.stats, f.statNames = prev.stats, prev.statNames
-	}
-
 	return f, copied
 }
 
-// copyRows deep-copies a map of row pointers; row structs are flat, so
-// a struct copy is a full copy.
-func copyRows[K comparable, R any](m map[K]*R) map[K]*R {
-	out := make(map[K]*R, len(m))
-	for k, v := range m {
-		c := *v
-		out[k] = &c
+// freeze freezes every table of r (see table.freeze).
+func (r *relations) freeze(prev *relations, since int64, copied *int) relations {
+	f := relations{
+		users:        r.users.freeze(&prev.users, since, copied),
+		uids:         r.uids.freeze(&prev.uids, since, copied),
+		machines:     r.machines.freeze(&prev.machines, since, copied),
+		clusters:     r.clusters.freeze(&prev.clusters, since, copied),
+		mcmap:        r.mcmap.freeze(&prev.mcmap, since, copied),
+		mcOfMach:     r.mcOfMach.freeze(&prev.mcOfMach, since, copied),
+		mcOfClu:      r.mcOfClu.freeze(&prev.mcOfClu, since, copied),
+		svc:          r.svc.freeze(&prev.svc, since, copied),
+		lists:        r.lists.freeze(&prev.lists, since, copied),
+		members:      r.members.freeze(&prev.members, since, copied),
+		servers:      r.servers.freeze(&prev.servers, since, copied),
+		serverHosts:  r.serverHosts.freeze(&prev.serverHosts, since, copied),
+		filesys:      r.filesys.freeze(&prev.filesys, since, copied),
+		nfsphys:      r.nfsphys.freeze(&prev.nfsphys, since, copied),
+		quotas:       r.quotas.freeze(&prev.quotas, since, copied),
+		quotasOnFS:   r.quotasOnFS.freeze(&prev.quotasOnFS, since, copied),
+		quotasOfUser: r.quotasOfUser.freeze(&prev.quotasOfUser, since, copied),
+		zephyr:       r.zephyr.freeze(&prev.zephyr, since, copied),
+		hostaccess:   r.hostaccess.freeze(&prev.hostaccess, since, copied),
+		strings:      r.strings.freeze(&prev.strings, since, copied),
+		services:     r.services.freeze(&prev.services, since, copied),
+		printcaps:    r.printcaps.freeze(&prev.printcaps, since, copied),
+		capacls:      r.capacls.freeze(&prev.capacls, since, copied),
+		aliases:      r.aliases.freeze(&prev.aliases, since, copied),
+		values:       r.values.freeze(&prev.values, since, copied),
+		stats:        r.stats.freeze(&prev.stats, since, copied),
 	}
-	return out
-}
-
-// copyRowSlice deep-copies a slice of row pointers.
-func copyRowSlice[R any](s []*R) []*R {
-	out := make([]*R, len(s))
-	for i, v := range s {
-		c := *v
-		out[i] = &c
+	for i := range r.memberOf {
+		f.memberOf[i] = r.memberOf[i].freeze(&prev.memberOf[i], since, copied)
 	}
-	return out
-}
-
-// copyVals copies a map of plain (non-reference) values.
-func copyVals[K comparable, V comparable](m map[K]V) map[K]V {
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// copySlices copies a map of slices, cloning each slice.
-func copySlices[K comparable, E any](m map[K][]E) map[K][]E {
-	out := make(map[K][]E, len(m))
-	for k, v := range m {
-		out[k] = append([]E(nil), v...)
-	}
-	return out
+	return f
 }
 
 // Frozen reports whether d is an immutable snapshot from Reader.

@@ -168,7 +168,7 @@ func TestSnapshotReuseWhenClean(t *testing.T) {
 	if s3 == s1 {
 		t.Fatal("Reader() after write returned the stale snapshot")
 	}
-	if s1.users.len() != 0 || s3.users.len() != 0 {
+	if s1.users.rows.len() != 0 || s3.users.rows.len() != 0 {
 		t.Fatal("expected empty user tables")
 	}
 }
@@ -288,12 +288,13 @@ func TestSnapshotAdoptThenWriteThenRead(t *testing.T) {
 	}
 
 	// And the steady state resumes: the next one-row write copies a page,
-	// not the relation.
+	// not the relation — the user's page, and the page of the stats row
+	// the write counts in.
 	rows := d.snapRowsCopied.Load()
 	u.Shell = "/bin/again"
 	d.NoteUpdate(u)
 	d.Reader()
-	if n := d.snapRowsCopied.Load() - rows; n == 0 || n > fanout {
-		t.Errorf("one-row write after adopt copied %d rows, want one page's worth (1..%d)", n, fanout)
+	if n, most := d.snapRowsCopied.Load()-rows, int64(fanout+d.stats.rows.len()); n == 0 || n > most {
+		t.Errorf("one-row write after adopt copied %d rows, want one page of users and the stats rows (1..%d)", n, most)
 	}
 }

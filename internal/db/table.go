@@ -1,13 +1,18 @@
 package db
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// table is the one container every integer-keyed relation lives in, on
-// the live database and on frozen snapshots alike: a three-level radix
-// layout — a root slice of branches, each branch fanout pages, each page
-// fanout row pointers — addressed by the row id alone (id >> pageBits
-// selects the page). Ascending-id iteration falls out of walking it in
-// order, so the relation needs no separate ordered-id index.
+// table is the one container every relation and every index lives in,
+// on the live database and on frozen snapshots alike: a three-level
+// radix layout — a root slice of branches, each branch branchFanout
+// pages, each page fanout row pointers — addressed by an integer id alone
+// (split). Ascending-id iteration falls out of walking it in order, so a
+// relation needs no separate ordered-id index. Relations without an
+// integer key of their own file their rows under surrogate ids (nextID);
+// an index files its buckets under the key's slot (hashIndex).
 //
 // Every node carries the write epoch of the last mutation beneath it.
 // That stamp is what makes snapshots page-granular: freeze shares with
@@ -26,10 +31,15 @@ type table[R any] struct {
 	stamp int64 // write epoch of the last mutation anywhere in the table
 }
 
+// A page is small, because a touched page is what a write→read
+// transition copies; a branch is wide, because the root above the
+// touched branches is copied whole and grows with the highest id.
 const (
-	pageBits = 6
-	fanout   = 1 << pageBits // slots per page and pages per branch
-	slotMask = fanout - 1
+	pageBits     = 5
+	fanout       = 1 << pageBits // rows per page
+	slotMask     = fanout - 1
+	branchBits   = 7
+	branchFanout = 1 << branchBits // pages per branch
 
 	// maxRowID bounds the root slice: ids are INGRES-style 32-bit keys,
 	// and an id beyond that is corrupt input, not a reason to allocate a
@@ -40,7 +50,7 @@ const (
 type branch[R any] struct {
 	stamp int64
 	n     int // non-nil pages
-	pages [fanout]*page[R]
+	pages [branchFanout]*page[R]
 }
 
 type page[R any] struct {
@@ -49,18 +59,34 @@ type page[R any] struct {
 	rows  [fanout]*R
 }
 
+// frozenPage is a frozen page and its rows in one allocation of a fixed
+// size: what a write→read transition pays for a touched page does not
+// depend on how full the page is.
+type frozenPage[R any] struct {
+	page[R]
+	slab [fanout]R
+}
+
+// split returns the root, branch and page indexes of id's slot.
+func split(id int) (bi, pi, si int) {
+	return id >> (pageBits + branchBits), id >> pageBits & (branchFanout - 1), id & slotMask
+}
+
+// join is split's inverse.
+func join(bi, pi, si int) int { return bi<<(pageBits+branchBits) | pi<<pageBits | si }
+
 // validRowID reports whether id can key a paged relation.
 func validRowID(id int) bool { return id >= 0 && id <= maxRowID }
 
 // locate returns the branch and page holding id's slot, nil when the
 // slot's page does not exist.
 func (t *table[R]) locate(id int) (*branch[R], *page[R]) {
-	bi := id >> (2 * pageBits)
+	bi, pi, _ := split(id)
 	if id < 0 || bi >= len(t.root) || t.root[bi] == nil {
 		return nil, nil
 	}
 	b := t.root[bi]
-	return b, b.pages[id>>pageBits&slotMask]
+	return b, b.pages[pi]
 }
 
 // get returns the row with the given id.
@@ -79,7 +105,7 @@ func (t *table[R]) len() int { return t.n }
 // put stores r under id, replacing any row already there. The caller
 // has checked validRowID(id).
 func (t *table[R]) put(id int, r *R, epoch int64) {
-	bi := id >> (2 * pageBits)
+	bi, pi, si := split(id)
 	if bi >= len(t.root) {
 		t.root = append(t.root, make([]*branch[R], bi+1-len(t.root))...)
 	}
@@ -88,18 +114,17 @@ func (t *table[R]) put(id int, r *R, epoch int64) {
 		b = &branch[R]{}
 		t.root[bi] = b
 	}
-	pi := id >> pageBits & slotMask
 	p := b.pages[pi]
 	if p == nil {
 		p = &page[R]{}
 		b.pages[pi] = p
 		b.n++
 	}
-	if p.rows[id&slotMask] == nil {
+	if p.rows[si] == nil {
 		p.n++
 		t.n++
 	}
-	p.rows[id&slotMask] = r
+	p.rows[si] = r
 	t.stamp, b.stamp, p.stamp = epoch, epoch, epoch
 }
 
@@ -107,17 +132,18 @@ func (t *table[R]) put(id int, r *R, epoch int64) {
 // branches that empty out.
 func (t *table[R]) del(id int, epoch int64) {
 	b, p := t.locate(id)
-	if p == nil || p.rows[id&slotMask] == nil {
+	bi, pi, si := split(id)
+	if p == nil || p.rows[si] == nil {
 		return
 	}
-	p.rows[id&slotMask] = nil
+	p.rows[si] = nil
 	p.n--
 	t.n--
 	t.stamp, b.stamp, p.stamp = epoch, epoch, epoch
 	if p.n == 0 {
-		b.pages[id>>pageBits&slotMask] = nil
+		b.pages[pi] = nil
 		if b.n--; b.n == 0 {
-			t.root[id>>(2*pageBits)] = nil
+			t.root[bi] = nil
 		}
 	}
 }
@@ -137,16 +163,21 @@ func (t *table[R]) touch(id int, r *R, epoch int64) {
 // each calls fn for every row in ascending id order until fn returns
 // false. fn must not insert or delete rows.
 func (t *table[R]) each(fn func(*R) bool) {
-	for _, b := range t.root {
+	t.eachID(func(_ int, r *R) bool { return fn(r) })
+}
+
+// eachID is each with every row's id.
+func (t *table[R]) eachID(fn func(int, *R) bool) {
+	for bi, b := range t.root {
 		if b == nil {
 			continue
 		}
-		for _, p := range b.pages {
+		for pi, p := range b.pages {
 			if p == nil {
 				continue
 			}
-			for _, r := range p.rows {
-				if r != nil && !fn(r) {
+			for si, r := range p.rows {
+				if r != nil && !fn(join(bi, pi, si), r) {
 					return
 				}
 			}
@@ -154,10 +185,61 @@ func (t *table[R]) each(fn func(*R) bool) {
 	}
 }
 
+// nextID returns one past the highest id in the table, 0 when it is
+// empty: the surrogate id of a relation's next row, so that ascending id
+// order is insertion (or load) order.
+func (t *table[R]) nextID() int {
+	for bi := len(t.root) - 1; bi >= 0; bi-- {
+		if b := t.root[bi]; b != nil {
+			for pi := branchFanout - 1; pi >= 0; pi-- {
+				if p := b.pages[pi]; p != nil {
+					for si := fanout - 1; si >= 0; si-- {
+						if p.rows[si] != nil {
+							return join(bi, pi, si) + 1
+						}
+					}
+				}
+			}
+		}
+	}
+	return 0
+}
+
+// push files e under key in a table whose rows are slices, appending
+// past the end of the key's slice (see the type comment).
+func push[E any](t *table[[]E], key int, e E, epoch int64) {
+	if s, ok := t.get(key); ok {
+		*s = append(*s, e)
+		t.touch(key, s, epoch)
+		return
+	}
+	s := []E{e}
+	t.put(key, &s, epoch)
+}
+
+// pull removes the first element of key's slice that match accepts.
+// What is left goes into a new slice, so that a frozen copy of the old
+// one keeps its elements.
+func pull[E any](t *table[[]E], key int, match func(E) bool, epoch int64) {
+	s, ok := t.get(key)
+	if !ok {
+		return
+	}
+	switch i := slices.IndexFunc(*s, match); {
+	case i < 0:
+	case len(*s) == 1:
+		t.del(key, epoch)
+	default:
+		*s = slices.Concat((*s)[:i], (*s)[i+1:])
+		t.touch(key, s, epoch)
+	}
+}
+
 // audit checks the table's own invariants — every row sits in the slot
 // its id selects, and the node counts add up to the row count —
 // reporting each violation through fsck's add under the relation's name.
-// id extracts a row's primary key.
+// id extracts a row's primary key; it is nil for rows that do not carry
+// their id (surrogate ids, index buckets).
 func (t *table[R]) audit(relation string, id func(*R) int, add func(table, item, format string, args ...any)) {
 	rows := 0
 	for bi, b := range t.root {
@@ -176,13 +258,12 @@ func (t *table[R]) audit(relation string, id func(*R) int, add func(table, item,
 					continue
 				}
 				n++
-				slot := bi<<(2*pageBits) | pi<<pageBits | si
-				if got := id(r); got != slot {
-					add(relation, fmt.Sprintf("id %d", got), "row sits in the page slot of id %d", slot)
+				if slot := join(bi, pi, si); id != nil && id(r) != slot {
+					add(relation, fmt.Sprintf("id %d", id(r)), "row sits in the page slot of id %d", slot)
 				}
 			}
 			if n != p.n || n == 0 {
-				add(relation, fmt.Sprintf("page %d", bi<<pageBits|pi), "page counts %d rows, holds %d", p.n, n)
+				add(relation, fmt.Sprintf("page %d", bi<<branchBits|pi), "page counts %d rows, holds %d", p.n, n)
 			}
 			rows += n
 		}
@@ -218,9 +299,9 @@ func (t *table[R]) restamp(epoch int64) {
 // same table, built when the write epoch was since (an empty table and
 // -1 to copy everything). A node whose stamp is not newer than since has not
 // changed since prev copied it, so prev's node stands in for it; every
-// other node is copied from live into fresh memory. Nothing is ever
-// shared between t and the result. Caller holds at least the shared
-// lock.
+// other node is copied from live into fresh memory, rows by value (see
+// the type comment for what that means for rows holding slices). Caller
+// holds at least the shared lock.
 func (t *table[R]) freeze(prev *table[R], since int64, copied *int) table[R] {
 	if t.stamp <= since {
 		return *prev
@@ -243,18 +324,17 @@ func (t *table[R]) freeze(prev *table[R], since int64, copied *int) table[R] {
 				fb.pages[pi] = prev.root[bi].pages[pi]
 				continue
 			}
-			// One slab per page rather than one allocation per row: a
-			// frozen page's rows live and die together.
-			fp := &page[R]{stamp: p.stamp, n: p.n}
-			slab := make([]R, 0, p.n)
+			// The page and its rows are one allocation: a frozen page's
+			// rows live and die together.
+			fp := &frozenPage[R]{page: page[R]{stamp: p.stamp, n: p.n}}
 			for i, r := range p.rows {
 				if r != nil {
-					slab = append(slab, *r)
-					fp.rows[i] = &slab[len(slab)-1]
+					fp.slab[i] = *r
+					fp.rows[i] = &fp.slab[i]
 				}
 			}
 			*copied += p.n
-			fb.pages[pi] = fp
+			fb.pages[pi] = &fp.page
 		}
 		f.root[bi] = fb
 	}

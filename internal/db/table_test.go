@@ -145,7 +145,8 @@ func TestTableFreezeSharesUntouchedPages(t *testing.T) {
 }
 
 // TestFsckFindsCorruptedPage: a row sitting in a page its id does not
-// select, and a page whose count is off, are both fsck findings.
+// select, a page whose count is off, and an index entry in a bucket its
+// key does not hash to are all fsck findings.
 func TestFsckFindsCorruptedPage(t *testing.T) {
 	d := testDB()
 	populate(t, d)
@@ -154,7 +155,7 @@ func TestFsckFindsCorruptedPage(t *testing.T) {
 	}
 	var victim *User
 	d.EachUser(func(u *User) bool { victim = u; return false })
-	_, p := d.users.locate(victim.UsersID)
+	_, p := d.users.rows.locate(victim.UsersID)
 	slot := victim.UsersID & slotMask
 	p.rows[slot], p.rows[(slot+7)&slotMask] = nil, victim // moved within the page: counts still add up
 	bad := d.Fsck()
@@ -168,10 +169,22 @@ func TestFsckFindsCorruptedPage(t *testing.T) {
 		t.Errorf("fsck missed a wrong page count: %v", bad)
 	}
 	p.n--
-	d.users.n++
+	d.users.rows.n++
 	bad = d.Fsck()
 	if !hasFinding(bad, TUsers, "relation counts") {
 		t.Errorf("fsck missed NumUsers disagreeing with the pages: %v", bad)
+	}
+	d.users.rows.n--
+
+	// A login index entry moved to a bucket its key does not hash to: a
+	// probe for the login would miss the user.
+	k := strKey(victim.Login)
+	d.users.byName.remove(k, victim.UsersID, d.bump())
+	wrong := (k.slot() + 1) % (1 << hashBits)
+	d.users.byName.put(wrong, &[]entry[strKey]{{k, victim.UsersID}}, d.bump())
+	bad = d.Fsck()
+	if !hasFinding(bad, TUsers, "hash slot") {
+		t.Errorf("fsck missed a login in the wrong hash slot: %v", bad)
 	}
 }
 

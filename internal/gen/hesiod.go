@@ -152,9 +152,9 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 		// Filesystem aliases resolve to the real filesystem's data; the
 		// whole alias section is one key, ordered after the real entries.
 		i := 0
-		for _, a := range d.Aliases() {
+		d.EachAlias(func(a db.Alias) bool {
 			if a.Type != "FILESYS" {
-				continue
+				return true
 			}
 			for _, f := range d.FilesysByLabel(a.Trans) {
 				mach, ok := d.MachineByID(f.MachID)
@@ -167,7 +167,8 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 				m.Emit("filsys.db", extract.K(1, i), key, []byte(b.String()))
 				i++
 			}
-		}
+			return true
+		})
 
 	case "cluster":
 		c, ok := d.ClusterByName(name)
@@ -175,14 +176,15 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 			return
 		}
 		i := 0
-		for _, s := range d.SvcRows() {
+		d.EachSvc(func(s db.SvcData) bool {
 			if s.CluID == c.CluID {
 				var b strings.Builder
 				hsLine(&b, c.Name+".cluster", s.ServLabel+" "+s.ServCluster)
 				m.Emit("cluster.db", extract.K(0, c.CluID, i), key, []byte(b.String()))
 				i++
 			}
-		}
+			return true
+		})
 
 	case "machine":
 		// Machine CNAMEs into cluster.db; machines in several clusters
@@ -205,14 +207,15 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 			i := 0
 			for _, cid := range clusters {
 				if c, ok := d.ClusterByID(cid); ok {
-					for _, s := range d.SvcRows() {
+					d.EachSvc(func(s db.SvcData) bool {
 						if s.CluID == c.CluID {
 							b.Reset()
 							hsLine(&b, pseudo+".cluster", s.ServLabel+" "+s.ServCluster)
 							m.Emit("cluster.db", extract.K(1, mach.MachID, i), key, []byte(b.String()))
 							i++
 						}
-					}
+						return true
+					})
 				}
 			}
 			b.Reset()
@@ -246,9 +249,9 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 
 	case "svcalias":
 		i := 0
-		for _, a := range d.Aliases() {
+		d.EachAlias(func(a db.Alias) bool {
 			if a.Type != "SERVICE" {
-				continue
+				return true
 			}
 			if s, ok := d.ServiceByName(a.Trans); ok {
 				var b strings.Builder
@@ -257,7 +260,8 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 				m.Emit("service.db", extract.K(1, i), key, []byte(b.String()))
 				i++
 			}
-		}
+			return true
+		})
 
 	case "sloc":
 		svc, machName, ok := cutSlocKey(name)
@@ -353,15 +357,11 @@ func hesiodDeps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
 		keys := []string{"cluster:" + a[0]}
 		if c, ok := d.ClusterByName(a[0]); ok {
 			// Pseudo-cluster blocks repeat the cluster's data lines.
-			d.EachMachine(func(mach *db.Machine) bool {
-				for _, cid := range d.ClustersOfMachine(mach.MachID) {
-					if cid == c.CluID {
-						keys = append(keys, "machine:"+mach.Name)
-						break
-					}
+			for _, id := range d.MachinesOfCluster(c.CluID) {
+				if mach, ok := d.MachineByID(id); ok {
+					keys = append(keys, "machine:"+mach.Name)
 				}
-				return true
-			})
+			}
 		}
 		return keys, true
 

@@ -1,7 +1,10 @@
 package queries
 
 import (
+	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -54,11 +57,13 @@ func perRun(runs int, fn func()) (bytes, objects float64) {
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs), float64(m1.Mallocs-m0.Mallocs) / float64(runs)
 }
 
-// TestFreezeCostIndependentOfPopulation: one update_user_shell and the
-// Reader() after it cost one page of user rows plus the small relations
-// every write dirties, at 2,000 users and at 50,000 alike. Before
-// snapshots were page-granular this transition copied the relation:
-// 26.5 MB and 100,000 objects at 50,000 users.
+// TestFreezeCostIndependentOfPopulation: every mutating handle, and the
+// Reader() after it, costs the pages the mutation touched, so the
+// transition allocates no more at 50,000 users than at 2,000 (10%
+// slack). The steps are one scripted round of the snapshot oracle,
+// which reaches every mutating handle; each is measured once at each
+// size, and a handle's cost is its dearest step. The ceilings are the
+// counts measured at 50,000 users, bytes rounded up to the next 512.
 func TestFreezeCostIndependentOfPopulation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -66,33 +71,123 @@ func TestFreezeCostIndependentOfPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates 50,000 users")
 	}
-	const (
-		ceilBytes   = 48 << 10
-		ceilObjects = 60
-	)
-	transition := func(users int) (bytes, objects float64) {
+	type cost struct{ bytes, objects float64 }
+	transition := func(users int) map[string]cost {
 		d, cx := populated(t, users)
-		logins, _ := residents(d, users/97+1)
-		i := 0
-		step := func() {
-			i++
-			if err := Execute(cx, "update_user_shell", []string{logins[i%len(logins)], "/bin/sh" + strconv.Itoa(i)}, discard); err != nil {
-				t.Fatal(err)
-			}
-			d.Reader()
+		o := &snapOracle{t: t, d: d, cx: cx, rng: rand.New(rand.NewSource(1)), hit: map[string]int{}, uidBase: 1 << 20}
+		o.logins, _ = residents(d, 1)
+		cx.TriggerDCM = func(string) {}
+		d.Reader() // the first Reader() copies everything
+		costs := map[string]cost{}
+		// A collection mid-step would empty the request pools and charge
+		// that step their refill.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for _, s := range o.round(0) {
+			b, n := perRun(1, func() {
+				if err := Execute(cx, s.name, s.args, discard); err != nil {
+					t.Fatalf("%s(%v): %v", s.name, s.args, err)
+				}
+				d.Reader()
+			})
+			c := costs[s.name]
+			costs[s.name] = cost{max(c.bytes, b), max(c.objects, n)}
 		}
-		step() // the first Reader() copies everything
-		return perRun(len(logins), step)
+		return costs
 	}
-	smallB, smallN := transition(2000)
-	largeB, largeN := transition(50000)
-	t.Logf("write→read transition: %.0f B, %.1f objects at 2,000 users; %.0f B, %.1f objects at 50,000", smallB, smallN, largeB, largeN)
-	if largeB > 2*smallB || largeN > 2*smallN {
-		t.Errorf("transition cost grows with population: %.0f B/%.1f objects at 2,000 users, %.0f B/%.1f at 50,000", smallB, smallN, largeB, largeN)
+	small, large := transition(2000), transition(50000)
+	names := make([]string, 0, len(large))
+	for name := range large {
+		names = append(names, name)
 	}
-	if largeB > ceilBytes || largeN > ceilObjects {
-		t.Errorf("transition costs %.0f B and %.1f objects at 50,000 users; ceilings are %d B and %d", largeB, largeN, ceilBytes, ceilObjects)
+	sort.Strings(names)
+	for _, q := range All() {
+		if _, ok := large[q.Name]; q.Kind != Retrieve && !ok {
+			t.Errorf("mutating handle %s is not measured", q.Name)
+		}
 	}
+	for _, name := range names {
+		s, l := small[name], large[name]
+		t.Logf("%-28s %9.0f B %6.0f obj at 2,000 users; %9.0f B %6.0f obj at 50,000", name, s.bytes, s.objects, l.bytes, l.objects)
+		if l.bytes > 1.1*s.bytes || l.objects > 1.1*s.objects {
+			t.Errorf("%s: the transition grows with population: %.0f B/%.0f objects at 2,000 users, %.0f B/%.0f at 50,000", name, s.bytes, s.objects, l.bytes, l.objects)
+		}
+		ceil, ok := freezeCeilings[name]
+		if !ok {
+			t.Errorf("%s has no ceiling; measured %.0f B, %.0f objects at 50,000 users", name, l.bytes, l.objects)
+			continue
+		}
+		if l.bytes > ceil.bytes || l.objects > ceil.objects {
+			t.Errorf("%s: the transition costs %.0f B and %.0f objects at 50,000 users; ceilings are %.0f B and %.0f", name, l.bytes, l.objects, ceil.bytes, ceil.objects)
+		}
+	}
+}
+
+// freezeCeilings bounds each mutating handle's write→read transition at
+// 50,000 users (see TestFreezeCostIndependentOfPopulation).
+var freezeCeilings = map[string]struct{ bytes, objects float64 }{
+	"add_alias":                   {11264, 12},
+	"add_cluster":                 {17920, 20},
+	"add_cluster_data":            {15360, 16},
+	"add_filesys":                 {22016, 20},
+	"add_list":                    {18944, 19},
+	"add_machine":                 {17408, 21},
+	"add_machine_to_cluster":      {18944, 24},
+	"add_member_to_list":          {25600, 30},
+	"add_nfs_quota":               {22016, 24},
+	"add_nfsphys":                 {15360, 16},
+	"add_printcap":                {15872, 17},
+	"add_server_host_access":      {13312, 16},
+	"add_server_host_info":        {16896, 18},
+	"add_server_info":             {18432, 17},
+	"add_service":                 {14848, 16},
+	"add_user":                    {31232, 25},
+	"add_value":                   {12800, 16},
+	"add_zephyr_class":            {16896, 16},
+	"adjust_nfsphys_allocation":   {12800, 12},
+	"delete_alias":                {10752, 11},
+	"delete_cluster":              {11264, 14},
+	"delete_cluster_data":         {15360, 15},
+	"delete_filesys":              {33792, 30},
+	"delete_list":                 {17920, 22},
+	"delete_machine":              {14336, 18},
+	"delete_machine_from_cluster": {17408, 21},
+	"delete_member_from_list":     {18944, 19},
+	"delete_nfs_quota":            {22016, 23},
+	"delete_nfsphys":              {12800, 12},
+	"delete_pobox":                {23552, 12},
+	"delete_printcap":             {15360, 14},
+	"delete_server_host_access":   {7680, 10},
+	"delete_server_host_info":     {16896, 17},
+	"delete_server_info":          {17920, 15},
+	"delete_service":              {14848, 14},
+	"delete_user":                 {28160, 19},
+	"delete_user_by_uid":          {28160, 19},
+	"delete_value":                {12288, 14},
+	"delete_zephyr_class":         {16384, 14},
+	"register_user":               {77824, 66},
+	"reset_server_error":          {15360, 12},
+	"reset_server_host_error":     {14336, 13},
+	"set_pobox":                   {30208, 22},
+	"set_pobox_pop":               {23552, 12},
+	"set_server_host_internal":    {14336, 13},
+	"set_server_host_override":    {14336, 13},
+	"set_server_internal_flags":   {15360, 12},
+	"trigger_dcm":                 {0, 0},
+	"update_cluster":              {17408, 18},
+	"update_filesys":              {22016, 19},
+	"update_finger_by_login":      {23552, 12},
+	"update_list":                 {20992, 21},
+	"update_machine":              {16896, 18},
+	"update_nfs_quota":            {16896, 16},
+	"update_nfsphys":              {12800, 12},
+	"update_server_host_access":   {11776, 12},
+	"update_server_host_info":     {14336, 13},
+	"update_server_info":          {15360, 12},
+	"update_user":                 {28160, 18},
+	"update_user_shell":           {48 << 10, 60},
+	"update_user_status":          {23552, 12},
+	"update_value":                {10240, 11},
+	"update_zephyr_class":         {20480, 19},
 }
 
 // TestPointQueryAllocCeilings pins what one call of each handle the

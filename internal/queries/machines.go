@@ -25,8 +25,8 @@ func machineInUse(d *db.DB, machID int) bool {
 	if !inUse {
 		d.EachNFSPhys(func(p *db.NFSPhys) bool { return uses(p.MachID) })
 	}
-	if !inUse {
-		d.EachPrintcap(func(p *db.Printcap) bool { return uses(p.MachID) })
+	if !inUse && d.PrintcapOnMachine(machID) {
+		return true
 	}
 	if _, ok := d.HostAccessOf(machID); ok && !inUse {
 		return true
@@ -123,10 +123,8 @@ func init() {
 		{Name: "delete_cluster", Short: "dclu", Kind: Delete, In: []Arg{one("name", relCluster, nil)},
 			Do: func(r *Req) error {
 				c := obj[db.Cluster](r, 0)
-				for _, m := range r.DB.MCMaps() {
-					if m.CluID == c.CluID {
-						return mrerr.MrInUse
-					}
+				if len(r.DB.MachinesOfCluster(c.CluID)) > 0 {
+					return mrerr.MrInUse
 				}
 				r.DB.DeleteSvcOfCluster(c.CluID)
 				r.DB.DeleteCluster(c)
@@ -136,13 +134,14 @@ func init() {
 			Rows: Columns("machine cluster"), Access: Anyone,
 			Do: func(r *Req) error {
 				d := r.DB
-				for _, mc := range d.MCMaps() {
+				d.EachMCMap(func(mc db.MCMap) bool {
 					m, mok := d.MachineByID(mc.MachID)
 					c, cok := d.ClusterByID(mc.CluID)
 					if mok && cok && wildcard.Match(r.s[0], m.Name) && wildcard.Match(r.s[1], c.Name) {
 						r.Row(txt(m.Name), txt(c.Name))
 					}
-				}
+					return true
+				})
 				return nil
 			}},
 		{Name: "add_machine_to_cluster", Short: "amtc", Kind: Append, In: []Arg{machine, cluster},
@@ -168,12 +167,13 @@ func init() {
 		{Name: "get_cluster_data", Short: "gcld", In: []Arg{arg("cluster"), arg("label")},
 			Rows: Columns("cluster label data"), Access: Anyone,
 			Do: func(r *Req) error {
-				for _, s := range r.DB.SvcRows() {
+				r.DB.EachSvc(func(s db.SvcData) bool {
 					c, ok := r.DB.ClusterByID(s.CluID)
 					if ok && wildcard.Match(r.s[0], c.Name) && wildcard.Match(r.s[1], s.ServLabel) {
 						r.Row(txt(c.Name), txt(s.ServLabel), txt(s.ServCluster))
 					}
-				}
+					return true
+				})
 				return nil
 			}},
 		{Name: "add_cluster_data", Short: "acld", Kind: Append,

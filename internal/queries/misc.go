@@ -144,11 +144,12 @@ func init() {
 		{Name: "get_alias", Short: "gali", In: []Arg{arg("name"), arg("type"), arg("translation")},
 			Rows: Columns("name type translation"), Access: Anyone,
 			Do: func(r *Req) error {
-				for _, a := range r.DB.Aliases() {
+				r.DB.EachAlias(func(a db.Alias) bool {
 					if wildcard.Match(r.s[0], a.Name) && wildcard.Match(r.s[1], a.Type) && wildcard.Match(r.s[2], a.Trans) {
 						r.Row(txt(a.Name), txt(a.Type), txt(a.Trans))
 					}
-				}
+					return true
+				})
 				return nil
 			}},
 		// The alias types themselves are type-checked: you cannot add an

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,6 +50,9 @@ type snapOracle struct {
 	rng    *rand.Rand
 	logins []string // populated logins, spread over several pages
 	hit    map[string]int
+	// uidBase is the first of the uids the rounds give their new users
+	// (30000 when zero); it must lie beyond the population's own uids.
+	uidBase int
 
 	pinned     *db.DB
 	pinnedDump string
@@ -106,8 +110,8 @@ func (o *snapOracle) check(after string) {
 	}
 	o.pinned, o.pinnedDump = snap, got
 
-	// Index-backed reads: the name → id maps, the sorted name caches and
-	// the uid and label hash indexes, through the accessors.
+	// Index-backed reads: the hashed name indexes, the sorted name caches
+	// and the uid and label indexes, through the accessors.
 	o.d.LockShared()
 	defer o.d.UnlockShared()
 	for _, pat := range []string{"*", "o*", "*1*"} {
@@ -124,6 +128,77 @@ func (o *snapOracle) check(after string) {
 		same(t, after, "FilesysByLabel", o.d.FilesysByLabel(f.Label), snap.FilesysByLabel(f.Label))
 		return true
 	})
+
+	// Every other index: memberships both ways, quotas by filesystem and
+	// by user, serverhosts by service, machine/cluster assignments, the
+	// string values and the by-name lookups of the small relations.
+	equal := func(what string, live, snap any) {
+		t.Helper()
+		if !reflect.DeepEqual(live, snap) {
+			t.Fatalf("after %s: %s: live %v, snapshot %v", after, what, live, snap)
+		}
+	}
+	o.d.EachList(func(l *db.List) bool {
+		equal("MembersOf", o.d.MembersOf(l.ListID), snap.MembersOf(l.ListID))
+		return true
+	})
+	o.d.EachMembership(func(m db.Member) bool {
+		equal("ListsContaining", o.d.ListsContaining(m.MemberType, m.MemberID), snap.ListsContaining(m.MemberType, m.MemberID))
+		return true
+	})
+	o.d.EachQuota(func(q *db.NFSQuota) bool {
+		same(t, after, "QuotaOf", row(o.d.QuotaOf(q.UsersID, q.FilsysID)), row(snap.QuotaOf(q.UsersID, q.FilsysID)))
+		same(t, after, "QuotasOfUser", o.d.QuotasOfUser(q.UsersID), snap.QuotasOfUser(q.UsersID))
+		return true
+	})
+	o.d.EachServerHost(func(sh *db.ServerHost) bool {
+		same(t, after, "ServerHostsOf", o.d.ServerHostsOf(sh.Service), snap.ServerHostsOf(sh.Service))
+		same(t, after, "ServerHost", row(o.d.ServerHost(sh.Service, sh.MachID)), row(snap.ServerHost(sh.Service, sh.MachID)))
+		return true
+	})
+	o.d.EachMCMap(func(mc db.MCMap) bool {
+		equal("HasMCMap", o.d.HasMCMap(mc.MachID, mc.CluID), snap.HasMCMap(mc.MachID, mc.CluID))
+		equal("MachinesOfCluster", o.d.MachinesOfCluster(mc.CluID), snap.MachinesOfCluster(mc.CluID))
+		return true
+	})
+	o.d.EachMachine(func(m *db.Machine) bool {
+		equal("ClustersOfMachine", o.d.ClustersOfMachine(m.MachID), snap.ClustersOfMachine(m.MachID))
+		return true
+	})
+	o.d.EachString(func(s *db.StringRec) bool {
+		lid, lok := o.d.StringID(s.String)
+		sid, sok := snap.StringID(s.String)
+		equal("StringID", []any{lid, lok}, []any{sid, sok})
+		return true
+	})
+	o.d.EachServer(func(s *db.Server) bool {
+		same(t, after, "ServerByName", row(o.d.ServerByName(s.Name)), row(snap.ServerByName(s.Name)))
+		return true
+	})
+	o.d.EachZephyr(func(z *db.ZephyrClass) bool {
+		same(t, after, "ZephyrByClass", row(o.d.ZephyrByClass(z.Class)), row(snap.ZephyrByClass(z.Class)))
+		return true
+	})
+	o.d.EachService(func(s *db.Service) bool {
+		same(t, after, "ServiceByName", row(o.d.ServiceByName(s.Name)), row(snap.ServiceByName(s.Name)))
+		return true
+	})
+	o.d.EachPrintcap(func(p *db.Printcap) bool {
+		same(t, after, "PrintcapByName", row(o.d.PrintcapByName(p.Name)), row(snap.PrintcapByName(p.Name)))
+		return true
+	})
+	o.d.EachCapACL(func(c *db.CapACL) bool {
+		same(t, after, "CapACLByName", row(o.d.CapACLByName(c.Capability)), row(snap.CapACLByName(c.Capability)))
+		return true
+	})
+}
+
+// row turns a single-row lookup into the slice same compares.
+func row[R any](r *R, ok bool) []*R {
+	if !ok {
+		return nil
+	}
+	return []*R{r}
 }
 
 // same requires two accessor results to hold equal rows in equal order
@@ -160,7 +235,12 @@ func (o *snapOracle) round(n int) []oracleStep {
 	s := func(name string, args ...string) oracleStep { return oracleStep{name, args} }
 	id := strconv.Itoa(n)
 	mach, loner := "ORA"+id+".MIT.EDU", "LONER"+id+".MIT.EDU"
-	uidA, uidB, uidC, uidR := strconv.Itoa(30000+4*n), strconv.Itoa(30001+4*n), strconv.Itoa(30002+4*n), strconv.Itoa(30003+4*n)
+	base := o.uidBase
+	if base == 0 {
+		base = 30000
+	}
+	uid := func(k int) string { return strconv.Itoa(base + 4*n + k) }
+	uidA, uidB, uidC, uidR := uid(0), uid(1), uid(2), uid(3)
 	resident := func() string { return o.logins[o.rng.Intn(len(o.logins))] }
 
 	steps := []oracleStep{
@@ -182,7 +262,7 @@ func (o *snapOracle) round(n int) []oracleStep {
 		// A new login alone, then a new uid alone: each key index moves
 		// without the other's mutation to hide behind.
 		s("update_user", "oa"+id, "ox"+id, uidA, "/bin/tcsh", "Last", "First", "Q", "1", "xx", "STAFF"),
-		s("update_user", "ox"+id, "ox"+id, strconv.Itoa(40000+n), "/bin/tcsh", "Last", "First", "Q", "1", "xx", "STAFF"),
+		s("update_user", "ox"+id, "ox"+id, strconv.Itoa(base+10000+n), "/bin/tcsh", "Last", "First", "Q", "1", "xx", "STAFF"),
 		s("update_user_status", "ox"+id, "1"),
 		s("update_user_status", resident(), "1"),
 		s("update_finger_by_login", "ox"+id, "Full Name "+id, "nick", "home", "555-0100", "office", "555-0200", "EECS", "staff"),
