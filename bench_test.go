@@ -417,7 +417,7 @@ func BenchmarkHostUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &update.Push{Addr: addr.String(), Target: "/tmp/hesiod.out",
-			Data: res.Common, Script: script, Timeout: 30 * time.Second}
+			Bundle: update.NewBundle(res.Common), Script: script, Timeout: 30 * time.Second}
 		if err := p.Run(); err != nil {
 			b.Fatal(err)
 		}

@@ -472,6 +472,13 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, st
 		result = res
 	}
 
+	// The common bundle is chunked and summed once, for every host and
+	// retry; a per-host bundle is chunked once in its host's update.
+	var common *update.Bundle
+	if result.Common != nil {
+		common = update.NewBundle(result.Common)
+	}
+
 	// Replicated services keep the paper's ordered scan: every host
 	// carries the same data, and a hard failure must stop updates to the
 	// remaining hosts at a well-defined point rather than leaving an
@@ -480,7 +487,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, st
 	// so failures are independent.
 	if snap.Type == db.ServiceReplicated {
 		for _, h := range hosts {
-			if !m.updateHost(snap, h, result, stats, csp) {
+			if !m.updateHost(snap, h, result, common, stats, csp) {
 				// A hard failure on a replicated service stops updates
 				// to the service's remaining hosts.
 				break
@@ -498,7 +505,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, st
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			m.updateHost(snap, h, result, stats, csp)
+			m.updateHost(snap, h, result, common, stats, csp)
 		}()
 	}
 	wg.Wait()
@@ -533,8 +540,10 @@ func (m *DCM) hostsNeedingUpdate(snap *serviceSnapshot) []hostSnapshot {
 
 // updateHost pushes the service's files to one host, retrying soft
 // failures within the pass under the backoff policy. It returns false
-// on a hard failure (the replicated-service abort signal).
-func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Result, stats *CycleStats, csp *trace.Span) bool {
+// on a hard failure (the replicated-service abort signal). common is
+// result.Common chunked once for every host, or nil: the host's bundle
+// is then chunked here, once for all its retries.
+func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Result, common *update.Bundle, stats *CycleStats, csp *trace.Span) bool {
 	name := snap.Name
 	stats.add(func(s *CycleStats) { s.HostsConsidered++ })
 	data := result.Common
@@ -555,14 +564,18 @@ func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Resu
 		return true
 	}
 
-	pushErr := m.pushOnce(snap, h, data, stats, csp)
+	b := common
+	if b == nil {
+		b = update.NewBundle(data)
+	}
+	pushErr := m.pushOnce(snap, h, b, stats, csp)
 	for attempt := 1; pushErr != nil && update.IsSoftError(pushErr) && attempt <= m.maxRetries(); attempt++ {
 		delay := m.rnd.delay(m.cfg.Backoff, attempt)
 		m.cfg.Logf("dcm: %s: soft failure on %s: %v (retry %d in %v)%s",
 			name, h.name, pushErr, attempt, delay, traceSuffix(stats.Trace))
 		stats.add(func(s *CycleStats) { s.Retries++ })
 		clock.Sleep(m.clk, delay)
-		pushErr = m.pushOnce(snap, h, data, stats, csp)
+		pushErr = m.pushOnce(snap, h, b, stats, csp)
 	}
 	now := m.clk.Now().Unix()
 
@@ -623,7 +636,7 @@ func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Resu
 
 // pushOnce performs a single update attempt against one host and
 // records its wall-clock latency.
-func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, data []byte, stats *CycleStats, csp *trace.Span) (err error) {
+func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, b *update.Bundle, stats *CycleStats, csp *trace.Span) (err error) {
 	start := time.Now()
 	psp := csp.Child("dcm.push")
 	psp.SetDetail(h.name)
@@ -640,7 +653,7 @@ func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, data []byte, stats
 	script := m.cfg.Scripts[snap.Name]
 	var lines []string
 	if script != nil {
-		lines = script(&snap.Server, h.name, data)
+		lines = script(&snap.Server, h.name, b.Data)
 	}
 	var creds *kerberos.Credentials
 	if m.cfg.Creds != nil {
@@ -653,7 +666,7 @@ func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, data []byte, stats
 		wireTrace = trace.Wire(id, psp.SpanID())
 	}
 	p := &update.Push{
-		Addr: addr, Target: snap.TargetFile, Data: data, Script: lines,
+		Addr: addr, Target: snap.TargetFile, Bundle: b, Script: lines,
 		Creds: creds, Clock: m.clk, Timeout: m.cfg.PushTimeout,
 		Trace: wireTrace,
 	}

@@ -9,6 +9,7 @@
 package extract
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,7 +149,13 @@ func (f *File) del(sortKey string) {
 	f.dirty[sortKey] = -1
 }
 
-// flush merges the overlay into the sorted base slice in one pass.
+// flush merges the overlay into the sorted base slice in place: it
+// finds the shadowed entries by binary search and closes their gaps,
+// then merges the sorted adds in from the back, moving the entries
+// between two adds as one block. A patch of k keys costs k binary
+// searches and block moves, and allocates only when the file outgrows
+// its array (then with append's headroom, so the next few growths do
+// not allocate either).
 func (f *File) flush() {
 	if len(f.dirty) == 0 {
 		return
@@ -162,26 +169,48 @@ func (f *File) flush() {
 		}
 	}
 	sort.Slice(adds, func(a, b int) bool { return adds[a].sort < adds[b].sort })
-	merged := make([]entry, 0, f.n)
-	ai := 0
-	for _, e := range f.entries {
-		for ai < len(adds) && adds[ai].sort < e.sort {
-			merged = append(merged, adds[ai])
-			ai++
+	// A dirty sort key shadows the base entry it names: deleted, or
+	// replaced by an add.
+	var gone []int
+	for sortKey := range f.dirty {
+		if i, ok := f.find(sortKey); ok {
+			gone = append(gone, i)
 		}
-		if _, shadowed := f.dirty[e.sort]; shadowed {
-			continue // deleted, or replaced by a pending entry
-		}
-		merged = append(merged, e)
 	}
-	merged = append(merged, adds[ai:]...)
-	f.entries, f.dirty, f.pending = merged, nil, nil
+	sort.Ints(gone)
+	n, kept := len(f.entries), len(f.entries)
+	if len(gone) > 0 {
+		kept = gone[0]
+		for x, g := range gone {
+			end := n
+			if x+1 < len(gone) {
+				end = gone[x+1]
+			}
+			kept += copy(f.entries[kept:], f.entries[g+1:end])
+		}
+	}
+	// es[:hi] are the kept entries not yet in place. Those sorting after
+	// adds[j] have j+1 adds before them, so they shift up by j+1, and
+	// adds[j] lands just below them.
+	es := slices.Grow(f.entries[:kept], len(adds))[:kept+len(adds)]
+	hi := kept
+	for j := len(adds) - 1; j >= 0; j-- {
+		p := sort.Search(hi, func(i int) bool { return es[i].sort > adds[j].sort })
+		copy(es[p+j+1:], es[p:hi])
+		es[p+j] = adds[j]
+		hi = p
+	}
+	if len(es) < n {
+		clear(f.entries[len(es):n]) // drop the removed entries' data
+	}
+	f.entries, f.dirty, f.pending = es, nil, nil
 }
 
 // Bytes renders the file: the concatenation of every entry's data in
 // sort-key order. The result is cached until the next mutation; a
-// mutation-then-render reuses the retired buffer, so the returned slice
-// is only valid until the file next renders after a mutation.
+// mutation-then-render reuses the retired buffer, grown with append's
+// headroom when the file outgrew it, so the returned slice is only
+// valid until the file next renders after a mutation.
 func (f *File) Bytes() []byte {
 	if f.cache != nil {
 		return f.cache
@@ -193,12 +222,12 @@ func (f *File) Bytes() []byte {
 	}
 	out := f.scratch
 	f.scratch = nil
-	if out == nil || cap(out) < n {
+	if out == nil {
 		// A non-nil zero-length render distinguishes "empty file" from
 		// "no cache", so allocate even when n is zero.
 		out = make([]byte, 0, n)
 	} else {
-		out = out[:0]
+		out = slices.Grow(out[:0], n)
 	}
 	for i := range f.entries {
 		out = append(out, f.entries[i].data...)

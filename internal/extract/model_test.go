@@ -2,7 +2,11 @@ package extract
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -136,5 +140,145 @@ func TestModelRenderCacheInvalidation(t *testing.T) {
 	m.DeleteKey("a")
 	if got := m.Bytes("f"); !bytes.Equal(got, []byte("2")) {
 		t.Errorf("stale cache after delete: %q", got)
+	}
+}
+
+// FuzzModelPatch: after any batch of emits and deletes, every file
+// renders exactly as a sorted map of its live entries would, however the
+// overlay, the in-place merge and the append fast path interleave. Each
+// op is two bytes: its kind and file, and an argument.
+func FuzzModelPatch(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 2, 0, 3, 0, 3, 0, 2, 0})        // emit, render, append onto the flushed slice
+	f.Add([]byte{0, 5, 2, 0, 1, 5, 2, 0, 0, 5, 2, 0})        // shrink to empty and come back
+	f.Add([]byte{4, 9, 128, 9, 8, 3, 132, 9, 5, 0, 2, 0, 9}) // ownership moves, two files
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type ent struct{ key, data string }
+		ref := map[string]map[string]ent{}
+		m := NewModel()
+		next := 0 // appended sort positions sort after every other one
+		check := func() {
+			for _, file := range []string{"f", "g"} {
+				var sorts []string
+				for s := range ref[file] {
+					sorts = append(sorts, s)
+				}
+				sort.Strings(sorts)
+				var want []byte
+				for _, s := range sorts {
+					want = append(want, ref[file][s].data...)
+				}
+				got := m.Bytes(file)
+				if len(sorts) == 0 {
+					if got != nil {
+						t.Fatalf("%s: empty file renders %q", file, got)
+					}
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("%s: render %q, want %q", file, got, want)
+				}
+			}
+		}
+		emit := func(file, sortKey, key, data string) {
+			if ref[file] == nil {
+				ref[file] = map[string]ent{}
+			}
+			ref[file][sortKey] = ent{key, data}
+			m.Emit(file, sortKey, key, []byte(data))
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], int(ops[i+1])
+			file := []string{"f", "g"}[op>>7]
+			key := "k" + strconv.Itoa(int(op>>2)&7)
+			data := strings.Repeat(string(rune('a'+arg%26)), arg%5)
+			switch op & 3 {
+			case 0:
+				emit(file, K("p", arg%40), key, data)
+			case 1:
+				for file, es := range ref {
+					for s, e := range es {
+						if e.key == key {
+							delete(es, s)
+						}
+					}
+					if len(es) == 0 {
+						delete(ref, file)
+					}
+				}
+				m.DeleteKey(key)
+			case 2:
+				check()
+			case 3:
+				next++
+				emit(file, K("q", next), key, data)
+			}
+		}
+		check()
+		n := 0
+		for _, es := range ref {
+			n += len(es)
+		}
+		if m.NumEntries() != n {
+			t.Fatalf("NumEntries = %d, want %d", m.NumEntries(), n)
+		}
+	})
+}
+
+// TestModelPatchAllocsIndependentOfFileSize: a patch merges its overlay
+// into the entry array in place and renders into the retired buffer, so
+// re-emitting 10 keys of a 100,000-entry file allocates what it does in
+// a 10,000-entry file. (Copying the array on every flush, as a fresh
+// merge does, costs 56 bytes an entry: 5.6 MB a patch at 100,000.)
+func TestModelPatchAllocsIndependentOfFileSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// Map buckets, location records and the overlay of 10 keys: about
+	// 4 KB measured at either size.
+	const ceiling = 16 << 10
+	measure := func(n int) float64 {
+		m := NewModel()
+		line := func(i int) []byte { return []byte(fmt.Sprintf("user%07d:*:%d:101::/home:/bin/sh\n", i, i)) }
+		for i := 0; i < n; i++ {
+			m.Emit("passwd", K(i), "user:"+strconv.Itoa(i), line(i))
+		}
+		_ = m.Bytes("passwd")
+		// Ten keys across the file, each patch swapping which of two
+		// positions they hold, so the file keeps its size.
+		type key struct {
+			name string
+			at   [2]string
+			data []byte
+		}
+		var keys []key
+		for j := 0; j < 10; j++ {
+			i := j*n/10 + 1
+			keys = append(keys, key{"user:" + strconv.Itoa(i), [2]string{K(i), K(i) + "~"}, line(i)})
+		}
+		patch := func(round int) {
+			for _, k := range keys {
+				m.DeleteKey(k.name)
+				m.Emit("passwd", k.at[round%2], k.name, k.data)
+			}
+			if got := len(m.Bytes("passwd")); got == 0 {
+				t.Fatal("empty render")
+			}
+		}
+		patch(1)
+		patch(0)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			patch(r + 1)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := measure(10_000), measure(100_000)
+	t.Logf("10-key patch + render: %.0f B at 10,000 entries, %.0f B at 100,000", small, large)
+	if large > small*1.1 || small > large*1.1 {
+		t.Errorf("patch allocates %.0f B at 100,000 entries and %.0f B at 10,000: want within 10%%", large, small)
+	}
+	if large > ceiling || small > ceiling {
+		t.Errorf("patch allocates %.0f / %.0f B, want under %d", small, large, ceiling)
 	}
 }

@@ -373,7 +373,7 @@ func (f *dbFile) patch(fv *update.File) (filePlan, error) {
 	for _, e := range fv.Edits {
 		run, n := "", 0
 		whole := func() bool { return n == 0 || (f.recs[run] != nil && f.recs[run].lines == n) }
-		err := update.EachLine(fv.Old, e.Old, func(raw []byte, _ int) error {
+		err := fv.Old.Lines(e.Old, func(raw []byte, _ int) error {
 			raw = bytes.TrimSpace(raw)
 			if len(raw) == 0 || raw[0] == ';' {
 				return nil

@@ -163,12 +163,14 @@ func (h *Hub) planAliases(fv *update.File, data []byte) (aliasPlan, error) {
 // sides: it may not begin with a continuation, nor be followed by one.
 func (h *Hub) patchAliases(fv *update.File) (aliasPlan, error) {
 	p := aliasPlan{id: fv.NewID, gone: map[string]bool{}, put: map[string][]string{}}
+	newText := update.TextOf(fv.New)
 	for _, e := range fv.Edits {
-		if !wholeEntries(fv.Old, e.Old) || !wholeEntries(fv.New, e.New) {
+		if !wholeEntries(fv.Old, e.Old) || !wholeEntries(newText, e.New) {
 			return p, errWhole
 		}
 		gone := map[string][]string{}
-		if _, err := parseAliasLines(fv.Old, e.Old, gone); err != nil {
+		old := fv.Old.Slice(e.Old)
+		if _, err := parseAliasLines(old, update.Range{Lo: 0, Hi: len(old)}, gone); err != nil {
 			return p, errWhole // the held aliases do not reflect fv.Old after all
 		}
 		for name := range gone {
@@ -195,9 +197,9 @@ func (h *Hub) patchAliases(fv *update.File) (aliasPlan, error) {
 // wholeEntries reports whether r holds whole aliases entries of b: the
 // first line in it that is not blank or a comment, and the first such
 // line after it, are not continuations.
-func wholeEntries(b []byte, r update.Range) bool {
+func wholeEntries(b update.Text, r update.Range) bool {
 	first := func(lo, hi int) (kind int) {
-		update.EachLine(b, update.Range{Lo: lo, Hi: hi}, func(raw []byte, _ int) error {
+		b.Lines(update.Range{Lo: lo, Hi: hi}, func(raw []byte, _ int) error {
 			if _, kind = aliasLine(string(raw)); kind != aliasSkip {
 				return errWhole // found it: stop
 			}
@@ -205,7 +207,7 @@ func wholeEntries(b []byte, r update.Range) bool {
 		})
 		return kind
 	}
-	return first(r.Lo, r.Hi) != aliasCont && first(r.Hi, len(b)) != aliasCont
+	return first(r.Lo, r.Hi) != aliasCont && first(r.Hi, b.Len()) != aliasCont
 }
 
 // commitAliases applies an aliases plan; the caller holds h.mu.

@@ -2,6 +2,8 @@ package update
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"os"
@@ -91,6 +93,12 @@ type Agent struct {
 	conns      map[net.Conn]*connState
 	closed     bool
 
+	// kept maps each transfer target (its host path) to the chunk list
+	// of the bundle the agent last staged there: a hint, checked against
+	// the target's bytes before any use, so the next manifest diff reads
+	// only what it reuses instead of re-reading and re-chunking the file.
+	kept map[string][]Chunk
+
 	ln      net.Listener
 	wg      sync.WaitGroup
 	closing chan struct{}
@@ -132,6 +140,7 @@ func NewAgent(host, dir string, verifier *kerberos.Verifier) *Agent {
 		commands:    make(map[string]CommandFunc),
 		sem:         make(chan struct{}, 1),
 		conns:       make(map[net.Conn]*connState),
+		kept:        make(map[string][]Chunk),
 		closing:     make(chan struct{}),
 		reg:         stats.NewRegistry(),
 	}
@@ -323,6 +332,18 @@ func (a *Agent) HostPath(p string) (string, error) {
 	return clean, nil
 }
 
+// keep records chunks as the bundle staged at host path fp; nil forgets
+// it, before anything rewrites fp.
+func (a *Agent) keep(fp string, chunks []Chunk) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if chunks == nil {
+		delete(a.kept, fp)
+	} else {
+		a.kept[fp] = chunks
+	}
+}
+
 // ReadHostFile reads a file from the host's private filesystem, for
 // the services (and tests) running on this host.
 func (a *Agent) ReadHostFile(p string) ([]byte, error) {
@@ -348,6 +369,8 @@ func (a *Agent) RenameHostFile(oldPath, newPath string) error {
 	if err := os.MkdirAll(filepath.Dir(np), 0o755); err != nil {
 		return err
 	}
+	a.keep(op, nil)
+	a.keep(np, nil)
 	return os.Rename(op, np)
 }
 
@@ -360,6 +383,7 @@ func (a *Agent) WriteHostFile(p string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
 		return err
 	}
+	a.keep(fp, nil)
 	return os.WriteFile(fp, data, 0o644)
 }
 
@@ -371,24 +395,19 @@ type updateSession struct {
 	trace  string // bare trace ID carried by the push's requests
 	parent string // span ID of the DCM push span, from the wire field
 
-	// bundle is the staged archive as chunkAssemble verified it; nil
-	// until a transfer in this session succeeds. "extract" takes members
-	// from it in place, so the archive is never read back from disk, and
-	// it dies with the session: no agent keeps a bundle between pushes.
-	bundle []byte
-
-	// install is the exec commands' view of the transfer: built by
-	// chunkAssemble from both sides' bundles and chunk lists, added to by
-	// each extract, gone with the session.
+	// install is the staged archive as chunkAssemble verified it and
+	// the exec commands' view of the transfer: nil until a transfer in
+	// this session succeeds, added to by each extract, gone with the
+	// session. "extract" takes members from its bundle in place, so the
+	// archive is never read back from disk.
 	install *Install
 
 	// Chunked-transfer state, alive between OpUManifest and OpUAssemble.
 	manifest    []Chunk
-	wholeSum    string
+	wholeSum    [sha256.Size]byte
 	chunkTarget string
-	have        map[string][]byte // checksum -> chunk bytes (reused + received)
-	old         []byte            // the bundle the target held; nil if none
-	oldChunks   []Chunk
+	have        map[[sha256.Size]byte][]byte // checksum -> chunk bytes (held and received)
+	old         *oldSide                     // the bundle the target held; nil if none
 
 	// fields carries reply fields for the next reply (the manifest
 	// response lists the needed chunk indices).
@@ -603,9 +622,12 @@ func (s *updateSession) auth(req *protocol.Request) mrerr.Code {
 }
 
 // chunkManifest starts a chunked transfer: parse the new file's
-// manifest, chunk whatever currently sits at the target path, pre-fill
-// the chunks the old file already supplies, and answer with the indices
-// the pusher must still send.
+// manifest, learn which of its chunks the target already holds, and
+// answer with the indices the pusher must still send. The target's
+// kept chunk list is the first guess: the chunks the new bundle reuses
+// are checked in place, the rest read and checked. When there is no
+// kept list, or the target is not what it says, the agent re-chunks
+// whatever currently sits at the target.
 func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
@@ -614,40 +636,38 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 		return mrerr.MrArgs
 	}
 	target := string(req.Args[0])
-	wholeSum := string(req.Args[1])
+	var wholeSum [sha256.Size]byte
+	if len(req.Args[1]) != 2*sha256.Size {
+		return mrerr.MrArgs
+	}
+	if _, err := hex.Decode(wholeSum[:], req.Args[1]); err != nil {
+		return mrerr.MrArgs
+	}
 	manifest, err := DecodeManifest(req.Args[2])
 	if err != nil {
 		return mrerr.MrArgs
 	}
-	if len(wholeSum) != 64 {
-		return mrerr.MrArgs
-	}
-	if _, err := s.agent.HostPath(target); err != nil {
+	fp, err := s.agent.HostPath(target)
+	if err != nil {
 		return mrerr.UpdBadInstr
 	}
 
-	wanted := map[string]bool{}
-	for _, c := range manifest {
-		wanted[c.Sum] = true
-	}
-	have := map[string][]byte{}
-	reused, reusedBytes := 0, 0
-	old, err := s.agent.ReadHostFile(target)
-	var oldChunks []Chunk
-	if err == nil {
-		oldChunks = SplitChunks(old)
-		for _, c := range oldChunks {
-			if wanted[c.Sum] && have[c.Sum] == nil {
-				have[c.Sum] = old[c.Off : c.Off+c.Len]
-			}
+	old := s.agent.hint(fp, manifest)
+	if old == nil {
+		if data, err := os.ReadFile(fp); err == nil {
+			old = wholeSide(data, manifest)
 		}
-	} else {
-		old = nil
+	}
+	have := map[[sha256.Size]byte][]byte{}
+	if old != nil {
+		old.reuse(have)
 	}
 	var needed [][]byte
-	seen := map[string]bool{}
+	reused, reusedBytes := 0, 0
+	seen := map[[sha256.Size]byte]bool{}
+	inRun := runCursor(old.runs())
 	for i, c := range manifest {
-		if _, ok := have[c.Sum]; ok {
+		if _, ok := have[c.Sum]; ok || inRun(c) {
 			reused++
 			reusedBytes += c.Len
 			continue
@@ -663,12 +683,39 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 	s.wholeSum = wholeSum
 	s.chunkTarget = target
 	s.have = have
-	s.old, s.oldChunks = old, oldChunks
+	s.old = old
 	s.fields = needed
 	s.agent.reg.Counter("update.chunks.manifests").Inc()
 	s.agent.reg.Counter("update.chunks.reused").Add(int64(reused))
 	s.agent.reg.Counter("update.chunks.bytes.reused").Add(int64(reusedBytes))
 	return mrerr.Success
+}
+
+// hint is the old side of the transfer from the chunk list kept for host
+// path fp, or nil when there is none or fp is missing, short, grown or
+// rewritten.
+func (a *Agent) hint(fp string, manifest []Chunk) *oldSide {
+	a.mu.Lock()
+	kept, ok := a.kept[fp]
+	a.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	f, err := os.Open(fp)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil
+	}
+	old, ok := keptSide(f, int(fi.Size()), kept, manifest)
+	if !ok {
+		a.reg.Counter("update.chunks.hints.dropped").Inc()
+		return nil
+	}
+	return old
 }
 
 // chunkData receives pushed chunks (alternating index and data args),
@@ -691,7 +738,7 @@ func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
 		}
 		c := s.manifest[idx]
 		data := req.Args[i+1]
-		if len(data) != c.Len || !sumIs(data, c.Sum) {
+		if len(data) != c.Len || sha256.Sum256(data) != c.Sum {
 			return mrerr.UpdChecksum
 		}
 		s.have[c.Sum] = data
@@ -707,7 +754,8 @@ func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
 // verifies the whole-file checksum ("the file transfer includes a
 // checksum to insure data integrity"), and stages it at the target
 // path, flushed to disk before the reply ("flush all data on the server
-// to disk").
+// to disk"). Chunks the target still holds are read from it into the
+// new bundle before the target is truncated.
 func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
@@ -715,18 +763,19 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	if s.manifest == nil {
 		return mrerr.UpdNoFile
 	}
-	data, err := Reassemble(s.manifest, s.have, s.wholeSum)
-	if err != nil {
-		return mrerr.UpdChecksum
-	}
-	target := s.chunkTarget
-	manifest, old, oldChunks := s.manifest, s.old, s.oldChunks
-	s.manifest, s.have, s.wholeSum, s.chunkTarget = nil, nil, "", ""
-	s.old, s.oldChunks = nil, nil
+	target, manifest, have, old, wholeSum := s.chunkTarget, s.manifest, s.have, s.old, s.wholeSum
+	s.manifest, s.have, s.chunkTarget, s.old = nil, nil, "", nil
 
 	fp, perr := s.agent.HostPath(target)
 	if perr != nil {
 		return mrerr.UpdBadInstr
+	}
+	data, err := assembleAt(fp, manifest, have, old, wholeSum)
+	if err != nil {
+		// The target may no longer hold what its kept list says: the
+		// retry re-chunks it.
+		s.agent.keep(fp, nil)
+		return mrerr.UpdChecksum
 	}
 	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
 		return mrerr.MrInternal
@@ -737,6 +786,7 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	for _, m := range matches {
 		os.Remove(m)
 	}
+	s.agent.keep(fp, nil)
 	f, err := os.Create(fp)
 	if err != nil {
 		return mrerr.MrInternal
@@ -752,14 +802,30 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	if err := f.Close(); err != nil {
 		return mrerr.MrInternal
 	}
+	s.agent.keep(fp, manifest)
 	s.target = target
-	s.bundle = data
-	s.install = newInstall(old, oldChunks, data, manifest)
+	s.install = newInstall(old, data, manifest)
 	// Staged files and their sizes; the chunk counters hold the
 	// wire-level story.
 	s.agent.reg.Counter("update.xfers").Inc()
 	s.agent.reg.Counter("update.bytes").Add(int64(len(data)))
 	return mrerr.Success
+}
+
+// assembleAt builds the new bundle for host path fp from the manifest's
+// chunks: those in have, and the runs old says fp still holds, read
+// from it.
+func assembleAt(fp string, manifest []Chunk, have map[[sha256.Size]byte][]byte, old *oldSide, wholeSum [sha256.Size]byte) ([]byte, error) {
+	runs := old.runs()
+	if len(runs) == 0 {
+		return Reassemble(manifest, have, wholeSum)
+	}
+	f, err := os.Open(fp)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return reassemble(manifest, have, f, runs, wholeSum)
 }
 
 func (s *updateSession) loadScript(req *protocol.Request) mrerr.Code {
@@ -819,6 +885,7 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		}
 		// Keep the old file for revert; both stay in the same directory
 		// so the renames never cross a partition.
+		a.keep(fp, nil)
 		if _, err := os.Stat(fp); err == nil {
 			if err := os.Rename(fp, fp+backupSuffix); err != nil {
 				return mrerr.UpdRename
@@ -840,6 +907,7 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		if _, err := os.Stat(fp + backupSuffix); err != nil {
 			return mrerr.UpdNoRevert
 		}
+		a.keep(fp, nil)
 		if err := os.Rename(fp+backupSuffix, fp); err != nil {
 			return mrerr.UpdRename
 		}
@@ -874,16 +942,18 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 }
 
 // extract writes one member of the staged bundle to <dest>.moira_update.
-// The member is a sub-slice of the verified in-memory bundle: it is
-// neither read back from disk nor copied before the write.
+// The member is a sub-slice of the verified in-memory bundle, found in
+// the session's one index of its headers: it is neither read back from
+// disk nor copied before the write.
 func (s *updateSession) extract(fields []string) mrerr.Code {
-	if len(fields) != 3 || s.bundle == nil {
+	if len(fields) != 3 || s.install == nil {
 		return mrerr.UpdBadInstr
 	}
-	data, err := ExtractMember(s.bundle, fields[1])
-	if err != nil {
+	r, ok := s.install.member(fields[1])
+	if !ok {
 		return mrerr.UpdNoFile
 	}
+	data := s.install.newBundle[r.Lo:r.Hi:r.Hi]
 	if err := s.agent.WriteHostFile(fields[2]+updateSuffix, data); err != nil {
 		if code, ok := err.(mrerr.Code); ok {
 			return code

@@ -1,11 +1,12 @@
 package update
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"strconv"
-	"strings"
 )
 
 // Content-defined chunking for the diff transport: instead of shipping a
@@ -45,7 +46,7 @@ func buildGearTable(seed uint64) [256]uint64 {
 type Chunk struct {
 	Off int
 	Len int
-	Sum string // sha256 hex of the chunk bytes
+	Sum [sha256.Size]byte // SHA-256 of the chunk bytes
 }
 
 // SplitChunks cuts data into content-defined chunks. Every byte belongs
@@ -55,8 +56,7 @@ func SplitChunks(data []byte) []Chunk {
 	var out []Chunk
 	for off := 0; off < len(data); {
 		n := cutPoint(data[off:])
-		sum := sha256.Sum256(data[off : off+n])
-		out = append(out, Chunk{Off: off, Len: n, Sum: hex.EncodeToString(sum[:])})
+		out = append(out, Chunk{Off: off, Len: n, Sum: sha256.Sum256(data[off : off+n])})
 		off += n
 	}
 	return out
@@ -84,40 +84,48 @@ func cutPoint(data []byte) int {
 }
 
 // EncodeManifest renders a chunk list for the wire: one "len sum" line
-// per chunk, index implied by order.
+// per chunk, the sum in hex, index implied by order.
 func EncodeManifest(chunks []Chunk) []byte {
-	var b strings.Builder
+	out := make([]byte, 0, len(chunks)*(len("65536 \n")+2*sha256.Size))
 	for _, c := range chunks {
-		fmt.Fprintf(&b, "%d %s\n", c.Len, c.Sum)
+		out = strconv.AppendInt(out, int64(c.Len), 10)
+		out = append(out, ' ')
+		out = hex.AppendEncode(out, c.Sum[:])
+		out = append(out, '\n')
 	}
-	return []byte(b.String())
+	return out
 }
 
 // DecodeManifest parses a wire manifest, rejecting malformed or
 // implausible entries (a corrupt manifest must fail cleanly, never
-// panic or allocate absurd amounts).
+// panic or allocate absurd amounts: the chunk list is sized by the
+// most lines of the shortest valid form the manifest's bytes can hold).
 func DecodeManifest(data []byte) ([]Chunk, error) {
-	var out []Chunk
+	const minLine = len("1 \n") + 2*sha256.Size
+	out := make([]Chunk, 0, len(data)/minLine+1)
 	off := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
+	for len(data) > 0 {
+		line, rest, _ := bytes.Cut(data, []byte{'\n'})
+		data = rest
+		if len(line) == 0 {
 			continue
 		}
-		lenStr, sum, ok := strings.Cut(line, " ")
+		lenStr, sum, ok := bytes.Cut(line, []byte{' '})
 		if !ok {
 			return nil, fmt.Errorf("manifest: malformed line %q", line)
 		}
-		n, err := strconv.Atoi(lenStr)
+		n, err := strconv.Atoi(string(lenStr))
 		if err != nil || n <= 0 || n > chunkMax {
 			return nil, fmt.Errorf("manifest: bad chunk length %q", lenStr)
 		}
-		if len(sum) != 64 {
+		c := Chunk{Off: off, Len: n}
+		if len(sum) != 2*sha256.Size {
 			return nil, fmt.Errorf("manifest: bad checksum %q", sum)
 		}
-		if _, err := hex.DecodeString(sum); err != nil {
+		if _, err := hex.Decode(c.Sum[:], sum); err != nil {
 			return nil, fmt.Errorf("manifest: bad checksum %q", sum)
 		}
-		out = append(out, Chunk{Off: off, Len: n, Sum: sum})
+		out = append(out, c)
 		off += n
 	}
 	return out, nil
@@ -130,36 +138,62 @@ func DecodeManifest(data []byte) ([]Chunk, error) {
 // length, so a manifest naming chunks nobody supplied fails without a
 // large allocation. The result is a fresh slice, non-nil even when
 // empty.
-func Reassemble(manifest []Chunk, have map[string][]byte, wholeSum string) ([]byte, error) {
+func Reassemble(manifest []Chunk, have map[[sha256.Size]byte][]byte, wholeSum [sha256.Size]byte) ([]byte, error) {
+	return reassemble(manifest, have, nil, nil, wholeSum)
+}
+
+// reassemble is Reassemble taking the manifest's chunks that lie in one
+// of runs — runs of the old bundle the new one shares, checked against
+// their sums when the transfer began — straight from src, one read a
+// run into the result, and the rest from have. Each chunk read from src
+// is checked again once it is in place.
+func reassemble(manifest []Chunk, have map[[sha256.Size]byte][]byte, src io.ReaderAt, runs []anchor, wholeSum [sha256.Size]byte) ([]byte, error) {
+	inRun := runCursor(runs)
 	total := 0
 	for i, c := range manifest {
-		data, ok := have[c.Sum]
-		if !ok {
-			return nil, fmt.Errorf("chunk %d (%s) missing", i, c.Sum[:12])
-		}
-		if len(data) != c.Len {
-			return nil, fmt.Errorf("chunk %d: length %d, manifest says %d", i, len(data), c.Len)
-		}
-		if !sumIs(data, c.Sum) {
-			return nil, fmt.Errorf("chunk %d: checksum mismatch", i)
+		if !inRun(c) {
+			data, ok := have[c.Sum]
+			if !ok {
+				return nil, fmt.Errorf("chunk %d (%x) missing", i, c.Sum[:6])
+			}
+			if len(data) != c.Len {
+				return nil, fmt.Errorf("chunk %d: length %d, manifest says %d", i, len(data), c.Len)
+			}
+			if sha256.Sum256(data) != c.Sum {
+				return nil, fmt.Errorf("chunk %d: checksum mismatch", i)
+			}
 		}
 		total += c.Len
 	}
-	out := make([]byte, 0, total)
-	for _, c := range manifest {
-		out = append(out, have[c.Sum]...)
+	out := make([]byte, total)
+	for _, a := range runs {
+		if _, err := src.ReadAt(out[a.p:a.p+a.n], int64(a.o)); err != nil {
+			return nil, fmt.Errorf("reading reused chunks: %w", err)
+		}
 	}
-	if !sumIs(out, wholeSum) {
+	inRun = runCursor(runs)
+	for i, c := range manifest {
+		dst := out[c.Off : c.Off+c.Len]
+		if !inRun(c) {
+			copy(dst, have[c.Sum])
+		} else if sha256.Sum256(dst) != c.Sum {
+			return nil, fmt.Errorf("chunk %d: reused bytes changed: checksum mismatch", i)
+		}
+	}
+	if sha256.Sum256(out) != wholeSum {
 		return nil, fmt.Errorf("assembled file checksum mismatch")
 	}
 	return out, nil
 }
 
-// sumIs reports whether data's SHA-256 is the hex digest want, without
-// allocating the digest's hex form.
-func sumIs(data []byte, want string) bool {
-	sum := sha256.Sum256(data)
-	var hx [2 * sha256.Size]byte
-	hex.Encode(hx[:], sum[:])
-	return string(hx[:]) == want
+// runCursor returns a test of whether each chunk of a manifest, asked
+// in order, lies in one of runs (sorted by new-bundle offset).
+func runCursor(runs []anchor) func(Chunk) bool {
+	i := 0
+	return func(c Chunk) bool {
+		for i < len(runs) && runs[i].p+runs[i].n <= c.Off {
+			i++
+		}
+		return i < len(runs) && runs[i].p <= c.Off
+	}
 }

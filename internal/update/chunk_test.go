@@ -36,8 +36,7 @@ func TestSplitChunksTilesInput(t *testing.T) {
 			if c.Len <= 0 || c.Len > chunkMax {
 				t.Fatalf("n=%d chunk %d: len %d out of bounds", n, i, c.Len)
 			}
-			sum := sha256.Sum256(data[c.Off : c.Off+c.Len])
-			if c.Sum != hex.EncodeToString(sum[:]) {
+			if c.Sum != sha256.Sum256(data[c.Off:c.Off+c.Len]) {
 				t.Fatalf("n=%d chunk %d: bad checksum", n, i)
 			}
 			off += c.Len
@@ -57,7 +56,7 @@ func TestSplitChunksBoundariesAreLocal(t *testing.T) {
 	edited[len(edited)/2] ^= 0xff
 	after := SplitChunks(edited)
 
-	sums := make(map[string]bool, len(before))
+	sums := make(map[[sha256.Size]byte]bool, len(before))
 	for _, c := range before {
 		sums[c.Sum] = true
 	}
@@ -125,9 +124,8 @@ func strings64() string {
 func TestReassembleVerifies(t *testing.T) {
 	data := randBytes(4, 120_000)
 	chunks := SplitChunks(data)
-	whole := sha256.Sum256(data)
-	wholeSum := hex.EncodeToString(whole[:])
-	have := map[string][]byte{}
+	wholeSum := sha256.Sum256(data)
+	have := map[[sha256.Size]byte][]byte{}
 	for _, c := range chunks {
 		have[c.Sum] = data[c.Off : c.Off+c.Len]
 	}
@@ -138,7 +136,7 @@ func TestReassembleVerifies(t *testing.T) {
 	}
 
 	// Missing chunk.
-	missing := map[string][]byte{}
+	missing := map[[sha256.Size]byte][]byte{}
 	for k, v := range have {
 		missing[k] = v
 	}
@@ -148,7 +146,7 @@ func TestReassembleVerifies(t *testing.T) {
 	}
 
 	// Corrupt chunk bytes (right length, wrong content).
-	corrupt := map[string][]byte{}
+	corrupt := map[[sha256.Size]byte][]byte{}
 	for k, v := range have {
 		corrupt[k] = v
 	}
@@ -160,7 +158,7 @@ func TestReassembleVerifies(t *testing.T) {
 	}
 
 	// Wrong whole-file checksum.
-	if _, err := Reassemble(chunks, have, strings64()); err == nil {
+	if _, err := Reassemble(chunks, have, sha256.Sum256([]byte("x"))); err == nil {
 		t.Error("wrong whole-file checksum accepted")
 	}
 }
@@ -178,7 +176,7 @@ func TestChunkedPushReusesUnchangedData(t *testing.T) {
 	t.Cleanup(func() { a.Close() })
 
 	push := func(data []byte) *Push {
-		p := &Push{Addr: addr.String(), Target: "/tmp/bundle", Data: data,
+		p := &Push{Addr: addr.String(), Target: "/tmp/bundle", Bundle: NewBundle(data),
 			// The transfer already deposits the data at the target; a
 			// blank instruction keeps the execution phase a no-op.
 			Script:  []string{""},
@@ -249,12 +247,12 @@ func FuzzChunker(f *testing.F) {
 		}
 
 		// Identity: reassemble from our own chunks.
-		have := map[string][]byte{}
+		have := map[[sha256.Size]byte][]byte{}
 		for _, c := range chunks {
 			have[c.Sum] = data[c.Off : c.Off+c.Len]
 		}
 		whole := sha256.Sum256(data)
-		got, err := Reassemble(chunks, have, hex.EncodeToString(whole[:]))
+		got, err := Reassemble(chunks, have, whole)
 		if err != nil {
 			t.Fatalf("identity reassembly: %v", err)
 		}
@@ -285,7 +283,7 @@ func FuzzChunker(f *testing.F) {
 		if len(mbytes) > 0 {
 			mbytes[int(editPos)%len(mbytes)] ^= editByte | 1
 			if dec, err := DecodeManifest(mbytes); err == nil {
-				if out, err := Reassemble(dec, have, hex.EncodeToString(whole[:])); err == nil {
+				if out, err := Reassemble(dec, have, whole); err == nil {
 					if !bytes.Equal(out, data) {
 						t.Fatal("corrupted manifest reassembled into a different file that passed the whole-file checksum")
 					}

@@ -44,18 +44,18 @@ func checkInstalled(t *testing.T, a *Agent, files map[string][]byte) {
 }
 
 // TestExtractAllocsIndependentOfMemberCount: members come out of the
-// verified in-memory bundle as sub-slices, so a session that extracts 16
-// members allocates what one extracting 2 does. The measured push
-// re-sends a bundle the host already holds — a change pass's steady
-// state, where few chunks travel — so the session allocates the old
-// file's read for the manifest diff and the reassembly (2x the bundle),
-// plus per-push costs that do not depend on the member count; not one
-// archive read and one member copy per extract (at the parent: 11.6 MB
-// for 2 members, 26.7 MB for 16).
+// verified in-memory bundle as sub-slices, found in one index of its
+// headers, so a session that extracts 16 members allocates what one
+// extracting 2 does. The measured push re-sends a bundle the host
+// already holds — a change pass's steady state, where few chunks travel
+// — so the session allocates the reassembly (1x the bundle: the agent
+// checks the target against the chunk list it kept instead of reading
+// it whole), plus per-push costs that do not depend on the member
+// count; not one archive read and one member copy per extract.
 func TestExtractAllocsIndependentOfMemberCount(t *testing.T) {
 	const total = 1 << 20
-	// Both ends' manifests (~2 KB a chunk, 130 chunks), frames, tar
-	// headers, file handles: 210-320 KB measured.
+	// Both ends' manifests and chunk maps (130 chunks), frames, tar
+	// headers, file handles: 140-210 KB measured.
 	const ceiling = 512 << 10
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -72,7 +72,7 @@ func TestExtractAllocsIndependentOfMemberCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &Push{Addr: addr.String(), Target: "/tmp/bundle", Data: data,
+		p := &Push{Addr: addr.String(), Target: "/tmp/bundle", Bundle: NewBundle(data),
 			Script: extractAll(files), Timeout: 5 * time.Second}
 		if err := p.Run(); err != nil { // cold: every chunk travels
 			t.Fatal(err)
@@ -96,8 +96,8 @@ func TestExtractAllocsIndependentOfMemberCount(t *testing.T) {
 		alloc  uint64
 		bundle int
 	}{{few, fewSize}, {many, manySize}} {
-		if s.alloc > uint64(2*s.bundle+ceiling) {
-			t.Errorf("session allocated %d B for a %d B bundle, want under 2x + %d", s.alloc, s.bundle, ceiling)
+		if s.alloc > uint64(s.bundle+ceiling) {
+			t.Errorf("session allocated %d B for a %d B bundle, want under 1x + %d", s.alloc, s.bundle, ceiling)
 		}
 	}
 	if float64(many) > 1.2*float64(few) || float64(few) > 1.2*float64(many) {
@@ -161,7 +161,7 @@ func TestExtractGuards(t *testing.T) {
 	}
 	defer a.Close()
 	push := func(data []byte, script ...string) error {
-		p := &Push{Addr: addr.String(), Target: "/tmp/bundle", Data: data,
+		p := &Push{Addr: addr.String(), Target: "/tmp/bundle", Bundle: NewBundle(data),
 			Script: script, Timeout: 5 * time.Second}
 		return p.Run()
 	}

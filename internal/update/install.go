@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"path"
+	"sync"
 )
 
 // Install is an exec command's view of the push that runs it. For each
@@ -17,12 +19,14 @@ import (
 // A nil *Install is a valid view with no files (local tooling, or a
 // session that transferred nothing): services then read from disk.
 type Install struct {
-	oldBundle, newBundle []byte
-	oldID, newID         string
-	anchors              []anchor // runs the bundles share, in order
+	old          Text // the bundle the target held before, stitched
+	newBundle    []byte
+	oldID, newID string
+	anchors      []anchor // runs the bundles share, in order
 
 	// oldIndex and newIndex map each bundle's member names to their data
-	// (Lo < 0: not a plain file), built by one header walk on first use.
+	// (Lo < 0: not a plain file), built by one header walk on first use:
+	// the session's extracts and views share newIndex.
 	oldIndex, newIndex map[string]Range
 
 	members map[string]string // cleaned dest -> member
@@ -36,8 +40,9 @@ type File struct {
 	// keep.
 	New []byte
 	// Old is the same member in the bundle the target held before the
-	// push; nil when there was no such bundle or member.
-	Old []byte
+	// push, read by range; empty when there was no such bundle or
+	// member. Its pieces are valid until the exec command returns.
+	Old Text
 	// NewID and OldID identify the bytes of the new and old bundles. A
 	// service that tags its parsed state with the ID it reflects knows,
 	// by comparing tags, whether it already holds New (skip), holds Old
@@ -126,43 +131,179 @@ type anchor struct{ o, p, n int }
 // from the chunk manifests of the transfer; this form chunks both
 // bundles itself, for tests and tools that stage a push by hand.
 func NewInstall(oldBundle, newBundle []byte, members map[string]string) *Install {
-	var oldChunks []Chunk
+	newChunks := SplitChunks(newBundle)
+	var old *oldSide
 	if oldBundle != nil {
-		oldChunks = SplitChunks(oldBundle)
+		old = wholeSide(oldBundle, newChunks)
 	}
-	in := newInstall(oldBundle, oldChunks, newBundle, SplitChunks(newBundle))
+	in := newInstall(old, newBundle, newChunks)
 	for dest, member := range members {
 		in.extracted(member, dest)
 	}
 	return in
 }
 
-// newInstall starts the view of a transfer: the bundles on both sides
-// and the chunk lists the manifest exchange already computed for them.
-func newInstall(oldBundle []byte, oldChunks []Chunk, newBundle []byte, newChunks []Chunk) *Install {
+// newInstall starts the view of a transfer: what the session knew of the
+// target's old bundle (nil when it held none), and the new bundle with
+// the chunk list the manifest exchange already carried for it.
+func newInstall(old *oldSide, newBundle []byte, newChunks []Chunk) *Install {
 	in := &Install{
-		oldBundle: oldBundle, newBundle: newBundle,
-		newID:   manifestID(newChunks),
-		anchors: bundleAnchors(oldChunks, newChunks),
-		members: map[string]string{},
-		files:   map[string]*File{},
+		newBundle: newBundle,
+		newID:     manifestID(newChunks),
+		members:   map[string]string{},
+		files:     map[string]*File{},
 	}
-	if oldBundle != nil {
-		in.oldID = manifestID(oldChunks)
+	if old != nil {
+		in.old = old.text(newBundle)
+		in.oldID = manifestID(old.chunks)
+		in.anchors = old.anchors
 	}
 	return in
+}
+
+// oldSide is what a transfer knows of the bundle its target holds: its
+// chunk list, the runs the new bundle shares with it, and its bytes
+// outside those runs, every chunk of them checked against its sum. When
+// the agent re-chunked the target, held is the whole bundle.
+type oldSide struct {
+	chunks  []Chunk
+	anchors []anchor
+	held    []piece // in order
+	// onDisk: the anchors' bytes were checked in the target, not held;
+	// assembling the new bundle reads them from there.
+	onDisk bool
+}
+
+// wholeSide is the old side of a bundle held whole.
+func wholeSide(old []byte, newChunks []Chunk) *oldSide {
+	chunks := SplitChunks(old)
+	return &oldSide{chunks: chunks, anchors: bundleAnchors(chunks, newChunks), held: []piece{{0, old}}}
+}
+
+// keptSide is the old side of the bundle a kept chunk list says src (of
+// size bytes) holds, against the new bundle's chunks. It reads the
+// anchored chunks through one chunk-sized buffer and the rest into held
+// pieces, checking every chunk's sum; false means src is not what kept
+// says (a short, grown or rewritten target), and nothing was kept.
+func keptSide(src io.ReaderAt, size int, kept, newChunks []Chunk) (*oldSide, bool) {
+	if n := len(kept); (n == 0 && size != 0) || (n > 0 && kept[n-1].Off+kept[n-1].Len != size) {
+		return nil, false
+	}
+	o := &oldSide{chunks: kept, anchors: bundleAnchors(kept, newChunks), onDisk: true}
+	bp := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(bp)
+	buf := *bp
+	ci := 0
+	// read reads kept[ci:cj] into b, which they exactly fill, and checks
+	// each one's sum.
+	read := func(b []byte, cj int) bool {
+		w := kept[ci].Off
+		if _, err := src.ReadAt(b, int64(w)); err != nil {
+			return false
+		}
+		for ; ci < cj; ci++ {
+			c := kept[ci]
+			if sha256.Sum256(b[c.Off-w:c.Off-w+c.Len]) != c.Sum {
+				return false
+			}
+		}
+		return true
+	}
+	// The anchors tile part of the target in order; the sentinel closes
+	// the gap after the last one.
+	lo := 0
+	for _, a := range append(o.anchors[:len(o.anchors):len(o.anchors)], anchor{o: size}) {
+		if lo < a.o {
+			cj := ci
+			for cj < len(kept) && kept[cj].Off < a.o {
+				cj++
+			}
+			gap := make([]byte, a.o-lo)
+			if !read(gap, cj) {
+				return nil, false
+			}
+			o.held = append(o.held, piece{lo, gap})
+		}
+		for ci < len(kept) && kept[ci].Off < a.o+a.n {
+			// One read takes as many whole chunks as fit in buf.
+			w, cj := kept[ci].Off, ci+1
+			for cj < len(kept) && kept[cj].Off < a.o+a.n && kept[cj].Off+kept[cj].Len-w <= len(buf) {
+				cj++
+			}
+			if !read(buf[:kept[cj-1].Off+kept[cj-1].Len-w], cj) {
+				return nil, false
+			}
+		}
+		lo = a.o + a.n
+	}
+	return o, true
+}
+
+// runs are the anchors whose bytes only the target holds (none for a
+// nil side): assembling the new bundle reads them from it.
+func (o *oldSide) runs() []anchor {
+	if o == nil || !o.onDisk {
+		return nil
+	}
+	return o.anchors
+}
+
+// chunkBufs holds chunk-sized buffers for checking chunks in place.
+var chunkBufs = sync.Pool{New: func() any {
+	b := make([]byte, chunkMax)
+	return &b
+}}
+
+// reuse adds every held chunk to have, the first of equal sums winning.
+func (o *oldSide) reuse(have map[[sha256.Size]byte][]byte) {
+	k := 0
+	for _, c := range o.chunks {
+		for k < len(o.held) && o.held[k].off+len(o.held[k].data) <= c.Off {
+			k++
+		}
+		if k == len(o.held) {
+			return
+		}
+		if p := o.held[k]; p.off <= c.Off {
+			if _, dup := have[c.Sum]; !dup {
+				have[c.Sum] = p.data[c.Off-p.off : c.Off-p.off+c.Len]
+			}
+		}
+	}
+}
+
+// text is the old bundle as a Text: the held pieces, and under each
+// anchor the new bundle's bytes, which are the old bytes there.
+func (o *oldSide) text(newBundle []byte) Text {
+	n := 0
+	if k := len(o.chunks); k > 0 {
+		n = o.chunks[k-1].Off + o.chunks[k-1].Len
+	}
+	if !o.onDisk {
+		return Text{n: n, pieces: o.held}
+	}
+	t := Text{n: n, pieces: make([]piece, 0, len(o.held)+len(o.anchors))}
+	h := o.held
+	for _, a := range o.anchors {
+		for len(h) > 0 && h[0].off < a.o {
+			t.pieces, h = append(t.pieces, h[0]), h[1:]
+		}
+		t.pieces = append(t.pieces, piece{a.o, newBundle[a.p : a.p+a.n : a.p+a.n]})
+	}
+	t.pieces = append(t.pieces, h...)
+	return t
 }
 
 // manifestID is a bundle's content identity, derived from its chunk
 // sums rather than another pass over its bytes. Chunking is a function
 // of content alone, so equal bytes always give equal IDs.
 func manifestID(chunks []Chunk) string {
-	sums := make([]byte, 0, len(chunks)*2*sha256.Size)
-	for _, c := range chunks {
-		sums = append(sums, c.Sum...)
+	h := sha256.New()
+	for i := range chunks {
+		h.Write(chunks[i].Sum[:])
 	}
-	id := sha256.Sum256(sums)
-	return hex.EncodeToString(id[:])
+	var id [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(id[:0]))
 }
 
 func cleanDest(dest string) string { return path.Clean("/" + dest) }
@@ -188,22 +329,32 @@ func (in *Install) File(dest string) (f *File, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	if in.newIndex == nil {
-		in.oldIndex, in.newIndex = indexTar(in.oldBundle), indexTar(in.newBundle)
-	}
-	nr, ok := in.newIndex[member]
-	if !ok || nr.Lo < 0 {
+	nr, ok := in.member(member)
+	if !ok {
 		return nil, false
 	}
 	f = &File{New: in.newBundle[nr.Lo:nr.Hi:nr.Hi], NewID: in.newID, OldID: in.oldID}
+	if in.oldIndex == nil {
+		in.oldIndex = indexTar(in.old, in.old.Len())
+	}
 	var anchors []anchor
 	if or, ok := in.oldIndex[member]; ok && or.Lo >= 0 {
-		f.Old = in.oldBundle[or.Lo:or.Hi:or.Hi]
+		f.Old = in.old.sub(or)
 		anchors = clipAnchors(in.anchors, or, nr)
 	}
 	f.Edits = lineEdits(f.Old, f.New, anchors)
 	in.files[key] = f
 	return f, true
+}
+
+// member returns the range of member's data in the new bundle, under
+// ExtractMember's rules, from the session's one index of its headers.
+func (in *Install) member(name string) (Range, bool) {
+	if in.newIndex == nil {
+		in.newIndex = indexTar(bytes.NewReader(in.newBundle), len(in.newBundle))
+	}
+	r, ok := in.newIndex[name]
+	return r, ok && r.Lo >= 0
 }
 
 // Read returns dest as a reload should see it: the push's view of it and
@@ -217,29 +368,12 @@ func (in *Install) Read(ag *Agent, dest string) (*File, []byte, error) {
 	return nil, data, err
 }
 
-// indexTar maps each member name of archive to its data range, the
-// first header of a name winning as in ExtractMember. A damaged archive
-// indexes what precedes the damage.
-func indexTar(archive []byte) map[string]Range {
-	idx := map[string]Range{}
-	_ = walkTar(archive, func(name string, r Range, plain bool) bool {
-		if _, dup := idx[name]; !dup {
-			if !plain {
-				r.Lo = -1
-			}
-			idx[name] = r
-		}
-		return true
-	})
-	return idx
-}
-
 // bundleAnchors pairs the new bundle's reused chunks with the old
 // bundle's: of the chunks whose sums appear on both sides, the longest
 // run that keeps its order (a longest increasing subsequence of old
 // positions), with neighbours that are contiguous on both sides merged.
 func bundleAnchors(oldChunks, newChunks []Chunk) []anchor {
-	at := make(map[string]int, len(oldChunks))
+	at := make(map[[sha256.Size]byte]int, len(oldChunks))
 	for i := len(oldChunks) - 1; i >= 0; i-- {
 		at[oldChunks[i].Sum] = i // first occurrence wins
 	}
@@ -316,8 +450,9 @@ func boundary(b []byte, i int) bool { return i == 0 || i == len(b) || b[i-1] == 
 // whole when it starts and ends on a boundary on both sides, and the
 // bytes between are the anchor's, so identical), the gaps between them
 // are the edits, and each edit sheds the whole lines it begins and ends
-// with on both sides.
-func lineEdits(old, new []byte, anchors []anchor) []Edit {
+// with on both sides. Under an anchor the old bytes are the new ones, so
+// only the edits read old.
+func lineEdits(old Text, new []byte, anchors []anchor) []Edit {
 	var edits []Edit
 	add := func(e Edit) {
 		e = trimEdit(old, new, e)
@@ -327,16 +462,17 @@ func lineEdits(old, new []byte, anchors []anchor) []Edit {
 	}
 	po, pn := 0, 0
 	for _, a := range anchors {
+		run := new[a.p : a.p+a.n]
 		s, e := 0, a.n
-		if !boundary(old, a.o) || !boundary(new, a.p) {
-			j := bytes.IndexByte(old[a.o:a.o+a.n], '\n')
+		if !old.boundary(a.o) || !boundary(new, a.p) {
+			j := bytes.IndexByte(run, '\n')
 			if j < 0 {
 				continue
 			}
 			s = j + 1
 		}
-		if !(a.o+a.n == len(old) && a.p+a.n == len(new)) && old[a.o+a.n-1] != '\n' {
-			e = bytes.LastIndexByte(old[a.o:a.o+a.n], '\n') + 1
+		if !(a.o+a.n == old.Len() && a.p+a.n == len(new)) && run[a.n-1] != '\n' {
+			e = bytes.LastIndexByte(run, '\n') + 1
 		}
 		if s >= e {
 			continue
@@ -344,28 +480,24 @@ func lineEdits(old, new []byte, anchors []anchor) []Edit {
 		add(Edit{Old: Range{po, a.o + s}, New: Range{pn, a.p + s}})
 		po, pn = a.o+e, a.p+e
 	}
-	add(Edit{Old: Range{po, len(old)}, New: Range{pn, len(new)}})
+	add(Edit{Old: Range{po, old.Len()}, New: Range{pn, len(new)}})
 	return edits
 }
 
 // trimEdit drops the whole lines an edit's two sides begin and end with
-// in common: a chunk-sized edit shrinks to the lines that changed.
-func trimEdit(old, new []byte, e Edit) Edit {
-	o, n := old[e.Old.Lo:e.Old.Hi], new[e.New.Lo:e.New.Hi]
-	k := 0
-	for k < len(o) && k < len(n) && o[k] == n[k] {
-		k++
-	}
-	k = bytes.LastIndexByte(o[:k], '\n') + 1
+// in common: a chunk-sized edit shrinks to the lines that changed. The
+// common ends are the same bytes on both sides, so the newline searches
+// in them read new.
+func trimEdit(old Text, new []byte, e Edit) Edit {
+	n := new[e.New.Lo:e.New.Hi]
+	k := old.prefixLen(e.Old, n)
+	k = bytes.LastIndexByte(n[:k], '\n') + 1
 	e.Old.Lo += k
 	e.New.Lo += k
-	o, n = o[k:], n[k:]
-	m := 0
-	for m < len(o) && m < len(n) && o[len(o)-1-m] == n[len(n)-1-m] {
-		m++
-	}
-	if m > 0 && !(boundary(old, e.Old.Hi-m) && boundary(new, e.New.Hi-m)) {
-		if j := bytes.IndexByte(o[len(o)-m:], '\n'); j >= 0 {
+	n = n[k:]
+	m := old.suffixLen(e.Old, n)
+	if m > 0 && !(old.boundary(e.Old.Hi-m) && boundary(new, e.New.Hi-m)) {
+		if j := bytes.IndexByte(n[len(n)-m:], '\n'); j >= 0 {
 			m -= j + 1
 		} else {
 			m = 0

@@ -19,7 +19,8 @@ func textFile(seed int64, n int) []byte {
 }
 
 // viewOf stages old and new as the "f" member of two bundles (beside a
-// member that does not change) and returns the view of f.
+// member that does not change) and returns the view of f, checking
+// that the agent's stitched view of it is the same.
 func viewOf(t testing.TB, old, new []byte) *File {
 	t.Helper()
 	other := textFile(99, 50)
@@ -34,43 +35,56 @@ func viewOf(t testing.TB, old, new []byte) *File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInstall(oldBundle, newBundle, map[string]string{"/etc/f": "f", "/etc/g": "g"})
-	f, ok := in.File("/etc//f")
+	members := map[string]string{"/etc/f": "f", "/etc/g": "g"}
+	f, ok := NewInstall(oldBundle, newBundle, members).File("/etc//f")
 	if !ok {
 		t.Fatal("no view of an extracted member")
 	}
+	if oldBundle != nil {
+		// An agent's view, from the chunk list it kept and the old
+		// chunks it read beside the shared runs, is the same view.
+		kf, ok := keptView(t, oldBundle, newBundle, members).File("/etc/f")
+		if !ok {
+			t.Fatal("no kept view of an extracted member")
+		}
+		equalViews(t, kf, f)
+	}
 	return f
 }
+
+// all is every byte of t.
+func all(t Text) []byte { return t.Slice(Range{0, t.Len()}) }
 
 // checkEdits fails unless f's edits are ordered, sit on line boundaries,
 // and splice Old into New byte for byte.
 func checkEdits(t testing.TB, f *File) {
 	t.Helper()
+	old := all(f.Old)
 	var out []byte
 	po, pn := 0, 0
 	for i, e := range f.Edits {
 		if e.Old.Lo < po || e.Old.Hi < e.Old.Lo || e.New.Lo < pn || e.New.Hi < e.New.Lo ||
-			e.Old.Hi > len(f.Old) || e.New.Hi > len(f.New) {
-			t.Fatalf("edit %d %+v out of order or bounds (old %d, new %d bytes)", i, e, len(f.Old), len(f.New))
+			e.Old.Hi > len(old) || e.New.Hi > len(f.New) {
+			t.Fatalf("edit %d %+v out of order or bounds (old %d, new %d bytes)", i, e, len(old), len(f.New))
 		}
 		for _, c := range []struct {
 			b []byte
 			i int
-		}{{f.Old, e.Old.Lo}, {f.Old, e.Old.Hi}, {f.New, e.New.Lo}, {f.New, e.New.Hi}} {
+		}{{old, e.Old.Lo}, {old, e.Old.Hi}, {f.New, e.New.Lo}, {f.New, e.New.Hi}} {
 			if !boundary(c.b, c.i) {
 				t.Fatalf("edit %d %+v: offset %d is not a line boundary", i, e, c.i)
 			}
 		}
-		if !bytes.Equal(f.Old[po:e.Old.Lo], f.New[pn:e.New.Lo]) {
+		if !bytes.Equal(old[po:e.Old.Lo], f.New[pn:e.New.Lo]) {
 			t.Fatalf("edit %d: bytes between edits differ", i)
 		}
-		out = append(out, f.Old[po:e.Old.Lo]...)
+		out = append(out, old[po:e.Old.Lo]...)
 		out = append(out, f.New[e.New.Lo:e.New.Hi]...)
 		po, pn = e.Old.Hi, e.New.Hi
 	}
-	out = append(out, f.Old[po:]...)
+	out = append(out, old[po:]...)
 	if !bytes.Equal(out, f.New) {
-		t.Fatalf("splicing %d edits into %d old bytes gives %d bytes, not the %d new ones", len(f.Edits), len(f.Old), len(out), len(f.New))
+		t.Fatalf("splicing %d edits into %d old bytes gives %d bytes, not the %d new ones", len(f.Edits), len(old), len(out), len(f.New))
 	}
 }
 
@@ -101,7 +115,7 @@ func TestInstallEditsAreTheChange(t *testing.T) {
 			t.Fatalf("%s: %d edits, want 1: %+v", c.name, len(f.Edits), f.Edits)
 		}
 		e := f.Edits[0]
-		if n := bytes.Count(f.Old[e.Old.Lo:e.Old.Hi], []byte("\n")); n != c.old {
+		if n := bytes.Count(f.Old.Slice(e.Old), []byte("\n")); n != c.old {
 			t.Errorf("%s: edit removes %d lines, want %d", c.name, n, c.old)
 		}
 		if n := bytes.Count(f.New[e.New.Lo:e.New.Hi], []byte("\n")); n != c.add {
@@ -120,8 +134,8 @@ func TestInstallEditsAreTheChange(t *testing.T) {
 	// A first push: no old side, one edit adding everything.
 	f = viewOf(t, nil, base)
 	checkEdits(t, f)
-	if f.OldID != "" || f.Old != nil || len(f.Edits) != 1 {
-		t.Errorf("first push: old id %q, old %d bytes, %d edits", f.OldID, len(f.Old), len(f.Edits))
+	if f.OldID != "" || f.Old.Len() != 0 || len(f.Edits) != 1 {
+		t.Errorf("first push: old id %q, old %d bytes, %d edits", f.OldID, f.Old.Len(), len(f.Edits))
 	}
 	// Nothing extracted there, or no view at all.
 	if _, ok := NewInstall(nil, base, nil).File("/etc/f"); ok {
@@ -141,7 +155,7 @@ func TestExecGetsInstallView(t *testing.T) {
 	a.RegisterCommand("look", func(_ *Agent, in *Install, _ []string) error {
 		f, ok := in.File("/etc/f")
 		if ok {
-			got = &File{New: append([]byte(nil), f.New...), Old: append([]byte(nil), f.Old...),
+			got = &File{New: append([]byte(nil), f.New...), Old: TextOf(append([]byte(nil), all(f.Old)...)),
 				NewID: f.NewID, OldID: f.OldID, Edits: f.Edits}
 		}
 		return nil
@@ -158,7 +172,7 @@ func TestExecGetsInstallView(t *testing.T) {
 	if err := push(map[string][]byte{"f": v2}, script); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.New, v2) || !bytes.Equal(got.Old, v1) || got.OldID != first || got.NewID == first {
+	if !bytes.Equal(got.New, v2) || !bytes.Equal(all(got.Old), v1) || got.OldID != first || got.NewID == first {
 		t.Errorf("second push view: old id %q (want %q), new id %q", got.OldID, first, got.NewID)
 	}
 	checkEdits(t, got)
@@ -175,8 +189,10 @@ func TestExecGetsInstallView(t *testing.T) {
 }
 
 // FuzzInstallEdits: for any old and new bytes, splicing the view's edits
-// into Old reproduces New byte for byte, and every range sits on line
-// boundaries. The inputs are spliced into a shared seeded text so the
+// into Old reproduces New byte for byte, every range sits on line
+// boundaries, and the view an agent stitches from its kept chunk list
+// has the same IDs, edits and old bytes as the one built from both
+// bundles whole. The inputs are spliced into a shared seeded text so the
 // two bundles share chunks and the anchors are exercised, not only the
 // no-anchor case.
 func FuzzInstallEdits(f *testing.F) {

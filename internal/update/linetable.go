@@ -62,7 +62,8 @@ func (t *LineTable[K, V]) Plan(fv *File, data []byte, parse LineParser[K, V]) (T
 func (t *LineTable[K, V]) patch(fv *File, parse LineParser[K, V]) (TablePlan[K, V], error) {
 	p := TablePlan[K, V]{id: fv.NewID, gone: map[K]bool{}, put: map[K]V{}}
 	for _, e := range fv.Edits {
-		err := parseLines(fv.Old, e.Old, parse, func(k K, _ V) error {
+		old := fv.Old.Slice(e.Old)
+		err := parseLines(old, Range{0, len(old)}, parse, func(k K, _ V) error {
 			p.gone[k] = true
 			return nil
 		})

@@ -22,8 +22,9 @@ type Push struct {
 	// Target is where on the host to deposit the data file (the target
 	// field of the service record).
 	Target string
-	// Data is the file contents (usually a tar bundle).
-	Data []byte
+	// Bundle is the data file (usually a tar bundle) with its chunk
+	// manifest.
+	Bundle *Bundle
 	// Script is the installation instruction sequence (the script field
 	// of the service record, resolved to its lines).
 	Script []string
@@ -46,6 +47,24 @@ type Push struct {
 	// it already held.
 	SentBytes   int
 	ReusedBytes int
+}
+
+// Bundle is a data file ready to push: its bytes, chunk manifest and
+// whole-file sum, computed once however many hosts (and retries) it goes
+// to.
+type Bundle struct {
+	Data     []byte
+	chunks   []Chunk
+	manifest []byte // EncodeManifest(chunks)
+	sum      []byte // the whole file's SHA-256, in hex
+}
+
+// NewBundle chunks data and sums it for pushing.
+func NewBundle(data []byte) *Bundle {
+	sum := sha256.Sum256(data)
+	chunks := SplitChunks(data)
+	return &Bundle{Data: data, chunks: chunks, manifest: EncodeManifest(chunks),
+		sum: hex.AppendEncode(nil, sum[:])}
 }
 
 // Run performs the update: transfer phase (auth, the data file as a
@@ -114,11 +133,8 @@ const chunkBatchBytes = 256 << 10
 // it holds (every chunk, on a host's first update), and only those
 // travel.
 func (p *Push) transfer(callR func(uint16, [][]byte) (*protocol.Reply, error)) error {
-	sum := sha256.Sum256(p.Data)
-	chunks := SplitChunks(p.Data)
-	rep, err := callR(OpUManifest, [][]byte{
-		[]byte(p.Target), []byte(hex.EncodeToString(sum[:])), EncodeManifest(chunks),
-	})
+	b := p.Bundle
+	rep, err := callR(OpUManifest, [][]byte{[]byte(p.Target), b.sum, b.manifest})
 	if err != nil {
 		return err
 	}
@@ -136,11 +152,11 @@ func (p *Push) transfer(callR func(uint16, [][]byte) (*protocol.Reply, error)) e
 	}
 	for _, f := range rep.Fields {
 		idx, aerr := strconv.Atoi(string(f))
-		if aerr != nil || idx < 0 || idx >= len(chunks) {
+		if aerr != nil || idx < 0 || idx >= len(b.chunks) {
 			return mrerr.UpdBadInstr
 		}
-		c := chunks[idx]
-		batch = append(batch, f, p.Data[c.Off:c.Off+c.Len])
+		c := b.chunks[idx]
+		batch = append(batch, f, b.Data[c.Off:c.Off+c.Len])
 		batchBytes += c.Len
 		sent += c.Len
 		if batchBytes >= chunkBatchBytes {
@@ -156,7 +172,7 @@ func (p *Push) transfer(callR func(uint16, [][]byte) (*protocol.Reply, error)) e
 		return err
 	}
 	p.SentBytes = sent
-	p.ReusedBytes = len(p.Data) - sent
+	p.ReusedBytes = len(b.Data) - sent
 	return nil
 }
 

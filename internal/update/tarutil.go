@@ -60,9 +60,9 @@ func BuildTarInto(prev []byte, files map[string][]byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ExtractMember finds one member of a tar archive by walking its
-// headers in memory. The instruction sequence extracts "only the ones
-// that are needed ... one at a time".
+// ExtractMember finds one member of a tar archive in an index of its
+// headers, by the rules an agent's "extract" follows. The instruction
+// sequence extracts "only the ones that are needed ... one at a time".
 //
 // The result aliases archive: it is the member's sub-slice, never a
 // copy, capped so an append cannot reach the next header. The caller
@@ -70,38 +70,36 @@ func BuildTarInto(prev []byte, files map[string][]byte) ([]byte, error) {
 // missing member, a member that is not a plain regular file, or one
 // whose header claims more bytes than archive holds is UpdNoFile.
 func ExtractMember(archive []byte, name string) ([]byte, error) {
-	r, err := locateMember(archive, name)
-	if err != nil {
-		return nil, err
+	r, ok := indexTar(bytes.NewReader(archive), len(archive))[name]
+	if !ok || r.Lo < 0 {
+		return nil, mrerr.UpdNoFile
 	}
 	return archive[r.Lo:r.Hi:r.Hi], nil
 }
 
-// locateMember finds the range one member's data occupies in archive,
-// under ExtractMember's rules.
-func locateMember(archive []byte, name string) (Range, error) {
-	var found Range
-	var err error = mrerr.UpdNoFile
-	if werr := walkTar(archive, func(n string, r Range, plain bool) bool {
-		if n != name {
-			return true
+// indexTar maps each member name of archive (size bytes) to its data
+// range (Lo < 0: not a plain file), the first header of a name winning.
+// A damaged archive indexes what precedes the damage.
+func indexTar(archive io.ReaderAt, size int) map[string]Range {
+	idx := map[string]Range{}
+	_ = walkTar(archive, size, func(name string, r Range, plain bool) {
+		if _, dup := idx[name]; !dup {
+			if !plain {
+				r.Lo = -1
+			}
+			idx[name] = r
 		}
-		if plain {
-			found, err = r, nil
-		}
-		return false
-	}); werr != nil {
-		return Range{}, werr
-	}
-	return found, err
+	})
+	return idx
 }
 
-// walkTar walks a tar archive's headers in memory, calling fn with each
-// member's name and the range of its data, until fn returns false.
+// walkTar walks the headers of a tar archive of size bytes, calling fn
+// with each member's name and the range of its data. It reads the
+// headers only: the reader seeks past member data.
 // plain is false for a member that is not a plain regular file or whose
 // header claims more bytes than archive holds.
-func walkTar(archive []byte, fn func(name string, r Range, plain bool) bool) error {
-	rd := bytes.NewReader(archive)
+func walkTar(archive io.ReaderAt, size int, fn func(name string, r Range, plain bool)) error {
+	rd := io.NewSectionReader(archive, 0, int64(size))
 	tr := tar.NewReader(rd)
 	for {
 		hdr, err := tr.Next()
@@ -112,11 +110,9 @@ func walkTar(archive []byte, fn func(name string, r Range, plain bool) bool) err
 			return err
 		}
 		// Next stops at the member's first data byte.
-		off := rd.Size() - int64(rd.Len())
-		plain := plainFile(hdr) && hdr.Size <= int64(len(archive))-off
-		if !fn(hdr.Name, Range{int(off), int(off + hdr.Size)}, plain) {
-			return nil
-		}
+		off, _ := rd.Seek(0, io.SeekCurrent)
+		plain := plainFile(hdr) && hdr.Size <= int64(size)-off
+		fn(hdr.Name, Range{int(off), int(off + hdr.Size)}, plain)
 	}
 }
 
@@ -138,9 +134,8 @@ func plainFile(hdr *tar.Header) bool {
 // ListTar returns the member names of a tar archive in order.
 func ListTar(archive []byte) ([]string, error) {
 	var names []string
-	err := walkTar(archive, func(name string, _ Range, _ bool) bool {
+	err := walkTar(bytes.NewReader(archive), len(archive), func(name string, _ Range, _ bool) {
 		names = append(names, name)
-		return true
 	})
 	if err != nil {
 		return nil, err

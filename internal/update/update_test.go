@@ -61,7 +61,7 @@ func rig(t *testing.T) (*Agent, func(files map[string][]byte, script []string) e
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &Push{Addr: addr.String(), Target: "/tmp/hesiod.out", Data: data,
+		p := &Push{Addr: addr.String(), Target: "/tmp/hesiod.out", Bundle: NewBundle(data),
 			Script: script, Timeout: 5 * time.Second}
 		return p.Run()
 	}
@@ -167,7 +167,7 @@ func TestChecksumMismatch(t *testing.T) {
 	addr, _ := a.Listen("127.0.0.1:0")
 	defer a.Close()
 	data := []byte("data")
-	p := &Push{Addr: addr.String(), Target: "/t", Data: data,
+	p := &Push{Addr: addr.String(), Target: "/t", Bundle: NewBundle(data),
 		Script: []string{}, Timeout: 2 * time.Second}
 	if err := p.Run(); err != nil {
 		t.Fatalf("control push failed: %v", err)
@@ -250,7 +250,7 @@ func TestPathEscapeRejected(t *testing.T) {
 }
 
 func TestUnreachableHost(t *testing.T) {
-	p := &Push{Addr: "127.0.0.1:1", Target: "/t", Data: nil, Timeout: time.Second}
+	p := &Push{Addr: "127.0.0.1:1", Target: "/t", Bundle: NewBundle(nil), Timeout: time.Second}
 	err := p.Run()
 	if err != mrerr.UpdUnreachable {
 		t.Errorf("err = %v", err)
@@ -346,7 +346,7 @@ func TestAuthenticatedAgent(t *testing.T) {
 
 	data, _ := BuildTar(map[string][]byte{"f": []byte("x")})
 	// Without credentials: refused.
-	p := &Push{Addr: addr.String(), Target: "/t", Data: data,
+	p := &Push{Addr: addr.String(), Target: "/t", Bundle: NewBundle(data),
 		Script: []string{"extract f /f", "install /f"}, Timeout: 2 * time.Second, Clock: clk}
 	if err := p.Run(); err != mrerr.UpdAuthFailed {
 		t.Errorf("unauthenticated err = %v", err)
@@ -378,7 +378,7 @@ func TestBusyAgentRejectsSecondUpdate(t *testing.T) {
 		t.Fatal("could not take agent lock")
 	}
 	defer a.unlock()
-	p := &Push{Addr: a.Addr().String(), Target: "/t", Data: []byte("d"), Timeout: time.Second}
+	p := &Push{Addr: a.Addr().String(), Target: "/t", Bundle: NewBundle([]byte("d")), Timeout: time.Second}
 	if err := p.Run(); err != mrerr.UpdBusy {
 		t.Errorf("busy err = %v", err)
 	}
