@@ -62,19 +62,20 @@ func NewServer() *Server {
 //	name HS CNAME target
 //	name HS UNSPECA bare-data      (sloc.db style, no quotes)
 //
-// Lines starting with ';' are comments.
-func ParseDB(data []byte) (map[string]*record, error) {
+// Lines starting with ';' are comments. The file is read whole, once
+// (update.Lines).
+func ParseDB(data update.Text) (map[string]*record, error) {
 	recs := make(map[string]*record)
-	if err := parseLines(data, update.Range{Lo: 0, Hi: len(data)}, recs); err != nil {
+	if err := parseLines(data, update.Range{Lo: 0, Hi: data.Len()}, recs); err != nil {
 		return nil, err
 	}
 	return recs, nil
 }
 
-// parseLines parses the lines of data[r.Lo:r.Hi] into recs, folding each
+// parseLines parses the lines of data in r into recs, folding each
 // name's lines in file order: UNSPECA lines append a value, a CNAME line
 // replaces what came before.
-func parseLines(data []byte, r update.Range, recs map[string]*record) error {
+func parseLines(data update.Text, r update.Range, recs map[string]*record) error {
 	return update.Lines(data, r, func(line string, off int) error {
 		line = strings.TrimSpace(line)
 		if line == "" || line[0] == ';' {
@@ -84,7 +85,7 @@ func parseLines(data []byte, r update.Range, recs map[string]*record) error {
 		class, rest, _ := strings.Cut(rest, " ")
 		rtype, rest, ok := strings.Cut(rest, " ")
 		if !ok || class != "HS" {
-			return fmt.Errorf("hesiod: line %d: malformed record %q", update.LineNo(data, off), line)
+			return fmt.Errorf("hesiod: line %d: malformed record %q", data.LineNo(off), line)
 		}
 		rec := recs[name]
 		switch rtype {
@@ -106,7 +107,7 @@ func parseLines(data []byte, r update.Range, recs map[string]*record) error {
 			rec.values = append(rec.values, val)
 			rec.lines++
 		default:
-			return fmt.Errorf("hesiod: line %d: unknown type %q", update.LineNo(data, off), rtype)
+			return fmt.Errorf("hesiod: line %d: unknown type %q", data.LineNo(off), rtype)
 		}
 		return nil
 	})
@@ -122,7 +123,7 @@ func (s *Server) LoadFiles(files map[string][]byte) error {
 	sort.Strings(names)
 	loaded := make([]*dbFile, len(names))
 	for i, name := range names {
-		recs, err := ParseDB(files[name])
+		recs, err := ParseDB(update.TextOf(files[name]))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -424,7 +425,7 @@ func (s *Server) Verify(ag *update.Agent, destDir string) error {
 		if err != nil {
 			return err
 		}
-		want, err := ParseDB(data)
+		want, err := ParseDB(update.TextOf(data))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"moira/internal/update"
 )
 
 const sampleDB = `; lines for per-cluster info
@@ -16,7 +18,7 @@ bldge40-rt.cluster HS UNSPECA "lpr e40"
 `
 
 func TestParseDB(t *testing.T) {
-	recs, err := ParseDB([]byte(sampleDB))
+	recs, err := ParseDB(update.TextOf([]byte(sampleDB)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestParseDBErrors(t *testing.T) {
 		"name HS MX \"x\"\n",      // unknown type
 		"justonefield\n",          // too few fields
 	} {
-		if _, err := ParseDB([]byte(bad)); err == nil {
+		if _, err := ParseDB(update.TextOf([]byte(bad))); err == nil {
 			t.Errorf("ParseDB(%q) succeeded", bad)
 		}
 	}

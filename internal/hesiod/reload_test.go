@@ -3,6 +3,7 @@ package hesiod
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -39,16 +40,21 @@ func dbSet(n int) map[string][]byte {
 }
 
 // pushRig stands in for an agent session: it installs each file set on
-// a host tree and hands restart the view a push of it would give.
+// a host tree and hands restart the view a push of it would give, read
+// from the bundle it stages in dir.
 type pushRig struct {
 	t      testing.TB
 	ag     *update.Agent
 	s      *Server
 	bundle []byte
+	dir    string
+	last   *update.Install // the open view, closed by the next
 }
 
 func newPushRig(t testing.TB) *pushRig {
-	return &pushRig{t: t, ag: update.NewAgent("SUOMI.MIT.EDU", t.TempDir(), nil), s: NewServer()}
+	r := &pushRig{t: t, ag: update.NewAgent("SUOMI.MIT.EDU", t.TempDir(), nil), s: NewServer(), dir: t.TempDir()}
+	t.Cleanup(func() { r.last.Close() })
+	return r
 }
 
 // view installs files and returns the push's view over the last one.
@@ -65,7 +71,12 @@ func (r *pushRig) view(files map[string][]byte) *update.Install {
 			r.t.Fatal(err)
 		}
 	}
-	in := update.NewInstall(r.bundle, bundle, members)
+	r.last.Close()
+	in, err := update.StageInstall(filepath.Join(r.dir, "bundle"), r.bundle, bundle, members)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.last = in
 	r.bundle = bundle
 	return in
 }

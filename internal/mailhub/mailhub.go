@@ -53,7 +53,7 @@ func NewHub() *Hub {
 // whitespace.
 func ParseAliases(data []byte) (map[string][]string, error) {
 	out := make(map[string][]string)
-	if _, err := parseAliasLines(data, update.Range{Lo: 0, Hi: len(data)}, out); err != nil {
+	if _, err := parseAliasLines(update.TextOf(data), update.Range{Lo: 0, Hi: len(data)}, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -78,10 +78,9 @@ func aliasLine(raw string) (string, int) {
 	return line, aliasEntry
 }
 
-// parseAliasLines parses the entries in data[r.Lo:r.Hi] into out, a
-// repeated name accumulating addresses, and reports whether no name
-// repeated.
-func parseAliasLines(data []byte, r update.Range, out map[string][]string) (unique bool, err error) {
+// parseAliasLines parses the entries of data in r into out, a repeated
+// name accumulating addresses, and reports whether no name repeated.
+func parseAliasLines(data update.Text, r update.Range, out map[string][]string) (unique bool, err error) {
 	unique = true
 	current := ""
 	err = update.Lines(data, r, func(raw string, off int) error {
@@ -91,14 +90,14 @@ func parseAliasLines(data []byte, r update.Range, out map[string][]string) (uniq
 			return nil
 		case aliasCont:
 			if current == "" {
-				return fmt.Errorf("mailhub: line %d: continuation without entry", update.LineNo(data, off))
+				return fmt.Errorf("mailhub: line %d: continuation without entry", data.LineNo(off))
 			}
 			out[current] = append(out[current], splitAddrs(line)...)
 			return nil
 		}
 		name, rest, ok := strings.Cut(line, ":")
 		if !ok {
-			return fmt.Errorf("mailhub: line %d: malformed alias %q", update.LineNo(data, off), line)
+			return fmt.Errorf("mailhub: line %d: malformed alias %q", data.LineNo(off), line)
 		}
 		current = strings.TrimSpace(name)
 		if _, dup := out[current]; dup {
@@ -135,8 +134,9 @@ type aliasPlan struct {
 var errWhole = errors.New("parse whole")
 
 // planAliases plans the aliases reload from fv, or, with no view, from
-// data as read from disk, by the Action of the tag held.
-func (h *Hub) planAliases(fv *update.File, data []byte) (aliasPlan, error) {
+// data as read from disk, by the Action of the tag held. Only a whole
+// parse reads data whole.
+func (h *Hub) planAliases(fv *update.File, data update.Text) (aliasPlan, error) {
 	id := ""
 	if fv != nil {
 		id = fv.NewID
@@ -150,7 +150,7 @@ func (h *Hub) planAliases(fv *update.File, data []byte) (aliasPlan, error) {
 		}
 	}
 	all := make(map[string][]string)
-	unique, err := parseAliasLines(data, update.Range{Lo: 0, Hi: len(data)}, all)
+	unique, err := parseAliasLines(data, update.Range{Lo: 0, Hi: data.Len()}, all)
 	if !unique {
 		id = "" // a repeated name is never patched
 	}
@@ -163,14 +163,13 @@ func (h *Hub) planAliases(fv *update.File, data []byte) (aliasPlan, error) {
 // sides: it may not begin with a continuation, nor be followed by one.
 func (h *Hub) patchAliases(fv *update.File) (aliasPlan, error) {
 	p := aliasPlan{id: fv.NewID, gone: map[string]bool{}, put: map[string][]string{}}
-	newText := update.TextOf(fv.New)
 	for _, e := range fv.Edits {
-		if !wholeEntries(fv.Old, e.Old) || !wholeEntries(newText, e.New) {
+		if !wholeEntries(fv.Old, e.Old) || !wholeEntries(fv.New, e.New) {
 			return p, errWhole
 		}
 		gone := map[string][]string{}
-		old := fv.Old.Slice(e.Old)
-		if _, err := parseAliasLines(old, update.Range{Lo: 0, Hi: len(old)}, gone); err != nil {
+		old := fv.Old.Sub(e.Old) // read whole: nothing keeps the old lines
+		if _, err := parseAliasLines(old, update.Range{Lo: 0, Hi: old.Len()}, gone); err != nil {
 			return p, errWhole // the held aliases do not reflect fv.Old after all
 		}
 		for name := range gone {
@@ -249,7 +248,7 @@ func (h *Hub) Load(aliases map[string][]string) {
 func (h *Hub) LoadPasswd(data []byte) {
 	h.reload.Lock()
 	defer h.reload.Unlock()
-	p, _ := h.passwd.Plan(nil, data, parsePasswd) // parsePasswd never fails
+	p, _ := h.passwd.Plan(nil, update.TextOf(data), parsePasswd) // parsePasswd never fails
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.passwd.Commit(p)
@@ -406,14 +405,15 @@ func (h *Hub) stage(ag *update.Agent, in *update.Install, destDir string) error 
 	defer h.reload.Unlock()
 	staged := destDir + "/aliases.moira_update"
 	fv, ok := in.File(destDir + "/aliases") // extracted to the staging name
-	var data []byte
+	var data update.Text
 	if ok {
 		data = fv.New
 	} else {
-		var err error
-		if data, err = ag.ReadHostFile(staged); err != nil {
+		b, err := ag.ReadHostFile(staged)
+		if err != nil {
 			return err
 		}
+		data = update.TextOf(b)
 	}
 	aliases, err := h.planAliases(fv, data)
 	if err != nil {
@@ -476,7 +476,7 @@ func (h *Hub) Verify(ag *update.Agent, destDir string) error {
 	}
 	var passwd update.LineTable[string, string]
 	if data, err := ag.ReadHostFile(destDir + "/passwd"); err == nil {
-		p, _ := passwd.Plan(nil, data, parsePasswd)
+		p, _ := passwd.Plan(nil, update.TextOf(data), parsePasswd)
 		passwd.Commit(p)
 	}
 	if len(passwd.Rows) != len(h.passwd.Rows) {

@@ -3,6 +3,7 @@ package mailhub
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -31,17 +32,20 @@ func mailSet(n int) map[string][]byte {
 
 // stageRig stands in for an agent session: it stages each file set as
 // the mail install script does and runs stage_aliases with the view a
-// push of it would give.
+// push of it would give, read from the bundle it stages in dir.
 type stageRig struct {
 	t      testing.TB
 	ag     *update.Agent
 	h      *Hub
 	bundle []byte
+	dir    string
+	last   *update.Install // the open view, closed by the next
 }
 
 func newStageRig(t testing.TB) *stageRig {
-	r := &stageRig{t: t, ag: update.NewAgent("ATHENA.MIT.EDU", t.TempDir(), nil), h: NewHub()}
+	r := &stageRig{t: t, ag: update.NewAgent("ATHENA.MIT.EDU", t.TempDir(), nil), h: NewHub(), dir: t.TempDir()}
 	AttachToAgent(r.ag, r.h)
+	t.Cleanup(func() { r.last.Close() })
 	return r
 }
 
@@ -57,7 +61,12 @@ func (r *stageRig) view(files map[string][]byte) *update.Install {
 	if err := r.ag.WriteHostFile(mailDir+"/passwd", files["passwd"]); err != nil {
 		r.t.Fatal(err)
 	}
-	in := update.NewInstall(r.bundle, bundle, map[string]string{mailDir + "/aliases": "aliases", mailDir + "/passwd": "passwd"})
+	r.last.Close()
+	in, err := update.StageInstall(filepath.Join(r.dir, "bundle"), r.bundle, bundle, map[string]string{mailDir + "/aliases": "aliases", mailDir + "/passwd": "passwd"})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.last = in
 	r.bundle = bundle
 	return in
 }

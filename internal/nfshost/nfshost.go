@@ -68,7 +68,7 @@ func NewHost(name string) *Host {
 // login:uid:gid[:gid...] entry per line.
 func ParseCredentials(data []byte) (map[string]Credential, error) {
 	var t update.LineTable[string, Credential]
-	p, err := t.Plan(nil, data, parseCredential)
+	p, err := t.Plan(nil, update.TextOf(data), parseCredential)
 	if err != nil {
 		return nil, fmt.Errorf("nfshost: credentials %w", err)
 	}
@@ -105,7 +105,7 @@ func parseCredential(line string) (string, Credential, bool, error) {
 // parseQuotas parses "uid quota" lines.
 func parseQuotas(data []byte) (map[int]int, error) {
 	var t update.LineTable[int, int]
-	p, err := t.Plan(nil, data, parseQuota)
+	p, err := t.Plan(nil, update.TextOf(data), parseQuota)
 	if err != nil {
 		return nil, fmt.Errorf("nfshost: quotas %w", err)
 	}
@@ -262,9 +262,10 @@ func (h *Host) install(ag *update.Agent, in *update.Install, destDir, partName s
 // planLockers lists the lockers a dirs file names that do not exist yet
 // — every line of the file, or, when the lockers of the push's old side
 // already exist, only its new lines — and the ID the partition's dirs
-// then reflect. Updates never clobber lockers.
-func (h *Host) planLockers(fv *update.File, data []byte, dirsID string) ([]Locker, string, error) {
-	id, ranges := "", []update.Range{{Lo: 0, Hi: len(data)}}
+// then reflect. Updates never clobber lockers. It reads data line by
+// line, whole or only the edits.
+func (h *Host) planLockers(fv *update.File, data update.Text, dirsID string) ([]Locker, string, error) {
+	id, ranges := "", []update.Range{{Lo: 0, Hi: data.Len()}}
 	if fv != nil {
 		id = fv.NewID
 		switch fv.Action(dirsID) {
@@ -280,10 +281,10 @@ func (h *Host) planLockers(fv *update.File, data []byte, dirsID string) ([]Locke
 	var lockers []Locker
 	planned := map[string]bool{}
 	for _, r := range ranges {
-		err := update.EachLine(data, r, func(line []byte, off int) error {
+		err := data.Lines(r, func(line []byte, off int) error {
 			l, skip, err := parseDir(line)
 			if err != nil {
-				return fmt.Errorf("line %d: %w", update.LineNo(data, off), err)
+				return fmt.Errorf("line %d: %w", data.LineNo(off), err)
 			}
 			if _, exists := h.lockers[l.Path]; skip || exists || planned[l.Path] {
 				return nil
@@ -355,7 +356,7 @@ func (h *Host) Verify(ag *update.Agent, destDir string) error {
 		if data, err = ag.ReadHostFile(base + ".dirs"); err != nil {
 			return err
 		}
-		missing, _, err := h.planLockers(nil, data, "")
+		missing, _, err := h.planLockers(nil, update.TextOf(data), "")
 		if err != nil {
 			return err
 		}

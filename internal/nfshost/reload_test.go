@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -41,17 +42,20 @@ func nfsSet(n int) map[string][]byte {
 
 // installRig stands in for an agent session: it installs each file set
 // on a host tree and runs install_nfs for every partition with the view
-// a push of it would give.
+// a push of it would give, read from the bundle it stages in dir.
 type installRig struct {
 	t      testing.TB
 	ag     *update.Agent
 	h      *Host
 	bundle []byte
+	dir    string
+	last   *update.Install // the open view, closed by the next
 }
 
 func newInstallRig(t testing.TB) *installRig {
-	r := &installRig{t: t, ag: update.NewAgent("FS-01.MIT.EDU", t.TempDir(), nil), h: NewHost("FS-01.MIT.EDU")}
+	r := &installRig{t: t, ag: update.NewAgent("FS-01.MIT.EDU", t.TempDir(), nil), h: NewHost("FS-01.MIT.EDU"), dir: t.TempDir()}
 	AttachToAgent(r.ag, r.h)
+	t.Cleanup(func() { r.last.Close() })
 	return r
 }
 
@@ -68,7 +72,12 @@ func (r *installRig) view(files map[string][]byte) *update.Install {
 			r.t.Fatal(err)
 		}
 	}
-	in := update.NewInstall(r.bundle, bundle, members)
+	r.last.Close()
+	in, err := update.StageInstall(filepath.Join(r.dir, "bundle"), r.bundle, bundle, members)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.last = in
 	r.bundle = bundle
 	return in
 }

@@ -396,6 +396,23 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 	return &req, nil
 }
 
+// ReadRequestShared reads one request frame whose arguments alias one
+// buffer allocated for that frame alone: no argument is copied, and
+// keeping any argument keeps the whole frame. It suits a reader that
+// keeps every argument of a frame or none, such as the update agent,
+// which holds every chunk a chunk frame carries for its session.
+func ReadRequestShared(r *bufio.Reader) (*Request, error) {
+	buf, fields, err := readFrameInto(r, 4, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	req, err := parseRequest(buf[:4], fields)
+	if err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
 func replyHead(version, tag uint16, code int32) [8]byte {
 	var head [8]byte
 	binary.BigEndian.PutUint16(head[0:2], version)

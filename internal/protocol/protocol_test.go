@@ -30,6 +30,64 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRequestSharedAliasesOneFrame: ReadRequestShared reads what
+// ReadRequest reads; a request read after it leaves its arguments
+// intact; and it copies no argument: a frame of 50 arguments costs the
+// same few allocations as one of 2.
+func TestReadRequestSharedAliasesOneFrame(t *testing.T) {
+	frame := func(n int) []byte {
+		var buf bytes.Buffer
+		args := make([][]byte, n)
+		for i := range args {
+			args[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 10+i)
+		}
+		for i := 0; i < 2; i++ {
+			if err := WriteRequest(&buf, &Request{Version: Version, Op: 25, Tag: 3, TraceID: "t/s", Args: args}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	data := frame(50)
+	r := bufio.NewReader(bytes.NewReader(data))
+	first, err := ReadRequestShared(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRequestShared(r); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Op != want.Op || first.Tag != want.Tag || first.TraceID != want.TraceID || len(first.Args) != len(want.Args) {
+		t.Fatalf("request = %+v, ReadRequest read %+v", first, want)
+	}
+	for i := range want.Args {
+		if !bytes.Equal(first.Args[i], want.Args[i]) {
+			t.Fatalf("argument %d = %q, want %q", i, first.Args[i], want.Args[i])
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	allocs := func(data []byte) float64 {
+		rd := bytes.NewReader(data)
+		br := bufio.NewReader(rd)
+		return testing.AllocsPerRun(50, func() {
+			rd.Reset(data)
+			br.Reset(rd)
+			if _, err := ReadRequestShared(br); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(frame(2)), allocs(frame(50)); many != few || many > 4 {
+		t.Errorf("a frame of 50 arguments costs %v allocations, one of 2 %v: want the same, at most 4", many, few)
+	}
+}
+
 func TestReplyRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	rep := &Reply{Version: Version, Code: int32(mrerr.MrMoreData),

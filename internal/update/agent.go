@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -31,14 +33,19 @@ const (
 	// The data transfer: the pusher sends the new file's chunk
 	// manifest, the agent answers with the indices it cannot reuse from
 	// the file it already holds, the pusher ships only those, and the
-	// agent reassembles and stages the result. Op 21 is unassigned.
+	// agent writes the verified chunks to a staging file and renames it
+	// over the target. Op 21 is unassigned.
 	OpUManifest uint16 = 24 // args: target path, whole-file sha256 hex, manifest
 	OpUChunks   uint16 = 25 // args: alternating chunk index, chunk data
-	OpUAssemble uint16 = 26 // no args; reassemble, verify, stage
+	OpUAssemble uint16 = 26 // no args; stage, verify, rename
 )
 
-// Suffixes used by the atomic installation dance.
+// Suffixes used by the atomic installation dance: a transfer stages its
+// target at <target>.moira_xfer, an extract its member at
+// <dest>.moira_update, and install keeps the replaced file at
+// <path>.moira_backup.
 const (
+	xferSuffix   = ".moira_xfer"
 	updateSuffix = ".moira_update"
 	backupSuffix = ".moira_backup"
 )
@@ -395,11 +402,10 @@ type updateSession struct {
 	trace  string // bare trace ID carried by the push's requests
 	parent string // span ID of the DCM push span, from the wire field
 
-	// install is the staged archive as chunkAssemble verified it and
-	// the exec commands' view of the transfer: nil until a transfer in
-	// this session succeeds, added to by each extract, gone with the
-	// session. "extract" takes members from its bundle in place, so the
-	// archive is never read back from disk.
+	// install is the exec commands' view of the transfer, reading the
+	// staged bundle through the handle chunkAssemble wrote it with: nil
+	// until a transfer in this session succeeds, added to by each
+	// extract, closed with the session.
 	install *Install
 
 	// Chunked-transfer state, alive between OpUManifest and OpUAssemble.
@@ -412,6 +418,12 @@ type updateSession struct {
 	// fields carries reply fields for the next reply (the manifest
 	// response lists the needed chunk indices).
 	fields [][]byte
+}
+
+// end closes the session's view of its transfer.
+func (s *updateSession) end() {
+	s.install.Close()
+	s.install = nil
 }
 
 // takeFields returns and clears the pending reply fields.
@@ -504,6 +516,7 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	ses := &updateSession{agent: a, authed: a.Verifier == nil}
+	defer ses.end()
 
 	reply := func(code mrerr.Code) error {
 		if a.WriteTimeout > 0 {
@@ -524,7 +537,9 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 		if a.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(a.ReadTimeout))
 		}
-		req, err := protocol.ReadRequest(br)
+		// A chunk frame's chunks are kept for the session, whole; no
+		// other argument outlives its request.
+		req, err := protocol.ReadRequestShared(br)
 		if err != nil {
 			return
 		}
@@ -658,14 +673,23 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 			old = wholeSide(data, manifest)
 		}
 	}
-	have := map[[sha256.Size]byte][]byte{}
+	// Only chunks outside the runs the target still holds are looked up:
+	// they size the maps.
+	outside := 0
+	inRun := runCursor(old.runs())
+	for _, c := range manifest {
+		if !inRun(c) {
+			outside++
+		}
+	}
+	have := make(map[[sha256.Size]byte][]byte, outside)
 	if old != nil {
 		old.reuse(have)
 	}
-	var needed [][]byte
+	var idx []int
 	reused, reusedBytes := 0, 0
-	seen := map[[sha256.Size]byte]bool{}
-	inRun := runCursor(old.runs())
+	seen := make(map[[sha256.Size]byte]bool, outside)
+	inRun = runCursor(old.runs())
 	for i, c := range manifest {
 		if _, ok := have[c.Sum]; ok || inRun(c) {
 			reused++
@@ -676,7 +700,19 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 			continue // a duplicate chunk travels once
 		}
 		seen[c.Sum] = true
-		needed = append(needed, []byte(strconv.Itoa(i)))
+		idx = append(idx, i)
+	}
+	// The reply's fields are the needed indices in decimal, cut from one
+	// buffer.
+	var needed [][]byte
+	if len(idx) > 0 {
+		digits := make([]byte, 0, len(idx)*len(strconv.Itoa(idx[len(idx)-1])))
+		needed = make([][]byte, len(idx))
+		for k, i := range idx {
+			lo := len(digits)
+			digits = strconv.AppendInt(digits, int64(i), 10)
+			needed[k] = digits[lo:len(digits):len(digits)]
+		}
 	}
 
 	s.manifest = manifest
@@ -750,12 +786,15 @@ func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
 	return mrerr.Success
 }
 
-// chunkAssemble reassembles the file from reused and received chunks,
-// verifies the whole-file checksum ("the file transfer includes a
-// checksum to insure data integrity"), and stages it at the target
-// path, flushed to disk before the reply ("flush all data on the server
-// to disk"). Chunks the target still holds are read from it into the
-// new bundle before the target is truncated.
+// chunkAssemble stages the transferred file: it writes the reused and
+// received chunks, each verified as it goes, to <target>.moira_xfer,
+// checks the whole-file sum over the bytes written ("the file transfer
+// includes a checksum to insure data integrity"), flushes the staging
+// file to disk before the reply ("flush all data on the server to
+// disk") and renames it over the target. The target is never partial:
+// until the rename it holds its previous bytes, and the runs the new
+// file shares with it are read from it. The staging file stays open as
+// the session's view of the new bundle.
 func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
@@ -765,67 +804,78 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	}
 	target, manifest, have, old, wholeSum := s.chunkTarget, s.manifest, s.have, s.old, s.wholeSum
 	s.manifest, s.have, s.chunkTarget, s.old = nil, nil, "", nil
+	s.end()
 
 	fp, perr := s.agent.HostPath(target)
 	if perr != nil {
 		return mrerr.UpdBadInstr
 	}
-	data, err := assembleAt(fp, manifest, have, old, wholeSum)
-	if err != nil {
-		// The target may no longer hold what its kept list says: the
-		// retry re-chunks it.
-		s.agent.keep(fp, nil)
-		return mrerr.UpdChecksum
-	}
 	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
 		return mrerr.MrInternal
 	}
-	// A stale .moira_update from a crashed run "will be deleted (as it
-	// may be incomplete) when the next update starts".
-	matches, _ := filepath.Glob(fp + "*" + updateSuffix)
-	for _, m := range matches {
-		os.Remove(m)
-	}
-	s.agent.keep(fp, nil)
-	f, err := os.Create(fp)
-	if err != nil {
-		return mrerr.MrInternal
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return mrerr.MrInternal
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return mrerr.MrInternal
-	}
-	if err := f.Close(); err != nil {
-		return mrerr.MrInternal
+	// A staging file a crashed run left "will be deleted (as it may be
+	// incomplete) when the next update starts": exactly the names this
+	// agent stages the target under, nothing that merely shares its
+	// prefix.
+	os.Remove(fp + updateSuffix)
+	os.Remove(fp + xferSuffix)
+	in, code := stageAt(fp, manifest, have, old, wholeSum)
+	if code != mrerr.Success {
+		// The target may no longer hold what its kept list says: the
+		// retry re-chunks it.
+		s.agent.keep(fp, nil)
+		return code
 	}
 	s.agent.keep(fp, manifest)
 	s.target = target
-	s.install = newInstall(old, data, manifest)
+	s.install = in
 	// Staged files and their sizes; the chunk counters hold the
 	// wire-level story.
 	s.agent.reg.Counter("update.xfers").Inc()
-	s.agent.reg.Counter("update.bytes").Add(int64(len(data)))
+	s.agent.reg.Counter("update.bytes").Add(int64(in.new.Len()))
 	return mrerr.Success
 }
 
-// assembleAt builds the new bundle for host path fp from the manifest's
-// chunks: those in have, and the runs old says fp still holds, read
-// from it.
-func assembleAt(fp string, manifest []Chunk, have map[[sha256.Size]byte][]byte, old *oldSide, wholeSum [sha256.Size]byte) ([]byte, error) {
-	runs := old.runs()
-	if len(runs) == 0 {
-		return Reassemble(manifest, have, wholeSum)
+// stageAt writes the bundle manifest describes to fp's staging file,
+// from the chunks in have and the runs old says fp still holds, read
+// from it; fsyncs it and renames it over fp. It returns the view of the
+// transfer, reading the staged file through the handle that wrote it.
+// On failure the staging file is gone and fp untouched.
+func stageAt(fp string, manifest []Chunk, have map[[sha256.Size]byte][]byte, old *oldSide, wholeSum [sha256.Size]byte) (*Install, mrerr.Code) {
+	var src io.ReaderAt
+	if runs := old.runs(); len(runs) > 0 {
+		f, err := os.Open(fp)
+		if err != nil {
+			return nil, mrerr.UpdChecksum
+		}
+		defer f.Close()
+		src = f
 	}
-	f, err := os.Open(fp)
+	xfer := fp + xferSuffix
+	f, err := os.OpenFile(xfer, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, mrerr.MrInternal
 	}
-	defer f.Close()
-	return reassemble(manifest, have, f, runs, wholeSum)
+	fail := func(code mrerr.Code) (*Install, mrerr.Code) {
+		f.Close()
+		os.Remove(xfer)
+		return nil, code
+	}
+	pieces, err := stage(f, manifest, have, src, old.runs(), wholeSum)
+	switch {
+	case errors.Is(err, errStaging):
+		return fail(mrerr.MrInternal)
+	case err != nil:
+		return fail(mrerr.UpdChecksum)
+	}
+	if f.Sync() != nil || os.Rename(xfer, fp) != nil {
+		return fail(mrerr.MrInternal)
+	}
+	n := 0
+	if k := len(manifest); k > 0 {
+		n = manifest[k-1].Off + manifest[k-1].Len
+	}
+	return newInstall(old, Text{n: n, pieces: pieces, src: &source{f: f}}, manifest), mrerr.Success
 }
 
 func (s *updateSession) loadScript(req *protocol.Request) mrerr.Code {
@@ -848,8 +898,11 @@ func (s *updateSession) execute(conn net.Conn, sp *trace.Span) mrerr.Code {
 	if s.script == nil {
 		return mrerr.UpdNoFile
 	}
+	s.agent.mu.Lock()
+	hooked := s.agent.crashPoint != nil
+	s.agent.mu.Unlock()
 	for i, line := range s.script {
-		if s.agent.crash(conn, fmt.Sprintf("instr-%d", i)) {
+		if hooked && s.agent.crash(conn, fmt.Sprintf("instr-%d", i)) {
 			return mrerr.Code(-1)
 		}
 		if code := s.runInstruction(line, sp); code != mrerr.Success {
@@ -880,18 +933,17 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		if err != nil {
 			return mrerr.UpdBadInstr
 		}
-		if _, err := os.Stat(fp + updateSuffix); err != nil {
+		staged := fp + updateSuffix
+		if _, err := os.Stat(staged); err != nil {
 			return mrerr.UpdNoFile
 		}
-		// Keep the old file for revert; both stay in the same directory
-		// so the renames never cross a partition.
+		// Keep the old file, if there is one, for revert; both stay in
+		// the same directory so the renames never cross a partition.
 		a.keep(fp, nil)
-		if _, err := os.Stat(fp); err == nil {
-			if err := os.Rename(fp, fp+backupSuffix); err != nil {
-				return mrerr.UpdRename
-			}
+		if err := os.Rename(fp, fp+backupSuffix); err != nil && !os.IsNotExist(err) {
+			return mrerr.UpdRename
 		}
-		if err := os.Rename(fp+updateSuffix, fp); err != nil {
+		if err := os.Rename(staged, fp); err != nil {
 			return mrerr.UpdRename
 		}
 		return mrerr.Success
@@ -941,10 +993,11 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 	}
 }
 
-// extract writes one member of the staged bundle to <dest>.moira_update.
-// The member is a sub-slice of the verified in-memory bundle, found in
-// the session's one index of its headers: it is neither read back from
-// disk nor copied before the write.
+// extract writes one member of the staged bundle to <dest>.moira_update,
+// found in the session's one index of the bundle's headers: the ranges
+// of the staged file copied file to file, the pushed chunks the session
+// holds written from memory. No part of the member is read into a
+// buffer on the way.
 func (s *updateSession) extract(fields []string) mrerr.Code {
 	if len(fields) != 3 || s.install == nil {
 		return mrerr.UpdBadInstr
@@ -953,11 +1006,25 @@ func (s *updateSession) extract(fields []string) mrerr.Code {
 	if !ok {
 		return mrerr.UpdNoFile
 	}
-	data := s.install.newBundle[r.Lo:r.Hi:r.Hi]
-	if err := s.agent.WriteHostFile(fields[2]+updateSuffix, data); err != nil {
-		if code, ok := err.(mrerr.Code); ok {
-			return code
+	fp, err := s.agent.HostPath(fields[2] + updateSuffix)
+	if err != nil {
+		return mrerr.UpdBadInstr
+	}
+	s.agent.keep(fp, nil)
+	f, err := os.Create(fp)
+	if os.IsNotExist(err) {
+		if err = os.MkdirAll(filepath.Dir(fp), 0o755); err == nil {
+			f, err = os.Create(fp)
 		}
+	}
+	if err != nil {
+		return mrerr.MrInternal
+	}
+	err = s.install.new.copyTo(f, r)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return mrerr.MrInternal
 	}
 	s.install.extracted(fields[1], fields[2])

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"io"
+	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -121,7 +125,23 @@ func strings64() string {
 	return hex.EncodeToString(sum[:])
 }
 
-func TestReassembleVerifies(t *testing.T) {
+// stageBytes stages the file manifest describes into memory.
+func stageBytes(manifest []Chunk, have map[[sha256.Size]byte][]byte, src io.ReaderAt, runs []anchor, whole [sha256.Size]byte) ([]byte, []piece, error) {
+	var out bytes.Buffer
+	pieces, err := stage(&out, manifest, have, src, runs, whole)
+	return out.Bytes(), pieces, err
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestStageVerifies: the streaming stage writes exactly the file the
+// manifest names, and refuses a missing chunk, a chunk of the wrong
+// length, a chunk whose bytes do not match its sum, reused bytes that
+// changed on disk, and a file whose whole sum is wrong. A chunk of have
+// that fails is refused before anything is written.
+func TestStageVerifies(t *testing.T) {
 	data := randBytes(4, 120_000)
 	chunks := SplitChunks(data)
 	wholeSum := sha256.Sum256(data)
@@ -129,37 +149,66 @@ func TestReassembleVerifies(t *testing.T) {
 	for _, c := range chunks {
 		have[c.Sum] = data[c.Off : c.Off+c.Len]
 	}
+	with := func(k [sha256.Size]byte, v []byte) map[[sha256.Size]byte][]byte {
+		m := maps.Clone(have)
+		if v == nil {
+			delete(m, k)
+		} else {
+			m[k] = v
+		}
+		return m
+	}
 
-	got, err := Reassemble(chunks, have, wholeSum)
+	got, pieces, err := stageBytes(chunks, have, nil, nil, wholeSum)
 	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("identity reassembly failed: %v", err)
+		t.Fatalf("identity stage failed: %v", err)
+	}
+	for i, p := range pieces {
+		if p.off != chunks[i].Off || p.n != chunks[i].Len || &p.data[0] != &data[p.off] {
+			t.Fatalf("piece %d %d+%d is not chunk %d of have", i, p.off, p.n, i)
+		}
 	}
 
-	// Missing chunk.
-	missing := map[[sha256.Size]byte][]byte{}
-	for k, v := range have {
-		missing[k] = v
-	}
-	delete(missing, chunks[1].Sum)
-	if _, err := Reassemble(chunks, missing, wholeSum); err == nil {
-		t.Error("missing chunk accepted")
-	}
-
-	// Corrupt chunk bytes (right length, wrong content).
-	corrupt := map[[sha256.Size]byte][]byte{}
-	for k, v := range have {
-		corrupt[k] = v
-	}
 	bad := append([]byte(nil), have[chunks[0].Sum]...)
 	bad[0] ^= 1
-	corrupt[chunks[0].Sum] = bad
-	if _, err := Reassemble(chunks, corrupt, wholeSum); err == nil {
-		t.Error("corrupt chunk accepted")
+	for _, c := range []struct {
+		name string
+		have map[[sha256.Size]byte][]byte
+	}{
+		{"missing chunk", with(chunks[1].Sum, nil)},
+		{"wrong length", with(chunks[1].Sum, data[chunks[1].Off:chunks[1].Off+chunks[1].Len-1])},
+		{"bad chunk sum", with(chunks[0].Sum, bad)},
+	} {
+		if out, _, err := stageBytes(chunks, c.have, nil, nil, wholeSum); err == nil || len(out) != 0 {
+			t.Errorf("%s: err %v, %d bytes written", c.name, err, len(out))
+		}
+	}
+	if _, _, err := stageBytes(chunks, have, nil, nil, sha256.Sum256([]byte("x"))); err == nil {
+		t.Error("wrong whole-file checksum accepted")
 	}
 
-	// Wrong whole-file checksum.
-	if _, err := Reassemble(chunks, have, sha256.Sum256([]byte("x"))); err == nil {
-		t.Error("wrong whole-file checksum accepted")
+	// Every chunk reused from an old copy of the file: read from it in
+	// runs, each chunk checked in place, kept as one file piece.
+	runs := bundleAnchors(chunks, chunks)
+	got, pieces, err = stageBytes(chunks, nil, bytes.NewReader(data), runs, wholeSum)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("stage from reused runs failed: %v", err)
+	}
+	if len(pieces) != 1 || pieces[0].data != nil || pieces[0].n != len(data) || pieces[0].at != 0 {
+		t.Errorf("reused runs staged as pieces %+v, want one file piece of %d bytes", pieces, len(data))
+	}
+	changed := append([]byte(nil), data...)
+	changed[len(changed)/2] ^= 1
+	if _, _, err := stageBytes(chunks, nil, bytes.NewReader(changed), runs, wholeSum); err == nil || !strings.Contains(err.Error(), "reused bytes changed") {
+		t.Errorf("reused bytes changed on disk: %v", err)
+	}
+	if _, _, err := stageBytes(chunks, nil, bytes.NewReader(data[:len(data)/2]), runs, wholeSum); err == nil {
+		t.Error("reused bytes missing on disk accepted")
+	}
+
+	// A failed write is not a checksum failure.
+	if _, err := stage(failWriter{}, chunks, have, nil, nil, wholeSum); !errors.Is(err, errStaging) {
+		t.Errorf("failed write: %v, want errStaging", err)
 	}
 }
 
@@ -218,10 +267,10 @@ func TestChunkedPushReusesUnchangedData(t *testing.T) {
 }
 
 // FuzzChunker fuzzes the chunking pipeline three ways at once:
-// reassembly identity (split → reassemble reproduces the input),
+// staging identity (split → stage reproduces the input),
 // boundary stability (a single-byte edit still tiles the input), and
 // corrupt-manifest rejection (DecodeManifest fails cleanly, and a
-// manifest/have mismatch never reassembles into a wrong file).
+// manifest/have mismatch never stages a wrong file).
 func FuzzChunker(f *testing.F) {
 	f.Add([]byte("hello world"), uint32(3), byte(0xff))
 	f.Add(randBytes(1, 10_000), uint32(5000), byte(1))
@@ -252,12 +301,12 @@ func FuzzChunker(f *testing.F) {
 			have[c.Sum] = data[c.Off : c.Off+c.Len]
 		}
 		whole := sha256.Sum256(data)
-		got, err := Reassemble(chunks, have, whole)
+		got, _, err := stageBytes(chunks, have, nil, nil, whole)
 		if err != nil {
-			t.Fatalf("identity reassembly: %v", err)
+			t.Fatalf("identity stage: %v", err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Fatal("reassembly is not the identity")
+			t.Fatal("staging is not the identity")
 		}
 
 		// The wire round-trip preserves the chunk list.
@@ -283,9 +332,9 @@ func FuzzChunker(f *testing.F) {
 		if len(mbytes) > 0 {
 			mbytes[int(editPos)%len(mbytes)] ^= editByte | 1
 			if dec, err := DecodeManifest(mbytes); err == nil {
-				if out, err := Reassemble(dec, have, whole); err == nil {
+				if out, _, err := stageBytes(dec, have, nil, nil, whole); err == nil {
 					if !bytes.Equal(out, data) {
-						t.Fatal("corrupted manifest reassembled into a different file that passed the whole-file checksum")
+						t.Fatal("corrupted manifest staged a different file that passed the whole-file checksum")
 					}
 				}
 			}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
+	"os"
 	"path"
 	"sync"
 )
@@ -14,13 +16,13 @@ import (
 // the member as it arrived and as it was in the bundle the target held
 // before, so a reload can apply what changed instead of re-reading and
 // re-parsing the installed file. The view lives only as long as the
-// session: nothing here outlives the push.
+// session: it reads the staged bundle through the session's open
+// handle, which the session closes when it ends.
 //
 // A nil *Install is a valid view with no files (local tooling, or a
 // session that transferred nothing): services then read from disk.
 type Install struct {
-	old          Text // the bundle the target held before, stitched
-	newBundle    []byte
+	old, new     Text // the bundles the target held before and holds now
 	oldID, newID string
 	anchors      []anchor // runs the bundles share, in order
 
@@ -35,13 +37,16 @@ type Install struct {
 
 // File is one extracted member, seen from both sides of the push.
 type File struct {
-	// New is the member as installed: a sub-slice of the verified bundle,
-	// valid until the exec command returns. Services must copy what they
-	// keep.
-	New []byte
+	// New is the member as installed, read by range: the pushed chunks
+	// the session holds in memory and, between them, ranges of the
+	// staged bundle file, read through the session's handle. It is valid
+	// until the exec command returns; services copy what they keep
+	// (Lines and String copy), and read the whole member into memory
+	// only to parse it whole.
+	New Text
 	// Old is the same member in the bundle the target held before the
-	// push, read by range; empty when there was no such bundle or
-	// member. Its pieces are valid until the exec command returns.
+	// push, read the same way; empty when there was no such bundle or
+	// member.
 	Old Text
 	// NewID and OldID identify the bytes of the new and old bundles. A
 	// service that tags its parsed state with the ID it reflects knows,
@@ -82,16 +87,15 @@ func (f *File) Action(tag string) Action {
 	return Parse
 }
 
-// Lines calls fn with each line of data[r.Lo:r.Hi] as a string fn may
-// keep, and the offset the line starts at. A whole file is copied into
-// one string its kept lines share; part of one, such as an edit, line by
-// line, so what one patch keeps never pins lines a later patch replaced.
-func Lines(data []byte, r Range, fn func(line string, off int) error) error {
-	if r.Lo == 0 && r.Hi == len(data) {
-		text := string(data)
-		return EachLine(text, r, fn)
+// Lines calls fn with each line of t in r as a string fn may keep, and
+// the offset the line starts at. A whole file is copied into one string
+// its kept lines share; part of one, such as an edit, line by line, so
+// what one patch keeps never pins lines a later patch replaced.
+func Lines(t Text, r Range, fn func(line string, off int) error) error {
+	if r.Lo == 0 && r.Hi == t.Len() {
+		return EachLine(t.String(r), r, fn)
 	}
-	return EachLine(data, r, func(line []byte, off int) error { return fn(string(line), off) })
+	return t.Lines(r, func(line []byte, off int) error { return fn(string(line), off) })
 }
 
 // EachLine calls fn with each line of b[r.Lo:r.Hi], without its newline,
@@ -109,9 +113,6 @@ func EachLine[T string | []byte](b T, r Range, fn func(line T, off int) error) e
 	}
 	return nil
 }
-
-// LineNo is the 1-based number of the line of b starting at off.
-func LineNo(b []byte, off int) int { return bytes.Count(b[:off], []byte{'\n'}) + 1 }
 
 // Range is the byte range [Lo, Hi) of a file.
 type Range struct{ Lo, Hi int }
@@ -136,25 +137,79 @@ func NewInstall(oldBundle, newBundle []byte, members map[string]string) *Install
 	if oldBundle != nil {
 		old = wholeSide(oldBundle, newChunks)
 	}
-	in := newInstall(old, newBundle, newChunks)
+	in := newInstall(old, TextOf(newBundle), newChunks)
 	for dest, member := range members {
 		in.extracted(member, dest)
 	}
 	return in
 }
 
+// StageInstall stages newBundle in a new file at path (whatever was
+// there is removed first) as an agent stages a push of it over a target
+// holding oldBundle (nil when it holds nothing) whose chunk list the
+// agent kept: the chunks the bundles share in order are read from
+// oldBundle and checked, the others taken as if pushed. It returns the
+// view the push's exec commands would get, reading the staged file;
+// Close releases it. For tests and tools.
+func StageInstall(path string, oldBundle, newBundle []byte, members map[string]string) (*Install, error) {
+	chunks := SplitChunks(newBundle)
+	var old *oldSide
+	if oldBundle != nil {
+		var ok bool
+		if old, ok = keptSide(bytes.NewReader(oldBundle), len(oldBundle), SplitChunks(oldBundle), chunks); !ok {
+			return nil, fmt.Errorf("update: a kept list rejected its own bundle")
+		}
+	}
+	have := map[[sha256.Size]byte][]byte{}
+	if old != nil {
+		old.reuse(have)
+	}
+	inRun := runCursor(old.runs())
+	for _, c := range chunks {
+		if _, ok := have[c.Sum]; !ok && !inRun(c) {
+			have[c.Sum] = newBundle[c.Off : c.Off+c.Len]
+		}
+	}
+	os.Remove(path)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	pieces, err := stage(f, chunks, have, bytes.NewReader(oldBundle), old.runs(), sha256.Sum256(newBundle))
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	in := newInstall(old, Text{n: len(newBundle), pieces: pieces, src: &source{f: f}}, chunks)
+	for dest, member := range members {
+		in.extracted(member, dest)
+	}
+	return in, nil
+}
+
+// Close ends the view: it closes the staged bundle's handle and puts its
+// read windows back. A view built in memory has nothing to close.
+func (in *Install) Close() error {
+	if in == nil || in.new.src == nil {
+		return nil
+	}
+	in.old.src.release()
+	in.new.src.release()
+	return in.new.src.f.Close()
+}
+
 // newInstall starts the view of a transfer: what the session knew of the
 // target's old bundle (nil when it held none), and the new bundle with
 // the chunk list the manifest exchange already carried for it.
-func newInstall(old *oldSide, newBundle []byte, newChunks []Chunk) *Install {
+func newInstall(old *oldSide, new Text, newChunks []Chunk) *Install {
 	in := &Install{
-		newBundle: newBundle,
-		newID:     manifestID(newChunks),
-		members:   map[string]string{},
-		files:     map[string]*File{},
+		new:     new,
+		newID:   manifestID(newChunks),
+		members: map[string]string{},
+		files:   map[string]*File{},
 	}
 	if old != nil {
-		in.old = old.text(newBundle)
+		in.old = old.text(new)
 		in.oldID = manifestID(old.chunks)
 		in.anchors = old.anchors
 	}
@@ -177,7 +232,7 @@ type oldSide struct {
 // wholeSide is the old side of a bundle held whole.
 func wholeSide(old []byte, newChunks []Chunk) *oldSide {
 	chunks := SplitChunks(old)
-	return &oldSide{chunks: chunks, anchors: bundleAnchors(chunks, newChunks), held: []piece{{0, old}}}
+	return &oldSide{chunks: chunks, anchors: bundleAnchors(chunks, newChunks), held: TextOf(old).pieces}
 }
 
 // keptSide is the old side of the bundle a kept chunk list says src (of
@@ -222,7 +277,7 @@ func keptSide(src io.ReaderAt, size int, kept, newChunks []Chunk) (*oldSide, boo
 			if !read(gap, cj) {
 				return nil, false
 			}
-			o.held = append(o.held, piece{lo, gap})
+			o.held = append(o.held, piece{off: lo, n: len(gap), data: gap})
 		}
 		for ci < len(kept) && kept[ci].Off < a.o+a.n {
 			// One read takes as many whole chunks as fit in buf.
@@ -258,7 +313,7 @@ var chunkBufs = sync.Pool{New: func() any {
 func (o *oldSide) reuse(have map[[sha256.Size]byte][]byte) {
 	k := 0
 	for _, c := range o.chunks {
-		for k < len(o.held) && o.held[k].off+len(o.held[k].data) <= c.Off {
+		for k < len(o.held) && o.held[k].end() <= c.Off {
 			k++
 		}
 		if k == len(o.held) {
@@ -273,22 +328,24 @@ func (o *oldSide) reuse(have map[[sha256.Size]byte][]byte) {
 }
 
 // text is the old bundle as a Text: the held pieces, and under each
-// anchor the new bundle's bytes, which are the old bytes there.
-func (o *oldSide) text(newBundle []byte) Text {
-	n := 0
+// anchor the new bundle's pieces there, which hold the old bytes. It
+// reads the new bundle's file through a source of its own.
+func (o *oldSide) text(new Text) Text {
+	t := Text{src: new.src.twin()}
 	if k := len(o.chunks); k > 0 {
-		n = o.chunks[k-1].Off + o.chunks[k-1].Len
+		t.n = o.chunks[k-1].Off + o.chunks[k-1].Len
 	}
 	if !o.onDisk {
-		return Text{n: n, pieces: o.held}
+		t.pieces = o.held
+		return t
 	}
-	t := Text{n: n, pieces: make([]piece, 0, len(o.held)+len(o.anchors))}
+	t.pieces = make([]piece, 0, len(o.held)+len(o.anchors))
 	h := o.held
 	for _, a := range o.anchors {
 		for len(h) > 0 && h[0].off < a.o {
 			t.pieces, h = append(t.pieces, h[0]), h[1:]
 		}
-		t.pieces = append(t.pieces, piece{a.o, newBundle[a.p : a.p+a.n : a.p+a.n]})
+		t.pieces = new.appendPieces(t.pieces, Range{a.p, a.p + a.n}, a.o)
 	}
 	t.pieces = append(t.pieces, h...)
 	return t
@@ -333,13 +390,13 @@ func (in *Install) File(dest string) (f *File, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	f = &File{New: in.newBundle[nr.Lo:nr.Hi:nr.Hi], NewID: in.newID, OldID: in.oldID}
+	f = &File{New: in.new.Sub(nr), NewID: in.newID, OldID: in.oldID}
 	if in.oldIndex == nil {
 		in.oldIndex = indexTar(in.old, in.old.Len())
 	}
 	var anchors []anchor
 	if or, ok := in.oldIndex[member]; ok && or.Lo >= 0 {
-		f.Old = in.old.sub(or)
+		f.Old = in.old.Sub(or)
 		anchors = clipAnchors(in.anchors, or, nr)
 	}
 	f.Edits = lineEdits(f.Old, f.New, anchors)
@@ -351,21 +408,23 @@ func (in *Install) File(dest string) (f *File, ok bool) {
 // ExtractMember's rules, from the session's one index of its headers.
 func (in *Install) member(name string) (Range, bool) {
 	if in.newIndex == nil {
-		in.newIndex = indexTar(bytes.NewReader(in.newBundle), len(in.newBundle))
+		in.newIndex = indexTar(in.new, in.new.Len())
 	}
 	r, ok := in.newIndex[name]
 	return r, ok && r.Lo >= 0
 }
 
 // Read returns dest as a reload should see it: the push's view of it and
-// its new bytes, or, when the push extracted nothing to dest (or there
-// is no push), a nil view and the file as it is on ag's host.
-func (in *Install) Read(ag *Agent, dest string) (*File, []byte, error) {
+// its new bytes (File.New, read from the staged bundle by range), or,
+// when the push extracted nothing to dest (or there is no push), a nil
+// view and the file as it is on ag's host, read whole. Either Text is
+// valid until the exec command returns.
+func (in *Install) Read(ag *Agent, dest string) (*File, Text, error) {
 	if f, ok := in.File(dest); ok {
 		return f, f.New, nil
 	}
 	data, err := ag.ReadHostFile(dest)
-	return nil, data, err
+	return nil, TextOf(data), err
 }
 
 // bundleAnchors pairs the new bundle's reused chunks with the old
@@ -442,17 +501,14 @@ func clipAnchors(anchors []anchor, or, nr Range) []anchor {
 	return out
 }
 
-// boundary reports whether offset i of b is a line boundary.
-func boundary(b []byte, i int) bool { return i == 0 || i == len(b) || b[i-1] == '\n' }
-
 // lineEdits turns the anchors shared by old and new into line-aligned
 // edits: each anchor shrinks to the whole lines inside it (a line is
 // whole when it starts and ends on a boundary on both sides, and the
 // bytes between are the anchor's, so identical), the gaps between them
 // are the edits, and each edit sheds the whole lines it begins and ends
-// with on both sides. Under an anchor the old bytes are the new ones, so
+// with in common. Under an anchor the old bytes are the new ones, so
 // only the edits read old.
-func lineEdits(old Text, new []byte, anchors []anchor) []Edit {
+func lineEdits(old, new Text, anchors []anchor) []Edit {
 	var edits []Edit
 	add := func(e Edit) {
 		e = trimEdit(old, new, e)
@@ -462,25 +518,20 @@ func lineEdits(old Text, new []byte, anchors []anchor) []Edit {
 	}
 	po, pn := 0, 0
 	for _, a := range anchors {
-		run := new[a.p : a.p+a.n]
-		s, e := 0, a.n
-		if !old.boundary(a.o) || !boundary(new, a.p) {
-			j := bytes.IndexByte(run, '\n')
-			if j < 0 {
-				continue
-			}
-			s = j + 1
+		s, e := a.p, a.p+a.n // the whole lines of the anchor, in new
+		if !old.boundary(a.o) || !new.boundary(a.p) {
+			s = new.lineEnd(a.p, e) + 1
 		}
-		if !(a.o+a.n == old.Len() && a.p+a.n == len(new)) && run[a.n-1] != '\n' {
-			e = bytes.LastIndexByte(run, '\n') + 1
+		if !(a.o+a.n == old.Len() && e == new.Len()) && new.at(e-1) != '\n' {
+			e = new.lastNewline(a.p, e) + 1
 		}
 		if s >= e {
 			continue
 		}
-		add(Edit{Old: Range{po, a.o + s}, New: Range{pn, a.p + s}})
-		po, pn = a.o+e, a.p+e
+		add(Edit{Old: Range{po, a.o + s - a.p}, New: Range{pn, s}})
+		po, pn = a.o+e-a.p, e
 	}
-	add(Edit{Old: Range{po, old.Len()}, New: Range{pn, len(new)}})
+	add(Edit{Old: Range{po, old.Len()}, New: Range{pn, new.Len()}})
 	return edits
 }
 
@@ -488,20 +539,15 @@ func lineEdits(old Text, new []byte, anchors []anchor) []Edit {
 // in common: a chunk-sized edit shrinks to the lines that changed. The
 // common ends are the same bytes on both sides, so the newline searches
 // in them read new.
-func trimEdit(old Text, new []byte, e Edit) Edit {
-	n := new[e.New.Lo:e.New.Hi]
-	k := old.prefixLen(e.Old, n)
-	k = bytes.LastIndexByte(n[:k], '\n') + 1
+func trimEdit(old, new Text, e Edit) Edit {
+	k := old.prefixLen(e.Old, new, e.New)
+	k = new.lastNewline(e.New.Lo, e.New.Lo+k) + 1 - e.New.Lo
 	e.Old.Lo += k
 	e.New.Lo += k
-	n = n[k:]
-	m := old.suffixLen(e.Old, n)
-	if m > 0 && !(old.boundary(e.Old.Hi-m) && boundary(new, e.New.Hi-m)) {
-		if j := bytes.IndexByte(n[len(n)-m:], '\n'); j >= 0 {
-			m -= j + 1
-		} else {
-			m = 0
-		}
+	m := old.suffixLen(e.Old, new, e.New)
+	if m > 0 && !(old.boundary(e.Old.Hi-m) && new.boundary(e.New.Hi-m)) {
+		m = e.New.Hi - new.lineEnd(e.New.Hi-m, e.New.Hi) - 1
+		m = max(m, 0)
 	}
 	e.Old.Hi -= m
 	e.New.Hi -= m

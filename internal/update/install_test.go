@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -19,8 +21,9 @@ func textFile(seed int64, n int) []byte {
 }
 
 // viewOf stages old and new as the "f" member of two bundles (beside a
-// member that does not change) and returns the view of f, checking
-// that the agent's stitched view of it is the same.
+// member that does not change) and returns the view of f built from both
+// bundles whole, checking that the view an agent builds over its staged
+// file is the same.
 func viewOf(t testing.TB, old, new []byte) *File {
 	t.Helper()
 	other := textFile(99, 50)
@@ -40,51 +43,58 @@ func viewOf(t testing.TB, old, new []byte) *File {
 	if !ok {
 		t.Fatal("no view of an extracted member")
 	}
-	if oldBundle != nil {
-		// An agent's view, from the chunk list it kept and the old
-		// chunks it read beside the shared runs, is the same view.
-		kf, ok := keptView(t, oldBundle, newBundle, members).File("/etc/f")
-		if !ok {
-			t.Fatal("no kept view of an extracted member")
-		}
-		equalViews(t, kf, f)
+	// An agent's view — New the pushed chunks and ranges of the staged
+	// file, Old the old chunks read beside the shared runs and the same
+	// ranges — is the same view.
+	staged, err := StageInstall(filepath.Join(t.TempDir(), "bundle"), oldBundle, newBundle, members)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer staged.Close()
+	sf, ok := staged.File("/etc/f")
+	if !ok {
+		t.Fatal("no staged view of an extracted member")
+	}
+	equalViews(t, sf, f)
 	return f
 }
 
 // all is every byte of t.
-func all(t Text) []byte { return t.Slice(Range{0, t.Len()}) }
+func all(t Text) []byte { return []byte(t.String(Range{0, t.Len()})) }
+
+// boundary reports whether offset i of b is a line boundary.
+func boundary(b []byte, i int) bool { return i == 0 || i == len(b) || b[i-1] == '\n' }
 
 // checkEdits fails unless f's edits are ordered, sit on line boundaries,
 // and splice Old into New byte for byte.
 func checkEdits(t testing.TB, f *File) {
 	t.Helper()
-	old := all(f.Old)
+	old, new := all(f.Old), all(f.New)
 	var out []byte
 	po, pn := 0, 0
 	for i, e := range f.Edits {
 		if e.Old.Lo < po || e.Old.Hi < e.Old.Lo || e.New.Lo < pn || e.New.Hi < e.New.Lo ||
-			e.Old.Hi > len(old) || e.New.Hi > len(f.New) {
-			t.Fatalf("edit %d %+v out of order or bounds (old %d, new %d bytes)", i, e, len(old), len(f.New))
+			e.Old.Hi > len(old) || e.New.Hi > len(new) {
+			t.Fatalf("edit %d %+v out of order or bounds (old %d, new %d bytes)", i, e, len(old), len(new))
 		}
 		for _, c := range []struct {
 			b []byte
 			i int
-		}{{old, e.Old.Lo}, {old, e.Old.Hi}, {f.New, e.New.Lo}, {f.New, e.New.Hi}} {
+		}{{old, e.Old.Lo}, {old, e.Old.Hi}, {new, e.New.Lo}, {new, e.New.Hi}} {
 			if !boundary(c.b, c.i) {
 				t.Fatalf("edit %d %+v: offset %d is not a line boundary", i, e, c.i)
 			}
 		}
-		if !bytes.Equal(old[po:e.Old.Lo], f.New[pn:e.New.Lo]) {
+		if !bytes.Equal(old[po:e.Old.Lo], new[pn:e.New.Lo]) {
 			t.Fatalf("edit %d: bytes between edits differ", i)
 		}
 		out = append(out, old[po:e.Old.Lo]...)
-		out = append(out, f.New[e.New.Lo:e.New.Hi]...)
+		out = append(out, new[e.New.Lo:e.New.Hi]...)
 		po, pn = e.Old.Hi, e.New.Hi
 	}
 	out = append(out, old[po:]...)
-	if !bytes.Equal(out, f.New) {
-		t.Fatalf("splicing %d edits into %d old bytes gives %d bytes, not the %d new ones", len(f.Edits), len(old), len(out), len(f.New))
+	if !bytes.Equal(out, new) {
+		t.Fatalf("splicing %d edits into %d old bytes gives %d bytes, not the %d new ones", len(f.Edits), len(old), len(out), len(new))
 	}
 }
 
@@ -115,10 +125,10 @@ func TestInstallEditsAreTheChange(t *testing.T) {
 			t.Fatalf("%s: %d edits, want 1: %+v", c.name, len(f.Edits), f.Edits)
 		}
 		e := f.Edits[0]
-		if n := bytes.Count(f.Old.Slice(e.Old), []byte("\n")); n != c.old {
+		if n := strings.Count(f.Old.String(e.Old), "\n"); n != c.old {
 			t.Errorf("%s: edit removes %d lines, want %d", c.name, n, c.old)
 		}
-		if n := bytes.Count(f.New[e.New.Lo:e.New.Hi], []byte("\n")); n != c.add {
+		if n := strings.Count(f.New.String(e.New), "\n"); n != c.add {
 			t.Errorf("%s: edit adds %d lines, want %d", c.name, n, c.add)
 		}
 		if f.OldID == "" || f.OldID == f.NewID {
@@ -155,7 +165,7 @@ func TestExecGetsInstallView(t *testing.T) {
 	a.RegisterCommand("look", func(_ *Agent, in *Install, _ []string) error {
 		f, ok := in.File("/etc/f")
 		if ok {
-			got = &File{New: append([]byte(nil), f.New...), Old: TextOf(append([]byte(nil), all(f.Old)...)),
+			got = &File{New: TextOf(all(f.New)), Old: TextOf(all(f.Old)),
 				NewID: f.NewID, OldID: f.OldID, Edits: f.Edits}
 		}
 		return nil
@@ -165,14 +175,14 @@ func TestExecGetsInstallView(t *testing.T) {
 	if err := push(map[string][]byte{"f": v1}, script); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || !bytes.Equal(got.New, v1) || got.OldID != "" {
+	if got == nil || !bytes.Equal(all(got.New), v1) || got.OldID != "" {
 		t.Fatalf("first push view: %+v", got)
 	}
 	first := got.NewID
 	if err := push(map[string][]byte{"f": v2}, script); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.New, v2) || !bytes.Equal(all(got.Old), v1) || got.OldID != first || got.NewID == first {
+	if !bytes.Equal(all(got.New), v2) || !bytes.Equal(all(got.Old), v1) || got.OldID != first || got.NewID == first {
 		t.Errorf("second push view: old id %q (want %q), new id %q", got.OldID, first, got.NewID)
 	}
 	checkEdits(t, got)
@@ -190,9 +200,10 @@ func TestExecGetsInstallView(t *testing.T) {
 
 // FuzzInstallEdits: for any old and new bytes, splicing the view's edits
 // into Old reproduces New byte for byte, every range sits on line
-// boundaries, and the view an agent stitches from its kept chunk list
-// has the same IDs, edits and old bytes as the one built from both
-// bundles whole. The inputs are spliced into a shared seeded text so the
+// boundaries, and the view an agent builds over its staged file, from
+// the chunk list it kept (New and Old read from that file under the
+// shared runs), has the same IDs, edits, old and new bytes as the one
+// built from both bundles whole. The inputs are spliced into a shared seeded text so the
 // two bundles share chunks and the anchors are exercised, not only the
 // no-anchor case.
 func FuzzInstallEdits(f *testing.F) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"testing"
 	"time"
@@ -230,9 +231,85 @@ func TestKeptManifestHint(t *testing.T) {
 	r.checkKept()
 }
 
-// equalViews fails unless the view built from a kept chunk list and the
-// stitched old chunks (got) matches the one built from both bundles
-// whole (want): the same IDs and edits, and the same old bytes.
+// TestFailedAssembleLeavesTargetWhole: the assemble streams into a
+// staging file beside the target and renames it over the target only
+// once every chunk and the whole-file sum checked out. A reused chunk
+// rewritten on disk after the manifest (same size, so only its sum can
+// tell) fails the push with UPD_CHECKSUM; the target still holds exactly
+// the bytes it held, no staging file is left, the kept list is gone, and
+// the retry re-chunks the target and installs.
+func TestFailedAssembleLeavesTargetWhole(t *testing.T) {
+	v1 := memberFiles(31, 4, 200_000)
+	v2 := maps.Clone(v1)
+	v2["m00.db"] = append([]byte("an edit up front\n"), v1["m00.db"]...)
+	r := newKeptRig(t, t.TempDir(), v1)
+	if err := r.push(v1); err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := r.a.HostPath(keptTarget)
+	var held []byte
+	r.a.SetCrashPoint(func(stage string) bool {
+		if stage != "before-xfer" || held != nil {
+			return false
+		}
+		// m03.db, the last member, is the same in both bundles: its
+		// chunks are reused, read from the target at the assemble.
+		b, err := os.ReadFile(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)-20_000] ^= 0x5a
+		if err := os.WriteFile(fp, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		held = b
+		return false
+	})
+	if err := r.push(v2); err != mrerr.UpdChecksum {
+		t.Fatalf("push over a reused chunk rewritten on disk: %v, want %v", err, mrerr.UpdChecksum)
+	}
+	if held == nil {
+		t.Fatal("the crash point never fired")
+	}
+	if got, err := os.ReadFile(fp); err != nil || !bytes.Equal(got, held) {
+		t.Fatalf("target holds %d bytes (%v) after the failed assemble, not the %d it held", len(got), err, len(held))
+	}
+	for _, name := range []string{fp + xferSuffix, fp + updateSuffix} {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Errorf("%s left behind: %v", name, err)
+		}
+	}
+	r.a.mu.Lock()
+	_, kept := r.a.kept[fp]
+	r.a.mu.Unlock()
+	if kept {
+		t.Error("the kept list survived a failed assemble")
+	}
+
+	r.a.SetCrashPoint(nil)
+	dropped := r.a.reg.Counter("update.chunks.hints.dropped").Value()
+	if err := r.push(v2); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if r.a.reg.Counter("update.chunks.hints.dropped").Value() != dropped {
+		t.Error("the retry consulted a kept list instead of re-chunking the target")
+	}
+	if r.oldID != idOf(held) {
+		t.Errorf("retry's view OldID %q, want the ID of the bytes the target held (%q)", r.oldID, idOf(held))
+	}
+	want, err := BuildTar(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(fp); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("target after the retry: %d bytes (%v), want the %d-byte bundle", len(got), err, len(want))
+	}
+	r.checkKept()
+}
+
+// equalViews fails unless the view an agent builds over its staged file
+// (got) matches the one built from both bundles whole (want): the same
+// IDs and edits, and the same old and new bytes, edit by edit and whole.
 func equalViews(t testing.TB, got, want *File) {
 	t.Helper()
 	if got.OldID != want.OldID || got.NewID != want.NewID {
@@ -242,27 +319,14 @@ func equalViews(t testing.TB, got, want *File) {
 		t.Fatalf("edits %v, want %v", got.Edits, want.Edits)
 	}
 	for _, e := range want.Edits {
-		if !bytes.Equal(got.Old.Slice(e.Old), want.Old.Slice(e.Old)) {
-			t.Fatalf("old bytes of edit %+v differ", e)
+		if got.Old.String(e.Old) != want.Old.String(e.Old) || got.New.String(e.New) != want.New.String(e.New) {
+			t.Fatalf("bytes of edit %+v differ", e)
 		}
 	}
 	if !bytes.Equal(all(got.Old), all(want.Old)) {
 		t.Fatal("old members differ")
 	}
-}
-
-// keptView is the view of member f an agent builds for a push of
-// newBundle over a target holding oldBundle, from the chunk list it kept.
-func keptView(t testing.TB, oldBundle, newBundle []byte, members map[string]string) *Install {
-	t.Helper()
-	newChunks := SplitChunks(newBundle)
-	old, ok := keptSide(bytes.NewReader(oldBundle), len(oldBundle), SplitChunks(oldBundle), newChunks)
-	if !ok {
-		t.Fatal("a kept list rejected its own bundle")
+	if !bytes.Equal(all(got.New), all(want.New)) {
+		t.Fatal("new members differ")
 	}
-	in := newInstall(old, newBundle, newChunks)
-	for dest, member := range members {
-		in.extracted(member, dest)
-	}
-	return in
 }

@@ -37,9 +37,10 @@ type TablePlan[K comparable, V any] struct {
 var errWhole = errors.New("key repeats")
 
 // Plan plans the reload of t from fv, or, when fv is nil (no push view),
-// from data, the file as read from disk. A parse error leaves nothing
-// to commit.
-func (t *LineTable[K, V]) Plan(fv *File, data []byte, parse LineParser[K, V]) (TablePlan[K, V], error) {
+// from data, the file as read from disk (Install.Read hands a reload
+// both). Only a whole parse reads the file whole: a patch reads fv's
+// edit ranges. A parse error leaves nothing to commit.
+func (t *LineTable[K, V]) Plan(fv *File, data Text, parse LineParser[K, V]) (TablePlan[K, V], error) {
 	if fv == nil {
 		return parseTable(data, "", parse)
 	}
@@ -58,12 +59,14 @@ func (t *LineTable[K, V]) Plan(fv *File, data []byte, parse LineParser[K, V]) (T
 // patch drops the row of every old line in the edits and parses every
 // new line. Rows reflect fv.Old, where no key repeats, so each old line
 // is its key's only line; a new key that is already held and not being
-// dropped, or that the new lines give twice, repeats in fv.New.
+// dropped, or that the new lines give twice, repeats in fv.New. The old
+// lines are read an edit at a time (nothing keeps them), the new ones
+// line by line (rows keep them).
 func (t *LineTable[K, V]) patch(fv *File, parse LineParser[K, V]) (TablePlan[K, V], error) {
 	p := TablePlan[K, V]{id: fv.NewID, gone: map[K]bool{}, put: map[K]V{}}
 	for _, e := range fv.Edits {
-		old := fv.Old.Slice(e.Old)
-		err := parseLines(old, Range{0, len(old)}, parse, func(k K, _ V) error {
+		old := fv.Old.Sub(e.Old)
+		err := parseLines(old, Range{0, old.Len()}, parse, func(k K, _ V) error {
 			p.gone[k] = true
 			return nil
 		})
@@ -91,10 +94,10 @@ func (t *LineTable[K, V]) patch(fv *File, parse LineParser[K, V]) (TablePlan[K, 
 
 // parseTable parses data whole into rows tagged id, or unknown if a key
 // repeats.
-func parseTable[K comparable, V any](data []byte, id string, parse LineParser[K, V]) (TablePlan[K, V], error) {
+func parseTable[K comparable, V any](data Text, id string, parse LineParser[K, V]) (TablePlan[K, V], error) {
 	p := TablePlan[K, V]{id: id, rows: map[K]V{}}
 	lines := 0
-	err := parseLines(data, Range{0, len(data)}, parse, func(k K, v V) error {
+	err := parseLines(data, Range{0, data.Len()}, parse, func(k K, v V) error {
 		p.rows[k] = v
 		lines++
 		return nil
@@ -108,12 +111,12 @@ func parseTable[K comparable, V any](data []byte, id string, parse LineParser[K,
 	return p, nil
 }
 
-// parseLines parses the rows of data[r.Lo:r.Hi], handing each to row.
-func parseLines[K comparable, V any](data []byte, r Range, parse LineParser[K, V], row func(K, V) error) error {
+// parseLines parses the rows of data in r, handing each to row.
+func parseLines[K comparable, V any](data Text, r Range, parse LineParser[K, V], row func(K, V) error) error {
 	return Lines(data, r, func(line string, off int) error {
 		k, v, skip, err := parse(line)
 		if err != nil {
-			return fmt.Errorf("line %d: %w", LineNo(data, off), err)
+			return fmt.Errorf("line %d: %w", data.LineNo(off), err)
 		}
 		if skip {
 			return nil

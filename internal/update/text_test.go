@@ -4,11 +4,52 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// TestTextReadsLikeItsBytes: a Text cut into random pieces reads, by
-// every accessor and over every range, exactly as the flat bytes do.
+// pieceText cuts data into pieces of up to maxPiece bytes, each held in
+// memory or, at random, read from a file that holds data after a
+// prefix of junk, so file offsets differ from text offsets.
+func pieceText(t testing.TB, r *rand.Rand, data []byte, maxPiece int) Text {
+	t.Helper()
+	junk := make([]byte, r.Intn(100))
+	f, err := os.Create(filepath.Join(t.TempDir(), "staged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if _, err := f.Write(append(junk, data...)); err != nil {
+		t.Fatal(err)
+	}
+	txt := Text{n: len(data), src: &source{f: f}}
+	for lo := 0; lo < len(data); {
+		hi := min(len(data), lo+1+r.Intn(maxPiece))
+		if r.Intn(2) == 0 {
+			txt.pieces = append(txt.pieces, piece{off: lo, n: hi - lo, data: data[lo:hi:hi]})
+		} else {
+			txt.pieces = append(txt.pieces, piece{off: lo, n: hi - lo, at: len(junk) + lo})
+		}
+		lo = hi
+	}
+	t.Cleanup(txt.src.release)
+	return txt
+}
+
+// lines renders each line an EachLine-style walker gives over rg.
+func lines(each func(Range, func([]byte, int) error) error, rg Range) string {
+	var out []string
+	each(rg, func(l []byte, off int) error {
+		out = append(out, fmt.Sprintf("%d:%s", off, l))
+		return nil
+	})
+	return fmt.Sprint(out)
+}
+
+// TestTextReadsLikeItsBytes: a Text cut into random pieces, some in
+// memory and some read from a file, reads, by every accessor and over
+// every range, exactly as the flat bytes do.
 func TestTextReadsLikeItsBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for round := 0; round < 100; round++ {
@@ -16,36 +57,33 @@ func TestTextReadsLikeItsBytes(t *testing.T) {
 		for i := range data {
 			data[i] = "ab\n"[r.Intn(3)]
 		}
-		var txt Text
-		txt.n = len(data)
-		for lo := 0; lo < len(data); {
-			hi := min(len(data), lo+1+r.Intn(8))
-			txt.pieces = append(txt.pieces, piece{lo, data[lo:hi:hi]})
-			lo = hi
-		}
-		lines := func(each func(Range, func([]byte, int) error) error, rg Range) string {
-			var out []string
-			each(rg, func(l []byte, off int) error {
-				out = append(out, fmt.Sprintf("%d:%s", off, l))
-				return nil
-			})
-			return fmt.Sprint(out)
-		}
+		txt := pieceText(t, r, data, 8)
 		flat := func(rg Range, fn func([]byte, int) error) error { return EachLine(data, rg, fn) }
 		for lo := 0; lo <= len(data); lo++ {
 			for hi := lo; hi <= len(data); hi++ {
 				rg := Range{lo, hi}
-				if got := txt.Slice(rg); !bytes.Equal(got, data[lo:hi]) {
-					t.Fatalf("Slice(%v) = %q, want %q", rg, got, data[lo:hi])
+				if got := txt.String(rg); got != string(data[lo:hi]) {
+					t.Fatalf("String(%v) = %q, want %q", rg, got, data[lo:hi])
+				}
+				got := make([]byte, hi-lo)
+				if n, err := txt.ReadAt(got, int64(lo)); (n != hi-lo || err != nil) && lo < len(data) || !bytes.Equal(got[:n], data[lo:lo+n]) {
+					t.Fatalf("ReadAt(%d bytes at %d) = %d, %v: %q", hi-lo, lo, n, err, got[:n])
 				}
 				if got, want := lines(txt.Lines, rg), lines(flat, rg); got != want {
 					t.Fatalf("Lines(%v) = %s, want %s", rg, got, want)
 				}
-				if sub := txt.sub(rg); sub.Len() != hi-lo || !bytes.Equal(sub.Slice(Range{0, hi - lo}), data[lo:hi]) {
-					t.Fatalf("sub(%v) reads %q", rg, sub.Slice(Range{0, sub.Len()}))
+				if got, want := txt.lastNewline(lo, hi), lo+bytes.LastIndexByte(data[lo:hi], '\n'); got != want && !(got == lo-1 && want == lo-1) {
+					t.Fatalf("lastNewline(%v) = %d, want %d", rg, got, want)
 				}
-				other := append(append([]byte(nil), data[lo:hi]...), 'x')
-				other = append([]byte{'y'}, other...)
+				sub, part := txt.Sub(rg), data[lo:hi]
+				if sub.Len() != hi-lo || sub.String(Range{0, hi - lo}) != string(part) {
+					t.Fatalf("Sub(%v) reads %q", rg, sub.String(Range{0, sub.Len()}))
+				}
+				flatSub := func(rg Range, fn func([]byte, int) error) error { return EachLine(part, rg, fn) }
+				if got, want := lines(sub.Lines, Range{0, hi - lo}), lines(flatSub, Range{0, hi - lo}); got != want {
+					t.Fatalf("Sub(%v).Lines = %s, want %s", rg, got, want)
+				}
+				other := append(append([]byte{'y'}, data[lo:hi]...), 'x')
 				k, m := 0, 0
 				for k < hi-lo && k+1 < len(other) && data[lo+k] == other[k] {
 					k++
@@ -53,16 +91,78 @@ func TestTextReadsLikeItsBytes(t *testing.T) {
 				for m < hi-lo && m < len(other) && data[hi-1-m] == other[len(other)-1-m] {
 					m++
 				}
-				if txt.prefixLen(rg, other) != k || txt.suffixLen(rg, other) != m {
-					t.Fatalf("prefixLen/suffixLen(%v) = %d/%d, want %d/%d", rg, txt.prefixLen(rg, other), txt.suffixLen(rg, other), k, m)
+				ot := TextOf(other)
+				or := Range{0, len(other)}
+				if txt.prefixLen(rg, ot, or) != k || txt.suffixLen(rg, ot, or) != m {
+					t.Fatalf("prefixLen/suffixLen(%v) = %d/%d, want %d/%d", rg, txt.prefixLen(rg, ot, or), txt.suffixLen(rg, ot, or), k, m)
 				}
-				if txt.prefixLen(rg, data[lo:hi]) != hi-lo || txt.suffixLen(rg, data[lo:hi]) != hi-lo {
+				self := TextOf(data[lo:hi])
+				if txt.prefixLen(rg, self, Range{0, hi - lo}) != hi-lo || txt.suffixLen(rg, self, Range{0, hi - lo}) != hi-lo {
 					t.Fatalf("a range is not its own prefix and suffix: %v", rg)
 				}
 			}
 			if lo < len(data) && txt.boundary(lo) != boundary(data, lo) {
 				t.Fatalf("boundary(%d) = %v", lo, txt.boundary(lo))
 			}
+			if got, want := txt.LineNo(lo), bytes.Count(data[:lo], []byte{'\n'})+1; got != want {
+				t.Fatalf("LineNo(%d) = %d, want %d", lo, got, want)
+			}
+		}
+	}
+}
+
+// TestTextReadsAcrossWindows: file pieces larger than the read window,
+// with lines that cross windows and pieces (one longer than a window),
+// read line by line and compared in both directions exactly as the flat
+// bytes do, and copy out to a file byte for byte.
+func TestTextReadsAcrossWindows(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var b bytes.Buffer
+	for b.Len() < 300<<10 {
+		n := r.Intn(200)
+		if r.Intn(50) == 0 {
+			n = 3 * chunkMax / 2
+		}
+		b.Write(bytes.Repeat([]byte{byte('a' + r.Intn(26))}, n))
+		b.WriteByte('\n')
+	}
+	data := b.Bytes()
+	txt := pieceText(t, r, data, 3*chunkMax)
+	flat := func(rg Range, fn func([]byte, int) error) error { return EachLine(data, rg, fn) }
+	dst, err := os.Create(filepath.Join(t.TempDir(), "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	for i := 0; i < 50; i++ {
+		lo := r.Intn(len(data))
+		hi := lo + r.Intn(len(data)-lo+1)
+		rg := Range{lo, hi}
+		if got, want := lines(txt.Lines, rg), lines(flat, rg); got != want {
+			t.Fatalf("Lines(%v) differ", rg)
+		}
+		if got, want := txt.lastNewline(lo, hi), lo+bytes.LastIndexByte(data[lo:hi], '\n'); got != want && !(got == lo-1 && want == lo-1) {
+			t.Fatalf("lastNewline(%v) = %d, want %d", rg, got, want)
+		}
+		ot := TextOf(data)
+		if got := txt.prefixLen(rg, ot, rg); got != hi-lo {
+			t.Fatalf("prefixLen(%v) against itself = %d", rg, got)
+		}
+		if got := txt.suffixLen(rg, ot, rg); got != hi-lo {
+			t.Fatalf("suffixLen(%v) against itself = %d", rg, got)
+		}
+		if err := dst.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.Seek(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := txt.copyTo(dst, rg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(dst.Name())
+		if err != nil || !bytes.Equal(got, data[lo:hi]) {
+			t.Fatalf("copyTo(%v) wrote %d bytes (%v), want %d", rg, len(got), err, hi-lo)
 		}
 	}
 }

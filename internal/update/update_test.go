@@ -318,18 +318,53 @@ func TestCrashRecoveryIdempotence(t *testing.T) {
 	}
 }
 
+// TestStaleUpdateFileCleaned: a transfer deletes the staging files a
+// crashed run left beside its target ("it may be incomplete"), and only
+// those: a sibling whose name merely starts with the target's survives,
+// and a target whose name holds glob metacharacters has its own debris
+// cleaned.
 func TestStaleUpdateFileCleaned(t *testing.T) {
 	a, push := rig(t)
-	// Simulate a crashed previous run leaving an incomplete staging file
-	// next to the target.
-	if err := a.WriteHostFile("/tmp/hesiod.out"+updateSuffix, []byte("partial")); err != nil {
-		t.Fatal(err)
+	stale := []string{"/tmp/hesiod.out" + updateSuffix, "/tmp/hesiod.out" + xferSuffix}
+	sibling := "/tmp/hesiod.out2" + updateSuffix
+	for _, p := range append(stale, sibling) {
+		if err := a.WriteHostFile(p, []byte("partial")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := push(map[string][]byte{"f": []byte("x")}, []string{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.ReadHostFile("/tmp/hesiod.out" + updateSuffix); !os.IsNotExist(err) {
-		t.Errorf("stale staging file survived: %v", err)
+	for _, p := range stale {
+		if _, err := a.ReadHostFile(p); !os.IsNotExist(err) {
+			t.Errorf("stale staging file %s survived: %v", p, err)
+		}
+	}
+	if got, err := a.ReadHostFile(sibling); err != nil || string(got) != "partial" {
+		t.Errorf("sibling %s sharing the target's prefix: %q, %v; want it untouched", sibling, got, err)
+	}
+
+	const odd = "/tmp/hes[iod]*?.out"
+	for _, p := range []string{odd + updateSuffix, odd + xferSuffix} {
+		if err := a.WriteHostFile(p, []byte("partial")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := BuildTar(map[string][]byte{"f": []byte("y")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Push{Addr: a.Addr().String(), Target: odd, Bundle: NewBundle(data), Timeout: 5 * time.Second}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{odd + updateSuffix, odd + xferSuffix} {
+		if _, err := a.ReadHostFile(p); !os.IsNotExist(err) {
+			t.Errorf("stale staging file %s survived: %v", p, err)
+		}
+	}
+	if got, err := a.ReadHostFile(odd); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("target %s: %d bytes, %v", odd, len(got), err)
 	}
 }
 
