@@ -17,7 +17,7 @@ import (
 // order: an exact name is a probe of the name index, a wildcard a range
 // scan of the ordered name index from the pattern's literal prefix
 // instead of a scan of the whole relation.
-func matching[R any](d *DB, n *named[R], pattern string) []*R {
+func matching[R any](d *DB, n *rowset[R], pattern string) []*R {
 	if !wildcard.HasWildcards(pattern) {
 		d.NotePoint()
 		if r, ok := n.byKey(pattern); ok {
@@ -41,33 +41,6 @@ func matching[R any](d *DB, n *named[R], pattern string) []*R {
 	return out
 }
 
-// insertKeyed adds r, filed under its own id, to n and records the
-// append: MR_INTERNAL for an id no table can hold, MR_EXISTS when the id
-// or the name is taken.
-func insertKeyed[R any](d *DB, n *named[R], id int, r *R, table string) error {
-	if !validRowID(id) {
-		return mrerr.MrInternal
-	}
-	if _, dup := n.rows.get(id); dup {
-		return mrerr.MrExists
-	}
-	return insertNamed(d, n, id, r, table)
-}
-
-// insertNamed adds r under id (-1: the next surrogate id) and records
-// the append; MR_EXISTS when the name is taken.
-func insertNamed[R any](d *DB, n *named[R], id int, r *R, table string) error {
-	if _, dup := n.byKey(n.name(r)); dup {
-		return mrerr.MrExists
-	}
-	if id < 0 {
-		id = n.rows.nextID()
-	}
-	n.insert(id, r, d.bump())
-	d.NoteAppend(table)
-	return nil
-}
-
 // Relations of plain values (mcmap, svc, alias) compare rows whole and
 // file them under surrogate ids.
 
@@ -84,37 +57,43 @@ func rowID[R comparable](t *table[R], v R) int {
 }
 
 // addRow inserts v and records the append; MR_EXISTS on an equal row.
-func addRow[R comparable](d *DB, t *table[R], v R, table string) error {
-	if rowID(t, v) >= 0 {
+func addRow[R comparable](d *DB, rel *rowRelation[R], v R) error {
+	if rowID(&rel.of(&d.relations).rows, v) >= 0 {
 		return mrerr.MrExists
 	}
-	t.put(t.nextID(), &v, d.bump())
-	d.NoteAppend(table)
+	rel.add(d, -1, &v)
 	return nil
 }
 
 // deleteRow removes the row equal to v and records the delete;
 // MR_NO_MATCH if there is none.
-func deleteRow[R comparable](d *DB, t *table[R], v R, table string) error {
-	id := rowID(t, v)
+func deleteRow[R comparable](d *DB, rel *rowRelation[R], v R) error {
+	rows := &rel.of(&d.relations).rows
+	id := rowID(rows, v)
 	if id < 0 {
 		return mrerr.MrNoMatch
 	}
-	t.del(id, d.bump())
-	d.NoteDelete(table)
+	r, _ := rows.get(id)
+	rel.drop(d, id, r)
 	return nil
 }
 
-// walkRows calls fn for every row, in the order they were added.
-func walkRows[R any](d *DB, t *table[R], fn func(R) bool) {
+// scanRows calls fn for every row of n in id order, tallied as one
+// full-relation scan; fn must not insert or delete rows.
+func scanRows[R any](d *DB, n *rowset[R], fn func(*R) bool) {
 	d.NoteScan()
-	t.each(func(r *R) bool { return fn(*r) })
+	n.rows.each(fn)
 }
 
-// deleteNamed removes r from n and records the delete.
-func deleteNamed[R any](d *DB, n *named[R], r *R, table string) {
-	n.remove(n.idOf(r), r, d.bump())
-	d.NoteDelete(table)
+// scanByName is scanRows in name order.
+func scanByName[R any](d *DB, n *rowset[R], fn func(*R) bool) {
+	d.NoteScan()
+	n.eachByName(fn)
+}
+
+// walkRows is scanRows with every row passed by value.
+func walkRows[R any](d *DB, n *rowset[R], fn func(R) bool) {
+	scanRows(d, n, func(r *R) bool { return fn(*r) })
 }
 
 // --- Users ---
@@ -146,10 +125,7 @@ func (d *DB) UsersByUID(uid int) []*User {
 // contract — backup dumps and paged retrievals depend on it — and it
 // comes from the paged table's layout, not a per-call sort. fn must not
 // insert or delete users (it iterates the live table).
-func (d *DB) EachUser(fn func(*User) bool) {
-	d.NoteScan()
-	d.users.rows.each(fn)
-}
+func (d *DB) EachUser(fn func(*User) bool) { scanRows(d, &d.users, fn) }
 
 // UsersMatchingLogin resolves a login pattern, with or without
 // wildcards, in users_id order (see matching).
@@ -176,38 +152,18 @@ func (d *DB) NumUsers() int { return d.users.rows.len() }
 // InsertUser adds a fully formed user row; the caller has already
 // allocated IDs and checked uniqueness. MR_EXISTS on duplicate login or
 // users_id.
-func (d *DB) InsertUser(u *User) error {
-	if err := insertKeyed(d, &d.users, u.UsersID, u, TUsers); err != nil {
-		return err
-	}
-	d.uids.add(uidKey(u.UID), u.UsersID, nil, d.bump())
-	return nil
-}
+func (d *DB) InsertUser(u *User) error { return usersRel.insert(d, u) }
 
 // RenameUser changes a user's login, maintaining the indexes. The
 // caller has verified the new login is free (and records the update).
-func (d *DB) RenameUser(u *User, newLogin string) {
-	d.users.rename(u, func() { u.Login = newLogin }, d.bump())
-}
+func (d *DB) RenameUser(u *User, newLogin string) { setKey(d, usersRel, u, &u.Login, newLogin) }
 
 // SetUserUID changes a user's unix uid, maintaining the uid index. The
-// caller records the update. Setting the uid a user already has changes
-// no key and so leaves the index alone.
-func (d *DB) SetUserUID(u *User, uid int) {
-	if uid == u.UID {
-		return
-	}
-	e := d.bump()
-	d.users.rows.touch(u.UsersID, u, e)
-	d.uids.move(uidKey(u.UID), uidKey(uid), u.UsersID, nil, e)
-	u.UID = uid
-}
+// caller records the update.
+func (d *DB) SetUserUID(u *User, uid int) { setKey(d, usersRel, u, &u.UID, uid) }
 
 // DeleteUser removes a user row.
-func (d *DB) DeleteUser(u *User) {
-	d.uids.remove(uidKey(u.UID), u.UsersID, d.bump())
-	deleteNamed(d, &d.users, u, TUsers)
-}
+func (d *DB) DeleteUser(u *User) { usersRel.drop(d, u.UsersID, u) }
 
 // --- Machines ---
 
@@ -225,10 +181,7 @@ func (d *DB) MachineByID(id int) (*Machine, bool) {
 
 // EachMachine calls fn for every machine in mach_id order (fn must not
 // insert or delete machines).
-func (d *DB) EachMachine(fn func(*Machine) bool) {
-	d.NoteScan()
-	d.machines.rows.each(fn)
-}
+func (d *DB) EachMachine(fn func(*Machine) bool) { scanRows(d, &d.machines, fn) }
 
 // MachinesMatchingName resolves a canonical-name pattern, with or
 // without wildcards, in mach_id order (see matching).
@@ -237,17 +190,13 @@ func (d *DB) MachinesMatchingName(pattern string) []*Machine {
 }
 
 // InsertMachine adds a machine row; MR_EXISTS on duplicates.
-func (d *DB) InsertMachine(m *Machine) error {
-	return insertKeyed(d, &d.machines, m.MachID, m, TMachine)
-}
+func (d *DB) InsertMachine(m *Machine) error { return machinesRel.insert(d, m) }
 
 // RenameMachine changes a machine's name, maintaining the indexes.
-func (d *DB) RenameMachine(m *Machine, newName string) {
-	d.machines.rename(m, func() { m.Name = newName }, d.bump())
-}
+func (d *DB) RenameMachine(m *Machine, newName string) { setKey(d, machinesRel, m, &m.Name, newName) }
 
 // DeleteMachine removes a machine row.
-func (d *DB) DeleteMachine(m *Machine) { deleteNamed(d, &d.machines, m, TMachine) }
+func (d *DB) DeleteMachine(m *Machine) { machinesRel.drop(d, m.MachID, m) }
 
 // --- Clusters ---
 
@@ -259,10 +208,7 @@ func (d *DB) ClusterByID(id int) (*Cluster, bool) { return d.clusters.rows.get(i
 
 // EachCluster calls fn for every cluster in clu_id order (fn must not
 // insert or delete clusters).
-func (d *DB) EachCluster(fn func(*Cluster) bool) {
-	d.NoteScan()
-	d.clusters.rows.each(fn)
-}
+func (d *DB) EachCluster(fn func(*Cluster) bool) { scanRows(d, &d.clusters, fn) }
 
 // ClustersMatchingName resolves a name pattern, with or without
 // wildcards, in clu_id order (see matching).
@@ -271,17 +217,13 @@ func (d *DB) ClustersMatchingName(pattern string) []*Cluster {
 }
 
 // InsertCluster adds a cluster row; MR_EXISTS on duplicates.
-func (d *DB) InsertCluster(c *Cluster) error {
-	return insertKeyed(d, &d.clusters, c.CluID, c, TCluster)
-}
+func (d *DB) InsertCluster(c *Cluster) error { return clustersRel.insert(d, c) }
 
 // RenameCluster changes a cluster's name, maintaining the indexes.
-func (d *DB) RenameCluster(c *Cluster, newName string) {
-	d.clusters.rename(c, func() { c.Name = newName }, d.bump())
-}
+func (d *DB) RenameCluster(c *Cluster, newName string) { setKey(d, clustersRel, c, &c.Name, newName) }
 
 // DeleteCluster removes a cluster row.
-func (d *DB) DeleteCluster(c *Cluster) { deleteNamed(d, &d.clusters, c, TCluster) }
+func (d *DB) DeleteCluster(c *Cluster) { clustersRel.drop(d, c.CluID, c) }
 
 // --- Machine/cluster map and service clusters ---
 
@@ -292,7 +234,7 @@ func (d *DB) EachMCMap(fn func(MCMap) bool) { walkRows(d, &d.mcmap, fn) }
 // mcID returns the id of the (machine, cluster) row, -1 if there is none.
 func (d *DB) mcID(machID, cluID int) int {
 	return d.mcOfMach.find(idKey(machID), func(id int) bool {
-		mc, ok := d.mcmap.get(id)
+		mc, ok := d.mcmap.rows.get(id)
 		return ok && mc.CluID == cluID
 	})
 }
@@ -303,18 +245,10 @@ func (d *DB) HasMCMap(machID, cluID int) bool { return d.mcID(machID, cluID) >= 
 
 // AddMCMap inserts an assignment; MR_EXISTS on duplicates.
 func (d *DB) AddMCMap(machID, cluID int) error {
-	if !validRowID(machID) || !validRowID(cluID) {
-		return mrerr.MrInternal
-	}
 	if d.HasMCMap(machID, cluID) {
 		return mrerr.MrExists
 	}
-	e, id := d.bump(), d.mcmap.nextID()
-	d.mcmap.put(id, &MCMap{MachID: machID, CluID: cluID}, e)
-	d.mcOfMach.add(idKey(machID), id, nil, e)
-	d.mcOfClu.add(idKey(cluID), id, nil, e)
-	d.NoteAppend(TMCMap)
-	return nil
+	return mcmapRel.insert(d, &MCMap{MachID: machID, CluID: cluID})
 }
 
 // DeleteMCMap removes an assignment; MR_NO_MATCH if absent.
@@ -323,11 +257,8 @@ func (d *DB) DeleteMCMap(machID, cluID int) error {
 	if id < 0 {
 		return mrerr.MrNoMatch
 	}
-	e := d.bump()
-	d.mcmap.del(id, e)
-	d.mcOfMach.remove(idKey(machID), id, e)
-	d.mcOfClu.remove(idKey(cluID), id, e)
-	d.NoteDelete(TMCMap)
+	mc, _ := d.mcmap.rows.get(id)
+	mcmapRel.drop(d, id, mc)
 	return nil
 }
 
@@ -350,7 +281,7 @@ func (d *DB) MachinesOfCluster(cluID int) []int {
 func (d *DB) mcOther(idx *hashIndex[idKey], id int, end func(*MCMap) int) []int {
 	var out []int
 	idx.under(idKey(id), func(mcID int) bool {
-		if mc, ok := d.mcmap.get(mcID); ok {
+		if mc, ok := d.mcmap.rows.get(mcID); ok {
 			out = append(out, end(mc))
 		}
 		return true
@@ -364,16 +295,16 @@ func (d *DB) mcOther(idx *hashIndex[idKey], id int, end func(*MCMap) int) []int 
 func (d *DB) EachSvc(fn func(SvcData) bool) { walkRows(d, &d.svc, fn) }
 
 // AddSvc inserts a service-cluster datum; MR_EXISTS on exact duplicates.
-func (d *DB) AddSvc(row SvcData) error { return addRow(d, &d.svc, row, TSvc) }
+func (d *DB) AddSvc(row SvcData) error { return addRow(d, svcRel, row) }
 
 // DeleteSvc removes an exactly matching service-cluster datum.
-func (d *DB) DeleteSvc(row SvcData) error { return deleteRow(d, &d.svc, row, TSvc) }
+func (d *DB) DeleteSvc(row SvcData) error { return deleteRow(d, svcRel, row) }
 
 // DeleteSvcOfCluster removes all service data for a cluster (used when
 // deleting the cluster itself).
 func (d *DB) DeleteSvcOfCluster(cluID int) {
 	var drop []int
-	d.svc.eachID(func(id int, s *SvcData) bool {
+	d.svc.rows.eachID(func(id int, s *SvcData) bool {
 		if s.CluID == cluID {
 			drop = append(drop, id)
 		}
@@ -384,7 +315,7 @@ func (d *DB) DeleteSvcOfCluster(cluID int) {
 	}
 	e := d.bump()
 	for _, id := range drop {
-		d.svc.del(id, e)
+		d.svc.rows.del(id, e)
 	}
 	d.NoteDelete(TSvc)
 }
@@ -399,22 +330,17 @@ func (d *DB) ListByID(id int) (*List, bool) { return d.lists.rows.get(id) }
 
 // EachList calls fn for every list in list_id order (fn must not insert
 // or delete lists).
-func (d *DB) EachList(fn func(*List) bool) {
-	d.NoteScan()
-	d.lists.rows.each(fn)
-}
+func (d *DB) EachList(fn func(*List) bool) { scanRows(d, &d.lists, fn) }
 
 // ListsMatchingName resolves a name pattern, with or without wildcards,
 // in list_id order (see matching).
 func (d *DB) ListsMatchingName(pattern string) []*List { return matching(d, &d.lists, pattern) }
 
 // InsertList adds a list row; MR_EXISTS on duplicates.
-func (d *DB) InsertList(l *List) error { return insertKeyed(d, &d.lists, l.ListID, l, TList) }
+func (d *DB) InsertList(l *List) error { return listsRel.insert(d, l) }
 
 // RenameList changes a list's name, maintaining the indexes.
-func (d *DB) RenameList(l *List, newName string) {
-	d.lists.rename(l, func() { l.Name = newName }, d.bump())
-}
+func (d *DB) RenameList(l *List, newName string) { setKey(d, listsRel, l, &l.Name, newName) }
 
 // DeleteList removes a list row and its membership rows.
 func (d *DB) DeleteList(l *List) {
@@ -423,7 +349,7 @@ func (d *DB) DeleteList(l *List) {
 		d.dropMembership(m, e)
 	}
 	d.members.del(l.ListID, e)
-	deleteNamed(d, &d.lists, l, TList)
+	listsRel.drop(d, l.ListID, l)
 }
 
 // dropMembership removes one membership row from the member index.
@@ -505,19 +431,13 @@ func (d *DB) ListsContaining(mtype string, mid int) []int {
 func (d *DB) ServerByName(name string) (*Server, bool) { return d.servers.byKey(name) }
 
 // EachServer calls fn for every service in name order.
-func (d *DB) EachServer(fn func(*Server) bool) {
-	d.NoteScan()
-	d.servers.eachByName(fn)
-}
+func (d *DB) EachServer(fn func(*Server) bool) { scanByName(d, &d.servers, fn) }
 
 // InsertServer adds a service row; MR_EXISTS on duplicates.
-func (d *DB) InsertServer(s *Server) error { return insertNamed(d, &d.servers, -1, s, TServers) }
+func (d *DB) InsertServer(s *Server) error { return serversRel.insert(d, s) }
 
 // DeleteServer removes a service row.
-func (d *DB) DeleteServer(s *Server) { deleteNamed(d, &d.servers, s, TServers) }
-
-// byMachID orders a service's host rows.
-func byMachID(a, b *ServerHost) int { return cmp.Compare(a.MachID, b.MachID) }
+func (d *DB) DeleteServer(s *Server) { serversRel.drop(d, serversRel.idOf(d, s), s) }
 
 // ServerHostsOf returns the host rows for a service, machine-id ordered
 // — a probe of the service index.
@@ -543,19 +463,14 @@ func (d *DB) ServerHost(service string, machID int) (*ServerHost, bool) {
 
 // EachServerHost calls fn for every serverhost row in (service, mach_id)
 // order (fn must not insert or delete rows).
-func (d *DB) EachServerHost(fn func(*ServerHost) bool) {
-	d.NoteScan()
-	d.serverHosts.eachByName(fn)
-}
+func (d *DB) EachServerHost(fn func(*ServerHost) bool) { scanByName(d, &d.serverHosts, fn) }
 
 // InsertServerHost adds a serverhost row; MR_EXISTS on duplicates.
 func (d *DB) InsertServerHost(sh *ServerHost) error {
 	if _, dup := d.ServerHost(sh.Service, sh.MachID); dup {
 		return mrerr.MrExists
 	}
-	d.serverHosts.insert(d.serverHosts.rows.nextID(), sh, d.bump())
-	d.NoteAppend(TServerHosts)
-	return nil
+	return serverHostsRel.insert(d, sh)
 }
 
 // DeleteServerHost removes a serverhost row; MR_NO_MATCH if absent.
@@ -564,8 +479,7 @@ func (d *DB) DeleteServerHost(service string, machID int) error {
 	if sh == nil {
 		return mrerr.MrNoMatch
 	}
-	d.serverHosts.remove(id, sh, d.bump())
-	d.NoteDelete(TServerHosts)
+	serverHostsRel.drop(d, id, sh)
 	return nil
 }
 
@@ -583,53 +497,35 @@ func (d *DB) FilesysByLabel(label string) []*Filesys {
 
 // EachFilesys calls fn for every filesystem in filsys_id order (fn must
 // not insert or delete rows).
-func (d *DB) EachFilesys(fn func(*Filesys) bool) {
-	d.NoteScan()
-	d.filesys.rows.each(fn)
-}
+func (d *DB) EachFilesys(fn func(*Filesys) bool) { scanRows(d, &d.filesys, fn) }
 
 // InsertFilesys adds a filesystem row; MR_EXISTS on duplicate id or
 // (label, order) pair. The duplicate check probes the label index
 // instead of scanning the relation.
 func (d *DB) InsertFilesys(f *Filesys) error {
-	if !validRowID(f.FilsysID) {
-		return mrerr.MrInternal
-	}
-	if _, dup := d.filesys.rows.get(f.FilsysID); dup {
-		return mrerr.MrExists
-	}
 	if !d.filesys.eachRow(f.Label, func(other *Filesys) bool { return other.Order != f.Order }) {
 		return mrerr.MrExists
 	}
-	d.filesys.insert(f.FilsysID, f, d.bump())
-	d.NoteAppend(TFilesys)
-	return nil
+	return filesysRel.insert(d, f)
 }
 
 // DeleteFilesys removes a filesystem row.
-func (d *DB) DeleteFilesys(f *Filesys) { deleteNamed(d, &d.filesys, f, TFilesys) }
+func (d *DB) DeleteFilesys(f *Filesys) { filesysRel.drop(d, f.FilsysID, f) }
 
 // SetFilesysLabel changes a filesystem's label, maintaining the label
 // index. The caller has checked (label, order) uniqueness and records
-// the update. Setting the label a filesystem already has changes no key
-// and so leaves the index alone.
-func (d *DB) SetFilesysLabel(f *Filesys, label string) {
-	if label != f.Label {
-		d.filesys.rename(f, func() { f.Label = label }, d.bump())
-	}
-}
+// the update.
+func (d *DB) SetFilesysLabel(f *Filesys, label string) { setKey(d, filesysRel, f, &f.Label, label) }
 
 // --- NFS physical partitions and quotas ---
 
 // NFSPhysByID finds a partition by nfsphys_id.
-func (d *DB) NFSPhysByID(id int) (*NFSPhys, bool) {
-	return d.nfsphys.get(id)
-}
+func (d *DB) NFSPhysByID(id int) (*NFSPhys, bool) { return d.nfsphys.rows.get(id) }
 
 // NFSPhysByMachDir finds a partition by server machine and directory.
 func (d *DB) NFSPhysByMachDir(machID int, dir string) (*NFSPhys, bool) {
 	var found *NFSPhys
-	d.nfsphys.each(func(p *NFSPhys) bool {
+	d.nfsphys.rows.each(func(p *NFSPhys) bool {
 		if p.MachID == machID && p.Dir == dir {
 			found = p
 		}
@@ -639,32 +535,18 @@ func (d *DB) NFSPhysByMachDir(machID int, dir string) (*NFSPhys, bool) {
 }
 
 // EachNFSPhys calls fn for every partition in nfsphys_id order.
-func (d *DB) EachNFSPhys(fn func(*NFSPhys) bool) {
-	d.NoteScan()
-	d.nfsphys.each(fn)
-}
+func (d *DB) EachNFSPhys(fn func(*NFSPhys) bool) { scanRows(d, &d.nfsphys, fn) }
 
 // InsertNFSPhys adds a partition row; MR_EXISTS on duplicates.
 func (d *DB) InsertNFSPhys(p *NFSPhys) error {
-	if !validRowID(p.NFSPhysID) {
-		return mrerr.MrInternal
-	}
-	if _, dup := d.nfsphys.get(p.NFSPhysID); dup {
-		return mrerr.MrExists
-	}
 	if _, dup := d.NFSPhysByMachDir(p.MachID, p.Dir); dup {
 		return mrerr.MrExists
 	}
-	d.nfsphys.put(p.NFSPhysID, p, d.bump())
-	d.NoteAppend(TNFSPhys)
-	return nil
+	return nfsphysRel.insert(d, p)
 }
 
 // DeleteNFSPhys removes a partition row.
-func (d *DB) DeleteNFSPhys(p *NFSPhys) {
-	d.nfsphys.del(p.NFSPhysID, d.bump())
-	d.NoteDelete(TNFSPhys)
-}
+func (d *DB) DeleteNFSPhys(p *NFSPhys) { nfsphysRel.drop(d, p.NFSPhysID, p) }
 
 // Quota rows sit under surrogate ids, indexed by filesystem and by user.
 
@@ -672,7 +554,7 @@ func (d *DB) DeleteNFSPhys(p *NFSPhys) {
 // there is none.
 func (d *DB) quotaID(usersID, filsysID int) int {
 	return d.quotasOnFS.find(idKey(filsysID), func(id int) bool {
-		q, ok := d.quotas.get(id)
+		q, ok := d.quotas.rows.get(id)
 		return ok && q.UsersID == usersID
 	})
 }
@@ -680,7 +562,7 @@ func (d *DB) quotaID(usersID, filsysID int) int {
 // quotaRows appends the rows idx files under id to dst, in key order.
 func (d *DB) quotaRows(dst []*NFSQuota, idx *hashIndex[idKey], id int, key func(*NFSQuota) int) []*NFSQuota {
 	idx.under(idKey(id), func(qid int) bool {
-		if q, ok := d.quotas.get(qid); ok {
+		if q, ok := d.quotas.rows.get(qid); ok {
 			dst = append(dst, q)
 		}
 		return true
@@ -692,13 +574,19 @@ func (d *DB) quotaRows(dst []*NFSQuota, idx *hashIndex[idKey], id int, key func(
 // QuotaOf finds the quota row for (user, filesystem) — a probe of the
 // filesystem's quotas.
 func (d *DB) QuotaOf(usersID, filsysID int) (*NFSQuota, bool) {
-	return d.quotas.get(d.quotaID(usersID, filsysID))
+	return d.quotas.rows.get(d.quotaID(usersID, filsysID))
 }
 
 // EachQuota calls fn for every quota row in (filsys, user) order (fn
 // must not insert or delete rows).
 func (d *DB) EachQuota(fn func(*NFSQuota) bool) {
 	d.NoteScan()
+	quotaOrder(d, &d.quotas, fn)
+}
+
+// quotaOrder walks the quota rows in (filsys, user) order: the quota
+// relation's dump order.
+func quotaOrder(d *DB, _ *rowset[NFSQuota], fn func(*NFSQuota) bool) {
 	var rows []*NFSQuota
 	d.quotasOnFS.eachID(func(filsysID int, _ *[]entry[idKey]) bool {
 		rows = d.quotaRows(rows[:0], &d.quotasOnFS, filsysID, func(q *NFSQuota) int { return q.UsersID })
@@ -713,18 +601,10 @@ func (d *DB) EachQuota(fn func(*NFSQuota) bool) {
 
 // InsertQuota adds a quota row; MR_EXISTS on duplicates.
 func (d *DB) InsertQuota(q *NFSQuota) error {
-	if !validRowID(q.UsersID) || !validRowID(q.FilsysID) {
-		return mrerr.MrInternal
-	}
 	if d.quotaID(q.UsersID, q.FilsysID) >= 0 {
 		return mrerr.MrExists
 	}
-	e, id := d.bump(), d.quotas.nextID()
-	d.quotas.put(id, q, e)
-	d.quotasOnFS.add(idKey(q.FilsysID), id, nil, e)
-	d.quotasOfUser.add(idKey(q.UsersID), id, nil, e)
-	d.NoteAppend(TNFSQuota)
-	return nil
+	return quotasRel.insert(d, q)
 }
 
 // DeleteQuota removes a quota row; MR_NO_MATCH if absent.
@@ -733,11 +613,8 @@ func (d *DB) DeleteQuota(usersID, filsysID int) error {
 	if id < 0 {
 		return mrerr.MrNoMatch
 	}
-	e := d.bump()
-	d.quotas.del(id, e)
-	d.quotasOnFS.remove(idKey(filsysID), id, e)
-	d.quotasOfUser.remove(idKey(usersID), id, e)
-	d.NoteDelete(TNFSQuota)
+	q, _ := d.quotas.rows.get(id)
+	quotasRel.drop(d, id, q)
 	return nil
 }
 
@@ -754,55 +631,37 @@ func (d *DB) QuotasOfUser(usersID int) []*NFSQuota {
 func (d *DB) ZephyrByClass(class string) (*ZephyrClass, bool) { return d.zephyr.byKey(class) }
 
 // EachZephyr calls fn for every zephyr class in name order.
-func (d *DB) EachZephyr(fn func(*ZephyrClass) bool) {
-	d.NoteScan()
-	d.zephyr.eachByName(fn)
-}
+func (d *DB) EachZephyr(fn func(*ZephyrClass) bool) { scanByName(d, &d.zephyr, fn) }
 
 // InsertZephyr adds a class row; MR_EXISTS on duplicates.
-func (d *DB) InsertZephyr(z *ZephyrClass) error { return insertNamed(d, &d.zephyr, -1, z, TZephyr) }
+func (d *DB) InsertZephyr(z *ZephyrClass) error { return zephyrRel.insert(d, z) }
 
 // RenameZephyr changes a class's name.
 func (d *DB) RenameZephyr(z *ZephyrClass, newClass string) {
-	d.zephyr.rename(z, func() { z.Class = newClass }, d.bump())
+	setKey(d, zephyrRel, z, &z.Class, newClass)
 }
 
 // DeleteZephyr removes a class row.
-func (d *DB) DeleteZephyr(z *ZephyrClass) { deleteNamed(d, &d.zephyr, z, TZephyr) }
+func (d *DB) DeleteZephyr(z *ZephyrClass) { zephyrRel.drop(d, zephyrRel.idOf(d, z), z) }
 
 // --- Host access ---
 
 // HostAccessOf finds the hostaccess row for a machine.
-func (d *DB) HostAccessOf(machID int) (*HostAccess, bool) {
-	return d.hostaccess.get(machID)
-}
+func (d *DB) HostAccessOf(machID int) (*HostAccess, bool) { return d.hostaccess.rows.get(machID) }
 
 // EachHostAccess calls fn for every hostaccess row in mach_id order.
-func (d *DB) EachHostAccess(fn func(*HostAccess) bool) {
-	d.NoteScan()
-	d.hostaccess.each(fn)
-}
+func (d *DB) EachHostAccess(fn func(*HostAccess) bool) { scanRows(d, &d.hostaccess, fn) }
 
 // InsertHostAccess adds a row; MR_EXISTS on duplicates.
-func (d *DB) InsertHostAccess(h *HostAccess) error {
-	if !validRowID(h.MachID) {
-		return mrerr.MrInternal
-	}
-	if _, dup := d.hostaccess.get(h.MachID); dup {
-		return mrerr.MrExists
-	}
-	d.hostaccess.put(h.MachID, h, d.bump())
-	d.NoteAppend(THostAccess)
-	return nil
-}
+func (d *DB) InsertHostAccess(h *HostAccess) error { return hostAccessRel.insert(d, h) }
 
 // DeleteHostAccess removes the row for a machine; MR_NO_MATCH if absent.
 func (d *DB) DeleteHostAccess(machID int) error {
-	if _, ok := d.hostaccess.get(machID); !ok {
+	h, ok := d.hostaccess.rows.get(machID)
+	if !ok {
 		return mrerr.MrNoMatch
 	}
-	d.hostaccess.del(machID, d.bump())
-	d.NoteDelete(THostAccess)
+	hostAccessRel.drop(d, machID, h)
 	return nil
 }
 
@@ -824,15 +683,12 @@ func (d *DB) InternString(s string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return id, insertKeyed(d, &d.strings, id, &StringRec{StringID: id, String: s}, TStrings)
+	return id, stringsRel.insert(d, &StringRec{StringID: id, String: s})
 }
 
 // EachString calls fn for every string row in id order (fn must not
 // intern new strings).
-func (d *DB) EachString(fn func(*StringRec) bool) {
-	d.NoteScan()
-	d.strings.rows.each(fn)
-}
+func (d *DB) EachString(fn func(*StringRec) bool) { scanRows(d, &d.strings, fn) }
 
 // --- Network services ---
 
@@ -840,16 +696,13 @@ func (d *DB) EachString(fn func(*StringRec) bool) {
 func (d *DB) ServiceByName(name string) (*Service, bool) { return d.services.byKey(name) }
 
 // EachService calls fn for every service in name order.
-func (d *DB) EachService(fn func(*Service) bool) {
-	d.NoteScan()
-	d.services.eachByName(fn)
-}
+func (d *DB) EachService(fn func(*Service) bool) { scanByName(d, &d.services, fn) }
 
 // InsertService adds a service definition; MR_EXISTS on duplicates.
-func (d *DB) InsertService(s *Service) error { return insertNamed(d, &d.services, -1, s, TServices) }
+func (d *DB) InsertService(s *Service) error { return servicesRel.insert(d, s) }
 
 // DeleteService removes a service definition.
-func (d *DB) DeleteService(s *Service) { deleteNamed(d, &d.services, s, TServices) }
+func (d *DB) DeleteService(s *Service) { servicesRel.drop(d, servicesRel.idOf(d, s), s) }
 
 // --- Printers ---
 
@@ -857,10 +710,7 @@ func (d *DB) DeleteService(s *Service) { deleteNamed(d, &d.services, s, TService
 func (d *DB) PrintcapByName(name string) (*Printcap, bool) { return d.printcaps.byKey(name) }
 
 // EachPrintcap calls fn for every printer in name order.
-func (d *DB) EachPrintcap(fn func(*Printcap) bool) {
-	d.NoteScan()
-	d.printcaps.eachByName(fn)
-}
+func (d *DB) EachPrintcap(fn func(*Printcap) bool) { scanByName(d, &d.printcaps, fn) }
 
 // PrintcapOnMachine reports whether any printer spools on the machine:
 // a scan in no particular order, which needs no name-order cache.
@@ -875,10 +725,10 @@ func (d *DB) PrintcapOnMachine(machID int) bool {
 }
 
 // InsertPrintcap adds a printer; MR_EXISTS on duplicates.
-func (d *DB) InsertPrintcap(p *Printcap) error { return insertNamed(d, &d.printcaps, -1, p, TPrintcap) }
+func (d *DB) InsertPrintcap(p *Printcap) error { return printcapsRel.insert(d, p) }
 
 // DeletePrintcap removes a printer.
-func (d *DB) DeletePrintcap(p *Printcap) { deleteNamed(d, &d.printcaps, p, TPrintcap) }
+func (d *DB) DeletePrintcap(p *Printcap) { printcapsRel.drop(d, printcapsRel.idOf(d, p), p) }
 
 // --- Capability ACLs ---
 
@@ -893,15 +743,11 @@ func (d *DB) SetCapACL(capability, tag string, listID int) {
 		d.noteUpdate(TCapACLs)
 		return
 	}
-	d.capacls.insert(d.capacls.rows.nextID(), c, d.bump())
-	d.NoteAppend(TCapACLs)
+	capACLsRel.add(d, -1, c)
 }
 
 // EachCapACL calls fn for every capability row in name order.
-func (d *DB) EachCapACL(fn func(*CapACL) bool) {
-	d.NoteScan()
-	d.capacls.eachByName(fn)
-}
+func (d *DB) EachCapACL(fn func(*CapACL) bool) { scanByName(d, &d.capacls, fn) }
 
 // --- Aliases ---
 
@@ -911,30 +757,17 @@ func (d *DB) EachAlias(fn func(Alias) bool) { walkRows(d, &d.aliases, fn) }
 
 // HasAlias reports whether the exact triple exists.
 func (d *DB) HasAlias(name, typ, trans string) bool {
-	return rowID(&d.aliases, Alias{Name: name, Type: typ, Trans: trans}) >= 0
+	return rowID(&d.aliases.rows, Alias{Name: name, Type: typ, Trans: trans}) >= 0
 }
 
 // AddAlias inserts an alias triple; MR_EXISTS on exact duplicates.
 func (d *DB) AddAlias(name, typ, trans string) error {
-	return addRow(d, &d.aliases, Alias{Name: name, Type: typ, Trans: trans}, TAlias)
+	return addRow(d, aliasesRel, Alias{Name: name, Type: typ, Trans: trans})
 }
 
 // DeleteAlias removes an exactly matching alias triple.
 func (d *DB) DeleteAlias(name, typ, trans string) error {
-	return deleteRow(d, &d.aliases, Alias{Name: name, Type: typ, Trans: trans}, TAlias)
-}
-
-// AliasTranslations returns the translations of (name, type), used for
-// type checking ("is VAX a registered mach_type?").
-func (d *DB) AliasTranslations(name, typ string) []string {
-	var out []string
-	d.aliases.each(func(a *Alias) bool {
-		if a.Name == name && a.Type == typ {
-			out = append(out, a.Trans)
-		}
-		return true
-	})
-	return out
+	return deleteRow(d, aliasesRel, Alias{Name: name, Type: typ, Trans: trans})
 }
 
 // IsValidType reports whether value is registered as a TYPE alias

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"moira/internal/clock"
@@ -18,651 +17,40 @@ import (
 // disaster-recovery mechanism (section 5.2.2) because the binary database
 // can corrupt silently; the ASCII files cannot.
 
-// tableIO describes how to dump and load one relation.
-type tableIO struct {
-	name string
-	dump func(d *DB) [][]string
-	load func(d *DB, fields []string) error
-}
-
-func b2s(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
-}
-
-func s2b(s string) bool { return s != "0" && s != "" }
-
-func i2s(i int) string { return strconv.Itoa(i) }
-
-func i642s(i int64) string { return strconv.FormatInt(i, 10) }
-
-func modFields(m ModInfo) []string { return []string{i642s(m.Time), m.By, m.With} }
-
-type fieldReader struct {
-	fields []string
-	i      int
-	err    error
-}
-
-func (r *fieldReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	if r.i >= len(r.fields) {
-		r.err = fmt.Errorf("db: row too short (%d fields)", len(r.fields))
-		return ""
-	}
-	s := r.fields[r.i]
-	r.i++
-	return s
-}
-
-func (r *fieldReader) int() int {
-	s := r.str()
-	if r.err != nil {
-		return 0
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		r.err = fmt.Errorf("db: bad integer %q", s)
-	}
-	return v
-}
-
-func (r *fieldReader) int64() int64 {
-	s := r.str()
-	if r.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		r.err = fmt.Errorf("db: bad integer %q", s)
-	}
-	return v
-}
-
-func (r *fieldReader) bool() bool { return s2b(r.str()) }
-
-func (r *fieldReader) mod() ModInfo {
-	return ModInfo{Time: r.int64(), By: r.str(), With: r.str()}
-}
-
-func (r *fieldReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.i != len(r.fields) {
-		return fmt.Errorf("db: row too long: %d fields, consumed %d", len(r.fields), r.i)
-	}
-	return nil
-}
-
-var tableIOs = []tableIO{
-	{
-		name: TUsers,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachUser(func(u *User) bool {
-				row := []string{
-					i2s(u.UsersID), u.Login, i2s(u.UID), u.Shell, u.Last, u.First,
-					u.Middle, i2s(u.Status), u.MITID, u.MITYear,
-				}
-				row = append(row, modFields(u.Mod)...)
-				row = append(row, u.Fullname, u.Nickname, u.HomeAddr, u.HomePhone,
-					u.OfficeAddr, u.OfficePhone, u.MITDept, u.MITAffil)
-				row = append(row, modFields(u.FMod)...)
-				row = append(row, u.PoType, i2s(u.PopID), i2s(u.BoxID))
-				row = append(row, modFields(u.PMod)...)
-				rows = append(rows, row)
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			u := &User{
-				UsersID: r.int(), Login: r.str(), UID: r.int(), Shell: r.str(),
-				Last: r.str(), First: r.str(), Middle: r.str(), Status: r.int(),
-				MITID: r.str(), MITYear: r.str(), Mod: r.mod(),
-				Fullname: r.str(), Nickname: r.str(), HomeAddr: r.str(),
-				HomePhone: r.str(), OfficeAddr: r.str(), OfficePhone: r.str(),
-				MITDept: r.str(), MITAffil: r.str(), FMod: r.mod(),
-				PoType: r.str(), PopID: r.int(), BoxID: r.int(), PMod: r.mod(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.users.rows, u.UsersID, u)
-		},
-	},
-	{
-		name: TMachine,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachMachine(func(m *Machine) bool {
-				rows = append(rows, append([]string{i2s(m.MachID), m.Name, m.Type}, modFields(m.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			m := &Machine{MachID: r.int(), Name: r.str(), Type: r.str(), Mod: r.mod()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.machines.rows, m.MachID, m)
-		},
-	},
-	{
-		name: TCluster,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachCluster(func(c *Cluster) bool {
-				rows = append(rows, append([]string{i2s(c.CluID), c.Name, c.Desc, c.Location}, modFields(c.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			c := &Cluster{CluID: r.int(), Name: r.str(), Desc: r.str(), Location: r.str(), Mod: r.mod()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.clusters.rows, c.CluID, c)
-		},
-	},
-	{
-		name: TMCMap,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.mcmap.each(func(m *MCMap) bool {
-				rows = append(rows, []string{i2s(m.MachID), i2s(m.CluID)})
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			m := MCMap{MachID: r.int(), CluID: r.int()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			if !validRowID(m.MachID) || !validRowID(m.CluID) {
-				return fmt.Errorf("db: row id out of range")
-			}
-			return loadRow(d, &d.mcmap, d.mcmap.nextID(), &m)
-		},
-	},
-	{
-		name: TSvc,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.svc.each(func(s *SvcData) bool {
-				rows = append(rows, []string{i2s(s.CluID), s.ServLabel, s.ServCluster})
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			s := SvcData{CluID: r.int(), ServLabel: r.str(), ServCluster: r.str()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.svc, d.svc.nextID(), &s)
-		},
-	},
-	{
-		name: TList,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachList(func(l *List) bool {
-				row := []string{
-					i2s(l.ListID), l.Name, b2s(l.Active), b2s(l.Public), b2s(l.Hidden),
-					b2s(l.Maillist), b2s(l.Group), i2s(l.GID), l.Desc, l.ACLType, i2s(l.ACLID),
-				}
-				rows = append(rows, append(row, modFields(l.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			l := &List{
-				ListID: r.int(), Name: r.str(), Active: r.bool(), Public: r.bool(),
-				Hidden: r.bool(), Maillist: r.bool(), Group: r.bool(), GID: r.int(),
-				Desc: r.str(), ACLType: r.str(), ACLID: r.int(), Mod: r.mod(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.lists.rows, l.ListID, l)
-		},
-	},
-	{
-		name: TMembers,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachMembership(func(m Member) bool {
-				rows = append(rows, []string{i2s(m.ListID), m.MemberType, i2s(m.MemberID)})
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			m := Member{ListID: r.int(), MemberType: r.str(), MemberID: r.int()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			if !validRowID(m.ListID) || !validRowID(m.MemberID) {
-				return fmt.Errorf("db: row id out of range")
-			}
-			push(&d.members, m.ListID, m, d.bump())
-			return nil
-		},
-	},
-	{
-		name: TServers,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachServer(func(s *Server) bool {
-				row := []string{
-					s.Name, i2s(s.UpdateInt), s.TargetFile, s.Script,
-					i642s(s.DFGen), i642s(s.DFCheck), s.Type, b2s(s.Enable),
-					b2s(s.InProgress), i2s(s.HardError), s.ErrMsg, s.ACLType, i2s(s.ACLID),
-				}
-				rows = append(rows, append(row, modFields(s.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			s := &Server{
-				Name: r.str(), UpdateInt: r.int(), TargetFile: r.str(), Script: r.str(),
-				DFGen: r.int64(), DFCheck: r.int64(), Type: r.str(), Enable: r.bool(),
-				InProgress: r.bool(), HardError: r.int(), ErrMsg: r.str(),
-				ACLType: r.str(), ACLID: r.int(), Mod: r.mod(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.servers.upsert(s, d.bump())
-			return nil
-		},
-	},
-	{
-		name: TServerHosts,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachServerHost(func(sh *ServerHost) bool {
-				row := []string{
-					sh.Service, i2s(sh.MachID), b2s(sh.Enable), b2s(sh.Override),
-					b2s(sh.Success), b2s(sh.InProgress), i2s(sh.HostError), sh.HostErrMsg,
-					i642s(sh.LastTry), i642s(sh.LastSuccess),
-					i2s(sh.Value1), i2s(sh.Value2), sh.Value3,
-				}
-				rows = append(rows, append(row, modFields(sh.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			sh := &ServerHost{
-				Service: r.str(), MachID: r.int(), Enable: r.bool(), Override: r.bool(),
-				Success: r.bool(), InProgress: r.bool(), HostError: r.int(),
-				HostErrMsg: r.str(), LastTry: r.int64(), LastSuccess: r.int64(),
-				Value1: r.int(), Value2: r.int(), Value3: r.str(), Mod: r.mod(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.serverHosts.insert(d.serverHosts.rows.nextID(), sh, d.bump())
-			return nil
-		},
-	},
-	{
-		name: TFilesys,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachFilesys(func(fs *Filesys) bool {
-				row := []string{
-					i2s(fs.FilsysID), fs.Label, i2s(fs.Order), i2s(fs.PhysID), fs.Type,
-					i2s(fs.MachID), fs.Name, fs.Mount, fs.Access, fs.Comments,
-					i2s(fs.Owner), i2s(fs.Owners), b2s(fs.CreateFlg), fs.LockerType,
-				}
-				rows = append(rows, append(row, modFields(fs.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			fs := &Filesys{
-				FilsysID: r.int(), Label: r.str(), Order: r.int(), PhysID: r.int(),
-				Type: r.str(), MachID: r.int(), Name: r.str(), Mount: r.str(),
-				Access: r.str(), Comments: r.str(), Owner: r.int(), Owners: r.int(),
-				CreateFlg: r.bool(), LockerType: r.str(), Mod: r.mod(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.filesys.rows, fs.FilsysID, fs)
-		},
-	},
-	{
-		name: TNFSPhys,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachNFSPhys(func(p *NFSPhys) bool {
-				row := []string{
-					i2s(p.NFSPhysID), i2s(p.MachID), p.Dir, p.Device, i2s(p.Status),
-					i2s(p.Allocated), i2s(p.Size),
-				}
-				rows = append(rows, append(row, modFields(p.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			p := &NFSPhys{
-				NFSPhysID: r.int(), MachID: r.int(), Dir: r.str(), Device: r.str(),
-				Status: r.int(), Allocated: r.int(), Size: r.int(), Mod: r.mod(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.nfsphys, p.NFSPhysID, p)
-		},
-	},
-	{
-		name: TNFSQuota,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachQuota(func(q *NFSQuota) bool {
-				row := []string{i2s(q.UsersID), i2s(q.FilsysID), i2s(q.PhysID), i2s(q.Quota)}
-				rows = append(rows, append(row, modFields(q.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			q := &NFSQuota{UsersID: r.int(), FilsysID: r.int(), PhysID: r.int(), Quota: r.int(), Mod: r.mod()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			if !validRowID(q.UsersID) || !validRowID(q.FilsysID) {
-				return fmt.Errorf("db: row id out of range")
-			}
-			return loadRow(d, &d.quotas, d.quotas.nextID(), q)
-		},
-	},
-	{
-		name: TZephyr,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachZephyr(func(z *ZephyrClass) bool {
-				row := []string{
-					z.Class, z.XmtType, i2s(z.XmtID), z.SubType, i2s(z.SubID),
-					z.IwsType, i2s(z.IwsID), z.IuiType, i2s(z.IuiID),
-				}
-				rows = append(rows, append(row, modFields(z.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			z := &ZephyrClass{
-				Class: r.str(), XmtType: r.str(), XmtID: r.int(), SubType: r.str(),
-				SubID: r.int(), IwsType: r.str(), IwsID: r.int(), IuiType: r.str(),
-				IuiID: r.int(), Mod: r.mod(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.zephyr.upsert(z, d.bump())
-			return nil
-		},
-	},
-	{
-		name: THostAccess,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachHostAccess(func(h *HostAccess) bool {
-				row := []string{i2s(h.MachID), h.ACLType, i2s(h.ACLID)}
-				rows = append(rows, append(row, modFields(h.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			h := &HostAccess{MachID: r.int(), ACLType: r.str(), ACLID: r.int(), Mod: r.mod()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.hostaccess, h.MachID, h)
-		},
-	},
-	{
-		name: TStrings,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachString(func(s *StringRec) bool {
-				rows = append(rows, []string{i2s(s.StringID), s.String})
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			s := &StringRec{StringID: r.int(), String: r.str()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.strings.rows, s.StringID, s)
-		},
-	},
-	{
-		name: TServices,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachService(func(s *Service) bool {
-				row := []string{s.Name, s.Protocol, i2s(s.Port), s.Desc}
-				rows = append(rows, append(row, modFields(s.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			s := &Service{Name: r.str(), Protocol: r.str(), Port: r.int(), Desc: r.str(), Mod: r.mod()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.services.upsert(s, d.bump())
-			return nil
-		},
-	},
-	{
-		name: TPrintcap,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachPrintcap(func(p *Printcap) bool {
-				row := []string{p.Name, i2s(p.MachID), p.Dir, p.RP, p.Comments}
-				rows = append(rows, append(row, modFields(p.Mod)...))
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			p := &Printcap{Name: r.str(), MachID: r.int(), Dir: r.str(), RP: r.str(), Comments: r.str(), Mod: r.mod()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.printcaps.upsert(p, d.bump())
-			return nil
-		},
-	},
-	{
-		name: TCapACLs,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.EachCapACL(func(c *CapACL) bool {
-				rows = append(rows, []string{c.Capability, c.Tag, i2s(c.ListID)})
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			c := &CapACL{Capability: r.str(), Tag: r.str(), ListID: r.int()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.capacls.upsert(c, d.bump())
-			return nil
-		},
-	},
-	{
-		name: TAlias,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.aliases.each(func(a *Alias) bool {
-				rows = append(rows, []string{a.Name, a.Type, a.Trans})
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			a := Alias{Name: r.str(), Type: r.str(), Trans: r.str()}
-			if err := r.done(); err != nil {
-				return err
-			}
-			return loadRow(d, &d.aliases, d.aliases.nextID(), &a)
-		},
-	},
-	{
-		name: TValues,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			d.values.eachByName(func(v *value) bool {
-				rows = append(rows, []string{v.Name, i2s(v.Value)})
-				return true
-			})
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			name, v := r.str(), r.int()
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.values.upsert(&value{name, v}, d.bump())
-			return nil
-		},
-	},
-	{
-		name: TTblStats,
-		dump: func(d *DB) [][]string {
-			var rows [][]string
-			for _, s := range d.AllStats() {
-				rows = append(rows, []string{
-					s.Table, i642s(s.ModTime), i2s(s.Retrieves), i2s(s.Appends),
-					i2s(s.Updates), i2s(s.Deletes),
-				})
-			}
-			return rows
-		},
-		load: func(d *DB, f []string) error {
-			r := &fieldReader{fields: f}
-			s := &TblStat{
-				Table: r.str(), ModTime: r.int64(), Retrieves: r.int(),
-				Appends: r.int(), Updates: r.int(), Deletes: r.int(),
-			}
-			if err := r.done(); err != nil {
-				return err
-			}
-			d.stats.upsert(s, d.bump())
-			return nil
-		},
-	},
-}
-
-// loadRow installs one loaded row under id. A later row with the same id
-// replaces an earlier one; an id no table can hold is a corrupt dump.
-// Relations filed under surrogate ids load with the next one, or by
-// name (named.upsert: a later row with the same name replaces an
-// earlier one).
-func loadRow[R any](d *DB, rows *table[R], id int, r *R) error {
-	if !validRowID(id) {
-		return fmt.Errorf("db: row id %d out of range", id)
-	}
-	rows.put(id, r, d.bump())
-	return nil
-}
-
-// DumpTable writes one relation to w in backup format. Caller must hold
-// at least the shared lock.
+// DumpTable writes one relation to w in backup format, each row as its
+// columns method lists it, escaped straight into the buffered writer.
+// Caller must hold at least the shared lock.
 func (d *DB) DumpTable(name string, w io.Writer) error {
-	for _, t := range tableIOs {
-		if t.name != name {
-			continue
-		}
-		bw := bufio.NewWriter(w)
-		for _, row := range t.dump(d) {
-			if _, err := fmt.Fprintln(bw, EncodeRow(row)); err != nil {
+	for _, rel := range relationList {
+		if rel.tableName() == name {
+			bw := bufio.NewWriter(w)
+			if err := rel.dump(d, &fields{}, bw); err != nil {
 				return err
 			}
+			return bw.Flush()
 		}
-		return bw.Flush()
 	}
 	return fmt.Errorf("db: unknown table %q", name)
 }
 
-// LoadTable reads one relation from r in backup format, appending its
-// rows. Caller must hold the exclusive lock. The loaders install rows
-// only, so the derived indexes are re-derived afterwards — index state
-// is never persisted, it is always rebuilt from loaded rows.
-func (d *DB) LoadTable(name string, r io.Reader) error {
-	for _, t := range tableIOs {
-		if t.name != name {
+// loadTable reads one relation from r in backup format, appending its
+// rows. Caller must hold the exclusive lock. It installs rows only (and
+// the name index an upsert needs); the caller derives the indexes once
+// every table is in (rebuildIndexes): index state is never persisted, it
+// is always rebuilt from loaded rows.
+func (d *DB) loadTable(rel relation, r io.Reader) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	f := &fields{}
+	for lineno := 1; sc.Scan(); lineno++ {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		lineno := 0
-		for sc.Scan() {
-			lineno++
-			if sc.Text() == "" {
-				continue
-			}
-			fields, err := DecodeRow(sc.Text())
-			if err != nil {
-				return fmt.Errorf("db: %s line %d: %w", name, lineno, err)
-			}
-			if err := t.load(d, fields); err != nil {
-				return fmt.Errorf("db: %s line %d: %w", name, lineno, err)
-			}
+		if err := rel.load(d, f, sc.Bytes()); err != nil {
+			return fmt.Errorf("db: %s line %d: %w", rel.tableName(), lineno, err)
 		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		d.rebuildIndexes()
-		return nil
 	}
-	return fmt.Errorf("db: unknown table %q", name)
+	return sc.Err()
 }
 
 // dumpSnapshotLocked writes every relation plus a MANIFEST into dir
@@ -670,18 +58,18 @@ func (d *DB) LoadTable(name string, r io.Reader) error {
 // the shared lock. gen and journalSeq are recorded in the manifest.
 func (d *DB) dumpSnapshotLocked(dir string, gen, journalSeq int64) error {
 	m := &Manifest{Generation: gen, Time: d.Now(), JournalSeq: journalSeq}
-	for i, t := range tableIOs {
-		if i == len(tableIOs)/2 {
+	for i, rel := range relationList {
+		if i == len(relationList)/2 {
 			if err := fireCrash("checkpoint.midtables"); err != nil {
 				return err
 			}
 		}
-		f, err := os.Create(filepath.Join(dir, t.name))
+		f, err := os.Create(filepath.Join(dir, rel.tableName()))
 		if err != nil {
 			return err
 		}
 		hw := &hashingWriter{w: f, h: sha256.New()}
-		err = d.DumpTable(t.name, hw)
+		err = d.DumpTable(rel.tableName(), hw)
 		if serr := f.Sync(); err == nil {
 			err = serr
 		}
@@ -691,7 +79,7 @@ func (d *DB) dumpSnapshotLocked(dir string, gen, journalSeq int64) error {
 		if err != nil {
 			return err
 		}
-		m.Tables = append(m.Tables, ManifestTable{Name: t.name, SHA: hw.sum(), Rows: hw.rows})
+		m.Tables = append(m.Tables, ManifestTable{Name: rel.tableName(), SHA: hw.sum(), Rows: hw.rows})
 	}
 	return WriteManifest(dir, m)
 }
@@ -813,20 +201,21 @@ func Restore(dir string, clk clock.Clock) (*DB, error) {
 	}
 	d := New(clk)
 	// Clear the seeded values so the dump's values relation governs.
-	d.values = newRelations().values
+	valuesRel.init(&d.relations)
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	for _, t := range tableIOs {
-		f, err := os.Open(filepath.Join(dir, t.name))
+	for _, rel := range relationList {
+		f, err := os.Open(filepath.Join(dir, rel.tableName()))
 		if err != nil {
 			return nil, err
 		}
-		err = d.LoadTable(t.name, f)
+		err = d.loadTable(rel, f)
 		f.Close()
 		if err != nil {
 			return nil, err
 		}
 	}
+	d.rebuildIndexes()
 	// The in-memory change sequence restarts at zero, but the dump may
 	// carry the DCM's stored generation sequences; advance past them so
 	// post-restore changes are never mistaken for "already generated".

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"cmp"
 	"io"
 	"slices"
 	"sync"
@@ -38,12 +37,7 @@ const (
 )
 
 // AllTables lists every relation in a stable order (the backup order).
-var AllTables = []string{
-	TUsers, TMachine, TCluster, TMCMap, TSvc, TList, TMembers,
-	TServers, TServerHosts, TFilesys, TNFSPhys, TNFSQuota, TZephyr,
-	THostAccess, TStrings, TServices, TPrintcap, TCapACLs, TAlias,
-	TValues, TTblStats,
-}
+var AllTables = tableNames()
 
 // DB is the Moira database. All fields are guarded by the single lock;
 // accessor methods document whether the caller needs a shared or
@@ -101,39 +95,40 @@ type DB struct {
 // their own are filed under it; the others under surrogate ids, which
 // live in memory only and are assigned in insertion or load order, so
 // an id-order walk is the order the rows came in. The indexes are
-// derived from the rows (rebuildIndexes).
+// derived from the rows (rebuildIndexes). Each relation, with its
+// indexes, is declared in relationList (relation.go).
 type relations struct {
-	users    named[User]       // by users_id; login index
+	users    rowset[User]      // by users_id; login index
 	uids     hashIndex[uidKey] // uid -> users_ids
-	machines named[Machine]    // by mach_id; name index
-	clusters named[Cluster]    // by clu_id; name index
-	mcmap    table[MCMap]      // surrogate ids
+	machines rowset[Machine]   // by mach_id; name index
+	clusters rowset[Cluster]   // by clu_id; name index
+	mcmap    rowset[MCMap]     // surrogate ids
 	mcOfMach hashIndex[idKey]  // mach_id -> mcmap ids
 	mcOfClu  hashIndex[idKey]  // clu_id -> mcmap ids
-	svc      table[SvcData]    // surrogate ids
+	svc      rowset[SvcData]   // surrogate ids
 
-	lists    named[List]                        // by list_id; name index
+	lists    rowset[List]                       // by list_id; name index
 	members  table[[]Member]                    // list_id -> the list's membership rows
 	memberOf [len(memberTypes)]hashIndex[idKey] // member id -> list ids, per member type
 
-	servers     named[Server]     // surrogate ids; name index
-	serverHosts named[ServerHost] // surrogate ids; service index
+	servers     rowset[Server]     // surrogate ids; name index
+	serverHosts rowset[ServerHost] // surrogate ids; service index
 
-	filesys      named[Filesys] // by filsys_id; label index (not unique)
-	nfsphys      table[NFSPhys]
-	quotas       table[NFSQuota]  // surrogate ids
+	filesys      rowset[Filesys]  // by filsys_id; label index (not unique)
+	nfsphys      rowset[NFSPhys]  // by nfsphys_id
+	quotas       rowset[NFSQuota] // surrogate ids
 	quotasOnFS   hashIndex[idKey] // filsys_id -> quota ids
 	quotasOfUser hashIndex[idKey] // users_id -> quota ids
 
-	zephyr     named[ZephyrClass] // surrogate ids; class index
-	hostaccess table[HostAccess]  // by mach_id
-	strings    named[StringRec]   // by string id; value index
-	services   named[Service]     // surrogate ids; name index
-	printcaps  named[Printcap]    // surrogate ids; name index
-	capacls    named[CapACL]      // surrogate ids; capability index
-	aliases    table[Alias]       // surrogate ids
-	values     named[value]       // surrogate ids; name index
-	stats      named[TblStat]     // surrogate ids; table-name index
+	zephyr     rowset[ZephyrClass] // surrogate ids; class index
+	hostaccess rowset[HostAccess]  // by mach_id
+	strings    rowset[StringRec]   // by string id; value index
+	services   rowset[Service]     // surrogate ids; name index
+	printcaps  rowset[Printcap]    // surrogate ids; name index
+	capacls    rowset[CapACL]      // surrogate ids; capability index
+	aliases    rowset[Alias]       // surrogate ids
+	values     rowset[value]       // surrogate ids; name index
+	stats      rowset[TblStat]     // surrogate ids; table-name index
 }
 
 // memberTypes are the member types the member → lists index covers.
@@ -144,22 +139,11 @@ var memberTypes = [...]string{ACEUser, ACEList, ACEString}
 func memberType(mtype string) int { return slices.Index(memberTypes[:], mtype) }
 
 func newRelations() relations {
-	return relations{
-		users:       newNamed(func(u *User) string { return u.Login }, nil),
-		machines:    newNamed(func(m *Machine) string { return m.Name }, nil),
-		clusters:    newNamed(func(c *Cluster) string { return c.Name }, nil),
-		lists:       newNamed(func(l *List) string { return l.Name }, nil),
-		servers:     newNamed(func(s *Server) string { return s.Name }, nil),
-		serverHosts: newNamed(func(sh *ServerHost) string { return sh.Service }, byMachID),
-		filesys:     newNamed(func(f *Filesys) string { return f.Label }, func(a, b *Filesys) int { return cmp.Compare(a.Order, b.Order) }),
-		zephyr:      newNamed(func(z *ZephyrClass) string { return z.Class }, nil),
-		strings:     newNamed(func(s *StringRec) string { return s.String }, nil),
-		services:    newNamed(func(s *Service) string { return s.Name }, nil),
-		printcaps:   newNamed(func(p *Printcap) string { return p.Name }, nil),
-		capacls:     newNamed(func(c *CapACL) string { return c.Capability }, nil),
-		values:      newNamed(func(v *value) string { return v.Name }, nil),
-		stats:       newNamed(func(s *TblStat) string { return s.Table }, nil),
+	var r relations
+	for _, rel := range relationList {
+		rel.init(&r)
 	}
+	return r
 }
 
 // tableOps is the lock-free mirror of one TblStat row's counts.
@@ -222,9 +206,6 @@ func New(clk clock.Clock) *DB {
 
 // Now returns the database's notion of the current unix time.
 func (d *DB) Now() int64 { return d.clk.Now().Unix() }
-
-// Clock returns the clock the database was built with.
-func (d *DB) Clock() clock.Clock { return d.clk }
 
 // LockShared takes the database lock for reading.
 func (d *DB) LockShared() { d.mu.RLock() }
@@ -418,55 +399,34 @@ func (d *DB) NoteAppend(table string) {
 // Row is a row of one of the relations whose rows are updated in place:
 // what NoteUpdate takes, so that every in-place mutation names the row
 // it changed and snapshot maintenance re-copies just that row's page.
-type Row interface{ relation() string }
+type Row interface {
+	// touch stamps the page of the row, which must be the live row
+	// itself, with epoch and returns the row's relation.
+	touch(d *DB, epoch int64) string
+}
 
-func (*User) relation() string        { return TUsers }
-func (*Machine) relation() string     { return TMachine }
-func (*Cluster) relation() string     { return TCluster }
-func (*List) relation() string        { return TList }
-func (*Server) relation() string      { return TServers }
-func (*ServerHost) relation() string  { return TServerHosts }
-func (*Filesys) relation() string     { return TFilesys }
-func (*NFSPhys) relation() string     { return TNFSPhys }
-func (*NFSQuota) relation() string    { return TNFSQuota }
-func (*ZephyrClass) relation() string { return TZephyr }
-func (*HostAccess) relation() string  { return THostAccess }
+func (u *User) touch(d *DB, e int64) string        { return usersRel.touch(d, u, e) }
+func (m *Machine) touch(d *DB, e int64) string     { return machinesRel.touch(d, m, e) }
+func (c *Cluster) touch(d *DB, e int64) string     { return clustersRel.touch(d, c, e) }
+func (l *List) touch(d *DB, e int64) string        { return listsRel.touch(d, l, e) }
+func (s *Server) touch(d *DB, e int64) string      { return serversRel.touch(d, s, e) }
+func (sh *ServerHost) touch(d *DB, e int64) string { return serverHostsRel.touch(d, sh, e) }
+func (f *Filesys) touch(d *DB, e int64) string     { return filesysRel.touch(d, f, e) }
+func (p *NFSPhys) touch(d *DB, e int64) string     { return nfsphysRel.touch(d, p, e) }
+func (z *ZephyrClass) touch(d *DB, e int64) string { return zephyrRel.touch(d, z, e) }
+func (h *HostAccess) touch(d *DB, e int64) string  { return hostAccessRel.touch(d, h, e) }
 
-// touchRow stamps the page of r with a fresh write epoch and returns
-// the row's relation. r must be the live row itself.
-func (d *DB) touchRow(r Row) string {
-	e := d.bump()
-	switch r := r.(type) {
-	case *User:
-		d.users.rows.touch(r.UsersID, r, e)
-	case *Machine:
-		d.machines.rows.touch(r.MachID, r, e)
-	case *Cluster:
-		d.clusters.rows.touch(r.CluID, r, e)
-	case *List:
-		d.lists.rows.touch(r.ListID, r, e)
-	case *Server:
-		d.servers.rows.touch(d.servers.idOf(r), r, e)
-	case *ServerHost:
-		d.serverHosts.rows.touch(d.serverHosts.idOf(r), r, e)
-	case *Filesys:
-		d.filesys.rows.touch(r.FilsysID, r, e)
-	case *NFSPhys:
-		d.nfsphys.touch(r.NFSPhysID, r, e)
-	case *NFSQuota:
-		d.quotas.touch(d.quotaID(r.UsersID, r.FilsysID), r, e)
-	case *ZephyrClass:
-		d.zephyr.rows.touch(d.zephyr.idOf(r), r, e)
-	case *HostAccess:
-		d.hostaccess.touch(r.MachID, r, e)
-	}
-	return r.relation()
+// A quota row has neither an id column nor a name: it is found by its
+// user and filesystem.
+func (q *NFSQuota) touch(d *DB, e int64) string {
+	d.quotas.rows.touch(d.quotaID(q.UsersID, q.FilsysID), q, e)
+	return TNFSQuota
 }
 
 // NoteUpdate records an in-place update of row r, which the caller has
 // made (or is about to make, before releasing the exclusive lock) on
 // the live row.
-func (d *DB) NoteUpdate(r Row) { d.noteUpdate(d.touchRow(r)) }
+func (d *DB) NoteUpdate(r Row) { d.noteUpdate(r.touch(d, d.bump())) }
 
 // noteUpdate records an update to a relation whose rows are replaced,
 // not mutated (values, capacls).
@@ -492,7 +452,7 @@ func (d *DB) NoteDelete(table string) {
 // the serverhosts relation dirty and every pass would regenerate the
 // hesiod sloc data forever.
 func (d *DB) NoteUpdateInternal(r Row) {
-	table := d.touchRow(r)
+	table := r.touch(d, d.bump())
 	// No modtime, no sequence bump; the row's page and the stats row's
 	// are stamped all the same.
 	d.stat(table).Updates++
@@ -562,6 +522,8 @@ type value struct {
 	Value int
 }
 
+func (v *value) columns(f *fields) { f.str(&v.Name).int(&v.Value) }
+
 // GetValue looks up a value; MR_NO_MATCH if absent. Shared lock suffices.
 func (d *DB) GetValue(name string) (int, error) {
 	v, ok := d.values.byKey(name)
@@ -579,8 +541,7 @@ func (d *DB) SetValue(name string, v int) {
 		d.noteUpdate(TValues)
 		return
 	}
-	d.values.insert(d.values.rows.nextID(), &value{name, v}, d.bump())
-	d.NoteAppend(TValues)
+	valuesRel.add(d, -1, &value{name, v})
 }
 
 // AddValue adds a new value; MR_EXISTS if present. Exclusive lock.
@@ -608,14 +569,9 @@ func (d *DB) DeleteValue(name string) error {
 	if !ok {
 		return mrerr.MrNoMatch
 	}
-	d.values.remove(id, v, d.bump())
-	d.NoteDelete(TValues)
+	valuesRel.drop(d, id, v)
 	return nil
 }
-
-// ValueNames returns all value names sorted. Shared lock. Cached: the
-// sort reruns only after the key set changes, not per call.
-func (d *DB) ValueNames() []string { return d.values.names() }
 
 // AllocID allocates the next ID from the named hint counter ("users_id",
 // "list_id", ...). Exclusive lock required.

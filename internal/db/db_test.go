@@ -444,13 +444,17 @@ func TestLoadTableBadRow(t *testing.T) {
 	d := testDB()
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	err := d.LoadTable(TMachine, strings.NewReader("notanint:NAME:VAX:0:x:y\n"))
+	err := d.loadTable(machinesRel, strings.NewReader("notanint:NAME:VAX:0:x:y\n"))
 	if err == nil {
-		t.Error("LoadTable accepted a bad integer")
+		t.Error("loadTable accepted a bad integer")
 	}
-	err = d.LoadTable(TMachine, strings.NewReader("1:NAME\n"))
+	err = d.loadTable(machinesRel, strings.NewReader("1:NAME\n"))
 	if err == nil {
-		t.Error("LoadTable accepted a short row")
+		t.Error("loadTable accepted a short row")
+	}
+	err = d.loadTable(machinesRel, strings.NewReader("1:NAME:VAX:0:x:y:extra\n"))
+	if err == nil {
+		t.Error("loadTable accepted a long row")
 	}
 }
 
@@ -494,8 +498,8 @@ func TestAliasTypeChecking(t *testing.T) {
 	if err := d.AddAlias("mach_type", "TYPE", "VAX"); err != mrerr.MrExists {
 		t.Errorf("dup alias err = %v", err)
 	}
-	if got := d.AliasTranslations("mach_type", "TYPE"); len(got) != 1 {
-		t.Errorf("translations = %v", got)
+	if !d.HasAlias("mach_type", "TYPE", "VAX") {
+		t.Error("HasAlias misses the VAX mach_type")
 	}
 	if err := d.DeleteAlias("mach_type", "TYPE", "VAX"); err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func (r refstore) listsContaining(mtype string, mid int) []int {
 }
 
 func (r refstore) quotaOf(usersID, filsysID int) (*NFSQuota, bool) {
-	for _, q := range allRows(&r.d.quotas) {
+	for _, q := range allRows(&r.d.quotas.rows) {
 		if q.UsersID == usersID && q.FilsysID == filsysID {
 			return q, true
 		}
@@ -135,7 +135,7 @@ func (r refstore) quotasOfUser(usersID int) []*NFSQuota {
 }
 
 func (r refstore) hasMCMap(machID, cluID int) bool {
-	for _, m := range allRows(&r.d.mcmap) {
+	for _, m := range allRows(&r.d.mcmap.rows) {
 		if m.MachID == machID && m.CluID == cluID {
 			return true
 		}
@@ -145,7 +145,7 @@ func (r refstore) hasMCMap(machID, cluID int) bool {
 
 func (r refstore) clustersOfMachine(machID int) []int {
 	var out []int
-	for _, m := range allRows(&r.d.mcmap) {
+	for _, m := range allRows(&r.d.mcmap.rows) {
 		if m.MachID == machID {
 			out = append(out, m.CluID)
 		}
@@ -178,7 +178,7 @@ func (r refstore) serverHostsOf(service string) []*ServerHost {
 }
 
 func (r refstore) quotasSorted() []*NFSQuota {
-	rows := allRows(&r.d.quotas)
+	rows := allRows(&r.d.quotas.rows)
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].FilsysID != rows[j].FilsysID {
 			return rows[i].FilsysID < rows[j].FilsysID
@@ -288,7 +288,7 @@ func (w *diffworld) deleteMachineCascade(m *Machine) {
 		_ = w.d.DeleteServerHost(p.svc, p.mach)
 	}
 	var mcs [][2]int
-	for _, mc := range allRows(&w.d.mcmap) {
+	for _, mc := range allRows(&w.d.mcmap.rows) {
 		if mc.MachID == m.MachID {
 			mcs = append(mcs, [2]int{mc.MachID, mc.CluID})
 		}
@@ -301,7 +301,7 @@ func (w *diffworld) deleteMachineCascade(m *Machine) {
 
 func (w *diffworld) deleteClusterCascade(c *Cluster) {
 	var mcs [][2]int
-	for _, mc := range allRows(&w.d.mcmap) {
+	for _, mc := range allRows(&w.d.mcmap.rows) {
 		if mc.CluID == c.CluID {
 			mcs = append(mcs, [2]int{mc.MachID, mc.CluID})
 		}
@@ -314,7 +314,7 @@ func (w *diffworld) deleteClusterCascade(c *Cluster) {
 
 func (w *diffworld) deleteUserCascade(u *User) {
 	var qs [][2]int
-	for _, q := range allRows(&w.d.quotas) {
+	for _, q := range allRows(&w.d.quotas.rows) {
 		if q.UsersID == u.UsersID {
 			qs = append(qs, [2]int{q.UsersID, q.FilsysID})
 		}
@@ -330,7 +330,7 @@ func (w *diffworld) deleteUserCascade(u *User) {
 
 func (w *diffworld) deleteFilesysCascade(f *Filesys) {
 	var qs [][2]int
-	for _, q := range allRows(&w.d.quotas) {
+	for _, q := range allRows(&w.d.quotas.rows) {
 		if q.FilsysID == f.FilsysID {
 			qs = append(qs, [2]int{q.UsersID, q.FilsysID})
 		}

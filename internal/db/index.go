@@ -39,6 +39,9 @@ type hashKey interface {
 	// fixed reports whether the keys hash into a fixed, small set of
 	// slots, as strings do; ids and uids name their own (see remove).
 	fixed() bool
+	// valid reports whether the key can be filed: an id must be one a
+	// table can hold.
+	valid() bool
 }
 
 type (
@@ -57,6 +60,10 @@ const (
 func (strKey) fixed() bool { return true }
 func (idKey) fixed() bool  { return false }
 func (uidKey) fixed() bool { return false }
+
+func (strKey) valid() bool  { return true }
+func (k idKey) valid() bool { return validRowID(int(k)) }
+func (uidKey) valid() bool  { return true }
 
 func (k strKey) slot() int {
 	h := uint32(fnvBasis)
@@ -92,8 +99,10 @@ type hashIndex[K hashKey] struct {
 	table[[]entry[K]]
 	// spare holds preallocated one-entry buckets for keys landing in an
 	// empty slot, so that a sparse index (a small population) does not
-	// pay an allocation per insert. Only the live index adds.
-	spare []box[K]
+	// pay an allocation per insert. Only the live index adds. It sits
+	// behind a pointer because every frozen snapshot carries the index's
+	// header and leaves it nil.
+	spare *[]box[K]
 }
 
 // box is a bucket's slice header and room for its first entry in one
@@ -168,11 +177,14 @@ func (x *hashIndex[K]) add(k K, id int, less func(a, b int) bool, epoch int64) {
 		x.touch(slot, b, epoch)
 		return
 	}
-	if len(x.spare) == 0 {
-		x.spare = make([]box[K], fanout)
+	if x.spare == nil {
+		x.spare = new([]box[K])
 	}
-	bx := &x.spare[0]
-	x.spare = x.spare[1:]
+	if len(*x.spare) == 0 {
+		*x.spare = make([]box[K], fanout)
+	}
+	bx := &(*x.spare)[0]
+	*x.spare = (*x.spare)[1:]
 	bx.first[0] = e
 	bx.b = bx.first[:]
 	x.put(slot, &bx.b, epoch)
@@ -274,11 +286,11 @@ func (x *hashIndex[K]) audit(relation, what string, add func(table, item, format
 	})
 }
 
-// named is a relation whose rows carry a string column with a hashed
-// index: a unique name (machines, lists, servers, values, ...), a login,
-// or a non-unique label or service name. Rows are filed under their own
-// id or, for relations without one, under a surrogate id from nextID.
-type named[R any] struct {
+// rowset is a relation's rows, filed under their own id or a surrogate
+// id from nextID, and the hashed index on its name column (relation.go):
+// a unique name, a login, or a non-unique label or service name. With no
+// name column (name nil) the name index stays empty.
+type rowset[R any] struct {
 	rows   table[R]
 	byName hashIndex[strKey]
 	name   func(*R) string
@@ -291,12 +303,12 @@ type named[R any] struct {
 	sorted *nameCache
 }
 
-func newNamed[R any](name func(*R) string, order func(a, b *R) int) named[R] {
-	return named[R]{name: name, order: order, sorted: &nameCache{}}
+func newRowset[R any](name func(*R) string, order func(a, b *R) int) rowset[R] {
+	return rowset[R]{name: name, order: order, sorted: &nameCache{}}
 }
 
 // less orders the ids filed under one name by order (nil: by id).
-func (n *named[R]) less() func(a, b int) bool {
+func (n *rowset[R]) less() func(a, b int) bool {
 	if n.order == nil {
 		return nil
 	}
@@ -308,20 +320,20 @@ func (n *named[R]) less() func(a, b int) bool {
 }
 
 // byKey returns the first row filed under name.
-func (n *named[R]) byKey(name string) (*R, bool) {
+func (n *rowset[R]) byKey(name string) (*R, bool) {
 	_, r, ok := n.find(name)
 	return r, ok
 }
 
 // find returns the first row filed under name and its id.
-func (n *named[R]) find(name string) (int, *R, bool) {
+func (n *rowset[R]) find(name string) (int, *R, bool) {
 	id, _ := n.byName.lookup(strKey(name))
 	r, ok := n.rows.get(id)
 	return id, r, ok
 }
 
 // idOf returns the id r is filed under; r must be a row of the relation.
-func (n *named[R]) idOf(r *R) int {
+func (n *rowset[R]) idOf(r *R) int {
 	id := n.byName.find(strKey(n.name(r)), func(id int) bool { row, _ := n.rows.get(id); return row == r })
 	if id < 0 {
 		panic("db: update noted for a row that is not in its relation")
@@ -329,14 +341,16 @@ func (n *named[R]) idOf(r *R) int {
 	return id
 }
 
-func (n *named[R]) insert(id int, r *R, epoch int64) {
+func (n *rowset[R]) insert(id int, r *R, epoch int64) {
 	n.rows.put(id, r, epoch)
-	n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
+	if n.name != nil {
+		n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
+	}
 }
 
 // upsert files r under its name, replacing the row that had it: the load
 // rule for surrogate-id relations, where the name is the key.
-func (n *named[R]) upsert(r *R, epoch int64) {
+func (n *rowset[R]) upsert(r *R, epoch int64) {
 	if id, ok := n.byName.lookup(strKey(n.name(r))); ok {
 		n.rows.put(id, r, epoch)
 		return
@@ -344,32 +358,25 @@ func (n *named[R]) upsert(r *R, epoch int64) {
 	n.insert(n.rows.nextID(), r, epoch)
 }
 
-func (n *named[R]) remove(id int, r *R, epoch int64) {
-	n.byName.remove(strKey(n.name(r)), id, epoch)
+func (n *rowset[R]) remove(id int, r *R, epoch int64) {
+	if n.name != nil {
+		n.byName.remove(strKey(n.name(r)), id, epoch)
+	}
 	n.rows.del(id, epoch)
 }
 
-// rename changes r's name column in place (set) and refiles the row
-// under the new name.
-func (n *named[R]) rename(r *R, set func(), epoch int64) {
-	id, old := n.idOf(r), n.name(r)
-	set()
-	n.rows.touch(id, r, epoch)
-	n.byName.move(strKey(old), strKey(n.name(r)), id, n.less(), epoch)
-}
-
 // names returns every name in order (from the cache).
-func (n *named[R]) names() []string { return n.sorted.get(&n.byName) }
+func (n *rowset[R]) names() []string { return n.sorted.get(&n.byName) }
 
 // appendRows appends every row filed under name to dst, in order.
-func (n *named[R]) appendRows(dst []*R, name string) []*R {
+func (n *rowset[R]) appendRows(dst []*R, name string) []*R {
 	n.eachRow(name, func(r *R) bool { dst = append(dst, r); return true })
 	return dst
 }
 
 // eachRow calls fn for every row filed under name, in order, until fn
 // returns false; it reports whether fn did.
-func (n *named[R]) eachRow(name string, fn func(*R) bool) bool {
+func (n *rowset[R]) eachRow(name string, fn func(*R) bool) bool {
 	return n.byName.under(strKey(name), func(id int) bool {
 		r, ok := n.rows.get(id)
 		return !ok || fn(r)
@@ -378,7 +385,7 @@ func (n *named[R]) eachRow(name string, fn func(*R) bool) bool {
 
 // eachByName calls fn for every row in name order until fn returns
 // false.
-func (n *named[R]) eachByName(fn func(*R) bool) {
+func (n *rowset[R]) eachByName(fn func(*R) bool) {
 	for _, name := range n.names() {
 		if !n.eachRow(name, fn) {
 			return
@@ -386,7 +393,7 @@ func (n *named[R]) eachByName(fn func(*R) bool) {
 	}
 }
 
-func (n *named[R]) freeze(prev *named[R], since int64, copied *int) named[R] {
+func (n *rowset[R]) freeze(prev *rowset[R], since int64, copied *int) rowset[R] {
 	f := *n
 	f.rows, f.byName = n.rows.freeze(&prev.rows, since, copied), n.byName.freeze(&prev.byName, since, copied)
 	return f
@@ -394,13 +401,15 @@ func (n *named[R]) freeze(prev *named[R], since int64, copied *int) named[R] {
 
 // rebuild re-stamps the rows into epoch and derives the name index from
 // them.
-func (n *named[R]) rebuild(epoch int64) {
+func (n *rowset[R]) rebuild(epoch int64) {
 	n.rows.restamp(epoch)
 	n.byName = hashIndex[strKey]{}
-	n.rows.eachID(func(id int, r *R) bool {
-		n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
-		return true
-	})
+	if n.name != nil {
+		n.rows.eachID(func(id int, r *R) bool {
+			n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
+			return true
+		})
+	}
 	n.byName.restamp(epoch)
 }
 
@@ -501,53 +510,13 @@ func matchNames(sorted []string, pattern string, fn func(name string) bool) {
 
 // rebuildIndexes derives every secondary index from the current rows
 // and moves every table into this database's epoch domain. It is the
-// load-path entry point: LoadTable and AdoptFrom install rows wholesale
-// — with no index maintenance, and in AdoptFrom's case with page stamps
-// from the source database — and call it to re-derive the rest. Caller
-// holds the exclusive lock (or owns the DB privately).
+// load-path entry point: Restore and AdoptFrom install rows wholesale —
+// with only the indexes a load needs, and in AdoptFrom's case with page
+// stamps from the source database — and call it to re-derive the rest.
+// Caller holds the exclusive lock (or owns the DB privately).
 func (d *DB) rebuildIndexes() {
 	e := d.bump()
-	r := &d.relations
-	for _, n := range []interface{ rebuild(int64) }{
-		&r.users, &r.machines, &r.clusters, &r.lists, &r.servers, &r.serverHosts, &r.filesys,
-		&r.zephyr, &r.strings, &r.services, &r.printcaps, &r.capacls, &r.values, &r.stats,
-	} {
-		n.rebuild(e)
-	}
-
-	r.uids, r.mcOfMach, r.mcOfClu = hashIndex[uidKey]{}, hashIndex[idKey]{}, hashIndex[idKey]{}
-	r.quotasOnFS, r.quotasOfUser = hashIndex[idKey]{}, hashIndex[idKey]{}
-	r.memberOf = [len(memberTypes)]hashIndex[idKey]{}
-	r.users.rows.eachID(func(id int, u *User) bool {
-		r.uids.add(uidKey(u.UID), id, nil, e)
-		return true
-	})
-	r.mcmap.eachID(func(id int, mc *MCMap) bool {
-		r.mcOfMach.add(idKey(mc.MachID), id, nil, e)
-		r.mcOfClu.add(idKey(mc.CluID), id, nil, e)
-		return true
-	})
-	r.members.eachID(func(listID int, ms *[]Member) bool {
-		for _, m := range *ms {
-			if t := memberType(m.MemberType); t >= 0 {
-				r.memberOf[t].add(idKey(m.MemberID), listID, nil, e)
-			}
-		}
-		return true
-	})
-	r.quotas.eachID(func(id int, q *NFSQuota) bool {
-		r.quotasOnFS.add(idKey(q.FilsysID), id, nil, e)
-		r.quotasOfUser.add(idKey(q.UsersID), id, nil, e)
-		return true
-	})
-
-	for _, t := range []interface{ restamp(int64) }{
-		&r.uids, &r.mcmap, &r.mcOfMach, &r.mcOfClu, &r.svc, &r.members, &r.nfsphys,
-		&r.quotas, &r.quotasOnFS, &r.quotasOfUser, &r.hostaccess, &r.aliases,
-	} {
-		t.restamp(e)
-	}
-	for i := range r.memberOf {
-		r.memberOf[i].restamp(e)
+	for _, rel := range relationList {
+		rel.rebuild(&d.relations, e)
 	}
 }

@@ -103,6 +103,15 @@ type User struct {
 	PMod   ModInfo
 }
 
+// columns lists u's columns in dump order (fields, escape.go). Every row
+// type has one such method, and it is the row's backup format.
+func (u *User) columns(f *fields) {
+	f.int(&u.UsersID).str(&u.Login).int(&u.UID).str(&u.Shell, &u.Last, &u.First, &u.Middle).
+		int(&u.Status).str(&u.MITID, &u.MITYear).mod(&u.Mod).
+		str(&u.Fullname, &u.Nickname, &u.HomeAddr, &u.HomePhone, &u.OfficeAddr, &u.OfficePhone, &u.MITDept, &u.MITAffil).
+		mod(&u.FMod).str(&u.PoType).int(&u.PopID, &u.BoxID).mod(&u.PMod)
+}
+
 // Machine is a row of the MACHINE relation.
 type Machine struct {
 	MachID int
@@ -110,6 +119,8 @@ type Machine struct {
 	Type   string // e.g. VAX, RT
 	Mod    ModInfo
 }
+
+func (m *Machine) columns(f *fields) { f.int(&m.MachID).str(&m.Name, &m.Type).mod(&m.Mod) }
 
 // Cluster is a row of the CLUSTER relation.
 type Cluster struct {
@@ -120,11 +131,15 @@ type Cluster struct {
 	Mod      ModInfo
 }
 
+func (c *Cluster) columns(f *fields) { f.int(&c.CluID).str(&c.Name, &c.Desc, &c.Location).mod(&c.Mod) }
+
 // MCMap assigns a machine to a cluster.
 type MCMap struct {
 	MachID int
 	CluID  int
 }
+
+func (m *MCMap) columns(f *fields) { f.int(&m.MachID, &m.CluID) }
 
 // SvcData is a row of the SVC relation: per-cluster service data.
 type SvcData struct {
@@ -132,6 +147,8 @@ type SvcData struct {
 	ServLabel   string
 	ServCluster string
 }
+
+func (s *SvcData) columns(f *fields) { f.int(&s.CluID).str(&s.ServLabel, &s.ServCluster) }
 
 // List is a row of the LIST relation.
 type List struct {
@@ -149,12 +166,19 @@ type List struct {
 	Mod      ModInfo
 }
 
+func (l *List) columns(f *fields) {
+	f.int(&l.ListID).str(&l.Name).bool(&l.Active, &l.Public, &l.Hidden, &l.Maillist, &l.Group).
+		int(&l.GID).str(&l.Desc, &l.ACLType).int(&l.ACLID).mod(&l.Mod)
+}
+
 // Member is a row of the MEMBERS relation.
 type Member struct {
 	ListID     int
 	MemberType string // USER, LIST, STRING
 	MemberID   int
 }
+
+func (m *Member) columns(f *fields) { f.int(&m.ListID).str(&m.MemberType).int(&m.MemberID) }
 
 // Server is a row of the SERVERS relation: per-service DCM state.
 type Server struct {
@@ -174,6 +198,12 @@ type Server struct {
 	Mod        ModInfo
 }
 
+func (s *Server) columns(f *fields) {
+	f.str(&s.Name).int(&s.UpdateInt).str(&s.TargetFile, &s.Script).int64(&s.DFGen, &s.DFCheck).
+		str(&s.Type).bool(&s.Enable, &s.InProgress).int(&s.HardError).str(&s.ErrMsg, &s.ACLType).
+		int(&s.ACLID).mod(&s.Mod)
+}
+
 // ServerHost is a row of the SERVERHOSTS relation: per-host DCM state.
 type ServerHost struct {
 	Service     string
@@ -190,6 +220,12 @@ type ServerHost struct {
 	Value2      int
 	Value3      string
 	Mod         ModInfo
+}
+
+func (sh *ServerHost) columns(f *fields) {
+	f.str(&sh.Service).int(&sh.MachID).bool(&sh.Enable, &sh.Override, &sh.Success, &sh.InProgress).
+		int(&sh.HostError).str(&sh.HostErrMsg).int64(&sh.LastTry, &sh.LastSuccess).
+		int(&sh.Value1, &sh.Value2).str(&sh.Value3).mod(&sh.Mod)
 }
 
 // Filesys is a row of the FILESYS relation.
@@ -211,6 +247,12 @@ type Filesys struct {
 	Mod        ModInfo
 }
 
+func (fs *Filesys) columns(f *fields) {
+	f.int(&fs.FilsysID).str(&fs.Label).int(&fs.Order, &fs.PhysID).str(&fs.Type).int(&fs.MachID).
+		str(&fs.Name, &fs.Mount, &fs.Access, &fs.Comments).int(&fs.Owner, &fs.Owners).
+		bool(&fs.CreateFlg).str(&fs.LockerType).mod(&fs.Mod)
+}
+
 // NFSPhys is a row of the NFSPHYS relation: an exported server partition.
 type NFSPhys struct {
 	NFSPhysID int
@@ -223,6 +265,10 @@ type NFSPhys struct {
 	Mod       ModInfo
 }
 
+func (p *NFSPhys) columns(f *fields) {
+	f.int(&p.NFSPhysID, &p.MachID).str(&p.Dir, &p.Device).int(&p.Status, &p.Allocated, &p.Size).mod(&p.Mod)
+}
+
 // NFSQuota is a row of the NFSQUOTA relation.
 type NFSQuota struct {
 	UsersID  int
@@ -230,6 +276,10 @@ type NFSQuota struct {
 	PhysID   int
 	Quota    int
 	Mod      ModInfo
+}
+
+func (q *NFSQuota) columns(f *fields) {
+	f.int(&q.UsersID, &q.FilsysID, &q.PhysID, &q.Quota).mod(&q.Mod)
 }
 
 // ZephyrClass is a row of the ZEPHYR relation: four ACEs per class.
@@ -246,6 +296,11 @@ type ZephyrClass struct {
 	Mod     ModInfo
 }
 
+func (z *ZephyrClass) columns(f *fields) {
+	f.str(&z.Class, &z.XmtType).int(&z.XmtID).str(&z.SubType).int(&z.SubID).
+		str(&z.IwsType).int(&z.IwsID).str(&z.IuiType).int(&z.IuiID).mod(&z.Mod)
+}
+
 // HostAccess is a row of the HOSTACCESS relation.
 type HostAccess struct {
 	MachID  int
@@ -254,11 +309,15 @@ type HostAccess struct {
 	Mod     ModInfo
 }
 
+func (h *HostAccess) columns(f *fields) { f.int(&h.MachID).str(&h.ACLType).int(&h.ACLID).mod(&h.Mod) }
+
 // StringRec is a row of the STRINGS relation.
 type StringRec struct {
 	StringID int
 	String   string
 }
+
+func (s *StringRec) columns(f *fields) { f.int(&s.StringID).str(&s.String) }
 
 // Service is a row of the SERVICES relation (/etc/services data).
 type Service struct {
@@ -267,6 +326,10 @@ type Service struct {
 	Port     int
 	Desc     string
 	Mod      ModInfo
+}
+
+func (s *Service) columns(f *fields) {
+	f.str(&s.Name, &s.Protocol).int(&s.Port).str(&s.Desc).mod(&s.Mod)
 }
 
 // Printcap is a row of the PRINTCAP relation.
@@ -279,6 +342,10 @@ type Printcap struct {
 	Mod      ModInfo
 }
 
+func (p *Printcap) columns(f *fields) {
+	f.str(&p.Name).int(&p.MachID).str(&p.Dir, &p.RP, &p.Comments).mod(&p.Mod)
+}
+
 // CapACL is a row of the CAPACLS relation: query capability -> list.
 type CapACL struct {
 	Capability string // usually the long query name
@@ -286,12 +353,16 @@ type CapACL struct {
 	ListID     int
 }
 
+func (c *CapACL) columns(f *fields) { f.str(&c.Capability, &c.Tag).int(&c.ListID) }
+
 // Alias is a row of the ALIAS relation.
 type Alias struct {
 	Name  string
 	Type  string // TYPE, PRINTER, SERVICE, FILESYS, TYPEDATA
 	Trans string
 }
+
+func (a *Alias) columns(f *fields) { f.str(&a.Name, &a.Type, &a.Trans) }
 
 // TblStat is a row of the TBLSTATS relation.
 type TblStat struct {
@@ -301,4 +372,8 @@ type TblStat struct {
 	Updates   int
 	Deletes   int
 	Retrieves int // obsolete; kept for compatibility with the dump format
+}
+
+func (s *TblStat) columns(f *fields) {
+	f.str(&s.Table).int64(&s.ModTime).int(&s.Retrieves, &s.Appends, &s.Updates, &s.Deletes)
 }

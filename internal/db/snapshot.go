@@ -101,11 +101,9 @@ func (d *DB) freeze(prev *DB) (*DB, int) {
 	if prev == nil {
 		prev = &DB{builtEpoch: -1} // older than every stamp: shares nothing
 	}
-	copied := 0
 	f := &DB{
 		clk:        d.clk,
 		isFrozen:   true,
-		relations:  d.relations.freeze(&prev.relations, prev.builtEpoch, &copied),
 		seqCounter: d.seqCounter,
 		tableSeq:   maps.Clone(d.tableSeq),
 		// ops is shared: frozen code never writes it (Note* panics via
@@ -115,43 +113,11 @@ func (d *DB) freeze(prev *DB) (*DB, int) {
 		// probes must land in the live DB's tallies.
 		lookups: d.lookups,
 	}
+	copied := 0
+	for _, rel := range relationList {
+		copied += rel.freeze(&f.relations, &d.relations, &prev.relations, prev.builtEpoch)
+	}
 	return f, copied
-}
-
-// freeze freezes every table of r (see table.freeze).
-func (r *relations) freeze(prev *relations, since int64, copied *int) relations {
-	f := relations{
-		users:        r.users.freeze(&prev.users, since, copied),
-		uids:         r.uids.freeze(&prev.uids, since, copied),
-		machines:     r.machines.freeze(&prev.machines, since, copied),
-		clusters:     r.clusters.freeze(&prev.clusters, since, copied),
-		mcmap:        r.mcmap.freeze(&prev.mcmap, since, copied),
-		mcOfMach:     r.mcOfMach.freeze(&prev.mcOfMach, since, copied),
-		mcOfClu:      r.mcOfClu.freeze(&prev.mcOfClu, since, copied),
-		svc:          r.svc.freeze(&prev.svc, since, copied),
-		lists:        r.lists.freeze(&prev.lists, since, copied),
-		members:      r.members.freeze(&prev.members, since, copied),
-		servers:      r.servers.freeze(&prev.servers, since, copied),
-		serverHosts:  r.serverHosts.freeze(&prev.serverHosts, since, copied),
-		filesys:      r.filesys.freeze(&prev.filesys, since, copied),
-		nfsphys:      r.nfsphys.freeze(&prev.nfsphys, since, copied),
-		quotas:       r.quotas.freeze(&prev.quotas, since, copied),
-		quotasOnFS:   r.quotasOnFS.freeze(&prev.quotasOnFS, since, copied),
-		quotasOfUser: r.quotasOfUser.freeze(&prev.quotasOfUser, since, copied),
-		zephyr:       r.zephyr.freeze(&prev.zephyr, since, copied),
-		hostaccess:   r.hostaccess.freeze(&prev.hostaccess, since, copied),
-		strings:      r.strings.freeze(&prev.strings, since, copied),
-		services:     r.services.freeze(&prev.services, since, copied),
-		printcaps:    r.printcaps.freeze(&prev.printcaps, since, copied),
-		capacls:      r.capacls.freeze(&prev.capacls, since, copied),
-		aliases:      r.aliases.freeze(&prev.aliases, since, copied),
-		values:       r.values.freeze(&prev.values, since, copied),
-		stats:        r.stats.freeze(&prev.stats, since, copied),
-	}
-	for i := range r.memberOf {
-		f.memberOf[i] = r.memberOf[i].freeze(&prev.memberOf[i], since, copied)
-	}
-	return f
 }
 
 // Frozen reports whether d is an immutable snapshot from Reader.
