@@ -4,12 +4,14 @@ import (
 	"bufio"
 )
 
-// maxKeepBuf bounds the payload buffer a FrameReader keeps across
+// MaxKeptFrame bounds the payload buffer a FrameReader keeps across
 // reads: a connection that once saw a near-MaxFrame frame should not
-// hold 16 MB for the rest of its life. maxKeepFields bounds the field
-// header slice the same way (1,024 headers are 24 KiB).
+// hold 16 MB for the rest of its life. A writer that wants the reader to
+// keep its buffer sends frames of at most this length (RequestLen).
+// maxKeepFields bounds the field header slice the same way (1,024
+// headers are 24 KiB).
 const (
-	maxKeepBuf    = 256 << 10
+	MaxKeptFrame  = 256 << 10
 	maxKeepFields = 1024
 )
 
@@ -43,7 +45,7 @@ func NewFrameReader(r *bufio.Reader) *FrameReader {
 // next read unless the frame outgrew the keep bounds.
 func (fr *FrameReader) read(headLen int) ([]byte, [][]byte, error) {
 	buf, fields, err := readFrameInto(fr.r, headLen, fr.buf, fr.fields)
-	if cap(buf) <= maxKeepBuf && cap(fields) <= maxKeepFields {
+	if cap(buf) <= MaxKeptFrame && cap(fields) <= maxKeepFields {
 		fr.buf, fr.fields = buf, fields
 	} else {
 		fr.buf, fr.fields = nil, nil

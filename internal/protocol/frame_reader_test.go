@@ -29,7 +29,7 @@ func FuzzFrameReader(f *testing.F) {
 		// Each byte pair is one frame: bit 0 of the first byte picks a
 		// reply or a request, bits 1-3 the field count, bits 4-7 a shift
 		// that scales the second byte into the first field's size (later
-		// fields halve), so frames cross maxKeepBuf in both directions.
+		// fields halve), so frames cross MaxKeptFrame in both directions.
 		for i := 0; i+1 < len(spec) && wire.Len() < 4<<20; i += 2 {
 			k := len(frames)
 			fm := frame{reply: spec[i]&1 == 1, fields: make([][]byte, spec[i]>>1&7)}
@@ -136,7 +136,7 @@ func FuzzFrameReader(f *testing.F) {
 				}
 			}
 		}
-		if cap(fr.buf) > maxKeepBuf || cap(fr.fields) > maxKeepFields {
+		if cap(fr.buf) > MaxKeptFrame || cap(fr.fields) > maxKeepFields {
 			t.Fatalf("reader keeps %d buffer bytes and %d field headers", cap(fr.buf), cap(fr.fields))
 		}
 	})

@@ -342,6 +342,20 @@ func WriteRequest(w io.Writer, req *Request) error {
 	return writeFrame(w, head[:], lead[:], req.Args)
 }
 
+// RequestLen is the length of the frame WriteRequest sends for req, less
+// its length word: what a reader buffers to read it.
+func RequestLen(req *Request) int {
+	n := 4 + 4 + ArgLen(2) + ArgLen(len(req.TraceID)) + ArgLen(len(req.MinPos)) // head, field count, tag
+	for _, a := range req.Args {
+		n += ArgLen(len(a))
+	}
+	return n
+}
+
+// ArgLen is what a field of n bytes adds to a frame: its bytes and their
+// count.
+func ArgLen(n int) int { return 4 + n }
+
 // WriteCall sends c as one request frame at Version. The bytes are
 // those WriteRequest sends for the same request with Name in front of
 // Args; every string is copied once, straight into the frame.
@@ -390,23 +404,6 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 		return nil, err
 	}
 	req, err := parseRequest(head, fields)
-	if err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// ReadRequestShared reads one request frame whose arguments alias one
-// buffer allocated for that frame alone: no argument is copied, and
-// keeping any argument keeps the whole frame. It suits a reader that
-// keeps every argument of a frame or none, such as the update agent,
-// which holds every chunk a chunk frame carries for its session.
-func ReadRequestShared(r *bufio.Reader) (*Request, error) {
-	buf, fields, err := readFrameInto(r, 4, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	req, err := parseRequest(buf[:4], fields)
 	if err != nil {
 		return nil, err
 	}

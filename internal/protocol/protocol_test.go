@@ -30,61 +30,22 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRequestSharedAliasesOneFrame: ReadRequestShared reads what
-// ReadRequest reads; a request read after it leaves its arguments
-// intact; and it copies no argument: a frame of 50 arguments costs the
-// same few allocations as one of 2.
-func TestReadRequestSharedAliasesOneFrame(t *testing.T) {
-	frame := func(n int) []byte {
-		var buf bytes.Buffer
+// TestRequestLen: RequestLen is the length WriteRequest writes for a
+// request, less the frame's length word.
+func TestRequestLen(t *testing.T) {
+	for n := 0; n < 40; n += 7 {
 		args := make([][]byte, n)
 		for i := range args {
-			args[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 10+i)
+			args[i] = bytes.Repeat([]byte{'a'}, i*i)
 		}
-		for i := 0; i < 2; i++ {
-			if err := WriteRequest(&buf, &Request{Version: Version, Op: 25, Tag: 3, TraceID: "t/s", Args: args}); err != nil {
-				t.Fatal(err)
-			}
+		req := &Request{Version: Version, Op: 25, Tag: 3, TraceID: "0123456789abcdef/0123", MinPos: "7", Args: args}
+		var buf bytes.Buffer
+		if err := WriteRequest(&buf, req); err != nil {
+			t.Fatal(err)
 		}
-		return buf.Bytes()
-	}
-	data := frame(50)
-	r := bufio.NewReader(bytes.NewReader(data))
-	first, err := ReadRequestShared(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRequestShared(r); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Op != want.Op || first.Tag != want.Tag || first.TraceID != want.TraceID || len(first.Args) != len(want.Args) {
-		t.Fatalf("request = %+v, ReadRequest read %+v", first, want)
-	}
-	for i := range want.Args {
-		if !bytes.Equal(first.Args[i], want.Args[i]) {
-			t.Fatalf("argument %d = %q, want %q", i, first.Args[i], want.Args[i])
+		if got := RequestLen(req); got != buf.Len()-4 {
+			t.Errorf("%d arguments: RequestLen %d, frame %d bytes after its length", n, got, buf.Len()-4)
 		}
-	}
-	if raceEnabled {
-		return
-	}
-	allocs := func(data []byte) float64 {
-		rd := bytes.NewReader(data)
-		br := bufio.NewReader(rd)
-		return testing.AllocsPerRun(50, func() {
-			rd.Reset(data)
-			br.Reset(rd)
-			if _, err := ReadRequestShared(br); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if few, many := allocs(frame(2)), allocs(frame(50)); many != few || many > 4 {
-		t.Errorf("a frame of 50 arguments costs %v allocations, one of 2 %v: want the same, at most 4", many, few)
 	}
 }
 

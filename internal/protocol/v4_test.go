@@ -186,7 +186,7 @@ func TestFrameReaderZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fr.buf != nil {
-		t.Errorf("frame reader kept a %d-byte buffer past maxKeepBuf", cap(fr.buf))
+		t.Errorf("frame reader kept a %d-byte buffer past MaxKeptFrame", cap(fr.buf))
 	}
 }
 

@@ -2,11 +2,10 @@ package update
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -32,9 +31,10 @@ const (
 
 	// The data transfer: the pusher sends the new file's chunk
 	// manifest, the agent answers with the indices it cannot reuse from
-	// the file it already holds, the pusher ships only those, and the
-	// agent writes the verified chunks to a staging file and renames it
-	// over the target. Op 21 is unassigned.
+	// the file it already holds, the pusher ships only those, the agent
+	// writes each verified chunk into a staging file as it arrives, and
+	// the assemble fills in the reused chunks, verifies the whole file
+	// and renames it over the target. Op 21 is unassigned.
 	OpUManifest uint16 = 24 // args: target path, whole-file sha256 hex, manifest
 	OpUChunks   uint16 = 25 // args: alternating chunk index, chunk data
 	OpUAssemble uint16 = 26 // no args; stage, verify, rename
@@ -105,6 +105,14 @@ type Agent struct {
 	// the target's bytes before any use, so the next manifest diff reads
 	// only what it reuses instead of re-reading and re-chunking the file.
 	kept map[string][]Chunk
+
+	// The connection of the one session holding the host lock (section
+	// 5.9 allows one update at a time per host) is read and written
+	// through these, reset for each connection, so the frame buffer a
+	// push's chunks arrive in outlives the connection.
+	br *bufio.Reader
+	bw *bufio.Writer
+	fr *protocol.FrameReader
 
 	ln      net.Listener
 	wg      sync.WaitGroup
@@ -403,27 +411,37 @@ type updateSession struct {
 	parent string // span ID of the DCM push span, from the wire field
 
 	// install is the exec commands' view of the transfer, reading the
-	// staged bundle through the handle chunkAssemble wrote it with: nil
-	// until a transfer in this session succeeds, added to by each
-	// extract, closed with the session.
+	// staged bundle and the one it replaced through the handles the
+	// transfer opened: nil until a transfer in this session succeeds,
+	// added to by each extract, closed with the session.
 	install *Install
 
-	// Chunked-transfer state, alive between OpUManifest and OpUAssemble.
-	manifest    []Chunk
-	wholeSum    [sha256.Size]byte
+	// xfer is the chunked transfer between OpUManifest and OpUAssemble,
+	// to chunkTarget; a session that ends without assembling it removes
+	// its staging file.
+	xfer        *xfer
 	chunkTarget string
-	have        map[[sha256.Size]byte][]byte // checksum -> chunk bytes (held and received)
-	old         *oldSide                     // the bundle the target held; nil if none
 
 	// fields carries reply fields for the next reply (the manifest
 	// response lists the needed chunk indices).
 	fields [][]byte
 }
 
-// end closes the session's view of its transfer.
+// end closes the session's view of its transfer and abandons a transfer
+// it did not assemble.
 func (s *updateSession) end() {
 	s.install.Close()
 	s.install = nil
+	s.abandon()
+}
+
+// abandon drops the transfer in progress, if any: its staging file is
+// removed, and the target and its kept list stay as they are.
+func (s *updateSession) abandon() {
+	if s.xfer != nil {
+		s.xfer.abort()
+		s.xfer = nil
+	}
 }
 
 // takeFields returns and clears the pending reply fields.
@@ -513,8 +531,14 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 		clock.Sleep(a.clk(), lat)
 	}
 
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	if a.fr == nil {
+		a.br, a.bw = bufio.NewReader(conn), bufio.NewWriter(conn)
+		a.fr = protocol.NewFrameReader(a.br)
+	} else {
+		a.br.Reset(conn)
+		a.bw.Reset(conn)
+	}
+	bw := a.bw
 	ses := &updateSession{agent: a, authed: a.Verifier == nil}
 	defer ses.end()
 
@@ -537,9 +561,9 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 		if a.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(a.ReadTimeout))
 		}
-		// A chunk frame's chunks are kept for the session, whole; no
-		// other argument outlives its request.
-		req, err := protocol.ReadRequestShared(br)
+		// A request is valid until the next read: the handlers copy
+		// what they keep and write pushed chunks to the staging file.
+		req, err := a.fr.ReadRequest()
 		if err != nil {
 			return
 		}
@@ -625,7 +649,7 @@ func (s *updateSession) auth(req *protocol.Request) mrerr.Code {
 	if len(req.Args) != 1 {
 		return mrerr.MrArgs
 	}
-	payload, err := kerberos.UnmarshalAuthPayload(req.Args[0])
+	payload, err := kerberos.UnmarshalAuthPayload(bytes.Clone(req.Args[0]))
 	if err != nil {
 		return mrerr.UpdAuthFailed
 	}
@@ -637,12 +661,12 @@ func (s *updateSession) auth(req *protocol.Request) mrerr.Code {
 }
 
 // chunkManifest starts a chunked transfer: parse the new file's
-// manifest, learn which of its chunks the target already holds, and
-// answer with the indices the pusher must still send. The target's
-// kept chunk list is the first guess: the chunks the new bundle reuses
-// are checked in place, the rest read and checked. When there is no
-// kept list, or the target is not what it says, the agent re-chunks
-// whatever currently sits at the target.
+// manifest, open the target and learn which of the new file's chunks it
+// holds, create the staging file, and answer with the indices the
+// pusher must still send. The target's kept chunk list is the first
+// guess, every chunk of it checked in place; when there is no kept list,
+// or the target is not what it says, the agent cuts whatever sits at the
+// target into chunks. A second manifest in a session replaces the first.
 func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
@@ -666,41 +690,19 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 	if err != nil {
 		return mrerr.UpdBadInstr
 	}
+	s.abandon()
 
-	old := s.agent.hint(fp, manifest)
-	if old == nil {
-		if data, err := os.ReadFile(fp); err == nil {
-			old = wholeSide(data, manifest)
-		}
+	a := s.agent
+	a.mu.Lock()
+	kept := a.kept[fp]
+	a.mu.Unlock()
+	old, dropped := openOld(fp, kept, manifest)
+	if dropped {
+		a.reg.Counter("update.chunks.hints.dropped").Inc()
 	}
-	// Only chunks outside the runs the target still holds are looked up:
-	// they size the maps.
-	outside := 0
-	inRun := runCursor(old.runs())
-	for _, c := range manifest {
-		if !inRun(c) {
-			outside++
-		}
-	}
-	have := make(map[[sha256.Size]byte][]byte, outside)
-	if old != nil {
-		old.reuse(have)
-	}
-	var idx []int
-	reused, reusedBytes := 0, 0
-	seen := make(map[[sha256.Size]byte]bool, outside)
-	inRun = runCursor(old.runs())
-	for i, c := range manifest {
-		if _, ok := have[c.Sum]; ok || inRun(c) {
-			reused++
-			reusedBytes += c.Len
-			continue
-		}
-		if seen[c.Sum] {
-			continue // a duplicate chunk travels once
-		}
-		seen[c.Sum] = true
-		idx = append(idx, i)
+	x, idx, err := beginXfer(fp, old, manifest, wholeSum)
+	if err != nil {
+		return mrerr.MrInternal
 	}
 	// The reply's fields are the needed indices in decimal, cut from one
 	// buffer.
@@ -715,52 +717,21 @@ func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
 		}
 	}
 
-	s.manifest = manifest
-	s.wholeSum = wholeSum
-	s.chunkTarget = target
-	s.have = have
-	s.old = old
+	s.xfer, s.chunkTarget = x, target
 	s.fields = needed
-	s.agent.reg.Counter("update.chunks.manifests").Inc()
-	s.agent.reg.Counter("update.chunks.reused").Add(int64(reused))
-	s.agent.reg.Counter("update.chunks.bytes.reused").Add(int64(reusedBytes))
+	a.reg.Counter("update.chunks.manifests").Inc()
+	a.reg.Counter("update.chunks.reused").Add(int64(x.reused))
+	a.reg.Counter("update.chunks.bytes.reused").Add(int64(x.reusedBytes))
 	return mrerr.Success
 }
 
-// hint is the old side of the transfer from the chunk list kept for host
-// path fp, or nil when there is none or fp is missing, short, grown or
-// rewritten.
-func (a *Agent) hint(fp string, manifest []Chunk) *oldSide {
-	a.mu.Lock()
-	kept, ok := a.kept[fp]
-	a.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	f, err := os.Open(fp)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil
-	}
-	old, ok := keptSide(f, int(fi.Size()), kept, manifest)
-	if !ok {
-		a.reg.Counter("update.chunks.hints.dropped").Inc()
-		return nil
-	}
-	return old
-}
-
 // chunkData receives pushed chunks (alternating index and data args),
-// verifying each against the manifest before keeping it.
+// writing each, checked against the manifest, into the staging file.
 func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
 	}
-	if s.manifest == nil {
+	if s.xfer == nil {
 		return mrerr.UpdNoFile
 	}
 	if len(req.Args)%2 != 0 {
@@ -769,64 +740,42 @@ func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
 	pushed, pushedBytes := 0, 0
 	for i := 0; i+1 < len(req.Args); i += 2 {
 		idx, err := strconv.Atoi(string(req.Args[i]))
-		if err != nil || idx < 0 || idx >= len(s.manifest) {
+		if err != nil || idx < 0 || idx >= len(s.xfer.manifest) {
 			return mrerr.MrArgs
 		}
-		c := s.manifest[idx]
-		data := req.Args[i+1]
-		if len(data) != c.Len || sha256.Sum256(data) != c.Sum {
-			return mrerr.UpdChecksum
+		if code := s.xfer.put(idx, req.Args[i+1]); code != mrerr.Success {
+			return code
 		}
-		s.have[c.Sum] = data
 		pushed++
-		pushedBytes += len(data)
+		pushedBytes += len(req.Args[i+1])
 	}
 	s.agent.reg.Counter("update.chunks.pushed").Add(int64(pushed))
 	s.agent.reg.Counter("update.chunks.bytes.pushed").Add(int64(pushedBytes))
 	return mrerr.Success
 }
 
-// chunkAssemble stages the transferred file: it writes the reused and
-// received chunks, each verified as it goes, to <target>.moira_xfer,
-// checks the whole-file sum over the bytes written ("the file transfer
-// includes a checksum to insure data integrity"), flushes the staging
-// file to disk before the reply ("flush all data on the server to
-// disk") and renames it over the target. The target is never partial:
-// until the rename it holds its previous bytes, and the runs the new
-// file shares with it are read from it. The staging file stays open as
-// the session's view of the new bundle.
+// chunkAssemble stages the transferred file (xfer.assemble) and renames
+// it over the target. The staging file stays open as the session's view
+// of the new bundle, the target's old inode as its view of the old one.
 func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
 	}
-	if s.manifest == nil {
+	if s.xfer == nil {
 		return mrerr.UpdNoFile
 	}
-	target, manifest, have, old, wholeSum := s.chunkTarget, s.manifest, s.have, s.old, s.wholeSum
-	s.manifest, s.have, s.chunkTarget, s.old = nil, nil, "", nil
+	x, target := s.xfer, s.chunkTarget
+	s.xfer, s.chunkTarget = nil, ""
 	s.end()
 
-	fp, perr := s.agent.HostPath(target)
-	if perr != nil {
-		return mrerr.UpdBadInstr
-	}
-	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
-		return mrerr.MrInternal
-	}
-	// A staging file a crashed run left "will be deleted (as it may be
-	// incomplete) when the next update starts": exactly the names this
-	// agent stages the target under, nothing that merely shares its
-	// prefix.
-	os.Remove(fp + updateSuffix)
-	os.Remove(fp + xferSuffix)
-	in, code := stageAt(fp, manifest, have, old, wholeSum)
+	in, code := x.assemble()
 	if code != mrerr.Success {
 		// The target may no longer hold what its kept list says: the
 		// retry re-chunks it.
-		s.agent.keep(fp, nil)
+		s.agent.keep(x.fp, nil)
 		return code
 	}
-	s.agent.keep(fp, manifest)
+	s.agent.keep(x.fp, x.manifest)
 	s.target = target
 	s.install = in
 	// Staged files and their sizes; the chunk counters hold the
@@ -834,48 +783,6 @@ func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
 	s.agent.reg.Counter("update.xfers").Inc()
 	s.agent.reg.Counter("update.bytes").Add(int64(in.new.Len()))
 	return mrerr.Success
-}
-
-// stageAt writes the bundle manifest describes to fp's staging file,
-// from the chunks in have and the runs old says fp still holds, read
-// from it; fsyncs it and renames it over fp. It returns the view of the
-// transfer, reading the staged file through the handle that wrote it.
-// On failure the staging file is gone and fp untouched.
-func stageAt(fp string, manifest []Chunk, have map[[sha256.Size]byte][]byte, old *oldSide, wholeSum [sha256.Size]byte) (*Install, mrerr.Code) {
-	var src io.ReaderAt
-	if runs := old.runs(); len(runs) > 0 {
-		f, err := os.Open(fp)
-		if err != nil {
-			return nil, mrerr.UpdChecksum
-		}
-		defer f.Close()
-		src = f
-	}
-	xfer := fp + xferSuffix
-	f, err := os.OpenFile(xfer, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, mrerr.MrInternal
-	}
-	fail := func(code mrerr.Code) (*Install, mrerr.Code) {
-		f.Close()
-		os.Remove(xfer)
-		return nil, code
-	}
-	pieces, err := stage(f, manifest, have, src, old.runs(), wholeSum)
-	switch {
-	case errors.Is(err, errStaging):
-		return fail(mrerr.MrInternal)
-	case err != nil:
-		return fail(mrerr.UpdChecksum)
-	}
-	if f.Sync() != nil || os.Rename(xfer, fp) != nil {
-		return fail(mrerr.MrInternal)
-	}
-	n := 0
-	if k := len(manifest); k > 0 {
-		n = manifest[k-1].Off + manifest[k-1].Len
-	}
-	return newInstall(old, Text{n: n, pieces: pieces, src: &source{f: f}}, manifest), mrerr.Success
 }
 
 func (s *updateSession) loadScript(req *protocol.Request) mrerr.Code {
@@ -994,9 +901,8 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 }
 
 // extract writes one member of the staged bundle to <dest>.moira_update,
-// found in the session's one index of the bundle's headers: the ranges
-// of the staged file copied file to file, the pushed chunks the session
-// holds written from memory. No part of the member is read into a
+// found in the session's one index of the bundle's headers, copied from
+// the staged file file to file: no part of the member is read into a
 // buffer on the way.
 func (s *updateSession) extract(fields []string) mrerr.Code {
 	if len(fields) != 3 || s.install == nil {

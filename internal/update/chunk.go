@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -130,112 +128,4 @@ func DecodeManifest(data []byte) ([]Chunk, error) {
 		off += n
 	}
 	return out, nil
-}
-
-// errStaging marks a stage that failed writing, not verifying.
-var errStaging = errors.New("writing the staged file")
-
-// stage writes the file manifest describes to dst and returns it as the
-// pieces of a Text over dst: the chunks of have, keyed by checksum and
-// kept as memory pieces, and the chunks that lie in one of runs — runs
-// of the old bundle the new one shares, read from src — as file pieces.
-// It verifies every chunk's length and checksum before the chunk reaches
-// dst, and the whole file, computed over exactly the bytes written,
-// against wholeSum. The chunks of have are checked before the first
-// write, so a manifest naming chunks nobody supplied fails with nothing
-// written; the chunks of runs are read through one pooled chunk-sized
-// buffer, in batches of whole chunks, and checked there. A failure that
-// is not a checksum's wraps errStaging.
-func stage(dst io.Writer, manifest []Chunk, have map[[sha256.Size]byte][]byte, src io.ReaderAt, runs []anchor, wholeSum [sha256.Size]byte) ([]piece, error) {
-	inRun := runCursor(runs)
-	for i, c := range manifest {
-		if inRun(c) {
-			continue
-		}
-		data, ok := have[c.Sum]
-		if !ok {
-			return nil, fmt.Errorf("chunk %d (%x) missing", i, c.Sum[:6])
-		}
-		if len(data) != c.Len {
-			return nil, fmt.Errorf("chunk %d: length %d, manifest says %d", i, len(data), c.Len)
-		}
-		if sha256.Sum256(data) != c.Sum {
-			return nil, fmt.Errorf("chunk %d: checksum mismatch", i)
-		}
-	}
-	bp := chunkBufs.Get().(*[]byte)
-	defer chunkBufs.Put(bp)
-	buf := (*bp)[:0]
-	whole := sha256.New()
-	flush := func() error {
-		whole.Write(buf)
-		_, err := dst.Write(buf)
-		buf = buf[:0]
-		if err != nil {
-			return fmt.Errorf("%w: %v", errStaging, err)
-		}
-		return nil
-	}
-	var pieces []piece
-	inRun = runCursor(runs)
-	for i, r := 0, 0; i < len(manifest); {
-		c := manifest[i]
-		if c.Len > cap(buf)-len(buf) {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-		if !inRun(c) {
-			data := have[c.Sum]
-			buf = append(buf, data...)
-			pieces = append(pieces, piece{off: c.Off, n: c.Len, data: data})
-			i++
-			continue
-		}
-		for runs[r].p+runs[r].n <= c.Off {
-			r++
-		}
-		a := runs[r]
-		// One read takes as many whole chunks of the run as fit in buf.
-		j := i + 1
-		for j < len(manifest) && manifest[j].Off < a.p+a.n && manifest[j].Off+manifest[j].Len-c.Off <= cap(buf)-len(buf) {
-			j++
-		}
-		n := manifest[j-1].Off + manifest[j-1].Len - c.Off
-		b := buf[len(buf) : len(buf)+n]
-		if _, err := src.ReadAt(b, int64(a.o+c.Off-a.p)); err != nil {
-			return nil, fmt.Errorf("reading reused chunks: %w", err)
-		}
-		for ; i < j; i++ {
-			if m := manifest[i]; sha256.Sum256(b[m.Off-c.Off:m.Off-c.Off+m.Len]) != m.Sum {
-				return nil, fmt.Errorf("chunk %d: reused bytes changed: checksum mismatch", i)
-			}
-		}
-		buf = buf[:len(buf)+n]
-		if l := len(pieces) - 1; l >= 0 && pieces[l].data == nil && pieces[l].end() == c.Off {
-			pieces[l].n += n
-		} else {
-			pieces = append(pieces, piece{off: c.Off, n: n, at: c.Off})
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	var sum [sha256.Size]byte
-	if [sha256.Size]byte(whole.Sum(sum[:0])) != wholeSum {
-		return nil, fmt.Errorf("staged file checksum mismatch")
-	}
-	return pieces, nil
-}
-
-// runCursor returns a test of whether each chunk of a manifest, asked
-// in order, lies in one of runs (sorted by new-bundle offset).
-func runCursor(runs []anchor) func(Chunk) bool {
-	i := 0
-	return func(c Chunk) bool {
-		for i < len(runs) && runs[i].p+runs[i].n <= c.Off {
-			i++
-		}
-		return i < len(runs) && runs[i].p <= c.Off
-	}
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
-	"maps"
 	"math/rand"
-	"strings"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
+
+	"moira/internal/mrerr"
 )
 
 // randBytes is deterministic test data with enough entropy that the
@@ -125,90 +127,159 @@ func strings64() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// stageBytes stages the file manifest describes into memory.
-func stageBytes(manifest []Chunk, have map[[sha256.Size]byte][]byte, src io.ReaderAt, runs []anchor, whole [sha256.Size]byte) ([]byte, []piece, error) {
-	var out bytes.Buffer
-	pieces, err := stage(&out, manifest, have, src, runs, whole)
-	return out.Bytes(), pieces, err
+// memFile is a staging file in memory, counting its writes; fail makes
+// every write fail.
+type memFile struct {
+	b      []byte
+	writes int
+	fail   bool
 }
 
-type failWriter struct{}
+func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(m.b)) {
+		return 0, io.EOF
+	}
+	if n := copy(p, m.b[off:]); n < len(p) {
+		return n, io.EOF
+	}
+	return len(p), nil
+}
 
-func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if m.fail {
+		return 0, errors.New("disk full")
+	}
+	if end := int(off) + len(p); end > len(m.b) {
+		m.b = append(m.b, make([]byte, end-len(m.b))...)
+	}
+	m.writes++
+	return copy(m.b[off:], p), nil
+}
 
-// TestStageVerifies: the streaming stage writes exactly the file the
-// manifest names, and refuses a missing chunk, a chunk of the wrong
-// length, a chunk whose bytes do not match its sum, reused bytes that
-// changed on disk, and a file whose whole sum is wrong. A chunk of have
-// that fails is refused before anything is written.
+// pushAll writes every chunk of data into a staging file at its offset
+// plus shift, as OpUChunks writes pushed chunks, and returns the file
+// and where each chunk is.
+func pushAll(data []byte, chunks []Chunk, shift int) (*memFile, map[[sha256.Size]byte]where) {
+	dst := &memFile{}
+	have := map[[sha256.Size]byte]where{}
+	for _, c := range chunks {
+		dst.WriteAt(data[c.Off:c.Off+c.Len], int64(c.Off+shift))
+		have[c.Sum] = where{at: c.Off + shift, pushed: true}
+	}
+	dst.writes = 0
+	return dst, have
+}
+
+// TestStageVerifies: the in-order pass assembles exactly the file the
+// manifest names, from pushed chunks in place (not rewritten) or
+// elsewhere in the staging file, from old chunks have names and from
+// runs of an old copy; it refuses a missing chunk, a chunk whose bytes
+// do not match its sum, reused bytes that changed or are missing on
+// disk, and a file whose whole sum is wrong. A chunk nobody supplied is
+// refused before anything is written, and a failed write is errStaging.
+// A pushed chunk of the wrong length or sum is refused on arrival,
+// before it reaches the staging file.
 func TestStageVerifies(t *testing.T) {
 	data := randBytes(4, 120_000)
 	chunks := SplitChunks(data)
 	wholeSum := sha256.Sum256(data)
-	have := map[[sha256.Size]byte][]byte{}
+	old := bytes.NewReader(data)
+
+	dst, have := pushAll(data, chunks, 0)
+	if err := stage(dst, chunks, have, nil, nil, wholeSum); err != nil || !bytes.Equal(dst.b, data) || dst.writes != 0 {
+		t.Fatalf("pushed chunks in place: %v, %d writes", err, dst.writes)
+	}
+	dst, have = pushAll(data, chunks, len(data))
+	if err := stage(dst, chunks, have, nil, nil, wholeSum); err != nil || !bytes.Equal(dst.b[:len(data)], data) {
+		t.Fatalf("pushed chunks elsewhere: %v", err)
+	}
+	fromOld := map[[sha256.Size]byte]where{}
 	for _, c := range chunks {
-		have[c.Sum] = data[c.Off : c.Off+c.Len]
+		fromOld[c.Sum] = where{at: c.Off}
 	}
-	with := func(k [sha256.Size]byte, v []byte) map[[sha256.Size]byte][]byte {
-		m := maps.Clone(have)
-		if v == nil {
-			delete(m, k)
-		} else {
-			m[k] = v
-		}
-		return m
+	dst = &memFile{}
+	if err := stage(dst, chunks, fromOld, old, nil, wholeSum); err != nil || !bytes.Equal(dst.b, data) {
+		t.Fatalf("chunks at offsets of the old file: %v", err)
 	}
-
-	got, pieces, err := stageBytes(chunks, have, nil, nil, wholeSum)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("identity stage failed: %v", err)
-	}
-	for i, p := range pieces {
-		if p.off != chunks[i].Off || p.n != chunks[i].Len || &p.data[0] != &data[p.off] {
-			t.Fatalf("piece %d %d+%d is not chunk %d of have", i, p.off, p.n, i)
-		}
+	// Every chunk in one run shared with an old copy: read from it in
+	// batches, each chunk checked in place.
+	runs := bundleAnchors(chunks, chunks)
+	dst = &memFile{}
+	if err := stage(dst, chunks, nil, old, runs, wholeSum); err != nil || !bytes.Equal(dst.b, data) {
+		t.Fatalf("stage from reused runs: %v", err)
 	}
 
-	bad := append([]byte(nil), have[chunks[0].Sum]...)
-	bad[0] ^= 1
 	for _, c := range []struct {
 		name string
-		have map[[sha256.Size]byte][]byte
-	}{
-		{"missing chunk", with(chunks[1].Sum, nil)},
-		{"wrong length", with(chunks[1].Sum, data[chunks[1].Off:chunks[1].Off+chunks[1].Len-1])},
-		{"bad chunk sum", with(chunks[0].Sum, bad)},
-	} {
-		if out, _, err := stageBytes(chunks, c.have, nil, nil, wholeSum); err == nil || len(out) != 0 {
-			t.Errorf("%s: err %v, %d bytes written", c.name, err, len(out))
+		w    where
+		ok   bool
+	}{{"missing chunk", where{}, false}, {"chunk asked for, never sent", where{at: -1}, true}} {
+		dst, have = pushAll(data, chunks, len(data))
+		if c.ok {
+			have[chunks[1].Sum] = c.w
+		} else {
+			delete(have, chunks[1].Sum)
+		}
+		if err := stage(dst, chunks, have, nil, nil, wholeSum); err == nil || dst.writes != 0 {
+			t.Errorf("%s: err %v, %d writes", c.name, err, dst.writes)
 		}
 	}
-	if _, _, err := stageBytes(chunks, have, nil, nil, sha256.Sum256([]byte("x"))); err == nil {
+	dst, have = pushAll(data, chunks, 0)
+	dst.b[chunks[1].Off] ^= 1
+	if err := stage(dst, chunks, have, nil, nil, wholeSum); err == nil || errors.Is(err, errStaging) {
+		t.Errorf("pushed bytes changed in the staging file: %v", err)
+	}
+	dst, have = pushAll(data, chunks, 0)
+	if err := stage(dst, chunks, have, nil, nil, sha256.Sum256([]byte("x"))); err == nil {
 		t.Error("wrong whole-file checksum accepted")
-	}
-
-	// Every chunk reused from an old copy of the file: read from it in
-	// runs, each chunk checked in place, kept as one file piece.
-	runs := bundleAnchors(chunks, chunks)
-	got, pieces, err = stageBytes(chunks, nil, bytes.NewReader(data), runs, wholeSum)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("stage from reused runs failed: %v", err)
-	}
-	if len(pieces) != 1 || pieces[0].data != nil || pieces[0].n != len(data) || pieces[0].at != 0 {
-		t.Errorf("reused runs staged as pieces %+v, want one file piece of %d bytes", pieces, len(data))
 	}
 	changed := append([]byte(nil), data...)
 	changed[len(changed)/2] ^= 1
-	if _, _, err := stageBytes(chunks, nil, bytes.NewReader(changed), runs, wholeSum); err == nil || !strings.Contains(err.Error(), "reused bytes changed") {
-		t.Errorf("reused bytes changed on disk: %v", err)
+	for name, b := range map[string][]byte{"changed": changed, "missing": data[:len(data)/2]} {
+		for _, h := range []map[[sha256.Size]byte]where{nil, fromOld} {
+			r := runs
+			if h != nil {
+				r = nil
+			}
+			if err := stage(&memFile{}, chunks, h, bytes.NewReader(b), r, wholeSum); err == nil || errors.Is(err, errStaging) {
+				t.Errorf("reused bytes %s on disk (runs %v): %v", name, r != nil, err)
+			}
+		}
 	}
-	if _, _, err := stageBytes(chunks, nil, bytes.NewReader(data[:len(data)/2]), runs, wholeSum); err == nil {
-		t.Error("reused bytes missing on disk accepted")
+	if err := stage(&memFile{fail: true}, chunks, fromOld, old, nil, wholeSum); !errors.Is(err, errStaging) {
+		t.Errorf("failed write: %v, want errStaging", err)
 	}
 
-	// A failed write is not a checksum failure.
-	if _, err := stage(failWriter{}, chunks, have, nil, nil, wholeSum); !errors.Is(err, errStaging) {
-		t.Errorf("failed write: %v, want errStaging", err)
+	// On arrival: the transfer refuses a pushed chunk of the wrong length
+	// or sum and writes nothing.
+	x, needed, err := beginXfer(filepath.Join(t.TempDir(), "bundle"), nil, chunks, wholeSum)
+	if err != nil || len(needed) != len(chunks) {
+		t.Fatalf("beginXfer: %v, %d of %d chunks needed", err, len(needed), len(chunks))
+	}
+	defer x.abort()
+	c := chunks[1]
+	bad := append([]byte(nil), data[c.Off:c.Off+c.Len]...)
+	bad[0] ^= 1
+	for name, b := range map[string][]byte{"wrong length": bad[:c.Len-1], "bad sum": bad} {
+		if code := x.put(1, b); code != mrerr.UpdChecksum {
+			t.Errorf("%s: %v, want %v", name, code, mrerr.UpdChecksum)
+		}
+	}
+	if fi, err := x.staged.Stat(); err != nil || fi.Size() != 0 {
+		t.Errorf("refused chunks reached the staging file: %v", err)
+	}
+}
+
+// checkCut fails unless cutFile cuts data as SplitChunks does, and
+// fails to cut a file shorter than the size it is given.
+func checkCut(t *testing.T, data []byte) {
+	t.Helper()
+	got, ok := cutFile(bytes.NewReader(data), len(data))
+	if want := SplitChunks(data); !ok || !slices.Equal(got, want) {
+		t.Fatalf("%d bytes: cutFile gives %d chunks (%v), SplitChunks %d", len(data), len(got), ok, len(want))
+	}
+	if _, ok := cutFile(bytes.NewReader(data), len(data)+1); ok {
+		t.Fatalf("%d bytes: cut as %d", len(data), len(data)+1)
 	}
 }
 
@@ -266,8 +337,10 @@ func TestChunkedPushReusesUnchangedData(t *testing.T) {
 	}
 }
 
-// FuzzChunker fuzzes the chunking pipeline three ways at once:
-// staging identity (split → stage reproduces the input),
+// FuzzChunker fuzzes the chunking pipeline four ways at once: the
+// streaming cutter (cutting the bytes as a file through the window gives
+// SplitChunks' chunks, offsets, lengths and sums), staging identity
+// (split → stage reproduces the input),
 // boundary stability (a single-byte edit still tiles the input), and
 // corrupt-manifest rejection (DecodeManifest fails cleanly, and a
 // manifest/have mismatch never stages a wrong file).
@@ -275,6 +348,11 @@ func FuzzChunker(f *testing.F) {
 	f.Add([]byte("hello world"), uint32(3), byte(0xff))
 	f.Add(randBytes(1, 10_000), uint32(5000), byte(1))
 	f.Add([]byte{}, uint32(0), byte(0))
+	for i, n := range []int{1, chunkMin - 1, chunkMin, chunkMin + 1, chunkMax, 2 * chunkMax, 300_000} {
+		f.Add(randBytes(int64(n), n), uint32(n/2), byte(i))
+	}
+	f.Add(bytes.Repeat([]byte{0}, 3*chunkMax), uint32(1), byte(4)) // cut at exactly chunkMax
+	f.Add(bytes.Repeat([]byte{0}, 3*chunkMax+1), uint32(1), byte(4))
 	f.Fuzz(func(t *testing.T, data []byte, editPos uint32, editByte byte) {
 		chunks := SplitChunks(data)
 		tile := func(chunks []Chunk, n int) {
@@ -295,17 +373,16 @@ func FuzzChunker(f *testing.F) {
 			t.Fatal("empty input produced chunks")
 		}
 
+		// The streaming cutter cuts the same chunks.
+		checkCut(t, data)
+
 		// Identity: reassemble from our own chunks.
-		have := map[[sha256.Size]byte][]byte{}
-		for _, c := range chunks {
-			have[c.Sum] = data[c.Off : c.Off+c.Len]
-		}
+		dst, have := pushAll(data, chunks, len(data))
 		whole := sha256.Sum256(data)
-		got, _, err := stageBytes(chunks, have, nil, nil, whole)
-		if err != nil {
+		if err := stage(dst, chunks, have, nil, nil, whole); err != nil {
 			t.Fatalf("identity stage: %v", err)
 		}
-		if !bytes.Equal(got, data) {
+		if !bytes.Equal(dst.b[:len(data)], data) {
 			t.Fatal("staging is not the identity")
 		}
 
@@ -332,8 +409,9 @@ func FuzzChunker(f *testing.F) {
 		if len(mbytes) > 0 {
 			mbytes[int(editPos)%len(mbytes)] ^= editByte | 1
 			if dec, err := DecodeManifest(mbytes); err == nil {
-				if out, _, err := stageBytes(dec, have, nil, nil, whole); err == nil {
-					if !bytes.Equal(out, data) {
+				dst, have := pushAll(data, chunks, 1<<20)
+				if err := stage(dst, dec, have, nil, nil, whole); err == nil {
+					if length(dec) != len(data) || !bytes.Equal(dst.b[:len(data)], data) {
 						t.Fatal("corrupted manifest staged a different file that passed the whole-file checksum")
 					}
 				}

@@ -1,14 +1,14 @@
 package update
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path"
-	"sync"
+
+	"moira/internal/mrerr"
 )
 
 // Install is an exec command's view of the push that runs it. For each
@@ -16,8 +16,9 @@ import (
 // the member as it arrived and as it was in the bundle the target held
 // before, so a reload can apply what changed instead of re-reading and
 // re-parsing the installed file. The view lives only as long as the
-// session: it reads the staged bundle through the session's open
-// handle, which the session closes when it ends.
+// session: it reads the staged bundle and the bundle the target held
+// before through the session's open handles, which the session closes
+// when it ends.
 //
 // A nil *Install is a valid view with no files (local tooling, or a
 // session that transferred nothing): services then read from disk.
@@ -37,16 +38,16 @@ type Install struct {
 
 // File is one extracted member, seen from both sides of the push.
 type File struct {
-	// New is the member as installed, read by range: the pushed chunks
-	// the session holds in memory and, between them, ranges of the
-	// staged bundle file, read through the session's handle. It is valid
-	// until the exec command returns; services copy what they keep
-	// (Lines and String copy), and read the whole member into memory
-	// only to parse it whole.
+	// New is the member as installed, read by range from the staged
+	// bundle file through the session's handle. It is valid until the
+	// exec command returns; services copy what they keep (Lines and
+	// String copy), and read the whole member into memory only to parse
+	// it whole.
 	New Text
 	// Old is the same member in the bundle the target held before the
-	// push, read the same way; empty when there was no such bundle or
-	// member.
+	// push, read the same way from that file's inode, which the rename
+	// unlinked and the session's handle keeps readable; empty when there
+	// was no such bundle or member.
 	Old Text
 	// NewID and OldID identify the bytes of the new and old bundles. A
 	// service that tags its parsed state with the ID it reflects knows,
@@ -129,226 +130,84 @@ type anchor struct{ o, p, n int }
 // NewInstall builds the view of a push of newBundle over oldBundle (nil
 // when the target held nothing), with each entry of members mapping an
 // extract's dest to the member it extracts. Agents build the same view
-// from the chunk manifests of the transfer; this form chunks both
-// bundles itself, for tests and tools that stage a push by hand.
+// over the files of the transfer; this form holds both bundles in
+// memory and chunks them itself, for tests and tools that stage a push
+// by hand.
 func NewInstall(oldBundle, newBundle []byte, members map[string]string) *Install {
 	newChunks := SplitChunks(newBundle)
-	var old *oldSide
+	in := newInstall(TextOf(newBundle), newChunks)
 	if oldBundle != nil {
-		old = wholeSide(oldBundle, newChunks)
+		oldChunks := SplitChunks(oldBundle)
+		in.old, in.oldID, in.anchors = TextOf(oldBundle), manifestID(oldChunks), bundleAnchors(oldChunks, newChunks)
 	}
-	in := newInstall(old, TextOf(newBundle), newChunks)
 	for dest, member := range members {
 		in.extracted(member, dest)
 	}
 	return in
 }
 
-// StageInstall stages newBundle in a new file at path (whatever was
-// there is removed first) as an agent stages a push of it over a target
-// holding oldBundle (nil when it holds nothing) whose chunk list the
-// agent kept: the chunks the bundles share in order are read from
-// oldBundle and checked, the others taken as if pushed. It returns the
-// view the push's exec commands would get, reading the staged file;
-// Close releases it. For tests and tools.
+// StageInstall stages a push of newBundle to path as an agent does over
+// a target holding oldBundle (nil when it holds nothing), whose chunk
+// list the agent kept: oldBundle is written to path (whatever was there
+// is removed first) and opened, its chunks checked against the kept
+// list; the chunks the new bundle does not share in order with it are
+// written, as if pushed, into the staging file beside path, which is
+// assembled and renamed over path. It returns the view the push's exec
+// commands would get, reading both files through their handles; Close
+// releases it. For tests and tools.
 func StageInstall(path string, oldBundle, newBundle []byte, members map[string]string) (*Install, error) {
-	chunks := SplitChunks(newBundle)
-	var old *oldSide
-	if oldBundle != nil {
-		var ok bool
-		if old, ok = keptSide(bytes.NewReader(oldBundle), len(oldBundle), SplitChunks(oldBundle), chunks); !ok {
-			return nil, fmt.Errorf("update: a kept list rejected its own bundle")
-		}
-	}
-	have := map[[sha256.Size]byte][]byte{}
-	if old != nil {
-		old.reuse(have)
-	}
-	inRun := runCursor(old.runs())
-	for _, c := range chunks {
-		if _, ok := have[c.Sum]; !ok && !inRun(c) {
-			have[c.Sum] = newBundle[c.Off : c.Off+c.Len]
-		}
-	}
 	os.Remove(path)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	var kept []Chunk
+	if oldBundle != nil {
+		if err := os.WriteFile(path, oldBundle, 0o644); err != nil {
+			return nil, err
+		}
+		kept = SplitChunks(oldBundle)
+	}
+	chunks := SplitChunks(newBundle)
+	old, dropped := openOld(path, kept, chunks)
+	if dropped {
+		old.close()
+		return nil, fmt.Errorf("update: a kept list rejected its own bundle")
+	}
+	x, needed, err := beginXfer(path, old, chunks, sha256.Sum256(newBundle))
 	if err != nil {
 		return nil, err
 	}
-	pieces, err := stage(f, chunks, have, bytes.NewReader(oldBundle), old.runs(), sha256.Sum256(newBundle))
-	if err != nil {
-		f.Close()
-		return nil, err
+	for _, i := range needed {
+		if code := x.put(i, newBundle[chunks[i].Off:chunks[i].Off+chunks[i].Len]); code != mrerr.Success {
+			x.abort()
+			return nil, code
+		}
 	}
-	in := newInstall(old, Text{n: len(newBundle), pieces: pieces, src: &source{f: f}}, chunks)
+	in, code := x.assemble()
+	if code != mrerr.Success {
+		return nil, code
+	}
 	for dest, member := range members {
 		in.extracted(member, dest)
 	}
 	return in, nil
 }
 
-// Close ends the view: it closes the staged bundle's handle and puts its
-// read windows back. A view built in memory has nothing to close.
+// Close ends the view: it puts both bundles' read windows back and
+// closes their files. A view built in memory has nothing to close.
 func (in *Install) Close() error {
-	if in == nil || in.new.src == nil {
+	if in == nil {
 		return nil
 	}
-	in.old.src.release()
-	in.new.src.release()
-	return in.new.src.f.Close()
+	return errors.Join(in.new.src.close(), in.old.src.close())
 }
 
-// newInstall starts the view of a transfer: what the session knew of the
-// target's old bundle (nil when it held none), and the new bundle with
-// the chunk list the manifest exchange already carried for it.
-func newInstall(old *oldSide, new Text, newChunks []Chunk) *Install {
-	in := &Install{
+// newInstall starts the view of a transfer of new, whose chunk list the
+// manifest exchange already carried, over a target that held nothing.
+func newInstall(new Text, newChunks []Chunk) *Install {
+	return &Install{
 		new:     new,
 		newID:   manifestID(newChunks),
 		members: map[string]string{},
 		files:   map[string]*File{},
 	}
-	if old != nil {
-		in.old = old.text(new)
-		in.oldID = manifestID(old.chunks)
-		in.anchors = old.anchors
-	}
-	return in
-}
-
-// oldSide is what a transfer knows of the bundle its target holds: its
-// chunk list, the runs the new bundle shares with it, and its bytes
-// outside those runs, every chunk of them checked against its sum. When
-// the agent re-chunked the target, held is the whole bundle.
-type oldSide struct {
-	chunks  []Chunk
-	anchors []anchor
-	held    []piece // in order
-	// onDisk: the anchors' bytes were checked in the target, not held;
-	// assembling the new bundle reads them from there.
-	onDisk bool
-}
-
-// wholeSide is the old side of a bundle held whole.
-func wholeSide(old []byte, newChunks []Chunk) *oldSide {
-	chunks := SplitChunks(old)
-	return &oldSide{chunks: chunks, anchors: bundleAnchors(chunks, newChunks), held: TextOf(old).pieces}
-}
-
-// keptSide is the old side of the bundle a kept chunk list says src (of
-// size bytes) holds, against the new bundle's chunks. It reads the
-// anchored chunks through one chunk-sized buffer and the rest into held
-// pieces, checking every chunk's sum; false means src is not what kept
-// says (a short, grown or rewritten target), and nothing was kept.
-func keptSide(src io.ReaderAt, size int, kept, newChunks []Chunk) (*oldSide, bool) {
-	if n := len(kept); (n == 0 && size != 0) || (n > 0 && kept[n-1].Off+kept[n-1].Len != size) {
-		return nil, false
-	}
-	o := &oldSide{chunks: kept, anchors: bundleAnchors(kept, newChunks), onDisk: true}
-	bp := chunkBufs.Get().(*[]byte)
-	defer chunkBufs.Put(bp)
-	buf := *bp
-	ci := 0
-	// read reads kept[ci:cj] into b, which they exactly fill, and checks
-	// each one's sum.
-	read := func(b []byte, cj int) bool {
-		w := kept[ci].Off
-		if _, err := src.ReadAt(b, int64(w)); err != nil {
-			return false
-		}
-		for ; ci < cj; ci++ {
-			c := kept[ci]
-			if sha256.Sum256(b[c.Off-w:c.Off-w+c.Len]) != c.Sum {
-				return false
-			}
-		}
-		return true
-	}
-	// The anchors tile part of the target in order; the sentinel closes
-	// the gap after the last one.
-	lo := 0
-	for _, a := range append(o.anchors[:len(o.anchors):len(o.anchors)], anchor{o: size}) {
-		if lo < a.o {
-			cj := ci
-			for cj < len(kept) && kept[cj].Off < a.o {
-				cj++
-			}
-			gap := make([]byte, a.o-lo)
-			if !read(gap, cj) {
-				return nil, false
-			}
-			o.held = append(o.held, piece{off: lo, n: len(gap), data: gap})
-		}
-		for ci < len(kept) && kept[ci].Off < a.o+a.n {
-			// One read takes as many whole chunks as fit in buf.
-			w, cj := kept[ci].Off, ci+1
-			for cj < len(kept) && kept[cj].Off < a.o+a.n && kept[cj].Off+kept[cj].Len-w <= len(buf) {
-				cj++
-			}
-			if !read(buf[:kept[cj-1].Off+kept[cj-1].Len-w], cj) {
-				return nil, false
-			}
-		}
-		lo = a.o + a.n
-	}
-	return o, true
-}
-
-// runs are the anchors whose bytes only the target holds (none for a
-// nil side): assembling the new bundle reads them from it.
-func (o *oldSide) runs() []anchor {
-	if o == nil || !o.onDisk {
-		return nil
-	}
-	return o.anchors
-}
-
-// chunkBufs holds chunk-sized buffers for checking chunks in place.
-var chunkBufs = sync.Pool{New: func() any {
-	b := make([]byte, chunkMax)
-	return &b
-}}
-
-// reuse adds every held chunk to have, the first of equal sums winning.
-func (o *oldSide) reuse(have map[[sha256.Size]byte][]byte) {
-	k := 0
-	for _, c := range o.chunks {
-		for k < len(o.held) && o.held[k].end() <= c.Off {
-			k++
-		}
-		if k == len(o.held) {
-			return
-		}
-		if p := o.held[k]; p.off <= c.Off {
-			if _, dup := have[c.Sum]; !dup {
-				have[c.Sum] = p.data[c.Off-p.off : c.Off-p.off+c.Len]
-			}
-		}
-	}
-}
-
-// text is the old bundle as a Text: the held pieces, and under each
-// anchor the new bundle's pieces there, which hold the old bytes. It
-// reads the new bundle's file through a source of its own.
-func (o *oldSide) text(new Text) Text {
-	t := Text{src: new.src.twin()}
-	if k := len(o.chunks); k > 0 {
-		t.n = o.chunks[k-1].Off + o.chunks[k-1].Len
-	}
-	if !o.onDisk {
-		t.pieces = o.held
-		return t
-	}
-	t.pieces = make([]piece, 0, len(o.held)+len(o.anchors))
-	h := o.held
-	for _, a := range o.anchors {
-		for len(h) > 0 && h[0].off < a.o {
-			t.pieces, h = append(t.pieces, h[0]), h[1:]
-		}
-		t.pieces = new.appendPieces(t.pieces, Range{a.p, a.p + a.n}, a.o)
-	}
-	t.pieces = append(t.pieces, h...)
-	return t
 }
 
 // manifestID is a bundle's content identity, derived from its chunk

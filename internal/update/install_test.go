@@ -2,8 +2,10 @@ package update
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,9 +45,9 @@ func viewOf(t testing.TB, old, new []byte) *File {
 	if !ok {
 		t.Fatal("no view of an extracted member")
 	}
-	// An agent's view — New the pushed chunks and ranges of the staged
-	// file, Old the old chunks read beside the shared runs and the same
-	// ranges — is the same view.
+	// An agent's view — New the staged file, Old the file the target
+	// held, each read through the handle the transfer opened — is the
+	// same view.
 	staged, err := StageInstall(filepath.Join(t.TempDir(), "bundle"), oldBundle, newBundle, members)
 	if err != nil {
 		t.Fatal(err)
@@ -224,24 +226,43 @@ func FuzzInstallEdits(f *testing.F) {
 	})
 }
 
-// TestInstallViewDiesWithSession: nothing of a push's view outlives it;
-// the next push's exec sees only its own extracts.
+// TestInstallViewDiesWithSession: nothing of a push's view outlives it:
+// the next push's exec sees only its own extracts, and both files the
+// view read — the staged bundle and the inode the target held before —
+// are closed with the session.
 func TestInstallViewDiesWithSession(t *testing.T) {
 	a, push := rig(t)
 	var saw []bool
+	var views []*Install
 	a.RegisterCommand("look", func(_ *Agent, in *Install, _ []string) error {
 		_, ok := in.File("/etc/f")
 		saw = append(saw, ok)
+		views = append(views, in)
 		return nil
 	})
-	files := map[string][]byte{"f": []byte("v\n")}
-	if err := push(files, []string{"extract f /etc/f", "exec look"}); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		body   string
+		script []string
+	}{
+		{"v\n", []string{"extract f /etc/f", "exec look"}},
+		{"w\n", []string{"extract f /etc/f", "exec look"}},
+		{"w\n", []string{"exec look"}},
+	} {
+		if err := push(map[string][]byte{"f": []byte(c.body)}, c.script); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := push(files, []string{"exec look"}); err != nil {
-		t.Fatal(err)
+	if len(saw) != 3 || !saw[0] || !saw[1] || saw[2] {
+		t.Errorf("views = %v, want [true true false]", saw)
 	}
-	if len(saw) != 2 || !saw[0] || saw[1] {
-		t.Errorf("views = %v, want [true false]", saw)
+	// The third session took the host lock after the second ended.
+	in := views[1]
+	if in.old.src == nil {
+		t.Fatal("the second push's view has no old side")
+	}
+	for name, f := range map[string]*os.File{"staged bundle": in.new.src.f, "old bundle": in.old.src.f} {
+		if _, err := f.Stat(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("%s still open after its session: %v", name, err)
+		}
 	}
 }

@@ -124,10 +124,6 @@ func (p *Push) Run() error {
 	return call(OpUExecute, nil)
 }
 
-// chunkBatchBytes bounds how much chunk data rides in one OpUChunks
-// request, so a large diff still flows in protocol-sized frames.
-const chunkBatchBytes = 256 << 10
-
 // transfer runs the manifest/chunks/assemble exchange: the agent
 // answers the manifest with the chunks it cannot supply from the file
 // it holds (every chunk, on a host's first update), and only those
@@ -139,15 +135,18 @@ func (p *Push) transfer(callR func(uint16, [][]byte) (*protocol.Reply, error)) e
 		return err
 	}
 
-	sent := 0
+	// The chunks travel in frames the agent's FrameReader keeps its
+	// buffer for: a batch is flushed before a chunk would take its frame
+	// past protocol.MaxKeptFrame.
+	empty := protocol.RequestLen(&protocol.Request{TraceID: p.Trace})
+	sent, size := 0, empty
 	var batch [][]byte
-	batchBytes := 0
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
 		_, err := callR(OpUChunks, batch)
-		batch, batchBytes = nil, 0
+		batch, size = batch[:0], empty
 		return err
 	}
 	for _, f := range rep.Fields {
@@ -156,14 +155,15 @@ func (p *Push) transfer(callR func(uint16, [][]byte) (*protocol.Reply, error)) e
 			return mrerr.UpdBadInstr
 		}
 		c := b.chunks[idx]
-		batch = append(batch, f, b.Data[c.Off:c.Off+c.Len])
-		batchBytes += c.Len
-		sent += c.Len
-		if batchBytes >= chunkBatchBytes {
+		grown := protocol.ArgLen(len(f)) + protocol.ArgLen(c.Len)
+		if size+grown > protocol.MaxKeptFrame {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
+		batch = append(batch, f, b.Data[c.Off:c.Off+c.Len])
+		size += grown
+		sent += c.Len
 	}
 	if err := flush(); err != nil {
 		return err

@@ -5,57 +5,34 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 )
 
-// Text is a byte string held in pieces and read by range. Both sides of
-// an install view are Texts: New is the pushed chunks the session holds
-// in memory and, between them, ranges of the staged bundle file; Old is
-// the old chunks the agent read beside the runs the two bundles share
-// and, under those runs, the same ranges of the staged file. Neither
-// ever holds a bundle whole.
+// Text is a byte string read by range: one range of memory, or one
+// range of an open file read through a window. Both sides of an agent's
+// install view are file Texts: New is the staged bundle file, Old the
+// file the target held before, read through the handle the session
+// opened it with. Neither is ever read into memory whole.
 //
-// A sub-Text shares its parent's pieces, and file pieces are read
-// through the Text's source, one window shared by the Text and every
-// sub-Text cut from it: a slice one read returns is valid until the next
-// read of the same Text.
+// A sub-Text shares its parent's source: a file Text and every sub-Text
+// cut from it read through one window, so a slice one read returns is
+// valid until the next read of the same Text.
 type Text struct {
-	base, n int     // the text is the pieces' bytes [base, base+n)
-	pieces  []piece // in order, tiling a range that holds [base, base+n)
-	src     *source // reads the file pieces; nil when there are none
-}
-
-// piece is n > 0 bytes from offset off: data, or, when data is nil, the
-// source file's bytes from offset at.
-type piece struct {
+	b      []byte  // the text, when it is in memory
+	src    *source // else the file holding it, from offset off
 	off, n int
-	data   []byte
-	at     int
 }
 
-func (p piece) end() int { return p.off + p.n }
-
-// source is the open file a Text's file pieces read, through a window: a
-// pooled chunk-sized buffer, taken on the first read and put back by
-// release, so reading a file piece line by line does not allocate.
+// source is the open file a file Text reads, through a window: a pooled
+// chunk-sized buffer, taken on the first read and put back by close,
+// so reading a file line by line does not allocate.
 type source struct {
 	f    *os.File
 	buf  *[]byte
 	win  []byte // the file's bytes [lo, lo+len(win))
 	lo   int
-	line []byte // a line that crosses pieces or windows, assembled
+	line []byte // a line that crosses windows, assembled
 	lr   io.LimitedReader
-}
-
-// twin is a second source over the same file, with its own window, for a
-// Text that is read alongside s's (an install view's Old beside its
-// New).
-func (s *source) twin() *source {
-	if s == nil {
-		return nil
-	}
-	return &source{f: s.f}
 }
 
 // read returns up to n > 0 bytes of the file from offset at, at least
@@ -80,13 +57,13 @@ func (s *source) readBack(lo, hi int) []byte {
 }
 
 // fill reads up to n bytes from at into the window, need of them at
-// least. The file is the session's own verified bundle, held open: a
-// read that comes up short there is a fault the agent's dispatch
-// recovers (MR_INTERNAL).
+// least. The file is a bundle the session checked and holds open: a read
+// that comes up short there is a fault the agent's dispatch recovers
+// (MR_INTERNAL).
 func (s *source) fill(at, n, need int) {
 	k, err := s.f.ReadAt((*s.buffer())[:n], int64(at))
 	if k < need {
-		panic(fmt.Errorf("update: staged bundle unreadable at %d: %v", at, err))
+		panic(fmt.Errorf("update: bundle file unreadable at %d: %v", at, err))
 	}
 	s.win, s.lo = (*s.buf)[:k], at
 }
@@ -99,12 +76,16 @@ func (s *source) buffer() *[]byte {
 	return s.buf
 }
 
-// release puts the window back in the pool.
-func (s *source) release() {
-	if s != nil && s.buf != nil {
+// close puts the window back in the pool and closes the file.
+func (s *source) close() error {
+	if s == nil {
+		return nil
+	}
+	if s.buf != nil {
 		chunkBufs.Put(s.buf)
 		s.buf, s.win = nil, nil
 	}
+	return s.f.Close()
 }
 
 // copyTo copies n bytes of the file from at to dst, file to file in the
@@ -121,52 +102,40 @@ func (s *source) copyTo(dst *os.File, at, n int) error {
 	return err
 }
 
-// TextOf is the Text of b, in one piece.
-func TextOf(b []byte) Text {
-	if len(b) == 0 {
-		return Text{}
-	}
-	return Text{n: len(b), pieces: []piece{{n: len(b), data: b}}}
-}
+// fileText is the text of f's first n bytes.
+func fileText(f *os.File, n int) Text { return Text{src: &source{f: f}, n: n} }
+
+// TextOf is the Text of b, in memory.
+func TextOf(b []byte) Text { return Text{b: b, n: len(b)} }
 
 // Len is the text's length in bytes.
 func (t Text) Len() int { return t.n }
 
-// find returns the index of the piece holding offset i < t.n.
-func (t Text) find(i int) int {
-	i += t.base
-	return sort.Search(len(t.pieces), func(k int) bool { return t.pieces[k].end() > i })
-}
-
 // seg returns the text's bytes from offset i up to hi at most, as one
-// slice, at least one byte when i < hi: within a memory piece a
-// sub-slice, within a file piece the window's bytes.
+// slice, at least one byte when i < hi: in memory a sub-slice, in a file
+// the window's bytes.
 func (t Text) seg(i, hi int) []byte {
-	p := t.pieces[t.find(i)]
-	i, hi = t.base+i, min(t.base+hi, p.end())
-	if p.data != nil {
-		return p.data[i-p.off : hi-p.off]
+	if t.src == nil {
+		return t.b[i:hi]
 	}
-	return t.src.read(p.at+i-p.off, hi-i)
+	return t.src.read(t.off+i, hi-i)
 }
 
 // segBack returns the text's bytes up to offset hi, from lo at least, as
 // one slice, at least one byte when lo < hi.
 func (t Text) segBack(lo, hi int) []byte {
-	p := t.pieces[t.find(hi-1)]
-	lo, hi = max(t.base+lo, p.off), t.base+hi
-	if p.data != nil {
-		return p.data[lo-p.off : hi-p.off]
+	if t.src == nil {
+		return t.b[lo:hi]
 	}
-	return t.src.readBack(p.at+lo-p.off, p.at+hi-p.off)
+	return t.src.readBack(t.off+lo, t.off+hi)
 }
 
 // at is the byte at offset i < t.n.
 func (t Text) at(i int) byte { return t.seg(i, i+1)[0] }
 
-// bytes returns the text in [lo, hi) as one slice: a sub-slice of a
-// memory piece or of the window when it lies in one, else assembled in
-// the source's line buffer.
+// bytes returns the text in [lo, hi) as one slice: a sub-slice of memory
+// or of the window when it lies in one, else assembled in the source's
+// line buffer.
 func (t Text) bytes(lo, hi int) []byte {
 	if lo >= hi {
 		return nil
@@ -174,18 +143,13 @@ func (t Text) bytes(lo, hi int) []byte {
 	if s := t.seg(lo, hi); len(s) == hi-lo {
 		return s
 	}
-	var b []byte
-	if t.src != nil {
-		b = t.src.line[:0]
-	}
+	b := t.src.line[:0]
 	for i := lo; i < hi; {
 		s := t.seg(i, hi)
 		b = append(b, s...)
 		i += len(s)
 	}
-	if t.src != nil {
-		t.src.line = b
-	}
+	t.src.line = b
 	return b
 }
 
@@ -203,49 +167,32 @@ func (t Text) String(r Range) string {
 }
 
 // ReadAt implements io.ReaderAt, so the text can be walked as a tar
-// archive. File pieces are read straight into p.
+// archive. A file Text is read straight into p.
 func (t Text) ReadAt(p []byte, off int64) (int, error) {
 	if off >= int64(t.n) {
 		return 0, io.EOF
 	}
 	want := len(p)
 	p = p[:min(want, t.n-int(off))]
-	n := 0
-	for k := t.find(int(off)); n < len(p); k++ {
-		pc := t.pieces[k]
-		i := t.base + int(off) + n - pc.off
-		m := min(len(p)-n, pc.n-i)
-		if pc.data != nil {
-			copy(p[n:n+m], pc.data[i:])
-		} else if _, err := t.src.f.ReadAt(p[n:n+m], int64(pc.at+i)); err != nil {
-			return n, err
-		}
-		n += m
+	if t.src == nil {
+		copy(p, t.b[off:])
+	} else if n, err := t.src.f.ReadAt(p, int64(t.off)+off); err != nil {
+		return n, err
 	}
-	if n < want {
-		return n, io.EOF
+	if len(p) < want {
+		return len(p), io.EOF
 	}
-	return n, nil
+	return len(p), nil
 }
 
-// copyTo writes the text in r to dst: memory pieces by a direct write,
-// file pieces copied from file to file.
+// copyTo writes the text in r to dst: from memory by a direct write,
+// from a file file to file.
 func (t Text) copyTo(dst *os.File, r Range) error {
-	for i := r.Lo; i < r.Hi; {
-		p := t.pieces[t.find(i)]
-		lo, hi := t.base+i, min(t.base+r.Hi, p.end())
-		var err error
-		if p.data != nil {
-			_, err = dst.Write(p.data[lo-p.off : hi-p.off])
-		} else {
-			err = t.src.copyTo(dst, p.at+lo-p.off, hi-lo)
-		}
-		if err != nil {
-			return err
-		}
-		i += hi - lo
+	if t.src == nil {
+		_, err := dst.Write(t.b[r.Lo:r.Hi])
+		return err
 	}
-	return nil
+	return t.src.copyTo(dst, t.off+r.Lo, r.Hi-r.Lo)
 }
 
 // Lines calls fn with each line of the text in r, without its newline,
@@ -337,35 +284,16 @@ func (t Text) suffixLen(r Range, b Text, rb Range) int {
 	return m
 }
 
-// Sub is the text of range r, in r's coordinates: the pieces of t that
-// hold it, shared, read through t's source.
+// Sub is the text of range r, in r's coordinates, read through t's
+// source.
 func (t Text) Sub(r Range) Text {
 	if r.Lo >= r.Hi {
 		return Text{}
 	}
-	return Text{base: t.base + r.Lo, n: r.Hi - r.Lo, pieces: t.pieces[t.find(r.Lo) : t.find(r.Hi-1)+1], src: t.src}
-}
-
-// appendPieces appends the pieces holding t's text in r to dst, cut to r
-// and moved so that r.Lo falls at offset off.
-func (t Text) appendPieces(dst []piece, r Range, off int) []piece {
-	if r.Lo >= r.Hi {
-		return dst
+	if t.src == nil {
+		return TextOf(t.b[r.Lo:r.Hi:r.Hi])
 	}
-	off -= t.base + r.Lo
-	r = Range{t.base + r.Lo, t.base + r.Hi}
-	for k := t.find(r.Lo - t.base); k < len(t.pieces) && t.pieces[k].off < r.Hi; k++ {
-		p := t.pieces[k]
-		lo, hi := max(r.Lo, p.off), min(r.Hi, p.end())
-		q := piece{off: lo + off, n: hi - lo}
-		if p.data != nil {
-			q.data = p.data[lo-p.off : hi-p.off : hi-p.off]
-		} else {
-			q.at = p.at + lo - p.off
-		}
-		dst = append(dst, q)
-	}
-	return dst
+	return Text{src: t.src, off: t.off + r.Lo, n: r.Hi - r.Lo}
 }
 
 // boundary reports whether offset i is a line boundary of the text.

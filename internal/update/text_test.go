@@ -9,31 +9,20 @@ import (
 	"testing"
 )
 
-// pieceText cuts data into pieces of up to maxPiece bytes, each held in
-// memory or, at random, read from a file that holds data after a
-// prefix of junk, so file offsets differ from text offsets.
-func pieceText(t testing.TB, r *rand.Rand, data []byte, maxPiece int) Text {
+// fileOf is data as a file Text: read from a file that holds it after
+// a prefix of junk, so file offsets differ from text offsets.
+func fileOf(t testing.TB, r *rand.Rand, data []byte) Text {
 	t.Helper()
 	junk := make([]byte, r.Intn(100))
 	f, err := os.Create(filepath.Join(t.TempDir(), "staged"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { f.Close() })
 	if _, err := f.Write(append(junk, data...)); err != nil {
 		t.Fatal(err)
 	}
-	txt := Text{n: len(data), src: &source{f: f}}
-	for lo := 0; lo < len(data); {
-		hi := min(len(data), lo+1+r.Intn(maxPiece))
-		if r.Intn(2) == 0 {
-			txt.pieces = append(txt.pieces, piece{off: lo, n: hi - lo, data: data[lo:hi:hi]})
-		} else {
-			txt.pieces = append(txt.pieces, piece{off: lo, n: hi - lo, at: len(junk) + lo})
-		}
-		lo = hi
-	}
-	t.Cleanup(txt.src.release)
+	txt := Text{src: &source{f: f}, off: len(junk), n: len(data)}
+	t.Cleanup(func() { txt.src.close() })
 	return txt
 }
 
@@ -47,9 +36,9 @@ func lines(each func(Range, func([]byte, int) error) error, rg Range) string {
 	return fmt.Sprint(out)
 }
 
-// TestTextReadsLikeItsBytes: a Text cut into random pieces, some in
-// memory and some read from a file, reads, by every accessor and over
-// every range, exactly as the flat bytes do.
+// TestTextReadsLikeItsBytes: a Text in memory and one read from a file
+// read, by every accessor and over every range, exactly as the flat
+// bytes do.
 func TestTextReadsLikeItsBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for round := 0; round < 100; round++ {
@@ -57,7 +46,10 @@ func TestTextReadsLikeItsBytes(t *testing.T) {
 		for i := range data {
 			data[i] = "ab\n"[r.Intn(3)]
 		}
-		txt := pieceText(t, r, data, 8)
+		txt := TextOf(data)
+		if round%2 == 1 {
+			txt = fileOf(t, r, data)
+		}
 		flat := func(rg Range, fn func([]byte, int) error) error { return EachLine(data, rg, fn) }
 		for lo := 0; lo <= len(data); lo++ {
 			for hi := lo; hi <= len(data); hi++ {
@@ -111,10 +103,10 @@ func TestTextReadsLikeItsBytes(t *testing.T) {
 	}
 }
 
-// TestTextReadsAcrossWindows: file pieces larger than the read window,
-// with lines that cross windows and pieces (one longer than a window),
-// read line by line and compared in both directions exactly as the flat
-// bytes do, and copy out to a file byte for byte.
+// TestTextReadsAcrossWindows: a file Text larger than the read window,
+// with lines that cross windows (one longer than a window), reads line
+// by line and compares in both directions exactly as the flat bytes do,
+// and copies out to a file byte for byte.
 func TestTextReadsAcrossWindows(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	var b bytes.Buffer
@@ -127,7 +119,7 @@ func TestTextReadsAcrossWindows(t *testing.T) {
 		b.WriteByte('\n')
 	}
 	data := b.Bytes()
-	txt := pieceText(t, r, data, 3*chunkMax)
+	txt := fileOf(t, r, data)
 	flat := func(rg Range, fn func([]byte, int) error) error { return EachLine(data, rg, fn) }
 	dst, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
