@@ -109,7 +109,7 @@ func main() {
 			stats.HostSoftFails+stats.HostHardFails, stats.Retries,
 			stats.FilesPropagated, stats.BytesPropagated,
 			wall.Round(time.Millisecond))
-		fmt.Printf("      delta: full=%d delta=%d noop=%d fallback=%d records=%d keys=%d pushed=%dB skipped=%dB\n",
+		fmt.Printf("      delta: full=%d delta=%d noop=%d fallback=%d rows=%d keys=%d pushed=%dB skipped=%dB\n",
 			stats.FullBuilds, stats.DeltaBuilds, stats.NoopPasses, stats.Fallbacks,
 			stats.DeltaRecords, stats.DeltaKeys, stats.BytesPushed, stats.BytesSkipped)
 		if stats.HostsConsidered > 0 {

@@ -39,7 +39,7 @@ func main() {
 		spans    = flag.String("spans", "", "dump kept span trees ('*' for all, or one trace ID)")
 		healthy  = flag.Bool("health", false, "one-shot health view: print every probe, exit nonzero when any fails")
 		repl     = flag.Bool("repl", false, "one-shot replication view: role, lease, position, and a follower's lag or a primary's subscribers")
-		dcmView  = flag.Bool("dcm", false, "one-shot DCM view: per-service journal position and backlog, pass modes, bytes pushed vs skipped")
+		dcmView  = flag.Bool("dcm", false, "one-shot DCM view: per-service changed rows and last pass mode, pass modes, bytes pushed vs skipped")
 	)
 	flag.Parse()
 
@@ -207,11 +207,11 @@ func printRepl(w []string, rows []row) {
 
 // printDCM renders the incremental-DCM view from the dcm.* and
 // update.chunks.* series: cumulative pass modes and transfer savings,
-// then a per-service table of committed journal position, last-pass
-// backlog, and last pass mode from the dcm.delta.*.<service> gauges.
+// then a per-service table of the changed rows the last pass's snapshot
+// diff found and its mode, from the dcm.delta.*.<service> gauges.
 func printDCM(rows []row) {
 	m := make(map[string]int64)
-	type svcRow struct{ seg, idx, backlog, mode int64 }
+	type svcRow struct{ rows, mode int64 }
 	services := make(map[string]*svcRow)
 	var order []string
 	svc := func(name string) *svcRow {
@@ -233,12 +233,8 @@ func printDCM(rows []row) {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(r.name, "dcm.delta.pos.seg."):
-			svc(strings.TrimPrefix(r.name, "dcm.delta.pos.seg.")).seg = v
-		case strings.HasPrefix(r.name, "dcm.delta.pos.idx."):
-			svc(strings.TrimPrefix(r.name, "dcm.delta.pos.idx.")).idx = v
-		case strings.HasPrefix(r.name, "dcm.delta.backlog."):
-			svc(strings.TrimPrefix(r.name, "dcm.delta.backlog.")).backlog = v
+		case strings.HasPrefix(r.name, "dcm.delta.rows."):
+			svc(strings.TrimPrefix(r.name, "dcm.delta.rows.")).rows = v
 		case strings.HasPrefix(r.name, "dcm.delta.lastmode."):
 			svc(strings.TrimPrefix(r.name, "dcm.delta.lastmode.")).mode = v
 		default:
@@ -249,7 +245,7 @@ func printDCM(rows []row) {
 		m["dcm.passes"],
 		m["dcm.delta.passes.full"], m["dcm.delta.passes.delta"], m["dcm.delta.passes.noop"],
 		m["dcm.delta.fallbacks"])
-	fmt.Printf("deltas: %d journal records consumed, %d keys recomputed\n",
+	fmt.Printf("deltas: %d changed rows, %d keys recomputed\n",
 		m["dcm.delta.records"], m["dcm.delta.keys"])
 	pushed, skipped := m["dcm.bytes.pushed"], m["dcm.bytes.skipped"]
 	pct := 0.0
@@ -264,19 +260,19 @@ func printDCM(rows []row) {
 		fmt.Printf("journal: head segment %d\n", hs)
 	}
 	if len(order) == 0 {
-		fmt.Println("no service positions yet (no DCM pass has completed)")
+		fmt.Println("no service passes yet (no DCM pass has completed)")
 		return
 	}
 	sort.Strings(order)
 	modes := []string{"full", "delta", "no-op"}
-	fmt.Printf("\n%-12s %10s %10s %8s %s\n", "service", "pos.seg", "pos.idx", "backlog", "last-pass")
+	fmt.Printf("\n%-12s %8s %s\n", "service", "rows", "last-pass")
 	for _, name := range order {
 		s := services[name]
 		mode := "?"
 		if s.mode >= 0 && int(s.mode) < len(modes) {
 			mode = modes[s.mode]
 		}
-		fmt.Printf("%-12s %10d %10d %8d %s\n", name, s.seg, s.idx, s.backlog, mode)
+		fmt.Printf("%-12s %8d %s\n", name, s.rows, mode)
 	}
 }
 

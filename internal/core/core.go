@@ -75,9 +75,9 @@ type Options struct {
 	DCMPushTimeout time.Duration
 
 	// DCMIncremental makes Boot attach a durable journal to the
-	// database, so the DCM's planner patches per-service keyed models
-	// from journal deltas; without it the planner falls back to its
-	// table-sequence check (no change, or a full rebuild).
+	// database and hand it to the DCM, whose Loop then wakes on every
+	// append. The planner patches per-service keyed models from
+	// snapshot diffs either way.
 	// DCMFullEvery forces a full rebuild every N generating passes per
 	// service (0 disables the cadence).
 	DCMIncremental bool
@@ -235,11 +235,9 @@ func Boot(opts Options) (*System, error) {
 		}
 	}
 
-	// The delta planner's journal. Attached after the workload
-	// populate so the bulk load does not flow through segment files:
-	// records before the attach are invisible to the planner, which is
-	// fine because every service's first pass is a full build that
-	// commits its position at the then-current head.
+	// The durable journal, attached after the workload populate so the
+	// bulk load does not flow through segment files. The DCM's planner
+	// diffs snapshots and never reads it; it wakes the DCM's Loop.
 	if opts.DCMIncremental {
 		jdir, err := os.MkdirTemp("", "moira-journal-*")
 		if err != nil {

@@ -255,10 +255,10 @@ func (d *DB) DetachJournal() {
 func (d *DB) JournalDetached() bool { return d.detached.Load() }
 
 // AdoptCount reports how many times AdoptFrom replaced this database's
-// state. Derived caches built from a read of the database (the
-// incremental extract models) record the count they were built at and
-// discard themselves when it moves — an adopted snapshot invalidates
-// every delta chain.
+// state; a snapshot reports the count it was frozen at. Derived caches
+// built from a read of the database (the incremental extract models)
+// record the count they were built at and discard themselves when it
+// moves — an adopted snapshot invalidates every delta chain.
 func (d *DB) AdoptCount() int64 { return d.adoptions.Load() }
 
 // JournalWedged reports whether a journal append has failed since the

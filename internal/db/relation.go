@@ -19,13 +19,15 @@ import (
 
 // relation is one entry of relationList. freeze sets the relation's
 // tables in f to frozen copies of r's that share with prev every page not
-// stamped after since, and returns the rows it copied; rebuild moves the
-// tables into epoch and derives the indexes; load installs one dump
+// stamped after since, and returns the rows it copied; diff walks the
+// rows that differ between two frozen generations (Diff); rebuild moves
+// the tables into epoch and derives the indexes; load installs one dump
 // line's row, maintaining only the indexes the load itself needs.
 type relation interface {
 	tableName() string
 	init(r *relations) // install the empty tables
 	freeze(f, r, prev *relations, since int64) int
+	diff(a, b *relations, fn func(o, n any) bool) int
 	rebuild(r *relations, epoch int64)
 	audit(r *relations, add finding)
 	dump(d *DB, f *fields, w *bufio.Writer) error
@@ -45,7 +47,7 @@ const (
 )
 
 // rowRelation declares a relation of single rows, stored in a rowset.
-type rowRelation[R any] struct {
+type rowRelation[R comparable] struct {
 	name string
 	of   func(*relations) *rowset[R]
 	cols func(*R, *fields)
@@ -217,6 +219,24 @@ func (rel *rowRelation[R]) freeze(f, r, prev *relations, since int64) int {
 	return copied
 }
 
+// diff yields each row whose value differs, boxed as *R.
+func (rel *rowRelation[R]) diff(a, b *relations, fn func(o, n any) bool) int {
+	return rel.of(a).rows.diff(&rel.of(b).rows, func(o, n *R) bool {
+		if o != nil && n != nil && *o == *n {
+			return true
+		}
+		return fn(boxed(o), boxed(n))
+	})
+}
+
+// boxed returns r as an interface, nil for a nil r.
+func boxed[R any](r *R) any {
+	if r == nil {
+		return nil
+	}
+	return r
+}
+
 func (rel *rowRelation[R]) rebuild(r *relations, epoch int64) {
 	n := rel.of(r)
 	n.rebuild(epoch)
@@ -341,7 +361,7 @@ func (rel *rowRelation[R]) drop(d *DB, id int, row *R) {
 // setKey sets the column of row at field, which must be its name or a
 // secondary key, to v in place, and refiles the row under every key that
 // changed. The caller records the update.
-func setKey[R any, T comparable](d *DB, rel *rowRelation[R], row *R, field *T, v T) {
+func setKey[R, T comparable](d *DB, rel *rowRelation[R], row *R, field *T, v T) {
 	n, id := rel.of(&d.relations), rel.idOf(d, row)
 	var name string
 	if rel.key != nil {
@@ -438,6 +458,39 @@ func (memberRelation) freeze(f, r, prev *relations, since int64) int {
 		f.memberOf[i] = r.memberOf[i].freeze(&prev.memberOf[i], since, &copied)
 	}
 	return copied
+}
+
+// diff yields each membership added or removed, boxed as *Member, with
+// the other side nil. A list's rows change only by push (appends past
+// the end) and pull (drops one row, keeping the order), so one in-order
+// walk of the two slices finds the difference: an old row the new slice
+// does not continue with was removed, and the new rows past the old
+// slice's end were added. Rows out of that order show up as a removal
+// and an addition of the same membership.
+func (memberRelation) diff(a, b *relations, fn func(o, n any) bool) int {
+	return a.members.diff(&b.members, func(o, n *[]Member) bool {
+		var os, ns []Member
+		if o != nil {
+			os = *o
+		}
+		if n != nil {
+			ns = *n
+		}
+		j := 0
+		for i := range os {
+			if j < len(ns) && os[i] == ns[j] {
+				j++
+			} else if !fn(&os[i], nil) {
+				return false
+			}
+		}
+		for ; j < len(ns); j++ {
+			if !fn(nil, &ns[j]) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func (memberRelation) rebuild(r *relations, epoch int64) {

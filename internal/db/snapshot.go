@@ -87,6 +87,11 @@ func (d *DB) Reader() *DB {
 	return f
 }
 
+// Epoch reports the write epoch a snapshot from Reader() was frozen at.
+// Of two snapshots of one database the one with the larger epoch is the
+// newer; snapshots with equal epochs are the same snapshot.
+func (d *DB) Epoch() int64 { return d.builtEpoch }
+
 // SnapshotStats reports how many Reader calls were served and how many
 // had to rebuild the frozen snapshot (the difference is cache hits).
 func (d *DB) SnapshotStats() (reads, rebuilds int64) {
@@ -113,11 +118,30 @@ func (d *DB) freeze(prev *DB) (*DB, int) {
 		// probes must land in the live DB's tallies.
 		lookups: d.lookups,
 	}
+	f.adoptions.Store(d.adoptions.Load())
 	copied := 0
 	for _, rel := range relationList {
 		copied += rel.freeze(&f.relations, &d.relations, &prev.relations, prev.builtEpoch)
 	}
 	return f, copied
+}
+
+// Diff calls fn(old, new) for every row of the relation named table that
+// differs between old and new, two snapshots from Reader() of one
+// database, until fn returns false; it returns how many pages it
+// compared. A row is a *R of the relation's row type (a *Member for the
+// members relation, one call per membership added or removed); the side
+// that lacks the row is nil. Branches and pages the two snapshots share
+// are skipped by pointer identity and rows equal in every column are not
+// reported, so the cost is what changed, and Diff allocates nothing
+// beyond what fn does.
+func Diff(table string, old, new *DB, fn func(o, n any) bool) int {
+	for _, rel := range relationList {
+		if rel.tableName() == table {
+			return rel.diff(&old.relations, &new.relations, fn)
+		}
+	}
+	panic("db: Diff of an unknown relation")
 }
 
 // Frozen reports whether d is an immutable snapshot from Reader.

@@ -235,6 +235,60 @@ func pull[E any](t *table[[]E], key int, match func(E) bool, epoch int64) {
 	}
 }
 
+// diff calls fn(old, new) for every slot whose row pointer differs
+// between a and b, two frozen generations of one table (nil for a row
+// the generation lacks), in ascending id order until fn returns false,
+// and returns how many pages it compared. freeze hands a later
+// generation every node that did not change since the earlier one, so a
+// root, branch or page the two share is skipped by pointer identity and
+// the walk costs what changed. Rows of a page that was re-copied reach fn
+// even when their values are equal; the caller compares them.
+func (a *table[R]) diff(b *table[R], fn func(o, n *R) bool) (pages int) {
+	if len(a.root) == len(b.root) && (len(a.root) == 0 || &a.root[0] == &b.root[0]) {
+		return 0
+	}
+	for bi := 0; bi < max(len(a.root), len(b.root)); bi++ {
+		ba, bb := nodeAt(a.root, bi), nodeAt(b.root, bi)
+		if ba == bb {
+			continue
+		}
+		for pi := 0; pi < branchFanout; pi++ {
+			var pa, pb *page[R]
+			if ba != nil {
+				pa = ba.pages[pi]
+			}
+			if bb != nil {
+				pb = bb.pages[pi]
+			}
+			if pa == pb {
+				continue
+			}
+			pages++
+			for si := 0; si < fanout; si++ {
+				var ra, rb *R
+				if pa != nil {
+					ra = pa.rows[si]
+				}
+				if pb != nil {
+					rb = pb.rows[si]
+				}
+				if ra != rb && !fn(ra, rb) {
+					return pages
+				}
+			}
+		}
+	}
+	return pages
+}
+
+// nodeAt returns root[i], nil past the end.
+func nodeAt[R any](root []*branch[R], i int) *branch[R] {
+	if i < len(root) {
+		return root[i]
+	}
+	return nil
+}
+
 // audit checks the table's own invariants — every row sits in the slot
 // its id selects, and the node counts add up to the row count —
 // reporting each violation through fsck's add under the relation's name.

@@ -41,9 +41,9 @@ type Config struct {
 	// gen.Incrementals. Services without one are never scanned.
 	Generators map[string]*gen.Incremental
 
-	// Journal is the durable journal the delta planner reads; nil
-	// degrades every planning decision to the table-sequence check
-	// (no change, or a full rebuild).
+	// Journal, when set, wakes Loop on every append, so a burst of
+	// mutations propagates at the next due check instead of waiting out
+	// the full tick. Passes read snapshots, never the journal.
 	Journal *db.JournalWriter
 
 	// FullEvery forces a full rebuild every N generating passes per
@@ -170,7 +170,7 @@ func New(cfg Config) *DCM {
 	}
 	return &DCM{
 		cfg: cfg, clk: cfg.Clock, rnd: newLockedRand(cfg.BackoffSeed),
-		planner: extract.NewPlanner(cfg.DB, cfg.Journal, cfg.FullEvery),
+		planner: extract.NewPlanner(cfg.DB, cfg.FullEvery),
 		cycles:  map[string]*cycleState{},
 	}
 }
@@ -257,7 +257,8 @@ func partitionsInBundle(data []byte) []string {
 	return parts
 }
 
-// serviceSnapshot is a copy of the service row taken under the lock.
+// serviceSnapshot is a copy of the service row from the pass's
+// snapshot.
 type serviceSnapshot struct {
 	db.Server
 }
@@ -300,14 +301,15 @@ func (m *DCM) RunOnceTraced(trace string) (*CycleStats, error) {
 
 	stats := &CycleStats{Trace: trace}
 
-	// Snapshot the services table.
+	// One snapshot for the whole pass: every service generates from it
+	// with no lock held, and the pass's own claim and flag writes do not
+	// make another.
+	view := d.Reader()
 	var services []serviceSnapshot
-	d.LockShared()
-	d.EachServer(func(s *db.Server) bool {
+	view.EachServer(func(s *db.Server) bool {
 		services = append(services, serviceSnapshot{*s})
 		return true
 	})
-	d.UnlockShared()
 
 	sem := make(chan struct{}, m.maxParallelServices())
 	var wg sync.WaitGroup
@@ -330,7 +332,7 @@ func (m *DCM) RunOnceTraced(trace string) (*CycleStats, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			m.serviceCycle(&snap, generator, stats, sp)
+			m.serviceCycle(&snap, generator, view, stats, sp)
 		}()
 	}
 	wg.Wait()
@@ -340,9 +342,8 @@ func (m *DCM) RunOnceTraced(trace string) (*CycleStats, error) {
 	return stats, nil
 }
 
-// publishDeltaGauges exports the planner's per-service position and
-// backlog after a pass, so moirastat can show where each service's
-// extract stands relative to the journal head.
+// publishDeltaGauges exports each service's last committed pass — the
+// rows its diff found changed and its mode — for moirastat.
 func (m *DCM) publishDeltaGauges(services []serviceSnapshot) {
 	reg := m.cfg.Stats
 	if reg == nil {
@@ -353,9 +354,7 @@ func (m *DCM) publishDeltaGauges(services []serviceSnapshot) {
 			continue
 		}
 		st := m.planner.Status(snap.Name)
-		reg.Gauge("dcm.delta.pos.seg." + snap.Name).Set(st.Pos.Seg)
-		reg.Gauge("dcm.delta.pos.idx." + snap.Name).Set(st.Pos.Idx)
-		reg.Gauge("dcm.delta.backlog." + snap.Name).Set(int64(st.Backlog))
+		reg.Gauge("dcm.delta.rows." + snap.Name).Set(int64(st.Rows))
 		reg.Gauge("dcm.delta.lastmode." + snap.Name).Set(int64(st.Mode))
 	}
 }
@@ -369,9 +368,9 @@ func traceSuffix(trace string) string {
 	return " trace=" + trace
 }
 
-// serviceCycle regenerates one service's files if due, then scans its
-// hosts.
-func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, stats *CycleStats, passSpan *trace.Span) {
+// serviceCycle regenerates one service's files from view if due, then
+// scans its hosts.
+func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, view *db.DB, stats *CycleStats, passSpan *trace.Span) {
 	now := m.clk.Now().Unix()
 	name := snap.Name
 
@@ -396,7 +395,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, st
 			m.cfg.Logf("dcm: %s: claimed by a concurrent pass, skipping", name)
 			return
 		}
-		res, plan, err := m.generate(name, generator, cycle.scratch, csp)
+		res, plan, err := m.generate(name, generator, view, cycle.scratch, csp)
 		switch {
 		case err == nil && res != nil:
 			result = res
@@ -418,7 +417,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, st
 			m.finishGeneration(name, now, plan)
 			snap.DFGen, snap.DFCheck = now, now
 			if plan.Mode == extract.ModeDelta {
-				m.cfg.Logf("dcm: %s: delta pass: %d journal records -> %d keys, %d files (%d bytes)",
+				m.cfg.Logf("dcm: %s: delta pass: %d changed rows -> %d keys, %d files (%d bytes)",
 					name, plan.Records, plan.Keys, res.NumFiles, res.TotalBytes)
 			} else {
 				m.cfg.Logf("dcm: %s: full build (%s): %d files (%d bytes)",
@@ -426,8 +425,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, st
 			}
 		case err == nil:
 			// The planner proved nothing the extract reads has changed:
-			// a no-op pass, zero generator work. The position still
-			// advances past any consumed records that proved irrelevant.
+			// a no-op pass, zero generator work.
 			stats.add(func(s *CycleStats) {
 				s.NoChange++
 				s.NoopPasses++
@@ -464,7 +462,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, st
 	// Updates are needed but this pass produced no files (the service
 	// was not due, or nothing changed): render the planner's model.
 	if result == nil {
-		res, err := m.regenForHosts(name, generator, cycle.scratch)
+		res, err := m.regenForHosts(name, generator, view, cycle.scratch)
 		if err != nil {
 			m.cfg.Logf("dcm: %s: regeneration for host updates failed: %v", name, err)
 			return
@@ -716,16 +714,17 @@ func (m *DCM) claimService(name string) bool {
 	return true
 }
 
-// generate runs one planned generation pass for a service: journal
-// deltas patch the service's keyed model, and the planner's fallback
-// matrix decides when to rebuild it instead. A nil Result with a nil
-// error means "nothing changed, zero generator work".
-func (m *DCM) generate(name string, generator *gen.Incremental, scratch *gen.Scratch, csp *trace.Span) (*gen.Result, *extract.Plan, error) {
+// generate runs one planned generation pass for a service: the rows
+// that changed since the snapshot its keyed model reflects patch the
+// model, and the planner's fallback matrix decides when to rebuild it
+// instead. A nil Result with a nil error means "nothing changed, zero
+// generator work".
+func (m *DCM) generate(name string, generator *gen.Incremental, view *db.DB, scratch *gen.Scratch, csp *trace.Span) (*gen.Result, *extract.Plan, error) {
 	psp := csp.Child("dcm.plan")
 	defer psp.End()
 
-	model, plan, err := m.planner.Run(name, generator)
-	psp.SetDetail(fmt.Sprintf("%s mode=%s reason=%q records=%d keys=%d",
+	model, plan, err := m.planner.Run(name, generator, view)
+	psp.SetDetail(fmt.Sprintf("%s mode=%s reason=%q rows=%d keys=%d",
 		name, plan.Mode, plan.Reason, plan.Records, plan.Keys))
 	if err != nil || plan.Mode == extract.ModeNoChange {
 		return nil, plan, err
@@ -736,14 +735,14 @@ func (m *DCM) generate(name string, generator *gen.Incremental, scratch *gen.Scr
 
 // regenForHosts renders a service's bundles for the host-update path
 // when the due check produced none this pass: the planner's model,
-// patched up to the journal head if records arrived since. The plan is
+// patched up to the pass's snapshot if rows changed since. The plan is
 // deliberately not committed — this is not a generation, DFGen does not
-// move, and only the hosts already owed an update are pushed. The next
-// due pass re-derives the same dirty keys from the still-uncommitted
-// position (re-emitting a key is idempotent), reports the change, and
-// bumps DFGen so the service's other hosts receive it too.
-func (m *DCM) regenForHosts(name string, generator *gen.Incremental, scratch *gen.Scratch) (*gen.Result, error) {
-	model, _, err := m.planner.Run(name, generator)
+// move, and only the hosts already owed an update are pushed. The
+// planner remembers the uncommitted patch, so the next due pass reports
+// it as a change and bumps DFGen, and the service's other hosts receive
+// it too.
+func (m *DCM) regenForHosts(name string, generator *gen.Incremental, view *db.DB, scratch *gen.Scratch) (*gen.Result, error) {
+	model, _, err := m.planner.Run(name, generator, view)
 	if err != nil {
 		return nil, err
 	}
@@ -751,22 +750,16 @@ func (m *DCM) regenForHosts(name string, generator *gen.Incremental, scratch *ge
 }
 
 // fallbackReason reports whether a full-build reason counts as a
-// fallback — an incremental pass that could not proceed — rather than
-// an expected full build (first pass, scheduled cadence, no journal).
+// fallback — an incremental pass that could not proceed (an adopted
+// snapshot, a relation declared full) — rather than an expected full
+// build (first pass, scheduled cadence).
 func fallbackReason(reason string) bool {
-	switch reason {
-	case "cold start", "scheduled full", "no journal":
-		return false
-	}
-	return true
+	return reason != extract.FullColdStart && reason != extract.FullScheduled
 }
 
 // finishGeneration releases the in-progress claim, records the
-// generation's timestamps and commits the plan (journal position and
-// observed change sequence) under a single exclusive-lock acquisition.
-// Doing these as separate acquisitions opened a window where a
-// concurrent pass could snapshot the service as idle but pair it with
-// the previous generation's position and regenerate needlessly.
+// generation's timestamps and commits the plan (its status and change
+// sequence) under a single exclusive-lock acquisition.
 func (m *DCM) finishGeneration(name string, now int64, plan *extract.Plan) {
 	m.setServiceFlags(name, func(s *db.Server) {
 		s.DFGen, s.DFCheck = now, now
@@ -814,9 +807,7 @@ func (m *DCM) setHostFlags(service string, machID int, fn func(*db.ServerHost)) 
 func (m *DCM) Loop(interval time.Duration, trigger <-chan struct{}, stop <-chan struct{}) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	// A DCM with a journal also wakes on its appends, so a burst of
-	// mutations propagates at the next due check instead of waiting out
-	// the full tick.
+	// A DCM with a journal also wakes on its appends.
 	var journal <-chan struct{}
 	if m.cfg.Journal != nil {
 		journal = m.cfg.Journal.Subscribe()

@@ -42,9 +42,9 @@ type world struct {
 	dcm *DCM
 }
 
-// bothJournalStates runs a test over both of the planner's input
-// states: no journal (the table-sequence check decides no-change vs full
-// rebuild) and a durable journal attached (deltas patch the models).
+// bothJournalStates runs a test with and without a durable journal
+// attached: passes diff snapshots either way, and the journal only
+// wakes Loop, so both must behave alike.
 func bothJournalStates(t *testing.T, test func(t *testing.T, journal bool)) {
 	t.Run("nojournal", func(t *testing.T) { test(t, false) })
 	t.Run("journal", func(t *testing.T) { test(t, true) })
@@ -63,8 +63,7 @@ func newWorldCfg(t *testing.T, journal bool, cfg workload.Config) *world {
 		t.Fatal(err)
 	}
 	// Attached after the populate, as core.Boot does: the bulk load need
-	// not flow through segment files, since every first pass is a full
-	// build committing its position at the then-current head.
+	// not flow through segment files.
 	var jw *db.JournalWriter
 	if journal {
 		if jw, err = db.OpenJournalWriter(t.TempDir(), db.JournalOptions{}); err != nil {
@@ -356,9 +355,9 @@ func testOverrideSkipsInterval(t *testing.T, journal bool) {
 // TestOverridePushDoesNotSwallowDelta: a change pushed early to one
 // overridden host, between due checks, must still count as a change at
 // the next due check, so the service's other hosts receive it too. The
-// override push renders the planner's model patched to the journal head
-// but leaves the plan uncommitted; committing it there made the next
-// due pass see "no change" and stranded the other hosts on the old
+// override push renders the planner's model patched to the pass's
+// snapshot but leaves the plan uncommitted; committing it there made the
+// next due pass see "no change" and stranded the other hosts on the old
 // files.
 func TestOverridePushDoesNotSwallowDelta(t *testing.T) {
 	bothJournalStates(t, testOverridePushDoesNotSwallowDelta)

@@ -39,17 +39,17 @@ type CycleStats struct {
 
 	// FullBuilds and DeltaBuilds split Generated by how the files were
 	// produced; NoopPasses counts passes the planner proved clean (zero
-	// generator work). Fallbacks counts full builds forced by a lost or
-	// unusable delta path (position pruned, corrupt journal,
-	// non-incremental query) — expected fulls (cold start, scheduled
-	// cadence) are not fallbacks.
+	// generator work). Fallbacks counts full builds forced on a pass that
+	// could otherwise have been a delta (an adopted snapshot, a change to
+	// a relation its generator declares full) — expected fulls (cold
+	// start, scheduled cadence) are not fallbacks.
 	FullBuilds  int
 	DeltaBuilds int
 	NoopPasses  int
 	Fallbacks   int
 
-	// DeltaRecords is how many journal records the passes consumed;
-	// DeltaKeys how many logical keys they recomputed.
+	// DeltaRecords is how many changed rows the passes' snapshot diffs
+	// found; DeltaKeys how many logical keys they recomputed.
 	DeltaRecords int
 	DeltaKeys    int
 
@@ -95,7 +95,7 @@ func (s *CycleStats) add(fn func(*CycleStats)) {
 func (s *CycleStats) Summary() string {
 	return fmt.Sprintf(
 		"services scanned=%d due=%d generated=%d nochange=%d genfail=%d; "+
-			"passes full=%d delta=%d noop=%d fallback=%d records=%d keys=%d; "+
+			"passes full=%d delta=%d noop=%d fallback=%d rows=%d keys=%d; "+
 			"hosts considered=%d updated=%d soft=%d hard=%d busy=%d retries=%d; "+
 			"bytes gen=%d prop=%d pushed=%d skipped=%d; latency %s",
 		s.ServicesScanned, s.ServicesDue, s.Generated, s.NoChange, s.GenHardErrors,

@@ -1,14 +1,16 @@
 // Package extract is the incremental extract subsystem: it turns a DCM
 // pass from O(population) into O(changes). A generator builds a keyed
-// Model of its extract files once; after that, the delta Planner reads
-// the durable journal since the service's last successful pass, maps
-// each record to the logical keys it touches, and the generator
+// Model of its extract files once; after that, the delta Planner diffs
+// the database snapshot the model reflects against the current one, maps
+// each changed row to the logical keys that read it, and the generator
 // recomputes only those keys. Rendering a file from the model is
 // byte-identical to a from-scratch generation by construction: the full
 // build and the incremental patch go through the same per-key emit.
 package extract
 
 import (
+	"bytes"
+	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -65,10 +67,9 @@ type entry struct {
 // pass at render time, so a delta patch of k keys against an n-entry
 // file costs O(n + k log k) instead of k point insertions at O(n) each.
 type File struct {
+	name    string
 	entries []entry
-	cache   []byte // rendered bytes; nil after any mutation
-	scratch []byte // retired render buffer, reused by the next render
-	n       int    // live entry count (entries plus overlay effects)
+	n       int // live entry count (entries plus overlay effects)
 
 	// Overlay: dirty maps a sort key to its pending index, or -1 for a
 	// deletion. A dirty sort key shadows any base entry with that key.
@@ -101,18 +102,7 @@ func (f *File) lookup(sortKey string) (entry, bool) {
 	return f.entries[i], true
 }
 
-// invalidate retires the render cache on mutation. The backing array is
-// kept for the next render: pass after pass, the same few big files
-// change, and re-zeroing (and re-collecting) tens of megabytes per pass
-// costs more than the render itself.
-func (f *File) invalidate() {
-	if f.cache != nil {
-		f.scratch, f.cache = f.cache, nil
-	}
-}
-
 func (f *File) set(e entry) {
-	f.invalidate()
 	// Append fast path: full builds emit in sort order, so they stay on
 	// the contiguous slice and never pay for the overlay.
 	if len(f.dirty) == 0 && (len(f.entries) == 0 || f.entries[len(f.entries)-1].sort < e.sort) {
@@ -141,7 +131,6 @@ func (f *File) del(sortKey string) {
 	if _, ok := f.lookup(sortKey); !ok {
 		return
 	}
-	f.invalidate()
 	f.n--
 	if f.dirty == nil {
 		f.dirty = map[string]int{}
@@ -206,39 +195,20 @@ func (f *File) flush() {
 	f.entries, f.dirty, f.pending = es, nil, nil
 }
 
-// Bytes renders the file: the concatenation of every entry's data in
-// sort-key order. The result is cached until the next mutation; a
-// mutation-then-render reuses the retired buffer, grown with append's
-// headroom when the file outgrew it, so the returned slice is only
-// valid until the file next renders after a mutation.
-func (f *File) Bytes() []byte {
-	if f.cache != nil {
-		return f.cache
-	}
+// size merges the overlay and returns the rendered length.
+func (f *File) size() int {
 	f.flush()
 	n := 0
 	for i := range f.entries {
 		n += len(f.entries[i].data)
 	}
-	out := f.scratch
-	f.scratch = nil
-	if out == nil {
-		// A non-nil zero-length render distinguishes "empty file" from
-		// "no cache", so allocate even when n is zero.
-		out = make([]byte, 0, n)
-	} else {
-		out = slices.Grow(out[:0], n)
-	}
-	for i := range f.entries {
-		out = append(out, f.entries[i].data...)
-	}
-	f.cache = out
-	return out
+	return n
 }
 
 // loc names one entry: which file, at which position.
 type loc struct {
-	file, sort string
+	f    *File
+	sort string
 }
 
 // Model is the keyed representation of one generator's extract files.
@@ -262,21 +232,21 @@ func NewModel() *Model {
 func (m *Model) Emit(file, sortKey, key string, data []byte) {
 	f := m.files[file]
 	if f == nil {
-		f = &File{}
+		f = &File{name: file}
 		m.files[file] = f
 	}
 	if old, ok := f.lookup(sortKey); ok {
 		// Replacing an entry: drop the old owner's location record
 		// first so ownership never dangles.
 		if old.key != key {
-			m.dropLoc(old.key, loc{file, sortKey})
+			m.dropLoc(old.key, loc{f, sortKey})
 		} else {
 			f.set(entry{sort: sortKey, key: key, data: data})
 			return
 		}
 	}
 	f.set(entry{sort: sortKey, key: key, data: data})
-	m.locs[key] = append(m.locs[key], loc{file, sortKey})
+	m.locs[key] = append(m.locs[key], loc{f, sortKey})
 }
 
 func (m *Model) dropLoc(key string, l loc) {
@@ -298,11 +268,9 @@ func (m *Model) dropLoc(key string, l loc) {
 // would never create them).
 func (m *Model) DeleteKey(key string) {
 	for _, l := range m.locs[key] {
-		if f := m.files[l.file]; f != nil {
-			f.del(l.sort)
-			if f.n == 0 {
-				delete(m.files, l.file)
-			}
+		l.f.del(l.sort)
+		if l.f.n == 0 {
+			delete(m.files, l.f.name)
 		}
 	}
 	delete(m.locs, key)
@@ -322,23 +290,58 @@ func (m *Model) KeysWithPrefix(prefix string) []string {
 	return out
 }
 
-// Bytes renders one file; nil if the file does not exist.
+// Bytes renders one file into a new slice; nil if the file does not
+// exist.
 func (m *Model) Bytes(file string) []byte {
+	if m.files[file] == nil {
+		return nil
+	}
+	b := bytes.NewBuffer(make([]byte, 0, m.Size(file)))
+	m.WriteFile(b, file)
+	return b.Bytes()
+}
+
+// Names lists the files, sorted.
+func (m *Model) Names() []string {
+	names := make([]string, 0, len(m.files))
+	for name := range m.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Size reports the length of a file's rendered bytes; 0 if the file
+// does not exist.
+func (m *Model) Size(file string) int {
+	if f := m.files[file]; f != nil {
+		return f.size()
+	}
+	return 0
+}
+
+// WriteFile writes a file's rendered bytes to w entry by entry, without
+// rendering them into a buffer of the file's own: a caller that packs
+// the files into a bundle holds them once, in the bundle.
+func (m *Model) WriteFile(w io.Writer, file string) error {
 	f := m.files[file]
 	if f == nil {
 		return nil
 	}
-	return f.Bytes()
+	f.flush()
+	for i := range f.entries {
+		if _, err := w.Write(f.entries[i].data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Files renders every file. The map is freshly allocated; the byte
-// slices are the model's render caches and must not be mutated. They
-// stay valid until the model next renders after a mutation — consume
-// (or copy) them before the next pass patches the model.
+// Files renders every file into new slices.
 func (m *Model) Files() map[string][]byte {
 	out := make(map[string][]byte, len(m.files))
-	for name, f := range m.files {
-		out[name] = f.Bytes()
+	for name := range m.files {
+		out[name] = m.Bytes(name)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package extract
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strconv"
@@ -131,15 +132,15 @@ func TestKeysWithPrefix(t *testing.T) {
 func TestModelRenderCacheInvalidation(t *testing.T) {
 	m := NewModel()
 	m.Emit("f", K("a"), "a", []byte("1"))
-	_ = m.Bytes("f") // populate the cache
+	_ = m.Bytes("f") // flush the overlay
 	m.Emit("f", K("b"), "b", []byte("2"))
 	if got := m.Bytes("f"); !bytes.Equal(got, []byte("12")) {
-		t.Errorf("stale cache after emit: %q", got)
+		t.Errorf("stale render after emit: %q", got)
 	}
 	_ = m.Bytes("f")
 	m.DeleteKey("a")
 	if got := m.Bytes("f"); !bytes.Equal(got, []byte("2")) {
-		t.Errorf("stale cache after delete: %q", got)
+		t.Errorf("stale render after delete: %q", got)
 	}
 }
 
@@ -157,6 +158,7 @@ func FuzzModelPatch(f *testing.F) {
 		m := NewModel()
 		next := 0 // appended sort positions sort after every other one
 		check := func() {
+			var names []string
 			for _, file := range []string{"f", "g"} {
 				var sorts []string
 				for s := range ref[file] {
@@ -167,6 +169,15 @@ func FuzzModelPatch(f *testing.F) {
 				for _, s := range sorts {
 					want = append(want, ref[file][s].data...)
 				}
+				if len(sorts) > 0 {
+					names = append(names, file)
+				}
+				// Written into a bundle first, so WriteFile merges the
+				// overlay itself.
+				var w bytes.Buffer
+				if err := m.WriteFile(&w, file); err != nil || m.Size(file) != len(want) || !bytes.Equal(w.Bytes(), want) {
+					t.Fatalf("%s: WriteFile %q, Size %d, want %q", file, w.Bytes(), m.Size(file), want)
+				}
 				got := m.Bytes(file)
 				if len(sorts) == 0 {
 					if got != nil {
@@ -175,6 +186,9 @@ func FuzzModelPatch(f *testing.F) {
 				} else if !bytes.Equal(got, want) {
 					t.Fatalf("%s: render %q, want %q", file, got, want)
 				}
+			}
+			if got := m.Names(); fmt.Sprint(got) != fmt.Sprint(names) {
+				t.Fatalf("Names() = %v, want %v", got, names)
 			}
 		}
 		emit := func(file, sortKey, key, data string) {
@@ -223,9 +237,9 @@ func FuzzModelPatch(f *testing.F) {
 }
 
 // TestModelPatchAllocsIndependentOfFileSize: a patch merges its overlay
-// into the entry array in place and renders into the retired buffer, so
-// re-emitting 10 keys of a 100,000-entry file allocates what it does in
-// a 10,000-entry file. (Copying the array on every flush, as a fresh
+// into the entry array in place and WriteFile renders entry by entry
+// into the writer (the DCM's path into a bundle), so re-emitting 10 keys
+// of a 100,000-entry file allocates what it does in a 10,000-entry file. (Copying the array on every flush, as a fresh
 // merge does, costs 56 bytes an entry: 5.6 MB a patch at 100,000.)
 func TestModelPatchAllocsIndependentOfFileSize(t *testing.T) {
 	if raceEnabled {
@@ -240,7 +254,9 @@ func TestModelPatchAllocsIndependentOfFileSize(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.Emit("passwd", K(i), "user:"+strconv.Itoa(i), line(i))
 		}
-		_ = m.Bytes("passwd")
+		if err := m.WriteFile(io.Discard, "passwd"); err != nil {
+			t.Fatal(err)
+		}
 		// Ten keys across the file, each patch swapping which of two
 		// positions they hold, so the file keeps its size.
 		type key struct {
@@ -258,8 +274,8 @@ func TestModelPatchAllocsIndependentOfFileSize(t *testing.T) {
 				m.DeleteKey(k.name)
 				m.Emit("passwd", k.at[round%2], k.name, k.data)
 			}
-			if got := len(m.Bytes("passwd")); got == 0 {
-				t.Fatal("empty render")
+			if err := m.WriteFile(io.Discard, "passwd"); err != nil {
+				t.Fatal(err)
 			}
 		}
 		patch(1)

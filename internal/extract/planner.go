@@ -1,32 +1,43 @@
 package extract
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
 	"moira/internal/db"
-	"moira/internal/protocol"
 )
 
 // Generator is the planner's view of one extract generator. Build and
-// Apply are called with the database shared lock already held by the
-// planner, so that the journal position captured for the pass and the
-// database state the generator reads are the same instant.
+// Apply read a frozen snapshot (db.Reader), so they hold no lock and
+// writers never wait for them.
 type Generator interface {
-	// Tables lists the relations feeding the extract, for the
-	// journal-less change check.
-	Tables() []string
+	// Reads declares every relation the extract reads and how a changed
+	// row of it dirties the extract's keys.
+	Reads() []Read
 	// Build produces the full keyed model from scratch.
-	Build(d *db.DB) (*Model, error)
-	// Deps maps one journal record to the logical keys it dirties. A
-	// key ending in '*' dirties every current key with that prefix.
-	// ok=false declares the record non-incremental: the whole service
-	// falls back to a full regeneration.
-	Deps(d *db.DB, rec *db.JournalRecord) (keys []string, ok bool)
+	Build(snap *db.DB) (*Model, error)
 	// Apply recomputes the dirty keys in place: delete each key's
-	// entries, re-emit the key from current database state.
-	Apply(d *db.DB, m *Model, keys []string) error
+	// entries, re-emit the key from snap.
+	Apply(snap *db.DB, m *Model, keys []string) error
+}
+
+// Read declares one relation an extract reads. The planner diffs the
+// relation between the snapshot the model reflects and the pass's
+// snapshot (db.Diff) and calls Keys twice per changed row: on the old
+// row in the old snapshot and on the new row in the new snapshot, each
+// side that exists. Keys must add every key whose emit, in that
+// snapshot, reads the row; a key ending in '*' dirties every current key
+// with that prefix. A relation may be declared more than once, with
+// different columns and keys.
+type Read struct {
+	Table string
+	// Same reports whether two versions of a row (either may be nil)
+	// agree in every column the extract reads; a row change it calls
+	// same dirties no key.
+	Same func(o, n any) bool
+	// Keys adds the keys a row dirties. nil declares the relation full:
+	// a row change it counts rebuilds the whole extract, for relations
+	// where chasing the keys is not worth it.
+	Keys func(snap *db.DB, row any, add func(key string))
 }
 
 // Mode says what a pass did for one service.
@@ -53,56 +64,44 @@ func (m Mode) String() string {
 // Plan describes the outcome of one planned pass over one service.
 type Plan struct {
 	Mode Mode
-	// Reason explains a full pass ("cold start", "position pruned", ...)
-	// or is empty.
+	// Reason explains a full pass (see Full*) or is empty.
 	Reason string
-	// Records is how many journal records the delta consumed; Keys how
-	// many logical keys it recomputed.
+	// Records is how many changed rows the diff found that the extract
+	// reads; Keys how many logical keys the delta recomputed.
 	Records int
 	Keys    int
-	// Pos is the journal head position this pass covers; Commit
-	// persists it. Zero when no journal is attached.
-	Pos protocol.Pos
-	// Seq is the table change sequence observed (the journal-less
-	// change check); Commit persists it.
+	// Seq is the table change sequence of the pass's snapshot; Commit
+	// persists it as genseq_<service>.
 	Seq int64
-	// Backlog is the record count between the stored position and the
-	// head before this pass ran (0 for no-change passes).
-	Backlog int
 
 	// dirtyKeys carries the expanded key set from plan to Run.
 	dirtyKeys []string
 }
 
-// GenPosSegPrefix and GenPosIdxPrefix name the values-relation keys the
-// planner persists per-service journal positions under; they survive
-// DCM restarts the way genseq_<service> always has.
+// The reasons for a full pass: the fallback matrix.
 const (
-	GenPosSegPrefix = "genpos_seg_"
-	GenPosIdxPrefix = "genpos_idx_"
+	FullColdStart = "cold start"       // no model: first pass, restart, Invalidate
+	FullAdopted   = "snapshot adopted" // AdoptFrom replaced the database
+	FullScheduled = "scheduled full"   // FullEvery delta passes since the last build
+	FullDeclared  = "declared full: "  // and the relation: a relation declared full changed
 )
 
 // svcState is the planner's in-memory state for one service.
 type svcState struct {
-	model       *Model
-	pos         protocol.Pos
-	havePos     bool
-	adoptions   int64
-	sinceFull   int // delta passes since the last full build
-	lastMode    Mode
-	lastReason  string
-	lastBacklog int
+	model     *Model
+	snap      *db.DB // the snapshot model reflects
+	adoptions int64
+	sinceFull int   // delta passes since the last full build
+	pending   *Plan // what Runs since the last Commit changed, nil if nothing
+	last      Status
 }
 
-// Planner owns the delta plans: per-service journal positions, cached
-// models, and the fallback matrix deciding full vs incremental.
+// Planner owns the delta plans: per-service models and the snapshots
+// they reflect, and the fallback matrix deciding full vs incremental.
 type Planner struct {
-	// DB is the bookkeeping database (positions persist in its values
-	// relation) and the state the generators read.
+	// DB is the bookkeeping database: Commit persists genseq_<service>
+	// in its values relation.
 	DB *db.DB
-	// Journal is the durable journal the deltas come from; nil degrades
-	// every decision to the table-sequence check (no-change vs full).
-	Journal *db.JournalWriter
 	// FullEvery forces a full rebuild every N generating passes even
 	// when deltas would do, bounding drift; 0 disables.
 	FullEvery int
@@ -112,8 +111,8 @@ type Planner struct {
 }
 
 // NewPlanner creates a planner.
-func NewPlanner(d *db.DB, j *db.JournalWriter, fullEvery int) *Planner {
-	return &Planner{DB: d, Journal: j, FullEvery: fullEvery, svc: map[string]*svcState{}}
+func NewPlanner(d *db.DB, fullEvery int) *Planner {
+	return &Planner{DB: d, FullEvery: fullEvery, svc: map[string]*svcState{}}
 }
 
 func (p *Planner) state(service string) *svcState {
@@ -127,186 +126,190 @@ func (p *Planner) state(service string) *svcState {
 	return st
 }
 
-// storedPos loads the persisted journal position for a service; ok is
-// false when none was ever stored. Caller holds at least the shared
-// lock.
-func (p *Planner) storedPos(service string) (protocol.Pos, bool) {
-	seg, err1 := p.DB.GetValue(GenPosSegPrefix + service)
-	idx, err2 := p.DB.GetValue(GenPosIdxPrefix + service)
-	if err1 != nil || err2 != nil || seg <= 0 {
-		return protocol.Pos{}, false
-	}
-	return protocol.Pos{Seg: int64(seg), Idx: int64(idx)}, true
-}
-
-// Run plans and executes one service pass under a single shared-lock
-// acquisition: decide full/delta/no-change, run the generator
-// accordingly, and return the resulting model plus the plan. A caller
-// recording the pass as a generation follows with Commit (persisting
-// the advance); one that only needs the current model (the DCM's
-// host-retry path) does not, and the next Run re-derives the same dirty
-// keys from the unmoved position — re-emitting a key is idempotent. On
-// generation failure Run invalidates its own state; it never leaves a
-// half-patched model behind. Runs of one service must not overlap.
-func (p *Planner) Run(service string, g Generator) (*Model, *Plan, error) {
+// Run plans and executes one service pass against snap, a snapshot from
+// db.Reader: diff the snapshot the model reflects against snap, decide
+// full/delta/no-change, run the generator accordingly, and return the
+// model plus the plan. The model then reflects snap, whether or not the
+// caller commits. A caller recording the pass as a generation follows
+// with Commit; one that only needs the current model (the DCM's
+// host-retry path) does not, and the next Run reports what this one
+// changed on top of its own diff, so the change still reaches the next
+// generation. A model never moves back: when an overlapping pass already
+// carried it past snap, Run keeps the snapshot it reflects and reports
+// only what is still uncommitted. On generation failure Run invalidates
+// its own state; it never leaves a half-patched model behind. Runs of
+// one service must not overlap.
+func (p *Planner) Run(service string, g Generator, snap *db.DB) (*Model, *Plan, error) {
 	st := p.state(service)
-	d := p.DB
-
-	d.LockShared()
-	defer d.UnlockShared()
-
-	plan := p.plan(service, st, g)
+	if st.snap != nil && st.snap.Epoch() > snap.Epoch() {
+		snap = st.snap
+	}
+	plan := p.plan(st, g, snap)
 	switch plan.Mode {
-	case ModeNoChange:
-		return st.model, plan, nil
-
 	case ModeDelta:
-		keys := plan.dirtyKeys
-		if err := g.Apply(d, st.model, keys); err != nil {
+		if err := g.Apply(snap, st.model, plan.dirtyKeys); err != nil {
 			// A failed patch leaves the model unusable; drop it so the
 			// next pass rebuilds from scratch.
-			st.model = nil
-			st.havePos = false
+			p.Invalidate(service)
 			return nil, plan, err
 		}
-		return st.model, plan, nil
-
-	default: // ModeFull
-		m, err := g.Build(d)
+	case ModeFull:
+		m, err := g.Build(snap)
 		if err != nil {
-			st.model = nil
-			st.havePos = false
+			p.Invalidate(service)
 			return nil, plan, err
 		}
 		st.model = m
-		st.adoptions = d.AdoptCount()
+		st.adoptions = snap.AdoptCount()
 		st.sinceFull = 0
-		return m, plan, nil
 	}
+	st.snap = snap
+	if prev := st.pending; prev != nil {
+		plan = prev.then(plan)
+	}
+	if plan.Mode != ModeNoChange {
+		st.pending = plan
+	}
+	return st.model, plan, nil
 }
 
-// plan decides the pass mode. Caller holds the shared lock.
-func (p *Planner) plan(service string, st *svcState, g Generator) *Plan {
-	d := p.DB
-	seq := d.SeqOf(g.Tables()...)
-
-	if p.Journal == nil {
-		// No journal: the change check is the table-sequence compare
-		// against the last committed generation. As with a journal, a
-		// planner holding no model (first pass, restart, Invalidate)
-		// builds one, so a no-change verdict always has a model to
-		// render for host retries.
-		stored, err := d.GetValue(db.GenSeqPrefix + service)
-		if st.model != nil && err == nil && stored > 0 && seq <= int64(stored) {
-			return &Plan{Mode: ModeNoChange, Seq: seq}
-		}
-		return &Plan{Mode: ModeFull, Reason: "no journal", Seq: seq}
+// then is p followed by the later plan q: the larger mode, with the
+// reason of the full pass among them, and the summed counts.
+func (p *Plan) then(q *Plan) *Plan {
+	out := *q
+	out.Records += p.Records
+	out.Keys += p.Keys
+	if p.Mode < q.Mode {
+		out.Mode, out.Reason = p.Mode, p.Reason
 	}
+	return &out
+}
 
-	headSeg, headRecs := p.Journal.Head()
-	head := protocol.Pos{Seg: headSeg, Idx: headRecs}
+// plan decides the pass mode.
+func (p *Planner) plan(st *svcState, g Generator, snap *db.DB) *Plan {
+	reads := g.Reads()
+	plan := &Plan{Seq: snap.SeqOf(Tables(reads)...)}
 	full := func(reason string) *Plan {
-		return &Plan{Mode: ModeFull, Reason: reason, Pos: head, Seq: seq}
+		plan.Mode, plan.Reason = ModeFull, reason
+		return plan
 	}
-
-	if st.model == nil {
-		return full("cold start")
+	switch {
+	case st.model == nil:
+		return full(FullColdStart)
+	case st.adoptions != snap.AdoptCount():
+		return full(FullAdopted)
+	case p.FullEvery > 0 && st.sinceFull >= p.FullEvery:
+		return full(FullScheduled)
 	}
-	if st.adoptions != d.AdoptCount() {
-		return full("snapshot adopted")
-	}
-	pos, ok := st.pos, st.havePos
-	if !ok {
-		if pos, ok = p.storedPos(service); !ok {
-			return full("no stored position")
-		}
-	}
-	if pos.Seg > head.Seg || (pos.Seg == head.Seg && pos.Idx > head.Idx) {
-		return full("position ahead of journal head")
-	}
-	if p.FullEvery > 0 && st.sinceFull >= p.FullEvery {
-		return full("scheduled full")
-	}
-	if pos == head {
-		return &Plan{Mode: ModeNoChange, Pos: head, Seq: seq}
-	}
-
-	recs, err := ReadRange(p.Journal.Dir(), pos, head)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrCorrupt):
-			return full("journal corrupt: " + err.Error())
-		default:
-			return full("position lost: " + err.Error())
-		}
-	}
-	if len(recs) == 0 {
-		return &Plan{Mode: ModeNoChange, Pos: head, Seq: seq, Backlog: 0}
+	plan.Mode = ModeNoChange
+	if st.snap == snap {
+		return plan
 	}
 
 	dirty := map[string]bool{}
-	// A backlog of records tends to repeat the same wildcard families
-	// (every user mutation dirties "shcred:*"); expanding a prefix once
-	// per pass keeps the key-map scan out of the per-record loop.
+	// A batch of changed rows tends to repeat the same wildcard families;
+	// expanding a prefix once per pass keeps the key-map scan out of the
+	// per-row loop.
 	expanded := map[string]bool{}
-	for _, rec := range recs {
-		keys, incOK := g.Deps(d, rec)
-		if !incOK {
-			return full(fmt.Sprintf("non-incremental query %s", rec.Query))
-		}
-		for _, k := range keys {
-			if n := len(k); n > 0 && k[n-1] == '*' {
-				if expanded[k] {
-					continue
-				}
+	add := func(k string) {
+		if n := len(k); n > 0 && k[n-1] == '*' {
+			if !expanded[k] {
 				expanded[k] = true
 				for _, ek := range st.model.KeysWithPrefix(k[:n-1]) {
 					dirty[ek] = true
 				}
-			} else {
-				dirty[k] = true
 			}
+			return
+		}
+		dirty[k] = true
+	}
+	for i, r := range reads {
+		if tableIndex(reads, r.Table) < i {
+			continue // diffed with the table's first Read
+		}
+		table, declared := r.Table, false
+		db.Diff(table, st.snap, snap, func(o, n any) bool {
+			counted := false
+			for _, r := range reads[i:] {
+				if r.Table != table || r.Same(o, n) {
+					continue
+				}
+				counted = true
+				if r.Keys == nil {
+					declared = true
+					return false
+				}
+				if o != nil {
+					r.Keys(st.snap, o, add)
+				}
+				if n != nil {
+					r.Keys(snap, n, add)
+				}
+			}
+			if counted {
+				plan.Records++
+			}
+			return true
+		})
+		if declared {
+			return full(FullDeclared + table)
 		}
 	}
 	if len(dirty) == 0 {
-		return &Plan{Mode: ModeNoChange, Pos: head, Seq: seq, Backlog: len(recs)}
+		return plan
 	}
-	keys := make([]string, 0, len(dirty))
+	plan.Mode, plan.Keys = ModeDelta, len(dirty)
+	plan.dirtyKeys = make([]string, 0, len(dirty))
 	for k := range dirty {
-		keys = append(keys, k)
+		plan.dirtyKeys = append(plan.dirtyKeys, k)
 	}
-	return &Plan{
-		Mode: ModeDelta, Records: len(recs), Keys: len(keys),
-		Pos: head, Seq: seq, Backlog: len(recs), dirtyKeys: keys,
-	}
+	return plan
 }
 
-// Commit records a successful pass: the position and sequence advance
-// both in memory and in the values relation, so the next pass (even
-// after a DCM restart) resumes from here. Call it after the generation
-// succeeded, in the same breath as the DCM's finishGeneration
-// bookkeeping; the caller holds the exclusive lock.
+// tableIndex returns the index of the first Read of table.
+func tableIndex(reads []Read, table string) int {
+	for i, r := range reads {
+		if r.Table == table {
+			return i
+		}
+	}
+	return -1
+}
+
+// Tables lists the relations reads declare, each once, in order.
+func Tables(reads []Read) []string {
+	var out []string
+	for i, r := range reads {
+		if tableIndex(reads, r.Table) == i {
+			out = append(out, r.Table)
+		}
+	}
+	return out
+}
+
+// Commit records a pass as a generation: the mode and counts become the
+// service's status, and genseq_<service> takes the snapshot's change
+// sequence (the paper's record of the data a service last generated
+// from). Call it after the generation succeeded, in the same breath as
+// the DCM's finishGeneration bookkeeping; the caller holds the exclusive
+// lock.
 func (p *Planner) Commit(service string, plan *Plan) {
 	st := p.state(service)
-	st.pos, st.havePos = plan.Pos, !plan.Pos.IsZero()
-	st.lastMode, st.lastReason = plan.Mode, plan.Reason
-	st.lastBacklog = plan.Backlog
+	st.pending = nil
 	if plan.Mode == ModeDelta {
 		st.sinceFull++
 	}
+	p.mu.Lock()
+	st.last = Status{Mode: plan.Mode, Reason: plan.Reason, Rows: plan.Records, SinceFull: st.sinceFull}
+	p.mu.Unlock()
 	p.DB.SetValue(db.GenSeqPrefix+service, int(plan.Seq))
-	if !plan.Pos.IsZero() {
-		p.DB.SetValue(GenPosSegPrefix+service, int(plan.Pos.Seg))
-		p.DB.SetValue(GenPosIdxPrefix+service, int(plan.Pos.Idx))
-	}
 }
 
 // Invalidate drops a service's cached model (a failed push or an
 // operator action); the next pass rebuilds fully.
 func (p *Planner) Invalidate(service string) {
 	st := p.state(service)
-	st.model = nil
-	st.havePos = false
+	st.model, st.snap = nil, nil
 }
 
 // Model returns the cached model for a service, if any — the host-scan
@@ -315,27 +318,13 @@ func (p *Planner) Model(service string) *Model {
 	return p.state(service).model
 }
 
-// LastMode reports the most recently committed pass mode and reason.
-func (p *Planner) LastMode(service string) (Mode, string) {
-	st := p.state(service)
-	return st.lastMode, st.lastReason
-}
-
-// Position reports the in-memory position for a service (zero when the
-// service has not committed a journal-tracked pass yet).
-func (p *Planner) Position(service string) protocol.Pos {
-	return p.state(service).pos
-}
-
 // Status is a monitoring snapshot of one service's delta state.
 type Status struct {
-	// Pos is the committed journal position.
-	Pos protocol.Pos
 	// Mode and Reason describe the last committed pass.
 	Mode   Mode
 	Reason string
-	// Backlog is the journal-record distance the last pass covered.
-	Backlog int
+	// Rows is how many changed rows the last committed pass found.
+	Rows int
 	// SinceFull counts delta passes since the last full build.
 	SinceFull int
 }
@@ -343,13 +332,9 @@ type Status struct {
 // Status reports the last committed pass for monitoring displays.
 func (p *Planner) Status(service string) Status {
 	p.mu.Lock()
-	st, ok := p.svc[service]
-	p.mu.Unlock()
-	if !ok {
-		return Status{}
+	defer p.mu.Unlock()
+	if st, ok := p.svc[service]; ok {
+		return st.last
 	}
-	return Status{
-		Pos: st.pos, Mode: st.lastMode, Reason: st.lastReason,
-		Backlog: st.lastBacklog, SinceFull: st.sinceFull,
-	}
+	return Status{}
 }

@@ -2,116 +2,132 @@ package extract
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"moira/internal/clock"
 	"moira/internal/db"
-	"moira/internal/protocol"
 )
 
-// kvGen is a minimal Generator over a key/value map the test mutates
-// directly: every entry is one logical key "k:<name>" emitting the line
-// "<name>=<value>\n" into the single file "out". Journal queries carry
-// the affected names as args; the query name "bulk_import" declares
-// itself non-incremental.
-type kvGen struct {
-	data map[string]string
+// kvGen is a minimal Generator over the users relation: every user is
+// one logical key "k:<login>" emitting the line "<login>=<shell>\n" into
+// the single file "out". It reads the login, shell and middle name; a
+// user with a middle name also dirties every key with that prefix, and
+// a user whose login starts with '_' is read by no key. It declares the
+// machine relation full.
+type kvGen struct{}
+
+func (kvGen) Reads() []Read {
+	cols := func(row any) (c [3]string) {
+		if u, ok := row.(*db.User); ok {
+			c = [3]string{u.Login, u.Shell, u.Middle}
+		}
+		return c
+	}
+	return []Read{
+		{
+			Table: db.TUsers,
+			Same:  func(o, n any) bool { return cols(o) == cols(n) },
+			Keys: func(_ *db.DB, row any, add func(string)) {
+				u := row.(*db.User)
+				if strings.HasPrefix(u.Login, "_") {
+					return
+				}
+				add("k:" + u.Login)
+				if u.Middle != "" {
+					add("k:" + u.Middle + "*")
+				}
+			},
+		},
+		{Table: db.TMachine, Same: func(o, n any) bool { return false }},
+	}
 }
 
-func (g *kvGen) Tables() []string { return []string{db.TUsers} }
-
-func (g *kvGen) Build(d *db.DB) (*Model, error) {
+func (kvGen) Build(d *db.DB) (*Model, error) {
 	m := NewModel()
 	m.Emit("out", "", "static", nil)
-	for k, v := range g.data {
-		g.emit(m, k, v)
-	}
+	d.EachUser(func(u *db.User) bool {
+		emitUser(m, u)
+		return true
+	})
 	return m, nil
 }
 
-func (g *kvGen) emit(m *Model, k, v string) {
-	m.Emit("out", K(k), "k:"+k, []byte(k+"="+v+"\n"))
-}
-
-func (g *kvGen) Deps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
-	switch rec.Query {
-	case "bulk_import":
-		return nil, false
-	case "touch_prefix":
-		return []string{"k:" + rec.Args[0] + "*"}, true
-	case "noop_change":
-		return nil, true
-	default:
-		keys := make([]string, len(rec.Args))
-		for i, a := range rec.Args {
-			keys[i] = "k:" + a
-		}
-		return keys, true
+func emitUser(m *Model, u *db.User) {
+	if !strings.HasPrefix(u.Login, "_") {
+		m.Emit("out", K(u.Login), "k:"+u.Login, []byte(u.Login+"="+u.Shell+"\n"))
 	}
 }
 
-func (g *kvGen) Apply(d *db.DB, m *Model, keys []string) error {
+func (kvGen) Apply(d *db.DB, m *Model, keys []string) error {
 	for _, key := range keys {
 		m.DeleteKey(key)
-		name := strings.TrimPrefix(key, "k:")
-		if v, ok := g.data[name]; ok {
-			g.emit(m, name, v)
+		if u, ok := d.UserByLogin(strings.TrimPrefix(key, "k:")); ok {
+			emitUser(m, u)
 		}
 	}
 	return nil
 }
 
-// harness wires a DB, a real journal writer on disk, and a planner.
+// harness wires a DB and a planner.
 type harness struct {
-	t   *testing.T
-	d   *db.DB
-	jw  *db.JournalWriter
-	p   *Planner
-	gen *kvGen
+	t      *testing.T
+	d      *db.DB
+	p      *Planner
+	nextID int
 }
 
 func newHarness(t *testing.T, fullEvery int) *harness {
 	t.Helper()
 	d := db.New(clock.NewFake(time.Unix(600000000, 0)))
-	jw, err := db.OpenJournalWriter(t.TempDir(), db.JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { jw.Close() })
-	d.SetJournal(jw)
-	return &harness{
-		t: t, d: d, jw: jw,
-		p:   NewPlanner(d, jw, fullEvery),
-		gen: &kvGen{data: map[string]string{}},
-	}
+	return &harness{t: t, d: d, p: NewPlanner(d, fullEvery)}
 }
 
-// mutate applies a change to the generator's domain and journals it as
-// one record of the given query.
-func (h *harness) mutate(query string, args []string, fn func()) {
-	h.t.Helper()
+// mutate runs fn under the exclusive lock.
+func (h *harness) mutate(fn func()) {
 	h.d.LockExclusive()
 	defer h.d.UnlockExclusive()
-	if fn != nil {
-		fn()
-	}
-	h.d.NoteAppend(db.TUsers)
-	if err := h.d.JournalQuery("tester", "test", "", query, args); err != nil {
-		h.t.Fatal(err)
-	}
+	fn()
 }
 
-// pass runs one planner pass and commits it, returning the plan and the
-// rendered output file.
+// set gives user k the shell v, adding the user if needed.
+func (h *harness) set(k, v string) {
+	h.t.Helper()
+	h.mutate(func() {
+		if u, ok := h.d.UserByLogin(k); ok {
+			u.Shell = v
+			h.d.NoteUpdate(u)
+			return
+		}
+		h.nextID++
+		if err := h.d.InsertUser(&db.User{UsersID: h.nextID, Login: k, UID: h.nextID, Shell: v}); err != nil {
+			h.t.Fatal(err)
+		}
+	})
+}
+
+// update changes user k in place.
+func (h *harness) update(k string, fn func(*db.User)) {
+	h.mutate(func() {
+		u, _ := h.d.UserByLogin(k)
+		fn(u)
+		h.d.NoteUpdate(u)
+	})
+}
+
+func (h *harness) del(k string) {
+	h.mutate(func() {
+		u, _ := h.d.UserByLogin(k)
+		h.d.DeleteUser(u)
+	})
+}
+
+// pass runs one planner pass on a fresh snapshot and commits it,
+// returning the plan and the rendered output file.
 func (h *harness) pass() (*Plan, []byte) {
 	h.t.Helper()
-	m, plan, err := h.p.Run("svc", h.gen)
-	if err != nil {
-		h.t.Fatalf("Run: %v", err)
-	}
+	m, plan := h.run()
 	h.d.LockExclusive()
 	h.p.Commit("svc", plan)
 	h.d.UnlockExclusive()
@@ -121,24 +137,30 @@ func (h *harness) pass() (*Plan, []byte) {
 	return plan, m.Bytes("out")
 }
 
+// run is pass without the commit.
+func (h *harness) run() (*Model, *Plan) {
+	h.t.Helper()
+	m, plan, err := h.p.Run("svc", kvGen{}, h.d.Reader())
+	if err != nil {
+		h.t.Fatalf("Run: %v", err)
+	}
+	return m, plan
+}
+
 // fromScratch renders the oracle: a full build of the current domain.
 func (h *harness) fromScratch() []byte {
-	m, err := h.gen.Build(h.d)
+	m, err := kvGen{}.Build(h.d.Reader())
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	return m.Bytes("out")
 }
 
-func (h *harness) set(k, v string, query string) {
-	h.mutate(query, []string{k}, func() { h.gen.data[k] = v })
-}
-
 func TestPlannerColdStartThenNoChange(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	plan, out := h.pass()
-	if plan.Mode != ModeFull || plan.Reason != "cold start" {
+	if plan.Mode != ModeFull || plan.Reason != FullColdStart {
 		t.Fatalf("first pass: %v %q", plan.Mode, plan.Reason)
 	}
 	if !bytes.Equal(out, h.fromScratch()) {
@@ -152,13 +174,13 @@ func TestPlannerColdStartThenNoChange(t *testing.T) {
 
 func TestPlannerDeltaMatchesFromScratch(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
-	h.set("b", "2", "add")
+	h.set("a", "1")
+	h.set("b", "2")
 	h.pass()
 
-	h.set("b", "22", "update") // change
-	h.set("c", "3", "add")     // add
-	h.mutate("delete", []string{"a"}, func() { delete(h.gen.data, "a") })
+	h.set("b", "22") // change
+	h.set("c", "3")  // add
+	h.del("a")
 	plan, out := h.pass()
 	if plan.Mode != ModeDelta {
 		t.Fatalf("mode = %v (%s), want delta", plan.Mode, plan.Reason)
@@ -171,66 +193,107 @@ func TestPlannerDeltaMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// TestPlannerNeverMovesBack: a pass whose snapshot is older than the one
+// the model reflects (two overlapping passes, the newer one generated
+// first) leaves the model where it is and reports no change, with the
+// newer snapshot's change sequence, instead of diffing the model back.
+func TestPlannerNeverMovesBack(t *testing.T) {
+	h := newHarness(t, 0)
+	h.set("a", "1")
+	h.pass()
+	older := h.d.Reader()
+	h.set("a", "2")
+	h.pass()
+	newer := h.d.Reader()
+
+	m, plan, err := h.p.Run("svc", kvGen{}, older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Mode != ModeNoChange || plan.Seq != newer.SeqOf(db.TUsers, db.TMachine) {
+		t.Fatalf("older pass: mode=%v seq=%d, want nochange at seq %d", plan.Mode, plan.Seq, newer.SeqOf(db.TUsers, db.TMachine))
+	}
+	if got, want := m.Bytes("out"), h.fromScratch(); !bytes.Equal(got, want) {
+		t.Fatalf("after the older pass the model renders %q, want %q", got, want)
+	}
+}
+
 func TestPlannerWildcardDepsExpand(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("fs1", "a", "add")
-	h.set("fs2", "b", "add")
-	h.set("other", "c", "add")
+	h.set("fs1", "a")
+	h.set("fs2", "b")
+	h.set("other", "c")
 	h.pass()
 
-	// One record dirties every key with the prefix.
-	h.mutate("touch_prefix", []string{"fs"}, func() {
-		h.gen.data["fs1"] = "A"
-		h.gen.data["fs2"] = "B"
-	})
+	// One row dirties every key with the prefix.
+	h.update("fs1", func(u *db.User) { u.Middle = "fs" })
 	plan, out := h.pass()
-	if plan.Mode != ModeDelta || plan.Keys != 2 {
-		t.Fatalf("mode=%v keys=%d, want delta/2", plan.Mode, plan.Keys)
+	if plan.Mode != ModeDelta || plan.Records != 1 || plan.Keys != 2 {
+		t.Fatalf("mode=%v records=%d keys=%d, want delta/1/2", plan.Mode, plan.Records, plan.Keys)
 	}
 	if want := h.fromScratch(); !bytes.Equal(out, want) {
 		t.Fatalf("wildcard delta %q != %q", out, want)
 	}
 }
 
+// TestPlannerRecordsWithNoKeysAdvancePosition: a changed row that no key
+// reads makes a no-change pass, and that pass's snapshot becomes the
+// one the next diff starts from.
 func TestPlannerRecordsWithNoKeysAdvancePosition(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	h.pass()
 
-	h.mutate("noop_change", nil, nil)
+	h.set("_hidden", "x")
 	plan, _ := h.pass()
-	if plan.Mode != ModeNoChange || plan.Backlog != 1 {
-		t.Fatalf("mode=%v backlog=%d, want nochange/1", plan.Mode, plan.Backlog)
+	if plan.Mode != ModeNoChange || plan.Records != 1 {
+		t.Fatalf("mode=%v records=%d, want nochange/1", plan.Mode, plan.Records)
 	}
-	// The position advanced past the irrelevant record: the next pass
-	// must not re-read it.
 	plan, _ = h.pass()
-	if plan.Mode != ModeNoChange || plan.Backlog != 0 {
-		t.Fatalf("second pass mode=%v backlog=%d, want nochange/0", plan.Mode, plan.Backlog)
+	if plan.Mode != ModeNoChange || plan.Records != 0 {
+		t.Fatalf("second pass mode=%v records=%d, want nochange/0", plan.Mode, plan.Records)
 	}
 }
 
-func TestPlannerNonIncrementalQueryForcesFull(t *testing.T) {
+// TestPlannerUnreadColumnsDirtyNothing: a change confined to columns the
+// generator does not read is not a changed row at all.
+func TestPlannerUnreadColumnsDirtyNothing(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
+	h.set("a", "1")
+	h.pass()
+	h.update("a", func(u *db.User) { u.Fullname = "Somebody" })
+	if plan, _ := h.pass(); plan.Mode != ModeNoChange || plan.Records != 0 {
+		t.Fatalf("mode=%v records=%d, want nochange/0", plan.Mode, plan.Records)
+	}
+}
+
+func TestPlannerFullRelationForcesFull(t *testing.T) {
+	h := newHarness(t, 0)
+	h.set("a", "1")
 	h.pass()
 
-	h.mutate("bulk_import", nil, func() {
-		h.gen.data["x"] = "9"
-		h.gen.data["y"] = "8"
+	h.set("x", "9")
+	h.mutate(func() {
+		if err := h.d.InsertMachine(&db.Machine{MachID: 1, Name: "M1.MIT.EDU"}); err != nil {
+			t.Fatal(err)
+		}
 	})
 	plan, out := h.pass()
-	if plan.Mode != ModeFull || !strings.Contains(plan.Reason, "non-incremental query bulk_import") {
+	if plan.Mode != ModeFull || plan.Reason != FullDeclared+db.TMachine {
 		t.Fatalf("mode=%v reason=%q", plan.Mode, plan.Reason)
 	}
 	if want := h.fromScratch(); !bytes.Equal(out, want) {
 		t.Fatalf("fallback output %q != %q", out, want)
 	}
+	h.set("y", "8")
+	if plan, _ := h.pass(); plan.Mode != ModeDelta {
+		t.Fatalf("after the full pass: mode=%v (%s)", plan.Mode, plan.Reason)
+	}
 }
 
 func TestPlannerScheduledFullCadence(t *testing.T) {
 	h := newHarness(t, 2)
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	h.pass() // full (cold start)
 	for i, want := range []struct {
 		mode   Mode
@@ -238,10 +301,10 @@ func TestPlannerScheduledFullCadence(t *testing.T) {
 	}{
 		{ModeDelta, ""},
 		{ModeDelta, ""},
-		{ModeFull, "scheduled full"},
+		{ModeFull, FullScheduled},
 		{ModeDelta, ""},
 	} {
-		h.set("a", strings.Repeat("x", i+2), "update")
+		h.set("a", strings.Repeat("x", i+2))
 		plan, out := h.pass()
 		if plan.Mode != want.mode || plan.Reason != want.reason {
 			t.Fatalf("pass %d: mode=%v reason=%q, want %v %q",
@@ -253,94 +316,64 @@ func TestPlannerScheduledFullCadence(t *testing.T) {
 	}
 }
 
-func TestPlannerJournalPrunedFallsBackToFull(t *testing.T) {
+// TestPlannerAdoptionForcesFull: an adopted database shares no page
+// with the snapshot the model reflects, so the model is rebuilt.
+func TestPlannerAdoptionForcesFull(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	h.pass()
-	h.set("b", "2", "add")
-
-	// A checkpoint rotates the journal and prunes the old segment out
-	// from under the stored position.
-	if _, err := h.jw.Rotate(); err != nil {
+	src := db.New(clock.NewFake(time.Unix(600000000, 0)))
+	if err := src.InsertUser(&db.User{UsersID: 7, Login: "adopted", UID: 7, Shell: "sh"}); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := db.ListSegments(h.jw.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(segs[0].Path); err != nil {
-		t.Fatal(err)
-	}
-
+	h.d.AdoptFrom(src)
 	plan, out := h.pass()
-	if plan.Mode != ModeFull || !strings.Contains(plan.Reason, "position lost") {
+	if plan.Mode != ModeFull || plan.Reason != FullAdopted {
 		t.Fatalf("mode=%v reason=%q", plan.Mode, plan.Reason)
 	}
 	if want := h.fromScratch(); !bytes.Equal(out, want) {
-		t.Fatalf("fallback output %q != %q", out, want)
-	}
-	// And the system recovers: the next delta works again.
-	h.set("c", "3", "add")
-	plan, out = h.pass()
-	if plan.Mode != ModeDelta {
-		t.Fatalf("post-fallback mode=%v (%s)", plan.Mode, plan.Reason)
-	}
-	if want := h.fromScratch(); !bytes.Equal(out, want) {
-		t.Fatal("post-fallback delta mismatch")
+		t.Fatalf("output %q != %q", out, want)
 	}
 }
 
-func TestPlannerCorruptJournalFallsBackToFull(t *testing.T) {
+// TestPlannerUncommittedRunCarriesToNextPass: a Run the caller does not
+// commit still moves the model to its snapshot, and the next Run reports
+// what it changed.
+func TestPlannerUncommittedRunCarriesToNextPass(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	h.pass()
-
-	h.set("b", "2", "add")
-	h.set("c", "3", "add")
-	// Damage the middle record (not the tail, which reads as a torn
-	// append and is tolerated).
-	segs, err := db.ListSegments(h.jw.Dir())
-	if err != nil {
-		t.Fatal(err)
+	h.set("a", "2")
+	m, plan := h.run()
+	if plan.Mode != ModeDelta || !bytes.Equal(m.Bytes("out"), h.fromScratch()) {
+		t.Fatalf("uncommitted run: mode=%v out=%q", plan.Mode, m.Bytes("out"))
 	}
-	path := segs[len(segs)-1].Path
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	if len(lines) < 3 {
-		t.Fatalf("segment too short: %d lines", len(lines))
-	}
-	lines[1] = []byte("garbage that is not a journal record")
-	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	plan, out := h.pass()
-	if plan.Mode != ModeFull || !strings.Contains(plan.Reason, "journal corrupt") {
-		t.Fatalf("mode=%v reason=%q", plan.Mode, plan.Reason)
+	if plan.Mode != ModeDelta || plan.Records != 1 || plan.Keys != 1 {
+		t.Fatalf("next pass: mode=%v records=%d keys=%d, want delta/1/1", plan.Mode, plan.Records, plan.Keys)
 	}
-	if want := h.fromScratch(); !bytes.Equal(out, want) {
-		t.Fatal("fallback output mismatch")
+	if !bytes.Equal(out, h.fromScratch()) {
+		t.Fatal("next pass output mismatch")
+	}
+	if plan, _ := h.pass(); plan.Mode != ModeNoChange {
+		t.Fatalf("after the commit: mode=%v", plan.Mode)
 	}
 }
 
+// TestPlannerPositionSurvivesRestart: a new planner (a DCM restart)
+// holds no model, so its first pass is a cold-start build; the snapshot
+// that build reflects is where its deltas resume.
 func TestPlannerPositionSurvivesRestart(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	h.pass()
 
-	// A new planner (a DCM restart) on the same DB and journal: the
-	// model cache is gone, so the first pass is full, but the persisted
-	// position is intact and deltas resume after it.
-	p2 := NewPlanner(h.d, h.jw, 0)
-	h.p = p2
+	h.p = NewPlanner(h.d, 0)
 	plan, _ := h.pass()
-	if plan.Mode != ModeFull || plan.Reason != "cold start" {
+	if plan.Mode != ModeFull || plan.Reason != FullColdStart {
 		t.Fatalf("restart pass: %v %q", plan.Mode, plan.Reason)
 	}
-	h.set("b", "2", "add")
+	h.set("b", "2")
 	plan, out := h.pass()
 	if plan.Mode != ModeDelta || plan.Records != 1 {
 		t.Fatalf("post-restart mode=%v records=%d (%s)", plan.Mode, plan.Records, plan.Reason)
@@ -350,46 +383,13 @@ func TestPlannerPositionSurvivesRestart(t *testing.T) {
 	}
 }
 
-func TestPlannerNoJournalUsesSequenceCheck(t *testing.T) {
-	d := db.New(clock.NewFake(time.Unix(600000000, 0)))
-	p := NewPlanner(d, nil, 0)
-	g := &kvGen{data: map[string]string{"a": "1"}}
-	d.LockExclusive()
-	d.NoteAppend(db.TUsers) // a fresh table sequence of zero can't be told from "never generated"
-	d.UnlockExclusive()
-
-	run := func() *Plan {
-		t.Helper()
-		_, plan, err := p.Run("svc", g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.LockExclusive()
-		p.Commit("svc", plan)
-		d.UnlockExclusive()
-		return plan
-	}
-	if plan := run(); plan.Mode != ModeFull || plan.Reason != "no journal" {
-		t.Fatalf("first: %v %q", plan.Mode, plan.Reason)
-	}
-	if plan := run(); plan.Mode != ModeNoChange {
-		t.Fatalf("idle: %v %q", plan.Mode, plan.Reason)
-	}
-	d.LockExclusive()
-	d.NoteAppend(db.TUsers)
-	d.UnlockExclusive()
-	if plan := run(); plan.Mode != ModeFull || plan.Reason != "no journal" {
-		t.Fatalf("after change: %v %q", plan.Mode, plan.Reason)
-	}
-}
-
 func TestPlannerInvalidateForcesRebuild(t *testing.T) {
 	h := newHarness(t, 0)
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	h.pass()
 	h.p.Invalidate("svc")
 	plan, out := h.pass()
-	if plan.Mode != ModeFull || plan.Reason != "cold start" {
+	if plan.Mode != ModeFull || plan.Reason != FullColdStart {
 		t.Fatalf("mode=%v reason=%q", plan.Mode, plan.Reason)
 	}
 	if want := h.fromScratch(); !bytes.Equal(out, want) {
@@ -399,96 +399,18 @@ func TestPlannerInvalidateForcesRebuild(t *testing.T) {
 
 func TestPlannerStatus(t *testing.T) {
 	h := newHarness(t, 0)
-	if st := h.p.Status("svc"); st.Mode != ModeFull || st.Pos.Seg != 0 {
+	if st := h.p.Status("svc"); st.Mode != ModeFull || st.Rows != 0 {
 		t.Fatalf("zero status = %+v", st)
 	}
-	h.set("a", "1", "add")
+	h.set("a", "1")
 	h.pass()
-	h.set("b", "2", "add")
+	h.set("b", "2")
 	h.pass()
 	st := h.p.Status("svc")
-	if st.Mode != ModeDelta || st.Backlog != 1 || st.SinceFull != 1 {
+	if st.Mode != ModeDelta || st.Rows != 1 || st.SinceFull != 1 {
 		t.Fatalf("status = %+v", st)
 	}
-	seg, recs := h.jw.Head()
-	if st.Pos.Seg != seg || st.Pos.Idx != recs {
-		t.Fatalf("status pos %v != head %d.%d", st.Pos, seg, recs)
-	}
-}
-
-// pos builds a journal position.
-func pos(seg, idx int64) protocol.Pos { return protocol.Pos{Seg: seg, Idx: idx} }
-
-func TestReadRangeSkipsAndLimits(t *testing.T) {
-	h := newHarness(t, 0)
-	for _, k := range []string{"a", "b", "c", "d"} {
-		h.set(k, "v", "add")
-	}
-	seg, recs := h.jw.Head()
-	out, err := ReadRange(h.jw.Dir(), pos(seg, 1), pos(seg, recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != int(recs-1) {
-		t.Fatalf("got %d records, want %d", len(out), recs-1)
-	}
-	if out[0].Args[0] != "b" {
-		t.Errorf("first record args = %v, want b", out[0].Args)
-	}
-	// Empty range.
-	out, err = ReadRange(h.jw.Dir(), pos(seg, recs), pos(seg, recs))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty range: %v %v", out, err)
-	}
-	// Inverted range is a lost position.
-	if _, err := ReadRange(h.jw.Dir(), pos(seg, recs), pos(seg, 0)); err == nil {
-		t.Fatal("inverted range did not error")
-	}
-}
-
-func TestReadRangeSpansSegments(t *testing.T) {
-	h := newHarness(t, 0)
-	h.set("a", "1", "add")
-	if _, err := h.jw.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	h.set("b", "2", "add")
-	h.set("c", "3", "add")
-	seg, recs := h.jw.Head()
-	from := pos(seg-1, 1) // past the only record of segment 1
-	out, err := ReadRange(h.jw.Dir(), from, pos(seg, recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Args[0] != "b" || out[1].Args[0] != "c" {
-		t.Fatalf("cross-segment read = %v", out)
-	}
-}
-
-func TestReadRangeToleratesTornTail(t *testing.T) {
-	h := newHarness(t, 0)
-	h.set("a", "1", "add")
-	h.set("b", "2", "add")
-	seg, recs := h.jw.Head()
-	segs, err := db.ListSegments(h.jw.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := segs[len(segs)-1].Path
-	// Append a torn line (no trailing newline, no CRC): a crash mid-append.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("torn garbage line"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	out, err := ReadRange(h.jw.Dir(), pos(seg, 0), pos(seg, recs))
-	if err != nil {
-		t.Fatalf("torn tail not tolerated: %v", err)
-	}
-	if len(out) != int(recs) {
-		t.Fatalf("got %d records, want %d", len(out), recs)
+	if seq, err := h.d.GetValue(db.GenSeqPrefix + "svc"); err != nil || int64(seq) != h.d.SeqOf(db.TUsers, db.TMachine) {
+		t.Fatalf("genseq = %d, %v; want %d", seq, err, h.d.SeqOf(db.TUsers, db.TMachine))
 	}
 }

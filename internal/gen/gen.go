@@ -6,14 +6,16 @@
 //
 // Every generator is written as a keyed emitter over an extract.Model:
 // the full build enumerates the domain and emits each logical key; an
-// incremental pass (driven by the extract.Planner from journal deltas)
-// deletes the dirty keys and re-emits just those. Both paths share the
-// per-key emit functions, which is what makes an incremental extract
-// byte-identical to a from-scratch one by construction.
+// incremental pass (driven by the extract.Planner from the rows that
+// changed between two database snapshots) deletes the dirty keys and
+// re-emits just those. Both paths share the per-key emit functions,
+// which is what makes an incremental extract byte-identical to a
+// from-scratch one by construction.
 package gen
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -46,27 +48,25 @@ func (r *Result) finish() {
 	}
 }
 
-// Incremental is a keyed generator: the full build, the journal-record
-// dependency map, and the per-key emit, packaged for the extract
-// planner. Emit must produce exactly the entries the full build would
-// produce for that key against current database state.
+// Incremental is a keyed generator: the full build, the relations it
+// reads with the keys a changed row dirties, and the per-key emit,
+// packaged for the extract planner. Emit must produce exactly the
+// entries the full build would produce for that key against the same
+// snapshot.
 type Incremental struct {
-	TablesList []string
-	BuildFn    func(d *db.DB) (*extract.Model, error)
-	DepsFn     func(d *db.DB, rec *db.JournalRecord) ([]string, bool)
-	EmitFn     func(d *db.DB, m *extract.Model, key string)
+	ReadList []extract.Read
+	BuildFn  func(d *db.DB) (*extract.Model, error)
+	EmitFn   func(d *db.DB, m *extract.Model, key string)
 }
 
-// Tables implements extract.Generator.
-func (g *Incremental) Tables() []string { return g.TablesList }
+// Reads implements extract.Generator.
+func (g *Incremental) Reads() []extract.Read { return g.ReadList }
+
+// Tables lists the relations feeding the extract.
+func (g *Incremental) Tables() []string { return extract.Tables(g.ReadList) }
 
 // Build implements extract.Generator.
 func (g *Incremental) Build(d *db.DB) (*extract.Model, error) { return g.BuildFn(d) }
-
-// Deps implements extract.Generator.
-func (g *Incremental) Deps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
-	return g.DepsFn(d, rec)
-}
 
 // Apply implements extract.Generator: delete each dirty key, re-emit it.
 func (g *Incremental) Apply(d *db.DB, m *extract.Model, keys []string) error {
@@ -76,6 +76,37 @@ func (g *Incremental) Apply(d *db.DB, m *extract.Model, keys []string) error {
 	}
 	return nil
 }
+
+// on declares that an extract reads the columns cols projects from the
+// rows of table (cols returns a row holding only those columns), and
+// which keys a changed row dirties: the planner calls keys on the old
+// row in the old snapshot and on the new row in the new one. A row whose
+// projection did not change dirties nothing, and an absent row projects
+// to the zero value, so a projection that is zero for the rows an
+// extract ignores makes their inserts and deletes dirty nothing too.
+func on[R any, C comparable](table string, cols func(*R) C, keys func(d *db.DB, r *R, add func(string))) extract.Read {
+	r := full(table, cols)
+	r.Keys = func(d *db.DB, row any, add func(string)) { keys(d, row.(*R), add) }
+	return r
+}
+
+// full declares table full for an extract: a change to the columns cols
+// projects rebuilds the whole extract.
+func full[R any, C comparable](table string, cols func(*R) C) extract.Read {
+	proj := func(row any) (c C) {
+		if r, ok := row.(*R); ok {
+			c = cols(r)
+		}
+		return c
+	}
+	return extract.Read{Table: table, Same: func(o, n any) bool { return proj(o) == proj(n) }}
+}
+
+// whole projects every column of a row.
+func whole[R any](r *R) R { return *r }
+
+// machineName projects the column extracts read from a machine row.
+func machineName(m *db.Machine) string { return m.Name }
 
 // Incrementals maps DCM service names to their keyed generators, the
 // equivalent of the /u1/sms/bin/<service>.gen modules.
@@ -108,63 +139,69 @@ func FromModel(m *extract.Model) (*Result, error) {
 }
 
 // FromModelInto is FromModel rendering the bundles into s's recycled
-// buffers (s may be nil for plain allocation).
+// buffers (s may be nil for plain allocation). The model's files are
+// written straight into the bundles, and Result.Files aliases the
+// bundles' member data.
 func FromModelInto(m *extract.Model, s *Scratch) (*Result, error) {
-	files := m.Files()
-	common := map[string][]byte{}
-	perHost := map[string]map[string][]byte{}
-	r := &Result{Files: map[string][]byte{}}
-	for name, data := range files {
+	// Bundle "" is the common one, "/HOST" a host's; a bundle's member
+	// is a file's name without the host.
+	type bundle struct{ names, members []string }
+	bundles := map[string]*bundle{}
+	var order []string
+	for _, name := range m.Names() {
+		key, member := "", name
 		if host, rest, ok := strings.Cut(name, "/"); ok {
-			if perHost[host] == nil {
-				perHost[host] = map[string][]byte{}
-			}
-			perHost[host][rest] = data
-		} else {
-			common[name] = data
+			key, member = "/"+host, rest
 		}
-		r.Files[name] = data
+		b := bundles[key]
+		if b == nil {
+			b = &bundle{}
+			bundles[key] = b
+			order = append(order, key)
+		}
+		b.names, b.members = append(b.names, name), append(b.members, member)
 	}
-	bundleInto := func(key string, fs map[string][]byte) ([]byte, error) {
+	r := &Result{Files: map[string][]byte{}}
+	for _, key := range order {
+		names := bundles[key].names
+		sizes := make([]int, len(names))
+		for i, name := range names {
+			sizes[i] = m.Size(name)
+		}
 		var prev []byte
 		if s != nil {
 			prev = s.bufs[key]
 		}
-		tarball, err := update.BuildTarInto(prev, fs)
-		if err == nil && s != nil {
-			s.bufs[key] = tarball
-		}
-		return tarball, err
-	}
-	if len(common) > 0 {
-		tarball, err := bundleInto("", common)
+		tarball, offs, err := update.BuildTarFrom(prev, bundles[key].members, func(i int) int { return sizes[i] },
+			func(w io.Writer, i int) error { return m.WriteFile(w, names[i]) })
 		if err != nil {
 			return nil, err
 		}
-		r.Common = tarball
-	}
-	if len(perHost) > 0 {
-		r.PerHost = map[string][]byte{}
-		for host, hf := range perHost {
-			tarball, err := bundleInto("/"+host, hf)
-			if err != nil {
-				return nil, err
+		if s != nil {
+			s.bufs[key] = tarball
+		}
+		for i, name := range names {
+			r.Files[name] = tarball[offs[i] : offs[i]+sizes[i] : offs[i]+sizes[i]]
+		}
+		if key == "" {
+			r.Common = tarball
+		} else {
+			if r.PerHost == nil {
+				r.PerHost = map[string][]byte{}
 			}
-			r.PerHost[host] = tarball
+			r.PerHost[key[1:]] = tarball
 		}
 	}
 	r.finish()
 	return r, nil
 }
 
-// Generate runs g from scratch against d: the full build under the
-// shared lock, rendered to bundles. This is what a planner's full pass
-// produces, for callers (tests, benchmarks, the Table G harness) that
-// want a service's files without a DCM around them.
+// Generate runs g from scratch against a snapshot of d, rendered to
+// bundles. This is what a planner's full pass produces, for callers
+// (tests, benchmarks, the Table G harness) that want a service's files
+// without a DCM around them.
 func Generate(d *db.DB, g *Incremental) (*Result, error) {
-	d.LockShared()
-	m, err := g.Build(d)
-	d.UnlockShared()
+	m, err := g.Build(d.Reader())
 	if err != nil {
 		return nil, err
 	}
@@ -261,30 +298,44 @@ func activeGroupsOfUser(d *db.DB, u *db.User) []*db.List {
 	return rest
 }
 
-// upListKeys renders the upward closure of (mtype, mid) as "list:" keys
-// for dependency maps: a change inside a list is visible to every list
-// that (transitively) contains it.
-func upListKeys(d *db.DB, mtype string, mid int) []string {
-	var keys []string
-	for lid := range upLists(d, mtype, mid) {
-		if l, ok := d.ListByID(lid); ok {
-			keys = append(keys, "list:"+l.Name)
-		}
+// reaches returns whether an ACE (type, id) expands to the member
+// (mtype, mid) in d: it names the member itself, or it is a list that
+// contains the member through any chain of sublists.
+func reaches(d *db.DB, mtype string, mid int) func(aceType string, aceID int) bool {
+	up := upLists(d, mtype, mid)
+	return func(t string, id int) bool {
+		return t == mtype && id == mid || t == db.ACEList && up[id]
 	}
-	return keys
 }
 
-// userKeysUnder renders "user:" keys for every user in the downward
-// expansion of a list — the users whose derived lines change when the
-// list's membership or flags change.
-func userKeysUnder(d *db.DB, listID int) []string {
-	var keys []string
-	for _, m := range acl.ExpandMembers(d, listID) {
-		if m.MemberType == db.ACEUser {
-			if u, ok := d.UserByID(m.MemberID); ok {
-				keys = append(keys, "user:"+u.Login)
-			}
+// upListKeys adds the upward closure of (mtype, mid) as "list:" keys: a
+// change inside a list is visible to every list that (transitively)
+// contains it.
+func upListKeys(d *db.DB, mtype string, mid int, add func(string)) {
+	for lid := range upLists(d, mtype, mid) {
+		if l, ok := d.ListByID(lid); ok {
+			add("list:" + l.Name)
 		}
 	}
-	return keys
+}
+
+// userKey adds the "user:" key of a user id.
+func userKey(d *db.DB, usersID int, add func(string)) {
+	if u, ok := d.UserByID(usersID); ok {
+		add("user:" + u.Login)
+	}
+}
+
+// usersUnder adds the "user:" key of every user in the downward
+// expansion of a list — the users whose derived lines change when the
+// list's membership or flags change — and reports how many there were.
+func usersUnder(d *db.DB, listID int, add func(string)) int {
+	n := 0
+	for _, m := range acl.ExpandMembers(d, listID) {
+		if m.MemberType == db.ACEUser {
+			userKey(d, m.MemberID, add)
+			n++
+		}
+	}
+	return n
 }

@@ -117,15 +117,15 @@ func TestHesiodPseudoCluster(t *testing.T) {
 }
 
 // TestNoChangeDetection exercises the driver-side change check that
-// replaced the generators' internal short-circuit: a journal-less
-// planner compares the table sequence against the persisted value and
-// only runs the generator when it advanced.
+// replaced the generators' internal short-circuit: the planner diffs
+// the snapshot a service last generated from against the current one
+// and only runs the generator when a row it reads changed.
 func TestNoChangeDetection(t *testing.T) {
 	d, clk := popDB(t, 50)
-	p := extract.NewPlanner(d, nil, 0)
+	p := extract.NewPlanner(d, 0)
 	run := func(service string, g extract.Generator) (*Result, *extract.Plan) {
 		t.Helper()
-		model, plan, err := p.Run(service, g)
+		model, plan, err := p.Run(service, g, d.Reader())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,4 +343,55 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestRegisterUserRenameReachesEveryExtract: register_user renames a
+// placeholder login ("#6561"), and every extract that renders the login
+// must follow at the next pass — the SMTP aliases block of a maillist
+// holding the user, and the ZEPHYR ACL file of a class whose ACE is that
+// list — not only the user's own lines.
+func TestRegisterUserRenameReachesEveryExtract(t *testing.T) {
+	d, _ := popDB(t, 60)
+	priv := &queries.Context{DB: d, Privileged: true, App: "test"}
+	run := func(name string, args ...string) {
+		t.Helper()
+		if err := queries.Execute(priv, name, args, func([]string) error { return nil }); err != nil {
+			t.Fatalf("%s %v: %v", name, args, err)
+		}
+	}
+	run("add_user", queries.UniqueLogin, "6561", "/bin/csh", "Reg", "Istrant", "", "0", "xx", "1992")
+	run("add_list", "zlist", "1", "0", "0", "1", "0", "0", "USER", "root", "renamed members")
+	run("add_member_to_list", "zlist", "USER", "#6561")
+	run("add_zephyr_class", "ZCLS", "LIST", "zlist", "NONE", "NONE", "NONE", "NONE", "NONE", "NONE")
+
+	p := extract.NewPlanner(d, 0)
+	pass := func() {
+		t.Helper()
+		for _, svc := range []string{"SMTP", "ZEPHYR"} {
+			g := Incrementals[svc]
+			m, plan, err := p.Run(svc, g, d.Reader())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := g.Build(d.Reader())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range want.Files() {
+				if got := m.Bytes(name); string(got) != string(data) {
+					t.Errorf("%s %s pass: %s differs from a full build:\n%s\nwant:\n%s",
+						svc, plan.Mode, name, grepLines(string(got), "zlist"), grepLines(string(data), "zlist"))
+				}
+			}
+			d.LockExclusive()
+			p.Commit(svc, plan)
+			d.UnlockExclusive()
+		}
+	}
+	pass()
+	run("register_user", "6561", "zedreg", "1")
+	pass()
+	if m := p.Model("ZEPHYR"); string(m.Bytes("ZCLS.xmt.acl")) != "zedreg\n" {
+		t.Errorf("ZCLS.xmt.acl = %q, want the new login", m.Bytes("ZCLS.xmt.acl"))
+	}
 }

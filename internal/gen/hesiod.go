@@ -8,11 +8,125 @@ import (
 	"moira/internal/extract"
 )
 
-// hesiodTables are the relations feeding the hesiod extract.
-var hesiodTables = []string{
-	db.TUsers, db.TList, db.TMembers, db.TMachine, db.TCluster, db.TMCMap,
-	db.TSvc, db.TFilesys, db.TPrintcap, db.TServices, db.TServerHosts,
-	db.TAlias, db.TStrings,
+// hesiodReads are the relations feeding the hesiod extract, the columns
+// it reads and the keys a changed row dirties.
+var hesiodReads = []extract.Read{
+	on(db.TUsers, func(u *db.User) db.User {
+		return db.User{Login: u.Login, UID: u.UID, Fullname: u.Fullname, Shell: u.Shell,
+			Status: u.Status, PoType: u.PoType, PopID: u.PopID}
+	}, func(_ *db.DB, u *db.User, add func(string)) { add("user:" + u.Login) }),
+	// A group's name, gid and flags render into its own lines and the
+	// grplist lines of every user under it.
+	on(db.TList, func(l *db.List) db.List {
+		return db.List{Name: l.Name, GID: l.GID, Active: l.Active, Group: l.Group}
+	}, func(d *db.DB, l *db.List, add func(string)) {
+		add("list:" + l.Name)
+		if l.Active && l.Group {
+			usersUnder(d, l.ListID, add)
+		}
+	}),
+	on(db.TMembers, whole[db.Member], func(d *db.DB, m *db.Member, add func(string)) {
+		switch m.MemberType {
+		case db.ACEUser:
+			userKey(d, m.MemberID, add)
+		case db.ACEList:
+			usersUnder(d, m.MemberID, add)
+		}
+	}),
+	// Machine names render into cluster, filsys, printcap, sloc and
+	// pobox lines.
+	on(db.TMachine, machineName, func(d *db.DB, mach *db.Machine, add func(string)) {
+		add("machine:" + mach.Name)
+		d.EachFilesys(func(f *db.Filesys) bool {
+			if f.MachID == mach.MachID {
+				add("filesys:" + f.Label)
+				add("fsalias")
+			}
+			return true
+		})
+		d.EachPrintcap(func(p *db.Printcap) bool {
+			if p.MachID == mach.MachID {
+				add("printer:" + p.Name)
+			}
+			return true
+		})
+		d.EachServerHost(func(sh *db.ServerHost) bool {
+			if sh.MachID == mach.MachID {
+				add("sloc:" + sh.Service + ":" + mach.Name)
+			}
+			return true
+		})
+		popUsers(d, mach.MachID, add)
+	}),
+	// Clusters render by name into their machines' CNAMEs and, through
+	// their data, into the pseudo-cluster blocks of their machines.
+	on(db.TCluster, func(c *db.Cluster) string { return c.Name }, func(d *db.DB, c *db.Cluster, add func(string)) {
+		add("cluster:" + c.Name)
+		clusterMachines(d, c.CluID, add)
+	}),
+	on(db.TMCMap, whole[db.MCMap], func(d *db.DB, mc *db.MCMap, add func(string)) {
+		if mach, ok := d.MachineByID(mc.MachID); ok {
+			add("machine:" + mach.Name)
+		}
+	}),
+	on(db.TSvc, whole[db.SvcData], func(d *db.DB, s *db.SvcData, add func(string)) {
+		if c, ok := d.ClusterByID(s.CluID); ok {
+			add("cluster:" + c.Name)
+			clusterMachines(d, s.CluID, add)
+		}
+	}),
+	on(db.TFilesys, func(f *db.Filesys) db.Filesys {
+		return db.Filesys{Label: f.Label, Type: f.Type, Name: f.Name, MachID: f.MachID, Access: f.Access, Mount: f.Mount}
+	}, func(_ *db.DB, f *db.Filesys, add func(string)) {
+		add("filesys:" + f.Label)
+		add("fsalias")
+	}),
+	on(db.TPrintcap, func(p *db.Printcap) db.Printcap {
+		return db.Printcap{Name: p.Name, MachID: p.MachID, RP: p.RP, Dir: p.Dir}
+	}, func(_ *db.DB, p *db.Printcap, add func(string)) { add("printer:" + p.Name) }),
+	on(db.TServices, func(s *db.Service) db.Service {
+		return db.Service{Name: s.Name, Protocol: s.Protocol, Port: s.Port}
+	}, func(_ *db.DB, s *db.Service, add func(string)) {
+		add("service:" + s.Name)
+		add("svcalias")
+	}),
+	on(db.TAlias, whole[db.Alias], func(_ *db.DB, a *db.Alias, add func(string)) {
+		switch a.Type {
+		case "FILESYS":
+			add("fsalias")
+		case "SERVICE":
+			add("svcalias")
+		}
+	}),
+	// sloc lists the (service, host) tuples; the DCM's flag writes on
+	// these rows dirty nothing.
+	on(db.TServerHosts, func(sh *db.ServerHost) db.ServerHost {
+		return db.ServerHost{Service: sh.Service, MachID: sh.MachID}
+	}, func(d *db.DB, sh *db.ServerHost, add func(string)) {
+		if mach, ok := d.MachineByID(sh.MachID); ok {
+			add("sloc:" + sh.Service + ":" + mach.Name)
+		}
+	}),
+}
+
+// clusterMachines adds the "machine:" keys of a cluster's machines.
+func clusterMachines(d *db.DB, cluID int, add func(string)) {
+	for _, id := range d.MachinesOfCluster(cluID) {
+		if mach, ok := d.MachineByID(id); ok {
+			add("machine:" + mach.Name)
+		}
+	}
+}
+
+// popUsers adds the "user:" keys of the users whose post office is the
+// machine.
+func popUsers(d *db.DB, machID int, add func(string)) {
+	d.EachUser(func(u *db.User) bool {
+		if u.PopID == machID {
+			add("user:" + u.Login)
+		}
+		return true
+	})
 }
 
 // hesiodFiles are the eleven .db files every hesiod server receives.
@@ -27,10 +141,9 @@ var hesiodFiles = []string{
 // "filesys:<label>", "fsalias", "cluster:<name>", "machine:<name>",
 // "printer:<name>", "service:<name>", "svcalias", "sloc:<svc>:<host>".
 var HesiodIncremental = &Incremental{
-	TablesList: hesiodTables,
-	BuildFn:    hesiodBuild,
-	DepsFn:     hesiodDeps,
-	EmitFn:     hesiodEmit,
+	ReadList: hesiodReads,
+	BuildFn:  hesiodBuild,
+	EmitFn:   hesiodEmit,
 }
 
 // hesiodBuild enumerates the whole key domain and emits each key.
@@ -283,126 +396,6 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 // cutSlocKey splits the "<svc>:<host>" remainder of a sloc key.
 func cutSlocKey(rest string) (svc, host string, ok bool) {
 	return strings.Cut(rest, ":")
-}
-
-// machineKey canonicalizes a machine-name query argument into the key
-// form (machine names are stored upper case).
-func machineKey(d *db.DB, arg string) string {
-	if m, ok := d.MachineByName(arg); ok {
-		return "machine:" + m.Name
-	}
-	return "machine:" + strings.ToUpper(arg)
-}
-
-// canonMachine resolves a machine-name argument to the stored canonical
-// name.
-func canonMachine(d *db.DB, arg string) string {
-	if m, ok := d.MachineByName(arg); ok {
-		return m.Name
-	}
-	return strings.ToUpper(arg)
-}
-
-// hesiodDeps maps one journal record to the hesiod keys it dirties.
-func hesiodDeps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
-	a := rec.Args
-	switch rec.Query {
-	case "add_user", "update_user_shell", "update_user_status",
-		"update_finger_by_login", "set_pobox", "set_pobox_pop",
-		"delete_pobox", "delete_user":
-		return []string{"user:" + a[0]}, true
-	case "update_user":
-		return []string{"user:" + a[0], "user:" + a[1]}, true
-	case "register_user":
-		// uid, login, fstype: renames the user, creates the namesake
-		// group and home filesystem.
-		return []string{"user:" + a[1], "list:" + a[1], "filesys:" + a[1]}, true
-	case "delete_user_by_uid":
-		return nil, false
-
-	case "add_list", "delete_list":
-		return []string{"list:" + a[0]}, true
-	case "update_list":
-		// Flags/gid/name changes reach the grplist lines of every user
-		// under the list.
-		keys := []string{"list:" + a[0], "list:" + a[1]}
-		if l, ok := d.ListByName(a[1]); ok {
-			keys = append(keys, userKeysUnder(d, l.ListID)...)
-		}
-		return keys, true
-	case "add_member_to_list", "delete_member_from_list":
-		switch a[1] {
-		case db.ACEUser:
-			return []string{"user:" + a[2]}, true
-		case db.ACEList:
-			if sub, ok := d.ListByName(a[2]); ok {
-				return userKeysUnder(d, sub.ListID), true
-			}
-			return nil, true
-		default:
-			return nil, true
-		}
-
-	case "add_machine":
-		return []string{machineKey(d, a[0])}, true
-	case "update_machine", "delete_machine", "update_cluster", "delete_cluster":
-		// Renames/deletions fan out through filsys, cluster, printcap,
-		// and sloc data; not worth chasing incrementally.
-		return nil, false
-	case "add_cluster":
-		return []string{"cluster:" + a[0]}, true
-	case "add_machine_to_cluster", "delete_machine_from_cluster":
-		return []string{machineKey(d, a[0])}, true
-	case "add_cluster_data", "delete_cluster_data":
-		keys := []string{"cluster:" + a[0]}
-		if c, ok := d.ClusterByName(a[0]); ok {
-			// Pseudo-cluster blocks repeat the cluster's data lines.
-			for _, id := range d.MachinesOfCluster(c.CluID) {
-				if mach, ok := d.MachineByID(id); ok {
-					keys = append(keys, "machine:"+mach.Name)
-				}
-			}
-		}
-		return keys, true
-
-	case "add_filesys":
-		return []string{"filesys:" + a[0], "fsalias"}, true
-	case "update_filesys":
-		return []string{"filesys:" + a[0], "filesys:" + a[1], "fsalias"}, true
-	case "delete_filesys":
-		return []string{"filesys:" + a[0], "fsalias"}, true
-
-	case "add_service", "delete_service":
-		return []string{"service:" + a[0], "svcalias"}, true
-	case "add_printcap", "delete_printcap":
-		return []string{"printer:" + a[0]}, true
-	case "add_alias", "delete_alias":
-		switch a[1] {
-		case "FILESYS":
-			return []string{"fsalias"}, true
-		case "SERVICE":
-			return []string{"svcalias"}, true
-		default:
-			return nil, true
-		}
-
-	case "add_server_host_info", "delete_server_host_info":
-		return []string{"sloc:" + strings.ToUpper(a[0]) + ":" + canonMachine(d, a[1])}, true
-	case "update_server_host_info", "reset_server_host_error",
-		"set_server_host_override", "set_server_host_internal",
-		"add_server_info", "update_server_info", "delete_server_info",
-		"reset_server_error", "set_server_internal_flags":
-		// Flag churn on existing rows; sloc only lists the tuples.
-		return nil, true
-
-	case "add_zephyr_class", "update_zephyr_class", "delete_zephyr_class",
-		"add_server_host_access", "update_server_host_access", "delete_server_host_access",
-		"add_nfsphys", "update_nfsphys", "delete_nfsphys", "adjust_nfsphys_allocation",
-		"add_nfs_quota", "update_nfs_quota", "delete_nfs_quota",
-		"add_value", "update_value", "delete_value":
-		return nil, true
-	}
-	return nil, false
 }
 
 // HesiodInstallScript is the instruction sequence the DCM runs on a

@@ -8,8 +8,39 @@ import (
 	"moira/internal/extract"
 )
 
-var kloginTables = []string{
-	db.THostAccess, db.TMachine, db.TUsers, db.TList, db.TMembers,
+// kloginReads are the relations feeding the klogin extract, the columns
+// it reads and the keys a changed row dirties.
+var kloginReads = []extract.Read{
+	on(db.THostAccess, func(h *db.HostAccess) db.HostAccess {
+		return db.HostAccess{MachID: h.MachID, ACLType: h.ACLType, ACLID: h.ACLID}
+	}, func(d *db.DB, h *db.HostAccess, add func(string)) {
+		if mach, ok := d.MachineByID(h.MachID); ok {
+			add("host:" + mach.Name)
+		}
+	}),
+	on(db.TMachine, machineName, func(d *db.DB, mach *db.Machine, add func(string)) {
+		if _, ok := d.HostAccessOf(mach.MachID); ok {
+			add("host:" + mach.Name)
+		}
+	}),
+	on(db.TUsers, func(u *db.User) db.User {
+		return db.User{Login: u.Login, Status: u.Status}
+	}, func(d *db.DB, u *db.User, add func(string)) { hostsReaching(d, db.ACEUser, u.UsersID, add) }),
+	on(db.TMembers, whole[db.Member], func(d *db.DB, m *db.Member, add func(string)) {
+		hostsReaching(d, db.ACEList, m.ListID, add)
+	}),
+}
+
+// hostsReaching adds the keys of the hosts whose ACE expands to the
+// member (mtype, mid).
+func hostsReaching(d *db.DB, mtype string, mid int, add func(string)) {
+	reach := reaches(d, mtype, mid)
+	d.EachHostAccess(func(h *db.HostAccess) bool {
+		if mach, ok := d.MachineByID(h.MachID); ok && reach(h.ACLType, h.ACLID) {
+			add("host:" + mach.Name)
+		}
+		return true
+	})
 }
 
 // KLogin generates per-host /.klogin files from the HOSTACCESS relation
@@ -23,7 +54,7 @@ var kloginTables = []string{
 func KLogin(realm string) *Incremental {
 	emit := func(d *db.DB, m *extract.Model, key string) { kloginEmit(d, m, key, realm) }
 	return &Incremental{
-		TablesList: kloginTables,
+		ReadList: kloginReads,
 		BuildFn: func(d *db.DB) (*extract.Model, error) {
 			m := extract.NewModel()
 			d.EachHostAccess(func(h *db.HostAccess) bool {
@@ -34,7 +65,6 @@ func KLogin(realm string) *Incremental {
 			})
 			return m, nil
 		},
-		DepsFn: kloginDeps,
 		EmitFn: emit,
 	}
 }
@@ -67,42 +97,6 @@ func kloginEmit(d *db.DB, m *extract.Model, key, realm string) {
 		}
 	}
 	m.Emit(mach.Name+"/.klogin", "", key, []byte(b.String()))
-}
-
-// kloginDeps maps one journal record to the klogin keys it dirties. The
-// files are a handful of lines each, so anything that can change which
-// principals an ACE expands to re-emits every host rather than chasing
-// the membership closure.
-func kloginDeps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
-	switch rec.Query {
-	case "add_server_host_access", "update_server_host_access", "delete_server_host_access":
-		return []string{"host:" + canonMachine(d, rec.Args[0])}, true
-
-	case "update_user", "update_user_status", "register_user", "delete_user",
-		"add_member_to_list", "delete_member_from_list", "delete_list":
-		return []string{"host:*"}, true
-
-	case "add_user", "update_user_shell", "update_finger_by_login",
-		"set_pobox", "set_pobox_pop", "delete_pobox",
-		"add_list", "update_list", "add_machine",
-		"add_cluster", "update_cluster", "delete_cluster",
-		"add_machine_to_cluster", "delete_machine_from_cluster",
-		"add_cluster_data", "delete_cluster_data",
-		"add_filesys", "update_filesys", "delete_filesys",
-		"add_nfsphys", "update_nfsphys", "delete_nfsphys", "adjust_nfsphys_allocation",
-		"add_nfs_quota", "update_nfs_quota", "delete_nfs_quota",
-		"add_service", "delete_service", "add_printcap", "delete_printcap",
-		"add_alias", "delete_alias",
-		"add_zephyr_class", "update_zephyr_class", "delete_zephyr_class",
-		"add_server_info", "update_server_info", "delete_server_info",
-		"reset_server_error", "set_server_internal_flags",
-		"add_server_host_info", "update_server_host_info", "delete_server_host_info",
-		"reset_server_host_error", "set_server_host_override", "set_server_host_internal",
-		"add_value", "update_value", "delete_value":
-		return nil, true
-	}
-	// Machine renames and deletions move the per-host bundle paths.
-	return nil, false
 }
 
 // KLoginInstallScript installs the .klogin file at the host root.

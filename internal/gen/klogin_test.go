@@ -5,19 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"moira/internal/db"
 	"moira/internal/extract"
 	"moira/internal/queries"
 )
 
 func TestKLoginGenerator(t *testing.T) {
 	d, _ := popDB(t, 40)
-	jw, err := db.OpenJournalWriter(t.TempDir(), db.JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { jw.Close() })
-	d.SetJournal(jw)
 	priv := &queries.Context{DB: d, Privileged: true, App: "test"}
 	run := func(name string, args ...string) {
 		t.Helper()
@@ -32,11 +25,11 @@ func TestKLoginGenerator(t *testing.T) {
 	g := KLogin("ATHENA.MIT.EDU")
 	// Every generation is a planner pass; past the cold start each must
 	// be a delta that renders exactly what a from-scratch build would.
-	planner := extract.NewPlanner(d, jw, 0)
+	planner := extract.NewPlanner(d, 0)
 	wantMode := extract.ModeFull
 	gen := func() *Result {
 		t.Helper()
-		m, plan, err := planner.Run("KLOGIN", g)
+		m, plan, err := planner.Run("KLOGIN", g, d.Reader())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,41 @@ import (
 	"moira/internal/extract"
 )
 
-var mailTables = []string{
-	db.TUsers, db.TList, db.TMembers, db.TStrings, db.TMachine,
+// mailReads are the relations feeding the mail extract, the columns it
+// reads and the keys a changed row dirties.
+var mailReads = []extract.Read{
+	on(db.TUsers, func(u *db.User) db.User {
+		return db.User{Login: u.Login, Status: u.Status, PoType: u.PoType, PopID: u.PopID, BoxID: u.BoxID,
+			UID: u.UID, Fullname: u.Fullname, Shell: u.Shell}
+	}, func(_ *db.DB, u *db.User, add func(string)) { add("user:" + u.Login) }),
+	// Alias blocks render a user by login.
+	on(db.TUsers, func(u *db.User) string { return u.Login }, func(d *db.DB, u *db.User, add func(string)) {
+		listsNaming(d, db.ACEUser, u.UsersID, add)
+	}),
+	on(db.TList, func(l *db.List) db.List {
+		return db.List{Name: l.Name, Desc: l.Desc, Active: l.Active, Maillist: l.Maillist, ACLType: l.ACLType, ACLID: l.ACLID}
+	}, func(d *db.DB, l *db.List, add func(string)) {
+		add("list:" + l.Name)
+		listsNaming(d, db.ACEList, l.ListID, add)
+	}),
+	// A parent names a maillist member and flattens any other list.
+	on(db.TMembers, whole[db.Member], func(d *db.DB, m *db.Member, add func(string)) {
+		if l, ok := d.ListByID(m.ListID); ok {
+			add("list:" + l.Name)
+		}
+		upListKeys(d, db.ACEList, m.ListID, add)
+	}),
+	on(db.TStrings, whole[db.StringRec], func(d *db.DB, s *db.StringRec, add func(string)) {
+		upListKeys(d, db.ACEString, s.StringID, add)
+		d.EachUser(func(u *db.User) bool {
+			if u.BoxID == s.StringID {
+				add("user:" + u.Login)
+			}
+			return true
+		})
+	}),
+	// Pobox lines render the post office's name.
+	on(db.TMachine, machineName, func(d *db.DB, mach *db.Machine, add func(string)) { popUsers(d, mach.MachID, add) }),
 }
 
 // localPO converts a post office machine name to the .LOCAL form the
@@ -29,10 +62,9 @@ func localPO(machine string) string {
 // maillist's alias block), "user:<login>" (pobox alias line plus passwd
 // line).
 var MailIncremental = &Incremental{
-	TablesList: mailTables,
-	BuildFn:    mailBuild,
-	DepsFn:     mailDeps,
-	EmitFn:     mailEmit,
+	ReadList: mailReads,
+	BuildFn:  mailBuild,
+	EmitFn:   mailEmit,
 }
 
 // mailBuild enumerates the whole key domain and emits each key.
@@ -143,89 +175,17 @@ func mailEmit(d *db.DB, m *extract.Model, key string) {
 	}
 }
 
-// mailListKeysReferencing returns the keys of maillists that render the
-// given user by name: lists containing it (directly or through flattened
-// sublists) and lists owned by it.
-func mailListKeysReferencing(d *db.DB, u *db.User) []string {
-	keys := upListKeys(d, db.ACEUser, u.UsersID)
+// listsNaming adds the keys of the maillists whose alias blocks render
+// the user or list (mtype, id) by name: the lists containing it, directly
+// or through flattened sublists, and the lists it owns.
+func listsNaming(d *db.DB, mtype string, id int, add func(string)) {
+	upListKeys(d, mtype, id, add)
 	d.EachList(func(l *db.List) bool {
-		if l.ACLType == db.ACEUser && l.ACLID == u.UsersID {
-			keys = append(keys, "list:"+l.Name)
+		if l.ACLType == mtype && l.ACLID == id {
+			add("list:" + l.Name)
 		}
 		return true
 	})
-	return keys
-}
-
-// mailDeps maps one journal record to the mail keys it dirties.
-func mailDeps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
-	a := rec.Args
-	switch rec.Query {
-	case "add_user", "update_user_status", "delete_user",
-		"update_user_shell", "update_finger_by_login",
-		"set_pobox", "set_pobox_pop", "delete_pobox":
-		return []string{"user:" + a[0]}, true
-	case "update_user":
-		keys := []string{"user:" + a[0], "user:" + a[1]}
-		if a[0] != a[1] {
-			// A rename changes the login rendered inside alias blocks.
-			if u, ok := d.UserByLogin(a[1]); ok {
-				keys = append(keys, mailListKeysReferencing(d, u)...)
-			}
-		}
-		return keys, true
-	case "register_user":
-		return []string{"user:" + a[1], "list:" + a[1]}, true
-	case "delete_user_by_uid":
-		return nil, false
-
-	case "add_list", "delete_list":
-		return []string{"list:" + a[0]}, true
-	case "update_list":
-		keys := []string{"list:" + a[0], "list:" + a[1]}
-		if l, ok := d.ListByName(a[1]); ok {
-			// Parents flatten non-maillist sublists and name maillist
-			// ones; flag or name changes reach every ancestor.
-			keys = append(keys, upListKeys(d, db.ACEList, l.ListID)...)
-			d.EachList(func(o *db.List) bool {
-				if o.ACLType == db.ACEList && o.ACLID == l.ListID {
-					keys = append(keys, "list:"+o.Name)
-				}
-				return true
-			})
-		}
-		return keys, true
-	case "add_member_to_list", "delete_member_from_list":
-		keys := []string{"list:" + a[0]}
-		if l, ok := d.ListByName(a[0]); ok {
-			keys = append(keys, upListKeys(d, db.ACEList, l.ListID)...)
-		}
-		return keys, true
-
-	case "add_machine":
-		return nil, true
-	case "update_machine", "delete_machine":
-		// Pobox lines render the machine name.
-		return nil, false
-
-	case "add_cluster", "update_cluster", "delete_cluster",
-		"add_machine_to_cluster", "delete_machine_from_cluster",
-		"add_cluster_data", "delete_cluster_data",
-		"add_filesys", "update_filesys", "delete_filesys",
-		"add_nfsphys", "update_nfsphys", "delete_nfsphys", "adjust_nfsphys_allocation",
-		"add_nfs_quota", "update_nfs_quota", "delete_nfs_quota",
-		"add_service", "delete_service", "add_printcap", "delete_printcap",
-		"add_alias", "delete_alias",
-		"add_zephyr_class", "update_zephyr_class", "delete_zephyr_class",
-		"add_server_host_access", "update_server_host_access", "delete_server_host_access",
-		"add_server_info", "update_server_info", "delete_server_info",
-		"reset_server_error", "set_server_internal_flags",
-		"add_server_host_info", "update_server_host_info", "delete_server_host_info",
-		"reset_server_host_error", "set_server_host_override", "set_server_host_internal",
-		"add_value", "update_value", "delete_value":
-		return nil, true
-	}
-	return nil, false
 }
 
 // MailInstallScript installs the aliases and passwd files on the

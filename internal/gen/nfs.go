@@ -9,9 +9,138 @@ import (
 	"moira/internal/extract"
 )
 
-var nfsTables = []string{
-	db.TUsers, db.TList, db.TMembers, db.TFilesys, db.TNFSPhys,
-	db.TNFSQuota, db.TServerHosts, db.TMachine,
+// nfsReads are the relations feeding the NFS extract, the columns it
+// reads and the keys a changed row dirties.
+var nfsReads = []extract.Read{
+	// Credentials lines: the login, uid and status of a user, on every
+	// unscoped host and on the scoped hosts whose list reaches the user.
+	on(db.TUsers, func(u *db.User) db.User {
+		return db.User{Login: u.Login, UID: u.UID, Status: u.Status}
+	}, func(d *db.DB, u *db.User, add func(string)) {
+		add("user:" + u.Login)
+		scopedHosts(d, db.ACEUser, u.UsersID, add)
+	}),
+	// Quota lines carry the uid under the login's key, dirs lines the
+	// owner's uid.
+	on(db.TUsers, func(u *db.User) db.User {
+		return db.User{Login: u.Login, UID: u.UID}
+	}, func(d *db.DB, u *db.User, add func(string)) {
+		for _, q := range d.QuotasOfUser(u.UsersID) {
+			quotaKey(d, q, add)
+		}
+		d.EachFilesys(func(f *db.Filesys) bool {
+			if f.Owner == u.UsersID {
+				add("filesys:" + f.Label)
+			}
+			return true
+		})
+	}),
+	// A group's gid and flags reach the credentials lines of the users
+	// under it, its name the scoped hosts that name it, and its gid the
+	// dirs lines of the lockers it owns.
+	on(db.TList, func(l *db.List) db.List {
+		return db.List{Name: l.Name, GID: l.GID, Active: l.Active, Group: l.Group}
+	}, func(d *db.DB, l *db.List, add func(string)) {
+		if l.Active && l.Group && usersUnder(d, l.ListID, add) > 0 {
+			add("shcred:*")
+		}
+		for _, h := range nfsHostRows(d) {
+			if h.sh.Value3 == l.Name {
+				add("shcred:" + h.mach.Name)
+			}
+		}
+		d.EachFilesys(func(f *db.Filesys) bool {
+			if f.Owners == l.ListID {
+				add("filesys:" + f.Label)
+			}
+			return true
+		})
+	}),
+	on(db.TMembers, whole[db.Member], func(d *db.DB, m *db.Member, add func(string)) {
+		switch m.MemberType {
+		case db.ACEUser:
+			userKey(d, m.MemberID, add)
+			scopedHosts(d, db.ACEUser, m.MemberID, add)
+		case db.ACEList:
+			if usersUnder(d, m.MemberID, add) > 0 {
+				add("shcred:*")
+			}
+		}
+	}),
+	on(db.TFilesys, func(f *db.Filesys) db.Filesys {
+		return db.Filesys{Label: f.Label, Type: f.Type, CreateFlg: f.CreateFlg, PhysID: f.PhysID,
+			Owner: f.Owner, Owners: f.Owners, Name: f.Name, LockerType: f.LockerType}
+	}, func(_ *db.DB, f *db.Filesys, add func(string)) { add("filesys:" + f.Label) }),
+	// A relabel moves the keys of the quota lines on the filesystem.
+	on(db.TFilesys, func(f *db.Filesys) string { return f.Label }, func(d *db.DB, f *db.Filesys, add func(string)) {
+		d.EachQuota(func(q *db.NFSQuota) bool {
+			if q.FilsysID == f.FilsysID {
+				quotaKey(d, q, add)
+			}
+			return true
+		})
+	}),
+	// A partition names its host's .quotas and .dirs files.
+	on(db.TNFSPhys, func(p *db.NFSPhys) db.NFSPhys {
+		return db.NFSPhys{MachID: p.MachID, Dir: p.Dir}
+	}, func(d *db.DB, p *db.NFSPhys, add func(string)) {
+		if mach, ok := d.MachineByID(p.MachID); ok {
+			add("host:" + mach.Name)
+		}
+		d.EachQuota(func(q *db.NFSQuota) bool {
+			if q.PhysID == p.NFSPhysID {
+				quotaKey(d, q, add)
+			}
+			return true
+		})
+		d.EachFilesys(func(f *db.Filesys) bool {
+			if f.PhysID == p.NFSPhysID {
+				add("filesys:" + f.Label)
+			}
+			return true
+		})
+	}),
+	on(db.TNFSQuota, func(q *db.NFSQuota) db.NFSQuota {
+		return db.NFSQuota{UsersID: q.UsersID, FilsysID: q.FilsysID, PhysID: q.PhysID, Quota: q.Quota}
+	}, quotaKey),
+	// The enabled NFS hosts and their scoping, and the machine names
+	// that are the per-host bundle paths: every key fans across hosts.
+	// The DCM's flag writes on the serverhost rows dirty nothing.
+	full(db.TServerHosts, func(sh *db.ServerHost) db.ServerHost {
+		if sh.Service != "NFS" {
+			return db.ServerHost{}
+		}
+		return db.ServerHost{MachID: sh.MachID, Enable: sh.Enable, Value3: sh.Value3}
+	}),
+	full(db.TMachine, machineName),
+}
+
+// quotaKey adds the key of a quota row's line.
+func quotaKey(d *db.DB, q *db.NFSQuota, add func(string)) {
+	u, uok := d.UserByID(q.UsersID)
+	f, fok := d.FilesysByID(q.FilsysID)
+	if uok && fok {
+		add("quota:" + f.Label + ":" + u.Login)
+	}
+}
+
+// scopedHosts adds the "shcred:" key of every scoped host whose list
+// reaches the member (mtype, mid).
+func scopedHosts(d *db.DB, mtype string, mid int, add func(string)) {
+	var reach func(string, int) bool
+	for _, sh := range d.ServerHostsOf("NFS") {
+		if !sh.Enable || sh.Value3 == "" {
+			continue
+		}
+		if reach == nil {
+			reach = reaches(d, mtype, mid)
+		}
+		l, lok := d.ListByName(sh.Value3)
+		mach, mok := d.MachineByID(sh.MachID)
+		if lok && mok && reach(db.ACEList, l.ListID) {
+			add("shcred:" + mach.Name)
+		}
+	}
 }
 
 // partFileBase converts a partition mount point to the base of its
@@ -29,10 +158,9 @@ func partFileBase(dir string) string {
 // (master credentials lines), "shcred:<machine>" (a scoped host's whole
 // credentials), "quota:<label>:<login>", "filesys:<label>" (dirs lines).
 var NFSIncremental = &Incremental{
-	TablesList: nfsTables,
-	BuildFn:    nfsBuild,
-	DepsFn:     nfsDeps,
-	EmitFn:     nfsEmit,
+	ReadList: nfsReads,
+	BuildFn:  nfsBuild,
+	EmitFn:   nfsEmit,
 }
 
 // nfsHostRow pairs an enabled NFS serverhost row with its machine.
@@ -229,138 +357,6 @@ func nfsEmit(d *db.DB, m *extract.Model, key string) {
 				extract.K(f.FilsysID), key, []byte(line))
 		}
 	}
-}
-
-// nfsDeps maps one journal record to the NFS keys it dirties.
-func nfsDeps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
-	a := rec.Args
-	switch rec.Query {
-	case "add_user", "delete_user":
-		return []string{"user:" + a[0]}, true
-	case "update_user_status":
-		// Credentials lines gate on active status, scoped ones too.
-		return []string{"user:" + a[0], "shcred:*"}, true
-	case "update_user":
-		// Rename and uid change reach credentials lines, quota lines
-		// (by uid), and owned-locker dirs lines.
-		keys := []string{"user:" + a[0], "user:" + a[1], "shcred:*"}
-		if u, ok := d.UserByLogin(a[1]); ok {
-			for _, q := range d.QuotasOfUser(u.UsersID) {
-				if f, ok := d.FilesysByID(q.FilsysID); ok {
-					keys = append(keys, "quota:"+f.Label+":"+a[0], "quota:"+f.Label+":"+a[1])
-				}
-			}
-			d.EachFilesys(func(f *db.Filesys) bool {
-				if f.Owner == u.UsersID {
-					keys = append(keys, "filesys:"+f.Label)
-				}
-				return true
-			})
-		}
-		return keys, true
-	case "register_user":
-		// uid, login, fstype: renames the user, creates the home locker
-		// and its default quota.
-		return []string{"user:" + a[1], "quota:" + a[1] + ":" + a[1],
-			"filesys:" + a[1], "shcred:*"}, true
-	case "delete_user_by_uid":
-		return nil, false
-	case "update_user_shell", "update_finger_by_login",
-		"set_pobox", "set_pobox_pop", "delete_pobox":
-		return nil, true
-
-	case "add_list":
-		return nil, true
-	case "update_list":
-		// GID changes reach the credentials lines of users under it.
-		keys := []string{"shcred:*"}
-		if l, ok := d.ListByName(a[1]); ok {
-			keys = append(keys, userKeysUnder(d, l.ListID)...)
-			// Owner-group gid renders into dirs lines.
-			d.EachFilesys(func(f *db.Filesys) bool {
-				if f.Owners == l.ListID {
-					keys = append(keys, "filesys:"+f.Label)
-				}
-				return true
-			})
-		}
-		return keys, true
-	case "delete_list":
-		return []string{"shcred:*"}, true
-	case "add_member_to_list", "delete_member_from_list":
-		switch a[1] {
-		case db.ACEUser:
-			return []string{"user:" + a[2], "shcred:*"}, true
-		case db.ACEList:
-			if sub, ok := d.ListByName(a[2]); ok {
-				return append(userKeysUnder(d, sub.ListID), "shcred:*"), true
-			}
-			return []string{"shcred:*"}, true
-		default:
-			return nil, true
-		}
-
-	case "add_filesys":
-		return []string{"filesys:" + a[0]}, true
-	case "update_filesys":
-		keys := []string{"filesys:" + a[0], "filesys:" + a[1]}
-		// Quota lines live in the partition the quota row names, but a
-		// relabel changes their keys: enumerate rows under both labels.
-		for _, label := range []string{a[0], a[1]} {
-			for _, f := range d.FilesysByLabel(label) {
-				d.EachQuota(func(q *db.NFSQuota) bool {
-					if q.FilsysID == f.FilsysID {
-						if u, ok := d.UserByID(q.UsersID); ok {
-							keys = append(keys, "quota:"+a[0]+":"+u.Login,
-								"quota:"+a[1]+":"+u.Login)
-						}
-					}
-					return true
-				})
-			}
-		}
-		return keys, true
-	case "delete_filesys":
-		return []string{"filesys:" + a[0], "quota:" + a[0] + ":*"}, true
-
-	case "add_nfs_quota", "update_nfs_quota", "delete_nfs_quota":
-		return []string{"quota:" + a[0] + ":" + a[1]}, true
-
-	case "add_nfsphys":
-		return []string{"host:" + canonMachine(d, a[0])}, true
-	case "update_nfsphys", "adjust_nfsphys_allocation":
-		// Device/status/allocation fields are not rendered.
-		return nil, true
-	case "delete_nfsphys":
-		return nil, false
-
-	case "add_machine":
-		return nil, true
-	case "update_machine", "delete_machine":
-		// Machine names are the per-host bundle paths.
-		return nil, false
-
-	case "add_server_host_info", "update_server_host_info", "delete_server_host_info",
-		"reset_server_host_error", "set_server_host_override", "set_server_host_internal":
-		if strings.ToUpper(a[0]) == "NFS" {
-			// Host set or scoping changed: every key fans across hosts.
-			return nil, false
-		}
-		return nil, true
-
-	case "add_cluster", "update_cluster", "delete_cluster",
-		"add_machine_to_cluster", "delete_machine_from_cluster",
-		"add_cluster_data", "delete_cluster_data",
-		"add_service", "delete_service", "add_printcap", "delete_printcap",
-		"add_alias", "delete_alias",
-		"add_zephyr_class", "update_zephyr_class", "delete_zephyr_class",
-		"add_server_host_access", "update_server_host_access", "delete_server_host_access",
-		"add_server_info", "update_server_info", "delete_server_info",
-		"reset_server_error", "set_server_internal_flags",
-		"add_value", "update_value", "delete_value":
-		return nil, true
-	}
-	return nil, false
 }
 
 // NFSInstallScript is the instruction sequence run on an NFS server: it

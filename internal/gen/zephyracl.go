@@ -8,8 +8,37 @@ import (
 	"moira/internal/extract"
 )
 
-var zephyrTables = []string{
-	db.TZephyr, db.TList, db.TMembers, db.TUsers, db.TStrings,
+// zephyrReads are the relations feeding the zephyr extract, the columns
+// it reads and the keys a changed row dirties: an ACL file renders the
+// logins and strings its ACE expands to.
+var zephyrReads = []extract.Read{
+	on(db.TZephyr, func(z *db.ZephyrClass) db.ZephyrClass {
+		c := *z
+		c.Mod = db.ModInfo{}
+		return c
+	}, func(_ *db.DB, z *db.ZephyrClass, add func(string)) { add("class:" + z.Class) }),
+	on(db.TUsers, func(u *db.User) string { return u.Login }, func(d *db.DB, u *db.User, add func(string)) {
+		classesReaching(d, db.ACEUser, u.UsersID, add)
+	}),
+	on(db.TMembers, whole[db.Member], func(d *db.DB, m *db.Member, add func(string)) {
+		classesReaching(d, db.ACEList, m.ListID, add)
+	}),
+	on(db.TStrings, whole[db.StringRec], func(d *db.DB, s *db.StringRec, add func(string)) {
+		classesReaching(d, db.ACEString, s.StringID, add)
+	}),
+}
+
+// classesReaching adds the keys of the classes with an ACE that expands
+// to the member (mtype, mid).
+func classesReaching(d *db.DB, mtype string, mid int, add func(string)) {
+	reach := reaches(d, mtype, mid)
+	d.EachZephyr(func(z *db.ZephyrClass) bool {
+		if reach(z.XmtType, z.XmtID) || reach(z.SubType, z.SubID) ||
+			reach(z.IwsType, z.IwsID) || reach(z.IuiType, z.IuiID) {
+			add("class:" + z.Class)
+		}
+		return true
+	})
 }
 
 // ZephyrIncremental generates the access control list files for
@@ -19,10 +48,9 @@ var zephyrTables = []string{
 // the same tar. The key space is simply "class:<class>": each class owns
 // its (up to four) ACL files outright.
 var ZephyrIncremental = &Incremental{
-	TablesList: zephyrTables,
-	BuildFn:    zephyrBuild,
-	DepsFn:     zephyrDeps,
-	EmitFn:     zephyrEmit,
+	ReadList: zephyrReads,
+	BuildFn:  zephyrBuild,
+	EmitFn:   zephyrEmit,
 }
 
 // zephyrBuild enumerates the whole key domain and emits each key.
@@ -85,92 +113,6 @@ func zephyrEmit(d *db.DB, m *extract.Model, key string) {
 			m.Emit(z.Class+"."+fn.suffix+".acl", "", key, data)
 		}
 	}
-}
-
-// zephyrClassKeysForLists returns the keys of classes whose ACEs name
-// any list in the given id set.
-func zephyrClassKeysForLists(d *db.DB, ids map[int]bool) []string {
-	var keys []string
-	d.EachZephyr(func(z *db.ZephyrClass) bool {
-		for _, ace := range [][2]any{
-			{z.XmtType, z.XmtID}, {z.SubType, z.SubID},
-			{z.IwsType, z.IwsID}, {z.IuiType, z.IuiID},
-		} {
-			if ace[0].(string) == db.ACEList && ids[ace[1].(int)] {
-				keys = append(keys, "class:"+z.Class)
-				break
-			}
-		}
-		return true
-	})
-	return keys
-}
-
-// zephyrDeps maps one journal record to the zephyr keys it dirties.
-func zephyrDeps(d *db.DB, rec *db.JournalRecord) ([]string, bool) {
-	a := rec.Args
-	switch rec.Query {
-	case "add_zephyr_class", "delete_zephyr_class":
-		return []string{"class:" + a[0]}, true
-	case "update_zephyr_class":
-		return []string{"class:" + a[0], "class:" + a[1]}, true
-
-	case "update_user":
-		if a[0] == a[1] {
-			// ACL files render logins only; nothing else matters.
-			return nil, true
-		}
-		u, ok := d.UserByLogin(a[1])
-		if !ok {
-			return nil, true
-		}
-		lists := upLists(d, db.ACEUser, u.UsersID)
-		keys := zephyrClassKeysForLists(d, lists)
-		d.EachZephyr(func(z *db.ZephyrClass) bool {
-			for _, ace := range [][2]any{
-				{z.XmtType, z.XmtID}, {z.SubType, z.SubID},
-				{z.IwsType, z.IwsID}, {z.IuiType, z.IuiID},
-			} {
-				if ace[0].(string) == db.ACEUser && ace[1].(int) == u.UsersID {
-					keys = append(keys, "class:"+z.Class)
-					break
-				}
-			}
-			return true
-		})
-		return keys, true
-
-	case "add_member_to_list", "delete_member_from_list":
-		l, ok := d.ListByName(a[0])
-		if !ok {
-			return nil, true
-		}
-		ids := upLists(d, db.ACEList, l.ListID)
-		ids[l.ListID] = true
-		return zephyrClassKeysForLists(d, ids), true
-
-	case "add_user", "register_user", "update_user_shell", "update_user_status",
-		"update_finger_by_login", "set_pobox", "set_pobox_pop", "delete_pobox",
-		"delete_user",
-		"add_list", "update_list", "delete_list",
-		"add_machine", "update_machine", "delete_machine",
-		"add_cluster", "update_cluster", "delete_cluster",
-		"add_machine_to_cluster", "delete_machine_from_cluster",
-		"add_cluster_data", "delete_cluster_data",
-		"add_filesys", "update_filesys", "delete_filesys",
-		"add_nfsphys", "update_nfsphys", "delete_nfsphys", "adjust_nfsphys_allocation",
-		"add_nfs_quota", "update_nfs_quota", "delete_nfs_quota",
-		"add_service", "delete_service", "add_printcap", "delete_printcap",
-		"add_alias", "delete_alias",
-		"add_server_host_access", "update_server_host_access", "delete_server_host_access",
-		"add_server_info", "update_server_info", "delete_server_info",
-		"reset_server_error", "set_server_internal_flags",
-		"add_server_host_info", "update_server_host_info", "delete_server_host_info",
-		"reset_server_host_error", "set_server_host_override", "set_server_host_internal",
-		"add_value", "update_value", "delete_value":
-		return nil, true
-	}
-	return nil, false
 }
 
 // ZephyrInstallScript extracts every ACL file and reloads the server.

@@ -113,9 +113,7 @@ var KnownNames = []string{
 	"dcm.delta.fallbacks",
 	"dcm.delta.records",
 	"dcm.delta.keys",
-	"dcm.delta.pos.seg.*",  // per-service committed journal segment
-	"dcm.delta.pos.idx.*",  // per-service committed record index
-	"dcm.delta.backlog.*",  // per-service records consumed by the last pass
+	"dcm.delta.rows.*",     // per-service changed rows the last pass's diff found
 	"dcm.delta.lastmode.*", // per-service last pass mode (0 full, 1 delta, 2 noop)
 
 	// update agents (internal/update)

@@ -35,29 +35,51 @@ func BuildTar(files map[string][]byte) ([]byte, error) {
 // done with the previous archive before rebuilding into it.
 func BuildTarInto(prev []byte, files map[string][]byte) ([]byte, error) {
 	names := make([]string, 0, len(files))
-	size := 1024 // the two terminating zero blocks
 	for n := range files {
 		names = append(names, n)
-		// One 512-byte header plus the data rounded up to a block.
-		size += 512 + (len(files[n])+511)&^511
 	}
 	sort.Strings(names)
+	archive, _, err := BuildTarFrom(prev, names, func(i int) int { return len(files[names[i]]) },
+		func(w io.Writer, i int) error {
+			_, err := w.Write(files[names[i]])
+			return err
+		})
+	return archive, err
+}
+
+// BuildTarFrom packs members named names, in that order, into a tar
+// archive reusing prev's backing array when it is big enough: member i
+// holds size(i) bytes, which write(w, i) writes to w. It returns the
+// archive and where each member's data starts in it. When prev is too
+// small the archive gets a new array with an eighth to spare, so a
+// bundle that grows a little from pass to pass is not reallocated each
+// time, and one that grew once does not keep twice its size.
+func BuildTarFrom(prev []byte, names []string, size func(i int) int, write func(w io.Writer, i int) error) ([]byte, []int, error) {
+	total := 1024 // the two terminating zero blocks
+	for i := range names {
+		// One 512-byte header plus the data rounded up to a block.
+		total += 512 + (size(i)+511)&^511
+	}
+	if cap(prev) < total {
+		prev = make([]byte, 0, total+total/8)
+	}
 	buf := bytes.NewBuffer(prev[:0])
-	buf.Grow(size)
 	tw := tar.NewWriter(buf)
-	for _, n := range names {
-		hdr := &tar.Header{Name: n, Mode: 0o644, Size: int64(len(files[n]))}
+	offs := make([]int, len(names))
+	for i, n := range names {
+		hdr := &tar.Header{Name: n, Mode: 0o644, Size: int64(size(i))}
 		if err := tw.WriteHeader(hdr); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if _, err := tw.Write(files[n]); err != nil {
-			return nil, err
+		offs[i] = buf.Len()
+		if err := write(tw, i); err != nil {
+			return nil, nil, err
 		}
 	}
 	if err := tw.Close(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), offs, nil
 }
 
 // ExtractMember finds one member of a tar archive in an index of its
