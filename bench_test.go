@@ -435,11 +435,12 @@ func BenchmarkRegistration(b *testing.B) {
 	// The synthetic POs carry a box capacity (value2) sized for the
 	// population; lift it so arbitrarily many benchmark registrations fit.
 	d.LockExclusive()
-	for _, sh := range d.ServerHostsOf("POP") {
+	db.ServerHosts.Under(d, "POP", func(sh *db.ServerHost) bool {
 		sh.Value2 = 0 // unlimited
 		d.NoteUpdateInternal(sh)
-	}
-	d.EachNFSPhys(func(p *db.NFSPhys) bool {
+		return true
+	})
+	db.Partitions.Each(d, func(p *db.NFSPhys) bool {
 		p.Size = 1 << 30 // room for any number of benchmark lockers
 		d.NoteUpdateInternal(p)
 		return true
@@ -497,7 +498,7 @@ func indexPopulation(b *testing.B, n int) *db.DB {
 	}
 	d := db.New(clock.NewFake(time.Unix(600000000, 0)))
 	for i := 0; i < n; i++ {
-		if err := d.InsertUser(&db.User{
+		if err := db.Users.Insert(d, &db.User{
 			UsersID: i + 1,
 			Login:   fmt.Sprintf("u%07d", i),
 			UID:     2000 + i%65536,
@@ -544,7 +545,7 @@ func BenchmarkIndexedQuery(b *testing.B) {
 			b.Run("point_uid/indexed", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if got := d.UsersByUID(uid); len(got) == 0 {
+					if _, ok := db.UsersByUID.Find(d, uid, func(*db.User) bool { return true }); !ok {
 						b.Fatal("uid lookup found nothing")
 					}
 				}
@@ -566,11 +567,15 @@ func BenchmarkIndexedQuery(b *testing.B) {
 				}
 			})
 			b.Run("wildcard_login/indexed", func(b *testing.B) {
-				d.UsersMatchingLogin(pattern) // warm the ordered-name cache
+				match := func() (n int) {
+					db.Users.Match(d, pattern, func(*db.User) bool { n++; return true })
+					return n
+				}
+				match() // warm the ordered-name cache
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if got := d.UsersMatchingLogin(pattern); len(got) == 0 {
+					if match() == 0 {
 						b.Fatal("wildcard match found nothing")
 					}
 				}
@@ -588,7 +593,7 @@ func BenchmarkIndexedQuery(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if got := d.Reader().UsersByUID(uid); len(got) == 0 {
+					if _, ok := db.UsersByUID.Find(d.Reader(), uid, func(*db.User) bool { return true }); !ok {
 						b.Fatal("snapshot uid lookup found nothing")
 					}
 				}
@@ -666,7 +671,7 @@ func benchIncrementalDCM(b *testing.B, users int, incremental, fleet bool) {
 		// Pin every host up to date so the host scan never selects one
 		// and the timed region is the generation pipeline alone.
 		sys.DB.LockExclusive()
-		sys.DB.EachServerHost(func(sh *db.ServerHost) bool {
+		db.ServerHosts.Each(sys.DB, func(sh *db.ServerHost) bool {
 			sh.LastSuccess = clk.Now().Unix() + 100*365*24*3600
 			sys.DB.NoteUpdateInternal(sh)
 			return true

@@ -129,20 +129,19 @@ func runCheck(sys *core.System) {
 	defer sys.DB.UnlockShared()
 	fmt.Printf("%-16s %-9s %-10s %-10s %-7s %s\n",
 		"service", "interval", "generator", "script", "hosts", "status")
-	sys.DB.EachServer(func(s *db.Server) bool {
+	db.Servers.Each(sys.DB, func(s *db.Server) bool {
 		_, hasGen := gen.Incrementals[s.Name]
 		_, hasScript := dcm.DefaultScripts[s.Name]
-		hosts := sys.DB.ServerHostsOf(s.Name)
-		unresolved := 0
-		for _, sh := range hosts {
-			if m, ok := sys.DB.MachineByID(sh.MachID); ok {
-				if _, ok := sys.HostAddrs[m.Name]; !ok {
-					unresolved++
-				}
-			} else {
+		hosts, unresolved := 0, 0
+		db.ServerHosts.Under(sys.DB, s.Name, func(sh *db.ServerHost) bool {
+			hosts++
+			if m, ok := db.Machines.ByID(sys.DB, sh.MachID); !ok {
+				unresolved++
+			} else if _, ok := sys.HostAddrs[m.Name]; !ok {
 				unresolved++
 			}
-		}
+			return true
+		})
 		status := "ok"
 		switch {
 		case !s.Enable || s.UpdateInt == 0:
@@ -158,7 +157,7 @@ func runCheck(sys *core.System) {
 			problems++
 		}
 		fmt.Printf("%-16s %6dmin %-10v %-10v %-7d %s\n",
-			s.Name, s.UpdateInt, hasGen, hasScript, len(hosts), status)
+			s.Name, s.UpdateInt, hasGen, hasScript, hosts, status)
 		return true
 	})
 	if problems > 0 {

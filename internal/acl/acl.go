@@ -107,12 +107,12 @@ func ResolveACE(d *db.DB, aceType, aceName string) (string, int, error) {
 func NameOfACE(d *db.DB, aceType string, aceID int) string {
 	switch aceType {
 	case db.ACEUser:
-		if u, ok := d.UserByID(aceID); ok {
+		if u, ok := db.Users.ByID(d, aceID); ok {
 			return u.Login
 		}
 		return "???"
 	case db.ACEList:
-		if l, ok := d.ListByID(aceID); ok {
+		if l, ok := db.Lists.ByID(d, aceID); ok {
 			return l.Name
 		}
 		return "???"
@@ -126,7 +126,7 @@ func NameOfACE(d *db.DB, aceType string, aceID int) string {
 // CAPACLS row grants no one (write queries are installed with explicit
 // rows at bootstrap; read-only queries typically skip this check).
 func CheckCapability(d *db.DB, capability string, usersID int) bool {
-	c, ok := d.CapACLByName(capability)
+	c, ok := db.CapACLs.Get(d, capability)
 	if !ok {
 		return false
 	}

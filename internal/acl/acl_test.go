@@ -18,7 +18,7 @@ func buildDB(t *testing.T) *db.DB {
 	d.LockExclusive()
 	defer d.UnlockExclusive()
 	for i, login := range []string{"alice", "bob", "carol"} {
-		if err := d.InsertUser(&db.User{UsersID: i + 1, Login: login, Status: db.UserActive}); err != nil {
+		if err := db.Users.Insert(d, &db.User{UsersID: i + 1, Login: login, Status: db.UserActive}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func buildDB(t *testing.T) *db.DB {
 		{ListID: 12, Name: "cyclic"},
 		{ListID: 13, Name: "empty"},
 	} {
-		if err := d.InsertList(l); err != nil {
+		if err := db.Lists.Insert(d, l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestNameOfACE(t *testing.T) {
 func TestCheckCapability(t *testing.T) {
 	d := buildDB(t)
 	d.LockExclusive()
-	d.SetCapACL("add_user", "ausr", 11)
+	db.CapACLs.Upsert(d, &db.CapACL{Capability: "add_user", Tag: "ausr", ListID: 11})
 	d.UnlockExclusive()
 	d.LockShared()
 	defer d.UnlockShared()
@@ -197,12 +197,12 @@ func TestPropertyExpandMembers(t *testing.T) {
 		const nLists = 12
 		const nUsers = 8
 		for i := 1; i <= nUsers; i++ {
-			if err := d.InsertUser(&db.User{UsersID: i, Login: fmt.Sprintf("u%d", i)}); err != nil {
+			if err := db.Users.Insert(d, &db.User{UsersID: i, Login: fmt.Sprintf("u%d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 1; i <= nLists; i++ {
-			if err := d.InsertList(&db.List{ListID: 100 + i, Name: fmt.Sprintf("l%d", i)}); err != nil {
+			if err := db.Lists.Insert(d, &db.List{ListID: 100 + i, Name: fmt.Sprintf("l%d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -405,23 +405,17 @@ type Row interface {
 	touch(d *DB, epoch int64) string
 }
 
-func (u *User) touch(d *DB, e int64) string        { return usersRel.touch(d, u, e) }
-func (m *Machine) touch(d *DB, e int64) string     { return machinesRel.touch(d, m, e) }
-func (c *Cluster) touch(d *DB, e int64) string     { return clustersRel.touch(d, c, e) }
-func (l *List) touch(d *DB, e int64) string        { return listsRel.touch(d, l, e) }
-func (s *Server) touch(d *DB, e int64) string      { return serversRel.touch(d, s, e) }
-func (sh *ServerHost) touch(d *DB, e int64) string { return serverHostsRel.touch(d, sh, e) }
-func (f *Filesys) touch(d *DB, e int64) string     { return filesysRel.touch(d, f, e) }
-func (p *NFSPhys) touch(d *DB, e int64) string     { return nfsphysRel.touch(d, p, e) }
-func (z *ZephyrClass) touch(d *DB, e int64) string { return zephyrRel.touch(d, z, e) }
-func (h *HostAccess) touch(d *DB, e int64) string  { return hostAccessRel.touch(d, h, e) }
-
-// A quota row has neither an id column nor a name: it is found by its
-// user and filesystem.
-func (q *NFSQuota) touch(d *DB, e int64) string {
-	d.quotas.rows.touch(d.quotaID(q.UsersID, q.FilsysID), q, e)
-	return TNFSQuota
-}
+func (u *User) touch(d *DB, e int64) string        { return Users.touch(d, u, e) }
+func (m *Machine) touch(d *DB, e int64) string     { return Machines.touch(d, m, e) }
+func (c *Cluster) touch(d *DB, e int64) string     { return Clusters.touch(d, c, e) }
+func (l *List) touch(d *DB, e int64) string        { return Lists.touch(d, l, e) }
+func (s *Server) touch(d *DB, e int64) string      { return Servers.touch(d, s, e) }
+func (sh *ServerHost) touch(d *DB, e int64) string { return ServerHosts.touch(d, sh, e) }
+func (f *Filesys) touch(d *DB, e int64) string     { return Filesystems.touch(d, f, e) }
+func (p *NFSPhys) touch(d *DB, e int64) string     { return Partitions.touch(d, p, e) }
+func (q *NFSQuota) touch(d *DB, e int64) string    { return Quotas.touch(d, q, e) }
+func (z *ZephyrClass) touch(d *DB, e int64) string { return ZephyrClasses.touch(d, z, e) }
+func (h *HostAccess) touch(d *DB, e int64) string  { return HostAccesses.touch(d, h, e) }
 
 // NoteUpdate records an in-place update of row r, which the caller has
 // made (or is about to make, before releasing the exclusive lock) on
@@ -565,11 +559,11 @@ func (d *DB) UpdateValue(name string, v int) error {
 
 // DeleteValue removes a value; MR_NO_MATCH if absent. Exclusive lock.
 func (d *DB) DeleteValue(name string) error {
-	id, v, ok := d.values.find(name)
+	v, ok := d.values.byKey(name)
 	if !ok {
 		return mrerr.MrNoMatch
 	}
-	valuesRel.drop(d, id, v)
+	valuesRel.Delete(d, v)
 	return nil
 }
 

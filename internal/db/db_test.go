@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -100,28 +101,28 @@ func TestUserCRUD(t *testing.T) {
 	}
 	u := &User{UsersID: id, Login: "babette", UID: 6530, Shell: "/bin/csh",
 		Last: "Fowler", First: "Harmon", Status: UserActive}
-	if err := d.InsertUser(u); err != nil {
+	if err := Users.Insert(d, u); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertUser(&User{UsersID: id + 99, Login: "babette"}); err != mrerr.MrExists {
+	if err := Users.Insert(d, &User{UsersID: id + 99, Login: "babette"}); err != mrerr.MrExists {
 		t.Errorf("duplicate login err = %v", err)
 	}
 	got, ok := d.UserByLogin("babette")
 	if !ok || got.UID != 6530 {
 		t.Fatal("lookup by login failed")
 	}
-	if _, ok := d.UserByID(id); !ok {
+	if _, ok := Users.ByID(d, id); !ok {
 		t.Fatal("lookup by id failed")
 	}
-	d.RenameUser(u, "harmon")
+	SetKey(d, Users, u, &u.Login, "harmon")
 	if _, ok := d.UserByLogin("babette"); ok {
 		t.Error("old login still resolves")
 	}
 	if _, ok := d.UserByLogin("harmon"); !ok {
 		t.Error("new login missing")
 	}
-	d.DeleteUser(u)
-	if d.NumUsers() != 0 {
+	Users.Delete(d, u)
+	if d.users.rows.len() != 0 {
 		t.Error("delete failed")
 	}
 	st := d.Stats(TUsers)
@@ -177,7 +178,7 @@ func TestMembersAndLists(t *testing.T) {
 	defer d.UnlockExclusive()
 	lid, _ := d.AllocID("list_id")
 	l := &List{ListID: lid, Name: "staff", Active: true}
-	if err := d.InsertList(l); err != nil {
+	if err := Lists.Insert(d, l); err != nil {
 		t.Fatal(err)
 	}
 	uid, _ := d.AllocID("users_id")
@@ -187,7 +188,7 @@ func TestMembersAndLists(t *testing.T) {
 	if err := d.AddMember(lid, "USER", uid); err != mrerr.MrExists {
 		t.Errorf("dup member err = %v", err)
 	}
-	if !d.HasMember(lid, "USER", uid) {
+	if !slices.Contains(d.MembersOf(lid), Member{lid, "USER", uid}) {
 		t.Error("HasMember false")
 	}
 	if got := d.ListsContaining("USER", uid); len(got) != 1 || got[0] != lid {
@@ -214,7 +215,7 @@ func TestLastModOf(t *testing.T) {
 	}
 	d.NoteAppend(TUsers)
 	l := &List{ListID: 100, Name: "touched"}
-	if err := d.InsertList(l); err != nil {
+	if err := Lists.Insert(d, l); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(50 * time.Second)
@@ -291,31 +292,31 @@ func populate(t *testing.T, d *DB) {
 		MITID: "lfIenQqC/O/OE", MITYear: "1990",
 		Fullname: "Harmon C Fowler", PoType: PoboxPOP,
 		Mod: ModInfo{Time: 1, By: "root", With: "test"}}
-	if err := d.InsertUser(user); err != nil {
+	if err := Users.Insert(d, user); err != nil {
 		t.Fatal(err)
 	}
 	// A user with every awkward character in a free-text field.
 	uid2, _ := d.AllocID("users_id")
-	if err := d.InsertUser(&User{UsersID: uid2, Login: "weird", HomeAddr: "colon: back\\slash\nnewline"}); err != nil {
+	if err := Users.Insert(d, &User{UsersID: uid2, Login: "weird", HomeAddr: "colon: back\\slash\nnewline"}); err != nil {
 		t.Fatal(err)
 	}
 
 	mid, _ := d.AllocID("mach_id")
-	if err := d.InsertMachine(&Machine{MachID: mid, Name: "BITSY.MIT.EDU", Type: "VAX"}); err != nil {
+	if err := Machines.Insert(d, &Machine{MachID: mid, Name: "BITSY.MIT.EDU", Type: "VAX"}); err != nil {
 		t.Fatal(err)
 	}
 	cid, _ := d.AllocID("clu_id")
-	if err := d.InsertCluster(&Cluster{CluID: cid, Name: "bldge40-vs", Desc: "E40 vaxstations"}); err != nil {
+	if err := Clusters.Insert(d, &Cluster{CluID: cid, Name: "bldge40-vs", Desc: "E40 vaxstations"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddMCMap(mid, cid); err != nil {
+	if err := MCMaps.Insert(d, &MCMap{MachID: mid, CluID: cid}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddSvc(SvcData{CluID: cid, ServLabel: "zephyr", ServCluster: "neskaya.mit.edu"}); err != nil {
+	if err := Svc.Insert(d, &SvcData{CluID: cid, ServLabel: "zephyr", ServCluster: "neskaya.mit.edu"}); err != nil {
 		t.Fatal(err)
 	}
 	lid, _ := d.AllocID("list_id")
-	if err := d.InsertList(&List{ListID: lid, Name: "video-users", Active: true, Public: true, Maillist: true, GID: -1, ACLType: ACEUser, ACLID: uid}); err != nil {
+	if err := Lists.Insert(d, &List{ListID: lid, Name: "video-users", Active: true, Public: true, Maillist: true, GID: -1, ACLType: ACEUser, ACLID: uid}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AddMember(lid, "USER", uid); err != nil {
@@ -328,37 +329,37 @@ func populate(t *testing.T, d *DB) {
 	if err := d.AddMember(lid, "STRING", sid); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertServer(&Server{Name: "HESIOD", UpdateInt: 360, TargetFile: "/tmp/hesiod.out", Script: "hesiod.sh", Type: ServiceReplicated, Enable: true}); err != nil {
+	if err := Servers.Insert(d, &Server{Name: "HESIOD", UpdateInt: 360, TargetFile: "/tmp/hesiod.out", Script: "hesiod.sh", Type: ServiceReplicated, Enable: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertServerHost(&ServerHost{Service: "HESIOD", MachID: mid, Enable: true, Value3: "all"}); err != nil {
+	if err := ServerHosts.Insert(d, &ServerHost{Service: "HESIOD", MachID: mid, Enable: true, Value3: "all"}); err != nil {
 		t.Fatal(err)
 	}
 	fid, _ := d.AllocID("filsys_id")
 	pid, _ := d.AllocID("nfsphys_id")
-	if err := d.InsertNFSPhys(&NFSPhys{NFSPhysID: pid, MachID: mid, Dir: "/u1", Device: "ra0c", Status: 1, Size: 100000}); err != nil {
+	if err := Partitions.Insert(d, &NFSPhys{NFSPhysID: pid, MachID: mid, Dir: "/u1", Device: "ra0c", Status: 1, Size: 100000}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertFilesys(&Filesys{FilsysID: fid, Label: "babette", PhysID: pid, Type: FSTypeNFS, MachID: mid, Name: "/u1/babette", Mount: "/mit/babette", Access: "w", Owner: uid, Owners: lid, CreateFlg: true, LockerType: LockerHomedir}); err != nil {
+	if err := Filesystems.Insert(d, &Filesys{FilsysID: fid, Label: "babette", PhysID: pid, Type: FSTypeNFS, MachID: mid, Name: "/u1/babette", Mount: "/mit/babette", Access: "w", Owner: uid, Owners: lid, CreateFlg: true, LockerType: LockerHomedir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertQuota(&NFSQuota{UsersID: uid, FilsysID: fid, PhysID: pid, Quota: 300}); err != nil {
+	if err := Quotas.Insert(d, &NFSQuota{UsersID: uid, FilsysID: fid, PhysID: pid, Quota: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertZephyr(&ZephyrClass{Class: "MOIRA", XmtType: ACEList, XmtID: lid, SubType: ACENone, IwsType: ACENone, IuiType: ACENone}); err != nil {
+	if err := ZephyrClasses.Insert(d, &ZephyrClass{Class: "MOIRA", XmtType: ACEList, XmtID: lid, SubType: ACENone, IwsType: ACENone, IuiType: ACENone}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertHostAccess(&HostAccess{MachID: mid, ACLType: ACEUser, ACLID: uid}); err != nil {
+	if err := HostAccesses.Insert(d, &HostAccess{MachID: mid, ACLType: ACEUser, ACLID: uid}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertService(&Service{Name: "smtp", Protocol: "TCP", Port: 25, Desc: "mail"}); err != nil {
+	if err := Services.Insert(d, &Service{Name: "smtp", Protocol: "TCP", Port: 25, Desc: "mail"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertPrintcap(&Printcap{Name: "linus", MachID: mid, Dir: "/usr/spool/printer/linus", RP: "linus"}); err != nil {
+	if err := Printcaps.Insert(d, &Printcap{Name: "linus", MachID: mid, Dir: "/usr/spool/printer/linus", RP: "linus"}); err != nil {
 		t.Fatal(err)
 	}
-	d.SetCapACL("get_user_by_login", "gubl", lid)
-	if err := d.AddAlias("class", "TYPE", "1990"); err != nil {
+	CapACLs.Upsert(d, &CapACL{Capability: "get_user_by_login", Tag: "gubl", ListID: lid})
+	if err := Aliases.Insert(d, &Alias{Name: "class", Type: "TYPE", Trans: "1990"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -395,13 +396,13 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if _, ok := r.UserByLogin("babette"); !ok {
 		t.Error("restored db missing babette by login")
 	}
-	if _, ok := r.MachineByName("BITSY.MIT.EDU"); !ok {
+	if _, ok := Machines.Get(r, "BITSY.MIT.EDU"); !ok {
 		t.Error("restored db missing machine by name")
 	}
 	if _, ok := r.ListByName("video-users"); !ok {
 		t.Error("restored db missing list by name")
 	}
-	if id, ok := r.StringID("rubin@media-lab.mit.edu"); !ok || id == 0 {
+	if s, ok := Strings.Get(r, "rubin@media-lab.mit.edu"); !ok || s.StringID == 0 {
 		t.Error("restored db missing interned string")
 	}
 	// ID allocation continues from the dumped hints without collision.
@@ -426,7 +427,7 @@ func TestRestoreContinuesIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, exists := r.UserByID(id); exists {
+	if _, exists := Users.ByID(r, id); exists {
 		t.Errorf("allocated id %d collides with restored user", id)
 	}
 }
@@ -444,15 +445,15 @@ func TestLoadTableBadRow(t *testing.T) {
 	d := testDB()
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	err := d.loadTable(machinesRel, strings.NewReader("notanint:NAME:VAX:0:x:y\n"))
+	err := d.loadTable(Machines, strings.NewReader("notanint:NAME:VAX:0:x:y\n"))
 	if err == nil {
 		t.Error("loadTable accepted a bad integer")
 	}
-	err = d.loadTable(machinesRel, strings.NewReader("1:NAME\n"))
+	err = d.loadTable(Machines, strings.NewReader("1:NAME\n"))
 	if err == nil {
 		t.Error("loadTable accepted a short row")
 	}
-	err = d.loadTable(machinesRel, strings.NewReader("1:NAME:VAX:0:x:y:extra\n"))
+	err = d.loadTable(Machines, strings.NewReader("1:NAME:VAX:0:x:y:extra\n"))
 	if err == nil {
 		t.Error("loadTable accepted a long row")
 	}
@@ -462,22 +463,22 @@ func TestServerHostOps(t *testing.T) {
 	d := testDB()
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	d.InsertServer(&Server{Name: "NFS", Type: ServiceUnique})
+	Servers.Insert(d, &Server{Name: "NFS", Type: ServiceUnique})
 	for i := 1; i <= 3; i++ {
-		if err := d.InsertServerHost(&ServerHost{Service: "NFS", MachID: i}); err != nil {
+		if err := ServerHosts.Insert(d, &ServerHost{Service: "NFS", MachID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.InsertServerHost(&ServerHost{Service: "NFS", MachID: 2}); err != mrerr.MrExists {
+	if err := ServerHosts.Insert(d, &ServerHost{Service: "NFS", MachID: 2}); err != mrerr.MrExists {
 		t.Errorf("dup serverhost err = %v", err)
 	}
-	if got := d.ServerHostsOf("NFS"); len(got) != 3 || got[0].MachID != 1 {
+	if got := under(d, ServerHosts, "NFS"); len(got) != 3 || got[0].MachID != 1 {
 		t.Errorf("ServerHostsOf = %d rows", len(got))
 	}
-	if err := d.DeleteServerHost("NFS", 2); err != nil {
+	if err := deleteServerHost(d, "NFS", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.DeleteServerHost("NFS", 2); err != mrerr.MrNoMatch {
+	if err := deleteServerHost(d, "NFS", 2); err != mrerr.MrNoMatch {
 		t.Errorf("double delete err = %v", err)
 	}
 }
@@ -486,7 +487,7 @@ func TestAliasTypeChecking(t *testing.T) {
 	d := testDB()
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	if err := d.AddAlias("mach_type", "TYPE", "VAX"); err != nil {
+	if err := Aliases.Insert(d, &Alias{Name: "mach_type", Type: "TYPE", Trans: "VAX"}); err != nil {
 		t.Fatal(err)
 	}
 	if !d.IsValidType("mach_type", "VAX") {
@@ -495,16 +496,16 @@ func TestAliasTypeChecking(t *testing.T) {
 	if d.IsValidType("mach_type", "CRAY") {
 		t.Error("CRAY should not be a valid mach_type")
 	}
-	if err := d.AddAlias("mach_type", "TYPE", "VAX"); err != mrerr.MrExists {
+	if err := Aliases.Insert(d, &Alias{Name: "mach_type", Type: "TYPE", Trans: "VAX"}); err != mrerr.MrExists {
 		t.Errorf("dup alias err = %v", err)
 	}
-	if !d.HasAlias("mach_type", "TYPE", "VAX") {
+	if !has(aliasOf(d, "mach_type", "TYPE", "VAX")) {
 		t.Error("HasAlias misses the VAX mach_type")
 	}
-	if err := d.DeleteAlias("mach_type", "TYPE", "VAX"); err != nil {
+	if err := deleteAlias(d, "mach_type", "TYPE", "VAX"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.DeleteAlias("mach_type", "TYPE", "VAX"); err != mrerr.MrNoMatch {
+	if err := deleteAlias(d, "mach_type", "TYPE", "VAX"); err != mrerr.MrNoMatch {
 		t.Errorf("delete absent alias err = %v", err)
 	}
 }
@@ -546,7 +547,7 @@ func TestSeqMonotonic(t *testing.T) {
 	// An update is noted for a row of the relation, so the server row
 	// goes in first.
 	srv := &Server{Name: "DCMFLAGS"}
-	if err := d.InsertServer(srv); err != nil {
+	if err := Servers.Insert(d, srv); err != nil {
 		t.Fatal(err)
 	}
 	s0, srvSeq := d.CurSeq(), d.SeqOf(TServers)
@@ -573,10 +574,10 @@ func TestSeqMonotonic(t *testing.T) {
 func TestEachCountsOneScan(t *testing.T) {
 	d := testDB()
 	d.LockExclusive()
-	if err := d.InsertUser(&User{UsersID: 1, Login: "a"}); err != nil {
+	if err := Users.Insert(d, &User{UsersID: 1, Login: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertUser(&User{UsersID: 2, Login: "b"}); err != nil {
+	if err := Users.Insert(d, &User{UsersID: 2, Login: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	d.UnlockExclusive()
@@ -584,24 +585,23 @@ func TestEachCountsOneScan(t *testing.T) {
 	defer d.UnlockShared()
 	for name, each := range map[string]func(){
 		"EachUser":       func() { d.EachUser(func(*User) bool { return true }) },
-		"EachMachine":    func() { d.EachMachine(func(*Machine) bool { return true }) },
-		"EachCluster":    func() { d.EachCluster(func(*Cluster) bool { return true }) },
+		"EachMachine":    func() { Machines.Each(d, func(*Machine) bool { return true }) },
+		"EachCluster":    func() { Clusters.Each(d, func(*Cluster) bool { return true }) },
 		"EachList":       func() { d.EachList(func(*List) bool { return true }) },
-		"EachMembership": func() { d.EachMembership(func(Member) bool { return true }) },
-		"EachServer":     func() { d.EachServer(func(*Server) bool { return true }) },
-		"EachServerHost": func() { d.EachServerHost(func(*ServerHost) bool { return true }) },
-		"EachFilesys":    func() { d.EachFilesys(func(*Filesys) bool { return true }) },
-		"EachNFSPhys":    func() { d.EachNFSPhys(func(*NFSPhys) bool { return true }) },
-		"EachQuota":      func() { d.EachQuota(func(*NFSQuota) bool { return true }) },
-		"EachZephyr":     func() { d.EachZephyr(func(*ZephyrClass) bool { return true }) },
-		"EachHostAccess": func() { d.EachHostAccess(func(*HostAccess) bool { return true }) },
-		"EachString":     func() { d.EachString(func(*StringRec) bool { return true }) },
-		"EachService":    func() { d.EachService(func(*Service) bool { return true }) },
-		"EachPrintcap":   func() { d.EachPrintcap(func(*Printcap) bool { return true }) },
-		"EachCapACL":     func() { d.EachCapACL(func(*CapACL) bool { return true }) },
-		"EachMCMap":      func() { d.EachMCMap(func(MCMap) bool { return true }) },
-		"EachSvc":        func() { d.EachSvc(func(SvcData) bool { return true }) },
-		"EachAlias":      func() { d.EachAlias(func(Alias) bool { return true }) },
+		"EachServer":     func() { Servers.Each(d, func(*Server) bool { return true }) },
+		"EachServerHost": func() { ServerHosts.Each(d, func(*ServerHost) bool { return true }) },
+		"EachFilesys":    func() { Filesystems.Each(d, func(*Filesys) bool { return true }) },
+		"EachNFSPhys":    func() { Partitions.Each(d, func(*NFSPhys) bool { return true }) },
+		"EachQuota":      func() { Quotas.Each(d, func(*NFSQuota) bool { return true }) },
+		"EachZephyr":     func() { ZephyrClasses.Each(d, func(*ZephyrClass) bool { return true }) },
+		"EachHostAccess": func() { HostAccesses.Each(d, func(*HostAccess) bool { return true }) },
+		"EachString":     func() { Strings.Each(d, func(*StringRec) bool { return true }) },
+		"EachService":    func() { Services.Each(d, func(*Service) bool { return true }) },
+		"EachPrintcap":   func() { Printcaps.Each(d, func(*Printcap) bool { return true }) },
+		"EachCapACL":     func() { CapACLs.Each(d, func(*CapACL) bool { return true }) },
+		"EachMCMap":      func() { MCMaps.Each(d, func(*MCMap) bool { return true }) },
+		"EachSvc":        func() { Svc.Each(d, func(*SvcData) bool { return true }) },
+		"EachAlias":      func() { Aliases.Each(d, func(*Alias) bool { return true }) },
 	} {
 		_, _, before := d.LookupStats()
 		each()

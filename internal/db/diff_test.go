@@ -12,7 +12,7 @@ func diffDB(t *testing.T, n int) *DB {
 	d.LockExclusive()
 	defer d.UnlockExclusive()
 	for id := 1; id <= n; id++ {
-		if err := d.InsertUser(&User{UsersID: id, Login: fmt.Sprintf("u%d", id), UID: id, Shell: "/bin/csh"}); err != nil {
+		if err := Users.Insert(d, &User{UsersID: id, Login: fmt.Sprintf("u%d", id), UID: id, Shell: "/bin/csh"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,14 +45,14 @@ func TestDiffYieldsChangedRows(t *testing.T) {
 	d := diffDB(t, 100)
 	s1 := d.Reader()
 	d.LockExclusive()
-	u, _ := d.UserByID(7)
+	u, _ := Users.ByID(d, 7)
 	u.Shell = "/bin/sh"
 	d.NoteUpdate(u)
-	u, _ = d.UserByID(8)
+	u, _ = Users.ByID(d, 8)
 	d.NoteUpdate(u) // stamped, but equal in every column
-	u, _ = d.UserByID(40)
-	d.DeleteUser(u)
-	if err := d.InsertUser(&User{UsersID: 500, Login: "new", UID: 500}); err != nil {
+	u, _ = Users.ByID(d, 40)
+	Users.Delete(d, u)
+	if err := Users.Insert(d, &User{UsersID: 500, Login: "new", UID: 500}); err != nil {
 		t.Fatal(err)
 	}
 	d.UnlockExclusive()
@@ -124,7 +124,7 @@ func TestRowDiffAllocsIndependentOfPopulation(t *testing.T) {
 		before := d.Reader()
 		d.LockExclusive()
 		for i := 0; i < 10; i++ {
-			u, _ := d.UserByID(1 + i*150) // 10 rows on 10 pages
+			u, _ := Users.ByID(d, 1+i*150) // 10 rows on 10 pages
 			u.Shell = "/bin/sh"
 			d.NoteUpdate(u)
 		}

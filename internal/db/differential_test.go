@@ -285,7 +285,7 @@ func (w *diffworld) deleteMachineCascade(m *Machine) {
 		}
 	}
 	for _, p := range shs {
-		_ = w.d.DeleteServerHost(p.svc, p.mach)
+		_ = deleteServerHost(w.d, p.svc, p.mach)
 	}
 	var mcs [][2]int
 	for _, mc := range allRows(&w.d.mcmap.rows) {
@@ -294,9 +294,9 @@ func (w *diffworld) deleteMachineCascade(m *Machine) {
 		}
 	}
 	for _, p := range mcs {
-		_ = w.d.DeleteMCMap(p[0], p[1])
+		_ = deleteMCMap(w.d, p[0], p[1])
 	}
-	w.d.DeleteMachine(m)
+	Machines.Delete(w.d, m)
 }
 
 func (w *diffworld) deleteClusterCascade(c *Cluster) {
@@ -307,9 +307,9 @@ func (w *diffworld) deleteClusterCascade(c *Cluster) {
 		}
 	}
 	for _, p := range mcs {
-		_ = w.d.DeleteMCMap(p[0], p[1])
+		_ = deleteMCMap(w.d, p[0], p[1])
 	}
-	w.d.DeleteCluster(c)
+	Clusters.Delete(w.d, c)
 }
 
 func (w *diffworld) deleteUserCascade(u *User) {
@@ -320,12 +320,12 @@ func (w *diffworld) deleteUserCascade(u *User) {
 		}
 	}
 	for _, p := range qs {
-		_ = w.d.DeleteQuota(p[0], p[1])
+		_ = deleteQuota(w.d, p[0], p[1])
 	}
 	for _, listID := range w.d.ListsContaining(ACEUser, u.UsersID) {
 		_ = w.d.DeleteMember(listID, ACEUser, u.UsersID)
 	}
-	w.d.DeleteUser(u)
+	Users.Delete(w.d, u)
 }
 
 func (w *diffworld) deleteFilesysCascade(f *Filesys) {
@@ -336,9 +336,9 @@ func (w *diffworld) deleteFilesysCascade(f *Filesys) {
 		}
 	}
 	for _, p := range qs {
-		_ = w.d.DeleteQuota(p[0], p[1])
+		_ = deleteQuota(w.d, p[0], p[1])
 	}
-	w.d.DeleteFilesys(f)
+	Filesystems.Delete(w.d, f)
 }
 
 func (w *diffworld) mutate() {
@@ -347,7 +347,7 @@ func (w *diffworld) mutate() {
 	case 0, 1: // insert user (uids drawn from a small range to force collisions)
 		id, _ := d.AllocID("users_id")
 		login := w.fresh("u")
-		if err := d.InsertUser(&User{UsersID: id, Login: login, UID: 6500 + w.rng.Intn(40)}); err != nil {
+		if err := Users.Insert(d, &User{UsersID: id, Login: login, UID: 6500 + w.rng.Intn(40)}); err != nil {
 			w.t.Fatalf("InsertUser: %v", err)
 		}
 		w.logins = append(w.logins, login)
@@ -361,7 +361,7 @@ func (w *diffworld) mutate() {
 		if login, ok := w.pick(w.logins); ok {
 			u, _ := d.UserByLogin(login)
 			newLogin := w.fresh("u")
-			d.RenameUser(u, newLogin)
+			SetKey(d, Users, u, &u.Login, newLogin)
 			d.NoteUpdate(u)
 			w.logins = drop(w.logins, login)
 			w.logins = append(w.logins, newLogin)
@@ -369,31 +369,31 @@ func (w *diffworld) mutate() {
 	case 4: // re-uid user
 		if login, ok := w.pick(w.logins); ok {
 			u, _ := d.UserByLogin(login)
-			d.SetUserUID(u, 6500+w.rng.Intn(40))
+			SetKey(d, Users, u, &u.UID, 6500+w.rng.Intn(40))
 			d.NoteUpdate(u)
 		}
 	case 5: // insert machine
 		id, _ := d.AllocID("mach_id")
 		name := w.fresh("MACH") + ".MIT.EDU"
-		if err := d.InsertMachine(&Machine{MachID: id, Name: name, Type: "VAX"}); err != nil {
+		if err := Machines.Insert(d, &Machine{MachID: id, Name: name, Type: "VAX"}); err != nil {
 			w.t.Fatalf("InsertMachine: %v", err)
 		}
 		w.machines = append(w.machines, name)
 	case 6: // delete machine
 		if name, ok := w.pick(w.machines); ok {
-			m, _ := d.MachineByName(name)
+			m, _ := Machines.Get(d, name)
 			w.deleteMachineCascade(m)
 			w.machines = drop(w.machines, name)
 		}
 	case 7: // insert/delete cluster
 		if name, ok := w.pick(w.clusters); ok && w.rng.Intn(2) == 0 {
-			c, _ := d.ClusterByName(name)
+			c, _ := Clusters.Get(d, name)
 			w.deleteClusterCascade(c)
 			w.clusters = drop(w.clusters, name)
 		} else {
 			id, _ := d.AllocID("clu_id")
 			name := w.fresh("clu")
-			if err := d.InsertCluster(&Cluster{CluID: id, Name: name}); err != nil {
+			if err := Clusters.Insert(d, &Cluster{CluID: id, Name: name}); err != nil {
 				w.t.Fatalf("InsertCluster: %v", err)
 			}
 			w.clusters = append(w.clusters, name)
@@ -403,7 +403,7 @@ func (w *diffworld) mutate() {
 		case 0:
 			id, _ := d.AllocID("list_id")
 			name := w.fresh("list")
-			if err := d.InsertList(&List{ListID: id, Name: name}); err != nil {
+			if err := Lists.Insert(d, &List{ListID: id, Name: name}); err != nil {
 				w.t.Fatalf("InsertList: %v", err)
 			}
 			w.lists = append(w.lists, name)
@@ -411,7 +411,7 @@ func (w *diffworld) mutate() {
 			if name, ok := w.pick(w.lists); ok {
 				l, _ := d.ListByName(name)
 				newName := w.fresh("list")
-				d.RenameList(l, newName)
+				SetKey(d, Lists, l, &l.Name, newName)
 				d.NoteUpdate(l)
 				w.lists = drop(w.lists, name)
 				w.lists = append(w.lists, newName)
@@ -439,12 +439,12 @@ func (w *diffworld) mutate() {
 		mname, ok1 := w.pick(w.machines)
 		cname, ok2 := w.pick(w.clusters)
 		if ok1 && ok2 {
-			m, _ := d.MachineByName(mname)
-			c, _ := d.ClusterByName(cname)
+			m, _ := Machines.Get(d, mname)
+			c, _ := Clusters.Get(d, cname)
 			if w.rng.Intn(2) == 0 {
-				_ = d.AddMCMap(m.MachID, c.CluID)
+				_ = MCMaps.Insert(d, &MCMap{MachID: m.MachID, CluID: c.CluID})
 			} else {
-				_ = d.DeleteMCMap(m.MachID, c.CluID)
+				_ = deleteMCMap(d, m.MachID, c.CluID)
 			}
 		}
 	case 11: // insert filesys (labels deliberately collide across orders)
@@ -456,10 +456,10 @@ func (w *diffworld) mutate() {
 			label = w.fresh("fs")
 			w.labels = append(w.labels, label)
 		}
-		_ = d.InsertFilesys(&Filesys{FilsysID: id, Label: label, Order: w.rng.Intn(4)}) // MrExists OK
+		_ = Filesystems.Insert(d, &Filesys{FilsysID: id, Label: label, Order: w.rng.Intn(4)}) // MrExists OK
 	case 12: // delete or relabel filesys
 		if label, ok := w.pick(w.labels); ok {
-			fss := d.FilesysByLabel(label)
+			fss := under(d, Filesystems, label)
 			if len(fss) == 0 {
 				w.labels = drop(w.labels, label)
 				break
@@ -469,7 +469,7 @@ func (w *diffworld) mutate() {
 				w.deleteFilesysCascade(f)
 			} else {
 				newLabel := w.fresh("fs")
-				d.SetFilesysLabel(f, newLabel)
+				SetKey(d, Filesystems, f, &f.Label, newLabel)
 				d.NoteUpdate(f)
 				w.labels = append(w.labels, newLabel)
 			}
@@ -478,12 +478,12 @@ func (w *diffworld) mutate() {
 		if login, ok := w.pick(w.logins); ok {
 			u, _ := d.UserByLogin(login)
 			if label, ok := w.pick(w.labels); ok {
-				if fss := d.FilesysByLabel(label); len(fss) > 0 {
+				if fss := under(d, Filesystems, label); len(fss) > 0 {
 					f := fss[0]
 					if w.rng.Intn(2) == 0 {
-						_ = d.InsertQuota(&NFSQuota{UsersID: u.UsersID, FilsysID: f.FilsysID, Quota: 300})
+						_ = Quotas.Insert(d, &NFSQuota{UsersID: u.UsersID, FilsysID: f.FilsysID, Quota: 300})
 					} else {
-						_ = d.DeleteQuota(u.UsersID, f.FilsysID)
+						_ = deleteQuota(d, u.UsersID, f.FilsysID)
 					}
 				}
 			}
@@ -492,17 +492,17 @@ func (w *diffworld) mutate() {
 		svc, ok := w.pick(w.services)
 		if !ok || w.rng.Intn(12) == 0 {
 			svc = w.fresh("SVC")
-			if err := d.InsertServer(&Server{Name: svc, Type: "REPLICAT", Enable: true}); err != nil {
+			if err := Servers.Insert(d, &Server{Name: svc, Type: "REPLICAT", Enable: true}); err != nil {
 				w.t.Fatalf("InsertServer: %v", err)
 			}
 			w.services = append(w.services, svc)
 		}
 		if mname, ok := w.pick(w.machines); ok {
-			m, _ := d.MachineByName(mname)
+			m, _ := Machines.Get(d, mname)
 			if w.rng.Intn(2) == 0 {
-				_ = d.InsertServerHost(&ServerHost{Service: svc, MachID: m.MachID})
+				_ = ServerHosts.Insert(d, &ServerHost{Service: svc, MachID: m.MachID})
 			} else {
-				_ = d.DeleteServerHost(svc, m.MachID)
+				_ = deleteServerHost(d, svc, m.MachID)
 			}
 		}
 	default: // intern a string
@@ -536,16 +536,16 @@ func (w *diffworld) check(op int) {
 	case 0:
 		uid := 6500 + w.rng.Intn(40)
 		want := w.ref.usersByUID(uid)
-		sameUsers(fmt.Sprintf("UsersByUID(%d)", uid), d.UsersByUID(uid), want)
-		sameUsers(fmt.Sprintf("snap UsersByUID(%d)", uid), snap.UsersByUID(uid), want)
+		sameUsers(fmt.Sprintf("UsersByUID(%d)", uid), keyed(d, UsersByUID, uid), want)
+		sameUsers(fmt.Sprintf("snap UsersByUID(%d)", uid), keyed(snap, UsersByUID, uid), want)
 	case 1:
 		p := w.pattern(w.logins)
 		want := w.ref.usersMatching(p)
-		sameUsers(fmt.Sprintf("UsersMatchingLogin(%q)", p), d.UsersMatchingLogin(p), want)
-		sameUsers(fmt.Sprintf("snap UsersMatchingLogin(%q)", p), snap.UsersMatchingLogin(p), want)
+		sameUsers(fmt.Sprintf("UsersMatchingLogin(%q)", p), matching(d, Users, p), want)
+		sameUsers(fmt.Sprintf("snap UsersMatchingLogin(%q)", p), matching(snap, Users, p), want)
 	case 2:
 		p := w.pattern(w.machines)
-		got, want := d.MachinesMatchingName(p), w.ref.machinesMatching(p)
+		got, want := matching(d, Machines, p), w.ref.machinesMatching(p)
 		if len(got) != len(want) {
 			fail(fmt.Sprintf("MachinesMatchingName(%q)", p), len(got), len(want))
 		}
@@ -556,7 +556,7 @@ func (w *diffworld) check(op int) {
 		}
 	case 3:
 		p := w.pattern(w.lists)
-		got, want := d.ListsMatchingName(p), w.ref.listsMatching(p)
+		got, want := matching(d, Lists, p), w.ref.listsMatching(p)
 		if len(got) != len(want) {
 			fail(fmt.Sprintf("ListsMatchingName(%q)", p), len(got), len(want))
 		}
@@ -566,7 +566,7 @@ func (w *diffworld) check(op int) {
 			}
 		}
 		cp := w.pattern(w.clusters)
-		cg, cw := d.ClustersMatchingName(cp), w.ref.clustersMatching(cp)
+		cg, cw := matching(d, Clusters, cp), w.ref.clustersMatching(cp)
 		if len(cg) != len(cw) {
 			fail(fmt.Sprintf("ClustersMatchingName(%q)", cp), len(cg), len(cw))
 		}
@@ -587,12 +587,12 @@ func (w *diffworld) check(op int) {
 				if fss := w.ref.filesysByLabel(label); len(fss) > 0 {
 					fid = fss[0].FilsysID
 				}
-				gq, gok := d.QuotaOf(u.UsersID, fid)
+				gq, gok := QuotasByFilesys.Find(d, fid, func(q *NFSQuota) bool { return q.UsersID == u.UsersID })
 				wq, wok := w.ref.quotaOf(u.UsersID, fid)
 				if gok != wok || (gok && gq != wq) {
 					fail(fmt.Sprintf("QuotaOf(%d, %d)", u.UsersID, fid), gq, wq)
 				}
-				if got, want := d.QuotasOfUser(u.UsersID), w.ref.quotasOfUser(u.UsersID); !slices.Equal(got, want) {
+				if got, want := keyed(d, QuotasByUser, u.UsersID), w.ref.quotasOfUser(u.UsersID); !slices.Equal(got, want) {
 					fail(fmt.Sprintf("QuotasOfUser(%d)", u.UsersID), got, want)
 				}
 			}
@@ -601,18 +601,18 @@ func (w *diffworld) check(op int) {
 		mname, ok1 := w.pick(w.machines)
 		cname, ok2 := w.pick(w.clusters)
 		if ok1 && ok2 {
-			m, _ := w.d.MachineByName(mname)
-			c, _ := w.d.ClusterByName(cname)
-			if got, want := d.HasMCMap(m.MachID, c.CluID), w.ref.hasMCMap(m.MachID, c.CluID); got != want {
+			m, _ := Machines.Get(w.d, mname)
+			c, _ := Clusters.Get(w.d, cname)
+			if got, want := hasMCMap(d, m.MachID, c.CluID), w.ref.hasMCMap(m.MachID, c.CluID); got != want {
 				fail(fmt.Sprintf("HasMCMap(%d, %d)", m.MachID, c.CluID), got, want)
 			}
-			if got, want := d.ClustersOfMachine(m.MachID), w.ref.clustersOfMachine(m.MachID); !slices.Equal(got, want) {
+			if got, want := clustersOfMachine(d, m.MachID), w.ref.clustersOfMachine(m.MachID); !slices.Equal(got, want) {
 				fail(fmt.Sprintf("ClustersOfMachine(%d)", m.MachID), got, want)
 			}
 		}
 	case 7:
 		if label, ok := w.pick(w.labels); ok {
-			got, want := d.FilesysByLabel(label), w.ref.filesysByLabel(label)
+			got, want := under(d, Filesystems, label), w.ref.filesysByLabel(label)
 			if len(got) != len(want) {
 				fail(fmt.Sprintf("FilesysByLabel(%q)", label), len(got), len(want))
 			}
@@ -624,7 +624,7 @@ func (w *diffworld) check(op int) {
 		}
 	case 8:
 		if svc, ok := w.pick(w.services); ok {
-			got, want := d.ServerHostsOf(svc), w.ref.serverHostsOf(svc)
+			got, want := under(d, ServerHosts, svc), w.ref.serverHostsOf(svc)
 			if len(got) != len(want) {
 				fail(fmt.Sprintf("ServerHostsOf(%q)", svc), len(got), len(want))
 			}
@@ -646,7 +646,7 @@ func (w *diffworld) check(op int) {
 		}
 		i := 0
 		refQ := w.ref.quotasSorted()
-		d.EachQuota(func(q *NFSQuota) bool {
+		Quotas.Each(d, func(q *NFSQuota) bool {
 			if i >= len(refQ) || refQ[i] != q {
 				fail("EachQuota order", fmt.Sprintf("row %d = %+v", i, q), fmt.Sprintf("%d rows", len(refQ)))
 			}
@@ -655,7 +655,7 @@ func (w *diffworld) check(op int) {
 		})
 		i = 0
 		refSH := w.ref.serverHostsSorted()
-		d.EachServerHost(func(sh *ServerHost) bool {
+		ServerHosts.Each(d, func(sh *ServerHost) bool {
 			if i >= len(refSH) || refSH[i] != sh {
 				fail("EachServerHost order", fmt.Sprintf("row %d = %+v", i, sh), fmt.Sprintf("%d rows", len(refSH)))
 			}

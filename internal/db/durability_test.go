@@ -237,7 +237,7 @@ func TestBackupAtomicOverwrite(t *testing.T) {
 
 	d.LockExclusive()
 	uid, _ := d.AllocID("users_id")
-	if err := d.InsertUser(&User{UsersID: uid, Login: "newcomer"}); err != nil {
+	if err := Users.Insert(d, &User{UsersID: uid, Login: "newcomer"}); err != nil {
 		d.UnlockExclusive()
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestRestoreFallsBackAcrossBackupSwapWindow(t *testing.T) {
 
 	d.LockExclusive()
 	uid, _ := d.AllocID("users_id")
-	if err := d.InsertUser(&User{UsersID: uid, Login: "newcomer"}); err != nil {
+	if err := Users.Insert(d, &User{UsersID: uid, Login: "newcomer"}); err != nil {
 		d.UnlockExclusive()
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestBackupMatchesGolden(t *testing.T) {
 		// The synthetic population leaves host access empty; one row makes
 		// the sums cover every relation.
 		d.LockExclusive()
-		err := d.InsertHostAccess(&db.HostAccess{MachID: 1, ACLType: db.ACENone})
+		err := db.HostAccesses.Insert(d, &db.HostAccess{MachID: 1, ACLType: db.ACENone})
 		d.UnlockExclusive()
 		if err != nil {
 			t.Fatal(err)
@@ -94,22 +94,22 @@ func addAwkwardRows(t *testing.T, d *db.DB) {
 	d.LockExclusive()
 	defer d.UnlockExclusive()
 	big := db.ModInfo{Time: 1 << 40, By: "op:er\\ator", With: "tab\there"}
-	if err := d.InsertUser(&db.User{UsersID: 900, Login: "del\x7fuser", UID: -2, Shell: "/bin/a:b",
+	if err := db.Users.Insert(d, &db.User{UsersID: 900, Login: "del\x7fuser", UID: -2, Shell: "/bin/a:b",
 		Status: db.UserDeleted, Mod: big, FMod: big, PMod: big, PoType: db.PoboxSMTP, BoxID: 7,
 		Nickname: "line\none\r\x00"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertMachine(&db.Machine{MachID: 901, Name: "A:B\\C", Type: "\x7f", Mod: big}); err != nil {
+	if err := db.Machines.Insert(d, &db.Machine{MachID: 901, Name: "A:B\\C", Type: "\x7f", Mod: big}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertServer(&db.Server{Name: "NEG", UpdateInt: -30, DFGen: -1 << 40, DFCheck: 1<<62 + 3,
+	if err := db.Servers.Insert(d, &db.Server{Name: "NEG", UpdateInt: -30, DFGen: -1 << 40, DFCheck: 1<<62 + 3,
 		HardError: -7, ErrMsg: "failed: \\ twice\n", Mod: big}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.InternString("a:b\\c\nd\x7f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddAlias("x:y", "TYPE", "back\\slash"); err != nil {
+	if err := db.Aliases.Insert(d, &db.Alias{Name: "x:y", Type: "TYPE", Trans: "back\\slash"}); err != nil {
 		t.Fatal(err)
 	}
 	d.SetValue("neg:value", -42)

@@ -307,16 +307,18 @@ func newRowset[R any](name func(*R) string, order func(a, b *R) int) rowset[R] {
 	return rowset[R]{name: name, order: order, sorted: &nameCache{}}
 }
 
-// less orders the ids filed under one name by order (nil: by id).
-func (n *rowset[R]) less() func(a, b int) bool {
-	if n.order == nil {
-		return nil
+// less orders two ids filed under one name by order.
+func (n *rowset[R]) less(a, b int) bool { return before(&n.rows, n.order, a, b) }
+
+// before orders the ids a and b by order of their rows in rows, by id
+// when order is nil.
+func before[R any](rows *table[R], order func(a, b *R) int, a, b int) bool {
+	if order == nil {
+		return a < b
 	}
-	return func(a, b int) bool {
-		ra, _ := n.rows.get(a)
-		rb, _ := n.rows.get(b)
-		return n.order(ra, rb) < 0
-	}
+	ra, _ := rows.get(a)
+	rb, _ := rows.get(b)
+	return order(ra, rb) < 0
 }
 
 // byKey returns the first row filed under name.
@@ -332,30 +334,23 @@ func (n *rowset[R]) find(name string) (int, *R, bool) {
 	return id, r, ok
 }
 
-// idOf returns the id r is filed under; r must be a row of the relation.
-func (n *rowset[R]) idOf(r *R) int {
-	id := n.byName.find(strKey(n.name(r)), func(id int) bool { row, _ := n.rows.get(id); return row == r })
-	if id < 0 {
-		panic("db: update noted for a row that is not in its relation")
-	}
-	return id
-}
-
 func (n *rowset[R]) insert(id int, r *R, epoch int64) {
 	n.rows.put(id, r, epoch)
 	if n.name != nil {
-		n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
+		n.byName.add(strKey(n.name(r)), id, n.less, epoch)
 	}
 }
 
-// upsert files r under its name, replacing the row that had it: the load
-// rule for surrogate-id relations, where the name is the key.
-func (n *rowset[R]) upsert(r *R, epoch int64) {
+// upsert files r under its name, replacing the row that had it, and
+// reports whether there was one: the load rule for surrogate-id
+// relations, where the name is the key.
+func (n *rowset[R]) upsert(r *R, epoch int64) bool {
 	if id, ok := n.byName.lookup(strKey(n.name(r))); ok {
 		n.rows.put(id, r, epoch)
-		return
+		return true
 	}
 	n.insert(n.rows.nextID(), r, epoch)
+	return false
 }
 
 func (n *rowset[R]) remove(id int, r *R, epoch int64) {
@@ -367,12 +362,6 @@ func (n *rowset[R]) remove(id int, r *R, epoch int64) {
 
 // names returns every name in order (from the cache).
 func (n *rowset[R]) names() []string { return n.sorted.get(&n.byName) }
-
-// appendRows appends every row filed under name to dst, in order.
-func (n *rowset[R]) appendRows(dst []*R, name string) []*R {
-	n.eachRow(name, func(r *R) bool { dst = append(dst, r); return true })
-	return dst
-}
 
 // eachRow calls fn for every row filed under name, in order, until fn
 // returns false; it reports whether fn did.
@@ -406,7 +395,7 @@ func (n *rowset[R]) rebuild(epoch int64) {
 	n.byName = hashIndex[strKey]{}
 	if n.name != nil {
 		n.rows.eachID(func(id int, r *R) bool {
-			n.byName.add(strKey(n.name(r)), id, n.less(), epoch)
+			n.byName.add(strKey(n.name(r)), id, n.less, epoch)
 			return true
 		})
 	}

@@ -12,10 +12,13 @@ import (
 // Every relation is declared once, in relationList: its table name,
 // where its tables live, its columns (the row type's columns method,
 // records.go), its id and name columns, its secondary indexes, its dump
-// order and its load rule. Creating the empty relations, freezing a
-// snapshot, deriving the indexes, fsck's page and index audits, the dump
-// and the restore all iterate that list, so adding a relation is one
-// declaration plus its row type's columns method.
+// order, its uniqueness rule and its load rule. Creating the empty
+// relations, freezing a snapshot, deriving the indexes, fsck's page and
+// index audits, the dump and the restore all iterate that list, so
+// adding a relation is one declaration plus its row type's columns
+// method. The declarations are also the exported handles (Users,
+// UsersByUID, ...) through which every lookup, walk and mutation runs
+// (accessors.go); only this file and index.go change a relation's rows.
 
 // relation is one entry of relationList. freeze sets the relation's
 // tables in f to frozen copies of r's that share with prev every page not
@@ -46,8 +49,11 @@ const (
 	upsert                    // under the name; a later row replaces one with its name
 )
 
-// rowRelation declares a relation of single rows, stored in a rowset.
-type rowRelation[R comparable] struct {
+// Relation is the handle of a relation of single rows, stored in a
+// rowset: its declaration, and the operations every such relation
+// offers (accessors.go). The handles are the package's exported
+// variables (Users, Machines, ...).
+type Relation[R comparable] struct {
 	name string
 	of   func(*relations) *rowset[R]
 	cols func(*R, *fields)
@@ -55,144 +61,182 @@ type rowRelation[R comparable] struct {
 	// key is the name index's column (nil: none), order sorts the rows
 	// sharing a name (nil: by id), and unique says a name is filed under
 	// one row at most.
-	key     func(*R) string
-	order   func(a, b *R) int
-	unique  bool
+	key    func(*R) string
+	order  func(a, b *R) int
+	unique bool
+	// same says two rows may not both be filed, beyond their id and
+	// unique name (nil: no such rule). For a relation with neither, it
+	// is what makes a row the same row.
+	same    func(a, b *R) bool
+	missing error // a query's code for a name no row has; nil: MR_NO_MATCH
 	loadBy  loadRule
-	walk    func(*DB, *rowset[R], func(*R) bool) // dump order; nil: id order
+	// The dump order, which Each walks too: id order, unless byName (name
+	// order) or byKey (the order of that index, key by key).
+	byName  bool
+	byKey   func(*relations) *hashIndex[idKey]
 	indexes []secondary[R]
 }
 
-// secondary is a single-key secondary index: it files each row's id
-// under an integer column.
+// secondary is a single-key secondary index (Index) as its relation's
+// maintenance, freeze, rebuild and audit see it.
 type secondary[R any] interface {
 	key(row *R) int
 	valid(key int) bool // the key can be filed (hashKey.valid)
 	add(r *relations, key, id int, epoch int64)
 	remove(r *relations, key, id int, epoch int64)
 	move(r *relations, from, to, id int, epoch int64)
+	// first returns the id of the first row under row's key that is row
+	// (live) or that the relation's same rule matches with row, -1 when
+	// there is none.
+	first(r *relations, row *R, live bool) int
 	freeze(f, r, prev *relations, since int64) int
-	rebuild(r *relations, rows *table[R], epoch int64)
-	audit(r *relations, table string, rows *table[R], add finding)
+	rebuild(r *relations, epoch int64)
+	audit(r *relations, add finding)
 }
 
 // maxSecondary is the most secondary indexes a relation declares.
 const maxSecondary = 2
 
-// keyIndex is a secondary index on the column col.
-type keyIndex[R any, K interface {
-	hashKey
-	~int
-}] struct {
-	what string // the column, as fsck names it
-	of   func(*relations) *hashIndex[K]
-	col  func(*R) K
+// Index is the handle of a secondary index on the column col: it files
+// each row's id under its key, the rows under one key in order (nil: id
+// order). Its operations are in accessors.go.
+type Index[R comparable, K indexKey] struct {
+	rel   *Relation[R]
+	what  string // the column, as fsck names it
+	of    func(*relations) *hashIndex[K]
+	col   func(*R) K
+	order func(a, b *R) int
 }
 
-// byName is the walk in name order (rowset.eachByName).
-func byName[R any](_ *DB, n *rowset[R], fn func(*R) bool) { n.eachByName(fn) }
+// indexKey is the key type of a secondary index: an id or a uid.
+type indexKey interface {
+	hashKey
+	~int
+}
 
+// index declares a secondary index of rel and adds it to rel's indexes.
+func index[R comparable, K indexKey](rel *Relation[R], what string, of func(*relations) *hashIndex[K], col func(*R) K, order func(a, b *R) int) *Index[R, K] {
+	x := &Index[R, K]{rel, what, of, col, order}
+	rel.indexes = append(rel.indexes, x)
+	return x
+}
+
+// equal is the same rule of a relation whose rows are whole values.
+func equal[R comparable](a, b *R) bool { return *a == *b }
+
+// The relations and their secondary indexes. Each index is declared right
+// after its relation, so that it is added to the relation's indexes
+// before anything reads them.
 var (
-	usersRel = &rowRelation[User]{
+	Users = &Relation[User]{
 		name: TUsers, of: func(r *relations) *rowset[User] { return &r.users }, cols: (*User).columns,
 		id: func(u *User) int { return u.UsersID }, key: func(u *User) string { return u.Login }, unique: true,
-		indexes: []secondary[User]{
-			keyIndex[User, uidKey]{"uid", func(r *relations) *hashIndex[uidKey] { return &r.uids }, func(u *User) uidKey { return uidKey(u.UID) }},
-		},
+		missing: mrerr.MrUser,
 	}
-	machinesRel = &rowRelation[Machine]{
+	UsersByUID = index(Users, "uid", func(r *relations) *hashIndex[uidKey] { return &r.uids },
+		func(u *User) uidKey { return uidKey(u.UID) }, nil)
+	Machines = &Relation[Machine]{
 		name: TMachine, of: func(r *relations) *rowset[Machine] { return &r.machines }, cols: (*Machine).columns,
 		id: func(m *Machine) int { return m.MachID }, key: func(m *Machine) string { return m.Name }, unique: true,
+		missing: mrerr.MrMachine,
 	}
-	clustersRel = &rowRelation[Cluster]{
+	Clusters = &Relation[Cluster]{
 		name: TCluster, of: func(r *relations) *rowset[Cluster] { return &r.clusters }, cols: (*Cluster).columns,
 		id: func(c *Cluster) int { return c.CluID }, key: func(c *Cluster) string { return c.Name }, unique: true,
+		missing: mrerr.MrCluster,
 	}
-	mcmapRel = &rowRelation[MCMap]{
+	MCMaps = &Relation[MCMap]{
 		name: TMCMap, of: func(r *relations) *rowset[MCMap] { return &r.mcmap }, cols: (*MCMap).columns,
-		loadBy: surrogate,
-		indexes: []secondary[MCMap]{
-			keyIndex[MCMap, idKey]{"machine", func(r *relations) *hashIndex[idKey] { return &r.mcOfMach }, func(m *MCMap) idKey { return idKey(m.MachID) }},
-			keyIndex[MCMap, idKey]{"cluster", func(r *relations) *hashIndex[idKey] { return &r.mcOfClu }, func(m *MCMap) idKey { return idKey(m.CluID) }},
-		},
+		same: equal[MCMap], loadBy: surrogate,
 	}
-	svcRel = &rowRelation[SvcData]{
+	MCMapsByMachine = index(MCMaps, "machine", func(r *relations) *hashIndex[idKey] { return &r.mcOfMach },
+		func(m *MCMap) idKey { return idKey(m.MachID) }, func(a, b *MCMap) int { return cmp.Compare(a.CluID, b.CluID) })
+	MCMapsByCluster = index(MCMaps, "cluster", func(r *relations) *hashIndex[idKey] { return &r.mcOfClu },
+		func(m *MCMap) idKey { return idKey(m.CluID) }, func(a, b *MCMap) int { return cmp.Compare(a.MachID, b.MachID) })
+	Svc = &Relation[SvcData]{
 		name: TSvc, of: func(r *relations) *rowset[SvcData] { return &r.svc }, cols: (*SvcData).columns,
-		loadBy: surrogate,
+		same: equal[SvcData], loadBy: surrogate,
 	}
-	listsRel = &rowRelation[List]{
+	Lists = &Relation[List]{
 		name: TList, of: func(r *relations) *rowset[List] { return &r.lists }, cols: (*List).columns,
 		id: func(l *List) int { return l.ListID }, key: func(l *List) string { return l.Name }, unique: true,
+		missing: mrerr.MrList,
 	}
-	serversRel = &rowRelation[Server]{
+	Servers = &Relation[Server]{
 		name: TServers, of: func(r *relations) *rowset[Server] { return &r.servers }, cols: (*Server).columns,
-		key: func(s *Server) string { return s.Name }, unique: true, loadBy: upsert, walk: byName[Server],
+		key: func(s *Server) string { return s.Name }, unique: true, missing: mrerr.MrService,
+		loadBy: upsert, byName: true,
 	}
-	serverHostsRel = &rowRelation[ServerHost]{
+	ServerHosts = &Relation[ServerHost]{
 		name: TServerHosts, of: func(r *relations) *rowset[ServerHost] { return &r.serverHosts }, cols: (*ServerHost).columns,
 		key: func(sh *ServerHost) string { return sh.Service }, order: func(a, b *ServerHost) int { return cmp.Compare(a.MachID, b.MachID) },
-		loadBy: surrogate, walk: byName[ServerHost],
+		same:   func(a, b *ServerHost) bool { return a.Service == b.Service && a.MachID == b.MachID },
+		loadBy: surrogate, byName: true,
 	}
-	filesysRel = &rowRelation[Filesys]{
+	Filesystems = &Relation[Filesys]{
 		name: TFilesys, of: func(r *relations) *rowset[Filesys] { return &r.filesys }, cols: (*Filesys).columns,
 		id: func(f *Filesys) int { return f.FilsysID }, key: func(f *Filesys) string { return f.Label },
-		order: func(a, b *Filesys) int { return cmp.Compare(a.Order, b.Order) },
+		order:   func(a, b *Filesys) int { return cmp.Compare(a.Order, b.Order) },
+		same:    func(a, b *Filesys) bool { return a.Label == b.Label && a.Order == b.Order },
+		missing: mrerr.MrFilesys,
 	}
-	nfsphysRel = &rowRelation[NFSPhys]{
+	Partitions = &Relation[NFSPhys]{
 		name: TNFSPhys, of: func(r *relations) *rowset[NFSPhys] { return &r.nfsphys }, cols: (*NFSPhys).columns,
-		id: func(p *NFSPhys) int { return p.NFSPhysID },
+		id:   func(p *NFSPhys) int { return p.NFSPhysID },
+		same: func(a, b *NFSPhys) bool { return a.MachID == b.MachID && a.Dir == b.Dir },
 	}
-	quotasRel = &rowRelation[NFSQuota]{
+	Quotas = &Relation[NFSQuota]{
 		name: TNFSQuota, of: func(r *relations) *rowset[NFSQuota] { return &r.quotas }, cols: (*NFSQuota).columns,
-		loadBy: surrogate, walk: quotaOrder,
-		indexes: []secondary[NFSQuota]{
-			keyIndex[NFSQuota, idKey]{"filesys", func(r *relations) *hashIndex[idKey] { return &r.quotasOnFS }, func(q *NFSQuota) idKey { return idKey(q.FilsysID) }},
-			keyIndex[NFSQuota, idKey]{"user", func(r *relations) *hashIndex[idKey] { return &r.quotasOfUser }, func(q *NFSQuota) idKey { return idKey(q.UsersID) }},
-		},
+		same:   func(a, b *NFSQuota) bool { return a.FilsysID == b.FilsysID && a.UsersID == b.UsersID },
+		loadBy: surrogate, byKey: func(r *relations) *hashIndex[idKey] { return &r.quotasOnFS },
 	}
-	zephyrRel = &rowRelation[ZephyrClass]{
+	QuotasByFilesys = index(Quotas, "filesys", func(r *relations) *hashIndex[idKey] { return &r.quotasOnFS },
+		func(q *NFSQuota) idKey { return idKey(q.FilsysID) }, func(a, b *NFSQuota) int { return cmp.Compare(a.UsersID, b.UsersID) })
+	QuotasByUser = index(Quotas, "user", func(r *relations) *hashIndex[idKey] { return &r.quotasOfUser },
+		func(q *NFSQuota) idKey { return idKey(q.UsersID) }, func(a, b *NFSQuota) int { return cmp.Compare(a.FilsysID, b.FilsysID) })
+	ZephyrClasses = &Relation[ZephyrClass]{
 		name: TZephyr, of: func(r *relations) *rowset[ZephyrClass] { return &r.zephyr }, cols: (*ZephyrClass).columns,
-		key: func(z *ZephyrClass) string { return z.Class }, unique: true, loadBy: upsert, walk: byName[ZephyrClass],
+		key: func(z *ZephyrClass) string { return z.Class }, unique: true, loadBy: upsert, byName: true,
 	}
-	hostAccessRel = &rowRelation[HostAccess]{
+	HostAccesses = &Relation[HostAccess]{
 		name: THostAccess, of: func(r *relations) *rowset[HostAccess] { return &r.hostaccess }, cols: (*HostAccess).columns,
 		id: func(h *HostAccess) int { return h.MachID },
 	}
-	stringsRel = &rowRelation[StringRec]{
+	Strings = &Relation[StringRec]{
 		name: TStrings, of: func(r *relations) *rowset[StringRec] { return &r.strings }, cols: (*StringRec).columns,
 		id: func(s *StringRec) int { return s.StringID }, key: func(s *StringRec) string { return s.String }, unique: true,
 	}
-	servicesRel = &rowRelation[Service]{
+	Services = &Relation[Service]{
 		name: TServices, of: func(r *relations) *rowset[Service] { return &r.services }, cols: (*Service).columns,
-		key: func(s *Service) string { return s.Name }, unique: true, loadBy: upsert, walk: byName[Service],
+		key: func(s *Service) string { return s.Name }, unique: true, loadBy: upsert, byName: true,
 	}
-	printcapsRel = &rowRelation[Printcap]{
+	Printcaps = &Relation[Printcap]{
 		name: TPrintcap, of: func(r *relations) *rowset[Printcap] { return &r.printcaps }, cols: (*Printcap).columns,
-		key: func(p *Printcap) string { return p.Name }, unique: true, loadBy: upsert, walk: byName[Printcap],
+		key: func(p *Printcap) string { return p.Name }, unique: true, loadBy: upsert, byName: true,
 	}
-	capACLsRel = &rowRelation[CapACL]{
+	CapACLs = &Relation[CapACL]{
 		name: TCapACLs, of: func(r *relations) *rowset[CapACL] { return &r.capacls }, cols: (*CapACL).columns,
-		key: func(c *CapACL) string { return c.Capability }, unique: true, loadBy: upsert, walk: byName[CapACL],
+		key: func(c *CapACL) string { return c.Capability }, unique: true, loadBy: upsert, byName: true,
 	}
-	aliasesRel = &rowRelation[Alias]{
+	Aliases = &Relation[Alias]{
 		name: TAlias, of: func(r *relations) *rowset[Alias] { return &r.aliases }, cols: (*Alias).columns,
-		loadBy: surrogate,
+		same: equal[Alias], loadBy: surrogate,
 	}
-	valuesRel = &rowRelation[value]{
+	valuesRel = &Relation[value]{
 		name: TValues, of: func(r *relations) *rowset[value] { return &r.values }, cols: (*value).columns,
-		key: func(v *value) string { return v.Name }, unique: true, loadBy: upsert, walk: byName[value],
+		key: func(v *value) string { return v.Name }, unique: true, loadBy: upsert, byName: true,
 	}
-	statsRel = &rowRelation[TblStat]{
+	statsRel = &Relation[TblStat]{
 		name: TTblStats, of: func(r *relations) *rowset[TblStat] { return &r.stats }, cols: (*TblStat).columns,
-		key: func(s *TblStat) string { return s.Table }, unique: true, loadBy: upsert, walk: byName[TblStat],
+		key: func(s *TblStat) string { return s.Table }, unique: true, loadBy: upsert, byName: true,
 	}
 )
 
 // relationList is every relation, in backup order.
 var relationList = []relation{
-	usersRel, machinesRel, clustersRel, mcmapRel, svcRel, listsRel, memberRelation{},
-	serversRel, serverHostsRel, filesysRel, nfsphysRel, quotasRel, zephyrRel,
-	hostAccessRel, stringsRel, servicesRel, printcapsRel, capACLsRel, aliasesRel,
+	Users, Machines, Clusters, MCMaps, Svc, Lists, memberRelation{},
+	Servers, ServerHosts, Filesystems, Partitions, Quotas, ZephyrClasses,
+	HostAccesses, Strings, Services, Printcaps, CapACLs, Aliases,
 	valuesRel, statsRel,
 }
 
@@ -204,13 +248,13 @@ func tableNames() (names []string) {
 	return names
 }
 
-// --- rowRelation ---
+// --- Relation ---
 
-func (rel *rowRelation[R]) tableName() string { return rel.name }
+func (rel *Relation[R]) tableName() string { return rel.name }
 
-func (rel *rowRelation[R]) init(r *relations) { *rel.of(r) = newRowset(rel.key, rel.order) }
+func (rel *Relation[R]) init(r *relations) { *rel.of(r) = newRowset(rel.key, rel.order) }
 
-func (rel *rowRelation[R]) freeze(f, r, prev *relations, since int64) int {
+func (rel *Relation[R]) freeze(f, r, prev *relations, since int64) int {
 	copied := 0
 	*rel.of(f) = rel.of(r).freeze(rel.of(prev), since, &copied)
 	for _, x := range rel.indexes {
@@ -220,7 +264,7 @@ func (rel *rowRelation[R]) freeze(f, r, prev *relations, since int64) int {
 }
 
 // diff yields each row whose value differs, boxed as *R.
-func (rel *rowRelation[R]) diff(a, b *relations, fn func(o, n any) bool) int {
+func (rel *Relation[R]) diff(a, b *relations, fn func(o, n any) bool) int {
 	return rel.of(a).rows.diff(&rel.of(b).rows, func(o, n *R) bool {
 		if o != nil && n != nil && *o == *n {
 			return true
@@ -237,11 +281,10 @@ func boxed[R any](r *R) any {
 	return r
 }
 
-func (rel *rowRelation[R]) rebuild(r *relations, epoch int64) {
-	n := rel.of(r)
-	n.rebuild(epoch)
+func (rel *Relation[R]) rebuild(r *relations, epoch int64) {
+	rel.of(r).rebuild(epoch)
 	for _, x := range rel.indexes {
-		x.rebuild(r, &n.rows, epoch)
+		x.rebuild(r, epoch)
 	}
 }
 
@@ -249,7 +292,7 @@ func (rel *rowRelation[R]) rebuild(r *relations, epoch int64) {
 // their id), the name index, and the secondary indexes; for a relation of
 // unique names, a name filed under more than one row is a finding too: a
 // probe by that name reaches only the first.
-func (rel *rowRelation[R]) audit(r *relations, add finding) {
+func (rel *Relation[R]) audit(r *relations, add finding) {
 	n := rel.of(r)
 	n.rows.audit(rel.name, rel.id, add)
 	if rel.key != nil {
@@ -266,27 +309,43 @@ func (rel *rowRelation[R]) audit(r *relations, add finding) {
 		})
 	}
 	for _, x := range rel.indexes {
-		x.audit(r, rel.name, &n.rows, add)
+		x.audit(r, add)
 	}
 }
 
-func (rel *rowRelation[R]) dump(d *DB, f *fields, w *bufio.Writer) error {
+func (rel *Relation[R]) dump(d *DB, f *fields, w *bufio.Writer) error {
 	var err error
-	write := func(row *R) bool {
+	rel.each(&d.relations, func(row *R) bool {
 		f.encode()
 		rel.cols(row, f)
 		err = f.write(w)
 		return err == nil
-	}
-	if n := rel.of(&d.relations); rel.walk != nil {
-		rel.walk(d, n, write)
-	} else {
-		n.rows.each(write)
-	}
+	})
 	return err
 }
 
-func (rel *rowRelation[R]) load(d *DB, f *fields, line []byte) error {
+// each calls fn for every row in dump order until fn returns false: id
+// order, name order (byName), or key by key of the byKey index.
+func (rel *Relation[R]) each(r *relations, fn func(*R) bool) {
+	n := rel.of(r)
+	switch {
+	case rel.byName:
+		n.eachByName(fn)
+	case rel.byKey != nil:
+		rel.byKey(r).each(func(b *[]entry[idKey]) bool {
+			for _, e := range *b {
+				if row, ok := n.rows.get(e.id); ok && !fn(row) {
+					return false
+				}
+			}
+			return true
+		})
+	default:
+		n.rows.each(fn)
+	}
+}
+
+func (rel *Relation[R]) load(d *DB, f *fields, line []byte) error {
 	row := new(R)
 	f.decodeLine(line)
 	rel.cols(row, f)
@@ -310,59 +369,99 @@ func (rel *rowRelation[R]) load(d *DB, f *fields, line []byte) error {
 
 // valid reports whether row's id column, if it has one, and every
 // secondary key of row can be filed.
-func (rel *rowRelation[R]) valid(row *R) bool {
+func (rel *Relation[R]) valid(row *R) bool {
 	if rel.id != nil && !validRowID(rel.id(row)) {
 		return false
 	}
 	return !slices.ContainsFunc(rel.indexes, func(x secondary[R]) bool { return !x.valid(x.key(row)) })
 }
 
-// idOf returns the id row is filed under: its id column, or for a
-// surrogate id, its entry in the name index.
-func (rel *rowRelation[R]) idOf(d *DB, row *R) int {
+// first returns the id of the first row filed beside row that is row
+// itself (live) or that the same rule matches with row (not live), -1
+// when there is none. It looks under row's name, else under its key in
+// the first secondary index, else through every row.
+func (rel *Relation[R]) first(r *relations, row *R, live bool) int {
+	n := rel.of(r)
+	switch {
+	case rel.key != nil:
+		return n.byName.find(strKey(rel.key(row)), func(id int) bool { o, _ := n.rows.get(id); return rel.matches(o, row, live) })
+	case len(rel.indexes) > 0:
+		return rel.indexes[0].first(r, row, live)
+	}
+	found := -1
+	n.rows.eachID(func(id int, o *R) bool {
+		if rel.matches(o, row, live) {
+			found = id
+		}
+		return found < 0
+	})
+	return found
+}
+
+// matches reports whether o is row (live) or the same rule matches them.
+func (rel *Relation[R]) matches(o, row *R, live bool) bool {
+	if live {
+		return o == row
+	}
+	return rel.same(o, row)
+}
+
+// scans reports whether the same rule finds its rows by a scan: the
+// relation has neither a name nor a secondary index to look under.
+func (rel *Relation[R]) scans() bool {
+	return rel.same != nil && rel.key == nil && len(rel.indexes) == 0
+}
+
+// idOf returns the id row, which must be a row of the relation, is filed
+// under.
+func (rel *Relation[R]) idOf(r *relations, row *R) int {
 	if rel.id != nil {
 		return rel.id(row)
 	}
-	return rel.of(&d.relations).idOf(row)
+	if id := rel.first(r, row, true); id >= 0 {
+		return id
+	}
+	panic("db: row is not in its relation")
 }
 
 // touch stamps the page of row, which must be the live row itself, with
 // epoch and returns the relation's name.
-func (rel *rowRelation[R]) touch(d *DB, row *R, epoch int64) string {
-	rel.of(&d.relations).rows.touch(rel.idOf(d, row), row, epoch)
+func (rel *Relation[R]) touch(d *DB, row *R, epoch int64) string {
+	r := &d.relations
+	rel.of(r).rows.touch(rel.idOf(r, row), row, epoch)
 	return rel.name
 }
 
 // add files row under id (-1: the next surrogate id) in the relation and
 // every index, and records the append.
-func (rel *rowRelation[R]) add(d *DB, id int, row *R) {
-	n, e := rel.of(&d.relations), d.bump()
+func (rel *Relation[R]) add(d *DB, id int, row *R) {
+	r, e := &d.relations, d.bump()
+	n := rel.of(r)
 	if id < 0 {
 		id = n.rows.nextID()
 	}
 	n.insert(id, row, e)
 	for _, x := range rel.indexes {
-		x.add(&d.relations, x.key(row), id, e)
+		x.add(r, x.key(row), id, e)
 	}
 	d.NoteAppend(rel.name)
 }
 
-// drop removes the row filed under id from the relation and every index,
-// and records the delete.
-func (rel *rowRelation[R]) drop(d *DB, id int, row *R) {
-	n, e := rel.of(&d.relations), d.bump()
+// drop removes the row filed under id from the relation and every index.
+func (rel *Relation[R]) drop(r *relations, id int, row *R, epoch int64) {
 	for _, x := range rel.indexes {
-		x.remove(&d.relations, x.key(row), id, e)
+		x.remove(r, x.key(row), id, epoch)
 	}
-	n.remove(id, row, e)
-	d.NoteDelete(rel.name)
+	rel.of(r).remove(id, row, epoch)
 }
 
-// setKey sets the column of row at field, which must be its name or a
+// SetKey sets the column of row at field, which must be its name or a
 // secondary key, to v in place, and refiles the row under every key that
-// changed. The caller records the update.
-func setKey[R, T comparable](d *DB, rel *rowRelation[R], row *R, field *T, v T) {
-	n, id := rel.of(&d.relations), rel.idOf(d, row)
+// changed. The caller has checked that a unique name is free, and records
+// the update (NoteUpdate).
+func SetKey[R, T comparable](d *DB, rel *Relation[R], row *R, field *T, v T) {
+	r := &d.relations
+	n, id := rel.of(r), rel.idOf(r, row)
 	var name string
 	if rel.key != nil {
 		name = rel.key(row)
@@ -375,69 +474,56 @@ func setKey[R, T comparable](d *DB, rel *rowRelation[R], row *R, field *T, v T) 
 	e := d.bump()
 	n.rows.touch(id, row, e)
 	if rel.key != nil && rel.key(row) != name {
-		n.byName.move(strKey(name), strKey(rel.key(row)), id, n.less(), e)
+		n.byName.move(strKey(name), strKey(rel.key(row)), id, n.less, e)
 	}
 	for i, x := range rel.indexes {
 		if k := x.key(row); k != keys[i] {
-			x.move(&d.relations, keys[i], k, id, e)
+			x.move(r, keys[i], k, id, e)
 		}
 	}
 }
 
-// insert adds row, filed under its id column or the next surrogate id:
-// MR_INTERNAL for an id or key no table can hold, MR_EXISTS when the id
-// or a unique name is taken.
-func (rel *rowRelation[R]) insert(d *DB, row *R) error {
-	if !rel.valid(row) {
-		return mrerr.MrInternal
-	}
-	n, id := rel.of(&d.relations), -1
-	if rel.id != nil {
-		id = rel.id(row)
-		if _, dup := n.rows.get(id); dup {
-			return mrerr.MrExists
-		}
-	}
-	if rel.unique {
-		if _, dup := n.byKey(rel.key(row)); dup {
-			return mrerr.MrExists
-		}
-	}
-	rel.add(d, id, row)
-	return nil
+// --- Index ---
+
+func (x *Index[R, K]) key(row *R) int { return int(x.col(row)) }
+
+func (x *Index[R, K]) valid(key int) bool { return K(key).valid() }
+
+func (x *Index[R, K]) add(r *relations, key, id int, e int64) {
+	rows := &x.rel.of(r).rows
+	x.of(r).add(K(key), id, func(a, b int) bool { return before(rows, x.order, a, b) }, e)
 }
 
-// --- keyIndex ---
+func (x *Index[R, K]) remove(r *relations, key, id int, e int64) { x.of(r).remove(K(key), id, e) }
 
-func (x keyIndex[R, K]) key(row *R) int { return int(x.col(row)) }
-
-func (x keyIndex[R, K]) valid(key int) bool { return K(key).valid() }
-
-func (x keyIndex[R, K]) add(r *relations, key, id int, e int64)    { x.of(r).add(K(key), id, nil, e) }
-func (x keyIndex[R, K]) remove(r *relations, key, id int, e int64) { x.of(r).remove(K(key), id, e) }
-
-func (x keyIndex[R, K]) move(r *relations, from, to, id int, e int64) {
-	x.of(r).move(K(from), K(to), id, nil, e)
+func (x *Index[R, K]) move(r *relations, from, to, id int, e int64) {
+	rows := &x.rel.of(r).rows
+	x.of(r).move(K(from), K(to), id, func(a, b int) bool { return before(rows, x.order, a, b) }, e)
 }
 
-func (x keyIndex[R, K]) freeze(f, r, prev *relations, since int64) int {
+func (x *Index[R, K]) first(r *relations, row *R, live bool) int {
+	rows := &x.rel.of(r).rows
+	return x.of(r).find(x.col(row), func(id int) bool { o, _ := rows.get(id); return x.rel.matches(o, row, live) })
+}
+
+func (x *Index[R, K]) freeze(f, r, prev *relations, since int64) int {
 	copied := 0
 	*x.of(f) = x.of(r).freeze(x.of(prev), since, &copied)
 	return copied
 }
 
-func (x keyIndex[R, K]) rebuild(r *relations, rows *table[R], epoch int64) {
-	idx := x.of(r)
+func (x *Index[R, K]) rebuild(r *relations, epoch int64) {
+	idx, rows := x.of(r), &x.rel.of(r).rows
 	*idx = hashIndex[K]{}
 	rows.eachID(func(id int, row *R) bool {
-		idx.add(x.col(row), id, nil, epoch)
+		idx.add(x.col(row), id, func(a, b int) bool { return before(rows, x.order, a, b) }, epoch)
 		return true
 	})
 	idx.restamp(epoch)
 }
 
-func (x keyIndex[R, K]) audit(r *relations, table string, rows *table[R], add finding) {
-	auditIndex(add, table, x.what, x.of(r), rows, x.col)
+func (x *Index[R, K]) audit(r *relations, add finding) {
+	auditIndex(add, x.rel.name, x.what, x.of(r), &x.rel.of(r).rows, x.col)
 }
 
 // --- members ---

@@ -39,8 +39,8 @@ func TestSnapshotIsolationNoTornViews(t *testing.T) {
 				snap := d.Reader()
 				var users, clusters, filesystems int
 				snap.EachUser(func(*User) bool { users++; return true })
-				snap.EachCluster(func(*Cluster) bool { clusters++; return true })
-				snap.EachFilesys(func(*Filesys) bool { filesystems++; return true })
+				Clusters.Each(snap, func(*Cluster) bool { clusters++; return true })
+				Filesystems.Each(snap, func(*Filesys) bool { filesystems++; return true })
 				if users != clusters || users != filesystems {
 					torn.Add(1)
 					t.Errorf("torn view: %d users, %d clusters, %d filesystems", users, clusters, filesystems)
@@ -61,15 +61,15 @@ func TestSnapshotIsolationNoTornViews(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		d.LockExclusive()
 		id, _ := d.AllocID("users_id")
-		if err := d.InsertUser(&User{UsersID: id, Login: fmt.Sprintf("w%05d", i), UID: 7000 + i}); err != nil {
+		if err := Users.Insert(d, &User{UsersID: id, Login: fmt.Sprintf("w%05d", i), UID: 7000 + i}); err != nil {
 			t.Fatalf("InsertUser: %v", err)
 		}
 		cid, _ := d.AllocID("clu_id")
-		if err := d.InsertCluster(&Cluster{CluID: cid, Name: fmt.Sprintf("c%05d", i)}); err != nil {
+		if err := Clusters.Insert(d, &Cluster{CluID: cid, Name: fmt.Sprintf("c%05d", i)}); err != nil {
 			t.Fatalf("InsertCluster: %v", err)
 		}
 		fid, _ := d.AllocID("filsys_id")
-		if err := d.InsertFilesys(&Filesys{FilsysID: fid, Label: fmt.Sprintf("f%05d", i)}); err != nil {
+		if err := Filesystems.Insert(d, &Filesys{FilsysID: fid, Label: fmt.Sprintf("f%05d", i)}); err != nil {
 			t.Fatalf("InsertFilesys: %v", err)
 		}
 		d.UnlockExclusive()
@@ -102,7 +102,7 @@ func TestSnapshotIsolationNoTornViews(t *testing.T) {
 func TestSnapshotStability(t *testing.T) {
 	d := snapDB(t)
 	id, _ := d.AllocID("users_id")
-	if err := d.InsertUser(&User{UsersID: id, Login: "stable", UID: 1234}); err != nil {
+	if err := Users.Insert(d, &User{UsersID: id, Login: "stable", UID: 1234}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,12 +113,12 @@ func TestSnapshotStability(t *testing.T) {
 
 	// Mutate live: rename the user, change its uid, add another.
 	u, _ := d.UserByLogin("stable")
-	d.RenameUser(u, "renamed")
+	SetKey(d, Users, u, &u.Login, "renamed")
 	d.NoteUpdate(u)
-	d.SetUserUID(u, 4321)
+	SetKey(d, Users, u, &u.UID, 4321)
 	d.NoteUpdate(u)
 	id2, _ := d.AllocID("users_id")
-	if err := d.InsertUser(&User{UsersID: id2, Login: "later", UID: 5555}); err != nil {
+	if err := Users.Insert(d, &User{UsersID: id2, Login: "later", UID: 5555}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,13 +131,13 @@ func TestSnapshotStability(t *testing.T) {
 	if _, ok := snap.UserByLogin("later"); ok {
 		t.Error("snapshot sees post-snapshot insert")
 	}
-	if got := snap.UsersByUID(1234); len(got) != 1 || got[0].Login != "stable" {
+	if got := keyed(snap, UsersByUID, 1234); len(got) != 1 || got[0].Login != "stable" {
 		t.Errorf("snapshot UsersByUID(1234) = %v", dumpUsers(got))
 	}
-	if got := snap.UsersByUID(4321); len(got) != 0 {
+	if got := keyed(snap, UsersByUID, 4321); len(got) != 0 {
 		t.Errorf("snapshot sees post-snapshot uid change: %v", dumpUsers(got))
 	}
-	if got := snap.UsersMatchingLogin("sta*"); len(got) != 1 {
+	if got := matching(snap, Users, "sta*"); len(got) != 1 {
 		t.Errorf("snapshot wildcard match = %v", dumpUsers(got))
 	}
 
@@ -146,7 +146,7 @@ func TestSnapshotStability(t *testing.T) {
 	if _, ok := now.UserByLogin("renamed"); !ok {
 		t.Error("fresh snapshot missing rename")
 	}
-	if got := now.UsersByUID(4321); len(got) != 1 {
+	if got := keyed(now, UsersByUID, 4321); len(got) != 1 {
 		t.Errorf("fresh snapshot UsersByUID(4321) = %v", dumpUsers(got))
 	}
 }
@@ -184,7 +184,7 @@ func TestFrozenMutationPanics(t *testing.T) {
 			t.Fatal("mutating a frozen snapshot did not panic")
 		}
 	}()
-	_ = snap.InsertUser(&User{UsersID: 99, Login: "nope"})
+	_ = Users.Insert(snap, &User{UsersID: 99, Login: "nope"})
 }
 
 // TestSnapshotAfterAdoptFrom: promotion swaps in a whole new table set
@@ -196,7 +196,7 @@ func TestSnapshotAfterAdoptFrom(t *testing.T) {
 
 	src := snapDB(t)
 	id, _ := src.AllocID("users_id")
-	if err := src.InsertUser(&User{UsersID: id, Login: "adopted", UID: 777}); err != nil {
+	if err := Users.Insert(src, &User{UsersID: id, Login: "adopted", UID: 777}); err != nil {
 		t.Fatal(err)
 	}
 	d.AdoptFrom(src)
@@ -211,10 +211,10 @@ func TestSnapshotAfterAdoptFrom(t *testing.T) {
 	if _, ok := snap.UserByLogin("adopted"); !ok {
 		t.Error("post-adopt snapshot missing adopted user")
 	}
-	if got := snap.UsersByUID(777); len(got) != 1 {
+	if got := keyed(snap, UsersByUID, 777); len(got) != 1 {
 		t.Errorf("post-adopt snapshot UsersByUID = %v", dumpUsers(got))
 	}
-	if got := snap.UsersMatchingLogin("adop*"); len(got) != 1 {
+	if got := matching(snap, Users, "adop*"); len(got) != 1 {
 		t.Errorf("post-adopt snapshot wildcard = %v", dumpUsers(got))
 	}
 }
@@ -242,11 +242,11 @@ func TestSnapshotAdoptThenWriteThenRead(t *testing.T) {
 	fill := func(d *DB, n int, tag string) {
 		for i := 0; i < n; i++ {
 			id, _ := d.AllocID("users_id")
-			if err := d.InsertUser(&User{UsersID: id, Login: fmt.Sprintf("%s%03d", tag, i), UID: 7000 + i, Shell: tag}); err != nil {
+			if err := Users.Insert(d, &User{UsersID: id, Login: fmt.Sprintf("%s%03d", tag, i), UID: 7000 + i, Shell: tag}); err != nil {
 				t.Fatal(err)
 			}
 			lid, _ := d.AllocID("list_id")
-			if err := d.InsertList(&List{ListID: lid, Name: fmt.Sprintf("%s-list%03d", tag, i)}); err != nil {
+			if err := Lists.Insert(d, &List{ListID: lid, Name: fmt.Sprintf("%s-list%03d", tag, i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

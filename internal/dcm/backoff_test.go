@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"moira/internal/db"
 )
 
 func TestBackoffDelaySchedule(t *testing.T) {
@@ -97,7 +99,7 @@ func testBackoffResetOnSuccess(t *testing.T, journal bool) {
 	delete(w.addrs, "ATHENA.MIT.EDU")
 	w.clk.Advance(15 * time.Minute)
 	w.d.LockExclusive()
-	sh, _ := w.d.ServerHost("SMTP", machIDByName(w.d, "ATHENA.MIT.EDU"))
+	sh, _ := db.ServerHosts.Find(w.d, "SMTP", func(sh *db.ServerHost) bool { return sh.MachID == machIDByName(w.d, "ATHENA.MIT.EDU") })
 	sh.Override = true
 	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()

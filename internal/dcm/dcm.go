@@ -306,7 +306,7 @@ func (m *DCM) RunOnceTraced(trace string) (*CycleStats, error) {
 	// make another.
 	view := d.Reader()
 	var services []serviceSnapshot
-	view.EachServer(func(s *db.Server) bool {
+	db.Servers.Each(view, func(s *db.Server) bool {
 		services = append(services, serviceSnapshot{*s})
 		return true
 	})
@@ -522,17 +522,15 @@ func (m *DCM) hostsNeedingUpdate(snap *serviceSnapshot) []hostSnapshot {
 	d.LockShared()
 	defer d.UnlockShared()
 	var out []hostSnapshot
-	for _, sh := range d.ServerHostsOf(snap.Name) {
-		if !sh.Enable || sh.HostError != 0 || sh.InProgress {
-			continue
+	db.ServerHosts.Under(d, snap.Name, func(sh *db.ServerHost) bool {
+		if !sh.Enable || sh.HostError != 0 || sh.InProgress || sh.LastSuccess >= snap.DFGen && !sh.Override {
+			return true
 		}
-		if sh.LastSuccess >= snap.DFGen && !sh.Override {
-			continue
-		}
-		if mach, ok := d.MachineByID(sh.MachID); ok {
+		if mach, ok := db.Machines.ByID(d, sh.MachID); ok {
 			out = append(out, hostSnapshot{machID: sh.MachID, name: mach.Name})
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -687,7 +685,7 @@ func (m *DCM) claimHost(snap *serviceSnapshot, machID int) bool {
 	d := m.cfg.DB
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	sh, ok := d.ServerHost(snap.Name, machID)
+	sh, ok := db.ServerHosts.Find(d, snap.Name, func(sh *db.ServerHost) bool { return sh.MachID == machID })
 	if !ok || sh.InProgress || !sh.Enable || sh.HostError != 0 {
 		return false
 	}
@@ -705,7 +703,7 @@ func (m *DCM) claimService(name string) bool {
 	d := m.cfg.DB
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	s, ok := d.ServerByName(name)
+	s, ok := db.Servers.Get(d, name)
 	if !ok || s.InProgress || s.HardError != 0 {
 		return false
 	}
@@ -782,7 +780,7 @@ func (m *DCM) setServiceFlags(name string, fn func(*db.Server)) {
 	d := m.cfg.DB
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	if s, ok := d.ServerByName(name); ok {
+	if s, ok := db.Servers.Get(d, name); ok {
 		fn(s)
 		d.NoteUpdateInternal(s)
 	}
@@ -794,7 +792,7 @@ func (m *DCM) setHostFlags(service string, machID int, fn func(*db.ServerHost)) 
 	d := m.cfg.DB
 	d.LockExclusive()
 	defer d.UnlockExclusive()
-	if sh, ok := d.ServerHost(service, machID); ok {
+	if sh, ok := db.ServerHosts.Find(d, service, func(sh *db.ServerHost) bool { return sh.MachID == machID }); ok {
 		fn(sh)
 		d.NoteUpdateInternal(sh)
 	}

@@ -250,7 +250,7 @@ func testFirstPassPropagatesEverything(t *testing.T, journal bool) {
 	ops, _ := w.d.ListByName("zephyr-operators")
 	var operator string
 	for _, m := range w.d.MembersOf(ops.ListID) {
-		if u, ok := w.d.UserByID(m.MemberID); ok {
+		if u, ok := db.Users.ByID(w.d, m.MemberID); ok {
 			operator = u.Login
 			break
 		}
@@ -334,7 +334,7 @@ func testOverrideSkipsInterval(t *testing.T, journal bool) {
 	w.run()
 	// Mark one hesiod host for immediate update.
 	w.d.LockExclusive()
-	sh := w.d.ServerHostsOf("HESIOD")[0]
+	sh := firstHost(w.d, "HESIOD")
 	sh.Override = true
 	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()
@@ -346,7 +346,7 @@ func testOverrideSkipsInterval(t *testing.T, journal bool) {
 	}
 	// Override clears after the successful update.
 	w.d.LockShared()
-	if w.d.ServerHostsOf("HESIOD")[0].Override {
+	if firstHost(w.d, "HESIOD").Override {
 		t.Error("override flag not cleared")
 	}
 	w.d.UnlockShared()
@@ -369,11 +369,11 @@ func testOverridePushDoesNotSwallowDelta(t *testing.T, journal bool) {
 	w.run()
 
 	w.d.LockShared()
-	svc, _ := w.d.ServerByName("HESIOD")
+	svc, _ := db.Servers.Get(w.d, "HESIOD")
 	target := svc.TargetFile
 	var hosts []string
-	for _, sh := range w.d.ServerHostsOf("HESIOD") {
-		m, _ := w.d.MachineByID(sh.MachID)
+	for _, sh := range hostsOf(w.d, "HESIOD") {
+		m, _ := db.Machines.ByID(w.d, sh.MachID)
 		hosts = append(hosts, m.Name)
 	}
 	var login string
@@ -432,7 +432,7 @@ func testSoftFailureRetries(t *testing.T, journal bool) {
 		t.Fatalf("soft fails = %d", stats.HostSoftFails)
 	}
 	w.d.LockShared()
-	sh, _ := w.d.ServerHost("SMTP", machIDByName(w.d, "ATHENA.MIT.EDU"))
+	sh, _ := db.ServerHosts.Find(w.d, "SMTP", func(sh *db.ServerHost) bool { return sh.MachID == machIDByName(w.d, "ATHENA.MIT.EDU") })
 	if sh.HostError != 0 {
 		t.Error("soft failure set a hard error")
 	}
@@ -479,16 +479,16 @@ func testHardFailureNotifiesAndStops(t *testing.T, journal bool) {
 		t.Fatalf("hard fails = %d (stats %+v)", stats.HostHardFails, stats)
 	}
 	w.d.LockShared()
-	svc, _ := w.d.ServerByName("ZEPHYR")
+	svc, _ := db.Servers.Get(w.d, "ZEPHYR")
 	if svc.HardError == 0 {
 		t.Error("replicated service not marked hard-errored")
 	}
-	sh, _ := w.d.ServerHost("ZEPHYR", machIDByName(w.d, first))
+	sh, _ := db.ServerHosts.Find(w.d, "ZEPHYR", func(sh *db.ServerHost) bool { return sh.MachID == machIDByName(w.d, first) })
 	if sh.HostError == 0 {
 		t.Error("host not marked hard-errored")
 	}
 	// The other zephyr hosts were skipped.
-	for _, other := range w.d.ServerHostsOf("ZEPHYR") {
+	for _, other := range hostsOf(w.d, "ZEPHYR") {
 		if other.MachID != sh.MachID && other.Success {
 			t.Error("replicated service continued after hard failure")
 		}
@@ -512,7 +512,7 @@ func testHardFailureNotifiesAndStops(t *testing.T, journal bool) {
 	w.clk.Advance(25 * time.Hour)
 	stats = w.run()
 	w.d.LockShared()
-	svcAfter, _ := w.d.ServerByName("ZEPHYR")
+	svcAfter, _ := db.Servers.Get(w.d, "ZEPHYR")
 	w.d.UnlockShared()
 	if svcAfter.HardError == 0 {
 		t.Error("hard error cleared without reset_server_error")
@@ -571,12 +571,24 @@ func testDisableFile(t *testing.T, journal bool) {
 }
 
 func machIDByName(d *db.DB, name string) int {
-	m, ok := d.MachineByName(name)
+	m, ok := db.Machines.Get(d, name)
 	if !ok {
 		return -1
 	}
 	return m.MachID
 }
+
+// hostsOf returns the serverhost rows of a service, in machine id order.
+func hostsOf(d *db.DB, service string) (out []*db.ServerHost) {
+	db.ServerHosts.Under(d, service, func(sh *db.ServerHost) bool {
+		out = append(out, sh)
+		return true
+	})
+	return out
+}
+
+// firstHost returns a service's first serverhost row.
+func firstHost(d *db.DB, service string) *db.ServerHost { return hostsOf(d, service)[0] }
 
 // TestInProgressServiceSkipped: a service another DCM instance is
 // already generating (InProgress set) must be skipped, not raced.
@@ -584,7 +596,7 @@ func TestInProgressServiceSkipped(t *testing.T) { bothJournalStates(t, testInPro
 func testInProgressServiceSkipped(t *testing.T, journal bool) {
 	w := newWorld(t, journal, 40)
 	w.d.LockExclusive()
-	svc, _ := w.d.ServerByName("HESIOD")
+	svc, _ := db.Servers.Get(w.d, "HESIOD")
 	svc.InProgress = true
 	w.d.NoteUpdateInternal(svc)
 	w.d.UnlockExclusive()
@@ -616,9 +628,9 @@ func TestDisabledHostSkipped(t *testing.T) { bothJournalStates(t, testDisabledHo
 func testDisabledHostSkipped(t *testing.T, journal bool) {
 	w := newWorld(t, journal, 40)
 	w.d.LockExclusive()
-	sh := w.d.ServerHostsOf("ZEPHYR")[0]
+	sh := firstHost(w.d, "ZEPHYR")
 	sh.Enable = false
-	m, _ := w.d.MachineByID(sh.MachID)
+	m, _ := db.Machines.ByID(w.d, sh.MachID)
 	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()
 
@@ -628,7 +640,7 @@ func testDisabledHostSkipped(t *testing.T, journal bool) {
 	}
 	w.d.LockShared()
 	defer w.d.UnlockShared()
-	got, _ := w.d.ServerHost("ZEPHYR", m.MachID)
+	got, _ := db.ServerHosts.Find(w.d, "ZEPHYR", func(sh *db.ServerHost) bool { return sh.MachID == m.MachID })
 	if got.Success || got.LastTry != 0 {
 		t.Errorf("disabled host was touched: %+v", got)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"moira/internal/db"
 	"moira/internal/update"
 	"moira/internal/workload"
 )
@@ -69,7 +70,7 @@ func testCrashMidXferRetriesAndRecovers(t *testing.T, journal bool) {
 	}
 	// The crash never became a recorded host error.
 	w.d.LockShared()
-	sh, _ := w.d.ServerHost("NFS", machIDByName(w.d, "FS-01.MIT.EDU"))
+	sh, _ := db.ServerHosts.Find(w.d, "NFS", func(sh *db.ServerHost) bool { return sh.MachID == machIDByName(w.d, "FS-01.MIT.EDU") })
 	if sh.HostError != 0 || !sh.Success {
 		t.Errorf("host row after recovery: %+v", sh)
 	}
@@ -103,7 +104,7 @@ func testCrashMidInstallSoftFails(t *testing.T, journal bool) {
 		t.Errorf("attempts = %d, want %d", crash.count(), DefaultMaxRetries+1)
 	}
 	w.d.LockShared()
-	sh, _ := w.d.ServerHost("NFS", machIDByName(w.d, "FS-02.MIT.EDU"))
+	sh, _ := db.ServerHosts.Find(w.d, "NFS", func(sh *db.ServerHost) bool { return sh.MachID == machIDByName(w.d, "FS-02.MIT.EDU") })
 	if sh.HostError != 0 {
 		t.Error("soft failure set a hard host error")
 	}
@@ -143,12 +144,12 @@ func testReplicatedSoftFailureDoesNotAbort(t *testing.T, journal bool) {
 		t.Fatalf("failures: %+v", stats)
 	}
 	w.d.LockShared()
-	svc, _ := w.d.ServerByName("ZEPHYR")
+	svc, _ := db.Servers.Get(w.d, "ZEPHYR")
 	if svc.HardError != 0 {
 		t.Error("soft failure hard-errored the replicated service")
 	}
 	updated := 0
-	for _, sh := range w.d.ServerHostsOf("ZEPHYR") {
+	for _, sh := range hostsOf(w.d, "ZEPHYR") {
 		if sh.Success {
 			updated++
 		}
@@ -191,12 +192,12 @@ func testReplicatedHardFailureStopsRemainingHosts(t *testing.T, journal bool) {
 		t.Errorf("hard failure was retried %d times", stats.Retries)
 	}
 	w.d.LockShared()
-	svc, _ := w.d.ServerByName("ZEPHYR")
+	svc, _ := db.Servers.Get(w.d, "ZEPHYR")
 	if svc.HardError == 0 {
 		t.Error("replicated service not marked hard-errored")
 	}
 	failed := machIDByName(w.d, first)
-	for _, sh := range w.d.ServerHostsOf("ZEPHYR") {
+	for _, sh := range hostsOf(w.d, "ZEPHYR") {
 		if sh.MachID != failed && (sh.Success || sh.LastTry != 0) {
 			t.Errorf("replicated host %d pushed after the hard failure", sh.MachID)
 		}

@@ -57,7 +57,7 @@ func testStressManyHostsParallel(t *testing.T, journal bool) {
 	// No host is left claimed, and every row records the success.
 	w.d.LockShared()
 	for _, svc := range []string{"HESIOD", "NFS", "SMTP", "ZEPHYR"} {
-		for _, sh := range w.d.ServerHostsOf(svc) {
+		for _, sh := range hostsOf(w.d, svc) {
 			if sh.InProgress {
 				t.Errorf("%s host %d left InProgress", svc, sh.MachID)
 			}
@@ -94,11 +94,11 @@ func testClaimClosesTOCTOU(t *testing.T, journal bool) {
 
 	machID := machIDByName(w.d, "ATHENA.MIT.EDU")
 	w.d.LockExclusive()
-	sh, _ := w.d.ServerHost("SMTP", machID)
+	sh, _ := db.ServerHosts.Find(w.d, "SMTP", func(sh *db.ServerHost) bool { return sh.MachID == machID })
 	sh.Override = true
 	w.d.NoteUpdate(sh)
 	var snap serviceSnapshot
-	svc, _ := w.d.ServerByName("SMTP")
+	svc, _ := db.Servers.Get(w.d, "SMTP")
 	snap.Server = *svc
 	w.d.UnlockExclusive()
 
@@ -146,7 +146,7 @@ func testClaimSkipsFreshlyUpdatedHost(t *testing.T, journal bool) {
 
 	w.d.LockExclusive()
 	var snap serviceSnapshot
-	svc, _ := w.d.ServerByName("SMTP")
+	svc, _ := db.Servers.Get(w.d, "SMTP")
 	snap.Server = *svc
 	w.d.UnlockExclusive()
 	snap.DFGen = 0 // a stale snapshot from before the concurrent pass generated

@@ -47,8 +47,8 @@ func runReloadOracle(t *testing.T, seed int64) {
 	w.d.LockShared()
 	for _, s := range []struct{ name, dir string }{{"HESIOD", "/etc/athena/hesiod"}, {"NFS", "/etc/athena/nfs"}, {"SMTP", "/usr/lib"}} {
 		sv := &svc{name: s.name, dir: s.dir}
-		for _, sh := range w.d.ServerHostsOf(s.name) {
-			m, _ := w.d.MachineByID(sh.MachID)
+		for _, sh := range hostsOf(w.d, s.name) {
+			m, _ := db.Machines.ByID(w.d, sh.MachID)
 			sv.hosts = append(sv.hosts, m.Name)
 		}
 		services = append(services, sv)
@@ -71,7 +71,7 @@ func runReloadOracle(t *testing.T, seed int64) {
 	lastOK := func(service, host string) bool {
 		w.d.LockShared()
 		defer w.d.UnlockShared()
-		sh, _ := w.d.ServerHost(service, machIDByName(w.d, host))
+		sh, _ := db.ServerHosts.Find(w.d, service, func(sh *db.ServerHost) bool { return sh.MachID == machIDByName(w.d, host) })
 		return sh.LastTry != 0 && sh.LastSuccess == sh.LastTry
 	}
 	verified := map[string]int{}

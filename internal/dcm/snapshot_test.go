@@ -59,7 +59,7 @@ func testUncommittedPatchThenRevert(t *testing.T, journal bool) {
 	w.run()
 	login, shell := w.firstActiveLogin()
 	w.d.LockShared()
-	mach, _ := w.d.MachineByID(w.d.ServerHostsOf("HESIOD")[0].MachID)
+	mach, _ := db.Machines.ByID(w.d, firstHost(w.d, "HESIOD").MachID)
 	w.d.UnlockShared()
 
 	w.query("update_user_shell", login, "/bin/interim")
@@ -99,7 +99,7 @@ func testOverlappingPassesNeverRollBack(t *testing.T, journal bool) {
 
 	older := w.d.Reader()
 	var svc serviceSnapshot
-	older.EachServer(func(s *db.Server) bool {
+	db.Servers.Each(older, func(s *db.Server) bool {
 		svc = serviceSnapshot{*s}
 		return s.Name != "HESIOD"
 	})

@@ -101,7 +101,7 @@ func (h *harness) set(k, v string) {
 			return
 		}
 		h.nextID++
-		if err := h.d.InsertUser(&db.User{UsersID: h.nextID, Login: k, UID: h.nextID, Shell: v}); err != nil {
+		if err := db.Users.Insert(h.d, &db.User{UsersID: h.nextID, Login: k, UID: h.nextID, Shell: v}); err != nil {
 			h.t.Fatal(err)
 		}
 	})
@@ -119,7 +119,7 @@ func (h *harness) update(k string, fn func(*db.User)) {
 func (h *harness) del(k string) {
 	h.mutate(func() {
 		u, _ := h.d.UserByLogin(k)
-		h.d.DeleteUser(u)
+		db.Users.Delete(h.d, u)
 	})
 }
 
@@ -274,7 +274,7 @@ func TestPlannerFullRelationForcesFull(t *testing.T) {
 
 	h.set("x", "9")
 	h.mutate(func() {
-		if err := h.d.InsertMachine(&db.Machine{MachID: 1, Name: "M1.MIT.EDU"}); err != nil {
+		if err := db.Machines.Insert(h.d, &db.Machine{MachID: 1, Name: "M1.MIT.EDU"}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -323,7 +323,7 @@ func TestPlannerAdoptionForcesFull(t *testing.T) {
 	h.set("a", "1")
 	h.pass()
 	src := db.New(clock.NewFake(time.Unix(600000000, 0)))
-	if err := src.InsertUser(&db.User{UsersID: 7, Login: "adopted", UID: 7, Shell: "sh"}); err != nil {
+	if err := db.Users.Insert(src, &db.User{UsersID: 7, Login: "adopted", UID: 7, Shell: "sh"}); err != nil {
 		t.Fatal(err)
 	}
 	h.d.AdoptFrom(src)

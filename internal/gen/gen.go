@@ -278,7 +278,7 @@ func upLists(d *db.DB, mtype string, mid int) map[int]bool {
 func activeGroupsOfUser(d *db.DB, u *db.User) []*db.List {
 	var gs []*db.List
 	for lid := range upLists(d, db.ACEUser, u.UsersID) {
-		if l, ok := d.ListByID(lid); ok && l.Active && l.Group {
+		if l, ok := db.Lists.ByID(d, lid); ok && l.Active && l.Group {
 			gs = append(gs, l)
 		}
 	}
@@ -313,7 +313,7 @@ func reaches(d *db.DB, mtype string, mid int) func(aceType string, aceID int) bo
 // contains it.
 func upListKeys(d *db.DB, mtype string, mid int, add func(string)) {
 	for lid := range upLists(d, mtype, mid) {
-		if l, ok := d.ListByID(lid); ok {
+		if l, ok := db.Lists.ByID(d, lid); ok {
 			add("list:" + l.Name)
 		}
 	}
@@ -321,7 +321,7 @@ func upListKeys(d *db.DB, mtype string, mid int, add func(string)) {
 
 // userKey adds the "user:" key of a user id.
 func userKey(d *db.DB, usersID int, add func(string)) {
-	if u, ok := d.UserByID(usersID); ok {
+	if u, ok := db.Users.ByID(d, usersID); ok {
 		add("user:" + u.Login)
 	}
 }

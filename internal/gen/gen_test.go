@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -234,10 +235,10 @@ func TestNFSCredentialsRestrictedByValue3(t *testing.T) {
 	_ = clk
 	// Restrict one NFS host's credentials to the dbadmin list.
 	d.LockExclusive()
-	hosts := d.ServerHostsOf("NFS")
-	hosts[0].Value3 = "dbadmin"
-	d.NoteUpdate(hosts[0])
-	m, _ := d.MachineByID(hosts[0].MachID)
+	host, _ := db.ServerHosts.Get(d, "NFS")
+	host.Value3 = "dbadmin"
+	d.NoteUpdate(host)
+	m, _ := db.Machines.ByID(d, host.MachID)
 	d.UnlockExclusive()
 
 	res, err := Generate(d, NFSIncremental)
@@ -305,7 +306,7 @@ func TestZephyrACLFiles(t *testing.T) {
 			t.Errorf("acl line %q is not a login", line)
 			continue
 		}
-		if !d.HasMember(ops.ListID, db.ACEUser, u.UsersID) {
+		if !slices.Contains(d.MembersOf(ops.ListID), db.Member{ListID: ops.ListID, MemberType: db.ACEUser, MemberID: u.UsersID}) {
 			t.Errorf("acl line %q is not an operator", line)
 		}
 	}

@@ -37,20 +37,20 @@ var hesiodReads = []extract.Read{
 	// pobox lines.
 	on(db.TMachine, machineName, func(d *db.DB, mach *db.Machine, add func(string)) {
 		add("machine:" + mach.Name)
-		d.EachFilesys(func(f *db.Filesys) bool {
+		db.Filesystems.Each(d, func(f *db.Filesys) bool {
 			if f.MachID == mach.MachID {
 				add("filesys:" + f.Label)
 				add("fsalias")
 			}
 			return true
 		})
-		d.EachPrintcap(func(p *db.Printcap) bool {
+		db.Printcaps.Each(d, func(p *db.Printcap) bool {
 			if p.MachID == mach.MachID {
 				add("printer:" + p.Name)
 			}
 			return true
 		})
-		d.EachServerHost(func(sh *db.ServerHost) bool {
+		db.ServerHosts.Each(d, func(sh *db.ServerHost) bool {
 			if sh.MachID == mach.MachID {
 				add("sloc:" + sh.Service + ":" + mach.Name)
 			}
@@ -65,12 +65,12 @@ var hesiodReads = []extract.Read{
 		clusterMachines(d, c.CluID, add)
 	}),
 	on(db.TMCMap, whole[db.MCMap], func(d *db.DB, mc *db.MCMap, add func(string)) {
-		if mach, ok := d.MachineByID(mc.MachID); ok {
+		if mach, ok := db.Machines.ByID(d, mc.MachID); ok {
 			add("machine:" + mach.Name)
 		}
 	}),
 	on(db.TSvc, whole[db.SvcData], func(d *db.DB, s *db.SvcData, add func(string)) {
-		if c, ok := d.ClusterByID(s.CluID); ok {
+		if c, ok := db.Clusters.ByID(d, s.CluID); ok {
 			add("cluster:" + c.Name)
 			clusterMachines(d, s.CluID, add)
 		}
@@ -103,7 +103,7 @@ var hesiodReads = []extract.Read{
 	on(db.TServerHosts, func(sh *db.ServerHost) db.ServerHost {
 		return db.ServerHost{Service: sh.Service, MachID: sh.MachID}
 	}, func(d *db.DB, sh *db.ServerHost, add func(string)) {
-		if mach, ok := d.MachineByID(sh.MachID); ok {
+		if mach, ok := db.Machines.ByID(d, sh.MachID); ok {
 			add("sloc:" + sh.Service + ":" + mach.Name)
 		}
 	}),
@@ -111,11 +111,12 @@ var hesiodReads = []extract.Read{
 
 // clusterMachines adds the "machine:" keys of a cluster's machines.
 func clusterMachines(d *db.DB, cluID int, add func(string)) {
-	for _, id := range d.MachinesOfCluster(cluID) {
-		if mach, ok := d.MachineByID(id); ok {
+	db.MCMapsByCluster.Each(d, cluID, func(mc *db.MCMap) bool {
+		if mach, ok := db.Machines.ByID(d, mc.MachID); ok {
 			add("machine:" + mach.Name)
 		}
-	}
+		return true
+	})
 }
 
 // popUsers adds the "user:" keys of the users whose post office is the
@@ -161,7 +162,7 @@ func hesiodBuild(d *db.DB) (*extract.Model, error) {
 		return true
 	})
 	seenLabel := map[string]bool{}
-	d.EachFilesys(func(f *db.Filesys) bool {
+	db.Filesystems.Each(d, func(f *db.Filesys) bool {
 		if !seenLabel[f.Label] {
 			seenLabel[f.Label] = true
 			hesiodEmit(d, m, "filesys:"+f.Label)
@@ -169,25 +170,25 @@ func hesiodBuild(d *db.DB) (*extract.Model, error) {
 		return true
 	})
 	hesiodEmit(d, m, "fsalias")
-	d.EachCluster(func(c *db.Cluster) bool {
+	db.Clusters.Each(d, func(c *db.Cluster) bool {
 		hesiodEmit(d, m, "cluster:"+c.Name)
 		return true
 	})
-	d.EachMachine(func(mach *db.Machine) bool {
+	db.Machines.Each(d, func(mach *db.Machine) bool {
 		hesiodEmit(d, m, "machine:"+mach.Name)
 		return true
 	})
-	d.EachPrintcap(func(p *db.Printcap) bool {
+	db.Printcaps.Each(d, func(p *db.Printcap) bool {
 		hesiodEmit(d, m, "printer:"+p.Name)
 		return true
 	})
-	d.EachService(func(s *db.Service) bool {
+	db.Services.Each(d, func(s *db.Service) bool {
 		hesiodEmit(d, m, "service:"+s.Name)
 		return true
 	})
 	hesiodEmit(d, m, "svcalias")
-	d.EachServerHost(func(sh *db.ServerHost) bool {
-		if mach, ok := d.MachineByID(sh.MachID); ok {
+	db.ServerHosts.Each(d, func(sh *db.ServerHost) bool {
+		if mach, ok := db.Machines.ByID(d, sh.MachID); ok {
 			hesiodEmit(d, m, "sloc:"+sh.Service+":"+mach.Name)
 		}
 		return true
@@ -220,7 +221,7 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 		cnameLine(&b, fmt.Sprintf("%d.uid", u.UID), u.Login+".passwd")
 		m.Emit("uid.db", sk, key, []byte(b.String()))
 		if u.PoType == db.PoboxPOP {
-			if mach, ok := d.MachineByID(u.PopID); ok {
+			if mach, ok := db.Machines.ByID(d, u.PopID); ok {
 				b.Reset()
 				hsLine(&b, u.Login+".pobox", fmt.Sprintf("POP %s %s", mach.Name, u.Login))
 				m.Emit("pobox.db", sk, key, []byte(b.String()))
@@ -250,46 +251,44 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 		m.Emit("gid.db", sk, key, []byte(b.String()))
 
 	case "filesys":
-		for _, f := range d.FilesysByLabel(name) {
-			mach, ok := d.MachineByID(f.MachID)
-			if !ok {
-				continue
+		db.Filesystems.Under(d, name, func(f *db.Filesys) bool {
+			if mach, ok := db.Machines.ByID(d, f.MachID); ok {
+				var b strings.Builder
+				hsLine(&b, f.Label+".filsys", fmt.Sprintf("%s %s %s %s %s",
+					f.Type, f.Name, shortHost(mach.Name), f.Access, f.Mount))
+				m.Emit("filsys.db", extract.K(0, f.FilsysID), key, []byte(b.String()))
 			}
-			var b strings.Builder
-			hsLine(&b, f.Label+".filsys", fmt.Sprintf("%s %s %s %s %s",
-				f.Type, f.Name, shortHost(mach.Name), f.Access, f.Mount))
-			m.Emit("filsys.db", extract.K(0, f.FilsysID), key, []byte(b.String()))
-		}
+			return true
+		})
 
 	case "fsalias":
 		// Filesystem aliases resolve to the real filesystem's data; the
 		// whole alias section is one key, ordered after the real entries.
 		i := 0
-		d.EachAlias(func(a db.Alias) bool {
+		db.Aliases.Each(d, func(a *db.Alias) bool {
 			if a.Type != "FILESYS" {
 				return true
 			}
-			for _, f := range d.FilesysByLabel(a.Trans) {
-				mach, ok := d.MachineByID(f.MachID)
-				if !ok {
-					continue
+			db.Filesystems.Under(d, a.Trans, func(f *db.Filesys) bool {
+				if mach, ok := db.Machines.ByID(d, f.MachID); ok {
+					var b strings.Builder
+					hsLine(&b, a.Name+".filsys", fmt.Sprintf("%s %s %s %s %s",
+						f.Type, f.Name, shortHost(mach.Name), f.Access, f.Mount))
+					m.Emit("filsys.db", extract.K(1, i), key, []byte(b.String()))
+					i++
 				}
-				var b strings.Builder
-				hsLine(&b, a.Name+".filsys", fmt.Sprintf("%s %s %s %s %s",
-					f.Type, f.Name, shortHost(mach.Name), f.Access, f.Mount))
-				m.Emit("filsys.db", extract.K(1, i), key, []byte(b.String()))
-				i++
-			}
+				return true
+			})
 			return true
 		})
 
 	case "cluster":
-		c, ok := d.ClusterByName(name)
+		c, ok := db.Clusters.Get(d, name)
 		if !ok {
 			return
 		}
 		i := 0
-		d.EachSvc(func(s db.SvcData) bool {
+		db.Svc.Each(d, func(s *db.SvcData) bool {
 			if s.CluID == c.CluID {
 				var b strings.Builder
 				hsLine(&b, c.Name+".cluster", s.ServLabel+" "+s.ServCluster)
@@ -302,16 +301,20 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 	case "machine":
 		// Machine CNAMEs into cluster.db; machines in several clusters
 		// get a union pseudo-cluster block (section 5.8.2).
-		mach, ok := d.MachineByName(name)
+		mach, ok := db.Machines.Get(d, name)
 		if !ok {
 			return
 		}
-		clusters := d.ClustersOfMachine(mach.MachID)
+		var clusters []int
+		db.MCMapsByMachine.Each(d, mach.MachID, func(mc *db.MCMap) bool {
+			clusters = append(clusters, mc.CluID)
+			return true
+		})
 		var b strings.Builder
 		switch len(clusters) {
 		case 0:
 		case 1:
-			if c, ok := d.ClusterByID(clusters[0]); ok {
+			if c, ok := db.Clusters.ByID(d, clusters[0]); ok {
 				cnameLine(&b, mach.Name+".cluster", c.Name+".cluster")
 				m.Emit("cluster.db", extract.K(1, mach.MachID, 0), key, []byte(b.String()))
 			}
@@ -319,8 +322,8 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 			pseudo := shortHost(mach.Name) + "-pseudo"
 			i := 0
 			for _, cid := range clusters {
-				if c, ok := d.ClusterByID(cid); ok {
-					d.EachSvc(func(s db.SvcData) bool {
+				if c, ok := db.Clusters.ByID(d, cid); ok {
+					db.Svc.Each(d, func(s *db.SvcData) bool {
 						if s.CluID == c.CluID {
 							b.Reset()
 							hsLine(&b, pseudo+".cluster", s.ServLabel+" "+s.ServCluster)
@@ -337,11 +340,11 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 		}
 
 	case "printer":
-		p, ok := d.PrintcapByName(name)
+		p, ok := db.Printcaps.Get(d, name)
 		if !ok {
 			return
 		}
-		mach, ok := d.MachineByID(p.MachID)
+		mach, ok := db.Machines.ByID(d, p.MachID)
 		if !ok {
 			return
 		}
@@ -351,7 +354,7 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 		m.Emit("printcap.db", extract.K(p.Name), key, []byte(b.String()))
 
 	case "service":
-		s, ok := d.ServiceByName(name)
+		s, ok := db.Services.Get(d, name)
 		if !ok {
 			return
 		}
@@ -362,11 +365,11 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 
 	case "svcalias":
 		i := 0
-		d.EachAlias(func(a db.Alias) bool {
+		db.Aliases.Each(d, func(a *db.Alias) bool {
 			if a.Type != "SERVICE" {
 				return true
 			}
-			if s, ok := d.ServiceByName(a.Trans); ok {
+			if s, ok := db.Services.Get(d, a.Trans); ok {
 				var b strings.Builder
 				hsLine(&b, a.Name+".service", fmt.Sprintf("%s %s %d",
 					s.Name, strings.ToLower(s.Protocol), s.Port))
@@ -381,15 +384,14 @@ func hesiodEmit(d *db.DB, m *extract.Model, key string) {
 		if !ok {
 			return
 		}
-		for _, sh := range d.ServerHostsOf(svc) {
-			mach, ok := d.MachineByID(sh.MachID)
-			if !ok || mach.Name != machName {
-				continue
+		db.ServerHosts.Under(d, svc, func(sh *db.ServerHost) bool {
+			if mach, ok := db.Machines.ByID(d, sh.MachID); ok && mach.Name == machName {
+				line := fmt.Sprintf("%s.sloc HS UNSPECA %s\n", sh.Service, mach.Name)
+				// The file is plain-sorted lines; the line is its own sort key.
+				m.Emit("sloc.db", line, key, []byte(line))
 			}
-			line := fmt.Sprintf("%s.sloc HS UNSPECA %s\n", sh.Service, mach.Name)
-			// The file is plain-sorted lines; the line is its own sort key.
-			m.Emit("sloc.db", line, key, []byte(line))
-		}
+			return true
+		})
 	}
 }
 

@@ -14,12 +14,12 @@ var kloginReads = []extract.Read{
 	on(db.THostAccess, func(h *db.HostAccess) db.HostAccess {
 		return db.HostAccess{MachID: h.MachID, ACLType: h.ACLType, ACLID: h.ACLID}
 	}, func(d *db.DB, h *db.HostAccess, add func(string)) {
-		if mach, ok := d.MachineByID(h.MachID); ok {
+		if mach, ok := db.Machines.ByID(d, h.MachID); ok {
 			add("host:" + mach.Name)
 		}
 	}),
 	on(db.TMachine, machineName, func(d *db.DB, mach *db.Machine, add func(string)) {
-		if _, ok := d.HostAccessOf(mach.MachID); ok {
+		if _, ok := db.HostAccesses.ByID(d, mach.MachID); ok {
 			add("host:" + mach.Name)
 		}
 	}),
@@ -35,8 +35,8 @@ var kloginReads = []extract.Read{
 // member (mtype, mid).
 func hostsReaching(d *db.DB, mtype string, mid int, add func(string)) {
 	reach := reaches(d, mtype, mid)
-	d.EachHostAccess(func(h *db.HostAccess) bool {
-		if mach, ok := d.MachineByID(h.MachID); ok && reach(h.ACLType, h.ACLID) {
+	db.HostAccesses.Each(d, func(h *db.HostAccess) bool {
+		if mach, ok := db.Machines.ByID(d, h.MachID); ok && reach(h.ACLType, h.ACLID) {
 			add("host:" + mach.Name)
 		}
 		return true
@@ -57,8 +57,8 @@ func KLogin(realm string) *Incremental {
 		ReadList: kloginReads,
 		BuildFn: func(d *db.DB) (*extract.Model, error) {
 			m := extract.NewModel()
-			d.EachHostAccess(func(h *db.HostAccess) bool {
-				if mach, ok := d.MachineByID(h.MachID); ok {
+			db.HostAccesses.Each(d, func(h *db.HostAccess) bool {
+				if mach, ok := db.Machines.ByID(d, h.MachID); ok {
 					emit(d, m, "host:"+mach.Name)
 				}
 				return true
@@ -72,17 +72,17 @@ func KLogin(realm string) *Incremental {
 // kloginEmit renders one host's .klogin into the model.
 func kloginEmit(d *db.DB, m *extract.Model, key, realm string) {
 	_, name, _ := strings.Cut(key, ":")
-	mach, ok := d.MachineByName(name)
+	mach, ok := db.Machines.Get(d, name)
 	if !ok {
 		return
 	}
-	h, ok := d.HostAccessOf(mach.MachID)
+	h, ok := db.HostAccesses.ByID(d, mach.MachID)
 	if !ok {
 		return
 	}
 	var b strings.Builder
 	line := func(usersID int) {
-		if u, ok := d.UserByID(usersID); ok && u.Status == db.UserActive {
+		if u, ok := db.Users.ByID(d, usersID); ok && u.Status == db.UserActive {
 			b.WriteString(u.Login + ".@" + realm + "\n")
 		}
 	}

@@ -28,7 +28,7 @@ var mailReads = []extract.Read{
 	}),
 	// A parent names a maillist member and flattens any other list.
 	on(db.TMembers, whole[db.Member], func(d *db.DB, m *db.Member, add func(string)) {
-		if l, ok := d.ListByID(m.ListID); ok {
+		if l, ok := db.Lists.ByID(d, m.ListID); ok {
 			add("list:" + l.Name)
 		}
 		upListKeys(d, db.ACEList, m.ListID, add)
@@ -88,15 +88,15 @@ func mailBuild(d *db.DB) (*extract.Model, error) {
 func mailMemberAddr(d *db.DB, mem db.Member) string {
 	switch mem.MemberType {
 	case db.ACEUser:
-		if u, ok := d.UserByID(mem.MemberID); ok {
+		if u, ok := db.Users.ByID(d, mem.MemberID); ok {
 			return u.Login
 		}
 	case db.ACEList:
-		if l, ok := d.ListByID(mem.MemberID); ok {
+		if l, ok := db.Lists.ByID(d, mem.MemberID); ok {
 			return l.Name
 		}
 	case db.ACEString:
-		if s, ok := d.StringByID(mem.MemberID); ok {
+		if s, ok := db.Strings.ByID(d, mem.MemberID); ok {
 			return s.String
 		}
 	}
@@ -124,18 +124,18 @@ func mailEmit(d *db.DB, m *extract.Model, key string) {
 		fmt.Fprintf(&b, "# %s\n", l.Desc)
 		switch l.ACLType {
 		case db.ACEUser:
-			if u, ok := d.UserByID(l.ACLID); ok {
+			if u, ok := db.Users.ByID(d, l.ACLID); ok {
 				fmt.Fprintf(&b, "owner-%s: %s\n", l.Name, u.Login)
 			}
 		case db.ACEList:
-			if owner, ok := d.ListByID(l.ACLID); ok && owner.ListID != l.ListID {
+			if owner, ok := db.Lists.ByID(d, l.ACLID); ok && owner.ListID != l.ListID {
 				fmt.Fprintf(&b, "owner-%s: %s\n", l.Name, owner.Name)
 			}
 		}
 		var addrs []string
 		for _, mem := range d.MembersOf(l.ListID) {
 			if mem.MemberType == db.ACEList {
-				if sub, ok := d.ListByID(mem.MemberID); ok && !(sub.Active && sub.Maillist) {
+				if sub, ok := db.Lists.ByID(d, mem.MemberID); ok && !(sub.Active && sub.Maillist) {
 					// Flatten a non-maillist sublist.
 					for _, em := range acl.ExpandMembers(d, sub.ListID) {
 						if a := mailMemberAddr(d, em); a != "" {
@@ -159,12 +159,12 @@ func mailEmit(d *db.DB, m *extract.Model, key string) {
 		}
 		switch u.PoType {
 		case db.PoboxPOP:
-			if mach, ok := d.MachineByID(u.PopID); ok {
+			if mach, ok := db.Machines.ByID(d, u.PopID); ok {
 				line := fmt.Sprintf("%s: %s@%s\n", u.Login, u.Login, localPO(mach.Name))
 				m.Emit("aliases", extract.K(1, u.UsersID), key, []byte(line))
 			}
 		case db.PoboxSMTP:
-			if s, ok := d.StringByID(u.BoxID); ok {
+			if s, ok := db.Strings.ByID(d, u.BoxID); ok {
 				line := fmt.Sprintf("%s: %s\n", u.Login, s.String)
 				m.Emit("aliases", extract.K(1, u.UsersID), key, []byte(line))
 			}

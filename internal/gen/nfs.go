@@ -25,10 +25,11 @@ var nfsReads = []extract.Read{
 	on(db.TUsers, func(u *db.User) db.User {
 		return db.User{Login: u.Login, UID: u.UID}
 	}, func(d *db.DB, u *db.User, add func(string)) {
-		for _, q := range d.QuotasOfUser(u.UsersID) {
+		db.QuotasByUser.Each(d, u.UsersID, func(q *db.NFSQuota) bool {
 			quotaKey(d, q, add)
-		}
-		d.EachFilesys(func(f *db.Filesys) bool {
+			return true
+		})
+		db.Filesystems.Each(d, func(f *db.Filesys) bool {
 			if f.Owner == u.UsersID {
 				add("filesys:" + f.Label)
 			}
@@ -49,7 +50,7 @@ var nfsReads = []extract.Read{
 				add("shcred:" + h.mach.Name)
 			}
 		}
-		d.EachFilesys(func(f *db.Filesys) bool {
+		db.Filesystems.Each(d, func(f *db.Filesys) bool {
 			if f.Owners == l.ListID {
 				add("filesys:" + f.Label)
 			}
@@ -73,7 +74,7 @@ var nfsReads = []extract.Read{
 	}, func(_ *db.DB, f *db.Filesys, add func(string)) { add("filesys:" + f.Label) }),
 	// A relabel moves the keys of the quota lines on the filesystem.
 	on(db.TFilesys, func(f *db.Filesys) string { return f.Label }, func(d *db.DB, f *db.Filesys, add func(string)) {
-		d.EachQuota(func(q *db.NFSQuota) bool {
+		db.Quotas.Each(d, func(q *db.NFSQuota) bool {
 			if q.FilsysID == f.FilsysID {
 				quotaKey(d, q, add)
 			}
@@ -84,16 +85,16 @@ var nfsReads = []extract.Read{
 	on(db.TNFSPhys, func(p *db.NFSPhys) db.NFSPhys {
 		return db.NFSPhys{MachID: p.MachID, Dir: p.Dir}
 	}, func(d *db.DB, p *db.NFSPhys, add func(string)) {
-		if mach, ok := d.MachineByID(p.MachID); ok {
+		if mach, ok := db.Machines.ByID(d, p.MachID); ok {
 			add("host:" + mach.Name)
 		}
-		d.EachQuota(func(q *db.NFSQuota) bool {
+		db.Quotas.Each(d, func(q *db.NFSQuota) bool {
 			if q.PhysID == p.NFSPhysID {
 				quotaKey(d, q, add)
 			}
 			return true
 		})
-		d.EachFilesys(func(f *db.Filesys) bool {
+		db.Filesystems.Each(d, func(f *db.Filesys) bool {
 			if f.PhysID == p.NFSPhysID {
 				add("filesys:" + f.Label)
 			}
@@ -117,8 +118,8 @@ var nfsReads = []extract.Read{
 
 // quotaKey adds the key of a quota row's line.
 func quotaKey(d *db.DB, q *db.NFSQuota, add func(string)) {
-	u, uok := d.UserByID(q.UsersID)
-	f, fok := d.FilesysByID(q.FilsysID)
+	u, uok := db.Users.ByID(d, q.UsersID)
+	f, fok := db.Filesystems.ByID(d, q.FilsysID)
 	if uok && fok {
 		add("quota:" + f.Label + ":" + u.Login)
 	}
@@ -128,19 +129,20 @@ func quotaKey(d *db.DB, q *db.NFSQuota, add func(string)) {
 // reaches the member (mtype, mid).
 func scopedHosts(d *db.DB, mtype string, mid int, add func(string)) {
 	var reach func(string, int) bool
-	for _, sh := range d.ServerHostsOf("NFS") {
+	db.ServerHosts.Under(d, "NFS", func(sh *db.ServerHost) bool {
 		if !sh.Enable || sh.Value3 == "" {
-			continue
+			return true
 		}
 		if reach == nil {
 			reach = reaches(d, mtype, mid)
 		}
 		l, lok := d.ListByName(sh.Value3)
-		mach, mok := d.MachineByID(sh.MachID)
+		mach, mok := db.Machines.ByID(d, sh.MachID)
 		if lok && mok && reach(db.ACEList, l.ListID) {
 			add("shcred:" + mach.Name)
 		}
-	}
+		return true
+	})
 }
 
 // partFileBase converts a partition mount point to the base of its
@@ -172,14 +174,12 @@ type nfsHostRow struct {
 // nfsHostRows lists the enabled NFS server hosts whose machine exists.
 func nfsHostRows(d *db.DB) []nfsHostRow {
 	var out []nfsHostRow
-	for _, sh := range d.ServerHostsOf("NFS") {
-		if !sh.Enable {
-			continue
-		}
-		if mach, ok := d.MachineByID(sh.MachID); ok {
+	db.ServerHosts.Under(d, "NFS", func(sh *db.ServerHost) bool {
+		if mach, ok := db.Machines.ByID(d, sh.MachID); ok && sh.Enable {
 			out = append(out, nfsHostRow{sh, mach})
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -225,16 +225,16 @@ func nfsBuild(d *db.DB) (*extract.Model, error) {
 		nfsEmit(d, m, "user:"+u.Login)
 		return true
 	})
-	d.EachQuota(func(q *db.NFSQuota) bool {
-		u, uok := d.UserByID(q.UsersID)
-		f, fok := d.FilesysByID(q.FilsysID)
+	db.Quotas.Each(d, func(q *db.NFSQuota) bool {
+		u, uok := db.Users.ByID(d, q.UsersID)
+		f, fok := db.Filesystems.ByID(d, q.FilsysID)
 		if uok && fok {
 			nfsEmit(d, m, "quota:"+f.Label+":"+u.Login)
 		}
 		return true
 	})
 	seenLabel := map[string]bool{}
-	d.EachFilesys(func(f *db.Filesys) bool {
+	db.Filesystems.Each(d, func(f *db.Filesys) bool {
 		if !seenLabel[f.Label] {
 			seenLabel[f.Label] = true
 			nfsEmit(d, m, "filesys:"+f.Label)
@@ -256,7 +256,7 @@ func nfsEmit(d *db.DB, m *extract.Model, key string) {
 			return
 		}
 		m.Emit(name+"/credentials", "", key, nil)
-		d.EachNFSPhys(func(p *db.NFSPhys) bool {
+		db.Partitions.Each(d, func(p *db.NFSPhys) bool {
 			if p.MachID == h.sh.MachID {
 				base := partFileBase(p.Dir)
 				m.Emit(name+"/"+base+".quotas", "", key, nil)
@@ -295,7 +295,7 @@ func nfsEmit(d *db.DB, m *extract.Model, key string) {
 			if mem.MemberType != db.ACEUser {
 				continue
 			}
-			if u, ok := d.UserByID(mem.MemberID); ok && u.Status == db.UserActive {
+			if u, ok := db.Users.ByID(d, mem.MemberID); ok && u.Status == db.UserActive {
 				m.Emit(name+"/credentials", extract.K(i), key, []byte(nfsCredLine(d, u)))
 				i++
 			}
@@ -310,52 +310,54 @@ func nfsEmit(d *db.DB, m *extract.Model, key string) {
 		if !uok {
 			return
 		}
-		for _, f := range d.FilesysByLabel(label) {
-			q, ok := d.QuotaOf(u.UsersID, f.FilsysID)
+		db.Filesystems.Under(d, label, func(f *db.Filesys) bool {
+			q, ok := db.QuotasByFilesys.Find(d, f.FilsysID, func(q *db.NFSQuota) bool { return q.UsersID == u.UsersID })
 			if !ok {
-				continue
+				return true
 			}
-			p, ok := d.NFSPhysByID(q.PhysID)
+			p, ok := db.Partitions.ByID(d, q.PhysID)
 			if !ok {
-				continue
+				return true
 			}
 			h, ok := nfsHostOfMach(d, p.MachID)
 			if !ok {
-				continue
+				return true
 			}
 			line := fmt.Sprintf("%d %d\n", u.UID, q.Quota)
 			// The file is plain-sorted lines; the line leads the sort
 			// key, ids break ties between identical lines.
 			m.Emit(h.mach.Name+"/"+partFileBase(p.Dir)+".quotas",
 				extract.K(line, u.UsersID, f.FilsysID), key, []byte(line))
-		}
+			return true
+		})
 
 	case "filesys":
 		// Directory (locker) lines for auto-created NFS filesystems.
-		for _, f := range d.FilesysByLabel(name) {
+		db.Filesystems.Under(d, name, func(f *db.Filesys) bool {
 			if f.Type != db.FSTypeNFS || !f.CreateFlg {
-				continue
+				return true
 			}
-			p, ok := d.NFSPhysByID(f.PhysID)
+			p, ok := db.Partitions.ByID(d, f.PhysID)
 			if !ok {
-				continue
+				return true
 			}
 			h, ok := nfsHostOfMach(d, p.MachID)
 			if !ok {
-				continue
+				return true
 			}
 			ownerUID := 0
-			if u, ok := d.UserByID(f.Owner); ok {
+			if u, ok := db.Users.ByID(d, f.Owner); ok {
 				ownerUID = u.UID
 			}
 			ownerGID := 0
-			if l, ok := d.ListByID(f.Owners); ok {
+			if l, ok := db.Lists.ByID(d, f.Owners); ok {
 				ownerGID = l.GID
 			}
 			line := fmt.Sprintf("%s %d %d %s\n", f.Name, ownerUID, ownerGID, f.LockerType)
 			m.Emit(h.mach.Name+"/"+partFileBase(p.Dir)+".dirs",
 				extract.K(f.FilsysID), key, []byte(line))
-		}
+			return true
+		})
 	}
 }
 

@@ -32,7 +32,7 @@ var zephyrReads = []extract.Read{
 // to the member (mtype, mid).
 func classesReaching(d *db.DB, mtype string, mid int, add func(string)) {
 	reach := reaches(d, mtype, mid)
-	d.EachZephyr(func(z *db.ZephyrClass) bool {
+	db.ZephyrClasses.Each(d, func(z *db.ZephyrClass) bool {
 		if reach(z.XmtType, z.XmtID) || reach(z.SubType, z.SubID) ||
 			reach(z.IwsType, z.IwsID) || reach(z.IuiType, z.IuiID) {
 			add("class:" + z.Class)
@@ -56,7 +56,7 @@ var ZephyrIncremental = &Incremental{
 // zephyrBuild enumerates the whole key domain and emits each key.
 func zephyrBuild(d *db.DB) (*extract.Model, error) {
 	m := extract.NewModel()
-	d.EachZephyr(func(z *db.ZephyrClass) bool {
+	db.ZephyrClasses.Each(d, func(z *db.ZephyrClass) bool {
 		zephyrEmit(d, m, "class:"+z.Class)
 		return true
 	})
@@ -69,14 +69,14 @@ func zephyrEmit(d *db.DB, m *extract.Model, key string) {
 	if !ok {
 		return
 	}
-	z, ok := d.ZephyrByClass(name)
+	z, ok := db.ZephyrClasses.Get(d, name)
 	if !ok {
 		return
 	}
 	renderACE := func(aceType string, aceID int) ([]byte, bool) {
 		switch aceType {
 		case db.ACEUser:
-			if u, ok := d.UserByID(aceID); ok {
+			if u, ok := db.Users.ByID(d, aceID); ok {
 				return []byte(u.Login + "\n"), true
 			}
 			return []byte{}, true
@@ -85,11 +85,11 @@ func zephyrEmit(d *db.DB, m *extract.Model, key string) {
 			for _, mem := range acl.ExpandMembers(d, aceID) {
 				switch mem.MemberType {
 				case db.ACEUser:
-					if u, ok := d.UserByID(mem.MemberID); ok {
+					if u, ok := db.Users.ByID(d, mem.MemberID); ok {
 						b.WriteString(u.Login + "\n")
 					}
 				case db.ACEString:
-					if s, ok := d.StringByID(mem.MemberID); ok {
+					if s, ok := db.Strings.ByID(d, mem.MemberID); ok {
 						b.WriteString(s.String + "\n")
 					}
 				}

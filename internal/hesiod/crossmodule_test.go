@@ -55,7 +55,7 @@ func TestGeneratedFilesAlwaysParse(t *testing.T) {
 		t.Errorf("checked only %d users", checked)
 	}
 	// Every filesystem label resolves in filsys.
-	d.EachFilesys(func(f *db.Filesys) bool {
+	db.Filesystems.Each(d, func(f *db.Filesys) bool {
 		if _, ok := s.Resolve(f.Label + ".filsys"); !ok {
 			t.Errorf("%s.filsys unresolvable", f.Label)
 			return false

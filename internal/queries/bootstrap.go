@@ -102,7 +102,7 @@ func Bootstrap(d *db.DB) error {
 	defer d.UnlockExclusive()
 
 	for _, a := range bootstrapAliases {
-		if err := d.AddAlias(a[0], a[1], a[2]); err != nil {
+		if err := db.Aliases.Insert(d, &db.Alias{Name: a[0], Type: a[1], Trans: a[2]}); err != nil {
 			return err
 		}
 	}
@@ -113,7 +113,7 @@ func Bootstrap(d *db.DB) error {
 	if err != nil {
 		return err
 	}
-	if err := d.InsertUser(&db.User{
+	if err := db.Users.Insert(d, &db.User{
 		UsersID: rootID, Login: RootUser, UID: 0, Shell: "/bin/csh",
 		Last: "Operator", First: "Root", Status: db.UserActive,
 		Fullname: "Root Operator", PoType: db.PoboxNone, Mod: mod, FMod: mod, PMod: mod,
@@ -128,7 +128,7 @@ func Bootstrap(d *db.DB) error {
 	if err != nil {
 		return err
 	}
-	if err := d.InsertUser(&db.User{
+	if err := db.Users.Insert(d, &db.User{
 		UsersID: adminID, Login: AdminUser, UID: uid, Shell: "/bin/csh",
 		Last: "Daemon", First: "Moira", Status: db.UserActive,
 		Fullname: "Moira Daemon", PoType: db.PoboxNone, Mod: mod, FMod: mod, PMod: mod,
@@ -140,7 +140,7 @@ func Bootstrap(d *db.DB) error {
 	if err != nil {
 		return err
 	}
-	if err := d.InsertList(&db.List{
+	if err := db.Lists.Insert(d, &db.List{
 		ListID: listID, Name: AdminList, Active: true,
 		Desc: "database administrators", ACLType: db.ACEList, ACLID: listID,
 		Mod: mod,
@@ -156,7 +156,7 @@ func Bootstrap(d *db.DB) error {
 
 	for _, q := range All() {
 		if q.Kind != Retrieve {
-			d.SetCapACL(q.Name, q.Short, listID)
+			db.CapACLs.Upsert(d, &db.CapACL{Capability: q.Name, Tag: q.Short, ListID: listID})
 		}
 	}
 	for _, name := range readQueriesNeedingACL {
@@ -164,7 +164,7 @@ func Bootstrap(d *db.DB) error {
 		if !ok {
 			continue
 		}
-		d.SetCapACL(q.Name, q.Short, listID)
+		db.CapACLs.Upsert(d, &db.CapACL{Capability: q.Name, Tag: q.Short, ListID: listID})
 	}
 	return nil
 }

@@ -222,7 +222,7 @@ func TestGetFilesysByLabelProbesIndex(t *testing.T) {
 	f.d.LockExclusive()
 	for order := 1; order <= 2; order++ {
 		id, _ := f.d.AllocID("filsys_id")
-		if err := f.d.InsertFilesys(&db.Filesys{FilsysID: id, Label: "multi", Order: order, Type: db.FSTypeRVD, Name: "pack" + strconv.Itoa(order), Mount: "/mit/multi", Access: "r"}); err != nil {
+		if err := db.Filesystems.Insert(f.d, &db.Filesys{FilsysID: id, Label: "multi", Order: order, Type: db.FSTypeRVD, Name: "pack" + strconv.Itoa(order), Mount: "/mit/multi", Access: "r"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,6 +270,45 @@ func TestServerHostAccessCanonicalizesMachine(t *testing.T) {
 		out, err := f.run(f.priv, "get_server_host_access", spelled)
 		if err != nil || len(out) != 1 || out[0][0] != "SUOMI.MIT.EDU" {
 			t.Errorf("get_server_host_access %q = %v, %v", spelled, out, err)
+		}
+	}
+}
+
+// TestServerAndZephyrPatternsUseNameIndex: a wildcard service or zephyr
+// class pattern, whether a retrieval's or an argument that must name one
+// row, is a range scan of the relation's ordered name index, never a
+// scan of the whole relation.
+func TestServerAndZephyrPatternsUseNameIndex(t *testing.T) {
+	f := newFixture(t)
+	for _, s := range []string{"HESIOD", "HOSTS"} {
+		f.mustRun(t, f.priv, "add_server_info", s, "60", "/t", "/d", "UNIQUE", "1", "NONE", "NONE")
+	}
+	for _, c := range []string{"MAIL", "MOIRA"} {
+		f.mustRun(t, f.priv, "add_zephyr_class", c, "NONE", "NONE", "NONE", "NONE", "NONE", "NONE", "NONE", "NONE")
+	}
+	user := f.userCtx("nobody")
+	for _, c := range []struct {
+		cx    *Context
+		query string
+		args  []string
+		rows  int
+		err   error
+	}{
+		{f.priv, "get_server_info", []string{"H*"}, 2, nil},
+		{f.priv, "get_server_info", []string{"h*"}, 2, nil},
+		{user, "get_server_info", []string{"H*"}, 0, mrerr.MrPerm},
+		{f.priv, "reset_server_error", []string{"H*"}, 0, mrerr.MrNotUnique},
+		{f.priv, "get_zephyr_class", []string{"M*"}, 2, nil},
+		{f.priv, "delete_zephyr_class", []string{"M*"}, 0, mrerr.MrNotUnique},
+	} {
+		_, r0, s0 := f.d.LookupStats()
+		out, err := f.run(c.cx, c.query, c.args...)
+		_, r1, s1 := f.d.LookupStats()
+		if err != c.err || len(out) != c.rows {
+			t.Errorf("%s %v: %d rows, %v; want %d rows, %v", c.query, c.args, len(out), err, c.rows, c.err)
+		}
+		if s1 != s0 || r1 == r0 {
+			t.Errorf("%s %v: %d scans and %d range scans; want no scan", c.query, c.args, s1-s0, r1-r0)
 		}
 	}
 }

@@ -95,7 +95,7 @@ func TestCrashRecoveryAtEveryPoint(t *testing.T) {
 			assertSameTables(t, ref.d, rec)
 
 			rec.LockShared()
-			_, gotC := rec.MachineByName("CHARLIE.MIT.EDU")
+			_, gotC := db.Machines.Get(rec, "CHARLIE.MIT.EDU")
 			rec.UnlockShared()
 			if gotC != tc.wantC {
 				t.Errorf("opC survived = %v, want %v", gotC, tc.wantC)
@@ -104,18 +104,18 @@ func TestCrashRecoveryAtEveryPoint(t *testing.T) {
 			// Index-derived results: recovery rebuilds the secondary
 			// indexes from the restored rows plus journal replay, so
 			// wildcard retrieval (ordered name index) and snapshot reads
-			// must see exactly the committed machines, in mach_id order.
+			// must see exactly the committed machines, in name order.
 			wantNames := []string{"ALPHA.MIT.EDU", "BRAVO.MIT.EDU"}
 			if tc.wantC {
 				wantNames = append(wantNames, "CHARLIE.MIT.EDU")
 			}
-			rec.LockShared()
-			ms := rec.MachinesMatchingName("*.MIT.EDU")
-			rec.UnlockShared()
 			var gotNames []string
-			for _, m := range ms {
+			rec.LockShared()
+			db.Machines.Match(rec, "*.MIT.EDU", func(m *db.Machine) bool {
 				gotNames = append(gotNames, m.Name)
-			}
+				return true
+			})
+			rec.UnlockShared()
 			if len(gotNames) != len(wantNames) {
 				t.Fatalf("recovered wildcard match = %v, want %v", gotNames, wantNames)
 			}
@@ -125,8 +125,10 @@ func TestCrashRecoveryAtEveryPoint(t *testing.T) {
 				}
 			}
 			snap := rec.Reader()
-			if got := snap.MachinesMatchingName("*.MIT.EDU"); len(got) != len(wantNames) {
-				t.Errorf("recovered snapshot wildcard match has %d rows, want %d", len(got), len(wantNames))
+			got := 0
+			db.Machines.Match(snap, "*.MIT.EDU", func(*db.Machine) bool { got++; return true })
+			if got != len(wantNames) {
+				t.Errorf("recovered snapshot wildcard match has %d rows, want %d", got, len(wantNames))
 			}
 		})
 	}

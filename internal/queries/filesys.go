@@ -18,7 +18,7 @@ var (
 // filesys adds f's row.
 func (r *Req) filesys(f *db.Filesys) {
 	d, mname := r.DB, "???"
-	if m, ok := d.MachineByID(f.MachID); ok {
+	if m, ok := db.Machines.ByID(d, f.MachID); ok {
 		mname = m.Name
 	}
 	r.Row(txt(f.Label), txt(f.Type), txt(mname), txt(f.Name), txt(f.Mount), txt(f.Access), txt(f.Comments),
@@ -28,7 +28,7 @@ func (r *Req) filesys(f *db.Filesys) {
 
 // filesystems adds every filesystem keep accepts.
 func (r *Req) filesystems(keep func(f *db.Filesys) bool) {
-	r.DB.EachFilesys(func(f *db.Filesys) bool {
+	db.Filesystems.Each(r.DB, func(f *db.Filesys) bool {
 		if keep(f) {
 			r.filesys(f)
 		}
@@ -45,9 +45,9 @@ func (r *Req) nfsphys(p *db.NFSPhys, mname string) {
 // after the name: the NFS packname is resolved against the machine's
 // exported partitions.
 var filesysArgs = []Arg{
-	typed("fstype", "filesys", mrerr.MrFSType), one("machine", relMachine, mrerr.MrMachine),
+	typed("fstype", "filesys", mrerr.MrFSType), machineArg("machine", mrerr.MrMachine),
 	{Name: "packname", Kind: aPack}, arg("mountpoint"), arg("access"), arg("comments"),
-	exact("owner", relUser, mrerr.MrUser), exact("owners", relList, mrerr.MrList),
+	exact("owner", db.Users, mrerr.MrUser), exact("owners", db.Lists, mrerr.MrList),
 	flag("create"), typed("lockertype", "lockertype", mrerr.MrType),
 }
 
@@ -60,9 +60,9 @@ func nfsPack(r *Req, i int) error {
 		return nil
 	}
 	d, mach, pack := r.DB, obj[db.Machine](r, i-1).MachID, r.s[i]
-	p, ok := d.NFSPhysByMachDir(mach, pack)
+	p, ok := partitionAt(d, mach, pack)
 	if !ok {
-		d.EachNFSPhys(func(q *db.NFSPhys) bool {
+		db.Partitions.Each(d, func(q *db.NFSPhys) bool {
 			if q.MachID == mach && len(pack) > len(q.Dir) &&
 				pack[:len(q.Dir)] == q.Dir && pack[len(q.Dir)] == '/' {
 				p, ok = q, true
@@ -81,12 +81,17 @@ func nfsPack(r *Req, i int) error {
 	return nil
 }
 
+// partitionAt finds the partition exporting dir on the machine: a scan.
+func partitionAt(d *db.DB, machID int, dir string) (*db.NFSPhys, bool) {
+	return db.Partitions.First(d, func(p *db.NFSPhys) bool { return p.MachID == machID && p.Dir == dir })
+}
+
 // partition is a partition directory on the machine in argument 0.
 func partition(name string, err error) Arg { return Arg{Name: name, Kind: aPhys, Err: err} }
 
 func init() {
-	machine := one("machine", relMachine, mrerr.MrMachine)
-	fsys, login := one("filesys", relFilesys, nil), one("login", relUser, mrerr.MrUser)
+	machine := machineArg("machine", mrerr.MrMachine)
+	fsys, login := one("filesys", db.Filesystems, nil), one("login", db.Users, mrerr.MrUser)
 	quotaArgs := []Arg{fsys, login, {Name: "quota", Kind: aNonNeg}}
 	register([]Query{
 		{Name: "get_filesys_by_label", Short: "gfsl", In: []Arg{arg("name")}, Rows: filesysRow, Access: Anyone,
@@ -96,9 +101,10 @@ func init() {
 					return nil
 				}
 				// An exact label probes the label index.
-				for _, f := range r.DB.FilesysByLabel(r.s[0]) {
+				db.Filesystems.Under(r.DB, r.s[0], func(f *db.Filesys) bool {
 					r.filesys(f)
-				}
+					return true
+				})
 				return nil
 			}},
 		{Name: "get_filesys_by_machine", Short: "gfsm", In: []Arg{machine}, Rows: filesysRow, Access: Anyone,
@@ -114,20 +120,20 @@ func init() {
 				})
 				return nil
 			}},
-		{Name: "get_filesys_by_group", Short: "gfsg", In: []Arg{exact("list", relList, mrerr.MrList)},
+		{Name: "get_filesys_by_group", Short: "gfsg", In: []Arg{exact("list", db.Lists, mrerr.MrList)},
 			Rows: filesysRow, Access: custom(gfsgAccess),
 			Do: func(r *Req) error {
 				r.filesystems(func(f *db.Filesys) bool { return f.Owners == obj[db.List](r, 0).ListID })
 				return nil
 			}},
 		{Name: "add_filesys", Short: "afil", Kind: Append,
-			In: append([]Arg{fresh("name", relFilesys, mrerr.MrFilesysExists)}, filesysArgs...),
+			In: append([]Arg{fresh("name", db.Filesystems, mrerr.MrFilesysExists)}, filesysArgs...),
 			Do: func(r *Req) error {
 				id, err := r.DB.AllocID("filsys_id")
 				if err != nil {
 					return err
 				}
-				return r.DB.InsertFilesys(&db.Filesys{
+				return db.Filesystems.Insert(r.DB, &db.Filesys{
 					FilsysID: id, Label: r.s[0], PhysID: r.n[3], Type: r.s[1],
 					MachID: obj[db.Machine](r, 2).MachID, Name: r.s[3], Mount: r.s[4], Access: r.s[5],
 					Comments: r.s[6], Owner: obj[db.User](r, 7).UsersID, Owners: obj[db.List](r, 8).ListID,
@@ -135,10 +141,10 @@ func init() {
 				})
 			}},
 		{Name: "update_filesys", Short: "ufil", Kind: Update,
-			In: append([]Arg{one("name", relFilesys, nil), rename("newname", relFilesys)}, filesysArgs...),
+			In: append([]Arg{one("name", db.Filesystems, nil), rename("newname", db.Filesystems)}, filesysArgs...),
 			Do: func(r *Req) error {
 				f := obj[db.Filesys](r, 0)
-				r.DB.SetFilesysLabel(f, r.s[1])
+				db.SetKey(r.DB, db.Filesystems, f, &f.Label, r.s[1])
 				f.Type, f.MachID, f.PhysID = r.s[2], obj[db.Machine](r, 3).MachID, r.n[4]
 				f.Name, f.Mount, f.Access, f.Comments = r.s[4], r.s[5], r.s[6], r.s[7]
 				f.Owner, f.Owners = obj[db.User](r, 8).UsersID, obj[db.List](r, 9).ListID
@@ -147,34 +153,30 @@ func init() {
 				r.DB.NoteUpdate(f)
 				return nil
 			}},
-		{Name: "delete_filesys", Short: "dfil", Kind: Delete, In: []Arg{one("name", relFilesys, nil)},
+		{Name: "delete_filesys", Short: "dfil", Kind: Delete, In: []Arg{one("name", db.Filesystems, nil)},
 			Do: func(r *Req) error {
 				d, f := r.DB, obj[db.Filesys](r, 0)
 				// Drop quotas on the filesystem and return their allocation.
 				var drop []*db.NFSQuota
-				d.EachQuota(func(q *db.NFSQuota) bool {
-					if q.FilsysID == f.FilsysID {
-						drop = append(drop, q)
-					}
+				db.QuotasByFilesys.Each(d, f.FilsysID, func(q *db.NFSQuota) bool {
+					drop = append(drop, q)
 					return true
 				})
 				for _, q := range drop {
-					if p, ok := d.NFSPhysByID(q.PhysID); ok {
+					if p, ok := db.Partitions.ByID(d, q.PhysID); ok {
 						p.Allocated -= q.Quota
 						d.NoteUpdate(p)
 					}
-					if err := d.DeleteQuota(q.UsersID, q.FilsysID); err != nil {
-						return mrerr.MrInternal
-					}
+					db.Quotas.Delete(d, q)
 				}
-				d.DeleteFilesys(f)
+				db.Filesystems.Delete(d, f)
 				return nil
 			}},
 		{Name: "get_all_nfsphys", Short: "ganf", Rows: nfsphysRow, Access: Anyone,
 			Do: func(r *Req) error {
-				r.DB.EachNFSPhys(func(p *db.NFSPhys) bool {
+				db.Partitions.Each(r.DB, func(p *db.NFSPhys) bool {
 					mname := "???"
-					if m, ok := r.DB.MachineByID(p.MachID); ok {
+					if m, ok := db.Machines.ByID(r.DB, p.MachID); ok {
 						mname = m.Name
 					}
 					r.nfsphys(p, mname)
@@ -185,7 +187,7 @@ func init() {
 		{Name: "get_nfsphys", Short: "gnfp", In: []Arg{machine, arg("dir")}, Rows: nfsphysRow, Access: Anyone,
 			Do: func(r *Req) error {
 				m := obj[db.Machine](r, 0)
-				r.DB.EachNFSPhys(func(p *db.NFSPhys) bool {
+				db.Partitions.Each(r.DB, func(p *db.NFSPhys) bool {
 					if p.MachID == m.MachID && wildcard.Match(r.s[1], p.Dir) {
 						r.nfsphys(p, m.Name)
 					}
@@ -200,7 +202,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				return r.DB.InsertNFSPhys(&db.NFSPhys{
+				return db.Partitions.Insert(r.DB, &db.NFSPhys{
 					NFSPhysID: id, MachID: obj[db.Machine](r, 0).MachID, Dir: r.s[1], Device: r.s[2],
 					Status: r.n[3], Allocated: r.n[4], Size: r.n[5], Mod: r.modInfo(),
 				})
@@ -226,14 +228,14 @@ func init() {
 		{Name: "delete_nfsphys", Short: "dnfp", Kind: Delete, In: []Arg{machine, partition("dir", mrerr.MrNFSPhys)},
 			Do: func(r *Req) error {
 				p, inUse := obj[db.NFSPhys](r, 1), false
-				r.DB.EachFilesys(func(f *db.Filesys) bool {
+				db.Filesystems.Each(r.DB, func(f *db.Filesys) bool {
 					inUse = f.Type == db.FSTypeNFS && f.PhysID == p.NFSPhysID
 					return !inUse
 				})
 				if inUse {
 					return mrerr.MrInUse
 				}
-				r.DB.DeleteNFSPhys(p)
+				db.Partitions.Delete(r.DB, p)
 				return nil
 			}},
 		{Name: "get_nfs_quota", Short: "gnfq", In: []Arg{arg("filesys"), login},
@@ -241,15 +243,15 @@ func init() {
 			Access: custom(gnfqAccess),
 			Do: func(r *Req) error {
 				d, u := r.DB, obj[db.User](r, 1)
-				d.EachQuota(func(q *db.NFSQuota) bool {
-					f, ok := d.FilesysByID(q.FilsysID)
+				db.Quotas.Each(d, func(q *db.NFSQuota) bool {
+					f, ok := db.Filesystems.ByID(d, q.FilsysID)
 					if q.UsersID != u.UsersID || !ok || !wildcard.Match(r.s[0], f.Label) {
 						return true
 					}
 					dir, mname := "", "???"
-					if p, ok := d.NFSPhysByID(q.PhysID); ok {
+					if p, ok := db.Partitions.ByID(d, q.PhysID); ok {
 						dir = p.Dir
-						if m, ok := d.MachineByID(p.MachID); ok {
+						if m, ok := db.Machines.ByID(d, p.MachID); ok {
 							mname = m.Name
 						}
 					}
@@ -262,13 +264,13 @@ func init() {
 			Rows: Columns("filesys login quota:int directory machine"), Access: Anyone,
 			Do: func(r *Req) error {
 				d, m := r.DB, obj[db.Machine](r, 0)
-				d.EachQuota(func(q *db.NFSQuota) bool {
-					p, ok := d.NFSPhysByID(q.PhysID)
+				db.Quotas.Each(d, func(q *db.NFSQuota) bool {
+					p, ok := db.Partitions.ByID(d, q.PhysID)
 					if !ok || p.MachID != m.MachID || !wildcard.Match(r.s[1], p.Dir) {
 						return true
 					}
-					f, fok := d.FilesysByID(q.FilsysID)
-					u, uok := d.UserByID(q.UsersID)
+					f, fok := db.Filesystems.ByID(d, q.FilsysID)
+					u, uok := db.Users.ByID(d, q.UsersID)
 					if fok && uok {
 						r.Row(txt(f.Label), txt(u.Login), dec(q.Quota), txt(p.Dir), txt(m.Name))
 					}
@@ -279,13 +281,13 @@ func init() {
 		{Name: "add_nfs_quota", Short: "anfq", Kind: Append, In: quotaArgs,
 			Do: func(r *Req) error {
 				f, quota := obj[db.Filesys](r, 0), r.n[2]
-				if err := r.DB.InsertQuota(&db.NFSQuota{
+				if err := db.Quotas.Insert(r.DB, &db.NFSQuota{
 					UsersID: obj[db.User](r, 1).UsersID, FilsysID: f.FilsysID, PhysID: f.PhysID,
 					Quota: quota, Mod: r.modInfo(),
 				}); err != nil {
 					return err
 				}
-				if p, ok := r.DB.NFSPhysByID(f.PhysID); ok {
+				if p, ok := db.Partitions.ByID(r.DB, f.PhysID); ok {
 					p.Allocated += quota
 					r.DB.NoteUpdate(p)
 				}
@@ -293,11 +295,12 @@ func init() {
 			}},
 		{Name: "update_nfs_quota", Short: "unfq", Kind: Update, In: quotaArgs,
 			Do: func(r *Req) error {
-				q, ok := r.DB.QuotaOf(obj[db.User](r, 1).UsersID, obj[db.Filesys](r, 0).FilsysID)
+				u := obj[db.User](r, 1)
+				q, ok := db.QuotasByFilesys.Find(r.DB, obj[db.Filesys](r, 0).FilsysID, func(q *db.NFSQuota) bool { return q.UsersID == u.UsersID })
 				if !ok {
 					return mrerr.MrNoMatch
 				}
-				if p, ok := r.DB.NFSPhysByID(q.PhysID); ok {
+				if p, ok := db.Partitions.ByID(r.DB, q.PhysID); ok {
 					p.Allocated += r.n[2] - q.Quota
 					r.DB.NoteUpdate(p)
 				}
@@ -308,15 +311,16 @@ func init() {
 		{Name: "delete_nfs_quota", Short: "dnfq", Kind: Delete, In: []Arg{fsys, login},
 			Do: func(r *Req) error {
 				u, f := obj[db.User](r, 1), obj[db.Filesys](r, 0)
-				q, ok := r.DB.QuotaOf(u.UsersID, f.FilsysID)
+				q, ok := db.QuotasByFilesys.Find(r.DB, f.FilsysID, func(q *db.NFSQuota) bool { return q.UsersID == u.UsersID })
 				if !ok {
 					return mrerr.MrNoMatch
 				}
-				if p, ok := r.DB.NFSPhysByID(q.PhysID); ok {
+				if p, ok := db.Partitions.ByID(r.DB, q.PhysID); ok {
 					p.Allocated -= q.Quota
 					r.DB.NoteUpdate(p)
 				}
-				return r.DB.DeleteQuota(u.UsersID, f.FilsysID)
+				db.Quotas.Delete(r.DB, q)
+				return nil
 			}},
 	})
 }
@@ -344,7 +348,7 @@ func gnfqAccess(r *Req) error {
 		return nil
 	}
 	if !wildcard.HasWildcards(r.Args[0]) {
-		if o, n := find(r.DB, relFilesys, r.Args[0], true); n == 1 {
+		if o, n := db.Filesystems.Resolve(r.DB, r.Args[0], false); n == 1 {
 			f := o.(*db.Filesys)
 			if r.UserID != 0 && (f.Owner == r.UserID || acl.IsUserInList(r.DB, f.Owners, r.UserID)) {
 				return nil

@@ -105,33 +105,23 @@ func TestFuzzedDatabaseStaysConsistent(t *testing.T) {
 	}
 
 	d := f.d
+	// Memberships reference live objects: fsck's member audit checks
+	// each membership's list and member.
+	for _, bad := range d.Fsck() {
+		if bad.Table == db.TMembers {
+			t.Errorf("membership: %v", bad)
+		}
+	}
 	d.LockShared()
 	defer d.UnlockShared()
-	// Memberships reference live objects.
-	d.EachMembership(func(m db.Member) bool {
-		if _, ok := d.ListByID(m.ListID); !ok {
-			t.Errorf("membership on dead list %d", m.ListID)
-		}
-		switch m.MemberType {
-		case db.ACEUser:
-			if _, ok := d.UserByID(m.MemberID); !ok {
-				t.Errorf("membership of dead user %d", m.MemberID)
-			}
-		case db.ACEList:
-			if _, ok := d.ListByID(m.MemberID); !ok {
-				t.Errorf("membership of dead list %d", m.MemberID)
-			}
-		}
-		return true
-	})
 	// Quota accounting: the sum of quotas on each partition equals its
 	// allocated counter, no matter what order the fuzz applied.
 	perPhys := map[int]int{}
-	d.EachQuota(func(q *db.NFSQuota) bool {
+	db.Quotas.Each(d, func(q *db.NFSQuota) bool {
 		perPhys[q.PhysID] += q.Quota
 		return true
 	})
-	d.EachNFSPhys(func(p *db.NFSPhys) bool {
+	db.Partitions.Each(d, func(p *db.NFSPhys) bool {
 		if p.Allocated != perPhys[p.NFSPhysID] {
 			t.Errorf("partition %d: allocated %d, quota sum %d",
 				p.NFSPhysID, p.Allocated, perPhys[p.NFSPhysID])
@@ -139,11 +129,11 @@ func TestFuzzedDatabaseStaysConsistent(t *testing.T) {
 		return true
 	})
 	// Every filesystem's owner and server still exist.
-	d.EachFilesys(func(fs *db.Filesys) bool {
-		if _, ok := d.UserByID(fs.Owner); !ok {
+	db.Filesystems.Each(d, func(fs *db.Filesys) bool {
+		if _, ok := db.Users.ByID(d, fs.Owner); !ok {
 			t.Errorf("filesys %s has dead owner", fs.Label)
 		}
-		if _, ok := d.MachineByID(fs.MachID); !ok {
+		if _, ok := db.Machines.ByID(d, fs.MachID); !ok {
 			t.Errorf("filesys %s has dead machine", fs.Label)
 		}
 		return true

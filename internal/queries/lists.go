@@ -35,7 +35,7 @@ func member(intern bool) []Arg {
 }
 
 func init() {
-	list := one("list", relList, nil)
+	list := one("list", db.Lists, nil)
 	register([]Query{
 		{Name: "get_list_info", Short: "glin", In: []Arg{arg("list")}, Rows: listInfo, Access: Anyone,
 			Do: func(r *Req) error {
@@ -43,16 +43,18 @@ func init() {
 				if wildcard.HasWildcards(r.s[0]) && !onQueryACL {
 					return mrerr.MrPerm
 				}
-				ls := r.DB.ListsMatchingName(r.s[0])
-				if len(ls) == 0 {
-					return mrerr.MrNoMatch
-				}
-				for _, l := range ls {
+				found := false
+				db.Lists.Match(r.DB, r.s[0], func(l *db.List) bool {
+					found = true
 					if !l.Hidden || onQueryACL || onListACE(r.Context, l) {
 						r.Row(txt(l.Name), bit(l.Active), bit(l.Public), bit(l.Hidden), bit(l.Maillist),
 							bit(l.Group), dec(l.GID), txt(l.ACLType), txt(acl.NameOfACE(r.DB, l.ACLType, l.ACLID)),
 							txt(l.Desc), dec(l.Mod.Time), txt(l.Mod.By), txt(l.Mod.With))
 					}
+					return true
+				})
+				if !found {
+					return mrerr.MrNoMatch
 				}
 				if len(r.buf) == 0 {
 					return mrerr.MrPerm
@@ -61,15 +63,16 @@ func init() {
 			}},
 		{Name: "expand_list_names", Short: "exln", In: []Arg{arg("list")}, Rows: listNames, Access: Anyone,
 			Do: func(r *Req) error {
-				for _, l := range r.DB.ListsMatchingName(r.s[0]) {
+				db.Lists.Match(r.DB, r.s[0], func(l *db.List) bool {
 					if !l.Hidden || r.onACL(r.q.Name) || onListACE(r.Context, l) {
 						r.Row(txt(l.Name))
 					}
-				}
+					return true
+				})
 				return nil
 			}},
 		{Name: "add_list", Short: "alis", Kind: Append,
-			In: append([]Arg{fresh("list", relList, mrerr.MrExists)}, listFlags(1, 0)...),
+			In: append([]Arg{fresh("list", db.Lists, mrerr.MrExists)}, listFlags(1, 0)...),
 			Do: func(r *Req) error {
 				id, err := r.DB.AllocID("list_id")
 				if err != nil {
@@ -79,14 +82,14 @@ func init() {
 				if aceID < 0 {
 					aceID = id
 				}
-				return r.DB.InsertList(&db.List{
+				return db.Lists.Insert(r.DB, &db.List{
 					ListID: id, Name: r.s[0], Active: r.flag(1), Public: r.flag(2),
 					Hidden: r.flag(3), Maillist: r.flag(4), Group: r.flag(5), GID: r.n[6],
 					Desc: r.s[9], ACLType: r.s[7], ACLID: aceID, Mod: r.modInfo(),
 				})
 			}},
 		{Name: "update_list", Short: "ulis", Kind: Update, Access: listACE(0),
-			In: append([]Arg{list, rename("newname", relList)}, listFlags(2, 1)...),
+			In: append([]Arg{list, rename("newname", db.Lists)}, listFlags(2, 1)...),
 			Do: func(r *Req) error {
 				l := obj[db.List](r, 0)
 				aceID := r.n[8]
@@ -94,7 +97,7 @@ func init() {
 					aceID = l.ListID
 				}
 				if r.s[1] != l.Name {
-					r.DB.RenameList(l, r.s[1])
+					db.SetKey(r.DB, db.Lists, l, &l.Name, r.s[1])
 				}
 				l.Active, l.Public, l.Hidden = r.flag(2), r.flag(3), r.flag(4)
 				l.Maillist, l.Group, l.GID = r.flag(5), r.flag(6), r.n[7]
@@ -222,8 +225,8 @@ func memberResolve(d *db.DB, mtype, name string, intern bool) (int, error) {
 		}
 		return l.ListID, nil
 	case db.ACEString:
-		if id, ok := d.StringID(name); ok {
-			return id, nil
+		if s, ok := db.Strings.Get(d, name); ok {
+			return s.StringID, nil
 		}
 		if !intern {
 			return 0, mrerr.MrNoMatch
@@ -238,15 +241,15 @@ func memberResolve(d *db.DB, mtype, name string, intern bool) (int, error) {
 func memberName(d *db.DB, mtype string, id int) string {
 	switch mtype {
 	case db.ACEUser:
-		if u, ok := d.UserByID(id); ok {
+		if u, ok := db.Users.ByID(d, id); ok {
 			return u.Login
 		}
 	case db.ACEList:
-		if l, ok := d.ListByID(id); ok {
+		if l, ok := db.Lists.ByID(d, id); ok {
 			return l.Name
 		}
 	case db.ACEString:
-		if s, ok := d.StringByID(id); ok {
+		if s, ok := db.Strings.ByID(d, id); ok {
 			return s.String
 		}
 	}
@@ -355,7 +358,7 @@ func listsOfMember(r *Req) error {
 
 // listFlags adds list lid's get_lists_of_member row.
 func (r *Req) listFlags(lid int) {
-	if l, ok := r.DB.ListByID(lid); ok {
+	if l, ok := db.Lists.ByID(r.DB, lid); ok {
 		r.Row(txt(l.Name), bit(l.Active), bit(l.Public), bit(l.Hidden), bit(l.Maillist), bit(l.Group))
 	}
 }

@@ -24,56 +24,54 @@ func (r *Req) setZephyrACEs(z *db.ZephyrClass, i int) {
 }
 
 func init() {
-	machine := one("machine", relMachine, mrerr.MrMachine)
+	machine := machineArg("machine", mrerr.MrMachine)
 	hostACE := []Arg{machine, ace("ace_type"), arg("ace_name")}
 	register([]Query{
 		{Name: "get_zephyr_class", Short: "gzcl", In: []Arg{arg("class")}, Access: Anyone,
 			Rows: Columns("class xmt_type xmt_name sub_type sub_name iws_type iws_name iui_type iui_name modtime:time modby modwith"),
 			Do: func(r *Req) error {
 				d := r.DB
-				d.EachZephyr(func(z *db.ZephyrClass) bool {
-					if wildcard.Match(r.s[0], z.Class) {
-						r.Row(txt(z.Class),
-							txt(z.XmtType), txt(acl.NameOfACE(d, z.XmtType, z.XmtID)),
-							txt(z.SubType), txt(acl.NameOfACE(d, z.SubType, z.SubID)),
-							txt(z.IwsType), txt(acl.NameOfACE(d, z.IwsType, z.IwsID)),
-							txt(z.IuiType), txt(acl.NameOfACE(d, z.IuiType, z.IuiID)),
-							dec(z.Mod.Time), txt(z.Mod.By), txt(z.Mod.With))
-					}
+				db.ZephyrClasses.Match(d, r.s[0], func(z *db.ZephyrClass) bool {
+					r.Row(txt(z.Class),
+						txt(z.XmtType), txt(acl.NameOfACE(d, z.XmtType, z.XmtID)),
+						txt(z.SubType), txt(acl.NameOfACE(d, z.SubType, z.SubID)),
+						txt(z.IwsType), txt(acl.NameOfACE(d, z.IwsType, z.IwsID)),
+						txt(z.IuiType), txt(acl.NameOfACE(d, z.IuiType, z.IuiID)),
+						dec(z.Mod.Time), txt(z.Mod.By), txt(z.Mod.With))
 					return true
 				})
 				return nil
 			}},
 		{Name: "add_zephyr_class", Short: "azcl", Kind: Append,
-			In: append([]Arg{fresh("class", relZephyr, mrerr.MrExists)}, zephyrACEs...),
+			In: append([]Arg{fresh("class", db.ZephyrClasses, mrerr.MrExists)}, zephyrACEs...),
 			Do: func(r *Req) error {
 				z := &db.ZephyrClass{Class: r.s[0], Mod: r.modInfo()}
 				r.setZephyrACEs(z, 1)
-				return r.DB.InsertZephyr(z)
+				return db.ZephyrClasses.Insert(r.DB, z)
 			}},
 		{Name: "update_zephyr_class", Short: "uzcl", Kind: Update,
-			In: append([]Arg{one("class", relZephyr, nil), rename("newclass", relZephyr)}, zephyrACEs...),
+			In: append([]Arg{one("class", db.ZephyrClasses, nil), rename("newclass", db.ZephyrClasses)}, zephyrACEs...),
 			Do: func(r *Req) error {
 				z := obj[db.ZephyrClass](r, 0)
 				if r.s[1] != z.Class {
-					r.DB.RenameZephyr(z, r.s[1])
+					db.SetKey(r.DB, db.ZephyrClasses, z, &z.Class, r.s[1])
 				}
 				r.setZephyrACEs(z, 2)
 				z.Mod = r.modInfo()
 				r.DB.NoteUpdate(z)
 				return nil
 			}},
-		{Name: "delete_zephyr_class", Short: "dzcl", Kind: Delete, In: []Arg{one("class", relZephyr, nil)},
+		{Name: "delete_zephyr_class", Short: "dzcl", Kind: Delete, In: []Arg{one("class", db.ZephyrClasses, nil)},
 			Do: func(r *Req) error {
-				r.DB.DeleteZephyr(obj[db.ZephyrClass](r, 0))
+				db.ZephyrClasses.Delete(r.DB, obj[db.ZephyrClass](r, 0))
 				return nil
 			}},
 		{Name: "get_server_host_access", Short: "gsha", In: []Arg{pattern("machine", hostname)}, Access: Anyone,
 			Rows: Columns("machine ace_type ace_name modtime:time modby modwith"),
 			Do: func(r *Req) error {
 				d := r.DB
-				d.EachHostAccess(func(h *db.HostAccess) bool {
-					if m, ok := d.MachineByID(h.MachID); ok && wildcard.Match(r.s[0], m.Name) {
+				db.HostAccesses.Each(d, func(h *db.HostAccess) bool {
+					if m, ok := db.Machines.ByID(d, h.MachID); ok && wildcard.Match(r.s[0], m.Name) {
 						r.Row(txt(m.Name), txt(h.ACLType), txt(acl.NameOfACE(d, h.ACLType, h.ACLID)),
 							dec(h.Mod.Time), txt(h.Mod.By), txt(h.Mod.With))
 					}
@@ -83,12 +81,12 @@ func init() {
 			}},
 		{Name: "add_server_host_access", Short: "asha", Kind: Append, In: hostACE,
 			Do: func(r *Req) error {
-				return r.DB.InsertHostAccess(&db.HostAccess{
+				return db.HostAccesses.Insert(r.DB, &db.HostAccess{
 					MachID: obj[db.Machine](r, 0).MachID, ACLType: r.s[1], ACLID: r.n[1], Mod: r.modInfo(),
 				})
 			}},
 		{Name: "update_server_host_access", Short: "usha", Kind: Update,
-			In: []Arg{{Name: "machine", Kind: aHostAccess}, ace("ace_type"), arg("ace_name")},
+			In: []Arg{{Name: "machine", Kind: aHostAccess, Canon: hostname, Rel: db.Machines}, ace("ace_type"), arg("ace_name")},
 			Do: func(r *Req) error {
 				h := obj[db.HostAccess](r, 0)
 				h.ACLType, h.ACLID, h.Mod = r.s[1], r.n[1], r.modInfo()
@@ -96,29 +94,36 @@ func init() {
 				return nil
 			}},
 		{Name: "delete_server_host_access", Short: "dsha", Kind: Delete, In: []Arg{machine},
-			Do: func(r *Req) error { return r.DB.DeleteHostAccess(obj[db.Machine](r, 0).MachID) }},
+			Do: func(r *Req) error {
+				h, ok := db.HostAccesses.ByID(r.DB, obj[db.Machine](r, 0).MachID)
+				if !ok {
+					return mrerr.MrNoMatch
+				}
+				db.HostAccesses.Delete(r.DB, h)
+				return nil
+			}},
 		{Name: "add_service", Short: "asvc", Kind: Append,
-			In: []Arg{fresh("service", relService, mrerr.MrExists),
+			In: []Arg{fresh("service", db.Services, mrerr.MrExists),
 				{Name: "protocol", Kind: aType, Canon: upper, Field: "protocol", Err: mrerr.MrType},
 				num("port"), arg("description")},
 			Do: func(r *Req) error {
-				return r.DB.InsertService(&db.Service{
+				return db.Services.Insert(r.DB, &db.Service{
 					Name: r.s[0], Protocol: r.s[1], Port: r.n[2], Desc: r.s[3], Mod: r.modInfo(),
 				})
 			}},
-		{Name: "delete_service", Short: "dsvc", Kind: Delete, In: []Arg{exact("service", relService, mrerr.MrNoMatch)},
+		{Name: "delete_service", Short: "dsvc", Kind: Delete, In: []Arg{exact("service", db.Services, mrerr.MrNoMatch)},
 			Do: func(r *Req) error {
-				r.DB.DeleteService(obj[db.Service](r, 0))
+				db.Services.Delete(r.DB, obj[db.Service](r, 0))
 				return nil
 			}},
 		{Name: "get_printcap", Short: "gpcp", In: []Arg{arg("printer")}, Access: Anyone,
 			Rows: Columns("printer spool_host spool_directory rprinter comments modtime:time modby modwith"),
 			Do: func(r *Req) error {
 				d := r.DB
-				d.EachPrintcap(func(p *db.Printcap) bool {
+				db.Printcaps.Each(d, func(p *db.Printcap) bool {
 					if wildcard.Match(r.s[0], p.Name) {
 						mname := "???"
-						if m, ok := d.MachineByID(p.MachID); ok {
+						if m, ok := db.Machines.ByID(d, p.MachID); ok {
 							mname = m.Name
 						}
 						r.Row(txt(p.Name), txt(mname), txt(p.Dir), txt(p.RP), txt(p.Comments), dec(p.Mod.Time), txt(p.Mod.By), txt(p.Mod.With))
@@ -128,23 +133,23 @@ func init() {
 				return nil
 			}},
 		{Name: "add_printcap", Short: "apcp", Kind: Append,
-			In: []Arg{fresh("printer", relPrintcap, mrerr.MrExists), one("spool_host", relMachine, mrerr.MrMachine),
+			In: []Arg{fresh("printer", db.Printcaps, mrerr.MrExists), machineArg("spool_host", mrerr.MrMachine),
 				arg("spool_directory"), arg("rprinter"), arg("comments")},
 			Do: func(r *Req) error {
-				return r.DB.InsertPrintcap(&db.Printcap{
+				return db.Printcaps.Insert(r.DB, &db.Printcap{
 					Name: r.s[0], MachID: obj[db.Machine](r, 1).MachID, Dir: r.s[2], RP: r.s[3],
 					Comments: r.s[4], Mod: r.modInfo(),
 				})
 			}},
-		{Name: "delete_printcap", Short: "dpcp", Kind: Delete, In: []Arg{exact("printer", relPrintcap, mrerr.MrNoMatch)},
+		{Name: "delete_printcap", Short: "dpcp", Kind: Delete, In: []Arg{exact("printer", db.Printcaps, mrerr.MrNoMatch)},
 			Do: func(r *Req) error {
-				r.DB.DeletePrintcap(obj[db.Printcap](r, 0))
+				db.Printcaps.Delete(r.DB, obj[db.Printcap](r, 0))
 				return nil
 			}},
 		{Name: "get_alias", Short: "gali", In: []Arg{arg("name"), arg("type"), arg("translation")},
 			Rows: Columns("name type translation"), Access: Anyone,
 			Do: func(r *Req) error {
-				r.DB.EachAlias(func(a db.Alias) bool {
+				db.Aliases.Each(r.DB, func(a *db.Alias) bool {
 					if wildcard.Match(r.s[0], a.Name) && wildcard.Match(r.s[1], a.Type) && wildcard.Match(r.s[2], a.Trans) {
 						r.Row(txt(a.Name), txt(a.Type), txt(a.Trans))
 					}
@@ -156,9 +161,19 @@ func init() {
 		// alias of a type not registered under "alias".
 		{Name: "add_alias", Short: "aali", Kind: Append,
 			In: []Arg{arg("name"), typed("type", "alias", mrerr.MrType), arg("translation")},
-			Do: func(r *Req) error { return r.DB.AddAlias(r.s[0], r.s[1], r.s[2]) }},
+			Do: func(r *Req) error {
+				return db.Aliases.Insert(r.DB, &db.Alias{Name: r.s[0], Type: r.s[1], Trans: r.s[2]})
+			}},
 		{Name: "delete_alias", Short: "dali", Kind: Delete, In: []Arg{arg("name"), arg("type"), arg("translation")},
-			Do: func(r *Req) error { return r.DB.DeleteAlias(r.s[0], r.s[1], r.s[2]) }},
+			Do: func(r *Req) error {
+				want := db.Alias{Name: r.s[0], Type: r.s[1], Trans: r.s[2]}
+				a, ok := db.Aliases.First(r.DB, func(a *db.Alias) bool { return *a == want })
+				if !ok {
+					return mrerr.MrNoMatch
+				}
+				db.Aliases.Delete(r.DB, a)
+				return nil
+			}},
 		{Name: "get_value", Short: "gval", In: []Arg{arg("variable")}, Rows: Columns("value:int"), Access: Anyone,
 			Do: func(r *Req) error {
 				v, err := r.DB.GetValue(r.s[0])

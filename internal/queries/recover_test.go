@@ -174,10 +174,10 @@ func TestRecoverToleratesTornFinalLine(t *testing.T) {
 		t.Errorf("applied = %d, want 1 (bravo)", info.Replay.Applied)
 	}
 	rec.LockShared()
-	if _, ok := rec.MachineByName("BRAVO.MIT.EDU"); !ok {
+	if _, ok := db.Machines.Get(rec, "BRAVO.MIT.EDU"); !ok {
 		t.Error("intact record lost")
 	}
-	if _, ok := rec.MachineByName("CHARLIE.MIT.EDU"); ok {
+	if _, ok := db.Machines.Get(rec, "CHARLIE.MIT.EDU"); ok {
 		t.Error("torn record was executed")
 	}
 	rec.UnlockShared()
@@ -247,7 +247,7 @@ func TestRecoverIdempotentAcrossBoots(t *testing.T) {
 	}
 	d2.LockShared()
 	for _, m := range []string{"ALPHA.MIT.EDU", "CHARLIE.MIT.EDU"} {
-		if _, ok := d2.MachineByName(m); !ok {
+		if _, ok := db.Machines.Get(d2, m); !ok {
 			t.Errorf("second boot lost %s", m)
 		}
 	}
@@ -338,7 +338,7 @@ func TestRecoverFallsBackPastDamagedSnapshot(t *testing.T) {
 		t.Errorf("skipped snapshots = %v, want the damaged generation 2", info.SkippedSnapshots)
 	}
 	rec.LockShared()
-	_, ok := rec.MachineByName("BRAVO.MIT.EDU")
+	_, ok := db.Machines.Get(rec, "BRAVO.MIT.EDU")
 	rec.UnlockShared()
 	if !ok {
 		t.Error("fallback recovery lost the post-gen-1 record")
@@ -412,8 +412,8 @@ func TestDetachedJournalRefusesMutations(t *testing.T) {
 		t.Fatalf("batch on detached store = %v, %v; want one MR_READONLY", codes, err)
 	}
 	d.LockShared()
-	_, alpha := d.MachineByName("ALPHA.MIT.EDU")
-	_, bravo := d.MachineByName("BRAVO.MIT.EDU")
+	_, alpha := db.Machines.Get(d, "ALPHA.MIT.EDU")
+	_, bravo := db.Machines.Get(d, "BRAVO.MIT.EDU")
 	d.UnlockShared()
 	if alpha || bravo {
 		t.Fatalf("refused mutations applied in memory (alpha %v, bravo %v)", alpha, bravo)
@@ -469,7 +469,7 @@ func TestRecoverRoundTripUnderConcurrentMutation(t *testing.T) {
 	n := 0
 	for g := 0; g < 4; g++ {
 		for i := 0; i < 25; i++ {
-			if _, ok := rec.MachineByName(fmt.Sprintf("HOST-%d-%d.MIT.EDU", g, i)); ok {
+			if _, ok := db.Machines.Get(rec, fmt.Sprintf("HOST-%d-%d.MIT.EDU", g, i)); ok {
 				n++
 			}
 		}

@@ -114,7 +114,7 @@ func TestBackupPlusJournalRecovery(t *testing.T) {
 	if len(restored.MembersOf(l.ListID)) != 1 {
 		t.Error("lunchclub membership lost")
 	}
-	if _, ok := restored.MachineByName("NEW.MIT.EDU"); ok {
+	if _, ok := db.Machines.Get(restored, "NEW.MIT.EDU"); ok {
 		t.Error("deleted machine resurrected")
 	}
 }
@@ -168,10 +168,10 @@ func TestReplaySinceFilter(t *testing.T) {
 	}
 	fresh.LockShared()
 	defer fresh.UnlockShared()
-	if _, ok := fresh.MachineByName("OLD.MIT.EDU"); ok {
+	if _, ok := db.Machines.Get(fresh, "OLD.MIT.EDU"); ok {
 		t.Error("pre-cutoff record replayed")
 	}
-	if _, ok := fresh.MachineByName("NEW.MIT.EDU"); !ok {
+	if _, ok := db.Machines.Get(fresh, "NEW.MIT.EDU"); !ok {
 		t.Error("post-cutoff record not replayed")
 	}
 }

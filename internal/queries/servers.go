@@ -19,19 +19,16 @@ var (
 // host is a serverhost: the machine argument of argument 0's service.
 func host(idle bool) Arg {
 	if idle {
-		return Arg{Name: "machine", Kind: aIdleHost, Rel: relMachine}
+		return Arg{Name: "machine", Kind: aIdleHost, Canon: hostname, Rel: db.Machines}
 	}
-	return Arg{Name: "machine", Kind: aHost, Rel: relMachine}
+	return Arg{Name: "machine", Kind: aHost, Canon: hostname, Rel: db.Machines}
 }
 
 // hosts adds the serverhost rows whose service matches the pattern in
 // argument 0 and that keep accepts, with add rendering each.
 func (r *Req) hosts(keep func(sh *db.ServerHost, m *db.Machine) bool, add func(sh *db.ServerHost, m *db.Machine)) {
-	r.DB.EachServerHost(func(sh *db.ServerHost) bool {
-		if !wildcard.Match(r.s[0], sh.Service) {
-			return true
-		}
-		if m, ok := r.DB.MachineByID(sh.MachID); ok && keep(sh, m) {
+	db.ServerHosts.Match(r.DB, r.s[0], func(sh *db.ServerHost) bool {
+		if m, ok := db.Machines.ByID(r.DB, sh.MachID); ok && keep(sh, m) {
 			add(sh, m)
 		}
 		return true
@@ -48,23 +45,24 @@ func serviceInfo(service Arg) []Arg {
 }
 
 func init() {
-	server := one("service", relServer, nil)
+	server := Arg{Name: "service", Kind: aOne, Canon: upper, Rel: db.Servers}
 	register([]Query{
-		{Name: "get_server_info", Short: "gsin", In: []Arg{arg("service")}, Rows: serverRow, Access: serviceRead(0),
+		{Name: "get_server_info", Short: "gsin", In: []Arg{pattern("service", upper)}, Rows: serverRow, Access: serviceRead(0),
 			Do: func(r *Req) error {
-				for _, s := range matchServers(r.DB, r.s[0]) {
+				db.Servers.Match(r.DB, r.s[0], func(s *db.Server) bool {
 					r.Row(txt(s.Name), dec(s.UpdateInt), txt(s.TargetFile), txt(s.Script),
 						dec(s.DFGen), dec(s.DFCheck), txt(s.Type), bit(s.Enable),
 						bit(s.InProgress), dec(s.HardError), txt(s.ErrMsg),
 						txt(s.ACLType), txt(acl.NameOfACE(r.DB, s.ACLType, s.ACLID)),
 						dec(s.Mod.Time), txt(s.Mod.By), txt(s.Mod.With))
-				}
+					return true
+				})
 				return nil
 			}},
 		{Name: "qualified_get_server", Short: "qgsv", In: []Arg{tri("enable"), tri("inprogress"), tri("harderror")},
 			Rows: Columns("service"), Access: Anyone,
 			Do: func(r *Req) error {
-				r.DB.EachServer(func(s *db.Server) bool {
+				db.Servers.Each(r.DB, func(s *db.Server) bool {
 					if r.match(0, s.Enable) && r.match(1, s.InProgress) && r.match(2, s.HardError != 0) {
 						r.Row(txt(s.Name))
 					}
@@ -73,9 +71,9 @@ func init() {
 				return nil
 			}},
 		{Name: "add_server_info", Short: "asin", Kind: Append,
-			In: serviceInfo(Arg{Name: "service", Kind: aFresh, Canon: upper, Rel: relServer, Err: mrerr.MrExists}),
+			In: serviceInfo(Arg{Name: "service", Kind: aFresh, Canon: upper, Rel: db.Servers, Err: mrerr.MrExists}),
 			Do: func(r *Req) error {
-				return r.DB.InsertServer(&db.Server{
+				return db.Servers.Insert(r.DB, &db.Server{
 					Name: r.s[0], UpdateInt: r.n[1], TargetFile: r.s[2], Script: r.s[3],
 					Type: r.s[4], Enable: r.flag(5), ACLType: r.s[6], ACLID: r.n[6],
 					Mod: r.modInfo(),
@@ -113,10 +111,10 @@ func init() {
 		{Name: "delete_server_info", Short: "dsin", Kind: Delete, In: []Arg{server},
 			Do: func(r *Req) error {
 				s := obj[db.Server](r, 0)
-				if s.InProgress || len(r.DB.ServerHostsOf(s.Name)) > 0 {
+				if _, hosted := db.ServerHosts.Get(r.DB, s.Name); s.InProgress || hosted {
 					return mrerr.MrInUse
 				}
-				r.DB.DeleteServer(s)
+				db.Servers.Delete(r.DB, s)
 				return nil
 			}},
 		{Name: "get_server_host_info", Short: "gshi", In: []Arg{pattern("service", upper), pattern("machine", hostname)},
@@ -142,9 +140,9 @@ func init() {
 				return nil
 			}},
 		{Name: "add_server_host_info", Short: "ashi", Kind: Append, Access: serviceACE(0),
-			In: []Arg{server, one("machine", relMachine, nil), flag("enable"), num("value1"), num("value2"), arg("value3")},
+			In: []Arg{server, machineArg("machine", nil), flag("enable"), num("value1"), num("value2"), arg("value3")},
 			Do: func(r *Req) error {
-				return r.DB.InsertServerHost(&db.ServerHost{
+				return db.ServerHosts.Insert(r.DB, &db.ServerHost{
 					Service: obj[db.Server](r, 0).Name, MachID: obj[db.Machine](r, 1).MachID, Enable: r.flag(2),
 					Value1: r.n[3], Value2: r.n[4], Value3: r.s[5], Mod: r.modInfo(),
 				})
@@ -189,8 +187,8 @@ func init() {
 			}},
 		{Name: "delete_server_host_info", Short: "dshi", Kind: Delete, In: []Arg{server, host(true)}, Access: serviceACE(0),
 			Do: func(r *Req) error {
-				sh := obj[db.ServerHost](r, 1)
-				return r.DB.DeleteServerHost(sh.Service, sh.MachID)
+				db.ServerHosts.Delete(r.DB, obj[db.ServerHost](r, 1))
+				return nil
 			}},
 		{Name: "get_server_locations", Short: "gslo", In: []Arg{pattern("service", upper)}, Rows: locations, Access: Anyone,
 			Do: func(r *Req) error {

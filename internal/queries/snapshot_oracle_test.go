@@ -115,17 +115,17 @@ func (o *snapOracle) check(after string) {
 	o.d.LockShared()
 	defer o.d.UnlockShared()
 	for _, pat := range []string{"*", "o*", "*1*"} {
-		same(t, after, "UsersMatchingLogin "+pat, o.d.UsersMatchingLogin(pat), snap.UsersMatchingLogin(pat))
-		same(t, after, "MachinesMatchingName "+pat, o.d.MachinesMatchingName(strings.ToUpper(pat)), snap.MachinesMatchingName(strings.ToUpper(pat)))
-		same(t, after, "ClustersMatchingName "+pat, o.d.ClustersMatchingName(pat), snap.ClustersMatchingName(pat))
-		same(t, after, "ListsMatchingName "+pat, o.d.ListsMatchingName(pat), snap.ListsMatchingName(pat))
+		sameWalk(t, after, "Users.Match "+pat, o.d, snap, func(d *db.DB, fn func(*db.User) bool) { db.Users.Match(d, pat, fn) })
+		sameWalk(t, after, "Machines.Match "+pat, o.d, snap, func(d *db.DB, fn func(*db.Machine) bool) { db.Machines.Match(d, strings.ToUpper(pat), fn) })
+		sameWalk(t, after, "Clusters.Match "+pat, o.d, snap, func(d *db.DB, fn func(*db.Cluster) bool) { db.Clusters.Match(d, pat, fn) })
+		sameWalk(t, after, "Lists.Match "+pat, o.d, snap, func(d *db.DB, fn func(*db.List) bool) { db.Lists.Match(d, pat, fn) })
 	}
 	o.d.EachUser(func(u *db.User) bool {
-		same(t, after, "UsersByUID", o.d.UsersByUID(u.UID), snap.UsersByUID(u.UID))
+		sameWalk(t, after, "UsersByUID", o.d, snap, func(d *db.DB, fn func(*db.User) bool) { db.UsersByUID.Each(d, u.UID, fn) })
 		return true
 	})
-	o.d.EachFilesys(func(f *db.Filesys) bool {
-		same(t, after, "FilesysByLabel", o.d.FilesysByLabel(f.Label), snap.FilesysByLabel(f.Label))
+	db.Filesystems.Each(o.d, func(f *db.Filesys) bool {
+		sameWalk(t, after, "Filesystems.Under", o.d, snap, func(d *db.DB, fn func(*db.Filesys) bool) { db.Filesystems.Under(d, f.Label, fn) })
 		return true
 	})
 
@@ -142,53 +142,65 @@ func (o *snapOracle) check(after string) {
 		equal("MembersOf", o.d.MembersOf(l.ListID), snap.MembersOf(l.ListID))
 		return true
 	})
-	o.d.EachMembership(func(m db.Member) bool {
-		equal("ListsContaining", o.d.ListsContaining(m.MemberType, m.MemberID), snap.ListsContaining(m.MemberType, m.MemberID))
+	o.d.EachList(func(l *db.List) bool {
+		for _, m := range o.d.MembersOf(l.ListID) {
+			equal("ListsContaining", o.d.ListsContaining(m.MemberType, m.MemberID), snap.ListsContaining(m.MemberType, m.MemberID))
+		}
 		return true
 	})
-	o.d.EachQuota(func(q *db.NFSQuota) bool {
-		same(t, after, "QuotaOf", row(o.d.QuotaOf(q.UsersID, q.FilsysID)), row(snap.QuotaOf(q.UsersID, q.FilsysID)))
-		same(t, after, "QuotasOfUser", o.d.QuotasOfUser(q.UsersID), snap.QuotasOfUser(q.UsersID))
+	db.Quotas.Each(o.d, func(q *db.NFSQuota) bool {
+		mine := func(x *db.NFSQuota) bool { return x.UsersID == q.UsersID }
+		same(t, after, "QuotaOf", row(db.QuotasByFilesys.Find(o.d, q.FilsysID, mine)), row(db.QuotasByFilesys.Find(snap, q.FilsysID, mine)))
+		sameWalk(t, after, "QuotasByUser", o.d, snap, func(d *db.DB, fn func(*db.NFSQuota) bool) { db.QuotasByUser.Each(d, q.UsersID, fn) })
 		return true
 	})
-	o.d.EachServerHost(func(sh *db.ServerHost) bool {
-		same(t, after, "ServerHostsOf", o.d.ServerHostsOf(sh.Service), snap.ServerHostsOf(sh.Service))
-		same(t, after, "ServerHost", row(o.d.ServerHost(sh.Service, sh.MachID)), row(snap.ServerHost(sh.Service, sh.MachID)))
+	db.ServerHosts.Each(o.d, func(sh *db.ServerHost) bool {
+		sameWalk(t, after, "ServerHosts.Under", o.d, snap, func(d *db.DB, fn func(*db.ServerHost) bool) { db.ServerHosts.Under(d, sh.Service, fn) })
+		on := func(x *db.ServerHost) bool { return x.MachID == sh.MachID }
+		same(t, after, "ServerHost", row(db.ServerHosts.Find(o.d, sh.Service, on)), row(db.ServerHosts.Find(snap, sh.Service, on)))
 		return true
 	})
-	o.d.EachMCMap(func(mc db.MCMap) bool {
-		equal("HasMCMap", o.d.HasMCMap(mc.MachID, mc.CluID), snap.HasMCMap(mc.MachID, mc.CluID))
-		equal("MachinesOfCluster", o.d.MachinesOfCluster(mc.CluID), snap.MachinesOfCluster(mc.CluID))
+	db.MCMaps.Each(o.d, func(mc *db.MCMap) bool {
+		in := func(x *db.MCMap) bool { return x.CluID == mc.CluID }
+		_, lok := db.MCMapsByMachine.Find(o.d, mc.MachID, in)
+		_, sok := db.MCMapsByMachine.Find(snap, mc.MachID, in)
+		equal("MCMapsByMachine.Find", lok, sok)
+		sameWalk(t, after, "MCMapsByCluster", o.d, snap, func(d *db.DB, fn func(*db.MCMap) bool) { db.MCMapsByCluster.Each(d, mc.CluID, fn) })
 		return true
 	})
-	o.d.EachMachine(func(m *db.Machine) bool {
-		equal("ClustersOfMachine", o.d.ClustersOfMachine(m.MachID), snap.ClustersOfMachine(m.MachID))
+	db.Machines.Each(o.d, func(m *db.Machine) bool {
+		sameWalk(t, after, "MCMapsByMachine", o.d, snap, func(d *db.DB, fn func(*db.MCMap) bool) { db.MCMapsByMachine.Each(d, m.MachID, fn) })
 		return true
 	})
-	o.d.EachString(func(s *db.StringRec) bool {
-		lid, lok := o.d.StringID(s.String)
-		sid, sok := snap.StringID(s.String)
-		equal("StringID", []any{lid, lok}, []any{sid, sok})
+	db.Strings.Each(o.d, func(s *db.StringRec) bool {
+		id := func(d *db.DB) []any {
+			r, ok := db.Strings.Get(d, s.String)
+			if !ok {
+				return []any{0, false}
+			}
+			return []any{r.StringID, true}
+		}
+		equal("Strings.Get", id(o.d), id(snap))
 		return true
 	})
-	o.d.EachServer(func(s *db.Server) bool {
-		same(t, after, "ServerByName", row(o.d.ServerByName(s.Name)), row(snap.ServerByName(s.Name)))
+	db.Servers.Each(o.d, func(s *db.Server) bool {
+		same(t, after, "ServerByName", row(db.Servers.Get(o.d, s.Name)), row(db.Servers.Get(snap, s.Name)))
 		return true
 	})
-	o.d.EachZephyr(func(z *db.ZephyrClass) bool {
-		same(t, after, "ZephyrByClass", row(o.d.ZephyrByClass(z.Class)), row(snap.ZephyrByClass(z.Class)))
+	db.ZephyrClasses.Each(o.d, func(z *db.ZephyrClass) bool {
+		same(t, after, "ZephyrByClass", row(db.ZephyrClasses.Get(o.d, z.Class)), row(db.ZephyrClasses.Get(snap, z.Class)))
 		return true
 	})
-	o.d.EachService(func(s *db.Service) bool {
-		same(t, after, "ServiceByName", row(o.d.ServiceByName(s.Name)), row(snap.ServiceByName(s.Name)))
+	db.Services.Each(o.d, func(s *db.Service) bool {
+		same(t, after, "ServiceByName", row(db.Services.Get(o.d, s.Name)), row(db.Services.Get(snap, s.Name)))
 		return true
 	})
-	o.d.EachPrintcap(func(p *db.Printcap) bool {
-		same(t, after, "PrintcapByName", row(o.d.PrintcapByName(p.Name)), row(snap.PrintcapByName(p.Name)))
+	db.Printcaps.Each(o.d, func(p *db.Printcap) bool {
+		same(t, after, "PrintcapByName", row(db.Printcaps.Get(o.d, p.Name)), row(db.Printcaps.Get(snap, p.Name)))
 		return true
 	})
-	o.d.EachCapACL(func(c *db.CapACL) bool {
-		same(t, after, "CapACLByName", row(o.d.CapACLByName(c.Capability)), row(snap.CapACLByName(c.Capability)))
+	db.CapACLs.Each(o.d, func(c *db.CapACL) bool {
+		same(t, after, "CapACLByName", row(db.CapACLs.Get(o.d, c.Capability)), row(db.CapACLs.Get(snap, c.Capability)))
 		return true
 	})
 }
@@ -199,6 +211,17 @@ func row[R any](r *R, ok bool) []*R {
 		return nil
 	}
 	return []*R{r}
+}
+
+// sameWalk runs walk on the live database and on the snapshot and
+// requires the same rows (same).
+func sameWalk[R comparable](t *testing.T, after, what string, live, snap *db.DB, walk func(d *db.DB, fn func(*R) bool)) {
+	t.Helper()
+	rows := func(d *db.DB) (out []*R) {
+		walk(d, func(r *R) bool { out = append(out, r); return true })
+		return out
+	}
+	same(t, after, what, rows(live), rows(snap))
 }
 
 // same requires two accessor results to hold equal rows in equal order

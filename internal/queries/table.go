@@ -17,7 +17,6 @@ import (
 	"moira/internal/mrerr"
 	"moira/internal/protocol"
 	"moira/internal/util"
-	"moira/internal/wildcard"
 )
 
 // maxArgs bounds an entry's arity (update_filesys takes 12).
@@ -143,11 +142,11 @@ const (
 type Arg struct {
 	Name  string
 	Kind  argKind
-	Canon canon  // the form checks and the body see
-	Rel   rel    // relation of lookup kinds
-	Field string // alias type of aType
-	Err   error  // the code a failed check returns; nil: the kind's own
-	Ref   int    // the related argument of kinds that read another
+	Canon canon    // the form checks and the body see
+	Rel   relation // relation of lookup kinds
+	Field string   // alias type of aType
+	Err   error    // the code a failed check returns; nil: the kind's own
+	Ref   int      // the related argument of kinds that read another
 }
 
 func arg(name string) Arg              { return Arg{Name: name} }
@@ -162,19 +161,24 @@ func ace(name string) Arg { return Arg{Name: name, Kind: aACE} }
 
 // one resolves a pattern that must match exactly one row; a nil err
 // keeps the relation's own "no such" code and MR_NOT_UNIQUE.
-func one(name string, rel rel, err error) Arg {
+func one(name string, rel relation, err error) Arg {
 	return Arg{Name: name, Kind: aOne, Rel: rel, Err: err}
 }
 
-func exact(name string, rel rel, err error) Arg {
+// machineArg is one() of a machine name, canonicalized.
+func machineArg(name string, err error) Arg {
+	return Arg{Name: name, Kind: aOne, Canon: hostname, Rel: db.Machines, Err: err}
+}
+
+func exact(name string, rel relation, err error) Arg {
 	return Arg{Name: name, Kind: aExact, Rel: rel, Err: err}
 }
 
-func fresh(name string, rel rel, err error) Arg {
+func fresh(name string, rel relation, err error) Arg {
 	return Arg{Name: name, Kind: aFresh, Rel: rel, Err: err}
 }
 
-func rename(name string, rel rel) Arg { return Arg{Name: name, Kind: aRename, Rel: rel} }
+func rename(name string, rel relation) Arg { return Arg{Name: name, Kind: aRename, Rel: rel} }
 
 // fail is the code a lookup of a that found n rows returns.
 func (a *Arg) fail(n int) error {
@@ -182,7 +186,7 @@ func (a *Arg) fail(n int) error {
 	case a.Err != nil:
 		return a.Err
 	case n == 0:
-		return missing[a.Rel]
+		return a.Rel.Missing()
 	}
 	return mrerr.MrNotUnique
 }
@@ -234,13 +238,13 @@ func (r *Req) parseArg(i int, a *Arg) error {
 			return a.Err
 		}
 	case aOne:
-		o, n := find(d, a.Rel, v, false)
+		o, n := a.Rel.Resolve(d, v, true)
 		if n != 1 {
 			return a.fail(n)
 		}
 		r.o[i] = o
 	case aExact:
-		o, n := find(d, a.Rel, v, true)
+		o, n := a.Rel.Resolve(d, v, false)
 		if n == 0 {
 			return a.Err
 		}
@@ -249,18 +253,18 @@ func (r *Req) parseArg(i int, a *Arg) error {
 		if err := checkNameChars(v); err != nil {
 			return err
 		}
-		if _, n := find(d, a.Rel, v, true); n > 0 {
+		if _, n := a.Rel.Resolve(d, v, false); n > 0 {
 			return a.Err
 		}
 	case aRename:
-		cur := nameOf(r.o[a.Ref])
-		if a.Rel != relUser || v != cur {
+		cur := a.Rel.NameOf(r.o[a.Ref])
+		if a.Rel != db.Users || v != cur {
 			if err := checkNameChars(v); err != nil {
 				return err
 			}
 		}
 		if v != cur {
-			if _, n := find(d, a.Rel, v, true); n > 0 {
+			if _, n := a.Rel.Resolve(d, v, false); n > 0 {
 				return mrerr.MrNotUnique
 			}
 		}
@@ -283,11 +287,12 @@ func (r *Req) parseArg(i int, a *Arg) error {
 		}
 		r.n[i] = id
 	case aHost, aIdleHost:
-		m, n := find(d, relMachine, v, false)
+		m, n := a.Rel.Resolve(d, v, true)
 		if n != 1 {
 			return a.fail(n)
 		}
-		sh, ok := d.ServerHost(obj[db.Server](r, a.Ref).Name, m.(*db.Machine).MachID)
+		machID := m.(*db.Machine).MachID
+		sh, ok := db.ServerHosts.Find(d, obj[db.Server](r, a.Ref).Name, func(sh *db.ServerHost) bool { return sh.MachID == machID })
 		if !ok {
 			return mrerr.MrNoMatch
 		}
@@ -296,7 +301,7 @@ func (r *Req) parseArg(i int, a *Arg) error {
 		}
 		r.o[i] = sh
 	case aPhys:
-		p, ok := d.NFSPhysByMachDir(obj[db.Machine](r, a.Ref).MachID, v)
+		p, ok := partitionAt(d, obj[db.Machine](r, a.Ref).MachID, v)
 		if !ok {
 			return a.Err
 		}
@@ -304,11 +309,11 @@ func (r *Req) parseArg(i int, a *Arg) error {
 	case aPack:
 		return nfsPack(r, i)
 	case aHostAccess:
-		m, n := find(d, relMachine, v, false)
+		m, n := a.Rel.Resolve(d, v, true)
 		if n != 1 {
 			return mrerr.MrMachine
 		}
-		h, ok := d.HostAccessOf(m.(*db.Machine).MachID)
+		h, ok := db.HostAccesses.ByID(d, m.(*db.Machine).MachID)
 		if !ok {
 			return mrerr.MrNoMatch
 		}
@@ -370,121 +375,14 @@ func checkNameChars(s string) error {
 	return nil
 }
 
-// --- relations the lookup kinds resolve against ---
-
-type rel uint8
-
-const (
-	relUser rel = iota + 1
-	relMachine
-	relList
-	relCluster
-	relServer
-	relFilesys
-	relZephyr
-	relService
-	relPrintcap
-)
-
-// missing is each relation's "no such object" code.
-var missing = [...]error{
-	relUser: mrerr.MrUser, relMachine: mrerr.MrMachine, relList: mrerr.MrList,
-	relCluster: mrerr.MrCluster, relServer: mrerr.MrService, relFilesys: mrerr.MrFilesys,
-	relZephyr: mrerr.MrNoMatch, relService: mrerr.MrNoMatch, relPrintcap: mrerr.MrNoMatch,
-}
-
-// find resolves name in rel: an exact key, or a pattern through the
-// relation's index (machine names canonicalized, services upper-cased).
-// It returns the first row and how many matched.
-func find(d *db.DB, rel rel, name string, exactKey bool) (any, int) {
-	switch rel {
-	case relUser:
-		if exactKey {
-			return found(d.UserByLogin(name))
-		}
-		return first(d.UsersMatchingLogin(name))
-	case relMachine:
-		return first(d.MachinesMatchingName(util.CanonicalizeHostname(name)))
-	case relList:
-		if exactKey {
-			return found(d.ListByName(name))
-		}
-		return first(d.ListsMatchingName(name))
-	case relCluster:
-		if exactKey {
-			return found(d.ClusterByName(name))
-		}
-		return first(d.ClustersMatchingName(name))
-	case relServer:
-		return first(matchServers(d, name))
-	case relFilesys:
-		return first(d.FilesysByLabel(name))
-	case relZephyr:
-		if exactKey || !wildcard.HasWildcards(name) {
-			return found(d.ZephyrByClass(name))
-		}
-		var zs []*db.ZephyrClass
-		d.EachZephyr(func(z *db.ZephyrClass) bool {
-			if wildcard.Match(name, z.Class) {
-				zs = append(zs, z)
-			}
-			return true
-		})
-		return first(zs)
-	case relService:
-		return found(d.ServiceByName(name))
-	default:
-		return found(d.PrintcapByName(name))
-	}
-}
-
-func found[T any](row *T, ok bool) (any, int) {
-	if !ok {
-		return nil, 0
-	}
-	return row, 1
-}
-
-func first[T any](rows []*T) (any, int) {
-	if len(rows) == 0 {
-		return nil, 0
-	}
-	return rows[0], len(rows)
-}
-
-// nameOf is the key a rename changes.
-func nameOf(row any) string {
-	switch o := row.(type) {
-	case *db.User:
-		return o.Login
-	case *db.List:
-		return o.Name
-	case *db.Cluster:
-		return o.Name
-	case *db.ZephyrClass:
-		return o.Class
-	default:
-		return row.(*db.Filesys).Label
-	}
-}
-
-// matchServers resolves a service pattern (names are upper case).
-func matchServers(d *db.DB, pattern string) []*db.Server {
-	pattern = strings.ToUpper(pattern)
-	if !wildcard.HasWildcards(pattern) {
-		if s, ok := d.ServerByName(pattern); ok {
-			return []*db.Server{s}
-		}
-		return nil
-	}
-	var out []*db.Server
-	d.EachServer(func(s *db.Server) bool {
-		if wildcard.Match(pattern, s.Name) {
-			out = append(out, s)
-		}
-		return true
-	})
-	return out
+// relation is a relation handle the lookup kinds resolve against
+// (db.Users, db.Lists, ...): Resolve finds the rows a name or pattern
+// names, NameOf is the key a rename changes, and Missing the relation's
+// "no such object" code.
+type relation interface {
+	Resolve(d *db.DB, name string, pattern bool) (row any, n int)
+	NameOf(row any) string
+	Missing() error
 }
 
 // --- access rules ---
@@ -555,9 +453,9 @@ func (r *Req) rule() error {
 			return nil
 		}
 	case ruleListACE, ruleListRead, ruleSelfAdd:
-		o, n := find(r.DB, relList, r.Args[a.arg], false)
+		o, n := db.Lists.Resolve(r.DB, r.Args[a.arg], true)
 		if n != 1 {
-			return (&Arg{Rel: relList}).fail(n)
+			return (&Arg{Rel: db.Lists}).fail(n)
 		}
 		l := o.(*db.List)
 		if onListACE(r.Context, l) || (a.kind == ruleListRead && !l.Hidden) ||
@@ -565,16 +463,12 @@ func (r *Req) rule() error {
 				r.Args[a.arg+2] == r.Principal && r.UserID != 0) {
 			return nil
 		}
-	case ruleServiceACE:
-		o, n := find(r.DB, relServer, r.Args[a.arg], false)
-		if n != 1 {
-			return (&Arg{Rel: relServer}).fail(n)
+	case ruleServiceACE, ruleServiceRead:
+		o, n := db.Servers.Resolve(r.DB, strings.ToUpper(r.Args[a.arg]), true)
+		if n != 1 && a.kind == ruleServiceACE {
+			return (&Arg{Rel: db.Servers}).fail(n)
 		}
-		if onServiceACE(r.Context, o.(*db.Server)) {
-			return nil
-		}
-	case ruleServiceRead:
-		if ss := matchServers(r.DB, r.Args[a.arg]); len(ss) == 1 && onServiceACE(r.Context, ss[0]) {
+		if n == 1 && onServiceACE(r.Context, o.(*db.Server)) {
 			return nil
 		}
 	}

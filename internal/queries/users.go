@@ -58,7 +58,7 @@ func (r *Req) pobox(keep string) {
 }
 
 // login is the usual "must match exactly one user" argument.
-func login() Arg { return one("login", relUser, mrerr.MrUser) }
+func login() Arg { return one("login", db.Users, mrerr.MrUser) }
 
 func init() {
 	register([]Query{
@@ -82,7 +82,7 @@ func init() {
 			}},
 		{Name: "get_user_by_login", Short: "gubl", In: []Arg{arg("login")}, Rows: userFull, IndexOrder: true, Access: selfRows,
 			Do: func(r *Req) error {
-				r.DB.EachUserMatchingLogin(r.s[0], func(u *db.User) bool {
+				db.Users.Match(r.DB, r.s[0], func(u *db.User) bool {
 					r.user(u)
 					return true
 				})
@@ -90,9 +90,10 @@ func init() {
 			}},
 		{Name: "get_user_by_uid", Short: "gubu", In: []Arg{num("uid")}, Rows: userFull, Access: selfRows,
 			Do: func(r *Req) error {
-				for _, u := range r.DB.UsersByUID(r.n[0]) {
+				db.UsersByUID.Each(r.DB, r.n[0], func(u *db.User) bool {
 					r.user(u)
-				}
+					return true
+				})
 				return nil
 			}},
 		{Name: "get_user_by_name", Short: "gubn", In: []Arg{arg("first"), arg("last")}, Rows: userFull, Access: selfRows,
@@ -117,15 +118,15 @@ func init() {
 		{Name: "register_user", Short: "rusr", Kind: Update,
 			In: []Arg{num("uid"), arg("login"), num("fstype")}, Do: registerUser},
 		{Name: "update_user", Short: "uusr", Kind: Update,
-			In: []Arg{one("login", relUser, nil), rename("newlogin", relUser), num("uid"), arg("shell"),
+			In: []Arg{one("login", db.Users, nil), rename("newlogin", db.Users), num("uid"), arg("shell"),
 				arg("last"), arg("first"), arg("middle"), num("state"), arg("mitid"),
 				typed("class", "class", mrerr.MrBadClass)},
 			Do: func(r *Req) error {
 				u := obj[db.User](r, 0)
 				if r.s[1] != u.Login {
-					r.DB.RenameUser(u, r.s[1])
+					db.SetKey(r.DB, db.Users, u, &u.Login, r.s[1])
 				}
-				r.DB.SetUserUID(u, r.n[2])
+				db.SetKey(r.DB, db.Users, u, &u.UID, r.n[2])
 				u.Shell, u.Last, u.First, u.Middle = r.s[3], r.s[4], r.s[5], r.s[6]
 				u.Status, u.MITID, u.MITYear = r.n[7], r.s[8], r.s[9]
 				u.Mod = r.modInfo()
@@ -150,11 +151,11 @@ func init() {
 			Do: func(r *Req) error { return deleteUser(r, obj[db.User](r, 0), true) }},
 		{Name: "delete_user_by_uid", Short: "dubu", Kind: Delete, In: []Arg{num("uid")},
 			Do: func(r *Req) error {
-				us := r.DB.UsersByUID(r.n[0])
-				if len(us) != 1 {
-					return (&Arg{Rel: relUser}).fail(len(us))
+				u, n := byUID(r.DB, r.n[0])
+				if n != 1 {
+					return (&Arg{Rel: db.Users}).fail(n)
 				}
-				return deleteUser(r, us[0], false)
+				return deleteUser(r, u, false)
 			}},
 		{Name: "get_finger_by_login", Short: "gfbl", In: []Arg{login()}, Rows: fingerRow, Access: Anyone,
 			Do: func(r *Req) error {
@@ -196,7 +197,7 @@ func init() {
 				if u.PoType == db.PoboxPOP {
 					return nil
 				}
-				if _, ok := r.DB.MachineByID(u.PopID); !ok || u.PopID == 0 {
+				if _, ok := db.Machines.ByID(r.DB, u.PopID); !ok || u.PopID == 0 {
 					return mrerr.MrMachine
 				}
 				u.PoType, u.PMod = db.PoboxPOP, r.modInfo()
@@ -217,12 +218,12 @@ func init() {
 func poboxString(d *db.DB, u *db.User) string {
 	switch u.PoType {
 	case db.PoboxPOP:
-		if m, ok := d.MachineByID(u.PopID); ok {
+		if m, ok := db.Machines.ByID(d, u.PopID); ok {
 			return m.Name
 		}
 		return "???"
 	case db.PoboxSMTP:
-		if s, ok := d.StringByID(u.BoxID); ok {
+		if s, ok := db.Strings.ByID(d, u.BoxID); ok {
 			return s.String
 		}
 		return "???"
@@ -237,7 +238,7 @@ func setPobox(r *Req) error {
 	d, u := r.DB, obj[db.User](r, 0)
 	switch r.s[1] {
 	case db.PoboxPOP:
-		m, ok := d.MachineByName(r.s[2])
+		m, ok := db.Machines.Get(d, r.s[2])
 		if !ok {
 			return mrerr.MrMachine
 		}
@@ -285,7 +286,7 @@ func addUser(r *Req) error {
 		return err
 	}
 	mod := r.modInfo()
-	return d.InsertUser(&db.User{
+	return db.Users.Insert(d, &db.User{
 		UsersID: id, Login: login, UID: uid, Shell: r.s[2],
 		Last: r.s[3], First: r.s[4], Middle: r.s[5],
 		Status: r.n[6], MITID: r.s[7], MITYear: r.s[8], Mod: mod,
@@ -309,20 +310,23 @@ func deleteUser(r *Req, u *db.User, requireStatus0 bool) error {
 	if len(aceUses(d, db.ACEUser, u.UsersID)) > 0 {
 		return mrerr.MrInUse
 	}
-	if requireStatus0 && len(d.QuotasOfUser(u.UsersID)) > 0 {
+	var quotas []*db.NFSQuota
+	db.QuotasByUser.Each(d, u.UsersID, func(q *db.NFSQuota) bool {
+		quotas = append(quotas, q)
+		return !requireStatus0
+	})
+	if requireStatus0 && len(quotas) > 0 {
 		return mrerr.MrInUse
 	}
 	// delete_user_by_uid deletes associated quotas silently.
-	for _, q := range d.QuotasOfUser(u.UsersID) {
-		if p, ok := d.NFSPhysByID(q.PhysID); ok {
+	for _, q := range quotas {
+		if p, ok := db.Partitions.ByID(d, q.PhysID); ok {
 			p.Allocated -= q.Quota
 			d.NoteUpdate(p)
 		}
-		if err := d.DeleteQuota(q.UsersID, q.FilsysID); err != nil {
-			return mrerr.MrInternal
-		}
+		db.Quotas.Delete(d, q)
 	}
-	d.DeleteUser(u)
+	db.Users.Delete(d, u)
 	return nil
 }
 
@@ -337,34 +341,34 @@ func aceUses(d *db.DB, aceType string, aceID int) [][]string {
 		}
 		return true
 	})
-	d.EachServer(func(s *db.Server) bool {
+	db.Servers.Each(d, func(s *db.Server) bool {
 		if s.ACLType == aceType && s.ACLID == aceID {
 			out = append(out, []string{"SERVICE", s.Name})
 		}
 		return true
 	})
-	d.EachFilesys(func(f *db.Filesys) bool {
+	db.Filesystems.Each(d, func(f *db.Filesys) bool {
 		if (aceType == db.ACEUser && f.Owner == aceID) ||
 			(aceType == db.ACEList && f.Owners == aceID) {
 			out = append(out, []string{"FILESYS", f.Label})
 		}
 		return true
 	})
-	d.EachCapACL(func(c *db.CapACL) bool {
+	db.CapACLs.Each(d, func(c *db.CapACL) bool {
 		if aceType == db.ACEList && c.ListID == aceID {
 			out = append(out, []string{"QUERY", c.Capability})
 		}
 		return true
 	})
-	d.EachHostAccess(func(h *db.HostAccess) bool {
+	db.HostAccesses.Each(d, func(h *db.HostAccess) bool {
 		if h.ACLType == aceType && h.ACLID == aceID {
-			if m, ok := d.MachineByID(h.MachID); ok {
+			if m, ok := db.Machines.ByID(d, h.MachID); ok {
 				out = append(out, []string{"HOSTACCESS", m.Name})
 			}
 		}
 		return true
 	})
-	d.EachZephyr(func(z *db.ZephyrClass) bool {
+	db.ZephyrClasses.Each(d, func(z *db.ZephyrClass) bool {
 		hit := (z.XmtType == aceType && z.XmtID == aceID) ||
 			(z.SubType == aceType && z.SubID == aceID) ||
 			(z.IwsType == aceType && z.IwsID == aceID) ||
@@ -377,20 +381,32 @@ func aceUses(d *db.DB, aceType string, aceID int) [][]string {
 	return out
 }
 
+// byUID returns the first user with the uid and how many there are,
+// stopping at the second.
+func byUID(d *db.DB, uid int) (u *db.User, n int) {
+	db.UsersByUID.Each(d, uid, func(x *db.User) bool {
+		if n == 0 {
+			u = x
+		}
+		n++
+		return n < 2
+	})
+	return u, n
+}
+
 // registerUser implements register_user (section 7.0.1): assign the
 // login, create a pobox on the least loaded post office, a group list,
 // a filesystem on the least loaded fileserver of the right type, and a
 // default quota. The user ends up half-registered (status 2).
 func registerUser(r *Req) error {
 	d, login, fstype := r.DB, r.s[1], r.n[2]
-	us := d.UsersByUID(r.n[0])
-	if len(us) == 0 {
+	u, n := byUID(d, r.n[0])
+	if n == 0 {
 		return mrerr.MrNoMatch
 	}
-	if len(us) > 1 {
+	if n > 1 {
 		return mrerr.MrNotUnique
 	}
-	u := us[0]
 	if u.Status != db.UserRegisterable {
 		return mrerr.MrInUse
 	}
@@ -407,17 +423,12 @@ func registerUser(r *Req) error {
 	// Least-loaded POP server: smallest value1 (box count) among POP
 	// serverhosts with headroom (value2 is the maximum, 0 = unlimited).
 	var po *db.ServerHost
-	for _, sh := range d.ServerHostsOf("POP") {
-		if !sh.Enable {
-			continue
-		}
-		if sh.Value2 > 0 && sh.Value1 >= sh.Value2 {
-			continue
-		}
-		if po == nil || sh.Value1 < po.Value1 {
+	db.ServerHosts.Under(d, "POP", func(sh *db.ServerHost) bool {
+		if sh.Enable && (sh.Value2 == 0 || sh.Value1 < sh.Value2) && (po == nil || sh.Value1 < po.Value1) {
 			po = sh
 		}
-	}
+		return true
+	})
 	if po == nil {
 		return mrerr.MrMachine
 	}
@@ -429,7 +440,7 @@ func registerUser(r *Req) error {
 		return mrerr.MrNoFilesys
 	}
 	var part *db.NFSPhys
-	d.EachNFSPhys(func(p *db.NFSPhys) bool {
+	db.Partitions.Each(d, func(p *db.NFSPhys) bool {
 		if p.Status&fstype == 0 {
 			return true
 		}
@@ -462,7 +473,7 @@ func registerUser(r *Req) error {
 		Desc: "group of user " + login, ACLType: db.ACEUser, ACLID: u.UsersID,
 		Mod: mod,
 	}
-	if err := d.InsertList(group); err != nil {
+	if err := db.Lists.Insert(d, group); err != nil {
 		return err
 	}
 	if err := d.AddMember(lid, db.ACEUser, u.UsersID); err != nil {
@@ -480,10 +491,10 @@ func registerUser(r *Req) error {
 		Access: "w", Owner: u.UsersID, Owners: lid, CreateFlg: true,
 		LockerType: db.LockerHomedir, Mod: mod,
 	}
-	if err := d.InsertFilesys(fs); err != nil {
+	if err := db.Filesystems.Insert(d, fs); err != nil {
 		return err
 	}
-	if err := d.InsertQuota(&db.NFSQuota{
+	if err := db.Quotas.Insert(d, &db.NFSQuota{
 		UsersID: u.UsersID, FilsysID: fid, PhysID: part.NFSPhysID,
 		Quota: defQuota, Mod: mod,
 	}); err != nil {
@@ -494,7 +505,7 @@ func registerUser(r *Req) error {
 
 	// Pobox and account state.
 	if login != u.Login {
-		d.RenameUser(u, login)
+		db.SetKey(d, db.Users, u, &u.Login, login)
 	}
 	u.PoType = db.PoboxPOP
 	u.PopID = po.MachID

@@ -250,7 +250,8 @@ func (n *fnode) hasMachine(name string) bool {
 	d := n.cl.DB()
 	d.LockShared()
 	defer d.UnlockShared()
-	return len(d.MachinesMatchingName(strings.ToUpper(name))) == 1
+	_, ok := db.Machines.Get(d, strings.ToUpper(name))
+	return ok
 }
 
 // TestClusterBootElection: two empty nodes boot, exactly one wins the

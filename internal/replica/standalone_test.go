@@ -114,7 +114,7 @@ func TestStandaloneCheckpointsAndRecovers(t *testing.T) {
 	}
 	d := c2.DB()
 	d.LockShared()
-	_, ok := d.MachineByName("DURABLE.MIT.EDU")
+	_, ok := db.Machines.Get(d, "DURABLE.MIT.EDU")
 	d.UnlockShared()
 	if !ok {
 		t.Error("write lost across checkpoints, prune, and recovery")

@@ -8,6 +8,7 @@ import (
 
 	"moira/internal/client"
 	"moira/internal/clock"
+	"moira/internal/db"
 	"moira/internal/mrerr"
 	"moira/internal/queries"
 )
@@ -79,7 +80,7 @@ func TestConcurrentClients(t *testing.T) {
 	for g := 0; g < workers; g += 2 {
 		for i := 0; i < perWorker; i++ {
 			name := fmt.Sprintf("W%02d-%03d.MIT.EDU", g, i)
-			if _, ok := w.d.MachineByName(name); !ok {
+			if _, ok := db.Machines.Get(w.d, name); !ok {
 				t.Errorf("lost write: %s", name)
 			}
 		}

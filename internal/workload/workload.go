@@ -150,7 +150,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := d.InsertMachine(&db.Machine{MachID: id, Name: name, Type: typ, Mod: mod}); err != nil {
+		if err := db.Machines.Insert(d, &db.Machine{MachID: id, Name: name, Type: typ, Mod: mod}); err != nil {
 			return 0, err
 		}
 		stats.Machines++
@@ -189,7 +189,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 				Size:   400000,
 				Mod:    mod,
 			}
-			if err := d.InsertNFSPhys(part); err != nil {
+			if err := db.Partitions.Insert(d, part); err != nil {
 				return nil, nil, err
 			}
 			srv.parts = append(srv.parts, part)
@@ -234,7 +234,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 			return nil, nil, err
 		}
 		name := fmt.Sprintf("bldg%d-vs", i+1)
-		if err := d.InsertCluster(&db.Cluster{CluID: cid, Name: name,
+		if err := db.Clusters.Insert(d, &db.Cluster{CluID: cid, Name: name,
 			Desc:     fmt.Sprintf("building %d vaxstations", i+1),
 			Location: fmt.Sprintf("Bldg %d", i+1), Mod: mod}); err != nil {
 			return nil, nil, err
@@ -243,7 +243,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 			{CluID: cid, ServLabel: "zephyr", ServCluster: fmt.Sprintf("z-%d.mit.edu", i%cfg.ZephyrServers+1)},
 			{CluID: cid, ServLabel: "lpr", ServCluster: fmt.Sprintf("printer-%d", i+1)},
 		} {
-			if err := d.AddSvc(svc); err != nil {
+			if err := db.Svc.Insert(d, &svc); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -257,13 +257,13 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 			return nil, nil, err
 		}
 		if len(cluIDs) > 0 {
-			if err := d.AddMCMap(id, cluIDs[i%len(cluIDs)]); err != nil {
+			if err := db.MCMaps.Insert(d, &db.MCMap{MachID: id, CluID: cluIDs[i%len(cluIDs)]}); err != nil {
 				return nil, nil, err
 			}
 			// A few machines sit in two clusters, exercising the
 			// pseudo-cluster path in the hesiod generator.
 			if i%97 == 0 && len(cluIDs) > 1 {
-				if err := d.AddMCMap(id, cluIDs[(i+1)%len(cluIDs)]); err != nil {
+				if err := db.MCMaps.Insert(d, &db.MCMap{MachID: id, CluID: cluIDs[(i+1)%len(cluIDs)]}); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -299,7 +299,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 			Mod:     mod, Fullname: first + " " + last, FMod: mod,
 			PoType: db.PoboxPOP, PopID: poIDs[po], PMod: mod,
 		}
-		if err := d.InsertUser(u); err != nil {
+		if err := db.Users.Insert(d, u); err != nil {
 			return nil, nil, err
 		}
 		userIDs = append(userIDs, usersID)
@@ -314,7 +314,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := d.InsertList(&db.List{ListID: lid, Name: login, Active: true,
+		if err := db.Lists.Insert(d, &db.List{ListID: lid, Name: login, Active: true,
 			Group: true, GID: gid, Desc: "group of user " + login,
 			ACLType: db.ACEUser, ACLID: usersID, Mod: mod}); err != nil {
 			return nil, nil, err
@@ -332,7 +332,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := d.InsertFilesys(&db.Filesys{
+		if err := db.Filesystems.Insert(d, &db.Filesys{
 			FilsysID: fid, Label: login, PhysID: part.NFSPhysID,
 			Type: db.FSTypeNFS, MachID: srv.machID,
 			Name: part.Dir + "/" + login, Mount: "/mit/" + login,
@@ -341,7 +341,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 		}); err != nil {
 			return nil, nil, err
 		}
-		if err := d.InsertQuota(&db.NFSQuota{UsersID: usersID, FilsysID: fid,
+		if err := db.Quotas.Insert(d, &db.NFSQuota{UsersID: usersID, FilsysID: fid,
 			PhysID: part.NFSPhysID, Quota: defQuota, Mod: mod}); err != nil {
 			return nil, nil, err
 		}
@@ -373,7 +373,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 				return nil, nil, err
 			}
 		}
-		if err := d.InsertList(l); err != nil {
+		if err := db.Lists.Insert(d, l); err != nil {
 			return nil, nil, err
 		}
 		stats.Lists++
@@ -404,7 +404,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 		if len(hesiodIDs) > 0 {
 			spool = hesiodIDs[i%len(hesiodIDs)]
 		}
-		if err := d.InsertPrintcap(&db.Printcap{Name: name, MachID: spool,
+		if err := db.Printcaps.Insert(d, &db.Printcap{Name: name, MachID: spool,
 			Dir: "/usr/spool/printer/" + name, RP: name, Mod: mod}); err != nil {
 			return nil, nil, err
 		}
@@ -413,7 +413,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 	protos := []string{"TCP", "UDP"}
 	for i := 0; i < cfg.NetServices; i++ {
 		name := fmt.Sprintf("svc%03d", i+1)
-		if err := d.InsertService(&db.Service{Name: name,
+		if err := db.Services.Insert(d, &db.Service{Name: name,
 			Protocol: protos[rng.Intn(2)], Port: 1000 + i, Desc: "synthetic service", Mod: mod}); err != nil {
 			return nil, nil, err
 		}
@@ -424,7 +424,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 		proto string
 		port  int
 	}{{"smtp", "TCP", 25}, {"qotd", "TCP", 17}, {"rpc_ns", "UDP", 32767}} {
-		if err := d.InsertService(&db.Service{Name: std.name, Protocol: std.proto,
+		if err := db.Services.Insert(d, &db.Service{Name: std.name, Protocol: std.proto,
 			Port: std.port, Desc: std.name, Mod: mod}); err != nil {
 			return nil, nil, err
 		}
@@ -439,7 +439,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := d.InsertList(&db.List{ListID: opsID, Name: "zephyr-operators",
+	if err := db.Lists.Insert(d, &db.List{ListID: opsID, Name: "zephyr-operators",
 		Active: true, Desc: "zephyr class operators",
 		ACLType: db.ACEList, ACLID: adminList.ListID, Mod: mod}); err != nil {
 		return nil, nil, err
@@ -459,7 +459,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 			XmtType: db.ACEList, XmtID: opsID,
 			SubType: db.ACENone, IwsType: db.ACENone, IuiType: db.ACENone,
 			Mod: mod}
-		if err := d.InsertZephyr(z); err != nil {
+		if err := db.ZephyrClasses.Insert(d, z); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -488,7 +488,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 		{"WRITE", 0, "", "", db.ServiceReplicated, zephyrIDs},
 	}
 	for _, def := range defs {
-		if err := d.InsertServer(&db.Server{
+		if err := db.Servers.Insert(d, &db.Server{
 			Name: def.name, UpdateInt: def.interval, TargetFile: def.target,
 			Script: def.dest, Type: def.typ,
 			Enable:  def.name != "POP" && def.interval > 0,
@@ -502,7 +502,7 @@ func Populate(d *db.DB, cfg Config) (*Stats, *Hosts, error) {
 				sh.Value1 = poCount[i]
 				sh.Value2 = cfg.Users
 			}
-			if err := d.InsertServerHost(sh); err != nil {
+			if err := db.ServerHosts.Insert(d, sh); err != nil {
 				return nil, nil, err
 			}
 			stats.ServerHosts++

@@ -77,7 +77,7 @@ func TestPopulateShape(t *testing.T) {
 			t.Errorf("%s: no namesake group", u.Login)
 			return false
 		}
-		if len(d.FilesysByLabel(u.Login)) != 1 {
+		if n := count(d, db.Filesystems, u.Login); n != 1 {
 			t.Errorf("%s: no home filesystem", u.Login)
 			return false
 		}
@@ -88,7 +88,7 @@ func TestPopulateShape(t *testing.T) {
 	}
 	// DCM service records exist with the paper's intervals.
 	for name, interval := range map[string]int{"HESIOD": 360, "NFS": 720, "SMTP": 1440, "ZEPHYR": 1440} {
-		s, ok := d.ServerByName(name)
+		s, ok := db.Servers.Get(d, name)
 		if !ok {
 			t.Errorf("service %s missing", name)
 			continue
@@ -96,18 +96,18 @@ func TestPopulateShape(t *testing.T) {
 		if s.UpdateInt != interval {
 			t.Errorf("%s interval = %d, want %d", name, s.UpdateInt, interval)
 		}
-		if len(d.ServerHostsOf(name)) == 0 {
+		if count(d, db.ServerHosts, name) == 0 {
 			t.Errorf("%s has no hosts", name)
 		}
 	}
 	// Partition allocation accounting is consistent with quotas.
 	totalAlloc := 0
-	d.EachNFSPhys(func(p *db.NFSPhys) bool {
+	db.Partitions.Each(d, func(p *db.NFSPhys) bool {
 		totalAlloc += p.Allocated
 		return true
 	})
 	totalQuota := 0
-	d.EachQuota(func(q *db.NFSQuota) bool {
+	db.Quotas.Each(d, func(q *db.NFSQuota) bool {
 		totalQuota += q.Quota
 		return true
 	})
@@ -125,4 +125,10 @@ func TestScaledProportions(t *testing.T) {
 	if small.NFSServers != 1 {
 		t.Errorf("Scaled(500).NFSServers = %d", small.NFSServers)
 	}
+}
+
+// count returns how many rows rel files under name.
+func count[R comparable](d *db.DB, rel *db.Relation[R], name string) (n int) {
+	rel.Under(d, name, func(*R) bool { n++; return true })
+	return n
 }
