@@ -632,17 +632,17 @@ func statFile(dir, name string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// --- Incremental DCM: journal-delta extraction + chunked diff push ---
+// --- Incremental DCM: row-delta extraction + edit push ---
 
 // benchIncrementalDCM measures one steady-state DCM pass at scale under
 // light churn: users/1000 mutations (0.1%) land between passes. Both
-// variants run the one change path — planner, keyed models, chunk
-// manifests. The incremental variant lets the planner patch its models
+// variants run the one change path — planner, keyed models, edit
+// pushes. The incremental variant lets the planner patch its models
 // from the journal and reports the bytes that traveled; the full
 // baseline drops every model before each timed pass, so every service
 // rebuilds from scratch ("cold start"), and reports the whole-file byte
-// count (BytesPropagated) as what a transport without chunk reuse would
-// move. With fleet set, every pass also updates every managed host
+// count (BytesPropagated) as what a transport that sends whole files
+// would move. With fleet set, every pass also updates every managed host
 // (real TCP agents running the service install simulations — creating
 // home directories, reparsing hesiod maps — a cost identical in both
 // modes); without it the host fleet is pinned up to date, isolating the
@@ -768,9 +768,8 @@ func benchIncrementalDCM(b *testing.B, users int, incremental, fleet bool) {
 
 // BenchmarkDCMIncrementalChurn is the incremental-DCM evaluation
 // (BENCH_dcm_incremental.json): 100,000 users, 0.1% churn per pass,
-// every-model-invalidated whole-file baseline vs journal-delta
-// chunk-diff passes,
-// measured as the generation pipeline alone and as end-to-end fleet
+// every-model-invalidated whole-file baseline vs row-delta edit-push
+// passes, measured as the generation pipeline alone and as end-to-end fleet
 // passes (which add the mode-independent host install simulations).
 func BenchmarkDCMIncrementalChurn(b *testing.B) {
 	users := 100000

@@ -205,8 +205,8 @@ func printRepl(w []string, rows []row) {
 	}
 }
 
-// printDCM renders the incremental-DCM view from the dcm.* and
-// update.chunks.* series: cumulative pass modes and transfer savings,
+// printDCM renders the incremental-DCM view from the dcm.* series:
+// cumulative pass modes, transfer savings and push forms,
 // then a per-service table of the changed rows the last pass's snapshot
 // diff found and its mode, from the dcm.delta.*.<service> gauges.
 func printDCM(rows []row) {
@@ -224,8 +224,7 @@ func printDCM(rows []row) {
 		return s
 	}
 	for _, r := range rows {
-		if !strings.HasPrefix(r.name, "dcm.") && !strings.HasPrefix(r.name, "update.chunks.") &&
-			!strings.HasPrefix(r.name, "journal.") {
+		if !strings.HasPrefix(r.name, "dcm.") && !strings.HasPrefix(r.name, "journal.") {
 			continue
 		}
 		v, err := strconv.ParseInt(r.value, 10, 64)
@@ -254,8 +253,8 @@ func printDCM(rows []row) {
 	}
 	fmt.Printf("transfer: %d bytes pushed, %d bytes reused by agents (%.1f%% saved)\n",
 		pushed, skipped, pct)
-	fmt.Printf("chunks: %d manifests exchanged, %d chunks pushed, %d reused\n",
-		m["update.chunks.manifests"], m["update.chunks.pushed"], m["update.chunks.reused"])
+	fmt.Printf("pushes: %d as edits, %d whole; %d hosts diverged from the bundle last installed\n",
+		m["dcm.pushes.edited"], m["dcm.pushes.whole"], m["dcm.hosts.divergent"])
 	if hs, ok := m["journal.segment"]; ok {
 		fmt.Printf("journal: head segment %d\n", hs)
 	}

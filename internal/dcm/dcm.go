@@ -136,7 +136,16 @@ type DCM struct {
 	// cyclesMu guards cycles.
 	cyclesMu sync.Mutex
 	cycles   map[string]*cycleState
+
+	// heldMu guards held: for each (service, host), the sum of the
+	// bundle the DCM last installed there. A push ships a bundle's edits
+	// only to a host holding its base.
+	heldMu sync.Mutex
+	held   map[hostKey]update.Sum
 }
+
+// hostKey names one host of one service.
+type hostKey struct{ service, host string }
 
 // cycleState is what one service's cycles share: the planner's model
 // (patched in place) and the bundle buffers rendered from it. mu is held
@@ -172,6 +181,7 @@ func New(cfg Config) *DCM {
 		cfg: cfg, clk: cfg.Clock, rnd: newLockedRand(cfg.BackoffSeed),
 		planner: extract.NewPlanner(cfg.DB, cfg.FullEvery),
 		cycles:  map[string]*cycleState{},
+		held:    map[hostKey]update.Sum{},
 	}
 }
 
@@ -470,13 +480,6 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, vi
 		result = res
 	}
 
-	// The common bundle is chunked and summed once, for every host and
-	// retry; a per-host bundle is chunked once in its host's update.
-	var common *update.Bundle
-	if result.Common != nil {
-		common = update.NewBundle(result.Common)
-	}
-
 	// Replicated services keep the paper's ordered scan: every host
 	// carries the same data, and a hard failure must stop updates to the
 	// remaining hosts at a well-defined point rather than leaving an
@@ -485,7 +488,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, vi
 	// so failures are independent.
 	if snap.Type == db.ServiceReplicated {
 		for _, h := range hosts {
-			if !m.updateHost(snap, h, result, common, stats, csp) {
+			if !m.updateHost(snap, h, result, stats, csp) {
 				// A hard failure on a replicated service stops updates
 				// to the service's remaining hosts.
 				break
@@ -503,7 +506,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, vi
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			m.updateHost(snap, h, result, common, stats, csp)
+			m.updateHost(snap, h, result, stats, csp)
 		}()
 	}
 	wg.Wait()
@@ -536,17 +539,15 @@ func (m *DCM) hostsNeedingUpdate(snap *serviceSnapshot) []hostSnapshot {
 
 // updateHost pushes the service's files to one host, retrying soft
 // failures within the pass under the backoff policy. It returns false
-// on a hard failure (the replicated-service abort signal). common is
-// result.Common chunked once for every host, or nil: the host's bundle
-// is then chunked here, once for all its retries.
-func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Result, common *update.Bundle, stats *CycleStats, csp *trace.Span) bool {
+// on a hard failure (the replicated-service abort signal).
+func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Result, stats *CycleStats, csp *trace.Span) bool {
 	name := snap.Name
 	stats.add(func(s *CycleStats) { s.HostsConsidered++ })
-	data := result.Common
-	if data == nil {
-		data = result.PerHost[h.name]
+	b := result.Bundles[""]
+	if result.Common == nil {
+		b = result.Bundles[h.name]
 	}
-	if data == nil {
+	if b == nil {
 		m.cfg.Logf("dcm: %s: no bundle for host %s", name, h.name)
 		return true
 	}
@@ -560,10 +561,6 @@ func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Resu
 		return true
 	}
 
-	b := common
-	if b == nil {
-		b = update.NewBundle(data)
-	}
 	pushErr := m.pushOnce(snap, h, b, stats, csp)
 	for attempt := 1; pushErr != nil && update.IsSoftError(pushErr) && attempt <= m.maxRetries(); attempt++ {
 		delay := m.rnd.delay(m.cfg.Backoff, attempt)
@@ -580,7 +577,7 @@ func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Resu
 		stats.add(func(s *CycleStats) {
 			s.HostsUpdated++
 			s.FilesPropagated += result.NumFiles
-			s.BytesPropagated += len(data)
+			s.BytesPropagated += len(b.Data)
 		})
 		m.setHostFlags(name, h.machID, func(sh *db.ServerHost) {
 			sh.Success = true
@@ -631,7 +628,10 @@ func (m *DCM) updateHost(snap *serviceSnapshot, h hostSnapshot, result *gen.Resu
 }
 
 // pushOnce performs a single update attempt against one host and
-// records its wall-clock latency.
+// records its wall-clock latency. The push ships b's edits when the host
+// last installed b's base; a host that turns out not to hold what the
+// DCM last installed there (a base mismatch) gets the whole bundle, in
+// the same attempt.
 func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, b *update.Bundle, stats *CycleStats, csp *trace.Span) (err error) {
 	start := time.Now()
 	psp := csp.Child("dcm.push")
@@ -661,14 +661,35 @@ func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, b *update.Bundle, 
 	if id := psp.TraceID(); id != "" {
 		wireTrace = trace.Wire(id, psp.SpanID())
 	}
+	key := hostKey{snap.Name, h.name}
+	m.heldMu.Lock()
+	held := m.held[key]
+	m.heldMu.Unlock()
 	p := &update.Push{
-		Addr: addr, Target: snap.TargetFile, Bundle: b, Script: lines,
+		Addr: addr, Target: snap.TargetFile, Bundle: b, Held: held, Script: lines,
 		Creds: creds, Clock: m.clk, Timeout: m.cfg.PushTimeout,
 		Trace: wireTrace,
 	}
 	err = p.Run()
+	if err == mrerr.UpdBaseMismatch {
+		stats.add(func(s *CycleStats) { s.BaseMismatches++ })
+		m.cfg.Logf("dcm: %s: %s does not hold the bundle last installed there; pushing it whole%s",
+			snap.Name, h.name, traceSuffix(stats.Trace))
+		p.Held = update.Sum{}
+		err = p.Run()
+	}
+	if p.Assembled {
+		m.heldMu.Lock()
+		m.held[key] = b.Sum
+		m.heldMu.Unlock()
+	}
 	if err == nil {
 		stats.add(func(s *CycleStats) {
+			if p.Whole {
+				s.PushesWhole++
+			} else {
+				s.PushesEdited++
+			}
 			s.BytesPushed += p.SentBytes
 			s.BytesSkipped += p.ReusedBytes
 		})

@@ -116,7 +116,7 @@ func testClaimClosesTOCTOU(t *testing.T, journal bool) {
 		t.Fatal(err)
 	}
 	stats := &CycleStats{}
-	if ok := w.dcm.updateHost(&snap, hosts[0], res, nil, stats, nil); !ok {
+	if ok := w.dcm.updateHost(&snap, hosts[0], res, stats, nil); !ok {
 		t.Error("lost claim reported as hard failure")
 	}
 	if stats.HostsSkippedBusy != 1 || stats.HostsUpdated != 0 {

@@ -71,11 +71,19 @@ type CycleStats struct {
 	BytesGenerated  int
 	BytesPropagated int
 
-	// BytesPushed is what actually traveled to the hosts; BytesSkipped
-	// is what the chunk transport let the agents reuse from the files
-	// they already held.
+	// BytesPushed is the edit payload that traveled to the hosts;
+	// BytesSkipped the bundle bytes that did not travel, because the
+	// agents kept them from the files they held.
 	BytesPushed  int
 	BytesSkipped int
+
+	// PushesEdited and PushesWhole split successful pushes by form: the
+	// bundle's edits (or none, to a host holding it already), or the
+	// whole bundle. BaseMismatches counts hosts that did not hold the
+	// bundle the DCM last installed there, and got the whole bundle.
+	PushesEdited   int
+	PushesWhole    int
+	BaseMismatches int
 
 	// PushLatency is the distribution of individual push-attempt
 	// durations for this pass.
@@ -97,12 +105,13 @@ func (s *CycleStats) Summary() string {
 		"services scanned=%d due=%d generated=%d nochange=%d genfail=%d; "+
 			"passes full=%d delta=%d noop=%d fallback=%d rows=%d keys=%d; "+
 			"hosts considered=%d updated=%d soft=%d hard=%d busy=%d retries=%d; "+
-			"bytes gen=%d prop=%d pushed=%d skipped=%d; latency %s",
+			"bytes gen=%d prop=%d pushed=%d skipped=%d; pushes edited=%d whole=%d divergent=%d; latency %s",
 		s.ServicesScanned, s.ServicesDue, s.Generated, s.NoChange, s.GenHardErrors,
 		s.FullBuilds, s.DeltaBuilds, s.NoopPasses, s.Fallbacks, s.DeltaRecords, s.DeltaKeys,
 		s.HostsConsidered, s.HostsUpdated, s.HostSoftFails, s.HostHardFails,
 		s.HostsSkippedBusy, s.Retries,
 		s.BytesGenerated, s.BytesPropagated, s.BytesPushed, s.BytesSkipped,
+		s.PushesEdited, s.PushesWhole, s.BaseMismatches,
 		s.PushLatency.String())
 }
 
@@ -140,6 +149,9 @@ func (s *CycleStats) publish(reg *stats.Registry, d time.Duration) {
 		{"dcm.bytes.propagated", s.BytesPropagated},
 		{"dcm.bytes.pushed", s.BytesPushed},
 		{"dcm.bytes.skipped", s.BytesSkipped},
+		{"dcm.pushes.edited", s.PushesEdited},
+		{"dcm.pushes.whole", s.PushesWhole},
+		{"dcm.hosts.divergent", s.BaseMismatches},
 	} {
 		if c.v != 0 {
 			reg.Counter(c.name).Add(int64(c.v))

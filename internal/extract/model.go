@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // sep joins sort-key components. It is below every printable byte, so
@@ -66,6 +67,9 @@ type entry struct {
 // overlay (dirty + pending) and merged into the sorted slice in one
 // pass at render time, so a delta patch of k keys against an n-entry
 // file costs O(n + k log k) instead of k point insertions at O(n) each.
+//
+// Once rendered, a file records what each merge changed: version names
+// its bytes, and changes take the bytes of version from to them.
 type File struct {
 	name    string
 	entries []entry
@@ -75,7 +79,23 @@ type File struct {
 	// deletion. A dirty sort key shadows any base entry with that key.
 	dirty   map[string]int
 	pending []entry
+
+	// sealed is set by the first render: from then on every mutation
+	// goes through the overlay, so each merge knows what it changed.
+	sealed        bool
+	version, from uint64
+	changes       []change
 }
+
+// change is one stretch of a file a merge replaced: del bytes at off of
+// the file as it was, by ins bytes.
+type change struct{ off, del, ins int }
+
+// versions numbers file versions model-wide: a version names one file's
+// bytes at one time, never reused.
+var versions atomic.Uint64
+
+func newFile(name string) *File { return &File{name: name, version: versions.Add(1)} }
 
 // find returns the index of sortKey in the base entry slice, or the
 // insertion point and false. Overlay-blind; callers outside flush use
@@ -105,7 +125,7 @@ func (f *File) lookup(sortKey string) (entry, bool) {
 func (f *File) set(e entry) {
 	// Append fast path: full builds emit in sort order, so they stay on
 	// the contiguous slice and never pay for the overlay.
-	if len(f.dirty) == 0 && (len(f.entries) == 0 || f.entries[len(f.entries)-1].sort < e.sort) {
+	if !f.sealed && len(f.dirty) == 0 && (len(f.entries) == 0 || f.entries[len(f.entries)-1].sort < e.sort) {
 		f.entries = append(f.entries, e)
 		f.n++
 		return
@@ -144,8 +164,10 @@ func (f *File) del(sortKey string) {
 // between two adds as one block. A patch of k keys costs k binary
 // searches and block moves, and allocates only when the file outgrows
 // its array (then with append's headroom, so the next few growths do
-// not allocate either).
+// not allocate either). It records the merge's changes and moves the
+// file to a new version.
 func (f *File) flush() {
+	f.sealed = true
 	if len(f.dirty) == 0 {
 		return
 	}
@@ -167,6 +189,7 @@ func (f *File) flush() {
 		}
 	}
 	sort.Ints(gone)
+	f.record(gone, adds)
 	n, kept := len(f.entries), len(f.entries)
 	if len(gone) > 0 {
 		kept = gone[0]
@@ -193,6 +216,50 @@ func (f *File) flush() {
 		clear(f.entries[len(es):n]) // drop the removed entries' data
 	}
 	f.entries, f.dirty, f.pending = es, nil, nil
+}
+
+// record sets the file's changes to those of a merge that removes the
+// entries at gone (sorted indices) and adds adds (sorted), and moves it
+// to a new version. An add that replaces an entry by the same bytes
+// changes nothing. It walks the entries once, up to the last change, and
+// allocates only when there are more changes than the last merge had.
+func (f *File) record(gone []int, adds []entry) {
+	f.from, f.version = f.version, versions.Add(1)
+	f.changes = f.changes[:0]
+	at, off := 0, 0 // off is where entry at starts
+	step := func(i int) {
+		for ; at < i; at++ {
+			off += len(f.entries[at].data)
+		}
+	}
+	// open returns the change ending at off, opening one there if none.
+	open := func() *change {
+		if k := len(f.changes); k > 0 && f.changes[k-1].off+f.changes[k-1].del == off {
+			return &f.changes[k-1]
+		}
+		f.changes = append(f.changes, change{off: off})
+		return &f.changes[len(f.changes)-1]
+	}
+	for a, g := 0, 0; a < len(adds) || g < len(gone); {
+		if a < len(adds) {
+			p, same := f.find(adds[a].sort)
+			if same && g < len(gone) && gone[g] == p && bytes.Equal(f.entries[p].data, adds[a].data) {
+				a, g = a+1, g+1
+				continue
+			}
+			if g == len(gone) || p <= gone[g] {
+				step(p)
+				open().ins += len(adds[a].data)
+				a++
+				continue
+			}
+		}
+		step(gone[g])
+		c := open()
+		c.del += len(f.entries[gone[g]].data)
+		step(gone[g] + 1)
+		g++
+	}
 }
 
 // size merges the overlay and returns the rendered length.
@@ -232,7 +299,7 @@ func NewModel() *Model {
 func (m *Model) Emit(file, sortKey, key string, data []byte) {
 	f := m.files[file]
 	if f == nil {
-		f = &File{name: file}
+		f = newFile(file)
 		m.files[file] = f
 	}
 	if old, ok := f.lookup(sortKey); ok {
@@ -335,6 +402,43 @@ func (m *Model) WriteFile(w io.Writer, file string) error {
 		}
 	}
 	return nil
+}
+
+// Version names the bytes file renders to now: a file's bytes change
+// only with its version, and a file made anew gets a version no file
+// had. 0 means the file does not exist.
+func (m *Model) Version(file string) uint64 {
+	f := m.files[file]
+	if f == nil {
+		return 0
+	}
+	f.flush()
+	return f.version
+}
+
+// Changes calls fn with each change that takes file's bytes at version
+// from to its bytes now, in order: del bytes at off of the old bytes
+// are replaced by ins bytes. ok is false when the model does not know
+// them: from is neither the file's version nor the one its last merge
+// left.
+func (m *Model) Changes(file string, from uint64, fn func(off, del, ins int)) (ok bool) {
+	f := m.files[file]
+	if f == nil || from == 0 {
+		return false
+	}
+	f.flush()
+	switch from {
+	case f.version:
+		return true
+	case f.from:
+		for _, c := range f.changes {
+			if c.del > 0 || c.ins > 0 {
+				fn(c.off, c.del, c.ins)
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // Files renders every file into new slices.

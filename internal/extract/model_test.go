@@ -157,6 +157,13 @@ func FuzzModelPatch(f *testing.F) {
 		ref := map[string]map[string]ent{}
 		m := NewModel()
 		next := 0 // appended sort positions sort after every other one
+		// The bytes and version of each file at the last check: the
+		// changes the model reports since make the bytes it renders now.
+		type seen struct {
+			v    uint64
+			data []byte
+		}
+		last := map[string]seen{}
 		check := func() {
 			var names []string
 			for _, file := range []string{"f", "g"} {
@@ -178,6 +185,34 @@ func FuzzModelPatch(f *testing.F) {
 				if err := m.WriteFile(&w, file); err != nil || m.Size(file) != len(want) || !bytes.Equal(w.Bytes(), want) {
 					t.Fatalf("%s: WriteFile %q, Size %d, want %q", file, w.Bytes(), m.Size(file), want)
 				}
+				if l, ok := last[file]; ok && len(sorts) > 0 {
+					var patched []byte
+					at := 0
+					known := m.Changes(file, l.v, func(off, del, ins int) {
+						if off < at || off+del > len(l.data) {
+							t.Fatalf("%s: change %d-%d+%d out of order or bounds", file, off, del, ins)
+						}
+						patched = append(append(patched, l.data[at:off]...), make([]byte, ins)...)
+						at = off + del
+					})
+					patched = append(patched, l.data[at:]...)
+					if m.Version(file) == l.v && !bytes.Equal(l.data, want) {
+						t.Fatalf("%s: bytes changed under one version", file)
+					}
+					if known {
+						// Inserted bytes are the new ones at their place:
+						// compare the lengths and every kept byte.
+						if len(patched) != len(want) {
+							t.Fatalf("%s: changes give %d bytes, want %d", file, len(patched), len(want))
+						}
+						for i := range want {
+							if patched[i] != 0 && patched[i] != want[i] {
+								t.Fatalf("%s: changes misplace byte %d", file, i)
+							}
+						}
+					}
+				}
+				last[file] = seen{m.Version(file), want}
 				got := m.Bytes(file)
 				if len(sorts) == 0 {
 					if got != nil {

@@ -14,8 +14,10 @@
 package gen
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,6 +40,12 @@ type Result struct {
 	// NumFiles counts generated files; TotalBytes their summed size.
 	NumFiles   int
 	TotalBytes int
+	// Bundles maps each bundle's key ("" for Common, else the host of a
+	// PerHost bundle) to it ready to push: its sum, and its edits from
+	// its base, the bundle the same Scratch rendered last under that key.
+	// The base is the empty file (the edit is the whole bundle) when
+	// there is no such bundle or the model cannot say what changed since.
+	Bundles map[string]*update.Bundle
 }
 
 func (r *Result) finish() {
@@ -118,18 +126,28 @@ var Incrementals = map[string]*Incremental{
 }
 
 // Scratch holds one service's reusable bundle buffers between DCM
-// passes. Rebuilding a service's tar bundles allocates tens of
-// megabytes per pass; recycling the previous pass's buffers keeps an
-// incremental pass's allocation proportional to the delta. A Scratch
-// must not be shared across services generating concurrently, and the
-// previous pass's bundles must be fully consumed (pushed) before the
-// next render overwrites them.
+// passes, and what each last held: its sum, and its members' names and
+// model versions, from which the next render's edits follow. Rebuilding
+// a service's tar bundles allocates tens of megabytes per pass;
+// recycling the previous pass's buffers keeps an incremental pass's
+// allocation proportional to the delta. A Scratch must not be shared
+// across services generating concurrently, and the previous pass's
+// bundles must be fully consumed (pushed) before the next render
+// overwrites them.
 type Scratch struct {
-	bufs map[string][]byte
+	bufs map[string]*rendered
+}
+
+// rendered is a bundle as a Scratch last rendered it.
+type rendered struct {
+	buf      []byte
+	sum      update.Sum
+	names    []string // the model files it holds, in member order
+	versions []uint64 // their model versions
 }
 
 // NewScratch returns an empty bundle-buffer cache.
-func NewScratch() *Scratch { return &Scratch{bufs: map[string][]byte{}} }
+func NewScratch() *Scratch { return &Scratch{bufs: map[string]*rendered{}} }
 
 // FromModel converts a rendered model into a generator Result: files
 // named "HOST/path" group into per-host tar bundles, files without a
@@ -161,25 +179,39 @@ func FromModelInto(m *extract.Model, s *Scratch) (*Result, error) {
 		}
 		b.names, b.members = append(b.names, name), append(b.members, member)
 	}
-	r := &Result{Files: map[string][]byte{}}
+	r := &Result{Files: map[string][]byte{}, Bundles: make(map[string]*update.Bundle, len(order))}
 	for _, key := range order {
 		names := bundles[key].names
 		sizes := make([]int, len(names))
 		for i, name := range names {
 			sizes[i] = m.Size(name)
 		}
-		var prev []byte
+		prev := &rendered{}
 		if s != nil {
+			if s.bufs[key] == nil {
+				s.bufs[key] = prev
+			}
 			prev = s.bufs[key]
 		}
-		tarball, offs, err := update.BuildTarFrom(prev, bundles[key].members, func(i int) int { return sizes[i] },
+		tarball, offs, err := update.BuildTarFrom(prev.buf, bundles[key].members, func(i int) int { return sizes[i] },
 			func(w io.Writer, i int) error { return m.WriteFile(w, names[i]) })
 		if err != nil {
 			return nil, err
 		}
-		if s != nil {
-			s.bufs[key] = tarball
+		b := &update.Bundle{Data: tarball}
+		if edits, ok := bundleEdits(m, prev, names, sizes, offs, tarball); !ok {
+			b = update.NewBundle(tarball)
+		} else if b.Base, b.Edits = prev.sum, edits; len(edits) == 0 {
+			b.Sum = prev.sum // no edits: prev's bytes
+		} else {
+			b.Sum = sha256.Sum256(tarball)
 		}
+		r.Bundles[strings.TrimPrefix(key, "/")] = b
+		prev.versions = prev.versions[:0]
+		for _, name := range names {
+			prev.versions = append(prev.versions, m.Version(name))
+		}
+		prev.buf, prev.sum, prev.names = tarball, b.Sum, names
 		for i, name := range names {
 			r.Files[name] = tarball[offs[i] : offs[i]+sizes[i] : offs[i]+sizes[i]]
 		}
@@ -194,6 +226,60 @@ func FromModelInto(m *extract.Model, s *Scratch) (*Result, error) {
 	}
 	r.finish()
 	return r, nil
+}
+
+// bundleEdits is the edits that make the bundle tarball (its members the
+// model's files names, of sizes bytes from offs) from prev, the bundle
+// the Scratch rendered before it, in old-bundle offsets: each member's
+// changes since the version prev holds, its header's size and checksum
+// fields when its size changed, and the zero padding after it when its
+// length did. The inserted bytes alias tarball. The header's other
+// fields and blocks do not depend on the size: the same name gives the
+// same header blocks. ok is false when prev
+// holds other members or the model does not know a member's changes.
+func bundleEdits(m *extract.Model, prev *rendered, names []string, sizes, offs []int, tarball []byte) (edits []update.Splice, ok bool) {
+	if prev.buf == nil || !slices.Equal(prev.names, names) {
+		return nil, false
+	}
+	at := 0 // where the last edit's data starts in tarball
+	add := func(off, n, from, k int) {
+		if l := len(edits) - 1; l >= 0 && edits[l].Off+edits[l].Len == off && at+len(edits[l].Data) == from {
+			edits[l].Len += n
+			edits[l].Data = tarball[at : from+k]
+			return
+		}
+		edits = append(edits, update.Splice{Off: off, Len: n, Data: tarball[from : from+k]})
+		at = from
+	}
+	pad := func(n int) int { return -n & 511 }
+	// A tar header's size field, then its mtime and checksum fields, in
+	// the header's last block.
+	const sizeField, sizeFieldLen = 512 - 124, 32
+	oldEnd, newEnd := 0, 0 // the previous member's padded end
+	for i, name := range names {
+		v, data := prev.versions[i], oldEnd+offs[i]-newEnd
+		oldSize := sizes[i]
+		if !m.Changes(name, v, func(_, del, ins int) { oldSize += del - ins }) {
+			return nil, false
+		}
+		if oldSize != sizes[i] {
+			add(data-sizeField, sizeFieldLen, offs[i]-sizeField, sizeFieldLen)
+		}
+		shift := offs[i]
+		m.Changes(name, v, func(off, del, ins int) {
+			add(data+off, del, off+shift, ins)
+			shift += ins - del
+		})
+		// The padding grows or shrinks by the difference: it is zeros.
+		switch p, q := pad(oldSize), pad(sizes[i]); {
+		case p > q:
+			add(data+oldSize+q, p-q, offs[i]+sizes[i]+q, 0)
+		case q > p:
+			add(data+oldSize+p, 0, offs[i]+sizes[i]+p, q-p)
+		}
+		oldEnd, newEnd = data+oldSize+pad(oldSize), offs[i]+sizes[i]+pad(sizes[i])
+	}
+	return edits, true
 }
 
 // Generate runs g from scratch against a snapshot of d, rendered to

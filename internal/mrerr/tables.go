@@ -169,20 +169,22 @@ var updTable = Register("upd", []string{
 	/* 8 */ "No previous file to revert to",
 	/* 9 */ "Unknown instruction in installation script",
 	/* 10 */ "Update already in progress on this host",
+	/* 11 */ "Target file is not the base the pushed edits apply to",
 })
 
 // Update protocol error codes.
 var (
-	UpdChecksum    = updTable.Code(1)
-	UpdAuthFailed  = updTable.Code(2)
-	UpdScriptError = updTable.Code(3)
-	UpdTimeout     = updTable.Code(4)
-	UpdUnreachable = updTable.Code(5)
-	UpdNoFile      = updTable.Code(6)
-	UpdRename      = updTable.Code(7)
-	UpdNoRevert    = updTable.Code(8)
-	UpdBadInstr    = updTable.Code(9)
-	UpdBusy        = updTable.Code(10)
+	UpdChecksum     = updTable.Code(1)
+	UpdAuthFailed   = updTable.Code(2)
+	UpdScriptError  = updTable.Code(3)
+	UpdTimeout      = updTable.Code(4)
+	UpdUnreachable  = updTable.Code(5)
+	UpdNoFile       = updTable.Code(6)
+	UpdRename       = updTable.Code(7)
+	UpdNoRevert     = updTable.Code(8)
+	UpdBadInstr     = updTable.Code(9)
+	UpdBusy         = updTable.Code(10)
+	UpdBaseMismatch = updTable.Code(11)
 )
 
 // regTable holds the user-registration protocol errors (section 5.10).

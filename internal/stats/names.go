@@ -101,8 +101,11 @@ var KnownNames = []string{
 	"dcm.files.propagated",
 	"dcm.bytes.generated",
 	"dcm.bytes.propagated",
-	"dcm.bytes.pushed",
-	"dcm.bytes.skipped",
+	"dcm.bytes.pushed",    // edit payload bytes shipped
+	"dcm.bytes.skipped",   // bundle bytes the agents kept from the files they held
+	"dcm.pushes.edited",   // pushes that shipped a bundle's edits (or none)
+	"dcm.pushes.whole",    // pushes that shipped the whole bundle
+	"dcm.hosts.divergent", // base mismatches: a host did not hold the bundle last installed there
 	"dcm.pass.duration",
 	"dcm.push.latency",
 
@@ -120,11 +123,9 @@ var KnownNames = []string{
 	"update.installs",
 	"update.xfers",
 	"update.bytes",
-	"update.chunks.manifests",
-	"update.chunks.pushed",
-	"update.chunks.reused",
-	"update.chunks.bytes.pushed",
-	"update.chunks.bytes.reused",
+	"update.chunks.pushed", // edits shipped (the name predates edit pushes)
+	"update.chunks.reused", // runs of the old file kept unchanged
+	"update.base.mismatch", // pushes refused: the target was not the edits' base
 	"update.conns.busy",
 	"update.conns.forceclosed",
 	"update.panics.recovered",

@@ -3,7 +3,7 @@ package update
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"net"
@@ -29,15 +29,16 @@ const (
 	OpUScript  uint16 = 22 // args: instruction lines
 	OpUExecute uint16 = 23 // no args; runs the staged script
 
-	// The data transfer: the pusher sends the new file's chunk
-	// manifest, the agent answers with the indices it cannot reuse from
-	// the file it already holds, the pusher ships only those, the agent
-	// writes each verified chunk into a staging file as it arrives, and
-	// the assemble fills in the reused chunks, verifies the whole file
-	// and renames it over the target. Op 21 is unassigned.
-	OpUManifest uint16 = 24 // args: target path, whole-file sha256 hex, manifest
-	OpUChunks   uint16 = 25 // args: alternating chunk index, chunk data
-	OpUAssemble uint16 = 26 // no args; stage, verify, rename
+	// The data transfer: the pusher names the base the new file is made
+	// from (the empty file for a whole push) and the new file's sum,
+	// then sends the edits, each replacing a stretch of the base, in
+	// order; the agent applies each to the target's bytes as it arrives,
+	// writing the result to a staging file, and the assemble copies the
+	// rest, checks both sums and renames the staging file over the
+	// target. Op 21 is unassigned.
+	OpUBegin    uint16 = 24 // args: target path, base sha256 hex, new sha256 hex
+	OpUEdits    uint16 = 25 // args: (old offset, old length, new bytes) per edit; offset and length 8-byte big-endian
+	OpUAssemble uint16 = 26 // no args; copy the rest, verify, rename
 )
 
 // Suffixes used by the atomic installation dance: a transfer stages its
@@ -100,16 +101,10 @@ type Agent struct {
 	conns      map[net.Conn]*connState
 	closed     bool
 
-	// kept maps each transfer target (its host path) to the chunk list
-	// of the bundle the agent last staged there: a hint, checked against
-	// the target's bytes before any use, so the next manifest diff reads
-	// only what it reuses instead of re-reading and re-chunking the file.
-	kept map[string][]Chunk
-
 	// The connection of the one session holding the host lock (section
 	// 5.9 allows one update at a time per host) is read and written
 	// through these, reset for each connection, so the frame buffer a
-	// push's chunks arrive in outlives the connection.
+	// push's edits arrive in outlives the connection.
 	br *bufio.Reader
 	bw *bufio.Writer
 	fr *protocol.FrameReader
@@ -155,7 +150,6 @@ func NewAgent(host, dir string, verifier *kerberos.Verifier) *Agent {
 		commands:    make(map[string]CommandFunc),
 		sem:         make(chan struct{}, 1),
 		conns:       make(map[net.Conn]*connState),
-		kept:        make(map[string][]Chunk),
 		closing:     make(chan struct{}),
 		reg:         stats.NewRegistry(),
 	}
@@ -347,18 +341,6 @@ func (a *Agent) HostPath(p string) (string, error) {
 	return clean, nil
 }
 
-// keep records chunks as the bundle staged at host path fp; nil forgets
-// it, before anything rewrites fp.
-func (a *Agent) keep(fp string, chunks []Chunk) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if chunks == nil {
-		delete(a.kept, fp)
-	} else {
-		a.kept[fp] = chunks
-	}
-}
-
 // ReadHostFile reads a file from the host's private filesystem, for
 // the services (and tests) running on this host.
 func (a *Agent) ReadHostFile(p string) ([]byte, error) {
@@ -384,8 +366,6 @@ func (a *Agent) RenameHostFile(oldPath, newPath string) error {
 	if err := os.MkdirAll(filepath.Dir(np), 0o755); err != nil {
 		return err
 	}
-	a.keep(op, nil)
-	a.keep(np, nil)
 	return os.Rename(op, np)
 }
 
@@ -398,7 +378,6 @@ func (a *Agent) WriteHostFile(p string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
 		return err
 	}
-	a.keep(fp, nil)
 	return os.WriteFile(fp, data, 0o644)
 }
 
@@ -416,15 +395,11 @@ type updateSession struct {
 	// added to by each extract, closed with the session.
 	install *Install
 
-	// xfer is the chunked transfer between OpUManifest and OpUAssemble,
-	// to chunkTarget; a session that ends without assembling it removes
-	// its staging file.
-	xfer        *xfer
-	chunkTarget string
-
-	// fields carries reply fields for the next reply (the manifest
-	// response lists the needed chunk indices).
-	fields [][]byte
+	// xfer is the transfer between OpUBegin and OpUAssemble, to
+	// xferTarget; a session that ends without assembling it removes its
+	// staging file.
+	xfer       *xfer
+	xferTarget string
 }
 
 // end closes the session's view of its transfer and abandons a transfer
@@ -436,19 +411,12 @@ func (s *updateSession) end() {
 }
 
 // abandon drops the transfer in progress, if any: its staging file is
-// removed, and the target and its kept list stay as they are.
+// removed, and the target stays as it is.
 func (s *updateSession) abandon() {
 	if s.xfer != nil {
 		s.xfer.abort()
 		s.xfer = nil
 	}
-}
-
-// takeFields returns and clears the pending reply fields.
-func (s *updateSession) takeFields() [][]byte {
-	f := s.fields
-	s.fields = nil
-	return f
 }
 
 // SetCrashPoint installs (or clears, with nil) a crash-injection hook:
@@ -546,7 +514,7 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 		if a.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(a.WriteTimeout))
 		}
-		rep := &protocol.Reply{Version: protocol.Version, Code: int32(code), Fields: ses.takeFields()}
+		rep := &protocol.Reply{Version: protocol.Version, Code: int32(code)}
 		if err := protocol.WriteReply(bw, rep); err != nil {
 			return err
 		}
@@ -562,7 +530,7 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 			conn.SetReadDeadline(time.Now().Add(a.ReadTimeout))
 		}
 		// A request is valid until the next read: the handlers copy
-		// what they keep and write pushed chunks to the staging file.
+		// what they keep and write pushed edits to the staging file.
 		req, err := a.fr.ReadRequest()
 		if err != nil {
 			return
@@ -604,10 +572,10 @@ func (a *Agent) dispatch(conn net.Conn, ses *updateSession, req *protocol.Reques
 	switch req.Op {
 	case OpUAuth:
 		code = ses.auth(req)
-	case OpUManifest:
-		code = ses.chunkManifest(req)
-	case OpUChunks:
-		code = ses.chunkData(req)
+	case OpUBegin:
+		code = ses.begin(req)
+	case OpUEdits:
+		code = ses.edits(req)
 	case OpUAssemble:
 		// The assemble is the step that stages the transferred file,
 		// so the xfer crash points ("server died around the data
@@ -615,7 +583,7 @@ func (a *Agent) dispatch(conn net.Conn, ses *updateSession, req *protocol.Reques
 		if a.crash(conn, "before-xfer") {
 			return code, true
 		}
-		code = ses.chunkAssemble(req)
+		code = ses.assemble(req)
 		if a.crash(conn, "after-xfer") {
 			return code, true
 		}
@@ -660,128 +628,113 @@ func (s *updateSession) auth(req *protocol.Request) mrerr.Code {
 	return mrerr.Success
 }
 
-// chunkManifest starts a chunked transfer: parse the new file's
-// manifest, open the target and learn which of the new file's chunks it
-// holds, create the staging file, and answer with the indices the
-// pusher must still send. The target's kept chunk list is the first
-// guess, every chunk of it checked in place; when there is no kept list,
-// or the target is not what it says, the agent cuts whatever sits at the
-// target into chunks. A second manifest in a session replaces the first.
-func (s *updateSession) chunkManifest(req *protocol.Request) mrerr.Code {
+// begin starts a transfer: it opens the target, unless the base is the
+// empty file, and creates the staging file. A second begin in a session
+// replaces the first.
+func (s *updateSession) begin(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
 	}
 	if len(req.Args) != 3 {
 		return mrerr.MrArgs
 	}
+	var base, sum Sum
+	for i, dst := range []*Sum{&base, &sum} {
+		if len(req.Args[1+i]) != 2*len(dst) {
+			return mrerr.MrArgs
+		}
+		if _, err := hex.Decode(dst[:], req.Args[1+i]); err != nil {
+			return mrerr.MrArgs
+		}
+	}
 	target := string(req.Args[0])
-	var wholeSum [sha256.Size]byte
-	if len(req.Args[1]) != 2*sha256.Size {
-		return mrerr.MrArgs
-	}
-	if _, err := hex.Decode(wholeSum[:], req.Args[1]); err != nil {
-		return mrerr.MrArgs
-	}
-	manifest, err := DecodeManifest(req.Args[2])
-	if err != nil {
-		return mrerr.MrArgs
-	}
 	fp, err := s.agent.HostPath(target)
 	if err != nil {
 		return mrerr.UpdBadInstr
 	}
 	s.abandon()
-
-	a := s.agent
-	a.mu.Lock()
-	kept := a.kept[fp]
-	a.mu.Unlock()
-	old, dropped := openOld(fp, kept, manifest)
-	if dropped {
-		a.reg.Counter("update.chunks.hints.dropped").Inc()
-	}
-	x, idx, err := beginXfer(fp, old, manifest, wholeSum)
+	x, err := beginXfer(fp, base, sum)
 	if err != nil {
 		return mrerr.MrInternal
 	}
-	// The reply's fields are the needed indices in decimal, cut from one
-	// buffer.
-	var needed [][]byte
-	if len(idx) > 0 {
-		digits := make([]byte, 0, len(idx)*len(strconv.Itoa(idx[len(idx)-1])))
-		needed = make([][]byte, len(idx))
-		for k, i := range idx {
-			lo := len(digits)
-			digits = strconv.AppendInt(digits, int64(i), 10)
-			needed[k] = digits[lo:len(digits):len(digits)]
-		}
-	}
-
-	s.xfer, s.chunkTarget = x, target
-	s.fields = needed
-	a.reg.Counter("update.chunks.manifests").Inc()
-	a.reg.Counter("update.chunks.reused").Add(int64(x.reused))
-	a.reg.Counter("update.chunks.bytes.reused").Add(int64(x.reusedBytes))
+	s.xfer, s.xferTarget = x, target
 	return mrerr.Success
 }
 
-// chunkData receives pushed chunks (alternating index and data args),
-// writing each, checked against the manifest, into the staging file.
-func (s *updateSession) chunkData(req *protocol.Request) mrerr.Code {
+// edits applies pushed edits (offset, length, data per edit) to the
+// transfer, writing each into the staging file as it arrives. A failed
+// edit ends the transfer.
+func (s *updateSession) edits(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
 	}
 	if s.xfer == nil {
 		return mrerr.UpdNoFile
 	}
-	if len(req.Args)%2 != 0 {
+	if len(req.Args)%3 != 0 {
 		return mrerr.MrArgs
 	}
-	pushed, pushedBytes := 0, 0
-	for i := 0; i+1 < len(req.Args); i += 2 {
-		idx, err := strconv.Atoi(string(req.Args[i]))
-		if err != nil || idx < 0 || idx >= len(s.xfer.manifest) {
-			return mrerr.MrArgs
+	for i := 0; i < len(req.Args); i += 3 {
+		off, ok1 := uint63(req.Args[i])
+		n, ok2 := uint63(req.Args[i+1])
+		code := mrerr.MrArgs
+		if ok1 && ok2 {
+			code = s.xfer.apply(off, n, req.Args[i+2])
 		}
-		if code := s.xfer.put(idx, req.Args[i+1]); code != mrerr.Success {
+		if code != mrerr.Success {
+			s.failed(code)
 			return code
 		}
-		pushed++
-		pushedBytes += len(req.Args[i+1])
 	}
-	s.agent.reg.Counter("update.chunks.pushed").Add(int64(pushed))
-	s.agent.reg.Counter("update.chunks.bytes.pushed").Add(int64(pushedBytes))
 	return mrerr.Success
 }
 
-// chunkAssemble stages the transferred file (xfer.assemble) and renames
-// it over the target. The staging file stays open as the session's view
-// of the new bundle, the target's old inode as its view of the old one.
-func (s *updateSession) chunkAssemble(req *protocol.Request) mrerr.Code {
+// uint63 parses an 8-byte big-endian offset or length.
+func uint63(b []byte) (int, bool) {
+	if len(b) != 8 || b[0]&0x80 != 0 {
+		return 0, false
+	}
+	return int(binary.BigEndian.Uint64(b)), true
+}
+
+// failed abandons a transfer that failed with code, counting a base
+// mismatch.
+func (s *updateSession) failed(code mrerr.Code) {
+	s.abandon()
+	if code == mrerr.UpdBaseMismatch {
+		s.agent.reg.Counter("update.base.mismatch").Inc()
+	}
+}
+
+// assemble finishes the transfer (xfer.assemble): the staged file is
+// checked and renamed over the target. The staging file stays open as
+// the session's view of the new bundle, the target's old inode as its
+// view of the old one.
+func (s *updateSession) assemble(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
 	}
 	if s.xfer == nil {
 		return mrerr.UpdNoFile
 	}
-	x, target := s.xfer, s.chunkTarget
-	s.xfer, s.chunkTarget = nil, ""
+	x, target := s.xfer, s.xferTarget
+	s.xfer, s.xferTarget = nil, ""
 	s.end()
 
 	in, code := x.assemble()
 	if code != mrerr.Success {
-		// The target may no longer hold what its kept list says: the
-		// retry re-chunks it.
-		s.agent.keep(x.fp, nil)
+		s.failed(code)
 		return code
 	}
-	s.agent.keep(x.fp, x.manifest)
 	s.target = target
 	s.install = in
-	// Staged files and their sizes; the chunk counters hold the
-	// wire-level story.
-	s.agent.reg.Counter("update.xfers").Inc()
-	s.agent.reg.Counter("update.bytes").Add(int64(in.new.Len()))
+	// Staged files and their sizes, the edits that made them and the
+	// runs of the old file they kept.
+	reg := s.agent.reg
+	reg.Counter("update.xfers").Inc()
+	reg.Counter("update.bytes").Add(int64(in.new.Len()))
+	reg.Counter("update.chunks.pushed").Add(int64(len(x.edits)))
+	reg.Counter("update.chunks.reused").Add(int64(x.kept))
 	return mrerr.Success
 }
 
@@ -846,7 +799,6 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		}
 		// Keep the old file, if there is one, for revert; both stay in
 		// the same directory so the renames never cross a partition.
-		a.keep(fp, nil)
 		if err := os.Rename(fp, fp+backupSuffix); err != nil && !os.IsNotExist(err) {
 			return mrerr.UpdRename
 		}
@@ -866,7 +818,6 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		if _, err := os.Stat(fp + backupSuffix); err != nil {
 			return mrerr.UpdNoRevert
 		}
-		a.keep(fp, nil)
 		if err := os.Rename(fp+backupSuffix, fp); err != nil {
 			return mrerr.UpdRename
 		}
@@ -916,7 +867,6 @@ func (s *updateSession) extract(fields []string) mrerr.Code {
 	if err != nil {
 		return mrerr.UpdBadInstr
 	}
-	s.agent.keep(fp, nil)
 	f, err := os.Create(fp)
 	if os.IsNotExist(err) {
 		if err = os.MkdirAll(filepath.Dir(fp), 0o755); err == nil {

@@ -45,10 +45,11 @@ func checkInstalled(t *testing.T, a *Agent, files map[string][]byte) {
 }
 
 // warmPushAllocs pushes members members of total bytes to a new agent,
-// extracting and installing each, then re-pushes the same bundle — a
-// change pass's steady state, where no chunk travels — five times. It
-// returns the median allocation of the re-pushes, both ends counted,
-// and the bundle's chunk count.
+// extracting and installing each, then re-pushes the same bundle to the
+// host holding it — a change pass's steady state, where no edit travels
+// — five times. It returns the median allocation of the re-pushes, both
+// ends counted, and the bundle's chunk count (SplitChunks), a measure of
+// its size.
 func warmPushAllocs(t *testing.T, members, total int) (uint64, int) {
 	t.Helper()
 	a := NewAgent("H", t.TempDir(), nil)
@@ -64,9 +65,10 @@ func warmPushAllocs(t *testing.T, members, total int) (uint64, int) {
 	}
 	p := &Push{Addr: addr.String(), Target: "/tmp/bundle", Bundle: NewBundle(data),
 		Script: extractAll(files), Timeout: 5 * time.Second}
-	if err := p.Run(); err != nil { // cold: every chunk travels
+	if err := p.Run(); err != nil { // cold: the whole bundle travels
 		t.Fatal(err)
 	}
+	p.Held = p.Bundle.Sum
 	var allocs []uint64
 	for i := 0; i < 5; i++ {
 		var before, after runtime.MemStats
@@ -76,18 +78,18 @@ func warmPushAllocs(t *testing.T, members, total int) (uint64, int) {
 		}
 		runtime.ReadMemStats(&after)
 		if p.SentBytes != 0 {
-			t.Fatalf("warm push sent %d chunk bytes, want 0", p.SentBytes)
+			t.Fatalf("warm push sent %d edit bytes, want 0", p.SentBytes)
 		}
 		allocs = append(allocs, after.TotalAlloc-before.TotalAlloc)
 	}
 	checkInstalled(t, a, files)
 	slices.Sort(allocs)
-	return allocs[2], len(p.Bundle.chunks)
+	return allocs[2], len(SplitChunks(data))
 }
 
-// warmPushCeiling bounds a warm re-push whatever the bundle's size: both
-// ends' manifests and chunk maps, frames, tar headers, file handles;
-// 57-295 KiB measured at 1 and 8 MiB.
+// warmPushCeiling bounds a warm re-push whatever the bundle's size:
+// frames, hashes, tar headers, file handles; 57-295 KiB measured at 1
+// and 8 MiB with a chunk transport, which needed more.
 const warmPushCeiling = 512 << 10
 
 // TestExtractAllocsIndependentOfMemberCount: the agent streams a push
@@ -118,9 +120,8 @@ func TestExtractAllocsIndependentOfMemberCount(t *testing.T) {
 
 // TestExtractAllocsIndependentOfBundleSize: a warm re-push of an 8 MiB
 // bundle allocates under the same constant as one of a 1 MiB bundle,
-// and more only by what its longer manifest costs per chunk (the wire
-// line, the decoded and kept entry, the pairing with the kept list):
-// nothing per byte.
+// and more by at most a bound per 8 KiB chunk of the bundle (what a
+// chunk transport's manifest cost): nothing per byte.
 func TestExtractAllocsIndependentOfBundleSize(t *testing.T) {
 	// 270 B measured; a chunk is 8 KiB or more.
 	const perChunk = 320

@@ -2,9 +2,7 @@ package update
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
-	"fmt"
 	"os"
 	"path"
 
@@ -25,7 +23,7 @@ import (
 type Install struct {
 	old, new     Text // the bundles the target held before and holds now
 	oldID, newID string
-	anchors      []anchor // runs the bundles share, in order
+	edits        []Edit // the edits that made new from old, in order
 
 	// oldIndex and newIndex map each bundle's member names to their data
 	// (Lo < 0: not a plain file), built by one header walk on first use:
@@ -123,22 +121,20 @@ type Range struct{ Lo, Hi int }
 // file's length, or just after a newline.
 type Edit struct{ Old, New Range }
 
-// anchor is a run of bytes the two bundles share, in the same order on
-// both sides: old[o:o+n] == new[p:p+n].
-type anchor struct{ o, p, n int }
-
 // NewInstall builds the view of a push of newBundle over oldBundle (nil
 // when the target held nothing), with each entry of members mapping an
 // extract's dest to the member it extracts. Agents build the same view
 // over the files of the transfer; this form holds both bundles in
-// memory and chunks them itself, for tests and tools that stage a push
-// by hand.
+// memory, for tests and tools that stage a push by hand. The push's
+// edit is the bundles' difference (diffBundles).
 func NewInstall(oldBundle, newBundle []byte, members map[string]string) *Install {
-	newChunks := SplitChunks(newBundle)
-	in := newInstall(TextOf(newBundle), newChunks)
-	if oldBundle != nil {
-		oldChunks := SplitChunks(oldBundle)
-		in.old, in.oldID, in.anchors = TextOf(oldBundle), manifestID(oldChunks), bundleAnchors(oldChunks, newChunks)
+	in := newInstall(TextOf(newBundle), sha256.Sum256(newBundle), []Edit{{New: Range{0, len(newBundle)}}})
+	if len(oldBundle) > 0 {
+		in.old, in.oldID = TextOf(oldBundle), Sum(sha256.Sum256(oldBundle)).String()
+		in.edits = nil
+		if e, ok := diffBundles(oldBundle, newBundle); ok {
+			in.edits = []Edit{{Old: Range{e.Off, e.Off + e.Len}, New: Range{e.Off, e.Off + len(e.Data)}}}
+		}
 	}
 	for dest, member := range members {
 		in.extracted(member, dest)
@@ -147,38 +143,30 @@ func NewInstall(oldBundle, newBundle []byte, members map[string]string) *Install
 }
 
 // StageInstall stages a push of newBundle to path as an agent does over
-// a target holding oldBundle (nil when it holds nothing), whose chunk
-// list the agent kept: oldBundle is written to path (whatever was there
-// is removed first) and opened, its chunks checked against the kept
-// list; the chunks the new bundle does not share in order with it are
-// written, as if pushed, into the staging file beside path, which is
-// assembled and renamed over path. It returns the view the push's exec
-// commands would get, reading both files through their handles; Close
-// releases it. For tests and tools.
+// a target holding oldBundle (nil when it holds nothing): oldBundle is
+// written to path (whatever was there is removed first), and the
+// bundles' difference (diffBundles) is applied to it, through the
+// agent's transfer, into the staging file beside path, which is checked
+// and renamed over path. It returns the view the push's exec commands
+// would get, reading both files through their handles; Close releases
+// it. For tests and tools.
 func StageInstall(path string, oldBundle, newBundle []byte, members map[string]string) (*Install, error) {
 	os.Remove(path)
-	var kept []Chunk
-	if oldBundle != nil {
+	base, edit := emptySum, Splice{Data: newBundle}
+	if len(oldBundle) > 0 {
 		if err := os.WriteFile(path, oldBundle, 0o644); err != nil {
 			return nil, err
 		}
-		kept = SplitChunks(oldBundle)
+		base = sha256.Sum256(oldBundle)
+		edit, _ = diffBundles(oldBundle, newBundle)
 	}
-	chunks := SplitChunks(newBundle)
-	old, dropped := openOld(path, kept, chunks)
-	if dropped {
-		old.close()
-		return nil, fmt.Errorf("update: a kept list rejected its own bundle")
-	}
-	x, needed, err := beginXfer(path, old, chunks, sha256.Sum256(newBundle))
+	x, err := beginXfer(path, base, sha256.Sum256(newBundle))
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range needed {
-		if code := x.put(i, newBundle[chunks[i].Off:chunks[i].Off+chunks[i].Len]); code != mrerr.Success {
-			x.abort()
-			return nil, code
-		}
+	if code := x.apply(edit.Off, edit.Len, edit.Data); code != mrerr.Success {
+		x.abort()
+		return nil, code
 	}
 	in, code := x.assemble()
 	if code != mrerr.Success {
@@ -190,6 +178,24 @@ func StageInstall(path string, oldBundle, newBundle []byte, members map[string]s
 	return in, nil
 }
 
+// diffBundles is the one edit that makes new from old: what lies between
+// their common prefix and their common suffix. ok is false when they are
+// equal.
+func diffBundles(old, new []byte) (e Splice, ok bool) {
+	p := 0
+	for p < len(old) && p < len(new) && old[p] == new[p] {
+		p++
+	}
+	s := 0
+	for s < len(old)-p && s < len(new)-p && old[len(old)-1-s] == new[len(new)-1-s] {
+		s++
+	}
+	if p == len(old) && p == len(new) {
+		return e, false
+	}
+	return Splice{Off: p, Len: len(old) - s - p, Data: new[p : len(new)-s]}, true
+}
+
 // Close ends the view: it puts both bundles' read windows back and
 // closes their files. A view built in memory has nothing to close.
 func (in *Install) Close() error {
@@ -199,27 +205,16 @@ func (in *Install) Close() error {
 	return errors.Join(in.new.src.close(), in.old.src.close())
 }
 
-// newInstall starts the view of a transfer of new, whose chunk list the
-// manifest exchange already carried, over a target that held nothing.
-func newInstall(new Text, newChunks []Chunk) *Install {
+// newInstall starts the view of a transfer of new, whose sum is sum,
+// made by edits (in bundle coordinates) from a target that held nothing.
+func newInstall(new Text, sum Sum, edits []Edit) *Install {
 	return &Install{
 		new:     new,
-		newID:   manifestID(newChunks),
+		newID:   sum.String(),
+		edits:   edits,
 		members: map[string]string{},
 		files:   map[string]*File{},
 	}
-}
-
-// manifestID is a bundle's content identity, derived from its chunk
-// sums rather than another pass over its bytes. Chunking is a function
-// of content alone, so equal bytes always give equal IDs.
-func manifestID(chunks []Chunk) string {
-	h := sha256.New()
-	for i := range chunks {
-		h.Write(chunks[i].Sum[:])
-	}
-	var id [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(id[:0]))
 }
 
 func cleanDest(dest string) string { return path.Clean("/" + dest) }
@@ -253,12 +248,15 @@ func (in *Install) File(dest string) (f *File, ok bool) {
 	if in.oldIndex == nil {
 		in.oldIndex = indexTar(in.old, in.old.Len())
 	}
-	var anchors []anchor
+	exact := []Edit{{New: Range{0, f.New.Len()}}}
 	if or, ok := in.oldIndex[member]; ok && or.Lo >= 0 {
 		f.Old = in.old.Sub(or)
-		anchors = clipAnchors(in.anchors, or, nr)
+		exact[0].Old.Hi = f.Old.Len()
+		if es, ok := memberEdits(in.edits, or, nr); ok {
+			exact = es
+		}
 	}
-	f.Edits = lineEdits(f.Old, f.New, anchors)
+	f.Edits = lineEdits(f.Old, f.New, exact)
 	in.files[key] = f
 	return f, true
 }
@@ -286,118 +284,84 @@ func (in *Install) Read(ag *Agent, dest string) (*File, Text, error) {
 	return nil, TextOf(data), err
 }
 
-// bundleAnchors pairs the new bundle's reused chunks with the old
-// bundle's: of the chunks whose sums appear on both sides, the longest
-// run that keeps its order (a longest increasing subsequence of old
-// positions), with neighbours that are contiguous on both sides merged.
-func bundleAnchors(oldChunks, newChunks []Chunk) []anchor {
-	at := make(map[[sha256.Size]byte]int, len(oldChunks))
-	for i := len(oldChunks) - 1; i >= 0; i-- {
-		at[oldChunks[i].Sum] = i // first occurrence wins
-	}
-	type pair struct{ oi, ni int }
-	var seq []pair
-	for ni, c := range newChunks {
-		if oi, ok := at[c.Sum]; ok {
-			seq = append(seq, pair{oi, ni})
+// memberEdits clips a bundle's edits to one member, whose data is the
+// old bundle's range or and the new bundle's range nr, in member
+// coordinates. ok is false when the bytes around the member's edits are
+// not the shared bytes between the bundle's (a member the edits moved
+// across other members): the caller then takes the member as one edit.
+func memberEdits(edits []Edit, or, nr Range) (out []Edit, ok bool) {
+	clip := func(i int, r Range) int { return min(max(i, r.Lo), r.Hi) }
+	// po, pn: where the member's shared bytes resume, on each side;
+	// shift: new offset less old offset of the shared bytes from there.
+	po, pn, shift := or.Lo, nr.Lo, 0
+	shared := func(o, n int) bool { return o-po == n-pn && (o == po || po+shift == pn) }
+	for _, e := range edits {
+		a, b := clip(e.Old.Lo, or), clip(e.Old.Hi, or)
+		c, d := clip(e.New.Lo, nr), clip(e.New.Hi, nr)
+		if shift = e.New.Lo - e.Old.Lo; !shared(a, c) {
+			return nil, false
 		}
+		if a < b || c < d {
+			out = append(out, Edit{Old: Range{a - or.Lo, b - or.Lo}, New: Range{c - nr.Lo, d - nr.Lo}})
+		}
+		po, pn, shift = b, d, e.New.Hi-e.Old.Hi
 	}
-	// Patience sort: tails[k] is the seq index ending the best run of
-	// length k+1 found so far, prev links each element to its
-	// predecessor in that run.
-	tails := make([]int, 0, len(seq))
-	prev := make([]int, len(seq))
-	for i, s := range seq {
-		lo, hi := 0, len(tails)
-		for lo < hi {
-			if mid := (lo + hi) / 2; seq[tails[mid]].oi < s.oi {
-				lo = mid + 1
-			} else {
-				hi = mid
+	return out, shared(or.Hi, nr.Hi)
+}
+
+// lineEdits widens exact edits of old into new (in order, the bytes
+// between them shared) to line-aligned ones: each edit's start moves
+// back to its line's start, its end on to where both sides end a line,
+// taking in the edits it reaches, and each then sheds the whole lines it
+// begins and ends with in common. Only the edits' ends read old.
+func lineEdits(old, new Text, exact []Edit) []Edit {
+	var out []Edit
+	for i := 0; i < len(exact); {
+		e := exact[i]
+		i++
+		lim := 0 // the previous edit's end, a boundary on both sides
+		if k := len(out); k > 0 {
+			lim = out[k-1].New.Hi
+		}
+		k := e.New.Lo - new.lastNewline(lim, e.New.Lo) - 1
+		e.Old.Lo -= k
+		e.New.Lo -= k
+		for !old.boundary(e.Old.Hi) || !new.boundary(e.New.Hi) {
+			hi := new.Len()
+			if i < len(exact) {
+				hi = exact[i].New.Lo
 			}
+			j := new.lineEnd(e.New.Hi, hi)
+			if j < hi {
+				hi = j + 1
+			}
+			e.Old.Hi += hi - e.New.Hi
+			e.New.Hi = hi
+			if j < hi || i == len(exact) {
+				break
+			}
+			e.Old.Hi, e.New.Hi = exact[i].Old.Hi, exact[i].New.Hi
+			i++
 		}
-		prev[i] = -1
-		if lo > 0 {
-			prev[i] = tails[lo-1]
-		}
-		if lo == len(tails) {
-			tails = append(tails, i)
+		if k := len(out) - 1; k >= 0 && out[k].New.Hi == e.New.Lo {
+			out[k].Old.Hi, out[k].New.Hi = e.Old.Hi, e.New.Hi
 		} else {
-			tails[lo] = i
+			out = append(out, e)
 		}
 	}
-	run := make([]pair, len(tails))
-	for k, i := len(tails)-1, -1; k >= 0; k-- {
-		if i < 0 {
-			i = tails[k] // the end of the longest run
-		}
-		run[k] = seq[i]
-		i = prev[i]
-	}
-	var anchors []anchor
-	for _, s := range run {
-		oc, nc := oldChunks[s.oi], newChunks[s.ni]
-		if l := len(anchors) - 1; l >= 0 && anchors[l].o+anchors[l].n == oc.Off && anchors[l].p+anchors[l].n == nc.Off {
-			anchors[l].n += nc.Len
-			continue
-		}
-		anchors = append(anchors, anchor{oc.Off, nc.Off, nc.Len})
-	}
-	return anchors
-}
-
-// clipAnchors clips bundle anchors to one member, whose data is the old
-// bundle's range or and the new bundle's range nr, in member coordinates.
-func clipAnchors(anchors []anchor, or, nr Range) []anchor {
-	var out []anchor
-	for _, a := range anchors {
-		lo := max(0, or.Lo-a.o, nr.Lo-a.p)
-		hi := min(a.n, or.Hi-a.o, nr.Hi-a.p)
-		if lo < hi {
-			out = append(out, anchor{a.o + lo - or.Lo, a.p + lo - nr.Lo, hi - lo})
-		}
-	}
-	return out
-}
-
-// lineEdits turns the anchors shared by old and new into line-aligned
-// edits: each anchor shrinks to the whole lines inside it (a line is
-// whole when it starts and ends on a boundary on both sides, and the
-// bytes between are the anchor's, so identical), the gaps between them
-// are the edits, and each edit sheds the whole lines it begins and ends
-// with in common. Under an anchor the old bytes are the new ones, so
-// only the edits read old.
-func lineEdits(old, new Text, anchors []anchor) []Edit {
-	var edits []Edit
-	add := func(e Edit) {
-		e = trimEdit(old, new, e)
-		if e.Old.Lo < e.Old.Hi || e.New.Lo < e.New.Hi {
+	edits := out[:0]
+	for _, e := range out {
+		if e = trimEdit(old, new, e); e.Old.Lo < e.Old.Hi || e.New.Lo < e.New.Hi {
 			edits = append(edits, e)
 		}
 	}
-	po, pn := 0, 0
-	for _, a := range anchors {
-		s, e := a.p, a.p+a.n // the whole lines of the anchor, in new
-		if !old.boundary(a.o) || !new.boundary(a.p) {
-			s = new.lineEnd(a.p, e) + 1
-		}
-		if !(a.o+a.n == old.Len() && e == new.Len()) && new.at(e-1) != '\n' {
-			e = new.lastNewline(a.p, e) + 1
-		}
-		if s >= e {
-			continue
-		}
-		add(Edit{Old: Range{po, a.o + s - a.p}, New: Range{pn, s}})
-		po, pn = a.o+e-a.p, e
-	}
-	add(Edit{Old: Range{po, old.Len()}, New: Range{pn, new.Len()}})
 	return edits
 }
 
 // trimEdit drops the whole lines an edit's two sides begin and end with
-// in common: a chunk-sized edit shrinks to the lines that changed. The
-// common ends are the same bytes on both sides, so the newline searches
-// in them read new.
+// in common: an edit of whole model entries shrinks to the lines that
+// changed. The common ends are the same bytes on both sides, so the
+// newline searches in them read new.
 func trimEdit(old, new Text, e Edit) Edit {
 	k := old.prefixLen(e.Old, new, e.New)
 	k = new.lastNewline(e.New.Lo, e.New.Lo+k) + 1 - e.New.Lo

@@ -101,8 +101,8 @@ func checkEdits(t testing.TB, f *File) {
 }
 
 // TestInstallEditsAreTheChange: the edits of a push name the lines that
-// changed, not the chunks that carried them, and the IDs tell a service
-// which side it holds.
+// changed, not the bytes around them the push carried, and the IDs tell
+// a service which side it holds.
 func TestInstallEditsAreTheChange(t *testing.T) {
 	base := textFile(1, 2000)
 	lines := bytes.SplitAfter(base, []byte("\n"))
@@ -202,12 +202,12 @@ func TestExecGetsInstallView(t *testing.T) {
 
 // FuzzInstallEdits: for any old and new bytes, splicing the view's edits
 // into Old reproduces New byte for byte, every range sits on line
-// boundaries, and the view an agent builds over its staged file, from
-// the chunk list it kept (New and Old read from that file under the
-// shared runs), has the same IDs, edits, old and new bytes as the one
-// built from both bundles whole. The inputs are spliced into a shared seeded text so the
-// two bundles share chunks and the anchors are exercised, not only the
-// no-anchor case.
+// boundaries, and the view an agent builds over its staged file (the
+// bundles' edit applied to the target's bytes, New and Old read through
+// the transfer's handles) has the same IDs, edits, old and new bytes as
+// the one built from both bundles whole. The inputs are spliced into a
+// shared seeded text so the two bundles share most of their bytes and
+// the edit is a small part of a large member, not only the whole of it.
 func FuzzInstallEdits(f *testing.F) {
 	f.Add([]byte("a\nb\n"), []byte("a\nc\n"), int64(0), uint16(0), uint16(0))
 	f.Add([]byte("x\n"), []byte{}, int64(1), uint16(300), uint16(300))

@@ -3,9 +3,10 @@ package update
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"net"
-	"strconv"
+	"sync"
 	"time"
 
 	"moira/internal/clock"
@@ -13,6 +14,42 @@ import (
 	"moira/internal/mrerr"
 	"moira/internal/protocol"
 )
+
+// Sum is a file's SHA-256: the checksum a transfer is checked against,
+// and a bundle's install ID.
+type Sum [sha256.Size]byte
+
+// String is the sum in hex, the form the wire and install IDs carry.
+func (s Sum) String() string { return hex.EncodeToString(s[:]) }
+
+// emptySum is the sum of the empty file: the base of a whole push.
+var emptySum = Sum(sha256.Sum256(nil))
+
+// Splice replaces Len bytes at Off of a base file by Data.
+type Splice struct {
+	Off, Len int
+	Data     []byte
+}
+
+// Bundle is a data file ready to push: its bytes and sum, and the edits
+// that make it from the bundle whose sum is Base, in order of Off. It is
+// built once however many hosts (and retries) it goes to.
+type Bundle struct {
+	Data  []byte
+	Sum   Sum
+	Base  Sum
+	Edits []Splice
+}
+
+// NewBundle is a bundle of data whose base is the empty file: it goes
+// whole to every host.
+func NewBundle(data []byte) *Bundle {
+	b := &Bundle{Data: data, Sum: sha256.Sum256(data), Base: emptySum}
+	if len(data) > 0 {
+		b.Edits = []Splice{{Data: data}}
+	}
+	return b
+}
 
 // Push is the DCM side of the update protocol: one complete update of a
 // single host.
@@ -22,9 +59,13 @@ type Push struct {
 	// Target is where on the host to deposit the data file (the target
 	// field of the service record).
 	Target string
-	// Bundle is the data file (usually a tar bundle) with its chunk
-	// manifest.
+	// Bundle is the data file (usually a tar bundle) with its edits.
 	Bundle *Bundle
+	// Held is the sum of the file the host last installed at Target, as
+	// far as the pusher knows (zero: unknown). The push ships no edits
+	// when it is Bundle.Sum, Bundle's edits when it is Bundle.Base, and
+	// else the whole bundle, as an edit of the empty file.
+	Held Sum
 	// Script is the installation instruction sequence (the script field
 	// of the service record, resolved to its lines).
 	Script []string
@@ -42,37 +83,52 @@ type Push struct {
 	// the agent can record it against the install.
 	Trace string
 
-	// Transfer accounting, filled in by Run: bytes that actually
-	// traveled as chunk data, and bytes the agent reused from the file
-	// it already held.
+	// Filled in by Run: whether the bundle went whole, whether the agent
+	// acknowledged the assemble (Target then holds Bundle, whatever
+	// failed after), the edit bytes that traveled, and the bundle bytes
+	// the agent kept from the file it held.
+	Whole       bool
+	Assembled   bool
 	SentBytes   int
 	ReusedBytes int
 }
 
-// Bundle is a data file ready to push: its bytes, chunk manifest and
-// whole-file sum, computed once however many hosts (and retries) it goes
-// to.
-type Bundle struct {
-	Data     []byte
-	chunks   []Chunk
-	manifest []byte // EncodeManifest(chunks)
-	sum      []byte // the whole file's SHA-256, in hex
+// pushConn is what a push reads and writes its connection through,
+// pooled across pushes (pushes to different hosts run at once): the
+// buffers, the reply frame reader, and the edit frames' argument and
+// offset buffers.
+type pushConn struct {
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	fr   *protocol.FrameReader
+	args [][]byte
+	nums []byte
 }
 
-// NewBundle chunks data and sums it for pushing.
-func NewBundle(data []byte) *Bundle {
-	sum := sha256.Sum256(data)
-	chunks := SplitChunks(data)
-	return &Bundle{Data: data, chunks: chunks, manifest: EncodeManifest(chunks),
-		sum: hex.AppendEncode(nil, sum[:])}
-}
+var pushConns = sync.Pool{New: func() any {
+	c := &pushConn{br: bufio.NewReader(nil), bw: bufio.NewWriter(nil)}
+	c.fr = protocol.NewFrameReader(c.br)
+	return c
+}}
 
-// Run performs the update: transfer phase (auth, the data file as a
-// content-defined chunk diff against whatever the host already holds,
-// script), then execution phase, then confirmation. The error
-// is nil on success, or a code the DCM classifies as soft
-// (UpdUnreachable, UpdTimeout — retry later) or hard (everything else).
+// Edit frames: an edit is three arguments, its offset and length as
+// 8-byte big-endian integers and its data, at most maxEditArgs a frame,
+// so the agent's FrameReader keeps its field slice. An edit's data is
+// split at a frame's end only when the frame has minPiece bytes of room
+// left.
+const (
+	maxEditArgs = 3 * 300
+	minPiece    = 16 << 10
+)
+
+// Run performs the update: transfer phase (auth, the data file as edits
+// of what the host holds, script), then execution phase, then
+// confirmation. The error is nil on success, or a code the DCM
+// classifies as soft (UpdUnreachable, UpdTimeout — retry later), base
+// mismatch (the host does not hold Held: push whole), or hard
+// (everything else).
 func (p *Push) Run() error {
+	p.Whole, p.Assembled, p.SentBytes, p.ReusedBytes = false, false, 0, 0
 	timeout := p.Timeout
 	if timeout == 0 {
 		timeout = 30 * time.Second
@@ -82,28 +138,29 @@ func (p *Push) Run() error {
 		return mrerr.UpdUnreachable
 	}
 	defer conn.Close()
-	deadline := time.Now().Add(timeout)
-	conn.SetDeadline(deadline)
+	conn.SetDeadline(time.Now().Add(timeout))
 
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	c := pushConns.Get().(*pushConn)
+	c.br.Reset(conn)
+	c.bw.Reset(conn)
+	defer func() {
+		c.br.Reset(nil)
+		c.bw.Reset(nil)
+		pushConns.Put(c)
+	}()
 
-	callR := func(op uint16, args [][]byte) (*protocol.Reply, error) {
-		if err := protocol.WriteRequest(bw, &protocol.Request{Version: protocol.Version, Op: op, TraceID: p.Trace, Args: args}); err != nil {
-			return nil, ioErr(err)
-		}
-		if err := bw.Flush(); err != nil {
-			return nil, ioErr(err)
-		}
-		rep, err := protocol.ReadReply(br)
-		if err != nil {
-			return nil, ioErr(err)
-		}
-		return rep, mrerr.Code(rep.Code).OrNil()
-	}
 	call := func(op uint16, args [][]byte) error {
-		_, err := callR(op, args)
-		return err
+		if err := protocol.WriteRequest(c.bw, &protocol.Request{Version: protocol.Version, Op: op, TraceID: p.Trace, Args: args}); err != nil {
+			return ioErr(err)
+		}
+		if err := c.bw.Flush(); err != nil {
+			return ioErr(err)
+		}
+		rep, err := c.fr.ReadReply()
+		if err != nil {
+			return ioErr(err)
+		}
+		return mrerr.Code(rep.Code).OrNil()
 	}
 
 	// A. Transfer phase.
@@ -113,7 +170,7 @@ func (p *Push) Run() error {
 			return err
 		}
 	}
-	if err := p.transfer(callR); err != nil {
+	if err := p.transfer(call, c); err != nil {
 		return err
 	}
 	if err := call(OpUScript, protocol.BytesArgs(p.Script)); err != nil {
@@ -124,53 +181,77 @@ func (p *Push) Run() error {
 	return call(OpUExecute, nil)
 }
 
-// transfer runs the manifest/chunks/assemble exchange: the agent
-// answers the manifest with the chunks it cannot supply from the file
-// it holds (every chunk, on a host's first update), and only those
-// travel.
-func (p *Push) transfer(callR func(uint16, [][]byte) (*protocol.Reply, error)) error {
+// transfer runs the begin/edits/assemble exchange: the base's and the
+// bundle's sums, then the edits, in frames the agent's FrameReader keeps
+// its buffer for (an edit's data is split across frames when it would
+// take one past protocol.MaxKeptFrame), then the assemble.
+func (p *Push) transfer(call func(uint16, [][]byte) error, c *pushConn) error {
 	b := p.Bundle
-	rep, err := callR(OpUManifest, [][]byte{[]byte(p.Target), b.sum, b.manifest})
-	if err != nil {
+	base, edits := b.Base, b.Edits
+	var whole [1]Splice
+	switch {
+	case p.Held == b.Sum:
+		base, edits = b.Sum, nil
+	case p.Held == b.Base && p.Held != Sum{}:
+	default:
+		p.Whole = true
+		base, edits = emptySum, nil
+		if len(b.Data) > 0 {
+			whole[0].Data = b.Data
+			edits = whole[:]
+		}
+	}
+	var sums [2 * 2 * sha256.Size]byte
+	hex.Encode(sums[:], base[:])
+	hex.Encode(sums[2*sha256.Size:], b.Sum[:])
+	if err := call(OpUBegin, [][]byte{[]byte(p.Target), sums[:2*sha256.Size], sums[2*sha256.Size:]}); err != nil {
 		return err
 	}
 
-	// The chunks travel in frames the agent's FrameReader keeps its
-	// buffer for: a batch is flushed before a chunk would take its frame
-	// past protocol.MaxKeptFrame.
 	empty := protocol.RequestLen(&protocol.Request{TraceID: p.Trace})
 	sent, size := 0, empty
-	var batch [][]byte
+	args, nums := c.args[:0], c.nums[:0]
+	defer func() {
+		clear(args)
+		c.args, c.nums = args[:0], nums[:0]
+	}()
 	flush := func() error {
-		if len(batch) == 0 {
+		if len(args) == 0 {
 			return nil
 		}
-		_, err := callR(OpUChunks, batch)
-		batch, size = batch[:0], empty
+		err := call(OpUEdits, args)
+		clear(args)
+		args, nums, size = args[:0], nums[:0], empty
 		return err
 	}
-	for _, f := range rep.Fields {
-		idx, aerr := strconv.Atoi(string(f))
-		if aerr != nil || idx < 0 || idx >= len(b.chunks) {
-			return mrerr.UpdBadInstr
-		}
-		c := b.chunks[idx]
-		grown := protocol.ArgLen(len(f)) + protocol.ArgLen(c.Len)
-		if size+grown > protocol.MaxKeptFrame {
-			if err := flush(); err != nil {
-				return err
+	head := 3*protocol.ArgLen(8) - 8 // an edit's arguments less its data
+	for _, e := range edits {
+		off, n, data := e.Off, e.Len, e.Data
+		for first := true; first || len(data) > 0; first = false {
+			room := protocol.MaxKeptFrame - size - head
+			if len(args) > 0 && (room < len(data) && room < minPiece || len(args)+3 > maxEditArgs) {
+				if err := flush(); err != nil {
+					return err
+				}
+				room = protocol.MaxKeptFrame - size - head
 			}
+			k := min(len(data), room)
+			lo := len(nums)
+			nums = binary.BigEndian.AppendUint64(nums, uint64(off))
+			nums = binary.BigEndian.AppendUint64(nums, uint64(n))
+			args = append(args, nums[lo:lo+8:lo+8], nums[lo+8:lo+16:lo+16], data[:k])
+			size += head + k
+			sent += k
+			off, n, data = off+n, 0, data[k:]
 		}
-		batch = append(batch, f, b.Data[c.Off:c.Off+c.Len])
-		size += grown
-		sent += c.Len
 	}
 	if err := flush(); err != nil {
 		return err
 	}
-	if _, err := callR(OpUAssemble, nil); err != nil {
+	if err := call(OpUAssemble, nil); err != nil {
 		return err
 	}
+	p.Assembled = true
 	p.SentBytes = sent
 	p.ReusedBytes = len(b.Data) - sent
 	return nil

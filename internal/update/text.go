@@ -24,7 +24,7 @@ type Text struct {
 }
 
 // source is the open file a file Text reads, through a window: a pooled
-// chunk-sized buffer, taken on the first read and put back by close,
+// 64 KiB buffer, taken on the first read and put back by close,
 // so reading a file line by line does not allocate.
 type source struct {
 	f    *os.File
@@ -71,7 +71,7 @@ func (s *source) fill(at, n, need int) {
 // buffer is the window's pooled buffer, taken on first use.
 func (s *source) buffer() *[]byte {
 	if s.buf == nil {
-		s.buf = chunkBufs.Get().(*[]byte)
+		s.buf = windows.Get().(*[]byte)
 	}
 	return s.buf
 }
@@ -82,7 +82,7 @@ func (s *source) close() error {
 		return nil
 	}
 	if s.buf != nil {
-		chunkBufs.Put(s.buf)
+		windows.Put(s.buf)
 		s.buf, s.win = nil, nil
 	}
 	return s.f.Close()

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -56,14 +58,14 @@ func rig(t *testing.T) (*Agent, func(files map[string][]byte, script []string) e
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
+	q := &pusher{addr: addr.String(), target: "/tmp/hesiod.out"}
 	push := func(files map[string][]byte, script []string) error {
 		data, err := BuildTar(files)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &Push{Addr: addr.String(), Target: "/tmp/hesiod.out", Bundle: NewBundle(data),
-			Script: script, Timeout: 5 * time.Second}
-		return p.Run()
+		q.script = script
+		return q.push(data)
 	}
 	return a, push
 }
@@ -159,9 +161,10 @@ func TestExecInstruction(t *testing.T) {
 }
 
 // TestChecksumMismatch covers both integrity checks of the transfer: a
-// chunk whose bytes do not match its manifest sum is refused on arrival,
-// and a file whose chunks are all good but whose whole-file sum is not
-// is refused at assembly — neither leaves anything staged.
+// file whose edits do not give the new sum is refused at assembly with
+// UPD_CHECKSUM, and edits over a target that is not their base with
+// UPD_BASE_MISMATCH, whether an edit reaches past the target's end or
+// the target's bytes just differ — none leaves anything staged.
 func TestChecksumMismatch(t *testing.T) {
 	a := NewAgent("H", t.TempDir(), nil)
 	addr, _ := a.Listen("127.0.0.1:0")
@@ -173,45 +176,54 @@ func TestChecksumMismatch(t *testing.T) {
 		t.Fatalf("control push failed: %v", err)
 	}
 
-	fresh := []byte("DATA")
-	manifest := EncodeManifest(SplitChunks(fresh))
-	sum := sha256.Sum256(fresh)
-	goodSum := []byte(hex.EncodeToString(sum[:]))
+	hexSum := func(b []byte) []byte {
+		sum := sha256.Sum256(b)
+		return []byte(hex.EncodeToString(sum[:]))
+	}
 	req := func(op uint16, args ...[]byte) *protocol.Request {
 		return &protocol.Request{Version: protocol.Version, Op: op, Args: args}
 	}
-
-	codes := rawSession(t, addr.String(),
-		req(OpUManifest, []byte("/t"), goodSum, manifest),
-		req(OpUChunks, []byte("0"), []byte("DATa")),
-		req(OpUAssemble))
-	if codes[0] != mrerr.Success || codes[1] != mrerr.UpdChecksum || codes[2] != mrerr.UpdChecksum {
-		t.Errorf("bad chunk sum: codes = %v", codes)
+	edit := func(off, n int, b string) *protocol.Request {
+		return req(OpUEdits, binary.BigEndian.AppendUint64(nil, uint64(off)), binary.BigEndian.AppendUint64(nil, uint64(n)), []byte(b))
 	}
-
-	codes = rawSession(t, addr.String(),
-		req(OpUManifest, []byte("/t"), []byte(strings64()), manifest),
-		req(OpUChunks, []byte("0"), fresh),
-		req(OpUAssemble))
-	if codes[0] != mrerr.Success || codes[1] != mrerr.Success || codes[2] != mrerr.UpdChecksum {
-		t.Errorf("bad whole-file sum: codes = %v", codes)
-	}
-
-	if got, _ := a.ReadHostFile("/t"); !bytes.Equal(got, data) {
-		t.Errorf("refused transfer overwrote the target: %q", got)
+	for _, c := range []struct {
+		name  string
+		reqs  []*protocol.Request
+		codes []mrerr.Code
+	}{
+		{"edits not giving the sum", []*protocol.Request{req(OpUBegin, []byte("/t"), hexSum(data), hexSum([]byte("DATA"))),
+			edit(0, 4, "DATa"), req(OpUAssemble)}, []mrerr.Code{mrerr.Success, mrerr.Success, mrerr.UpdChecksum}},
+		{"whole push not giving the sum", []*protocol.Request{req(OpUBegin, []byte("/t"), hexSum(nil), hexSum([]byte("DATA"))),
+			edit(0, 0, "DATa"), req(OpUAssemble)}, []mrerr.Code{mrerr.Success, mrerr.Success, mrerr.UpdChecksum}},
+		{"edit past the target's end", []*protocol.Request{req(OpUBegin, []byte("/t"), hexSum([]byte("longer data")), hexSum([]byte("DATA"))),
+			edit(0, 11, "DATA"), req(OpUAssemble)}, []mrerr.Code{mrerr.Success, mrerr.UpdBaseMismatch, mrerr.UpdNoFile}},
+		{"target not the base", []*protocol.Request{req(OpUBegin, []byte("/t"), hexSum([]byte("dada")), hexSum([]byte("dATA"))),
+			edit(1, 3, "ATA"), req(OpUAssemble)}, []mrerr.Code{mrerr.Success, mrerr.Success, mrerr.UpdBaseMismatch}},
+		{"edits out of order", []*protocol.Request{req(OpUBegin, []byte("/t"), hexSum(data), hexSum([]byte("dATA"))),
+			edit(2, 2, "TA"), edit(1, 1, "A"), req(OpUAssemble)}, []mrerr.Code{mrerr.Success, mrerr.Success, mrerr.MrArgs, mrerr.UpdNoFile}},
+	} {
+		if codes := rawSession(t, addr.String(), c.reqs...); fmt.Sprint(codes) != fmt.Sprint(c.codes) {
+			t.Errorf("%s: codes = %v, want %v", c.name, codes, c.codes)
+		}
+		if got, _ := a.ReadHostFile("/t"); !bytes.Equal(got, data) {
+			t.Errorf("%s: refused transfer overwrote the target: %q", c.name, got)
+		}
+		if _, err := a.ReadHostFile("/t" + xferSuffix); !os.IsNotExist(err) {
+			t.Errorf("%s: staging file left behind: %v", c.name, err)
+		}
 	}
 }
 
-// TestUnassignedOpRefused: op 21 carried the whole-file transfer before
-// the chunk manifest became the only transport; an agent answers it, as
-// any op it does not implement, with MR_UNKNOWN_PROC.
+// TestUnassignedOpRefused: op 21 carried a whole-file transfer in an
+// earlier protocol; an agent answers it, as any op it does not
+// implement, with MR_UNKNOWN_PROC.
 func TestUnassignedOpRefused(t *testing.T) {
 	a := NewAgent("H", t.TempDir(), nil)
 	addr, _ := a.Listen("127.0.0.1:0")
 	defer a.Close()
 	codes := rawSession(t, addr.String(), &protocol.Request{
 		Version: protocol.Version, Op: 21,
-		Args: [][]byte{[]byte("/t"), []byte(strings64()), []byte("x")}})
+		Args: [][]byte{[]byte("/t"), []byte(Sum{}.String()), []byte("x")}})
 	if codes[0] != mrerr.MrUnknownProc {
 		t.Errorf("op 21 code = %v, want MR_UNKNOWN_PROC", codes[0])
 	}
