@@ -8,12 +8,9 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"time"
 
 	"moira/internal/clock"
@@ -21,7 +18,7 @@ import (
 	"moira/internal/db"
 	"moira/internal/dcm"
 	"moira/internal/gen"
-	"moira/internal/stats"
+	"moira/internal/health"
 	"moira/internal/workload"
 )
 
@@ -64,18 +61,7 @@ func main() {
 	}
 	defer sys.Close()
 
-	if *debug != "" {
-		expvar.Publish("moira", expvar.Func(func() any { return sys.Registry.Snapshot() }))
-		http.Handle("/metrics", stats.PromHandler(sys.Registry))
-		http.HandleFunc("/healthz", sys.Health.Healthz)
-		http.HandleFunc("/readyz", sys.Health.Readyz)
-		go func() {
-			if err := http.ListenAndServe(*debug, nil); err != nil {
-				log.Printf("dcm: debug server: %v", err)
-			}
-		}()
-		log.Printf("dcm: metrics+health+pprof on http://%s/", *debug)
-	}
+	health.Serve(*debug, "dcm", sys.Registry, sys.Health)
 
 	if *check {
 		runCheck(sys)

@@ -19,12 +19,9 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -36,6 +33,7 @@ import (
 	"moira/internal/db"
 	"moira/internal/health"
 	"moira/internal/mrerr"
+	"moira/internal/protocol"
 	"moira/internal/queries"
 	"moira/internal/replica"
 	"moira/internal/server"
@@ -78,7 +76,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-reply write deadline (0 = none)")
 		maxConns     = flag.Int("max-conns", 0, "shed connections beyond this many with MR_BUSY (0 = unlimited)")
 		maxBatch     = flag.Int("max-batch", 0, "refuse v4 batch requests with more items than this (0 = default)")
-		drainTimeout = flag.Duration("drain-timeout", server.DefaultDrainTimeout, "how long shutdown waits for in-flight requests before force-closing")
+		drainTimeout = flag.Duration("drain-timeout", protocol.DefaultDrainTimeout, "how long shutdown waits for in-flight requests before force-closing")
 	)
 	flag.Parse()
 
@@ -255,9 +253,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("moirad: listen: %v", err)
 	}
-	serveDebug(*debug, srv.Registry(), hc)
+	health.Serve(*debug, "moirad", srv.Registry(), hc)
 	log.Printf("moirad: serving %d query handles on %s (unauthenticated mode)", queries.Count(), bound)
-	waitForSignalOrPromote(promoteFn)
+	waitForSignal(promoteFn)
 	srv.Close()
 }
 
@@ -287,7 +285,7 @@ func runDemo(users int, dcmEvery time.Duration, debug string, traceSlow time.Dur
 		log.Fatalf("moirad: boot: %v", err)
 	}
 	defer sys.Close()
-	serveDebug(debug, sys.Registry, sys.Health)
+	health.Serve(debug, "moirad", sys.Registry, sys.Health)
 
 	log.Printf("moirad: demo system up")
 	log.Printf("  moira server: %s", sys.ServerAddr)
@@ -302,19 +300,13 @@ func runDemo(users int, dcmEvery time.Duration, debug string, traceSlow time.Dur
 		stats.Generated, stats.HostsUpdated, stats.FilesGenerated, stats.BytesGenerated)
 
 	stop := make(chan struct{})
-	trigger := make(chan struct{}, 1)
-	go func() {
-		runner := dcmRunner{sys: sys}
-		runner.loop(dcmEvery, trigger, stop)
-	}()
-
-	waitForSignal()
+	go dcmLoop(sys, dcmEvery, stop)
+	waitForSignal(nil)
 	close(stop)
 }
 
-type dcmRunner struct{ sys *core.System }
-
-func (r dcmRunner) loop(interval time.Duration, trigger <-chan struct{}, stop <-chan struct{}) {
+// dcmLoop runs a DCM pass every interval until stop is closed.
+func dcmLoop(sys *core.System, interval time.Duration, stop <-chan struct{}) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -322,9 +314,8 @@ func (r dcmRunner) loop(interval time.Duration, trigger <-chan struct{}, stop <-
 		case <-stop:
 			return
 		case <-tick.C:
-		case <-trigger:
 		}
-		if stats, err := r.sys.RunDCM(); err != nil && err != mrerr.MrDCMDisabled {
+		if stats, err := sys.RunDCM(); err != nil && err != mrerr.MrDCMDisabled {
 			log.Printf("moirad: dcm: %v", err)
 		} else if err == nil && (stats.Generated > 0 || stats.HostsUpdated > 0) {
 			log.Printf("moirad: dcm: generated %d, updated %d hosts", stats.Generated, stats.HostsUpdated)
@@ -332,37 +323,9 @@ func (r dcmRunner) loop(interval time.Duration, trigger <-chan struct{}, stop <-
 	}
 }
 
-// serveDebug exposes Prometheus text on /metrics, liveness and
-// readiness probes on /healthz and /readyz, the registry as the expvar
-// "moira" variable, and the stdlib pprof handlers on addr; empty addr
-// disables it.
-func serveDebug(addr string, reg *stats.Registry, hc *health.Checker) {
-	if addr == "" {
-		return
-	}
-	expvar.Publish("moira", expvar.Func(func() any { return reg.Snapshot() }))
-	http.Handle("/metrics", stats.PromHandler(reg))
-	http.HandleFunc("/healthz", hc.Healthz)
-	http.HandleFunc("/readyz", hc.Readyz)
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			log.Printf("moirad: debug server: %v", err)
-		}
-	}()
-	log.Printf("moirad: metrics+health+pprof on http://%s/", addr)
-}
-
-// waitForSignal blocks until SIGINT or SIGTERM.
-func waitForSignal() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	<-ch
-	log.Printf("moirad: shutting down")
-}
-
-// waitForSignalOrPromote blocks until SIGINT or SIGTERM; SIGUSR1 runs
-// the promote hook (cluster mode) and keeps serving.
-func waitForSignalOrPromote(promote func()) {
+// waitForSignal blocks until SIGINT or SIGTERM; SIGUSR1 runs the
+// promote hook (cluster mode) and keeps serving.
+func waitForSignal(promote func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
 	for sig := range ch {

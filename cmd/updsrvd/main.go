@@ -7,16 +7,14 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"moira/internal/health"
+	"moira/internal/protocol"
 	"moira/internal/stats"
 	"moira/internal/trace"
 	"moira/internal/update"
@@ -28,11 +26,11 @@ func main() {
 		host = flag.String("host", "HOST.MIT.EDU", "canonical host name")
 		root = flag.String("root", "", "host file tree root (default: a temp dir)")
 
-		debug = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, and pprof on this HTTP address")
+		debug = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, expvar, and pprof on this HTTP address")
 
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "per-frame read deadline; a stalled DCM connection is dropped after this (0 = never)")
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-reply write deadline (0 = none)")
-		drainTimeout = flag.Duration("drain-timeout", update.DefaultDrainTimeout, "how long shutdown waits for an in-flight update before force-closing")
+		drainTimeout = flag.Duration("drain-timeout", protocol.DefaultDrainTimeout, "how long shutdown waits for an in-flight update before force-closing")
 		busyWait     = flag.Duration("busy-wait", 5*time.Second, "how long a second concurrent update waits for the host lock before UPD_BUSY")
 	)
 	flag.Parse()
@@ -71,21 +69,9 @@ func main() {
 	}
 	log.Printf("updsrvd: %s serving update protocol on %s", *host, bound)
 
-	if *debug != "" {
-		hc := health.NewChecker()
-		hc.AddFunc("agent", func() (bool, string) {
-			return true, fmt.Sprintf("%s listening on %s", *host, bound)
-		})
-		http.Handle("/metrics", stats.PromHandler(reg))
-		http.HandleFunc("/healthz", hc.Healthz)
-		http.HandleFunc("/readyz", hc.Readyz)
-		go func() {
-			if err := http.ListenAndServe(*debug, nil); err != nil {
-				log.Printf("updsrvd: debug server: %v", err)
-			}
-		}()
-		log.Printf("updsrvd: metrics+health+pprof on http://%s/", *debug)
-	}
+	hc := health.NewChecker()
+	hc.Add(a.HealthProbe)
+	health.Serve(*debug, "updsrvd", reg, hc)
 
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)

@@ -87,7 +87,7 @@ type Options struct {
 	// server.Config): per-request read and write deadlines, the
 	// accept-time connection cap, and the Close drain bound. Zero values
 	// keep the server defaults (no deadlines, unlimited connections,
-	// server.DefaultDrainTimeout).
+	// protocol.DefaultDrainTimeout).
 	ServerIdleTimeout  time.Duration
 	ServerWriteTimeout time.Duration
 	ServerMaxConns     int

@@ -15,9 +15,15 @@
 package health
 
 import (
+	"expvar"
 	"fmt"
+	"log"
+	"net"
 	"net/http"
+	_ "net/http/pprof" // the profiling handlers Serve exposes
 	"sync"
+
+	"moira/internal/stats"
 )
 
 // Status is one probe's answer.
@@ -82,8 +88,12 @@ func (c *Checker) Ready() (bool, []Status) {
 	return true, sts
 }
 
-// writeStatuses renders probe results one per line: "ok|fail name detail".
-func writeStatuses(w http.ResponseWriter, sts []Status) {
+// writeStatuses answers code with a head line, then the probe results
+// one per line: "ok|fail name detail".
+func writeStatuses(w http.ResponseWriter, code int, head string, sts []Status) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.WriteHeader(code)
+	fmt.Fprintln(w, head)
 	for _, st := range sts {
 		state := "ok"
 		if !st.OK {
@@ -95,23 +105,43 @@ func writeStatuses(w http.ResponseWriter, sts []Status) {
 
 // Healthz is the liveness endpoint: 200 with per-probe detail.
 func (c *Checker) Healthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
-	writeStatuses(w, c.Check())
+	writeStatuses(w, http.StatusOK, "ok", c.Check())
 }
 
 // Readyz is the readiness endpoint: 200 when all probes pass, 503
 // otherwise, either way with per-probe detail.
 func (c *Checker) Readyz(w http.ResponseWriter, _ *http.Request) {
-	ready, sts := c.Ready()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if ready {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ready")
+	if ready, sts := c.Ready(); ready {
+		writeStatuses(w, http.StatusOK, "ready", sts)
 	} else {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "not ready")
+		writeStatuses(w, http.StatusServiceUnavailable, "not ready", sts)
 	}
-	writeStatuses(w, sts)
+}
+
+// Serve is a daemon's debug endpoint: Prometheus text on /metrics, the
+// checker's liveness and readiness on /healthz and /readyz, the registry
+// as the expvar "moira" variable, and the stdlib pprof handlers, served
+// on addr in the background. process names the daemon in log lines. An
+// empty addr serves nothing. It returns the bound address, nil if there
+// is none; it registers on the default mux, so a process calls it once.
+func Serve(addr, process string, reg *stats.Registry, hc *Checker) net.Addr {
+	if addr == "" {
+		return nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Printf("%s: debug server: %v", process, err)
+		return nil
+	}
+	expvar.Publish("moira", expvar.Func(func() any { return reg.Snapshot() }))
+	http.Handle("/metrics", stats.PromHandler(reg))
+	http.HandleFunc("/healthz", hc.Healthz)
+	http.HandleFunc("/readyz", hc.Readyz)
+	go func() {
+		if err := http.Serve(ln, nil); err != nil {
+			log.Printf("%s: debug server: %v", process, err)
+		}
+	}()
+	log.Printf("%s: metrics+health+pprof on http://%s/", process, ln.Addr())
+	return ln.Addr()
 }

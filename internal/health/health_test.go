@@ -1,10 +1,14 @@
 package health
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"moira/internal/stats"
 )
 
 func TestEmptyCheckerIsReady(t *testing.T) {
@@ -90,5 +94,42 @@ func TestHealthzAlwaysOK(t *testing.T) {
 	}
 	if body := rec.Body.String(); !strings.Contains(body, "fail journal wedged") {
 		t.Errorf("healthz body missing detail: %q", body)
+	}
+}
+
+// TestServeDebugEndpoint: one Serve call puts the metrics, both probes,
+// the registry's expvar and pprof on one address.
+func TestServeDebugEndpoint(t *testing.T) {
+	if Serve("", "test", nil, nil) != nil {
+		t.Error("an empty address served")
+	}
+	reg := stats.NewRegistry()
+	reg.Counter("server.conns.shed").Add(3)
+	c := NewChecker()
+	c.AddFunc("agent", func() (bool, string) { return false, "draining" })
+	addr := Serve("127.0.0.1:0", "test", reg, c)
+	if addr == nil {
+		t.Fatal("Serve did not bind")
+	}
+	for _, tc := range []struct {
+		path string
+		code int
+		want string
+	}{
+		{"/metrics", 200, "moira_server_conns_shed_total 3"},
+		{"/healthz", 200, "fail agent draining"},
+		{"/readyz", 503, "fail agent draining"},
+		{"/debug/vars", 200, `"moira":`},
+		{"/debug/pprof/", 200, "goroutine"},
+	} {
+		resp, err := http.Get("http://" + addr.String() + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: %d, want %d with %q in:\n%.300s", tc.path, resp.StatusCode, tc.code, tc.want, body)
+		}
 	}
 }

@@ -208,8 +208,9 @@ func TestUpdateUserRename(t *testing.T) {
 }
 
 // TestGetFilesysByLabelProbesIndex: an exact label is a label-index
-// probe, not a scan of the relation, and answers exactly what the scan
-// answered — including for a label with several (label, order) rows.
+// probe and a pattern a walk of the label index's range, never a scan of
+// the relation, and both answer the same rows — including for a label
+// with several (label, order) rows.
 func TestGetFilesysByLabelProbesIndex(t *testing.T) {
 	f := newFixture(t)
 	f.addUser(t, "owner")
@@ -230,28 +231,28 @@ func TestGetFilesysByLabelProbesIndex(t *testing.T) {
 
 	// The pattern matches the same three rows and renders them with the
 	// same per-tuple lookups, so the tallies differ by the retrieval
-	// shape alone: one scan against one point probe.
-	p0, _, s0 := f.d.LookupStats()
+	// shape alone: one range walk against one point probe.
+	p0, r0, s0 := f.d.LookupStats()
 	want := f.mustRun(t, f.priv, "get_filesys_by_label", "mult*")
-	p1, _, s1 := f.d.LookupStats()
+	p1, r1, s1 := f.d.LookupStats()
 	got := f.mustRun(t, f.priv, "get_filesys_by_label", "multi")
-	p2, _, s2 := f.d.LookupStats()
+	p2, r2, s2 := f.d.LookupStats()
 	if len(want) != 3 {
 		t.Fatalf("setup: the pattern matched %d rows, want 3: %v", len(want), want)
 	}
-	if s1-s0 != 1 {
-		t.Errorf("a wildcard label counted %d scans, want 1", s1-s0)
+	if s1 != s0 || r1-r0 != 1 {
+		t.Errorf("a wildcard label counted %d scans and %d range walks, want none and 1", s1-s0, r1-r0)
 	}
-	if s2 != s1 || p2-p1 != p1-p0+1 {
-		t.Errorf("exact label: %d scans and %d point probes; want no scan and %d probes (the pattern's %d plus the label index)",
-			s2-s1, p2-p1, p1-p0+1, p1-p0)
+	if s2 != s1 || r2 != r1 || p2-p1 != p1-p0+1 {
+		t.Errorf("exact label: %d scans, %d range walks and %d point probes; want none, none and %d (the pattern's %d plus the label index)",
+			s2-s1, r2-r1, p2-p1, p1-p0+1, p1-p0)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("exact label returned %d tuples, the scan %d", len(got), len(want))
+		t.Fatalf("exact label returned %d tuples, the pattern %d", len(got), len(want))
 	}
 	for i := range got {
 		if !slices.Equal(got[i], want[i]) {
-			t.Errorf("tuple %d: probe %v, scan %v", i, got[i], want[i])
+			t.Errorf("tuple %d: probe %v, pattern %v", i, got[i], want[i])
 		}
 	}
 }

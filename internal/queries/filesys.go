@@ -96,12 +96,9 @@ func init() {
 	register([]Query{
 		{Name: "get_filesys_by_label", Short: "gfsl", In: []Arg{arg("name")}, Rows: filesysRow, Access: Anyone,
 			Do: func(r *Req) error {
-				if wildcard.HasWildcards(r.s[0]) {
-					r.filesystems(func(f *db.Filesys) bool { return wildcard.Match(r.s[0], f.Label) })
-					return nil
-				}
-				// An exact label probes the label index.
-				db.Filesystems.Under(r.DB, r.s[0], func(f *db.Filesys) bool {
+				// An exact label probes the label index, a pattern walks
+				// its range.
+				db.Filesystems.Match(r.DB, r.s[0], func(f *db.Filesys) bool {
 					r.filesys(f)
 					return true
 				})

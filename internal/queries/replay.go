@@ -68,7 +68,6 @@ func ReplayJournal(d *db.DB, r io.Reader, since int64, logf func(string, ...any)
 		logf = func(string, ...any) {}
 	}
 	stats := &ReplayStats{}
-	discard := func([]string) error { return nil }
 
 	replayLine := func(line string, final bool) error {
 		stats.Lines++
@@ -84,15 +83,10 @@ func ReplayJournal(d *db.DB, r io.Reader, since int64, logf func(string, ...any)
 		if rec.Time < since {
 			return nil
 		}
-		// Replay runs privileged: the original execution already passed
-		// its access check, and list memberships may since have changed.
-		// The original principal is preserved for the mod-by audit trail.
-		cx := &Context{DB: d, Principal: rec.Principal, App: rec.App, TraceID: rec.Trace, Privileged: true}
-		err = Execute(cx, rec.Query, rec.Args, discard)
-		switch {
-		case err == nil:
+		switch outcome, err := apply(d, rec); outcome {
+		case ApplyApplied:
 			stats.Applied++
-		case isOverlapError(err):
+		case ApplySkipped:
 			stats.Skipped++
 		default:
 			stats.Failed++
@@ -178,8 +172,16 @@ func ApplyJournalLine(d *db.DB, line string) (ApplyOutcome, error) {
 	if err != nil {
 		return ApplyFailed, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
 	}
+	return apply(d, rec)
+}
+
+// apply executes one journal record against d. It runs privileged: the
+// original execution already passed its access check, and list
+// memberships may since have changed. The original principal is kept
+// for the mod-by audit trail.
+func apply(d *db.DB, rec *db.JournalRecord) (ApplyOutcome, error) {
 	cx := &Context{DB: d, Principal: rec.Principal, App: rec.App, TraceID: rec.Trace, Privileged: true}
-	err = Execute(cx, rec.Query, rec.Args, func([]string) error { return nil })
+	err := Execute(cx, rec.Query, rec.Args, func([]string) error { return nil })
 	switch {
 	case err == nil:
 		return ApplyApplied, nil

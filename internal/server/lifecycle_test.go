@@ -1,7 +1,10 @@
 package server
 
 import (
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,15 +19,28 @@ import (
 // binary.
 var registerLifecycleHandles sync.Once
 
-// slowHandleDelay is how long the _test_slow handle holds its request.
-const slowHandleDelay = 300 * time.Millisecond
+// heldGate is the _test_held handle's handshake: the handler signals on
+// in and blocks until release is closed, so a test knows its request is
+// in flight without sleeping.
+type heldGate struct{ in, release chan struct{} }
+
+var gate atomic.Pointer[heldGate]
+
+// holdRequests arms a fresh gate for the next _test_held request.
+func holdRequests() *heldGate {
+	g := &heldGate{in: make(chan struct{}, 1), release: make(chan struct{})}
+	gate.Store(g)
+	return g
+}
 
 func lifecycleHandles() {
 	registerLifecycleHandles.Do(func() {
 		queries.Register(&queries.Query{
-			Name: "_test_slow", Short: "_tsl", Rows: queries.Columns("result"), Access: queries.Anyone,
+			Name: "_test_held", Short: "_thl", Rows: queries.Columns("result"), Access: queries.Anyone,
 			Do: func(r *queries.Req) error {
-				time.Sleep(slowHandleDelay)
+				g := gate.Load()
+				g.in <- struct{}{}
+				<-g.release
 				r.Row(protocol.Text("done"))
 				return nil
 			},
@@ -107,13 +123,22 @@ func TestCloseDrainsInflightRequest(t *testing.T) {
 		err    error
 	}
 	res := make(chan result, 1)
+	g := holdRequests()
 	go func() {
-		out, err := c.QueryAll("_test_slow")
+		out, err := c.QueryAll("_test_held")
 		res <- result{out, err}
 	}()
-	time.Sleep(slowHandleDelay / 3) // let the request reach the handler
+	<-g.in
 
-	elapsed := closeWithin(t, srv, 4*time.Second)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	for !srv.ln.Closed() {
+		runtime.Gosched()
+	}
+	close(g.release)
 	r := <-res
 	if r.err != nil {
 		t.Errorf("in-flight query during drain failed: %v", r.err)
@@ -121,8 +146,13 @@ func TestCloseDrainsInflightRequest(t *testing.T) {
 	if len(r.tuples) != 1 || r.tuples[0][0] != "done" {
 		t.Errorf("in-flight query tuples = %v", r.tuples)
 	}
-	if elapsed > 2*time.Second {
-		t.Errorf("drain took %v for a %v handler", elapsed, slowHandleDelay)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return after the drained request")
+	}
+	if n := srv.Registry().Counter("server.conns.forceclosed").Value(); n != 0 {
+		t.Errorf("server.conns.forceclosed = %d, want 0", n)
 	}
 }
 
@@ -139,8 +169,10 @@ func TestCloseForceClosesStragglers(t *testing.T) {
 	if err := c.Noop(); err != nil {
 		t.Fatal(err)
 	}
-	go c.Query("_test_slow", nil, nil) // slower than the drain bound
-	time.Sleep(50 * time.Millisecond)
+	g := holdRequests()
+	defer close(g.release) // the straggler outlives Close
+	go c.Query("_test_held", nil, nil)
+	<-g.in
 
 	elapsed := closeWithin(t, srv, 2*time.Second)
 	if elapsed < 100*time.Millisecond {
@@ -209,6 +241,31 @@ func TestMaxConnsShedsExcess(t *testing.T) {
 			t.Fatalf("slot never freed after disconnect: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHealthProbeReportsShedAndDrain: the server's readiness probe
+// fails while every connection slot is taken and once Close has begun,
+// reading both from the listener.
+func TestHealthProbeReportsShedAndDrain(t *testing.T) {
+	srv, addr := lifecycleRig(t, Config{MaxConns: 1})
+	if st := srv.HealthProbe(); !st.OK {
+		t.Errorf("idle server probe = %+v", st)
+	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Disconnect()
+	if err := c.Noop(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.HealthProbe(); st.OK || !strings.HasPrefix(st.Detail, "at MaxConns") {
+		t.Errorf("full server probe = %+v", st)
+	}
+	srv.Close()
+	if st := srv.HealthProbe(); st.OK || !strings.HasPrefix(st.Detail, "draining") {
+		t.Errorf("closed server probe = %+v", st)
 	}
 }
 

@@ -81,7 +81,7 @@ type Config struct {
 
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// before force-closing the stragglers. Zero means
-	// DefaultDrainTimeout.
+	// protocol.DefaultDrainTimeout.
 	DrainTimeout time.Duration
 
 	// ReadOnly starts the server in read-only mode: retrieval queries
@@ -138,10 +138,6 @@ type FailoverState interface {
 // this keeps one batch's exclusive-lock hold time reasonable.
 const DefaultMaxBatch = 1024
 
-// DefaultDrainTimeout is how long Close waits for in-flight requests
-// when Config.DrainTimeout is zero.
-const DefaultDrainTimeout = 5 * time.Second
-
 // Server is a running Moira server.
 type Server struct {
 	cfg Config
@@ -152,9 +148,8 @@ type Server struct {
 	// line is formatted only then, since its arguments allocate.
 	logRequests bool
 
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closing chan struct{} // closed when Close begins; serveConn drains
+	// ln accepts, drains and force-closes the connections.
+	ln *protocol.Listener
 
 	readonly atomic.Bool
 
@@ -166,29 +161,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[int]*session
-	conns    map[net.Conn]*connState
 	nextID   int
-	closed   bool
-}
-
-// connState tracks whether a live connection is currently processing a
-// request. Close closes idle connections immediately (they are parked in
-// a blocking read) and lets in-flight ones finish, up to DrainTimeout.
-type connState struct {
-	mu       sync.Mutex
-	inflight bool
-}
-
-func (st *connState) set(v bool) {
-	st.mu.Lock()
-	st.inflight = v
-	st.mu.Unlock()
-}
-
-func (st *connState) busy() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.inflight
 }
 
 type session struct {
@@ -222,10 +195,14 @@ func New(cfg Config) *Server {
 		clk:         clk,
 		reg:         reg,
 		logRequests: logRequests,
-		closing:     make(chan struct{}),
+		ln:          protocol.NewListener(),
 		sessions:    make(map[int]*session),
-		conns:       make(map[net.Conn]*connState),
 	}
+	s.ln.Drain = cfg.DrainTimeout
+	s.ln.ForceClosed = reg.Counter("server.conns.forceclosed")
+	s.ln.Max = cfg.MaxConns
+	s.ln.Shed = s.shed
+	s.ln.Logf = cfg.Logf
 	s.readonly.Store(cfg.ReadOnly)
 	return s
 }
@@ -242,163 +219,37 @@ func (s *Server) SetReadOnly(v bool) { s.readonly.Store(v) }
 func (s *Server) Registry() *stats.Registry { return s.reg }
 
 // HealthProbe reports the server's shed/drain state for the health
-// checker: not ready once Close has begun, or while every connection
-// slot is taken (new clients are being shed).
+// checker (protocol.Listener.State): not ready once Close has begun, or
+// while every connection slot is taken (new clients are being shed).
 func (s *Server) HealthProbe() health.Status {
-	s.mu.Lock()
-	conns := len(s.conns)
-	closed := s.closed
-	s.mu.Unlock()
-	st := health.Status{
-		Name: "server",
-		Detail: "conns=" + strconv.Itoa(conns) +
-			" max=" + strconv.Itoa(s.cfg.MaxConns) +
-			" shed=" + strconv.FormatInt(s.reg.Counter("server.conns.shed").Value(), 10) +
-			" readonly=" + strconv.FormatBool(s.readonly.Load()),
-	}
-	switch {
-	case closed || s.draining():
-		st.Detail = "draining; " + st.Detail
-	case s.cfg.MaxConns > 0 && conns >= s.cfg.MaxConns:
-		st.Detail = "at MaxConns, shedding; " + st.Detail
-	default:
-		st.OK = true
-	}
-	return st
+	ok, detail := s.ln.State()
+	return health.Status{Name: "server", OK: ok, Detail: detail +
+		" shed=" + strconv.FormatInt(s.reg.Counter("server.conns.shed").Value(), 10) +
+		" readonly=" + strconv.FormatBool(s.readonly.Load())}
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting
 // connections in the background. It returns the bound address.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return ln.Addr(), nil
-}
+func (s *Server) Listen(addr string) (net.Addr, error) { return s.ln.Listen(addr, s.serveConn) }
 
 // Addr returns the listener address, or nil before Listen.
-func (s *Server) Addr() net.Addr {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Close stops accepting and drains: idle connections (parked in a
-// blocking read between requests) are closed immediately, in-flight
-// requests get up to DrainTimeout to finish, and any stragglers are
-// force-closed after that. Historically this waited unconditionally, so
-// a single idle client hung shutdown forever.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	s.closed = true
-	close(s.closing)
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn, st := range s.conns {
-		if !st.busy() {
-			conn.Close()
-		}
-	}
-	s.mu.Unlock()
+// Close stops accepting and drains (protocol.Listener.Close): idle
+// connections are closed at once, in-flight requests get up to
+// DrainTimeout to finish, and stragglers are force-closed after that.
+func (s *Server) Close() error { return s.ln.Close() }
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	drain := s.cfg.DrainTimeout
-	if drain <= 0 {
-		drain = DefaultDrainTimeout
-	}
-	select {
-	case <-done:
-		return err
-	case <-time.After(drain):
-	}
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-		s.reg.Counter("server.conns.forceclosed").Inc()
-	}
-	s.mu.Unlock()
-	// Closed connections unblock their goroutines' I/O; give the
-	// stragglers one more drain interval, then return regardless — a
-	// handler wedged off-network cannot hold Close hostage.
-	select {
-	case <-done:
-	case <-time.After(drain):
-		s.cfg.Logf("close: connections still draining after force-close")
-	}
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		st := s.track(conn)
-		if st == nil {
-			continue // shed (or shutting down)
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn, st)
-		}()
-	}
-}
-
-// track registers an accepted connection, enforcing MaxConns. It returns
-// nil after shedding (or during shutdown), in which case the connection
-// has been dealt with.
-func (s *Server) track(conn net.Conn) *connState {
-	s.mu.Lock()
-	if s.closed || (s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns) {
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			conn.Close()
-			return nil
-		}
-		s.reg.Counter("server.conns.shed").Inc()
-		s.cfg.Logf("shedding connection from %s: %d connections at MaxConns=%d",
-			conn.RemoteAddr(), s.cfg.MaxConns, s.cfg.MaxConns)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.shed(conn)
-		}()
-		return nil
-	}
-	st := &connState{}
-	s.conns[conn] = st
-	s.mu.Unlock()
-	return st
-}
-
-// shed tells an excess client the server is at capacity: a best-effort
-// final MR_BUSY reply, then close. The pre-sent reply answers the
-// client's first round trip. Closing right after the write would risk a
-// reset that discards the buffered reply before the client reads it, so
-// shed briefly waits for that first request (bounded by a deadline)
-// before hanging up.
+// shed tells a client past MaxConns the server is at capacity: a
+// best-effort final MR_BUSY reply, counted in server.conns.shed. The
+// pre-sent reply answers the client's first round trip. Closing right
+// after the write would risk a reset that discards the buffered reply
+// before the client reads it, so shed briefly waits for that first
+// request (bounded by a deadline) before the listener hangs up.
 func (s *Server) shed(conn net.Conn) {
-	defer conn.Close()
+	s.reg.Counter("server.conns.shed").Inc()
+	s.cfg.Logf("shedding connection from %s: %d connections at MaxConns=%d",
+		conn.RemoteAddr(), s.cfg.MaxConns, s.cfg.MaxConns)
 	conn.SetDeadline(time.Now().Add(time.Second))
 	bw := bufio.NewWriter(conn)
 	if protocol.WriteReplyFields(bw, 0, int32(mrerr.MrBusy), nil) != nil {
@@ -408,22 +259,6 @@ func (s *Server) shed(conn net.Conn) {
 		return
 	}
 	protocol.ReadRequest(bufio.NewReader(conn))
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// draining reports whether Close has begun.
-func (s *Server) draining() bool {
-	select {
-	case <-s.closing:
-		return true
-	default:
-		return false
-	}
 }
 
 // SessionInfos lists the connected clients for the _list_users query.
@@ -465,9 +300,8 @@ func (s *Server) dropSession(ses *session) {
 	s.reg.Gauge("server.sessions.active").Add(-1)
 }
 
-func (s *Server) serveConn(conn net.Conn, st *connState) {
-	defer conn.Close()
-	defer s.untrack(conn)
+func (s *Server) serveConn(c *protocol.Conn) {
+	conn := c.Conn
 	ses := s.addSession(conn)
 	defer s.dropSession(ses)
 
@@ -510,24 +344,21 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	}
 
 	for {
-		if s.draining() {
+		// Before parking for the next request, or leaving once Close has
+		// begun, push out everything the previous ones buffered — unless
+		// more input is already waiting, in which case the flush rides
+		// with a later reply.
+		draining := c.Idle()
+		if bw.Buffered() > 0 && (draining || br.Buffered() == 0) {
 			if d := s.cfg.WriteTimeout; d > 0 {
 				conn.SetWriteDeadline(time.Now().Add(d))
 			}
-			bw.Flush()
-			return
-		}
-		st.set(false)
-		// Before parking for the next request, push out everything the
-		// previous ones buffered — unless more input is already waiting,
-		// in which case the flush rides with a later reply.
-		if br.Buffered() == 0 && bw.Buffered() > 0 {
-			if d := s.cfg.WriteTimeout; d > 0 {
-				conn.SetWriteDeadline(time.Now().Add(d))
-			}
-			if err := bw.Flush(); err != nil {
+			if bw.Flush() != nil {
 				return
 			}
+		}
+		if draining {
+			return
 		}
 		if d := s.cfg.IdleTimeout; d > 0 {
 			conn.SetReadDeadline(time.Now().Add(d))
@@ -536,7 +367,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		// between requests does not pollute the read phase; then the
 		// frame read + parse is timed as the request's first span.
 		if _, err := br.Peek(1); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !s.draining() {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() && !s.ln.Closed() {
 				s.reg.Counter("server.conns.idleclosed").Inc()
 				s.cfg.Logf("closing idle connection client=%d after %v", ses.id, s.cfg.IdleTimeout)
 			}
@@ -548,7 +379,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 			return
 		}
 		readDur := time.Since(readStart)
-		st.set(true)
+		c.Begin()
 		start := s.clk.Now()
 		repTag = req.Tag
 		if req.Version != protocol.Version {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"moira/internal/clock"
+	"moira/internal/health"
 	"moira/internal/kerberos"
 	"moira/internal/mrerr"
 	"moira/internal/protocol"
@@ -79,7 +80,7 @@ type Agent struct {
 
 	// DrainTimeout bounds how long Close waits for an in-flight update
 	// before force-closing its connection; zero means
-	// DefaultDrainTimeout.
+	// protocol.DefaultDrainTimeout.
 	DrainTimeout time.Duration
 
 	// BusyWait bounds how long an incoming update waits for a previous
@@ -98,8 +99,6 @@ type Agent struct {
 	crashPoint func(stage string) bool
 	latency    time.Duration
 	sem        chan struct{}
-	conns      map[net.Conn]*connState
-	closed     bool
 
 	// The connection of the one session holding the host lock (section
 	// 5.9 allows one update at a time per host) is read and written
@@ -109,36 +108,11 @@ type Agent struct {
 	bw *bufio.Writer
 	fr *protocol.FrameReader
 
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closing chan struct{}
+	// ln accepts, drains and force-closes the connections.
+	ln *protocol.Listener
 
 	reg    *stats.Registry
 	tracer *trace.Tracer
-}
-
-// DefaultDrainTimeout is how long Close waits for an in-flight update
-// when DrainTimeout is zero.
-const DefaultDrainTimeout = 5 * time.Second
-
-// connState tracks whether a connection is mid-request, so Close can
-// distinguish idle connections (closed at once) from in-flight updates
-// (drained up to DrainTimeout).
-type connState struct {
-	mu       sync.Mutex
-	inflight bool
-}
-
-func (st *connState) set(v bool) {
-	st.mu.Lock()
-	st.inflight = v
-	st.mu.Unlock()
-}
-
-func (st *connState) busy() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.inflight
 }
 
 // NewAgent creates an update agent for a host rooted at dir.
@@ -149,8 +123,7 @@ func NewAgent(host, dir string, verifier *kerberos.Verifier) *Agent {
 		BusyWait:    5 * time.Second,
 		commands:    make(map[string]CommandFunc),
 		sem:         make(chan struct{}, 1),
-		conns:       make(map[net.Conn]*connState),
-		closing:     make(chan struct{}),
+		ln:          protocol.NewListener(),
 		reg:         stats.NewRegistry(),
 	}
 }
@@ -208,125 +181,26 @@ func (a *Agent) Signals() []int {
 
 // Listen binds addr and serves update connections in the background.
 func (a *Agent) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	a.ln = ln
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			st := a.track(conn)
-			if st == nil {
-				conn.Close() // shutting down
-				continue
-			}
-			a.wg.Add(1)
-			go func() {
-				defer a.wg.Done()
-				a.serve(conn, st)
-			}()
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-func (a *Agent) track(conn net.Conn) *connState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return nil
-	}
-	st := &connState{}
-	a.conns[conn] = st
-	return st
-}
-
-func (a *Agent) untrack(conn net.Conn) {
-	a.mu.Lock()
-	delete(a.conns, conn)
-	a.mu.Unlock()
-}
-
-// draining reports whether Close has begun.
-func (a *Agent) draining() bool {
-	if a.closing == nil {
-		return false
-	}
-	select {
-	case <-a.closing:
-		return true
-	default:
-		return false
-	}
+	a.ln.Drain = a.DrainTimeout
+	a.ln.ForceClosed = a.reg.Counter("update.conns.forceclosed")
+	return a.ln.Listen(addr, a.serve)
 }
 
 // Addr returns the bound address.
-func (a *Agent) Addr() net.Addr {
-	if a.ln == nil {
-		return nil
-	}
-	return a.ln.Addr()
-}
+func (a *Agent) Addr() net.Addr { return a.ln.Addr() }
 
-// Close stops the agent: it stops accepting, closes idle connections at
-// once, waits up to DrainTimeout for an in-flight update to finish, then
-// force-closes whatever is left. Before conn tracking existed, a
-// connected DCM sitting between frames (with ReadTimeout 0) hung Close
-// forever.
-func (a *Agent) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		a.wg.Wait()
-		return nil
-	}
-	a.closed = true
-	if a.closing != nil {
-		close(a.closing)
-	}
-	var err error
-	if a.ln != nil {
-		err = a.ln.Close()
-	}
-	for conn, st := range a.conns {
-		if !st.busy() {
-			conn.Close()
-		}
-	}
-	a.mu.Unlock()
+// Close stops the agent (protocol.Listener.Close): it stops accepting,
+// closes idle connections at once, waits up to DrainTimeout for an
+// in-flight update to finish, then force-closes whatever is left. An
+// update still waiting for the host lock gives up.
+func (a *Agent) Close() error { return a.ln.Close() }
 
-	done := make(chan struct{})
-	go func() {
-		a.wg.Wait()
-		close(done)
-	}()
-	drain := a.DrainTimeout
-	if drain <= 0 {
-		drain = DefaultDrainTimeout
-	}
-	select {
-	case <-done:
-		return err
-	case <-time.After(drain):
-	}
-	a.mu.Lock()
-	for conn := range a.conns {
-		conn.Close()
-		a.reg.Counter("update.conns.forceclosed").Inc()
-	}
-	a.mu.Unlock()
-	select {
-	case <-done:
-	case <-time.After(drain):
-		// An instruction wedged off-network cannot hold Close hostage.
-	}
-	return err
+// HealthProbe reports the agent's drain state for the health checker
+// (protocol.Listener.State): not ready once Close has begun.
+func (a *Agent) HealthProbe() health.Status {
+	ok, detail := a.ln.State()
+	return health.Status{Name: "agent", OK: ok, Detail: detail + " host=" + a.Host +
+		" busy=" + strconv.FormatInt(a.reg.Counter("update.conns.busy").Value(), 10)}
 }
 
 // HostPath resolves a host path inside the agent root, refusing one
@@ -455,7 +329,8 @@ func (a *Agent) crash(conn net.Conn, stage string) bool {
 
 // lock marks the host busy for the duration of one update, implementing
 // the "only one update at a time per host" rule. It waits up to BusyWait
-// for a previous update (or its connection teardown) to finish.
+// for a previous update (or its connection teardown) to finish, and
+// gives up when Close begins.
 func (a *Agent) lock() bool {
 	select {
 	case a.sem <- struct{}{}:
@@ -465,29 +340,29 @@ func (a *Agent) lock() bool {
 	if a.BusyWait <= 0 {
 		return false
 	}
+	t := time.NewTimer(a.BusyWait)
+	defer t.Stop()
 	select {
 	case a.sem <- struct{}{}:
 		return true
-	case <-time.After(a.BusyWait):
-		return false
+	case <-t.C:
+	case <-a.ln.Draining():
 	}
+	return false
 }
 
 func (a *Agent) unlock() {
 	<-a.sem
 }
 
-func (a *Agent) serve(conn net.Conn, st *connState) {
-	defer conn.Close()
-	defer a.untrack(conn)
+func (a *Agent) serve(c *protocol.Conn) {
+	conn := c.Conn
 	if !a.lock() {
-		a.reg.Counter("update.conns.busy").Inc()
-		bw := bufio.NewWriter(conn)
-		if a.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(a.WriteTimeout))
+		if a.ln.Closed() {
+			return
 		}
-		protocol.WriteReply(bw, &protocol.Reply{Version: protocol.Version, Code: int32(mrerr.UpdBusy)})
-		bw.Flush()
+		a.reg.Counter("update.conns.busy").Inc()
+		a.reply(conn, bufio.NewWriter(conn), mrerr.UpdBusy)
 		return
 	}
 	defer a.unlock()
@@ -506,26 +381,13 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 		a.br.Reset(conn)
 		a.bw.Reset(conn)
 	}
-	bw := a.bw
 	ses := &updateSession{agent: a, authed: a.Verifier == nil}
 	defer ses.end()
 
-	reply := func(code mrerr.Code) error {
-		if a.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(a.WriteTimeout))
-		}
-		rep := &protocol.Reply{Version: protocol.Version, Code: int32(code)}
-		if err := protocol.WriteReply(bw, rep); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-
 	for {
-		if a.draining() {
+		if c.Idle() {
 			return
 		}
-		st.set(false)
 		if a.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(a.ReadTimeout))
 		}
@@ -535,9 +397,9 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 		if err != nil {
 			return
 		}
-		st.set(true)
+		c.Begin()
 		if req.Version != protocol.Version {
-			if reply(mrerr.MrVersionMismatch) != nil {
+			if a.reply(conn, a.bw, mrerr.MrVersionMismatch) != nil {
 				return
 			}
 			continue
@@ -551,10 +413,21 @@ func (a *Agent) serve(conn net.Conn, st *connState) {
 		if fatal {
 			return // crash injection dropped the connection
 		}
-		if reply(code) != nil {
+		if a.reply(conn, a.bw, code) != nil {
 			return
 		}
 	}
+}
+
+// reply writes and flushes one reply frame under the write deadline.
+func (a *Agent) reply(conn net.Conn, bw *bufio.Writer, code mrerr.Code) error {
+	if a.WriteTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(a.WriteTimeout))
+	}
+	if err := protocol.WriteReply(bw, &protocol.Reply{Version: protocol.Version, Code: int32(code)}); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // dispatch executes one update-protocol request. Like the Moira server,

@@ -3,6 +3,8 @@ package update
 import (
 	"bufio"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +65,154 @@ func TestAgentCloseReturnsWithIdleConn(t *testing.T) {
 	}
 }
 
+// heldAgent returns a listening agent whose crash hook holds a push in
+// flight at its last request: the hook signals on in and blocks until
+// release is closed, so a test knows the push is in flight without
+// sleeping.
+func heldAgent(t *testing.T, drain, busyWait time.Duration) (a *Agent, in, release chan struct{}) {
+	t.Helper()
+	a = NewAgent("SUOMI.MIT.EDU", t.TempDir(), nil)
+	a.DrainTimeout, a.BusyWait = drain, busyWait
+	in, release = make(chan struct{}, 1), make(chan struct{})
+	a.SetCrashPoint(func(stage string) bool {
+		if stage == "before-execute" {
+			in <- struct{}{}
+			<-release
+		}
+		return false
+	})
+	if _, err := a.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	return a, in, release
+}
+
+// startPush runs one push to a in the background.
+func startPush(t *testing.T, a *Agent) <-chan error {
+	t.Helper()
+	data, err := BuildTar(map[string][]byte{"f": []byte("data")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Push{Addr: a.Addr().String(), Target: "/t", Bundle: NewBundle(data),
+		Script: []string{"extract f /d", "install /d"}, Timeout: time.Minute}
+	done := make(chan error, 1)
+	go func() { done <- p.Run() }()
+	return done
+}
+
+// startClose begins a.Close in the background and returns once it has
+// begun.
+func startClose(a *Agent) <-chan struct{} {
+	closed := make(chan struct{})
+	go func() {
+		a.Close()
+		close(closed)
+	}()
+	waitUntil(a.ln.Closed)
+	return closed
+}
+
+// waitUntil spins until cond holds, or ten seconds pass.
+func waitUntil(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAgentCloseDrainsInflightPush: an update request executing when
+// Close begins finishes and its reply is delivered, so the push
+// succeeds; Close then returns without force-closing anything.
+func TestAgentCloseDrainsInflightPush(t *testing.T) {
+	a, in, release := heldAgent(t, time.Hour, 0)
+	pushed := startPush(t, a)
+	<-in
+	closed := startClose(a)
+	close(release)
+	if err := <-pushed; err != nil {
+		t.Errorf("push in flight during drain: %v", err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Agent.Close did not return after the drained push")
+	}
+	if got, err := a.ReadHostFile("/d"); err != nil || string(got) != "data" {
+		t.Errorf("drained push extracted %q, %v", got, err)
+	}
+	if n := a.Registry().Counter("update.conns.forceclosed").Value(); n != 0 {
+		t.Errorf("update.conns.forceclosed = %d, want 0", n)
+	}
+}
+
+// TestAgentCloseForceClosesStraggler: an update still executing when
+// DrainTimeout passes has its connection force-closed and counted in
+// update.conns.forceclosed, and Close returns without it.
+func TestAgentCloseForceClosesStraggler(t *testing.T) {
+	a, in, release := heldAgent(t, 20*time.Millisecond, 0)
+	pushed := startPush(t, a)
+	<-in
+	closed := startClose(a)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Agent.Close waited for a straggler")
+	}
+	close(release)
+	if err := <-pushed; err == nil {
+		t.Error("force-closed push succeeded")
+	}
+	a.Close() // waits for the straggler's goroutine
+	if n := a.Registry().Counter("update.conns.forceclosed").Value(); n != 1 {
+		t.Errorf("update.conns.forceclosed = %d, want 1", n)
+	}
+}
+
+// TestAgentCloseReleasesQueuedPush: a push queued for the host lock
+// behind one in flight leaves as soon as Close begins, rather than
+// holding Close until the lock frees or BusyWait (an hour here) runs
+// out; the push in flight still drains.
+func TestAgentCloseReleasesQueuedPush(t *testing.T) {
+	a, in, release := heldAgent(t, time.Hour, time.Hour)
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	pushed := startPush(t, a)
+	<-in
+	queued, err := net.Dial("tcp", a.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer queued.Close()
+	if !waitUntil(func() bool { return a.ln.Conns() == 2 }) {
+		t.Fatalf("agent serves %d connections, want the held and the queued push", a.ln.Conns())
+	}
+
+	closed := startClose(a)
+	if !waitUntil(func() bool { return a.ln.Conns() == 1 }) {
+		t.Fatalf("agent still serves %d connections after Close began, want only the held push", a.ln.Conns())
+	}
+	close(release)
+	if err := <-pushed; err != nil {
+		t.Errorf("held push: %v", err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Agent.Close did not return after the held push")
+	}
+	if n := a.Registry().Counter("update.conns.busy").Value(); n != 0 {
+		t.Errorf("update.conns.busy = %d: the queued push was counted busy at shutdown", n)
+	}
+}
+
 // TestAgentLatencyVirtualClock: SetLatency waits on the agent's clock,
 // so under a fake clock an hour of injected service delay elapses
 // virtually and the push completes in real milliseconds.
@@ -107,5 +257,21 @@ func TestAgentPanicRecovery(t *testing.T) {
 	}
 	if n := a.Registry().Counter("update.panics.recovered").Value(); n != 1 {
 		t.Errorf("update.panics.recovered = %d, want 1", n)
+	}
+}
+
+// TestAgentHealthProbeReportsDrain: the agent's readiness probe passes
+// while it serves and fails once Close has begun.
+func TestAgentHealthProbeReportsDrain(t *testing.T) {
+	a := NewAgent("SUOMI.MIT.EDU", t.TempDir(), nil)
+	if _, err := a.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.HealthProbe(); !st.OK || st.Name != "agent" {
+		t.Errorf("serving agent probe = %+v", st)
+	}
+	a.Close()
+	if st := a.HealthProbe(); st.OK || !strings.HasPrefix(st.Detail, "draining") {
+		t.Errorf("closed agent probe = %+v", st)
 	}
 }
