@@ -94,11 +94,6 @@ type Options struct {
 	ServerMaxBatch     int
 	ServerDrainTimeout time.Duration
 
-	// ReadFallbacks are replica addresses that unauthenticated clients
-	// built by System.Client fall back to for retrievals when the
-	// primary is unreachable (see client.DialFailover).
-	ReadFallbacks []string
-
 	// TraceSlow is the slow-trace threshold: traces whose root span
 	// takes at least this long are always kept and counted in
 	// trace.slowops. Zero keeps trace.DefaultSlow; negative keeps every
@@ -108,10 +103,6 @@ type Options struct {
 	// TraceSampleN keeps 1 in N ordinary (fast, successful) traces;
 	// zero keeps trace.DefaultSampleN, 1 keeps everything.
 	TraceSampleN int
-
-	// DisableTracing turns span tracing off entirely (the overhead
-	// benchmark's baseline).
-	DisableTracing bool
 }
 
 // System is a running Moira installation.
@@ -125,8 +116,8 @@ type System struct {
 	// `_stats` query handle serves it.
 	Registry *stats.Registry
 
-	// Tracer collects spans from every component (nil when tracing is
-	// disabled); the `_spans` query handle serves it.
+	// Tracer collects spans from every component; the `_spans` query
+	// handle serves it.
 	Tracer *trace.Tracer
 
 	// Health aggregates readiness probes; `_health` and the /readyz
@@ -136,11 +127,6 @@ type System struct {
 	Server     *server.Server
 	ServerAddr string
 
-	// ReadFallbacks are replica addresses Client adds as a read
-	// failover rotation; retrieval-only tools keep working through a
-	// primary outage.
-	ReadFallbacks []string
-
 	Reg     *reg.Server
 	RegAddr string
 
@@ -148,7 +134,8 @@ type System struct {
 	Broker *zephyr.Broker
 
 	// Journal is the durable journal attached for DCMIncremental (nil
-	// otherwise); the DCM's delta planner reads it.
+	// otherwise). Its appends wake the DCM's Loop; the planner diffs
+	// snapshots and never reads it.
 	Journal *db.JournalWriter
 
 	Hesiod   *hesiod.Server
@@ -197,14 +184,12 @@ func Boot(opts Options) (*System, error) {
 		logf:      logf,
 		Health:    health.NewChecker(),
 	}
-	if !opts.DisableTracing {
-		s.Tracer = trace.New(trace.Options{
-			Process: "moirad",
-			Slow:    opts.TraceSlow,
-			SampleN: opts.TraceSampleN,
-			Stats:   s.Registry,
-		})
-	}
+	s.Tracer = trace.New(trace.Options{
+		Process: "moirad",
+		Slow:    opts.TraceSlow,
+		SampleN: opts.TraceSampleN,
+		Stats:   s.Registry,
+	})
 	s.Health.AddFunc("journal", func() (bool, string) {
 		if s.DB.JournalWedged() {
 			return false, "wedged: a journal append failed; mutations refused"
@@ -290,14 +275,9 @@ func Boot(opts Options) (*System, error) {
 		return nil, err
 	}
 	s.ServerAddr = addr.String()
-	s.ReadFallbacks = append([]string(nil), opts.ReadFallbacks...)
 
 	// The DCM, authenticated to the update agents with a fresh ticket
 	// per pass (a cron-driven DCM never holds tickets across runs).
-	pushTimeout := opts.DCMPushTimeout
-	if pushTimeout <= 0 {
-		pushTimeout = 30 * time.Second
-	}
 	s.DCM = dcm.New(dcm.Config{
 		DB:    s.DB,
 		Clock: clk,
@@ -319,7 +299,7 @@ func Boot(opts Options) (*System, error) {
 		Logf:                logf,
 		Stats:               s.Registry,
 		Tracer:              s.Tracer,
-		PushTimeout:         pushTimeout,
+		PushTimeout:         opts.DCMPushTimeout,
 		MaxParallelServices: opts.DCMParallelServices,
 		MaxParallelHosts:    opts.DCMParallelHosts,
 		MaxRetries:          opts.DCMMaxRetries,
@@ -490,18 +470,9 @@ func (s *System) Direct(app string) *client.Direct {
 	return client.NewDirect(s.DirectContext(app))
 }
 
-// Client dials the Moira server without authenticating. When read
-// fallbacks are configured, the client fails over to them (and back)
-// for idempotent retrievals.
+// Client dials the Moira server without authenticating.
 func (s *System) Client() (*client.Client, error) {
-	var c *client.Client
-	var err error
-	if len(s.ReadFallbacks) > 0 {
-		addrs := append([]string{s.ServerAddr}, s.ReadFallbacks...)
-		c, err = client.DialFailover(addrs, 10*time.Second, s.Clk)
-	} else {
-		c, err = client.DialTimeout(s.ServerAddr, 10*time.Second, s.Clk)
-	}
+	c, err := client.DialTimeout(s.ServerAddr, 10*time.Second, s.Clk)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,9 @@ import (
 	"moira/internal/clock"
 	"moira/internal/db"
 	"moira/internal/gen"
+	"moira/internal/mailhub"
 	"moira/internal/queries"
+	"moira/internal/update"
 	"moira/internal/workload"
 )
 
@@ -62,4 +64,69 @@ func TestGeneratedFilesAlwaysParse(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestGeneratedFilesKeepPatchesPatching pins the shape of the generated
+// files that lets a push's reload patch them (update.LineTable): in
+// every .db file each name's lines form one run, so no name starts two
+// entries, and only cluster.db and sloc.db give a name more than one
+// line; the aliases file gives each name one line. A generator change
+// that broke this would fail no other test: every push would just parse
+// the file whole.
+func TestGeneratedFilesKeepPatchesPatching(t *testing.T) {
+	d := queries.NewBootstrappedDB(clock.NewFake(time.Unix(600000000, 0)))
+	if _, _, err := workload.Populate(d, workload.Scaled(2000)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Generate(d, gen.HesiodIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range StandardFiles {
+		text := update.TextOf(res.Files[file])
+		recs, err := ParseDB(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, conts := 0, 0
+		var open *string
+		update.Lines(text, update.Range{Lo: 0, Hi: text.Len()}, func(line string, _ int) error {
+			switch name, kind, _ := recordName(line, open); kind {
+			case update.Starts:
+				entries++
+				open = &name
+			case update.Continues:
+				conts++
+			}
+			return nil
+		})
+		t.Logf("%s: %d names, %d continuation lines", file, len(recs), conts)
+		if split := entries - len(recs); split != 0 {
+			t.Errorf("%s: %d names' lines are split into more than one run", file, split)
+		}
+		if conts > 0 && file != "cluster.db" && file != "sloc.db" {
+			t.Errorf("%s: %d lines continue a name", file, conts)
+		}
+	}
+
+	mail, err := gen.Generate(d, gen.MailIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases, err := mailhub.ParseAliases(mail.Files["aliases"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := update.TextOf(mail.Files["aliases"])
+	lines := 0
+	update.Lines(text, update.Range{Lo: 0, Hi: text.Len()}, func(line string, _ int) error {
+		if line = strings.TrimSpace(line); line != "" && line[0] != '#' {
+			lines++
+		}
+		return nil
+	})
+	t.Logf("aliases: %d names", len(aliases))
+	if lines != len(aliases) {
+		t.Errorf("aliases: %d entry lines hold %d names: a name continues or repeats", lines, len(aliases))
+	}
 }

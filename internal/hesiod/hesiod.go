@@ -8,8 +8,6 @@
 package hesiod
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -22,19 +20,17 @@ import (
 )
 
 // record is one name's data in one file: either values or a CNAME
-// referral, and how many of the file's lines name it.
+// referral.
 type record struct {
 	values []string
 	cname  string
-	lines  int
 }
 
-// dbFile is one .db file's records, tagged with the install ID of the
-// bytes they were parsed from ("" when read from disk: unknown).
+// dbFile is one .db file's records by name, tagged with the install ID
+// of the bytes they were parsed from.
 type dbFile struct {
 	name string
-	id   string
-	recs map[string]*record
+	recs update.LineTable[string, *record]
 }
 
 // Server holds the in-memory database and the UDP listener.
@@ -65,52 +61,55 @@ func NewServer() *Server {
 // Lines starting with ';' are comments. The file is read whole, once
 // (update.Lines).
 func ParseDB(data update.Text) (map[string]*record, error) {
-	recs := make(map[string]*record)
-	if err := parseLines(data, update.Range{Lo: 0, Hi: data.Len()}, recs); err != nil {
-		return nil, err
+	var t update.LineTable[string, *record]
+	p, err := t.Plan(nil, data, dbParser)
+	if err != nil {
+		return nil, fmt.Errorf("hesiod: %w", err)
 	}
-	return recs, nil
+	t.Commit(p)
+	return t.Rows, nil
 }
 
-// parseLines parses the lines of data in r into recs, folding each
-// name's lines in file order: UNSPECA lines append a value, a CNAME line
-// replaces what came before.
-func parseLines(data update.Text, r update.Range, recs map[string]*record) error {
-	return update.Lines(data, r, func(line string, off int) error {
-		line = strings.TrimSpace(line)
-		if line == "" || line[0] == ';' {
-			return nil
+// dbParser reads a .db file: a name's entry is the run of lines that
+// name it, folded in file order: an UNSPECA line appends a value, a
+// CNAME line replaces what came before.
+var dbParser = update.Parser[string, *record]{Key: recordName, Fold: foldRecord}
+
+func recordName(line string, open *string) (string, update.LineKind, error) {
+	line = strings.TrimSpace(line)
+	if line == "" || line[0] == ';' {
+		return "", update.Skip, nil
+	}
+	name, _, _ := strings.Cut(line, " ")
+	if open != nil && name == *open {
+		return name, update.Continues, nil
+	}
+	return name, update.Starts, nil
+}
+
+func foldRecord(rec *record, line string) (*record, error) {
+	line = strings.TrimSpace(line)
+	_, rest, _ := strings.Cut(line, " ")
+	class, rest, _ := strings.Cut(rest, " ")
+	rtype, rest, ok := strings.Cut(rest, " ")
+	if !ok || class != "HS" {
+		return nil, fmt.Errorf("malformed record %q", line)
+	}
+	switch rtype {
+	case "CNAME":
+		return &record{cname: strings.TrimSpace(rest)}, nil
+	case "UNSPECA":
+		val := strings.TrimSpace(rest)
+		if strings.HasPrefix(val, "\"") && strings.HasSuffix(val, "\"") && len(val) >= 2 {
+			val = val[1 : len(val)-1]
 		}
-		name, rest, _ := strings.Cut(line, " ")
-		class, rest, _ := strings.Cut(rest, " ")
-		rtype, rest, ok := strings.Cut(rest, " ")
-		if !ok || class != "HS" {
-			return fmt.Errorf("hesiod: line %d: malformed record %q", data.LineNo(off), line)
+		if rec == nil {
+			rec = &record{}
 		}
-		rec := recs[name]
-		switch rtype {
-		case "CNAME":
-			next := &record{cname: strings.TrimSpace(rest), lines: 1}
-			if rec != nil {
-				next.lines += rec.lines
-			}
-			recs[name] = next
-		case "UNSPECA":
-			val := strings.TrimSpace(rest)
-			if strings.HasPrefix(val, "\"") && strings.HasSuffix(val, "\"") && len(val) >= 2 {
-				val = val[1 : len(val)-1]
-			}
-			if rec == nil {
-				rec = &record{}
-				recs[name] = rec
-			}
-			rec.values = append(rec.values, val)
-			rec.lines++
-		default:
-			return fmt.Errorf("hesiod: line %d: unknown type %q", data.LineNo(off), rtype)
-		}
-		return nil
-	})
+		rec.values = append(rec.values, val)
+		return rec, nil
+	}
+	return nil, fmt.Errorf("unknown type %q", rtype)
 }
 
 // LoadFiles replaces the server's database with the given .db file
@@ -127,7 +126,7 @@ func (s *Server) LoadFiles(files map[string][]byte) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		loaded[i] = &dbFile{name: name, recs: recs}
+		loaded[i] = &dbFile{name: name, recs: update.LineTable[string, *record]{Rows: recs}}
 	}
 	s.reload.Lock()
 	defer s.reload.Unlock()
@@ -143,7 +142,7 @@ func (s *Server) NumRecords() int {
 	defer s.mu.RUnlock()
 	n := 0
 	for i, f := range s.files {
-		for name := range f.recs {
+		for name := range f.recs.Rows {
 			if lookup(s.files[:i], name) == nil {
 				n++
 			}
@@ -158,7 +157,7 @@ func (s *Server) NumRecords() int {
 func lookup(files []*dbFile, name string) *record {
 	var got *record
 	for _, f := range files {
-		r := f.recs[name]
+		r := f.recs.Rows[name]
 		switch {
 		case r == nil:
 		case got != nil && r.cname == "" && got.cname == "":
@@ -291,125 +290,36 @@ func AttachToAgent(a *update.Agent, s *Server) {
 	})
 }
 
-// filePlan is what a reload will do to one file: keep it (file is the
-// held one, nothing else set), replace it (file is a fresh parse), or
-// patch the held one (drop the names in gone, then add put).
-type filePlan struct {
-	file *dbFile
-	id   string
-	gone map[string]bool
-	put  map[string]*record
-}
-
 // restart reloads StandardFiles under destDir. Every file is planned —
 // parsed and validated — before any is committed, so a bad file leaves
 // the server as it was.
 func (s *Server) restart(ag *update.Agent, in *update.Install, destDir string) error {
 	s.reload.Lock()
 	defer s.reload.Unlock()
-	plans := make([]filePlan, len(StandardFiles))
+	files := make([]*dbFile, len(StandardFiles))
+	plans := make([]update.TablePlan[string, *record], len(StandardFiles))
 	for i, name := range StandardFiles {
-		p, err := s.plan(ag, in, destDir, name)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if j := slices.IndexFunc(s.files, func(f *dbFile) bool { return f.name == name }); j >= 0 {
+			files[i] = s.files[j]
+		} else {
+			files[i] = &dbFile{name: name}
 		}
-		plans[i] = p
+		fv, data, err := in.Read(ag, destDir+"/"+name)
+		if err == nil {
+			plans[i], err = files[i].recs.Plan(fv, data, dbParser)
+		}
+		if err != nil {
+			return fmt.Errorf("hesiod: %s: %w", name, err)
+		}
 	}
-	files := make([]*dbFile, len(plans))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, p := range plans {
-		for name := range p.gone {
-			delete(p.file.recs, name)
-		}
-		for name, r := range p.put {
-			p.file.recs[name] = r
-		}
-		p.file.id = p.id
-		files[i] = p.file
+	for i, f := range files {
+		f.recs.Commit(plans[i])
 	}
 	s.files = files
 	return nil
 }
-
-// plan decides one file's reload by the Action of the tag its records
-// hold: keep them, patch them with the push's edits, or parse the file
-// whole — from the view, or, without one, from disk.
-func (s *Server) plan(ag *update.Agent, in *update.Install, destDir, name string) (filePlan, error) {
-	fv, data, err := in.Read(ag, destDir+"/"+name)
-	if err != nil {
-		return filePlan{}, err
-	}
-	id := ""
-	if fv != nil {
-		id = fv.NewID
-		held := &dbFile{name: name}
-		for _, f := range s.files {
-			if f.name == name {
-				held = f
-			}
-		}
-		switch fv.Action(held.id) {
-		case update.Keep:
-			return filePlan{file: held, id: id}, nil
-		case update.Patch:
-			if p, err := held.patch(fv); err != errWhole {
-				return p, err
-			}
-		}
-	}
-	recs, err := ParseDB(data)
-	return filePlan{file: &dbFile{name: name, recs: recs}, id: id}, err
-}
-
-// patch plans the edits of fv against f, which holds fv.Old. The unit of
-// change is a name: every name on an old line is dropped, every name on
-// a new line is parsed from the new lines alone. That is exact only
-// when the edits hold all of a touched name's lines, so the plan is
-// errWhole — parse the file whole — when an old run of a name is not
-// all the lines f counts for it, or a new name is held and not being
-// dropped.
-func (f *dbFile) patch(fv *update.File) (filePlan, error) {
-	p := filePlan{file: f, id: fv.NewID, gone: map[string]bool{}, put: map[string]*record{}}
-	for _, e := range fv.Edits {
-		run, n := "", 0
-		whole := func() bool { return n == 0 || (f.recs[run] != nil && f.recs[run].lines == n) }
-		err := fv.Old.Lines(e.Old, func(raw []byte, _ int) error {
-			raw = bytes.TrimSpace(raw)
-			if len(raw) == 0 || raw[0] == ';' {
-				return nil
-			}
-			name, _, _ := bytes.Cut(raw, []byte{' '})
-			if n > 0 && string(name) == run {
-				n++
-				return nil
-			}
-			if !whole() {
-				return errWhole
-			}
-			run, n = string(name), 1
-			p.gone[run] = true
-			return nil
-		})
-		if err != nil || !whole() {
-			return p, errWhole
-		}
-	}
-	for _, e := range fv.Edits {
-		if err := parseLines(fv.New, e.New, p.put); err != nil {
-			return p, err
-		}
-	}
-	for name := range p.put {
-		if f.recs[name] != nil && !p.gone[name] {
-			return p, errWhole
-		}
-	}
-	return p, nil
-}
-
-// errWhole stops a patch the edits cannot express exactly.
-var errWhole = errors.New("parse whole")
 
 // Verify reports the first way the server's records differ from a
 // from-scratch parse of StandardFiles under destDir on ag's host: the
@@ -430,12 +340,12 @@ func (s *Server) Verify(ag *update.Agent, destDir string) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		got := s.files[i]
-		if got.name != name || len(got.recs) != len(want) {
-			return fmt.Errorf("hesiod: %s holds %d names, the installed %s %d", got.name, len(got.recs), name, len(want))
+		if got.name != name || len(got.recs.Rows) != len(want) {
+			return fmt.Errorf("hesiod: %s holds %d names, the installed %s %d", got.name, len(got.recs.Rows), name, len(want))
 		}
 		for n, w := range want {
-			g := got.recs[n]
-			if g == nil || g.cname != w.cname || g.lines != w.lines || !slices.Equal(g.values, w.values) {
+			g := got.recs.Rows[n]
+			if g == nil || g.cname != w.cname || !slices.Equal(g.values, w.values) {
 				return fmt.Errorf("hesiod: %s: %s is %+v, the installed file says %+v", name, n, g, w)
 			}
 		}

@@ -94,7 +94,7 @@ func (r *pushRig) restart(in *update.Install) {
 func (s *Server) record(file, name string) *record {
 	for _, f := range s.files {
 		if f.name == file {
-			return f.recs[name]
+			return f.recs.Rows[name]
 		}
 	}
 	return nil

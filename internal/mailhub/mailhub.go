@@ -8,7 +8,6 @@
 package mailhub
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -29,9 +28,8 @@ type Hub struct {
 	reload sync.Mutex
 
 	mu       sync.RWMutex
-	aliases  map[string][]string
-	aliasID  string                           // install ID aliases reflect; "" = unknown
-	passwd   update.LineTable[string, string] // login -> full passwd line
+	aliases  update.LineTable[string, []string] // name -> addresses
+	passwd   update.LineTable[string, string]   // login -> full passwd line
 	spoolUp  bool
 	swaps    int
 	spoolLog []string // records spool disable/enable ordering
@@ -42,7 +40,7 @@ type Hub struct {
 // NewHub creates a hub with an empty aliases file and the spool running.
 func NewHub() *Hub {
 	return &Hub{
-		aliases: make(map[string][]string),
+		aliases: update.LineTable[string, []string]{Rows: make(map[string][]string)},
 		passwd:  update.LineTable[string, string]{Rows: make(map[string]string)},
 		spoolUp: true,
 	}
@@ -52,61 +50,40 @@ func NewHub() *Hub {
 // entries, '#' comments, and continuation lines beginning with
 // whitespace.
 func ParseAliases(data []byte) (map[string][]string, error) {
-	out := make(map[string][]string)
-	if _, err := parseAliasLines(update.TextOf(data), update.Range{Lo: 0, Hi: len(data)}, out); err != nil {
-		return nil, err
+	var t update.LineTable[string, []string]
+	p, err := t.Plan(nil, update.TextOf(data), aliasesParser)
+	if err != nil {
+		return nil, fmt.Errorf("mailhub: %w", err)
 	}
-	return out, nil
+	t.Commit(p)
+	return t.Rows, nil
 }
 
-// Kinds of aliases line.
-const (
-	aliasSkip  = iota // blank or comment
-	aliasCont         // continuation: more addresses for the entry above
-	aliasEntry        // "name: addr, ..."
-)
+// aliasesParser reads an aliases file: an entry is a "name: addr, ..."
+// line and the lines after it that begin with whitespace, and a name
+// that starts two entries accumulates the addresses of both.
+var aliasesParser = update.Parser[string, []string]{Key: aliasKey, Fold: foldAlias}
 
-// aliasLine trims a raw aliases line and classifies it.
-func aliasLine(raw string) (string, int) {
+func aliasKey(raw string, _ *string) (string, update.LineKind, error) {
 	line := strings.TrimRight(raw, " \t\r")
 	switch {
 	case line == "" || strings.HasPrefix(strings.TrimSpace(line), "#"):
-		return line, aliasSkip
+		return "", update.Skip, nil
 	case line[0] == ' ' || line[0] == '\t':
-		return line, aliasCont
+		return "", update.Continues, nil
 	}
-	return line, aliasEntry
+	name, _, ok := strings.Cut(line, ":")
+	if !ok {
+		return "", 0, fmt.Errorf("malformed alias %q", line)
+	}
+	return strings.TrimSpace(name), update.Starts, nil
 }
 
-// parseAliasLines parses the entries of data in r into out, a repeated
-// name accumulating addresses, and reports whether no name repeated.
-func parseAliasLines(data update.Text, r update.Range, out map[string][]string) (unique bool, err error) {
-	unique = true
-	current := ""
-	err = update.Lines(data, r, func(raw string, off int) error {
-		line, kind := aliasLine(raw)
-		switch kind {
-		case aliasSkip:
-			return nil
-		case aliasCont:
-			if current == "" {
-				return fmt.Errorf("mailhub: line %d: continuation without entry", data.LineNo(off))
-			}
-			out[current] = append(out[current], splitAddrs(line)...)
-			return nil
-		}
-		name, rest, ok := strings.Cut(line, ":")
-		if !ok {
-			return fmt.Errorf("mailhub: line %d: malformed alias %q", data.LineNo(off), line)
-		}
-		current = strings.TrimSpace(name)
-		if _, dup := out[current]; dup {
-			unique = false
-		}
-		out[current] = append(out[current], splitAddrs(rest)...)
-		return nil
-	})
-	return unique, err
+func foldAlias(addrs []string, line string) ([]string, error) {
+	if line[0] != ' ' && line[0] != '\t' {
+		_, line, _ = strings.Cut(line, ":")
+	}
+	return append(addrs, splitAddrs(line)...), nil
 }
 
 func splitAddrs(s string) []string {
@@ -120,119 +97,17 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// aliasPlan is a parsed and validated aliases reload: keep what is
-// held, replace it with all, or patch it (drop gone, then add put).
-type aliasPlan struct {
-	keep bool
-	id   string
-	all  map[string][]string
-	gone map[string]bool
-	put  map[string][]string
-}
-
-// errWhole stops an aliases patch the edits cannot express exactly.
-var errWhole = errors.New("parse whole")
-
-// planAliases plans the aliases reload from fv, or, with no view, from
-// data as read from disk, by the Action of the tag held. Only a whole
-// parse reads data whole.
-func (h *Hub) planAliases(fv *update.File, data update.Text) (aliasPlan, error) {
-	id := ""
-	if fv != nil {
-		id = fv.NewID
-		switch fv.Action(h.aliasID) {
-		case update.Keep:
-			return aliasPlan{keep: true}, nil
-		case update.Patch:
-			if p, err := h.patchAliases(fv); err != errWhole {
-				return p, err
-			}
-		}
-	}
-	all := make(map[string][]string)
-	unique, err := parseAliasLines(data, update.Range{Lo: 0, Hi: data.Len()}, all)
-	if !unique {
-		id = "" // a repeated name is never patched
-	}
-	return aliasPlan{id: id, all: all}, err
-}
-
-// patchAliases plans fv's edits against the held aliases, which reflect
-// fv.Old with no name repeated. The unit is an entry with its
-// continuation lines, so every edit must hold whole entries on both
-// sides: it may not begin with a continuation, nor be followed by one.
-func (h *Hub) patchAliases(fv *update.File) (aliasPlan, error) {
-	p := aliasPlan{id: fv.NewID, gone: map[string]bool{}, put: map[string][]string{}}
-	for _, e := range fv.Edits {
-		if !wholeEntries(fv.Old, e.Old) || !wholeEntries(fv.New, e.New) {
-			return p, errWhole
-		}
-		gone := map[string][]string{}
-		old := fv.Old.Sub(e.Old) // read whole: nothing keeps the old lines
-		if _, err := parseAliasLines(old, update.Range{Lo: 0, Hi: old.Len()}, gone); err != nil {
-			return p, errWhole // the held aliases do not reflect fv.Old after all
-		}
-		for name := range gone {
-			p.gone[name] = true
-		}
-	}
-	for _, e := range fv.Edits {
-		unique, err := parseAliasLines(fv.New, e.New, p.put)
-		if err != nil {
-			return p, err
-		}
-		if !unique {
-			return p, errWhole
-		}
-	}
-	for name := range p.put {
-		if _, held := h.aliases[name]; held && !p.gone[name] {
-			return p, errWhole
-		}
-	}
-	return p, nil
-}
-
-// wholeEntries reports whether r holds whole aliases entries of b: the
-// first line in it that is not blank or a comment, and the first such
-// line after it, are not continuations.
-func wholeEntries(b update.Text, r update.Range) bool {
-	first := func(lo, hi int) (kind int) {
-		b.Lines(update.Range{Lo: lo, Hi: hi}, func(raw []byte, _ int) error {
-			if _, kind = aliasLine(string(raw)); kind != aliasSkip {
-				return errWhole // found it: stop
-			}
-			return nil
-		})
-		return kind
-	}
-	return first(r.Lo, r.Hi) != aliasCont && first(r.Hi, b.Len()) != aliasCont
-}
-
-// commitAliases applies an aliases plan; the caller holds h.mu.
-func (h *Hub) commitAliases(p aliasPlan) {
-	switch {
-	case p.keep:
-		return
-	case p.all != nil:
-		h.aliases = p.all
-	default:
-		for name := range p.gone {
-			delete(h.aliases, name)
-		}
-		for name, addrs := range p.put {
-			h.aliases[name] = addrs
-		}
-	}
-	h.aliasID = p.id
-}
-
-// parsePasswd keys a passwd line by its login; a line with no ':' holds
+// passwdParser keys a passwd line by its login; a line with no ':' holds
 // no entry.
-func parsePasswd(line string) (string, string, bool, error) {
-	line = strings.TrimSpace(line)
-	login, _, ok := strings.Cut(line, ":")
-	return login, line, !ok, nil
+var passwdParser = update.Parser[string, string]{
+	Key: func(line string, _ *string) (string, update.LineKind, error) {
+		login, _, ok := strings.Cut(strings.TrimSpace(line), ":")
+		if !ok {
+			return "", update.Skip, nil
+		}
+		return login, update.Starts, nil
+	},
+	Fold: func(_, line string) (string, error) { return strings.TrimSpace(line), nil },
 }
 
 // Load replaces the hub's aliases table.
@@ -241,14 +116,14 @@ func (h *Hub) Load(aliases map[string][]string) {
 	defer h.reload.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.aliases, h.aliasID = aliases, ""
+	h.aliases = update.LineTable[string, []string]{Rows: aliases}
 }
 
 // LoadPasswd replaces the hub's passwd table (for its finger server).
 func (h *Hub) LoadPasswd(data []byte) {
 	h.reload.Lock()
 	defer h.reload.Unlock()
-	p, _ := h.passwd.Plan(nil, update.TextOf(data), parsePasswd) // parsePasswd never fails
+	p, _ := h.passwd.Plan(nil, update.TextOf(data), passwdParser) // a passwd line always parses
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.passwd.Commit(p)
@@ -268,7 +143,7 @@ func (h *Hub) Finger(login string) (string, bool) {
 func (h *Hub) NumAliases() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.aliases)
+	return len(h.aliases.Rows)
 }
 
 // Resolve expands an address through the aliases table, recursively,
@@ -286,7 +161,7 @@ func (h *Hub) Resolve(addr string) []string {
 			return
 		}
 		seen[a] = true
-		targets, ok := h.aliases[a]
+		targets, ok := h.aliases.Rows[a]
 		if !ok {
 			final[a] = true
 			return
@@ -406,25 +281,23 @@ func (h *Hub) stage(ag *update.Agent, in *update.Install, destDir string) error 
 	staged := destDir + "/aliases.moira_update"
 	fv, ok := in.File(destDir + "/aliases") // extracted to the staging name
 	var data update.Text
-	if ok {
-		data = fv.New
-	} else {
+	if !ok {
 		b, err := ag.ReadHostFile(staged)
 		if err != nil {
 			return err
 		}
 		data = update.TextOf(b)
 	}
-	aliases, err := h.planAliases(fv, data)
+	aliases, err := h.aliases.Plan(fv, data, aliasesParser)
 	if err != nil {
-		return err
+		return fmt.Errorf("mailhub: aliases %w", err)
 	}
 	// The passwd file was installed by the script before this command
 	// ran; load it if present.
 	pfv, pw, perr := in.Read(ag, destDir+"/passwd")
 	var passwd update.TablePlan[string, string]
 	if perr == nil {
-		passwd, _ = h.passwd.Plan(pfv, pw, parsePasswd) // parsePasswd never fails
+		passwd, _ = h.passwd.Plan(pfv, pw, passwdParser) // a passwd line always parses
 	}
 
 	h.mu.Lock()
@@ -442,7 +315,7 @@ func (h *Hub) stage(ag *update.Agent, in *update.Install, destDir string) error 
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.commitAliases(aliases)
+	h.aliases.Commit(aliases)
 	h.swaps++
 	h.spoolUp = true
 	h.spoolLog = append(h.spoolLog, "swap", "spool-up")
@@ -466,17 +339,17 @@ func (h *Hub) Verify(ag *update.Agent, destDir string) error {
 	if err != nil {
 		return err
 	}
-	if len(aliases) != len(h.aliases) {
-		return fmt.Errorf("mailhub: %d aliases held, %d installed", len(h.aliases), len(aliases))
+	if len(aliases) != len(h.aliases.Rows) {
+		return fmt.Errorf("mailhub: %d aliases held, %d installed", len(h.aliases.Rows), len(aliases))
 	}
 	for name, want := range aliases {
-		if got, ok := h.aliases[name]; !ok || !slices.Equal(got, want) {
+		if got, ok := h.aliases.Rows[name]; !ok || !slices.Equal(got, want) {
 			return fmt.Errorf("mailhub: alias %s is %v, installed %v", name, got, want)
 		}
 	}
 	var passwd update.LineTable[string, string]
 	if data, err := ag.ReadHostFile(destDir + "/passwd"); err == nil {
-		p, _ := passwd.Plan(nil, update.TextOf(data), parsePasswd)
+		p, _ := passwd.Plan(nil, update.TextOf(data), passwdParser)
 		passwd.Commit(p)
 	}
 	if len(passwd.Rows) != len(h.passwd.Rows) {

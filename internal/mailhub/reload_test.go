@@ -150,12 +150,12 @@ func TestStagePatchesWhatChanged(t *testing.T) {
 			continue
 		}
 		r.h.mu.RLock()
-		before := r.h.aliases["user000150"]
+		before := r.h.aliases.Rows["user000150"]
 		r.h.mu.RUnlock()
 		in := r.view(files)
 		r.stage(in)
 		r.h.mu.RLock()
-		after := r.h.aliases["user000150"]
+		after := r.h.aliases.Rows["user000150"]
 		r.h.mu.RUnlock()
 		if f, _ := in.File(mailDir + "/aliases"); len(f.Edits) > 0 && len(before) > 0 && &before[0] == &after[0] {
 			patched++

@@ -68,7 +68,7 @@ func NewHost(name string) *Host {
 // login:uid:gid[:gid...] entry per line.
 func ParseCredentials(data []byte) (map[string]Credential, error) {
 	var t update.LineTable[string, Credential]
-	p, err := t.Plan(nil, update.TextOf(data), parseCredential)
+	p, err := t.Plan(nil, update.TextOf(data), credentialsParser)
 	if err != nil {
 		return nil, fmt.Errorf("nfshost: credentials %w", err)
 	}
@@ -76,36 +76,44 @@ func ParseCredentials(data []byte) (map[string]Credential, error) {
 	return t.Rows, nil
 }
 
-func parseCredential(line string) (string, Credential, bool, error) {
+// credentialsParser keys a credentials line by its login.
+var credentialsParser = update.Parser[string, Credential]{Key: credentialKey, Fold: parseCredential}
+
+func credentialKey(line string, _ *string) (string, update.LineKind, error) {
 	line = strings.TrimSpace(line)
-	if line == "" {
-		return "", Credential{}, true, nil
+	login, _, ok := strings.Cut(line, ":")
+	switch {
+	case line == "":
+		return "", update.Skip, nil
+	case !ok:
+		return "", 0, fmt.Errorf("malformed: %q", line)
 	}
-	login, rest, ok := strings.Cut(line, ":")
-	if !ok {
-		return "", Credential{}, false, fmt.Errorf("malformed: %q", line)
-	}
+	return login, update.Starts, nil
+}
+
+func parseCredential(_ Credential, line string) (Credential, error) {
+	login, rest, _ := strings.Cut(strings.TrimSpace(line), ":")
 	field, rest, more := strings.Cut(rest, ":")
 	uid, err := strconv.Atoi(field)
 	if err != nil {
-		return "", Credential{}, false, fmt.Errorf("bad uid %q", field)
+		return Credential{}, fmt.Errorf("bad uid %q", field)
 	}
 	c := Credential{Login: login, UID: uid}
 	for more {
 		field, rest, more = strings.Cut(rest, ":")
 		gid, err := strconv.Atoi(field)
 		if err != nil {
-			return "", Credential{}, false, fmt.Errorf("bad gid %q", field)
+			return Credential{}, fmt.Errorf("bad gid %q", field)
 		}
 		c.GIDs = append(c.GIDs, gid)
 	}
-	return login, c, false, nil
+	return c, nil
 }
 
 // parseQuotas parses "uid quota" lines.
 func parseQuotas(data []byte) (map[int]int, error) {
 	var t update.LineTable[int, int]
-	p, err := t.Plan(nil, update.TextOf(data), parseQuota)
+	p, err := t.Plan(nil, update.TextOf(data), quotasParser)
 	if err != nil {
 		return nil, fmt.Errorf("nfshost: quotas %w", err)
 	}
@@ -113,15 +121,30 @@ func parseQuotas(data []byte) (map[int]int, error) {
 	return t.Rows, nil
 }
 
-func parseQuota(line string) (uid, quota int, skip bool, err error) {
+// quotasParser keys a quotas line by its uid.
+var quotasParser = update.Parser[int, int]{
+	Key: func(line string, _ *int) (int, update.LineKind, error) {
+		uid, _, kind, err := parseQuota(line)
+		return uid, kind, err
+	},
+	Fold: func(_ int, line string) (int, error) {
+		_, quota, _, err := parseQuota(line)
+		return quota, err
+	},
+}
+
+func parseQuota(line string) (uid, quota int, kind update.LineKind, err error) {
 	line = strings.TrimSpace(line)
 	if line == "" {
-		return 0, 0, true, nil
+		return 0, 0, update.Skip, nil
 	}
-	if _, err := fmt.Sscanf(line, "%d %d", &uid, &quota); err != nil {
-		return 0, 0, false, fmt.Errorf("malformed: %q", line)
+	u, q, _ := strings.Cut(line, " ")
+	uid, err1 := strconv.Atoi(u)
+	quota, err2 := strconv.Atoi(strings.TrimSpace(q))
+	if err1 != nil || err2 != nil {
+		return 0, 0, 0, fmt.Errorf("malformed: %q", line)
 	}
-	return uid, quota, false, nil
+	return uid, quota, update.Starts, nil
 }
 
 // parseDir parses one "path uid gid type" directories line.
@@ -222,14 +245,14 @@ func (h *Host) install(ag *update.Agent, in *update.Install, destDir, partName s
 	if err != nil {
 		return err
 	}
-	creds, err := h.credentials.Plan(fv, data, parseCredential)
+	creds, err := h.credentials.Plan(fv, data, credentialsParser)
 	if err != nil {
 		return fmt.Errorf("install_nfs: credentials %w", err)
 	}
 	if fv, data, err = in.Read(ag, destDir+"/"+base+".quotas"); err != nil {
 		return err
 	}
-	quotas, err := part.quotas.Plan(fv, data, parseQuota)
+	quotas, err := part.quotas.Plan(fv, data, quotasParser)
 	if err != nil {
 		return fmt.Errorf("install_nfs: quotas %w", err)
 	}

@@ -5,23 +5,44 @@ import (
 	"fmt"
 )
 
-// LineTable is a service's parsed copy of an installed file whose lines
-// are independent entries, such as a credentials, quotas or passwd
-// file: each line the parser accepts is one row under its key, a later
-// line for a key replacing an earlier one. ID is the install ID of the
-// bytes the rows reflect ("" when unknown), which decides each reload's
-// Action. A file in which a key repeats is never patched: its table is
-// tagged unknown, so every reload parses it whole until the repeat is
-// gone.
+// LineTable is a service's parsed copy of an installed file made of
+// entries: a line that starts a key, and the lines after it that
+// continue it (a mail alias and its indented lines, a hesiod name's run
+// of records; in a credentials, quotas or passwd file a line never
+// continues). Each key is one row, its lines folded into one value. ID
+// is the install ID of the bytes the rows reflect ("" when unknown),
+// which decides each reload's Action. A file in which a key starts two
+// entries is never patched: its table is tagged unknown, so every
+// reload parses it whole until the repeat is gone.
 type LineTable[K comparable, V any] struct {
 	ID   string
 	Rows map[K]V
 }
 
-// LineParser parses one line into its row. skip reports a line that
-// holds no row (blank, comment). The line is a copy (see Lines), so the
-// row may keep it.
-type LineParser[K comparable, V any] func(line string) (key K, val V, skip bool, err error)
+// LineKind is what a line is to the entries of its file.
+type LineKind int
+
+const (
+	// Skip: the line holds no entry (blank, a comment).
+	Skip LineKind = iota
+	// Starts: the line starts an entry.
+	Starts
+	// Continues: the line continues the entry open above it.
+	Continues
+)
+
+// Parser is how a service reads its table file, a line at a time.
+type Parser[K comparable, V any] struct {
+	// Key gives a line's kind and, for a line that starts an entry, its
+	// key. open is the key of the entry open above the line, nil when
+	// none is: a line that continues it is under open's key.
+	Key func(line string, open *K) (K, LineKind, error)
+	// Fold parses a line that holds an entry and folds it into val, the
+	// value of its key so far: zero for a key not met yet, the open
+	// entry's for a continuation, the first entry's when a key starts a
+	// second. The line is a copy (see Lines), so the value may keep it.
+	Fold func(val V, line string) (V, error)
+}
 
 // TablePlan is a LineTable reload that has been parsed and validated;
 // Commit applies it.
@@ -33,96 +54,163 @@ type TablePlan[K comparable, V any] struct {
 	put  map[K]V
 }
 
-// errWhole stops a patch that meets a repeated key: parse the file whole.
-var errWhole = errors.New("key repeats")
-
 // Plan plans the reload of t from fv, or, when fv is nil (no push view),
 // from data, the file as read from disk (Install.Read hands a reload
 // both). Only a whole parse reads the file whole: a patch reads fv's
-// edit ranges. A parse error leaves nothing to commit.
-func (t *LineTable[K, V]) Plan(fv *File, data Text, parse LineParser[K, V]) (TablePlan[K, V], error) {
+// edit ranges, and around each the nearest entry line above and below
+// it. A parse error leaves nothing to commit.
+func (t *LineTable[K, V]) Plan(fv *File, data Text, p Parser[K, V]) (TablePlan[K, V], error) {
 	if fv == nil {
-		return parseTable(data, "", parse)
+		return p.parse(data, "")
 	}
 	switch fv.Action(t.ID) {
 	case Keep:
 		return TablePlan[K, V]{keep: true}, nil
 	case Patch:
-		p, err := t.patch(fv, parse)
-		if err != errWhole {
-			return p, err
+		if plan, ok := t.patch(fv, p); ok {
+			return plan, nil
 		}
 	}
-	return parseTable(fv.New, fv.NewID, parse)
+	return p.parse(fv.New, fv.NewID)
 }
 
-// patch drops the row of every old line in the edits and parses every
-// new line. Rows reflect fv.Old, where no key repeats, so each old line
-// is its key's only line; a new key that is already held and not being
-// dropped, or that the new lines give twice, repeats in fv.New. The old
-// lines are read an edit at a time (nothing keeps them), the new ones
-// line by line (rows keep them).
-func (t *LineTable[K, V]) patch(fv *File, parse LineParser[K, V]) (TablePlan[K, V], error) {
-	p := TablePlan[K, V]{id: fv.NewID, gone: map[K]bool{}, put: map[K]V{}}
+// patch drops the key of every entry in fv's old ranges and parses the
+// entries of its new ones. Rows reflect fv.Old, where no key starts two
+// entries, so that is exact when every range holds whole entries and no
+// new key is held outside the old ranges or given twice. ok is false
+// otherwise, or when a line does not parse: the file is then parsed
+// whole, which reports the error.
+func (t *LineTable[K, V]) patch(fv *File, p Parser[K, V]) (plan TablePlan[K, V], ok bool) {
+	plan = TablePlan[K, V]{id: fv.NewID}
+	if len(fv.Edits) == 0 {
+		return plan, true
+	}
+	plan.gone, plan.put = map[K]bool{}, map[K]V{}
 	for _, e := range fv.Edits {
-		old := fv.Old.Sub(e.Old)
-		err := parseLines(old, Range{0, old.Len()}, parse, func(k K, _ V) error {
-			p.gone[k] = true
-			return nil
+		ok = p.entries(fv.Old, e.Old, func(k K, _ LineKind, _ string) bool {
+			plan.gone[k] = true
+			return true
 		})
-		if err != nil {
-			return p, errWhole // the rows do not reflect fv.Old after all
+		if !ok {
+			return plan, false // the rows do not reflect fv.Old after all
 		}
 	}
 	for _, e := range fv.Edits {
-		err := parseLines(fv.New, e.New, parse, func(k K, v V) error {
-			if _, held := t.Rows[k]; held && !p.gone[k] {
-				return errWhole
+		ok = p.entries(fv.New, e.New, func(k K, kind LineKind, line string) bool {
+			if kind == Starts {
+				_, held := t.Rows[k]
+				if _, dup := plan.put[k]; held && !plan.gone[k] || dup {
+					return false
+				}
 			}
-			if _, dup := p.put[k]; dup {
-				return errWhole
-			}
-			p.put[k] = v
-			return nil
+			var err error
+			plan.put[k], err = p.Fold(plan.put[k], line)
+			return err == nil
 		})
-		if err != nil {
-			return p, err
+		if !ok {
+			return plan, false
 		}
 	}
-	return p, nil
+	return plan, true
 }
 
-// parseTable parses data whole into rows tagged id, or unknown if a key
-// repeats.
-func parseTable[K comparable, V any](data Text, id string, parse LineParser[K, V]) (TablePlan[K, V], error) {
-	p := TablePlan[K, V]{id: id, rows: map[K]V{}}
-	lines := 0
-	err := parseLines(data, Range{0, data.Len()}, parse, func(k K, v V) error {
-		p.rows[k] = v
-		lines++
+var (
+	errWhole = errors.New("parse the file whole")
+	errStop  = errors.New("past the range")
+)
+
+// entries calls fn with each line of text in r that holds an entry, its
+// kind and its entry's key, and reports whether r holds whole entries
+// and every call returned true. r holds whole entries when its first
+// entry line does not continue the entry open above r, and the first
+// entry line after r does not continue the last one open in it. Lines
+// are read one by one, so what a value keeps of one pins no other.
+func (p Parser[K, V]) entries(text Text, r Range, fn func(k K, kind LineKind, line string) bool) bool {
+	var key K
+	var open *K
+	k, ok, err := p.openAt(text, r.Lo)
+	if err != nil {
+		return false
+	}
+	if ok {
+		key, open = k, &key
+	}
+	first := true
+	err = text.Lines(Range{r.Lo, text.Len()}, func(raw []byte, off int) error {
+		line := string(raw)
+		k, kind, err := p.Key(line, open)
+		switch {
+		case err != nil:
+			return err
+		case kind == Skip:
+			return nil
+		case kind == Continues && (first || off >= r.Hi):
+			return errWhole
+		case off >= r.Hi:
+			return errStop
+		case kind == Starts:
+			key, open = k, &key
+		}
+		first = false
+		if !fn(key, kind, line) {
+			return errWhole
+		}
+		return nil
+	})
+	return err == nil || err == errStop
+}
+
+// openAt is the key of the entry open at lo, a line boundary of text:
+// that of the nearest line above lo that starts an entry. ok is false
+// when no line does.
+func (p Parser[K, V]) openAt(text Text, lo int) (key K, ok bool, err error) {
+	for hi := lo; hi > 0; {
+		end := hi
+		if text.at(hi-1) == '\n' {
+			end--
+		}
+		start := text.lastNewline(0, end) + 1
+		k, kind, err := p.Key(text.String(Range{start, end}), nil)
+		if err != nil || kind == Starts {
+			return k, err == nil, err
+		}
+		hi = start
+	}
+	return key, false, nil
+}
+
+// parse parses data whole into rows tagged id, or unknown if a key
+// starts two entries.
+func (p Parser[K, V]) parse(data Text, id string) (TablePlan[K, V], error) {
+	plan := TablePlan[K, V]{id: id, rows: map[K]V{}}
+	var key K
+	var open *K
+	entries := 0
+	err := Lines(data, Range{0, data.Len()}, func(line string, off int) error {
+		k, kind, err := p.Key(line, open)
+		switch {
+		case err != nil || kind == Skip:
+		case kind == Starts:
+			key, open = k, &key
+			entries++
+		case open == nil:
+			err = errors.New("continuation without an entry")
+		}
+		if err == nil && kind != Skip {
+			plan.rows[key], err = p.Fold(plan.rows[key], line)
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", data.LineNo(off), err)
+		}
 		return nil
 	})
 	if err != nil {
 		return TablePlan[K, V]{}, err
 	}
-	if lines != len(p.rows) {
-		p.id = ""
+	if entries != len(plan.rows) {
+		plan.id = ""
 	}
-	return p, nil
-}
-
-// parseLines parses the rows of data in r, handing each to row.
-func parseLines[K comparable, V any](data Text, r Range, parse LineParser[K, V], row func(K, V) error) error {
-	return Lines(data, r, func(line string, off int) error {
-		k, v, skip, err := parse(line)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", data.LineNo(off), err)
-		}
-		if skip {
-			return nil
-		}
-		return row(k, v)
-	})
+	return plan, nil
 }
 
 // Commit applies a plan. The caller serializes Plan and Commit against
