@@ -1,11 +1,11 @@
 package main
 
-// The closed-loop load driver: N pipelined connections, each with K
-// calls kept in flight by K worker goroutines that issue the next call
-// the moment the previous one completes. Closed-loop means offered load
-// tracks service rate — the driver measures sustainable throughput and
-// the latency the server actually delivers at that concurrency, rather
-// than queueing unboundedly like an open-loop generator.
+// The closed-loop load driver: N clients, each with K calls kept in
+// flight on its connection by K worker goroutines that issue the next
+// call the moment the previous one completes. Closed-loop means offered
+// load tracks service rate — the driver measures sustainable throughput
+// and the latency the server actually delivers at that concurrency,
+// rather than queueing unboundedly like an open-loop generator.
 
 import (
 	"encoding/json"
@@ -17,15 +17,13 @@ import (
 	"time"
 
 	"moira/internal/client"
-	"moira/internal/mrerr"
 )
 
 type loadOptions struct {
 	addr     string
-	conns    int           // pipelined connections (0 or serial mode: one serial client)
+	conns    int           // connections, one client each
 	inflight int           // concurrent calls per connection
 	duration time.Duration // measurement window
-	serial   bool          // baseline mode: one classic client, one call in flight
 	batch    int           // >0: drive OpBatch with this many items per call
 	query    string        // query name for query mode
 	args     []string      // its arguments
@@ -51,44 +49,24 @@ type loadResult struct {
 	ItemCodes  map[string]int `json:"item_codes,omitempty"` // batch mode: per-item code histogram
 }
 
-// loadConn is the slice of the client API the workers need, satisfied
-// by both *client.Client (serial baseline) and *client.Pipeline.
-type loadConn interface {
-	Query(name string, args []string, cb client.TupleFunc) error
-	Batch(items []client.BatchItem) ([]mrerr.Code, error)
-}
-
 func runLoad(o loadOptions) error {
-	nconns := o.conns
-	if o.serial {
-		nconns = 1
-	}
-	if nconns < 1 || o.inflight < 1 {
+	if o.conns < 1 || o.inflight < 1 {
 		return fmt.Errorf("load: conns and inflight must be positive")
 	}
 
-	conns := make([]loadConn, nconns)
+	conns := make([]*client.Client, o.conns)
 	for i := range conns {
-		if o.serial {
-			c, err := client.Dial(o.addr)
-			if err != nil {
-				return fmt.Errorf("load: dial: %w", err)
-			}
-			defer c.Disconnect()
-			conns[i] = c
-		} else {
-			p, err := client.DialPipeline(o.addr, 5*time.Second, nil)
-			if err == nil {
-				// A pipeline dial sends nothing; one round trip surfaces a
-				// shed (MR_BUSY) or skewed server before the measurement.
-				err = p.Noop()
-			}
-			if err != nil {
-				return fmt.Errorf("load: dial pipeline: %w", err)
-			}
-			defer p.Close()
-			conns[i] = p
+		c, err := client.DialTimeout(o.addr, 5*time.Second, nil)
+		if err == nil {
+			// A dial sends nothing; one round trip surfaces a shed
+			// (MR_BUSY) or skewed server before the measurement.
+			err = c.Noop()
 		}
+		if err != nil {
+			return fmt.Errorf("load: dial: %w", err)
+		}
+		defer c.Disconnect()
+		conns[i] = c
 	}
 
 	var (
@@ -100,12 +78,7 @@ func runLoad(o loadOptions) error {
 		latMu            sync.Mutex
 		lats             []time.Duration
 	)
-	inflight := o.inflight
-	if o.serial {
-		inflight = 1
-	}
-
-	worker := func(c loadConn) {
+	worker := func(c *client.Client) {
 		local := make([]time.Duration, 0, 4096)
 		for !stop.Load() {
 			t0 := time.Now()
@@ -147,9 +120,9 @@ func runLoad(o loadOptions) error {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for _, c := range conns {
-		for k := 0; k < inflight; k++ {
+		for k := 0; k < o.inflight; k++ {
 			wg.Add(1)
-			go func(c loadConn) {
+			go func(c *client.Client) {
 				defer wg.Done()
 				worker(c)
 			}(c)
@@ -169,11 +142,11 @@ func runLoad(o loadOptions) error {
 		return lats[i].Microseconds()
 	}
 	mode := "pipelined"
-	if o.serial {
+	if o.conns*o.inflight == 1 {
 		mode = "serial"
 	}
 	res := loadResult{
-		Mode: mode, Query: o.query, Conns: nconns, Inflight: inflight,
+		Mode: mode, Query: o.query, Conns: o.conns, Inflight: o.inflight,
 		DurationMS: elapsed.Milliseconds(),
 		Ops:        ops.Load(), Calls: calls.Load(),
 		OpsPerSec: float64(ops.Load()) / elapsed.Seconds(),

@@ -13,11 +13,12 @@
 //	mrtest -addr ... -q get_machine '*'
 //
 // The closed-loop load driver measures a server's sustainable
-// throughput over pipelined v4 connections (or the serial baseline):
+// throughput with calls pipelined over a few connections (or one call
+// in flight, the serial baseline):
 //
 //	mrtest -addr ... -load -load-conns 4 -load-inflight 16 -load-duration 10s
-//	mrtest -addr ... -load -load-serial               # 1 call in flight
-//	mrtest -addr ... -load -load-batch 64             # batched mutations
+//	mrtest -addr ... -load -load-conns 1 -load-inflight 1   # 1 call in flight
+//	mrtest -addr ... -load -load-batch 64                   # batched mutations
 package main
 
 import (
@@ -41,10 +42,9 @@ func main() {
 		menus = flag.Bool("menu", false, "use the classic menu interface")
 
 		load         = flag.Bool("load", false, "run the closed-loop load driver and exit")
-		loadConns    = flag.Int("load-conns", 4, "pipelined connections for -load")
+		loadConns    = flag.Int("load-conns", 4, "connections for -load")
 		loadInflight = flag.Int("load-inflight", 16, "concurrent calls in flight per connection for -load")
 		loadDur      = flag.Duration("load-duration", 5*time.Second, "measurement window for -load")
-		loadSerial   = flag.Bool("load-serial", false, "baseline mode for -load: one serial client, one call in flight")
 		loadBatch    = flag.Int("load-batch", 0, "with -load: submit batches of this many mutations instead of queries")
 		loadQuery    = flag.String("load-query", "get_value", "query for -load query mode (remaining args are its arguments)")
 		loadJSON     = flag.String("load-json", "", "write -load results as JSON to this file (- = stdout)")
@@ -58,7 +58,7 @@ func main() {
 		}
 		err := runLoad(loadOptions{
 			addr: *addr, conns: *loadConns, inflight: *loadInflight,
-			duration: *loadDur, serial: *loadSerial, batch: *loadBatch,
+			duration: *loadDur, batch: *loadBatch,
 			query: *loadQuery, args: args, jsonPath: *loadJSON,
 		})
 		if err != nil {

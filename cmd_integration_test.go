@@ -150,7 +150,7 @@ func TestBinaryMrtestLoad(t *testing.T) {
 			"-load-duration", "500ms", "-load-json", jsonPath},
 		{"-load", "-load-conns", "1", "-load-inflight", "2", "-load-batch", "8",
 			"-load-duration", "300ms"},
-		{"-load", "-load-serial", "-load-duration", "300ms"},
+		{"-load", "-load-conns", "1", "-load-inflight", "1", "-load-duration", "300ms"},
 	}
 	for _, r := range runs {
 		args := append([]string{"-addr", addr}, r...)

@@ -12,6 +12,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"moira/internal/clock"
@@ -25,7 +26,7 @@ import (
 // TupleFunc is the callback invoked for each returned tuple of a query
 // (the callproc of mr_query).
 //
-// The slice is valid only during the callback: the RPC clients reuse it
+// The slice is valid only during the callback: the RPC client reuses it
 // for the next tuple on the connection, so a callback that keeps a
 // tuple keeps a copy of the slice (as QueryAll does). The strings in it
 // may be kept: each tuple's fields are substrings of one string holding
@@ -47,13 +48,18 @@ type Conn interface {
 	Disconnect() error
 }
 
-// Client is an RPC connection to a Moira server.
+// Client is an RPC connection to a Moira server. It is safe for
+// concurrent use, and goroutines that share a Client pipeline their
+// calls over its one connection: each call writes its request, tagged
+// with its turn, and reads its own replies on its own goroutine when
+// that turn comes. The server answers a connection's requests in the
+// order it received them, so a turn counter is all the matching there
+// is.
 type Client struct {
 	mu          sync.Mutex
-	conn        net.Conn
-	fr          *protocol.FrameReader // replies; reuses one buffer per connection
-	bw          *bufio.Writer
-	tuple       []string // reused for every tuple passed to a TupleFunc
+	turn        *sync.Cond // on mu: a reply stream ended or a connection died
+	w           *wire      // the connection; a dead one until a redial replaces it
+	dial        sync.Mutex // held across a redial or a redirect; taken before mu
 	clk         clock.Clock
 	trace       string        // pinned trace ID; "" mints a fresh one per request
 	last        string        // trace ID stamped on the most recent request
@@ -69,16 +75,49 @@ type Client struct {
 
 	// Failover state: the commit-position token of this client's
 	// latest acknowledged write (attached to retrieval requests for
-	// read-your-writes), the fields of the most recent final reply
-	// (MR_READONLY / MR_STALE carry the primary's address there), a
-	// bounded per-address circuit breaker for redirect dials, and the
-	// credentials replayed after a redirect lands on a fresh primary.
-	lastToken  string
-	lastFields []string
-	breaker    map[string]time.Time
-	redirects  int
-	creds      *kerberos.Credentials
-	credsApp   string
+	// read-your-writes), a bounded per-address circuit breaker for
+	// redirect dials, and the credentials replayed after a redial.
+	lastToken string
+	breaker   map[string]time.Time
+	redirects int
+	creds     *kerberos.Credentials
+	credsApp  string
+}
+
+// wire is one TCP connection and its turn counter: the call that wrote
+// the n-th request on it reads the n-th reply stream.
+type wire struct {
+	conn  net.Conn
+	fr    *protocol.FrameReader // replies; reuses one buffer per connection
+	tuple []string              // reused for every tuple passed to a TupleFunc
+
+	wmu    sync.Mutex // held while a request goes into bw, or bw is flushed
+	bw     *bufio.Writer
+	handed atomic.Int64 // bytes bw has passed to conn.Write, counted before the call
+
+	// Guarded by Client.mu.
+	sent, done uint64 // turns taken / reply streams read to their end
+	err        error  // why the connection died; nil while it serves
+	final      bool   // no redial will replace it: one failed, or Disconnect
+	retired    bool   // a redirect replaced it; it closes once idle
+}
+
+func dialWire(addr string, timeout time.Duration) (*wire, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	w := &wire{conn: conn, fr: protocol.NewFrameReader(bufio.NewReader(conn))}
+	w.bw = bufio.NewWriter(w)
+	return w, nil
+}
+
+// Write is w's conn as bw sees it: it counts what it hands on before
+// the write, so a reader can tell whether its request has left bw, even
+// while a writer is blocked sending it.
+func (w *wire) Write(p []byte) (int, error) {
+	w.handed.Add(int64(len(p)))
+	return w.conn.Write(p)
 }
 
 // MaxRedirects bounds the primary-chase per call: a request refused
@@ -106,21 +145,16 @@ func DialTimeout(addr string, timeout time.Duration, clk clock.Clock) (*Client, 
 	if clk == nil {
 		clk = clock.System
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	w, err := dialWire(addr, timeout)
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			return nil, mrerr.MrConnTimeout
 		}
 		return nil, mrerr.MrConnRefused
 	}
-	return &Client{
-		conn:        conn,
-		fr:          protocol.NewFrameReader(bufio.NewReader(conn)),
-		bw:          bufio.NewWriter(conn),
-		clk:         clk,
-		addr:        addr,
-		dialTimeout: timeout,
-	}, nil
+	c := &Client{w: w, clk: clk, addr: addr, dialTimeout: timeout}
+	c.turn = sync.NewCond(&c.mu)
+	return c, nil
 }
 
 // SetReadFallbacks installs a read-failover address list: when an
@@ -227,29 +261,29 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 // idempotent marks calls that are safe to repeat: when such a call dies
 // on a torn connection before any tuple was delivered, the client
 // redials once (after ReconnectDelay, through its clock) and resends
-// transparently. Authenticated connections never reconnect — a redial
-// would silently drop the principal.
+// transparently. Every call in flight on the torn connection shares
+// that one redial. Authenticated connections reconnect only when they
+// can replay their credentials — a bare redial would silently drop the
+// principal.
 func (c *Client) roundTrip(req *protocol.Call, cb TupleFunc, idempotent bool) (err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	tid, tracer := c.trace, c.tracer
+	c.mu.Unlock()
 	// Decide the trace ID once per call (pinned, or minted fresh) and
 	// put it — joined with this call's span ID when a tracer is wired —
-	// on the request. sendRecv leaves a non-empty TraceID alone, so
-	// retries reuse the same IDs.
-	if req.TraceID == "" {
-		tid := c.trace
-		if tid == "" {
-			tid = trace.NewTraceID()
-		}
-		sp := c.tracer.Start(tid, "", "client.call")
-		if req.Op == protocol.OpQuery {
-			sp.SetDetailParts(protocol.OpName(req.Op), req.Name)
-		} else {
-			sp.SetDetailParts(protocol.OpName(req.Op), "")
-		}
-		req.TraceID = trace.Wire(tid, sp.SpanID())
-		defer func() { sp.EndCode(int32(mrerr.CodeOf(err))) }()
+	// on the request, so retries reuse the same IDs.
+	if tid == "" {
+		tid = trace.NewTraceID()
 	}
+	sp := tracer.Start(tid, "", "client.call")
+	if req.Op == protocol.OpQuery {
+		sp.SetDetailParts(protocol.OpName(req.Op), req.Name)
+	} else {
+		sp.SetDetailParts(protocol.OpName(req.Op), "")
+	}
+	req.TraceID = trace.Wire(tid, sp.SpanID())
+	defer func() { sp.EndCode(int32(mrerr.CodeOf(err))) }()
+
 	delivered := 0
 	wcb := cb
 	if cb != nil {
@@ -263,110 +297,185 @@ func (c *Client) roundTrip(req *protocol.Call, cb TupleFunc, idempotent bool) (e
 	retries := 0
 	redirects := 0
 	for {
-		err := c.sendRecv(req, wcb)
+		c.mu.Lock()
+		w, timeout := c.w, c.callTimeout
+		c.last = tid
+		c.mu.Unlock()
+		fields, err := c.exchange(w, req, wcb, timeout)
 		// Primary chase: a refusal that names the primary (final-reply
 		// fields on MR_READONLY / MR_STALE) means the request was never
 		// executed here — re-sending it at the named address is safe,
 		// mutations included.
 		if (err == mrerr.MrReadonly || err == mrerr.MrStale) &&
 			redirects < MaxRedirects && delivered == 0 {
-			if addr := c.redirectAddrLocked(); addr != "" {
-				redirects++
-				if c.redialLocked(addr) == nil {
-					continue
-				}
+			redirects++
+			if c.redirect(w, fields) {
+				continue
 			}
 		}
-		if err == mrerr.MrAborted && c.addr != "" && delivered == 0 &&
-			(!c.authed || c.creds != nil) {
-			if idempotent && retries <= len(c.fallbacks) {
+		switch {
+		case err == mrerr.MrNotConnected:
+			c.mu.Lock()
+			moved := c.w != w
+			c.mu.Unlock()
+			if moved {
+				continue // nothing was sent on w; send on what replaced it
+			}
+		case err == mrerr.MrAborted && delivered == 0:
+			c.mu.Lock()
+			canRedial := !c.authed || c.creds != nil
+			spares := len(c.fallbacks)
+			c.mu.Unlock()
+			if !canRedial {
+				break
+			}
+			if idempotent && retries <= spares {
 				retries++
-				if c.reconnectLocked() == nil && c.replayAuthLocked() == nil {
+				if c.reconnect(w) == nil {
 					continue
 				}
-			} else if !idempotent && len(c.fallbacks) > 0 && retries == 0 {
+			} else if !idempotent && spares > 0 && retries == 0 {
 				// A torn mutation is never resent — the server may have
 				// applied it — but a failover client restores the
 				// connection (rotating to a live node, replaying auth)
 				// so the caller's next write isn't doomed too.
-				retries++
-				if c.reconnectLocked() == nil {
-					c.replayAuthLocked()
-				}
-				return mrerr.MrAborted
+				c.reconnect(w)
 			}
 		}
 		return err
 	}
 }
 
-// redirectAddrLocked extracts the primary address from the most recent
-// final reply's fields, if it is anywhere worth going; callers hold
-// c.mu.
-func (c *Client) redirectAddrLocked() string {
-	if len(c.lastFields) == 0 {
-		return ""
+// redirect moves the client to the primary named by a refusal's final
+// reply fields, honouring the per-address circuit breaker and replaying
+// stored credentials on the new connection before any call can use it.
+// It reports whether to resend: the client now talks to the primary,
+// or another call had already moved it off w.
+func (c *Client) redirect(w *wire, fields []string) bool {
+	if len(fields) == 0 || fields[0] == "" {
+		return false
 	}
-	addr := c.lastFields[0]
-	if addr == "" || addr == c.addr {
-		return ""
+	addr := fields[0]
+	c.dial.Lock()
+	defer c.dial.Unlock()
+	c.mu.Lock()
+	moved := c.w != w
+	skip := addr == c.addr || time.Since(c.breaker[addr]) < BreakerCooldown
+	c.mu.Unlock()
+	if moved || skip {
+		return moved
 	}
-	return addr
-}
-
-// redialLocked points the connection at a redirect target, honouring
-// the per-address circuit breaker, and replays stored credentials so
-// an authenticated caller stays authenticated across the hop; callers
-// hold c.mu.
-func (c *Client) redialLocked(addr string) error {
-	if t, ok := c.breaker[addr]; ok && time.Since(t) < BreakerCooldown {
-		return mrerr.MrConnRefused
-	}
-	conn, err := net.DialTimeout("tcp", addr, c.dialTimeout)
+	nw, err := dialWire(addr, c.dialTimeout)
+	c.mu.Lock()
 	if err != nil {
 		if c.breaker == nil {
 			c.breaker = make(map[string]time.Time)
 		}
 		c.breaker[addr] = time.Now()
-		return mrerr.MrConnRefused
+		c.mu.Unlock()
+		return false
 	}
 	delete(c.breaker, addr)
-	if c.conn != nil {
-		c.conn.Close()
+	c.mu.Unlock()
+	if c.replayAuth(nw) != nil {
+		nw.conn.Close()
+		return false
 	}
-	c.conn = conn
-	c.fr = protocol.NewFrameReader(bufio.NewReader(conn))
-	c.bw = bufio.NewWriter(conn)
+	c.mu.Lock()
+	c.install(nw)
 	c.addr = addr
 	c.redirects++
-	return c.replayAuthLocked()
+	c.mu.Unlock()
+	return true
 }
 
-// replayAuthLocked re-authenticates a fresh connection from stored
-// credentials, so the principal moves with the session across redials
-// and reconnects; a no-op for unauthenticated clients. Callers hold
-// c.mu.
-func (c *Client) replayAuthLocked() error {
-	if !c.authed {
+// reconnect replaces dead, the connection a call was just torn from:
+// after a short backoff it dials, starting at dead's address and
+// rotating through the read-fallback list until one accepts, and
+// replays stored credentials before any call can use the new
+// connection. Every call that was in flight on dead lands here; the
+// first redials and the rest resend on what it found.
+func (c *Client) reconnect(dead *wire) error {
+	c.dial.Lock()
+	defer c.dial.Unlock()
+	c.mu.Lock()
+	moved, final := c.w != dead, dead.final
+	rotation := append([]string{c.addr}, c.fallbacks...)
+	cur := c.cur
+	c.mu.Unlock()
+	if moved {
 		return nil
 	}
-	// The principal must move with the connection or the redirected
-	// request would run unauthenticated on the new primary.
-	if c.creds == nil {
-		c.authed = false
+	if final {
+		return mrerr.MrNotConnected
+	}
+	clock.Sleep(c.clk, ReconnectDelay)
+	var err error
+	for i := range rotation {
+		slot := (cur + i) % len(rotation)
+		var nw *wire
+		if nw, err = dialWire(rotation[slot], c.dialTimeout); err != nil {
+			continue
+		}
+		if err = c.replayAuth(nw); err != nil {
+			nw.conn.Close()
+			break
+		}
+		c.mu.Lock()
+		c.install(nw)
+		c.reconnects++
+		if slot != 0 {
+			c.failovers++
+		}
+		c.cur = slot
+		c.mu.Unlock()
+		return nil
+	}
+	c.mu.Lock()
+	dead.final = true
+	c.mu.Unlock()
+	return err
+}
+
+// replayAuth authenticates w, a connection no other call can reach
+// yet, with the stored credentials, so the principal moves with the
+// session across redials; a no-op for unauthenticated clients.
+func (c *Client) replayAuth(w *wire) error {
+	c.mu.Lock()
+	authed, creds, app, timeout := c.authed, c.creds, c.credsApp, c.callTimeout
+	c.mu.Unlock()
+	if !authed {
+		return nil
+	}
+	if creds == nil {
 		return mrerr.MrAborted
 	}
-	payload := kerberos.BuildAuth(c.creds, c.credsApp, c.clk)
-	areq := &protocol.Call{
+	payload := kerberos.BuildAuth(creds, app, c.clk)
+	_, err := c.exchange(w, &protocol.Call{
 		Op:      protocol.OpAuth,
 		TraceID: trace.NewTraceID(),
 		Args:    []string{string(payload.Marshal())},
+	}, nil, timeout)
+	return err
+}
+
+// install makes w the client's connection; callers hold c.mu. A live
+// connection it replaces (a redirect's) closes once its last call in
+// flight has read its reply.
+func (c *Client) install(w *wire) {
+	old := c.w
+	c.w = w
+	old.retired = true
+	c.settle(old)
+}
+
+// settle closes a retired connection with no call in flight; callers
+// hold c.mu.
+func (c *Client) settle(w *wire) {
+	if w.retired && w.done == w.sent && w.err == nil {
+		w.err = mrerr.MrNotConnected
+		w.conn.Close()
 	}
-	if err := c.sendRecv(areq, nil); err != nil {
-		c.authed = false
-		return err
-	}
-	return nil
 }
 
 // Redirects reports how many times this client has chased a primary
@@ -395,104 +504,159 @@ func (c *Client) SetMinPos(token string) {
 	c.lastToken = token
 }
 
-// reconnectLocked redials after a short backoff, starting at the
-// address of the connection that just died and rotating through the
-// read-fallback list until one accepts; callers hold c.mu.
-func (c *Client) reconnectLocked() error {
-	clock.Sleep(c.clk, ReconnectDelay)
-	rotation := append([]string{c.addr}, c.fallbacks...)
-	var lastErr error
-	for i := 0; i < len(rotation); i++ {
-		slot := (c.cur + i) % len(rotation)
-		conn, err := net.DialTimeout("tcp", rotation[slot], c.dialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		c.conn = conn
-		c.fr = protocol.NewFrameReader(bufio.NewReader(conn))
-		c.bw = bufio.NewWriter(conn)
-		c.reconnects++
-		if slot != 0 {
-			c.failovers++
-		}
-		c.cur = slot
-		return nil
+// exchange writes req on w and, when its turn comes, reads its replies
+// on the calling goroutine, passing tuples to cb (which may be nil). It
+// returns the final reply's fields: a commit token on success, the
+// primary's address on MR_READONLY / MR_STALE.
+func (c *Client) exchange(w *wire, req *protocol.Call, cb TupleFunc, timeout time.Duration) ([]string, error) {
+	var deadline time.Time // zero disarms what an earlier timed call set
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 	}
-	return lastErr
-}
+	turn, end, err := c.send(w, req, deadline)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	for w.err == nil && w.done != turn {
+		c.turn.Wait()
+	}
+	err = w.err
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
-// sendRecv does one request/reply exchange; callers hold c.mu.
-func (c *Client) sendRecv(req *protocol.Call, cb TupleFunc) error {
-	if c.conn == nil {
-		return mrerr.MrNotConnected
-	}
-	if c.callTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.callTimeout))
-	} else {
-		// A previous timed call left its deadline armed on the conn;
-		// without this reset an untimed call made after
-		// SetCallTimeout(0) would die with a spurious MR_CONN_TIMEOUT
-		// the moment the stale deadline expired.
-		c.conn.SetDeadline(time.Time{})
-	}
-	// roundTrip stamped the (possibly span-joined) trace field; the bare
-	// trace ID is what callers correlate on.
-	c.last, _ = trace.Split(req.TraceID)
-	if err := protocol.WriteCall(c.bw, req); err == mrerr.MrArgTooLong {
-		return err // refused before a byte was written: the connection is intact
-	} else if err != nil {
-		c.abort()
-		return ioFail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.abort()
-		return ioFail(err)
-	}
+	w.conn.SetReadDeadline(deadline)
 	var cbErr error
 	for {
-		rep, err := c.fr.ReadReply()
+		if w.handed.Load() < end {
+			if err := w.flush(end, deadline); err != nil {
+				return nil, c.fail(w, ioFail(err))
+			}
+		}
+		rep, err := w.fr.ReadReply()
 		if err != nil {
-			c.abort()
-			return ioFail(err)
+			return nil, c.fail(w, ioFail(err))
 		}
 		if rep.Version != protocol.Version {
-			c.abort()
-			return mrerr.MrVersionMismatch
+			return nil, c.fail(w, mrerr.MrVersionMismatch)
 		}
 		code := mrerr.Code(rep.Code)
+		if rep.Tag != req.Tag {
+			// Tag 0 with an error code refuses the whole connection (an
+			// MR_BUSY shed, sent before any request was read); any other
+			// tag means the replies no longer match the turns.
+			if rep.Tag != 0 || code == mrerr.Success || code == mrerr.MrMoreData {
+				code = mrerr.MrAborted
+			}
+			return nil, c.fail(w, code)
+		}
 		if code == mrerr.MrMoreData {
 			if cb != nil && cbErr == nil {
-				c.tuple = rep.AppendStrings(c.tuple[:0])
-				if err := cb(c.tuple); err != nil {
+				w.tuple = rep.AppendStrings(w.tuple[:0])
+				if err := cb(w.tuple); err != nil {
 					// Keep draining the stream; report after.
 					cbErr = err
 				}
 			}
 			continue
 		}
-		if cbErr != nil {
-			return mrerr.MrCallbackErr
-		}
-		// Final-frame fields: a commit token on success, the
-		// primary's address on MR_READONLY / MR_STALE.
-		c.lastFields = rep.StringFields()
-		if code == mrerr.Success && len(c.lastFields) > 0 &&
+		fields := rep.StringFields()
+		c.mu.Lock()
+		w.done++
+		c.turn.Broadcast()
+		c.settle(w)
+		if cbErr == nil && code == mrerr.Success && len(fields) > 0 && fields[0] != "" &&
 			(req.Op == protocol.OpQuery || req.Op == protocol.OpBatch) {
-			if _, ok := protocol.ParsePos(c.lastFields[0]); ok && c.lastFields[0] != "" {
-				c.lastToken = c.lastFields[0]
+			if _, ok := protocol.ParsePos(fields[0]); ok {
+				c.lastToken = fields[0]
 			}
 		}
-		return code.OrNil()
+		c.mu.Unlock()
+		if cbErr != nil {
+			return nil, mrerr.MrCallbackErr
+		}
+		return fields, code.OrNil()
 	}
 }
 
-// abort closes the connection after an I/O failure; callers hold c.mu.
-func (c *Client) abort() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+// send takes w's next turn and writes req, tagged with it, into w's
+// buffer; end is where the request ends in w's stream, for flush. A
+// call that finds w torn and not yet replaced fails as if torn in
+// flight (MR_ABORTED, so an idempotent one redials); on any other dead
+// connection it fails with MR_NOT_CONNECTED before writing anything.
+func (c *Client) send(w *wire, req *protocol.Call, deadline time.Time) (turn uint64, end int64, err error) {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	// Turns are taken under the write lock, so requests leave in turn
+	// order. Tags run 1–65535 and wrap: replies come back in turn
+	// order, so a tag only has to differ from its neighbours. Tag 0 is
+	// the server's, for refusing the whole connection.
+	c.mu.Lock()
+	dead, final := w.err, w.final
+	turn = w.sent
+	if dead == nil {
+		w.sent++
 	}
+	c.mu.Unlock()
+	if dead == mrerr.MrAborted && !final {
+		return 0, 0, dead
+	} else if dead != nil {
+		return 0, 0, mrerr.MrNotConnected
+	}
+	req.Tag = uint16(turn%65535) + 1
+	w.conn.SetWriteDeadline(deadline)
+	err = protocol.WriteCall(w.bw, req)
+	if err == mrerr.MrArgTooLong {
+		// Refused before a byte was written, and no later turn was
+		// taken under wmu: hand the turn back; the connection is intact.
+		c.mu.Lock()
+		w.sent--
+		c.settle(w)
+		c.mu.Unlock()
+		return 0, 0, err
+	} else if err != nil {
+		return 0, 0, c.fail(w, ioFail(err))
+	}
+	return turn, w.handed.Load() + int64(w.bw.Buffered()), nil
+}
+
+// flush sends what callers have written to w, the request ending at
+// end among it. The caller whose turn it is calls it before its first
+// read while that request has not left bw: so a burst of calls leaves
+// in one write, and at depth one this is write, flush, read. It never
+// waits for wmu once its request has left, and what it writes past end
+// is less than bw's 4 KiB: a writer blocked on a server busy answering
+// this call never holds up the read that would unblock both.
+func (w *wire) flush(end int64, deadline time.Time) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if w.handed.Load() >= end {
+		return nil
+	}
+	w.conn.SetWriteDeadline(deadline)
+	return w.bw.Flush()
+}
+
+// fail kills w after the caller's call hit err, and returns the error
+// that call reports: err, or the cause of death when w was already
+// dead. Every other call in flight on w fails with the same cause —
+// but a deadline belongs to the caller whose call ran out of time, so
+// the others get MR_ABORTED for it.
+func (c *Client) fail(w *wire, err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	w.err = err
+	if err == mrerr.MrConnTimeout {
+		w.err = mrerr.MrAborted
+	}
+	w.conn.Close()
+	c.turn.Broadcast()
+	return err
 }
 
 // ioFail classifies a transport failure: a deadline hit (the per-call
@@ -513,7 +677,9 @@ func (c *Client) Noop() error {
 
 // Auth implements mr_auth: it presents Kerberos credentials, naming the
 // program acting on behalf of the user. All later requests on this
-// connection are performed as the authenticated principal.
+// connection are performed as the authenticated principal. The server
+// applies it in receive order: calls other goroutines wrote before it
+// still run unauthenticated.
 func (c *Client) Auth(creds *kerberos.Credentials, clientName string) error {
 	payload := kerberos.BuildAuth(creds, clientName, c.clk)
 	req := &protocol.Call{Op: protocol.OpAuth, Args: []string{string(payload.Marshal())}}
@@ -612,18 +778,20 @@ func (c *Client) Shutdown() error {
 	return c.roundTrip(&protocol.Call{Op: protocol.OpShutdown}, nil, false)
 }
 
-// Disconnect implements mr_disconnect.
+// Disconnect implements mr_disconnect. Calls still in flight fail with
+// MR_ABORTED, and nothing redials the connection.
 func (c *Client) Disconnect() error {
+	c.dial.Lock() // a redial in progress finishes first, and is closed here
+	defer c.dial.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
+	w := c.w
+	live := w.err == nil
+	w.final = true
+	c.mu.Unlock()
+	if !live {
 		return mrerr.MrNotConnected
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	if err != nil {
-		return mrerr.MrAborted
-	}
+	c.fail(w, mrerr.MrAborted)
 	return nil
 }
 

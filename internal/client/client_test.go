@@ -47,6 +47,9 @@ func newFakeServer(t *testing.T, handler func(req *protocol.Request, reply func(
 						return
 					}
 					cont := fs.handler(req, func(rep *protocol.Reply) error {
+						if rep.Tag == 0 {
+							rep.Tag = req.Tag // as the real server does
+						}
 						if err := protocol.WriteReply(bw, rep); err != nil {
 							return err
 						}

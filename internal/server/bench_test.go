@@ -148,11 +148,11 @@ func TestTraceOverheadUnderFivePercent(t *testing.T) {
 	}
 }
 
-// benchPipeline stands up an untraced server and returns a connected v4
-// pipeline. With authed, the server gets a KDC-backed verifier and the
-// pipeline authenticates as an admin, so batched mutations pass the
+// benchClient stands up an untraced server and returns a connected
+// client. With authed, the server gets a KDC-backed verifier and the
+// client authenticates as an admin, so batched mutations pass the
 // access check and are really applied.
-func benchPipeline(b *testing.B, authed bool) *client.Pipeline {
+func benchClient(b *testing.B, authed bool) *client.Client {
 	b.Helper()
 	clk := clock.NewFake(time.Unix(600000000, 0))
 	d := queries.NewBootstrappedDB(clk)
@@ -197,11 +197,11 @@ func benchPipeline(b *testing.B, authed bool) *client.Pipeline {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close() })
-	p, err := client.DialPipeline(addr.String(), 5*time.Second, clk)
+	p, err := client.DialTimeout(addr.String(), 5*time.Second, clk)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { p.Close() })
+	b.Cleanup(func() { p.Disconnect() })
 	if authed {
 		if err := p.Auth(creds, "bench"); err != nil {
 			b.Fatal(err)
@@ -211,14 +211,14 @@ func benchPipeline(b *testing.B, authed bool) *client.Pipeline {
 }
 
 // BenchmarkServerQueryPipelined is BenchmarkServerQuery's workload —
-// the same get_machine over loopback — but over a v4 pipeline with N
-// calls kept in flight. The inflight=1 row isolates the per-call
-// pipeline overhead; inflight=16 is the protocol-v4 headline number to
-// compare against BenchmarkServerQuery/tracing=off.
+// the same get_machine over loopback — but with N goroutines sharing
+// one client, so N calls are in flight on its connection. The
+// inflight=1 row is the serial client; inflight=16 is the protocol-v4
+// headline number to compare against BenchmarkServerQuery/tracing=off.
 func BenchmarkServerQueryPipelined(b *testing.B) {
 	for _, inflight := range []int{1, 16} {
 		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
-			p := benchPipeline(b, false)
+			p := benchClient(b, false)
 			// Warm the path.
 			if err := p.Query("get_machine", []string{"BENCH.MIT.EDU"}, func([]string) error { return nil }); err != nil {
 				b.Fatal(err)
@@ -250,7 +250,7 @@ func BenchmarkServerQueryPipelined(b *testing.B) {
 // to one mutation per round trip.
 func BenchmarkServerBatch(b *testing.B) {
 	const per = 64
-	p := benchPipeline(b, true)
+	p := benchClient(b, true)
 	b.ResetTimer()
 	seq := 0
 	for done := 0; done < b.N; done += per {
@@ -280,7 +280,7 @@ func BenchmarkServerBatch(b *testing.B) {
 // BenchmarkServerBatch: the same authenticated add_machine mutations,
 // one per round trip, one journal sync each.
 func BenchmarkServerMutation(b *testing.B) {
-	p := benchPipeline(b, true)
+	p := benchClient(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := p.Query("add_machine",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"moira/internal/client"
 	"moira/internal/mrerr"
@@ -23,17 +22,6 @@ func adminWorld(t *testing.T) (*world, *client.Client) {
 		t.Fatal(err)
 	}
 	return w, w.dialAs(t, "admin", "adminpw")
-}
-
-// dialPipeline opens a v4 pipeline to the world's server.
-func (w *world) dialPipeline(t *testing.T) *client.Pipeline {
-	t.Helper()
-	p, err := client.DialPipeline(w.addr, 5*time.Second, w.clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p
 }
 
 // TestServerBatchOverWire drives the v4 batch op end to end: one frame
@@ -120,10 +108,9 @@ func TestServerBatchTooLarge(t *testing.T) {
 	}
 }
 
-// TestServerPipelinedQueries: 16 concurrent callers over one v4
-// connection, each repeatedly querying its own machine and checking it
-// got its own answer back — the demux/tag-echo path against the real
-// server.
+// TestServerPipelinedQueries: 16 goroutines share one Client, each
+// repeatedly querying its own machine and checking it got its own
+// answer back — the turn and tag-echo path against the real server.
 func TestServerPipelinedQueries(t *testing.T) {
 	w := newWorld(t)
 	priv := &queries.Context{DB: w.d, Privileged: true, App: "test"}
@@ -135,7 +122,7 @@ func TestServerPipelinedQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := w.dialPipeline(t)
+	p := w.dial(t)
 	var wg sync.WaitGroup
 	errs := make([]error, callers)
 	for i := 0; i < callers; i++ {
@@ -154,7 +141,7 @@ func TestServerPipelinedQueries(t *testing.T) {
 					return
 				}
 				if got != name {
-					errs[i] = fmt.Errorf("asked for %s, demux delivered %s", name, got)
+					errs[i] = fmt.Errorf("asked for %s, read %s", name, got)
 					return
 				}
 			}
@@ -168,8 +155,9 @@ func TestServerPipelinedQueries(t *testing.T) {
 	}
 }
 
-// TestServerPipelinedAuth: Auth over a pipeline is applied in receive
-// order, so calls issued after it completes run as the principal.
+// TestServerPipelinedAuth: Auth is applied in receive order, so calls
+// issued after it completes run as the principal, pipelined ones
+// included.
 func TestServerPipelinedAuth(t *testing.T) {
 	w := newWorld(t)
 	w.addPerson(t, "admin", "adminpw")
@@ -178,21 +166,28 @@ func TestServerPipelinedAuth(t *testing.T) {
 		[]string{queries.AdminList, "USER", "admin"}, func([]string) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	p := w.dialPipeline(t)
-	creds, err := w.kdc.GetTicket("admin", "adminpw", serverPrincipal)
-	if err != nil {
-		t.Fatal(err)
+	p := w.dialAs(t, "admin", "adminpw")
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("authed-%d.mit.edu", i)
+			codes, err := p.Batch([]client.BatchItem{{Name: "add_machine", Args: []string{name, "VAX"}}})
+			if err == nil && (len(codes) != 1 || codes[0] != mrerr.Success) {
+				err = fmt.Errorf("codes = %v", codes)
+			}
+			if err == nil {
+				err = p.Query("get_machine", []string{name}, nil)
+			}
+			errs[i] = err
+		}(i)
 	}
-	if err := p.Auth(creds, "pipe-test"); err != nil {
-		t.Fatal(err)
-	}
-	codes, err := p.Batch([]client.BatchItem{
-		{Name: "add_machine", Args: []string{"authed.mit.edu", "VAX"}},
-	})
-	if err != nil || len(codes) != 1 || codes[0] != mrerr.Success {
-		t.Fatalf("authed pipelined batch = %v, %v", codes, err)
-	}
-	if err := p.Query("get_machine", []string{"AUTHED.MIT.EDU"}, nil); err != nil {
-		t.Errorf("batch-added machine missing: %v", err)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("authed pipelined caller %d: %v", i, err)
+		}
 	}
 }

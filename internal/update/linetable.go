@@ -3,6 +3,7 @@ package update
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // LineTable is a service's parsed copy of an installed file made of
@@ -87,7 +88,7 @@ func (t *LineTable[K, V]) patch(fv *File, p Parser[K, V]) (plan TablePlan[K, V],
 	}
 	plan.gone, plan.put = map[K]bool{}, map[K]V{}
 	for _, e := range fv.Edits {
-		ok = p.entries(fv.Old, e.Old, func(k K, _ LineKind, _ string) bool {
+		ok = p.entries(fv.Old, e.Old, false, func(k K, _ LineKind, _ string) bool {
 			plan.gone[k] = true
 			return true
 		})
@@ -96,7 +97,7 @@ func (t *LineTable[K, V]) patch(fv *File, p Parser[K, V]) (plan TablePlan[K, V],
 		}
 	}
 	for _, e := range fv.Edits {
-		ok = p.entries(fv.New, e.New, func(k K, kind LineKind, line string) bool {
+		ok = p.entries(fv.New, e.New, true, func(k K, kind LineKind, line string) bool {
 			if kind == Starts {
 				_, held := t.Rows[k]
 				if _, dup := plan.put[k]; held && !plan.gone[k] || dup {
@@ -124,8 +125,10 @@ var (
 // and every call returned true. r holds whole entries when its first
 // entry line does not continue the entry open above r, and the first
 // entry line after r does not continue the last one open in it. Lines
-// are read one by one, so what a value keeps of one pins no other.
-func (p Parser[K, V]) entries(text Text, r Range, fn func(k K, kind LineKind, line string) bool) bool {
+// are read one by one, so what a value keeps of one pins no other. A
+// line is copied only when fn folds it (fold) or it starts an entry
+// (for the key fn gets); fn gets "" for a line not copied.
+func (p Parser[K, V]) entries(text Text, r Range, fold bool, fn func(k K, kind LineKind, line string) bool) bool {
 	var key K
 	var open *K
 	k, ok, err := p.openAt(text, r.Lo)
@@ -137,8 +140,7 @@ func (p Parser[K, V]) entries(text Text, r Range, fn func(k K, kind LineKind, li
 	}
 	first := true
 	err = text.Lines(Range{r.Lo, text.Len()}, func(raw []byte, off int) error {
-		line := string(raw)
-		k, kind, err := p.Key(line, open)
+		_, kind, err := p.Key(view(raw), open)
 		switch {
 		case err != nil:
 			return err
@@ -148,8 +150,16 @@ func (p Parser[K, V]) entries(text Text, r Range, fn func(k K, kind LineKind, li
 			return errWhole
 		case off >= r.Hi:
 			return errStop
-		case kind == Starts:
-			key, open = k, &key
+		}
+		// What fn keeps must outlive raw: the copy it folds, and a
+		// Starts line's key, taken from a copy.
+		line := ""
+		if fold || kind == Starts {
+			line = string(raw)
+		}
+		if kind == Starts {
+			key, _, _ = p.Key(line, open)
+			open = &key
 		}
 		first = false
 		if !fn(key, kind, line) {
@@ -159,6 +169,10 @@ func (p Parser[K, V]) entries(text Text, r Range, fn func(k K, kind LineKind, li
 	})
 	return err == nil || err == errStop
 }
+
+// view is b as a string, without a copy, for asking Key what a line is.
+// It is valid only while b is, so nothing Key returns from it is kept.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // openAt is the key of the entry open at lo, a line boundary of text:
 // that of the nearest line above lo that starts an entry. ok is false
@@ -170,9 +184,14 @@ func (p Parser[K, V]) openAt(text Text, lo int) (key K, ok bool, err error) {
 			end--
 		}
 		start := text.lastNewline(0, end) + 1
-		k, kind, err := p.Key(text.String(Range{start, end}), nil)
-		if err != nil || kind == Starts {
-			return k, err == nil, err
+		_, kind, err := p.Key(view(text.bytes(start, end)), nil)
+		if err != nil {
+			return key, false, err
+		}
+		if kind == Starts {
+			// The key outlives the window the line was read through.
+			key, _, err = p.Key(text.String(Range{start, end}), nil)
+			return key, err == nil, err
 		}
 		hi = start
 	}
