@@ -436,11 +436,13 @@ func BenchmarkRegistration(b *testing.B) {
 	// population; lift it so arbitrarily many benchmark registrations fit.
 	d.LockExclusive()
 	db.ServerHosts.Under(d, "POP", func(sh *db.ServerHost) bool {
+		sh = db.Edit(d, db.ServerHosts, sh)
 		sh.Value2 = 0 // unlimited
 		d.NoteUpdateInternal(sh)
 		return true
 	})
 	db.Partitions.Each(d, func(p *db.NFSPhys) bool {
+		p = db.Edit(d, db.Partitions, p)
 		p.Size = 1 << 30 // room for any number of benchmark lockers
 		d.NoteUpdateInternal(p)
 		return true
@@ -611,6 +613,7 @@ func BenchmarkIndexedQuery(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					d.LockExclusive()
+					u = db.Edit(d, db.Users, u)
 					u.Shell = shells[i&1]
 					d.NoteUpdate(u)
 					d.UnlockExclusive()
@@ -672,6 +675,7 @@ func benchIncrementalDCM(b *testing.B, users int, incremental, fleet bool) {
 		// and the timed region is the generation pipeline alone.
 		sys.DB.LockExclusive()
 		db.ServerHosts.Each(sys.DB, func(sh *db.ServerHost) bool {
+			sh = db.Edit(sys.DB, db.ServerHosts, sh)
 			sh.LastSuccess = clk.Now().Unix() + 100*365*24*3600
 			sys.DB.NoteUpdateInternal(sh)
 			return true

@@ -57,7 +57,6 @@ type Conn interface {
 // is.
 type Client struct {
 	mu          sync.Mutex
-	turn        *sync.Cond // on mu: a reply stream ended or a connection died
 	w           *wire      // the connection; a dead one until a redial replaces it
 	dial        sync.Mutex // held across a redial or a redirect; taken before mu
 	clk         clock.Clock
@@ -96,10 +95,35 @@ type wire struct {
 	handed atomic.Int64 // bytes bw has passed to conn.Write, counted before the call
 
 	// Guarded by Client.mu.
-	sent, done uint64 // turns taken / reply streams read to their end
-	err        error  // why the connection died; nil while it serves
-	final      bool   // no redial will replace it: one failed, or Disconnect
-	retired    bool   // a redirect replaced it; it closes once idle
+	sent, done uint64   // turns taken / reply streams read to their end
+	parked     []parked // calls waiting for their turn, in no order
+	err        error    // why the connection died; nil while it serves
+	final      bool     // no redial will replace it: one failed, or Disconnect
+	retired    bool     // a redirect replaced it; it closes once idle
+}
+
+// parked is a call waiting on a wire until done reaches its turn or the
+// wire dies; wake gets one value for either.
+type parked struct {
+	turn uint64
+	wake chan struct{}
+}
+
+// wakes recycles parked calls' channels (buffered, one value each).
+var wakes = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// next wakes the call whose turn w.done now is, if it is parked. Only
+// that call can go on, so no other is woken. Caller holds Client.mu.
+func (w *wire) next() {
+	for i, p := range w.parked {
+		if p.turn == w.done {
+			last := len(w.parked) - 1
+			w.parked[i] = w.parked[last]
+			w.parked = w.parked[:last]
+			p.wake <- struct{}{}
+			return
+		}
+	}
 }
 
 func dialWire(addr string, timeout time.Duration) (*wire, error) {
@@ -152,9 +176,7 @@ func DialTimeout(addr string, timeout time.Duration, clk clock.Clock) (*Client, 
 		}
 		return nil, mrerr.MrConnRefused
 	}
-	c := &Client{w: w, clk: clk, addr: addr, dialTimeout: timeout}
-	c.turn = sync.NewCond(&c.mu)
-	return c, nil
+	return &Client{w: w, clk: clk, addr: addr, dialTimeout: timeout}, nil
 }
 
 // SetReadFallbacks installs a read-failover address list: when an
@@ -518,8 +540,13 @@ func (c *Client) exchange(w *wire, req *protocol.Call, cb TupleFunc, timeout tim
 		return nil, err
 	}
 	c.mu.Lock()
-	for w.err == nil && w.done != turn {
-		c.turn.Wait()
+	if w.err == nil && w.done != turn {
+		wake := wakes.Get().(chan struct{})
+		w.parked = append(w.parked, parked{turn, wake})
+		c.mu.Unlock()
+		<-wake // done reached turn, or w died
+		wakes.Put(wake)
+		c.mu.Lock()
 	}
 	err = w.err
 	c.mu.Unlock()
@@ -565,7 +592,7 @@ func (c *Client) exchange(w *wire, req *protocol.Call, cb TupleFunc, timeout tim
 		fields := rep.StringFields()
 		c.mu.Lock()
 		w.done++
-		c.turn.Broadcast()
+		w.next()
 		c.settle(w)
 		if cbErr == nil && code == mrerr.Success && len(fields) > 0 && fields[0] != "" &&
 			(req.Op == protocol.OpQuery || req.Op == protocol.OpBatch) {
@@ -655,7 +682,10 @@ func (c *Client) fail(w *wire, err error) error {
 		w.err = mrerr.MrAborted
 	}
 	w.conn.Close()
-	c.turn.Broadcast()
+	for _, p := range w.parked {
+		p.wake <- struct{}{}
+	}
+	w.parked = nil
 	return err
 }
 

@@ -12,8 +12,8 @@ import (
 // shape in the lookup tallies once: a probe of an index (by name, by id,
 // by secondary key) is a point, a wildcard pattern a range of the ordered
 // name index, a walk of every row a scan. Insert and Upsert tally the
-// lookup that checks for the row; Delete, SetKey and NoteUpdate are handed
-// their rows and read nothing. Every operation assumes the caller holds
+// lookup that checks for the row; Delete, Edit, SetKey and NoteUpdate are
+// handed their rows and read nothing. Every operation assumes the caller holds
 // the database lock: shared for reads, exclusive for mutations. The query
 // layer (internal/queries) takes it per query.
 
@@ -133,9 +133,9 @@ func (rel *Relation[R]) Delete(d *DB, rows ...*R) {
 	if len(rows) == 0 {
 		return
 	}
-	r, e := &d.relations, d.bump()
+	r, w := &d.relations, d.bump()
 	for _, row := range rows {
-		rel.drop(r, rel.idOf(r, row), row, e)
+		rel.drop(r, rel.idOf(r, row), row, w)
 	}
 	d.NoteDelete(rel.name)
 }
@@ -212,9 +212,10 @@ func (d *DB) EachUser(fn func(*User) bool) { Users.Each(d, fn) }
 func (d *DB) EachList(fn func(*List) bool) { Lists.Each(d, fn) }
 
 // IsValidType reports whether value is registered as a TYPE alias
-// translation for the named type-checked field: a scan of the aliases.
+// translation for the named type-checked field: a probe of the aliases'
+// name index.
 func (d *DB) IsValidType(field, value string) bool {
-	_, found := Aliases.First(d, func(a *Alias) bool { return *a == Alias{Name: field, Type: "TYPE", Trans: value} })
+	_, found := Aliases.Find(d, field, func(a *Alias) bool { return a.Type == "TYPE" && a.Trans == value })
 	return found
 }
 
@@ -263,10 +264,10 @@ func (d *DB) AddMember(listID int, mtype string, mid int) error {
 	if slices.Contains(d.MembersOf(listID), m) {
 		return mrerr.MrExists
 	}
-	e := d.bump()
-	push(&d.members, listID, m, e)
+	w := d.bump()
+	push(&d.members, listID, m, w)
 	if t := memberType(mtype); t >= 0 {
-		d.memberOf[t].add(idKey(mid), listID, nil, e)
+		d.memberOf[t].add(idKey(mid), listID, nil, w)
 	}
 	d.NoteAppend(TMembers)
 	return nil
@@ -278,26 +279,26 @@ func (d *DB) DeleteMember(listID int, mtype string, mid int) error {
 	if !slices.Contains(d.MembersOf(listID), m) {
 		return mrerr.MrNoMatch
 	}
-	e := d.bump()
-	pull(&d.members, listID, func(x Member) bool { return x == m }, e)
-	d.dropMembership(m, e)
+	w := d.bump()
+	pull(&d.members, listID, func(x Member) bool { return x == m }, w)
+	d.dropMembership(m, w)
 	d.NoteDelete(TMembers)
 	return nil
 }
 
 // DeleteList removes a list row and its membership rows.
 func (d *DB) DeleteList(l *List) {
-	e := d.bump()
+	w := d.bump()
 	for _, m := range d.MembersOf(l.ListID) {
-		d.dropMembership(m, e)
+		d.dropMembership(m, w)
 	}
-	d.members.del(l.ListID, e)
+	d.members.del(l.ListID, w)
 	Lists.Delete(d, l)
 }
 
 // dropMembership removes one membership row from the member index.
-func (d *DB) dropMembership(m Member, epoch int64) {
+func (d *DB) dropMembership(m Member, w stamp) {
 	if t := memberType(m.MemberType); t >= 0 {
-		d.memberOf[t].remove(idKey(m.MemberID), m.ListID, epoch)
+		d.memberOf[t].remove(idKey(m.MemberID), m.ListID, w)
 	}
 }

@@ -54,9 +54,13 @@ type DB struct {
 	// Snapshot machinery (snapshot.go). writeEpoch counts mutations; a
 	// mutation stamps the pages it touches with it, so a rebuild copies
 	// only what is newer than the served snapshot's builtEpoch and shares
-	// the rest with it.
+	// the rest with it. sharedEpoch is the build epoch of the latest
+	// frozen generation, which shares every live row not written since:
+	// freeze sets it under the shared lock, writers read it under the
+	// exclusive one.
 	isFrozen       bool
 	builtEpoch     int64
+	sharedEpoch    int64
 	writeEpoch     atomic.Int64
 	rebuildMu      sync.Mutex
 	frozen         atomic.Pointer[DB]
@@ -126,7 +130,7 @@ type relations struct {
 	services   rowset[Service]     // surrogate ids; name index
 	printcaps  rowset[Printcap]    // surrogate ids; name index
 	capacls    rowset[CapACL]      // surrogate ids; capability index
-	aliases    rowset[Alias]       // surrogate ids
+	aliases    rowset[Alias]       // surrogate ids; name index (not unique)
 	values     rowset[value]       // surrogate ids; name index
 	stats      rowset[TblStat]     // surrogate ids; table-name index
 }
@@ -187,9 +191,9 @@ func New(clk clock.Clock) *DB {
 		ops:       make(map[string]*tableOps),
 		lookups:   &lookupOps{},
 	}
-	e := d.bump()
+	w := d.bump()
 	for _, t := range AllTables {
-		d.stats.upsert(&TblStat{Table: t}, e)
+		d.stats.upsert(&TblStat{Table: t}, w)
 		d.ops[t] = &tableOps{}
 	}
 	// ID allocation hints and server state, as loaded by the db creation
@@ -199,7 +203,7 @@ func New(clk clock.Clock) *DB {
 		{"filsys_id", 100}, {"nfsphys_id", 100}, {"strings_id", 100},
 		{"uid", 6500}, {"gid", 10900}, {"def_quota", 300}, {"dcm_enable", 1},
 	} {
-		d.values.upsert(&v, e)
+		d.values.upsert(&v, w)
 	}
 	return d
 }
@@ -306,17 +310,17 @@ func (d *DB) AdoptFrom(src *DB) {
 // --- TBLSTATS maintenance. Caller must hold the exclusive lock. ---
 
 // stat returns table's stats row for the caller to update in place,
-// creating it if needed; its page is stamped.
+// creating it if needed; the row is private to the live relation and its
+// page is stamped.
 func (d *DB) stat(table string) *TblStat {
-	e := d.bump()
+	w := d.bump()
 	id, s, ok := d.stats.find(table)
 	if !ok {
 		s = &TblStat{Table: table}
-		d.stats.insert(d.stats.rows.nextID(), s, e)
+		d.stats.insert(d.stats.rows.nextID(), s, w)
 		return s
 	}
-	d.stats.rows.touch(id, s, e)
-	return s
+	return d.stats.rows.edit(id, s, w)
 }
 
 // note stamps both the wall-clock modtime (the TBLSTATS field the paper
@@ -401,25 +405,25 @@ func (d *DB) NoteAppend(table string) {
 // it changed and snapshot maintenance re-copies just that row's page.
 type Row interface {
 	// touch stamps the page of the row, which must be the live row
-	// itself, with epoch and returns the row's relation.
-	touch(d *DB, epoch int64) string
+	// itself and private to it (Edit), and returns the row's relation.
+	touch(d *DB, w stamp) string
 }
 
-func (u *User) touch(d *DB, e int64) string        { return Users.touch(d, u, e) }
-func (m *Machine) touch(d *DB, e int64) string     { return Machines.touch(d, m, e) }
-func (c *Cluster) touch(d *DB, e int64) string     { return Clusters.touch(d, c, e) }
-func (l *List) touch(d *DB, e int64) string        { return Lists.touch(d, l, e) }
-func (s *Server) touch(d *DB, e int64) string      { return Servers.touch(d, s, e) }
-func (sh *ServerHost) touch(d *DB, e int64) string { return ServerHosts.touch(d, sh, e) }
-func (f *Filesys) touch(d *DB, e int64) string     { return Filesystems.touch(d, f, e) }
-func (p *NFSPhys) touch(d *DB, e int64) string     { return Partitions.touch(d, p, e) }
-func (q *NFSQuota) touch(d *DB, e int64) string    { return Quotas.touch(d, q, e) }
-func (z *ZephyrClass) touch(d *DB, e int64) string { return ZephyrClasses.touch(d, z, e) }
-func (h *HostAccess) touch(d *DB, e int64) string  { return HostAccesses.touch(d, h, e) }
+func (u *User) touch(d *DB, w stamp) string        { return Users.touch(d, u, w) }
+func (m *Machine) touch(d *DB, w stamp) string     { return Machines.touch(d, m, w) }
+func (c *Cluster) touch(d *DB, w stamp) string     { return Clusters.touch(d, c, w) }
+func (l *List) touch(d *DB, w stamp) string        { return Lists.touch(d, l, w) }
+func (s *Server) touch(d *DB, w stamp) string      { return Servers.touch(d, s, w) }
+func (sh *ServerHost) touch(d *DB, w stamp) string { return ServerHosts.touch(d, sh, w) }
+func (f *Filesys) touch(d *DB, w stamp) string     { return Filesystems.touch(d, f, w) }
+func (p *NFSPhys) touch(d *DB, w stamp) string     { return Partitions.touch(d, p, w) }
+func (q *NFSQuota) touch(d *DB, w stamp) string    { return Quotas.touch(d, q, w) }
+func (z *ZephyrClass) touch(d *DB, w stamp) string { return ZephyrClasses.touch(d, z, w) }
+func (h *HostAccess) touch(d *DB, w stamp) string  { return HostAccesses.touch(d, h, w) }
 
 // NoteUpdate records an in-place update of row r, which the caller has
 // made (or is about to make, before releasing the exclusive lock) on
-// the live row.
+// the live row that Edit returned. It panics on a row a snapshot shares.
 func (d *DB) NoteUpdate(r Row) { d.noteUpdate(r.touch(d, d.bump())) }
 
 // noteUpdate records an update to a relation whose rows are replaced,
@@ -530,8 +534,7 @@ func (d *DB) GetValue(name string) (int, error) {
 // SetValue stores a value (creating or replacing). Exclusive lock.
 func (d *DB) SetValue(name string, v int) {
 	if id, row, ok := d.values.find(name); ok {
-		row.Value = v
-		d.values.rows.touch(id, row, d.bump())
+		d.values.rows.edit(id, row, d.bump()).Value = v
 		d.noteUpdate(TValues)
 		return
 	}
@@ -576,7 +579,7 @@ func (d *DB) AllocID(counter string) (int, error) {
 	}
 	// Deliberately not a Note*: an allocation is not a data change the
 	// DCM should chase.
+	v = d.values.rows.edit(id, v, d.bump())
 	v.Value++
-	d.values.rows.touch(id, v, d.bump())
 	return v.Value - 1, nil
 }

@@ -114,6 +114,7 @@ func TestUserCRUD(t *testing.T) {
 	if _, ok := Users.ByID(d, id); !ok {
 		t.Fatal("lookup by id failed")
 	}
+	u = Edit(d, Users, u)
 	SetKey(d, Users, u, &u.Login, "harmon")
 	if _, ok := d.UserByLogin("babette"); ok {
 		t.Error("old login still resolves")

@@ -46,10 +46,11 @@ func TestDiffYieldsChangedRows(t *testing.T) {
 	s1 := d.Reader()
 	d.LockExclusive()
 	u, _ := Users.ByID(d, 7)
+	u = Edit(d, Users, u)
 	u.Shell = "/bin/sh"
 	d.NoteUpdate(u)
 	u, _ = Users.ByID(d, 8)
-	d.NoteUpdate(u) // stamped, but equal in every column
+	d.NoteUpdate(Edit(d, Users, u)) // copied and stamped, but equal in every column
 	u, _ = Users.ByID(d, 40)
 	Users.Delete(d, u)
 	if err := Users.Insert(d, &User{UsersID: 500, Login: "new", UID: 500}); err != nil {
@@ -125,6 +126,7 @@ func TestRowDiffAllocsIndependentOfPopulation(t *testing.T) {
 		d.LockExclusive()
 		for i := 0; i < 10; i++ {
 			u, _ := Users.ByID(d, 1+i*150) // 10 rows on 10 pages
+			u = Edit(d, Users, u)
 			u.Shell = "/bin/sh"
 			d.NoteUpdate(u)
 		}

@@ -360,6 +360,7 @@ func (w *diffworld) mutate() {
 	case 3: // rename user
 		if login, ok := w.pick(w.logins); ok {
 			u, _ := d.UserByLogin(login)
+			u = Edit(d, Users, u)
 			newLogin := w.fresh("u")
 			SetKey(d, Users, u, &u.Login, newLogin)
 			d.NoteUpdate(u)
@@ -369,6 +370,7 @@ func (w *diffworld) mutate() {
 	case 4: // re-uid user
 		if login, ok := w.pick(w.logins); ok {
 			u, _ := d.UserByLogin(login)
+			u = Edit(d, Users, u)
 			SetKey(d, Users, u, &u.UID, 6500+w.rng.Intn(40))
 			d.NoteUpdate(u)
 		}
@@ -410,6 +412,7 @@ func (w *diffworld) mutate() {
 		case 1:
 			if name, ok := w.pick(w.lists); ok {
 				l, _ := d.ListByName(name)
+				l = Edit(d, Lists, l)
 				newName := w.fresh("list")
 				SetKey(d, Lists, l, &l.Name, newName)
 				d.NoteUpdate(l)
@@ -469,6 +472,7 @@ func (w *diffworld) mutate() {
 				w.deleteFilesysCascade(f)
 			} else {
 				newLabel := w.fresh("fs")
+				f = Edit(d, Filesystems, f)
 				SetKey(d, Filesystems, f, &f.Label, newLabel)
 				d.NoteUpdate(f)
 				w.labels = append(w.labels, newLabel)

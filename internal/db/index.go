@@ -93,15 +93,18 @@ type entry[K hashKey] struct {
 // hashIndex files ids under keys: a table whose row at slot s is the
 // bucket of every (key, id) entry whose key hashes to s. A key may carry
 // several ids (filesystem labels, uids); unique indexes check before
-// they add. A bucket is small and immutable: a mutation replaces it with
-// an exactly sized copy and never edits it in place.
+// they add. A bucket's entries are small and immutable: a mutation
+// builds an exactly sized new slice and never edits one in place. The
+// bucket's header is rewritten in place only while no frozen generation
+// shares it; otherwise the new slice goes into a new header (set).
 type hashIndex[K hashKey] struct {
 	table[[]entry[K]]
-	// spare holds preallocated one-entry buckets for keys landing in an
-	// empty slot, so that a sparse index (a small population) does not
-	// pay an allocation per insert. Only the live index adds. It sits
-	// behind a pointer because every frozen snapshot carries the index's
-	// header and leaves it nil.
+	// spare holds preallocated bucket headers, each with room for one
+	// entry: for keys landing in an empty slot, so that a sparse index (a
+	// small population) does not pay an allocation per insert, and for
+	// the new header of a bucket a frozen generation shares. Only the live
+	// index takes from it. It sits behind a pointer because every frozen
+	// snapshot carries the index's header and leaves it nil.
 	spare *[]box[K]
 }
 
@@ -170,13 +173,20 @@ func (x *hashIndex[K]) ids(k K) []int {
 // add files id under k. The ids under one key stay in the order less
 // puts them in (id order when less is nil), so a probe returns them
 // sorted.
-func (x *hashIndex[K]) add(k K, id int, less func(a, b int) bool, epoch int64) {
+func (x *hashIndex[K]) add(k K, id int, less func(a, b int) bool, w stamp) {
 	slot, e := k.slot(), entry[K]{k, id}
 	if b, ok := x.get(slot); ok {
-		*b = slices.Insert(slices.Clip(*b), insertAt(*b, e, less), e)
-		x.touch(slot, b, epoch)
+		x.set(slot, b, slices.Insert(slices.Clip(*b), insertAt(*b, e, less), e), w)
 		return
 	}
+	bx := x.box()
+	bx.first[0] = e
+	bx.b = bx.first[:]
+	x.put(slot, &bx.b, w)
+}
+
+// box takes a header from spare.
+func (x *hashIndex[K]) box() *box[K] {
 	if x.spare == nil {
 		x.spare = new([]box[K])
 	}
@@ -185,9 +195,22 @@ func (x *hashIndex[K]) add(k K, id int, less func(a, b int) bool, epoch int64) {
 	}
 	bx := &(*x.spare)[0]
 	*x.spare = (*x.spare)[1:]
-	bx.first[0] = e
-	bx.b = bx.first[:]
-	x.put(slot, &bx.b, epoch)
+	return bx
+}
+
+// set makes s the bucket at slot, whose header is b: in b when the live
+// index alone holds it, else in a new header from spare, leaving b to the
+// frozen generations that share it.
+func (x *hashIndex[K]) set(slot int, b *[]entry[K], s []entry[K], w stamp) {
+	if !x.shared(slot, b, w.frozen) {
+		*b = s
+		x.touch(slot, b, w)
+		return
+	}
+	bx := x.box()
+	bx.b = s
+	x.put(slot, &bx.b, w)
+	w.copies.Add(1)
 }
 
 // insertAt returns where e goes in bucket b: among the entries of its
@@ -221,7 +244,7 @@ func (x *hashIndex[K]) eachKey(fn func(K)) {
 // move refiles id from key old to key k, as a rename does. When both
 // buckets keep entries and both change, the two new buckets share one
 // allocation.
-func (x *hashIndex[K]) move(old, k K, id int, less func(a, b int) bool, epoch int64) {
+func (x *hashIndex[K]) move(old, k K, id int, less func(a, b int) bool, w stamp) {
 	from, _ := x.get(old.slot())
 	to, ok := x.get(k.slot())
 	i := -1
@@ -229,8 +252,8 @@ func (x *hashIndex[K]) move(old, k K, id int, less func(a, b int) bool, epoch in
 		i = slices.Index(*from, entry[K]{old, id})
 	}
 	if !ok || from == to || i < 0 || len(*from) == 1 {
-		x.remove(old, id, epoch)
-		x.add(k, id, less, epoch)
+		x.remove(old, id, w)
+		x.add(k, id, less, w)
 		return
 	}
 	e := entry[K]{k, id}
@@ -240,9 +263,8 @@ func (x *hashIndex[K]) move(old, k K, id int, less func(a, b int) bool, epoch in
 	at := insertAt(moved[:len(moved)-1], e, less)
 	copy(moved[at+1:], moved[at:len(moved)-1])
 	moved[at] = e
-	*from, *to = rest, moved
-	x.touch(old.slot(), from, epoch)
-	x.touch(k.slot(), to, epoch)
+	x.set(old.slot(), from, rest, w)
+	x.set(k.slot(), to, moved, w)
 }
 
 // remove drops id from under k. A bucket of a fixed slot set that
@@ -250,22 +272,21 @@ func (x *hashIndex[K]) move(old, k K, id int, less func(a, b int) bool, epoch in
 // removal costs the next reader the same page whether or not it was the
 // bucket's last entry. A bucket of a key that names its own slot goes,
 // or every id ever deleted would keep one.
-func (x *hashIndex[K]) remove(k K, id int, epoch int64) {
+func (x *hashIndex[K]) remove(k K, id int, w stamp) {
 	slot := k.slot()
 	if b, ok := x.get(slot); ok {
 		switch i := slices.Index(*b, entry[K]{k, id}); {
 		case i < 0:
 		case len(*b) == 1 && !k.fixed():
-			x.del(slot, epoch)
+			x.del(slot, w)
 		default:
-			*b = slices.Concat((*b)[:i], (*b)[i+1:])
-			x.touch(slot, b, epoch)
+			x.set(slot, b, slices.Concat((*b)[:i], (*b)[i+1:]), w)
 		}
 	}
 }
 
-func (x *hashIndex[K]) freeze(prev *hashIndex[K], since int64, copied *int) hashIndex[K] {
-	return hashIndex[K]{table: x.table.freeze(&prev.table, since, copied)}
+func (x *hashIndex[K]) freeze(prev *hashIndex[K], since int64) hashIndex[K] {
+	return hashIndex[K]{table: x.table.freeze(&prev.table, since)}
 }
 
 // audit adds to fsck's findings every bucket entry whose key hashes to
@@ -334,30 +355,30 @@ func (n *rowset[R]) find(name string) (int, *R, bool) {
 	return id, r, ok
 }
 
-func (n *rowset[R]) insert(id int, r *R, epoch int64) {
-	n.rows.put(id, r, epoch)
+func (n *rowset[R]) insert(id int, r *R, w stamp) {
+	n.rows.put(id, r, w)
 	if n.name != nil {
-		n.byName.add(strKey(n.name(r)), id, n.less, epoch)
+		n.byName.add(strKey(n.name(r)), id, n.less, w)
 	}
 }
 
 // upsert files r under its name, replacing the row that had it, and
 // reports whether there was one: the load rule for surrogate-id
 // relations, where the name is the key.
-func (n *rowset[R]) upsert(r *R, epoch int64) bool {
+func (n *rowset[R]) upsert(r *R, w stamp) bool {
 	if id, ok := n.byName.lookup(strKey(n.name(r))); ok {
-		n.rows.put(id, r, epoch)
+		n.rows.put(id, r, w)
 		return true
 	}
-	n.insert(n.rows.nextID(), r, epoch)
+	n.insert(n.rows.nextID(), r, w)
 	return false
 }
 
-func (n *rowset[R]) remove(id int, r *R, epoch int64) {
+func (n *rowset[R]) remove(id int, r *R, w stamp) {
 	if n.name != nil {
-		n.byName.remove(strKey(n.name(r)), id, epoch)
+		n.byName.remove(strKey(n.name(r)), id, w)
 	}
-	n.rows.del(id, epoch)
+	n.rows.del(id, w)
 }
 
 // names returns every name in order (from the cache).
@@ -382,24 +403,24 @@ func (n *rowset[R]) eachByName(fn func(*R) bool) {
 	}
 }
 
-func (n *rowset[R]) freeze(prev *rowset[R], since int64, copied *int) rowset[R] {
+func (n *rowset[R]) freeze(prev *rowset[R], since int64) rowset[R] {
 	f := *n
-	f.rows, f.byName = n.rows.freeze(&prev.rows, since, copied), n.byName.freeze(&prev.byName, since, copied)
+	f.rows, f.byName = n.rows.freeze(&prev.rows, since), n.byName.freeze(&prev.byName, since)
 	return f
 }
 
-// rebuild re-stamps the rows into epoch and derives the name index from
-// them.
-func (n *rowset[R]) rebuild(epoch int64) {
-	n.rows.restamp(epoch)
+// rebuild re-stamps the rows into w's epoch and derives the name index
+// from them.
+func (n *rowset[R]) rebuild(w stamp) {
+	n.rows.restamp(w.epoch)
 	n.byName = hashIndex[strKey]{}
 	if n.name != nil {
 		n.rows.eachID(func(id int, r *R) bool {
-			n.byName.add(strKey(n.name(r)), id, n.less, epoch)
+			n.byName.add(strKey(n.name(r)), id, n.less, w)
 			return true
 		})
 	}
-	n.byName.restamp(epoch)
+	n.byName.restamp(w.epoch)
 }
 
 // nameCache is a lazily built, ordered name index: the sorted keys of a
@@ -504,8 +525,8 @@ func matchNames(sorted []string, pattern string, fn func(name string) bool) {
 // stamps from the source database — and call it to re-derive the rest.
 // Caller holds the exclusive lock (or owns the DB privately).
 func (d *DB) rebuildIndexes() {
-	e := d.bump()
+	w := d.bump()
 	for _, rel := range relationList {
-		rel.rebuild(&d.relations, e)
+		rel.rebuild(&d.relations, w)
 	}
 }

@@ -22,16 +22,16 @@ import (
 
 // relation is one entry of relationList. freeze sets the relation's
 // tables in f to frozen copies of r's that share with prev every page not
-// stamped after since, and returns the rows it copied; diff walks the
+// stamped after since; diff walks the
 // rows that differ between two frozen generations (Diff); rebuild moves
 // the tables into epoch and derives the indexes; load installs one dump
 // line's row, maintaining only the indexes the load itself needs.
 type relation interface {
 	tableName() string
 	init(r *relations) // install the empty tables
-	freeze(f, r, prev *relations, since int64) int
+	freeze(f, r, prev *relations, since int64)
 	diff(a, b *relations, fn func(o, n any) bool) int
-	rebuild(r *relations, epoch int64)
+	rebuild(r *relations, w stamp)
 	audit(r *relations, add finding)
 	dump(d *DB, f *fields, w *bufio.Writer) error
 	load(d *DB, f *fields, line []byte) error
@@ -82,15 +82,15 @@ type Relation[R comparable] struct {
 type secondary[R any] interface {
 	key(row *R) int
 	valid(key int) bool // the key can be filed (hashKey.valid)
-	add(r *relations, key, id int, epoch int64)
-	remove(r *relations, key, id int, epoch int64)
-	move(r *relations, from, to, id int, epoch int64)
+	add(r *relations, key, id int, w stamp)
+	remove(r *relations, key, id int, w stamp)
+	move(r *relations, from, to, id int, w stamp)
 	// first returns the id of the first row under row's key that is row
 	// (live) or that the relation's same rule matches with row, -1 when
 	// there is none.
 	first(r *relations, row *R, live bool) int
-	freeze(f, r, prev *relations, since int64) int
-	rebuild(r *relations, epoch int64)
+	freeze(f, r, prev *relations, since int64)
+	rebuild(r *relations, w stamp)
 	audit(r *relations, add finding)
 }
 
@@ -220,7 +220,7 @@ var (
 	}
 	Aliases = &Relation[Alias]{
 		name: TAlias, of: func(r *relations) *rowset[Alias] { return &r.aliases }, cols: (*Alias).columns,
-		same: equal[Alias], loadBy: surrogate,
+		key: func(a *Alias) string { return a.Name }, same: equal[Alias], loadBy: surrogate,
 	}
 	valuesRel = &Relation[value]{
 		name: TValues, of: func(r *relations) *rowset[value] { return &r.values }, cols: (*value).columns,
@@ -254,13 +254,11 @@ func (rel *Relation[R]) tableName() string { return rel.name }
 
 func (rel *Relation[R]) init(r *relations) { *rel.of(r) = newRowset(rel.key, rel.order) }
 
-func (rel *Relation[R]) freeze(f, r, prev *relations, since int64) int {
-	copied := 0
-	*rel.of(f) = rel.of(r).freeze(rel.of(prev), since, &copied)
+func (rel *Relation[R]) freeze(f, r, prev *relations, since int64) {
+	*rel.of(f) = rel.of(r).freeze(rel.of(prev), since)
 	for _, x := range rel.indexes {
-		copied += x.freeze(f, r, prev, since)
+		x.freeze(f, r, prev, since)
 	}
-	return copied
 }
 
 // diff yields each row whose value differs, boxed as *R.
@@ -281,10 +279,10 @@ func boxed[R any](r *R) any {
 	return r
 }
 
-func (rel *Relation[R]) rebuild(r *relations, epoch int64) {
-	rel.of(r).rebuild(epoch)
+func (rel *Relation[R]) rebuild(r *relations, w stamp) {
+	rel.of(r).rebuild(w)
 	for _, x := range rel.indexes {
-		x.rebuild(r, epoch)
+		x.rebuild(r, w)
 	}
 }
 
@@ -355,14 +353,14 @@ func (rel *Relation[R]) load(d *DB, f *fields, line []byte) error {
 	if !rel.valid(row) {
 		return fmt.Errorf("db: row id out of range")
 	}
-	n, e := rel.of(&d.relations), d.bump()
+	n, w := rel.of(&d.relations), d.bump()
 	switch rel.loadBy {
 	case ownID:
-		n.rows.put(rel.id(row), row, e)
+		n.rows.put(rel.id(row), row, w)
 	case surrogate:
-		n.rows.put(n.rows.nextID(), row, e)
+		n.rows.put(n.rows.nextID(), row, w)
 	case upsert:
-		n.upsert(row, e)
+		n.upsert(row, w)
 	}
 	return nil
 }
@@ -424,41 +422,53 @@ func (rel *Relation[R]) idOf(r *relations, row *R) int {
 	panic("db: row is not in its relation")
 }
 
-// touch stamps the page of row, which must be the live row itself, with
-// epoch and returns the relation's name.
-func (rel *Relation[R]) touch(d *DB, row *R, epoch int64) string {
+// touch stamps the page of row, which must be the live row itself and
+// private to it (Edit), with w's epoch and returns the relation's name.
+func (rel *Relation[R]) touch(d *DB, row *R, w stamp) string {
 	r := &d.relations
-	rel.of(r).rows.touch(rel.idOf(r, row), row, epoch)
+	rel.of(r).rows.touch(rel.idOf(r, row), row, w)
 	return rel.name
+}
+
+// Edit returns row, a live row of rel, ready to be written in place: row
+// itself when no snapshot shares it, else a copy that takes its place in
+// the live relation. Every in-place mutation starts here, before its
+// first write, and goes on with the returned row; NoteUpdate,
+// NoteUpdateInternal and SetKey panic on a row a snapshot still shares.
+// Exclusive lock.
+func Edit[R comparable](d *DB, rel *Relation[R], row *R) *R {
+	r := &d.relations
+	return rel.of(r).rows.edit(rel.idOf(r, row), row, d.bump())
 }
 
 // add files row under id (-1: the next surrogate id) in the relation and
 // every index, and records the append.
 func (rel *Relation[R]) add(d *DB, id int, row *R) {
-	r, e := &d.relations, d.bump()
+	r, w := &d.relations, d.bump()
 	n := rel.of(r)
 	if id < 0 {
 		id = n.rows.nextID()
 	}
-	n.insert(id, row, e)
+	n.insert(id, row, w)
 	for _, x := range rel.indexes {
-		x.add(r, x.key(row), id, e)
+		x.add(r, x.key(row), id, w)
 	}
 	d.NoteAppend(rel.name)
 }
 
 // drop removes the row filed under id from the relation and every index.
-func (rel *Relation[R]) drop(r *relations, id int, row *R, epoch int64) {
+func (rel *Relation[R]) drop(r *relations, id int, row *R, w stamp) {
 	for _, x := range rel.indexes {
-		x.remove(r, x.key(row), id, epoch)
+		x.remove(r, x.key(row), id, w)
 	}
-	rel.of(r).remove(id, row, epoch)
+	rel.of(r).remove(id, row, w)
 }
 
 // SetKey sets the column of row at field, which must be its name or a
 // secondary key, to v in place, and refiles the row under every key that
-// changed. The caller has checked that a unique name is free, and records
-// the update (NoteUpdate).
+// changed. row must be private to the live relation (Edit); the caller
+// has checked that a unique name is free, and records the update
+// (NoteUpdate).
 func SetKey[R, T comparable](d *DB, rel *Relation[R], row *R, field *T, v T) {
 	r := &d.relations
 	n, id := rel.of(r), rel.idOf(r, row)
@@ -470,15 +480,15 @@ func SetKey[R, T comparable](d *DB, rel *Relation[R], row *R, field *T, v T) {
 	for i, x := range rel.indexes {
 		keys[i] = x.key(row)
 	}
+	w := d.bump()
+	n.rows.touch(id, row, w) // before the write: it panics on a shared row
 	*field = v
-	e := d.bump()
-	n.rows.touch(id, row, e)
 	if rel.key != nil && rel.key(row) != name {
-		n.byName.move(strKey(name), strKey(rel.key(row)), id, n.less, e)
+		n.byName.move(strKey(name), strKey(rel.key(row)), id, n.less, w)
 	}
 	for i, x := range rel.indexes {
 		if k := x.key(row); k != keys[i] {
-			x.move(r, keys[i], k, id, e)
+			x.move(r, keys[i], k, id, w)
 		}
 	}
 }
@@ -489,16 +499,16 @@ func (x *Index[R, K]) key(row *R) int { return int(x.col(row)) }
 
 func (x *Index[R, K]) valid(key int) bool { return K(key).valid() }
 
-func (x *Index[R, K]) add(r *relations, key, id int, e int64) {
+func (x *Index[R, K]) add(r *relations, key, id int, w stamp) {
 	rows := &x.rel.of(r).rows
-	x.of(r).add(K(key), id, func(a, b int) bool { return before(rows, x.order, a, b) }, e)
+	x.of(r).add(K(key), id, func(a, b int) bool { return before(rows, x.order, a, b) }, w)
 }
 
-func (x *Index[R, K]) remove(r *relations, key, id int, e int64) { x.of(r).remove(K(key), id, e) }
+func (x *Index[R, K]) remove(r *relations, key, id int, w stamp) { x.of(r).remove(K(key), id, w) }
 
-func (x *Index[R, K]) move(r *relations, from, to, id int, e int64) {
+func (x *Index[R, K]) move(r *relations, from, to, id int, w stamp) {
 	rows := &x.rel.of(r).rows
-	x.of(r).move(K(from), K(to), id, func(a, b int) bool { return before(rows, x.order, a, b) }, e)
+	x.of(r).move(K(from), K(to), id, func(a, b int) bool { return before(rows, x.order, a, b) }, w)
 }
 
 func (x *Index[R, K]) first(r *relations, row *R, live bool) int {
@@ -506,20 +516,18 @@ func (x *Index[R, K]) first(r *relations, row *R, live bool) int {
 	return x.of(r).find(x.col(row), func(id int) bool { o, _ := rows.get(id); return x.rel.matches(o, row, live) })
 }
 
-func (x *Index[R, K]) freeze(f, r, prev *relations, since int64) int {
-	copied := 0
-	*x.of(f) = x.of(r).freeze(x.of(prev), since, &copied)
-	return copied
+func (x *Index[R, K]) freeze(f, r, prev *relations, since int64) {
+	*x.of(f) = x.of(r).freeze(x.of(prev), since)
 }
 
-func (x *Index[R, K]) rebuild(r *relations, epoch int64) {
+func (x *Index[R, K]) rebuild(r *relations, w stamp) {
 	idx, rows := x.of(r), &x.rel.of(r).rows
 	*idx = hashIndex[K]{}
 	rows.eachID(func(id int, row *R) bool {
-		idx.add(x.col(row), id, func(a, b int) bool { return before(rows, x.order, a, b) }, epoch)
+		idx.add(x.col(row), id, func(a, b int) bool { return before(rows, x.order, a, b) }, w)
 		return true
 	})
-	idx.restamp(epoch)
+	idx.restamp(w.epoch)
 }
 
 func (x *Index[R, K]) audit(r *relations, add finding) {
@@ -537,13 +545,11 @@ func (memberRelation) tableName() string { return TMembers }
 
 func (memberRelation) init(*relations) {}
 
-func (memberRelation) freeze(f, r, prev *relations, since int64) int {
-	copied := 0
-	f.members = r.members.freeze(&prev.members, since, &copied)
+func (memberRelation) freeze(f, r, prev *relations, since int64) {
+	f.members = r.members.freeze(&prev.members, since)
 	for i := range r.memberOf {
-		f.memberOf[i] = r.memberOf[i].freeze(&prev.memberOf[i], since, &copied)
+		f.memberOf[i] = r.memberOf[i].freeze(&prev.memberOf[i], since)
 	}
-	return copied
 }
 
 // diff yields each membership added or removed, boxed as *Member, with
@@ -579,19 +585,19 @@ func (memberRelation) diff(a, b *relations, fn func(o, n any) bool) int {
 	})
 }
 
-func (memberRelation) rebuild(r *relations, epoch int64) {
-	r.members.restamp(epoch)
+func (memberRelation) rebuild(r *relations, w stamp) {
+	r.members.restamp(w.epoch)
 	r.memberOf = [len(memberTypes)]hashIndex[idKey]{}
 	r.members.eachID(func(listID int, ms *[]Member) bool {
 		for _, m := range *ms {
 			if t := memberType(m.MemberType); t >= 0 {
-				r.memberOf[t].add(idKey(m.MemberID), listID, nil, epoch)
+				r.memberOf[t].add(idKey(m.MemberID), listID, nil, w)
 			}
 		}
 		return true
 	})
 	for i := range r.memberOf {
-		r.memberOf[i].restamp(epoch)
+		r.memberOf[i].restamp(w.epoch)
 	}
 }
 

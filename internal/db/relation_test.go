@@ -145,15 +145,16 @@ func TestLookupTallyPerOperation(t *testing.T) {
 		{"ListByName", "point", func() { d.ListByName("video-users") }},
 		{"EachUser", "scan", func() { d.EachUser(all) }},
 		{"EachList", "scan", func() { d.EachList(func(*List) bool { return true }) }},
-		{"IsValidType", "scan", func() { d.IsValidType("mach_type", "VAX") }},
+		{"IsValidType", "point", func() { d.IsValidType("mach_type", "VAX") }},
 		{"InternString", "point", func() { d.InternString("rubin@media-lab.mit.edu") }},
 		{"Users.Insert taken", "point", func() { Users.Insert(d, &User{UsersID: u.UsersID, Login: "x"}) }},
 		{"MCMaps.Insert taken", "point", func() { MCMaps.Insert(d, &MCMap{MachID: m.MachID, CluID: 1}) }},
 		{"Quotas.Insert", "point", func() { Quotas.Insert(d, &NFSQuota{UsersID: u.UsersID + 1, FilsysID: f.FilsysID}) }},
 		{"Svc.Insert", "scan", func() { Svc.Insert(d, &SvcData{CluID: 1, ServLabel: "lpr", ServCluster: "x"}) }},
-		{"Aliases.Insert", "scan", func() { Aliases.Insert(d, &Alias{Name: "a", Type: "TYPE", Trans: "b"}) }},
+		{"Aliases.Insert", "point", func() { Aliases.Insert(d, &Alias{Name: "a", Type: "TYPE", Trans: "b"}) }},
 		{"Partitions.Insert", "scan", func() { Partitions.Insert(d, &NFSPhys{NFSPhysID: 999, MachID: m.MachID, Dir: "/u9"}) }},
 		{"CapACLs.Upsert", "point", func() { CapACLs.Upsert(d, &CapACL{Capability: "get_user_by_uid", Tag: "gubu"}) }},
+		{"Edit", "none", func() { u = Edit(d, Users, u) }},
 		{"SetKey", "none", func() { SetKey(d, Users, u, &u.Shell, "/bin/sh") }},
 		{"NoteUpdate", "none", func() { d.NoteUpdate(u) }},
 		{"Quotas.Delete", "none", func() { Quotas.Delete(d, extra) }},

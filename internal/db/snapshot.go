@@ -12,8 +12,8 @@ import (
 //
 // The scheme is copy-on-write, rebuilt lazily, and sized to Moira's
 // traffic: a large read-mostly catalogue with a trickle of one-row
-// writes. It has one rule, and every relation and every index keeps it
-// because every one of them is a paged table (table.go):
+// writes. It has two rules, and every relation and every index keeps
+// them because every one of them is a paged table (table.go):
 //
 //   - Every mutation advances the global write epoch (bump) and stamps
 //     the pages it changes with it: the page of a row it inserts,
@@ -22,14 +22,24 @@ import (
 //     and the page of every index bucket whose entries it changes.
 //     Mutations happen under the exclusive lock — the journal's global
 //     ordering requires a single writer.
-//   - Reader() returns the current frozen snapshot if its build epoch
-//     still matches the write epoch (the no-new-commits fast path: one
-//     atomic load). Otherwise it rebuilds: take the shared lock (which
-//     only waits out an in-flight commit) and freeze every table, which
-//     copies the pages stamped newer than the previous snapshot's build
-//     epoch and shares every other page with the previous snapshot. One
-//     write therefore costs the next reader the pages it touched,
-//     whatever the relation and whatever the population.
+//   - A snapshot shares its rows with the live database, so the live
+//     side writes in place only a row it has put or copied since the
+//     latest freeze. An in-place update starts with Edit, which copies
+//     a shared row into its slot (path copying, applied to the row);
+//     NoteUpdate and SetKey panic on a row that is still shared, so an
+//     update that skips Edit fails loudly rather than rewriting a
+//     snapshot. Index buckets and membership slices follow the same rule
+//     for their headers.
+//
+// Reader() returns the current frozen snapshot if its build epoch still
+// matches the write epoch (the no-new-commits fast path: one atomic
+// load). Otherwise it rebuilds: take the shared lock (which only waits
+// out an in-flight commit) and freeze every table, which copies the row
+// pointers of the pages stamped newer than the previous snapshot's build
+// epoch and shares every other page with the previous snapshot. One
+// write therefore costs the writer a copy of each row it edits and the
+// next reader the pages it touched, whatever the relation and whatever
+// the population; the first Reader() costs the pages, not the rows.
 //
 // Lazy rebuild is the load-bearing choice: publishing a snapshot per
 // commit would charge every write its copies, while rebuild-on-read
@@ -37,25 +47,28 @@ import (
 // writes batched up in between. Write-only phases (bulk load, replay)
 // cost zero copies.
 //
-// A frozen page copies its rows by value, and sharing is always with
-// the previous frozen snapshot, never with live pages. A row that holds
-// a slice (an index bucket, a list's membership rows) shares its backing
-// array with the live row, so live mutations never write an element a
-// frozen copy can see: they append past the slice's end or replace the
-// slice (push and pull in table.go). The sorted name caches are shared
-// by the live database and its snapshots and keyed by the stamp of the
-// index they were read from. The isFrozen latch makes every mutation
-// accessor panic on a snapshot, so a retrieve handler that mutates is a
-// loud bug, not silent corruption.
+// Pages are shared only with the previous frozen snapshot, never with
+// live pages; rows are shared with both. The trade-off is what an old
+// snapshot keeps alive: the rows later writes replaced, one per edited
+// row, rather than a copy of every row of each touched page. A row that holds a slice (an index bucket, a list's
+// membership rows) shares its backing array with every copy of the row,
+// so live mutations never write an element a frozen copy can see: they
+// append past the slice's end or replace the slice (push and pull in
+// table.go). The sorted name caches are shared by the live database and
+// its snapshots and keyed by the stamp of the index they were read from.
+// The isFrozen latch makes every mutation accessor panic on a snapshot,
+// so a retrieve handler that mutates is a loud bug, not silent
+// corruption.
 
-// bump advances the write epoch for a mutation and returns the new
-// value: the stamp for whatever the caller is changing. It invalidates
-// the served snapshot. Caller holds the exclusive lock.
-func (d *DB) bump() int64 {
+// bump advances the write epoch for a mutation and returns the stamp for
+// whatever the caller is changing: the new epoch, and the build epoch of
+// the latest frozen generation. It invalidates the served snapshot.
+// Caller holds the exclusive lock.
+func (d *DB) bump() stamp {
 	if d.isFrozen {
 		panic("db: mutation of a frozen snapshot (retrieve handlers must not write)")
 	}
-	return d.writeEpoch.Add(1)
+	return stamp{epoch: d.writeEpoch.Add(1), frozen: d.sharedEpoch, copies: &d.snapRowsCopied}
 }
 
 // Reader returns an immutable snapshot of the database for lock-free
@@ -74,15 +87,12 @@ func (d *DB) Reader() *DB {
 	}
 	d.mu.RLock()
 	start := time.Now()
-	epoch := d.writeEpoch.Load() // stable: writers are blocked
-	f, copied := d.freeze(d.frozen.Load())
-	f.builtEpoch = epoch
+	f := d.freeze(d.frozen.Load())
 	d.mu.RUnlock()
 	if h := d.freezeHist.Load(); h != nil {
 		h.Observe(time.Since(start))
 	}
 	d.snapRebuilds.Add(1)
-	d.snapRowsCopied.Add(int64(copied))
 	d.frozen.Store(f)
 	return f
 }
@@ -98,17 +108,22 @@ func (d *DB) SnapshotStats() (reads, rebuilds int64) {
 	return d.snapReads.Load(), d.snapRebuilds.Load()
 }
 
-// freeze builds a new frozen snapshot from the live database, sharing
-// with prev every page not stamped newer than prev's build epoch, and
-// reports how many rows it copied. Called with at least the shared lock
-// held; prev may be nil (copy everything).
-func (d *DB) freeze(prev *DB) (*DB, int) {
+// freeze builds a new frozen snapshot from the live database at the
+// current write epoch, sharing with prev every page not stamped newer
+// than prev's build epoch, and records that epoch as the one before which
+// every live row is shared. It is recorded here, under the shared lock:
+// a writer that ran between the lock's release and the snapshot's
+// publication would otherwise take a row the snapshot holds for private.
+// Called with the shared lock and rebuildMu held; prev may be nil (copy
+// every page).
+func (d *DB) freeze(prev *DB) *DB {
 	if prev == nil {
 		prev = &DB{builtEpoch: -1} // older than every stamp: shares nothing
 	}
 	f := &DB{
 		clk:        d.clk,
 		isFrozen:   true,
+		builtEpoch: d.writeEpoch.Load(), // stable: writers are blocked
 		seqCounter: d.seqCounter,
 		tableSeq:   maps.Clone(d.tableSeq),
 		// ops is shared: frozen code never writes it (Note* panics via
@@ -119,11 +134,11 @@ func (d *DB) freeze(prev *DB) (*DB, int) {
 		lookups: d.lookups,
 	}
 	f.adoptions.Store(d.adoptions.Load())
-	copied := 0
 	for _, rel := range relationList {
-		copied += rel.freeze(&f.relations, &d.relations, &prev.relations, prev.builtEpoch)
+		rel.freeze(&f.relations, &d.relations, &prev.relations, prev.builtEpoch)
 	}
-	return f, copied
+	d.sharedEpoch = f.builtEpoch
+	return f
 }
 
 // Diff calls fn(old, new) for every row of the relation named table that
@@ -131,10 +146,11 @@ func (d *DB) freeze(prev *DB) (*DB, int) {
 // database, until fn returns false; it returns how many pages it
 // compared. A row is a *R of the relation's row type (a *Member for the
 // members relation, one call per membership added or removed); the side
-// that lacks the row is nil. Branches and pages the two snapshots share
-// are skipped by pointer identity and rows equal in every column are not
-// reported, so the cost is what changed, and Diff allocates nothing
-// beyond what fn does.
+// that lacks the row is nil. Branches, pages and rows the two snapshots
+// share are skipped by pointer identity, and a row whose pointer differs
+// (edited or replaced) but is equal in every column is not reported, so
+// the cost is what changed, and Diff allocates nothing beyond what fn
+// does.
 func Diff(table string, old, new *DB, fn func(o, n any) bool) int {
 	for _, rel := range relationList {
 		if rel.tableName() == table {

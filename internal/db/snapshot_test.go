@@ -3,10 +3,12 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"moira/internal/clock"
 )
@@ -113,6 +115,7 @@ func TestSnapshotStability(t *testing.T) {
 
 	// Mutate live: rename the user, change its uid, add another.
 	u, _ := d.UserByLogin("stable")
+	u = Edit(d, Users, u)
 	SetKey(d, Users, u, &u.Login, "renamed")
 	d.NoteUpdate(u)
 	SetKey(d, Users, u, &u.UID, 4321)
@@ -255,6 +258,7 @@ func TestSnapshotAdoptThenWriteThenRead(t *testing.T) {
 	fill(d, 200, "old")
 	for i := 0; i < 50; i++ { // run d's epochs well ahead of src's
 		u, _ := d.UserByLogin("old007")
+		u = Edit(d, Users, u)
 		u.Shell = fmt.Sprint(i)
 		d.NoteUpdate(u)
 		d.Reader()
@@ -270,6 +274,7 @@ func TestSnapshotAdoptThenWriteThenRead(t *testing.T) {
 	if !ok {
 		t.Fatal("adopted user missing from the live database")
 	}
+	u = Edit(d, Users, u)
 	u.Shell = "/bin/after-adopt"
 	d.NoteUpdate(u)
 
@@ -287,14 +292,175 @@ func TestSnapshotAdoptThenWriteThenRead(t *testing.T) {
 		t.Error("the snapshot pinned before AdoptFrom changed")
 	}
 
-	// And the steady state resumes: the next one-row write copies a page,
-	// not the relation — the user's page, and the page of the stats row
-	// the write counts in.
+	// And the steady state resumes: the next one-row write copies two
+	// rows, not the relation — the user, and the stats row the write
+	// counts in, both shared with the snapshot read above.
 	rows := d.snapRowsCopied.Load()
+	u = Edit(d, Users, u)
 	u.Shell = "/bin/again"
 	d.NoteUpdate(u)
 	d.Reader()
-	if n, most := d.snapRowsCopied.Load()-rows, int64(fanout+d.stats.rows.len()); n == 0 || n > most {
-		t.Errorf("one-row write after adopt copied %d rows, want one page of users and the stats rows (1..%d)", n, most)
+	if n := d.snapRowsCopied.Load() - rows; n != 2 {
+		t.Errorf("one-row write after adopt copied %d rows, want the user and its stats row", n)
+	}
+}
+
+// TestWriteToSharedRowPanics: once Reader() has frozen a snapshot, every
+// live row is shared with it, and noting an in-place update of one that
+// was not edited first panics instead of rewriting the snapshot. Edit
+// copies the row once; the copy takes the same writes.
+func TestWriteToSharedRowPanics(t *testing.T) {
+	d := snapDB(t)
+	id, _ := d.AllocID("users_id")
+	if err := Users.Insert(d, &User{UsersID: id, Login: "shared", UID: 4242, Shell: "/bin/csh"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Servers.Insert(d, &Server{Name: "SHARED"}); err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Reader()
+	before := dumpAll(t, snap)
+	u, _ := d.UserByLogin("shared")
+	srv, _ := Servers.Get(d, "SHARED")
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"NoteUpdate", func() { d.NoteUpdate(u) }},
+		{"NoteUpdateInternal", func() { d.NoteUpdateInternal(srv) }},
+		{"SetKey", func() { SetKey(d, Users, u, &u.Login, "renamed") }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a row the snapshot shares did not panic", c.name)
+				}
+			}()
+			c.fn()
+		}()
+	}
+	if dumpAll(t, snap) != before {
+		t.Fatal("a refused write changed the snapshot")
+	}
+
+	e := Edit(d, Users, u)
+	if e == u {
+		t.Fatal("Edit of a shared row handed back the shared row")
+	}
+	SetKey(d, Users, e, &e.Login, "renamed")
+	e.Shell = "/bin/sh"
+	d.NoteUpdate(e)
+	if again := Edit(d, Users, e); again != e {
+		t.Error("Edit of a row private to the live database copied it again")
+	}
+	if s := Edit(d, Servers, srv); s == srv {
+		t.Error("Edit of a shared server row handed back the shared row")
+	} else {
+		s.InProgress = true
+		d.NoteUpdateInternal(s)
+	}
+	if dumpAll(t, snap) != before {
+		t.Error("an edited write changed the snapshot")
+	}
+	if _, ok := snap.UserByLogin("shared"); !ok {
+		t.Error("the snapshot lost the login")
+	}
+	now := d.Reader()
+	if got, ok := now.UserByLogin("renamed"); !ok || got.Shell != "/bin/sh" {
+		t.Errorf("the next snapshot missed the edit: %+v", got)
+	}
+	if s, _ := Servers.Get(now, "SHARED"); !s.InProgress {
+		t.Error("the next snapshot missed the internal update")
+	}
+}
+
+// TestAdoptThenWriteKeepsPinnedSnapshots: AdoptFrom moves src's rows in
+// with src's private-row masks, which count in src's epoch domain;
+// restamp drops them, so the first write after the adoption copies the
+// row. Snapshots pinned before the adoption, of d and of src, are
+// unchanged by the adoption and by a write after it.
+func TestAdoptThenWriteKeepsPinnedSnapshots(t *testing.T) {
+	fill := func(d *DB, tag string) {
+		for i := 0; i < 100; i++ {
+			id, _ := d.AllocID("users_id")
+			if err := Users.Insert(d, &User{UsersID: id, Login: fmt.Sprintf("%s%03d", tag, i), UID: 7000 + i, Shell: tag}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d := snapDB(t)
+	fill(d, "old")
+	pinnedD := d.Reader()
+	beforeD := dumpAll(t, pinnedD)
+
+	src := snapDB(t)
+	fill(src, "new")
+	pinnedSrc := src.Reader()
+	beforeSrc := dumpAll(t, pinnedSrc)
+	d.AdoptFrom(src)
+
+	u, _ := d.UserByLogin("new042")
+	e := Edit(d, Users, u)
+	if e == u {
+		t.Error("the first edit after AdoptFrom wrote the adopted row in place")
+	}
+	SetKey(d, Users, e, &e.Login, "moved")
+	SetKey(d, Users, e, &e.UID, 9999)
+	e.Shell = "/bin/after-adopt"
+	d.NoteUpdate(e)
+
+	if dumpAll(t, pinnedD) != beforeD {
+		t.Error("the snapshot of d pinned before AdoptFrom changed")
+	}
+	if dumpAll(t, pinnedSrc) != beforeSrc {
+		t.Error("the snapshot of src pinned before AdoptFrom changed")
+	}
+	if _, ok := pinnedSrc.UserByLogin("new042"); !ok {
+		t.Error("the pinned snapshot of src lost a login")
+	}
+	if got := keyed(pinnedSrc, UsersByUID, 9999); len(got) != 0 {
+		t.Errorf("the pinned snapshot of src sees a later uid: %v", dumpUsers(got))
+	}
+	snap := d.Reader()
+	if got, want := dumpAll(t, snap), dumpAll(t, d); got != want {
+		t.Errorf("snapshot after adopt+write differs from live:\n got: %.300s\nwant: %.300s", got, want)
+	}
+	if got, ok := snap.UserByLogin("moved"); !ok || got.Shell != "/bin/after-adopt" {
+		t.Errorf("snapshot after adopt+write: %+v", got)
+	}
+}
+
+// TestFirstFreezeSharesRows: the first Reader() over a populated store
+// copies the pages' row pointers, not the rows. A user is filed in three
+// tables (the rows, the login index, the uid index), and a page of 32
+// pointers is under 300 bytes, so the freeze costs about 27 bytes a
+// user; the ceiling is 32, against the 416 bytes of one user row.
+func TestFirstFreezeSharesRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const users = 20000
+	d := testDB()
+	for i := 0; i < users; i++ {
+		mod := ModInfo{Time: int64(600000000 + i), By: "root", With: "test"}
+		u := &User{UsersID: 100 + i, Login: fmt.Sprintf("user%d", i), UID: 6500 + i, Shell: "/bin/csh",
+			Last: "Fowler", First: "Harmon", Middle: "C", Status: UserActive, MITYear: "1990",
+			Fullname: "Harmon C Fowler", PoType: PoboxPOP, Mod: mod, FMod: mod, PMod: mod}
+		if err := Users.Insert(d, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	snap := d.Reader()
+	runtime.ReadMemStats(&m1)
+	perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / users
+	t.Logf("first Reader() over %d users: %d B, %.1f B a row (a user row is %d B)", users, m1.TotalAlloc-m0.TotalAlloc, perRow, unsafe.Sizeof(User{}))
+	if perRow > 32 {
+		t.Errorf("the first Reader() allocates %.1f B a row, want at most 32: it copies rows, not pointers", perRow)
+	}
+	live, _ := d.UserByLogin("user7")
+	if frozen, _ := snap.UserByLogin("user7"); frozen != live {
+		t.Error("the snapshot holds a copy of a row no write touched")
 	}
 }

@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // table is the one container every relation and every index lives in,
@@ -17,13 +18,23 @@ import (
 // Every node carries the write epoch of the last mutation beneath it.
 // That stamp is what makes snapshots page-granular: freeze shares with
 // the previous frozen generation every node whose stamp is not newer
-// than that generation's build epoch and deep-copies only the others,
-// so a one-row update costs one page of row copies plus the branch and
-// root above it, whatever the relation's population. The stamps are
-// only ordered within one database's epoch domain; restamp moves an
-// adopted table into another's.
+// than that generation's build epoch and copies only the others, so a
+// one-row update costs the next reader one page of row pointers plus the
+// branch and root above it, whatever the relation's population. The
+// stamps are only ordered within one database's epoch domain; restamp
+// moves an adopted table into another's.
 //
-// Mutators take the epoch to stamp with; the caller holds the exclusive
+// Rows are copy-on-write, and the copy falls to the writer: a frozen page
+// holds the same row pointers as the live page it was copied from, so
+// the live table may write in place only a row it has put or copied since
+// the latest freeze. Each live page keeps a mask of those private rows
+// (page.mine); edit copies a shared row into its slot before the caller
+// writes it, and touch refuses a row that is still shared. A row that
+// holds a slice (an index bucket, a list's membership rows) shares its
+// backing array with its frozen copies too: push appends past the end,
+// everything else builds a new slice.
+//
+// Mutators take the stamp to write with; the caller holds the exclusive
 // lock. The zero table is empty and ready to use.
 type table[R any] struct {
 	root  []*branch[R]
@@ -56,15 +67,36 @@ type branch[R any] struct {
 type page[R any] struct {
 	stamp int64
 	n     int // non-nil rows
-	rows  [fanout]*R
+	// mine has a bit for every row the live table put or copied since the
+	// latest freeze: the rows no frozen generation shares. It counts only
+	// while stamp is newer than that freeze (private).
+	mine uint32
+	rows [fanout]*R
 }
 
-// frozenPage is a frozen page and its rows in one allocation of a fixed
-// size: what a write→read transition pays for a touched page does not
-// depend on how full the page is.
-type frozenPage[R any] struct {
-	page[R]
-	slab [fanout]R
+// stamp is what a mutation writes with: its write epoch, which it stamps
+// on the nodes it changes, and frozen, the build epoch of the latest
+// frozen generation, which shares every row of a page stamped no later.
+// copies counts the rows mutations copy because a frozen generation
+// shares them.
+type stamp struct {
+	epoch, frozen int64
+	copies        *atomic.Int64
+}
+
+// private reports whether slot si of p holds a row no frozen generation
+// shares.
+func (p *page[R]) private(si int, frozen int64) bool {
+	return p.stamp > frozen && p.mine&(1<<si) != 0
+}
+
+// write stamps p with w's epoch, first dropping its mask when the latest
+// frozen generation shares every row the page holds.
+func (p *page[R]) write(w stamp) {
+	if p.stamp <= w.frozen {
+		p.mine = 0
+	}
+	p.stamp = w.epoch
 }
 
 // split returns the root, branch and page indexes of id's slot.
@@ -102,9 +134,9 @@ func (t *table[R]) get(id int) (*R, bool) {
 // len reports the row count.
 func (t *table[R]) len() int { return t.n }
 
-// put stores r under id, replacing any row already there. The caller
-// has checked validRowID(id).
-func (t *table[R]) put(id int, r *R, epoch int64) {
+// put stores r, a row no frozen generation holds, under id, replacing
+// any row already there. The caller has checked validRowID(id).
+func (t *table[R]) put(id int, r *R, w stamp) {
 	bi, pi, si := split(id)
 	if bi >= len(t.root) {
 		t.root = append(t.root, make([]*branch[R], bi+1-len(t.root))...)
@@ -125,12 +157,14 @@ func (t *table[R]) put(id int, r *R, epoch int64) {
 		t.n++
 	}
 	p.rows[si] = r
-	t.stamp, b.stamp, p.stamp = epoch, epoch, epoch
+	p.write(w)
+	p.mine |= 1 << si
+	t.stamp, b.stamp = w.epoch, w.epoch
 }
 
 // del removes the row with the given id, if present, dropping pages and
 // branches that empty out.
-func (t *table[R]) del(id int, epoch int64) {
+func (t *table[R]) del(id int, w stamp) {
 	b, p := t.locate(id)
 	bi, pi, si := split(id)
 	if p == nil || p.rows[si] == nil {
@@ -139,7 +173,9 @@ func (t *table[R]) del(id int, epoch int64) {
 	p.rows[si] = nil
 	p.n--
 	t.n--
-	t.stamp, b.stamp, p.stamp = epoch, epoch, epoch
+	p.write(w)
+	p.mine &^= 1 << si
+	t.stamp, b.stamp = w.epoch, w.epoch
 	if p.n == 0 {
 		b.pages[pi] = nil
 		if b.n--; b.n == 0 {
@@ -149,15 +185,43 @@ func (t *table[R]) del(id int, epoch int64) {
 }
 
 // touch records an in-place mutation of row r, which must be the row
-// stored under id: handing it a copy, or a row read from a snapshot,
-// means the mutation went somewhere no reader will ever see, which only
-// a bug can do.
-func (t *table[R]) touch(id int, r *R, epoch int64) {
+// stored under id and private to the live table. Handing it a copy, or a
+// row read from a snapshot, means the mutation went somewhere no reader
+// will ever see; handing it a row a frozen generation shares means the
+// mutation changed that generation too (edit first). Only a bug does
+// either.
+func (t *table[R]) touch(id int, r *R, w stamp) {
+	if t.shared(id, r, w.frozen) {
+		panic("db: update noted for a row a snapshot shares (Edit it before writing)")
+	}
 	b, p := t.locate(id)
+	t.stamp, b.stamp, p.stamp = w.epoch, w.epoch, w.epoch
+}
+
+// shared reports whether the row r stored under id is shared with a
+// frozen generation built at frozen. r must be the row stored under id.
+func (t *table[R]) shared(id int, r *R, frozen int64) bool {
+	_, p := t.locate(id)
 	if p == nil || p.rows[id&slotMask] != r {
 		panic("db: update noted for a row that is not in its relation")
 	}
-	t.stamp, b.stamp, p.stamp = epoch, epoch, epoch
+	return !p.private(id&slotMask, frozen)
+}
+
+// edit stamps the slot of id, which must hold r, and returns its row for
+// the caller to write in place: r itself when it is private to the live
+// table, else a copy of r put in the slot, leaving r to the frozen
+// generations that share it.
+func (t *table[R]) edit(id int, r *R, w stamp) *R {
+	if !t.shared(id, r, w.frozen) {
+		t.touch(id, r, w)
+		return r
+	}
+	c := new(R)
+	*c = *r
+	t.put(id, c, w)
+	w.copies.Add(1)
+	return c
 }
 
 // each calls fn for every row in ascending id order until fn returns
@@ -207,20 +271,20 @@ func (t *table[R]) nextID() int {
 
 // push files e under key in a table whose rows are slices, appending
 // past the end of the key's slice (see the type comment).
-func push[E any](t *table[[]E], key int, e E, epoch int64) {
+func push[E any](t *table[[]E], key int, e E, w stamp) {
 	if s, ok := t.get(key); ok {
+		s = t.edit(key, s, w)
 		*s = append(*s, e)
-		t.touch(key, s, epoch)
 		return
 	}
 	s := []E{e}
-	t.put(key, &s, epoch)
+	t.put(key, &s, w)
 }
 
 // pull removes the first element of key's slice that match accepts.
 // What is left goes into a new slice, so that a frozen copy of the old
 // one keeps its elements.
-func pull[E any](t *table[[]E], key int, match func(E) bool, epoch int64) {
+func pull[E any](t *table[[]E], key int, match func(E) bool, w stamp) {
 	s, ok := t.get(key)
 	if !ok {
 		return
@@ -228,10 +292,10 @@ func pull[E any](t *table[[]E], key int, match func(E) bool, epoch int64) {
 	switch i := slices.IndexFunc(*s, match); {
 	case i < 0:
 	case len(*s) == 1:
-		t.del(key, epoch)
+		t.del(key, w)
 	default:
+		s = t.edit(key, s, w)
 		*s = slices.Concat((*s)[:i], (*s)[i+1:])
-		t.touch(key, s, epoch)
 	}
 }
 
@@ -241,8 +305,11 @@ func pull[E any](t *table[[]E], key int, match func(E) bool, epoch int64) {
 // and returns how many pages it compared. freeze hands a later
 // generation every node that did not change since the earlier one, so a
 // root, branch or page the two share is skipped by pointer identity and
-// the walk costs what changed. Rows of a page that was re-copied reach fn
-// even when their values are equal; the caller compares them.
+// the walk costs what changed. Within a page that differs, the two share
+// every row no write copied or replaced, so a differing pointer is a row
+// that was edited, replaced, added or deleted; it reaches fn even when
+// the values are equal (an edit may write what was there), and the
+// caller compares them.
 func (a *table[R]) diff(b *table[R], fn func(o, n *R) bool) (pages int) {
 	if len(a.root) == len(b.root) && (len(a.root) == 0 || &a.root[0] == &b.root[0]) {
 		return 0
@@ -330,9 +397,10 @@ func (t *table[R]) audit(relation string, id func(*R) int, add func(table, item,
 	}
 }
 
-// restamp marks every node as mutated at epoch: the table's stamps came
-// from another database's epoch domain (AdoptFrom, a load), so no page
-// may be taken to match any earlier frozen generation.
+// restamp marks every node as mutated at epoch and every row as shared:
+// the table's stamps and masks came from another database's epoch domain
+// (AdoptFrom, a load), so no page may be taken to match any earlier frozen
+// generation, and no row to be one no snapshot holds.
 func (t *table[R]) restamp(epoch int64) {
 	t.stamp = epoch
 	for _, b := range t.root {
@@ -342,21 +410,21 @@ func (t *table[R]) restamp(epoch int64) {
 		b.stamp = epoch
 		for _, p := range b.pages {
 			if p != nil {
-				p.stamp = epoch
+				p.stamp, p.mine = epoch, 0
 			}
 		}
 	}
 }
 
-// freeze returns an immutable copy of t for a snapshot, adding the number
-// of rows it had to copy to *copied. prev is the previous frozen generation of the
-// same table, built when the write epoch was since (an empty table and
-// -1 to copy everything). A node whose stamp is not newer than since has not
-// changed since prev copied it, so prev's node stands in for it; every
-// other node is copied from live into fresh memory, rows by value (see
-// the type comment for what that means for rows holding slices). Caller
-// holds at least the shared lock.
-func (t *table[R]) freeze(prev *table[R], since int64, copied *int) table[R] {
+// freeze returns an immutable copy of t for a snapshot. prev is the
+// previous frozen generation of the same table, built when the write
+// epoch was since (an empty table and -1 to copy everything). A node
+// whose stamp is not newer than since has not changed since prev copied
+// it, so prev's node stands in for it; every other node is copied from
+// live into fresh memory. A page copy holds the live page's row pointers:
+// the rows themselves are shared, and the live table copies one before it
+// writes it (edit). Caller holds at least the shared lock.
+func (t *table[R]) freeze(prev *table[R], since int64) table[R] {
 	if t.stamp <= since {
 		return *prev
 	}
@@ -378,17 +446,7 @@ func (t *table[R]) freeze(prev *table[R], since int64, copied *int) table[R] {
 				fb.pages[pi] = prev.root[bi].pages[pi]
 				continue
 			}
-			// The page and its rows are one allocation: a frozen page's
-			// rows live and die together.
-			fp := &frozenPage[R]{page: page[R]{stamp: p.stamp, n: p.n}}
-			for i, r := range p.rows {
-				if r != nil {
-					fp.slab[i] = *r
-					fp.rows[i] = &fp.slab[i]
-				}
-			}
-			*copied += p.n
-			fb.pages[pi] = &fp.page
+			fb.pages[pi] = &page[R]{stamp: p.stamp, n: p.n, rows: p.rows}
 		}
 		f.root[bi] = fb
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -34,11 +35,11 @@ func TestTableAgainstMap(t *testing.T) {
 	for op := 0; op < 20000; op++ {
 		id := pick()
 		if rng.Intn(3) == 0 {
-			tb.del(id, int64(op))
+			tb.del(id, stamp{epoch: int64(op + 1)})
 			delete(ref, id)
 		} else {
 			r := &trow{ID: id, Val: fmt.Sprint(op)}
-			tb.put(id, r, int64(op))
+			tb.put(id, r, stamp{epoch: int64(op + 1)})
 			ref[id] = r
 		}
 		if got, ok := tb.get(id); ok != (ref[id] != nil) || got != ref[id] {
@@ -70,37 +71,44 @@ func TestTableAgainstMap(t *testing.T) {
 
 // TestTableFreezeSharesUntouchedPages is the copy-on-write contract in
 // miniature: a generation shares with its predecessor exactly the pages
-// no mutation has stamped since, never shares a row with the live
-// table, and an older generation never changes.
+// no mutation has stamped since and with the live table every row it has
+// not edited since; an edit copies a shared row once; an older
+// generation never changes.
 func TestTableFreezeSharesUntouchedPages(t *testing.T) {
 	var live table[trow]
+	var copies atomic.Int64
 	epoch := int64(0)
-	for id := 0; id < 10*fanout; id++ {
+	write := func(frozen int64) stamp {
 		epoch++
-		live.put(id, &trow{ID: id, Val: "v0"}, epoch)
+		return stamp{epoch: epoch, frozen: frozen, copies: &copies}
 	}
-	copied := 0
-	g1 := live.freeze(&table[trow]{}, -1, &copied)
-	if copied != 10*fanout {
-		t.Fatalf("first freeze copied %d rows, want all %d", copied, 10*fanout)
+	for id := 0; id < 10*fanout; id++ {
+		live.put(id, &trow{ID: id, Val: "v0"}, write(0))
 	}
+	g1 := live.freeze(&table[trow]{}, -1)
 	built := epoch
+	live.each(func(lr *trow) bool {
+		if fr, _ := g1.get(lr.ID); fr != lr {
+			t.Fatalf("row %d: the first generation copied the row instead of sharing it", lr.ID)
+		}
+		return true
+	})
 
 	// One in-place update, one delete, one insert on a brand-new page.
-	epoch++
 	r, _ := live.get(3*fanout + 1)
+	r = live.edit(r.ID, r, write(built))
 	r.Val = "v1"
-	live.touch(r.ID, r, epoch)
-	epoch++
-	live.del(5*fanout, epoch)
-	epoch++
-	live.put(40*fanout, &trow{ID: 40 * fanout, Val: "new"}, epoch)
-
-	copied = 0
-	g2 := live.freeze(&g1, built, &copied)
-	if want := fanout + (fanout - 1) + 1; copied != want {
-		t.Fatalf("second freeze copied %d rows, want the three touched pages' %d", copied, want)
+	live.touch(r.ID, r, write(built))
+	if again := live.edit(r.ID, r, write(built)); again != r {
+		t.Error("a second edit of a row copied it again")
 	}
+	live.del(5*fanout, write(built))
+	live.put(40*fanout, &trow{ID: 40 * fanout, Val: "new"}, write(built))
+	if n := copies.Load(); n != 1 {
+		t.Fatalf("one edited row made %d copies", n)
+	}
+
+	g2 := live.freeze(&g1, built)
 	for pg := 0; pg < 10; pg++ {
 		_, p1 := g1.locate(pg * fanout)
 		_, p2 := g2.locate(pg * fanout)
@@ -124,23 +132,46 @@ func TestTableFreezeSharesUntouchedPages(t *testing.T) {
 		t.Error("the new generation missed the insert")
 	}
 	live.each(func(lr *trow) bool {
-		if fr, _ := g2.get(lr.ID); fr == lr || *fr != *lr {
+		if fr, _ := g2.get(lr.ID); fr != lr {
 			t.Errorf("row %d: frozen %p %+v, live %p %+v", lr.ID, fr, fr, lr, lr)
 		}
 		return true
 	})
 
-	// No writes: the generation is handed back whole.
-	copied = 0
-	g3 := live.freeze(&g2, epoch, &copied)
-	if copied != 0 || &g3.root[0] != &g2.root[0] {
-		t.Errorf("clean freeze copied %d rows or rebuilt the root", copied)
+	// The row edited before g2 is g2's too now: touching it without a new
+	// edit panics, and the edit copies it.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("touch of a row the latest generation shares did not panic")
+			}
+		}()
+		live.touch(r.ID, r, write(epoch))
+	}()
+	if c := live.edit(r.ID, r, write(epoch)); c == r || copies.Load() != 2 {
+		t.Error("an edit after the next freeze did not copy the row")
 	}
 
-	// A restamped table matches no earlier generation.
+	// No writes since: the generation is handed back whole.
+	g3 := live.freeze(&g2, epoch)
+	g4 := live.freeze(&g3, epoch)
+	if &g4.root[0] != &g3.root[0] {
+		t.Error("clean freeze rebuilt the root")
+	}
+
+	// A restamped table matches no earlier generation, and every row in it
+	// counts as shared.
 	live.restamp(epoch + 1)
-	if live.freeze(&g3, epoch, &copied); copied != live.len() {
-		t.Errorf("freeze after restamp copied %d rows, want all %d", copied, live.len())
+	g5 := live.freeze(&g4, epoch)
+	for pg := 0; pg < 10; pg++ {
+		if _, p4 := g4.locate(pg * fanout); p4 != nil {
+			if _, p5 := g5.locate(pg * fanout); p4 == p5 {
+				t.Errorf("page %d shared across a restamp", pg)
+			}
+		}
+	}
+	if r0, _ := live.get(0); !live.shared(0, r0, epoch) {
+		t.Error("a restamped row counts as private")
 	}
 }
 

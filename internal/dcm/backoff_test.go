@@ -100,6 +100,7 @@ func testBackoffResetOnSuccess(t *testing.T, journal bool) {
 	w.clk.Advance(15 * time.Minute)
 	w.d.LockExclusive()
 	sh, _ := db.ServerHosts.Find(w.d, "SMTP", func(sh *db.ServerHost) bool { return sh.MachID == machIDByName(w.d, "ATHENA.MIT.EDU") })
+	sh = db.Edit(w.d, db.ServerHosts, sh)
 	sh.Override = true
 	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()

@@ -713,6 +713,7 @@ func (m *DCM) claimHost(snap *serviceSnapshot, machID int) bool {
 	if sh.LastSuccess >= snap.DFGen && !sh.Override {
 		return false // a concurrent pass already delivered this generation
 	}
+	sh = db.Edit(d, db.ServerHosts, sh)
 	sh.InProgress = true
 	d.NoteUpdateInternal(sh)
 	return true
@@ -728,6 +729,7 @@ func (m *DCM) claimService(name string) bool {
 	if !ok || s.InProgress || s.HardError != 0 {
 		return false
 	}
+	s = db.Edit(d, db.Servers, s)
 	s.InProgress = true
 	d.NoteUpdateInternal(s)
 	return true
@@ -802,6 +804,7 @@ func (m *DCM) setServiceFlags(name string, fn func(*db.Server)) {
 	d.LockExclusive()
 	defer d.UnlockExclusive()
 	if s, ok := db.Servers.Get(d, name); ok {
+		s = db.Edit(d, db.Servers, s)
 		fn(s)
 		d.NoteUpdateInternal(s)
 	}
@@ -814,6 +817,7 @@ func (m *DCM) setHostFlags(service string, machID int, fn func(*db.ServerHost)) 
 	d.LockExclusive()
 	defer d.UnlockExclusive()
 	if sh, ok := db.ServerHosts.Find(d, service, func(sh *db.ServerHost) bool { return sh.MachID == machID }); ok {
+		sh = db.Edit(d, db.ServerHosts, sh)
 		fn(sh)
 		d.NoteUpdateInternal(sh)
 	}

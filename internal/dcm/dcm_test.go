@@ -334,7 +334,7 @@ func testOverrideSkipsInterval(t *testing.T, journal bool) {
 	w.run()
 	// Mark one hesiod host for immediate update.
 	w.d.LockExclusive()
-	sh := firstHost(w.d, "HESIOD")
+	sh := db.Edit(w.d, db.ServerHosts, firstHost(w.d, "HESIOD"))
 	sh.Override = true
 	w.d.NoteUpdate(sh)
 	w.d.UnlockExclusive()
@@ -597,6 +597,7 @@ func testInProgressServiceSkipped(t *testing.T, journal bool) {
 	w := newWorld(t, journal, 40)
 	w.d.LockExclusive()
 	svc, _ := db.Servers.Get(w.d, "HESIOD")
+	svc = db.Edit(w.d, db.Servers, svc)
 	svc.InProgress = true
 	w.d.NoteUpdateInternal(svc)
 	w.d.UnlockExclusive()
@@ -611,6 +612,7 @@ func testInProgressServiceSkipped(t *testing.T, journal bool) {
 	}
 	// Release the lock; the next pass picks it up.
 	w.d.LockExclusive()
+	svc = db.Edit(w.d, db.Servers, svc)
 	svc.InProgress = false
 	w.d.NoteUpdateInternal(svc)
 	w.d.UnlockExclusive()
@@ -628,7 +630,7 @@ func TestDisabledHostSkipped(t *testing.T) { bothJournalStates(t, testDisabledHo
 func testDisabledHostSkipped(t *testing.T, journal bool) {
 	w := newWorld(t, journal, 40)
 	w.d.LockExclusive()
-	sh := firstHost(w.d, "ZEPHYR")
+	sh := db.Edit(w.d, db.ServerHosts, firstHost(w.d, "ZEPHYR"))
 	sh.Enable = false
 	m, _ := db.Machines.ByID(w.d, sh.MachID)
 	w.d.NoteUpdate(sh)

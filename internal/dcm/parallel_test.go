@@ -95,6 +95,7 @@ func testClaimClosesTOCTOU(t *testing.T, journal bool) {
 	machID := machIDByName(w.d, "ATHENA.MIT.EDU")
 	w.d.LockExclusive()
 	sh, _ := db.ServerHosts.Find(w.d, "SMTP", func(sh *db.ServerHost) bool { return sh.MachID == machID })
+	sh = db.Edit(w.d, db.ServerHosts, sh)
 	sh.Override = true
 	w.d.NoteUpdate(sh)
 	var snap serviceSnapshot

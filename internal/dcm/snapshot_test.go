@@ -191,3 +191,54 @@ func TestParkedBuildDoesNotBlockWrites(t *testing.T) {
 		t.Error("the next pass did not pick the write up")
 	}
 }
+
+// dumpAll renders every relation of d in backup format.
+func dumpAll(t *testing.T, d *db.DB) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, tbl := range db.AllTables {
+		if err := d.DumpTable(tbl, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
+
+// TestPassSnapshotUnchangedByFlagWrites: a pass generates from one
+// snapshot while its own claims and flag writes go to live rows that
+// snapshot shares. Each write copies its row first, so the pass's
+// snapshot stays byte-identical and the next one sees the writes.
+func TestPassSnapshotUnchangedByFlagWrites(t *testing.T) {
+	w := newWorld(t, false, 40)
+	view := w.d.Reader()
+	before := dumpAll(t, view)
+	svc, _ := db.Servers.Get(view, "HESIOD")
+	snap := serviceSnapshot{*svc}
+	snap.DFGen = 1 << 40 // newer than anything a host has installed
+	machID := firstHost(view, "HESIOD").MachID
+
+	if !w.dcm.claimService("HESIOD") {
+		t.Fatal("claimService refused an idle service")
+	}
+	if !w.dcm.claimHost(&snap, machID) {
+		t.Fatal("claimHost refused a due host")
+	}
+	w.dcm.setHostFlags("HESIOD", machID, func(sh *db.ServerHost) {
+		sh.InProgress, sh.Success, sh.LastSuccess = false, true, 12345
+	})
+	w.dcm.setServiceFlags("HESIOD", func(s *db.Server) { s.InProgress, s.DFGen = false, 777 })
+
+	if dumpAll(t, view) != before {
+		t.Fatal("the pass's snapshot changed under its own claim and flag writes")
+	}
+	now := w.d.Reader()
+	if s, _ := db.Servers.Get(now, "HESIOD"); s.DFGen != 777 || s.InProgress {
+		t.Errorf("the next snapshot missed the service flags: %+v", s)
+	}
+	if sh := firstHost(now, "HESIOD"); sh.LastSuccess != 12345 || !sh.Success || sh.InProgress {
+		t.Errorf("the next snapshot missed the host flags: %+v", sh)
+	}
+	if sh := firstHost(view, "HESIOD"); sh.LastSuccess == 12345 {
+		t.Error("the pass's snapshot sees a later host write")
+	}
+}

@@ -96,6 +96,7 @@ func (h *harness) set(k, v string) {
 	h.t.Helper()
 	h.mutate(func() {
 		if u, ok := h.d.UserByLogin(k); ok {
+			u = db.Edit(h.d, db.Users, u)
 			u.Shell = v
 			h.d.NoteUpdate(u)
 			return
@@ -111,6 +112,7 @@ func (h *harness) set(k, v string) {
 func (h *harness) update(k string, fn func(*db.User)) {
 	h.mutate(func() {
 		u, _ := h.d.UserByLogin(k)
+		u = db.Edit(h.d, db.Users, u)
 		fn(u)
 		h.d.NoteUpdate(u)
 	})

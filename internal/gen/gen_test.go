@@ -236,6 +236,7 @@ func TestNFSCredentialsRestrictedByValue3(t *testing.T) {
 	// Restrict one NFS host's credentials to the dbadmin list.
 	d.LockExclusive()
 	host, _ := db.ServerHosts.Get(d, "NFS")
+	host = db.Edit(d, db.ServerHosts, host)
 	host.Value3 = "dbadmin"
 	d.NoteUpdate(host)
 	m, _ := db.Machines.ByID(d, host.MachID)

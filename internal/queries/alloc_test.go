@@ -79,7 +79,7 @@ func TestFreezeCostIndependentOfPopulation(t *testing.T) {
 		o := &snapOracle{t: t, d: d, cx: cx, rng: rand.New(rand.NewSource(1)), hit: map[string]int{}, uidBase: 1 << 20}
 		o.logins, _ = residents(d, 1)
 		cx.TriggerDCM = func(string) {}
-		d.Reader() // the first Reader() copies everything
+		d.Reader() // the first Reader() copies every page
 		costs := map[string]cost{}
 		// A collection mid-step would empty the request pools and charge
 		// that step their refill.
@@ -127,69 +127,69 @@ func TestFreezeCostIndependentOfPopulation(t *testing.T) {
 // freezeCeilings bounds each mutating handle's write→read transition at
 // 50,000 users (see TestFreezeCostIndependentOfPopulation).
 var freezeCeilings = map[string]struct{ bytes, objects float64 }{
-	"add_alias":                   {11264, 12},
-	"add_cluster":                 {17920, 20},
-	"add_cluster_data":            {15360, 16},
-	"add_filesys":                 {22016, 20},
-	"add_list":                    {18944, 19},
-	"add_machine":                 {17408, 21},
-	"add_machine_to_cluster":      {18944, 24},
-	"add_member_to_list":          {25600, 30},
-	"add_nfs_quota":               {22016, 24},
-	"add_nfsphys":                 {15360, 16},
-	"add_printcap":                {15872, 17},
-	"add_server_host_access":      {13312, 16},
-	"add_server_host_info":        {16896, 18},
-	"add_server_info":             {18432, 17},
-	"add_service":                 {14848, 16},
-	"add_user":                    {31232, 25},
-	"add_value":                   {12800, 16},
-	"add_zephyr_class":            {16896, 16},
-	"adjust_nfsphys_allocation":   {12800, 12},
-	"delete_alias":                {10752, 11},
-	"delete_cluster":              {11264, 14},
-	"delete_cluster_data":         {15360, 15},
-	"delete_filesys":              {33792, 30},
-	"delete_list":                 {17920, 22},
-	"delete_machine":              {14336, 18},
-	"delete_machine_from_cluster": {17408, 21},
-	"delete_member_from_list":     {18944, 19},
-	"delete_nfs_quota":            {22016, 23},
-	"delete_nfsphys":              {12800, 12},
-	"delete_pobox":                {23552, 12},
-	"delete_printcap":             {15360, 14},
-	"delete_server_host_access":   {7680, 10},
-	"delete_server_host_info":     {16896, 17},
-	"delete_server_info":          {17920, 15},
-	"delete_service":              {14848, 14},
-	"delete_user":                 {28160, 19},
-	"delete_user_by_uid":          {28160, 19},
-	"delete_value":                {12288, 14},
-	"delete_zephyr_class":         {16384, 14},
-	"register_user":               {77824, 66},
-	"reset_server_error":          {15360, 12},
-	"reset_server_host_error":     {14336, 13},
-	"set_pobox":                   {30208, 22},
-	"set_pobox_pop":               {23552, 12},
-	"set_server_host_internal":    {14336, 13},
-	"set_server_host_override":    {14336, 13},
-	"set_server_internal_flags":   {15360, 12},
+	"add_alias":                   {9216, 17},
+	"add_cluster":                 {10752, 22},
+	"add_cluster_data":            {8704, 18},
+	"add_filesys":                 {10752, 21},
+	"add_list":                    {10752, 21},
+	"add_machine":                 {11264, 23},
+	"add_machine_to_cluster":      {12288, 25},
+	"add_member_to_list":          {15360, 35},
+	"add_nfs_quota":               {12288, 25},
+	"add_nfsphys":                 {8704, 17},
+	"add_printcap":                {9216, 17},
+	"add_server_host_access":      {8704, 16},
+	"add_server_host_info":        {9216, 17},
+	"add_server_info":             {9216, 18},
+	"add_service":                 {8704, 17},
+	"add_user":                    {12288, 27},
+	"add_value":                   {9216, 17},
+	"add_zephyr_class":            {9216, 17},
+	"adjust_nfsphys_allocation":   {7168, 13},
+	"delete_alias":                {8704, 15},
+	"delete_cluster":              {8704, 14},
+	"delete_cluster_data":         {8704, 17},
+	"delete_filesys":              {15360, 32},
+	"delete_list":                 {10752, 22},
+	"delete_machine":              {8704, 18},
+	"delete_machine_from_cluster": {11264, 22},
+	"delete_member_from_list":     {10752, 22},
+	"delete_nfs_quota":            {12288, 24},
+	"delete_nfsphys":              {7168, 12},
+	"delete_pobox":                {7680, 13},
+	"delete_printcap":             {8704, 15},
+	"delete_server_host_access":   {5632, 10},
+	"delete_server_host_info":     {8704, 16},
+	"delete_server_info":          {8704, 15},
+	"delete_service":              {8704, 15},
+	"delete_user":                 {10240, 19},
+	"delete_user_by_uid":          {10240, 19},
+	"delete_value":                {8704, 15},
+	"delete_zephyr_class":         {8704, 15},
+	"register_user":               {31232, 76},
+	"reset_server_error":          {7680, 13},
+	"reset_server_host_error":     {7168, 13},
+	"set_pobox":                   {12288, 25},
+	"set_pobox_pop":               {7680, 13},
+	"set_server_host_internal":    {7168, 13},
+	"set_server_host_override":    {7168, 13},
+	"set_server_internal_flags":   {7680, 13},
 	"trigger_dcm":                 {0, 0},
-	"update_cluster":              {17408, 18},
-	"update_filesys":              {22016, 19},
-	"update_finger_by_login":      {23552, 12},
-	"update_list":                 {20992, 21},
-	"update_machine":              {16896, 18},
-	"update_nfs_quota":            {16896, 16},
-	"update_nfsphys":              {12800, 12},
-	"update_server_host_access":   {11776, 12},
-	"update_server_host_info":     {14336, 13},
-	"update_server_info":          {15360, 12},
-	"update_user":                 {28160, 18},
-	"update_user_shell":           {48 << 10, 60},
-	"update_user_status":          {23552, 12},
-	"update_value":                {10240, 11},
-	"update_zephyr_class":         {20480, 19},
+	"update_cluster":              {10752, 19},
+	"update_filesys":              {10752, 19},
+	"update_finger_by_login":      {7680, 13},
+	"update_list":                 {13824, 24},
+	"update_machine":              {10240, 19},
+	"update_nfs_quota":            {9216, 18},
+	"update_nfsphys":              {7168, 13},
+	"update_server_host_access":   {7168, 13},
+	"update_server_host_info":     {7168, 13},
+	"update_server_info":          {7680, 13},
+	"update_user":                 {10752, 19},
+	"update_user_shell":           {7680, 13},
+	"update_user_status":          {7680, 13},
+	"update_value":                {7168, 13},
+	"update_zephyr_class":         {11776, 21},
 }
 
 // TestPointQueryAllocCeilings pins what one call of each handle the

@@ -140,7 +140,7 @@ func init() {
 		{Name: "update_filesys", Short: "ufil", Kind: Update,
 			In: append([]Arg{one("name", db.Filesystems, nil), rename("newname", db.Filesystems)}, filesysArgs...),
 			Do: func(r *Req) error {
-				f := obj[db.Filesys](r, 0)
+				f := db.Edit(r.DB, db.Filesystems, obj[db.Filesys](r, 0))
 				db.SetKey(r.DB, db.Filesystems, f, &f.Label, r.s[1])
 				f.Type, f.MachID, f.PhysID = r.s[2], obj[db.Machine](r, 3).MachID, r.n[4]
 				f.Name, f.Mount, f.Access, f.Comments = r.s[4], r.s[5], r.s[6], r.s[7]
@@ -161,6 +161,7 @@ func init() {
 				})
 				for _, q := range drop {
 					if p, ok := db.Partitions.ByID(d, q.PhysID); ok {
+						p = db.Edit(d, db.Partitions, p)
 						p.Allocated -= q.Quota
 						d.NoteUpdate(p)
 					}
@@ -207,7 +208,7 @@ func init() {
 		{Name: "update_nfsphys", Short: "unfp", Kind: Update,
 			In: []Arg{machine, partition("dir", mrerr.MrNFSPhys), arg("device"), num("status"), num("allocated"), num("size")},
 			Do: func(r *Req) error {
-				p := obj[db.NFSPhys](r, 1)
+				p := db.Edit(r.DB, db.Partitions, obj[db.NFSPhys](r, 1))
 				p.Device, p.Status, p.Allocated, p.Size = r.s[2], r.n[3], r.n[4], r.n[5]
 				p.Mod = r.modInfo()
 				r.DB.NoteUpdate(p)
@@ -216,7 +217,7 @@ func init() {
 		{Name: "adjust_nfsphys_allocation", Short: "ajnf", Kind: Update,
 			In: []Arg{machine, partition("dir", mrerr.MrNFSPhys), num("delta")},
 			Do: func(r *Req) error {
-				p := obj[db.NFSPhys](r, 1)
+				p := db.Edit(r.DB, db.Partitions, obj[db.NFSPhys](r, 1))
 				p.Allocated += r.n[2]
 				p.Mod = r.modInfo()
 				r.DB.NoteUpdate(p)
@@ -285,6 +286,7 @@ func init() {
 					return err
 				}
 				if p, ok := db.Partitions.ByID(r.DB, f.PhysID); ok {
+					p = db.Edit(r.DB, db.Partitions, p)
 					p.Allocated += quota
 					r.DB.NoteUpdate(p)
 				}
@@ -298,9 +300,11 @@ func init() {
 					return mrerr.MrNoMatch
 				}
 				if p, ok := db.Partitions.ByID(r.DB, q.PhysID); ok {
+					p = db.Edit(r.DB, db.Partitions, p)
 					p.Allocated += r.n[2] - q.Quota
 					r.DB.NoteUpdate(p)
 				}
+				q = db.Edit(r.DB, db.Quotas, q)
 				q.Quota, q.Mod = r.n[2], r.modInfo()
 				r.DB.NoteUpdate(q)
 				return nil
@@ -313,6 +317,7 @@ func init() {
 					return mrerr.MrNoMatch
 				}
 				if p, ok := db.Partitions.ByID(r.DB, q.PhysID); ok {
+					p = db.Edit(r.DB, db.Partitions, p)
 					p.Allocated -= q.Quota
 					r.DB.NoteUpdate(p)
 				}

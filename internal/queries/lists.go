@@ -91,7 +91,7 @@ func init() {
 		{Name: "update_list", Short: "ulis", Kind: Update, Access: listACE(0),
 			In: append([]Arg{list, rename("newname", db.Lists)}, listFlags(2, 1)...),
 			Do: func(r *Req) error {
-				l := obj[db.List](r, 0)
+				l := db.Edit(r.DB, db.Lists, obj[db.List](r, 0))
 				aceID := r.n[8]
 				if aceID < 0 {
 					aceID = l.ListID
@@ -127,6 +127,7 @@ func init() {
 				if err := r.DB.AddMember(l.ListID, r.s[1], r.n[1]); err != nil {
 					return err
 				}
+				l = db.Edit(r.DB, db.Lists, l)
 				l.Mod = r.modInfo()
 				r.DB.NoteUpdate(l)
 				return nil
@@ -137,6 +138,7 @@ func init() {
 				if err := r.DB.DeleteMember(l.ListID, r.s[1], r.n[1]); err != nil {
 					return err
 				}
+				l = db.Edit(r.DB, db.Lists, l)
 				l.Mod = r.modInfo()
 				r.DB.NoteUpdate(l)
 				return nil

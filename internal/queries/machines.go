@@ -72,6 +72,9 @@ func init() {
 					if _, dup := db.Machines.Get(r.DB, r.s[1]); dup {
 						return mrerr.MrNotUnique
 					}
+				}
+				m = db.Edit(r.DB, db.Machines, m)
+				if r.s[1] != m.Name {
 					db.SetKey(r.DB, db.Machines, m, &m.Name, r.s[1])
 				}
 				m.Type, m.Mod = r.s[2], r.modInfo()
@@ -117,7 +120,7 @@ func init() {
 		{Name: "update_cluster", Short: "uclu", Kind: Update,
 			In: []Arg{one("name", db.Clusters, nil), rename("newname", db.Clusters), arg("description"), arg("location")},
 			Do: func(r *Req) error {
-				c := obj[db.Cluster](r, 0)
+				c := db.Edit(r.DB, db.Clusters, obj[db.Cluster](r, 0))
 				if r.s[1] != c.Name {
 					db.SetKey(r.DB, db.Clusters, c, &c.Name, r.s[1])
 				}
@@ -162,6 +165,7 @@ func init() {
 				if err := db.MCMaps.Insert(r.DB, &db.MCMap{MachID: m.MachID, CluID: obj[db.Cluster](r, 1).CluID}); err != nil {
 					return err
 				}
+				m = db.Edit(r.DB, db.Machines, m)
 				m.Mod = r.modInfo()
 				r.DB.NoteUpdate(m)
 				return nil
@@ -175,6 +179,7 @@ func init() {
 					return mrerr.MrNoMatch
 				}
 				db.MCMaps.Delete(r.DB, mc)
+				m = db.Edit(r.DB, db.Machines, m)
 				m.Mod = r.modInfo()
 				r.DB.NoteUpdate(m)
 				return nil
@@ -198,6 +203,7 @@ func init() {
 				if err := db.Svc.Insert(r.DB, &db.SvcData{CluID: c.CluID, ServLabel: r.s[1], ServCluster: r.s[2]}); err != nil {
 					return err
 				}
+				c = db.Edit(r.DB, db.Clusters, c)
 				c.Mod = r.modInfo()
 				r.DB.NoteUpdate(c)
 				return nil
@@ -211,6 +217,7 @@ func init() {
 					return mrerr.MrNotUnique
 				}
 				db.Svc.Delete(r.DB, s)
+				c = db.Edit(r.DB, db.Clusters, c)
 				c.Mod = r.modInfo()
 				r.DB.NoteUpdate(c)
 				return nil

@@ -52,7 +52,7 @@ func init() {
 		{Name: "update_zephyr_class", Short: "uzcl", Kind: Update,
 			In: append([]Arg{one("class", db.ZephyrClasses, nil), rename("newclass", db.ZephyrClasses)}, zephyrACEs...),
 			Do: func(r *Req) error {
-				z := obj[db.ZephyrClass](r, 0)
+				z := db.Edit(r.DB, db.ZephyrClasses, obj[db.ZephyrClass](r, 0))
 				if r.s[1] != z.Class {
 					db.SetKey(r.DB, db.ZephyrClasses, z, &z.Class, r.s[1])
 				}
@@ -88,7 +88,7 @@ func init() {
 		{Name: "update_server_host_access", Short: "usha", Kind: Update,
 			In: []Arg{{Name: "machine", Kind: aHostAccess, Canon: hostname, Rel: db.Machines}, ace("ace_type"), arg("ace_name")},
 			Do: func(r *Req) error {
-				h := obj[db.HostAccess](r, 0)
+				h := db.Edit(r.DB, db.HostAccesses, obj[db.HostAccess](r, 0))
 				h.ACLType, h.ACLID, h.Mod = r.s[1], r.n[1], r.modInfo()
 				r.DB.NoteUpdate(h)
 				return nil

@@ -81,7 +81,7 @@ func init() {
 			}},
 		{Name: "update_server_info", Short: "usin", Kind: Update, In: serviceInfo(server), Access: serviceACE(0),
 			Do: func(r *Req) error {
-				s := obj[db.Server](r, 0)
+				s := db.Edit(r.DB, db.Servers, obj[db.Server](r, 0))
 				s.UpdateInt, s.TargetFile, s.Script = r.n[1], r.s[2], r.s[3]
 				s.Type, s.Enable = r.s[4], r.flag(5)
 				s.ACLType, s.ACLID = r.s[6], r.n[6]
@@ -91,7 +91,7 @@ func init() {
 			}},
 		{Name: "reset_server_error", Short: "rsve", Kind: Update, In: []Arg{server}, Access: serviceACE(0),
 			Do: func(r *Req) error {
-				s := obj[db.Server](r, 0)
+				s := db.Edit(r.DB, db.Servers, obj[db.Server](r, 0))
 				s.HardError, s.ErrMsg, s.DFCheck = 0, "", s.DFGen
 				s.Mod = r.modInfo()
 				r.DB.NoteUpdate(s)
@@ -100,7 +100,7 @@ func init() {
 		{Name: "set_server_internal_flags", Short: "ssif", Kind: Update,
 			In: []Arg{server, num("dfgen"), num("dfcheck"), flag("inprogress"), num("harderr"), arg("errmsg")},
 			Do: func(r *Req) error {
-				s := obj[db.Server](r, 0)
+				s := db.Edit(r.DB, db.Servers, obj[db.Server](r, 0))
 				s.DFGen, s.DFCheck = int64(r.n[1]), int64(r.n[2])
 				s.InProgress, s.HardError, s.ErrMsg = r.flag(3), r.n[4], r.s[5]
 				// The service modtime is NOT set (paper); nor is the change
@@ -150,7 +150,7 @@ func init() {
 		{Name: "update_server_host_info", Short: "ushi", Kind: Update, Access: serviceACE(0),
 			In: []Arg{server, host(true), flag("enable"), num("value1"), num("value2"), arg("value3")},
 			Do: func(r *Req) error {
-				sh := obj[db.ServerHost](r, 1)
+				sh := db.Edit(r.DB, db.ServerHosts, obj[db.ServerHost](r, 1))
 				sh.Enable, sh.Value1, sh.Value2, sh.Value3 = r.flag(2), r.n[3], r.n[4], r.s[5]
 				sh.Mod = r.modInfo()
 				r.DB.NoteUpdate(sh)
@@ -158,14 +158,14 @@ func init() {
 			}},
 		{Name: "reset_server_host_error", Short: "rshe", Kind: Update, In: []Arg{server, host(false)}, Access: serviceACE(0),
 			Do: func(r *Req) error {
-				sh := obj[db.ServerHost](r, 1)
+				sh := db.Edit(r.DB, db.ServerHosts, obj[db.ServerHost](r, 1))
 				sh.HostError, sh.HostErrMsg, sh.Mod = 0, "", r.modInfo()
 				r.DB.NoteUpdate(sh)
 				return nil
 			}},
 		{Name: "set_server_host_override", Short: "ssho", Kind: Update, In: []Arg{server, host(false)}, Access: serviceACE(0),
 			Do: func(r *Req) error {
-				sh := obj[db.ServerHost](r, 1)
+				sh := db.Edit(r.DB, db.ServerHosts, obj[db.ServerHost](r, 1))
 				sh.Override, sh.Mod = true, r.modInfo()
 				r.DB.NoteUpdate(sh)
 				if r.TriggerDCM != nil {
@@ -177,7 +177,7 @@ func init() {
 			In: []Arg{server, host(false), flag("override"), flag("success"), flag("inprogress"),
 				num("hosterror"), arg("errmsg"), num("lasttry"), num("lastsuccess")},
 			Do: func(r *Req) error {
-				sh := obj[db.ServerHost](r, 1)
+				sh := db.Edit(r.DB, db.ServerHosts, obj[db.ServerHost](r, 1))
 				sh.Override, sh.Success, sh.InProgress = r.flag(2), r.flag(3), r.flag(4)
 				sh.HostError, sh.HostErrMsg = r.n[5], r.s[6]
 				sh.LastTry, sh.LastSuccess = int64(r.n[7]), int64(r.n[8])

@@ -224,9 +224,11 @@ func sameWalk[R comparable](t *testing.T, after, what string, live, snap *db.DB,
 	same(t, after, what, rows(live), rows(snap))
 }
 
-// same requires two accessor results to hold equal rows in equal order
-// without sharing any: a snapshot handing out a live row would be a
-// data race waiting for the next in-place update.
+// same requires two accessor results to hold equal rows in equal order.
+// The snapshot may hand out the live row itself: rows are copy-on-write,
+// and the live database copies a row a snapshot shares before it writes
+// it (db.Edit). A write into a shared row shows up in the pinned
+// snapshot's dump after the step (run), or as NoteUpdate's panic.
 func same[R comparable](t *testing.T, after, what string, live, snap []*R) {
 	t.Helper()
 	if len(live) != len(snap) {
@@ -235,9 +237,6 @@ func same[R comparable](t *testing.T, after, what string, live, snap []*R) {
 	for i := range live {
 		if *live[i] != *snap[i] {
 			t.Fatalf("after %s: %s[%d]: live %+v, snapshot %+v", after, what, i, *live[i], *snap[i])
-		}
-		if live[i] == snap[i] {
-			t.Fatalf("after %s: %s[%d]: snapshot shares the live row", after, what, i)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func init() {
 				arg("last"), arg("first"), arg("middle"), num("state"), arg("mitid"),
 				typed("class", "class", mrerr.MrBadClass)},
 			Do: func(r *Req) error {
-				u := obj[db.User](r, 0)
+				u := db.Edit(r.DB, db.Users, obj[db.User](r, 0))
 				if r.s[1] != u.Login {
 					db.SetKey(r.DB, db.Users, u, &u.Login, r.s[1])
 				}
@@ -135,14 +135,14 @@ func init() {
 			}},
 		{Name: "update_user_shell", Short: "uush", Kind: Update, In: []Arg{login(), arg("shell")}, Access: self(0),
 			Do: func(r *Req) error {
-				u := obj[db.User](r, 0)
+				u := db.Edit(r.DB, db.Users, obj[db.User](r, 0))
 				u.Shell, u.Mod = r.s[1], r.modInfo()
 				r.DB.NoteUpdate(u)
 				return nil
 			}},
 		{Name: "update_user_status", Short: "uust", Kind: Update, In: []Arg{login(), num("status")},
 			Do: func(r *Req) error {
-				u := obj[db.User](r, 0)
+				u := db.Edit(r.DB, db.Users, obj[db.User](r, 0))
 				u.Status, u.Mod = r.n[1], r.modInfo()
 				r.DB.NoteUpdate(u)
 				return nil
@@ -168,7 +168,7 @@ func init() {
 			In: []Arg{login(), arg("fullname"), arg("nickname"), arg("home_addr"), arg("home_phone"),
 				arg("office_addr"), arg("office_phone"), arg("department"), arg("affiliation")},
 			Do: func(r *Req) error {
-				u := obj[db.User](r, 0)
+				u := db.Edit(r.DB, db.Users, obj[db.User](r, 0))
 				u.Fullname, u.Nickname = r.s[1], r.s[2]
 				u.HomeAddr, u.HomePhone = r.s[3], r.s[4]
 				u.OfficeAddr, u.OfficePhone = r.s[5], r.s[6]
@@ -200,13 +200,14 @@ func init() {
 				if _, ok := db.Machines.ByID(r.DB, u.PopID); !ok || u.PopID == 0 {
 					return mrerr.MrMachine
 				}
+				u = db.Edit(r.DB, db.Users, u)
 				u.PoType, u.PMod = db.PoboxPOP, r.modInfo()
 				r.DB.NoteUpdate(u)
 				return nil
 			}},
 		{Name: "delete_pobox", Short: "dpob", Kind: Update, In: []Arg{login()}, Access: self(0),
 			Do: func(r *Req) error {
-				u := obj[db.User](r, 0)
+				u := db.Edit(r.DB, db.Users, obj[db.User](r, 0))
 				u.PoType, u.PMod = db.PoboxNone, r.modInfo()
 				r.DB.NoteUpdate(u)
 				return nil
@@ -242,14 +243,17 @@ func setPobox(r *Req) error {
 		if !ok {
 			return mrerr.MrMachine
 		}
+		u = db.Edit(d, db.Users, u)
 		u.PoType, u.PopID = db.PoboxPOP, m.MachID
 	case db.PoboxSMTP:
 		id, err := d.InternString(r.s[2])
 		if err != nil {
 			return err
 		}
+		u = db.Edit(d, db.Users, u)
 		u.PoType, u.BoxID = db.PoboxSMTP, id
 	case db.PoboxNone:
+		u = db.Edit(d, db.Users, u)
 		u.PoType = db.PoboxNone
 	default:
 		return mrerr.MrType
@@ -321,6 +325,7 @@ func deleteUser(r *Req, u *db.User, requireStatus0 bool) error {
 	// delete_user_by_uid deletes associated quotas silently.
 	for _, q := range quotas {
 		if p, ok := db.Partitions.ByID(d, q.PhysID); ok {
+			p = db.Edit(d, db.Partitions, p)
 			p.Allocated -= q.Quota
 			d.NoteUpdate(p)
 		}
@@ -500,10 +505,12 @@ func registerUser(r *Req) error {
 	}); err != nil {
 		return err
 	}
+	part = db.Edit(d, db.Partitions, part)
 	part.Allocated += defQuota
 	d.NoteUpdate(part)
 
 	// Pobox and account state.
+	u, po = db.Edit(d, db.Users, u), db.Edit(d, db.ServerHosts, po)
 	if login != u.Login {
 		db.SetKey(d, db.Users, u, &u.Login, login)
 	}

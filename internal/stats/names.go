@@ -29,7 +29,7 @@ var KnownNames = []string{
 	"db.*", // per-table append/update/delete mirrors
 	"snap.reads",
 	"snap.rebuilds",
-	"snap.rows.copied", // paged-relation rows deep-copied by rebuilds
+	"snap.rows.copied", // rows and bucket headers writes copied because a snapshot shared them
 	"snap.freeze.duration",
 
 	// durable journal (internal/db jwriter)
