@@ -152,6 +152,7 @@ func TestLookupTallyPerOperation(t *testing.T) {
 		{"Quotas.Insert", "point", func() { Quotas.Insert(d, &NFSQuota{UsersID: u.UsersID + 1, FilsysID: f.FilsysID}) }},
 		{"Svc.Insert", "scan", func() { Svc.Insert(d, &SvcData{CluID: 1, ServLabel: "lpr", ServCluster: "x"}) }},
 		{"Aliases.Insert", "point", func() { Aliases.Insert(d, &Alias{Name: "a", Type: "TYPE", Trans: "b"}) }},
+		{"Aliases.Find", "point", func() { Aliases.Find(d, "a", func(a *Alias) bool { return a.Trans == "b" }) }},
 		{"Partitions.Insert", "scan", func() { Partitions.Insert(d, &NFSPhys{NFSPhysID: 999, MachID: m.MachID, Dir: "/u9"}) }},
 		{"CapACLs.Upsert", "point", func() { CapACLs.Upsert(d, &CapACL{Capability: "get_user_by_uid", Tag: "gubu"}) }},
 		{"Edit", "none", func() { u = Edit(d, Users, u) }},

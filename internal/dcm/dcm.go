@@ -28,9 +28,11 @@ import (
 )
 
 // ScriptBuilder produces the installation instruction sequence for one
-// host of a service. destDir is the service record's script field, which
-// this implementation uses as the installation directory on the host.
-type ScriptBuilder func(s *db.Server, host string, data []byte) []string
+// host of a service, given the names of the bundle's members in tar
+// order (update.Bundle.Members). destDir is the service record's script
+// field, which this implementation uses as the installation directory
+// on the host.
+type ScriptBuilder func(s *db.Server, host string, members []string) []string
 
 // Config configures a DCM.
 type Config struct {
@@ -229,20 +231,18 @@ func (m *DCM) maxRetries() int {
 // The service record's script field names the installation directory on
 // the target host.
 var DefaultScripts = map[string]ScriptBuilder{
-	"HESIOD": func(s *db.Server, host string, data []byte) []string {
+	"HESIOD": func(s *db.Server, host string, members []string) []string {
 		return gen.HesiodInstallScript(s.TargetFile, s.Script)
 	},
-	"NFS": func(s *db.Server, host string, data []byte) []string {
-		parts := partitionsInBundle(data)
-		return gen.NFSInstallScript(s.TargetFile, s.Script, parts)
+	"NFS": func(s *db.Server, host string, members []string) []string {
+		return gen.NFSInstallScript(s.TargetFile, s.Script, partitionsInBundle(members))
 	},
-	"SMTP": func(s *db.Server, host string, data []byte) []string {
+	"SMTP": func(s *db.Server, host string, members []string) []string {
 		return gen.MailInstallScript(s.TargetFile, s.Script)
 	},
-	"ZEPHYR": func(s *db.Server, host string, data []byte) []string {
-		names, _ := update.ListTar(data)
+	"ZEPHYR": func(s *db.Server, host string, members []string) []string {
 		var acls []string
-		for _, n := range names {
+		for _, n := range members {
 			if strings.HasSuffix(n, ".acl") {
 				acls = append(acls, n)
 			}
@@ -253,13 +253,9 @@ var DefaultScripts = map[string]ScriptBuilder{
 
 // partitionsInBundle recovers the partition list from an NFS bundle's
 // member names (<base>.quotas).
-func partitionsInBundle(data []byte) []string {
-	names, err := update.ListTar(data)
-	if err != nil {
-		return nil
-	}
+func partitionsInBundle(members []string) []string {
 	var parts []string
-	for _, n := range names {
+	for _, n := range members {
 		if base, ok := strings.CutSuffix(n, ".quotas"); ok {
 			parts = append(parts, "/"+strings.ReplaceAll(base, "_", "/"))
 		}
@@ -649,7 +645,7 @@ func (m *DCM) pushOnce(snap *serviceSnapshot, h hostSnapshot, b *update.Bundle, 
 	script := m.cfg.Scripts[snap.Name]
 	var lines []string
 	if script != nil {
-		lines = script(&snap.Server, h.name, b.Data)
+		lines = script(&snap.Server, h.name, b.Members)
 	}
 	var creds *kerberos.Credentials
 	if m.cfg.Creds != nil {

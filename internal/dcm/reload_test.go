@@ -1,28 +1,38 @@
 package dcm
 
 import (
+	"archive/tar"
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"moira/internal/db"
 	"moira/internal/gen"
 	"moira/internal/queries"
+	"moira/internal/update"
 	"moira/internal/workload"
+	"moira/internal/zephyr"
 )
 
 // TestServiceReloadOracle is the oracle for the services' delta reloads:
-// across randomized mutate/pass sequences over the world's hesiod, NFS
-// and mailhub hosts — with crashes injected at before-xfer, after-xfer,
-// before-execute and every instr-N, once (the pass's retry recovers) or
-// for a whole pass, re-pushes of an unchanged bundle, and reloads run
-// by hand with no push view — every service whose host's last push
-// succeeded must hold exactly what a from-scratch parse of that host's
-// installed files gives. Two hesiod hosts feed one server, and each NFS
-// host runs install_nfs once per partition against one credentials
-// file.
+// across randomized mutate/pass sequences over the world's hesiod, NFS,
+// mailhub and zephyr hosts — with crashes injected at before-xfer,
+// after-xfer, before-execute and every instr-N, once (the pass's retry
+// recovers) or for a whole pass, re-pushes of an unchanged bundle, and
+// reloads run by hand with no push view — every service whose host's
+// last push succeeded must hold exactly what a from-scratch parse of
+// that host's installed files gives. Two hesiod hosts feed one server,
+// and each NFS host runs install_nfs once per partition against one
+// credentials file. Each zephyr host, whose reload re-reads its ACL
+// directory from disk, must also hold every ACL file of the bundle at
+// its target byte for byte: the extracts that found their member in
+// place left the right files behind.
 func TestServiceReloadOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runReloadOracle(t, seed) })
@@ -65,6 +75,41 @@ func runReloadOracle(t *testing.T, seed int64) {
 		t.Fatalf("hosts: hesiod %v, nfs %v, mail %v", hes.hosts, nfs.hosts, smtp.hosts)
 	}
 
+	// The zephyr hosts, each with a broker of its own, draw their changes,
+	// crashes and overrides from a stream of their own, so the other
+	// services see the sequence they saw before zephyr joined the oracle.
+	// A changed zephyr bundle goes whole (each ACL file is one model
+	// entry, remade with its key), so its extracts find their members in
+	// place on the re-pushes of an unchanged bundle: overrides and the
+	// retries after a crash.
+	zr := rand.New(rand.NewSource(seed + 100))
+	zeph := &svc{name: "ZEPHYR", dir: "/etc/athena/zephyr"}
+	var zephTarget string
+	var classes []string
+	w.d.LockShared()
+	for _, sh := range hostsOf(w.d, "ZEPHYR") {
+		m, _ := db.Machines.ByID(w.d, sh.MachID)
+		zeph.hosts = append(zeph.hosts, m.Name)
+	}
+	if s, ok := db.Servers.Get(w.d, "ZEPHYR"); ok {
+		zephTarget = s.TargetFile
+	}
+	db.ZephyrClasses.Each(w.d, func(z *db.ZephyrClass) bool {
+		classes = append(classes, z.Class)
+		return true
+	})
+	w.d.UnlockShared()
+	brokers := map[string]*zephyr.Broker{}
+	for _, h := range zeph.hosts {
+		brokers[h] = zephyr.NewBroker(w.clk)
+		zephyr.AttachToAgent(w.agents[h], brokers[h])
+	}
+	zeph.verify = func(h string) error { return verifyZephyr(w.agents[h], brokers[h], zephTarget, zeph.dir) }
+	if len(zeph.hosts) != 3 || zephTarget == "" || len(classes) == 0 {
+		t.Fatalf("zephyr: hosts %v, target %q, classes %v", zeph.hosts, zephTarget, classes)
+	}
+	checked := append(services[:len(services):len(services)], zeph)
+
 	// lastOK reports whether host's last push of service succeeded; a
 	// host whose last push failed legitimately serves what it held
 	// before, whatever the crash left on disk.
@@ -77,7 +122,7 @@ func runReloadOracle(t *testing.T, seed int64) {
 	verified := map[string]int{}
 	check := func(round int) {
 		t.Helper()
-		for _, s := range services {
+		for _, s := range checked {
 			for _, h := range s.hosts {
 				if !lastOK(s.name, h) {
 					continue
@@ -149,6 +194,24 @@ func runReloadOracle(t *testing.T, seed int64) {
 					}
 				}
 			}
+			switch zr.Intn(3) {
+			case 0: // one class's ACEs: one ACL file changes, comes or goes
+				xmt, sub := []string{"LIST", "zephyr-operators"}, []string{"NONE", "NONE"}
+				if zr.Intn(2) == 0 {
+					xmt = []string{"USER", logins[zr.Intn(len(logins))]}
+				}
+				if zr.Intn(2) == 0 {
+					sub = []string{"USER", logins[zr.Intn(len(logins))]}
+				}
+				class := classes[zr.Intn(len(classes))]
+				args := append(append([]string{class, class}, xmt...), sub...)
+				try("update_zephyr_class", append(args, "NONE", "NONE", "NONE", "NONE")...)
+			case 1: // the operators list: every class's transmit ACL
+				u := logins[zr.Intn(len(logins))]
+				if !try("add_member_to_list", "zephyr-operators", "USER", u) {
+					try("delete_member_from_list", "zephyr-operators", "USER", u)
+				}
+			}
 			w.clk.Advance(25 * time.Hour)
 		}
 
@@ -167,6 +230,18 @@ func runReloadOracle(t *testing.T, seed int64) {
 		if rng.Intn(2) == 0 {
 			w.agents[host].SetCrashPoint(crash.hook)
 		}
+		zhost := zeph.hosts[zr.Intn(len(zeph.hosts))]
+		if zr.Intn(2) == 0 {
+			zstages := []string{"before-xfer", "after-xfer", "before-execute"}
+			for i := 0; i <= 8*len(classes); i++ {
+				zstages = append(zstages, fmt.Sprintf("instr-%d", i))
+			}
+			zcrash := &crashCounter{stage: zstages[zr.Intn(len(zstages))], left: 1}
+			if zr.Intn(3) == 0 {
+				zcrash.left = -1
+			}
+			w.agents[zhost].SetCrashPoint(zcrash.hook)
+		}
 		if override {
 			// No change since the last generation: the override host is
 			// re-pushed the bundle it holds.
@@ -178,10 +253,12 @@ func runReloadOracle(t *testing.T, seed int64) {
 					}
 				}
 			}
+			w.query("set_server_host_override", "ZEPHYR", zeph.hosts[zr.Intn(len(zeph.hosts))])
 			w.clk.Advance(time.Minute)
 		}
 		w.run()
 		w.agents[host].SetCrashPoint(nil)
+		w.agents[zhost].SetCrashPoint(nil)
 		check(round)
 
 		// Now and then an operator reloads a healthy host by hand: no
@@ -205,10 +282,62 @@ func runReloadOracle(t *testing.T, seed int64) {
 	if lockers == 0 {
 		t.Error("no new locker reached an NFS host")
 	}
-	for _, s := range services {
+	for _, s := range checked {
 		if verified[s.name] < 20 {
 			t.Errorf("%s verified only %d times", s.name, verified[s.name])
 		}
 	}
-	t.Logf("verified %v; %d users and %d lockers added", verified, len(added), lockers)
+	var kept int64
+	for _, h := range zeph.hosts {
+		kept += w.agents[h].Registry().Counter("update.extracts.kept").Value()
+	}
+	if kept == 0 {
+		t.Error("no zephyr extract found its member in place")
+	}
+	t.Logf("verified %v; %d users and %d lockers added; %d zephyr extracts kept", verified, len(added), lockers, kept)
+}
+
+// verifyZephyr checks a zephyr host: every ACL file of the bundle at its
+// target is installed in dir byte for byte, and its broker holds for
+// each of their classes what a from-scratch load of dir gives.
+func verifyZephyr(a *update.Agent, b *zephyr.Broker, target, dir string) error {
+	bundle, err := a.ReadHostFile(target)
+	if err != nil {
+		return err
+	}
+	classes := map[string]bool{}
+	tr := tar.NewReader(bytes.NewReader(bundle))
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		want, err := io.ReadAll(tr)
+		if err != nil {
+			return err
+		}
+		got, err := a.ReadHostFile(dir + "/" + hdr.Name)
+		if err != nil || !bytes.Equal(got, want) {
+			return fmt.Errorf("%s: %d bytes installed (%v), the bundle holds %d", hdr.Name, len(got), err, len(want))
+		}
+		fn := strings.TrimSuffix(hdr.Name, ".acl")
+		classes[fn[:strings.LastIndexByte(fn, '.')]] = true
+	}
+	fp, err := a.HostPath(dir)
+	if err != nil {
+		return err
+	}
+	fresh := zephyr.NewBroker(nil)
+	if err := fresh.LoadACLDir(fp); err != nil {
+		return err
+	}
+	for class := range classes {
+		if got, want := b.ACLOf(class), fresh.ACLOf(class); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("class %s: broker holds %+v, the installed files give %+v", class, got, want)
+		}
+	}
+	return nil
 }

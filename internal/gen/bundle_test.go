@@ -15,11 +15,11 @@ import (
 
 // TestBundleEditsMakeTheBundle: across randomized mutations and planner
 // passes, with services skipping rounds so a Scratch's last render falls
-// behind its model, every bundle FromModelInto renders carries its sum,
-// and its edits make it byte for byte from the bundle the same Scratch
-// rendered last under its key when they name that bundle's sum as their
-// base; otherwise the base is the empty file and the edit is the whole
-// bundle. Edits must be the common case.
+// behind its model, every bundle FromModelInto renders carries its sum
+// and its member names, and its edits make it byte for byte from the
+// bundle the same Scratch rendered last under its key when they name
+// that bundle's sum as their base; otherwise the base is the empty file
+// and the edit is the whole bundle. Edits must be the common case.
 func TestBundleEditsMakeTheBundle(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runBundleEdits(t, seed) })
@@ -63,6 +63,7 @@ func runBundleEdits(t *testing.T, seed int64) {
 			if b.Sum != sha256.Sum256(b.Data) {
 				t.Fatalf("%s %q: bundle's sum is not its bytes'", svc, key)
 			}
+			bundleMembers(t, b)
 			prev, ok := last[svc+"/"+key]
 			switch {
 			case ok && b.Base == sha256.Sum256(prev):

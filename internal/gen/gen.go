@@ -206,6 +206,7 @@ func FromModelInto(m *extract.Model, s *Scratch) (*Result, error) {
 		} else {
 			b.Sum = sha256.Sum256(tarball)
 		}
+		b.Members = bundles[key].members
 		r.Bundles[strings.TrimPrefix(key, "/")] = b
 		prev.versions = prev.versions[:0]
 		for _, name := range names {

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"archive/tar"
+	"bytes"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -24,6 +27,28 @@ func popDB(t *testing.T, users int) (*db.DB, *clock.Fake) {
 	return d, clk
 }
 
+// bundleMembers returns b's member names, failing unless they are the
+// names an archive/tar walk of its bytes finds, in order.
+func bundleMembers(t *testing.T, b *update.Bundle) []string {
+	t.Helper()
+	var names []string
+	tr := tar.NewReader(bytes.NewReader(b.Data))
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, hdr.Name)
+	}
+	if !slices.Equal(b.Members, names) {
+		t.Fatalf("Bundle.Members = %v, the tar holds %v", b.Members, names)
+	}
+	return names
+}
+
 func TestHesiodGeneratesElevenFiles(t *testing.T) {
 	d, _ := popDB(t, 100)
 	res, err := Generate(d, HesiodIncremental)
@@ -33,10 +58,7 @@ func TestHesiodGeneratesElevenFiles(t *testing.T) {
 	if res.NumFiles != 11 {
 		t.Errorf("NumFiles = %d, want 11", res.NumFiles)
 	}
-	names, err := update.ListTar(res.Common)
-	if err != nil {
-		t.Fatal(err)
-	}
+	names := bundleMembers(t, res.Bundles[""])
 	want := map[string]bool{
 		"cluster.db": true, "filsys.db": true, "gid.db": true, "group.db": true,
 		"grplist.db": true, "passwd.db": true, "pobox.db": true,
@@ -190,11 +212,8 @@ func TestNFSPerHostBundles(t *testing.T) {
 	if len(res.PerHost) == 0 {
 		t.Fatal("no per-host bundles")
 	}
-	for host, data := range res.PerHost {
-		names, err := update.ListTar(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for host := range res.PerHost {
+		names := bundleMembers(t, res.Bundles[host])
 		hasCreds, hasQuotas, hasDirs := false, false, false
 		for _, n := range names {
 			switch {

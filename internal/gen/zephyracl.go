@@ -116,8 +116,8 @@ func zephyrEmit(d *db.DB, m *extract.Model, key string) {
 }
 
 // ZephyrInstallScript extracts every ACL file and reloads the server.
-// The member list is derived from the bundle on the agent side via the
-// registered reload command, so the script stays fixed.
+// The DCM passes aclFiles from the bundle's member names
+// (update.Bundle.Members).
 func ZephyrInstallScript(target, destDir string, aclFiles []string) []string {
 	var script []string
 	for _, f := range aclFiles {

@@ -313,3 +313,27 @@ func TestServerAndZephyrPatternsUseNameIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteAliasProbesNameIndex: delete_alias finds its row with one
+// probe of the alias name index, whether the row is there or not, and
+// scans nothing.
+func TestDeleteAliasProbesNameIndex(t *testing.T) {
+	f := newFixture(t)
+	for _, trans := range []string{"one", "two"} {
+		f.mustRun(t, f.priv, "add_alias", "al", "FILESYS", trans)
+	}
+	for _, c := range []struct {
+		trans string
+		err   error
+	}{{"two", nil}, {"two", mrerr.MrNoMatch}, {"one", nil}} {
+		p0, r0, s0 := f.d.LookupStats()
+		_, err := f.run(f.priv, "delete_alias", "al", "FILESYS", c.trans)
+		p1, r1, s1 := f.d.LookupStats()
+		if err != c.err {
+			t.Errorf("delete_alias al %s: %v, want %v", c.trans, err, c.err)
+		}
+		if p1-p0 != 1 || r1 != r0 || s1 != s0 {
+			t.Errorf("delete_alias al %s: %d point probes, %d range walks, %d scans; want 1, 0, 0", c.trans, p1-p0, r1-r0, s1-s0)
+		}
+	}
+}

@@ -167,7 +167,7 @@ func init() {
 		{Name: "delete_alias", Short: "dali", Kind: Delete, In: []Arg{arg("name"), arg("type"), arg("translation")},
 			Do: func(r *Req) error {
 				want := db.Alias{Name: r.s[0], Type: r.s[1], Trans: r.s[2]}
-				a, ok := db.Aliases.First(r.DB, func(a *db.Alias) bool { return *a == want })
+				a, ok := db.Aliases.Find(r.DB, want.Name, func(a *db.Alias) bool { return *a == want })
 				if !ok {
 					return mrerr.MrNoMatch
 				}

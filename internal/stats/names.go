@@ -126,6 +126,7 @@ var KnownNames = []string{
 	"update.chunks.pushed", // edits shipped (the name predates edit pushes)
 	"update.chunks.reused", // runs of the old file kept unchanged
 	"update.base.mismatch", // pushes refused: the target was not the edits' base
+	"update.extracts.kept", // extracts that found their member already in place
 	"update.conns.busy",
 	"update.conns.forceclosed",
 	"update.panics.recovered",

@@ -111,12 +111,43 @@ type Agent struct {
 	// ln accepts, drains and force-closes the connections.
 	ln *protocol.Listener
 
+	// root is Root cleaned, ending in a separator: every host path
+	// starts with it.
+	root string
+
+	// What the agent keeps between pushes, in memory only, read and
+	// written only by the session holding the host lock. assembled maps
+	// a target's host path to the bundle last assembled there, placed a
+	// destination's host path to the member the last install put there.
+	assembled map[string]bundleIndex
+	placed    map[string]placement
+
 	reg    *stats.Registry
 	tracer *trace.Tracer
 }
 
+// bundleIndex is a bundle's sum and the index of its members' data
+// (indexTar), built from bytes checked against that sum.
+type bundleIndex struct {
+	sum   Sum
+	index map[string]Range
+}
+
+// placement is what an install put at a destination: member of the
+// bundle whose sum is sum, in the file fi describes (its inode, size
+// and mtime right after the rename).
+type placement struct {
+	sum    Sum
+	member string
+	fi     os.FileInfo
+}
+
 // NewAgent creates an update agent for a host rooted at dir.
 func NewAgent(host, dir string, verifier *kerberos.Verifier) *Agent {
+	root := filepath.Clean(dir)
+	if !strings.HasSuffix(root, string(os.PathSeparator)) {
+		root += string(os.PathSeparator)
+	}
 	return &Agent{
 		Host: host, Root: dir, Verifier: verifier,
 		ReadTimeout: 30 * time.Second,
@@ -125,6 +156,9 @@ func NewAgent(host, dir string, verifier *kerberos.Verifier) *Agent {
 		sem:         make(chan struct{}, 1),
 		ln:          protocol.NewListener(),
 		reg:         stats.NewRegistry(),
+		root:        root,
+		assembled:   make(map[string]bundleIndex),
+		placed:      make(map[string]placement),
 	}
 }
 
@@ -205,14 +239,25 @@ func (a *Agent) HealthProbe() health.Status {
 
 // HostPath resolves a host path inside the agent root, refusing one
 // that escapes it (UpdBadInstr). Every instruction and registered
-// command reaches the host's files through it.
+// command reaches the host's files through it. The path it returns is
+// the one string it allocates for a clean p.
 func (a *Agent) HostPath(p string) (string, error) {
-	clean := filepath.Join(a.Root, filepath.FromSlash(strings.TrimPrefix(p, "/")))
-	if !strings.HasPrefix(clean, filepath.Clean(a.Root)+string(os.PathSeparator)) &&
-		clean != filepath.Clean(a.Root) {
+	clean := filepath.Clean(a.root + filepath.FromSlash(strings.TrimLeft(p, "/")))
+	if !strings.HasPrefix(clean, a.root) && clean != a.root[:len(a.root)-1] {
 		return "", mrerr.UpdBadInstr
 	}
 	return clean, nil
+}
+
+// filePath is HostPath for an instruction's destination, which names a
+// file in the root, never the root itself: its staging and backup
+// names sit beside it.
+func (a *Agent) filePath(p string) (string, error) {
+	fp, err := a.HostPath(p)
+	if err == nil && len(fp) < len(a.root) {
+		err = mrerr.UpdBadInstr
+	}
+	return fp, err
 }
 
 // ReadHostFile reads a file from the host's private filesystem, for
@@ -266,8 +311,15 @@ type updateSession struct {
 	// install is the exec commands' view of the transfer, reading the
 	// staged bundle and the one it replaced through the handles the
 	// transfer opened: nil until a transfer in this session succeeds,
-	// added to by each extract, closed with the session.
-	install *Install
+	// added to by each extract, closed with the session. installed is
+	// the host path the transfer assembled it at.
+	install   *Install
+	installed string
+
+	// kept holds the destinations (host paths) whose last extract in
+	// this session found the member already in place and wrote nothing;
+	// their install and revert do nothing.
+	kept map[string]bool
 
 	// xfer is the transfer between OpUBegin and OpUAssemble, to
 	// xferTarget; a session that ends without assembling it removes its
@@ -276,11 +328,16 @@ type updateSession struct {
 	xferTarget string
 }
 
-// end closes the session's view of its transfer and abandons a transfer
+// end closes the session's view of its transfer, keeping the index of
+// its bundle's members if an extract built one, and abandons a transfer
 // it did not assemble.
 func (s *updateSession) end() {
+	if in := s.install; in != nil && in.newIndex != nil {
+		s.agent.assembled[s.installed] = bundleIndex{in.sum, in.newIndex}
+	}
 	s.install.Close()
 	s.install = nil
+	clear(s.kept)
 	s.abandon()
 }
 
@@ -555,7 +612,7 @@ func (s *updateSession) edits(req *protocol.Request) mrerr.Code {
 			code = s.xfer.apply(off, n, req.Args[i+2])
 		}
 		if code != mrerr.Success {
-			s.failed(code)
+			s.failed(s.xfer, code)
 			return code
 		}
 	}
@@ -570,9 +627,10 @@ func uint63(b []byte) (int, bool) {
 	return int(binary.BigEndian.Uint64(b)), true
 }
 
-// failed abandons a transfer that failed with code, counting a base
-// mismatch.
-func (s *updateSession) failed(code mrerr.Code) {
+// failed abandons a transfer that failed with code, forgetting the
+// index of the bundle its target held and counting a base mismatch.
+func (s *updateSession) failed(x *xfer, code mrerr.Code) {
+	delete(s.agent.assembled, x.fp)
 	s.abandon()
 	if code == mrerr.UpdBaseMismatch {
 		s.agent.reg.Counter("update.base.mismatch").Inc()
@@ -582,7 +640,9 @@ func (s *updateSession) failed(code mrerr.Code) {
 // assemble finishes the transfer (xfer.assemble): the staged file is
 // checked and renamed over the target. The staging file stays open as
 // the session's view of the new bundle, the target's old inode as its
-// view of the old one.
+// view of the old one. When the verified base is the bundle the agent
+// last assembled there, the view takes that bundle's kept member index
+// instead of walking its headers again.
 func (s *updateSession) assemble(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
@@ -596,11 +656,14 @@ func (s *updateSession) assemble(req *protocol.Request) mrerr.Code {
 
 	in, code := x.assemble()
 	if code != mrerr.Success {
-		s.failed(code)
+		s.failed(x, code)
 		return code
 	}
-	s.target = target
-	s.install = in
+	if k, ok := s.agent.assembled[x.fp]; ok && k.sum == in.base {
+		in.oldIndex = k.index
+	}
+	delete(s.agent.assembled, x.fp)
+	s.target, s.install, s.installed = target, in, x.fp
 	// Staged files and their sizes, the edits that made them and the
 	// runs of the old file they kept.
 	reg := s.agent.reg
@@ -662,9 +725,15 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		if len(fields) != 2 {
 			return mrerr.UpdBadInstr
 		}
-		fp, err := a.HostPath(fields[1])
+		fp, err := a.filePath(fields[1])
 		if err != nil {
 			return mrerr.UpdBadInstr
+		}
+		if s.kept[fp] { // the file is already the new bundle's member
+			p := a.placed[fp]
+			p.sum = s.install.sum
+			a.placed[fp] = p
+			return mrerr.Success
 		}
 		staged := fp + updateSuffix
 		if _, err := os.Stat(staged); err != nil {
@@ -675,22 +744,28 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 		if err := os.Rename(fp, fp+backupSuffix); err != nil && !os.IsNotExist(err) {
 			return mrerr.UpdRename
 		}
+		delete(a.placed, fp)
 		if err := os.Rename(staged, fp); err != nil {
 			return mrerr.UpdRename
 		}
+		s.place(fp, fields[1])
 		return mrerr.Success
 
 	case "revert": // revert <path>: put the old file back
 		if len(fields) != 2 {
 			return mrerr.UpdBadInstr
 		}
-		fp, err := a.HostPath(fields[1])
+		fp, err := a.filePath(fields[1])
 		if err != nil {
 			return mrerr.UpdBadInstr
+		}
+		if s.kept[fp] { // the install replaced nothing
+			return mrerr.Success
 		}
 		if _, err := os.Stat(fp + backupSuffix); err != nil {
 			return mrerr.UpdNoRevert
 		}
+		delete(a.placed, fp)
 		if err := os.Rename(fp+backupSuffix, fp); err != nil {
 			return mrerr.UpdRename
 		}
@@ -727,23 +802,36 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 // extract writes one member of the staged bundle to <dest>.moira_update,
 // found in the session's one index of the bundle's headers, copied from
 // the staged file file to file: no part of the member is read into a
-// buffer on the way.
+// buffer on the way. A member already in place at dest (inPlace) is
+// not written: dest is marked kept.
 func (s *updateSession) extract(fields []string) mrerr.Code {
 	if len(fields) != 3 || s.install == nil {
 		return mrerr.UpdBadInstr
 	}
-	r, ok := s.install.member(fields[1])
+	member, dest := fields[1], fields[2]
+	r, ok := s.install.member(member)
 	if !ok {
 		return mrerr.UpdNoFile
 	}
-	fp, err := s.agent.HostPath(fields[2] + updateSuffix)
+	fp, err := s.agent.filePath(dest)
 	if err != nil {
 		return mrerr.UpdBadInstr
 	}
-	f, err := os.Create(fp)
+	if s.inPlace(fp, member, r) {
+		if s.kept == nil {
+			s.kept = map[string]bool{}
+		}
+		s.kept[fp] = true
+		s.install.extracted(member, dest)
+		s.agent.reg.Counter("update.extracts.kept").Inc()
+		return mrerr.Success
+	}
+	delete(s.kept, fp)
+	staged := fp + updateSuffix
+	f, err := os.Create(staged)
 	if os.IsNotExist(err) {
-		if err = os.MkdirAll(filepath.Dir(fp), 0o755); err == nil {
-			f, err = os.Create(fp)
+		if err = os.MkdirAll(filepath.Dir(staged), 0o755); err == nil {
+			f, err = os.Create(staged)
 		}
 	}
 	if err != nil {
@@ -756,8 +844,46 @@ func (s *updateSession) extract(fields []string) mrerr.Code {
 	if err != nil {
 		return mrerr.MrInternal
 	}
-	s.install.extracted(fields[1], fields[2])
+	s.install.extracted(member, dest)
 	return mrerr.Success
+}
+
+// inPlace reports whether the file at host path fp already holds
+// member, whose data is nr in the new bundle: the last install there
+// put member of the push's verified base, the push left the member's
+// bytes as they were, and the file still has the inode, size and mtime
+// the install left it with. A change made to the file outside the
+// update protocol that keeps all three goes unseen.
+func (s *updateSession) inPlace(fp, member string, nr Range) bool {
+	in := s.install
+	p, ok := s.agent.placed[fp]
+	if !ok || p.sum != in.base || p.member != member {
+		return false
+	}
+	or, ok := in.oldMember(member)
+	if !ok || or.Hi-or.Lo != nr.Hi-nr.Lo {
+		return false
+	}
+	if es, ok := memberEdits(in.edits, or, nr); !ok || len(es) > 0 {
+		return false
+	}
+	fi, err := os.Lstat(fp)
+	return err == nil && os.SameFile(fi, p.fi) && fi.Size() == p.fi.Size() && fi.ModTime().Equal(p.fi.ModTime())
+}
+
+// place records what the install just renamed to host path fp: the
+// member this session last extracted to dest, if it extracted one.
+func (s *updateSession) place(fp, dest string) {
+	member, ok := "", false
+	if s.install != nil {
+		member, ok = s.install.members[cleanDest(dest)]
+	}
+	if !ok {
+		return
+	}
+	if fi, err := os.Lstat(fp); err == nil {
+		s.agent.placed[fp] = placement{sum: s.install.sum, member: member, fi: fi}
+	}
 }
 
 // exec runs a registered command: the service's own reload, handed the

@@ -88,20 +88,22 @@ func warmPushAllocs(t *testing.T, members, total int) (uint64, int) {
 }
 
 // warmPushCeiling bounds a warm re-push whatever the bundle's size:
-// frames, hashes, tar headers, file handles; 57-295 KiB measured at 1
-// and 8 MiB with a chunk transport, which needed more.
-const warmPushCeiling = 512 << 10
+// frames, hashes, the new bundle's tar headers, a stat per member; 10-42
+// KiB measured at 1 and 8 MiB, every extract finding its member in
+// place (13-63 KiB when each rewrote its member), rounded up to a power
+// of two.
+const warmPushCeiling = 64 << 10
 
 // TestExtractAllocsIndependentOfMemberCount: the agent streams a push
-// into its staged file and extracts members from that file, found in
-// one index of its headers, so a warm re-push allocates neither the
-// bundle nor a copy of any member: a member adds only the file-system
-// bookkeeping of its extract and install (path strings, stat results,
-// a file handle).
+// into its staged file, finds members in one index of its headers and
+// keeps the old bundle's index from the push before, so a warm re-push
+// allocates neither the bundle nor a copy of any member: a member adds
+// only the bookkeeping of its extract and install, which find it in
+// place (its script lines, a path string, a stat result).
 func TestExtractAllocsIndependentOfMemberCount(t *testing.T) {
-	// 3.1 KiB measured; a member is 64 KiB of a 1 MiB bundle split 16
-	// ways.
-	const perMember = 4 << 10
+	// 1.45 KiB measured (3.0 KiB when each extract rewrote its member);
+	// a member is 64 KiB of a 1 MiB bundle split 16 ways.
+	const perMember = 2 << 10
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}

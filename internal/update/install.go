@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path"
+	"strings"
 
 	"moira/internal/mrerr"
 )
@@ -22,12 +23,14 @@ import (
 // session that transferred nothing): services then read from disk.
 type Install struct {
 	old, new     Text // the bundles the target held before and holds now
+	base, sum    Sum  // their sums; base is zero when old is empty
 	oldID, newID string
 	edits        []Edit // the edits that made new from old, in order
 
 	// oldIndex and newIndex map each bundle's member names to their data
-	// (Lo < 0: not a plain file), built by one header walk on first use:
-	// the session's extracts and views share newIndex.
+	// (Lo < 0: not a plain file), built by one header walk on first use,
+	// unless the agent kept oldIndex from the push that assembled old:
+	// the session's extracts and views share both.
 	oldIndex, newIndex map[string]Range
 
 	members map[string]string // cleaned dest -> member
@@ -130,7 +133,8 @@ type Edit struct{ Old, New Range }
 func NewInstall(oldBundle, newBundle []byte, members map[string]string) *Install {
 	in := newInstall(TextOf(newBundle), sha256.Sum256(newBundle), []Edit{{New: Range{0, len(newBundle)}}})
 	if len(oldBundle) > 0 {
-		in.old, in.oldID = TextOf(oldBundle), Sum(sha256.Sum256(oldBundle)).String()
+		in.old, in.base = TextOf(oldBundle), sha256.Sum256(oldBundle)
+		in.oldID = in.base.String()
 		in.edits = nil
 		if e, ok := diffBundles(oldBundle, newBundle); ok {
 			in.edits = []Edit{{Old: Range{e.Off, e.Off + e.Len}, New: Range{e.Off, e.Off + len(e.Data)}}}
@@ -210,6 +214,7 @@ func (in *Install) Close() error {
 func newInstall(new Text, sum Sum, edits []Edit) *Install {
 	return &Install{
 		new:     new,
+		sum:     sum,
 		newID:   sum.String(),
 		edits:   edits,
 		members: map[string]string{},
@@ -217,7 +222,14 @@ func newInstall(new Text, sum Sum, edits []Edit) *Install {
 	}
 }
 
-func cleanDest(dest string) string { return path.Clean("/" + dest) }
+// cleanDest is dest as an absolute clean path, allocating only when it
+// is not one already.
+func cleanDest(dest string) string {
+	if strings.HasPrefix(dest, "/") {
+		return path.Clean(dest)
+	}
+	return path.Clean("/" + dest)
+}
 
 // extracted records that the session extracted member to dest.
 func (in *Install) extracted(member, dest string) {
@@ -245,11 +257,8 @@ func (in *Install) File(dest string) (f *File, ok bool) {
 		return nil, false
 	}
 	f = &File{New: in.new.Sub(nr), NewID: in.newID, OldID: in.oldID}
-	if in.oldIndex == nil {
-		in.oldIndex = indexTar(in.old, in.old.Len())
-	}
 	exact := []Edit{{New: Range{0, f.New.Len()}}}
-	if or, ok := in.oldIndex[member]; ok && or.Lo >= 0 {
+	if or, ok := in.oldMember(member); ok {
 		f.Old = in.old.Sub(or)
 		exact[0].Old.Hi = f.Old.Len()
 		if es, ok := memberEdits(in.edits, or, nr); ok {
@@ -268,6 +277,15 @@ func (in *Install) member(name string) (Range, bool) {
 		in.newIndex = indexTar(in.new, in.new.Len())
 	}
 	r, ok := in.newIndex[name]
+	return r, ok && r.Lo >= 0
+}
+
+// oldMember is member for the bundle the target held before.
+func (in *Install) oldMember(name string) (Range, bool) {
+	if in.oldIndex == nil {
+		in.oldIndex = indexTar(in.old, in.old.Len())
+	}
+	r, ok := in.oldIndex[name]
 	return r, ok && r.Lo >= 0
 }
 

@@ -33,12 +33,15 @@ type Splice struct {
 
 // Bundle is a data file ready to push: its bytes and sum, and the edits
 // that make it from the bundle whose sum is Base, in order of Off. It is
-// built once however many hosts (and retries) it goes to.
+// built once however many hosts (and retries) it goes to. Members names
+// a tar bundle's members in tar order, for the install scripts; nil
+// when the builder did not record them.
 type Bundle struct {
-	Data  []byte
-	Sum   Sum
-	Base  Sum
-	Edits []Splice
+	Data    []byte
+	Sum     Sum
+	Base    Sum
+	Edits   []Splice
+	Members []string
 }
 
 // NewBundle is a bundle of data whose base is the empty file: it goes

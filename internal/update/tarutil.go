@@ -152,15 +152,3 @@ func plainFile(hdr *tar.Header) bool {
 	}
 	return true
 }
-
-// ListTar returns the member names of a tar archive in order.
-func ListTar(archive []byte) ([]string, error) {
-	var names []string
-	err := walkTar(bytes.NewReader(archive), len(archive), func(name string, _ Range, _ bool) {
-		names = append(names, name)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return names, nil
-}

@@ -1,12 +1,14 @@
 package update
 
 import (
+	"archive/tar"
 	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -30,10 +32,7 @@ func TestTarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := ListTar(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	names := tarNames(t, archive)
 	if len(names) != 2 || names[0] != "passwd.db" { // sorted
 		t.Errorf("names = %v", names)
 	}
@@ -46,6 +45,24 @@ func TestTarRoundTrip(t *testing.T) {
 	}
 	if _, err := ExtractMember(archive, "ghost.db"); err != mrerr.UpdNoFile {
 		t.Errorf("missing member err = %v", err)
+	}
+}
+
+// tarNames walks archive's headers with archive/tar and returns its
+// member names in order.
+func tarNames(t *testing.T, archive []byte) []string {
+	t.Helper()
+	var names []string
+	tr := tar.NewReader(bytes.NewReader(archive))
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			return names
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, hdr.Name)
 	}
 }
 
@@ -258,6 +275,18 @@ func TestPathEscapeRejected(t *testing.T) {
 		[]string{"extract f ../../outside"})
 	if err != mrerr.UpdBadInstr {
 		t.Errorf("escape err = %v", err)
+	}
+}
+
+// TestRootIsNoDestination: extract, install and revert name a file
+// inside the agent root, never the root itself, whose staging and backup
+// names would sit outside it.
+func TestRootIsNoDestination(t *testing.T) {
+	_, push := rig(t)
+	for _, instr := range []string{"extract f /", "install /", "revert //", "install ."} {
+		if err := push(map[string][]byte{"f": []byte("x")}, []string{instr}); err != mrerr.UpdBadInstr {
+			t.Errorf("%s: err = %v, want UPD_BAD_INSTR", instr, err)
+		}
 	}
 }
 
@@ -496,8 +525,7 @@ func TestPropertyTarRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		listed, err := ListTar(archive)
-		if err != nil || len(listed) != len(files) {
+		if len(tarNames(t, archive)) != len(files) {
 			return false
 		}
 		for n, want := range files {

@@ -151,7 +151,7 @@ func (x *xfer) assemble() (*Install, mrerr.Code) {
 	}
 	in := newInstall(fileText(x.staged, x.n), x.sum, x.edits)
 	if x.old != nil {
-		in.old, in.oldID = fileText(x.old, x.oldLen), x.base.String()
+		in.old, in.base, in.oldID = fileText(x.old, x.oldLen), x.base, x.base.String()
 	}
 	return in, mrerr.Success
 }
