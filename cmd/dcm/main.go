@@ -34,7 +34,6 @@ func main() {
 		retries  = flag.Int("retries", 0, "in-pass soft-failure retries per host (0 = default, negative = none)")
 		pushTO   = flag.Duration("push-timeout", 0, "per-host update deadline; a slower host counts as a soft failure (0 = default 30s)")
 		latency  = flag.Duration("host-latency", 0, "inject this much real service delay into every update agent (demo of the parallel push)")
-		fullEv   = flag.Int("full-every", 0, "force a full rebuild every N generating passes per service (0 = never)")
 		verbose  = flag.Bool("v", false, "log every DCM action")
 		debug    = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, expvar, and pprof on this HTTP address")
 	)
@@ -50,7 +49,6 @@ func main() {
 		DCMMaxRetries:       *retries,
 		DCMPushTimeout:      *pushTO,
 		DCMIncremental:      true,
-		DCMFullEvery:        *fullEv,
 	}
 	if *verbose {
 		opts.Logf = log.Printf

@@ -78,10 +78,7 @@ type Options struct {
 	// database and hand it to the DCM, whose Loop then wakes on every
 	// append. The planner patches per-service keyed models from
 	// snapshot diffs either way.
-	// DCMFullEvery forces a full rebuild every N generating passes per
-	// service (0 disables the cadence).
 	DCMIncremental bool
-	DCMFullEvery   int
 
 	// Connection-lifecycle knobs for the Moira server (see
 	// server.Config): per-request read and write deadlines, the
@@ -304,7 +301,6 @@ func Boot(opts Options) (*System, error) {
 		MaxParallelHosts:    opts.DCMParallelHosts,
 		MaxRetries:          opts.DCMMaxRetries,
 		Journal:             s.Journal,
-		FullEvery:           opts.DCMFullEvery,
 	})
 
 	// The registration server.

@@ -61,11 +61,8 @@ type lockedRand struct {
 	rnd *rand.Rand
 }
 
-func newLockedRand(seed int64) *lockedRand {
-	if seed == 0 {
-		seed = 1
-	}
-	return &lockedRand{rnd: rand.New(rand.NewSource(seed))}
+func newLockedRand() *lockedRand {
+	return &lockedRand{rnd: rand.New(rand.NewSource(1))}
 }
 
 // delay draws one jittered backoff delay under the lock.

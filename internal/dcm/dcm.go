@@ -48,10 +48,6 @@ type Config struct {
 	// the full tick. Passes read snapshots, never the journal.
 	Journal *db.JournalWriter
 
-	// FullEvery forces a full rebuild every N generating passes per
-	// service even when deltas would do, bounding drift; 0 disables.
-	FullEvery int
-
 	// Scripts maps service name to its install-script builder; defaults
 	// to DefaultScripts.
 	Scripts map[string]ScriptBuilder
@@ -104,10 +100,6 @@ type Config struct {
 	// Backoff is the retry delay schedule; the zero value means
 	// DefaultBackoff.
 	Backoff BackoffPolicy
-
-	// BackoffSeed seeds the jitter source so tests can pin the
-	// schedule; 0 means a fixed default seed.
-	BackoffSeed int64
 
 	// Stats, when set, receives cumulative dcm.* series (pass counts,
 	// host outcomes, bytes, push latency) folded in at the end of every
@@ -180,8 +172,8 @@ func New(cfg Config) *DCM {
 		cfg.Backoff = DefaultBackoff
 	}
 	return &DCM{
-		cfg: cfg, clk: cfg.Clock, rnd: newLockedRand(cfg.BackoffSeed),
-		planner: extract.NewPlanner(cfg.DB, cfg.FullEvery),
+		cfg: cfg, clk: cfg.Clock, rnd: newLockedRand(),
+		planner: extract.NewPlanner(cfg.DB),
 		cycles:  map[string]*cycleState{},
 		held:    map[hostKey]update.Sum{},
 	}
@@ -413,7 +405,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, vi
 					s.DeltaBuilds++
 				} else {
 					s.FullBuilds++
-					if fallbackReason(plan.Reason) {
+					if plan.Reason != extract.FullColdStart { // a first pass is expected, not a fallback
 						s.Fallbacks++
 					}
 				}
@@ -764,14 +756,6 @@ func (m *DCM) regenForHosts(name string, generator *gen.Incremental, view *db.DB
 		return nil, err
 	}
 	return gen.FromModelInto(model, scratch)
-}
-
-// fallbackReason reports whether a full-build reason counts as a
-// fallback — an incremental pass that could not proceed (an adopted
-// snapshot, a relation declared full) — rather than an expected full
-// build (first pass, scheduled cadence).
-func fallbackReason(reason string) bool {
-	return reason != extract.FullColdStart && reason != extract.FullScheduled
 }
 
 // finishGeneration releases the in-progress claim, records the

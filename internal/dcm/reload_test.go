@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"moira/internal/db"
 	"moira/internal/gen"
+	"moira/internal/mrerr"
 	"moira/internal/queries"
 	"moira/internal/update"
 	"moira/internal/workload"
@@ -29,10 +28,11 @@ import (
 // last push succeeded must hold exactly what a from-scratch parse of
 // that host's installed files gives. Two hesiod hosts feed one server,
 // and each NFS host runs install_nfs once per partition against one
-// credentials file. Each zephyr host, whose reload re-reads its ACL
-// directory from disk, must also hold every ACL file of the bundle at
-// its target byte for byte: the extracts that found their member in
-// place left the right files behind.
+// credentials file. Each zephyr host's broker must hold the ACL files of
+// the bundle at its target and no others (ACEs go to NONE, classes are
+// deleted and come back), and must have them installed byte for byte:
+// the extracts that found their member in place left the right files
+// behind.
 func TestServiceReloadOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runReloadOracle(t, seed) })
@@ -78,10 +78,10 @@ func runReloadOracle(t *testing.T, seed int64) {
 	// The zephyr hosts, each with a broker of its own, draw their changes,
 	// crashes and overrides from a stream of their own, so the other
 	// services see the sequence they saw before zephyr joined the oracle.
-	// A changed zephyr bundle goes whole (each ACL file is one model
-	// entry, remade with its key), so its extracts find their members in
-	// place on the re-pushes of an unchanged bundle: overrides and the
-	// retries after a crash.
+	// A changed zephyr bundle ships its edits, so the extracts of the ACL
+	// files it left alone find their members in place, as do all of them
+	// on the re-pushes of an unchanged bundle: overrides and the retries
+	// after a crash.
 	zr := rand.New(rand.NewSource(seed + 100))
 	zeph := &svc{name: "ZEPHYR", dir: "/etc/athena/zephyr"}
 	var zephTarget string
@@ -104,6 +104,8 @@ func runReloadOracle(t *testing.T, seed int64) {
 		brokers[h] = zephyr.NewBroker(w.clk)
 		zephyr.AttachToAgent(w.agents[h], brokers[h])
 	}
+	deleted := map[string]bool{} // classes deleted and not yet back
+	deletions := 0
 	zeph.verify = func(h string) error { return verifyZephyr(w.agents[h], brokers[h], zephTarget, zeph.dir) }
 	if len(zeph.hosts) != 3 || zephTarget == "" || len(classes) == 0 {
 		t.Fatalf("zephyr: hosts %v, target %q, classes %v", zeph.hosts, zephTarget, classes)
@@ -194,7 +196,7 @@ func runReloadOracle(t *testing.T, seed int64) {
 					}
 				}
 			}
-			switch zr.Intn(3) {
+			switch zr.Intn(4) {
 			case 0: // one class's ACEs: one ACL file changes, comes or goes
 				xmt, sub := []string{"LIST", "zephyr-operators"}, []string{"NONE", "NONE"}
 				if zr.Intn(2) == 0 {
@@ -210,6 +212,15 @@ func runReloadOracle(t *testing.T, seed int64) {
 				u := logins[zr.Intn(len(logins))]
 				if !try("add_member_to_list", "zephyr-operators", "USER", u) {
 					try("delete_member_from_list", "zephyr-operators", "USER", u)
+				}
+			case 2: // a class, and every ACL file of it, goes or comes back
+				class := classes[zr.Intn(len(classes))]
+				if !deleted[class] {
+					if deleted[class] = try("delete_zephyr_class", class); deleted[class] {
+						deletions++
+					}
+				} else if try("add_zephyr_class", class, "LIST", "zephyr-operators", "USER", logins[zr.Intn(len(logins))], "NONE", "NONE", "NONE", "NONE") {
+					delete(deleted, class)
 				}
 			}
 			w.clk.Advance(25 * time.Hour)
@@ -294,18 +305,72 @@ func runReloadOracle(t *testing.T, seed int64) {
 	if kept == 0 {
 		t.Error("no zephyr extract found its member in place")
 	}
-	t.Logf("verified %v; %d users and %d lockers added; %d zephyr extracts kept", verified, len(added), lockers, kept)
+	if deletions == 0 {
+		t.Error("no zephyr class was deleted")
+	}
+	t.Logf("verified %v; %d users and %d lockers added; %d zephyr extracts kept; %d zephyr classes deleted", verified, len(added), lockers, kept, deletions)
+}
+
+// TestZephyrACLGoesWithItsACE: when a class's subscribe ACE goes to
+// NONE, and then the class is deleted, its ACL files leave the bundle,
+// and every zephyr host lets anyone subscribe and then transmit, as a
+// host that got the bundle fresh would. The files stay on each host's
+// disk (the agent deletes nothing); the reload holds only the files the
+// push names.
+func TestZephyrACLGoesWithItsACE(t *testing.T) {
+	w := newWorld(t, true, 60)
+	const class, stranger = "CLASS-2", "stranger"
+	var target string
+	var hosts []string
+	w.d.LockShared()
+	for _, sh := range hostsOf(w.d, "ZEPHYR") {
+		m, _ := db.Machines.ByID(w.d, sh.MachID)
+		hosts = append(hosts, m.Name)
+	}
+	if s, ok := db.Servers.Get(w.d, "ZEPHYR"); ok {
+		target = s.TargetFile
+	}
+	w.d.UnlockShared()
+	login, _ := w.firstActiveLogin()
+	brokers := map[string]*zephyr.Broker{}
+	for _, h := range hosts {
+		brokers[h] = zephyr.NewBroker(w.clk)
+		zephyr.AttachToAgent(w.agents[h], brokers[h])
+	}
+	pass := func(step string, sub, xmt error) {
+		t.Helper()
+		w.clk.Advance(25 * time.Hour)
+		w.run()
+		for _, h := range hosts {
+			b := brokers[h]
+			if err := verifyZephyr(w.agents[h], b, target, "/etc/athena/zephyr"); err != nil {
+				t.Errorf("%s: %s: %v", step, h, err)
+			}
+			if _, err := b.Subscribe(class, "*", stranger); err != sub {
+				t.Errorf("%s: %s: %s subscribes to %s: err %v, want %v", step, h, stranger, class, err, sub)
+			}
+			if err := b.Send(class, "I", stranger, "m"); err != xmt {
+				t.Errorf("%s: %s: %s transmits on %s: err %v, want %v", step, h, stranger, class, err, xmt)
+			}
+		}
+	}
+	w.query("update_zephyr_class", class, class, "LIST", "zephyr-operators", "USER", login, "NONE", "NONE", "NONE", "NONE")
+	pass("sub ACE set", mrerr.MrPerm, mrerr.MrPerm)
+	w.query("update_zephyr_class", class, class, "LIST", "zephyr-operators", "NONE", "NONE", "NONE", "NONE", "NONE", "NONE")
+	pass("sub ACE gone", nil, mrerr.MrPerm)
+	w.query("delete_zephyr_class", class)
+	pass("class deleted", nil, nil)
 }
 
 // verifyZephyr checks a zephyr host: every ACL file of the bundle at its
-// target is installed in dir byte for byte, and its broker holds for
-// each of their classes what a from-scratch load of dir gives.
+// target is installed in dir byte for byte, and its broker holds exactly
+// those files, each as a from-scratch parse of it gives.
 func verifyZephyr(a *update.Agent, b *zephyr.Broker, target, dir string) error {
 	bundle, err := a.ReadHostFile(target)
 	if err != nil {
 		return err
 	}
-	classes := map[string]bool{}
+	var files []string
 	tr := tar.NewReader(bytes.NewReader(bundle))
 	for {
 		hdr, err := tr.Next()
@@ -323,21 +388,7 @@ func verifyZephyr(a *update.Agent, b *zephyr.Broker, target, dir string) error {
 		if err != nil || !bytes.Equal(got, want) {
 			return fmt.Errorf("%s: %d bytes installed (%v), the bundle holds %d", hdr.Name, len(got), err, len(want))
 		}
-		fn := strings.TrimSuffix(hdr.Name, ".acl")
-		classes[fn[:strings.LastIndexByte(fn, '.')]] = true
+		files = append(files, hdr.Name)
 	}
-	fp, err := a.HostPath(dir)
-	if err != nil {
-		return err
-	}
-	fresh := zephyr.NewBroker(nil)
-	if err := fresh.LoadACLDir(fp); err != nil {
-		return err
-	}
-	for class := range classes {
-		if got, want := b.ACLOf(class), fresh.ACLOf(class); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("class %s: broker holds %+v, the installed files give %+v", class, got, want)
-		}
-	}
-	return nil
+	return b.Verify(a, dir, files)
 }

@@ -41,8 +41,8 @@ type CycleStats struct {
 	// produced; NoopPasses counts passes the planner proved clean (zero
 	// generator work). Fallbacks counts full builds forced on a pass that
 	// could otherwise have been a delta (an adopted snapshot, a change to
-	// a relation its generator declares full) — expected fulls (cold
-	// start, scheduled cadence) are not fallbacks.
+	// a relation its generator declares full) — the expected full of a
+	// cold start is not a fallback.
 	FullBuilds  int
 	DeltaBuilds int
 	NoopPasses  int

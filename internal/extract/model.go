@@ -330,17 +330,25 @@ func (m *Model) dropLoc(key string, l loc) {
 }
 
 // DeleteKey removes every entry the logical key owns, across all files.
-// Files left with no entries at all cease to exist (a zephyr class
-// whose last ACE went away loses its files, exactly as a full build
-// would never create them).
+// A file left with no entries is absent (a zephyr class whose last ACE
+// went away loses its files, exactly as a full build would never create
+// them), but kept with its version and changes until Names drops it: a
+// key re-emitted into it, as a patch re-emits its dirty keys, changes
+// the file's bytes as an edit of the version last rendered.
 func (m *Model) DeleteKey(key string) {
 	for _, l := range m.locs[key] {
 		l.f.del(l.sort)
-		if l.f.n == 0 {
-			delete(m.files, l.f.name)
-		}
 	}
 	delete(m.locs, key)
+}
+
+// file returns the named file, nil if it does not exist or has no
+// entries.
+func (m *Model) file(name string) *File {
+	if f := m.files[name]; f != nil && f.n > 0 {
+		return f
+	}
+	return nil
 }
 
 // KeysWithPrefix lists the logical keys currently in the model that
@@ -360,7 +368,7 @@ func (m *Model) KeysWithPrefix(prefix string) []string {
 // Bytes renders one file into a new slice; nil if the file does not
 // exist.
 func (m *Model) Bytes(file string) []byte {
-	if m.files[file] == nil {
+	if m.file(file) == nil {
 		return nil
 	}
 	b := bytes.NewBuffer(make([]byte, 0, m.Size(file)))
@@ -368,10 +376,15 @@ func (m *Model) Bytes(file string) []byte {
 	return b.Bytes()
 }
 
-// Names lists the files, sorted.
+// Names lists the files, sorted. It is where a file that lost its
+// entries ceases to exist: a render lists the files first.
 func (m *Model) Names() []string {
 	names := make([]string, 0, len(m.files))
-	for name := range m.files {
+	for name, f := range m.files {
+		if f.n == 0 {
+			delete(m.files, name)
+			continue
+		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -381,7 +394,7 @@ func (m *Model) Names() []string {
 // Size reports the length of a file's rendered bytes; 0 if the file
 // does not exist.
 func (m *Model) Size(file string) int {
-	if f := m.files[file]; f != nil {
+	if f := m.file(file); f != nil {
 		return f.size()
 	}
 	return 0
@@ -391,7 +404,7 @@ func (m *Model) Size(file string) int {
 // rendering them into a buffer of the file's own: a caller that packs
 // the files into a bundle holds them once, in the bundle.
 func (m *Model) WriteFile(w io.Writer, file string) error {
-	f := m.files[file]
+	f := m.file(file)
 	if f == nil {
 		return nil
 	}
@@ -408,7 +421,7 @@ func (m *Model) WriteFile(w io.Writer, file string) error {
 // only with its version, and a file made anew gets a version no file
 // had. 0 means the file does not exist.
 func (m *Model) Version(file string) uint64 {
-	f := m.files[file]
+	f := m.file(file)
 	if f == nil {
 		return 0
 	}
@@ -422,7 +435,7 @@ func (m *Model) Version(file string) uint64 {
 // them: from is neither the file's version nor the one its last merge
 // left.
 func (m *Model) Changes(file string, from uint64, fn func(off, del, ins int)) (ok bool) {
-	f := m.files[file]
+	f := m.file(file)
 	if f == nil || from == 0 {
 		return false
 	}
@@ -444,8 +457,10 @@ func (m *Model) Changes(file string, from uint64, fn func(off, del, ins int)) (o
 // Files renders every file into new slices.
 func (m *Model) Files() map[string][]byte {
 	out := make(map[string][]byte, len(m.files))
-	for name := range m.files {
-		out[name] = m.Bytes(name)
+	for name, f := range m.files {
+		if f.n > 0 {
+			out[name] = m.Bytes(name)
+		}
 	}
 	return out
 }

@@ -82,7 +82,6 @@ type Plan struct {
 const (
 	FullColdStart = "cold start"       // no model: first pass, restart, Invalidate
 	FullAdopted   = "snapshot adopted" // AdoptFrom replaced the database
-	FullScheduled = "scheduled full"   // FullEvery delta passes since the last build
 	FullDeclared  = "declared full: "  // and the relation: a relation declared full changed
 )
 
@@ -91,7 +90,6 @@ type svcState struct {
 	model     *Model
 	snap      *db.DB // the snapshot model reflects
 	adoptions int64
-	sinceFull int   // delta passes since the last full build
 	pending   *Plan // what Runs since the last Commit changed, nil if nothing
 	last      Status
 }
@@ -102,17 +100,14 @@ type Planner struct {
 	// DB is the bookkeeping database: Commit persists genseq_<service>
 	// in its values relation.
 	DB *db.DB
-	// FullEvery forces a full rebuild every N generating passes even
-	// when deltas would do, bounding drift; 0 disables.
-	FullEvery int
 
 	mu  sync.Mutex
 	svc map[string]*svcState
 }
 
 // NewPlanner creates a planner.
-func NewPlanner(d *db.DB, fullEvery int) *Planner {
-	return &Planner{DB: d, FullEvery: fullEvery, svc: map[string]*svcState{}}
+func NewPlanner(d *db.DB) *Planner {
+	return &Planner{DB: d, svc: map[string]*svcState{}}
 }
 
 func (p *Planner) state(service string) *svcState {
@@ -161,7 +156,6 @@ func (p *Planner) Run(service string, g Generator, snap *db.DB) (*Model, *Plan, 
 		}
 		st.model = m
 		st.adoptions = snap.AdoptCount()
-		st.sinceFull = 0
 	}
 	st.snap = snap
 	if prev := st.pending; prev != nil {
@@ -198,8 +192,6 @@ func (p *Planner) plan(st *svcState, g Generator, snap *db.DB) *Plan {
 		return full(FullColdStart)
 	case st.adoptions != snap.AdoptCount():
 		return full(FullAdopted)
-	case p.FullEvery > 0 && st.sinceFull >= p.FullEvery:
-		return full(FullScheduled)
 	}
 	plan.Mode = ModeNoChange
 	if st.snap == snap {
@@ -296,11 +288,8 @@ func Tables(reads []Read) []string {
 func (p *Planner) Commit(service string, plan *Plan) {
 	st := p.state(service)
 	st.pending = nil
-	if plan.Mode == ModeDelta {
-		st.sinceFull++
-	}
 	p.mu.Lock()
-	st.last = Status{Mode: plan.Mode, Reason: plan.Reason, Rows: plan.Records, SinceFull: st.sinceFull}
+	st.last = Status{Mode: plan.Mode, Reason: plan.Reason, Rows: plan.Records}
 	p.mu.Unlock()
 	p.DB.SetValue(db.GenSeqPrefix+service, int(plan.Seq))
 }
@@ -325,8 +314,6 @@ type Status struct {
 	Reason string
 	// Rows is how many changed rows the last committed pass found.
 	Rows int
-	// SinceFull counts delta passes since the last full build.
-	SinceFull int
 }
 
 // Status reports the last committed pass for monitoring displays.

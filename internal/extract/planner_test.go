@@ -78,10 +78,10 @@ type harness struct {
 	nextID int
 }
 
-func newHarness(t *testing.T, fullEvery int) *harness {
+func newHarness(t *testing.T) *harness {
 	t.Helper()
 	d := db.New(clock.NewFake(time.Unix(600000000, 0)))
-	return &harness{t: t, d: d, p: NewPlanner(d, fullEvery)}
+	return &harness{t: t, d: d, p: NewPlanner(d)}
 }
 
 // mutate runs fn under the exclusive lock.
@@ -159,7 +159,7 @@ func (h *harness) fromScratch() []byte {
 }
 
 func TestPlannerColdStartThenNoChange(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	plan, out := h.pass()
 	if plan.Mode != ModeFull || plan.Reason != FullColdStart {
@@ -175,7 +175,7 @@ func TestPlannerColdStartThenNoChange(t *testing.T) {
 }
 
 func TestPlannerDeltaMatchesFromScratch(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.set("b", "2")
 	h.pass()
@@ -200,7 +200,7 @@ func TestPlannerDeltaMatchesFromScratch(t *testing.T) {
 // first) leaves the model where it is and reports no change, with the
 // newer snapshot's change sequence, instead of diffing the model back.
 func TestPlannerNeverMovesBack(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 	older := h.d.Reader()
@@ -221,7 +221,7 @@ func TestPlannerNeverMovesBack(t *testing.T) {
 }
 
 func TestPlannerWildcardDepsExpand(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("fs1", "a")
 	h.set("fs2", "b")
 	h.set("other", "c")
@@ -242,7 +242,7 @@ func TestPlannerWildcardDepsExpand(t *testing.T) {
 // reads makes a no-change pass, and that pass's snapshot becomes the
 // one the next diff starts from.
 func TestPlannerRecordsWithNoKeysAdvancePosition(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 
@@ -260,7 +260,7 @@ func TestPlannerRecordsWithNoKeysAdvancePosition(t *testing.T) {
 // TestPlannerUnreadColumnsDirtyNothing: a change confined to columns the
 // generator does not read is not a changed row at all.
 func TestPlannerUnreadColumnsDirtyNothing(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 	h.update("a", func(u *db.User) { u.Fullname = "Somebody" })
@@ -270,7 +270,7 @@ func TestPlannerUnreadColumnsDirtyNothing(t *testing.T) {
 }
 
 func TestPlannerFullRelationForcesFull(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 
@@ -293,35 +293,10 @@ func TestPlannerFullRelationForcesFull(t *testing.T) {
 	}
 }
 
-func TestPlannerScheduledFullCadence(t *testing.T) {
-	h := newHarness(t, 2)
-	h.set("a", "1")
-	h.pass() // full (cold start)
-	for i, want := range []struct {
-		mode   Mode
-		reason string
-	}{
-		{ModeDelta, ""},
-		{ModeDelta, ""},
-		{ModeFull, FullScheduled},
-		{ModeDelta, ""},
-	} {
-		h.set("a", strings.Repeat("x", i+2))
-		plan, out := h.pass()
-		if plan.Mode != want.mode || plan.Reason != want.reason {
-			t.Fatalf("pass %d: mode=%v reason=%q, want %v %q",
-				i, plan.Mode, plan.Reason, want.mode, want.reason)
-		}
-		if got := h.fromScratch(); !bytes.Equal(out, got) {
-			t.Fatalf("pass %d output mismatch", i)
-		}
-	}
-}
-
 // TestPlannerAdoptionForcesFull: an adopted database shares no page
 // with the snapshot the model reflects, so the model is rebuilt.
 func TestPlannerAdoptionForcesFull(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 	src := db.New(clock.NewFake(time.Unix(600000000, 0)))
@@ -342,7 +317,7 @@ func TestPlannerAdoptionForcesFull(t *testing.T) {
 // commit still moves the model to its snapshot, and the next Run reports
 // what it changed.
 func TestPlannerUncommittedRunCarriesToNextPass(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 	h.set("a", "2")
@@ -366,11 +341,11 @@ func TestPlannerUncommittedRunCarriesToNextPass(t *testing.T) {
 // holds no model, so its first pass is a cold-start build; the snapshot
 // that build reflects is where its deltas resume.
 func TestPlannerPositionSurvivesRestart(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 
-	h.p = NewPlanner(h.d, 0)
+	h.p = NewPlanner(h.d)
 	plan, _ := h.pass()
 	if plan.Mode != ModeFull || plan.Reason != FullColdStart {
 		t.Fatalf("restart pass: %v %q", plan.Mode, plan.Reason)
@@ -386,7 +361,7 @@ func TestPlannerPositionSurvivesRestart(t *testing.T) {
 }
 
 func TestPlannerInvalidateForcesRebuild(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.set("a", "1")
 	h.pass()
 	h.p.Invalidate("svc")
@@ -400,7 +375,7 @@ func TestPlannerInvalidateForcesRebuild(t *testing.T) {
 }
 
 func TestPlannerStatus(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	if st := h.p.Status("svc"); st.Mode != ModeFull || st.Rows != 0 {
 		t.Fatalf("zero status = %+v", st)
 	}
@@ -409,7 +384,7 @@ func TestPlannerStatus(t *testing.T) {
 	h.set("b", "2")
 	h.pass()
 	st := h.p.Status("svc")
-	if st.Mode != ModeDelta || st.Rows != 1 || st.SinceFull != 1 {
+	if st.Mode != ModeDelta || st.Rows != 1 {
 		t.Fatalf("status = %+v", st)
 	}
 	if seq, err := h.d.GetValue(db.GenSeqPrefix + "svc"); err != nil || int64(seq) != h.d.SeqOf(db.TUsers, db.TMachine) {

@@ -9,8 +9,10 @@ import (
 	"strconv"
 	"testing"
 
+	"moira/internal/db"
 	"moira/internal/extract"
 	"moira/internal/queries"
+	"moira/internal/update"
 )
 
 // TestBundleEditsMakeTheBundle: across randomized mutations and planner
@@ -28,7 +30,7 @@ func TestBundleEditsMakeTheBundle(t *testing.T) {
 
 func runBundleEdits(t *testing.T, seed int64) {
 	d, _ := popDB(t, 150)
-	planner := extract.NewPlanner(d, 0)
+	planner := extract.NewPlanner(d)
 	priv := &queries.Context{DB: d, Privileged: true, App: "edits"}
 	rng := rand.New(rand.NewSource(seed))
 	run := func(name string, args ...string) error {
@@ -136,4 +138,61 @@ func runBundleEdits(t *testing.T, seed int64) {
 		t.Errorf("%d bundles rendered as edits (%d changed), %d whole: changing edits should be the common case", edited, changed, whole)
 	}
 	t.Logf("%d bundles as edits (%d changed), %d whole", edited, changed, whole)
+}
+
+// TestZephyrACEChangeShipsEdits: each zephyr ACL file is one model
+// entry, which a patch deletes and re-emits with its class's key, so the
+// file must keep its version and changes across that. After an ACE
+// change the ZEPHYR bundle names the last render's sum as its base and
+// carries edits, not the whole bundle.
+func TestZephyrACEChangeShipsEdits(t *testing.T) {
+	d, _ := popDB(t, 60)
+	planner := extract.NewPlanner(d)
+	scratch := NewScratch()
+	render := func() *update.Bundle {
+		t.Helper()
+		m, plan, err := planner.Run("ZEPHYR", ZephyrIncremental, d.Reader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.LockExclusive()
+		planner.Commit("ZEPHYR", plan)
+		d.UnlockExclusive()
+		res, err := FromModelInto(m, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Bundles[""]
+	}
+	var login string
+	d.LockShared()
+	d.EachUser(func(u *db.User) bool {
+		login = u.Login
+		return false
+	})
+	d.UnlockShared()
+	priv := &queries.Context{DB: d, Privileged: true, App: "zephyr-edits"}
+	prev := render()
+	for _, xmt := range [][]string{{"USER", login}, {"LIST", "zephyr-operators"}} {
+		args := append([]string{"CLASS-2", "CLASS-2"}, xmt...)
+		args = append(args, "NONE", "NONE", "NONE", "NONE", "NONE", "NONE")
+		if err := queries.Execute(priv, "update_zephyr_class", args, func([]string) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		b := render()
+		if b.Sum == prev.Sum {
+			t.Fatalf("xmt %v: the bundle did not change", xmt)
+		}
+		if b.Base != prev.Sum {
+			t.Errorf("xmt %v: the bundle's base is not the last render's sum: it goes whole", xmt)
+		}
+		edited := 0
+		for _, e := range b.Edits {
+			edited += len(e.Data)
+		}
+		if len(b.Edits) == 0 || edited >= len(b.Data) {
+			t.Errorf("xmt %v: %d edits carry %d of the bundle's %d bytes", xmt, len(b.Edits), edited, len(b.Data))
+		}
+		prev = b
+	}
 }

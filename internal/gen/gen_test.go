@@ -145,7 +145,7 @@ func TestHesiodPseudoCluster(t *testing.T) {
 // and only runs the generator when a row it reads changed.
 func TestNoChangeDetection(t *testing.T) {
 	d, clk := popDB(t, 50)
-	p := extract.NewPlanner(d, 0)
+	p := extract.NewPlanner(d)
 	run := func(service string, g extract.Generator) (*Result, *extract.Plan) {
 		t.Helper()
 		model, plan, err := p.Run(service, g, d.Reader())
@@ -385,7 +385,7 @@ func TestRegisterUserRenameReachesEveryExtract(t *testing.T) {
 	run("add_member_to_list", "zlist", "USER", "#6561")
 	run("add_zephyr_class", "ZCLS", "LIST", "zlist", "NONE", "NONE", "NONE", "NONE", "NONE", "NONE")
 
-	p := extract.NewPlanner(d, 0)
+	p := extract.NewPlanner(d)
 	pass := func() {
 		t.Helper()
 		for _, svc := range []string{"SMTP", "ZEPHYR"} {

@@ -37,7 +37,7 @@ func TestDeltaPassAllocsIndependentOfHistory(t *testing.T) {
 		services = append(services, name)
 	}
 	sort.Strings(services)
-	p := extract.NewPlanner(d, 0)
+	p := extract.NewPlanner(d)
 	scratch := map[string]*Scratch{}
 	for _, svc := range services {
 		scratch[svc] = NewScratch()

@@ -25,7 +25,7 @@ func TestKLoginGenerator(t *testing.T) {
 	g := KLogin("ATHENA.MIT.EDU")
 	// Every generation is a planner pass; past the cold start each must
 	// be a delta that renders exactly what a from-scratch build would.
-	planner := extract.NewPlanner(d, 0)
+	planner := extract.NewPlanner(d)
 	wantMode := extract.ModeFull
 	gen := func() *Result {
 		t.Helper()

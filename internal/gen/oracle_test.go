@@ -38,7 +38,7 @@ func runOracle(t *testing.T, seed int64) {
 	t.Cleanup(func() { jw.Close() })
 	d.SetJournal(jw)
 
-	planner := extract.NewPlanner(d, 0)
+	planner := extract.NewPlanner(d)
 	priv := &queries.Context{DB: d, Privileged: true, App: "oracle"}
 	rng := rand.New(rand.NewSource(seed))
 

@@ -115,9 +115,10 @@ func zephyrEmit(d *db.DB, m *extract.Model, key string) {
 	}
 }
 
-// ZephyrInstallScript extracts every ACL file and reloads the server.
-// The DCM passes aclFiles from the bundle's member names
-// (update.Bundle.Members).
+// ZephyrInstallScript extracts every ACL file and reloads the server
+// from exactly those files: a class function whose file left the bundle
+// is unrestricted again. The DCM passes aclFiles from the bundle's
+// member names (update.Bundle.Members).
 func ZephyrInstallScript(target, destDir string, aclFiles []string) []string {
 	var script []string
 	for _, f := range aclFiles {
@@ -126,6 +127,5 @@ func ZephyrInstallScript(target, destDir string, aclFiles []string) []string {
 			"install "+destDir+"/"+f,
 		)
 	}
-	script = append(script, "exec reload_zephyr_acls "+destDir)
-	return script
+	return append(script, "exec reload_zephyr_acls "+strings.Join(append([]string{destDir}, aclFiles...), " "))
 }

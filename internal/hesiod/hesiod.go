@@ -335,19 +335,11 @@ func (s *Server) Verify(ag *update.Agent, destDir string) error {
 		if err != nil {
 			return err
 		}
-		want, err := ParseDB(update.TextOf(data))
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if got := s.files[i].name; got != name {
+			return fmt.Errorf("hesiod: %s loaded where %s belongs", got, name)
 		}
-		got := s.files[i]
-		if got.name != name || len(got.recs.Rows) != len(want) {
-			return fmt.Errorf("hesiod: %s holds %d names, the installed %s %d", got.name, len(got.recs.Rows), name, len(want))
-		}
-		for n, w := range want {
-			g := got.recs.Rows[n]
-			if g == nil || g.cname != w.cname || !slices.Equal(g.values, w.values) {
-				return fmt.Errorf("hesiod: %s: %s is %+v, the installed file says %+v", name, n, g, w)
-			}
+		if err := s.files[i].recs.Verify(update.TextOf(data), dbParser); err != nil {
+			return fmt.Errorf("hesiod: %s: %w", name, err)
 		}
 	}
 	return nil

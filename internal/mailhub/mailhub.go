@@ -9,7 +9,6 @@ package mailhub
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -327,7 +326,7 @@ func (h *Hub) stage(ag *update.Agent, in *update.Install, destDir string) error 
 
 // Verify reports the first way the hub's tables differ from a
 // from-scratch parse of the aliases and passwd files installed under
-// destDir on ag's host.
+// destDir on ag's host (no passwd file: no passwd lines).
 func (h *Hub) Verify(ag *update.Agent, destDir string) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -335,30 +334,12 @@ func (h *Hub) Verify(ag *update.Agent, destDir string) error {
 	if err != nil {
 		return err
 	}
-	aliases, err := ParseAliases(data)
-	if err != nil {
-		return err
+	if err := h.aliases.Verify(update.TextOf(data), aliasesParser); err != nil {
+		return fmt.Errorf("mailhub: aliases: %w", err)
 	}
-	if len(aliases) != len(h.aliases.Rows) {
-		return fmt.Errorf("mailhub: %d aliases held, %d installed", len(h.aliases.Rows), len(aliases))
-	}
-	for name, want := range aliases {
-		if got, ok := h.aliases.Rows[name]; !ok || !slices.Equal(got, want) {
-			return fmt.Errorf("mailhub: alias %s is %v, installed %v", name, got, want)
-		}
-	}
-	var passwd update.LineTable[string, string]
-	if data, err := ag.ReadHostFile(destDir + "/passwd"); err == nil {
-		p, _ := passwd.Plan(nil, update.TextOf(data), passwdParser)
-		passwd.Commit(p)
-	}
-	if len(passwd.Rows) != len(h.passwd.Rows) {
-		return fmt.Errorf("mailhub: %d passwd lines held, %d installed", len(h.passwd.Rows), len(passwd.Rows))
-	}
-	for login, want := range passwd.Rows {
-		if got := h.passwd.Rows[login]; got != want {
-			return fmt.Errorf("mailhub: passwd %s is %q, installed %q", login, got, want)
-		}
+	data, _ = ag.ReadHostFile(destDir + "/passwd")
+	if err := h.passwd.Verify(update.TextOf(data), passwdParser); err != nil {
+		return fmt.Errorf("mailhub: passwd: %w", err)
 	}
 	return nil
 }

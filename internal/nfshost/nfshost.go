@@ -8,7 +8,6 @@ package nfshost
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,18 +109,7 @@ func parseCredential(_ Credential, line string) (Credential, error) {
 	return c, nil
 }
 
-// parseQuotas parses "uid quota" lines.
-func parseQuotas(data []byte) (map[int]int, error) {
-	var t update.LineTable[int, int]
-	p, err := t.Plan(nil, update.TextOf(data), quotasParser)
-	if err != nil {
-		return nil, fmt.Errorf("nfshost: quotas %w", err)
-	}
-	t.Commit(p)
-	return t.Rows, nil
-}
-
-// quotasParser keys a quotas line by its uid.
+// quotasParser keys a quotas line ("uid quota") by its uid.
 var quotasParser = update.Parser[int, int]{
 	Key: func(line string, _ *int) (int, update.LineKind, error) {
 		uid, _, kind, err := parseQuota(line)
@@ -346,35 +334,16 @@ func (h *Host) Verify(ag *update.Agent, destDir string) error {
 	if err != nil {
 		return err
 	}
-	creds, err := ParseCredentials(data)
-	if err != nil {
-		return err
-	}
-	if len(creds) != len(h.credentials.Rows) {
-		return fmt.Errorf("nfshost %s: %d credentials held, %d installed", h.Name, len(h.credentials.Rows), len(creds))
-	}
-	for login, want := range creds {
-		got, ok := h.credentials.Rows[login]
-		if !ok || got.UID != want.UID || !slices.Equal(got.GIDs, want.GIDs) {
-			return fmt.Errorf("nfshost %s: credential %s is %+v, installed %+v", h.Name, login, got, want)
-		}
+	if err := h.credentials.Verify(update.TextOf(data), credentialsParser); err != nil {
+		return fmt.Errorf("nfshost %s: credentials: %w", h.Name, err)
 	}
 	for name, p := range h.parts {
 		base := destDir + "/" + strings.ReplaceAll(strings.TrimPrefix(name, "/"), "/", "_")
 		if data, err = ag.ReadHostFile(base + ".quotas"); err != nil {
 			return err
 		}
-		quotas, err := parseQuotas(data)
-		if err != nil {
-			return err
-		}
-		if len(quotas) != len(p.quotas.Rows) {
-			return fmt.Errorf("nfshost %s: %s: %d quotas held, %d installed", h.Name, name, len(p.quotas.Rows), len(quotas))
-		}
-		for uid, q := range quotas {
-			if got, ok := p.quotas.Rows[uid]; !ok || got != q {
-				return fmt.Errorf("nfshost %s: %s: quota of %d is %d, installed %d", h.Name, name, uid, got, q)
-			}
+		if err := p.quotas.Verify(update.TextOf(data), quotasParser); err != nil {
+			return fmt.Errorf("nfshost %s: %s: quotas: %w", h.Name, name, err)
 		}
 		if data, err = ag.ReadHostFile(base + ".dirs"); err != nil {
 			return err

@@ -24,14 +24,20 @@ func TestParseCredentials(t *testing.T) {
 }
 
 func TestParseQuotas(t *testing.T) {
-	q, err := parseQuotas([]byte("6530 300\n6531 500\n"))
+	parse := func(data string) (map[int]int, error) {
+		var q update.LineTable[int, int]
+		p, err := q.Plan(nil, update.TextOf([]byte(data)), quotasParser)
+		q.Commit(p)
+		return q.Rows, err
+	}
+	q, err := parse("6530 300\n6531 500\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q[6530] != 300 || q[6531] != 500 {
 		t.Errorf("quotas = %v", q)
 	}
-	if _, err := parseQuotas([]byte("garbage\n")); err == nil {
+	if _, err := parse("garbage\n"); err == nil {
 		t.Error("bad quota line accepted")
 	}
 }

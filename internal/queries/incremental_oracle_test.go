@@ -52,7 +52,7 @@ func TestEveryMutatingHandleIsIncremental(t *testing.T) {
 	}
 	sort.Strings(services)
 
-	p := extract.NewPlanner(d, 0)
+	p := extract.NewPlanner(d)
 	declared := map[string]int{}
 	pass := func(after string) {
 		t.Helper()

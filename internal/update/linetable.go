@@ -3,6 +3,7 @@ package update
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"unsafe"
 )
 
@@ -249,4 +250,24 @@ func (t *LineTable[K, V]) Commit(p TablePlan[K, V]) {
 		}
 	}
 	t.ID = p.id
+}
+
+// Verify reports the first way t's rows differ from a whole parse of
+// data, the file as installed: a different number of rows, or a key
+// whose row is missing or not deeply equal to the parsed one. It is the
+// services' oracle that their reloads applied exactly what is there.
+func (t *LineTable[K, V]) Verify(data Text, p Parser[K, V]) error {
+	want, err := p.parse(data, "")
+	if err != nil {
+		return err
+	}
+	if len(t.Rows) != len(want.rows) {
+		return fmt.Errorf("%d rows held, the file gives %d", len(t.Rows), len(want.rows))
+	}
+	for k, w := range want.rows {
+		if g, ok := t.Rows[k]; !ok || !reflect.DeepEqual(g, w) {
+			return fmt.Errorf("%v is %+v (held: %v), the file gives %+v", k, g, ok, w)
+		}
+	}
+	return nil
 }

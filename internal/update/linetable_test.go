@@ -2,6 +2,7 @@ package update
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"reflect"
 	"strings"
@@ -151,6 +152,9 @@ func TestLineTable(t *testing.T) {
 			if !reflect.DeepEqual(tab.Rows, want.Rows) {
 				t.Errorf("rows %v, a whole parse of the new file gives %v", tab.Rows, want.Rows)
 			}
+			if err := tab.Verify(TextOf([]byte(c.new)), c.p); err != nil {
+				t.Errorf("Verify against the new file: %v", err)
+			}
 			if unknown := tab.ID == ""; unknown != c.unknown || !unknown && tab.ID != push.NewID {
 				t.Errorf("table tagged %q, want unknown=%v", tab.ID, c.unknown)
 			}
@@ -159,4 +163,30 @@ func TestLineTable(t *testing.T) {
 			}
 		})
 	}
+
+	// Verify passes a table holding what the file gives, and reports a
+	// row that differs, one the file lacks and one the table lacks.
+	t.Run("verify", func(t *testing.T) {
+		const file = "a: 1\n\t2\nb: 3\n"
+		for _, c := range []struct {
+			name string
+			rows map[string][]string
+			want string // "" or the error
+		}{
+			{"same rows", map[string][]string{"a": {"1", "2"}, "b": {"3"}}, ""},
+			{"changed key", map[string][]string{"a": {"1"}, "b": {"3"}}, "a is [1] (held: true), the file gives [1 2]"},
+			{"missing key", map[string][]string{"a": {"1", "2"}, "c": {"3"}}, "b is [] (held: false), the file gives [3]"},
+			{"extra key", map[string][]string{"a": {"1", "2"}, "b": {"3"}, "c": {"4"}}, "3 rows held, the file gives 2"},
+		} {
+			tab := LineTable[string, []string]{Rows: c.rows}
+			err := tab.Verify(TextOf([]byte(file)), indented)
+			if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+				t.Errorf("%s: Verify = %v, want %q", c.name, err, c.want)
+			}
+		}
+		tab := LineTable[string, []string]{Rows: map[string][]string{}}
+		if err := tab.Verify(TextOf([]byte("a: 1\nb\n")), indented); err == nil || err.Error() != "line 2: no colon" {
+			t.Errorf("Verify of a file that does not parse = %v", err)
+		}
+	})
 }

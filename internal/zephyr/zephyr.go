@@ -6,19 +6,17 @@
 //
 // The broker delivers notices to subscribers by (class, instance), with
 // "*" as the wildcard instance, and enforces per-class transmit and
-// subscribe ACLs loaded from the same *.acl files the DCM installs.
+// subscribe ACLs reloaded from the *.acl files the DCM installs.
 package zephyr
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
 	"moira/internal/clock"
 	"moira/internal/mrerr"
+	"moira/internal/update"
 )
 
 // Notice is one zephyrgram.
@@ -30,26 +28,16 @@ type Notice struct {
 	Time     int64
 }
 
-// ACL is the access control state for one class. A nil entry list means
-// the function is unrestricted (the class has no ACL installed); an
-// entry "*.*@*" also matches everyone.
-type ACL struct {
-	Xmt []string // who may transmit
-	Sub []string // who may subscribe
-}
-
-// aclAllows applies zephyr ACL matching: nil list = unrestricted;
-// otherwise the principal must appear, or a wildcard entry must.
-func aclAllows(entries []string, principal string) bool {
-	if entries == nil {
-		return true
-	}
-	for _, e := range entries {
-		if e == principal || e == "*" || e == "*.*@*" {
-			return true
+// aclParser reads an ACL file in the format the DCM installs: one
+// principal a line, blank lines skipped. A row is a principal.
+var aclParser = update.Parser[string, struct{}]{
+	Key: func(line string, _ *string) (string, update.LineKind, error) {
+		if line = strings.TrimSpace(line); line == "" {
+			return "", update.Skip, nil
 		}
-	}
-	return false
+		return line, update.Starts, nil
+	},
+	Fold: func(struct{}, string) (struct{}, error) { return struct{}{}, nil },
 }
 
 // Subscription is a live subscription; receive from C.
@@ -69,9 +57,16 @@ type subKey struct {
 type Broker struct {
 	clk clock.Clock
 
+	// reload admits one reload at a time, so a reload's plans, made
+	// against the ACLs it reads, are what it commits over.
+	reload sync.Mutex
+
 	mu   sync.Mutex
 	subs map[subKey][]*Subscription
-	acls map[string]*ACL
+	// acls holds the ACL files the last reload named, by file name
+	// (<class>.<function>.acl). A function with no file is
+	// unrestricted; an empty file denies everyone.
+	acls map[string]*update.LineTable[string, struct{}]
 	// Log keeps every accepted notice, for inspection by tests and the
 	// dcm's operators.
 	log []Notice
@@ -82,87 +77,85 @@ func NewBroker(clk clock.Clock) *Broker {
 	if clk == nil {
 		clk = clock.System
 	}
-	return &Broker{clk: clk, subs: make(map[subKey][]*Subscription), acls: make(map[string]*ACL)}
+	return &Broker{clk: clk, subs: make(map[subKey][]*Subscription)}
 }
 
-// SetACL installs the ACL for a class, replacing any previous one.
-// Passing nil lists makes the corresponding function unrestricted.
-func (b *Broker) SetACL(class string, acl *ACL) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if acl == nil {
-		delete(b.acls, class)
-		return
+// allows applies zephyr ACL matching to function fn ("xmt" or "sub") of
+// class: with no ACL file the function is unrestricted; otherwise the
+// principal must be listed, or a wildcard entry ("*", "*.*@*") must.
+// The iws and iui files are held but not enforced: the original
+// servers' instance controls are out of scope here.
+func (b *Broker) allows(class, fn, principal string) bool {
+	t := b.acls[class+"."+fn+".acl"]
+	if t == nil {
+		return true
 	}
-	b.acls[class] = acl
+	_, listed := t.Rows[principal]
+	_, anyone := t.Rows["*"]
+	_, all := t.Rows["*.*@*"]
+	return listed || anyone || all
 }
 
-// ACLOf returns the installed ACL for a class, or nil.
-func (b *Broker) ACLOf(class string) *ACL {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.acls[class]
-}
-
-// LoadACLDir reads every <class>.<func>.acl file in dir, in the format
-// the DCM installs (one entry per line), and installs the results.
-// Recognized functions are "xmt" and "sub"; other ACL files (iws, iui)
-// are accepted and ignored by the broker, as the original servers'
-// instance controls are out of scope here.
-func (b *Broker) LoadACLDir(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	byClass := map[string]*ACL{}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".acl") || e.IsDir() {
-			continue
+// reloadACLs makes the broker hold exactly files, ACL file names under
+// dir on ag's host: each is planned from the push's view (kept, patched
+// or parsed whole; read from disk when the push did not extract it), and
+// all are committed or, on any error, none. A path the view holds was
+// resolved by its extract, one read from disk by ReadHostFile: both
+// through Agent.HostPath.
+func (b *Broker) reloadACLs(ag *update.Agent, in *update.Install, dir string, files []string) error {
+	b.reload.Lock()
+	defer b.reload.Unlock()
+	acls := make(map[string]*update.LineTable[string, struct{}], len(files))
+	plans := make([]update.TablePlan[string, struct{}], len(files))
+	for i, name := range files {
+		if !strings.HasSuffix(name, ".acl") || strings.ContainsRune(name, '/') || acls[name] != nil {
+			return fmt.Errorf("%s: not one ACL file of %s", name, dir)
 		}
-		parts := strings.Split(strings.TrimSuffix(name, ".acl"), ".")
-		if len(parts) < 2 {
-			continue
+		t := b.acls[name] // only reloads write b.acls
+		if t == nil {
+			t = &update.LineTable[string, struct{}]{}
 		}
-		class := strings.Join(parts[:len(parts)-1], ".")
-		fn := parts[len(parts)-1]
-		lines, err := readLines(filepath.Join(dir, name))
+		fv, data, err := in.Read(ag, dir+"/"+name)
+		if err == nil {
+			plans[i], err = t.Plan(fv, data, aclParser)
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		a := byClass[class]
-		if a == nil {
-			a = &ACL{}
-			byClass[class] = a
-		}
-		switch fn {
-		case "xmt":
-			a.Xmt = lines
-		case "sub":
-			a.Sub = lines
-		}
+		acls[name] = t
 	}
-	for class, a := range byClass {
-		b.SetACL(class, a)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, name := range files {
+		acls[name].Commit(plans[i])
 	}
+	b.acls = acls
 	return nil
 }
 
-func readLines(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// Verify reports the first way the broker's ACLs differ from a
+// from-scratch load of files, ACL file names under dir on ag's host: it
+// must hold those files and no other, each as a whole parse gives it.
+func (b *Broker) Verify(ag *update.Agent, dir string, files []string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.acls) != len(files) {
+		return fmt.Errorf("zephyr: %d ACL files held, want %d", len(b.acls), len(files))
 	}
-	defer f.Close()
-	lines := []string{} // non-nil even if empty: an empty ACL denies all
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" {
-			lines = append(lines, line)
+	for _, name := range files {
+		t := b.acls[name]
+		if t == nil {
+			return fmt.Errorf("zephyr: %s not held", name)
+		}
+		data, err := ag.ReadHostFile(dir + "/" + name)
+		if err != nil {
+			return err
+		}
+		if err := t.Verify(update.TextOf(data), aclParser); err != nil {
+			return fmt.Errorf("zephyr: %s: %w", name, err)
 		}
 	}
-	return lines, sc.Err()
+	return nil
 }
 
 // Subscribe registers interest in (class, instance); instance "*"
@@ -171,7 +164,7 @@ func readLines(path string) ([]string, error) {
 func (b *Broker) Subscribe(class, instance, principal string) (*Subscription, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if a := b.acls[class]; a != nil && !aclAllows(a.Sub, principal) {
+	if !b.allows(class, "sub", principal) {
 		return nil, mrerr.MrPerm
 	}
 	key := subKey{class, instance}
@@ -201,7 +194,7 @@ func (s *Subscription) Cancel() {
 func (b *Broker) Send(class, instance, sender, message string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if a := b.acls[class]; a != nil && !aclAllows(a.Xmt, sender) {
+	if !b.allows(class, "xmt", sender) {
 		return mrerr.MrPerm
 	}
 	n := Notice{Class: class, Instance: instance, Sender: sender,
