@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -314,9 +317,9 @@ func runReloadOracle(t *testing.T, seed int64) {
 // TestZephyrACLGoesWithItsACE: when a class's subscribe ACE goes to
 // NONE, and then the class is deleted, its ACL files leave the bundle,
 // and every zephyr host lets anyone subscribe and then transmit, as a
-// host that got the bundle fresh would. The files stay on each host's
-// disk (the agent deletes nothing); the reload holds only the files the
-// push names.
+// host that got the bundle fresh would. The reload holds only the files
+// the push names, and the agent removes the files that left the bundle
+// from each host's disk.
 func TestZephyrACLGoesWithItsACE(t *testing.T) {
 	w := newWorld(t, true, 60)
 	const class, stranger = "CLASS-2", "stranger"
@@ -363,8 +366,9 @@ func TestZephyrACLGoesWithItsACE(t *testing.T) {
 }
 
 // verifyZephyr checks a zephyr host: every ACL file of the bundle at its
-// target is installed in dir byte for byte, and its broker holds exactly
-// those files, each as a from-scratch parse of it gives.
+// target is installed in dir byte for byte, dir holds no other ACL
+// file, and its broker holds exactly those files, each as a
+// from-scratch parse of it gives.
 func verifyZephyr(a *update.Agent, b *zephyr.Broker, target, dir string) error {
 	bundle, err := a.ReadHostFile(target)
 	if err != nil {
@@ -389,6 +393,19 @@ func verifyZephyr(a *update.Agent, b *zephyr.Broker, target, dir string) error {
 			return fmt.Errorf("%s: %d bytes installed (%v), the bundle holds %d", hdr.Name, len(got), err, len(want))
 		}
 		files = append(files, hdr.Name)
+	}
+	fp, err := a.HostPath(dir)
+	if err != nil {
+		return err
+	}
+	ents, err := os.ReadDir(fp)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".acl") && !slices.Contains(files, e.Name()) {
+			return fmt.Errorf("%s: installed, but the bundle lacks it", e.Name())
+		}
 	}
 	return b.Verify(a, dir, files)
 }

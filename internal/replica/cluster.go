@@ -2,7 +2,8 @@ package replica
 
 // Cluster: self-driving failover over the replication port (no
 // external coordinator). Every node runs one Cluster, which owns the
-// node's replication listener and its role:
+// node's replication listener (a protocol.Listener, bound and serving
+// from OpenCluster) and its role:
 //
 //   - The primary streams the journal to followers (Primary), renews
 //     its deadline lease through the per-connection lease frames, and
@@ -26,13 +27,19 @@ package replica
 //     journal position wins, lowest address breaks ties), otherwise
 //     claim epoch max+1 from the electorate. A pair (n ≤ 2) elects by
 //     self-grant — safety comes from the lease timing — while n ≥ 3
-//     requires a majority including self.
+//     requires a majority including self. The operator's promotion
+//     (ForcePromote) is the same election with force set: no backoff,
+//     no deference, and the peers' grants are advisory.
 //
 //   - A fenced ex-primary polls for the new history and rejoins as a
 //     follower with a forced bootstrap, replacing whatever tail it
 //     journaled after its lease expired; if no new primary ever
 //     appears (the outage was the follower's, not the network's), it
 //     re-elects itself after another timeout.
+//
+// Every promotion — a won election, the operator's, a standalone boot —
+// stops the follower if one runs and then takes one path, openPrimary:
+// fsck, a fresh journal segment, the journal attached.
 //
 // Epochs order promotions: persisted (fsynced) before any grant or
 // announcement, carried in handshakes, hellos, leases, and acks, so a
@@ -46,7 +53,6 @@ import (
 	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,8 +137,8 @@ type Cluster struct {
 	store *db.CheckpointStore
 	info  *queries.RecoverInfo
 
-	ln      net.Listener // nil on a standalone node
-	wg      sync.WaitGroup
+	ln      *protocol.Listener // the replication port; nil on a standalone node
+	wg      sync.WaitGroup     // the role loop and its checkpoints
 	closing chan struct{}
 	kick    chan struct{} // prods the run loop after a state change
 
@@ -173,7 +179,7 @@ type Cluster struct {
 	lastCkpt      atomic.Int64 // UnixNano of the last checkpoint this run
 }
 
-// OpenCluster recovers the node's data directory, binds the
+// OpenCluster recovers the node's data directory, binds and serves the
 // replication listener (when the node has peers), and prepares (but
 // does not start) the role machinery. Every node boots as a read-only
 // follower; Start promotes a standalone node and otherwise runs
@@ -216,16 +222,6 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, *queries.RecoverInfo, error) {
 		return nil, info, err
 	}
 
-	var ln net.Listener
-	if cfg.ListenRepl != "" {
-		if ln, err = net.Listen("tcp", cfg.ListenRepl); err != nil {
-			return nil, info, err
-		}
-		if cfg.AdvertiseRepl == "" {
-			cfg.AdvertiseRepl = ln.Addr().String()
-		}
-	}
-
 	c := &Cluster{
 		cfg:     cfg,
 		clk:     cfg.Clock,
@@ -234,7 +230,6 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, *queries.RecoverInfo, error) {
 		dd:      dd,
 		store:   store,
 		info:    info,
-		ln:      ln,
 		closing: make(chan struct{}),
 		kick:    make(chan struct{}, 1),
 		role:    RoleReplica,
@@ -242,11 +237,25 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, *queries.RecoverInfo, error) {
 		posSeg:  seg,
 		posIdx:  idx,
 	}
+	if cfg.ListenRepl != "" {
+		// Served from here on: before Start, an info poll sees a
+		// follower, a stream is refused MR_READONLY, and a granted claim
+		// waits for the role loop as one granted after Start would.
+		c.ln = protocol.NewListener()
+		c.ln.Logf = c.logf
+		addr, err := c.ln.Listen(cfg.ListenRepl, c.serveConn)
+		if err != nil {
+			return nil, info, err
+		}
+		if c.cfg.AdvertiseRepl == "" {
+			c.cfg.AdvertiseRepl = addr.String()
+		}
+	}
 	if cfg.Stats != nil {
 		c.BindStats(cfg.Stats)
 	}
 	c.logf("cluster: node %s (client %s) opened at epoch %d, position (%d, %d); peers %v",
-		cfg.AdvertiseRepl, cfg.AdvertiseClient, epoch, seg, idx, cfg.Peers)
+		c.cfg.AdvertiseRepl, cfg.AdvertiseClient, epoch, seg, idx, cfg.Peers)
 	return c, info, nil
 }
 
@@ -268,22 +277,25 @@ func (c *Cluster) Role() string {
 	return c.role
 }
 
-// Start launches the listener and the role loop. A standalone node is
-// promoted before Start returns, so its first request may be a write.
+// Start launches the role loop. A standalone node is promoted before
+// Start returns, so its first request may be a write.
 func (c *Cluster) Start() {
 	if len(c.cfg.Peers) == 0 {
 		if err := c.promote(c.epochFloor()+1, "boot", nil); err != nil {
 			c.logf("cluster: boot promotion: %v", err)
 		}
-	} else {
-		c.wg.Add(1)
-		go c.acceptLoop()
 	}
 	c.wg.Add(1)
 	go c.run()
 }
 
-// Close shuts the node down: listener, stream, role loop.
+// Close shuts the node down: listener, role loop, then the stream and
+// the journal. The listener goes first: it cuts every replication
+// stream at once (a stream never marks itself in flight), lets an
+// election RPC deliver its reply, and returns once their goroutines
+// are gone, so no stream still reads a segment when the journal writer
+// closes below. The role loop may promote or rejoin until it stops, so
+// the primary, follower and journal are taken after it has.
 func (c *Cluster) Close() error {
 	select {
 	case <-c.closing:
@@ -294,53 +306,28 @@ func (c *Cluster) Close() error {
 	if c.ln != nil {
 		c.ln.Close()
 	}
-	// Close the primary before waiting: its replication streams run on
-	// serveConn goroutines counted in c.wg, and only Primary.Close
-	// severs them. The run loop may still promote or rejoin while we
-	// wait, so sweep twice — once to unblock, once after the loop is
-	// provably gone.
-	var errOut error
-	for pass := 0; pass < 2; pass++ {
-		c.mu.Lock()
-		p, rep, jw := c.primary, c.rep, c.jw
-		c.primary, c.rep, c.jw = nil, nil, nil
-		c.mu.Unlock()
-		if p != nil {
-			p.Close()
-		}
-		if rep != nil {
-			rep.Close()
-		}
-		if jw != nil {
-			c.d.SetJournal(nil)
-			errOut = jw.Close()
-		}
-		if pass == 0 {
-			c.wg.Wait()
-		}
+	c.wg.Wait()
+	c.mu.Lock()
+	p, rep, jw := c.primary, c.rep, c.jw
+	c.primary, c.rep, c.jw = nil, nil, nil
+	c.mu.Unlock()
+	if p != nil {
+		p.Close()
 	}
-	return errOut
+	if rep != nil {
+		rep.Close()
+	}
+	if jw == nil {
+		return nil
+	}
+	c.d.SetJournal(nil)
+	return jw.Close()
 }
 
 // ---- listener ----
 
-func (c *Cluster) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.serveConn(conn)
-		}()
-	}
-}
-
-func writeFinal(conn net.Conn, code mrerr.Code, fields ...string) {
-	bw := bufio.NewWriter(conn)
+// writeFinal writes one final (not MR_MORE_DATA) reply and flushes it.
+func writeFinal(bw *bufio.Writer, code mrerr.Code, fields ...string) {
 	protocol.WriteReply(bw, &protocol.Reply{
 		Version: protocol.Version,
 		Code:    int32(code),
@@ -349,16 +336,18 @@ func writeFinal(conn net.Conn, code mrerr.Code, fields ...string) {
 	bw.Flush()
 }
 
-func (c *Cluster) serveConn(conn net.Conn) {
+// serveConn serves one connection to the replication port: a stream
+// (the primary's, until it ends) or one election RPC. The listener
+// closes the connection when it returns.
+func (c *Cluster) serveConn(conn *protocol.Conn) {
 	br := bufio.NewReader(conn)
 	req, err := protocol.ReadRequest(br)
 	if err != nil {
-		conn.Close()
 		return
 	}
+	bw := bufio.NewWriter(conn)
 	if req.Version != protocol.Version {
-		writeFinal(conn, mrerr.MrVersionMismatch)
-		conn.Close()
+		writeFinal(bw, mrerr.MrVersionMismatch)
 		return
 	}
 	switch req.Op {
@@ -369,24 +358,23 @@ func (c *Cluster) serveConn(conn net.Conn) {
 		if p == nil {
 			// Not the primary: refuse the stream and name the primary
 			// we know, so a misdirected follower retargets in one hop.
-			writeFinal(conn, mrerr.MrReadonly, primaryRepl)
-			conn.Close()
+			writeFinal(bw, mrerr.MrReadonly, primaryRepl)
 			return
 		}
-		p.ServeReplicate(conn, br, req) // blocks; closes conn
+		p.ServeReplicate(conn, br, req) // blocks until the stream ends
 	case protocol.OpElection:
-		defer conn.Close()
-		c.serveElection(conn, req)
+		// In flight: a closing listener lets the reply go out.
+		conn.Begin()
+		c.serveElection(bw, req)
 	default:
-		writeFinal(conn, mrerr.MrUnknownProc)
-		conn.Close()
+		writeFinal(bw, mrerr.MrUnknownProc)
 	}
 }
 
-func (c *Cluster) serveElection(conn net.Conn, req *protocol.Request) {
+func (c *Cluster) serveElection(bw *bufio.Writer, req *protocol.Request) {
 	args := req.StringArgs()
 	if len(args) == 0 {
-		writeFinal(conn, mrerr.MrArgs)
+		writeFinal(bw, mrerr.MrArgs)
 		return
 	}
 	switch args[0] {
@@ -400,28 +388,28 @@ func (c *Cluster) serveElection(conn net.Conn, req *protocol.Request) {
 		if held {
 			heldField = "1"
 		}
-		writeFinal(conn, mrerr.Success, role, itoa(epoch), itoa(seg), itoa(idx),
+		writeFinal(bw, mrerr.Success, role, itoa(epoch), itoa(seg), itoa(idx),
 			c.cfg.AdvertiseRepl, c.cfg.AdvertiseClient, heldField)
 	case electClaim:
 		if len(args) != 7 {
-			writeFinal(conn, mrerr.MrArgs)
+			writeFinal(bw, mrerr.MrArgs)
 			return
 		}
 		epoch, e1 := parseInt(args[1])
 		seg, e2 := parseInt(args[2])
 		idx, e3 := parseInt(args[3])
 		if e1 != nil || e2 != nil || e3 != nil {
-			writeFinal(conn, mrerr.MrArgs)
+			writeFinal(bw, mrerr.MrArgs)
 			return
 		}
 		granted, reason, myEpoch := c.evaluateClaim(epoch, seg, idx, args[4], args[5], args[6] == "1")
 		if granted {
-			writeFinal(conn, mrerr.Success, "granted")
+			writeFinal(bw, mrerr.Success, "granted")
 		} else {
-			writeFinal(conn, mrerr.MrPerm, reason, itoa(myEpoch))
+			writeFinal(bw, mrerr.MrPerm, reason, itoa(myEpoch))
 		}
 	default:
-		writeFinal(conn, mrerr.MrArgs)
+		writeFinal(bw, mrerr.MrArgs)
 	}
 }
 
@@ -576,19 +564,11 @@ func (c *Cluster) run() {
 }
 
 // bootDiscover polls the peers once before choosing a role: a live
-// primary with an epoch at least ours is followed; otherwise the
-// normal election path runs from the role loop.
+// primary with an epoch at least ours is followed; otherwise lastLease
+// stays zero, so the first step runs an election (with the usual
+// randomized backoff and re-poll).
 func (c *Cluster) bootDiscover() {
-	infos := c.pollPeers(c.cfg.LeaseInterval)
-	for _, pi := range infos {
-		if pi.role == RolePrimary && pi.epoch >= c.Epoch() {
-			c.adoptPrimary(pi.epoch, pi.replAddr, pi.clientAddr)
-			c.becomeFollower("boot", false)
-			return
-		}
-	}
-	// No primary found: leave lastLease at zero so the first step runs
-	// an election (with the usual randomized backoff and re-poll).
+	c.followLive(c.pollPeers(c.cfg.LeaseInterval), "boot")
 }
 
 func (c *Cluster) step() {
@@ -637,13 +617,8 @@ func (c *Cluster) step() {
 		// Look for the new history to rejoin; failing that, after a
 		// further timeout, stand for election ourselves (maybe nobody
 		// else could be elected).
-		infos := c.pollPeers(c.cfg.LeaseInterval)
-		for _, pi := range infos {
-			if pi.role == RolePrimary && pi.epoch >= c.Epoch() {
-				c.adoptPrimary(pi.epoch, pi.replAddr, pi.clientAddr)
-				c.becomeFollower("rejoin", true)
-				return
-			}
+		if c.followLive(c.pollPeers(c.cfg.LeaseInterval), "rejoin") {
+			return
 		}
 		if time.Since(fencedAt) > c.cfg.LeaseTimeout {
 			c.elect("lease-expired", false)
@@ -824,20 +799,27 @@ func (c *Cluster) fence(cause string) {
 }
 
 // promote makes this node the primary for epoch. rep is the follower
-// being promoted (nil at boot or from fenced).
+// being promoted (nil at boot or from fenced): it stops first, and
+// stays the node's follower, stopped, until the role changes, so the
+// role loop cannot start another in between. The epoch is persisted
+// under mu, with the claim grants and adoptions that also write it,
+// and a promotion whose epoch a grant or adoption has reached meanwhile
+// is refused: two primaries never share an epoch.
 func (c *Cluster) promote(epoch int64, cause string, rep *Replica) error {
-	if err := StoreEpoch(c.cfg.Root, epoch); err != nil {
-		return fmt.Errorf("persisting epoch %d: %w", epoch, err)
-	}
-	var (
-		jw  *db.JournalWriter
-		err error
-	)
 	if rep != nil {
-		// The follower path: stop tailing, fsck, fresh segment.
-		jw, err = rep.Promote(c.cfg.Journal)
-	} else {
-		jw, err = c.promoteInPlace()
+		rep.Close()
+	}
+	var err error
+	c.mu.Lock()
+	if c.epoch >= epoch {
+		err = fmt.Errorf("epoch %d superseded by %d", epoch, c.epoch)
+	} else if err = StoreEpoch(c.cfg.Root, epoch); err != nil {
+		err = fmt.Errorf("persisting epoch %d: %w", epoch, err)
+	}
+	c.mu.Unlock()
+	var jw *db.JournalWriter
+	if err == nil {
+		jw, err = openPrimary(c.d, c.dd, c.cfg.Journal, c.logf)
 	}
 	if err != nil {
 		// The follower is stopped either way; fall to fenced and let
@@ -883,25 +865,29 @@ func (c *Cluster) promote(epoch int64, cause string, rep *Replica) error {
 	c.mu.Unlock()
 
 	c.electionsWon.Add(1)
-	c.logf("cluster: promoted to primary, epoch %d (%s)", epoch, cause)
+	c.logf("cluster: promoted to primary, epoch %d (%s); journal segment %d", epoch, cause, jw.Seq())
 	c.notifyRole(RolePrimary)
 	return nil
 }
 
-// promoteInPlace opens a primary journal over the live database — the
-// boot and fenced-node election paths, where no follower is running.
-func (c *Cluster) promoteInPlace() (*db.JournalWriter, error) {
-	if issues := c.d.Fsck(); len(issues) > 0 {
+// openPrimary is the one way a node's database becomes a primary's:
+// the referential-integrity check refuses on any finding (the node
+// keeps serving reads and the operator decides), then a fresh journal
+// segment opens in dd, one past any mirrored history, and is attached,
+// so d journals, and so accepts, mutations. No follower may be tailing
+// into d.
+func openPrimary(d *db.DB, dd *db.DataDir, opts db.JournalOptions, logf func(string, ...any)) (*db.JournalWriter, error) {
+	if issues := d.Fsck(); len(issues) > 0 {
 		for _, in := range issues {
-			c.logf("cluster: promote fsck: %s", in)
+			logf("cluster: promote fsck: %s", in)
 		}
 		return nil, fmt.Errorf("fsck found %d inconsistencies; refusing promotion", len(issues))
 	}
-	jw, err := db.OpenJournalWriter(c.dd.JournalDir(), c.cfg.Journal)
+	jw, err := db.OpenJournalWriter(dd.JournalDir(), opts)
 	if err != nil {
 		return nil, err
 	}
-	c.d.SetJournal(jw)
+	d.SetJournal(jw)
 	return jw, nil
 }
 
@@ -929,9 +915,16 @@ func (c *Cluster) notifyRole(role string) {
 
 // ---- elections ----
 
-// elect runs one election round. force (operator promotion) skips the
-// deference checks and backoff and claims regardless of denials.
-func (c *Cluster) elect(cause string, force bool) bool {
+// elect runs one election round. Without force, the round waits out
+// the lease and a randomized backoff, follows a live primary or defers
+// to a better-positioned replica if the poll finds one, skips a round
+// nobody answers when the node may not promote alone, and promotes on
+// a quorum of grants. force, the operator's promotion, skips all of
+// that: the grants are advisory (granting retargets a peer at once
+// instead of on first contact), so a forced round promotes even with
+// no peer reachable. A round that does not promote is logged and
+// counted, not an error; the error is promote's.
+func (c *Cluster) elect(cause string, force bool) error {
 	c.electMu.Lock()
 	defer c.electMu.Unlock()
 
@@ -940,14 +933,14 @@ func (c *Cluster) elect(cause string, force bool) bool {
 	c.mu.Lock()
 	if c.role == RolePrimary {
 		c.mu.Unlock()
-		return true
+		return nil
 	}
 	startRole := c.role
 	lease := c.lastLease
 	everLease := c.everLease
 	c.mu.Unlock()
 	if !force && !lease.IsZero() && time.Since(lease) < c.cfg.LeaseTimeout+c.cfg.LeaseInterval {
-		return false
+		return nil
 	}
 
 	c.elections.Add(1)
@@ -958,41 +951,31 @@ func (c *Cluster) elect(cause string, force bool) bool {
 		select {
 		case <-time.After(backoff):
 		case <-c.closing:
-			return false
+			return nil
 		}
 	}
 
 	infos := c.pollPeers(c.cfg.LeaseInterval)
+	if !force && c.followLive(infos, "rejoin") {
+		c.logf("cluster: election aborted: a primary is live")
+		c.electionsAbrt.Add(1)
+		return nil
+	}
 	c.mu.Lock()
-	myEpoch := c.epoch
+	maxEpoch := c.epoch
 	mySeg, myIdx := c.posLocked()
 	myAddr := c.cfg.AdvertiseRepl
 	c.mu.Unlock()
-
-	maxEpoch := myEpoch
 	for _, pi := range infos {
-		if pi.epoch > maxEpoch {
-			maxEpoch = pi.epoch
-		}
-		if force {
-			continue
-		}
-		if pi.role == RolePrimary && pi.epoch >= myEpoch {
-			// A primary exists after all — follow it.
-			c.logf("cluster: election aborted: %s is primary at epoch %d", pi.replAddr, pi.epoch)
-			c.electionsAbrt.Add(1)
-			c.adoptPrimary(pi.epoch, pi.replAddr, pi.clientAddr)
-			c.retargetOrFollow()
-			return false
-		}
-		if pi.role == RoleReplica && better(pi.seg, pi.idx, pi.replAddr, mySeg, myIdx, myAddr) {
+		maxEpoch = max(maxEpoch, pi.epoch)
+		if !force && pi.role == RoleReplica && better(pi.seg, pi.idx, pi.replAddr, mySeg, myIdx, myAddr) {
 			// Defer to the better candidate; if it never claims, the
 			// next timeout retries (and it will have failed the same
 			// deference check only if it outranks us, so one of us
 			// always eventually stands).
 			c.logf("cluster: election deferred to better candidate %s at (%d, %d)", pi.replAddr, pi.seg, pi.idx)
 			c.electionsAbrt.Add(1)
-			return false
+			return nil
 		}
 	}
 
@@ -1006,12 +989,12 @@ func (c *Cluster) elect(cause string, force bool) bool {
 		if startRole == RoleFenced {
 			c.logf("cluster: election skipped: fenced with no reachable peers")
 			c.electionsAbrt.Add(1)
-			return false
+			return nil
 		}
 		if c.quorumNeed() == 0 && !everLease {
 			c.logf("cluster: election skipped: no peers reachable and no primary ever heard")
 			c.electionsAbrt.Add(1)
-			return false
+			return nil
 		}
 	}
 
@@ -1055,7 +1038,7 @@ func (c *Cluster) elect(cause string, force bool) bool {
 		}
 	}
 	need := c.quorumNeed()
-	won := grants >= need
+	won := force || grants >= need
 	if !force && need == 0 && denials > 0 {
 		// A pair (or smaller) elects by self-grant only when the peer
 		// is silent; an explicit denial means our view was wrong.
@@ -1064,23 +1047,40 @@ func (c *Cluster) elect(cause string, force bool) bool {
 	if !won {
 		c.logf("cluster: election lost: %d grants, %d denials (need %d)", grants, denials, need)
 		c.electionsAbrt.Add(1)
-		return false
+		return nil
 	}
 
 	c.mu.Lock()
 	rep := c.rep
-	c.rep = nil
 	c.mu.Unlock()
-	if err := c.promote(newEpoch, cause, rep); err != nil {
+	err := c.promote(newEpoch, cause, rep)
+	if err != nil {
 		c.logf("cluster: promotion failed: %v", err)
-		return false
 	}
-	return true
+	return err
+}
+
+// followLive adopts the first live primary in infos whose epoch is at
+// least ours and points the follower machinery at it, reporting
+// whether it found one: the step that boot discovery, a fenced node's
+// rejoin poll and an election's poll share.
+func (c *Cluster) followLive(infos []peerInfo, cause string) bool {
+	for _, pi := range infos {
+		if pi.role == RolePrimary && pi.epoch >= c.Epoch() {
+			c.logf("cluster: %s is primary at epoch %d", pi.replAddr, pi.epoch)
+			c.adoptPrimary(pi.epoch, pi.replAddr, pi.clientAddr)
+			c.retargetOrFollow(cause)
+			return true
+		}
+	}
+	return false
 }
 
 // retargetOrFollow points the follower machinery at the currently
-// known primary (used after an election discovers one).
-func (c *Cluster) retargetOrFollow() {
+// known primary: a running follower is retargeted, otherwise one
+// starts (with a forced bootstrap from fenced, or when the epoch
+// advanced past our tail).
+func (c *Cluster) retargetOrFollow(cause string) {
 	c.mu.Lock()
 	rep, target, role := c.rep, c.primaryRepl, c.role
 	needBoot := c.needBoot
@@ -1089,62 +1089,21 @@ func (c *Cluster) retargetOrFollow() {
 	if target == "" {
 		return
 	}
-	switch {
-	case rep != nil:
-		if needBoot {
-			rep.ForceBootstrap()
-		}
-		rep.SetFrom(target)
-	case role == RoleFenced:
-		c.becomeFollower("rejoin", true)
-	default:
-		c.becomeFollower("rejoin", needBoot)
+	if rep == nil {
+		c.becomeFollower(cause, needBoot || role == RoleFenced)
+		return
 	}
+	if needBoot {
+		rep.ForceBootstrap()
+	}
+	rep.SetFrom(target)
 }
 
-// ForcePromote is the operator's promotion (SIGUSR1, -promote): seize
-// the lease now, bumping the epoch past everything reachable. It
-// fails only if this node cannot open a primary journal.
+// ForcePromote is the operator's promotion (SIGUSR1, -promote): an
+// election with force set, which seizes the lease now at an epoch past
+// everything reachable. It fails only if this node cannot promote.
 func (c *Cluster) ForcePromote(cause string) error {
-	c.mu.Lock()
-	if c.role == RolePrimary {
-		c.mu.Unlock()
-		return nil
-	}
-	rep := c.rep
-	c.rep = nil
-	c.mu.Unlock()
-
-	c.electMu.Lock()
-	defer c.electMu.Unlock()
-	c.elections.Add(1)
-	infos := c.pollPeers(c.cfg.LeaseInterval)
-	maxEpoch := c.epochFloor()
-	for _, pi := range infos {
-		if pi.epoch > maxEpoch {
-			maxEpoch = pi.epoch
-		}
-	}
-	newEpoch := maxEpoch + 1
-	// Tell the peers; their grants are advisory (force overrides), but
-	// granting retargets them immediately instead of on first contact.
-	var wg sync.WaitGroup
-	c.mu.Lock()
-	mySeg, myIdx := c.posLocked()
-	if rep != nil {
-		mySeg, myIdx = rep.Position()
-	}
-	c.mu.Unlock()
-	for _, addr := range c.cfg.Peers {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			sendClaim(addr, c.cfg.LeaseTimeout, newEpoch, mySeg, myIdx,
-				c.cfg.AdvertiseRepl, c.cfg.AdvertiseClient, true)
-		}(addr)
-	}
-	wg.Wait()
-	return c.promote(newEpoch, cause, rep)
+	return c.elect(cause, true)
 }
 
 // ---- follower callbacks ----

@@ -499,6 +499,53 @@ func TestPrimaryKilledDuringElection(t *testing.T) {
 	}
 }
 
+// TestForcePromoteWithNoPeerReachable: the operator's promotion is one
+// election with force set, and under force the grants are advisory. A
+// node of three whose two peers are closed ports, its role loop not
+// started so no other round runs, still becomes primary at one past
+// the highest epoch it knows, and the promotion counts as one election.
+func TestForcePromoteWithNoPeerReachable(t *testing.T) {
+	root := t.TempDir()
+	const known = 4
+	if err := StoreEpoch(root, known); err != nil {
+		t.Fatal(err)
+	}
+	reg := stats.NewRegistry()
+	c, _, err := OpenCluster(ClusterConfig{
+		Root:          root,
+		ListenRepl:    freeAddr(t),
+		Peers:         []string{freeAddr(t), freeAddr(t)},
+		LeaseInterval: testLeaseInterval,
+		LeaseTimeout:  testLeaseTimeout,
+		Journal:       db.JournalOptions{Policy: db.SyncEveryCommit},
+		Clock:         staticClock{instant},
+		Stats:         reg,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	count := func() int64 { return reg.Snapshot().Counters["election.count"] }
+	before := count()
+
+	if err := c.ForcePromote("operator"); err != nil {
+		t.Fatalf("force promote: %v", err)
+	}
+	if got := c.Role(); got != RolePrimary {
+		t.Fatalf("role after forced promotion = %s, want primary", got)
+	}
+	if got := c.Epoch(); got != known+1 {
+		t.Errorf("epoch after forced promotion = %d, want %d", got, known+1)
+	}
+	if got, err := LoadEpoch(root); err != nil || got != known+1 {
+		t.Errorf("persisted epoch = %d (%v), want %d", got, err, known+1)
+	}
+	if got := count() - before; got != 1 {
+		t.Errorf("election.count rose by %d, want 1", got)
+	}
+}
+
 // TestReadYourWrites: a commit token from the primary makes a read on
 // a (possibly lagging) follower either wait for coverage or refuse
 // with MR_STALE and redirect; a malformed token is rejected outright.

@@ -248,20 +248,18 @@ func (p *Primary) Close() {
 
 // ServeReplicate serves one replication stream whose protocol.Version
 // Replicate request has already been read from br — the entry point for
-// a Cluster that owns the listener and dispatches by op. It adopts the
-// connection (registers it for shutdown, closes it when the stream
-// ends) and blocks until the stream is over.
+// the serve function of a listener that dispatches by op. It registers
+// the connection, so Close cuts it, and blocks until the stream is
+// over; the listener closes the connection.
 func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.Request) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		conn.Close()
 		return
 	}
 	p.conns[conn] = struct{}{}
 	p.mu.Unlock()
 	defer func() {
-		conn.Close()
 		p.mu.Lock()
 		delete(p.conns, conn)
 		p.mu.Unlock()
@@ -271,17 +269,13 @@ func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.
 	p.served.Add(1)
 
 	bw := bufio.NewWriter(conn)
-	final := func(code mrerr.Code) {
-		protocol.WriteReply(bw, &protocol.Reply{Version: protocol.Version, Code: int32(code)})
-		bw.Flush()
-	}
 
 	// The handshake is [seg, idx, epoch]: the replica's resume position
 	// and its election epoch. Position (-1, -1) is the explicit
 	// "bootstrap me" of a rejoining node whose journal tail may diverge
 	// from this history.
 	if len(req.Args) != 3 {
-		final(mrerr.MrArgs)
+		writeFinal(bw, mrerr.MrArgs)
 		return
 	}
 	args := req.StringArgs()
@@ -289,7 +283,7 @@ func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.
 	idx, err2 := parseInt(args[1])
 	replicaEpoch, err3 := parseInt(args[2])
 	if err1 != nil || err2 != nil || err3 != nil || idx < 0 != (seg < 0) || replicaEpoch < 0 {
-		final(mrerr.MrArgs)
+		writeFinal(bw, mrerr.MrArgs)
 		return
 	}
 
@@ -301,7 +295,7 @@ func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.
 		// weren't looking. Fence instead of streaming a dead history.
 		p.logf("repl: %s reports epoch %d > ours %d: deposed", conn.RemoteAddr(), replicaEpoch, myEpoch)
 		cl.OnStaleSelf(replicaEpoch)
-		final(mrerr.MrReadonly)
+		writeFinal(bw, mrerr.MrReadonly)
 		return
 	}
 	if replicaEpoch < myEpoch {
@@ -317,7 +311,7 @@ func (p *Primary) ServeReplicate(conn net.Conn, br *bufio.Reader, req *protocol.
 	p.logf("repl: %s connected at position (%d, %d)", conn.RemoteAddr(), seg, idx)
 	if err := p.stream(br, bw, seg, idx, force); err != nil {
 		p.logf("repl: %s: %v", conn.RemoteAddr(), err)
-		final(mrerr.MrInternal)
+		writeFinal(bw, mrerr.MrInternal)
 	}
 }
 

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -91,9 +90,8 @@ type Replica struct {
 	conn    net.Conn
 	started bool
 
-	closing  chan struct{}
-	done     chan struct{}
-	promoted atomic.Bool
+	closing chan struct{}
+	done    chan struct{}
 
 	// forceBoot makes the next handshake request a full bootstrap
 	// (position -1, -1): set on rejoin after this node was primary, so
@@ -128,10 +126,6 @@ type Replica struct {
 	freshAsOf atomic.Int64
 	caughtUp  atomic.Bool
 }
-
-// ErrPromoted is returned by operations that no longer apply once a
-// replica has been promoted to primary.
-var ErrPromoted = errors.New("replica: already promoted")
 
 // OpenRejoin builds a Replica over an already-open live database — the
 // cluster's boot-as-follower path and the fenced-primary rejoin path.
@@ -311,7 +305,7 @@ func (r *Replica) LagSeconds() int64 {
 }
 
 // Start launches the tailing loop: connect, handshake, apply, and
-// reconnect with backoff until Close or Promote.
+// reconnect with backoff until Close.
 func (r *Replica) Start() {
 	r.mu.Lock()
 	if r.started {
@@ -349,7 +343,7 @@ func (r *Replica) run() {
 	}
 }
 
-// setConn records the live connection so Close/Promote can cut it.
+// setConn records the live connection so Close can cut it.
 func (r *Replica) setConn(conn net.Conn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -813,36 +807,10 @@ receive:
 	return nil
 }
 
-// Promote turns the replica into a primary: stop tailing, check
-// integrity, open a fresh journal segment on the mirrored directory,
-// and attach it so the database journals (and so accepts) mutations.
-// The caller flips its server out of read-only mode on success. A
-// non-empty fsck report refuses promotion — the replica keeps serving
-// reads and the operator decides.
-func (r *Replica) Promote(opts db.JournalOptions) (*db.JournalWriter, error) {
-	if !r.promoted.CompareAndSwap(false, true) {
-		return nil, ErrPromoted
-	}
-	r.stop()
-	if issues := r.d.Fsck(); len(issues) > 0 {
-		for _, in := range issues {
-			r.logf("repl: promote fsck: %s", in)
-		}
-		r.promoted.Store(false)
-		return nil, fmt.Errorf("replica: fsck found %d inconsistencies; refusing promotion", len(issues))
-	}
-	jw, err := db.OpenJournalWriter(r.dd.JournalDir(), opts)
-	if err != nil {
-		r.promoted.Store(false)
-		return nil, err
-	}
-	r.d.SetJournal(jw)
-	r.logf("repl: promoted to primary; journal segment %d", jw.Seq())
-	return jw, nil
-}
-
-// stop ends the tailing loop and waits for it.
-func (r *Replica) stop() {
+// Close stops tailing, waits for the loop to end and syncs the mirror.
+// The database stays usable for reads, and openPrimary may make it a
+// primary's.
+func (r *Replica) Close() error {
 	r.mu.Lock()
 	select {
 	case <-r.closing:
@@ -859,12 +827,6 @@ func (r *Replica) stop() {
 	} else {
 		r.closeMirror()
 	}
-}
-
-// Close stops tailing and syncs the mirror. The database stays usable
-// for reads.
-func (r *Replica) Close() error {
-	r.stop()
 	return nil
 }
 

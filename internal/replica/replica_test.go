@@ -39,8 +39,8 @@ const worldEpoch = 1
 
 // primaryWorld is a live primary: a bootstrapped database journaling
 // into a data directory, a checkpoint store over it, and a replication
-// Primary served by the world's own accept loop on a loopback port, as
-// a Cluster's listener would dispatch to it.
+// Primary served through a protocol.Listener on a loopback port, as a
+// Cluster's listener dispatches to it.
 type primaryWorld struct {
 	t     *testing.T
 	root  string
@@ -49,7 +49,7 @@ type primaryWorld struct {
 	jw    *db.JournalWriter
 	store *db.CheckpointStore
 	prim  *Primary
-	ln    net.Listener
+	ln    *protocol.Listener
 	addr  string
 }
 
@@ -81,35 +81,19 @@ func newPrimaryWorld(t *testing.T) *primaryWorld {
 			OnStaleSelf: func(int64) {},
 		},
 	})
-	if w.ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+	w.ln = protocol.NewListener()
+	addr, err := w.ln.Listen("127.0.0.1:0", func(conn *protocol.Conn) {
+		br := bufio.NewReader(conn)
+		if req, err := protocol.ReadRequest(br); err == nil {
+			w.prim.ServeReplicate(conn, br, req)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	w.addr = w.ln.Addr().String()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := w.ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				br := bufio.NewReader(conn)
-				req, err := protocol.ReadRequest(br)
-				if err != nil {
-					conn.Close()
-					return
-				}
-				w.prim.ServeReplicate(conn, br, req)
-			}()
-		}
-	}()
+	w.addr = addr.String()
 	t.Cleanup(func() {
 		w.stop()
-		wg.Wait()
 		jw.Close()
 	})
 	return w
@@ -351,8 +335,9 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 	}
 }
 
-// TestPromotion promotes a converged replica, writes through it, and
-// proves the writes survive the promoted node's own crash-recovery.
+// TestPromotion promotes a converged replica the one way every node
+// does (stop the follower, openPrimary), writes through it, and proves
+// the writes survive the promoted node's own crash-recovery.
 func TestPromotion(t *testing.T) {
 	w := newPrimaryWorld(t)
 	for i := 0; i < 5; i++ {
@@ -366,12 +351,10 @@ func TestPromotion(t *testing.T) {
 
 	// Primary lost; operator promotes the replica.
 	w.stop()
-	jw, err := rep.Promote(db.JournalOptions{Policy: db.SyncEveryCommit})
+	rep.Close()
+	jw, err := openPrimary(rep.DB(), rep.dd, db.JournalOptions{Policy: db.SyncEveryCommit}, t.Logf)
 	if err != nil {
 		t.Fatalf("promote: %v", err)
-	}
-	if _, err := rep.Promote(db.JournalOptions{}); err != ErrPromoted {
-		t.Fatalf("second promote = %v, want ErrPromoted", err)
 	}
 
 	cx := &queries.Context{DB: rep.DB(), Principal: "ops", App: "test", Privileged: true}
@@ -418,7 +401,6 @@ func TestPromotion(t *testing.T) {
 			t.Errorf("index consistency fsck: %v", bad)
 		}
 	}
-	rep.Close()
 }
 
 // TestReplicationSoak runs the whole lifecycle under -race: one
@@ -464,7 +446,8 @@ func TestReplicationSoak(t *testing.T) {
 	// Primary retires; A takes over and keeps accepting writes.
 	w.stop()
 	repB.Close()
-	jw, err := repA.Promote(db.JournalOptions{Policy: db.SyncEveryCommit})
+	repA.Close()
+	jw, err := openPrimary(repA.DB(), repA.dd, db.JournalOptions{Policy: db.SyncEveryCommit}, t.Logf)
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -473,7 +456,6 @@ func TestReplicationSoak(t *testing.T) {
 	if err := queries.Execute(cx, "add_machine", []string{"takeover.mit.edu", "VAX"}, func([]string) error { return nil }); err != nil {
 		t.Fatalf("write after promotion: %v", err)
 	}
-	repA.Close()
 }
 
 // TestTwoArgHandshakeRefused: the replication handshake is always

@@ -127,6 +127,7 @@ var KnownNames = []string{
 	"update.chunks.reused", // runs of the old file kept unchanged
 	"update.base.mismatch", // pushes refused: the target was not the edits' base
 	"update.extracts.kept", // extracts that found their member already in place
+	"update.files.removed", // installed files whose member left the bundle, removed
 	"update.conns.busy",
 	"update.conns.forceclosed",
 	"update.panics.recovered",

@@ -134,11 +134,12 @@ type bundleIndex struct {
 }
 
 // placement is what an install put at a destination: member of the
-// bundle whose sum is sum, in the file fi describes (its inode, size
-// and mtime right after the rename).
+// bundle whose sum is sum, assembled at the host path target, in the
+// file fi describes (its inode, size and mtime right after the rename).
 type placement struct {
 	sum    Sum
 	member string
+	target string
 	fi     os.FileInfo
 }
 
@@ -705,7 +706,32 @@ func (s *updateSession) execute(conn net.Conn, sp *trace.Span) mrerr.Code {
 			return code
 		}
 	}
+	s.removeLeft()
 	return mrerr.Success
+}
+
+// removeLeft removes, once the script has succeeded, each destination
+// an earlier install of the push's target placed that this push
+// neither installed nor kept: the file of a member that left the
+// bundle, and its backup. Each install and keep of this push recorded
+// its destination under the new bundle, so these are the target's
+// placements under any other sum; one a failed push left behind goes
+// with the next push that succeeds.
+func (s *updateSession) removeLeft() {
+	if s.install == nil {
+		return
+	}
+	for fp, p := range s.agent.placed {
+		if p.target != s.installed || p.sum == s.install.sum {
+			continue
+		}
+		if err := os.Remove(fp); err != nil && !os.IsNotExist(err) {
+			continue // kept placed: the next push that succeeds retries
+		}
+		os.Remove(fp + backupSuffix) // only a revert of fp, which no script now names, reads it
+		delete(s.agent.placed, fp)
+		s.agent.reg.Counter("update.files.removed").Inc()
+	}
 }
 
 func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
@@ -882,7 +908,7 @@ func (s *updateSession) place(fp, dest string) {
 		return
 	}
 	if fi, err := os.Lstat(fp); err == nil {
-		s.agent.placed[fp] = placement{sum: s.install.sum, member: member, fi: fi}
+		s.agent.placed[fp] = placement{sum: s.install.sum, member: member, target: s.installed, fi: fi}
 	}
 }
 

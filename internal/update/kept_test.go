@@ -341,3 +341,47 @@ func TestKeptIndexReplacesOldHeaderWalk(t *testing.T) {
 		t.Error("the push after a failed assemble used the dropped index")
 	}
 }
+
+// TestMemberThatLeftTheBundleIsRemoved: once a push's script succeeds,
+// the file of a member the bundle no longer holds goes from the host,
+// with its backup, and update.files.removed counts it; every other
+// member stays installed. An agent that restarted since the member's
+// install does not know the file and leaves it.
+func TestMemberThatLeftTheBundleIsRemoved(t *testing.T) {
+	root := t.TempDir()
+	files := memberFiles(31, 4, 8_000)
+	r := newKeptRig(t, root, files)
+	r.push(files)
+	files = changed(files, "m02.db", randBytes(32, 500)) // m02.db gets a backup
+	r.push(files)
+
+	without := func(files map[string][]byte, name string) map[string][]byte {
+		out := changed(files, name, nil)
+		delete(out, name)
+		return out
+	}
+	gone := without(files, "m02.db")
+	r.q.script = extractAll(gone)
+	r.push(gone)
+	fp, _ := r.a.HostPath("/etc/m02.db")
+	for _, p := range []string{fp, fp + backupSuffix} {
+		if _, err := os.Lstat(p); !os.IsNotExist(err) {
+			t.Errorf("%s after its member left the bundle: %v", p, err)
+		}
+	}
+	if n := r.a.reg.Counter("update.files.removed").Value(); n != 1 {
+		t.Errorf("update.files.removed = %d, want 1", n)
+	}
+
+	// A restarted agent holds no placements: the file of a member that
+	// leaves the bundle in its first push stays.
+	r2 := newKeptRig(t, root, gone)
+	r2.q.script = extractAll(without(gone, "m03.db"))
+	r2.push(without(gone, "m03.db"))
+	if _, err := r2.a.ReadHostFile("/etc/m03.db"); err != nil {
+		t.Errorf("restarted agent removed a file it never installed: %v", err)
+	}
+	if n := r2.a.reg.Counter("update.files.removed").Value(); n != 0 {
+		t.Errorf("restarted agent: update.files.removed = %d, want 0", n)
+	}
+}
