@@ -17,7 +17,17 @@ import (
 	"time"
 )
 
-// buildTools compiles the commands once per test binary run.
+// TestMain removes the directory the commands were built into, so a
+// run leaves nothing behind.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if builtTools.dir != "" {
+		os.RemoveAll(builtTools.dir)
+	}
+	os.Exit(code)
+}
+
+// builtTools is the commands, compiled once per test binary run.
 var builtTools struct {
 	dir  string
 	done bool

@@ -401,6 +401,7 @@ func (m *DCM) serviceCycle(snap *serviceSnapshot, generator *gen.Incremental, vi
 				s.Generated++
 				s.FilesGenerated += res.NumFiles
 				s.BytesGenerated += res.TotalBytes
+				s.BytesRendered += res.Rendered
 				if plan.Mode == extract.ModeDelta {
 					s.DeltaBuilds++
 				} else {

@@ -71,6 +71,10 @@ type CycleStats struct {
 	BytesGenerated  int
 	BytesPropagated int
 
+	// BytesRendered is the bundle bytes generation wrote: a bundle
+	// patched in place writes its edits' bytes, one rendered anew all.
+	BytesRendered int
+
 	// BytesPushed is the edit payload that traveled to the hosts;
 	// BytesSkipped the bundle bytes that did not travel, because the
 	// agents kept them from the files they held.
@@ -147,6 +151,7 @@ func (s *CycleStats) publish(reg *stats.Registry, d time.Duration) {
 		{"dcm.files.propagated", s.FilesPropagated},
 		{"dcm.bytes.generated", s.BytesGenerated},
 		{"dcm.bytes.propagated", s.BytesPropagated},
+		{"dcm.bytes.rendered", s.BytesRendered},
 		{"dcm.bytes.pushed", s.BytesPushed},
 		{"dcm.bytes.skipped", s.BytesSkipped},
 		{"dcm.pushes.edited", s.PushesEdited},

@@ -454,6 +454,39 @@ func (m *Model) Changes(file string, from uint64, fn func(off, del, ins int)) (o
 	return false
 }
 
+// CopyChanges writes into dst, which is as long as file's bytes now,
+// the bytes each change since version from inserted (the ins bytes
+// Changes reports), each at its offset in the file now; the other bytes
+// of dst are left as they are. It walks the file's entries once and
+// allocates nothing. ok is false when Changes's is.
+func (m *Model) CopyChanges(dst []byte, file string, from uint64) (ok bool) {
+	f := m.file(file)
+	if f == nil || from == 0 {
+		return false
+	}
+	f.flush()
+	switch from {
+	case f.version:
+		return true
+	case f.from:
+	default:
+		return false
+	}
+	i, at, shift := 0, 0, 0 // entry i starts at offset at of the file now
+	for _, c := range f.changes {
+		lo, hi := c.off+shift, c.off+shift+c.ins
+		shift += c.ins - c.del
+		for lo < hi {
+			for at+len(f.entries[i].data) <= lo {
+				at += len(f.entries[i].data)
+				i++
+			}
+			lo += copy(dst[lo:hi], f.entries[i].data[lo-at:])
+		}
+	}
+	return true
+}
+
 // Files renders every file into new slices.
 func (m *Model) Files() map[string][]byte {
 	out := make(map[string][]byte, len(m.files))

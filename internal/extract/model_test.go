@@ -146,8 +146,10 @@ func TestModelRenderCacheInvalidation(t *testing.T) {
 
 // FuzzModelPatch: after any batch of emits and deletes, every file
 // renders exactly as a sorted map of its live entries would, however the
-// overlay, the in-place merge and the append fast path interleave. Each
-// op is two bytes: its kind and file, and an argument.
+// overlay, the in-place merge and the append fast path interleave, and
+// the old bytes with the changes the model reports, their inserted bytes
+// written by CopyChanges, are the new ones. Each op is two bytes: its
+// kind and file, and an argument.
 func FuzzModelPatch(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 2, 0, 3, 0, 3, 0, 2, 0})        // emit, render, append onto the flushed slice
 	f.Add([]byte{0, 5, 2, 0, 1, 5, 2, 0, 0, 5, 2, 0})        // shrink to empty and come back
@@ -209,6 +211,10 @@ func FuzzModelPatch(f *testing.F) {
 							if patched[i] != 0 && patched[i] != want[i] {
 								t.Fatalf("%s: changes misplace byte %d", file, i)
 							}
+						}
+						// CopyChanges fills the inserted bytes in.
+						if !m.CopyChanges(patched, file, l.v) || !bytes.Equal(patched, want) {
+							t.Fatalf("%s: kept bytes and CopyChanges give %q, want %q", file, patched, want)
 						}
 					}
 				}

@@ -46,6 +46,10 @@ type Result struct {
 	// The base is the empty file (the edit is the whole bundle) when
 	// there is no such bundle or the model cannot say what changed since.
 	Bundles map[string]*update.Bundle
+	// Rendered counts the bundle bytes the render wrote: a bundle's
+	// whole length when it was written anew, the bytes of its edits when
+	// it was patched.
+	Rendered int
 }
 
 func (r *Result) finish() {
@@ -125,29 +129,40 @@ var Incrementals = map[string]*Incremental{
 	"ZEPHYR": ZephyrIncremental,
 }
 
-// Scratch holds one service's reusable bundle buffers between DCM
-// passes, and what each last held: its sum, and its members' names and
-// model versions, from which the next render's edits follow. Rebuilding
-// a service's tar bundles allocates tens of megabytes per pass;
-// recycling the previous pass's buffers keeps an incremental pass's
-// allocation proportional to the delta. A Scratch must not be shared
-// across services generating concurrently, and the previous pass's
-// bundles must be fully consumed (pushed) before the next render
-// overwrites them.
+// Scratch holds one service's bundles between DCM passes, and what each
+// holds: its sum, and its members' names, sizes, offsets and model
+// versions, from which the next render's edits follow. A bundle whose
+// member list is unchanged and whose model knows each member's changes
+// is patched in place: its unchanged bytes move to their new offsets
+// and only the changed ones are written, so an incremental pass costs
+// what changed, not the bundle. The grouping of the model's files into
+// bundles is kept too, and redone only when the file list changes. A
+// Scratch must not be shared across services generating concurrently,
+// and the previous pass's bundles must be fully consumed (pushed) before
+// the next render overwrites them.
 type Scratch struct {
-	bufs map[string]*rendered
+	names   []string // the model's files at the last render
+	bundles []*rendered
 }
 
 // rendered is a bundle as a Scratch last rendered it.
 type rendered struct {
+	key      string   // "" for the common bundle, "/HOST" for a host's
+	names    []string // the model files it holds, in member order
+	members  []string // their member names: each name less "HOST/"
 	buf      []byte
 	sum      update.Sum
-	names    []string // the model files it holds, in member order
+	held     []string // the names buf holds; nil before the first render
+	sizes    []int    // buf's members' sizes and where their data starts
+	offs     []int
 	versions []uint64 // their model versions
+	edits    []update.Splice
+
+	nsizes, noffs []int // the next render's sizes and offsets
 }
 
 // NewScratch returns an empty bundle-buffer cache.
-func NewScratch() *Scratch { return &Scratch{bufs: map[string]*rendered{}} }
+func NewScratch() *Scratch { return &Scratch{} }
 
 // FromModel converts a rendered model into a generator Result: files
 // named "HOST/path" group into per-host tar bundles, files without a
@@ -161,87 +176,228 @@ func FromModel(m *extract.Model) (*Result, error) {
 // written straight into the bundles, and Result.Files aliases the
 // bundles' member data.
 func FromModelInto(m *extract.Model, s *Scratch) (*Result, error) {
-	// Bundle "" is the common one, "/HOST" a host's; a bundle's member
-	// is a file's name without the host.
-	type bundle struct{ names, members []string }
-	bundles := map[string]*bundle{}
-	var order []string
-	for _, name := range m.Names() {
-		key, member := "", name
-		if host, rest, ok := strings.Cut(name, "/"); ok {
-			key, member = "/"+host, rest
-		}
-		b := bundles[key]
-		if b == nil {
-			b = &bundle{}
-			bundles[key] = b
-			order = append(order, key)
-		}
-		b.names, b.members = append(b.names, name), append(b.members, member)
+	if s == nil {
+		s = NewScratch()
 	}
-	r := &Result{Files: map[string][]byte{}, Bundles: make(map[string]*update.Bundle, len(order))}
-	for _, key := range order {
-		names := bundles[key].names
-		sizes := make([]int, len(names))
-		for i, name := range names {
-			sizes[i] = m.Size(name)
-		}
-		prev := &rendered{}
-		if s != nil {
-			if s.bufs[key] == nil {
-				s.bufs[key] = prev
-			}
-			prev = s.bufs[key]
-		}
-		tarball, offs, err := update.BuildTarFrom(prev.buf, bundles[key].members, func(i int) int { return sizes[i] },
-			func(w io.Writer, i int) error { return m.WriteFile(w, names[i]) })
+	if names := m.Names(); !slices.Equal(names, s.names) {
+		s.group(names)
+	}
+	r := &Result{Files: make(map[string][]byte, len(s.names)), Bundles: make(map[string]*update.Bundle, len(s.bundles))}
+	for _, prev := range s.bundles {
+		b, written, err := prev.render(m)
 		if err != nil {
 			return nil, err
 		}
-		b := &update.Bundle{Data: tarball}
-		if edits, ok := bundleEdits(m, prev, names, sizes, offs, tarball); !ok {
-			b = update.NewBundle(tarball)
-		} else if b.Base, b.Edits = prev.sum, edits; len(edits) == 0 {
-			b.Sum = prev.sum // no edits: prev's bytes
-		} else {
-			b.Sum = sha256.Sum256(tarball)
+		r.Rendered += written
+		r.Bundles[strings.TrimPrefix(prev.key, "/")] = b
+		for i, name := range prev.names {
+			lo, hi := prev.offs[i], prev.offs[i]+prev.sizes[i]
+			r.Files[name] = b.Data[lo:hi:hi]
 		}
-		b.Members = bundles[key].members
-		r.Bundles[strings.TrimPrefix(key, "/")] = b
-		prev.versions = prev.versions[:0]
-		for _, name := range names {
-			prev.versions = append(prev.versions, m.Version(name))
-		}
-		prev.buf, prev.sum, prev.names = tarball, b.Sum, names
-		for i, name := range names {
-			r.Files[name] = tarball[offs[i] : offs[i]+sizes[i] : offs[i]+sizes[i]]
-		}
-		if key == "" {
-			r.Common = tarball
+		if prev.key == "" {
+			r.Common = b.Data
 		} else {
 			if r.PerHost == nil {
 				r.PerHost = map[string][]byte{}
 			}
-			r.PerHost[key[1:]] = tarball
+			r.PerHost[prev.key[1:]] = b.Data
 		}
 	}
 	r.finish()
 	return r, nil
 }
 
-// bundleEdits is the edits that make the bundle tarball (its members the
-// model's files names, of sizes bytes from offs) from prev, the bundle
-// the Scratch rendered before it, in old-bundle offsets: each member's
-// changes since the version prev holds, its header's size and checksum
-// fields when its size changed, and the zero padding after it when its
-// length did. The inserted bytes alias tarball. The header's other
-// fields and blocks do not depend on the size: the same name gives the
-// same header blocks. ok is false when prev
-// holds other members or the model does not know a member's changes.
-func bundleEdits(m *extract.Model, prev *rendered, names []string, sizes, offs []int, tarball []byte) (edits []update.Splice, ok bool) {
-	if prev.buf == nil || !slices.Equal(prev.names, names) {
+// group sorts the model's files names into bundles: bundle "" is the
+// common one, "/HOST" a host's, and a bundle's member is a file's name
+// without the host. A bundle the Scratch already holds keeps its buffer
+// and what it rendered; one that no file names any more is dropped.
+func (s *Scratch) group(names []string) {
+	old := make(map[string]*rendered, len(s.bundles))
+	for _, b := range s.bundles {
+		old[b.key] = b
+	}
+	s.names, s.bundles = names, s.bundles[:0]
+	cur := make(map[string]*rendered, len(old))
+	for _, name := range names {
+		key, member := "", name
+		if host, rest, ok := strings.Cut(name, "/"); ok {
+			key, member = "/"+host, rest
+		}
+		b := cur[key]
+		if b == nil {
+			if b = old[key]; b == nil {
+				b = &rendered{key: key}
+			}
+			b.names, b.members = nil, nil
+			cur[key] = b
+			s.bundles = append(s.bundles, b)
+		}
+		b.names, b.members = append(b.names, name), append(b.members, member)
+	}
+	clear(s.bundles[len(s.bundles):cap(s.bundles)])
+}
+
+// render makes the bundle of the model's files b.names: by patching
+// what b holds when it holds the same members and the model knows what
+// changed in each, else by writing every member anew. written counts
+// the bundle bytes it wrote: the edits' when it patched, else all.
+func (b *rendered) render(m *extract.Model) (bu *update.Bundle, written int, err error) {
+	n := len(b.names)
+	b.nsizes = slices.Grow(b.nsizes[:0], n)[:n]
+	for i, name := range b.names {
+		b.nsizes[i] = m.Size(name)
+	}
+	bu, ok := b.patch(m)
+	if ok {
+		for _, e := range bu.Edits {
+			written += len(e.Data)
+		}
+	} else {
+		tarball, offs, err := update.BuildTarFrom(b.buf, b.members, func(i int) int { return b.nsizes[i] },
+			func(w io.Writer, i int) error { return m.WriteFile(w, b.names[i]) })
+		if err != nil {
+			return nil, 0, err
+		}
+		bu, b.noffs, written = update.NewBundle(tarball), offs, len(tarball)
+	}
+	bu.Members = b.members
+	b.versions = b.versions[:0]
+	for _, name := range b.names {
+		b.versions = append(b.versions, m.Version(name))
+	}
+	b.buf, b.sum, b.held = bu.Data, bu.Sum, b.names
+	b.sizes, b.nsizes = b.nsizes, b.sizes
+	b.offs, b.noffs = b.noffs, b.offs
+	return bu, written, nil
+}
+
+// A tar header's size and checksum fields, from the start of the
+// header's last block.
+const (
+	sizeField, sizeFieldLen = 124, 12
+	sumField, sumFieldLen   = 148, 8
+)
+
+// patch turns the bundle b holds into the one of the model's files
+// b.names, of sizes b.nsizes, in place, and returns it with its edits
+// from what b held. Every stretch the edits keep moves to its new
+// offset, in the same array unless the bundle outgrew its capacity;
+// then each changed range is written from the model, each resized
+// member's header gets its new size and checksum, and the padding after
+// it is zeroed. ok is false, and nothing changed, when b holds other
+// members (or none), the model does not know a member's changes, or a
+// size does not fit a plain tar header.
+func (b *rendered) patch(m *extract.Model) (bu *update.Bundle, ok bool) {
+	if b.held == nil || !slices.Equal(b.held, b.names) {
 		return nil, false
 	}
+	// Each member keeps its header blocks: the same name gives the same
+	// ones, whatever its size.
+	b.noffs = slices.Grow(b.noffs[:0], len(b.names))[:len(b.names)]
+	oldEnd, newEnd := 0, 0 // the previous member's padded end
+	for i := range b.names {
+		if b.nsizes[i] >= 1<<33 {
+			return nil, false
+		}
+		b.noffs[i] = newEnd + b.offs[i] - oldEnd
+		oldEnd, newEnd = b.offs[i]+padded(b.sizes[i]), b.noffs[i]+padded(b.nsizes[i])
+	}
+	total := newEnd + 1024 // the two terminating zero blocks
+	buf := b.buf
+	if cap(buf) < total {
+		buf = make([]byte, 0, total+total/8)
+	}
+	buf = buf[:total]
+	edits, ok := bundleEdits(m, b.edits[:0], b.versions, b.names, b.nsizes, b.noffs, buf)
+	if !ok {
+		return nil, false
+	}
+	b.edits = edits
+	moveKept(buf, b.buf, edits)
+	for i, name := range b.names {
+		lo, size := b.noffs[i], b.nsizes[i]
+		m.CopyChanges(buf[lo:lo+size], name, b.versions[i])
+		if size != b.sizes[i] {
+			clear(buf[lo+size : lo+padded(size)])
+			setTarSize(buf[lo-512:lo], size)
+		}
+	}
+	bu = &update.Bundle{Data: buf, Base: b.sum, Edits: edits, Sum: b.sum}
+	if len(edits) > 0 {
+		bu.Sum = sha256.Sum256(buf)
+	}
+	return bu, true
+}
+
+// moveKept moves every stretch of old the edits keep (old offsets) to
+// its place in buf, the new bundle: buf is old's array or a new one.
+// In one array a stretch that moves down goes before the stretches
+// after it, one that moves up after them, so none overwrites a stretch
+// not yet moved. The edits' own bytes are left to the caller.
+func moveKept(buf, old []byte, edits []update.Splice) {
+	inPlace := &buf[:1][0] == &old[:1][0]
+	// move moves the stretch after edit k (before the first: k = -1),
+	// which moves by shift, if it moves in direction dir (0: any).
+	move := func(k, shift, dir int) {
+		lo, hi := 0, len(old)
+		if k >= 0 {
+			lo = edits[k].Off + edits[k].Len
+		}
+		if k+1 < len(edits) {
+			hi = edits[k+1].Off
+		}
+		if !inPlace || shift*dir > 0 {
+			copy(buf[lo+shift:], old[lo:hi])
+		}
+	}
+	shift := 0
+	move(-1, 0, 0)
+	for k := range edits {
+		shift += len(edits[k].Data) - edits[k].Len
+		move(k, shift, -1)
+	}
+	for k := len(edits) - 1; k >= 0 && inPlace; k-- {
+		move(k, shift, 1)
+		shift -= len(edits[k].Data) - edits[k].Len
+	}
+}
+
+// padded is n rounded up to a whole number of tar blocks.
+func padded(n int) int { return (n + 511) &^ 511 }
+
+// setTarSize writes size into a tar header's last block hdr and updates
+// its checksum, as archive/tar formats both fields.
+func setTarSize(hdr []byte, size int) {
+	octal(hdr[sizeField:sizeField+sizeFieldLen], size)
+	sum := 8 * int(' ') // the checksum field counts as spaces
+	for i, c := range hdr {
+		if i < sumField || i >= sumField+sumFieldLen {
+			sum += int(c)
+		}
+	}
+	octal(hdr[sumField:sumField+sumFieldLen-1], sum)
+	hdr[sumField+sumFieldLen-1] = ' '
+}
+
+// octal writes n into field as zero-padded octal digits and a NUL.
+func octal(field []byte, n int) {
+	field[len(field)-1] = 0
+	for i := len(field) - 2; i >= 0; i-- {
+		field[i] = byte('0' + n&7)
+		n >>= 3
+	}
+}
+
+// bundleEdits is the edits that make the bundle tarball (its members the
+// model's files names, of sizes bytes from offs) from the bundle whose
+// members' model versions were versions, appended to edits, in
+// old-bundle offsets: each member's changes since its version, its
+// header's size and checksum fields when its size changed, and the zero
+// padding after it when its length did. The inserted bytes alias
+// tarball, and are not read. The header's other fields and blocks do
+// not depend on the size: the same name gives the same header blocks.
+// ok is false when the model does not know a member's changes.
+func bundleEdits(m *extract.Model, edits []update.Splice, versions []uint64, names []string, sizes, offs []int, tarball []byte) (_ []update.Splice, ok bool) {
 	at := 0 // where the last edit's data starts in tarball
 	add := func(off, n, from, k int) {
 		if l := len(edits) - 1; l >= 0 && edits[l].Off+edits[l].Len == off && at+len(edits[l].Data) == from {
@@ -253,18 +409,17 @@ func bundleEdits(m *extract.Model, prev *rendered, names []string, sizes, offs [
 		at = from
 	}
 	pad := func(n int) int { return -n & 511 }
-	// A tar header's size field, then its mtime and checksum fields, in
-	// the header's last block.
-	const sizeField, sizeFieldLen = 512 - 124, 32
 	oldEnd, newEnd := 0, 0 // the previous member's padded end
 	for i, name := range names {
-		v, data := prev.versions[i], oldEnd+offs[i]-newEnd
+		v, data := versions[i], oldEnd+offs[i]-newEnd
 		oldSize := sizes[i]
 		if !m.Changes(name, v, func(_, del, ins int) { oldSize += del - ins }) {
 			return nil, false
 		}
 		if oldSize != sizes[i] {
-			add(data-sizeField, sizeFieldLen, offs[i]-sizeField, sizeFieldLen)
+			for _, f := range [][2]int{{sizeField, sizeFieldLen}, {sumField, sumFieldLen}} {
+				add(data-512+f[0], f[1], offs[i]-512+f[0], f[1])
+			}
 		}
 		shift := offs[i]
 		m.Changes(name, v, func(off, del, ins int) {

@@ -262,6 +262,12 @@ func TestClusterBootElection(t *testing.T) {
 	a, b := startPair(t, env)
 	prim, repl := waitOnePrimary(t, a, b)
 
+	// OnRole sets a server's gate after the role is published: wait for
+	// it as waitOnePrimary waits for the roles.
+	deadline := time.Now().Add(10 * time.Second)
+	for (prim.srv.ReadOnly() || !repl.srv.ReadOnly()) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
 	if prim.srv.ReadOnly() {
 		t.Error("primary's server still read-only after promotion")
 	}

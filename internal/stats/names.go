@@ -101,6 +101,7 @@ var KnownNames = []string{
 	"dcm.files.propagated",
 	"dcm.bytes.generated",
 	"dcm.bytes.propagated",
+	"dcm.bytes.rendered",  // bundle bytes generation wrote: edits when patched, all when rendered anew
 	"dcm.bytes.pushed",    // edit payload bytes shipped
 	"dcm.bytes.skipped",   // bundle bytes the agents kept from the files they held
 	"dcm.pushes.edited",   // pushes that shipped a bundle's edits (or none)
@@ -128,6 +129,7 @@ var KnownNames = []string{
 	"update.base.mismatch", // pushes refused: the target was not the edits' base
 	"update.extracts.kept", // extracts that found their member already in place
 	"update.files.removed", // installed files whose member left the bundle, removed
+	"update.headers.read",  // tar headers walked to index the bundles pushes assembled
 	"update.conns.busy",
 	"update.conns.forceclosed",
 	"update.panics.recovered",

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"moira/internal/clock"
 	"moira/internal/health"
@@ -57,7 +58,8 @@ const (
 // (the NFS host simulation, the hesiod restart script) register Go
 // handlers under command names. in is the view of the push running the
 // command (nil when local tooling runs it), so a service can reload
-// only what the push changed.
+// only what the push changed. args is valid until the command returns;
+// its strings may be kept.
 type CommandFunc func(a *Agent, in *Install, args []string) error
 
 // Agent is the update daemon running on one managed host. Its Root
@@ -126,11 +128,11 @@ type Agent struct {
 	tracer *trace.Tracer
 }
 
-// bundleIndex is a bundle's sum and the index of its members' data
-// (indexTar), built from bytes checked against that sum.
+// bundleIndex is a bundle's sum and the index of its members, built
+// from bytes checked against that sum.
 type bundleIndex struct {
 	sum   Sum
-	index map[string]Range
+	index *tarIndex
 }
 
 // placement is what an install put at a destination: member of the
@@ -306,8 +308,9 @@ type updateSession struct {
 	authed bool
 	target string
 	script []string
-	trace  string // bare trace ID carried by the push's requests
-	parent string // span ID of the DCM push span, from the wire field
+	fields []string // the instruction running, split
+	trace  string   // bare trace ID carried by the push's requests
+	parent string   // span ID of the DCM push span, from the wire field
 
 	// install is the exec commands' view of the transfer, reading the
 	// staged bundle and the one it replaced through the handles the
@@ -663,6 +666,7 @@ func (s *updateSession) assemble(req *protocol.Request) mrerr.Code {
 	if k, ok := s.agent.assembled[x.fp]; ok && k.sum == in.base {
 		in.oldIndex = k.index
 	}
+	in.headers = s.agent.reg.Counter("update.headers.read")
 	delete(s.agent.assembled, x.fp)
 	s.target, s.install, s.installed = target, in, x.fp
 	// Staged files and their sizes, the edits that made them and the
@@ -675,11 +679,26 @@ func (s *updateSession) assemble(req *protocol.Request) mrerr.Code {
 	return mrerr.Success
 }
 
+// loadScript keeps the script's lines: one string holds them all, and
+// each line is a slice of it.
 func (s *updateSession) loadScript(req *protocol.Request) mrerr.Code {
 	if !s.authed {
 		return mrerr.UpdAuthFailed
 	}
-	s.script = req.StringArgs()
+	n := 0
+	for _, a := range req.Args {
+		n += len(a)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, a := range req.Args {
+		b.Write(a)
+	}
+	all := b.String()
+	s.script = make([]string, len(req.Args))
+	for i, a := range req.Args {
+		s.script[i], all = all[:len(a)], all[len(a):]
+	}
 	return mrerr.Success
 }
 
@@ -735,7 +754,8 @@ func (s *updateSession) removeLeft() {
 }
 
 func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
-	fields := strings.Fields(line)
+	s.fields = appendFields(s.fields[:0], line)
+	fields := s.fields
 	if len(fields) == 0 {
 		return mrerr.Success
 	}
@@ -823,6 +843,24 @@ func (s *updateSession) runInstruction(line string, sp *trace.Span) mrerr.Code {
 	default:
 		return mrerr.UpdBadInstr
 	}
+}
+
+// appendFields appends the fields of line to dst: the runs of
+// characters between white space, as strings.Fields splits them.
+func appendFields(dst []string, line string) []string {
+	start := -1
+	for i, r := range line {
+		switch space := unicode.IsSpace(r); {
+		case space && start >= 0:
+			dst, start = append(dst, line[start:i]), -1
+		case !space && start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // extract writes one member of the staged bundle to <dest>.moira_update,

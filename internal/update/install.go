@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"moira/internal/mrerr"
+	"moira/internal/stats"
 )
 
 // Install is an exec command's view of the push that runs it. For each
@@ -27,11 +28,14 @@ type Install struct {
 	oldID, newID string
 	edits        []Edit // the edits that made new from old, in order
 
-	// oldIndex and newIndex map each bundle's member names to their data
-	// (Lo < 0: not a plain file), built by one header walk on first use,
-	// unless the agent kept oldIndex from the push that assembled old:
-	// the session's extracts and views share both.
-	oldIndex, newIndex map[string]Range
+	// oldIndex and newIndex index each bundle's members, built on first
+	// use: oldIndex by one walk of old's headers unless the agent kept it
+	// from the push that assembled old, newIndex from oldIndex and the
+	// edits when there is one (indexFrom), else by one walk of new's
+	// headers. The session's extracts and views share both; headers
+	// counts the headers their walks read (nil: not counted).
+	oldIndex, newIndex *tarIndex
+	headers            *stats.Counter
 
 	members map[string]string // cleaned dest -> member
 	files   map[string]*File
@@ -274,19 +278,27 @@ func (in *Install) File(dest string) (f *File, ok bool) {
 // ExtractMember's rules, from the session's one index of its headers.
 func (in *Install) member(name string) (Range, bool) {
 	if in.newIndex == nil {
-		in.newIndex = indexTar(in.new, in.new.Len())
+		n := 0
+		if in.oldIndex != nil {
+			in.newIndex, n = indexFrom(in.oldIndex, in.edits, in.new, in.new.Len())
+			in.headers.Add(int64(n))
+		}
+		if in.newIndex == nil {
+			in.newIndex, n = indexTar(in.new, in.new.Len())
+			in.headers.Add(int64(n))
+		}
 	}
-	r, ok := in.newIndex[name]
-	return r, ok && r.Lo >= 0
+	return in.newIndex.get(name)
 }
 
 // oldMember is member for the bundle the target held before.
 func (in *Install) oldMember(name string) (Range, bool) {
 	if in.oldIndex == nil {
-		in.oldIndex = indexTar(in.old, in.old.Len())
+		var n int
+		in.oldIndex, n = indexTar(in.old, in.old.Len())
+		in.headers.Add(int64(n))
 	}
-	r, ok := in.oldIndex[name]
-	return r, ok && r.Lo >= 0
+	return in.oldIndex.get(name)
 }
 
 // Read returns dest as a reload should see it: the push's view of it and

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -308,7 +307,7 @@ func TestMailhubAliasesExtractedEveryPush(t *testing.T) {
 // after it walks the old headers again.
 func TestKeptIndexReplacesOldHeaderWalk(t *testing.T) {
 	files := memberFiles(61, 3, 9_000)
-	var old, new []map[string]Range
+	var old, new []*tarIndex
 	r := newKeptRig(t, t.TempDir(), files, "exec peek")
 	r.a.RegisterCommand("peek", func(_ *Agent, in *Install, _ []string) error {
 		if _, ok := in.File("/etc/m00.db"); !ok {
@@ -320,7 +319,7 @@ func TestKeptIndexReplacesOldHeaderWalk(t *testing.T) {
 	r.push(files)
 	files = changed(files, "m01.db", randBytes(62, 100))
 	r.push(files)
-	same := func(a, b map[string]Range) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	same := func(a, b *tarIndex) bool { return a == b }
 	if !same(old[1], new[0]) {
 		t.Error("the second push walked the old bundle's headers again")
 	}

@@ -152,8 +152,10 @@ func (p *Push) Run() error {
 		pushConns.Put(c)
 	}()
 
-	call := func(op uint16, args [][]byte) error {
-		if err := protocol.WriteRequest(c.bw, &protocol.Request{Version: protocol.Version, Op: op, TraceID: p.Trace, Args: args}); err != nil {
+	// reply sends the request a write left in the buffer (err is the
+	// write's) and reads the agent's answer.
+	reply := func(err error) error {
+		if err != nil {
 			return ioErr(err)
 		}
 		if err := c.bw.Flush(); err != nil {
@@ -164,6 +166,9 @@ func (p *Push) Run() error {
 			return ioErr(err)
 		}
 		return mrerr.Code(rep.Code).OrNil()
+	}
+	call := func(op uint16, args [][]byte) error {
+		return reply(protocol.WriteRequest(c.bw, &protocol.Request{Version: protocol.Version, Op: op, TraceID: p.Trace, Args: args}))
 	}
 
 	// A. Transfer phase.
@@ -176,7 +181,8 @@ func (p *Push) Run() error {
 	if err := p.transfer(call, c); err != nil {
 		return err
 	}
-	if err := call(OpUScript, protocol.BytesArgs(p.Script)); err != nil {
+	// The script's lines go as they are, without a copy each.
+	if err := reply(protocol.WriteCall(c.bw, &protocol.Call{Op: OpUScript, TraceID: p.Trace, Args: p.Script})); err != nil {
 		return err
 	}
 

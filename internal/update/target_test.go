@@ -46,12 +46,13 @@ func diffSplices(old, new []byte) []Splice {
 func tarRegions(b []byte) []Range {
 	var out []Range
 	end := 0
-	if walkTar(bytes.NewReader(b), len(b), func(_ string, r Range, plain bool) {
-		if plain {
+	if walkTar(bytes.NewReader(b), 0, len(b), func(m tarMember) bool {
+		if r := m.data; m.reg && r.Hi <= len(b) {
 			pad := (r.Hi + 511) &^ 511
 			out = append(out, Range{end, r.Lo - 388}, Range{r.Lo - 388, r.Lo - 356}, Range{r.Lo - 356, r.Hi}, Range{r.Hi, pad})
 			end = pad
 		}
+		return true
 	}) != nil || len(out) == 0 {
 		return nil
 	}

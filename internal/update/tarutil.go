@@ -16,6 +16,7 @@ import (
 	"archive/tar"
 	"bytes"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,36 +93,83 @@ func BuildTarFrom(prev []byte, names []string, size func(i int) int, write func(
 // missing member, a member that is not a plain regular file, or one
 // whose header claims more bytes than archive holds is UpdNoFile.
 func ExtractMember(archive []byte, name string) ([]byte, error) {
-	r, ok := indexTar(bytes.NewReader(archive), len(archive))[name]
-	if !ok || r.Lo < 0 {
+	idx, _ := indexTar(bytes.NewReader(archive), len(archive))
+	r, ok := idx.get(name)
+	if !ok {
 		return nil, mrerr.UpdNoFile
 	}
 	return archive[r.Lo:r.Hi:r.Hi], nil
 }
 
-// indexTar maps each member name of archive (size bytes) to its data
-// range (Lo < 0: not a plain file), the first header of a name winning.
-// A damaged archive indexes what precedes the damage.
-func indexTar(archive io.ReaderAt, size int) map[string]Range {
-	idx := map[string]Range{}
-	_ = walkTar(archive, size, func(name string, r Range, plain bool) {
-		if _, dup := idx[name]; !dup {
-			if !plain {
-				r.Lo = -1
-			}
-			idx[name] = r
-		}
-	})
-	return idx
+// tarIndex is a tar archive's members in the order a walk of its headers
+// finds them, and the first member of each name. A damaged archive
+// indexes what precedes the damage.
+type tarIndex struct {
+	members []tarMember
+	byName  map[string]int
+	size    int // the archive's length
 }
 
-// walkTar walks the headers of a tar archive of size bytes, calling fn
-// with each member's name and the range of its data. It reads the
-// headers only: the reader seeks past member data.
-// plain is false for a member that is not a plain regular file or whose
-// header claims more bytes than archive holds.
-func walkTar(archive io.ReaderAt, size int, fn func(name string, r Range, plain bool)) error {
-	rd := io.NewSectionReader(archive, 0, int64(size))
+// tarMember is one member of an indexed archive.
+type tarMember struct {
+	name string
+	data Range // its data, as long as its header's size says
+	// end is where the member's stored bytes end, so where the walk
+	// resumes (the next header follows the padding): data.Lo for a type
+	// that stores none, -1 when the walk cannot tell (a sparse file).
+	end int
+	reg bool // a regular file stored contiguously
+}
+
+// get returns the range of name's data under ExtractMember's rules:
+// the first member of the name, a regular file stored contiguously that
+// the archive holds whole.
+func (x *tarIndex) get(name string) (Range, bool) {
+	i, ok := x.byName[name]
+	if !ok {
+		return Range{}, false
+	}
+	m := x.members[i]
+	return m.data, m.reg && m.data.Hi <= x.size
+}
+
+// indexTar indexes the archive of size bytes by one walk of its headers,
+// and counts the headers it read.
+func indexTar(archive io.ReaderAt, size int) (*tarIndex, int) {
+	x := &tarIndex{size: size}
+	walkTar(archive, 0, size, func(m tarMember) bool {
+		x.members = append(x.members, m)
+		return true
+	})
+	x.nameMembers(nil)
+	return x, len(x.members)
+}
+
+// nameMembers maps each name to its first member, sharing old's map
+// when old holds the same names in the same order.
+func (x *tarIndex) nameMembers(old *tarIndex) {
+	if old != nil && slices.EqualFunc(old.members, x.members, func(a, b tarMember) bool { return a.name == b.name }) {
+		x.byName = old.byName
+		return
+	}
+	x.byName = make(map[string]int, len(x.members))
+	for i, m := range x.members {
+		if _, dup := x.byName[m.name]; !dup {
+			x.byName[m.name] = i
+		}
+	}
+}
+
+// walkTar walks the headers of a tar archive of size bytes from at, a
+// member's end (or 0), calling fn with each member until fn returns
+// false, the archive ends, or a header is damaged (the error). It reads
+// the headers only: the reader seeks past member data.
+func walkTar(archive io.ReaderAt, at, size int, fn func(m tarMember) bool) error {
+	at = blockEnd(at) // past a member's padding
+	if at > size {
+		return io.ErrUnexpectedEOF
+	}
+	rd := io.NewSectionReader(archive, int64(at), int64(size-at))
 	tr := tar.NewReader(rd)
 	for {
 		hdr, err := tr.Next()
@@ -133,22 +181,127 @@ func walkTar(archive io.ReaderAt, size int, fn func(name string, r Range, plain 
 		}
 		// Next stops at the member's first data byte.
 		off, _ := rd.Seek(0, io.SeekCurrent)
-		plain := plainFile(hdr) && hdr.Size <= int64(size)-off
-		fn(hdr.Name, Range{int(off), int(off + hdr.Size)}, plain)
+		m := tarMember{name: hdr.Name, data: Range{at + int(off), at + int(off+hdr.Size)}, reg: plainFile(hdr)}
+		switch {
+		case headerOnly(hdr.Typeflag):
+			m.end = m.data.Lo
+		case hdr.Typeflag == tar.TypeGNUSparse || sparse(hdr):
+			m.end = -1
+		default:
+			m.end = m.data.Hi
+		}
+		if !fn(m) {
+			return nil
+		}
 	}
+}
+
+// indexFrom indexes new, the archive of size bytes that edits (in order,
+// in both archives' offsets) made from the one old indexes, reading only
+// the headers the edits may have changed, and counts the headers it
+// read. A member whose header region (its header blocks, from the block
+// after the previous member's stored bytes to its data) no edit touches,
+// and which the walk of new reaches there, keeps its name and size, its
+// range shifted; padding is never read, so an edit of it only shifts
+// what follows. Each run of other members, and the trailer when an edit
+// touches it, is walked in new from its start up to where the next
+// untouched member's header starts; a walk that does not land exactly
+// there goes on to the end. nil when old holds a member whose end it
+// cannot tell that new keeps.
+func indexFrom(old *tarIndex, edits []Edit, new io.ReaderAt, size int) (*tarIndex, int) {
+	x := &tarIndex{members: make([]tarMember, 0, len(old.members)), size: size}
+	walked := 0
+	// The header region of old member k (the trailer at k = len): where
+	// it starts in old (-1: unknown) and in new; ok is false when an
+	// edit touches it.
+	e, shift := 0, 0
+	region := func(k int) (at, to int, ok bool) {
+		if k > 0 {
+			if at = old.members[k-1].end; at < 0 {
+				return -1, -1, false
+			}
+			at = blockEnd(at)
+		}
+		for ; e < len(edits) && edits[e].Old.Hi <= at; e++ {
+			shift = edits[e].New.Hi - edits[e].Old.Hi
+		}
+		if k == len(old.members) {
+			return at, at + shift, e == len(edits)
+		}
+		return at, at + shift, e == len(edits) || edits[e].Old.Lo >= old.members[k].data.Lo
+	}
+	pos := 0 // where new's walk is: the last member's end
+	for k := 0; k <= len(old.members); {
+		at, to, ok := region(k)
+		if ok && to == blockEnd(pos) {
+			if k == len(old.members) {
+				break // the trailer: new's walk ends as old's did
+			}
+			m := old.members[k]
+			if m.end < 0 {
+				return nil, walked
+			}
+			d := to - at
+			m.data.Lo, m.data.Hi, m.end = m.data.Lo+d, m.data.Hi+d, m.end+d
+			x.members = append(x.members, m)
+			pos = m.end
+			k++
+			continue
+		}
+		// Walk to the next untouched region new's walk can land on.
+		j, target := k, -1
+		for ; j <= len(old.members); j++ {
+			if at, to, ok := region(j); ok && at >= 0 && to >= blockEnd(pos) {
+				target = to
+				break
+			}
+		}
+		if target != blockEnd(pos) {
+			landed := false
+			walkTar(new, pos, size, func(m tarMember) bool {
+				walked++
+				x.members = append(x.members, m)
+				pos = m.end
+				landed = pos >= 0 && blockEnd(pos) == target
+				return !landed
+			})
+			if !landed {
+				break
+			}
+		}
+		k = j
+	}
+	x.nameMembers(old)
+	return x, walked
+}
+
+// blockEnd is offset n rounded up to a tar block: where the header after
+// a member whose stored bytes end at n starts.
+func blockEnd(n int) int { return (n + 511) &^ 511 }
+
+// headerOnly reports whether members of type flag store no data, as
+// archive/tar reads them.
+func headerOnly(flag byte) bool {
+	switch flag {
+	case tar.TypeLink, tar.TypeSymlink, tar.TypeChar, tar.TypeBlock, tar.TypeDir, tar.TypeFifo:
+		return true
+	}
+	return false
 }
 
 // plainFile reports whether hdr is a regular file stored contiguously.
 // A GNU sparse file is typed regular under PAX, but its stored bytes are
 // a hole map and fragments, not the content.
 func plainFile(hdr *tar.Header) bool {
-	if hdr.Typeflag != tar.TypeReg {
-		return false
-	}
+	return hdr.Typeflag == tar.TypeReg && !sparse(hdr)
+}
+
+// sparse reports whether hdr's PAX records make it a GNU sparse file.
+func sparse(hdr *tar.Header) bool {
 	for k := range hdr.PAXRecords {
 		if strings.HasPrefix(k, "GNU.sparse.") {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }
